@@ -1,22 +1,24 @@
-"""REP001: mutators of flat-view caches must drop the cache.
+"""REP001: mutators of flat-view owners must tell the view.
 
-``BPlusTree`` and ``OutlierBuffer`` keep a cached *flat view* of their
-entries (``self._flat_view``) that turns batched lookups into pure array
-passes.  The cache is only correct while the underlying entries are
-unchanged, so **every** method that mutates entry state must end the
-cache's life with ``self._flat_view = None`` — the invariant behind the
-scattered assignment sites in ``src/repro/index/bptree.py`` and
-``src/repro/core/outliers.py``.  A new mutator that forgets the drop
-produces silently stale batch results, which no test notices until a
-workload happens to interleave that mutator with ``*_many`` lookups.
+``BPlusTree`` and ``OutlierBuffer`` keep a *flat view* of their entries
+(``self._flat_view``, a :class:`~repro.index.flat_view.FlatView`) that
+turns batched lookups into pure array passes.  The view only stays correct
+if it hears about every write, so **every** method that mutates entry
+state must either *record* what it did through the view's own helpers
+(``self._flat_view.record_insert`` / ``record_insert_many`` /
+``record_delete`` — the next batched probe folds the record in) or *drop*
+the view (``self._flat_view.drop()``).  A new mutator that does neither produces silently stale batch results, which no
+test notices until a workload happens to interleave that mutator with
+``*_many`` lookups.
 
 The rule applies to any class whose ``__init__`` assigns
 ``self._flat_view``.  A method counts as a mutator when it assigns,
 augments or deletes one of the entry-state attributes below, or calls a
 mutating container method on one; it satisfies the invariant when its
-body contains ``self._flat_view = None`` on some path (the rule is
-reachability-insensitive by design — the cheap discipline is to clear
-unconditionally, which every current site does).
+body contains a record or a drop on some path (the rule is
+reachability-insensitive by design — the cheap discipline is to notify
+unconditionally, which every current site does; the view itself ignores
+records while it holds no arrays).
 """
 
 from __future__ import annotations
@@ -72,18 +74,21 @@ def _mutated_state(method: ast.FunctionDef) -> set[str]:
     return mutated
 
 
-def _clears_flat_view(method: ast.FunctionDef) -> bool:
-    """Whether the method contains ``self._flat_view = None``."""
-    for node in ast.walk(method):
-        if not isinstance(node, ast.Assign):
-            continue
-        if not (isinstance(node.value, ast.Constant)
-                and node.value.value is None):
-            continue
-        for target in node.targets:
-            if self_attr_target(target) == "_flat_view":
-                return True
-    return False
+#: ``FlatView`` methods through which a mutator keeps the view honest.
+VIEW_NOTIFICATIONS = frozenset({
+    "record_insert", "record_insert_many", "record_delete", "drop",
+})
+
+
+def _notifies_flat_view(method: ast.FunctionDef) -> bool:
+    """Whether the method records a delta with, or drops, ``self._flat_view``."""
+    return any(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in VIEW_NOTIFICATIONS
+        and self_attr_target(node.func.value) == "_flat_view"
+        for node in ast.walk(method)
+    )
 
 
 @register
@@ -91,7 +96,7 @@ class FlatViewInvalidation(Rule):
     rule_id = "REP001"
     name = "flat-view-invalidation"
     description = ("methods mutating flat-view-backed entry state must "
-                   "clear self._flat_view")
+                   "record the write with, or drop, self._flat_view")
 
     def check_module(self, module: Module) -> Iterator[Finding]:
         for class_node in ast.walk(module.tree):
@@ -109,14 +114,15 @@ class FlatViewInvalidation(Rule):
                 if method.name == "__init__":
                     continue
                 mutated = _mutated_state(method)
-                if mutated and not _clears_flat_view(method):
+                if mutated and not _notifies_flat_view(method):
                     attrs = ", ".join(sorted(mutated))
                     yield Finding(
                         rule=self.rule_id,
                         message=(
                             f"{class_node.name}.{method.name} mutates "
-                            f"{attrs} without dropping self._flat_view — "
-                            f"batched lookups would serve a stale cache"
+                            f"{attrs} without recording the write with, "
+                            f"or dropping, self._flat_view — batched "
+                            f"lookups would serve a stale view"
                         ),
                         path=module.path, line=method.lineno,
                     )

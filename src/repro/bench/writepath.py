@@ -21,6 +21,7 @@ test share one implementation.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 
@@ -171,11 +172,17 @@ def measure_write_path(workload: str, mechanism: str, base_rows: int,
     value_lists = [insert_columns[name].tolist() for name in names]
     rows = [dict(zip(names, values)) for values in zip(*value_lists)]
 
+    # Each side starts with the set-up's garbage collected: the batched
+    # side is one call of a few tens of ms, and a full collection owed to
+    # the objects allocated above would otherwise land inside it or not
+    # depending on allocation counts nobody controls.
+    gc.collect()
     started = time.perf_counter()
     for row in rows:
         scalar_db.insert(table_name, row)
     scalar_seconds = time.perf_counter() - started
 
+    gc.collect()
     started = time.perf_counter()
     batched_db.insert_many(table_name, insert_columns)
     batched_seconds = time.perf_counter() - started

@@ -11,8 +11,11 @@ It combines (Section 5):
 
 The lookup pipeline is array-native end to end: host-index probes return
 numpy tid arrays (:meth:`~repro.index.base.Index.range_search_many_array`),
-candidate dedup is ``np.unique``, logical pointers are resolved through one
-batched primary-index probe (:meth:`~repro.index.base.Index.search_many`) and
+candidate dedup is one in-place sort plus a neighbour mask
+(:func:`~repro.segments.sorted_unique`, per segment on the batch path),
+logical pointers are resolved
+through one batched primary-index probe
+(:meth:`~repro.index.base.Index.search_many`) and
 base-table validation is a single fancy-index + boolean mask
 (:meth:`~repro.storage.table.Table.filter_in_range`).  The original
 object-at-a-time path is kept as :meth:`HermitIndex.lookup_range_scalar` —
@@ -40,6 +43,7 @@ from repro.segments import (
     offsets_from_counts,
     segmented_sort,
     segmented_unique,
+    sorted_unique,
     split_segments,
 )
 from repro.storage.identifiers import PointerScheme, TupleId
@@ -340,7 +344,7 @@ class HermitIndex:
         """Answer ``low <= target_column <= high`` exactly (Figure 3 workflow).
 
         Candidates stay numpy arrays through all four phases: host-index
-        probe, ``np.unique`` dedup, batched primary-index resolution and one
+        probe, sort-based dedup, batched primary-index resolution and one
         fancy-index base-table validation.
         """
         predicate = KeyRange(low, high)
@@ -383,9 +387,10 @@ class HermitIndex:
         breakdown = LookupBreakdown(lookups=len(ranges))
 
         values, offsets = self.candidate_tids_many(ranges, breakdown)
-        # The scalar path's per-query candidates are ``np.unique`` output;
-        # keep the batch identical (sorted ascending, already deduplicated).
-        values, offsets = segmented_sort(values, offsets)
+        if not self.sorted_candidates:
+            # The scalar path's per-query candidates are sorted ascending;
+            # keep the batch identical.
+            values, offsets = segmented_sort(values, offsets)
         candidates = split_segments(values, offsets)
 
         return finish_batch_lookup(
@@ -433,12 +438,18 @@ class HermitIndex:
         queries in a constant number of array passes.  Returns
         ``(values, offsets)``; see ``repro.segments``.
 
-        The TRS-Tree unions each query's host ranges into a disjoint cover
-        (Algorithm 2) and a complete host index stores each row once, so
-        the host probes alone cannot produce within-query duplicates; a
-        :func:`~repro.segments.segmented_unique` dedup pass runs only when
+        Every segment comes back duplicate-free.  The TRS-Tree unions each
+        query's host ranges into a disjoint cover (Algorithm 2) and a
+        complete host index stores each row once, so the host probes alone
+        cannot produce within-query duplicates; the
+        :func:`~repro.segments.segmented_unique` dedup runs only when
         outlier tids were spliced in (an outlier's host value may also fall
-        inside a probed range).
+        inside a probed range), and leaves the segments sorted.  Under
+        physical pointers the segments are sorted in every case
+        (:attr:`sorted_candidates`), which lets the executor skip its own
+        final sort — the batch sorts its candidates once.  Under logical
+        pointers the executor ends with a dedup that sorts anyway, so a
+        batch without outliers is handed over in host-key order.
         """
         started = time.perf_counter()
         batch = self.trs_tree.lookup_many(ranges)
@@ -458,8 +469,19 @@ class HermitIndex:
                 values, offsets, batch.outlier_tids, batch.outlier_offsets
             )
             values, offsets = segmented_unique(values, offsets)
+        elif self.sorted_candidates:
+            values, offsets = segmented_sort(values, offsets)
         breakdown.host_index_seconds += time.perf_counter() - started
         return values, offsets
+
+    @property
+    def sorted_candidates(self) -> bool:
+        """Planner contract: does :meth:`candidate_tids_many` sort every segment?
+
+        Only where the executor can use it: under physical pointers the
+        sorted candidates are the sorted result.
+        """
+        return self.pointer_scheme is PointerScheme.PHYSICAL
 
     # Assumed candidate inflation before the first lookup provides an
     # observed false-positive ratio; deliberately worse than an exact host
@@ -535,17 +557,17 @@ class HermitIndex:
         return HermitLookupResult(locations=matches, breakdown=breakdown)
 
     def _candidate_array(self, trs_result) -> np.ndarray:
-        """Step 2: deduplicated candidate tids as one numpy array."""
+        """Step 2: sorted, deduplicated candidate tids as one numpy array."""
         candidates = self.host_index.range_search_many_array(trs_result.host_ranges)
         outliers = trs_result.outlier_tid_array()
-        if outliers.size:
-            if candidates.size:
-                candidates = np.concatenate([candidates, outliers])
-            else:
-                candidates = outliers
-        if candidates.size:
-            candidates = np.unique(candidates)
-        return candidates
+        if outliers.size and candidates.size:
+            candidates = np.concatenate([candidates, outliers])
+        elif outliers.size:
+            candidates = outliers
+        else:
+            # The host index may hand out a view of its own storage.
+            candidates = candidates.copy()
+        return sorted_unique(candidates)
 
     def _resolve_locations_array(self, tids: np.ndarray,
                                  breakdown: LookupBreakdown) -> np.ndarray:

@@ -18,6 +18,8 @@ from typing import Iterator
 import numpy as np
 
 from repro.index.base import KeyRange, tid_items
+from repro.index.flat_view import FlatView
+from repro.segments import run_indices
 from repro.storage.identifiers import TupleId
 from repro.storage.memory import DEFAULT_SIZE_MODEL, SizeModel
 
@@ -43,12 +45,12 @@ class OutlierBuffer:
         self._entries: dict[float, list[TupleId]] = defaultdict(list)
         self._sorted_keys: list[float] = []
         self._count = 0
-        # Flat view for lookup_many, dropped on any write; the debt counter
-        # defers the O(k) flatten until batch traffic has paid for it
-        # (mirrors BPlusTree._use_flat_view — demoted leaves can hold a
-        # large fraction of the table here, so a cold flatten is not free).
-        self._flat_view: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._flat_debt = 0
+        # Array copy of the buckets for lookup_many: built once batch
+        # traffic has paid for the O(k) flatten (demoted leaves can hold a
+        # large fraction of the table, so it is not free), then kept
+        # current by the mutators below — the same maintained view as
+        # BPlusTree's.
+        self._flat_view = FlatView()
 
     def add(self, target_value: float, tid: TupleId) -> None:
         """Record ``tid`` as an outlier with target value ``target_value``."""
@@ -56,7 +58,7 @@ class OutlierBuffer:
             bisect.insort(self._sorted_keys, target_value)
         self._entries[target_value].append(tid)
         self._count += 1
-        self._flat_view = None
+        self._flat_view.record_insert(target_value, tid)
 
     def add_many(self, target_values, tids) -> None:
         """Batched :meth:`add`: group by value, extend each bucket once.
@@ -91,7 +93,7 @@ class OutlierBuffer:
             # Both runs are sorted, so Timsort merges them in one pass.
             self._sorted_keys = sorted(self._sorted_keys + new_keys)
         self._count += count
-        self._flat_view = None
+        self._flat_view.record_insert_many(values.tolist(), items)
 
     def remove(self, target_value: float, tid: TupleId) -> bool:
         """Remove ``tid`` from the bucket of ``target_value``.
@@ -112,7 +114,7 @@ class OutlierBuffer:
                     and self._sorted_keys[position] == target_value):
                 self._sorted_keys.pop(position)
         self._count -= 1
-        self._flat_view = None
+        self._flat_view.record_delete(target_value, tid)
         return True
 
     def lookup(self, target_range: KeyRange) -> list[TupleId]:
@@ -132,29 +134,23 @@ class OutlierBuffer:
         ))
 
     def _flattened(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sorted keys, per-key tid offsets and flat tids, cached until a write.
+        """Sorted keys, per-key tid offsets and flat tids of the buckets.
 
         The flat view is what makes :meth:`lookup_many` a pure array pass:
         tids are concatenated bucket-by-bucket in key order — exactly the
         order :meth:`lookup` emits — so a batch of range probes reduces to
-        two ``searchsorted`` calls and one gather.  Rebuilt lazily after any
-        mutation; lookups between writes (the common read-heavy pattern)
-        share one rebuild.
+        two ``searchsorted`` calls and one gather.  Built from the buckets
+        once, then kept current by folding in what ``add`` / ``add_many`` /
+        ``remove`` recorded since the last call
+        (:mod:`repro.index.flat_view`).
         """
-        if self._flat_view is None:
-            keys = np.asarray(self._sorted_keys, dtype=np.float64)
-            counts = np.fromiter(
-                (len(self._entries[key]) for key in self._sorted_keys),
-                dtype=np.int64, count=len(self._sorted_keys),
-            )
-            offsets = np.zeros(counts.size + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            flat = list(chain.from_iterable(
-                self._entries[key] for key in self._sorted_keys
-            ))
-            tids = np.asarray(flat) if flat else np.empty(0, dtype=np.int64)
-            self._flat_view = (keys, offsets, tids)
-        return self._flat_view
+        return self._flat_view.arrays(self._buckets)
+
+    def _buckets(self) -> tuple[list[float], list[list[TupleId]]]:
+        """Every key and its tid bucket, in key order."""
+        entries = self._entries
+        return (self._sorted_keys,
+                [entries[key] for key in self._sorted_keys])
 
     def lookup_many(self, lows: np.ndarray, highs: np.ndarray,
                     ) -> tuple[np.ndarray, np.ndarray]:
@@ -162,15 +158,12 @@ class OutlierBuffer:
 
         Returns ``(tids, offsets)`` in the ``repro.segments`` layout — query
         ``i`` owns ``tids[offsets[i]:offsets[i + 1]]``, in the same key-major
-        bucket order as the scalar path.  Small batches on a cold buffer
-        fall back to per-range :meth:`lookup` walks and accumulate debt
-        until the flatten pays for itself (see ``_flat_view``).
+        bucket order as the scalar path.  Small batches on a buffer that
+        has no view yet fall back to per-range :meth:`lookup` walks and
+        accumulate debt until the cold flatten pays for itself.
         """
-        from repro.segments import run_indices
-
         count = int(np.asarray(lows).size)
-        if (self._flat_view is None
-                and self._flat_debt + _PROBE_COST * count < self._count):
+        if not self._flat_view.worth_using(_PROBE_COST * count, self._count):
             segments: list[list[TupleId]] = []
             offsets = np.zeros(count + 1, dtype=np.int64)
             total = 0
@@ -182,7 +175,7 @@ class OutlierBuffer:
                 segments.append(flat)
                 total += len(flat)
                 offsets[position + 1] = total
-            self._flat_debt += 2 * total + _PROBE_COST * count
+            self._flat_view.charge(2 * total + _PROBE_COST * count)
             merged = list(chain.from_iterable(segments))
             tids = (np.asarray(merged) if merged
                     else np.empty(0, dtype=np.int64))
@@ -214,7 +207,7 @@ class OutlierBuffer:
         self._entries.clear()
         self._sorted_keys.clear()
         self._count = 0
-        self._flat_view = None
+        self._flat_view.drop()
 
     def memory_bytes(self) -> int:
         """Analytic size in bytes."""

@@ -770,7 +770,18 @@ class TRSTree:
                 self._rebuild_node(root.children[index], provider)
 
     def _rebuild_node(self, node: TRSNode, provider: DataProvider) -> None:
-        targets, hosts, tids = provider(node.key_range)
+        """Replace ``node`` by a subtree built from the base table's rows.
+
+        Lookups and inserts treat a node on the tree's left/right edge as
+        open-ended (out-of-domain values are clamped into the edge leaves),
+        so the rows an edge node answers for are those of its *effective*
+        range, not of the range it was built with; re-reading only the
+        built range would drop every row inserted beyond the original
+        domain, and lookups would miss them from then on.  The rebuilt
+        subtree keeps the built range — routing clamps the extra rows into
+        its own edge leaves, exactly where an insert would have put them.
+        """
+        targets, hosts, tids = provider(self._effective_range(node))
         rebuilt = self._build_node(
             node.key_range,
             np.asarray(targets, dtype=np.float64),
@@ -784,6 +795,21 @@ class TRSTree:
             rebuilt.parent = None
         else:
             parent.replace_child(node, rebuilt)
+
+    @staticmethod
+    def _effective_range(node: TRSNode) -> KeyRange:
+        """``node``'s key range, open-ended on the sides where it is an edge."""
+        left_edge = right_edge = True
+        current = node
+        while current.parent is not None and (left_edge or right_edge):
+            siblings = current.parent.children
+            left_edge = left_edge and siblings[0] is current
+            right_edge = right_edge and siblings[-1] is current
+            current = current.parent
+        return KeyRange(
+            float("-inf") if left_edge else node.key_range.low,
+            float("inf") if right_edge else node.key_range.high,
+        )
 
     def _is_attached(self, node: TRSNode) -> bool:
         current = node

@@ -145,14 +145,22 @@ class AccessPath:
             and the correlation mechanisms (Hermit, CM) end their candidate
             generation with an explicit dedup — which lets the executor
             pass ``assume_unique=True`` to its ``np.intersect1d`` calls and
-            replace the final ``np.unique`` with a plain sort.  A future
+            replace the final dedup with a plain sort.  A future
             path without the guarantee sets this False and the executor
             falls back to the safe kernels.
+        produces_sorted_tids: True when :meth:`execute_many` additionally
+            guarantees every segment ascending.  Under physical pointers
+            (tids are locations, validation only filters) the batch
+            executor then skips its final sort.  Only a mechanism that sorts
+            while deduplicating claims it, and only where the skip applies
+            (Hermit under physical pointers, via ``sorted_candidates``);
+            complete indexes emit key order.
     """
 
     columns: tuple[str, ...] = ()
     produces_locations = False
     produces_unique_tids = True
+    produces_sorted_tids = False
 
     def estimated_candidates(self) -> float:
         """Cost-model estimate of the candidate count this path returns."""
@@ -320,6 +328,10 @@ class MechanismPath(AccessPath):
         else:  # HERMIT / CORRELATION_MAP: translation + host-index gathers
             self._cost = (cost_model.mechanism_overhead * levels
                           + cost_model.btree_per_candidate * self._candidates)
+
+    @property
+    def produces_sorted_tids(self) -> bool:
+        return getattr(self.entry.mechanism, "sorted_candidates", False)
 
     def estimated_candidates(self) -> float:
         return self._candidates

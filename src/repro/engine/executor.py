@@ -39,6 +39,7 @@ from repro.segments import (
     segmented_intersect,
     segmented_sort,
     segmented_unique,
+    sorted_unique,
     split_segments,
 )
 from repro.storage.identifiers import PointerScheme
@@ -57,7 +58,7 @@ def execute_plan(plan: Plan, entry: TableEntry,
     # np.intersect1d; multi-path plans intersect with assume_unique
     # whenever both operands come from paths that guarantee unique tids —
     # every current path does (see AccessPath.produces_unique_tids), which
-    # skips intersect1d's internal per-operand np.unique sorts.
+    # skips intersect1d's internal per-operand dedup sorts.
     tids = plan.paths[0].execute(breakdown)
     unique = plan.paths[0].produces_unique_tids
     for path in plan.paths[1:]:
@@ -96,10 +97,10 @@ def execute_plan(plan: Plan, entry: TableEntry,
     locations = locations.astype(np.int64, copy=False)
     if unique and pointer_scheme is PointerScheme.PHYSICAL:
         # Physical tids are the locations, so uniqueness survives
-        # resolution and a plain sort replaces the np.unique dedup.
+        # resolution and a plain sort replaces the dedup.
         locations = np.sort(locations)
     else:
-        locations = np.unique(locations)
+        locations = sorted_unique(locations)
     _observe_lookup(plan, breakdown)
     return PlannedQueryResult(locations, breakdown, plan)
 
@@ -117,7 +118,8 @@ def execute_plan_many(plan: Plan, merged_list: list[dict[str, KeyRange]],
     Python-level array passes — one ``execute_many`` per path, one
     segmented intersection per extra path, one segmented pointer
     resolution, one segmented validation mask per predicate column and one
-    final segmented sort — instead of B full pipelines.
+    final segmented sort (skipped when the candidates arrived sorted and
+    nothing since reordered them) — instead of B full pipelines.
 
     Returns the per-query location arrays (input order) plus the one
     breakdown accumulated across the batch.
@@ -129,6 +131,7 @@ def execute_plan_many(plan: Plan, merged_list: list[dict[str, KeyRange]],
 
     tids, offsets = plan.paths[0].execute_many(merged_list, breakdown)
     unique = plan.paths[0].produces_unique_tids
+    ordered = plan.paths[0].produces_sorted_tids
     for path in plan.paths[1:]:
         if tids.size == 0:
             break
@@ -137,7 +140,8 @@ def execute_plan_many(plan: Plan, merged_list: list[dict[str, KeyRange]],
             tids, offsets, other, other_offsets,
             assume_unique=unique and path.produces_unique_tids,
         )
-        unique = True
+        # An intersection comes out of one sort pass, ascending per segment.
+        unique = ordered = True
 
     if plan.paths[0].produces_locations:
         locations = tids.astype(np.int64, copy=False)
@@ -169,7 +173,10 @@ def execute_plan_many(plan: Plan, merged_list: list[dict[str, KeyRange]],
     locations = locations.astype(np.int64, copy=False)
     if unique and (plan.paths[0].produces_locations
                    or pointer_scheme is PointerScheme.PHYSICAL):
-        locations, offsets = segmented_sort(locations, offsets)
+        # The tids are the locations and segmented_filter keeps their
+        # order, so candidates that arrived sorted are the sorted result.
+        if not ordered:
+            locations, offsets = segmented_sort(locations, offsets)
     else:
         # Logical pointers: duplicate primary keys would survive resolution
         # as duplicate locations, so dedup exactly like the scalar path.

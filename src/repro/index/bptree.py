@@ -23,17 +23,19 @@ import numpy as np
 
 from repro.errors import KeyNotFoundError, StorageError
 from repro.index.base import Index, KeyRange, tid_items
+from repro.index.flat_view import FlatView
 from repro.segments import empty_offsets, run_indices
 from repro.storage.identifiers import TupleId
 from repro.storage.memory import DEFAULT_SIZE_MODEL, SizeModel
 
 DEFAULT_NODE_CAPACITY = 32
 
-# Amortisation accounting for ``_use_flat_view``, in flat-view
-# entry-equivalents: the per-probe constants price a root-to-leaf descent
-# plus per-call Python overhead, and every entry a scalar probe touches is
-# charged ``_TOUCHED_ENTRY_COST`` because the fragmented per-range
-# chain/asarray passes cost roughly twice the one bulk pass of a flatten.
+# Amortisation accounting for the cold flat-view build (``_use_flat_view``),
+# in flat-view entry-equivalents: the per-probe constants price a
+# root-to-leaf descent plus per-call Python overhead, and every entry a
+# scalar probe touches is charged ``_TOUCHED_ENTRY_COST`` because the
+# fragmented per-range chain/asarray passes cost roughly twice the one bulk
+# pass of a flatten.
 _RANGE_PROBE_COST = 32
 _POINT_PROBE_COST = 8
 _TOUCHED_ENTRY_COST = 2
@@ -91,20 +93,19 @@ class BPlusTree(Index):
         self._root: _Node = _LeafNode()
         self._num_entries = 0
         self._height = 1
-        # Lazily built flattened view of the leaf level for the segmented
-        # batch probes; any write drops it (see _flattened).  The debt
-        # counter accumulates the scalar-path work of batches that skipped
-        # the O(n) flatten, so the view is only built once batch traffic
-        # would have paid for it (see _use_flat_view).
-        self._flat_view: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._flat_debt = 0
+        # Array copy of the leaf level for the segmented batch probes,
+        # built once batch traffic has paid for it (_use_flat_view) and
+        # from then on kept current by the mutators below, which record
+        # what they wrote for the next probe to fold in (_flattened).
+        self._flat_view = FlatView()
 
     # ------------------------------------------------------------------ write
 
     def insert(self, key: float, tid: TupleId) -> None:
         """Insert ``key -> tid``; duplicates of the same pair are allowed."""
         self.stats.inserts += 1
-        split = self._insert_into(self._root, float(key), tid)
+        key = float(key)
+        split = self._insert_into(self._root, key, tid)
         if split is not None:
             separator, right = split
             new_root = _InternalNode()
@@ -113,7 +114,7 @@ class BPlusTree(Index):
             self._root = new_root
             self._height += 1
         self._num_entries += 1
-        self._flat_view = None
+        self._flat_view.record_insert(key, tid)
 
     def delete(self, key: float, tid: TupleId) -> None:
         """Remove one occurrence of ``key -> tid``.
@@ -137,7 +138,7 @@ class BPlusTree(Index):
                 leaf.keys.pop(index)
                 leaf.values.pop(index)
             self._num_entries -= 1
-            self._flat_view = None
+            self._flat_view.record_delete(key, tid)
             return
         raise KeyNotFoundError(f"key {key!r} is not in the index")
 
@@ -179,7 +180,7 @@ class BPlusTree(Index):
             splits = (self._multi_split_internal(new_root)
                       if len(new_root.keys) > self.node_capacity else None)
         self._num_entries += int(keys.size)
-        self._flat_view = None
+        self._flat_view.record_insert_many(sorted_keys, sorted_tids)
 
     def bulk_load(self, pairs: Iterable[tuple[float, TupleId]]) -> None:
         """Build the tree from (key, tid) pairs.
@@ -236,7 +237,7 @@ class BPlusTree(Index):
             level = parents
             self._height += 1
         self._root = level[0]
-        self._flat_view = None
+        self._flat_view.drop()
 
     # ------------------------------------------------------------------- read
 
@@ -313,10 +314,11 @@ class BPlusTree(Index):
         leaf walk per range, the batch resolves *all* ranges against the
         cached flat view (:meth:`_flattened`) — two ``searchsorted`` passes
         locate every range's key run and one :func:`~repro.segments.run_indices`
-        gather pulls the tids out.  The O(n) flatten is only worth paying
-        when enough batch traffic amortises it, so small batches on a cold
-        tree keep the per-range leaf walk and accumulate debt instead
-        (:meth:`_use_flat_view`); both paths emit identical segments.
+        gather pulls the tids out.  The O(n) cold flatten is only worth
+        paying when enough batch traffic amortises it, so small batches on a
+        tree that has no view yet keep the per-range leaf walk and
+        accumulate debt instead (:meth:`_use_flat_view`); both paths emit
+        identical segments.
         """
         self.stats.range_lookups += len(ranges)
         count = len(ranges)
@@ -331,8 +333,8 @@ class BPlusTree(Index):
                 segments.append(flat)
                 total += len(flat)
                 offsets[position + 1] = total
-            self._flat_debt += (_TOUCHED_ENTRY_COST * total
-                                + _RANGE_PROBE_COST * count)
+            self._flat_view.charge(_TOUCHED_ENTRY_COST * total
+                                   + _RANGE_PROBE_COST * count)
             merged = list(chain.from_iterable(segments))
             tids = (np.asarray(merged) if merged
                     else np.empty(0, dtype=np.int64))
@@ -384,8 +386,8 @@ class BPlusTree(Index):
                     runs.append(bucket)
                     total += len(bucket)
                 per_key[position + 1] = total
-            self._flat_debt += (_TOUCHED_ENTRY_COST * total
-                                + _POINT_PROBE_COST * int(keys.size))
+            self._flat_view.charge(_TOUCHED_ENTRY_COST * total
+                                   + _POINT_PROBE_COST * int(keys.size))
             merged = list(chain.from_iterable(runs))
             tids = (np.asarray(merged) if merged
                     else np.empty(0, dtype=np.int64))
@@ -430,20 +432,16 @@ class BPlusTree(Index):
     # ---------------------------------------------------------------- private
 
     def _use_flat_view(self, projected_cost: int) -> bool:
-        """Should this segmented batch (build and) use the flat view?
+        """Should this segmented batch go through the flat view?
 
-        A cached view is always used — it is free.  Otherwise the batch
-        only triggers the O(n) flatten once the scalar work skipped so far
-        (``_flat_debt``, in entry-equivalents) plus this batch's projected
-        probe overhead would have paid for one flatten.  Rare small batches
-        on a big tree therefore never pay O(n), while steady batch traffic
-        converges to the array path after a bounded amount of scalar work;
-        writes drop the view but keep the debt, so a proven batch workload
-        rebuilds it on the first batch of each write-free window.
+        A live view is always used: after writes it costs a fold of what
+        they recorded, not a walk of the tree.  A tree without one only
+        pays the O(n) cold flatten once the scalar work skipped so far plus
+        this batch's projected probe overhead would have paid for it
+        (:meth:`~repro.index.flat_view.FlatView.worth_using`), so rare
+        small batches on a big tree never pay O(n).
         """
-        if self._flat_view is not None:
-            return True
-        return self._flat_debt + projected_cost >= self._num_entries
+        return self._flat_view.worth_using(projected_cost, self._num_entries)
 
     def _range_tids(self, low: float, high: float) -> list[TupleId]:
         """One leaf-chain range walk, as a flat tid list (no stats bump)."""
@@ -462,33 +460,31 @@ class BPlusTree(Index):
     def _flattened(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sorted keys, per-key tid offsets and flat tids of the leaf level.
 
-        One walk of the leaf chain materialises the whole key space as
         ``(keys, key_offsets, tids)`` — key ``i`` owns
         ``tids[key_offsets[i]:key_offsets[i + 1]]``, tids in per-key
-        insertion order (exactly the order the scalar leaf walk emits).
-        Cached until any write; the segmented batch probes rebuild it at
-        most once per write-free window, turning B leaf walks into two
-        ``searchsorted`` calls and one gather.  The view is a *copy* of the
-        leaf contents, so it costs O(n) extra memory while live — it is
-        built lazily, only for trees that actually serve batched probes.
+        insertion order (exactly the order the scalar leaf walk emits) —
+        turns B leaf walks into two ``searchsorted`` calls and one gather.
+        The first call walks the leaf chain once; after that the arrays are
+        kept current by folding in what the mutators recorded since the
+        last call (``d`` recorded entries cost one sorted merge into the
+        ``n`` cached ones, not a walk of ``n`` Python objects), and the
+        leaf walk only runs again when the view gave up — see
+        :mod:`repro.index.flat_view`.  The view is a *copy* of the leaf
+        contents, so it costs O(n) extra memory while live — it is built
+        lazily, only for trees that actually serve batched probes.
         """
-        if self._flat_view is None:
-            all_keys: list[float] = []
-            all_values: list[list[TupleId]] = []
-            leaf: _LeafNode | None = self._leftmost_leaf()
-            while leaf is not None:
-                all_keys.extend(leaf.keys)
-                all_values.extend(leaf.values)
-                leaf = leaf.next_leaf
-            keys = np.asarray(all_keys, dtype=np.float64)
-            counts = np.fromiter(map(len, all_values), dtype=np.int64,
-                                 count=len(all_values))
-            key_offsets = np.zeros(counts.size + 1, dtype=np.int64)
-            np.cumsum(counts, out=key_offsets[1:])
-            flat = list(chain.from_iterable(all_values))
-            tids = np.asarray(flat) if flat else np.empty(0, dtype=np.int64)
-            self._flat_view = (keys, key_offsets, tids)
-        return self._flat_view
+        return self._flat_view.arrays(self._leaf_level)
+
+    def _leaf_level(self) -> tuple[list[float], list[list[TupleId]]]:
+        """Every key and its tid bucket, in key order (one leaf-chain walk)."""
+        all_keys: list[float] = []
+        all_values: list[list[TupleId]] = []
+        leaf: _LeafNode | None = self._leftmost_leaf()
+        while leaf is not None:
+            all_keys.extend(leaf.keys)
+            all_values.extend(leaf.values)
+            leaf = leaf.next_leaf
+        return all_keys, all_values
 
     def _find_leaf(self, key: float) -> _LeafNode:
         node = self._root

@@ -1,0 +1,269 @@
+"""Write-maintained flat view of a sorted ``key -> tid bucket`` structure.
+
+``BPlusTree`` and ``OutlierBuffer`` keep their entries in Python containers
+(leaf bucket lists, a dict of buckets), which the batched probes cannot
+search in array passes.  The *flat view* is the array copy they search
+instead: ``(keys, key_offsets, tids)`` with the distinct keys ascending and
+key ``i`` owning ``tids[key_offsets[i]:key_offsets[i + 1]]``, tids in
+per-key insertion order — exactly the order a scalar walk of the owner
+emits.
+
+The view is maintained, not dropped, by writes.  A mutator *records* what it
+did (one list append per entry); the next batched probe *folds* everything
+recorded since the last one into the cached arrays with one sorted merge —
+``searchsorted`` to place the new entries at the end of their key's run,
+``np.insert`` / ``np.delete`` to move the arrays once.  A fold of ``d``
+recorded entries into ``n`` costs ``O(d log d)`` plus a few ``memcpy``
+passes over ``n`` (a delete also reads its key's run, once per key however
+many deletes hit it, so never more than ``n`` entries in all), against the
+``O(n)`` walk of Python objects a rebuild pays; the result is bit-identical
+(dtype included) to flattening the owner from scratch.
+
+Folding can ignore how inserts and deletes were interleaved.  Entries of one
+``(key, tid)`` pair are indistinguishable, the owner appends inserts at the
+end of a key's run and removes the first occurrence on delete, so ``k``
+deletes of a pair always remove its first ``k`` occurrences in *final* run
+order — whatever was inserted in between.  Only the relative order of the
+inserts matters, and the record keeps it.
+
+The view gives up — the arrays are dropped and the next probe that wants
+them re-flattens the owner — when the recorded entries exceed a quarter of
+the entries in the arrays (a fold is no longer much cheaper than a rebuild,
+and the record must not grow without bound under a write-only phase), when
+recorded tids do not fit the arrays' dtype, or when a recorded delete cannot
+be found (the owner and the view disagree; rebuilding is the safe answer).
+"""
+
+from __future__ import annotations
+
+import threading
+from itertools import chain
+from typing import Callable, Sequence
+
+import numpy as np
+
+from repro.segments import offsets_from_counts, run_indices, sorted_unique
+from repro.storage.identifiers import TupleId
+
+FlatArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
+# What the owner hands over for a cold build: its distinct keys ascending
+# and, aligned, each key's tid bucket.
+Snapshot = Callable[[], tuple[Sequence[float], Sequence[Sequence[TupleId]]]]
+
+# Recorded entries are folded while they number at most 1/_FOLD_SHARE of the
+# entries in the arrays; beyond that the view is dropped.
+_FOLD_SHARE = 4
+
+
+def flatten(keys: Sequence[float],
+            buckets: Sequence[Sequence[TupleId]]) -> FlatArrays:
+    """Build ``(keys, key_offsets, tids)`` from sorted keys and their buckets."""
+    counts = np.fromiter(map(len, buckets), dtype=np.int64, count=len(buckets))
+    flat = list(chain.from_iterable(buckets))
+    tids = np.asarray(flat) if flat else np.empty(0, dtype=np.int64)
+    return (np.asarray(keys, dtype=np.float64), offsets_from_counts(counts),
+            tids)
+
+
+class FlatView:
+    """The cached arrays, the writes recorded since, and the build debt.
+
+    The debt counter is the amortisation account of the *cold* build: a
+    batched probe that finds no arrays only pays the ``O(n)`` flatten once
+    the scalar work of the batches that skipped it (charged through
+    :meth:`charge`) would have paid for one; see :meth:`worth_using`.
+
+    Writers are serialised against readers by the owner's caller (the
+    engine's epoch lock); concurrent *readers* are not, and the first of
+    them to arrive after a write folds for all, so :meth:`arrays` holds a
+    lock while it brings the arrays up to date.
+    """
+
+    __slots__ = ("_arrays", "_debt", "_added_keys", "_added_tids",
+                 "_removed_keys", "_removed_tids", "_lock")
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._arrays: FlatArrays | None = None
+        self._debt = 0
+        self._added_keys: list[float] = []
+        self._added_tids: list[TupleId] = []
+        self._removed_keys: list[float] = []
+        self._removed_tids: list[TupleId] = []
+
+    # ----------------------------------------------------------- write side
+
+    def record_insert(self, key: float, tid: TupleId) -> None:
+        """The owner appended ``tid`` to ``key``'s bucket."""
+        if self._arrays is not None:
+            self._added_keys.append(key)
+            self._added_tids.append(tid)
+            self._drop_if_overgrown()
+
+    def record_insert_many(self, keys: Sequence[float],
+                           tids: Sequence[TupleId]) -> None:
+        """The owner appended each ``tids[i]`` to ``keys[i]``'s bucket, in order."""
+        if self._arrays is not None:
+            self._added_keys.extend(keys)
+            self._added_tids.extend(tids)
+            self._drop_if_overgrown()
+
+    def record_delete(self, key: float, tid: TupleId) -> None:
+        """The owner removed the first ``tid`` from ``key``'s bucket."""
+        if self._arrays is not None:
+            self._removed_keys.append(key)
+            self._removed_tids.append(tid)
+            self._drop_if_overgrown()
+
+    def drop(self) -> None:
+        """Forget the arrays and the record (the owner was replaced wholesale)."""
+        self._arrays = None
+        self._forget_record()
+
+    def _forget_record(self) -> None:
+        self._added_keys.clear()
+        self._added_tids.clear()
+        self._removed_keys.clear()
+        self._removed_tids.clear()
+
+    def _drop_if_overgrown(self) -> None:
+        recorded = len(self._added_keys) + len(self._removed_keys)
+        if _FOLD_SHARE * recorded > self._arrays[2].size:
+            self.drop()
+
+    # ------------------------------------------------------------ read side
+
+    def worth_using(self, projected_cost: int, num_entries: int) -> bool:
+        """Should a batched probe go through the arrays?
+
+        Live arrays are always used — bringing them up to date costs a fold
+        of what was written since, not a rebuild.  Without arrays the batch
+        only triggers the ``O(n)`` flatten once the scalar work skipped so
+        far plus this batch's projected probe overhead (both in
+        entry-equivalents) would have paid for it, so rare small batches on
+        a big structure never pay ``O(n)`` while steady batch traffic
+        converges to the array path after a bounded amount of scalar work.
+        """
+        return (self._arrays is not None
+                or self._debt + projected_cost >= num_entries)
+
+    def charge(self, cost: int) -> None:
+        """Account the scalar work of a batch that skipped the flatten."""
+        self._debt += cost
+
+    def arrays(self, snapshot: Snapshot) -> FlatArrays:
+        """The up-to-date arrays: fold what was recorded, or build cold."""
+        with self._lock:
+            if self._arrays is not None and (self._added_keys
+                                             or self._removed_keys):
+                self._arrays = self._folded()
+            if self._arrays is None:
+                self.drop()
+                self._arrays = flatten(*snapshot())
+            return self._arrays
+
+    def _folded(self) -> FlatArrays | None:
+        """The arrays with the record merged in; ``None`` to give up."""
+        arrays = self._arrays
+        added_tids = _tids_as(self._added_tids, arrays[2].dtype)
+        removed_tids = _tids_as(self._removed_tids, arrays[2].dtype)
+        if added_tids is None or removed_tids is None:
+            return None
+        if added_tids.size:
+            arrays = _fold_inserts(
+                arrays, np.asarray(self._added_keys, dtype=np.float64),
+                added_tids,
+            )
+        if removed_tids.size:
+            arrays = _fold_deletes(
+                arrays, np.asarray(self._removed_keys, dtype=np.float64),
+                removed_tids,
+            )
+        if arrays is not None:
+            self._forget_record()
+        return arrays
+
+
+def _tids_as(recorded: list[TupleId], dtype: np.dtype) -> np.ndarray | None:
+    """Recorded tids as an array of the view's dtype, ``None`` if they do not fit.
+
+    Only int64 / float64 views are folded (anything else is a structure
+    holding tids numpy cannot type), and only records that convert without
+    a cast numpy calls unsafe — so the folded dtype is the one a from-scratch
+    flatten of the same buckets arrives at.
+    """
+    if not recorded:
+        return np.empty(0, dtype=dtype)
+    array = np.asarray(recorded)
+    if (dtype.kind not in "if" or array.ndim != 1
+            or not np.can_cast(array.dtype, dtype, casting="safe")):
+        return None
+    return array.astype(dtype, copy=False)
+
+
+def _fold_inserts(arrays: FlatArrays, new_keys: np.ndarray,
+                  new_tids: np.ndarray) -> FlatArrays:
+    """Append every ``new_tids[i]`` at the end of ``new_keys[i]``'s run."""
+    keys, key_offsets, tids = arrays
+    order = np.argsort(new_keys, kind="stable")
+    new_keys, new_tids = new_keys[order], new_tids[order]
+    left = np.searchsorted(keys, new_keys, side="left")
+    right = np.searchsorted(keys, new_keys, side="right")
+    # ``key_offsets[right]`` is the end of an existing key's run and, for a
+    # key not yet present, the start of its successor's; np.insert keeps the
+    # given (key, then arrival) order among values bound for one position.
+    tids = np.insert(tids, key_offsets[right], new_tids)
+    fresh = left == right
+    fresh[1:] &= new_keys[1:] != new_keys[:-1]
+    keys = np.insert(keys, left[fresh], new_keys[fresh])
+    counts = np.insert(np.diff(key_offsets), left[fresh], 0)
+    np.add.at(counts, np.searchsorted(keys, new_keys, side="left"), 1)
+    return keys, offsets_from_counts(counts), tids
+
+
+def _fold_deletes(arrays: FlatArrays, gone_keys: np.ndarray,
+                  gone_tids: np.ndarray) -> FlatArrays | None:
+    """Remove, per ``(key, tid)`` pair deleted ``k`` times, its first ``k`` entries.
+
+    Returns ``None`` when some pair has fewer entries than deletes.  The run
+    of every deleted key is expanded once however many deletes hit it, so
+    the work is bounded by the size of the view even when a few heavily
+    duplicated keys own all the entries.
+    """
+    keys, key_offsets, tids = arrays
+    slots = np.searchsorted(keys, gone_keys, side="left")
+    if slots.max() >= keys.size or (keys[slots] != gone_keys).any():
+        return None
+    # A pair is named by one integer: its key's slot and its tid's rank
+    # among the distinct deleted tids.
+    tid_values = sorted_unique(gone_tids.copy())
+    pairs = slots * tid_values.size + np.searchsorted(tid_values, gone_tids)
+    pairs.sort()
+    first_delete = np.flatnonzero(
+        np.concatenate(([True], pairs[1:] != pairs[:-1])))
+    wanted = np.diff(np.append(first_delete, pairs.size))
+    pairs = pairs[first_delete]
+    # The entries that could be victims: those in a deleted key's run whose
+    # tid is a deleted one, named the same way, in run order within a pair.
+    touched = sorted_unique(slots.copy())
+    positions, _ = run_indices(key_offsets[touched], key_offsets[touched + 1])
+    run_tids = tids[positions]
+    rank = np.searchsorted(tid_values, run_tids)
+    rank[rank == tid_values.size] = 0
+    hit = tid_values[rank] == run_tids
+    positions, rank = positions[hit], rank[hit]
+    entries = ((np.searchsorted(key_offsets, positions, side="right") - 1)
+               * tid_values.size + rank)
+    order = np.argsort(entries, kind="stable")
+    entries, positions = entries[order], positions[order]
+    first = np.searchsorted(entries, pairs, side="left")
+    last = first + wanted - 1
+    if last.max() >= entries.size or (entries[last] != pairs).any():
+        return None
+    victims = positions[run_indices(first, first + wanted)[0]]
+    counts = np.diff(key_offsets)
+    np.subtract.at(counts, slots, 1)
+    emptied = touched[counts[touched] == 0]
+    return (np.delete(keys, emptied),
+            offsets_from_counts(np.delete(counts, emptied)),
+            np.delete(tids, victims))

@@ -160,6 +160,24 @@ def _composite_keys(values: np.ndarray, ids: np.ndarray,
     return composite, span, minimum
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Distinct elements ascending: one sort plus one neighbour mask.
+
+    Sorts ``values`` **in place** — pass an array the caller owns (a
+    concatenation, a gather, a copy), never a view of index storage.  This
+    is the dedup primitive of the lookup path; ``numpy.unique`` is not used
+    because NumPy 2.x answers it with a hash pass that costs ~20x this on
+    the 50k-element candidate arrays of a range batch.
+    """
+    if values.size < 2:
+        return values
+    values.sort()
+    keep = np.empty(values.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def segmented_sort(values: np.ndarray,
                    offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort every segment ascending in one pass."""
@@ -178,10 +196,9 @@ def segmented_sort(values: np.ndarray,
 
 def segmented_unique(values: np.ndarray,
                      offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-segment ``np.unique`` in one sort + one mask pass.
+    """Per-segment :func:`sorted_unique` in one sort + one mask pass.
 
-    Every output segment is sorted ascending with duplicates removed,
-    exactly like ``np.unique`` applied per query.
+    Every output segment is sorted ascending with duplicates removed.
     """
     if values.size == 0:
         return values, offsets
@@ -189,7 +206,7 @@ def segmented_unique(values: np.ndarray,
     ids = segment_ids(offsets)
     composite, span, minimum = _composite_keys(values, ids, num_segments)
     if composite is not None:
-        composite = np.unique(composite)
+        composite = sorted_unique(composite)
         kept_ids, kept_values = np.divmod(composite, span)
         kept_values += minimum
         counts = np.bincount(kept_ids, minlength=num_segments)

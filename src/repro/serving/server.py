@@ -382,10 +382,22 @@ class Server:
     # ------------------------------------------------------------- loop side
 
     def _wakeup(self) -> None:
-        """First-arrival poke: arm the flush timer (runs on the loop thread)."""
-        if self._flush_handle is None and self._pending:
-            self._flush_handle = self._loop.call_later(self._window,
-                                                       self._flush)
+        """First-arrival poke: arm the flush timer (runs on the loop thread).
+
+        The request that triggered the poke may be gone by now — a flush
+        can drain it between ``submit``'s append and its ``_armed`` test.
+        Leaving ``_armed`` set with no timer behind it would silence every
+        later ``submit``, so with nothing to arm the flag is cleared and
+        the queue re-tested, the same protocol ``_flush`` ends with.
+        """
+        if self._flush_handle is not None:
+            return
+        if not self._pending:
+            self._armed = False
+            if not self._pending:
+                return
+            self._armed = True
+        self._flush_handle = self._loop.call_later(self._window, self._flush)
 
     def _flush(self) -> None:
         """Drain the queue into batches and adapt the window (loop thread)."""

@@ -31,7 +31,7 @@ class TestFlatViewInvalidation:
                 def __init__(self):
                     self._entries = {}
                     self._count = 0
-                    self._flat_view = None
+                    self._flat_view = FlatView()
 
                 def add(self, key, tid):
                     self._entries[key] = tid
@@ -40,27 +40,78 @@ class TestFlatViewInvalidation:
         assert [f.rule for f in findings] == ["REP001"]
         assert "Buffer.add" in findings[0].message
 
-    def test_quiet_when_mutator_clears(self):
+    def test_fires_when_mutator_assigns_none_over_the_view(self):
+        # Not a drop: the next probe would call a method on None.
         findings = findings_for("""
             class Buffer:
                 def __init__(self):
                     self._entries = {}
                     self._count = 0
-                    self._flat_view = None
+                    self._flat_view = FlatView()
 
                 def add(self, key, tid):
                     self._entries[key] = tid
                     self._count += 1
                     self._flat_view = None
         """, self.RULE())
+        assert [f.rule for f in findings] == ["REP001"]
+
+    def test_quiet_when_mutator_records_a_delta(self):
+        findings = findings_for("""
+            class Buffer:
+                def __init__(self):
+                    self._entries = {}
+                    self._count = 0
+                    self._flat_view = FlatView()
+
+                def add(self, key, tid):
+                    self._entries[key] = tid
+                    self._count += 1
+                    self._flat_view.record_insert(key, tid)
+
+                def add_many(self, keys, tids):
+                    self._entries.update(zip(keys, tids))
+                    self._flat_view.record_insert_many(keys, tids)
+
+                def remove(self, key, tid):
+                    del self._entries[key]
+                    self._flat_view.record_delete(key, tid)
+
+                def clear(self):
+                    self._entries.clear()
+                    self._flat_view.drop()
+        """, self.RULE())
         assert findings == []
+
+    def test_fires_when_mutator_neither_records_nor_drops(self):
+        # Touching the view is not enough: charging debt or reading the
+        # arrays tells it nothing about the write.
+        findings = findings_for("""
+            class Buffer:
+                def __init__(self):
+                    self._entries = {}
+                    self._count = 0
+                    self._flat_view = FlatView()
+
+                def add(self, key, tid):
+                    self._entries[key] = tid
+                    self._count += 1
+                    self._flat_view.charge(1)
+
+                def remove(self, key, tid):
+                    del self._entries[key]
+                    self._other.record_delete(key, tid)
+        """, self.RULE())
+        assert [f.rule for f in findings] == ["REP001", "REP001"]
+        assert "Buffer.add" in findings[0].message
+        assert "Buffer.remove" in findings[1].message
 
     def test_fires_on_container_method_mutation(self):
         findings = findings_for("""
             class Buffer:
                 def __init__(self):
                     self._sorted_keys = []
-                    self._flat_view = None
+                    self._flat_view = FlatView()
 
                 def drop_all(self):
                     self._sorted_keys.clear()
@@ -85,7 +136,7 @@ class TestFlatViewInvalidation:
             class Buffer:
                 def __init__(self):
                     self._entries = {}
-                    self._flat_view = None
+                    self._flat_view = FlatView()
 
                 def lookup(self, key):
                     return self._entries.get(key)

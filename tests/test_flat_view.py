@@ -1,0 +1,318 @@
+"""The write-maintained flat view equals a view rebuilt from scratch.
+
+``BPlusTree`` and ``OutlierBuffer`` answer batched probes from an array copy
+of their entries that mutators keep current by recording deltas
+(``repro.index.flat_view``).  The property here: after *every* step of an
+arbitrary interleaving of writes, the folded ``(keys, key_offsets, tids)``
+equals a from-scratch flatten of the owner — values and dtypes — and the
+batched probes equal the scalar walks.  Plus the sort-based dedup primitives
+against ``np.unique``, and concurrent readers folding one record.
+"""
+
+from __future__ import annotations
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.outliers import OutlierBuffer
+from repro.index import flat_view
+from repro.index.base import KeyRange
+from repro.index.bptree import BPlusTree
+from repro.index.flat_view import flatten
+from repro.segments import (
+    offsets_from_counts,
+    run_indices,
+    segmented_unique,
+    sorted_unique,
+    split_segments,
+)
+
+SETTINGS = settings(max_examples=150, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+# Few distinct keys and tids, so duplicate keys and duplicate (key, tid)
+# pairs are the norm; the outer keys lie outside the seeded key range.
+KEYS = st.integers(min_value=-3, max_value=12).map(float)
+SEED_KEYS = st.integers(min_value=0, max_value=9).map(float)
+TID_NUMBERS = st.integers(min_value=0, max_value=5)
+# An int numpy can only hold as an object: the fold must give up on it.
+OBJECT_TID = 2 ** 70
+
+# Every step is (write, read the view afterwards?): the writes between two
+# reads share one pending window, so windows mix inserts and deletes.
+STEPS = st.lists(
+    st.tuples(
+        st.one_of(
+            st.tuples(st.just("insert"), KEYS, TID_NUMBERS),
+            st.tuples(st.just("insert_many"),
+                      st.lists(st.tuples(KEYS, TID_NUMBERS), max_size=6)),
+            # Deletes name a live pair by position; "delete_newest" after
+            # an insert is insert-then-delete of one pair in one window, and
+            # "delete_twin" removes one more entry of the pair deleted last.
+            st.tuples(st.just("delete"), st.integers(min_value=0)),
+            st.tuples(st.just("delete_newest")),
+            st.tuples(st.just("delete_twin")),
+        ),
+        st.booleans(),
+    ),
+    max_size=40,
+)
+
+PROBE_RANGES = [KeyRange(2.0, 5.0), KeyRange(-10.0, 20.0), KeyRange(4.0, 4.0),
+                KeyRange(-3.0, -1.0), KeyRange(10.5, 30.0), KeyRange(6.5, 6.6)]
+PROBE_KEYS = np.asarray([4.0, -2.0, 4.0, 11.0, 6.5, 0.0, 9.0])
+PROBE_KEY_OFFSETS = np.asarray([0, 2, 2, 5, 7], dtype=np.int64)
+
+
+class TreeOwner:
+    """The B+-tree side of the property: write, snapshot, probe both ways."""
+
+    def __init__(self) -> None:
+        self.owner = BPlusTree(node_capacity=4)
+
+    def insert(self, key, tid):
+        self.owner.insert(key, tid)
+
+    def insert_many(self, keys, tids):
+        self.owner.insert_many(keys, tids)
+
+    def delete(self, key, tid):
+        self.owner.delete(key, tid)
+
+    def snapshot(self):
+        return self.owner._leaf_level()
+
+    def check_probes(self):
+        tree = self.owner
+        values, offsets = tree.range_search_segmented(PROBE_RANGES)
+        assert [segment.tolist() for segment in split_segments(values, offsets)] \
+            == [tree.range_search(key_range) for key_range in PROBE_RANGES]
+        values, offsets = tree.search_many_segmented(PROBE_KEYS,
+                                                     PROBE_KEY_OFFSETS)
+        expected = [
+            [tid for key in PROBE_KEYS[start:stop] for tid in tree.search(key)]
+            for start, stop in zip(PROBE_KEY_OFFSETS[:-1],
+                                   PROBE_KEY_OFFSETS[1:])
+        ]
+        assert [segment.tolist() for segment in split_segments(values, offsets)] \
+            == expected
+
+
+class BufferOwner:
+    """The outlier-buffer side of the same property."""
+
+    def __init__(self) -> None:
+        self.owner = OutlierBuffer()
+
+    def insert(self, key, tid):
+        self.owner.add(key, tid)
+
+    def insert_many(self, keys, tids):
+        self.owner.add_many(keys, tids)
+
+    def delete(self, key, tid):
+        assert self.owner.remove(key, tid)
+
+    def snapshot(self):
+        return self.owner._buckets()
+
+    def check_probes(self):
+        buffer = self.owner
+        lows = np.asarray([key_range.low for key_range in PROBE_RANGES])
+        highs = np.asarray([key_range.high for key_range in PROBE_RANGES])
+        values, offsets = buffer.lookup_many(lows, highs)
+        assert [segment.tolist() for segment in split_segments(values, offsets)] \
+            == [buffer.lookup(key_range) for key_range in PROBE_RANGES]
+
+
+def assert_view_matches_rebuild(subject) -> None:
+    folded = subject.owner._flattened()
+    rebuilt = flatten(*subject.snapshot())
+    for name, got, want in zip(("keys", "key_offsets", "tids"),
+                               folded, rebuilt):
+        assert got.dtype == want.dtype, name
+        assert got.tolist() == want.tolist(), name
+    subject.check_probes()
+
+
+@pytest.mark.parametrize("make_subject", [TreeOwner, BufferOwner])
+@SETTINGS
+@given(populated=st.booleans(),
+       seed=st.lists(st.tuples(SEED_KEYS, TID_NUMBERS), max_size=20),
+       steps=STEPS, float_tids=st.booleans(), view_live=st.booleans(),
+       object_at=st.none() | st.integers(min_value=0, max_value=40))
+def test_maintained_view_equals_rebuilt_view(make_subject, populated, seed,
+                                             steps, float_tids, view_live,
+                                             object_at):
+    as_tid = float if float_tids else int
+    subject = make_subject()
+    # A populated owner folds (the record stays a small share of it); an
+    # empty or tiny one exercises the give-up-and-rebuild side.
+    if populated:
+        seed = seed + [(float(i % 10), i % 4) for i in range(120)]
+    live: list[tuple[float, object]] = [(key, as_tid(tid)) for key, tid in seed]
+    if live:
+        subject.insert_many([key for key, _ in live],
+                            [tid for _, tid in live])
+    if view_live:
+        assert_view_matches_rebuild(subject)
+    deleted_last = None
+    for number, (step, read) in enumerate(steps):
+        kind = step[0]
+        if number == object_at and not float_tids:
+            # Arrives among int tids; the float family stays pure float64.
+            subject.insert(4.0, OBJECT_TID)
+            live.append((4.0, OBJECT_TID))
+        if kind == "insert":
+            pair = (step[1], as_tid(step[2]))
+            subject.insert(*pair)
+            live.append(pair)
+        elif kind == "insert_many":
+            pairs = [(key, as_tid(tid)) for key, tid in step[1]]
+            subject.insert_many([key for key, _ in pairs],
+                                [tid for _, tid in pairs])
+            live.extend(pairs)
+        elif kind == "delete_twin":
+            if deleted_last in live:
+                live.remove(deleted_last)
+                subject.delete(*deleted_last)
+        elif live:
+            position = -1 if kind == "delete_newest" else step[1] % len(live)
+            deleted_last = live.pop(position)
+            subject.delete(*deleted_last)
+        if read:
+            assert_view_matches_rebuild(subject)
+    assert_view_matches_rebuild(subject)
+
+
+def test_fold_is_taken_and_gives_up_as_documented(monkeypatch):
+    tree = BPlusTree()
+    tree.insert_many(np.arange(100, dtype=np.float64), np.arange(100))
+    arrays = tree._flattened()
+    # A few writes are folded into new arrays, without a leaf walk.
+    tree.insert(3.0, 500)
+    tree.delete(7.0, 7)
+    with monkeypatch.context() as patch:
+        patch.setattr(tree, "_leaf_level", None)  # a rebuild would call it
+        folded = tree._flattened()
+    assert folded is not arrays
+    assert folded[2].tolist() == [0, 1, 2, 3, 500, 4, 5, 6] + list(range(8, 100))
+    # Writes beyond a quarter of the entries drop the view on the write path.
+    for tid in range(30):
+        tree.insert(200.0 + tid, tid)
+    assert tree._flat_view._arrays is None
+    assert not tree._flat_view._added_keys
+    # A tid the int64 arrays cannot hold takes the rebuild, dtype and all.
+    tree._flattened()
+    tree.insert(1.0, 0.5)
+    assert tree._flattened()[2].dtype == np.float64
+    assert tree.range_search_segmented([KeyRange(1.0, 1.0)])[0].tolist() \
+        == [1.0, 0.5]
+
+
+@pytest.mark.parametrize("make_subject", [TreeOwner, BufferOwner])
+def test_fold_of_deletes_under_heavily_duplicated_keys_is_bounded(
+        make_subject, monkeypatch):
+    # A low-cardinality index: 20,000 entries under 4 keys, every tid twice.
+    # Expanding a key's run once per delete would gather 2,000 x 5,000
+    # positions; once per deleted key it is the view's size at most.
+    entries, deletes = 20_000, 2_000
+    rng = np.random.default_rng(7)
+    keys = rng.integers(0, 4, entries).astype(np.float64).tolist()
+    tids = (np.arange(entries) // 2).tolist()
+    subject = make_subject()
+    subject.insert_many(keys, tids)
+    subject.owner._flattened()
+    for index in rng.choice(entries, deletes, replace=False).tolist():
+        subject.delete(keys[index], tids[index])
+
+    gathered = []
+
+    def counting_run_indices(starts, stops):
+        indices, offsets = run_indices(starts, stops)
+        gathered.append(indices.size)
+        return indices, offsets
+
+    with monkeypatch.context() as patch:
+        patch.setattr(flat_view, "run_indices", counting_run_indices)
+        patch.setattr(flat_view, "flatten", None)  # a rebuild would call it
+        subject.owner._flattened()
+    assert gathered and sum(gathered) <= entries + deletes
+    assert_view_matches_rebuild(subject)
+
+
+def reference_unique(values, offsets):
+    parts = [np.unique(segment) for segment in split_segments(values, offsets)]
+    counts = np.asarray([part.size for part in parts], dtype=np.int64)
+    flat = np.concatenate(parts) if parts else values[:0]
+    return flat, offsets_from_counts(counts)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+@SETTINGS
+@given(segments=st.lists(
+    st.lists(st.integers(min_value=-50, max_value=50), max_size=30),
+    max_size=8))
+def test_sort_based_dedup_matches_numpy_unique(dtype, segments):
+    # Floats cannot fold into a composite int64 key and take the lexsort
+    # fallback; halves keep them off the integers.
+    scale = 0.5 if dtype is np.float64 else 1
+    arrays = [np.asarray(segment, dtype=dtype) * scale for segment in segments]
+    values = (np.concatenate(arrays) if arrays else np.empty(0, dtype=dtype))
+    offsets = offsets_from_counts(
+        np.asarray([len(segment) for segment in segments], dtype=np.int64))
+    got_values, got_offsets = segmented_unique(values.copy(), offsets)
+    want_values, want_offsets = reference_unique(values, offsets)
+    assert got_values.dtype == values.dtype
+    assert got_values.tolist() == want_values.tolist()
+    assert got_offsets.tolist() == want_offsets.tolist()
+    flat = sorted_unique(values.copy())
+    assert flat.dtype == values.dtype
+    assert flat.tolist() == np.unique(values).tolist()
+
+
+def test_concurrent_readers_fold_one_record_once():
+    """More reader threads than cores race to fold the same pending record."""
+    tree = BPlusTree()
+    tree.insert_many(np.arange(4_000, dtype=np.float64), np.arange(4_000))
+    tree._flattened()
+    ranges = [KeyRange(float(low), float(low + 40))
+              for low in range(0, 3_960, 97)]
+    failures: list[BaseException] = []
+
+    def reader(barrier: threading.Barrier, expected: list[list]) -> None:
+        try:
+            barrier.wait(timeout=30.0)
+            values, offsets = tree.range_search_segmented(ranges)
+            got = [segment.tolist()
+                   for segment in split_segments(values, offsets)]
+            assert got == expected
+        except BaseException as error:  # noqa: BLE001 - reported below
+            failures.append(error)
+
+    previous_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for round_number in range(20):
+            base = 10_000 + 100 * round_number
+            tree.insert_many(np.arange(0, 4_000, 80, dtype=np.float64),
+                             np.arange(base, base + 50))
+            tree.delete(float(round_number), round_number)
+            expected = [tree.range_search(key_range) for key_range in ranges]
+            barrier = threading.Barrier(8)
+            threads = [threading.Thread(target=reader,
+                                        args=(barrier, expected))
+                       for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(previous_interval)
+    assert failures == []

@@ -9,7 +9,7 @@ from repro.core.reorganize import BackgroundReorganizer
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
 from repro.engine.executor import full_scan
-from repro.engine.query import RangePredicate
+from repro.engine.query import QueryRequest, RangePredicate
 from repro.storage.identifiers import PointerScheme
 from repro.workloads.sensor import generate_sensor, load_sensor, sensor_column
 from repro.workloads.stock import generate_stock, high_column, load_stock
@@ -164,3 +164,63 @@ class TestEndToEndScenarios:
         predicate = RangePredicate("colE1", low, high)
         assert database.query(table_name, predicate).locations == \
             full_scan(table, predicate).locations
+
+
+class TestReorganizeKeepsOutOfDomainRows:
+    """Rows beyond the built target domain live in the edge leaves, which
+    lookups and inserts treat as open-ended; a rebuild must re-read them."""
+
+    RANGES = [(1.2e6, 1.3e6), (-3.0e5, -2.0e5), (9.0e5, 1.25e6),
+              (-2.5e5, 1.0e5), (-1.0e9, 1.0e9)]
+
+    def add_out_of_domain_rows(self, database, table_name, per_side=300):
+        rng = np.random.default_rng(11)
+        targets = np.concatenate([rng.uniform(1.1e6, 1.4e6, per_side),
+                                  rng.uniform(-4.0e5, -1.0e5, per_side)])
+        on_line = rng.random(targets.size) < 0.5
+        hosts = np.where(on_line, 2.0 * targets + 10.0,
+                         rng.uniform(0.0, 2.0e6, targets.size))
+        database.insert_many(table_name, {
+            "colA": 7e7 + np.arange(targets.size, dtype=np.float64),
+            "colB": hosts, "colC": targets,
+            "colD": np.zeros(targets.size),
+        })
+
+    def assert_exact(self, database, table_name, hermit):
+        slots, values = database.table(table_name).project(["colC"])
+        expected = [sorted(slots[(values >= low) & (values <= high)].tolist())
+                    for low, high in self.RANGES]
+        assert all(len(found) > 0 for found in expected)
+        scalar = [sorted(np.asarray(hermit.lookup_range(low, high).locations)
+                         .tolist()) for low, high in self.RANGES]
+        batch = hermit.lookup_range_many(self.RANGES).locations_per_query
+        planned = database.execute_many([
+            QueryRequest.range(table_name, "colC", low, high)
+            for low, high in self.RANGES
+        ])
+        assert scalar == expected
+        assert [sorted(found.tolist()) for found in batch] == expected
+        assert [result.locations for result in planned] == expected
+
+    @pytest.mark.parametrize("scheme", [PointerScheme.PHYSICAL,
+                                        PointerScheme.LOGICAL])
+    @pytest.mark.parametrize("correlation", ["linear", "sigmoid"])
+    def test_reorganize(self, correlation, scheme):
+        database, table_name, hermit = hermit_database(
+            correlation=correlation, scheme=scheme)
+        self.add_out_of_domain_rows(database, table_name)
+        self.assert_exact(database, table_name, hermit)
+        assert hermit.pending_reorganizations > 0
+        assert hermit.reorganize() > 0
+        self.assert_exact(database, table_name, hermit)
+
+    @pytest.mark.parametrize("scheme", [PointerScheme.PHYSICAL,
+                                        PointerScheme.LOGICAL])
+    def test_reorganize_children(self, scheme):
+        database, table_name, hermit = hermit_database(
+            correlation="sigmoid", scheme=scheme)
+        assert not hermit.trs_tree.root.is_leaf
+        self.add_out_of_domain_rows(database, table_name)
+        last = len(hermit.trs_tree.root.children) - 1
+        hermit.reorganize_children([0, last])
+        self.assert_exact(database, table_name, hermit)

@@ -20,6 +20,7 @@ Four layers, bottom up:
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -519,6 +520,13 @@ class TestNoTornCachedReads:
                     "payload": np.zeros(batch),
                 })
                 pk += batch
+                # Every write overwrites a state the readers have cached
+                # (the 30 writes alone take less than one thread switch
+                # interval, so unpaced they can finish before any read).
+                hits = database.result_cache_info().hits
+                while (database.result_cache_info().hits == hits
+                       and not failures):
+                    time.sleep(0)
             stop.set()
 
         def reader():

@@ -304,6 +304,21 @@ class TestServerEquivalence:
         assert stats.max_batch == 16
         assert all(result.group_size == 16 for result in results)
 
+    def test_wakeup_that_finds_the_queue_drained_does_not_strand_requests(self):
+        # The state a flush leaves when it drains a request between
+        # submit's append and its _armed test: submit then sets _armed and
+        # pokes a _wakeup that has nothing to arm.
+        request = QueryRequest.point(self.TABLE, "target", 250.0)
+        with Server(self.DATABASE) as server:
+            ran = threading.Event()
+            server._armed = True
+            server._loop.call_soon_threadsafe(server._wakeup)
+            server._loop.call_soon_threadsafe(ran.set)
+            assert ran.wait(timeout=30.0)
+            assert not server._armed
+            result = server.submit(request).result(timeout=5.0)
+        assert result.locations == self.DATABASE.execute(request).locations
+
     def test_submit_after_close_raises(self):
         server = Server(self.DATABASE)
         server.close()
