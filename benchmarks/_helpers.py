@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.bench.harness import FigureData, run_query_batch
+from repro.bench.harness import FigureData, run_query_batch, run_query_singles
 from repro.bench.timing import scaled
 from repro.core.config import TRSTreeConfig
 from repro.engine.catalog import IndexMethod
@@ -148,13 +148,19 @@ def breakdown_sweep(setup: WorkloadSetup, mechanism_label: str,
                     selectivities: list[float], figure_name: str,
                     queries_per_point: int = DEFAULT_QUERIES_PER_POINT,
                     seed: int = 0) -> FigureData:
-    """Per-phase time fractions of one mechanism across selectivities."""
+    """Per-phase time fractions of one mechanism across selectivities.
+
+    Measured through :func:`~repro.bench.harness.run_query_singles` — one
+    lookup at a time, the paper's protocol for its breakdown figures.  (A
+    batch through the segmented pipeline resolves and probes off flat array
+    views, a different cost structure from the per-lookup one they show.)
+    """
     figure = FigureData(figure_name, "selectivity", "fraction of time")
     mechanism = setup.mechanisms[mechanism_label]
     for selectivity in selectivities:
         queries = range_queries(setup.domain, selectivity,
                                 count=queries_per_point, seed=seed)
-        batch = run_query_batch(mechanism, queries)
+        batch = run_query_singles(mechanism, queries)
         for phase, fraction in batch.breakdown.fractions().items():
             figure.add_point(phase, selectivity, fraction)
     return figure

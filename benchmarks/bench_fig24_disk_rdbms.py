@@ -75,7 +75,8 @@ class DiskSetup:
 
         clock = SimulatedClock(self.disk)
         clock.start()
-        candidates = set(self.host_index.range_search_many(trs.host_ranges))
+        candidates = set(
+            self.host_index.range_search_many_array(trs.host_ranges).tolist())
         candidates.update(int(t) for t in trs.outlier_tids)
         clock.stop()
         phases["Index"] = clock.total_seconds

@@ -1,5 +1,4 @@
-"""Planner benchmark — planner-chosen plans vs. manual plans, plus the paged
-leaf-run gather.
+"""Planner benchmark — planner-chosen plans vs. manual plans.
 
 Not a paper figure: this benchmark pins the query planner's contract.  The
 planner must (a) pick plans whose end-to-end throughput stays within 1.1x of
@@ -7,10 +6,7 @@ the *best* manual single-index plan on range and conjunctive queries, (b) at
 least beat the *worst* manual plan everywhere — point lookups included, where
 a single probe is a ~10us operation and per-call Python dispatch, not plan
 quality, dominates the best-plan ratio — and (c) return exactly the same
-rows as every manual plan.  It also races
-``PagedBPlusTree.range_search_array`` (leaf-run gather) against the scalar
-``Index`` fallback it replaced, so the paged read path's vectorization is
-tracked like the in-memory one.
+rows as every manual plan.
 
 Run as pytest (small scale, correctness + sanity ratios)::
 
@@ -21,10 +17,10 @@ or standalone, emitting a JSON bundle for the perf trajectory::
     PYTHONPATH=src python benchmarks/bench_planner.py \
         --rows 200000 --selectivity 0.005 --output planner.json
 
-The bundle holds three records — ``planner`` (single + conjunctive classes,
-gated on ``speedup_vs_best`` and ``speedup_vs_worst``), ``planner_point``
-(gated on ``speedup_vs_worst``) and ``paged_read`` (gated on
-``speedup_gather``) — all checked by ``benchmarks/check_regression.py``.
+The bundle holds two records — ``planner`` (single + conjunctive classes,
+gated on ``speedup_vs_best`` and ``speedup_vs_worst``) and ``planner_point``
+(gated on ``speedup_vs_worst``) — both checked by
+``benchmarks/check_regression.py``.
 """
 
 from __future__ import annotations
@@ -35,12 +31,7 @@ import sys
 
 import pytest
 
-from repro.bench.planner import (
-    PagedReadMeasurement,
-    PlannerMeasurement,
-    run_paged_read_suite,
-    run_planner_suite,
-)
+from repro.bench.planner import PlannerMeasurement, run_planner_suite
 from repro.bench.timing import scaled
 from repro.storage.identifiers import PointerScheme
 
@@ -66,15 +57,6 @@ def format_planner(measurements: list[PlannerMeasurement]) -> str:
     return "\n".join(lines)
 
 
-def format_paged(measurement: PagedReadMeasurement) -> str:
-    """One-line summary of the paged read-path race."""
-    record = measurement.as_dict()
-    return (f"paged leaf-run gather: {record['gather_kops']:.2f}K vs scalar "
-            f"{record['scalar_kops']:.2f}K "
-            f"({measurement.speedup_gather:.2f}x, "
-            f"agree={measurement.results_agree})")
-
-
 @pytest.mark.figure("planner")
 def test_planner_matches_manual_plans(benchmark):
     """Small-scale run: every plan agrees and the planner beats the worst."""
@@ -89,20 +71,6 @@ def test_planner_matches_manual_plans(benchmark):
     # At this scale per-query work is small, so only pin a loose floor; the
     # 0.9x acceptance floor applies to the full-scale standalone run.
     assert all(m.speedup_vs_best > 0.3 for m in measurements)
-
-
-@pytest.mark.figure("planner")
-def test_paged_gather_not_slower(benchmark):
-    """The leaf-run gather must at least match the scalar fallback."""
-    def run():
-        return run_paged_read_suite(num_tuples=scaled(SMALL_SCALE_ROWS),
-                                    num_queries=10)
-
-    measurement = benchmark.pedantic(run, rounds=1, iterations=1)
-    print()
-    print(format_paged(measurement))
-    assert measurement.results_agree
-    assert measurement.speedup_gather > 0.8
 
 
 def main(argv=None) -> int:
@@ -125,12 +93,7 @@ def main(argv=None) -> int:
         num_tuples=args.rows, selectivity=args.selectivity,
         num_queries=args.queries, pointer_scheme=scheme,
     )
-    paged = run_paged_read_suite(num_tuples=args.rows,
-                                 selectivity=args.selectivity,
-                                 num_queries=max(args.queries, 30))
     print(format_planner(measurements))
-    print()
-    print(format_paged(paged))
 
     ranged = [m for m in measurements if m.query_class != "point"]
     points = [m for m in measurements if m.query_class == "point"]
@@ -151,19 +114,13 @@ def main(argv=None) -> int:
                 "pointer_scheme": args.scheme,
                 "measurements": [m.as_dict() for m in points],
             },
-            {
-                "benchmark": "paged_read",
-                "rows": args.rows,
-                "selectivity": args.selectivity,
-                "measurements": [paged.as_dict()],
-            },
         ],
     }
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(bundle, handle, indent=2)
     print(f"\nwrote {args.output}")
 
-    if not all(m.results_agree for m in measurements) or not paged.results_agree:
+    if not all(m.results_agree for m in measurements):
         print("ERROR: planner and manual plans disagree", file=sys.stderr)
         return 1
     return 0

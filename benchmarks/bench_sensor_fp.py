@@ -57,7 +57,7 @@ def test_sensor_fp_gap_small_scale(benchmark):
     """Small-scale smoke: both mechanisms agree and the gap stays bounded."""
     def run():
         return run_sensor_fp_suite(num_tuples=scaled(SMALL_SCALE_ROWS),
-                                   selectivity=1e-3, num_queries=12, rounds=3)
+                                   selectivity=1e-3, num_queries=48, rounds=3)
 
     measurements = benchmark.pedantic(run, rounds=1, iterations=1)
     print()
@@ -65,6 +65,9 @@ def test_sensor_fp_gap_small_scale(benchmark):
     assert all(m.results_agree for m in measurements)
     # The hard <= 3x acceptance applies at CI scale; at smoke scale only
     # guard against a wholesale regression to the pre-adaptive ~8x gap.
+    # The batch is the CI gate's 48 queries: both sides ride the segmented
+    # pipeline, and a smaller batch measures mostly Hermit's fixed
+    # per-batch TRS translation cost rather than the false-positive gap.
     assert all(m.hermit_vs_baseline > 0.2 for m in measurements)
 
 

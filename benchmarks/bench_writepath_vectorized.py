@@ -1,7 +1,7 @@
 """Write-path vectorization benchmark — per-row inserts vs. batched ``insert_many``.
 
 Not a paper figure: this benchmark tracks the reproduction's own perf
-trajectory, the write-side counterpart of ``bench_hotpath_vectorized.py``.
+trajectory on the write side.
 The PR that introduced it gave every index a batched write API (sorted merge
 into B+-tree leaf runs, grouped hash-bucket appends, ``searchsorted`` merges
 into the sorted-column arrays) and every secondary mechanism a

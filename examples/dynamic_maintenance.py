@@ -22,7 +22,6 @@ import numpy as np
 from repro import Database, IndexMethod, RangePredicate
 from repro.bench.report import format_table
 from repro.core.reorganize import BackgroundReorganizer
-from repro.engine.executor import full_scan
 from repro.storage.memory import BYTES_PER_MB
 from repro.workloads.synthetic import generate_synthetic, load_synthetic
 
@@ -33,8 +32,9 @@ CHURN_OPERATIONS = 5_000
 def verify(database, table_name) -> None:
     predicate = RangePredicate("colC", 300_000.0, 350_000.0)
     indexed = database.query(table_name, predicate)
-    scanned = full_scan(database.table(table_name), predicate)
-    assert indexed.locations == scanned.locations
+    slots, values = database.table(table_name).project([predicate.column])
+    scanned = slots[(values >= predicate.low) & (values <= predicate.high)]
+    assert indexed.locations == scanned.tolist()
 
 
 def main() -> None:

@@ -40,14 +40,16 @@ NUM_TUPLES = 100_000
 
 def manual_plan(database: Database, table_name: str, index_name: str,
                 probe: RangePredicate, post: RangePredicate) -> np.ndarray:
-    """One named index probe plus a vectorized post-filter."""
+    """One forced index read plus a vectorized post-filter.
+
+    ``query_with`` returns sorted, duplicate-free locations and the filter
+    keeps their order, so the result needs no further dedup.
+    """
     result = database.query_with(table_name, index_name, probe)
     locations = np.asarray(result.locations, dtype=np.int64)
-    if locations.size:
-        locations = database.table(table_name).filter_in_range(
-            locations, post.column, post.low, post.high
-        )
-    return np.unique(locations)
+    return database.table(table_name).filter_in_range(
+        locations, post.column, post.low, post.high
+    )
 
 
 def timed(label: str, thunk):

@@ -10,7 +10,8 @@ and no correctness test will ever object.
 Scope — a function is *hot* when any of:
 
 * its module carries a ``# repro: hot-module`` marker comment
-  (``repro/segments.py`` and ``repro/engine/executor.py`` ship marked);
+  (``repro/segments.py``, ``repro/core/lookup.py`` and
+  ``repro/engine/executor.py`` ship marked);
 * it is a ``*_many`` / ``*_segmented`` method in an index module
   (``repro/index/``) or the outlier buffer (``repro/core/outliers.py``)
   — the vectorized entry points of every mechanism.

@@ -24,23 +24,16 @@ from collections import defaultdict
 
 import numpy as np
 
-from repro.core.hermit import (
-    BatchLookupResult,
-    HermitLookupResult,
-    LookupBreakdown,
-    coerce_ranges,
-    finish_batch_lookup,
-    probe_host_ranges_segmented,
-    resolve_tids_array,
-)
-from repro.errors import ConfigurationError, QueryError
+from repro.core.hermit import probe_host_ranges_segmented
+from repro.core.lookup import LookupBreakdown, SecondaryMechanism
+from repro.errors import ConfigurationError
 from repro.index.base import Index, KeyRange
 from repro.storage.identifiers import PointerScheme
 from repro.storage.memory import DEFAULT_SIZE_MODEL, SizeModel
 from repro.storage.table import Table
 
 
-class CorrelationMap:
+class CorrelationMap(SecondaryMechanism):
     """A CM-style bucketised secondary access method on ``target_column``.
 
     Args:
@@ -63,21 +56,13 @@ class CorrelationMap:
                  size_model: SizeModel = DEFAULT_SIZE_MODEL) -> None:
         if target_bucket_width <= 0 or host_bucket_width <= 0:
             raise ConfigurationError("bucket widths must be positive")
-        if pointer_scheme.needs_primary_lookup and primary_index is None:
-            raise QueryError(
-                "logical pointers require a primary index to resolve locations"
-            )
-        self.table = table
-        self.target_column = target_column
+        super().__init__(table, target_column, primary_index, pointer_scheme)
         self.host_column = host_column
         self.host_index = host_index
-        self.primary_index = primary_index
-        self.pointer_scheme = pointer_scheme
         self.target_bucket_width = float(target_bucket_width)
         self.host_bucket_width = float(host_bucket_width)
         self._size_model = size_model
         self._mapping: dict[int, set[int]] = defaultdict(set)
-        self.cumulative = LookupBreakdown()
 
     # ----------------------------------------------------------- construction
 
@@ -92,83 +77,24 @@ class CorrelationMap:
         for target_bucket, host_bucket in zip(target_buckets, host_buckets):
             self._mapping[int(target_bucket)].add(int(host_bucket))
 
-    # ----------------------------------------------------------------- lookup
-
-    def lookup_range(self, low: float, high: float) -> HermitLookupResult:
-        """Answer ``low <= target_column <= high`` exactly."""
-        predicate = KeyRange(low, high)
-        breakdown = LookupBreakdown(lookups=1)
-
-        started = time.perf_counter()
-        host_ranges = self._host_ranges_for(predicate)
-        breakdown.trs_seconds += time.perf_counter() - started
-
-        started = time.perf_counter()
-        tids = self.host_index.range_search_many_array(host_ranges)
-        if tids.size:
-            tids = np.unique(tids)
-        breakdown.host_index_seconds += time.perf_counter() - started
-
-        locations = self._resolve_locations_array(tids, breakdown)
-
-        started = time.perf_counter()
-        matches = self.table.filter_in_range(
-            locations, self.target_column, predicate.low, predicate.high
-        )
-        breakdown.base_table_seconds += time.perf_counter() - started
-
-        breakdown.candidates += len(locations)
-        breakdown.results += len(matches)
-        self.cumulative.merge(breakdown)
-        return HermitLookupResult(locations=matches, breakdown=breakdown)
-
-    def lookup_range_many(self, predicates) -> BatchLookupResult:
-        """Answer a batch of range predicates with amortised overhead.
-
-        Exists so the bench harness measures CM under the same batch
-        protocol as Hermit and the Baseline — otherwise the cross-mechanism
-        figures would compare mechanism cost plus per-call dispatch on one
-        side against mechanism cost alone on the other.
-        """
-        ranges = coerce_ranges(predicates)
-        breakdown = LookupBreakdown(lookups=len(ranges))
-
-        started = time.perf_counter()
-        host_ranges_per_query = [self._host_ranges_for(predicate)
-                                 for predicate in ranges]
-        breakdown.trs_seconds += time.perf_counter() - started
-
-        started = time.perf_counter()
-        tid_arrays = []
-        for host_ranges in host_ranges_per_query:
-            tids = self.host_index.range_search_many_array(host_ranges)
-            if tids.size:
-                tids = np.unique(tids)
-            tid_arrays.append(tids)
-        breakdown.host_index_seconds += time.perf_counter() - started
-
-        return finish_batch_lookup(
-            self.table, self.target_column, ranges, tid_arrays,
-            self.pointer_scheme, self.primary_index, breakdown, self.cumulative,
-        )
-
-    def lookup_point(self, value: float) -> HermitLookupResult:
-        """Answer ``target_column == value``."""
-        return self.lookup_range(value, value)
-
-    # ------------------------------------------------------ planner interface
+    # --------------------------------------------------- candidate generation
 
     def candidate_tids(self, key_range: KeyRange,
                        breakdown: LookupBreakdown) -> np.ndarray:
-        """Candidate tids for the planner: bucket expansion + host probes only."""
+        """Candidate tids: bucket expansion plus host probes, no dedup pass.
+
+        ``_host_ranges_for`` unions its buckets into *disjoint* closed host
+        ranges and a complete host index stores each row once, so a tid
+        cannot appear twice across one query's probes — rows that share a
+        host value are distinct entries, not duplicates.  The array may be
+        a read-only view of host-index storage.
+        """
         started = time.perf_counter()
         host_ranges = self._host_ranges_for(key_range)
         breakdown.trs_seconds += time.perf_counter() - started
 
         started = time.perf_counter()
         tids = self.host_index.range_search_many_array(host_ranges)
-        if tids.size:
-            tids = np.unique(tids)
         breakdown.host_index_seconds += time.perf_counter() - started
         return tids
 
@@ -180,11 +106,9 @@ class CorrelationMap:
         Bucket expansion stays per query (a Python dict walk per target
         bucket), but the host probes of the whole batch collapse into one
         ``range_search_segmented`` call over the flattened host-range list,
-        regrouped per query.  No dedup pass is needed:
-        ``_host_ranges_for`` unions its buckets into *disjoint* host ranges
-        and a complete host index stores each row once, so a tid cannot
-        appear twice within one query's probes.  Returns a
-        ``(values, offsets)`` segmented array.
+        regrouped per query.  Duplicate-free for the same reason as
+        :meth:`candidate_tids`.  Returns a ``(values, offsets)`` segmented
+        array.
         """
         started = time.perf_counter()
         host_ranges_per_query = [self._host_ranges_for(key_range)
@@ -231,11 +155,6 @@ class CorrelationMap:
             for bucket in host_buckets
         ]
         return KeyRange.union(ranges)
-
-    def _resolve_locations_array(self, tids: np.ndarray,
-                                 breakdown: LookupBreakdown) -> np.ndarray:
-        return resolve_tids_array(tids, self.pointer_scheme,
-                                  self.primary_index, breakdown)
 
     # ------------------------------------------------------------ maintenance
 
@@ -291,7 +210,3 @@ class CorrelationMap:
             self._size_model.hash_table_bytes(links)
             + buckets * self._size_model.node_header_bytes
         )
-
-    def reset_breakdown(self) -> None:
-        """Clear the cumulative breakdown counters."""
-        self.cumulative = LookupBreakdown()

@@ -5,12 +5,12 @@ complete B+-tree on the target column whose entries are tuple identifiers
 under either pointer scheme.  Lookups go secondary index → (primary index) →
 base table, and the per-phase breakdown mirrors Figures 11 and 15.
 
-Like :class:`~repro.core.hermit.HermitIndex`, the lookup path is array-native
-(tid arrays from the index, batched primary resolution, vectorized base-table
-touch) so the Hermit-vs-Baseline comparison measures the mechanisms rather
-than interpreter overhead; the object-at-a-time seed path survives as
-:meth:`BaselineSecondaryIndex.lookup_range_scalar`, and
-:meth:`BaselineSecondaryIndex.lookup_range_many` serves predicate batches.
+The class implements only candidate generation (one array probe of the
+backing index, or one segmented probe per batch) and maintenance.  Pointer
+resolution, base-table validation and the standalone ``lookup_range`` /
+``lookup_range_many`` are the shared tails of :mod:`repro.core.lookup`, so
+the Hermit-vs-Baseline comparison measures the mechanisms through the same
+pipeline the engine serves.
 """
 
 from __future__ import annotations
@@ -19,23 +19,15 @@ import time
 
 import numpy as np
 
-from repro.core.hermit import (
-    BatchLookupResult,
-    HermitLookupResult,
-    LookupBreakdown,
-    coerce_ranges,
-    finish_batch_lookup,
-    resolve_tids_array,
-)
-from repro.errors import QueryError
+from repro.core.lookup import LookupBreakdown, SecondaryMechanism
 from repro.index.base import Index, KeyRange
 from repro.index.bptree import BPlusTree
-from repro.storage.identifiers import PointerScheme, TupleId
+from repro.storage.identifiers import PointerScheme
 from repro.storage.memory import DEFAULT_SIZE_MODEL, SizeModel
 from repro.storage.table import Table
 
 
-class BaselineSecondaryIndex:
+class BaselineSecondaryIndex(SecondaryMechanism):
     """A complete B+-tree secondary index on ``target_column``.
 
     Exposes the same lookup/maintenance surface as
@@ -63,92 +55,30 @@ class BaselineSecondaryIndex:
                  node_capacity: int = 32,
                  size_model: SizeModel = DEFAULT_SIZE_MODEL,
                  index: Index | None = None) -> None:
-        if pointer_scheme.needs_primary_lookup and primary_index is None:
-            raise QueryError(
-                "logical pointers require a primary index to resolve locations"
-            )
-        self.table = table
-        self.target_column = target_column
-        self.primary_index = primary_index
-        self.pointer_scheme = pointer_scheme
+        super().__init__(table, target_column, primary_index, pointer_scheme)
         self.index = index if index is not None else BPlusTree(
             node_capacity=node_capacity, size_model=size_model
         )
-        self.cumulative = LookupBreakdown()
 
     # ----------------------------------------------------------- construction
 
     def build(self) -> None:
         """Bulk-load the B+-tree from the current table contents."""
         slots, targets = self.table.project([self.target_column])
-        if self.pointer_scheme is PointerScheme.PHYSICAL:
-            tids = slots
-        else:
-            tids = self.table.values(slots, self.table.schema.primary_key)
+        tids = self._tids_for_slots(slots)
         pairs = [(float(key), self._native(tid)) for key, tid in zip(targets, tids)]
         self.index.bulk_load(pairs)
 
-    # ----------------------------------------------------------------- lookup
-
-    def lookup_range(self, low: float, high: float) -> HermitLookupResult:
-        """Answer ``low <= target_column <= high`` (array-native path)."""
-        predicate = KeyRange(low, high)
-        breakdown = LookupBreakdown(lookups=1)
-
-        started = time.perf_counter()
-        tids = self.index.range_search_array(predicate)
-        breakdown.host_index_seconds += time.perf_counter() - started
-
-        locations = self._resolve_locations_array(tids, breakdown)
-
-        started = time.perf_counter()
-        # The baseline still touches the base table once per match to produce
-        # the query result (Figures 11/15 charge this as "Base Table"); the
-        # range filter is a no-op for in-range index entries, so this is one
-        # vectorized liveness check plus one column gather.
-        matches = self.table.filter_in_range(
-            locations, self.target_column, predicate.low, predicate.high
-        )
-        breakdown.base_table_seconds += time.perf_counter() - started
-
-        breakdown.candidates += len(locations)
-        breakdown.results += len(matches)
-        self.cumulative.merge(breakdown)
-        return HermitLookupResult(locations=matches, breakdown=breakdown)
-
-    def lookup_range_many(self, predicates) -> BatchLookupResult:
-        """Answer a batch of range predicates with amortised overhead.
-
-        Args:
-            predicates: A sequence of ``KeyRange`` objects or ``(low, high)``
-                pairs.
-        """
-        ranges = coerce_ranges(predicates)
-        breakdown = LookupBreakdown(lookups=len(ranges))
-
-        started = time.perf_counter()
-        tid_arrays = [self.index.range_search_array(predicate)
-                      for predicate in ranges]
-        breakdown.host_index_seconds += time.perf_counter() - started
-
-        return finish_batch_lookup(
-            self.table, self.target_column, ranges, tid_arrays,
-            self.pointer_scheme, self.primary_index, breakdown, self.cumulative,
-        )
-
-    def lookup_point(self, value: float) -> HermitLookupResult:
-        """Answer ``target_column == value``."""
-        return self.lookup_range(value, value)
-
-    # ------------------------------------------------------ planner interface
+    # --------------------------------------------------- candidate generation
 
     def candidate_tids(self, key_range: KeyRange,
                        breakdown: LookupBreakdown) -> np.ndarray:
-        """Candidate tids for the planner — one array probe, no validation.
+        """Candidate tids: one array probe of the backing index.
 
         A complete index produces no false positives, so its candidates are
-        exactly the matching tids (modulo liveness, which the planner's
-        validation pass checks anyway).
+        exactly the matching tids; the tail still touches the base table
+        once per match (liveness plus one column gather — Figures 11/15
+        charge this as "Base Table").
         """
         started = time.perf_counter()
         tids = self.index.range_search_array(key_range)
@@ -174,51 +104,6 @@ class BaselineSecondaryIndex:
         """Estimated candidate count: exact (a complete index has no FPs)."""
         return stats.row_count * stats.selectivity(key_range)
 
-    def lookup_range_scalar(self, low: float, high: float) -> HermitLookupResult:
-        """Object-at-a-time reference implementation of :meth:`lookup_range`.
-
-        The seed code path, kept as the reference semantics for the
-        equivalence property tests and the "scalar" side of the hot-path
-        benchmark.
-        """
-        predicate = KeyRange(low, high)
-        breakdown = LookupBreakdown(lookups=1)
-
-        started = time.perf_counter()
-        tids = self.index.range_search(predicate)
-        breakdown.host_index_seconds += time.perf_counter() - started
-
-        locations = self._resolve_locations(tids, breakdown)
-
-        started = time.perf_counter()
-        matches = [loc for loc in locations if self.table.is_live(loc)]
-        # One base-table touch per match, exactly as the seed path did.
-        for location in matches:
-            self.table.value(location, self.target_column)
-        breakdown.base_table_seconds += time.perf_counter() - started
-
-        breakdown.candidates += len(locations)
-        breakdown.results += len(matches)
-        self.cumulative.merge(breakdown)
-        return HermitLookupResult(locations=matches, breakdown=breakdown)
-
-    def _resolve_locations_array(self, tids: np.ndarray,
-                                 breakdown: LookupBreakdown) -> np.ndarray:
-        return resolve_tids_array(tids, self.pointer_scheme,
-                                  self.primary_index, breakdown)
-
-    def _resolve_locations(self, tids: list[TupleId],
-                           breakdown: LookupBreakdown) -> list[int]:
-        if self.pointer_scheme is PointerScheme.PHYSICAL:
-            return [int(tid) for tid in tids]
-        started = time.perf_counter()
-        locations: list[int] = []
-        assert self.primary_index is not None
-        for primary_key in tids:
-            locations.extend(int(loc) for loc in self.primary_index.search(primary_key))
-        breakdown.primary_index_seconds += time.perf_counter() - started
-        return locations
-
     # ------------------------------------------------------------ maintenance
 
     def insert(self, row: dict, location: int) -> None:
@@ -234,12 +119,7 @@ class BaselineSecondaryIndex:
                 columns.
         """
         keys = np.asarray(columns[self.target_column], dtype=np.float64)
-        if self.pointer_scheme is PointerScheme.PHYSICAL:
-            tids = np.asarray(locations, dtype=np.int64)
-        else:
-            tids = np.asarray(columns[self.table.schema.primary_key],
-                              dtype=np.float64)
-        self.index.insert_many(keys, tids)
+        self.index.insert_many(keys, self._tids_for_batch(columns, locations))
 
     def delete(self, row: dict, location: int) -> None:
         """Remove an index entry for a deleted row."""
@@ -250,20 +130,11 @@ class BaselineSecondaryIndex:
         self.delete(old_row, location)
         self.insert(new_row, location)
 
-    def _tid_for(self, row: dict, location: int) -> TupleId:
-        if self.pointer_scheme is PointerScheme.PHYSICAL:
-            return location
-        return row[self.table.schema.primary_key]
-
     # ------------------------------------------------------------- accounting
 
     def memory_bytes(self) -> int:
         """Analytic size of the secondary index in bytes."""
         return self.index.memory_bytes()
-
-    def reset_breakdown(self) -> None:
-        """Clear the cumulative breakdown counters."""
-        self.cumulative = LookupBreakdown()
 
     @staticmethod
     def _native(tid):

@@ -8,6 +8,7 @@ from repro.bench.harness import (
     insertion_throughput,
     run_point_batch,
     run_query_batch,
+    run_query_singles,
 )
 from repro.bench.report import format_figure, format_memory_report, format_table
 from repro.bench.timing import (
@@ -31,6 +32,7 @@ __all__ = [
     "insertion_throughput",
     "run_point_batch",
     "run_query_batch",
+    "run_query_singles",
     "scale_factor",
     "scaled",
     "stopwatch",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bench.timing import ThroughputResult
-from repro.core.hermit import LookupBreakdown
+from repro.core.lookup import LookupBreakdown
 from repro.workloads.queries import RangeQuery
 
 
@@ -36,27 +36,33 @@ class QueryBatchResult:
 def run_query_batch(mechanism, queries: list[RangeQuery]) -> QueryBatchResult:
     """Run range queries against a mechanism and collect throughput + breakdown.
 
-    Mechanisms exposing the batch API (``lookup_range_many``) are measured
-    through it, which amortises per-call dispatch and clock-read overhead
-    over the whole batch; others fall back to one ``lookup_range`` call per
-    query.
+    The batch goes through the mechanism's ``lookup_range_many`` — the
+    segmented pipeline the engine serves batches with — which also
+    amortises per-call dispatch and clock-read overhead over the batch.
 
     Args:
-        mechanism: Anything exposing ``lookup_range(low, high)`` returning a
-            result with ``locations`` and ``breakdown`` (HermitIndex,
-            BaselineSecondaryIndex, CorrelationMap).
+        mechanism: A :class:`~repro.core.lookup.SecondaryMechanism`
+            (HermitIndex, BaselineSecondaryIndex, CorrelationMap).
         queries: The query batch.
     """
-    batch_lookup = getattr(mechanism, "lookup_range_many", None)
-    if batch_lookup is not None:
-        started = time.perf_counter()
-        batch = batch_lookup([(query.low, query.high) for query in queries])
-        elapsed = time.perf_counter() - started
-        return QueryBatchResult(
-            throughput=ThroughputResult(operations=len(queries), seconds=elapsed),
-            breakdown=batch.breakdown,
-            total_results=batch.total_results,
-        )
+    started = time.perf_counter()
+    batch = mechanism.lookup_range_many(
+        [(query.low, query.high) for query in queries])
+    elapsed = time.perf_counter() - started
+    return QueryBatchResult(
+        throughput=ThroughputResult(operations=len(queries), seconds=elapsed),
+        breakdown=batch.breakdown,
+        total_results=batch.total_results,
+    )
+
+
+def run_query_singles(mechanism, queries: list[RangeQuery]) -> QueryBatchResult:
+    """Run range queries one ``lookup_range`` at a time.
+
+    The other protocol: the single-request pipeline ``Database.execute``
+    serves, whose per-lookup phase shares are what the paper's breakdown
+    figures show.  Same result shape as :func:`run_query_batch`.
+    """
     breakdown = LookupBreakdown()
     total_results = 0
     started = time.perf_counter()

@@ -1,24 +1,16 @@
-"""Hot-path microbenchmark: scalar seed path vs. vectorized lookup path.
+"""Bare-mechanism workload setups for the mechanism-level benchmarks.
 
-The vectorized Hermit/Baseline lookup pipeline (array host probes,
-``np.unique`` dedup, batched primary resolution, fancy-index validation) and
-the original object-at-a-time seed path (``lookup_range_scalar``) answer the
-same queries, so their throughput ratio isolates exactly the interpreter
-overhead the vectorization removed.  This module builds the three paper
-workloads (Stock, Sensor, Synthetic-Linear) as bare tables + mechanisms,
-measures all three paths (scalar per-query, vectorized per-query, vectorized
-batch) and checks that every path returns the identical result set.
-
-It lives in ``repro.bench`` rather than ``benchmarks/`` so that both the
-full-scale benchmark script (``benchmarks/bench_hotpath_vectorized.py``) and
-the tier-1 bench-smoke test can share one implementation — the smoke test is
-what keeps the vectorized path from silently regressing to the scalar
-fallback.
+Builds one of the three paper workloads (Stock, Sensor, Synthetic-Linear)
+as a bare table plus a Hermit and a Baseline mechanism over it — no
+``Database``, no planner — so a benchmark can drive the mechanisms' own
+``lookup_range`` / ``lookup_range_many`` and maintenance calls directly.
+Shared by the sensor false-positive benchmark (``repro.bench.sensor_fp``),
+the write-path benchmark (``repro.bench.writepath``) and the tier-1
+equivalence tests.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +24,6 @@ from repro.index.sorted_column import SortedColumnIndex
 from repro.storage.identifiers import PointerScheme
 from repro.storage.schema import numeric_schema
 from repro.storage.table import Table
-from repro.workloads.queries import RangeQuery, range_queries
 from repro.workloads.sensor import generate_sensor, sensor_column
 from repro.workloads.stock import generate_stock, high_column, low_column
 from repro.workloads.synthetic import generate_synthetic
@@ -56,77 +47,6 @@ class HotpathSetup:
     def mechanisms(self) -> dict[str, object]:
         """Label → mechanism, as the figure helpers expose them."""
         return {"HERMIT": self.hermit, "Baseline": self.baseline}
-
-
-@dataclass
-class HotpathMeasurement:
-    """Scalar vs. vectorized throughput of one mechanism on one workload."""
-
-    workload: str
-    mechanism: str
-    pointer_scheme: str
-    host_index: str
-    num_tuples: int
-    selectivity: float
-    num_queries: int
-    total_results: int
-    scalar_seconds: float
-    vectorized_seconds: float
-    batched_seconds: float
-    results_agree: bool
-
-    @property
-    def scalar_kops(self) -> float:
-        """Scalar-path throughput in thousands of queries per second."""
-        return self._kops(self.scalar_seconds)
-
-    @property
-    def vectorized_kops(self) -> float:
-        """Vectorized per-query throughput in K queries per second."""
-        return self._kops(self.vectorized_seconds)
-
-    @property
-    def batched_kops(self) -> float:
-        """Batch-API throughput in K queries per second."""
-        return self._kops(self.batched_seconds)
-
-    @property
-    def speedup_vectorized(self) -> float:
-        """Per-query vectorized speedup over the scalar seed path."""
-        if self.vectorized_seconds <= 0:
-            return float("inf")
-        return self.scalar_seconds / self.vectorized_seconds
-
-    @property
-    def speedup_batched(self) -> float:
-        """Batch-API speedup over the scalar seed path."""
-        if self.batched_seconds <= 0:
-            return float("inf")
-        return self.scalar_seconds / self.batched_seconds
-
-    def _kops(self, seconds: float) -> float:
-        if seconds <= 0:
-            return 0.0
-        return self.num_queries / seconds / 1e3
-
-    def as_dict(self) -> dict:
-        """JSON-ready representation (used for the perf trajectory)."""
-        return {
-            "workload": self.workload,
-            "mechanism": self.mechanism,
-            "pointer_scheme": self.pointer_scheme,
-            "host_index": self.host_index,
-            "num_tuples": self.num_tuples,
-            "selectivity": self.selectivity,
-            "num_queries": self.num_queries,
-            "total_results": self.total_results,
-            "scalar_kops": self.scalar_kops,
-            "vectorized_kops": self.vectorized_kops,
-            "batched_kops": self.batched_kops,
-            "speedup_vectorized": self.speedup_vectorized,
-            "speedup_batched": self.speedup_batched,
-            "results_agree": self.results_agree,
-        }
 
 
 def _workload_columns(workload: str, num_tuples: int,
@@ -207,75 +127,3 @@ def build_hotpath_setup(workload: str, num_tuples: int,
         domain=(float(targets.min()), float(targets.max())),
         num_tuples=num_tuples,
     )
-
-
-def measure_mechanism(setup: HotpathSetup, label: str,
-                      queries: list[RangeQuery], selectivity: float,
-                      pointer_scheme: PointerScheme,
-                      host_index_kind: str) -> HotpathMeasurement:
-    """Time the scalar, vectorized and batch paths of one mechanism.
-
-    All three paths run the identical query list; their result sets are
-    compared query by query, so a vectorized-path correctness bug shows up
-    as ``results_agree=False`` rather than as a silently wrong speedup.
-    """
-    mechanism = setup.mechanisms[label]
-
-    started = time.perf_counter()
-    scalar_results = [mechanism.lookup_range_scalar(q.low, q.high)
-                      for q in queries]
-    scalar_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    vectorized_results = [mechanism.lookup_range(q.low, q.high)
-                          for q in queries]
-    vectorized_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    batch = mechanism.lookup_range_many([(q.low, q.high) for q in queries])
-    batched_seconds = time.perf_counter() - started
-
-    agree = all(
-        set(scalar.locations) == set(vectorized.locations) == set(batched)
-        for scalar, vectorized, batched in zip(
-            scalar_results, vectorized_results, batch.locations_per_query
-        )
-    )
-    return HotpathMeasurement(
-        workload=setup.workload,
-        mechanism=label,
-        pointer_scheme=pointer_scheme.value,
-        host_index=host_index_kind,
-        num_tuples=setup.num_tuples,
-        selectivity=selectivity,
-        num_queries=len(queries),
-        total_results=batch.total_results,
-        scalar_seconds=scalar_seconds,
-        vectorized_seconds=vectorized_seconds,
-        batched_seconds=batched_seconds,
-        results_agree=agree,
-    )
-
-
-def run_hotpath_suite(workloads=WORKLOADS, num_tuples: int = 20_000,
-                      selectivity: float = 1e-3, num_queries: int = 30,
-                      pointer_scheme: PointerScheme = PointerScheme.PHYSICAL,
-                      host_index_kind: str = "btree",
-                      seed: int = 42) -> list[HotpathMeasurement]:
-    """Measure every workload × mechanism combination.
-
-    Returns one :class:`HotpathMeasurement` per (workload, mechanism) pair.
-    """
-    measurements: list[HotpathMeasurement] = []
-    for workload in workloads:
-        setup = build_hotpath_setup(workload, num_tuples,
-                                    pointer_scheme=pointer_scheme,
-                                    host_index_kind=host_index_kind, seed=seed)
-        queries = range_queries(setup.domain, selectivity,
-                                count=num_queries, seed=seed)
-        for label in ("HERMIT", "Baseline"):
-            measurements.append(measure_mechanism(
-                setup, label, queries, selectivity, pointer_scheme,
-                host_index_kind,
-            ))
-    return measurements

@@ -19,9 +19,7 @@ classes:
 
 Every plan's result set is compared against every other, so a planner
 correctness bug shows up as ``results_agree=False`` rather than a wrong
-speedup.  The module also measures the paged read path: the leaf-run gather
-of :meth:`~repro.index.paged_bptree.PagedBPlusTree.range_search_array`
-against the scalar ``Index`` fallback it replaced.
+speedup.
 
 It lives in ``repro.bench`` so the standalone benchmark script
 (``benchmarks/bench_planner.py``) and the tier-1 bench-smoke parity test
@@ -38,10 +36,6 @@ import numpy as np
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
 from repro.engine.query import ConjunctiveQuery, RangePredicate
-from repro.index.base import Index, KeyRange
-from repro.index.paged_bptree import PagedBPlusTree
-from repro.storage.buffer_pool import BufferPool
-from repro.storage.disk import DiskManager
 from repro.storage.identifiers import PointerScheme
 from repro.workloads.queries import range_queries
 from repro.workloads.synthetic import generate_synthetic, load_synthetic
@@ -158,12 +152,8 @@ def _kops(queries: int, seconds: float) -> float:
 def _manual_single_index(database: Database, table_name: str, index_name: str,
                          predicate: RangePredicate,
                          post_filter: RangePredicate | None = None) -> np.ndarray:
-    """A hand-written plan: one named index probe (+ vectorized post-filter).
-
-    Calls the internal ``_query_with`` so the deprecation warning machinery
-    does not sit inside the timed loop and distort the race.
-    """
-    result = database._query_with(table_name, index_name, predicate)
+    """A hand-written plan: one forced index read (+ vectorized post-filter)."""
+    result = database.query_with(table_name, index_name, predicate)
     locations = np.asarray(result.locations, dtype=np.int64)
     if post_filter is not None and locations.size:
         locations = database.table(table_name).filter_in_range(
@@ -317,86 +307,3 @@ def run_planner_suite(num_tuples: int = 200_000, selectivity: float = 1e-2,
         selectivity, pointer_scheme,
     ))
     return measurements
-
-
-# ------------------------------------------------------------- paged read path
-
-
-@dataclass
-class PagedReadMeasurement:
-    """Leaf-run gather vs. the scalar ``Index`` fallback it replaced."""
-
-    num_tuples: int
-    selectivity: float
-    num_queries: int
-    total_results: int
-    scalar_seconds: float
-    gather_seconds: float
-    results_agree: bool
-
-    @property
-    def speedup_gather(self) -> float:
-        """Leaf-run gather speedup over the scalar fallback."""
-        if self.gather_seconds <= 0:
-            return float("inf")
-        return self.scalar_seconds / self.gather_seconds
-
-    def as_dict(self) -> dict:
-        """JSON-ready representation (gated by ``check_regression.py``)."""
-        return {
-            "workload": "paged_bptree",
-            "mechanism": "range_search_array",
-            "num_tuples": self.num_tuples,
-            "selectivity": self.selectivity,
-            "num_queries": self.num_queries,
-            "total_results": self.total_results,
-            "scalar_kops": _kops(self.num_queries, self.scalar_seconds),
-            "gather_kops": _kops(self.num_queries, self.gather_seconds),
-            "speedup_gather": self.speedup_gather,
-            "results_agree": self.results_agree,
-        }
-
-
-def run_paged_read_suite(num_tuples: int = 200_000,
-                         selectivity: float = 1e-2, num_queries: int = 30,
-                         node_capacity: int = 64, pool_capacity: int = 4096,
-                         seed: int = 42) -> PagedReadMeasurement:
-    """Race the paged leaf-run gather against the scalar fallback."""
-    rng = np.random.default_rng(seed)
-    keys = rng.uniform(0.0, 1.0, size=num_tuples)
-    tree = PagedBPlusTree(BufferPool(DiskManager(), capacity=pool_capacity),
-                          node_capacity=node_capacity)
-    tree.insert_many(keys, np.arange(num_tuples, dtype=np.int64))
-
-    queries = range_queries((0.0, 1.0), selectivity, count=num_queries,
-                            seed=seed + 1)
-    ranges = [KeyRange(q.low, q.high) for q in queries]
-
-    scalar_seconds = float("inf")
-    gather_seconds = float("inf")
-    scalar_results: list = []
-    gather_results: list = []
-    for _ in range(7):
-        started = time.perf_counter()
-        scalar_results = [Index.range_search_array(tree, key_range)
-                          for key_range in ranges]
-        scalar_seconds = min(scalar_seconds, time.perf_counter() - started)
-
-        started = time.perf_counter()
-        gather_results = [tree.range_search_array(key_range)
-                          for key_range in ranges]
-        gather_seconds = min(gather_seconds, time.perf_counter() - started)
-
-    agree = all(
-        np.array_equal(np.sort(scalar), np.sort(gathered))
-        for scalar, gathered in zip(scalar_results, gather_results)
-    )
-    return PagedReadMeasurement(
-        num_tuples=num_tuples,
-        selectivity=selectivity,
-        num_queries=num_queries,
-        total_results=int(sum(len(found) for found in gather_results)),
-        scalar_seconds=scalar_seconds,
-        gather_seconds=gather_seconds,
-        results_agree=agree,
-    )

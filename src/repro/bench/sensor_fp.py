@@ -10,8 +10,10 @@ Hermit's observed false-positive ratio, so the adaptive-leaf-model fix
 (candidate-count-aware splits, per-leaf model selection, noise-floor band
 widening, outlier-only demotion) stays pinned by CI.
 
-Shared between the standalone ``benchmarks/bench_sensor_fp.py`` script and
-its small-scale pytest smoke test, mirroring ``repro.bench.hotpath``.
+Both mechanisms are driven through ``lookup_range_many``, i.e. the segmented
+pipeline the engine serves batches with.  Shared between the standalone
+``benchmarks/bench_sensor_fp.py`` script and its small-scale pytest smoke
+test; the bare-mechanism setup comes from :mod:`repro.bench.hotpath`.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ index, one column-oriented ``insert_many`` notification per secondary
 mechanism) and the per-row path (``Database.insert``, which delegates to the
 batch machinery with a batch of one) maintain exactly the same structures, so
 their throughput ratio isolates the per-row interpreter overhead the batch
-APIs remove — the write-side mirror of :mod:`repro.bench.hotpath`.
+APIs remove.
 
 Every measurement builds *two* identical databases (base table + pre-existing
 complete host index + one secondary mechanism), inserts the same rows through

@@ -1,7 +1,8 @@
 """Hermit core: the TRS-Tree and the Hermit secondary-indexing mechanism."""
 
 from repro.core.config import DEFAULT_CONFIG, TRSTreeConfig
-from repro.core.hermit import HermitIndex, HermitLookupResult, LookupBreakdown
+from repro.core.hermit import HermitIndex
+from repro.core.lookup import HermitLookupResult, LookupBreakdown
 from repro.core.node import TRSInternalNode, TRSLeafNode, TRSNode
 from repro.core.outliers import OutlierBuffer
 from repro.core.regression import (

@@ -9,34 +9,28 @@ It combines (Section 5):
 3. an optional *primary index* probe when the RDBMS uses logical pointers, and
 4. a *base-table validation* step that removes false positives.
 
-The lookup pipeline is array-native end to end: host-index probes return
-numpy tid arrays (:meth:`~repro.index.base.Index.range_search_many_array`),
-candidate dedup is one in-place sort plus a neighbour mask
-(:func:`~repro.segments.sorted_unique`, per segment on the batch path),
-logical pointers are resolved
-through one batched primary-index probe
-(:meth:`~repro.index.base.Index.search_many`) and
-base-table validation is a single fancy-index + boolean mask
-(:meth:`~repro.storage.table.Table.filter_in_range`).  The original
-object-at-a-time path is kept as :meth:`HermitIndex.lookup_range_scalar` —
-it is the reference semantics for the equivalence property tests and the
-"before" side of the hot-path benchmark.  :meth:`HermitIndex.lookup_range_many`
-answers a whole predicate batch with amortised per-call overhead.
-
-The class keeps a per-phase time breakdown for every lookup so the benchmark
-harness can regenerate the breakdown figures (Figures 10, 14, 24b).
+This module implements Steps 1–2 — candidate generation — plus maintenance
+and reorganization.  Host-index probes return numpy tid arrays
+(:meth:`~repro.index.base.Index.range_search_many_array` for one request,
+``range_search_segmented`` for a batch) and candidate dedup is one in-place
+sort plus a neighbour mask (:func:`~repro.segments.sorted_unique`, per
+segment on the batch path).  Steps 3–4 are the two shared lookup tails of
+:mod:`repro.core.lookup`, which also provides the standalone
+``lookup_range`` / ``lookup_range_many`` through
+:class:`~repro.core.lookup.SecondaryMechanism` and the per-phase
+:class:`~repro.core.lookup.LookupBreakdown` the benchmark harness uses to
+regenerate the breakdown figures (Figures 10, 14, 24b).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.config import DEFAULT_CONFIG, TRSTreeConfig
+from repro.core.lookup import LookupBreakdown, SecondaryMechanism
 from repro.core.trs_tree import TRSTree
-from repro.errors import QueryError
 from repro.index.base import Index, KeyRange
 from repro.segments import (
     interleave_segments,
@@ -44,74 +38,10 @@ from repro.segments import (
     segmented_sort,
     segmented_unique,
     sorted_unique,
-    split_segments,
 )
-from repro.storage.identifiers import PointerScheme, TupleId
+from repro.storage.identifiers import PointerScheme
 from repro.storage.memory import DEFAULT_SIZE_MODEL, SizeModel
 from repro.storage.table import Table
-
-
-def resolve_tids_array(tids: np.ndarray, pointer_scheme: PointerScheme,
-                       primary_index: Index | None,
-                       breakdown: "LookupBreakdown") -> np.ndarray:
-    """Map one tid array to row locations (lookup Step 3, batched).
-
-    Physical pointers *are* locations; logical pointers are resolved through
-    one batched primary-index probe, charged to the breakdown's
-    primary-index phase.  Shared by Hermit, the Baseline and CM so the
-    pointer-resolution rules live in exactly one place.
-    """
-    if pointer_scheme is PointerScheme.PHYSICAL:
-        return tids.astype(np.int64, copy=False)
-    assert primary_index is not None
-    started = time.perf_counter()
-    locations = np.asarray(primary_index.search_many(tids), dtype=np.int64)
-    breakdown.primary_index_seconds += time.perf_counter() - started
-    return locations
-
-
-def resolve_tids_many(tid_arrays: list[np.ndarray],
-                      pointer_scheme: PointerScheme,
-                      primary_index: Index | None,
-                      breakdown: "LookupBreakdown") -> list[np.ndarray]:
-    """Per-query variant of :func:`resolve_tids_array` for the batch APIs.
-
-    The primary-index phase clock is read once around the whole batch, not
-    twice per query — under logical pointers this is the dominant phase and
-    per-query clock reads would be exactly the overhead the batch APIs
-    exist to amortise.
-    """
-    if pointer_scheme is PointerScheme.PHYSICAL:
-        return [tids.astype(np.int64, copy=False) for tids in tid_arrays]
-    assert primary_index is not None
-    started = time.perf_counter()
-    locations = [np.asarray(primary_index.search_many(tids), dtype=np.int64)
-                 for tids in tid_arrays]
-    breakdown.primary_index_seconds += time.perf_counter() - started
-    return locations
-
-
-def resolve_tids_segmented(tids: np.ndarray, offsets: np.ndarray,
-                           pointer_scheme: PointerScheme,
-                           primary_index: Index | None,
-                           breakdown: "LookupBreakdown",
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Segmented variant of :func:`resolve_tids_array` for the batch executor.
-
-    ``(tids, offsets)`` is the concatenated candidate array of a whole query
-    batch (see ``repro.segments``).  Physical pointers keep the segmentation
-    as-is; logical pointers resolve every candidate through *one*
-    ``search_many_segmented`` primary-index pass, which rebuilds the offsets
-    (a primary key may resolve to zero or several locations).
-    """
-    if pointer_scheme is PointerScheme.PHYSICAL:
-        return tids.astype(np.int64, copy=False), offsets
-    assert primary_index is not None
-    started = time.perf_counter()
-    locations, offsets = primary_index.search_many_segmented(tids, offsets)
-    locations = np.asarray(locations, dtype=np.int64)
-    breakdown.primary_index_seconds += time.perf_counter() - started
-    return locations, offsets
 
 
 def regroup_host_probes(host_values: np.ndarray, host_offsets: np.ndarray,
@@ -154,137 +84,7 @@ def probe_host_ranges_segmented(
     return regroup_host_probes(host_values, host_offsets, counts)
 
 
-def coerce_ranges(predicates) -> list[KeyRange]:
-    """Normalise a predicate batch to ``KeyRange`` objects."""
-    return [
-        predicate if isinstance(predicate, KeyRange)
-        else KeyRange(float(predicate[0]), float(predicate[1]))
-        for predicate in predicates
-    ]
-
-
-@dataclass
-class LookupBreakdown:
-    """Per-phase accounting of one or more Hermit/baseline lookups.
-
-    Time is wall-clock seconds accumulated per phase; the counters allow the
-    harness to compute false-positive ratios (Figure 17).
-    """
-
-    trs_seconds: float = 0.0
-    host_index_seconds: float = 0.0
-    primary_index_seconds: float = 0.0
-    base_table_seconds: float = 0.0
-    candidates: int = 0
-    results: int = 0
-    lookups: int = 0
-
-    @property
-    def total_seconds(self) -> float:
-        """Total time across all phases."""
-        return (
-            self.trs_seconds + self.host_index_seconds
-            + self.primary_index_seconds + self.base_table_seconds
-        )
-
-    @property
-    def false_positive_ratio(self) -> float:
-        """Fraction of candidate tuples that validation rejected."""
-        if self.candidates == 0:
-            return 0.0
-        return (self.candidates - self.results) / self.candidates
-
-    def fractions(self) -> dict[str, float]:
-        """Phase shares of the total time, keyed like the paper's legends."""
-        total = self.total_seconds
-        if total == 0:
-            return {"TRS-Tree": 0.0, "Host Index": 0.0,
-                    "Primary Index": 0.0, "Base Table": 0.0}
-        return {
-            "TRS-Tree": self.trs_seconds / total,
-            "Host Index": self.host_index_seconds / total,
-            "Primary Index": self.primary_index_seconds / total,
-            "Base Table": self.base_table_seconds / total,
-        }
-
-    def merge(self, other: "LookupBreakdown") -> None:
-        """Accumulate another breakdown into this one."""
-        self.trs_seconds += other.trs_seconds
-        self.host_index_seconds += other.host_index_seconds
-        self.primary_index_seconds += other.primary_index_seconds
-        self.base_table_seconds += other.base_table_seconds
-        self.candidates += other.candidates
-        self.results += other.results
-        self.lookups += other.lookups
-
-
-@dataclass
-class HermitLookupResult:
-    """Result of one Hermit lookup.
-
-    Attributes:
-        locations: Matching row locations — an int64 numpy array on the
-            vectorized path, a plain list on the scalar reference path.
-            Both support ``len``, iteration, ``in`` and ``set(...)``.
-        breakdown: Per-phase time accounting for this lookup.
-    """
-
-    locations: "np.ndarray | list[int]" = field(default_factory=list)
-    breakdown: LookupBreakdown = field(default_factory=LookupBreakdown)
-
-
-@dataclass
-class BatchLookupResult:
-    """Result of one batched lookup (``lookup_range_many``).
-
-    Attributes:
-        locations_per_query: One int64 location array per input predicate,
-            in input order.
-        breakdown: Per-phase time accounting accumulated over the batch
-            (``lookups`` equals the number of predicates).
-    """
-
-    locations_per_query: list[np.ndarray] = field(default_factory=list)
-    breakdown: LookupBreakdown = field(default_factory=LookupBreakdown)
-
-    @property
-    def total_results(self) -> int:
-        """Total number of matching rows across the batch."""
-        return sum(len(locations) for locations in self.locations_per_query)
-
-
-def finish_batch_lookup(table: Table, target_column: str,
-                        ranges: list[KeyRange],
-                        tid_arrays: list[np.ndarray],
-                        pointer_scheme: PointerScheme,
-                        primary_index: Index | None,
-                        breakdown: "LookupBreakdown",
-                        cumulative: "LookupBreakdown") -> BatchLookupResult:
-    """Shared tail of every mechanism's ``lookup_range_many``.
-
-    After a mechanism has produced one candidate-tid array per predicate
-    (each under its own phase accounting), the remaining pipeline is
-    identical across Hermit, the Baseline and CM: batched pointer
-    resolution, vectorized base-table validation, and candidate/result
-    accounting merged into the cumulative breakdown.
-    """
-    locations = resolve_tids_many(tid_arrays, pointer_scheme, primary_index,
-                                  breakdown)
-    started = time.perf_counter()
-    matches = [
-        table.filter_in_range(locs, target_column,
-                              predicate.low, predicate.high)
-        for locs, predicate in zip(locations, ranges)
-    ]
-    breakdown.base_table_seconds += time.perf_counter() - started
-
-    breakdown.candidates += sum(len(locs) for locs in locations)
-    breakdown.results += sum(len(found) for found in matches)
-    cumulative.merge(breakdown)
-    return BatchLookupResult(locations_per_query=matches, breakdown=breakdown)
-
-
-class HermitIndex:
+class HermitIndex(SecondaryMechanism):
     """A Hermit secondary "index" on ``target_column``.
 
     Args:
@@ -305,19 +105,11 @@ class HermitIndex:
                  pointer_scheme: PointerScheme = PointerScheme.PHYSICAL,
                  config: TRSTreeConfig = DEFAULT_CONFIG,
                  size_model: SizeModel = DEFAULT_SIZE_MODEL) -> None:
-        if pointer_scheme.needs_primary_lookup and primary_index is None:
-            raise QueryError(
-                "logical pointers require a primary index to resolve locations"
-            )
-        self.table = table
-        self.target_column = target_column
+        super().__init__(table, target_column, primary_index, pointer_scheme)
         self.host_column = host_column
         self.host_index = host_index
-        self.primary_index = primary_index
-        self.pointer_scheme = pointer_scheme
         self.trs_tree = TRSTree(config, size_model)
         self._size_model = size_model
-        self.cumulative = LookupBreakdown()
 
     # ----------------------------------------------------------- construction
 
@@ -332,87 +124,16 @@ class HermitIndex:
             value_range = KeyRange(float(np.min(targets)), float(np.max(targets)))
         self.trs_tree.build(targets, hosts, tids, value_range, parallelism)
 
-    def _tids_for_slots(self, slots: np.ndarray) -> np.ndarray:
-        if self.pointer_scheme is PointerScheme.PHYSICAL:
-            return slots
-        primary = self.table.schema.primary_key
-        return self.table.values(slots, primary)
-
-    # ----------------------------------------------------------------- lookup
-
-    def lookup_range(self, low: float, high: float) -> HermitLookupResult:
-        """Answer ``low <= target_column <= high`` exactly (Figure 3 workflow).
-
-        Candidates stay numpy arrays through all four phases: host-index
-        probe, sort-based dedup, batched primary-index resolution and one
-        fancy-index base-table validation.
-        """
-        predicate = KeyRange(low, high)
-        breakdown = LookupBreakdown(lookups=1)
-
-        started = time.perf_counter()
-        trs_result = self.trs_tree.lookup(predicate)
-        breakdown.trs_seconds += time.perf_counter() - started
-
-        started = time.perf_counter()
-        candidate_tids = self._candidate_array(trs_result)
-        breakdown.host_index_seconds += time.perf_counter() - started
-
-        locations = self._resolve_locations_array(candidate_tids, breakdown)
-
-        started = time.perf_counter()
-        matches = self.table.filter_in_range(
-            locations, self.target_column, predicate.low, predicate.high
-        )
-        breakdown.base_table_seconds += time.perf_counter() - started
-
-        breakdown.candidates += len(locations)
-        breakdown.results += len(matches)
-        self.cumulative.merge(breakdown)
-        return HermitLookupResult(locations=matches, breakdown=breakdown)
-
-    def lookup_range_many(self, predicates) -> BatchLookupResult:
-        """Answer a batch of range predicates with amortised overhead.
-
-        Args:
-            predicates: A sequence of ``KeyRange`` objects or ``(low, high)``
-                pairs.
-
-        The per-phase clock is read once per phase per batch instead of
-        twice per phase per query, and every per-query intermediate stays a
-        numpy array; the bench harness uses this to measure the lookup path
-        itself rather than Python call dispatch.
-        """
-        ranges = coerce_ranges(predicates)
-        breakdown = LookupBreakdown(lookups=len(ranges))
-
-        values, offsets = self.candidate_tids_many(ranges, breakdown)
-        if not self.sorted_candidates:
-            # The scalar path's per-query candidates are sorted ascending;
-            # keep the batch identical.
-            values, offsets = segmented_sort(values, offsets)
-        candidates = split_segments(values, offsets)
-
-        return finish_batch_lookup(
-            self.table, self.target_column, ranges, candidates,
-            self.pointer_scheme, self.primary_index, breakdown, self.cumulative,
-        )
-
-    def lookup_point(self, value: float) -> HermitLookupResult:
-        """Answer ``target_column == value`` exactly."""
-        return self.lookup_range(value, value)
-
-    # ------------------------------------------------------ planner interface
+    # --------------------------------------------------- candidate generation
 
     def candidate_tids(self, key_range: KeyRange,
                        breakdown: LookupBreakdown) -> np.ndarray:
-        """Steps 1–2 of the lookup only: deduplicated candidate tids.
+        """Steps 1–2 of the lookup: sorted, deduplicated candidate tids.
 
-        This is the planner's access-path entry point: it stops *before*
-        pointer resolution and base-table validation so the planner can
-        intersect candidate tid sets from several access paths and pay
-        resolution + validation once, on the intersection.  The candidate
-        set may contain false positives; the planner's final validation
+        Stops *before* pointer resolution and base-table validation so the
+        planner can intersect candidate tid sets from several access paths
+        and pay resolution + validation once, on the intersection.  The
+        candidate set may contain false positives; the tail's validation
         pass removes them.
         """
         started = time.perf_counter()
@@ -420,7 +141,18 @@ class HermitIndex:
         breakdown.trs_seconds += time.perf_counter() - started
 
         started = time.perf_counter()
-        candidates = self._candidate_array(trs_result)
+        candidates = self.host_index.range_search_many_array(
+            trs_result.host_ranges)
+        outliers = trs_result.outlier_tid_array()
+        if outliers.size and candidates.size:
+            candidates = np.concatenate([candidates, outliers])
+        elif outliers.size:
+            candidates = outliers
+        else:
+            # The host index may hand out a view of its own storage, and
+            # sorted_unique sorts in place.
+            candidates = candidates.copy()
+        candidates = sorted_unique(candidates)
         breakdown.host_index_seconds += time.perf_counter() - started
         return candidates
 
@@ -446,10 +178,10 @@ class HermitIndex:
         outlier tids were spliced in (an outlier's host value may also fall
         inside a probed range), and leaves the segments sorted.  Under
         physical pointers the segments are sorted in every case
-        (:attr:`sorted_candidates`), which lets the executor skip its own
+        (:attr:`sorted_candidates`), which lets the segmented tail skip its
         final sort — the batch sorts its candidates once.  Under logical
-        pointers the executor ends with a dedup that sorts anyway, so a
-        batch without outliers is handed over in host-key order.
+        pointers the tail ends with a dedup that sorts anyway, so a batch
+        without outliers is handed over in host-key order.
         """
         started = time.perf_counter()
         batch = self.trs_tree.lookup_many(ranges)
@@ -478,8 +210,8 @@ class HermitIndex:
     def sorted_candidates(self) -> bool:
         """Planner contract: does :meth:`candidate_tids_many` sort every segment?
 
-        Only where the executor can use it: under physical pointers the
-        sorted candidates are the sorted result.
+        Only where the segmented tail can use it: under physical pointers
+        the sorted candidates are the sorted result.
         """
         return self.pointer_scheme is PointerScheme.PHYSICAL
 
@@ -518,87 +250,6 @@ class HermitIndex:
         exact = stats.row_count * stats.selectivity(key_range)
         return exact / max(1.0 - false_positives, 0.1)
 
-    def lookup_range_scalar(self, low: float, high: float) -> HermitLookupResult:
-        """Object-at-a-time reference implementation of :meth:`lookup_range`.
-
-        This is the seed code path (per-key primary probes, per-row
-        validation), kept as the reference semantics for the equivalence
-        property tests and as the "scalar" side of
-        ``benchmarks/bench_hotpath_vectorized.py``.  The candidate
-        generation, however, shares :meth:`_candidate_array` with the
-        vectorized and batch paths: the legacy Python-``set``
-        materialisation of the host probe (``set(range_search_many(...))``)
-        duplicated the dedup rules in a second implementation that could
-        drift, and the hot-path benchmark ratios were rebased when it was
-        removed (the scalar side got faster; the race now isolates the
-        per-row resolution + validation overhead, which is what the
-        vectorized tail actually replaced).
-        """
-        predicate = KeyRange(low, high)
-        breakdown = LookupBreakdown(lookups=1)
-
-        started = time.perf_counter()
-        trs_result = self.trs_tree.lookup(predicate)
-        breakdown.trs_seconds += time.perf_counter() - started
-
-        started = time.perf_counter()
-        candidate_tids = self._candidate_array(trs_result).tolist()
-        breakdown.host_index_seconds += time.perf_counter() - started
-
-        locations = self._resolve_locations(candidate_tids, breakdown)
-
-        started = time.perf_counter()
-        matches = self._validate(locations, predicate)
-        breakdown.base_table_seconds += time.perf_counter() - started
-
-        breakdown.candidates += len(locations)
-        breakdown.results += len(matches)
-        self.cumulative.merge(breakdown)
-        return HermitLookupResult(locations=matches, breakdown=breakdown)
-
-    def _candidate_array(self, trs_result) -> np.ndarray:
-        """Step 2: sorted, deduplicated candidate tids as one numpy array."""
-        candidates = self.host_index.range_search_many_array(trs_result.host_ranges)
-        outliers = trs_result.outlier_tid_array()
-        if outliers.size and candidates.size:
-            candidates = np.concatenate([candidates, outliers])
-        elif outliers.size:
-            candidates = outliers
-        else:
-            # The host index may hand out a view of its own storage.
-            candidates = candidates.copy()
-        return sorted_unique(candidates)
-
-    def _resolve_locations_array(self, tids: np.ndarray,
-                                 breakdown: LookupBreakdown) -> np.ndarray:
-        """Map a tid array to row locations (Step 3, optional, batched)."""
-        return resolve_tids_array(tids, self.pointer_scheme,
-                                  self.primary_index, breakdown)
-
-    def _resolve_locations(self, tids: "list[TupleId] | set[TupleId]",
-                           breakdown: LookupBreakdown) -> list[int]:
-        """Scalar reference of :meth:`_resolve_locations_array`."""
-        if self.pointer_scheme is PointerScheme.PHYSICAL:
-            return [int(tid) for tid in tids]
-        started = time.perf_counter()
-        locations: list[int] = []
-        assert self.primary_index is not None
-        for primary_key in tids:
-            locations.extend(int(loc) for loc in self.primary_index.search(primary_key))
-        breakdown.primary_index_seconds += time.perf_counter() - started
-        return locations
-
-    def _validate(self, locations: list[int], predicate: KeyRange) -> list[int]:
-        """Scalar reference of the Step 4 validation (one row at a time)."""
-        matches: list[int] = []
-        for location in locations:
-            if not self.table.is_live(location):
-                continue
-            value = self.table.value(location, self.target_column)
-            if predicate.contains(float(value)):
-                matches.append(location)
-        return matches
-
     # ------------------------------------------------------------ maintenance
 
     def insert(self, row: dict, location: int) -> None:
@@ -624,14 +275,6 @@ class HermitIndex:
             targets, hosts, self._tids_for_batch(columns, locations)
         )
 
-    def _tids_for_batch(self, columns: dict,
-                        locations: np.ndarray) -> np.ndarray:
-        """Batch counterpart of :meth:`_tid_for`."""
-        if self.pointer_scheme is PointerScheme.PHYSICAL:
-            return np.asarray(locations, dtype=np.int64)
-        return np.asarray(columns[self.table.schema.primary_key],
-                          dtype=np.float64)
-
     def delete(self, row: dict, location: int) -> None:
         """Notify the index that ``row`` at ``location`` was deleted."""
         tid = self._tid_for(row, location)
@@ -655,11 +298,6 @@ class HermitIndex:
             float(new_row[self.target_column]), float(new_row[self.host_column]),
             old_tid, new_tid=new_tid,
         )
-
-    def _tid_for(self, row: dict, location: int) -> TupleId:
-        if self.pointer_scheme is PointerScheme.PHYSICAL:
-            return location
-        return row[self.table.schema.primary_key]
 
     # --------------------------------------------------------- reorganization
 
@@ -710,7 +348,3 @@ class HermitIndex:
         with the rest of the database, exactly as in the paper's accounting.
         """
         return self.trs_tree.memory_bytes()
-
-    def reset_breakdown(self) -> None:
-        """Clear the cumulative breakdown counters."""
-        self.cumulative = LookupBreakdown()

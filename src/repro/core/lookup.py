@@ -1,0 +1,413 @@
+"""The lookup workflow every mechanism shares (paper Section 5, Figure 3).
+
+A lookup is four steps: (1) translate the predicate (TRS-Tree, CM bucket
+map, or nothing for a complete index), (2) probe the host index for
+candidate tuple identifiers, (3) resolve logical pointers through the
+primary index, (4) validate against the base table.  Steps 1–2 differ per
+mechanism and are what a mechanism implements (``candidate_tids`` /
+``candidate_tids_many``).  Steps 3–4 — resolve, validate *every* predicate,
+sort/dedup, book candidates and results — are identical for all of them and
+live here exactly twice:
+
+* :func:`finish_lookup` for one request (one tid array), and
+* :func:`finish_lookup_segmented` for a request batch (one segmented
+  ``(values, offsets)`` array, see ``repro.segments``).
+
+Both stay because each wins a workload: a batch of one through the
+segmented tail is 3–4x slower than the single tail (fixed cost of the
+segmented kernels), while a 256-request batch through per-request single
+tails loses by a similar factor.  The caller's batch size selects between
+them.  The planner's executor (``repro.engine.executor``) and the
+mechanisms' standalone ``lookup_range`` / ``lookup_range_many``
+(:class:`SecondaryMechanism`) both end in these two functions.
+"""
+
+# repro: hot-module
+# (repro.analysis REP004: no per-element Python loops over arrays here)
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
+
+from repro.errors import QueryError
+from repro.index.base import Index, KeyRange
+from repro.segments import (
+    segmented_filter,
+    segmented_sort,
+    segmented_unique,
+    sorted_unique,
+    split_segments,
+)
+from repro.storage.identifiers import PointerScheme, TupleId
+from repro.storage.table import Table
+
+
+@dataclass
+class LookupBreakdown:
+    """Per-phase accounting of one or more Hermit/baseline lookups.
+
+    Time is wall-clock seconds accumulated per phase; the counters allow the
+    harness to compute false-positive ratios (Figure 17).
+    """
+
+    trs_seconds: float = 0.0
+    host_index_seconds: float = 0.0
+    primary_index_seconds: float = 0.0
+    base_table_seconds: float = 0.0
+    candidates: int = 0
+    results: int = 0
+    lookups: int = 0
+
+    @property
+    def total_seconds(self) -> float:
+        """Total time across all phases."""
+        return (
+            self.trs_seconds + self.host_index_seconds
+            + self.primary_index_seconds + self.base_table_seconds
+        )
+
+    @property
+    def false_positive_ratio(self) -> float:
+        """Fraction of candidate tuples that validation rejected."""
+        if self.candidates == 0:
+            return 0.0
+        return (self.candidates - self.results) / self.candidates
+
+    def fractions(self) -> dict[str, float]:
+        """Phase shares of the total time, keyed like the paper's legends."""
+        total = self.total_seconds
+        if total == 0:
+            return {"TRS-Tree": 0.0, "Host Index": 0.0,
+                    "Primary Index": 0.0, "Base Table": 0.0}
+        return {
+            "TRS-Tree": self.trs_seconds / total,
+            "Host Index": self.host_index_seconds / total,
+            "Primary Index": self.primary_index_seconds / total,
+            "Base Table": self.base_table_seconds / total,
+        }
+
+    def merge(self, other: "LookupBreakdown") -> None:
+        """Accumulate another breakdown into this one."""
+        self.trs_seconds += other.trs_seconds
+        self.host_index_seconds += other.host_index_seconds
+        self.primary_index_seconds += other.primary_index_seconds
+        self.base_table_seconds += other.base_table_seconds
+        self.candidates += other.candidates
+        self.results += other.results
+        self.lookups += other.lookups
+
+
+@dataclass
+class HermitLookupResult:
+    """Result of one mechanism lookup.
+
+    Attributes:
+        locations: Matching row locations, a sorted int64 numpy array.
+        breakdown: Per-phase time accounting for this lookup.
+    """
+
+    locations: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64))
+    breakdown: LookupBreakdown = field(default_factory=LookupBreakdown)
+
+
+@dataclass
+class BatchLookupResult:
+    """Result of one batched lookup (``lookup_range_many``).
+
+    Attributes:
+        locations_per_query: One sorted int64 location array per input
+            predicate, in input order.
+        breakdown: Per-phase time accounting accumulated over the batch
+            (``lookups`` equals the number of predicates).
+    """
+
+    locations_per_query: list[np.ndarray] = field(default_factory=list)
+    breakdown: LookupBreakdown = field(default_factory=LookupBreakdown)
+
+    @property
+    def total_results(self) -> int:
+        """Total number of matching rows across the batch."""
+        return sum(len(locations) for locations in self.locations_per_query)
+
+
+def coerce_ranges(predicates) -> list[KeyRange]:
+    """Normalise a predicate batch to ``KeyRange`` objects."""
+    return [
+        predicate if isinstance(predicate, KeyRange)
+        else KeyRange(float(predicate[0]), float(predicate[1]))
+        for predicate in predicates
+    ]
+
+
+def column_bounds(key_ranges: Sequence[dict[str, KeyRange]],
+                  column: str) -> tuple[np.ndarray, np.ndarray]:
+    """Aligned per-query (lows, highs) arrays for one predicate column.
+
+    The segmented tail and the access paths both need the per-query bounds
+    of a column as flat float arrays (to repeat over segment sizes or feed
+    ``searchsorted``); keeping the extraction here keeps the dtype/count
+    handling in one place.
+    """
+    count = len(key_ranges)
+    lows = np.fromiter((ranges[column].low for ranges in key_ranges),
+                       dtype=np.float64, count=count)
+    highs = np.fromiter((ranges[column].high for ranges in key_ranges),
+                        dtype=np.float64, count=count)
+    return lows, highs
+
+
+# --------------------------------------------------------- Step 3: resolve
+
+def resolve_tids_array(tids: np.ndarray, pointer_scheme: PointerScheme,
+                       primary_index: Index | None,
+                       breakdown: LookupBreakdown) -> np.ndarray:
+    """Map one tid array to row locations (lookup Step 3, batched).
+
+    Physical pointers *are* locations; logical pointers are resolved through
+    one batched primary-index probe, charged to the breakdown's
+    primary-index phase.
+    """
+    if pointer_scheme is PointerScheme.PHYSICAL:
+        return tids.astype(np.int64, copy=False)
+    assert primary_index is not None
+    started = time.perf_counter()
+    locations = np.asarray(primary_index.search_many(tids), dtype=np.int64)
+    breakdown.primary_index_seconds += time.perf_counter() - started
+    return locations
+
+
+def resolve_tids_segmented(tids: np.ndarray, offsets: np.ndarray,
+                           pointer_scheme: PointerScheme,
+                           primary_index: Index | None,
+                           breakdown: LookupBreakdown,
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """Segmented variant of :func:`resolve_tids_array`.
+
+    ``(tids, offsets)`` is the concatenated candidate array of a whole query
+    batch.  Physical pointers keep the segmentation as-is; logical pointers
+    resolve every candidate through *one* ``search_many_segmented``
+    primary-index pass, which rebuilds the offsets (a primary key may
+    resolve to zero or several locations).
+    """
+    if pointer_scheme is PointerScheme.PHYSICAL:
+        return tids.astype(np.int64, copy=False), offsets
+    assert primary_index is not None
+    started = time.perf_counter()
+    locations, offsets = primary_index.search_many_segmented(tids, offsets)
+    locations = np.asarray(locations, dtype=np.int64)
+    breakdown.primary_index_seconds += time.perf_counter() - started
+    return locations, offsets
+
+
+# ------------------------------------------- Steps 3–4: the two lookup tails
+
+def finish_lookup(table: Table, merged: dict[str, KeyRange],
+                  tids: np.ndarray, pointer_scheme: PointerScheme,
+                  primary_index: Index | None, breakdown: LookupBreakdown,
+                  unique: bool) -> np.ndarray:
+    """Single-request tail: candidate tids in, sorted int64 locations out.
+
+    Resolves pointers once, validates every predicate of ``merged`` against
+    the base table (dropping dead rows and mechanism false positives),
+    books ``candidates`` / ``results`` on ``breakdown`` and returns the
+    matches ascending and duplicate-free.
+
+    Args:
+        merged: One key range per predicate column; *all* of them are
+            enforced here, whichever produced the candidates.
+        unique: The candidates are known duplicate-free.  Under physical
+            pointers (tids are the locations) a plain sort then replaces
+            the dedup; under logical pointers duplicate primary keys could
+            still resolve to the same location, so the dedup always runs.
+    """
+    locations = resolve_tids_array(np.asarray(tids), pointer_scheme,
+                                   primary_index, breakdown)
+    breakdown.candidates += int(locations.size)
+
+    started = time.perf_counter()
+    for column, key_range in merged.items():
+        if locations.size == 0:
+            break
+        locations = table.filter_in_range(locations, column,
+                                          key_range.low, key_range.high)
+    breakdown.base_table_seconds += time.perf_counter() - started
+
+    breakdown.results += int(locations.size)
+    locations = locations.astype(np.int64, copy=False)
+    if unique and pointer_scheme is PointerScheme.PHYSICAL:
+        return np.sort(locations)
+    return sorted_unique(locations)
+
+
+def finish_lookup_segmented(table: Table,
+                            merged_list: Sequence[dict[str, KeyRange]],
+                            tids: np.ndarray, offsets: np.ndarray,
+                            pointer_scheme: PointerScheme,
+                            primary_index: Index | None,
+                            breakdown: LookupBreakdown,
+                            unique: bool, ordered: bool,
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """Batch tail: segmented candidate tids in, segmented locations out.
+
+    The segmented counterpart of :func:`finish_lookup`: one pointer
+    resolution pass, one validation mask per predicate column over the
+    concatenated candidates of the whole batch (every candidate is checked
+    against *its own query's* bounds) and one final segmented sort or
+    dedup.  Every output segment is sorted ascending and duplicate-free.
+
+    Args:
+        merged_list: One merged predicate mapping per query; all share the
+            same column set.
+        unique: As for :func:`finish_lookup`, per segment.
+        ordered: Every candidate segment already arrives ascending.  With
+            ``unique`` under physical pointers the final sort is then
+            skipped — validation only filters, so order survives.
+    """
+    locations, offsets = resolve_tids_segmented(
+        tids, offsets, pointer_scheme, primary_index, breakdown
+    )
+    breakdown.candidates += int(locations.size)
+
+    started = time.perf_counter()
+    if locations.size:
+        sizes = np.diff(offsets)
+        mask: np.ndarray | None = None
+        for column in merged_list[0]:
+            lows, highs = column_bounds(merged_list, column)
+            column_mask = table.in_range_mask(
+                locations, column,
+                np.repeat(lows, sizes), np.repeat(highs, sizes),
+            )
+            mask = column_mask if mask is None else mask & column_mask
+        if mask is not None:
+            locations, offsets = segmented_filter(locations, offsets, mask)
+    breakdown.base_table_seconds += time.perf_counter() - started
+
+    breakdown.results += int(locations.size)
+    locations = locations.astype(np.int64, copy=False)
+    if unique and pointer_scheme is PointerScheme.PHYSICAL:
+        if not ordered:
+            locations, offsets = segmented_sort(locations, offsets)
+        return locations, offsets
+    return segmented_unique(locations, offsets)
+
+
+# ------------------------------------------------------- the mechanism base
+
+class SecondaryMechanism:
+    """Read surface and pointer-scheme plumbing shared by every mechanism.
+
+    :class:`~repro.core.hermit.HermitIndex`,
+    :class:`~repro.baselines.secondary.BaselineSecondaryIndex` and
+    :class:`~repro.baselines.correlation_maps.CorrelationMap` derive from
+    this.  A mechanism implements candidate generation
+    (``candidate_tids(key_range, breakdown)`` and
+    ``candidate_tids_many(ranges, breakdown)``, both returning
+    duplicate-free tids), ``estimate_candidates`` and its maintenance
+    methods; the standalone lookups below add one of the two tails.
+
+    Args:
+        table: The base table the mechanism serves.
+        target_column: Column the queries filter on.
+        primary_index: Index from primary-key value to row location;
+            required when ``pointer_scheme`` is LOGICAL.
+        pointer_scheme: Tuple-identifier scheme of the index entries.
+    """
+
+    def __init__(self, table: Table, target_column: str,
+                 primary_index: Index | None,
+                 pointer_scheme: PointerScheme) -> None:
+        if pointer_scheme.needs_primary_lookup and primary_index is None:
+            raise QueryError(
+                "logical pointers require a primary index to resolve locations"
+            )
+        self.table = table
+        self.target_column = target_column
+        self.primary_index = primary_index
+        self.pointer_scheme = pointer_scheme
+        self.cumulative = LookupBreakdown()
+
+    # Planner contract: does candidate_tids_many sort every segment?
+    sorted_candidates = False
+
+    def candidate_tids(self, key_range: KeyRange,
+                       breakdown: LookupBreakdown) -> np.ndarray:
+        """Steps 1–2 for one predicate: duplicate-free candidate tids."""
+        raise NotImplementedError
+
+    def candidate_tids_many(self, ranges: "list[KeyRange]",
+                            breakdown: LookupBreakdown,
+                            ) -> tuple[np.ndarray, np.ndarray]:
+        """Steps 1–2 for a predicate batch, as one segmented array."""
+        raise NotImplementedError
+
+    # ----------------------------------------------------------------- lookup
+
+    def lookup_range(self, low: float, high: float) -> HermitLookupResult:
+        """Answer ``low <= target_column <= high`` exactly (Figure 3)."""
+        key_range = KeyRange(low, high)
+        breakdown = LookupBreakdown(lookups=1)
+        tids = self.candidate_tids(key_range, breakdown)
+        locations = finish_lookup(
+            self.table, {self.target_column: key_range}, tids,
+            self.pointer_scheme, self.primary_index, breakdown, unique=True,
+        )
+        self.cumulative.merge(breakdown)
+        return HermitLookupResult(locations=locations, breakdown=breakdown)
+
+    def lookup_range_many(self, predicates) -> BatchLookupResult:
+        """Answer a batch of range predicates in segmented passes.
+
+        Args:
+            predicates: A sequence of ``KeyRange`` objects or ``(low, high)``
+                pairs.
+        """
+        ranges = coerce_ranges(predicates)
+        breakdown = LookupBreakdown(lookups=len(ranges))
+        tids, offsets = self.candidate_tids_many(ranges, breakdown)
+        locations, offsets = finish_lookup_segmented(
+            self.table,
+            [{self.target_column: key_range} for key_range in ranges],
+            tids, offsets, self.pointer_scheme, self.primary_index,
+            breakdown, unique=True, ordered=self.sorted_candidates,
+        )
+        self.cumulative.merge(breakdown)
+        return BatchLookupResult(
+            locations_per_query=split_segments(locations, offsets),
+            breakdown=breakdown,
+        )
+
+    def lookup_point(self, value: float) -> HermitLookupResult:
+        """Answer ``target_column == value`` exactly."""
+        return self.lookup_range(value, value)
+
+    def reset_breakdown(self) -> None:
+        """Clear the cumulative breakdown counters."""
+        self.cumulative = LookupBreakdown()
+
+    # ------------------------------------------------- pointer-scheme plumbing
+
+    def _tid_for(self, row: dict, location: int) -> TupleId:
+        """The tid of one row: its location, or its primary-key value."""
+        if self.pointer_scheme is PointerScheme.PHYSICAL:
+            return location
+        return row[self.table.schema.primary_key]
+
+    def _tids_for_batch(self, columns: dict,
+                        locations: np.ndarray) -> np.ndarray:
+        """Batch counterpart of :meth:`_tid_for` for column-oriented rows."""
+        if self.pointer_scheme is PointerScheme.PHYSICAL:
+            return np.asarray(locations, dtype=np.int64)
+        return np.asarray(columns[self.table.schema.primary_key],
+                          dtype=np.float64)
+
+    def _tids_for_slots(self, slots: np.ndarray) -> np.ndarray:
+        """Tids of rows already stored at ``slots`` (index construction)."""
+        if self.pointer_scheme is PointerScheme.PHYSICAL:
+            return slots
+        return self.table.values(slots, self.table.schema.primary_key)

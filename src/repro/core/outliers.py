@@ -186,10 +186,6 @@ class OutlierBuffer:
         indices, offsets = run_indices(key_offsets[starts], key_offsets[stops])
         return tids[indices], offsets
 
-    def lookup_point(self, target_value: float) -> list[TupleId]:
-        """Tuple identifiers stored exactly under ``target_value``."""
-        return list(self._entries.get(target_value, ()))
-
     def items(self) -> Iterator[tuple[float, TupleId]]:
         """Iterate all (target value, tid) pairs."""
         for value, tids in self._entries.items():

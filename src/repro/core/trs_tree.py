@@ -430,10 +430,6 @@ class TRSTree:
         result.host_ranges = KeyRange.union(result.host_ranges)
         return result
 
-    def lookup_point(self, target_value: float) -> TRSLookupResult:
-        """Point-query variant of :meth:`lookup`."""
-        return self.lookup(KeyRange(target_value, target_value))
-
     def lookup_many(self, predicates: Sequence[KeyRange]) -> TRSBatchLookupResult:
         """Batched :meth:`lookup`: translate B predicates in array passes.
 

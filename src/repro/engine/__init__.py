@@ -16,12 +16,7 @@ from repro.engine.catalog import (
     TableEntry,
 )
 from repro.engine.database import Database
-from repro.engine.executor import (
-    choose_index,
-    execute_plan,
-    execute_with_index,
-    full_scan,
-)
+from repro.engine.executor import execute_plan
 from repro.engine.planner import Plan, PlannedQueryResult, Planner
 from repro.engine.query import (
     ConjunctiveQuery,
@@ -50,10 +45,7 @@ __all__ = [
     "QueryResult",
     "RangePredicate",
     "TableEntry",
-    "choose_index",
     "conjunction",
     "execute_plan",
-    "execute_with_index",
-    "full_scan",
     "point_predicate",
 ]

@@ -51,29 +51,12 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.hermit import LookupBreakdown
+from repro.core.lookup import LookupBreakdown, column_bounds
 from repro.engine.catalog import ColumnStats, IndexEntry, IndexMethod
 from repro.index.base import KeyRange
 from repro.segments import concat_segments, run_indices, segmented_filter
 from repro.storage.identifiers import PointerScheme
 from repro.storage.table import Table
-
-
-def column_bounds(key_ranges: Sequence[dict[str, KeyRange]],
-                  column: str) -> tuple[np.ndarray, np.ndarray]:
-    """Aligned per-query (lows, highs) arrays for one predicate column.
-
-    The batch executor and the access paths both need the per-query bounds
-    of a column as flat float arrays (to repeat over segment sizes or feed
-    ``searchsorted``); keeping the extraction here keeps the dtype/count
-    handling in one place.
-    """
-    count = len(key_ranges)
-    lows = np.fromiter((ranges[column].low for ranges in key_ranges),
-                       dtype=np.float64, count=count)
-    highs = np.fromiter((ranges[column].high for ranges in key_ranges),
-                        dtype=np.float64, count=count)
-    return lows, highs
 
 
 @dataclass(frozen=True)
@@ -331,7 +314,7 @@ class MechanismPath(AccessPath):
 
     @property
     def produces_sorted_tids(self) -> bool:
-        return getattr(self.entry.mechanism, "sorted_candidates", False)
+        return self.entry.mechanism.sorted_candidates
 
     def estimated_candidates(self) -> float:
         return self._candidates

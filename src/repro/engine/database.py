@@ -29,9 +29,14 @@ The canonical read entry points are :meth:`Database.execute` (one
 :class:`~repro.engine.query.QueryRequest` in, one
 :class:`~repro.engine.query.QueryResult` out) and
 :meth:`Database.execute_many` (a request batch, grouped by table and plan
-shape internally).  ``query`` / ``query_many`` / ``query_conjunctive`` /
-``query_conjunctive_many`` are thin wrappers kept for their ergonomic
-signatures.  Every read runs under the shared side of the database's
+shape internally).  Each reaches one of the two read pipelines directly —
+:func:`~repro.engine.executor.execute_plan` for one request,
+:func:`~repro.engine.executor.execute_plan_many` for a batch — and the
+caller's batch size is what selects between them.  ``query`` /
+``query_many`` / ``query_conjunctive`` / ``query_conjunctive_many`` are
+the same two paths under ergonomic signatures, and ``query_with`` forces
+one named index through the single-request pipeline.  Every read runs
+under the shared side of the database's
 :class:`~repro.engine.epochs.EpochManager` and every mutation under the
 exclusive side, so concurrent front ends (``repro.serving``) get
 epoch-consistent results — a read never observes a half-applied mutation.
@@ -39,7 +44,6 @@ epoch-consistent results — a read never observes a half-applied mutation.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict
 from typing import Sequence
 
@@ -53,11 +57,15 @@ from repro.cache.result_cache import (
     ResultCacheStats,
     canonical_key,
 )
-from repro.core.hermit import LookupBreakdown
 from repro.core.config import DEFAULT_CONFIG, TRSTreeConfig
 from repro.core.hermit import HermitIndex
+from repro.core.lookup import LookupBreakdown
 from repro.correlation.advisor import HostColumnAdvisor
-from repro.engine.access_path import DEFAULT_COST_MODEL, CostModel
+from repro.engine.access_path import (
+    DEFAULT_COST_MODEL,
+    CostModel,
+    MechanismPath,
+)
 from repro.engine.catalog import (
     HOST_METHODS,
     Catalog,
@@ -65,11 +73,7 @@ from repro.engine.catalog import (
     IndexMethod,
     TableEntry,
 )
-from repro.engine.executor import (
-    execute_plan,
-    execute_plan_many,
-    execute_with_index,
-)
+from repro.engine.executor import execute_plan, execute_plan_many
 from repro.durability.config import DurabilityConfig, DurabilityStats
 from repro.durability.manager import DurabilityManager
 from repro.engine.epochs import EpochManager
@@ -114,8 +118,10 @@ class Database:
         result_cache: When given, an epoch-keyed result cache
             (``repro.cache``) with this memory budget serves repeated
             queries from their stored post-validation location arrays:
-            ``execute`` / ``execute_many`` probe it under the shared epoch
-            side before planning, fill it on miss, and entries whose
+            every planned read (``execute`` / ``execute_many`` /
+            ``query_conjunctive`` / ``query_conjunctive_many``) probes it
+            under the shared epoch side before planning and fills it on
+            miss, and entries whose
             stamped ``data_epoch`` fell behind the table's are evicted on
             probe (plus a sweep on :meth:`checkpoint`).  The default
             (``None``) keeps the read path exactly as before — opt-in
@@ -596,100 +602,110 @@ class Database:
                      requests: Sequence[QueryRequest]) -> list[QueryResult]:
         """Answer a request batch, batched end to end — the serving path.
 
-        Requests are grouped by table, then by plan shape
-        (:meth:`Planner.plan_many`), and every group runs through the
-        segmented batch executor under one shared read acquisition — so a
-        coalesced batch observes exactly one committed epoch, which every
-        returned result records.  Results come back aligned with the input
-        (mixed-table batches are fine; order within the batch is
-        preserved).
+        Requests are grouped by table, every table's group runs through the
+        shared batch body (:meth:`_execute_batch`) and all of it under one
+        shared read acquisition — so a coalesced batch observes exactly one
+        committed epoch, which every returned result records.  Results come
+        back aligned with the input (mixed-table batches are fine; order
+        within the batch is preserved).
 
-        With a result cache enabled, each table's requests are first
-        probed in one batch (:meth:`ResultCache.get_many`) against the
-        ``data_epoch`` read under the held shared side; only the misses
-        are planned and executed, and their final arrays are installed in
-        one batch fill afterwards.  Cache-hit results carry the stored
-        *read-only* int64 array as ``locations`` (misses keep returning
-        fresh lists) — hits must stay allocation-free to be worth taking.
+        Cache-hit results carry the stored *read-only* int64 array as
+        ``locations`` and no plan (misses keep returning fresh lists) —
+        hits must stay allocation-free to be worth taking.
         """
         requests = list(requests)
-        results: list[QueryResult | None] = [None] * len(requests)
+        outcomes: list = [None] * len(requests)
         by_table: dict[str, list[int]] = {}
         for position, request in enumerate(requests):
             by_table.setdefault(request.table, []).append(position)
-        cache = self._result_cache
-        probing = cache is not None and cache.enabled
         with self.epochs.read() as epoch:
             for table_name, positions in by_table.items():
-                entry = self.catalog.table_entry(table_name)
-                # Partition the table's requests into cache hits (answered
-                # from their stored arrays) and misses; only the misses go
-                # through plan_many + the segmented executor, and the hits
-                # are spliced back in input order via the shared results
-                # list.  data_epoch cannot move while the shared side is
-                # held, so one read before the loop covers every probe.
-                misses = positions
-                miss_keys: list = []
-                fills: list = []
-                if probing:
-                    misses = []
-                    data_epoch = entry.data_epoch
-                    keys = [canonical_key(requests[p].query)
-                            for p in positions]
-                    entries = cache.get_many(table_name, keys, data_epoch)
-                    # All hits in the batch share one breakdown object,
-                    # exactly like the members of a plan group share
-                    # theirs: one cache probe pass answered them all.
-                    hit_count = sum(e is not None for e in entries)
-                    if hit_count == 0:
-                        # All-miss batch (cold cache, uniform traffic):
-                        # skip the splice loop and reuse the probe lists
-                        # as-is — this keeps the pure miss path nearly
-                        # allocation-free on top of the uncached path.
-                        misses = positions
-                        miss_keys = keys
-                    else:
-                        hit_breakdown = LookupBreakdown(lookups=hit_count)
-                        for position, key, hit in zip(positions, keys,
-                                                      entries):
-                            if hit is None:
-                                misses.append(position)
-                                miss_keys.append(key)
-                                continue
-                            count = int(hit.locations.size)
-                            hit_breakdown.candidates += count
-                            hit_breakdown.results += count
-                            results[position] = QueryResult(
-                                locations=hit.locations,
-                                breakdown=hit_breakdown,
-                                used_index=hit.used_index, plan=None,
-                                group_size=hit_count, epoch=epoch,
-                            )
-                        if not misses:
-                            continue
-                conjunctives = [requests[p].query for p in misses]
-                for group in self.planner.plan_many(table_name, conjunctives):
-                    locations_per_query, breakdown = execute_plan_many(
-                        group.plan, group.merged_list, entry,
-                        self.pointer_scheme, entry.primary_index,
-                    )
-                    used_index = group.plan.used_index
-                    group_size = len(group.indices)
-                    for member, locations in zip(group.indices,
-                                                 locations_per_query):
-                        position = misses[member]
-                        results[position] = QueryResult(
-                            locations=locations.tolist(), breakdown=breakdown,
-                            used_index=used_index, plan=group.plan,
-                            group_size=group_size, epoch=epoch,
-                        )
-                        if miss_keys:
-                            key = miss_keys[member]
-                            if key is not None:
-                                fills.append((key, locations, used_index))
-                if fills:
-                    cache.put_many(table_name, fills, entry.data_epoch)
-        return results
+                self._execute_batch(
+                    table_name, [requests[p].query for p in positions],
+                    positions, outcomes,
+                )
+        return [
+            QueryResult(locations if plan is None else locations.tolist(),
+                        breakdown, used_index, plan, group_size, epoch)
+            for locations, breakdown, plan, used_index, group_size in outcomes
+        ]
+
+    def _execute_batch(self, table_name: str,
+                       queries: list[ConjunctiveQuery],
+                       positions: Sequence[int], outcomes: list) -> None:
+        """One table's batch: cache probe → plan_many → execute → fill.
+
+        The body :meth:`execute_many` and :meth:`query_conjunctive_many`
+        share; they differ only in the result class they build from each
+        outcome.  Must be called under the shared epoch side.  With a
+        result cache enabled the queries are probed in one batch
+        (:meth:`ResultCache.get_many`) against the ``data_epoch`` read
+        under the held shared side (it cannot move while the side is
+        held); only the misses are grouped by plan shape
+        (:meth:`Planner.plan_many`) and run through the segmented batch
+        executor — one candidate probe per access path, one
+        pointer-resolution pass and one validation pass per predicate
+        column over the *concatenated* candidates of each group — and
+        their final arrays are installed in one batch fill afterwards.
+
+        Args:
+            queries: The table's conjunctions.
+            positions: Slot of each query in ``outcomes``.
+            outcomes: Output list, filled in place with ``(locations,
+                breakdown, plan, used_index, group_size)`` tuples; ``plan``
+                is ``None`` for a cache hit.  Members of one plan group
+                (and all hits of one probe pass) share one breakdown
+                object: per-phase time for B queries is only meaningful in
+                aggregate once the phases are batched.
+        """
+        entry = self.catalog.table_entry(table_name)
+        cache = self._result_cache
+        miss_keys: list = []
+        if cache is not None and cache.enabled:
+            keys = [canonical_key(query) for query in queries]
+            hits = cache.get_many(table_name, keys, entry.data_epoch)
+            hit_count = sum(hit is not None for hit in hits)
+            if hit_count == 0:
+                # All-miss batch (cold cache, uniform traffic): reuse the
+                # probe lists as-is — this keeps the pure miss path nearly
+                # allocation-free on top of the uncached path.
+                miss_keys = keys
+            else:
+                hit_breakdown = LookupBreakdown(lookups=hit_count)
+                miss_queries, miss_positions = [], []
+                for query, position, key, hit in zip(queries, positions,
+                                                     keys, hits):
+                    if hit is None:
+                        miss_queries.append(query)
+                        miss_positions.append(position)
+                        miss_keys.append(key)
+                        continue
+                    count = int(hit.locations.size)
+                    hit_breakdown.candidates += count
+                    hit_breakdown.results += count
+                    outcomes[position] = (hit.locations, hit_breakdown, None,
+                                          hit.used_index, hit_count)
+                if not miss_queries:
+                    return
+                queries, positions = miss_queries, miss_positions
+        fills: list = []
+        for group in self.planner.plan_many(table_name, queries):
+            locations_per_query, breakdown = execute_plan_many(
+                group.plan, group.merged_list, entry,
+                self.pointer_scheme, entry.primary_index,
+            )
+            used_index = group.plan.used_index
+            group_size = len(group.indices)
+            for member, locations in zip(group.indices, locations_per_query):
+                outcomes[positions[member]] = (locations, breakdown,
+                                               group.plan, used_index,
+                                               group_size)
+                if miss_keys:
+                    key = miss_keys[member]
+                    if key is not None:
+                        fills.append((key, locations, used_index))
+        if fills:
+            cache.put_many(table_name, fills, entry.data_epoch)
 
     def query(self, table_name: str, predicate: RangePredicate) -> QueryResult:
         """Execute a single-column predicate through the planner.
@@ -771,37 +787,27 @@ class Database:
     ) -> list[PlannedQueryResult]:
         """Execute a batch of conjunctive queries, batched end to end.
 
-        The batch is grouped by plan shape (:meth:`Planner.plan_many`:
-        same predicate columns, same per-column selectivity bucket — one
-        batch may span several groups and each group plans once), and every
-        group runs through the segmented batch executor: one candidate
-        probe per access path, one pointer-resolution pass and one
-        validation pass per predicate column over the *concatenated*
-        candidates of the whole group.
-
-        Result-set-equivalent to calling :meth:`query_conjunctive` per
-        query.  Each returned result carries its own location array (input
-        order) but shares the group's plan template — bound to the group
-        representative's ranges — its ``group_size`` and one breakdown
-        accumulated across the group (per-phase time for B queries is only
-        meaningful in aggregate once the phases are batched).
+        :meth:`execute_many` for one table with array-native results: the
+        same batch body (:meth:`_execute_batch` — result cache included),
+        wrapped as :class:`PlannedQueryResult`.  Result-set-equivalent to
+        calling :meth:`query_conjunctive` per query.  Each returned result
+        carries its own location array (input order) but shares its plan
+        group's template — bound to the group representative's ranges —
+        its ``group_size`` and one breakdown accumulated across the group;
+        a cache hit carries the plan-free ``cached`` marker instead.
         """
         conjunctives = [self._as_conjunctive(query) for query in queries]
-        results: list[PlannedQueryResult | None] = [None] * len(conjunctives)
+        outcomes: list = [None] * len(conjunctives)
         with self.epochs.read() as epoch:
-            entry = self.catalog.table_entry(table_name)
-            for group in self.planner.plan_many(table_name, conjunctives):
-                locations_per_query, breakdown = execute_plan_many(
-                    group.plan, group.merged_list, entry, self.pointer_scheme,
-                    entry.primary_index,
-                )
-                for position, locations in zip(group.indices,
-                                               locations_per_query):
-                    results[position] = PlannedQueryResult(
-                        locations=locations, breakdown=breakdown,
-                        plan=group.plan, group_size=len(group.indices),
-                        epoch=epoch,
-                    )
+            self._execute_batch(table_name, conjunctives,
+                                range(len(conjunctives)), outcomes)
+        results = []
+        for query, outcome in zip(conjunctives, outcomes):
+            locations, breakdown, plan, used_index, group_size = outcome
+            if plan is None:
+                plan = self._cached_marker_plan(table_name, query, used_index)
+            results.append(PlannedQueryResult(locations, breakdown, plan,
+                                              group_size, epoch))
         return results
 
     def explain(self, table_name: str,
@@ -886,25 +892,14 @@ class Database:
                    predicate: RangePredicate) -> QueryResult:
         """Execute a predicate through a specific named index.
 
-        .. deprecated::
-            Route reads through :meth:`execute` / :meth:`query` instead —
-            the planner picks the index, and :meth:`explain` shows which
-            one it would pick.  ``query_with`` bypasses the planner (no
-            plan caching, no cost comparison) and survives only for the
-            mechanism-vs-mechanism benchmarks that need to force a
-            specific index; those call the internal helper directly.
+        The one forced-index read: the planner is bypassed (no cost
+        comparison, no plan or result caching), but the read is a one-path
+        :class:`Plan` run by :func:`execute_plan`, so it shares pointer
+        resolution, validation and the mechanism's false-positive feedback
+        with every other read.  For mechanism-vs-mechanism comparisons;
+        route ordinary reads through :meth:`execute` / :meth:`query` and
+        let :meth:`explain` show which index the planner picks.
         """
-        warnings.warn(
-            "Database.query_with is deprecated: route reads through "
-            "Database.execute / Database.query (the planner picks the "
-            "index; explain() shows which one)",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self._query_with(table_name, index_name, predicate)
-
-    def _query_with(self, table_name: str, index_name: str,
-                    predicate: RangePredicate) -> QueryResult:
-        """:meth:`query_with` body without the deprecation warning."""
         with self.epochs.read() as epoch:
             entry = self.catalog.table_entry(table_name)
             index_entry = entry.indexes.get(index_name)
@@ -924,9 +919,19 @@ class Database:
                     f"index {index_name!r} is on column "
                     f"{index_entry.column!r}, not {predicate.column!r}"
                 )
-            result = execute_with_index(index_entry, predicate)
-        result.epoch = epoch
-        return result
+            key_range = predicate.key_range
+            path = MechanismPath(
+                index_entry, key_range,
+                self.catalog.column_stats(table_name, predicate.column),
+                self.planner.cost_model,
+            )
+            plan = Plan(table_name=table_name,
+                        query=ConjunctiveQuery([predicate]),
+                        merged={predicate.column: key_range}, paths=[path],
+                        estimated_cost=path.estimated_cost())
+            planned = execute_plan(plan, entry, self.pointer_scheme,
+                                   entry.primary_index)
+        return QueryResult.from_planned(planned, epoch)
 
     # ------------------------------------------------------------- accounting
 

@@ -1,18 +1,16 @@
-"""Query execution: plan pipelines and the legacy single-predicate helpers.
+"""Query execution: run a plan's access paths, then one shared lookup tail.
 
 The executor half of the planner subsystem runs a
-:class:`~repro.engine.planner.Plan` with the array-native pipeline the
-mechanisms already use internally: every access path returns one candidate
-tid ndarray, the arrays are intersected with ``np.intersect1d``, pointer
-resolution happens once on the intersection (batched primary-index probe
-under logical pointers), and a single vectorized base-table validation pass
+:class:`~repro.engine.planner.Plan`: every access path returns candidate
+tids (one ndarray for a single request, one segmented ``(values, offsets)``
+array for a batch), extra paths are intersected, and the intersection goes
+through the lookup tail every read shares (:mod:`repro.core.lookup`):
+pointer resolution once, one vectorized base-table validation pass that
 enforces *every* predicate of the query — including the ones no path was
-executed for — and drops dead rows and mechanism false positives.
-
-The pre-planner helpers (:func:`full_scan`, :func:`execute_with_index`,
-:func:`choose_index`) are kept: the first two serve ``query_with`` and the
-correctness tests' reference semantics, and :func:`choose_index` is the cost
-model's default-statistics ranking in miniature.
+executed for — and drops dead rows and mechanism false positives, then
+sort/dedup.  :func:`execute_plan` ends in the single-request tail,
+:func:`execute_plan_many` in the segmented one; full-scan plans skip the
+tail because the scan already applied every predicate to live rows.
 """
 
 # repro: hot-module
@@ -20,30 +18,18 @@ model's default-statistics ranking in miniature.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from repro.core.hermit import (
+from repro.core.lookup import (
     LookupBreakdown,
-    resolve_tids_array,
-    resolve_tids_segmented,
+    finish_lookup,
+    finish_lookup_segmented,
 )
-from repro.engine.access_path import column_bounds
-from repro.engine.catalog import IndexEntry, IndexMethod, TableEntry
+from repro.engine.catalog import TableEntry
 from repro.engine.planner import Plan, PlannedQueryResult
-from repro.engine.query import QueryResult, RangePredicate
 from repro.index.base import Index, KeyRange
-from repro.segments import (
-    segmented_filter,
-    segmented_intersect,
-    segmented_sort,
-    segmented_unique,
-    sorted_unique,
-    split_segments,
-)
+from repro.segments import segmented_intersect, segmented_sort, split_segments
 from repro.storage.identifiers import PointerScheme
-from repro.storage.table import Table
 
 
 def execute_plan(plan: Plan, entry: TableEntry,
@@ -77,30 +63,10 @@ def execute_plan(plan: Plan, entry: TableEntry,
         locations = np.asarray(tids, dtype=np.int64)
         breakdown.candidates += int(locations.size)
         breakdown.results += int(locations.size)
-        _observe_lookup(plan, breakdown)
-        return PlannedQueryResult(locations, breakdown, plan)
-
-    locations = resolve_tids_array(np.asarray(tids), pointer_scheme,
-                                   primary_index, breakdown)
-    breakdown.candidates += int(locations.size)
-
-    started = time.perf_counter()
-    for column, key_range in plan.merged.items():
-        if locations.size == 0:
-            break
-        locations = entry.table.filter_in_range(
-            locations, column, key_range.low, key_range.high
-        )
-    breakdown.base_table_seconds += time.perf_counter() - started
-
-    breakdown.results += int(locations.size)
-    locations = locations.astype(np.int64, copy=False)
-    if unique and pointer_scheme is PointerScheme.PHYSICAL:
-        # Physical tids are the locations, so uniqueness survives
-        # resolution and a plain sort replaces the dedup.
-        locations = np.sort(locations)
     else:
-        locations = sorted_unique(locations)
+        locations = finish_lookup(entry.table, plan.merged, tids,
+                                  pointer_scheme, primary_index, breakdown,
+                                  unique)
     _observe_lookup(plan, breakdown)
     return PlannedQueryResult(locations, breakdown, plan)
 
@@ -144,43 +110,18 @@ def execute_plan_many(plan: Plan, merged_list: list[dict[str, KeyRange]],
         unique = ordered = True
 
     if plan.paths[0].produces_locations:
+        # Scan slots are distinct live matches (see execute_plan); only the
+        # per-segment order is still the driving column's.
         locations = tids.astype(np.int64, copy=False)
         breakdown.candidates += int(locations.size)
-    else:
-        locations, offsets = resolve_tids_segmented(
-            tids, offsets, pointer_scheme, primary_index, breakdown
-        )
-        breakdown.candidates += int(locations.size)
-
-        started = time.perf_counter()
-        if locations.size:
-            sizes = np.diff(offsets)
-            mask: np.ndarray | None = None
-            for column in plan.merged:
-                lows, highs = column_bounds(merged_list, column)
-                column_mask = entry.table.in_range_mask(
-                    locations, column,
-                    np.repeat(lows, sizes), np.repeat(highs, sizes),
-                )
-                mask = (column_mask if mask is None
-                        else mask & column_mask)
-            if mask is not None:
-                locations, offsets = segmented_filter(locations, offsets,
-                                                      mask)
-        breakdown.base_table_seconds += time.perf_counter() - started
-
-    breakdown.results += int(locations.size)
-    locations = locations.astype(np.int64, copy=False)
-    if unique and (plan.paths[0].produces_locations
-                   or pointer_scheme is PointerScheme.PHYSICAL):
-        # The tids are the locations and segmented_filter keeps their
-        # order, so candidates that arrived sorted are the sorted result.
+        breakdown.results += int(locations.size)
         if not ordered:
             locations, offsets = segmented_sort(locations, offsets)
     else:
-        # Logical pointers: duplicate primary keys would survive resolution
-        # as duplicate locations, so dedup exactly like the scalar path.
-        locations, offsets = segmented_unique(locations, offsets)
+        locations, offsets = finish_lookup_segmented(
+            entry.table, merged_list, tids, offsets, pointer_scheme,
+            primary_index, breakdown, unique, ordered,
+        )
     _observe_lookup(plan, breakdown)
     return split_segments(locations, offsets), breakdown
 
@@ -190,7 +131,7 @@ def _observe_lookup(plan: Plan, breakdown: LookupBreakdown) -> None:
 
     Mechanisms keep a cumulative breakdown whose observed false-positive
     ratio drives their planner cost estimates (``estimate_candidates``);
-    the legacy ``lookup_range`` path records it itself, so planned queries
+    a standalone ``lookup_range`` records it itself, so planned queries
     must too or the planner would price e.g. a leaky Hermit index at the
     default ratio forever.  Only unambiguous plans observe: exactly one
     mechanism path covering *every* predicate column — with a validate-only
@@ -208,58 +149,3 @@ def _observe_lookup(plan: Plan, breakdown: LookupBreakdown) -> None:
     cumulative = getattr(entry.mechanism, "cumulative", None)
     if cumulative is not None:
         cumulative.merge(breakdown)
-
-
-def full_scan(table: Table, predicate: RangePredicate) -> QueryResult:
-    """Answer a predicate by scanning the whole table (the no-index fallback)."""
-    slots, values = table.project([predicate.column])
-    mask = (values >= predicate.low) & (values <= predicate.high)
-    locations = [int(slot) for slot in np.asarray(slots)[mask]]
-    breakdown = LookupBreakdown(lookups=1, candidates=len(locations),
-                                results=len(locations))
-    return QueryResult(locations=sorted(locations), breakdown=breakdown,
-                       used_index=None)
-
-
-def execute_with_index(entry: IndexEntry, predicate: RangePredicate) -> QueryResult:
-    """Execute a predicate through a catalogued index mechanism."""
-    result = entry.mechanism.lookup_range(predicate.low, predicate.high)
-    # Mechanisms return either an int64 array (vectorized path) or a list
-    # (scalar reference path); normalise to a sorted list of Python ints.
-    locations = np.sort(np.asarray(result.locations, dtype=np.int64)).tolist()
-    return QueryResult(
-        locations=locations,
-        breakdown=result.breakdown,
-        used_index=entry.name,
-    )
-
-
-# Default-statistics ranking of the mechanisms, cheapest first.  This is the
-# cost model collapsed to the no-information case: a sorted-column probe is a
-# zero-copy slice, a B+-tree is exact but pays Python-level leaf walks, and
-# the correlation mechanisms add false positives on top (Hermit fewer than
-# CM's bucket expansion).  An exact-column host index therefore always beats
-# a Hermit mechanism for point lookups, fixing the old tie-breaking that
-# ranked unknown methods arbitrarily.
-_DEFAULT_METHOD_RANK = {
-    IndexMethod.SORTED_COLUMN: 0,
-    IndexMethod.BTREE: 1,
-    IndexMethod.HERMIT: 2,
-    IndexMethod.CORRELATION_MAP: 3,
-}
-
-
-def choose_index(entries: list[IndexEntry]) -> IndexEntry | None:
-    """Pick the index used to serve a single-column predicate.
-
-    This is the planner's default-statistics preference order (see
-    ``_DEFAULT_METHOD_RANK``); the planner proper refines it with per-column
-    statistics and per-mechanism candidate estimates.  Methods outside the
-    ranking (e.g. COMPOSITE, which cannot serve a single predicate alone)
-    are never chosen ahead of a ranked one.
-    """
-    ranked = [entry for entry in entries
-              if entry.method in _DEFAULT_METHOD_RANK]
-    if not ranked:
-        return None
-    return min(ranked, key=lambda entry: _DEFAULT_METHOD_RANK[entry.method])

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.hermit import LookupBreakdown
+from repro.core.lookup import LookupBreakdown
 from repro.engine.access_path import (
     DEFAULT_COST_MODEL,
     AccessPath,

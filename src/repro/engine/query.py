@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from repro.core.hermit import LookupBreakdown
+from repro.core.lookup import LookupBreakdown
 from repro.errors import QueryError
 from repro.index.base import KeyRange
 
@@ -201,13 +201,12 @@ class QueryResult:
             one coalesced batch share the batch's accumulated breakdown.
         used_index: Name of the index that served the query, or ``None`` when
             the engine fell back to a full table scan.
-        plan: The plan that produced the result (``None`` for pre-planner
-            helpers such as ``full_scan``).
+        plan: The plan that produced the result (``None`` for a batch
+            request the result cache answered).
         group_size: Number of queries that shared this result's plan template
             in one batched execution (1 for the per-query API).
-        epoch: Write epoch the read executed under (``None`` for pre-planner
-            helpers) — two results with the same epoch observed the same
-            committed database state.
+        epoch: Write epoch the read executed under — two results with the
+            same epoch observed the same committed database state.
     """
 
     locations: list[int] = field(default_factory=list)

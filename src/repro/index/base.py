@@ -5,16 +5,15 @@ the hash index, the sorted-column index, the TRS-Tree-backed Hermit index and
 the Correlation Map — exposes the same small surface so the engine's executor,
 the baselines and the benchmarks can swap them freely.
 
-Two flavours of the read API coexist:
-
-* the *scalar* methods (``search`` / ``range_search`` / ``range_search_many``)
-  return Python lists, one tuple identifier at a time — this is the seed
-  implementation and the reference semantics, and
-* the *array* methods (``search_many`` / ``range_search_array`` /
-  ``range_search_many_array``) return numpy arrays so the whole Hermit lookup
-  pipeline can stay array-native end to end.  The base class provides
-  fallbacks built on the scalar methods; concrete indexes override them with
-  genuinely vectorized implementations.
+The read primitives are array-native: every concrete index implements
+``search_many`` (batched point probe) and ``range_search_array`` (one closed
+range), both returning numpy tid arrays, so the whole lookup pipeline stays
+array-native end to end.  On top of them the base class defines the
+multi-range and segmented batch forms (``range_search_many_array``,
+``range_search_segmented``, ``search_many_segmented`` — overridden where an
+index has a genuinely vectorized form) and two list conveniences, ``search``
+and ``range_search``, which are ``.tolist()`` of the array primitives and
+are never overridden.
 """
 
 from __future__ import annotations
@@ -137,12 +136,20 @@ class Index(abc.ABC):
         """Remove the mapping ``key -> tid`` if present."""
 
     @abc.abstractmethod
-    def search(self, key: float) -> list[TupleId]:
-        """Return all tuple identifiers stored under ``key``."""
+    def search_many(self, keys: Sequence[float] | np.ndarray) -> np.ndarray:
+        """Batched point probe: all tids stored under any of ``keys``.
+
+        Tids come back grouped by key in input order (a key may hit zero
+        or several entries); the result may be a read-only view of the
+        index's own storage.
+        """
 
     @abc.abstractmethod
-    def range_search(self, key_range: KeyRange) -> list[TupleId]:
-        """Return all tuple identifiers whose key lies in ``key_range``."""
+    def range_search_array(self, key_range: KeyRange) -> np.ndarray:
+        """All tids whose key lies in the closed ``key_range``, as one array.
+
+        The result may be a read-only view of the index's own storage.
+        """
 
     @abc.abstractmethod
     def memory_bytes(self) -> int:
@@ -153,49 +160,23 @@ class Index(abc.ABC):
     def num_entries(self) -> int:
         """Number of (key, tid) entries stored."""
 
-    def range_search_many(self, ranges: Sequence[KeyRange]) -> list[TupleId]:
-        """Union of :meth:`range_search` over several ranges."""
-        results: list[TupleId] = []
-        # repro: ignore[REP004] -- documented per-range fallback of the
-        # abstract base; array-native indexes override with one pass
-        for key_range in ranges:
-            results.extend(self.range_search(key_range))
-        return results
+    # ----------------------------------------------------- list conveniences
 
-    # ------------------------------------------------------------- array API
+    def search(self, key: float) -> list[TupleId]:
+        """All tuple identifiers stored under ``key``, as a list."""
+        return self.search_many([key]).tolist()
 
-    def search_many(self, keys: Sequence[float] | np.ndarray) -> np.ndarray:
-        """Batched point probe: all tids stored under any of ``keys``.
+    def range_search(self, key_range: KeyRange) -> list[TupleId]:
+        """All tuple identifiers whose key lies in ``key_range``, as a list."""
+        return self.range_search_array(key_range).tolist()
 
-        The default falls back to per-key :meth:`search`; hash and sorted
-        indexes override it with a single-pass implementation.
-        """
-        flat: list[TupleId] = []
-        # repro: ignore[REP004] -- documented per-key fallback of the
-        # abstract base; hash and sorted indexes override with one pass
-        for key in keys:
-            flat.extend(self.search(float(key)))
-        if not flat:
-            return np.empty(0, dtype=np.int64)
-        return np.asarray(flat)
-
-    def range_search_array(self, key_range: KeyRange) -> np.ndarray:
-        """Array-returning variant of :meth:`range_search`.
-
-        The default materialises the scalar result; array-native indexes
-        (``BPlusTree``, ``SortedColumnIndex``) override it to avoid per-tid
-        Python object traffic.
-        """
-        results = self.range_search(key_range)
-        if not results:
-            return np.empty(0, dtype=np.int64)
-        return np.asarray(results)
+    # ------------------------------------------------------- batch read forms
 
     def range_search_many_array(self, ranges: Sequence[KeyRange]) -> np.ndarray:
         """Union of :meth:`range_search_array` over several ranges.
 
         The result may contain duplicates when the ranges overlap; callers
-        that need a set dedup with ``np.unique``.
+        that need a set dedup with :func:`repro.segments.sorted_unique`.
         """
         arrays = [self.range_search_array(key_range) for key_range in ranges]
         arrays = [array for array in arrays if array.size]

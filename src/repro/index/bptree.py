@@ -241,40 +241,13 @@ class BPlusTree(Index):
 
     # ------------------------------------------------------------------- read
 
-    def search(self, key: float) -> list[TupleId]:
-        """Return all tuple ids stored under ``key`` (empty list if absent)."""
-        self.stats.lookups += 1
-        key = float(key)
-        leaf = self._find_leaf(key)
-        index = bisect.bisect_left(leaf.keys, key)
-        if index < len(leaf.keys) and leaf.keys[index] == key:
-            return list(leaf.values[index])
-        return []
-
-    def range_search(self, key_range: KeyRange) -> list[TupleId]:
-        """Return all tuple ids whose key lies in the closed ``key_range``."""
-        self.stats.range_lookups += 1
-        results: list[TupleId] = []
-        leaf: _LeafNode | None = self._find_leaf(key_range.low)
-        start = bisect.bisect_left(leaf.keys, key_range.low)
-        while leaf is not None:
-            for index in range(start, len(leaf.keys)):
-                key = leaf.keys[index]
-                if key > key_range.high:
-                    return results
-                results.extend(leaf.values[index])
-            leaf = leaf.next_leaf
-            start = 0
-        return results
-
     def range_search_array(self, key_range: KeyRange) -> np.ndarray:
-        """Array-native range scan: gather whole leaf runs, convert once.
+        """Closed-range scan: gather whole leaf runs, convert once.
 
-        Instead of extending a Python list one key at a time, each visited
-        leaf contributes its matching ``values[start:stop]`` slice (located
-        with two bisects per leaf); the per-key tid lists are flattened with a
-        single C-level ``chain`` pass and converted to one numpy array.  This
-        is the hot path of the vectorized Hermit lookup.
+        Each visited leaf contributes its matching ``values[start:stop]``
+        slice (located with two bisects per leaf); the per-key tid lists are
+        flattened with a single C-level ``chain`` pass and converted to one
+        numpy array.  This is the host probe of the single-request lookup.
         """
         self.stats.range_lookups += 1
         flat = self._range_tids(key_range.low, key_range.high)
@@ -285,10 +258,10 @@ class BPlusTree(Index):
     def search_many(self, keys: Sequence[float] | np.ndarray) -> np.ndarray:
         """Batched point probe: one descent per key, one final conversion.
 
-        A B+-tree probe is inherently per-key, but the batch avoids the
-        per-key ``search`` dispatch, list copy and stats bump of the base
-        fallback — this is the primary-resolution hot path of the vectorized
-        lookup under logical pointers.
+        A B+-tree probe is inherently per-key; the batch pays one stats
+        bump and one list-to-array conversion for all of them.  This is the
+        primary-index resolution step of the single-request lookup under
+        logical pointers.
         """
         keys = [float(key) for key in keys]
         self.stats.lookups += len(keys)

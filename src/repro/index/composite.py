@@ -93,37 +93,13 @@ class CompositeIndex:
             return
         raise KeyNotFoundError(f"entry {entry!r} is not in the index")
 
-    def range_search(self, leading_range: KeyRange,
-                     second_range: KeyRange) -> list[TupleId]:
-        """Return tuple ids matching both closed ranges."""
-        self.stats.range_lookups += 1
-        start = bisect.bisect_left(self._entries, (leading_range.low, float("-inf"), ""))
-        results: list[TupleId] = []
-        for position in range(start, len(self._entries)):
-            leading, second, tid = self._entries[position]
-            if leading > leading_range.high:
-                break
-            if second_range.contains(second):
-                results.append(tid)
-        return results
-
-    def range_search_many(self, leading_range: KeyRange,
-                          second_ranges: list[KeyRange]) -> list[TupleId]:
-        """Union of :meth:`range_search` over several second-key ranges."""
-        results: list[TupleId] = []
-        # repro: ignore[REP004] -- per-conjunct union over the handful of
-        # second-key ranges a plan carries, not per-element work
-        for second_range in second_ranges:
-            results.extend(self.range_search(leading_range, second_range))
-        return results
-
     def range_search_array(self, leading_range: KeyRange,
                            second_range: KeyRange) -> np.ndarray:
-        """Array-native conjunctive probe: bisect the leading run, mask the rest.
+        """Tuple ids matching both closed ranges, as one array.
 
         Two binary searches locate the contiguous leading-key run; the
-        second-key filter is one vectorized mask over that run instead of a
-        per-entry Python comparison — the planner's access-path contract.
+        second-key filter is one vectorized mask over that run — the
+        planner's access-path contract.
         """
         self.stats.range_lookups += 1
         start = bisect.bisect_left(self._entries, leading_range.low,

@@ -91,18 +91,8 @@ class HashIndex(Index):
             del self._buckets[key]
         self._num_entries -= 1
 
-    def search(self, key: float) -> list[TupleId]:
-        """Return all tuple ids stored under ``key``."""
-        self.stats.lookups += 1
-        return list(self._buckets.get(key, ()))
-
     def search_many(self, keys: Sequence[float] | np.ndarray) -> np.ndarray:
-        """Batched point probe: one dict access per key, one final conversion.
-
-        Used by the vectorized Hermit lookup to resolve a whole candidate
-        batch of logical pointers through the primary index without a Python
-        ``list.extend`` per key.
-        """
+        """Batched point probe: one dict access per key, one final conversion."""
         keys = [float(key) for key in keys]
         self.stats.lookups += len(keys)
         buckets = self._buckets
@@ -112,19 +102,21 @@ class HashIndex(Index):
             return np.empty(0, dtype=np.int64)
         return np.asarray(flat)
 
-    def range_search(self, key_range: KeyRange) -> list[TupleId]:
-        """Return all tuple ids whose key falls in ``key_range``.
+    def range_search_array(self, key_range: KeyRange) -> np.ndarray:
+        """All tuple ids whose key falls in ``key_range``.
 
         A hash index has no key order, so this is a full bucket scan; it
         exists only to satisfy the common interface (the engine never routes
         range predicates to a hash index).
         """
         self.stats.range_lookups += 1
-        results: list[TupleId] = []
-        for key, tids in self._buckets.items():
-            if key_range.contains(key):
-                results.extend(tids)
-        return results
+        flat = list(chain.from_iterable(
+            tids for key, tids in self._buckets.items()
+            if key_range.contains(key)
+        ))
+        if not flat:
+            return np.empty(0, dtype=np.int64)
+        return np.asarray(flat)
 
     def items(self) -> Iterator[tuple[float, TupleId]]:
         """Iterate all (key, tid) pairs in arbitrary order."""

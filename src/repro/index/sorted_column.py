@@ -144,12 +144,6 @@ class SortedColumnIndex(Index):
 
     # ------------------------------------------------------------------- read
 
-    def search(self, key: float) -> list[TupleId]:
-        """Return all tuple ids stored under ``key`` (empty list if absent)."""
-        self.stats.lookups += 1
-        start, stop = self._bounds(float(key), float(key))
-        return self._tids[start:stop].tolist()
-
     def search_many(self, keys: Sequence[float] | np.ndarray) -> np.ndarray:
         """Batched point probe: one vectorized double-searchsorted.
 
@@ -168,12 +162,6 @@ class SortedColumnIndex(Index):
         if len(runs) == 1:
             return runs[0]
         return np.concatenate(runs)
-
-    def range_search(self, key_range: KeyRange) -> list[TupleId]:
-        """Return all tuple ids whose key lies in the closed ``key_range``."""
-        self.stats.range_lookups += 1
-        start, stop = self._bounds(key_range.low, key_range.high)
-        return self._tids[start:stop].tolist()
 
     def range_search_array(self, key_range: KeyRange) -> np.ndarray:
         """Contiguous tid slice for a closed range: two binary searches.

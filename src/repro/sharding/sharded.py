@@ -56,7 +56,7 @@ import numpy as np
 
 from repro.cache.result_cache import ResultCacheConfig, ResultCacheStats
 from repro.core.config import DEFAULT_CONFIG, TRSTreeConfig
-from repro.core.hermit import LookupBreakdown
+from repro.core.lookup import LookupBreakdown
 from repro.engine.access_path import DEFAULT_COST_MODEL, CostModel
 from repro.engine.database import Database
 from repro.engine.planner import PlannerCacheStats

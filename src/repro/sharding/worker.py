@@ -30,7 +30,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.hermit import LookupBreakdown
+from repro.core.lookup import LookupBreakdown
 from repro.engine.database import Database
 from repro.segments import concat_segments
 

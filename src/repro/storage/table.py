@@ -336,11 +336,10 @@ class Table:
                         low: float, high: float) -> np.ndarray:
         """Slots of live rows whose ``column_name`` value is in ``[low, high]``.
 
-        This is the vectorized base-table validation step of the Hermit
-        lookup: one fancy-index gather plus one boolean mask replace the
-        per-row ``_check_live`` + ``.item()`` + ``contains`` sequence of the
-        scalar path.  Input order is preserved; dead or out-of-range slots
-        are silently dropped (they are simply not matches).
+        This is the base-table validation step (Step 4) of the
+        single-request lookup: one fancy-index gather plus one boolean
+        mask.  Input order is preserved; dead or out-of-range slots are
+        silently dropped (they are simply not matches).
         """
         self.schema.position_of(column_name)
         slots = np.asarray(slots, dtype=np.int64)

@@ -5,8 +5,11 @@ import pytest
 
 from repro.baselines.correlation_maps import CorrelationMap
 from repro.baselines.secondary import BaselineSecondaryIndex
+from repro.core.lookup import LookupBreakdown
 from repro.errors import ConfigurationError, QueryError
+from repro.index.base import KeyRange
 from repro.index.bptree import BPlusTree
+from repro.index.sorted_column import SortedColumnIndex
 from repro.storage.identifiers import PointerScheme
 from repro.storage.schema import numeric_schema
 from repro.storage.table import Table
@@ -154,6 +157,54 @@ class TestCorrelationMap:
         table.delete(victim)
         assert victim not in cm.lookup_range(
             row["target"] - 1, row["target"] + 1).locations
+
+    @pytest.mark.parametrize("scheme", [PointerScheme.PHYSICAL,
+                                        PointerScheme.LOGICAL])
+    @pytest.mark.parametrize("host_kind", [BPlusTree, SortedColumnIndex])
+    def test_candidates_need_no_dedup_with_duplicate_host_values(
+            self, scheme, host_kind):
+        """CM's candidates skip the dedup pass: pin that none is needed.
+
+        Many rows share one host value, host values sit exactly on bucket
+        boundaries (where two closed bucket ranges touch) and the predicate
+        links adjacent *and* non-adjacent host buckets.  ``_host_ranges_for``
+        unions the buckets into disjoint ranges, so every row must come back
+        exactly once — from both candidate generators.
+        """
+        hosts = np.repeat([0.0, 8.0, 16.0, 16.0, 24.0, 40.0, 48.0, 52.0], 6)
+        targets = np.tile([1.0, 3.0, 5.0, 7.0, 9.0, 11.0], 8)
+        table = Table(numeric_schema("dup", ["pk", "host", "target"],
+                                     primary_key="pk"))
+        table.insert_many({"pk": np.arange(hosts.size, dtype=np.float64) + 100,
+                           "host": hosts, "target": targets})
+        slots, pks = table.project(["pk"])
+        primary = BPlusTree()
+        primary.bulk_load(zip(pks.tolist(), slots.tolist()))
+        tids = slots if scheme is PointerScheme.PHYSICAL else pks
+        host_index = host_kind()
+        host_index.bulk_load(zip(hosts.tolist(), tids.tolist()))
+        cm = CorrelationMap(table, "target", "host", host_index,
+                            target_bucket_width=4.0, host_bucket_width=8.0,
+                            primary_index=primary, pointer_scheme=scheme)
+        cm.build()
+
+        predicates = [KeyRange(0.0, 12.0), KeyRange(4.0, 6.0),
+                      KeyRange(9.0, 9.0)]
+        values, offsets = cm.candidate_tids_many(predicates, LookupBreakdown())
+        batch = cm.lookup_range_many(predicates)
+        for position, predicate in enumerate(predicates):
+            single = cm.candidate_tids(predicate, LookupBreakdown())
+            segment = values[offsets[position]:offsets[position + 1]]
+            assert len(set(single.tolist())) == single.size
+            assert sorted(single.tolist()) == sorted(segment.tolist())
+            result = cm.lookup_range(predicate.low, predicate.high)
+            assert result.breakdown.candidates == single.size
+            expected = sorted(brute_force(table, predicate.low, predicate.high))
+            assert result.locations.tolist() == expected
+            assert batch.locations_per_query[position].tolist() == expected
+        # Every row links every host bucket here, so the widest predicate's
+        # candidates are the whole table, each row once.
+        assert cm.candidate_tids(predicates[0], LookupBreakdown()).size == 48
 
     def test_invalid_bucket_widths(self, table):
         _, host_index = primary_and_host(table, PointerScheme.PHYSICAL)

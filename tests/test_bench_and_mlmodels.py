@@ -9,6 +9,7 @@ from repro.bench.harness import (
     insertion_throughput,
     run_point_batch,
     run_query_batch,
+    run_query_singles,
 )
 from repro.bench.report import format_figure, format_memory_report, format_table
 from repro.bench.timing import SimulatedClock, ThroughputResult, scaled, stopwatch
@@ -77,6 +78,18 @@ class TestHarness:
         assert batch.breakdown.lookups == 10
         assert batch.total_results > 0
         assert 0.0 <= batch.false_positive_ratio <= 1.0
+
+    def test_run_query_singles_matches_the_batch_runner(self, hermit_setup):
+        _, _, hermit, dataset = hermit_setup
+        domain = (float(dataset.columns["colC"].min()),
+                  float(dataset.columns["colC"].max()))
+        queries = range_queries(domain, selectivity=0.05, count=10, seed=1)
+        singles = run_query_singles(hermit, queries)
+        batch = run_query_batch(hermit, queries)
+        assert singles.throughput.operations == 10
+        assert singles.breakdown.lookups == 10
+        assert singles.total_results == batch.total_results
+        assert singles.breakdown.candidates == batch.breakdown.candidates
 
     def test_run_point_batch(self, hermit_setup):
         _, _, hermit, dataset = hermit_setup

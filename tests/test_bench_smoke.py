@@ -1,12 +1,13 @@
-"""Bench-smoke guard: the vectorized lookup path must stay vectorized.
+"""Bench-smoke guard: tiny-scale runs of the benchmark paths inside tier-1.
 
-Runs the hot-path benchmark (``repro.bench.hotpath``) at tiny scale inside
-tier-1, asserting two things the unit tests cannot: (1) the scalar seed path,
-the vectorized path and the batch API return identical result sets on a real
-workload, and (2) the concrete index/storage classes actually override the
-array-API fallbacks — if someone deletes an override, every lookup silently
-degrades to the object-at-a-time fallback while staying correct, and only
-these assertions catch it.
+Asserts what the unit tests cannot: (1) on a real workload the
+single-request pipeline (``lookup_range``), the segmented batch pipeline
+(``lookup_range_many``) and a brute-force NumPy mask return identical sorted
+int64 locations for every mechanism under both pointer schemes, (2) the
+concrete index classes keep their genuinely batched write and segmented
+probe overrides — if someone deletes one, everything silently degrades to
+the per-element base form while staying correct — and (3) the write-path,
+planner and batched-query races agree at tiny scale.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bench.hotpath import build_hotpath_setup, run_hotpath_suite
-from repro.bench.planner import run_paged_read_suite, run_planner_suite
+from repro.baselines.correlation_maps import CorrelationMap
+from repro.bench.hotpath import build_hotpath_setup
+from repro.bench.planner import run_planner_suite
 from repro.bench.query_throughput import run_query_throughput_suite
 from repro.bench.writepath import run_writepath_suite
 from repro.index.base import Index
@@ -24,6 +26,7 @@ from repro.index.hash_index import HashIndex
 from repro.index.paged_bptree import PagedBPlusTree
 from repro.index.sorted_column import SortedColumnIndex
 from repro.storage.identifiers import PointerScheme
+from repro.workloads.queries import range_queries
 
 SMOKE_ROWS = 4_000
 SMOKE_QUERIES = 8
@@ -31,25 +34,7 @@ SMOKE_INSERTS = 1_200
 
 
 @pytest.mark.bench_smoke
-class TestVectorizedPathNotFallback:
-    def test_bptree_overrides_array_range_search(self):
-        assert "range_search_array" in BPlusTree.__dict__
-        assert BPlusTree.range_search_array is not Index.range_search_array
-
-    def test_sorted_column_overrides_array_api(self):
-        assert "range_search_array" in SortedColumnIndex.__dict__
-        assert "range_search_many_array" in SortedColumnIndex.__dict__
-        assert "search_many" in SortedColumnIndex.__dict__
-
-    def test_paged_bptree_overrides_array_range_search(self):
-        """The disk path's leaf-run gather must not regress to the fallback."""
-        assert "range_search_array" in PagedBPlusTree.__dict__
-        assert PagedBPlusTree.range_search_array is not Index.range_search_array
-
-    def test_hash_index_overrides_batched_search(self):
-        assert "search_many" in HashIndex.__dict__
-        assert HashIndex.search_many is not Index.search_many
-
+class TestBatchedFormsNotFallback:
     def test_indexes_override_batched_write(self):
         """Every concrete index keeps a real (non-fallback) insert_many."""
         for index_class in (BPlusTree, SortedColumnIndex, HashIndex,
@@ -57,42 +42,59 @@ class TestVectorizedPathNotFallback:
             assert "insert_many" in index_class.__dict__
             assert index_class.insert_many is not Index.insert_many
 
-    @pytest.mark.parametrize("scheme", [PointerScheme.PHYSICAL,
-                                        PointerScheme.LOGICAL])
-    def test_lookup_results_are_arrays(self, scheme):
-        """Both mechanisms keep candidates as arrays through to the result."""
-        setup = build_hotpath_setup("synthetic", SMOKE_ROWS,
-                                    pointer_scheme=scheme)
-        for mechanism in setup.mechanisms.values():
-            single = mechanism.lookup_range(*_mid_range(setup))
-            assert isinstance(single.locations, np.ndarray)
-            assert single.locations.dtype == np.int64
-            batch = mechanism.lookup_range_many([_mid_range(setup)])
-            assert all(isinstance(locations, np.ndarray)
-                       for locations in batch.locations_per_query)
+    def test_engine_indexes_override_segmented_probes(self):
+        """The batch pipeline's probes must not regress to per-range loops."""
+        for index_class in (BPlusTree, SortedColumnIndex):
+            assert "range_search_segmented" in index_class.__dict__
+        assert "search_many_segmented" in BPlusTree.__dict__
+        assert "range_search_many_array" in SortedColumnIndex.__dict__
+
+
+def _mechanisms(setup, scheme):
+    """Hermit and Baseline from the setup, plus a CM on the same host index."""
+    low, high = setup.domain
+    hosts = setup.table.column_array("host")
+    cm = CorrelationMap(
+        setup.table, "target", "host", setup.hermit.host_index,
+        target_bucket_width=(high - low) / 64.0,
+        host_bucket_width=float(np.ptp(hosts)) / 64.0,
+        primary_index=setup.hermit.primary_index, pointer_scheme=scheme,
+    )
+    cm.build()
+    return {**setup.mechanisms, "CM": cm}
 
 
 @pytest.mark.bench_smoke
-class TestHotpathSmokeRun:
+class TestPipelinesAgreeOnWorkloads:
+    """single == batch == brute-force mask, Hermit / Baseline / CM."""
+
     @pytest.mark.parametrize("scheme", [PointerScheme.PHYSICAL,
                                         PointerScheme.LOGICAL])
-    def test_all_paths_agree_at_tiny_scale(self, scheme):
-        measurements = run_hotpath_suite(
-            workloads=("synthetic",), num_tuples=SMOKE_ROWS,
-            selectivity=0.01, num_queries=SMOKE_QUERIES,
-            pointer_scheme=scheme,
-        )
-        assert len(measurements) == 2  # HERMIT + Baseline
-        assert all(m.results_agree for m in measurements)
-        assert all(m.total_results > 0 for m in measurements)
-
-    def test_sorted_host_index_agrees(self):
-        measurements = run_hotpath_suite(
-            workloads=("stock",), num_tuples=SMOKE_ROWS,
-            selectivity=0.01, num_queries=SMOKE_QUERIES,
-            host_index_kind="sorted",
-        )
-        assert all(m.results_agree for m in measurements)
+    @pytest.mark.parametrize("workload,host_kind", [
+        ("synthetic", "btree"), ("sensor", "btree"), ("stock", "sorted"),
+    ])
+    def test_single_batch_and_mask_agree(self, workload, host_kind, scheme):
+        setup = build_hotpath_setup(workload, SMOKE_ROWS,
+                                    pointer_scheme=scheme,
+                                    host_index_kind=host_kind)
+        queries = range_queries(setup.domain, 0.01, count=SMOKE_QUERIES,
+                                seed=42)
+        slots, targets = setup.table.project(["target"])
+        expected = [slots[(targets >= q.low) & (targets <= q.high)]
+                    for q in queries]
+        assert sum(found.size for found in expected) > 0
+        for label, mechanism in _mechanisms(setup, scheme).items():
+            singles = [mechanism.lookup_range(q.low, q.high).locations
+                       for q in queries]
+            batch = mechanism.lookup_range_many(
+                [(q.low, q.high) for q in queries])
+            assert batch.breakdown.lookups == len(queries)
+            for single, batched, mask in zip(
+                    singles, batch.locations_per_query, expected):
+                for found in (single, batched):
+                    assert isinstance(found, np.ndarray), label
+                    assert found.dtype == np.int64, label
+                    assert np.array_equal(found, mask), label
 
 
 @pytest.mark.bench_smoke
@@ -135,14 +137,6 @@ class TestPlannerSmokeRun:
         assert by_class["single"].chosen == "idx_colC_btree"
         assert by_class["point"].chosen == "idx_colC_btree"
 
-    def test_paged_gather_agrees_at_tiny_scale(self):
-        measurement = run_paged_read_suite(num_tuples=SMOKE_ROWS,
-                                           selectivity=0.01,
-                                           num_queries=SMOKE_QUERIES)
-        assert measurement.results_agree
-        assert measurement.total_results > 0
-        assert measurement.speedup_gather > 0.5
-
 
 @pytest.mark.bench_smoke
 class TestQueryManySmokeRun:
@@ -169,10 +163,3 @@ class TestQueryManySmokeRun:
         range_results = [m for m in measurements
                          if m.batch_class == "range"]
         assert all(m.total_results > 0 for m in range_results)
-
-
-def _mid_range(setup) -> tuple[float, float]:
-    low, high = setup.domain
-    middle = (low + high) / 2.0
-    width = (high - low) * 0.05
-    return middle - width, middle + width

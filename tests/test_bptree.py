@@ -51,22 +51,27 @@ class TestRangeSearch:
             tree.insert(float(i), i)
         assert tree.range_search(KeyRange(100.0, 200.0)) == []
 
-    def test_range_search_many_unions_ranges(self):
+    def test_range_search_many_array_unions_ranges(self):
         tree = BPlusTree()
         for i in range(30):
             tree.insert(float(i), i)
-        result = tree.range_search_many([KeyRange(0, 2), KeyRange(10, 12)])
-        assert sorted(result) == [0, 1, 2, 10, 11, 12]
+        result = tree.range_search_many_array([KeyRange(0, 2),
+                                               KeyRange(10, 12)])
+        assert sorted(result.tolist()) == [0, 1, 2, 10, 11, 12]
 
-    def test_range_search_array_matches_scalar(self):
+    def test_range_search_array_matches_brute_force(self):
         tree = BPlusTree(node_capacity=4)
         rng = np.random.default_rng(3)
-        for key in rng.uniform(0, 100, size=300):
+        keys = rng.uniform(0, 100, size=300)
+        for key in keys:
             tree.insert(float(key), int(key * 7))
         probe = KeyRange(25.0, 75.0)
         array_result = tree.range_search_array(probe)
         assert isinstance(array_result, np.ndarray)
-        assert sorted(array_result.tolist()) == sorted(tree.range_search(probe))
+        expected = sorted(int(key * 7) for key in keys
+                          if probe.contains(float(key)))
+        assert sorted(array_result.tolist()) == expected
+        assert tree.range_search(probe) == array_result.tolist()
 
     def test_range_search_array_empty(self):
         tree = BPlusTree()

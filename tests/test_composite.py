@@ -58,7 +58,6 @@ class TestCompositeIndex:
         leading_range = KeyRange(*leading)
         second_range = KeyRange(*second)
         expected = brute_force(entries, leading_range, second_range)
-        assert sorted(index.range_search(leading_range, second_range)) == expected
         found = index.range_search_array(leading_range, second_range)
         assert sorted(found.tolist()) == expected
 

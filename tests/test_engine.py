@@ -1,11 +1,9 @@
 """Unit tests for the catalog, query model, executor and database facade."""
 
-import numpy as np
 import pytest
 
 from repro.engine.catalog import Catalog, IndexEntry, IndexMethod
 from repro.engine.database import Database
-from repro.engine.executor import choose_index, full_scan
 from repro.engine.query import QueryResult, RangePredicate, point_predicate
 from repro.errors import CatalogError, QueryError
 from repro.index.bptree import BPlusTree
@@ -13,6 +11,8 @@ from repro.storage.identifiers import PointerScheme
 from repro.storage.schema import numeric_schema
 from repro.storage.table import Table
 from repro.workloads.synthetic import generate_synthetic, load_synthetic
+
+from reference import scan_locations
 
 
 class TestQueryModel:
@@ -85,35 +85,6 @@ class TestCatalog:
         assert catalog.indexed_columns("t") == ["x"]
 
 
-class TestExecutorHelpers:
-    def test_full_scan(self):
-        table = Table(numeric_schema("t", ["pk", "x"], primary_key="pk"))
-        table.insert_many({"pk": np.arange(10.0), "x": np.arange(10.0) * 10})
-        result = full_scan(table, RangePredicate("x", 20.0, 50.0))
-        assert result.locations == [2, 3, 4, 5]
-        assert result.used_index is None
-
-    def test_choose_index_prefers_complete_index(self):
-        btree = IndexEntry("b", "t", "x", IndexMethod.BTREE, object())
-        hermit = IndexEntry("h", "t", "x", IndexMethod.HERMIT, object())
-        cm = IndexEntry("c", "t", "x", IndexMethod.CORRELATION_MAP, object())
-        assert choose_index([hermit, btree, cm]) is btree
-        assert choose_index([cm, hermit]) is hermit
-        assert choose_index([]) is None
-
-    def test_choose_index_ranks_sorted_column_and_skips_composite(self):
-        sorted_entry = IndexEntry("s", "t", "x", IndexMethod.SORTED_COLUMN,
-                                  object())
-        btree = IndexEntry("b", "t", "x", IndexMethod.BTREE, object())
-        hermit = IndexEntry("h", "t", "x", IndexMethod.HERMIT, object())
-        composite = IndexEntry("p", "t", "x", IndexMethod.COMPOSITE, object(),
-                               second_column="y")
-        assert choose_index([hermit, btree, sorted_entry]) is sorted_entry
-        # A composite index cannot serve a single predicate alone.
-        assert choose_index([composite]) is None
-        assert choose_index([composite, hermit]) is hermit
-
-
 class TestDatabase:
     @pytest.fixture
     def loaded(self):
@@ -141,8 +112,8 @@ class TestDatabase:
                               method=IndexMethod.HERMIT, host_column="colB")
         predicate = RangePredicate("colC", 100_000.0, 200_000.0)
         indexed = database.query(table_name, predicate)
-        scanned = full_scan(database.table(table_name), predicate)
-        assert indexed.locations == scanned.locations
+        scanned = scan_locations(database.table(table_name), predicate)
+        assert indexed.locations == scanned
         assert indexed.used_index == "idx_c"
 
     def test_query_without_index_falls_back_to_scan(self, loaded):
@@ -183,8 +154,8 @@ class TestDatabase:
         assert entry.method is IndexMethod.CORRELATION_MAP
         predicate = RangePredicate("colC", 0.0, 100_000.0)
         indexed = database.query_with(table_name, "idx_cm", predicate)
-        scanned = full_scan(database.table(table_name), predicate)
-        assert indexed.locations == scanned.locations
+        scanned = scan_locations(database.table(table_name), predicate)
+        assert indexed.locations == scanned
 
     def test_correlation_map_requires_parameters(self, loaded):
         database, table_name, _ = loaded
@@ -219,8 +190,8 @@ class TestDatabase:
         assert entry.method is IndexMethod.SORTED_COLUMN
         predicate = RangePredicate("colD", 0.2, 0.25)
         indexed = database.query(table_name, predicate)
-        scanned = full_scan(database.table(table_name), predicate)
-        assert indexed.locations == scanned.locations
+        scanned = scan_locations(database.table(table_name), predicate)
+        assert indexed.locations == scanned
         assert indexed.used_index == "idx_d_sorted"
         # Maintenance keeps the sorted arrays consistent.
         location = database.insert(table_name, {
@@ -240,8 +211,8 @@ class TestDatabase:
         assert entry.host_column == "colB"
         predicate = RangePredicate("colC", 100_000.0, 150_000.0)
         indexed = database.query_with(table_name, "idx_c", predicate)
-        scanned = full_scan(database.table(table_name), predicate)
-        assert indexed.locations == scanned.locations
+        scanned = scan_locations(database.table(table_name), predicate)
+        assert indexed.locations == scanned
 
     def test_memory_report_labels(self, loaded):
         database, table_name, _ = loaded
@@ -307,8 +278,8 @@ class TestDatabase:
         # scan even with the logical scheme's per-candidate resolution cost.
         predicate = RangePredicate("colC", 0.0, 10_000.0)
         indexed = database.query(table_name, predicate)
-        scanned = full_scan(database.table(table_name), predicate)
-        assert indexed.locations == scanned.locations
+        scanned = scan_locations(database.table(table_name), predicate)
+        assert indexed.locations == scanned
         assert indexed.used_index == "idx_c"
         assert indexed.breakdown.primary_index_seconds > 0
 
@@ -323,5 +294,5 @@ class TestDatabase:
         result = database.query(table_name, predicate)
         assert result.used_index is None
         assert result.breakdown.primary_index_seconds == 0
-        assert result.locations == full_scan(
-            database.table(table_name), predicate).locations
+        assert result.locations == scan_locations(
+            database.table(table_name), predicate)

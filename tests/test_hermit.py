@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.config import TRSTreeConfig
-from repro.core.hermit import HermitIndex, LookupBreakdown
+from repro.core.hermit import HermitIndex
+from repro.core.lookup import LookupBreakdown
 from repro.errors import QueryError
 from repro.index.bptree import BPlusTree
 from repro.storage.identifiers import PointerScheme

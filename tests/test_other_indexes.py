@@ -58,16 +58,8 @@ class TestCompositeIndex:
         for a in range(10):
             for b in range(10):
                 index.insert(float(a), float(b), a * 10 + b)
-        result = index.range_search(KeyRange(2, 3), KeyRange(5, 6))
-        assert sorted(result) == [25, 26, 35, 36]
-
-    def test_range_search_many(self):
-        index = CompositeIndex()
-        for a in range(5):
-            index.insert(float(a), float(a), a)
-        result = index.range_search_many(KeyRange(0, 4),
-                                         [KeyRange(0, 1), KeyRange(3, 3)])
-        assert sorted(result) == [0, 1, 3]
+        result = index.range_search_array(KeyRange(2, 3), KeyRange(5, 6))
+        assert sorted(result.tolist()) == [25, 26, 35, 36]
 
     def test_delete(self):
         index = CompositeIndex()

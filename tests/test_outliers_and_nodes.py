@@ -20,7 +20,7 @@ class TestOutlierBuffer:
         buffer.add(7.0, 102)
         assert sorted(buffer.lookup(KeyRange(4.0, 6.0))) == [100, 101]
         assert sorted(buffer.lookup(KeyRange(0.0, 10.0))) == [100, 101, 102]
-        assert buffer.lookup_point(7.0) == [102]
+        assert buffer.lookup(KeyRange(7.0, 7.0)) == [102]
         assert len(buffer) == 3
         assert 5.0 in buffer
 

@@ -6,10 +6,11 @@ Hermit returns *exactly* the same tuples as the conventional B+-tree secondary
 index and as a brute-force scan.  Correlation Maps must satisfy the same
 invariant (both mechanisms remove their false positives by validation).
 
-A second invariant guards the vectorized lookup path: for any predicate and
-either pointer scheme, the array-native ``lookup_range`` / ``lookup_range_many``
-pipeline must return exactly the same result set as the object-at-a-time seed
-path kept as ``lookup_range_scalar``.
+A second invariant guards the two read pipelines: for any predicate and
+either pointer scheme, the single-request pipeline (``lookup_range`` /
+``lookup_point``), the segmented batch pipeline (``lookup_range_many``) and the
+brute-force mask must return exactly the same sorted int64 locations, for
+Hermit, the Baseline and CM alike.
 """
 
 from __future__ import annotations
@@ -66,10 +67,14 @@ def build_mechanisms(table: Table, scheme: PointerScheme):
     return hermit, baseline, cm
 
 
-def brute_force(table: Table, low: float, high: float) -> set[int]:
+def brute_force_array(table: Table, low: float, high: float) -> np.ndarray:
+    """The reference answer: one NumPy mask over the live rows, ascending."""
     slots, targets = table.project(["target"])
-    mask = (targets >= low) & (targets <= high)
-    return {int(s) for s in slots[mask]}
+    return slots[(targets >= low) & (targets <= high)].astype(np.int64)
+
+
+def brute_force(table: Table, low: float, high: float) -> set[int]:
+    return set(brute_force_array(table, low, high).tolist())
 
 
 correlated_data = st.lists(
@@ -121,63 +126,51 @@ class TestLookupEquivalence:
             assert set(baseline.lookup_point(value).locations) == expected
 
 
-class TestScalarVectorizedEquivalence:
-    """The vectorized path is a pure optimisation of the scalar seed path."""
+class TestSingleBatchEquivalence:
+    """single == batch == brute-force mask, per mechanism and pointer scheme."""
 
     @SETTINGS
-    @given(correlated_data, predicate_bounds,
+    @given(correlated_data,
+           st.lists(predicate_bounds, min_size=1, max_size=5),
            st.sampled_from([PointerScheme.PHYSICAL, PointerScheme.LOGICAL]))
-    def test_range_lookup_paths_agree(self, rows, bounds, scheme):
+    def test_range_pipelines_agree(self, rows, bounds_list, scheme):
         targets = [t for t, _, _ in rows]
         hosts = [
             (3.0 * t - 7.0 + (noise if is_noisy else 0.0))
             for t, noise, is_noisy in rows
         ]
         table = build_table(targets, hosts)
-        hermit, baseline, _ = build_mechanisms(table, scheme)
-        low, width = bounds
-        high = low + width
-        expected = brute_force(table, low, high)
-        for mechanism in (hermit, baseline):
-            scalar = set(mechanism.lookup_range_scalar(low, high).locations)
-            vectorized = set(mechanism.lookup_range(low, high).locations)
-            assert scalar == vectorized == expected
-
-    @SETTINGS
-    @given(correlated_data,
-           st.sampled_from([PointerScheme.PHYSICAL, PointerScheme.LOGICAL]))
-    def test_point_lookup_paths_agree(self, rows, scheme):
-        targets = [t for t, _, _ in rows]
-        hosts = [2.0 * t + 1.0 + (n if flag else 0.0) for t, n, flag in rows]
-        table = build_table(targets, hosts)
-        hermit, baseline, _ = build_mechanisms(table, scheme)
-        for value in set(targets[:10]):
-            expected = brute_force(table, value, value)
-            for mechanism in (hermit, baseline):
-                scalar = set(mechanism.lookup_range_scalar(value, value).locations)
-                vectorized = set(mechanism.lookup_point(value).locations)
-                assert scalar == vectorized == expected
-
-    @SETTINGS
-    @given(correlated_data,
-           st.lists(predicate_bounds, min_size=1, max_size=5),
-           st.sampled_from([PointerScheme.PHYSICAL, PointerScheme.LOGICAL]))
-    def test_batch_api_matches_per_query_lookups(self, rows, bounds_list, scheme):
-        targets = [t for t, _, _ in rows]
-        hosts = [1.2 * t + 3.0 + (n if flag else 0.0) for t, n, flag in rows]
-        table = build_table(targets, hosts)
-        hermit, baseline, cm = build_mechanisms(table, scheme)
         predicates = [(low, low + width) for low, width in bounds_list]
-        for mechanism in (hermit, baseline, cm):
+        for mechanism in build_mechanisms(table, scheme):
             batch = mechanism.lookup_range_many(predicates)
             assert len(batch.locations_per_query) == len(predicates)
-            for (low, high), locations in zip(predicates,
-                                              batch.locations_per_query):
-                assert set(locations) == brute_force(table, low, high)
+            for (low, high), batched in zip(predicates,
+                                            batch.locations_per_query):
+                single = mechanism.lookup_range(low, high).locations
+                expected = brute_force_array(table, low, high)
+                for found in (single, batched):
+                    assert found.dtype == np.int64
+                    assert np.array_equal(found, expected)
             assert batch.breakdown.lookups == len(predicates)
             assert batch.total_results == sum(
                 len(locations) for locations in batch.locations_per_query
             )
+
+    @SETTINGS
+    @given(correlated_data,
+           st.sampled_from([PointerScheme.PHYSICAL, PointerScheme.LOGICAL]))
+    def test_point_pipelines_agree(self, rows, scheme):
+        targets = [t for t, _, _ in rows]
+        hosts = [2.0 * t + 1.0 + (n if flag else 0.0) for t, n, flag in rows]
+        table = build_table(targets, hosts)
+        values = sorted(set(targets[:10]))
+        for mechanism in build_mechanisms(table, scheme):
+            batch = mechanism.lookup_range_many([(v, v) for v in values])
+            for value, batched in zip(values, batch.locations_per_query):
+                single = mechanism.lookup_point(value).locations
+                expected = brute_force_array(table, value, value)
+                assert np.array_equal(single, expected)
+                assert np.array_equal(batched, expected)
 
 
 class TestMaintenanceEquivalence:

@@ -1,22 +1,21 @@
 """Paged read-path equivalence tests (ROADMAP: paged-index array path).
 
-``PagedBPlusTree.range_search_array`` replaced the scalar ``Index`` fallback
-with a leaf-run gather mirroring the in-memory ``BPlusTree``.  In the style
-of the write-path equivalence suite, the property here is exact agreement:
-for any data and any closed range, the paged gather, the paged scalar scan,
-the in-memory tree and a brute-force filter must return the same multiset of
-tuple identifiers — and the gather must not change the simulated page-access
-accounting.
+``PagedBPlusTree.range_search_array`` is a leaf-run gather mirroring the
+in-memory ``BPlusTree``.  In the style of the write-path equivalence suite,
+the property here is exact agreement: for any data and any closed range, the
+paged gather, the in-memory tree and a brute-force filter must return the
+same multiset of tuple identifiers — and a probe must cost exactly one
+buffer-pool request per node of the descent plus one per visited leaf, which
+is what the simulated disk breakdown (Figure 24) counts.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.index.base import Index, KeyRange
+from repro.index.base import KeyRange
 from repro.index.bptree import BPlusTree
 from repro.index.paged_bptree import PagedBPlusTree
 from repro.storage.buffer_pool import BufferPool
@@ -45,7 +44,7 @@ def make_paged_tree(node_capacity: int = 8,
 class TestPagedRangeSearchArray:
     @SETTINGS
     @given(keys=keys_strategy, bounds=bounds_strategy)
-    def test_gather_matches_scalar_and_in_memory(self, keys, bounds):
+    def test_gather_matches_brute_force_and_in_memory(self, keys, bounds):
         paged = make_paged_tree()
         in_memory = BPlusTree(node_capacity=8)
         for tid, key in enumerate(keys):
@@ -57,21 +56,37 @@ class TestPagedRangeSearchArray:
                           if key_range.contains(key))
         gathered = sorted(paged.range_search_array(key_range).tolist())
         assert gathered == expected
-        assert gathered == sorted(paged.range_search(key_range))
         assert gathered == sorted(in_memory.range_search_array(key_range).tolist())
 
     @SETTINGS
     @given(keys=keys_strategy, bounds=bounds_strategy)
-    def test_gather_matches_base_fallback(self, keys, bounds):
-        """The override returns exactly what the scalar fallback returned."""
+    def test_gather_after_batched_insert(self, keys, bounds):
+        """Same answer on a tree built by ``insert_many`` (multi-split pages)."""
         paged = make_paged_tree()
         paged.insert_many(np.asarray(keys, dtype=np.float64),
                           np.arange(len(keys)))
         key_range = KeyRange(*bounds)
-        fallback = Index.range_search_array(paged, key_range)
         gathered = paged.range_search_array(key_range)
-        assert sorted(gathered.tolist()) == sorted(fallback.tolist())
+        expected = sorted(tid for tid, key in enumerate(keys)
+                          if key_range.contains(key))
+        assert sorted(gathered.tolist()) == expected
         assert gathered.dtype == np.int64
+        assert paged.range_search(key_range) == gathered.tolist()
+
+    @SETTINGS
+    @given(keys=keys_strategy)
+    def test_search_many_matches_brute_force(self, keys):
+        paged = make_paged_tree()
+        for tid, key in enumerate(keys):
+            paged.insert(key, tid)
+        probes = sorted(set(keys[:10])) + [1e6]
+        found = paged.search_many(probes)
+        expected = [tid for probe in probes
+                    for tid, key in enumerate(keys) if key == probe]
+        assert found.tolist() == expected
+        for probe in probes[:3]:
+            assert paged.search(probe) == [
+                tid for tid, key in enumerate(keys) if key == probe]
 
     def test_duplicate_keys_return_every_tid(self):
         paged = make_paged_tree()
@@ -99,23 +114,26 @@ class TestPagedRangeSearchArray:
         )
         assert sorted(found.tolist()) == expected
 
-    def test_page_accounting_matches_scalar_path(self):
-        """The gather touches exactly the pages the scalar scan touched."""
+    def test_page_accounting_is_descent_plus_visited_leaves(self):
+        """One request per level of the descent, one per leaf of the run."""
         rng = np.random.default_rng(5)
         keys = rng.uniform(0.0, 1.0, 3_000)
-        key_range = KeyRange(0.25, 0.75)
+        tree = make_paged_tree(node_capacity=16, pool_capacity=16)
+        tree.insert_many(keys, np.arange(3_000))
 
-        scalar_tree = make_paged_tree(node_capacity=16, pool_capacity=16)
-        scalar_tree.insert_many(keys, np.arange(3_000))
-        scalar_tree.pool.stats.reset()
-        scalar_tree.range_search(key_range)
-        scalar_requests = (scalar_tree.pool.stats.hits
-                           + scalar_tree.pool.stats.misses)
+        leaves = 0
+        page = tree._leftmost_leaf()
+        while page is not None:
+            leaves += 1
+            page = tree._read_node(page)[3]
 
-        gather_tree = make_paged_tree(node_capacity=16, pool_capacity=16)
-        gather_tree.insert_many(keys, np.arange(3_000))
-        gather_tree.pool.stats.reset()
-        gather_tree.range_search_array(key_range)
-        gather_requests = (gather_tree.pool.stats.hits
-                           + gather_tree.pool.stats.misses)
-        assert gather_requests == scalar_requests
+        def requests(probe) -> int:
+            tree.pool.stats.reset()
+            probe()
+            return tree.pool.stats.hits + tree.pool.stats.misses
+
+        everything = KeyRange(-1.0, 2.0)
+        assert requests(
+            lambda: tree.range_search_array(everything)) == tree.height + leaves
+        assert requests(
+            lambda: tree.search_many([float(keys[0])])) == tree.height + 1

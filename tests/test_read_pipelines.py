@@ -1,0 +1,246 @@
+"""One lookup tail, two pipelines: every read entry point agrees, and the
+read surface is pinned.
+
+The engine has exactly two read pipelines — a single-request one ending in
+``repro.core.lookup.finish_lookup`` and a segmented batch one ending in
+``finish_lookup_segmented``.  Everything that reads goes through one of
+them: a mechanism's standalone ``lookup_range`` / ``lookup_range_many``,
+``Database.query_with`` (forced index), ``execute`` and ``execute_many``.
+
+* ``TestEveryEntryPointAgrees`` drives all five entry points with one
+  predicate per mechanism and pointer scheme — deleted rows and out-of-band
+  outliers present — and requires identical sorted int64 locations *and*
+  identical ``breakdown.candidates`` / ``results``.
+* ``TestReadSurfaceIsPinned`` lists the public callables of ``Index``, the
+  mechanism base and ``Database`` and asserts each set exactly, so a future
+  read path has to replace one of these rather than land beside it.
+
+Deleted tests whose behaviour these (or a named sibling) now cover:
+``test_serving.TestQueryWithDeprecation`` (``query_with`` == ``execute``;
+the warning itself is gone) → ``TestEveryEntryPointAgrees``;
+``test_engine.TestExecutorHelpers`` (``full_scan`` / ``choose_index``,
+both deleted) → ``test_engine.TestDatabase.test_query_without_index_falls_back_to_scan``
+and ``test_bench_smoke.TestPlannerSmokeRun`` (the planner prefers the
+complete index); ``test_bench_smoke`` hot-path / paged races (raced code
+deleted) → ``test_bench_smoke.TestPipelinesAgreeOnWorkloads`` and
+``test_read_path_paged``.
+"""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.baselines.correlation_maps import CorrelationMap
+from repro.baselines.secondary import BaselineSecondaryIndex
+from repro.core.hermit import HermitIndex
+from repro.core.lookup import SecondaryMechanism
+from repro.engine.catalog import IndexMethod
+from repro.engine.database import Database
+from repro.engine.query import QueryRequest, RangePredicate
+from repro.index.base import Index
+from repro.index.bptree import BPlusTree
+from repro.index.composite import CompositeIndex
+from repro.index.hash_index import HashIndex
+from repro.index.paged_bptree import PagedBPlusTree
+from repro.index.sorted_column import SortedColumnIndex
+from repro.storage.identifiers import PointerScheme
+from repro.storage.schema import numeric_schema
+
+from reference import scan_locations
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+ROWS = 600
+SCHEMES = [PointerScheme.PHYSICAL, PointerScheme.LOGICAL]
+
+
+def build_database(scheme: PointerScheme, method: str) -> Database:
+    """(pk, host, target): correlated, with outliers, then partly deleted."""
+    rng = np.random.default_rng(7)
+    target = rng.uniform(0.0, 1_000.0, size=ROWS)
+    host = 2.0 * target + 10.0
+    # Out-of-band outliers: far outside any leaf's confidence band.
+    host[::25] += rng.uniform(500.0, 900.0, size=host[::25].size)
+    database = Database(pointer_scheme=scheme)
+    database.create_table(numeric_schema("t", ["pk", "host", "target"],
+                                         primary_key="pk"))
+    locations = database.insert_many("t", {
+        "pk": np.arange(ROWS, dtype=np.float64) + 1_000.0,
+        "host": host, "target": target,
+    })
+    database.create_index("idx_host", "t", "host", method=IndexMethod.BTREE)
+    if method == "hermit":
+        database.create_index("idx_target", "t", "target",
+                              method=IndexMethod.HERMIT, host_column="host")
+    elif method == "cm":
+        database.create_index("idx_target", "t", "target",
+                              method=IndexMethod.CORRELATION_MAP,
+                              host_column="host",
+                              cm_target_bucket_width=25.0,
+                              cm_host_bucket_width=50.0)
+    else:
+        database.create_index("idx_target", "t", "target",
+                              method=IndexMethod.BTREE)
+    for location in locations[::7]:
+        database.delete("t", location)
+    return database
+
+
+class TestEveryEntryPointAgrees:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("method", ["hermit", "btree", "cm"])
+    def test_locations_and_counts_agree(self, method, scheme):
+        database = build_database(scheme, method)
+        table = database.table("t")
+        assert table.num_slots > table.num_rows          # deleted rows present
+        mechanism = database.catalog.table_entry("t").indexes[
+            "idx_target"].mechanism
+        if method == "hermit":
+            assert mechanism.trs_tree.num_outliers > 0   # outliers present
+
+        predicate = RangePredicate("target", 300.0, 340.0)
+        request = QueryRequest.of("t", predicate)
+        expected = scan_locations(table, predicate)
+        assert len(expected) > 5
+
+        single = mechanism.lookup_range(predicate.low, predicate.high)
+        batch = mechanism.lookup_range_many([(predicate.low, predicate.high)])
+        forced = database.query_with("t", "idx_target", predicate)
+        one = database.execute(request)
+        many = database.execute_many([request])[0]
+
+        for found in (single.locations, batch.locations_per_query[0]):
+            assert isinstance(found, np.ndarray)
+            assert found.dtype == np.int64
+            assert found.tolist() == expected
+        for result in (forced, one, many):
+            assert result.used_index == "idx_target"
+            assert result.locations == expected
+
+        counts = {(result.breakdown.candidates, result.breakdown.results)
+                  for result in (single, batch, forced, one, many)}
+        assert len(counts) == 1, counts
+        candidates, results = counts.pop()
+        assert results == len(expected)
+        assert candidates >= results
+        if method == "btree":
+            assert candidates == results                 # complete index
+
+    def test_forced_read_feeds_the_mechanism_like_a_planned_one(self):
+        """``query_with`` observes false positives exactly like ``execute``."""
+        database = build_database(PointerScheme.PHYSICAL, "hermit")
+        mechanism = database.catalog.table_entry("t").indexes[
+            "idx_target"].mechanism
+        predicate = RangePredicate("target", 300.0, 340.0)
+        forced = database.query_with("t", "idx_target", predicate)
+        after_forced = mechanism.cumulative.candidates
+        assert after_forced == forced.breakdown.candidates > 0
+        database.execute(QueryRequest.of("t", predicate))
+        assert mechanism.cumulative.candidates == 2 * after_forced
+
+
+def public_callables(cls) -> set[str]:
+    return {name for name in dir(cls)
+            if not name.startswith("_") and callable(getattr(cls, name))}
+
+
+INDEX_READS = {
+    "search_many", "range_search_array",                 # abstract primitives
+    "search", "range_search",                            # .tolist() conveniences
+    "range_search_many_array", "range_search_segmented",
+    "search_many_segmented",
+}
+INDEX_OTHER = {"insert", "delete", "insert_many", "bulk_load", "memory_bytes"}
+
+MECHANISM_READS = {"candidate_tids", "candidate_tids_many", "lookup_range",
+                   "lookup_range_many", "lookup_point"}
+MECHANISM_OTHER = {"reset_breakdown"}
+
+DATABASE_READS = {"execute", "execute_many", "query", "query_many",
+                  "query_conjunctive", "query_conjunctive_many", "query_with",
+                  "explain"}
+DATABASE_OTHER = {
+    "create_table", "create_index", "create_composite_index", "drop_index",
+    "insert", "insert_many", "delete", "update",
+    "attach_durability", "checkpoint", "flush_wal", "durability_stats", "close",
+    "result_cache_info", "result_cache_clear", "planner_cache_info",
+    "planner_cache_stats", "planner_cache_clear", "memory_report", "table",
+}
+
+
+class TestReadSurfaceIsPinned:
+    def test_index_surface(self):
+        assert public_callables(Index) == INDEX_READS | INDEX_OTHER
+        assert Index.__abstractmethods__ >= {"search_many",
+                                             "range_search_array"}
+        # The list conveniences are defined once and never overridden.
+        for index_class in (BPlusTree, SortedColumnIndex, HashIndex,
+                            PagedBPlusTree):
+            assert "search" not in vars(index_class)
+            assert "range_search" not in vars(index_class)
+            extra = public_callables(index_class) - public_callables(Index)
+            assert not {name for name in extra if "search" in name}, extra
+        assert {name for name in public_callables(CompositeIndex)
+                if "search" in name} == {"range_search_array"}
+
+    def test_mechanism_surface(self):
+        assert (public_callables(SecondaryMechanism)
+                == MECHANISM_READS | MECHANISM_OTHER)
+        for mechanism_class in (HermitIndex, BaselineSecondaryIndex,
+                                CorrelationMap):
+            assert issubclass(mechanism_class, SecondaryMechanism)
+            own = set(vars(mechanism_class))
+            # A mechanism implements candidate generation only.
+            assert {"candidate_tids", "candidate_tids_many",
+                    "estimate_candidates"} <= own
+            assert not own & {"lookup_range", "lookup_range_many",
+                              "lookup_point", "reset_breakdown", "_tid_for",
+                              "_tids_for_batch", "_tids_for_slots"}
+            extra = (public_callables(mechanism_class)
+                     - public_callables(SecondaryMechanism))
+            assert not {name for name in extra
+                        if name.startswith(("lookup", "candidate", "search",
+                                            "query"))}, extra
+
+    def test_database_surface(self):
+        assert public_callables(Database) == DATABASE_READS | DATABASE_OTHER
+
+    def test_one_definition_of_each_lookup_under_src(self):
+        sources = {path: path.read_text(encoding="utf-8")
+                   for path in SRC.rglob("*.py")}
+        for name in ("lookup_range", "lookup_range_many", "lookup_point"):
+            definitions = [str(path) for path, text in sources.items()
+                           if re.search(rf"def {name}\(", text)]
+            assert len(definitions) == 1, (name, definitions)
+        for name in ("search", "range_search"):
+            definitions = [path.name for path, text in sources.items()
+                           if re.search(rf"def {name}\(", text)]
+            assert definitions == ["base.py"], (name, definitions)
+
+    def test_retired_read_paths_stay_retired(self):
+        retired = ("lookup_range_scalar", "_resolve_locations(",
+                   "finish_batch_lookup", "resolve_tids_many",
+                   "execute_with_index", "def full_scan", "choose_index",
+                   "_query_with", "range_search_many(")
+        for path in SRC.rglob("*.py"):
+            text = path.read_text(encoding="utf-8")
+            for name in retired:
+                assert name not in text, (name, str(path))
+
+    def test_validation_has_one_call_site_per_pipeline(self):
+        """Outside the table itself, each validation kernel is called from
+        exactly one function: its pipeline's tail.  (``repro.bench`` is not
+        engine code: the planner race hand-writes a post-filter there.)"""
+        calls: dict[str, list[str]] = {"filter_in_range(": [],
+                                       "in_range_mask(": []}
+        for path in SRC.rglob("*.py"):
+            if path.name == "table.py" or "bench" in path.parts:
+                continue
+            text = path.read_text(encoding="utf-8")
+            for kernel, sites in calls.items():
+                sites.extend([path.name] * text.count("." + kernel))
+        assert calls == {"filter_in_range(": ["lookup.py"],
+                         "in_range_mask(": ["lookup.py"]}

@@ -8,12 +8,13 @@ import pytest
 from repro.core.reorganize import BackgroundReorganizer
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
-from repro.engine.executor import full_scan
 from repro.engine.query import QueryRequest, RangePredicate
 from repro.storage.identifiers import PointerScheme
 from repro.workloads.sensor import generate_sensor, load_sensor, sensor_column
 from repro.workloads.stock import generate_stock, high_column, load_stock
 from repro.workloads.synthetic import generate_synthetic, load_synthetic
+
+from reference import scan_locations
 
 
 def hermit_database(num_tuples=2000, correlation="linear", noise=0.01, seed=0,
@@ -50,8 +51,8 @@ class TestBackgroundReorganizer:
         # Queries stay exact after reorganization.
         predicate = RangePredicate("colC", 0.0, 500_000.0)
         indexed = database.query(table_name, predicate)
-        scanned = full_scan(database.table(table_name), predicate)
-        assert indexed.locations == scanned.locations
+        scanned = scan_locations(database.table(table_name), predicate)
+        assert indexed.locations == scanned
 
     def test_background_thread_lifecycle(self):
         database, table_name, hermit = hermit_database(num_tuples=1000)
@@ -88,7 +89,7 @@ class TestEndToEndScenarios:
             low = float(rng.uniform(0, 9e5))
             predicate = RangePredicate("colC", low, low + 5e4)
             assert database.query(table_name, predicate).locations == \
-                full_scan(table, predicate).locations
+                scan_locations(table, predicate)
 
     def test_stock_scenario_memory_and_correctness(self):
         database = Database()
@@ -106,7 +107,7 @@ class TestEndToEndScenarios:
         low, high = float(np.quantile(highs, 0.3)), float(np.quantile(highs, 0.5))
         predicate = RangePredicate(high_column(2), low, high)
         assert database.query(table_name, predicate).locations == \
-            full_scan(table, predicate).locations
+            scan_locations(table, predicate)
 
     def test_sensor_scenario(self):
         database = Database()
@@ -120,7 +121,7 @@ class TestEndToEndScenarios:
                      float(np.quantile(readings, 0.4)))
         predicate = RangePredicate(sensor_column(7), low, high)
         indexed = database.query(table_name, predicate)
-        assert indexed.locations == full_scan(table, predicate).locations
+        assert indexed.locations == scan_locations(table, predicate)
         assert indexed.breakdown.false_positive_ratio < 0.5
 
     def test_mixed_workload_with_maintenance(self):
@@ -148,7 +149,7 @@ class TestEndToEndScenarios:
             hermit.reorganize()
         predicate = RangePredicate("colC", 200_000.0, 400_000.0)
         assert database.query(table_name, predicate).locations == \
-            full_scan(table, predicate).locations
+            scan_locations(table, predicate)
 
     def test_many_hermit_indexes_share_one_host(self):
         dataset = generate_synthetic(1500, "linear", noise_fraction=0.01, seed=7)
@@ -163,7 +164,7 @@ class TestEndToEndScenarios:
         low, high = float(np.quantile(values, 0.1)), float(np.quantile(values, 0.3))
         predicate = RangePredicate("colE1", low, high)
         assert database.query(table_name, predicate).locations == \
-            full_scan(table, predicate).locations
+            scan_locations(table, predicate)
 
 
 class TestReorganizeKeepsOutOfDomainRows:

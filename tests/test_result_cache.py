@@ -340,6 +340,53 @@ class TestEngineWiring:
             assert locations_equal(got, expected)
         assert database.result_cache_info().hits >= 6
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_query_conjunctive_many_probes_and_fills(self, method):
+        """Regression: the conjunctive batch API bypassed the result cache.
+
+        Repeated identical batches recorded 0 hits / 0 misses.  It now
+        shares ``execute_many``'s batch body: the second repeat hits, and
+        under interleaved ``insert_many`` every batch equals the cache-off
+        run (no stale array survives a write).
+        """
+        database = build_database(method=method)
+        uncached = build_database(method=method)
+        uncached.result_cache.enabled = False
+        queries = [
+            [RangePredicate("target", 100.0 * i, 100.0 * i + 150.0),
+             RangePredicate("host", 0.0, 1_500.0)]
+            for i in range(4)
+        ]
+
+        def batches_agree() -> list:
+            cached_batch = database.query_conjunctive_many("t", queries)
+            plain_batch = uncached.query_conjunctive_many("t", queries)
+            for got, expected in zip(cached_batch, plain_batch):
+                assert got.locations.dtype == np.int64
+                assert np.array_equal(got.locations, expected.locations)
+            return cached_batch
+
+        batches_agree()                      # registers with the doorkeeper
+        batches_agree()                      # installs
+        before = database.result_cache_info()
+        hit_batch = batches_agree()          # hits
+        after = database.result_cache_info()
+        assert after.hits - before.hits == len(queries)
+        assert all(result.plan.cached for result in hit_batch)
+        assert all(result.group_size == len(queries) for result in hit_batch)
+
+        for round_number in range(3):
+            for db in (database, uncached):
+                db.insert_many("t", {
+                    "pk": np.array([20_000.0 + round_number]),
+                    "host": np.array([2.0 * 120.0 + 10.0]),
+                    "target": np.array([120.0 + round_number]),
+                    "payload": np.array([0.0]),
+                })
+            fresh = batches_agree()
+            assert not any(result.plan.cached for result in fresh)
+        assert database.result_cache_info().stale_evictions >= len(queries)
+
     def test_result_cache_clear_and_disabled_database(self):
         database = build_database()
         request = QueryRequest.range("t", "target", 100.0, 300.0)

@@ -13,8 +13,7 @@ Three layers, bottom up:
   through a live :class:`~repro.serving.Server` and through
   ``Database.query_many``; the two must agree result list by result list.
   Plus unit coverage for the coalescing window adaptation,
-  :class:`RequestFuture` semantics, close/shutdown behaviour, and the
-  ``query_with`` deprecation shim.
+  :class:`RequestFuture` semantics and close/shutdown behaviour.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
-from repro.engine.query import QueryRequest, QueryResult, RangePredicate
+from repro.engine.query import QueryRequest, QueryResult
 from repro.errors import (
     CatalogError,
     ConcurrencyError,
@@ -408,13 +407,3 @@ class TestRequestFuture:
         assert future.exception() is error
         with pytest.raises(ValueError):
             future.result()
-
-
-class TestQueryWithDeprecation:
-    def test_query_with_warns_and_matches_execute(self):
-        database, table = build_database(rows=800)
-        predicate = RangePredicate("target", 100.0, 150.0)
-        expected = database.execute(QueryRequest.of(table, predicate))
-        with pytest.warns(DeprecationWarning, match="query_with"):
-            legacy = database.query_with(table, "idx_target", predicate)
-        assert legacy.locations == expected.locations

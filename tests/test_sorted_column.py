@@ -108,18 +108,29 @@ class TestAccounting:
         assert keys == sorted(keys)
         assert len(keys) == 50
 
-    def test_base_array_fallbacks_cover_default_indexes(self):
-        """The Index base class serves arrays even without an override."""
+    def test_base_batch_forms_build_on_the_array_primitives(self):
+        """The Index base class derives the multi-range forms and the list
+        conveniences from ``range_search_array`` / ``search_many`` alone."""
 
         class MinimalIndex(BPlusTree):
-            range_search_array = Index.range_search_array
             range_search_many_array = Index.range_search_many_array
+            range_search_segmented = Index.range_search_segmented
+            search_many_segmented = Index.search_many_segmented
 
         index = MinimalIndex()
         for i in range(10):
             index.insert(float(i), i)
-        assert index.range_search_array(KeyRange(2.0, 4.0)).tolist() == [2, 3, 4]
-        empty = index.range_search_array(KeyRange(50.0, 60.0))
+        ranges = [KeyRange(2.0, 4.0), KeyRange(50.0, 60.0), KeyRange(8.0, 9.0)]
+        assert index.range_search_many_array(ranges).tolist() == [2, 3, 4, 8, 9]
+        values, offsets = index.range_search_segmented(ranges)
+        assert values.tolist() == [2, 3, 4, 8, 9]
+        assert offsets.tolist() == [0, 3, 3, 5]
+        values, offsets = index.search_many_segmented(
+            np.array([1.0, 77.0, 3.0]), np.array([0, 2, 3]))
+        assert values.tolist() == [1, 3] and offsets.tolist() == [0, 1, 2]
+        assert index.range_search(KeyRange(2.0, 4.0)) == [2, 3, 4]
+        assert index.search(5.0) == [5] and index.search(50.0) == []
+        empty = index.range_search_many_array([KeyRange(50.0, 60.0)])
         assert isinstance(empty, np.ndarray) and empty.size == 0
 
 
