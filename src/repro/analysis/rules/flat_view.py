@@ -1,15 +1,15 @@
 """REP001: mutators of flat-view owners must tell the view.
 
-``BPlusTree`` and ``OutlierBuffer`` keep a *flat view* of their entries
+``BPlusTree`` and ``TRSTree`` keep a *flat view* of their entries
 (``self._flat_view``, a :class:`~repro.index.flat_view.FlatView`) that
-turns batched lookups into pure array passes.  The view only stays correct
-if it hears about every write, so **every** method that mutates entry
-state must either *record* what it did through the view's own helpers
+turns lookups into array probes.  The view only stays correct if it hears
+about every write, so **every** method that mutates entry state must either
+*record* what it did through the view's own helpers
 (``self._flat_view.record_insert`` / ``record_insert_many`` /
-``record_delete`` — the next batched probe folds the record in) or *drop*
-the view (``self._flat_view.drop()``).  A new mutator that does neither produces silently stale batch results, which no
-test notices until a workload happens to interleave that mutator with
-``*_many`` lookups.
+``record_delete`` — the next probe folds the record in) or *drop* the view
+(``self._flat_view.drop()``).  A new mutator that does neither produces
+silently stale results, which no test notices until a workload happens to
+interleave that mutator with lookups.
 
 The rule applies to any class whose ``__init__`` assigns
 ``self._flat_view``.  A method counts as a mutator when it assigns,
@@ -19,6 +19,15 @@ body contains a record or a drop on some path (the rule is
 reachability-insensitive by design — the cheap discipline is to notify
 unconditionally, which every current site does; the view itself ignores
 records while it holds no arrays).
+
+``TRSTree``'s entries live in *other* objects — its view spans the outlier
+buffers of all its leaves, and next to it sits ``self._leaf_table``, whose
+``emits`` mask mirrors every leaf's ``num_model_covered`` — so for an owner
+two more things count as mutations: calling ``add`` / ``add_many`` /
+``remove`` / ``clear`` on anything's ``.outliers`` (tell the view), and
+assigning anything's ``.num_model_covered`` (tell the table: call a method
+on ``self._leaf_table`` or assign over it).  Replacing ``self._root`` in a
+class that keeps a leaf table must tell both.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ from repro.analysis.framework import (
 
 #: Attributes that hold entry state feeding the flat view.
 ENTRY_STATE = frozenset({
-    "_entries", "_sorted_keys", "_count", "_num_entries", "_root", "_height",
+    "_entries", "_count", "_num_entries", "_root", "_height",
 })
 
 #: Container methods that mutate in place.
@@ -47,8 +56,17 @@ MUTATING_METHODS = frozenset({
 })
 
 
+#: ``OutlierBuffer`` methods that change what a tree-wide outlier view holds.
+OUTLIER_MUTATORS = frozenset({"add", "add_many", "remove", "clear"})
+#: The per-leaf counter a leaf table's ``emits`` mask mirrors.
+EMIT_STATE = "num_model_covered"
+LEAF_TABLE = "_leaf_table"
+
+
 def _mutated_state(method: ast.FunctionDef) -> set[str]:
-    """Entry-state attributes this method mutates, by name."""
+    """What this method mutates: entry-state attributes of ``self`` by name,
+    plus ``"outliers"`` / ``"num_model_covered"`` when it writes them on any
+    object (the leaves a flat-view owner reads through its view)."""
     mutated: set[str] = set()
     for node in ast.walk(method):
         if isinstance(node, (ast.Assign, ast.AugAssign)):
@@ -58,6 +76,9 @@ def _mutated_state(method: ast.FunctionDef) -> set[str]:
                 attr = self_attr_target(target)
                 if attr in ENTRY_STATE:
                     mutated.add(attr)
+                elif (isinstance(target, ast.Attribute)
+                      and target.attr == EMIT_STATE):
+                    mutated.add(EMIT_STATE)
         elif isinstance(node, ast.Delete):
             for target in node.targets:
                 base = (target.value if isinstance(target, ast.Subscript)
@@ -65,13 +86,38 @@ def _mutated_state(method: ast.FunctionDef) -> set[str]:
                 attr = self_attr_target(base)
                 if attr in ENTRY_STATE:
                     mutated.add(attr)
-        elif isinstance(node, ast.Call):
-            if (isinstance(node.func, ast.Attribute)
-                    and node.func.attr in MUTATING_METHODS):
-                attr = self_attr_target(node.func.value)
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)):
+            receiver = node.func.value
+            if node.func.attr in MUTATING_METHODS:
+                attr = self_attr_target(receiver)
                 if attr in ENTRY_STATE:
                     mutated.add(attr)
+            if (node.func.attr in OUTLIER_MUTATORS
+                    and isinstance(receiver, ast.Attribute)
+                    and receiver.attr == "outliers"):
+                mutated.add("outliers")
     return mutated
+
+
+def _assigns_self(method: ast.FunctionDef, attr: str) -> bool:
+    """Whether the method assigns ``self.<attr>`` (annotated or not)."""
+    return any(
+        self_attr_target(target) == attr
+        for node in ast.walk(method)
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in getattr(node, "targets", None) or [node.target]
+    )
+
+
+def _notifies_leaf_table(method: ast.FunctionDef) -> bool:
+    """Whether the method calls into, or assigns over, ``self._leaf_table``."""
+    return _assigns_self(method, LEAF_TABLE) or any(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and self_attr_target(node.func.value) == LEAF_TABLE
+        for node in ast.walk(method)
+    )
 
 
 #: ``FlatView`` methods through which a mutator keeps the view honest.
@@ -104,25 +150,33 @@ class FlatViewInvalidation(Rule):
                 continue
             methods = list(iter_methods(class_node))
             init = next((m for m in methods if m.name == "__init__"), None)
-            if init is None or not any(
-                self_attr_target(t) == "_flat_view"
-                for node in ast.walk(init) if isinstance(node, ast.Assign)
-                for t in node.targets
-            ):
+            if init is None or not _assigns_self(init, "_flat_view"):
                 continue
+            keeps_table = _assigns_self(init, LEAF_TABLE)
             for method in methods:
                 if method.name == "__init__":
                     continue
                 mutated = _mutated_state(method)
-                if mutated and not _notifies_flat_view(method):
-                    attrs = ", ".join(sorted(mutated))
-                    yield Finding(
-                        rule=self.rule_id,
-                        message=(
-                            f"{class_node.name}.{method.name} mutates "
-                            f"{attrs} without recording the write with, "
-                            f"or dropping, self._flat_view — batched "
-                            f"lookups would serve a stale view"
-                        ),
-                        path=module.path, line=method.lineno,
-                    )
+                for_view = mutated - {EMIT_STATE}
+                for_table = mutated & ({EMIT_STATE, "_root"} if keeps_table
+                                       else {EMIT_STATE})
+                if for_view and not _notifies_flat_view(method):
+                    yield self._finding(
+                        module, class_node, method, for_view,
+                        "recording the write with, or dropping, "
+                        "self._flat_view — lookups would serve a stale view")
+                if for_table and not _notifies_leaf_table(method):
+                    yield self._finding(
+                        module, class_node, method, for_table,
+                        "updating or dropping self._leaf_table — lookups "
+                        "would read a stale leaf table")
+
+    def _finding(self, module: Module, class_node: ast.ClassDef,
+                 method: ast.FunctionDef, mutated: set[str],
+                 missing: str) -> Finding:
+        return Finding(
+            rule=self.rule_id,
+            message=(f"{class_node.name}.{method.name} mutates "
+                     f"{', '.join(sorted(mutated))} without {missing}"),
+            path=module.path, line=method.lineno,
+        )

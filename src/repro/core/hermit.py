@@ -143,14 +143,11 @@ class HermitIndex(SecondaryMechanism):
         started = time.perf_counter()
         candidates = self.host_index.range_search_many_array(
             trs_result.host_ranges)
-        outliers = trs_result.outlier_tid_array()
-        if outliers.size and candidates.size:
-            candidates = np.concatenate([candidates, outliers])
-        elif outliers.size:
-            candidates = outliers
+        # The host index and the TRS-Tree may both hand out views of their
+        # own storage, and sorted_unique sorts in place: copy either way.
+        if trs_result.outlier_tids.size:
+            candidates = np.concatenate([candidates, trs_result.outlier_tids])
         else:
-            # The host index may hand out a view of its own storage, and
-            # sorted_unique sorts in place.
             candidates = candidates.copy()
         candidates = sorted_unique(candidates)
         breakdown.host_index_seconds += time.perf_counter() - started
@@ -162,8 +159,8 @@ class HermitIndex(SecondaryMechanism):
         """Segmented batch variant of :meth:`candidate_tids`.
 
         *One* TRS-Tree translation for the whole batch
-        (:meth:`~repro.core.trs_tree.TRSTree.lookup_many` — the descent is
-        vectorized across predicates, not run once per query), then *one*
+        (:meth:`~repro.core.trs_tree.TRSTree.lookup_many` — array passes
+        over the flat leaf table, not one probe per query), then *one*
         host-index pass over the flattened host ranges of the whole batch
         (``range_search_segmented``), per-range segments regrouped to
         per-query ones by summing run sizes — the candidate tids of B

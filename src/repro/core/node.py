@@ -19,7 +19,6 @@ import numpy as np
 from repro.core.outliers import OutlierBuffer
 from repro.core.regression import LeafModel
 from repro.index.base import KeyRange
-from repro.storage.identifiers import TupleId
 from repro.storage.memory import DEFAULT_SIZE_MODEL, SizeModel
 
 
@@ -33,8 +32,9 @@ def partition_bounds(key_range: KeyRange, fanout: int) -> list[float]:
     child's closed range.  (An arithmetic routing rule like
     ``int((v - low) / width * fanout)`` cannot give that guarantee: under
     float rounding it can disagree with the separately computed bounds by
-    an ulp, filing a tuple into a child whose range excludes it — and the
-    lookup's overlap-based descent would then never find it again.)
+    an ulp, filing a tuple into a child whose range excludes it — and a
+    lookup, which finds leaves by comparing against the same bounds, would
+    then never find it again.)
     """
     if fanout <= 0:
         raise ValueError("fanout must be positive")
@@ -151,10 +151,6 @@ class TRSLeafNode(TRSNode):
         """Best estimate of the number of live tuples in the leaf's range."""
         return max(0, self.num_covered + self.num_inserted - self.num_deleted)
 
-    def get_host_range(self, target_range: KeyRange) -> KeyRange:
-        """Host-column range predicted for ``target_range`` (clipped to the leaf)."""
-        return self.model.host_range(target_range)
-
     def covers(self, target_value: float, host_value: float) -> bool:
         """Whether the model's confidence band covers ``(target, host)``."""
         return self.model.covers(target_value, host_value)
@@ -162,10 +158,6 @@ class TRSLeafNode(TRSNode):
     def covers_many(self, target_values, host_values):
         """Vectorised :meth:`covers` over aligned value arrays."""
         return self.model.covers_many(target_values, host_values)
-
-    def add_outlier(self, target_value: float, tid: TupleId) -> None:
-        """Store a tuple the model cannot cover."""
-        self.outliers.add(target_value, tid)
 
     def outlier_ratio(self) -> float:
         """Current ratio of outliers to tuples in the leaf's range."""
@@ -192,10 +184,9 @@ class TRSLeafNode(TRSNode):
 
 
 class TRSInternalNode(TRSNode):
-    """An internal node routing lookups to its equal-width children."""
+    """An internal node routing writes to its equal-width children."""
 
-    __slots__ = ("children", "_bounds", "_interior_bounds_array",
-                 "_bounds_array")
+    __slots__ = ("children", "_bounds", "_interior_bounds_array")
 
     def __init__(self, key_range: KeyRange, height: int,
                  parent: "TRSInternalNode | None" = None) -> None:
@@ -203,7 +194,6 @@ class TRSInternalNode(TRSNode):
         self.children: list[TRSNode] = []
         self._bounds: list[float] | None = None
         self._interior_bounds_array: np.ndarray | None = None
-        self._bounds_array: np.ndarray | None = None
 
     def _routing_bounds(self) -> list[float]:
         """The node's :func:`partition_bounds`, computed once and cached.
@@ -215,7 +205,6 @@ class TRSInternalNode(TRSNode):
         if self._bounds is None:
             self._bounds = partition_bounds(self.key_range, len(self.children))
             self._interior_bounds_array = np.asarray(self._bounds[1:-1])
-            self._bounds_array = np.asarray(self._bounds)
         return self._bounds
 
     def child_for(self, target_value: float) -> TRSNode:
@@ -243,41 +232,9 @@ class TRSInternalNode(TRSNode):
         return np.searchsorted(self._interior_bounds_array, values,
                                side="right").astype(np.int64)
 
-    def overlap_spans(self, lows: np.ndarray, highs: np.ndarray,
-                      left_edge: bool, right_edge: bool,
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """Overlapped child span ``[first[i], last[i]]`` per predicate range.
-
-        The batched form of the lookup descent's per-child overlap test: the
-        children partition the node's range into contiguous closed intervals
-        sharing the cached :func:`partition_bounds` floats, so the children a
-        predicate overlaps are a contiguous position span found with two
-        ``searchsorted`` passes — child ``c`` is overlapped iff
-        ``lows <= bounds[c + 1]`` and ``bounds[c] <= highs`` (comparisons
-        against the exact routing floats, boundary values included).  On the
-        tree's edges the first/last child is open-ended (the scalar lookup's
-        ``-inf``/``+inf`` effective ranges), which shows up here as clamping
-        an otherwise-empty span onto the edge child so out-of-domain
-        predicates still reach the edge leaves' outlier buffers.
-        """
-        self._routing_bounds()
-        bounds = self._bounds_array
-        first = np.searchsorted(bounds[1:], lows, side="left")
-        last = np.searchsorted(bounds[:-1], highs, side="right") - 1
-        if left_edge:
-            np.maximum(last, 0, out=last)
-        if right_edge:
-            np.minimum(first, len(self.children) - 1, out=first)
-        return first, last
-
     @property
     def is_leaf(self) -> bool:
         return False
-
-    def children_overlapping(self, target_range: KeyRange) -> list[TRSNode]:
-        """Children whose ranges overlap ``target_range``."""
-        return [child for child in self.children
-                if child.key_range.overlaps(target_range)]
 
     def replace_child(self, old: TRSNode, new: TRSNode) -> None:
         """Swap ``old`` for ``new`` in the child list (used by reorganization)."""
@@ -309,7 +266,7 @@ def equal_width_subranges(key_range: KeyRange, fanout: int) -> list[KeyRange]:
     Built from the same :func:`partition_bounds` floats that
     :func:`route_indices` compares against, so every routed in-range value
     lies inside its child's closed range — the containment the lookup's
-    overlap-based descent relies on.
+    probe of the leaf bounds relies on.
     """
     bounds = partition_bounds(key_range, fanout)
     return [KeyRange(bounds[i], bounds[i + 1]) for i in range(fanout)]

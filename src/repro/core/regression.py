@@ -23,10 +23,11 @@ model-agnostic.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -58,12 +59,11 @@ class LeafModel(Protocol):
         ...
 
     def host_range(self, target_range: KeyRange) -> KeyRange:
-        """Host-column range covering all predictions over ``target_range``."""
-        ...
+        """Host-column range covering all predictions over ``target_range``.
 
-    def host_range_many(self, lows: np.ndarray,
-                        highs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`host_range` over aligned endpoint arrays."""
+        :class:`ModelTable` is the batched form (across models and
+        ranges), bit-identical to this one.
+        """
         ...
 
 
@@ -98,19 +98,6 @@ class LinearModel:
         if lo > hi:
             lo, hi = hi, lo
         return band_range(lo, hi, self.epsilon)
-
-    def host_range_many(self, lows: np.ndarray,
-                        highs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`host_range`: one fused pass over a query batch.
-
-        Same float expressions as the scalar path (``beta * m + alpha``,
-        then :func:`band_range_many`), so the batched translation emits
-        bitwise-identical host ranges.
-        """
-        at_low = self.beta * lows + self.alpha
-        at_high = self.beta * highs + self.alpha
-        return band_range_many(np.minimum(at_low, at_high),
-                               np.maximum(at_low, at_high), self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -161,14 +148,6 @@ class LogLinearModel:
             lo, hi = hi, lo
         return band_range(lo, hi, self.epsilon)
 
-    def host_range_many(self, lows: np.ndarray,
-                        highs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`host_range` (monotone: extremes at the endpoints)."""
-        at_low = self.beta * log_feature(lows, self.shift) + self.alpha
-        at_high = self.beta * log_feature(highs, self.shift) + self.alpha
-        return band_range_many(np.minimum(at_low, at_high),
-                               np.maximum(at_low, at_high), self.epsilon)
-
 
 @dataclass(frozen=True)
 class PiecewiseLinearModel:
@@ -198,8 +177,7 @@ class PiecewiseLinearModel:
         # drifts off the band quantile by a tuple and knife-edge split
         # decisions flip; a boundary value belongs to the right-hand
         # segment, like the tree's child routing.
-        index = int(np.searchsorted(self.bounds[1:-1], m, side="right"))
-        return min(index, self.num_segments - 1)
+        return bisect.bisect_right(self.bounds, m, 1, self.num_segments) - 1
 
     def _segments_many(self, m: np.ndarray) -> np.ndarray:
         return piecewise_segment_indices(m, self.bounds)
@@ -246,39 +224,6 @@ class PiecewiseLinearModel:
                 hi = max(hi, predicted)
         return band_range(lo, hi, self.epsilon)
 
-    def host_range_many(self, lows: np.ndarray,
-                        highs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`host_range` over aligned endpoint arrays.
-
-        The scalar walk evaluates each overlapped segment at its clipped
-        endpoints; those evaluation points are (a) the query endpoints under
-        their own segments and (b) both sides of every interior boundary the
-        query spans.  The boundary predictions are query-independent, so the
-        batch path precomputes them once and folds each one in with a masked
-        min/max — the per-query loop over segments disappears and only the
-        (at most ``num_segments - 1``) boundary passes remain.
-        """
-        lows = np.asarray(lows, dtype=np.float64)
-        highs = np.asarray(highs, dtype=np.float64)
-        first = self._segments_many(lows)
-        last = self._segments_many(highs)
-        betas = np.asarray(self.betas)
-        alphas = np.asarray(self.alphas)
-        at_low = betas[first] * lows + alphas[first]
-        at_high = betas[last] * highs + alphas[last]
-        lo = np.minimum(at_low, at_high)
-        hi = np.maximum(at_low, at_high)
-        for boundary in range(1, self.num_segments):
-            spanned = (first < boundary) & (boundary <= last)
-            if not spanned.any():
-                continue
-            value = self.bounds[boundary]
-            left = self.betas[boundary - 1] * value + self.alphas[boundary - 1]
-            right = self.betas[boundary] * value + self.alphas[boundary]
-            lo = np.where(spanned, np.minimum(lo, min(left, right)), lo)
-            hi = np.where(spanned, np.maximum(hi, max(left, right)), hi)
-        return band_range_many(lo, hi, self.epsilon)
-
 
 @dataclass(frozen=True)
 class OutlierOnlyModel:
@@ -310,16 +255,14 @@ class OutlierOnlyModel:
         """Empty-band host range; never emitted (the leaf covers no tuple)."""
         return KeyRange(0.0, 0.0)
 
-    def host_range_many(self, lows: np.ndarray,
-                        highs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`host_range`; never emitted (covers no tuple)."""
-        zeros = np.zeros(len(lows), dtype=np.float64)
-        return zeros, zeros.copy()
-
 
 def log_feature(m: np.ndarray, shift: float) -> np.ndarray:
     """The log-linear feature ``log(1 + max(m - shift, 0))``, vectorised."""
     return np.log1p(np.maximum(m - shift, 0.0))
+
+
+# Outward rounding pad of a band, relative to its largest operand.
+_BAND_PAD = 4.0 * float(np.finfo(np.float64).eps)
 
 
 def band_range(lo: float, hi: float, epsilon: float) -> KeyRange:
@@ -336,19 +279,127 @@ def band_range(lo: float, hi: float, epsilon: float) -> KeyRange:
     operands, not the result.  Validation removes the sliver of extra host
     values the padding could admit.
     """
-    scale = max(abs(lo), abs(hi), epsilon)
-    pad = 4.0 * np.finfo(np.float64).eps * scale
+    pad = _BAND_PAD * max(abs(lo), abs(hi), epsilon)
     return KeyRange(lo - epsilon - pad, hi + epsilon + pad)
 
 
 def band_range_many(lo: np.ndarray, hi: np.ndarray,
-                    epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+                    epsilon: "float | np.ndarray",
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised :func:`band_range` — identical float expressions per element,
     so the batched translation path emits bitwise-identical host bounds.
     """
-    scale = np.maximum(np.maximum(np.abs(lo), np.abs(hi)), epsilon)
-    pad = 4.0 * np.finfo(np.float64).eps * scale
+    pad = _BAND_PAD * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), epsilon)
     return lo - epsilon - pad, hi + epsilon + pad
+
+
+class ModelTable:
+    """The coefficients of a sequence of leaf models, as arrays.
+
+    The batched form of :meth:`LeafModel.host_range` *across models*:
+    :meth:`host_ranges` evaluates range ``i`` under model ``index[i]`` with
+    one array pass per model family present, in the float expressions of
+    the scalar methods, so both emit bitwise-identical bounds.  A
+    :class:`PiecewiseLinearModel` contributes one row of the segment
+    tables (``+inf``-padded knots, per-segment lines, and the smaller and
+    larger of the two lines' predictions at every knot).
+    """
+
+    __slots__ = ("family", "families", "beta", "alpha", "epsilon", "shift",
+                 "piece_row", "piece_segments", "knots", "piece_betas",
+                 "piece_alphas", "knot_lows", "knot_highs")
+
+    _FAMILIES = (LinearModel, LogLinearModel, PiecewiseLinearModel,
+                 OutlierOnlyModel)
+    _LINEAR, _LOG, _PIECEWISE, _OUTLIER_ONLY = range(4)
+
+    def __init__(self, models: Sequence[LeafModel]) -> None:
+        family = [self._FAMILIES.index(type(model)) for model in models]
+        self.family = np.asarray(family, dtype=np.int8)
+        self.families = tuple(sorted(set(family) - {self._OUTLIER_ONLY}))
+        single = [model if kind < self._PIECEWISE else None
+                  for kind, model in zip(family, models)]
+        self.beta, self.alpha, self.shift = (
+            np.asarray([getattr(model, name, 0.0) for model in single],
+                       dtype=np.float64)
+            for name in ("beta", "alpha", "shift"))
+        self.epsilon = np.asarray([model.epsilon for model in models],
+                                  dtype=np.float64)
+        pieces = [model for kind, model in zip(family, models)
+                  if kind == self._PIECEWISE]
+        self.piece_row = np.cumsum(self.family == self._PIECEWISE) - 1
+        self.piece_segments = np.asarray(
+            [model.num_segments for model in pieces], dtype=np.int64)
+        width = int(self.piece_segments.max(initial=1))
+        self.knots = np.full((len(pieces), width - 1), np.inf)
+        self.knot_lows = np.full((len(pieces), width - 1), np.inf)
+        self.knot_highs = np.full((len(pieces), width - 1), -np.inf)
+        self.piece_betas = np.zeros((len(pieces), width))
+        self.piece_alphas = np.zeros((len(pieces), width))
+        for row, model in enumerate(pieces):
+            segments = model.num_segments
+            self.piece_betas[row, :segments] = model.betas
+            self.piece_alphas[row, :segments] = model.alphas
+            for knot in range(segments - 1):
+                value = model.bounds[knot + 1]
+                left = model.betas[knot] * value + model.alphas[knot]
+                right = (model.betas[knot + 1] * value
+                         + model.alphas[knot + 1])
+                self.knots[row, knot] = value
+                self.knot_lows[row, knot] = min(left, right)
+                self.knot_highs[row, knot] = max(left, right)
+
+    def host_ranges(self, index: np.ndarray, lows: np.ndarray,
+                    highs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``models[index[i]].host_range([lows[i], highs[i]])`` for every ``i``."""
+        out_lows = np.zeros(index.size, dtype=np.float64)
+        out_highs = np.zeros(index.size, dtype=np.float64)
+        family = self.family[index]
+        for kind in self.families:
+            chosen = np.flatnonzero(family == kind)
+            if not chosen.size:
+                continue
+            rows, at, to = index[chosen], lows[chosen], highs[chosen]
+            if kind == self._PIECEWISE:
+                lo, hi = self._piecewise_extremes(self.piece_row[rows], at, to)
+            else:
+                if kind == self._LOG:
+                    at = log_feature(at, self.shift[rows])
+                    to = log_feature(to, self.shift[rows])
+                at = self.beta[rows] * at + self.alpha[rows]
+                to = self.beta[rows] * to + self.alpha[rows]
+                lo, hi = np.minimum(at, to), np.maximum(at, to)
+            out_lows[chosen], out_highs[chosen] = band_range_many(
+                lo, hi, self.epsilon[rows])
+        return out_lows, out_highs
+
+    def _piecewise_extremes(self, rows: np.ndarray, lows: np.ndarray,
+                            highs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Smallest and largest prediction of each piecewise row over its range.
+
+        The scalar walk evaluates every overlapped segment at its clipped
+        endpoints: the range's own endpoints under their segments, plus
+        both sides of every knot the range spans — which do not depend on
+        the range, so they come precomputed and fold in with one masked
+        min/max per knot column.
+        """
+        last_segment = self.piece_segments[rows] - 1
+        knots = self.knots[rows]
+        first = np.minimum((lows[:, None] >= knots).sum(axis=1), last_segment)
+        last = np.minimum((highs[:, None] >= knots).sum(axis=1), last_segment)
+        at_low = (self.piece_betas[rows, first] * lows
+                  + self.piece_alphas[rows, first])
+        at_high = (self.piece_betas[rows, last] * highs
+                   + self.piece_alphas[rows, last])
+        lo, hi = np.minimum(at_low, at_high), np.maximum(at_low, at_high)
+        for knot in range(knots.shape[1]):
+            spanned = (first <= knot) & (knot < last)
+            if spanned.any():
+                lo = np.where(spanned,
+                              np.minimum(lo, self.knot_lows[rows, knot]), lo)
+                hi = np.where(spanned,
+                              np.maximum(hi, self.knot_highs[rows, knot]), hi)
+        return lo, hi
 
 
 def fit_linear(m: np.ndarray, n: np.ndarray) -> tuple[float, float]:

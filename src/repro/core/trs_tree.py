@@ -13,10 +13,17 @@ per covered tuple — or ``max_height`` is reached; lookups
 host-column ranges plus outlier tuple identifiers; maintenance (Algorithm 3)
 touches only the affected leaf's outlier buffer and defers structural changes
 to an on-demand reorganization pass.
+
+The pointer tree is the *write* structure (construction, routing of writes,
+reorganization).  Both lookups read one flat copy of it instead — the
+:class:`LeafTable` plus a tree-wide sorted view of every outlier buffer —
+which the write path keeps current; see docs/architecture.md, "TRS-Tree:
+write structure vs read structure".
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -33,15 +40,18 @@ from repro.core.node import (
     route_indices,
 )
 from repro.core.regression import (
+    ModelTable,
     OutlierOnlyModel,
     estimate_leaf_false_positives,
     select_leaf_model,
 )
 from repro.errors import StorageError
-from repro.index.base import KeyRange
+from repro.index.base import KeyRange, tid_items
+from repro.index.flat_view import FlatView, flatten
 from repro.segments import (
     empty_offsets,
     offsets_from_counts,
+    run_indices,
     running_segment_max,
     segment_ids,
 )
@@ -63,27 +73,18 @@ class TRSLookupResult:
         host_ranges: Disjoint ranges on the host column that together cover
             every correlated match of the query predicate.
         outlier_tids: Tuple identifiers recovered directly from outlier
-            buffers; they bypass the host index entirely.
+            buffers; they bypass the host index entirely.  A read-only
+            slice of the tree's outlier view: copy before sorting in place.
         leaves_visited: Number of leaf nodes inspected.
-        nodes_visited: Total number of nodes (internal + leaf) inspected.
+        nodes_visited: Equal to ``leaves_visited`` (see
+            :class:`TRSBatchLookupResult`).
     """
 
     host_ranges: list[KeyRange] = field(default_factory=list)
-    outlier_tids: list[TupleId] = field(default_factory=list)
+    outlier_tids: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64))
     leaves_visited: int = 0
     nodes_visited: int = 0
-
-    def outlier_tid_array(self) -> np.ndarray:
-        """The outlier tids as one numpy array (empty int64 array if none).
-
-        ``outlier_tids`` is accumulated as a flat list during the tree walk
-        (each leaf's buffer returns a pre-concatenated bucket list), so this
-        is a single conversion with no intermediate copies — the form the
-        vectorized Hermit lookup consumes.
-        """
-        if not self.outlier_tids:
-            return np.empty(0, dtype=np.int64)
-        return np.asarray(self.outlier_tids)
 
 
 @dataclass
@@ -100,9 +101,8 @@ class TRSBatchLookupResult:
     ``KeyRange.union`` output with one extra (candidate-exact) merge: ranges
     whose gap contains **no representable float** are coalesced into one
     probe, so adjacent leaves whose bands touch up to rounding cost one
-    host-index probe instead of two.  Outlier tid order *within* a query is
-    unspecified (leaf-visit order differs from the scalar walk); callers
-    dedup or sort, exactly as they do with the scalar result.
+    host-index probe instead of two.  Outlier tids come in target-key
+    order, as in the scalar result.
 
     Attributes:
         host_lows: Flat lower bounds of every emitted host range.
@@ -111,7 +111,9 @@ class TRSBatchLookupResult:
         outlier_tids: Flat outlier tuple identifiers.
         outlier_offsets: Per-query segment boundaries over ``outlier_tids``.
         leaves_visited: Per-query count of leaf nodes inspected.
-        nodes_visited: Per-query count of all nodes inspected.
+        nodes_visited: The same array as ``leaves_visited``: a probe of the
+            flat leaf table visits no internal node.  (Kept because the
+            e2e tracer reads it; a count, not a speed.)
     """
 
     host_lows: np.ndarray
@@ -143,22 +145,6 @@ class TRSBatchLookupResult:
         start = self.outlier_offsets[position]
         stop = self.outlier_offsets[position + 1]
         return self.outlier_tids[start:stop]
-
-    def to_results(self) -> list[TRSLookupResult]:
-        """Materialise per-query :class:`TRSLookupResult` objects.
-
-        Compatibility/diagnostic form (the equivalence tests and ad-hoc
-        callers); the hot batch path consumes the flat arrays directly.
-        """
-        return [
-            TRSLookupResult(
-                host_ranges=self.host_ranges_for(position),
-                outlier_tids=self.outliers_for(position).tolist(),
-                leaves_visited=int(self.leaves_visited[position]),
-                nodes_visited=int(self.nodes_visited[position]),
-            )
-            for position in range(self.num_queries)
-        ]
 
 
 def coalesce_sorted_ranges(lows: np.ndarray, highs: np.ndarray,
@@ -194,6 +180,56 @@ def coalesce_sorted_ranges(lows: np.ndarray, highs: np.ndarray,
             offsets_from_counts(counts))
 
 
+class LeafTable:
+    """The read structure: the tree's leaves in key order, as arrays.
+
+    Leaves partition the target domain into consecutive closed intervals
+    sharing their bound floats — the very floats writes are routed by —
+    so the leaves a predicate overlaps are one contiguous run, found by
+    bisecting ``bounds`` instead of descending the tree.  The first and
+    last leaf are open-ended (out-of-domain inserts are clamped into them),
+    hence ``lows[0] == -inf`` and ``highs[-1] == inf``.
+
+    Attributes:
+        leaves: The leaf nodes, in key order.
+        bounds: The ``len(leaves) - 1`` interior bounds as a list (scalar
+            ``bisect``); ``interior`` is the same as an array.
+        lows / highs: Effective (edge-open) range of every leaf.
+        models: Every leaf's model coefficients
+            (:class:`~repro.core.regression.ModelTable`).
+        emits: ``num_model_covered > 0`` per leaf — whether a probe of the
+            leaf emits a host range at all.
+        height: Height of the deepest leaf.
+    """
+
+    __slots__ = ("leaves", "bounds", "interior", "lows", "highs", "models",
+                 "emits", "height")
+
+    def __init__(self, root: TRSNode) -> None:
+        self.leaves: list[TRSLeafNode] = [
+            node for node in root.walk() if node.is_leaf]  # type: ignore[misc]
+        self.bounds = [leaf.key_range.low for leaf in self.leaves[1:]]
+        self.interior = np.asarray(self.bounds, dtype=np.float64)
+        self.lows = np.concatenate(([-np.inf], self.interior))
+        self.highs = np.concatenate((self.interior, [np.inf]))
+        self.models = ModelTable([leaf.model for leaf in self.leaves])
+        self.emits = np.asarray(
+            [leaf.num_model_covered > 0 for leaf in self.leaves], dtype=bool)
+        self.height = max(leaf.height for leaf in self.leaves)
+
+    def start_emitting(self, leaf: TRSLeafNode, target_value: float) -> bool:
+        """Set ``leaf``'s ``emits`` flag; ``target_value`` is one it owns.
+
+        Returns False when the bounds do not lead back to ``leaf`` (the
+        caller then drops the table rather than trust it).
+        """
+        position = bisect_right(self.bounds, target_value)
+        if self.leaves[position] is not leaf:
+            return False
+        self.emits[position] = True
+        return True
+
+
 @dataclass
 class ReorganizationCandidate:
     """A node flagged for structural reorganization."""
@@ -216,6 +252,11 @@ class TRSTree:
         self.config = config
         self.size_model = size_model
         self._root: TRSNode | None = None
+        # The read structure.  Mutators of leaves or outlier buffers record
+        # through ``_flat_view`` / flip ``_leaf_table.emits``, or drop both
+        # (REP001 checks that they do).
+        self._leaf_table: LeafTable | None = None
+        self._flat_view = FlatView()
         self._reorg_queue: deque[ReorganizationCandidate] = deque()
         self._pending_candidates: set[tuple[str, int]] = set()
 
@@ -251,7 +292,12 @@ class TRSTree:
             value_range, targets, hosts, tid_array, height=1,
             parallelism=max(1, parallelism),
         )
+        self._leaf_table = None
+        self._flat_view.drop()
+        self._outlier_view()  # flatten now: O(leaves + outliers), not on a read
 
+    # repro: ignore[REP001] -- fills a leaf no table has seen yet; build and
+    # _rebuild_node drop the table and the view when they attach it
     def _build_node(self, key_range: KeyRange, targets: np.ndarray,
                     hosts: np.ndarray, tids: np.ndarray, height: int,
                     parallelism: int = 1) -> TRSNode:
@@ -376,176 +422,123 @@ class TRSTree:
 
     # ----------------------------------------------------------------- lookup
 
+    def _table(self) -> LeafTable | None:
+        """The leaf table, rebuilt in O(leaves) if a reorganization dropped it."""
+        if self._leaf_table is None and self._root is not None:
+            self._leaf_table = LeafTable(self._root)
+        return self._leaf_table
+
+    def _outlier_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(keys, key_offsets, tids)`` of every outlier in the tree.
+
+        Leaf order is key order and every buffer's keys lie inside its
+        leaf's effective range, so the leaf-by-leaf concatenation is sorted
+        tree-wide: one query's outliers are one contiguous slice.
+        """
+        return self._flat_view.arrays(self._outlier_buckets)
+
+    def _outlier_buckets(self) -> tuple[list[float], list[list[TupleId]]]:
+        keys: list[float] = []
+        buckets: list[list[TupleId]] = []
+        for leaf in self._table().leaves:
+            if len(leaf.outliers):
+                leaf_keys, leaf_buckets = leaf.outliers.buckets()
+                keys += leaf_keys
+                buckets += leaf_buckets
+        return keys, buckets
+
     def lookup(self, predicate: KeyRange) -> TRSLookupResult:
         """Translate a target-column predicate into host ranges + outliers.
 
-        Nodes on the left/right edge of the tree are treated as open-ended:
-        values inserted after construction that fall outside the originally
-        observed target domain are routed (clamped) into the edge leaves'
-        outlier buffers, so lookups whose predicate extends beyond the built
-        domain must still visit those leaves.
+        A scalar probe of the structures :meth:`lookup_many` searches in
+        array passes (a batch of one costs ~10x this).  The edge leaves are
+        open-ended: values inserted after construction that fall outside
+        the originally observed target domain are routed (clamped) into
+        their outlier buffers, and a predicate beyond the built domain
+        extrapolates the edge leaf's band — mirroring the insert path,
+        which uses the same band to decide whether an out-of-domain tuple
+        needs an outlier entry.  A leaf whose band covers no tuple (built
+        empty, all-outlier, or demoted to an outlier-only model) holds
+        nothing behind its host range and emits none.
         """
-        result = TRSLookupResult()
-        if self._root is None:
-            return result
-        # Queue entries carry (node, is_left_edge, is_right_edge).
-        queue: deque[tuple[TRSNode, bool, bool]] = deque([(self._root, True, True)])
-        while queue:
-            node, left_edge, right_edge = queue.popleft()
-            result.nodes_visited += 1
-            effective = KeyRange(
-                float("-inf") if left_edge else node.key_range.low,
-                float("inf") if right_edge else node.key_range.high,
-            )
-            if node.is_leaf:
-                leaf: TRSLeafNode = node  # type: ignore[assignment]
-                overlap = effective.intersect(predicate)
-                if overlap is None:
-                    continue
-                result.leaves_visited += 1
-                # ``overlap`` is clipped to the predicate (finite) but may
-                # extend beyond the leaf's built range on the tree's edges;
-                # extrapolating the model's band there mirrors the insert
-                # path, which uses the same band to decide whether an
-                # out-of-domain tuple needs an outlier entry.  A leaf whose
-                # band covers no tuple (built empty, all-outlier, or demoted
-                # to an outlier-only model) holds nothing behind its host
-                # range — emitting it would only hand the host index a
-                # spurious probe per empty leaf.
-                if leaf.num_model_covered > 0:
-                    result.host_ranges.append(leaf.get_host_range(overlap))
-                result.outlier_tids.extend(leaf.outliers.lookup(overlap))
-            else:
-                internal: TRSInternalNode = node  # type: ignore[assignment]
-                last = len(internal.children) - 1
-                for position, child in enumerate(internal.children):
-                    child_left = left_edge and position == 0
-                    child_right = right_edge and position == last
-                    child_range = KeyRange(
-                        float("-inf") if child_left else child.key_range.low,
-                        float("inf") if child_right else child.key_range.high,
-                    )
-                    if child_range.overlaps(predicate):
-                        queue.append((child, child_left, child_right))
-        result.host_ranges = KeyRange.union(result.host_ranges)
-        return result
+        table = self._table()
+        if table is None:
+            return TRSLookupResult()
+        low, high = predicate.low, predicate.high
+        bounds = table.bounds
+        first = bisect_left(bounds, low)
+        last = bisect_right(bounds, high)
+        host_ranges = [
+            leaf.model.host_range(KeyRange(
+                low if position == first else bounds[position - 1],
+                high if position == last else bounds[position]))
+            for position, leaf in enumerate(table.leaves[first:last + 1], first)
+            if leaf.num_model_covered > 0
+        ]
+        if len(host_ranges) > 1:
+            host_ranges = KeyRange.union(host_ranges)
+        keys, key_offsets, tids = self._outlier_view()
+        outlier_tids = tids[key_offsets[keys.searchsorted(low, "left")]:
+                            key_offsets[keys.searchsorted(high, "right")]]
+        visited = last - first + 1
+        return TRSLookupResult(host_ranges, outlier_tids, visited, visited)
 
     def lookup_many(self, predicates: Sequence[KeyRange]) -> TRSBatchLookupResult:
         """Batched :meth:`lookup`: translate B predicates in array passes.
 
-        The scalar lookup walks the tree once per predicate — a Python BFS
-        with per-node ``KeyRange`` allocations that PR 5 measured as the
-        bound on every B+-tree-backed batch ratio.  This path instead routes
-        the *whole batch* down the tree at once: at every internal node two
-        ``searchsorted`` passes over the cached ``partition_bounds`` floats
-        find each predicate's overlapped child span
-        (:meth:`~repro.core.node.TRSInternalNode.overlap_spans`), and each
-        reached leaf then serves its whole predicate run with one vectorized
-        model evaluation (``host_range_many``) and one batched outlier-buffer
-        probe (``lookup_many``).  Per-query results come back as flat
-        segmented arrays, with host ranges sort-and-coalesced per query (the
-        scalar path's ``KeyRange.union`` plus the candidate-exact
-        adjacent-range merge — see :func:`coalesce_sorted_ranges`).
+        Two ``searchsorted`` over the leaf bounds find every predicate's run
+        of overlapped leaves, :func:`~repro.segments.run_indices` expands the
+        runs to (query, leaf) pairs, one band evaluation per model family
+        serves all pairs (:meth:`ModelTable.host_ranges`), and the per-query
+        ranges are sort-and-coalesced (the scalar path's ``KeyRange.union``
+        plus the candidate-exact adjacent-range merge — see
+        :func:`coalesce_sorted_ranges`).  Outliers are two ``searchsorted``
+        over the tree-wide view and one gather.
 
-        Visits the same nodes and leaves as B scalar lookups and emits the
-        same host-range cover and outlier tids (order within a query aside);
-        ``tests/test_trs_lookup_many.py`` pins the equivalence.
+        Emits the same host-range cover and outlier tids as B scalar
+        lookups; ``tests/test_trs_lookup_many.py`` pins the equivalence.
         """
         num_queries = len(predicates)
-        nodes_visited = np.zeros(num_queries, dtype=np.int64)
-        leaves_visited = np.zeros(num_queries, dtype=np.int64)
-        empty = TRSBatchLookupResult(
-            host_lows=np.empty(0, dtype=np.float64),
-            host_highs=np.empty(0, dtype=np.float64),
-            host_offsets=empty_offsets(num_queries),
-            outlier_tids=np.empty(0, dtype=np.int64),
-            outlier_offsets=empty_offsets(num_queries),
-            leaves_visited=leaves_visited,
-            nodes_visited=nodes_visited,
-        )
-        if self._root is None or num_queries == 0:
-            return empty
+        table = self._table()
+        if table is None or num_queries == 0:
+            visited = np.zeros(num_queries, dtype=np.int64)
+            return TRSBatchLookupResult(
+                host_lows=np.empty(0, dtype=np.float64),
+                host_highs=np.empty(0, dtype=np.float64),
+                host_offsets=empty_offsets(num_queries),
+                outlier_tids=np.empty(0, dtype=np.int64),
+                outlier_offsets=empty_offsets(num_queries),
+                leaves_visited=visited, nodes_visited=visited,
+            )
         lows = np.fromiter((predicate.low for predicate in predicates),
                            dtype=np.float64, count=num_queries)
         highs = np.fromiter((predicate.high for predicate in predicates),
                             dtype=np.float64, count=num_queries)
 
-        # Descend the whole batch: (leaf, left_edge, right_edge, query ids).
-        leaf_visits: list[tuple[TRSLeafNode, bool, bool, np.ndarray]] = []
-        all_queries = np.arange(num_queries, dtype=np.int64)
-        stack: list[tuple[TRSNode, bool, bool, np.ndarray]] = [
-            (self._root, True, True, all_queries)
-        ]
-        while stack:
-            node, left_edge, right_edge, queries = stack.pop()
-            nodes_visited[queries] += 1
-            if node.is_leaf:
-                leaves_visited[queries] += 1
-                leaf_visits.append((node, left_edge, right_edge, queries))  # type: ignore[arg-type]
-                continue
-            internal: TRSInternalNode = node  # type: ignore[assignment]
-            first, last = internal.overlap_spans(
-                lows[queries], highs[queries], left_edge, right_edge
-            )
-            final = len(internal.children) - 1
-            for position, child in enumerate(internal.children):
-                mask = (first <= position) & (position <= last)
-                if mask.any():
-                    stack.append((
-                        child, left_edge and position == 0,
-                        right_edge and position == final, queries[mask],
-                    ))
+        first = np.searchsorted(table.interior, lows, side="left")
+        last = np.searchsorted(table.interior, highs, side="right")
+        pairs, pair_offsets = run_indices(first, last + 1)
+        owners = segment_ids(pair_offsets)
+        emitting = table.emits[pairs]
+        if not emitting.all():
+            pairs, owners = pairs[emitting], owners[emitting]
+        band_lows, band_highs = table.models.host_ranges(
+            pairs, np.maximum(lows[owners], table.lows[pairs]),
+            np.minimum(highs[owners], table.highs[pairs]))
+        order = np.lexsort((band_lows, owners))
+        host_lows, host_highs, host_offsets = coalesce_sorted_ranges(
+            band_lows[order], band_highs[order], owners[order], num_queries)
 
-        # Serve every reached leaf with one model pass + one buffer probe.
-        range_owners: list[np.ndarray] = []
-        range_lows: list[np.ndarray] = []
-        range_highs: list[np.ndarray] = []
-        outlier_owners: list[np.ndarray] = []
-        outlier_parts: list[np.ndarray] = []
-        for leaf, left_edge, right_edge, queries in leaf_visits:
-            effective_low = -np.inf if left_edge else leaf.key_range.low
-            effective_high = np.inf if right_edge else leaf.key_range.high
-            overlap_lows = np.maximum(lows[queries], effective_low)
-            overlap_highs = np.minimum(highs[queries], effective_high)
-            if leaf.num_model_covered > 0:
-                emitted_lows, emitted_highs = leaf.model.host_range_many(
-                    overlap_lows, overlap_highs
-                )
-                range_owners.append(queries)
-                range_lows.append(emitted_lows)
-                range_highs.append(emitted_highs)
-            if len(leaf.outliers):
-                tids, offsets = leaf.outliers.lookup_many(overlap_lows,
-                                                          overlap_highs)
-                if tids.size:
-                    outlier_owners.append(queries[segment_ids(offsets)])
-                    outlier_parts.append(tids)
-
-        host_lows, host_highs = empty.host_lows, empty.host_highs
-        host_offsets = empty.host_offsets
-        if range_owners:
-            owners = np.concatenate(range_owners)
-            flat_lows = np.concatenate(range_lows)
-            flat_highs = np.concatenate(range_highs)
-            order = np.lexsort((flat_lows, owners))
-            host_lows, host_highs, host_offsets = coalesce_sorted_ranges(
-                flat_lows[order], flat_highs[order], owners[order], num_queries
-            )
-
-        outlier_tids, outlier_offsets = empty.outlier_tids, empty.outlier_offsets
-        if outlier_owners:
-            owners = np.concatenate(outlier_owners)
-            flat_tids = np.concatenate(outlier_parts)
-            order = np.argsort(owners, kind="stable")
-            outlier_tids = flat_tids[order]
-            outlier_offsets = offsets_from_counts(
-                np.bincount(owners[order], minlength=num_queries)
-            )
+        keys, key_offsets, tids = self._outlier_view()
+        starts = key_offsets[np.searchsorted(keys, lows, side="left")]
+        stops = key_offsets[np.searchsorted(keys, highs, side="right")]
+        outlier_positions, outlier_offsets = run_indices(starts, stops)
+        visited = last - first + 1
         return TRSBatchLookupResult(
             host_lows=host_lows, host_highs=host_highs,
-            host_offsets=host_offsets, outlier_tids=outlier_tids,
-            outlier_offsets=outlier_offsets, leaves_visited=leaves_visited,
-            nodes_visited=nodes_visited,
+            host_offsets=host_offsets, outlier_tids=tids[outlier_positions],
+            outlier_offsets=outlier_offsets, leaves_visited=visited,
+            nodes_visited=visited,
         )
 
     # ------------------------------------------------------------ maintenance
@@ -559,12 +552,28 @@ class TRSTree:
         leaf = self._traverse(target_value)
         if leaf is None:
             return
-        if leaf.covers(target_value, host_value):
-            leaf.num_model_covered += 1
-        else:
-            leaf.add_outlier(target_value, tid)
+        self._place(leaf, target_value, host_value, tid)
         leaf.num_inserted += 1
         self._maybe_flag_split(leaf)
+
+    def _place(self, leaf: TRSLeafNode, target_value: float,
+               host_value: float, tid: TupleId) -> None:
+        """File one pair in ``leaf``: behind its band, or as an outlier."""
+        if leaf.covers(target_value, host_value):
+            self._add_covered(leaf, target_value, 1)
+        else:
+            leaf.outliers.add(target_value, tid)
+            self._flat_view.record_insert(target_value, tid)
+
+    def _add_covered(self, leaf: TRSLeafNode, target_value: float,
+                     count: int) -> None:
+        """``count`` more pairs (``target_value`` among them) sit behind
+        ``leaf``'s band; the first ever makes the leaf emit its host range."""
+        if (count and not leaf.num_model_covered
+                and self._leaf_table is not None
+                and not self._leaf_table.start_emitting(leaf, target_value)):
+            self._leaf_table = None
+        leaf.num_model_covered += count
 
     def insert_many(self, targets: Sequence[float], hosts: Sequence[float],
                     tids: Sequence[TupleId]) -> None:
@@ -597,8 +606,11 @@ class TRSTree:
             covered = leaf.covers_many(targets, hosts)
             num_covered = int(covered.sum())
             if num_covered < targets.size:
-                leaf.outliers.add_many(targets[~covered], tids[~covered])
-            leaf.num_model_covered += num_covered
+                keys, outlier_tids = targets[~covered], tids[~covered]
+                leaf.outliers.add_many(keys, outlier_tids)
+                self._flat_view.record_insert_many(keys.tolist(),
+                                                   tid_items(outlier_tids))
+            self._add_covered(leaf, float(targets[0]), num_covered)
             leaf.num_inserted += int(targets.size)
             self._maybe_flag_split(leaf)
             return
@@ -658,10 +670,7 @@ class TRSTree:
         new_leaf = self._traverse(new_target)
         removed = self._remove_from_leaf(old_leaf, old_target, old_host, tid)
         if new_leaf is old_leaf:
-            if new_leaf.covers(new_target, new_host):
-                new_leaf.num_model_covered += 1
-            else:
-                new_leaf.add_outlier(new_target, new_tid)
+            self._place(new_leaf, new_target, new_host, new_tid)
             self._maybe_flag_split(new_leaf)
             return
         if removed:
@@ -685,6 +694,7 @@ class TRSTree:
         side, which validation absorbs.
         """
         if leaf.outliers.remove(target_value, tid):
+            self._flat_view.record_delete(target_value, tid)
             return True
         return leaf.covers(target_value, host_value)
 
@@ -776,13 +786,17 @@ class TRSTree:
         domain, and lookups would miss them from then on.  The rebuilt
         subtree keeps the built range — routing clamps the extra rows into
         its own edge leaves, exactly where an insert would have put them.
+        A row exactly on the node's upper bound is not the node's: routing
+        files a bound under the right-hand neighbour, and a copy here would
+        put one key under two leaves.
         """
-        targets, hosts, tids = provider(self._effective_range(node))
+        owned = self._effective_range(node)
+        targets, hosts, tids = provider(owned)
+        targets = np.asarray(targets, dtype=np.float64)
+        keep = targets < owned.high if owned.high < np.inf else slice(None)
         rebuilt = self._build_node(
-            node.key_range,
-            np.asarray(targets, dtype=np.float64),
-            np.asarray(hosts, dtype=np.float64),
-            np.asarray(tids),
+            node.key_range, targets[keep],
+            np.asarray(hosts, dtype=np.float64)[keep], np.asarray(tids)[keep],
             height=node.height,
         )
         parent = node.parent
@@ -791,6 +805,8 @@ class TRSTree:
             rebuilt.parent = None
         else:
             parent.replace_child(node, rebuilt)
+        self._leaf_table = None
+        self._flat_view.drop()
 
     @staticmethod
     def _effective_range(node: TRSNode) -> KeyRange:
@@ -829,13 +845,14 @@ class TRSTree:
         return self._root.walk()
 
     def leaves(self) -> list[TRSLeafNode]:
-        """All leaf nodes."""
-        return [node for node in self.nodes() if node.is_leaf]  # type: ignore[misc]
+        """All leaf nodes, in key order."""
+        table = self._table()
+        return [] if table is None else list(table.leaves)
 
     @property
     def num_leaves(self) -> int:
         """Number of leaf nodes."""
-        return sum(1 for node in self.nodes() if node.is_leaf)
+        return len(self.leaves())
 
     @property
     def num_nodes(self) -> int:
@@ -845,8 +862,8 @@ class TRSTree:
     @property
     def height(self) -> int:
         """Height of the deepest leaf (root = 1); 0 for an empty tree."""
-        heights = [node.height for node in self.nodes() if node.is_leaf]
-        return max(heights) if heights else 0
+        table = self._table()
+        return 0 if table is None else table.height
 
     @property
     def num_outliers(self) -> int:
@@ -872,6 +889,50 @@ class TRSTree:
         if covered <= 0:
             return None
         return false_positives / (covered + false_positives)
+
+    def check_invariants(self) -> None:
+        """Raise ``AssertionError`` unless the structures agree (for tests).
+
+        Leaf ranges partition the built domain; the leaf table equals a
+        from-scratch flatten of the pointer tree; the outlier view equals a
+        from-scratch flatten of the buffers (values and dtypes), its keys
+        strictly ascending — no key filed under two leaves — and its size
+        the sum of the per-leaf outlier counts.
+        """
+        def check(holds: bool, what: str) -> None:
+            if not holds:
+                raise AssertionError(f"TRS-Tree invariant broken: {what}")
+
+        def same(ours, fresh) -> bool:
+            if isinstance(ours, np.ndarray):
+                return (ours.dtype == fresh.dtype and np.array_equal(
+                    ours, fresh, equal_nan=ours.dtype.kind == "f"))
+            return ours == fresh
+
+        if self._root is None:
+            check(self._leaf_table is None, "a leaf table without a tree")
+            return
+        fresh = LeafTable(self._root)
+        domain = self._root.key_range
+        ranges = [leaf.key_range for leaf in fresh.leaves]
+        check(ranges[0].low == domain.low and ranges[-1].high == domain.high
+              and all(left.high == right.low
+                      for left, right in zip(ranges, ranges[1:])),
+              "leaf ranges do not partition the built domain")
+        for ours, theirs in ((self._table(), fresh),
+                             (self._table().models, fresh.models)):
+            for name in type(theirs).__slots__:
+                if name != "models":
+                    check(same(getattr(ours, name), getattr(theirs, name)),
+                          f"leaf table field {name!r} is stale")
+        view = self._outlier_view()
+        for name, ours, theirs in zip(("keys", "key_offsets", "tids"), view,
+                                      flatten(*self._outlier_buckets())):
+            check(same(ours, theirs), f"outlier view {name} is stale")
+        check(bool((np.diff(view[0]) > 0).all()),
+              "outlier keys are not ascending across leaves")
+        check(view[2].size == sum(len(leaf.outliers) for leaf in fresh.leaves),
+              "outlier view size != sum of the per-leaf counts")
 
     def memory_bytes(self) -> int:
         """Analytic size of the whole tree in bytes."""

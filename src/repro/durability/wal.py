@@ -108,6 +108,10 @@ def encode_columns(columns: dict[str, Sequence]) -> bytes:
     lengths = set()
     for name, values in columns.items():
         array = np.asarray(values)
+        if array.dtype.kind == "U" and not isinstance(values, np.ndarray):
+            # A fixed-width <U array strips trailing NULs on the way back
+            # out ('a\x00' -> 'a'); keep the caller's str objects.
+            array = np.asarray(values, dtype=object)
         lengths.add(array.shape[0] if array.ndim else -1)
         parts.append(_pack_str(name))
         if array.ndim != 1:

@@ -110,11 +110,11 @@ class TestFlatViewInvalidation:
         findings = findings_for("""
             class Buffer:
                 def __init__(self):
-                    self._sorted_keys = []
+                    self._entries = {}
                     self._flat_view = FlatView()
 
                 def drop_all(self):
-                    self._sorted_keys.clear()
+                    self._entries.clear()
         """, self.RULE())
         assert [f.rule for f in findings] == ["REP001"]
 
@@ -140,6 +140,67 @@ class TestFlatViewInvalidation:
 
                 def lookup(self, key):
                     return self._entries.get(key)
+        """, self.RULE())
+        assert findings == []
+
+    # An owner whose entries live in other objects (TRSTree: a view over
+    # every leaf's outlier buffer, a leaf table mirroring every leaf's
+    # num_model_covered).
+    TREE_INIT = """
+            class Tree:
+                def __init__(self):
+                    self._root: Node | None = None
+                    self._leaf_table: LeafTable | None = None
+                    self._flat_view = FlatView()
+    """
+
+    def test_fires_on_leaf_mutators_that_tell_neither_structure(self):
+        findings = findings_for(self.TREE_INIT + """
+                def insert(self, leaf, key, tid):
+                    leaf.outliers.add(key, tid)
+
+                def insert_covered(self, leaf):
+                    leaf.num_model_covered += 1
+
+                def delete(self, leaf, key, tid):
+                    if leaf.outliers.remove(key, tid):
+                        self._leaf_table = None     # the wrong structure
+
+                def rebuild(self, node):
+                    self._root = node
+                    self._flat_view.drop()          # the table still stands
+        """, self.RULE())
+        assert [(f.rule, f.message.split(" without ")[0]) for f in findings] \
+            == [("REP001", "Tree.insert mutates outliers"),
+                ("REP001", "Tree.insert_covered mutates num_model_covered"),
+                ("REP001", "Tree.delete mutates outliers"),
+                ("REP001", "Tree.rebuild mutates _root")]
+        assert "self._flat_view" in findings[0].message
+        assert "self._leaf_table" in findings[1].message
+        assert "self._leaf_table" in findings[3].message
+
+    def test_quiet_when_leaf_mutators_tell_the_view_and_the_table(self):
+        findings = findings_for(self.TREE_INIT + """
+                def insert(self, leaf, key, tid):
+                    leaf.outliers.add(key, tid)
+                    self._flat_view.record_insert(key, tid)
+
+                def insert_covered(self, leaf, key):
+                    if not self._leaf_table.start_emitting(leaf, key):
+                        self._leaf_table = None
+                    leaf.num_model_covered += 1
+
+                def delete(self, leaf, key, tid):
+                    if leaf.outliers.remove(key, tid):
+                        self._flat_view.record_delete(key, tid)
+
+                def rebuild(self, node):
+                    self._root = node
+                    self._leaf_table = None
+                    self._flat_view.drop()
+
+                def count(self, leaf):
+                    return len(leaf.outliers) + leaf.num_model_covered
         """, self.RULE())
         assert findings == []
 

@@ -415,3 +415,21 @@ def test_recovered_database_keeps_logging(tmp_path):
     assert_equivalent(again,
                       shadow_replay(ops, len(ops), PointerScheme.PHYSICAL))
     again.close()
+
+
+def test_all_string_batch_replays_trailing_nuls(tmp_path):
+    """A str-only column (no None, so numpy would type it ``<U``) keeps
+    trailing NULs through WAL replay and through a checkpoint."""
+    directory = str(tmp_path)
+    database = Database(durability=DurabilityConfig(directory=directory))
+    database.create_table(_schema())
+    batch = _batch(np.random.default_rng(3), 0, 4)
+    batch["s"] = ["\x00", "a\x00", "b", ""]
+    database.insert_many("t", batch)
+    database.close()
+    for checkpointed in (False, True):
+        recovered = recover(DurabilityConfig(directory=directory))
+        assert [recovered.table("t").fetch(slot)["s"]
+                for slot in range(4)] == batch["s"], checkpointed
+        recovered.checkpoint()
+        recovered.close()

@@ -18,7 +18,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.durability.config import FsyncPolicy
@@ -83,6 +83,8 @@ def roundtrip(op, payload):
 
 @SETTINGS
 @given(batch=column_batches())
+@example(batch={"s0": ["\x00"]})
+@example(batch={"s0": ["a\x00", None, "b"]})
 def test_insert_many_roundtrip(batch):
     decoded = roundtrip(WalOp.INSERT_MANY,
                         {"table": "t", "columns": batch})

@@ -1,12 +1,13 @@
 """The write-maintained flat view equals a view rebuilt from scratch.
 
-``BPlusTree`` and ``OutlierBuffer`` answer batched probes from an array copy
-of their entries that mutators keep current by recording deltas
-(``repro.index.flat_view``).  The property here: after *every* step of an
-arbitrary interleaving of writes, the folded ``(keys, key_offsets, tids)``
-equals a from-scratch flatten of the owner — values and dtypes — and the
-batched probes equal the scalar walks.  Plus the sort-based dedup primitives
-against ``np.unique``, and concurrent readers folding one record.
+``BPlusTree`` and ``TRSTree`` (for the outliers of all its leaves) answer
+probes from an array copy of their entries that mutators keep current by
+recording deltas (``repro.index.flat_view``).  The property here: after
+*every* step of an arbitrary interleaving of writes, the folded ``(keys,
+key_offsets, tids)`` equals a from-scratch flatten of the owner — values and
+dtypes — and the batched probes equal the scalar walks.  Plus the sort-based
+dedup primitives against ``np.unique``, and concurrent readers folding one
+record.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.outliers import OutlierBuffer
+from repro.core.config import TRSTreeConfig
+from repro.core.trs_tree import TRSTree
 from repro.index import flat_view
 from repro.index.base import KeyRange
 from repro.index.bptree import BPlusTree
@@ -31,6 +33,8 @@ from repro.segments import (
     sorted_unique,
     split_segments,
 )
+
+from reference import trs_lookup_bfs
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -84,6 +88,9 @@ class TreeOwner:
     def delete(self, key, tid):
         self.owner.delete(key, tid)
 
+    def view(self):
+        return self.owner._flattened()
+
     def snapshot(self):
         return self.owner._leaf_level()
 
@@ -103,35 +110,54 @@ class TreeOwner:
             == expected
 
 
-class BufferOwner:
-    """The outlier-buffer side of the same property."""
+class TrsOwner:
+    """The TRS-Tree side: every write lands in some leaf's outlier buffer.
+
+    Eight leaves over [0, 9] (a kink on a child bound, off the piecewise
+    candidates' knots, forces the root to split into exactly linear
+    children), no outlier at build; written hosts lie far off every band.
+    Keys below 0 and above 9 are clamped into the edge leaves.
+    """
+
+    FAR_HOST = -1e9
 
     def __init__(self) -> None:
-        self.owner = OutlierBuffer()
+        targets = np.linspace(0.0, 9.0, 400)
+        self.owner = TRSTree(TRSTreeConfig(min_split_size=8))
+        self.owner.build(targets, 100.0 * np.abs(targets - 3.375),
+                         np.arange(400))
+        assert self.owner.num_leaves == 8 and self.owner.num_outliers == 0
 
     def insert(self, key, tid):
-        self.owner.add(key, tid)
+        self.owner.insert(key, self.FAR_HOST, tid)
 
     def insert_many(self, keys, tids):
-        self.owner.add_many(keys, tids)
+        self.owner.insert_many(keys, np.full(len(keys), self.FAR_HOST), tids)
 
     def delete(self, key, tid):
-        assert self.owner.remove(key, tid)
+        before = self.owner.num_outliers
+        self.owner.delete(key, self.FAR_HOST, tid)
+        assert self.owner.num_outliers == before - 1
+
+    def view(self):
+        return self.owner._outlier_view()
 
     def snapshot(self):
-        return self.owner._buckets()
+        return self.owner._outlier_buckets()
 
     def check_probes(self):
-        buffer = self.owner
-        lows = np.asarray([key_range.low for key_range in PROBE_RANGES])
-        highs = np.asarray([key_range.high for key_range in PROBE_RANGES])
-        values, offsets = buffer.lookup_many(lows, highs)
-        assert [segment.tolist() for segment in split_segments(values, offsets)] \
-            == [buffer.lookup(key_range) for key_range in PROBE_RANGES]
+        tree = self.owner
+        tree.check_invariants()
+        batch = tree.lookup_many(PROBE_RANGES)
+        for position, key_range in enumerate(PROBE_RANGES):
+            got = batch.outliers_for(position).tolist()
+            assert got == tree.lookup(key_range).outlier_tids.tolist()
+            assert sorted(got, key=repr) == sorted(
+                trs_lookup_bfs(tree, key_range).outlier_tids, key=repr)
 
 
 def assert_view_matches_rebuild(subject) -> None:
-    folded = subject.owner._flattened()
+    folded = subject.view()
     rebuilt = flatten(*subject.snapshot())
     for name, got, want in zip(("keys", "key_offsets", "tids"),
                                folded, rebuilt):
@@ -140,7 +166,7 @@ def assert_view_matches_rebuild(subject) -> None:
     subject.check_probes()
 
 
-@pytest.mark.parametrize("make_subject", [TreeOwner, BufferOwner])
+@pytest.mark.parametrize("make_subject", [TreeOwner, TrsOwner])
 @SETTINGS
 @given(populated=st.booleans(),
        seed=st.lists(st.tuples(SEED_KEYS, TID_NUMBERS), max_size=20),
@@ -215,7 +241,7 @@ def test_fold_is_taken_and_gives_up_as_documented(monkeypatch):
         == [1.0, 0.5]
 
 
-@pytest.mark.parametrize("make_subject", [TreeOwner, BufferOwner])
+@pytest.mark.parametrize("make_subject", [TreeOwner, TrsOwner])
 def test_fold_of_deletes_under_heavily_duplicated_keys_is_bounded(
         make_subject, monkeypatch):
     # A low-cardinality index: 20,000 entries under 4 keys, every tid twice.
@@ -227,7 +253,7 @@ def test_fold_of_deletes_under_heavily_duplicated_keys_is_bounded(
     tids = (np.arange(entries) // 2).tolist()
     subject = make_subject()
     subject.insert_many(keys, tids)
-    subject.owner._flattened()
+    subject.view()
     for index in rng.choice(entries, deletes, replace=False).tolist():
         subject.delete(keys[index], tids[index])
 
@@ -241,7 +267,7 @@ def test_fold_of_deletes_under_heavily_duplicated_keys_is_bounded(
     with monkeypatch.context() as patch:
         patch.setattr(flat_view, "run_indices", counting_run_indices)
         patch.setattr(flat_view, "flatten", None)  # a rebuild would call it
-        subject.owner._flattened()
+        subject.view()
     assert gathered and sum(gathered) <= entries + deletes
     assert_view_matches_rebuild(subject)
 

@@ -13,15 +13,17 @@ from repro.index.base import KeyRange
 
 
 class TestOutlierBuffer:
-    def test_add_lookup(self):
+    def test_add_and_buckets(self):
+        # Range probes of outliers are TRSTree's (one tree-wide view, see
+        # test_trs_lookup_many.TestFlatReadsMatchThePointerTree); the
+        # buffer hands its buckets over in key order for that view.
         buffer = OutlierBuffer()
-        buffer.add(5.0, 100)
-        buffer.add(5.0, 101)
         buffer.add(7.0, 102)
-        assert sorted(buffer.lookup(KeyRange(4.0, 6.0))) == [100, 101]
-        assert sorted(buffer.lookup(KeyRange(0.0, 10.0))) == [100, 101, 102]
-        assert buffer.lookup(KeyRange(7.0, 7.0)) == [102]
-        assert len(buffer) == 3
+        buffer.add(5.0, 100)
+        buffer.add_many([5.0, 6.0], [101, 103])
+        assert buffer.buckets() == ([5.0, 6.0, 7.0],
+                                    [[100, 101], [103], [102]])
+        assert len(buffer) == 4
         assert 5.0 in buffer
 
     def test_remove(self):
@@ -74,7 +76,7 @@ class TestLeafNode:
 
     def test_host_range(self):
         leaf = self.make_leaf()
-        host = leaf.get_host_range(KeyRange(1.0, 2.0))
+        host = leaf.model.host_range(KeyRange(1.0, 2.0))
         # The bounds carry a two-ulp outward pad so border-covered tuples
         # can never round out of the probe.
         assert host.low == pytest.approx(1.0)
@@ -87,8 +89,8 @@ class TestLeafNode:
         leaf.num_inserted = 20
         leaf.num_deleted = 10
         assert leaf.population == 110
-        leaf.add_outlier(1.0, 1)
-        leaf.add_outlier(2.0, 2)
+        leaf.outliers.add(1.0, 1)
+        leaf.outliers.add(2.0, 2)
         assert leaf.outlier_ratio() == pytest.approx(2 / 110)
         assert leaf.deleted_ratio() == pytest.approx(0.1)
 
@@ -127,14 +129,6 @@ class TestInternalNode:
         empty = TRSInternalNode(KeyRange(0, 1), height=1)
         with pytest.raises(ValueError):
             empty.child_for(0.5)
-
-    def test_children_overlapping(self):
-        parent = self.make_tree()
-        overlapping = parent.children_overlapping(KeyRange(30.0, 60.0))
-        assert parent.children[1] in overlapping
-        assert parent.children[2] in overlapping
-        assert parent.children[0] not in overlapping
-        assert parent.children[3] not in overlapping
 
     def test_replace_child(self):
         parent = self.make_tree()

@@ -12,8 +12,9 @@ them: a mechanism's standalone ``lookup_range`` / ``lookup_range_many``,
   outliers present — and requires identical sorted int64 locations *and*
   identical ``breakdown.candidates`` / ``results``.
 * ``TestReadSurfaceIsPinned`` lists the public callables of ``Index``, the
-  mechanism base and ``Database`` and asserts each set exactly, so a future
-  read path has to replace one of these rather than land beside it.
+  mechanism base, ``Database`` and the TRS-Tree's classes and asserts each
+  set exactly, so a future read path has to replace one of these rather
+  than land beside it.
 
 Deleted tests whose behaviour these (or a named sibling) now cover:
 ``test_serving.TestQueryWithDeprecation`` (``query_with`` == ``execute``;
@@ -38,6 +39,10 @@ from repro.baselines.correlation_maps import CorrelationMap
 from repro.baselines.secondary import BaselineSecondaryIndex
 from repro.core.hermit import HermitIndex
 from repro.core.lookup import SecondaryMechanism
+from repro.core.node import TRSInternalNode, TRSLeafNode
+from repro.core.outliers import OutlierBuffer
+from repro.core.regression import LeafModel
+from repro.core.trs_tree import TRSTree
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
 from repro.engine.query import QueryRequest, RangePredicate
@@ -171,7 +176,49 @@ DATABASE_OTHER = {
 }
 
 
+# The TRS-Tree reads one flat structure (leaf table + tree-wide outlier
+# view) through exactly two methods; the pointer tree, its nodes and the
+# per-leaf buffers keep what construction, routing of writes and
+# reorganization need.
+TRS_READS = {"lookup", "lookup_many"}
+TRS_OTHER = {
+    "build", "insert", "insert_many", "delete", "update",
+    "reorganize", "reorganize_children", "rebuild_subtree",
+    "nodes", "leaves", "estimated_fp_ratio", "memory_bytes",
+    "check_invariants",
+}
+LEAF_NODE = {"covers", "covers_many", "outlier_ratio", "deleted_ratio", "walk"}
+INTERNAL_NODE = {"child_for", "route_batch", "replace_child", "walk"}
+OUTLIER_BUFFER = {"add", "add_many", "remove", "buckets", "items", "clear",
+                  "memory_bytes"}
+LEAF_MODEL = {"predict", "covers", "covers_many", "host_range"}
+
+
 class TestReadSurfaceIsPinned:
+    def test_trs_tree_surface(self):
+        assert public_callables(TRSTree) == TRS_READS | TRS_OTHER
+        assert public_callables(TRSLeafNode) == LEAF_NODE
+        assert public_callables(TRSInternalNode) == INTERNAL_NODE
+        assert public_callables(OutlierBuffer) == OUTLIER_BUFFER
+        assert {name for name in vars(LeafModel)
+                if not name.startswith("_")
+                and callable(getattr(LeafModel, name))} == LEAF_MODEL
+        # One definition of each half of the leaf-table format, and no
+        # tree-walking read: the lookup section of trs_tree.py has neither
+        # a queue nor a stack.
+        sources = {path.name: path.read_text(encoding="utf-8")
+                   for path in (SRC / "repro" / "core").glob("*.py")}
+        for name, owner in (("LeafTable", "trs_tree.py"),
+                            ("ModelTable", "regression.py")):
+            assert [file for file, text in sources.items()
+                    if f"class {name}" in text] == [owner]
+        trs = sources["trs_tree.py"]
+        lookup_section = trs[trs.index("-- lookup\n"):
+                             trs.index("-- maintenance\n")]
+        assert "def lookup(" in lookup_section
+        assert "def lookup_many(" in lookup_section
+        assert "deque" not in lookup_section and "stack" not in lookup_section
+
     def test_index_surface(self):
         assert public_callables(Index) == INDEX_READS | INDEX_OTHER
         assert Index.__abstractmethods__ >= {"search_many",
@@ -224,7 +271,10 @@ class TestReadSurfaceIsPinned:
         retired = ("lookup_range_scalar", "_resolve_locations(",
                    "finish_batch_lookup", "resolve_tids_many",
                    "execute_with_index", "def full_scan", "choose_index",
-                   "_query_with", "range_search_many(")
+                   "_query_with", "range_search_many(",
+                   # retired by the flat TRS-Tree
+                   "overlap_spans", "children_overlapping",
+                   "outlier_tid_array", "host_range_many")
         for path in SRC.rglob("*.py"):
             text = path.read_text(encoding="utf-8")
             for name in retired:

@@ -1,36 +1,41 @@
-"""Equivalence tests for the vectorized TRS-Tree batch translation.
+"""The flat reads of the TRS-Tree against a walk of its pointer tree.
 
-``TRSTree.lookup_many`` must agree with a loop of scalar ``lookup`` calls
-for every leaf-model variant the builder can select (linear, log-linear,
-piecewise, outlier-only demotion), every tree shape (single leaf, deep
-splits, empty build) and every predicate position (inside the built
-domain, straddling its edges, fully outside).
+``TRSTree.lookup`` (a scalar probe) and ``TRSTree.lookup_many`` (array
+passes) both read the tree's flat leaf table and its tree-wide outlier
+view.  The oracle is ``reference.trs_lookup_bfs`` — Algorithm 2 as the BFS
+over the pointer tree the engine used to ship — and both reads must agree
+with it for every leaf-model variant the builder can select (linear,
+log-linear, piecewise, outlier-only demotion), every tree shape (single
+leaf, deep splits, empty build), every predicate position (inside the built
+domain, exactly on leaf bounds, straddling the domain's edges, fully
+outside) and after any interleaving of writes and reorganizations.
 
-The batch path differs from the scalar one in exactly two sanctioned ways:
-
-* host ranges come back sorted and coalesced (adjacent-within-one-ulp
-  ranges merge — no representable float can fall in the gap, so the
-  candidate set is unchanged), whereas the scalar walk emits them in BFS
-  leaf order un-merged;
-* outlier tids within one query may come back in a different (DFS) leaf
-  order.
-
-The comparisons below normalise the scalar output through the same
-coalescing rule and sort both outlier lists, then demand exact equality —
-including the per-query ``nodes_visited`` / ``leaves_visited`` counters,
-which pin the batch descent to visiting precisely the scalar node set.
+``lookup`` must emit the oracle's host ranges bit for bit.  ``lookup_many``
+differs in one sanctioned way: ranges whose gap holds no representable
+float are coalesced (the candidate set cannot change), so the oracle's
+ranges go through the same rule (``normalise``) before the exact
+comparison.  Outlier tids are compared as multisets (the views are in key
+order, the walk in BFS leaf order).  ``nodes_visited`` equals
+``leaves_visited``: a flat probe visits no internal node.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import TRSTreeConfig
+from repro.core.regression import (
+    LinearModel,
+    LogLinearModel,
+    OutlierOnlyModel,
+    PiecewiseLinearModel,
+)
 from repro.core.trs_tree import TRSTree, coalesce_sorted_ranges
 from repro.index.base import KeyRange
+
+from reference import trs_lookup_bfs
 
 SETTINGS = settings(max_examples=20, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -51,20 +56,25 @@ def normalise(host_ranges: list[KeyRange]) -> list[tuple[float, float]]:
     return [(low, high) for low, high in merged]
 
 
-def assert_batch_matches_scalar(tree: TRSTree,
-                                predicates: list[KeyRange]) -> None:
+def assert_reads_match_oracle(tree: TRSTree,
+                              predicates: list[KeyRange]) -> None:
+    tree.check_invariants()
     batch = tree.lookup_many(predicates)
     assert batch.num_queries == len(predicates)
+    assert batch.nodes_visited.tolist() == batch.leaves_visited.tolist()
     for position, predicate in enumerate(predicates):
+        oracle = trs_lookup_bfs(tree, predicate)
         scalar = tree.lookup(predicate)
+        assert scalar.host_ranges == oracle.host_ranges, (position, predicate)
         batch_ranges = [(r.low, r.high)
                         for r in batch.host_ranges_for(position)]
-        assert batch_ranges == normalise(scalar.host_ranges), (
+        assert batch_ranges == normalise(oracle.host_ranges), (
             position, predicate)
         assert (sorted(batch.outliers_for(position).tolist())
-                == sorted(scalar.outlier_tids)), (position, predicate)
-        assert int(batch.leaves_visited[position]) == scalar.leaves_visited
-        assert int(batch.nodes_visited[position]) == scalar.nodes_visited
+                == sorted(scalar.outlier_tids.tolist())
+                == sorted(oracle.outlier_tids)), (position, predicate)
+        assert (int(batch.leaves_visited[position]) == scalar.leaves_visited
+                == scalar.nodes_visited == oracle.leaves_visited)
 
 
 def probe_batch(low: float, high: float) -> list[KeyRange]:
@@ -95,7 +105,7 @@ class TestLeafModelVariants:
         targets = rng.uniform(0.0, 1000.0, 2000)
         tree = make_tree(targets, 2.0 * targets + 5.0)
         assert tree.num_leaves == 1
-        assert_batch_matches_scalar(tree, probe_batch(0.0, 1000.0))
+        assert_reads_match_oracle(tree, probe_batch(0.0, 1000.0))
 
     def test_linear_with_outliers(self):
         rng = np.random.default_rng(1)
@@ -104,14 +114,14 @@ class TestLeafModelVariants:
         hosts[:40] += 5000.0
         tree = make_tree(targets, hosts)
         assert tree.num_outliers >= 40
-        assert_batch_matches_scalar(tree, probe_batch(0.0, 1000.0))
+        assert_reads_match_oracle(tree, probe_batch(0.0, 1000.0))
 
     def test_log_linear_split_tree(self):
         rng = np.random.default_rng(2)
         targets = rng.uniform(1.0, 1000.0, 4000)
         hosts = np.exp(targets / 250.0) * (1.0 + rng.normal(0, 0.01, 4000))
         tree = make_tree(targets, hosts)
-        assert_batch_matches_scalar(tree, probe_batch(1.0, 1000.0))
+        assert_reads_match_oracle(tree, probe_batch(1.0, 1000.0))
 
     def test_piecewise_nonlinear(self):
         rng = np.random.default_rng(3)
@@ -119,7 +129,7 @@ class TestLeafModelVariants:
         hosts = np.sqrt(targets) * 100.0 + rng.normal(0, 1.0, 4000)
         tree = make_tree(targets, hosts)
         assert tree.num_leaves > 1
-        assert_batch_matches_scalar(tree, probe_batch(0.0, 1000.0))
+        assert_reads_match_oracle(tree, probe_batch(0.0, 1000.0))
 
     def test_outlier_only_demotion(self):
         # Uncorrelated noise at max_height=1 cannot split: the leaf demotes
@@ -129,7 +139,7 @@ class TestLeafModelVariants:
         targets = rng.uniform(0.0, 100.0, 500)
         hosts = rng.uniform(0.0, 100.0, 500)
         tree = make_tree(targets, hosts, max_height=1)
-        assert_batch_matches_scalar(tree, probe_batch(0.0, 100.0))
+        assert_reads_match_oracle(tree, probe_batch(0.0, 100.0))
 
     def test_deep_sine_tree(self):
         rng = np.random.default_rng(5)
@@ -137,7 +147,7 @@ class TestLeafModelVariants:
         hosts = np.sin(targets / 50.0) * 500.0 + rng.normal(0, 2.0, 5000)
         tree = make_tree(targets, hosts)
         assert tree.height > 1
-        assert_batch_matches_scalar(tree, probe_batch(0.0, 1000.0))
+        assert_reads_match_oracle(tree, probe_batch(0.0, 1000.0))
 
 
 class TestShapeEdges:
@@ -148,7 +158,7 @@ class TestShapeEdges:
         assert batch.num_queries == 2
         assert batch.host_lows.size == 0
         assert batch.outlier_tids.size == 0
-        assert_batch_matches_scalar(
+        assert_reads_match_oracle(
             tree, [KeyRange(0.0, 10.0), KeyRange(-5.0, -1.0)])
 
     def test_unbuilt_tree(self):
@@ -171,7 +181,7 @@ class TestShapeEdges:
         tree = make_tree(targets, hosts)
         predicates = [KeyRange(42.0, 42.0), KeyRange(41.0, 43.0),
                       KeyRange(0.0, 41.9), KeyRange(42.1, 50.0)]
-        assert_batch_matches_scalar(tree, predicates)
+        assert_reads_match_oracle(tree, predicates)
 
     def test_predicates_beyond_built_domain(self):
         # Edge leaves are open-ended for post-build inserts; out-of-domain
@@ -181,7 +191,7 @@ class TestShapeEdges:
         tree = make_tree(targets, targets * -1.5 + 7.0)
         predicates = [KeyRange(-1e6, 50.0), KeyRange(250.0, 1e6),
                       KeyRange(-np.inf, np.inf), KeyRange(0.0, 1000.0)]
-        assert_batch_matches_scalar(tree, predicates)
+        assert_reads_match_oracle(tree, predicates)
 
     def test_after_incremental_inserts_and_deletes(self):
         rng = np.random.default_rng(7)
@@ -192,7 +202,7 @@ class TestShapeEdges:
             tree.insert(float(1000.0 + i), float(-5000.0 - i), 2000 + i)
         for i in range(0, 100, 3):
             tree.delete(float(targets[i]), float(hosts[i]), i)
-        assert_batch_matches_scalar(tree, probe_batch(0.0, 1200.0))
+        assert_reads_match_oracle(tree, probe_batch(0.0, 1200.0))
 
 
 class TestCoalesce:
@@ -225,6 +235,166 @@ class TestCoalesce:
         assert offsets.tolist() == [0, 1, 2]
 
 
+# ------------------------------------------------- reads after any writes
+
+DOMAIN = (0.0, 1000.0)
+
+# One dataset per leaf-model family the builder can select; "gapped" leaves
+# a hole in the domain, so some leaves are built empty (no band-covered
+# tuple: they emit no host range until the first covered insert).
+SHAPES = {
+    "linear": lambda t, rng: 2.0 * t + 5.0,
+    "log": lambda t, rng: np.exp((t + 1.0) / 250.0)
+    * (1.0 + rng.normal(0, 0.01, t.size)),
+    "piecewise": lambda t, rng: np.sqrt(t) * 100.0 + rng.normal(0, 1.0, t.size),
+    "noise": lambda t, rng: rng.uniform(0.0, 100.0, t.size),
+    "gapped": lambda t, rng: np.sin(t / 50.0) * 500.0
+    + rng.normal(0, 2.0, t.size),
+}
+
+
+def shaped_tree(shape: str, rows: int, seed: int):
+    """A built tree plus its live rows ``[(target, host, tid), ...]``."""
+    rng = np.random.default_rng(seed)
+    targets = rng.uniform(*DOMAIN, rows)
+    if shape == "gapped":
+        targets = targets[(targets < 350.0) | (targets > 650.0)]
+    hosts = SHAPES[shape](targets, rng)
+    hosts[::17] += 5000.0                                 # forced outliers
+    # Uncorrelated noise that may not split demotes to an outlier-only leaf.
+    config = TRSTreeConfig(min_split_size=8,
+                           max_height=1 if shape == "noise" else 10)
+    tree = TRSTree(config)
+    tree.build(targets, hosts, np.arange(targets.size))
+    live = list(zip(targets.tolist(), hosts.tolist(), range(targets.size)))
+    return tree, live
+
+
+def provider_over(live):
+    def provider(key_range: KeyRange):
+        rows = [row for row in live
+                if key_range.low <= row[0] <= key_range.high]
+        targets, hosts, tids = (np.asarray(column) for column in
+                                (zip(*rows) if rows else ((), (), ())))
+        return targets.astype(np.float64), hosts.astype(np.float64), \
+            tids.astype(np.int64)
+    return provider
+
+
+def probes_for(tree: TRSTree) -> list[KeyRange]:
+    """Inside / edge / outside positions, plus predicates on leaf bounds."""
+    bounds = sorted({bound for leaf in tree.leaves()
+                     for bound in (leaf.key_range.low, leaf.key_range.high)})
+    picked = bounds[::max(1, len(bounds) // 12)]
+    on_bounds = [KeyRange(bound, bound) for bound in picked]
+    on_bounds += [KeyRange(low, high) for low, high in zip(picked, picked[2:])]
+    on_bounds += [KeyRange(np.nextafter(bound, -np.inf), bound)
+                  for bound in picked[:4]]
+    return probe_batch(*DOMAIN)[::5] + on_bounds
+
+
+# A written target is a float anywhere around the domain, one of a few
+# integers (duplicates), or the k-th leaf bound of the tree as it stands.
+written_targets = st.one_of(
+    st.floats(min_value=-300.0, max_value=1300.0, allow_nan=False),
+    st.integers(min_value=-2, max_value=6).map(lambda k: 200.0 * k),
+    st.integers(min_value=0, max_value=400).map(lambda k: ("bound", k)),
+)
+# (target, covered?): a covered write sits exactly on its leaf's prediction.
+written_rows = st.tuples(written_targets, st.booleans())
+operations = st.lists(st.one_of(
+    st.tuples(st.just("insert"), written_rows),
+    st.tuples(st.just("insert_many"), st.lists(written_rows, max_size=12)),
+    st.tuples(st.just("delete"), st.integers(min_value=0)),
+    st.tuples(st.just("update"), st.integers(min_value=0), written_rows),
+    st.tuples(st.just("reorganize")),
+    st.tuples(st.just("reorganize_children"),
+              st.lists(st.integers(min_value=0, max_value=7), max_size=3)),
+    st.tuples(st.just("build")),
+), max_size=10)
+
+
+class TestFlatReadsMatchThePointerTree:
+    def test_shapes_cover_every_model_family_and_an_empty_leaf(self):
+        families = set()
+        for shape in SHAPES:
+            tree, _ = shaped_tree(shape, 3000 if shape != "noise" else 400, 0)
+            families |= {type(leaf.model) for leaf in tree.leaves()}
+        assert families == {LinearModel, LogLinearModel,
+                            PiecewiseLinearModel, OutlierOnlyModel}
+        tree, _ = shaped_tree("gapped", 3000, 0)
+        assert any(leaf.num_model_covered == 0 for leaf in tree.leaves())
+
+    def test_first_covered_insert_makes_an_empty_leaf_emit_in_place(self):
+        tree, _ = shaped_tree("gapped", 3000, 0)
+        empty = next(leaf for leaf in tree.leaves()
+                     if leaf.num_model_covered == 0 and len(leaf.outliers) == 0)
+        target = (empty.key_range.low + empty.key_range.high) / 2.0
+        point = [KeyRange(target, target)]
+        assert tree.lookup_many(point).host_lows.size == 0
+        table = tree._leaf_table
+        tree.insert(target, empty.model.predict(target), 10 ** 6)
+        assert tree._leaf_table is table                 # flipped, not rebuilt
+        assert tree.lookup_many(point).host_lows.size == 1
+        assert len(tree.lookup(point[0]).host_ranges) == 1
+        assert_reads_match_oracle(tree, probes_for(tree))
+
+    @SETTINGS
+    @given(shape=st.sampled_from(sorted(SHAPES)),
+           rows=st.integers(min_value=0, max_value=400),
+           seed=st.integers(min_value=0, max_value=5), steps=operations)
+    # Found by this property: rebuilding a node used to re-file the row
+    # sitting exactly on its upper bound, which the right-hand neighbour
+    # owns — one key under two leaves.
+    @example(shape="gapped", rows=27, seed=0,
+             steps=[("insert", (0.0, False)), ("insert", (0.0, False)),
+                    ("insert", (("bound", 1), False)), ("reorganize",)])
+    def test_after_any_interleaving_of_writes(self, shape, rows, seed, steps):
+        tree, live = shaped_tree(shape, rows, seed)
+        next_tid = [10 ** 6]
+
+        def placed(row):
+            """Resolve a drawn row to (target, host, tid) on the tree as is."""
+            (target, covered) = row
+            if isinstance(target, tuple):
+                leaves = tree.leaves()
+                target = leaves[target[1] % len(leaves)].key_range.low
+            host = (tree._traverse(target).model.predict(target) if covered
+                    else -1e7)
+            next_tid[0] += 1
+            return float(target), float(host), next_tid[0]
+
+        assert_reads_match_oracle(tree, probes_for(tree))
+        for step in steps:
+            kind = step[0]
+            if kind == "insert":
+                row = placed(step[1])
+                tree.insert(*row)
+                live.append(row)
+            elif kind == "insert_many":
+                batch = [placed(row) for row in step[1]]
+                tree.insert_many(*(list(column) for column in
+                                   (zip(*batch) if batch else ((), (), ()))))
+                live.extend(batch)
+            elif kind == "delete" and live:
+                tree.delete(*live.pop(step[1] % len(live)))
+            elif kind == "update" and live:
+                position = step[1] % len(live)
+                old_target, old_host, tid = live[position]
+                new_target, new_host, _ = placed(step[2])
+                tree.update(old_target, old_host, new_target, new_host, tid)
+                live[position] = (new_target, new_host, tid)
+            elif kind == "reorganize":
+                tree.reorganize(provider_over(live))
+            elif kind == "reorganize_children":
+                tree.reorganize_children(provider_over(live), step[1])
+            elif kind == "build":
+                targets, hosts, tids = provider_over(live)(
+                    KeyRange(-np.inf, np.inf))
+                tree.build(targets, hosts, tids)
+            assert_reads_match_oracle(tree, probes_for(tree))
+
+
 correlated_rows = st.lists(
     st.tuples(
         st.floats(min_value=0.0, max_value=1000.0, allow_nan=False),
@@ -246,7 +416,7 @@ predicate_bounds = st.lists(
 class TestPropertyEquivalence:
     @SETTINGS
     @given(rows=correlated_rows, bounds=predicate_bounds)
-    def test_lookup_many_matches_scalar_loop(self, rows, bounds):
+    def test_reads_match_oracle_on_drawn_rows(self, rows, bounds):
         targets = np.array([t for t, _, _ in rows], dtype=np.float64)
         # Mostly-linear hosts with hypothesis-chosen perturbations on the
         # flagged rows: enough structure to build bands, enough noise to
@@ -257,4 +427,4 @@ class TestPropertyEquivalence:
         tree = TRSTree(TRSTreeConfig(min_split_size=8))
         tree.build(targets, hosts, np.arange(len(rows)))
         predicates = [KeyRange(low, low + span) for low, span in bounds]
-        assert_batch_matches_scalar(tree, predicates)
+        assert_reads_match_oracle(tree, predicates)

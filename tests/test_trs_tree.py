@@ -162,7 +162,7 @@ class TestLookup:
         result = tree.lookup(KeyRange(5000.0, 6000.0))
         # The edge leaf is treated as open-ended (it would hold any
         # out-of-domain inserts), but no stored tuple matches.
-        assert result.outlier_tids == []
+        assert result.outlier_tids.size == 0
         assert hermit_style_answer(tree, hosts, targets,
                                    KeyRange(5000.0, 6000.0)) == set()
 
@@ -180,7 +180,7 @@ class TestLookup:
         tree = TRSTree()
         result = tree.lookup(KeyRange(0, 1))
         assert result.host_ranges == []
-        assert result.outlier_tids == []
+        assert result.outlier_tids.size == 0
 
 
 class TestEmptyLeafProbes:
@@ -208,7 +208,7 @@ class TestEmptyLeafProbes:
         # [alpha - eps, alpha + eps] host probe.
         result = tree.lookup(KeyRange(400.0, 500.0))
         assert result.host_ranges == []
-        assert result.outlier_tids == []
+        assert result.outlier_tids.size == 0
         # Probes over the populated clusters still answer exactly.
         probe = KeyRange(50.0, 950.0)
         assert hermit_style_answer(tree, hosts, targets, probe) == \
