@@ -37,7 +37,7 @@ from repro.durability import DurabilityConfig, FsyncPolicy
 from repro.durability.recovery import recover
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
-from repro.engine.query import RangePredicate
+from repro.engine.query import QueryRequest
 from repro.storage.schema import numeric_schema
 
 CHUNK_ROWS = 2_000
@@ -97,7 +97,7 @@ def run_suite(rows: int, rounds: int, fsync_interval: int) -> dict:
     best_recovery: dict | None = None
     reference_result: list[int] | None = None
     results_agree = True
-    predicate = RangePredicate("b", 2_000.0, 6_500.0)
+    request = QueryRequest.range("t", "b", 2_000.0, 6_500.0)
 
     for _ in range(rounds):
         for name, policy in policies:
@@ -110,10 +110,10 @@ def run_suite(rows: int, rounds: int, fsync_interval: int) -> dict:
                 elapsed, database = timed_insert_run(base, chunks, config)
                 best_kops[name] = max(best_kops[name],
                                       inserted / elapsed / 1e3)
-                locations = database.query("t", predicate).locations
+                locations = database.execute(request).locations
                 if reference_result is None:
                     reference_result = locations
-                elif locations != reference_result:
+                elif not np.array_equal(locations, reference_result):
                     results_agree = False
                 database.close()
 
@@ -122,8 +122,9 @@ def run_suite(rows: int, rounds: int, fsync_interval: int) -> dict:
                     # base batch, the DDL and every chunk, rebuilds indexes
                     recovered = recover(DurabilityConfig(directory=directory))
                     timings = recovered.durability_stats().recovery
-                    if recovered.query("t", predicate).locations != \
-                            reference_result:
+                    if not np.array_equal(
+                            recovered.execute(request).locations,
+                            reference_result):
                         results_agree = False
                     total_rows = base_rows + inserted
                     candidate = {

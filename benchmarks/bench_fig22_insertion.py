@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.bench.harness import FigureData, insertion_throughput
@@ -18,7 +19,7 @@ from repro.bench.report import format_figure, format_table
 from repro.bench.timing import scaled
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
-from repro.engine.query import RangePredicate
+from repro.engine.query import QueryRequest
 from repro.workloads.synthetic import generate_synthetic, load_synthetic
 
 INDEX_COUNTS = [1, 2, 4, 8, 10]
@@ -116,10 +117,9 @@ def test_fig22_batched_insert_matches_scalar(benchmark, method, label):
     assert (scalar_entry.primary_index.num_entries
             == batched_entry.primary_index.num_entries)
     for low, high in [(0.0, 50_000.0), (400_000.0, 500_000.0)]:
-        predicate = RangePredicate("colE0", low, high)
-        assert (set(map(int, scalar_db.query(table_name, predicate).locations))
-                == set(map(int,
-                           batched_db.query(table_name, predicate).locations)))
+        request = QueryRequest.range(table_name, "colE0", low, high)
+        assert np.array_equal(scalar_db.execute(request).locations,
+                              batched_db.execute(request).locations)
     # Loose bound at bench scale — the full acceptance target lives in
     # bench_writepath_vectorized.py.
     assert speedup > 0.8

@@ -1,10 +1,10 @@
-"""Batched query throughput — ``query_many`` vs. the per-query loop.
+"""Batched query throughput — ``execute_many`` vs. the ``execute`` loop.
 
 Not a paper figure: this benchmark pins the batched read API's contract.
-``Database.query_many`` / ``query_conjunctive_many`` must (a) return
-exactly the rows of the equivalent per-query ``Database.query`` /
-``query_conjunctive`` loop, (b) never be slower than that loop on any
-(mechanism × pointer scheme × batch class) combination, (c) reach at
+``Database.execute_many`` must (a) return exactly the rows of the
+equivalent per-request ``Database.execute`` loop, (b) never be slower
+than that loop on any (mechanism × pointer scheme × batch class)
+combination, (c) reach at
 least **3x** the loop on range batches where the access path is
 array-native end to end (the sorted-column mechanism under physical
 pointers), and (d) reach at least **4x** on the B+-tree-backed Hermit

@@ -49,8 +49,8 @@ GATED_METRICS = {
     # under fixed linear bands — the floor is the acceptance criterion
     # itself and keeps the gap from silently reopening.
     "sensor_fp": {"hermit_vs_baseline": 1.0 / 3.0},
-    # Batched query execution: query_many / query_conjunctive_many raced
-    # against the per-query Database.query loop.  The batch API must never
+    # Batched query execution: Database.execute_many raced against the
+    # per-request Database.execute loop.  The batch API must never
     # lose to the loop on any (mechanism, scheme, class) combination
     # (floor 1.0), and the fully array-native configuration — range
     # batches on the sorted-column path under physical pointers — must

@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from repro import Database, IndexMethod, RangePredicate
+from repro import Database, IndexMethod, QueryRequest, RangePredicate
 from repro.bench.report import format_table
 from repro.core.reorganize import BackgroundReorganizer
 from repro.storage.memory import BYTES_PER_MB
@@ -31,10 +31,10 @@ CHURN_OPERATIONS = 5_000
 
 def verify(database, table_name) -> None:
     predicate = RangePredicate("colC", 300_000.0, 350_000.0)
-    indexed = database.query(table_name, predicate)
+    indexed = database.execute(QueryRequest.of(table_name, predicate))
     slots, values = database.table(table_name).project([predicate.column])
     scanned = slots[(values >= predicate.low) & (values <= predicate.high)]
-    assert indexed.locations == scanned.tolist()
+    assert np.array_equal(indexed.locations, scanned)
 
 
 def main() -> None:

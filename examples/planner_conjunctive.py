@@ -13,7 +13,7 @@ descent), creates a Hermit index on ``colC`` hosted by the pre-existing
 
 three ways:
 
-1. **Planner** — ``Database.query_conjunctive`` lets the cost model decide.
+1. **Planner** — ``Database.execute`` lets the cost model decide.
    Under logical pointers every candidate is expensive to resolve, so the
    planner executes *both* access paths — the Hermit mechanism for the colC
    predicate and the host B+-tree for the colB predicate — intersects their
@@ -32,7 +32,7 @@ import time
 
 import numpy as np
 
-from repro import Database, IndexMethod, PointerScheme, RangePredicate, conjunction
+from repro import Database, IndexMethod, PointerScheme, QueryRequest, RangePredicate
 from repro.workloads.synthetic import generate_synthetic, load_synthetic
 
 NUM_TUPLES = 100_000
@@ -46,9 +46,8 @@ def manual_plan(database: Database, table_name: str, index_name: str,
     keeps their order, so the result needs no further dedup.
     """
     result = database.query_with(table_name, index_name, probe)
-    locations = np.asarray(result.locations, dtype=np.int64)
     return database.table(table_name).filter_in_range(
-        locations, post.column, post.low, post.high
+        result.locations, post.column, post.low, post.high
     )
 
 
@@ -75,15 +74,14 @@ def main() -> None:
     # intersecting candidate tid sets beats any single-index plan.
     target = RangePredicate("colC", 100_000.0, 150_000.0)
     host = RangePredicate("colB", 280_000.0, 330_000.0)
-    query = conjunction(target, host)
+    request = QueryRequest.of(table_name, [target, host])
 
     print("\nEXPLAIN:")
-    print(database.explain(table_name, query).describe())
+    print(database.explain(request).describe())
 
     print("\nRacing the three plans:")
     planned = timed("planner (Hermit ∩ host-index, batched)",
-                    lambda: database.query_conjunctive(table_name, query)
-                    .locations)
+                    lambda: database.execute(request).locations)
     hermit_first = timed("manual: Hermit probe + colB post-filter",
                          lambda: manual_plan(database, table_name, "idx_colC",
                                              target, host))

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from repro import Database, IndexMethod, PointerScheme, RangePredicate
 from repro.bench.report import format_memory_report, format_table
 from repro.storage.memory import BYTES_PER_MB
@@ -45,7 +47,7 @@ def main() -> None:
     baseline_result = database.query_with(table_name, "idx_colC_btree", predicate)
     baseline_seconds = time.perf_counter() - started
 
-    assert hermit_result.locations == baseline_result.locations
+    assert np.array_equal(hermit_result.locations, baseline_result.locations)
     print(f"\nBoth mechanisms returned the same {len(hermit_result)} tuples.")
     print(format_table(
         ["mechanism", "latency (ms)", "false-positive ratio", "index memory (MB)"],

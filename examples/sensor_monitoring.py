@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import Database, IndexMethod, RangePredicate, TRSTreeConfig
+from repro import Database, IndexMethod, QueryRequest, TRSTreeConfig
 from repro.bench.harness import run_query_batch
 from repro.bench.report import format_table
 from repro.storage.memory import BYTES_PER_MB
@@ -50,8 +50,8 @@ def main() -> None:
     readings = dataset.columns[sensor_column(5)]
     low, high = (float(np.quantile(readings, 0.7)),
                  float(np.quantile(readings, 0.8)))
-    result = database.query(table_name,
-                            RangePredicate(sensor_column(5), low, high))
+    result = database.execute(
+        QueryRequest.range(table_name, sensor_column(5), low, high))
     expected = int(((readings >= low) & (readings <= high)).sum())
     assert len(result) == expected
     print(f"\n'When did sensor_5 read between {low:.1f} and {high:.1f}?' -> "

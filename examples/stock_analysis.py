@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import Database, IndexMethod, RangePredicate
+from repro import Database, IndexMethod, QueryRequest
 from repro.bench.report import format_table
 from repro.correlation.discovery import pearson_coefficient
 from repro.storage.memory import BYTES_PER_MB
@@ -63,8 +63,8 @@ def main() -> None:
         highs = dataset.columns[high_column(stock)]
         low, high = (float(np.quantile(highs, 0.45)),
                      float(np.quantile(highs, 0.55)))
-        result = database.query(table_name,
-                                RangePredicate(high_column(stock), low, high))
+        result = database.execute(
+            QueryRequest.range(table_name, high_column(stock), low, high))
         expected = int(((highs >= low) & (highs <= high)).sum())
         rows.append([high_column(stock), f"[{low:.2f}, {high:.2f}]",
                      len(result), expected,

@@ -31,6 +31,7 @@ from repro.engine import (
     ConjunctiveQuery,
     Database,
     IndexMethod,
+    QueryRequest,
     QueryResult,
     RangePredicate,
     conjunction,
@@ -51,6 +52,7 @@ __all__ = [
     "LinearModel",
     "LookupBreakdown",
     "PointerScheme",
+    "QueryRequest",
     "QueryResult",
     "RangePredicate",
     "conjunction",

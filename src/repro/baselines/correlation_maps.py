@@ -144,11 +144,22 @@ class CorrelationMap(SecondaryMechanism):
                    exact * self.DEFAULT_HOST_INFLATION)
 
     def _host_ranges_for(self, predicate: KeyRange) -> list[KeyRange]:
-        first = int(np.floor(predicate.low / self.target_bucket_width))
-        last = int(np.floor(predicate.high / self.target_bucket_width))
+        # Bucket bounds stay floats until the span is known to be small:
+        # an infinite bound has no int(), and a wide finite range spans
+        # more buckets than anyone can walk.  A span at least as long as
+        # the mapping (NaN for [inf, inf] included) filters the buckets
+        # the mapping holds instead.
+        first = float(np.floor(predicate.low / self.target_bucket_width))
+        last = float(np.floor(predicate.high / self.target_bucket_width))
+        mapping = self._mapping
+        if last - first < len(mapping):
+            target_buckets = range(int(first), int(last) + 1)
+        else:
+            target_buckets = [bucket for bucket in mapping
+                              if first <= bucket <= last]
         host_buckets: set[int] = set()
-        for target_bucket in range(first, last + 1):
-            host_buckets.update(self._mapping.get(target_bucket, ()))
+        for target_bucket in target_buckets:
+            host_buckets.update(mapping.get(target_bucket, ()))
         ranges = [
             KeyRange(bucket * self.host_bucket_width,
                      (bucket + 1) * self.host_bucket_width)

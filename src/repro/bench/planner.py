@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
-from repro.engine.query import ConjunctiveQuery, RangePredicate
+from repro.engine.query import QueryRequest, RangePredicate
 from repro.storage.identifiers import PointerScheme
 from repro.workloads.queries import range_queries
 from repro.workloads.synthetic import generate_synthetic, load_synthetic
@@ -152,29 +152,37 @@ def _kops(queries: int, seconds: float) -> float:
 def _manual_single_index(database: Database, table_name: str, index_name: str,
                          predicate: RangePredicate,
                          post_filter: RangePredicate | None = None) -> np.ndarray:
-    """A hand-written plan: one forced index read (+ vectorized post-filter)."""
-    result = database.query_with(table_name, index_name, predicate)
-    locations = np.asarray(result.locations, dtype=np.int64)
+    """A hand-written plan: one forced index read (+ vectorized post-filter).
+
+    ``query_with`` returns sorted, duplicate-free locations and the filter
+    preserves order, so the result compares to a planned one as it is.
+    """
+    locations = database.query_with(table_name, index_name,
+                                    predicate).locations
     if post_filter is not None and locations.size:
         locations = database.table(table_name).filter_in_range(
             locations, post_filter.column, post_filter.low, post_filter.high
         )
-    return np.unique(locations)
+    return locations
 
 
 def _race(setup: PlannerSetup, query_class: str,
-          planner_queries: list[ConjunctiveQuery],
+          planner_requests: list[QueryRequest],
           manual_plans: dict[str, list], selectivity: float,
           pointer_scheme: PointerScheme,
-          rounds: int = 7) -> PlannerMeasurement:
+          rounds: int = 41) -> PlannerMeasurement:
     """Time the planner against every manual plan on identical queries.
 
     Every contender replays the whole query list ``rounds`` times and is
     scored by its best round: one query pass is a few milliseconds, well
     inside scheduler noise, and best-of-rounds also measures the planner's
-    steady state (plan cache warm) rather than its first-call cost.
+    steady state (plan cache warm) rather than its first-call cost.  The
+    planner and its best manual plan run the same executor on the same
+    arrays, so the ratio under test is a few percent of dispatch: at 7
+    rounds it scattered 0.82–1.28 around 1.0 at CI size, at 41 it holds
+    0.95–1.0 (a round is ~10 ms).
     """
-    database, table_name = setup.database, setup.table_name
+    database = setup.database
 
     # Rounds are interleaved across contenders (planner, manual A, manual
     # B, ... per round) so frequency scaling or background load during any
@@ -187,8 +195,8 @@ def _race(setup: PlannerSetup, query_class: str,
     manual_results: dict[str, list[np.ndarray]] = {}
     for _ in range(rounds):
         started = time.perf_counter()
-        results = [database.query_conjunctive(table_name, query)
-                   for query in planner_queries]
+        results = [database.execute(request)
+                   for request in planner_requests]
         planner_seconds = min(planner_seconds,
                               time.perf_counter() - started)
         planner_results = results
@@ -205,7 +213,7 @@ def _race(setup: PlannerSetup, query_class: str,
             for position in range(len(planner_sets)))
         for results in manual_results.values()
     )
-    chosen_names = [result.plan.used_index or "full-scan"
+    chosen_names = [result.used_index or "full-scan"
                     for result in planner_results]
     chosen = max(set(chosen_names), key=chosen_names.count)
     return PlannerMeasurement(
@@ -214,7 +222,7 @@ def _race(setup: PlannerSetup, query_class: str,
         pointer_scheme=pointer_scheme.value,
         num_tuples=setup.num_tuples,
         selectivity=selectivity,
-        num_queries=len(planner_queries),
+        num_queries=len(planner_requests),
         total_results=int(sum(len(locs) for locs in planner_sets)),
         planner_seconds=planner_seconds,
         manual_seconds=manual_seconds,
@@ -239,7 +247,7 @@ def run_planner_suite(num_tuples: int = 200_000, selectivity: float = 1e-2,
     predicates = [RangePredicate("colC", q.low, q.high) for q in ranges]
     measurements.append(_race(
         setup, "single",
-        [ConjunctiveQuery([predicate]) for predicate in predicates],
+        [QueryRequest.of(table_name, predicate) for predicate in predicates],
         {
             name: [
                 (lambda n=name, p=predicate:
@@ -260,7 +268,7 @@ def run_planner_suite(num_tuples: int = 200_000, selectivity: float = 1e-2,
     points = [RangePredicate("colC", float(v), float(v)) for v in values]
     measurements.append(_race(
         setup, "point",
-        [ConjunctiveQuery([predicate]) for predicate in points],
+        [QueryRequest.of(table_name, predicate) for predicate in points],
         {
             name: [
                 (lambda n=name, p=predicate:
@@ -302,7 +310,7 @@ def run_planner_suite(num_tuples: int = 200_000, selectivity: float = 1e-2,
     ]
     measurements.append(_race(
         setup, "conjunctive",
-        [ConjunctiveQuery(pair) for pair in conjunctions],
+        [QueryRequest.of(table_name, pair) for pair in conjunctions],
         manual_plans,
         selectivity, pointer_scheme,
     ))

@@ -1,9 +1,8 @@
-"""Batched query throughput: ``query_many`` raced against a per-query loop.
+"""Batched query throughput: ``execute_many`` raced against an ``execute`` loop.
 
-The batched read API's contract is that a batch of B queries through
-``Database.query_many`` / ``query_conjunctive_many`` returns exactly the
-rows of B per-query ``Database.query`` / ``query_conjunctive`` calls while
-amortising everything above the mechanisms — planning (one planner visit
+The batched read API's contract is that a batch of B requests through
+``Database.execute_many`` returns exactly the rows of B per-request
+``Database.execute`` calls while amortising everything above the mechanisms — planning (one planner visit
 per plan group), candidate probes (one segmented host-index pass), pointer
 resolution (one primary pass), validation (one mask pass per predicate
 column) and result assembly.  This module builds the Synthetic workload
@@ -13,8 +12,7 @@ Correlation Map — and races both APIs on four batch classes:
 
 * ``range``  — selective range predicates on colC (the gated ≥ 3x class);
 * ``point``  — point probes on stored colC values;
-* ``conjunctive`` — two-column (colC AND colB) conjunctions through
-  ``query_conjunctive_many``;
+* ``conjunctive`` — two-column (colC AND colB) conjunctions;
 * ``mixed``  — interleaved point and range predicates on colC, which spans
   two plan groups (different selectivity buckets) in one batch.
 
@@ -37,7 +35,7 @@ import numpy as np
 
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
-from repro.engine.query import RangePredicate
+from repro.engine.query import QueryRequest, RangePredicate
 from repro.storage.identifiers import PointerScheme
 from repro.workloads.queries import range_queries
 from repro.workloads.synthetic import generate_synthetic, load_synthetic
@@ -161,19 +159,22 @@ class QueryThroughputMeasurement:
         }
 
 
-def _batch_queries(setup: QueryThroughputSetup, batch_class: str,
-                   selectivity: float, batch_size: int, seed: int):
-    """Build one batch of the requested class, plus its execution mode."""
+def _batch_requests(setup: QueryThroughputSetup, batch_class: str,
+                    selectivity: float, batch_size: int,
+                    seed: int) -> list[QueryRequest]:
+    """Build one request batch of the requested class."""
+    table_name = setup.table_name
     ranges = range_queries(setup.target_domain, selectivity,
                            count=batch_size, seed=seed)
     if batch_class == "range":
-        return [RangePredicate("colC", q.low, q.high) for q in ranges], False
+        return [QueryRequest.range(table_name, "colC", q.low, q.high)
+                for q in ranges]
     if batch_class == "point":
         rng = np.random.default_rng(seed + 1)
         values = rng.choice(setup.stored_targets, size=batch_size,
                             replace=False)
-        return [RangePredicate("colC", float(v), float(v))
-                for v in values], False
+        return [QueryRequest.point(table_name, "colC", float(v))
+                for v in values]
     if batch_class == "conjunctive":
         # colB = 2*colC + 10; anchor the host window on the upper half of
         # the image so the conjunction stays non-empty and the colC side
@@ -188,21 +189,21 @@ def _batch_queries(setup: QueryThroughputSetup, batch_class: str,
             image_high = 2.0 * target.high + 10.0
             host_low = (image_low + image_high) / 2.0
             host_high = host_low + 2.0 * (image_high - image_low)
-            conjunctions.append([
+            conjunctions.append(QueryRequest.conjunctive(table_name, [
                 RangePredicate("colC", target.low, target.high),
                 RangePredicate("colB", host_low, host_high),
-            ])
-        return conjunctions, True
+            ]))
+        return conjunctions
     if batch_class == "mixed":
         rng = np.random.default_rng(seed + 2)
         values = rng.choice(setup.stored_targets, size=batch_size // 2,
                             replace=False)
-        predicates = [RangePredicate("colC", q.low, q.high)
-                      for q in ranges[: batch_size - values.size]]
-        predicates.extend(RangePredicate("colC", float(v), float(v))
-                          for v in values)
-        rng.shuffle(predicates)
-        return predicates, False
+        requests = [QueryRequest.range(table_name, "colC", q.low, q.high)
+                    for q in ranges[: batch_size - values.size]]
+        requests.extend(QueryRequest.point(table_name, "colC", float(v))
+                        for v in values)
+        rng.shuffle(requests)
+        return requests
     raise ValueError(f"unknown batch class {batch_class!r}; "
                      f"use one of {BATCH_CLASSES}")
 
@@ -211,15 +212,15 @@ def measure_batch_class(setup: QueryThroughputSetup, batch_class: str,
                         selectivity: float, batch_size: int,
                         pointer_scheme: PointerScheme, rounds: int = 5,
                         seed: int = 42) -> QueryThroughputMeasurement:
-    """Race ``query_many`` against the per-query loop on one batch class.
+    """Race ``execute_many`` against the ``execute`` loop on one batch class.
 
     Rounds are interleaved (loop, then batch, per round) and each side is
     scored by its best round, so background load hits both contenders
     equally and the plan cache is warm on both sides after round one.
     """
-    database, table_name = setup.database, setup.table_name
-    queries, conjunctive = _batch_queries(setup, batch_class, selectivity,
-                                          batch_size, seed)
+    database = setup.database
+    requests = _batch_requests(setup, batch_class, selectivity, batch_size,
+                               seed)
 
     loop_seconds = float("inf")
     batched_seconds = float("inf")
@@ -227,38 +228,24 @@ def measure_batch_class(setup: QueryThroughputSetup, batch_class: str,
     batch_results: list = []
     for _ in range(rounds):
         started = time.perf_counter()
-        if conjunctive:
-            loop_results = [database.query_conjunctive(table_name, query)
-                            for query in queries]
-        else:
-            loop_results = [database.query(table_name, predicate)
-                            for predicate in queries]
+        loop_results = [database.execute(request) for request in requests]
         loop_seconds = min(loop_seconds, time.perf_counter() - started)
 
         started = time.perf_counter()
-        if conjunctive:
-            batch_results = database.query_conjunctive_many(table_name,
-                                                            queries)
-        else:
-            batch_results = database.query_many(table_name, queries)
+        batch_results = database.execute_many(requests)
         batched_seconds = min(batched_seconds,
                               time.perf_counter() - started)
 
-    if conjunctive:
-        agree = all(np.array_equal(batched.locations, looped.locations)
-                    for batched, looped in zip(batch_results, loop_results))
-        total_results = int(sum(len(r.locations) for r in batch_results))
-    else:
-        agree = all(batched.locations == looped.locations
-                    for batched, looped in zip(batch_results, loop_results))
-        total_results = sum(len(r.locations) for r in batch_results)
+    agree = all(np.array_equal(batched.locations, looped.locations)
+                for batched, looped in zip(batch_results, loop_results))
+    total_results = sum(len(r.locations) for r in batch_results)
     return QueryThroughputMeasurement(
         batch_class=batch_class,
         mechanism=setup.mechanism,
         pointer_scheme=pointer_scheme.value,
         num_tuples=setup.num_tuples,
         selectivity=selectivity,
-        num_queries=len(queries),
+        num_queries=len(requests),
         total_results=total_results,
         loop_seconds=loop_seconds,
         batched_seconds=batched_seconds,

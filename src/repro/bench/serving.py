@@ -377,7 +377,7 @@ def measure_serving(setup: ServingSetup, num_clients: int = 64,
 
     agree = all(
         percall is not None and coalesced is not None
-        and percall.locations == coalesced.locations
+        and np.array_equal(percall.locations, coalesced.locations)
         for percall, coalesced in zip(percall_results, coalesced_results)
     )
     percall_lat = best_percall[1]
@@ -536,14 +536,7 @@ def measure_result_cache(setup: ServingSetup, num_clients: int = 64,
             position = 0
             for batch in batches:
                 for result in database.execute_many(batch):
-                    # Keep only a compact int64 array per result: holding
-                    # ten thousand QueryResults with plain-list locations
-                    # alive would put millions of ints on the GC-tracked
-                    # heap, and the resulting collection pauses tax
-                    # whichever side happens to allocate more — exactly
-                    # the ~5% signal this guard exists to measure.
-                    results_out[position] = np.asarray(result.locations,
-                                                       dtype=np.int64)
+                    results_out[position] = result.locations
                     position += 1
             return num_requests / (time.perf_counter() - started)
 
@@ -583,9 +576,8 @@ def measure_result_cache(setup: ServingSetup, num_clients: int = 64,
 
     # Leave the setup the way build_serving_setup handed it out.
     cache.enabled = False
-    # Cache hits carry read-only numpy arrays while misses carry lists
-    # (and the engine-direct rounds store bare arrays, see above);
-    # np.array_equal compares across all the representations.
+    # The served rounds store QueryResults, the engine-direct rounds bare
+    # location arrays (see above).
     agree = all(
         uncached is not None and cached is not None
         and np.array_equal(getattr(uncached, "locations", uncached),

@@ -30,7 +30,7 @@ import numpy as np
 from repro.bench.hotpath import WORKLOADS, _workload_columns
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
-from repro.engine.query import RangePredicate
+from repro.engine.query import QueryRequest
 from repro.storage.identifiers import PointerScheme
 from repro.storage.schema import numeric_schema
 
@@ -196,14 +196,10 @@ def measure_write_path(workload: str, mechanism: str, base_rows: int,
     all_targets = np.concatenate([base_columns["target"],
                                   insert_columns["target"]])
     for low, high in _verify_predicates(all_targets):
-        predicate = RangePredicate("target", low, high)
-        scalar_locations = {
-            int(loc) for loc in scalar_db.query(table_name, predicate).locations
-        }
-        batched_locations = {
-            int(loc) for loc in batched_db.query(table_name, predicate).locations
-        }
-        agree = agree and scalar_locations == batched_locations
+        request = QueryRequest.range(table_name, "target", low, high)
+        scalar_locations = scalar_db.execute(request).locations
+        batched_locations = batched_db.execute(request).locations
+        agree = agree and np.array_equal(scalar_locations, batched_locations)
         total_results += len(batched_locations)
 
     return WritepathMeasurement(

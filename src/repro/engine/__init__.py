@@ -17,9 +17,10 @@ from repro.engine.catalog import (
 )
 from repro.engine.database import Database
 from repro.engine.executor import execute_plan
-from repro.engine.planner import Plan, PlannedQueryResult, Planner
+from repro.engine.planner import Plan, Planner
 from repro.engine.query import (
     ConjunctiveQuery,
+    QueryRequest,
     QueryResult,
     RangePredicate,
     conjunction,
@@ -40,8 +41,8 @@ __all__ = [
     "IndexMethod",
     "MechanismPath",
     "Plan",
-    "PlannedQueryResult",
     "Planner",
+    "QueryRequest",
     "QueryResult",
     "RangePredicate",
     "TableEntry",

@@ -14,28 +14,31 @@ Typical usage::
     db.create_index("idx_dj", "stock_history", "dj")            # complete B+-tree
     db.create_index("idx_sp", "stock_history", "sp",
                     method=IndexMethod.AUTO)                     # becomes a Hermit index
-    result = db.query("stock_history", RangePredicate("sp", 900, 950))
-    planned = db.query_conjunctive("stock_history", [
+    result = db.execute(QueryRequest.range("stock_history", "sp", 900, 950))
+    result = db.execute(QueryRequest.of("stock_history", [
         RangePredicate("sp", 900, 950), RangePredicate("dj", 8_000, 9_000),
-    ])                                # cost-based plan, array-native result
+    ]))                               # cost-based plan, sorted int64 locations
 
 Reads route through the cost-based planner (``engine/planner.py``): the
 catalog's per-column statistics pick the cheapest access path per
 predicate, candidate tid sets are intersected vectorized, and one batched
-base-table pass validates every predicate.  ``explain()`` returns the plan
-without executing it.
+base-table pass validates every predicate.
 
-The canonical read entry points are :meth:`Database.execute` (one
-:class:`~repro.engine.query.QueryRequest` in, one
-:class:`~repro.engine.query.QueryResult` out) and
+One request in, one result out: the planned reads are
+:meth:`Database.execute` (one :class:`~repro.engine.query.QueryRequest`
+in, one :class:`~repro.engine.query.QueryResult` out),
 :meth:`Database.execute_many` (a request batch, grouped by table and plan
-shape internally).  Each reaches one of the two read pipelines directly —
+shape internally) and :meth:`Database.explain` (the plan of a request,
+without executing it).  ``execute`` and ``execute_many`` each reach one of
+the two read pipelines directly —
 :func:`~repro.engine.executor.execute_plan` for one request,
 :func:`~repro.engine.executor.execute_plan_many` for a batch — and the
-caller's batch size is what selects between them.  ``query`` /
-``query_many`` / ``query_conjunctive`` / ``query_conjunctive_many`` are
-the same two paths under ergonomic signatures, and ``query_with`` forces
-one named index through the single-request pipeline.  Every read runs
+caller's batch size is what selects between them;
+:meth:`~repro.engine.query.QueryRequest.of` is the one place a bare
+predicate or predicate list becomes a request.  ``query_with`` forces one
+named index through the single-request pipeline.  Every result's
+``locations`` is a sorted, duplicate-free int64 array (the contract is
+stated on :class:`~repro.engine.query.QueryResult`).  Every read runs
 under the shared side of the database's
 :class:`~repro.engine.epochs.EpochManager` and every mutation under the
 exclusive side, so concurrent front ends (``repro.serving``) get
@@ -77,12 +80,7 @@ from repro.engine.executor import execute_plan, execute_plan_many
 from repro.durability.config import DurabilityConfig, DurabilityStats
 from repro.durability.manager import DurabilityManager
 from repro.engine.epochs import EpochManager
-from repro.engine.planner import (
-    Plan,
-    PlannedQueryResult,
-    Planner,
-    PlannerCacheStats,
-)
+from repro.engine.planner import Plan, Planner, PlannerCacheStats
 from repro.engine.query import (
     ConjunctiveQuery,
     QueryRequest,
@@ -118,8 +116,7 @@ class Database:
         result_cache: When given, an epoch-keyed result cache
             (``repro.cache``) with this memory budget serves repeated
             queries from their stored post-validation location arrays:
-            every planned read (``execute`` / ``execute_many`` /
-            ``query_conjunctive`` / ``query_conjunctive_many``) probes it
+            every planned read (``execute`` / ``execute_many``) probes it
             under the shared epoch side before planning and fills it on
             miss, and entries whose
             stamped ``data_epoch`` fell behind the table's are evicted on
@@ -590,13 +587,39 @@ class Database:
         """Answer one :class:`QueryRequest` — the canonical read entry point.
 
         Point, range and conjunctive requests all take this path: the
-        request's conjunction goes through the planner (point probes hit its
-        single-column fast path), the chosen plan executes under the read
-        side of the epoch protocol, and the result records the write epoch
-        it observed.
+        planner picks the cheapest access path per predicate from the
+        catalog statistics (point probes hit its single-column fast path),
+        the executor intersects the candidate tid sets, resolves pointers
+        once and validates every predicate in one batched base-table pass —
+        all under the read side of the epoch protocol, and the result
+        records the write epoch it observed.  With a result cache attached
+        the request is probed first and installed on a miss; a hit carries
+        the stored read-only array and no plan, exactly as in
+        :meth:`execute_many`.
         """
-        planned = self.query_conjunctive(request.table, request.query)
-        return QueryResult.from_planned(planned)
+        table_name, query = request.table, request.query
+        cache = self._result_cache
+        with self.epochs.read() as epoch:
+            entry = self.catalog.table_entry(table_name)
+            key = (canonical_key(query)
+                   if cache is not None and cache.enabled else None)
+            if key is not None:
+                hit = cache.get(table_name, key, entry.data_epoch)
+                if hit is not None:
+                    count = int(hit.locations.size)
+                    return QueryResult(
+                        hit.locations,
+                        LookupBreakdown(lookups=1, candidates=count,
+                                        results=count),
+                        hit.used_index, None, 1, epoch)
+            plan = self.planner.plan(table_name, query)
+            locations, breakdown = execute_plan(
+                plan, entry, self.pointer_scheme, entry.primary_index)
+            if key is not None:
+                cache.put(table_name, key, locations, entry.data_epoch,
+                          plan.used_index)
+        return QueryResult(locations, breakdown, plan.used_index, plan, 1,
+                           epoch)
 
     def execute_many(self,
                      requests: Sequence[QueryRequest]) -> list[QueryResult]:
@@ -610,11 +633,12 @@ class Database:
         within the batch is preserved).
 
         Cache-hit results carry the stored *read-only* int64 array as
-        ``locations`` and no plan (misses keep returning fresh lists) —
-        hits must stay allocation-free to be worth taking.
+        ``locations`` and no plan — hits must stay allocation-free to be
+        worth taking; the misses of one plan group are views into the
+        group's one location buffer.
         """
         requests = list(requests)
-        outcomes: list = [None] * len(requests)
+        results: list = [None] * len(requests)
         by_table: dict[str, list[int]] = {}
         for position, request in enumerate(requests):
             by_table.setdefault(request.table, []).append(position)
@@ -622,23 +646,18 @@ class Database:
             for table_name, positions in by_table.items():
                 self._execute_batch(
                     table_name, [requests[p].query for p in positions],
-                    positions, outcomes,
+                    positions, results, epoch,
                 )
-        return [
-            QueryResult(locations if plan is None else locations.tolist(),
-                        breakdown, used_index, plan, group_size, epoch)
-            for locations, breakdown, plan, used_index, group_size in outcomes
-        ]
+        return results
 
     def _execute_batch(self, table_name: str,
                        queries: list[ConjunctiveQuery],
-                       positions: Sequence[int], outcomes: list) -> None:
+                       positions: Sequence[int], results: list,
+                       epoch: int) -> None:
         """One table's batch: cache probe → plan_many → execute → fill.
 
-        The body :meth:`execute_many` and :meth:`query_conjunctive_many`
-        share; they differ only in the result class they build from each
-        outcome.  Must be called under the shared epoch side.  With a
-        result cache enabled the queries are probed in one batch
+        Must be called under the shared epoch side.  With a result cache
+        enabled the queries are probed in one batch
         (:meth:`ResultCache.get_many`) against the ``data_epoch`` read
         under the held shared side (it cannot move while the side is
         held); only the misses are grouped by plan shape
@@ -650,13 +669,14 @@ class Database:
 
         Args:
             queries: The table's conjunctions.
-            positions: Slot of each query in ``outcomes``.
-            outcomes: Output list, filled in place with ``(locations,
-                breakdown, plan, used_index, group_size)`` tuples; ``plan``
-                is ``None`` for a cache hit.  Members of one plan group
-                (and all hits of one probe pass) share one breakdown
-                object: per-phase time for B queries is only meaningful in
-                aggregate once the phases are batched.
+            positions: Slot of each query in ``results``.
+            results: Output list, filled in place with one
+                :class:`QueryResult` per query; ``plan`` is ``None`` for a
+                cache hit.  Members of one plan group (and all hits of one
+                probe pass) share one breakdown object: per-phase time for
+                B queries is only meaningful in aggregate once the phases
+                are batched.
+            epoch: The write epoch the held shared side observed.
         """
         entry = self.catalog.table_entry(table_name)
         cache = self._result_cache
@@ -683,8 +703,9 @@ class Database:
                     count = int(hit.locations.size)
                     hit_breakdown.candidates += count
                     hit_breakdown.results += count
-                    outcomes[position] = (hit.locations, hit_breakdown, None,
-                                          hit.used_index, hit_count)
+                    results[position] = QueryResult(
+                        hit.locations, hit_breakdown, hit.used_index, None,
+                        hit_count, epoch)
                 if not miss_queries:
                     return
                 queries, positions = miss_queries, miss_positions
@@ -697,9 +718,9 @@ class Database:
             used_index = group.plan.used_index
             group_size = len(group.indices)
             for member, locations in zip(group.indices, locations_per_query):
-                outcomes[positions[member]] = (locations, breakdown,
-                                               group.plan, used_index,
-                                               group_size)
+                results[positions[member]] = QueryResult(
+                    locations, breakdown, used_index, group.plan, group_size,
+                    epoch)
                 if miss_keys:
                     key = miss_keys[member]
                     if key is not None:
@@ -707,121 +728,16 @@ class Database:
         if fills:
             cache.put_many(table_name, fills, entry.data_epoch)
 
-    def query(self, table_name: str, predicate: RangePredicate) -> QueryResult:
-        """Execute a single-column predicate through the planner.
+    def explain(self, request: QueryRequest) -> Plan:
+        """Plan a request without executing it (the ``EXPLAIN`` entry point).
 
-        Thin wrapper over :meth:`execute` kept API-compatible with the
-        pre-planner engine: the result carries a sorted list of row
-        locations and the name of the index that served the predicate
-        (``None`` for a full scan).
-        """
-        return self.execute(QueryRequest.of(table_name, predicate))
-
-    def query_many(self, table_name: str,
-                   predicates: Sequence[RangePredicate]) -> list[QueryResult]:
-        """Execute a batch of single-column predicates, batched end to end.
-
-        Thin wrapper over :meth:`execute_many`: result-set-equivalent to
-        ``[self.query(table_name, p) for p in predicates]`` but planned
-        once per (column, selectivity-bucket) group and executed by the
-        segmented batch executor — B queries cost O(1) Python-level array
-        passes per plan group instead of B full planner/executor
-        pipelines.  Results come back in input order.
-        """
-        return self.execute_many(
-            [QueryRequest.of(table_name, predicate)
-             for predicate in predicates]
-        )
-
-    def query_conjunctive(
-        self, table_name: str,
-        query: "ConjunctiveQuery | Sequence[RangePredicate] | RangePredicate",
-    ) -> PlannedQueryResult:
-        """Execute a conjunction of range predicates through the planner.
-
-        The array-native read API: the planner picks the cheapest access
-        path per predicate from the catalog statistics, the executor
-        intersects the candidate tid sets (``np.intersect1d``), resolves
-        pointers once and validates every predicate in one batched
-        base-table pass.
-
-        Args:
-            table_name: Table to query.
-            query: A :class:`ConjunctiveQuery`, a sequence of
-                :class:`RangePredicate` conjuncts, or a single predicate.
-
-        Returns:
-            A :class:`PlannedQueryResult` whose ``locations`` is a sorted
-            int64 array and whose ``plan`` explains the chosen paths.
-        """
-        query = self._as_conjunctive(query)
-        cache = self._result_cache
-        with self.epochs.read() as epoch:
-            entry = self.catalog.table_entry(table_name)
-            key = (canonical_key(query)
-                   if cache is not None and cache.enabled else None)
-            if key is not None:
-                hit = cache.get(table_name, key, entry.data_epoch)
-                if hit is not None:
-                    count = int(hit.locations.size)
-                    return PlannedQueryResult(
-                        locations=hit.locations,
-                        breakdown=LookupBreakdown(
-                            lookups=1, candidates=count, results=count),
-                        plan=self._cached_marker_plan(table_name, query,
-                                                      hit.used_index),
-                        epoch=epoch,
-                    )
-            plan = self.planner.plan(table_name, query)
-            result = execute_plan(plan, entry, self.pointer_scheme,
-                                  entry.primary_index)
-            if key is not None:
-                cache.put(table_name, key, result.locations,
-                          entry.data_epoch, plan.used_index)
-        result.epoch = epoch
-        return result
-
-    def query_conjunctive_many(
-        self, table_name: str,
-        queries: Sequence["ConjunctiveQuery | Sequence[RangePredicate] | RangePredicate"],
-    ) -> list[PlannedQueryResult]:
-        """Execute a batch of conjunctive queries, batched end to end.
-
-        :meth:`execute_many` for one table with array-native results: the
-        same batch body (:meth:`_execute_batch` — result cache included),
-        wrapped as :class:`PlannedQueryResult`.  Result-set-equivalent to
-        calling :meth:`query_conjunctive` per query.  Each returned result
-        carries its own location array (input order) but shares its plan
-        group's template — bound to the group representative's ranges —
-        its ``group_size`` and one breakdown accumulated across the group;
-        a cache hit carries the plan-free ``cached`` marker instead.
-        """
-        conjunctives = [self._as_conjunctive(query) for query in queries]
-        outcomes: list = [None] * len(conjunctives)
-        with self.epochs.read() as epoch:
-            self._execute_batch(table_name, conjunctives,
-                                range(len(conjunctives)), outcomes)
-        results = []
-        for query, outcome in zip(conjunctives, outcomes):
-            locations, breakdown, plan, used_index, group_size = outcome
-            if plan is None:
-                plan = self._cached_marker_plan(table_name, query, used_index)
-            results.append(PlannedQueryResult(locations, breakdown, plan,
-                                              group_size, epoch))
-        return results
-
-    def explain(self, table_name: str,
-                query: "ConjunctiveQuery | Sequence[RangePredicate] | RangePredicate",
-    ) -> Plan:
-        """Plan a query without executing it (the ``EXPLAIN`` entry point).
-
-        When the query would currently be answered from the result cache,
+        When the request would currently be answered from the result cache,
         the returned plan is the plan-free ``cached`` marker instead of a
         freshly planned pipeline (``Plan.cached`` is ``True`` and
         ``describe()`` says so); the peek is non-destructive, so explain
         never perturbs hit/miss counters or the LRU order.
         """
-        query = self._as_conjunctive(query)
+        table_name, query = request.table, request.query
         cache = self._result_cache
         with self.epochs.read():
             if cache is not None and cache.enabled:
@@ -830,17 +746,10 @@ class Database:
                     entry = self.catalog.table_entry(table_name)
                     hit = cache.peek(table_name, key, entry.data_epoch)
                     if hit is not None:
-                        return self._cached_marker_plan(table_name, query,
-                                                        hit.used_index)
+                        return Plan(table_name=table_name, query=query,
+                                    merged=query.merged() or {}, cached=True,
+                                    cached_used_index=hit.used_index)
             return self.planner.plan(table_name, query)
-
-    @staticmethod
-    def _cached_marker_plan(table_name: str, query: ConjunctiveQuery,
-                            used_index: str | None) -> Plan:
-        """The plan-free marker attached to cache-served results."""
-        return Plan(table_name=table_name, query=query,
-                    merged=query.merged() or {}, cached=True,
-                    cached_used_index=used_index)
 
     # ------------------------------------------------------- result cache
 
@@ -877,17 +786,6 @@ class Database:
         """Drop all cached plan templates (see :meth:`Planner.cache_clear`)."""
         self.planner.cache_clear()
 
-    @staticmethod
-    def _as_conjunctive(
-        query: "ConjunctiveQuery | Sequence[RangePredicate] | RangePredicate",
-    ) -> ConjunctiveQuery:
-        """Coerce any accepted query shape to a ConjunctiveQuery."""
-        if isinstance(query, ConjunctiveQuery):
-            return query
-        if isinstance(query, RangePredicate):
-            return ConjunctiveQuery([query])
-        return ConjunctiveQuery(query)
-
     def query_with(self, table_name: str, index_name: str,
                    predicate: RangePredicate) -> QueryResult:
         """Execute a predicate through a specific named index.
@@ -897,8 +795,8 @@ class Database:
         :class:`Plan` run by :func:`execute_plan`, so it shares pointer
         resolution, validation and the mechanism's false-positive feedback
         with every other read.  For mechanism-vs-mechanism comparisons;
-        route ordinary reads through :meth:`execute` / :meth:`query` and
-        let :meth:`explain` show which index the planner picks.
+        route ordinary reads through :meth:`execute` and let
+        :meth:`explain` show which index the planner picks.
         """
         with self.epochs.read() as epoch:
             entry = self.catalog.table_entry(table_name)
@@ -911,7 +809,7 @@ class Database:
             if index_entry.method is IndexMethod.COMPOSITE:
                 raise QueryError(
                     f"composite index {index_name!r} cannot serve a single "
-                    f"predicate; use query_conjunctive with predicates on "
+                    f"predicate; use execute with predicates on "
                     f"{index_entry.column!r} and {index_entry.second_column!r}"
                 )
             if index_entry.column != predicate.column:
@@ -929,9 +827,10 @@ class Database:
                         query=ConjunctiveQuery([predicate]),
                         merged={predicate.column: key_range}, paths=[path],
                         estimated_cost=path.estimated_cost())
-            planned = execute_plan(plan, entry, self.pointer_scheme,
-                                   entry.primary_index)
-        return QueryResult.from_planned(planned, epoch)
+            locations, breakdown = execute_plan(
+                plan, entry, self.pointer_scheme, entry.primary_index)
+        return QueryResult(locations, breakdown, plan.used_index, plan, 1,
+                           epoch)
 
     # ------------------------------------------------------------- accounting
 

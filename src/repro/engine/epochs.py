@@ -24,9 +24,9 @@ assumption explicit instead of implicit:
 * **Writer preference.**  New readers queue behind a waiting writer so a
   steady read load cannot starve mutations — the serving benchmark's
   open-loop read stream would otherwise lock writers out indefinitely.
-* **Reentrant per thread.**  ``Database.query`` calls
-  ``query_conjunctive`` internally and the writer occasionally reads its
-  own tables mid-mutation; both sides count per-thread depth so nested
+* **Reentrant per thread.**  An auto-checkpoint takes the read side from
+  inside the mutation that triggered it, and the writer occasionally reads
+  its own tables mid-mutation; both sides count per-thread depth so nested
   acquisitions are free.  The one illegal move is upgrading — asking for
   the write side while holding the read side — which would deadlock
   against the thread's own read and raises

@@ -26,7 +26,7 @@ from repro.core.lookup import (
     finish_lookup_segmented,
 )
 from repro.engine.catalog import TableEntry
-from repro.engine.planner import Plan, PlannedQueryResult
+from repro.engine.planner import Plan
 from repro.index.base import Index, KeyRange
 from repro.segments import segmented_intersect, segmented_sort, split_segments
 from repro.storage.identifiers import PointerScheme
@@ -34,11 +34,17 @@ from repro.storage.identifiers import PointerScheme
 
 def execute_plan(plan: Plan, entry: TableEntry,
                  pointer_scheme: PointerScheme,
-                 primary_index: Index | None = None) -> PlannedQueryResult:
-    """Run a plan: execute paths, intersect, resolve once, validate once."""
+                 primary_index: Index | None = None,
+                 ) -> tuple[np.ndarray, LookupBreakdown]:
+    """Run a plan: execute paths, intersect, resolve once, validate once.
+
+    Returns the sorted, duplicate-free int64 location array plus the
+    breakdown of this one lookup — the single-request shape of what
+    :func:`execute_plan_many` returns for a batch.
+    """
     breakdown = LookupBreakdown(lookups=1)
     if plan.unsatisfiable or not plan.paths:
-        return PlannedQueryResult(np.empty(0, dtype=np.int64), breakdown, plan)
+        return np.empty(0, dtype=np.int64), breakdown
 
     # Single-path plans (the overwhelmingly common case) never touch
     # np.intersect1d; multi-path plans intersect with assume_unique
@@ -68,7 +74,7 @@ def execute_plan(plan: Plan, entry: TableEntry,
                                   pointer_scheme, primary_index, breakdown,
                                   unique)
     _observe_lookup(plan, breakdown)
-    return PlannedQueryResult(locations, breakdown, plan)
+    return locations, breakdown
 
 
 def execute_plan_many(plan: Plan, merged_list: list[dict[str, KeyRange]],

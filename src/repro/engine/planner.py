@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.lookup import LookupBreakdown
 from repro.engine.access_path import (
     DEFAULT_COST_MODEL,
     AccessPath,
@@ -130,35 +129,6 @@ class Plan:
             lines.append(f"  plan cache: hits={stats.hits} "
                          f"misses={stats.misses} replays={stats.replays}")
         return "\n".join(lines)
-
-
-@dataclass
-class PlannedQueryResult:
-    """Array-native result of a planned query.
-
-    Attributes:
-        locations: Matching row locations, sorted ascending, deduplicated
-            (an int64 numpy array — the planner pipeline never leaves numpy).
-        breakdown: Per-phase time accounting accumulated across every
-            executed path, pointer resolution and validation.
-        plan: The plan that produced the result.
-    """
-
-    locations: np.ndarray
-    breakdown: LookupBreakdown
-    plan: Plan
-    # Number of queries that shared this result's plan template in one
-    # batched execution (1 for the per-query API).  Together with the
-    # planner's cache counters this shows how well a batch amortised
-    # planning: a batch of B same-shape queries yields group_size == B and
-    # a single planner visit.
-    group_size: int = 1
-    # Write epoch the read executed under (None when the caller ran outside
-    # the epoch protocol); see repro.engine.epochs.
-    epoch: int | None = None
-
-    def __len__(self) -> int:
-        return int(self.locations.size)
 
 
 def _selectivity_bucket(selectivity: float) -> int:
@@ -447,7 +417,7 @@ class Planner:
         Unsatisfiable queries collapse into one no-path group.
 
         Grouping itself is batched: single-predicate queries — the
-        ``query_many`` fast path — are bucketed per column with one
+        single-column batch fast path — are bucketed per column with one
         vectorized selectivity pass instead of per-query stats lookups;
         only multi-predicate conjunctions walk the scalar route.
         """

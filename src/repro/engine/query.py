@@ -10,16 +10,24 @@ same column collapse (and contradictory ones mark the query unsatisfiable).
 On top of the predicates sit the engine's *transport* objects:
 :class:`QueryRequest` is the one client-facing request shape — point, range
 and conjunctive queries unified, each naming its table — consumed by
-``Database.execute`` / ``Database.execute_many`` and by the serving front end
-(``repro.serving``); :class:`QueryResult` is the matching result shape every
-``Database.query*`` wrapper and the server hand back.  New front ends are
+``Database.execute`` / ``Database.execute_many`` / ``Database.explain`` and
+by the serving front end (``repro.serving``); :class:`QueryResult` is the one
+result shape of a planned read on every tier — ``Database``,
+``ShardedDatabase`` and ``Server`` hand back nothing else.  New front ends are
 meant to be prototyped against these two objects without touching the engine.
+
+Malformed input is rejected here, at the request boundary: a
+:class:`RangePredicate` with ``low > high`` or a NaN bound raises
+:class:`~repro.errors.QueryError` at construction, so it can never reach a
+coalesced batch and fail (or silently skew) its batch-mates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from repro.core.lookup import LookupBreakdown
 from repro.errors import QueryError
@@ -28,16 +36,19 @@ from repro.index.base import KeyRange
 
 @dataclass(frozen=True)
 class RangePredicate:
-    """``low <= column <= high``."""
+    """``low <= column <= high``; infinite bounds are fine, NaN is not."""
 
     column: str
     low: float
     high: float
 
     def __post_init__(self) -> None:
-        if self.low > self.high:
+        # ``not low <= high`` (rather than ``low > high``) so a NaN bound,
+        # which compares false to everything, is rejected too.
+        if not self.low <= self.high:
+            problem = "low > high" if self.low > self.high else "a NaN bound"
             raise QueryError(
-                f"range predicate on {self.column!r} has low > high"
+                f"range predicate on {self.column!r} has {problem}"
             )
 
     @property
@@ -185,31 +196,35 @@ class QueryRequest:
         return len(predicates) == 1 and predicates[0].is_point
 
 
-@dataclass
+@dataclass(eq=False)
 class QueryResult:
     """Result of executing one query through the engine.
 
-    The unified result shape shared by every ``Database.query*`` wrapper,
-    ``Database.execute`` / ``execute_many`` and the serving front end — a
-    transport-friendly object (plain-list locations) that still carries the
-    planner's explanation for callers that want it.
+    The one result shape of a planned read: ``Database.execute`` /
+    ``execute_many`` / ``query_with``, ``ShardedDatabase`` and the serving
+    front end all return it.
 
     Attributes:
-        locations: Row locations of the matching tuples (sorted ascending).
+        locations: Row locations of the matching tuples — a sorted,
+            duplicate-free int64 array on every path.  The misses of one
+            batch are views into one shared buffer; a result-cache hit is a
+            read-only view of the cache's buffer.  Copy before mutating.
         breakdown: Per-phase time breakdown accumulated by the mechanism that
             served the query (empty for full scans).  Requests answered by
             one coalesced batch share the batch's accumulated breakdown.
         used_index: Name of the index that served the query, or ``None`` when
             the engine fell back to a full table scan.
-        plan: The plan that produced the result (``None`` for a batch
-            request the result cache answered).
+        plan: The plan that produced the result; ``None`` when the result
+            cache answered (``Database.explain`` shows the ``cached``
+            marker) and for sharded reads (plans stay shard-side).
         group_size: Number of queries that shared this result's plan template
             in one batched execution (1 for the per-query API).
         epoch: Write epoch the read executed under — two results with the
             same epoch observed the same committed database state.
     """
 
-    locations: list[int] = field(default_factory=list)
+    locations: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64))
     breakdown: LookupBreakdown = field(default_factory=LookupBreakdown)
     used_index: str | None = None
     plan: object | None = None
@@ -218,19 +233,3 @@ class QueryResult:
 
     def __len__(self) -> int:
         return len(self.locations)
-
-    @classmethod
-    def from_planned(cls, planned, epoch: int | None = None) -> "QueryResult":
-        """Convert a planner result to the transport shape.
-
-        Shared by ``Database.query`` and ``Database.query_many`` so the
-        scalar and batched entry points cannot drift: the planner's sorted
-        int64 location array becomes a plain list and the driver path's
-        index name is surfaced as ``used_index``.
-        """
-        return cls(locations=planned.locations.tolist(),
-                   breakdown=planned.breakdown,
-                   used_index=planned.plan.used_index,
-                   plan=planned.plan,
-                   group_size=planned.group_size,
-                   epoch=planned.epoch if epoch is None else epoch)

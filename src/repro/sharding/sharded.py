@@ -60,11 +60,7 @@ from repro.core.lookup import LookupBreakdown
 from repro.engine.access_path import DEFAULT_COST_MODEL, CostModel
 from repro.engine.database import Database
 from repro.engine.planner import PlannerCacheStats
-from repro.engine.query import (
-    QueryRequest,
-    QueryResult,
-    RangePredicate,
-)
+from repro.engine.query import QueryRequest, QueryResult
 from repro.errors import CatalogError, ConfigurationError
 from repro.sharding.worker import dispatch_command, shard_worker_main
 from repro.storage.identifiers import PointerScheme
@@ -416,7 +412,7 @@ class ShardedDatabase:
             merged = (np.sort(np.concatenate(pieces)) if pieces
                       else np.empty(0, dtype=np.int64))
             results.append(QueryResult(
-                locations=merged.tolist(),
+                locations=merged,
                 breakdown=merged_breakdown,
                 used_index=replies[0][2][position],
                 group_size=replies[0][3][position],
@@ -427,17 +423,6 @@ class ShardedDatabase:
     def execute(self, request: QueryRequest) -> QueryResult:
         """Answer one request (thin wrapper over :meth:`execute_many`)."""
         return self.execute_many([request])[0]
-
-    def query(self, table_name: str,
-              predicate: RangePredicate) -> QueryResult:
-        """Single-predicate convenience mirroring :meth:`Database.query`."""
-        return self.execute(QueryRequest.of(table_name, predicate))
-
-    def query_many(self, table_name: str,
-                   predicates: Sequence[RangePredicate]) -> list[QueryResult]:
-        """Predicate-batch convenience mirroring :meth:`Database.query_many`."""
-        return self.execute_many(
-            [QueryRequest.of(table_name, p) for p in predicates])
 
     # ------------------------------------------------------------------
     # Observability (the surface repro.serving.Server reads)

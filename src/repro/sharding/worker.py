@@ -14,7 +14,7 @@ which is what guarantees the two modes cannot drift apart: the equivalence
 tests exercise inline shards, the benchmark exercises process shards, and
 both run exactly this code.
 
-Query results cross the pipe *packed*: the per-request location lists of a
+Query results cross the pipe *packed*: the per-request location arrays of a
 whole ``execute_many`` batch are flattened into one segmented int64 array
 (``repro.segments`` layout) plus small per-request metadata, and the
 engine-side ``Plan`` objects are stripped (they hold live index references
@@ -48,9 +48,8 @@ def pack_results(results: list) -> PackedResults:
     batch's distinct breakdown objects (plan groups share one) are merged
     into a single per-shard-batch accounting.
     """
-    arrays = [np.asarray(result.locations, dtype=np.int64)
-              for result in results]
-    values, offsets = concat_segments(arrays)
+    values, offsets = concat_segments(
+        [result.locations for result in results])
     merged = LookupBreakdown()
     distinct = {id(result.breakdown): result.breakdown for result in results}
     for breakdown in distinct.values():

@@ -3,6 +3,7 @@
 ``scan_locations`` is deliberately independent of every index, mechanism
 and executor: one NumPy mask over a projection of the live rows.
 ``trs_lookup_bfs`` answers a TRS-Tree lookup from the pointer tree alone.
+``assert_locations`` checks a ``QueryResult`` against the result contract.
 """
 
 from __future__ import annotations
@@ -29,6 +30,16 @@ def scan_locations(table: Table, *predicates) -> list[int]:
     for predicate, column_values in zip(predicates, values):
         mask &= (column_values >= predicate.low) & (column_values <= predicate.high)
     return sorted(int(slot) for slot in slots[mask])
+
+
+def assert_locations(result, expected) -> None:
+    """The result contract: ``locations`` is a sorted, duplicate-free int64
+    ``ndarray`` — and here it equals ``expected``."""
+    found = result.locations
+    assert isinstance(found, np.ndarray), type(found)
+    assert found.dtype == np.int64 and found.ndim == 1
+    assert bool(np.all(np.diff(found) > 0)), "not sorted and duplicate-free"
+    assert found.tolist() == list(expected)
 
 
 def trs_lookup_bfs(tree: TRSTree, predicate: KeyRange) -> TRSLookupResult:

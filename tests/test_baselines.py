@@ -111,6 +111,26 @@ class TestCorrelationMap:
         assert set(cm.lookup_range(100.0, 300.0).locations) == \
             brute_force(table, 100.0, 300.0)
 
+    @pytest.mark.parametrize("low, high", [
+        (float("-inf"), 300.0), (300.0, float("inf")),
+        (float("-inf"), float("inf")), (float("inf"), float("inf")),
+        (float("-inf"), float("-inf")), (-1e300, 1e300),
+    ])
+    def test_wide_and_infinite_predicates(self, table, low, high):
+        """The bucket walk is clamped to the buckets the mapping holds: an
+        infinite bound used to raise ``OverflowError`` and a wide finite
+        range walked ~1e298 empty buckets, i.e. never returned."""
+        _, host = primary_and_host(table, PointerScheme.PHYSICAL)
+        cm = CorrelationMap(table, "target", "host", host,
+                            target_bucket_width=64.0, host_bucket_width=128.0)
+        cm.build()
+        expected = brute_force(table, low, high)
+        assert set(cm.lookup_range(low, high).locations) == expected
+        batch = cm.lookup_range_many([(low, high), (100.0, 300.0)])
+        assert set(batch.locations_per_query[0]) == expected
+        assert set(batch.locations_per_query[1]) == \
+            brute_force(table, 100.0, 300.0)
+
     def test_smaller_buckets_use_more_memory(self, table):
         _, host = primary_and_host(table, PointerScheme.PHYSICAL)
         fine = CorrelationMap(table, "target", "host", host,

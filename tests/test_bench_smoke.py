@@ -146,7 +146,7 @@ class TestQueryManySmokeRun:
     @pytest.mark.parametrize("scheme", [PointerScheme.PHYSICAL,
                                         PointerScheme.LOGICAL])
     def test_batched_queries_agree_with_loop(self, scheme):
-        """query_many / query_conjunctive_many equal the per-query loop.
+        """``execute_many`` equals the ``execute`` loop.
 
         Tiny-scale race over every mechanism and batch class; the loose
         throughput floor only catches the batch path degenerating into a

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.engine.access_path import CompositePath
 from repro.engine.database import Database
-from repro.engine.query import RangePredicate, conjunction
+from repro.engine.query import QueryRequest, RangePredicate, conjunction
 from repro.errors import KeyNotFoundError, StorageError
 from repro.index.base import KeyRange
 from repro.index.composite import CompositeIndex
@@ -139,16 +139,17 @@ class TestCompositeSecondaryIndex:
         database = _make_database(scheme)
         query = conjunction(RangePredicate("a", 10.0, 30.0),
                             RangePredicate("m", 40.0, 60.0))
-        plan = database.explain("t", query)
+        plan = database.explain(QueryRequest.of("t", query))
         assert plan.used_index == "idx_am"
         assert isinstance(plan.paths[0], CompositePath)
-        planned = database.query_conjunctive("t", query)
+        planned = database.execute(QueryRequest.of("t", query))
         assert np.array_equal(planned.locations,
                               expected_slots(database, 10.0, 30.0, 40.0, 60.0))
 
     def test_single_predicate_does_not_use_composite(self):
         database = _make_database()
-        plan = database.explain("t", RangePredicate("a", 10.0, 30.0))
+        plan = database.explain(QueryRequest.of(
+            "t", RangePredicate("a", 10.0, 30.0)))
         assert plan.used_index is None  # composite cannot serve one column
 
     def test_query_with_rejects_composite(self):
@@ -161,18 +162,18 @@ class TestCompositeSecondaryIndex:
         database = _make_database(rows=50)
         location = database.insert("t", {"pk": 1000.0, "a": 20.0, "m": 50.0,
                                          "payload": 0.5})
-        query = conjunction(RangePredicate("a", 19.0, 21.0),
-                            RangePredicate("m", 49.0, 51.0))
-        assert int(location) in database.query_conjunctive("t", query).locations
+        request = QueryRequest.of("t", [RangePredicate("a", 19.0, 21.0),
+                                        RangePredicate("m", 49.0, 51.0)])
+        assert int(location) in database.execute(request).locations
 
         database.update("t", location, {"m": 90.0})
-        assert int(location) not in database.query_conjunctive("t", query).locations
-        moved = conjunction(RangePredicate("a", 19.0, 21.0),
-                            RangePredicate("m", 89.0, 91.0))
-        assert int(location) in database.query_conjunctive("t", moved).locations
+        assert int(location) not in database.execute(request).locations
+        moved = QueryRequest.of("t", [RangePredicate("a", 19.0, 21.0),
+                                      RangePredicate("m", 89.0, 91.0)])
+        assert int(location) in database.execute(moved).locations
 
         database.delete("t", location)
-        assert int(location) not in database.query_conjunctive("t", moved).locations
+        assert int(location) not in database.execute(moved).locations
 
     def test_insert_many_maintains_composite(self):
         database = _make_database(rows=50)
@@ -184,7 +185,7 @@ class TestCompositeSecondaryIndex:
         })
         query = conjunction(RangePredicate("a", 24.0, 27.0),
                             RangePredicate("m", 54.0, 57.0))
-        found = database.query_conjunctive("t", query).locations
+        found = database.execute(QueryRequest.of("t", query)).locations
         assert set(locations) <= set(found.tolist())
 
     def test_rejects_duplicate_columns(self):

@@ -6,7 +6,7 @@ tail, or failing an fsync), recover the directory, and the recovered
 database must be exactly the shadow in-memory replay of the operation prefix
 that survived — across every index mechanism (HERMIT, B+-tree baseline,
 sorted column, correlation map), both pointer schemes, and the whole read
-API (``query`` / ``query_conjunctive`` / ``query_many`` / ``query_with``).
+API (``execute`` / ``execute_many`` / ``query_with``).
 
 Because every logged operation appends exactly one record, LSN ``k``
 corresponds to operation ``k`` of the scripted workload: the recovered
@@ -37,10 +37,12 @@ from repro.durability.checkpoint import write_checkpoint
 from repro.durability.recovery import recover
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
-from repro.engine.query import RangePredicate
+from repro.engine.query import QueryRequest, RangePredicate
 from repro.errors import DurabilityError
 from repro.storage.identifiers import PointerScheme
 from repro.storage.schema import Column, DataType, TableSchema
+
+from reference import assert_locations
 
 pytestmark = pytest.mark.fault_injection
 
@@ -160,21 +162,17 @@ def assert_equivalent(recovered: Database, shadow: Database) -> None:
         predicate = RangePredicate(index_entry.column, 200.0, 700.0)
         got = recovered.query_with("t", name, predicate)
         want = shadow.query_with("t", name, predicate)
-        assert got.locations == want.locations, name
+        assert_locations(got, want.locations)
 
-    for predicate in PREDICATES:
-        assert recovered.query("t", predicate).locations == \
-            shadow.query("t", predicate).locations
-    got_many = recovered.query_many("t", PREDICATES)
-    want_many = shadow.query_many("t", PREDICATES)
-    for got, want in zip(got_many, want_many):
-        assert got.locations == want.locations
     conj = [RangePredicate("a", 100.0, 600.0),
             RangePredicate("b", 250.0, 1100.0)]
-    np.testing.assert_array_equal(
-        recovered.query_conjunctive("t", conj).locations,
-        shadow.query_conjunctive("t", conj).locations,
-    )
+    requests = [QueryRequest.of("t", query) for query in (*PREDICATES, conj)]
+    for request in requests:
+        assert_locations(recovered.execute(request),
+                         shadow.execute(request).locations)
+    for got, want in zip(recovered.execute_many(requests),
+                         shadow.execute_many(requests)):
+        assert_locations(got, want.locations)
 
 
 def run_workload(directory: str, injector: FaultInjector | None,

@@ -4,7 +4,12 @@ import pytest
 
 from repro.engine.catalog import Catalog, IndexEntry, IndexMethod
 from repro.engine.database import Database
-from repro.engine.query import QueryResult, RangePredicate, point_predicate
+from repro.engine.query import (
+    QueryRequest,
+    QueryResult,
+    RangePredicate,
+    point_predicate,
+)
 from repro.errors import CatalogError, QueryError
 from repro.index.bptree import BPlusTree
 from repro.storage.identifiers import PointerScheme
@@ -12,7 +17,7 @@ from repro.storage.schema import numeric_schema
 from repro.storage.table import Table
 from repro.workloads.synthetic import generate_synthetic, load_synthetic
 
-from reference import scan_locations
+from reference import assert_locations, scan_locations
 
 
 class TestQueryModel:
@@ -111,14 +116,15 @@ class TestDatabase:
         database.create_index("idx_c", table_name, "colC",
                               method=IndexMethod.HERMIT, host_column="colB")
         predicate = RangePredicate("colC", 100_000.0, 200_000.0)
-        indexed = database.query(table_name, predicate)
+        indexed = database.execute(QueryRequest.of(table_name, predicate))
         scanned = scan_locations(database.table(table_name), predicate)
-        assert indexed.locations == scanned
+        assert_locations(indexed, scanned)
         assert indexed.used_index == "idx_c"
 
     def test_query_without_index_falls_back_to_scan(self, loaded):
         database, table_name, _ = loaded
-        result = database.query(table_name, RangePredicate("colD", 0.0, 0.5))
+        result = database.execute(QueryRequest.of(
+            table_name, RangePredicate("colD", 0.0, 0.5)))
         assert result.used_index is None
         assert len(result.locations) > 0
 
@@ -155,7 +161,7 @@ class TestDatabase:
         predicate = RangePredicate("colC", 0.0, 100_000.0)
         indexed = database.query_with(table_name, "idx_cm", predicate)
         scanned = scan_locations(database.table(table_name), predicate)
-        assert indexed.locations == scanned
+        assert_locations(indexed, scanned)
 
     def test_correlation_map_requires_parameters(self, loaded):
         database, table_name, _ = loaded
@@ -171,17 +177,16 @@ class TestDatabase:
         location = database.insert(table_name, {
             "colA": 10_000_000.0, "colB": 555.0, "colC": 123_456.0, "colD": 0.5,
         })
-        predicate = RangePredicate("colC", 123_455.0, 123_457.0)
-        assert location in database.query(table_name, predicate).locations
+        old = QueryRequest.range(table_name, "colC", 123_455.0, 123_457.0)
+        new = QueryRequest.range(table_name, "colC", 654_320.0, 654_322.0)
+        assert location in database.execute(old).locations
 
         database.update(table_name, location, {"colC": 654_321.0})
-        assert location not in database.query(table_name, predicate).locations
-        assert location in database.query(
-            table_name, RangePredicate("colC", 654_320.0, 654_322.0)).locations
+        assert location not in database.execute(old).locations
+        assert location in database.execute(new).locations
 
         database.delete(table_name, location)
-        assert location not in database.query(
-            table_name, RangePredicate("colC", 654_320.0, 654_322.0)).locations
+        assert location not in database.execute(new).locations
 
     def test_sorted_column_index_method(self, loaded):
         database, table_name, _ = loaded
@@ -189,15 +194,16 @@ class TestDatabase:
                                       method=IndexMethod.SORTED_COLUMN)
         assert entry.method is IndexMethod.SORTED_COLUMN
         predicate = RangePredicate("colD", 0.2, 0.25)
-        indexed = database.query(table_name, predicate)
+        indexed = database.execute(QueryRequest.of(table_name, predicate))
         scanned = scan_locations(database.table(table_name), predicate)
-        assert indexed.locations == scanned
+        assert_locations(indexed, scanned)
         assert indexed.used_index == "idx_d_sorted"
         # Maintenance keeps the sorted arrays consistent.
         location = database.insert(table_name, {
             "colA": 20_000_000.0, "colB": 5.0, "colC": 1.0, "colD": 0.21,
         })
-        assert location in database.query(table_name, predicate).locations
+        assert location in database.execute(QueryRequest.of(
+            table_name, predicate)).locations
 
     def test_sorted_column_serves_as_hermit_host(self, loaded):
         database, table_name, _ = loaded
@@ -212,7 +218,7 @@ class TestDatabase:
         predicate = RangePredicate("colC", 100_000.0, 150_000.0)
         indexed = database.query_with(table_name, "idx_c", predicate)
         scanned = scan_locations(database.table(table_name), predicate)
-        assert indexed.locations == scanned
+        assert_locations(indexed, scanned)
 
     def test_memory_report_labels(self, loaded):
         database, table_name, _ = loaded
@@ -259,12 +265,12 @@ class TestDatabase:
             "colA": 40_000_000.0, "colB": 5.0, "colC": 123.0, "colD": 0.1,
         })
         predicate = RangePredicate("colC", 122.0, 124.0)
-        result = database.query(table_name, predicate)
+        result = database.execute(QueryRequest.of(table_name, predicate))
         assert location in result.locations
         assert result.used_index == "idx_c"
 
         database.update(table_name, location, {"colA": 41_000_000.0})
-        result = database.query(table_name, predicate)
+        result = database.execute(QueryRequest.of(table_name, predicate))
         assert location in result.locations
         assert result.used_index == "idx_c"
 
@@ -277,9 +283,9 @@ class TestDatabase:
         # Selective enough that the planner picks the Hermit path over a
         # scan even with the logical scheme's per-candidate resolution cost.
         predicate = RangePredicate("colC", 0.0, 10_000.0)
-        indexed = database.query(table_name, predicate)
+        indexed = database.execute(QueryRequest.of(table_name, predicate))
         scanned = scan_locations(database.table(table_name), predicate)
-        assert indexed.locations == scanned
+        assert_locations(indexed, scanned)
         assert indexed.used_index == "idx_c"
         assert indexed.breakdown.primary_index_seconds > 0
 
@@ -291,8 +297,8 @@ class TestDatabase:
         database.create_index("idx_c", table_name, "colC",
                               method=IndexMethod.HERMIT, host_column="colB")
         predicate = RangePredicate("colC", 0.0, 900_000.0)
-        result = database.query(table_name, predicate)
+        result = database.execute(QueryRequest.of(table_name, predicate))
         assert result.used_index is None
         assert result.breakdown.primary_index_seconds == 0
-        assert result.locations == scan_locations(
-            database.table(table_name), predicate)
+        assert_locations(result, scan_locations(
+            database.table(table_name), predicate))

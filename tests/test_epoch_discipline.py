@@ -16,7 +16,7 @@ import pytest
 
 from repro.engine.database import Database
 from repro.engine.epochs import EpochManager
-from repro.engine.query import RangePredicate
+from repro.engine.query import QueryRequest, RangePredicate
 from repro.errors import ConcurrencyError, EpochDisciplineError
 from repro.storage.schema import numeric_schema
 
@@ -153,11 +153,12 @@ class TestCleanWorkloads:
     def test_full_dml_query_ddl_workload_is_silent(self, debug_db):
         debug_db.create_index("idx_v", "t", "v")
         debug_db.insert_many("t", {"id": [4.0, 5.0], "v": [40.0, 50.0]})
-        location = int(debug_db.query(
-            "t", RangePredicate("id", 2.0, 2.0)).locations[0])
+        location = int(debug_db.execute(QueryRequest.of(
+            "t", RangePredicate("id", 2.0, 2.0))).locations[0])
         debug_db.update("t", location, {"v": 21.0})
         debug_db.delete("t", location)
-        result = debug_db.query("t", RangePredicate("v", 0.0, 100.0))
+        result = debug_db.execute(QueryRequest.of(
+            "t", RangePredicate("v", 0.0, 100.0)))
         assert len(result.locations) == 4
         debug_db.drop_index("t", "idx_v")
         report = debug_db.memory_report()
@@ -170,7 +171,8 @@ class TestCleanWorkloads:
         def reader():
             try:
                 while not stop.is_set():
-                    debug_db.query("t", RangePredicate("id", 0.0, 100.0))
+                    debug_db.execute(QueryRequest.of(
+                        "t", RangePredicate("id", 0.0, 100.0)))
             except BaseException as error:  # noqa: BLE001 - the test
                 # asserts no exception of any kind escapes the workload
                 errors.append(error)

@@ -15,7 +15,12 @@ import pytest
 from repro.engine.access_path import CompositePath, FullScanPath, MechanismPath
 from repro.engine.catalog import ColumnStats, IndexMethod
 from repro.engine.database import Database
-from repro.engine.query import ConjunctiveQuery, RangePredicate, conjunction
+from repro.engine.query import (
+    ConjunctiveQuery,
+    QueryRequest,
+    RangePredicate,
+    conjunction,
+)
 from repro.errors import QueryError
 from repro.index.base import KeyRange
 from repro.storage.identifiers import PointerScheme
@@ -97,54 +102,55 @@ def brute_force(database, table_name, predicates) -> np.ndarray:
 class TestPlanSelection:
     def test_prefers_complete_index_over_hermit(self, planner_db):
         database, table_name = planner_db
-        plan = database.explain(table_name,
-                                RangePredicate("colC", 0.0, 20_000.0))
+        plan = database.explain(QueryRequest.of(
+            table_name, RangePredicate("colC", 0.0, 20_000.0)))
         assert plan.used_index == "idx_colC_btree"
         assert not plan.is_full_scan
 
     def test_point_lookup_prefers_complete_index(self, planner_db):
         database, table_name = planner_db
-        plan = database.explain(table_name,
-                                RangePredicate("colC", 5_000.0, 5_000.0))
+        plan = database.explain(QueryRequest.of(
+            table_name, RangePredicate("colC", 5_000.0, 5_000.0)))
         assert plan.used_index == "idx_colC_btree"
 
     def test_sorted_column_is_chosen_on_its_column(self, planner_db):
         database, table_name = planner_db
-        plan = database.explain(table_name, RangePredicate("colD", 0.1, 0.11))
+        plan = database.explain(QueryRequest.of(
+            table_name, RangePredicate("colD", 0.1, 0.11)))
         assert plan.used_index == "idx_colD_sorted"
 
     def test_no_index_falls_back_to_scan(self, planner_db):
         database, table_name = planner_db
-        plan = database.explain(table_name,
-                                RangePredicate("colA", 0.0, 100.0))
+        plan = database.explain(QueryRequest.of(
+            table_name, RangePredicate("colA", 0.0, 100.0)))
         assert plan.used_index is None
         assert plan.is_full_scan
 
     def test_unselective_predicate_scans(self, planner_db):
         database, table_name = planner_db
-        plan = database.explain(table_name,
-                                RangePredicate("colC", 0.0, 999_999.0))
+        plan = database.explain(QueryRequest.of(
+            table_name, RangePredicate("colC", 0.0, 999_999.0)))
         assert plan.is_full_scan
 
     def test_conjunctive_drives_with_most_selective_column(self, planner_db):
         database, table_name = planner_db
-        plan = database.explain(table_name, conjunction(
+        plan = database.explain(QueryRequest.of(table_name, conjunction(
             RangePredicate("colC", 0.0, 5_000.0),       # narrow
             RangePredicate("colB", 0.0, 1_500_000.0),   # wide
-        ))
+        )))
         assert plan.used_index == "idx_colC_btree"
-        plan = database.explain(table_name, conjunction(
+        plan = database.explain(QueryRequest.of(table_name, conjunction(
             RangePredicate("colC", 0.0, 800_000.0),     # wide
             RangePredicate("colB", 0.0, 15_000.0),      # narrow
-        ))
+        )))
         assert plan.used_index == "idx_colB"
 
     def test_describe_names_every_path(self, planner_db):
         database, table_name = planner_db
-        plan = database.explain(table_name, conjunction(
+        plan = database.explain(QueryRequest.of(table_name, conjunction(
             RangePredicate("colC", 0.0, 5_000.0),
             RangePredicate("colB", 0.0, 1_500_000.0),
-        ))
+        )))
         explained = plan.describe()
         assert "drive" in explained
         assert "validate" in explained
@@ -152,10 +158,10 @@ class TestPlanSelection:
 
     def test_unsatisfiable_plan(self, planner_db):
         database, table_name = planner_db
-        plan = database.explain(table_name, conjunction(
+        plan = database.explain(QueryRequest.of(table_name, conjunction(
             RangePredicate("colC", 0.0, 1.0),
             RangePredicate("colC", 2.0, 3.0),
-        ))
+        )))
         assert plan.unsatisfiable
         assert "unsatisfiable" in plan.describe()
 
@@ -163,10 +169,10 @@ class TestPlanSelection:
 class TestPlanCache:
     def test_same_shape_query_replays_cached_plan(self, planner_db):
         database, table_name = planner_db
-        first = database.explain(table_name,
-                                 RangePredicate("colC", 0.0, 10_000.0))
-        second = database.explain(table_name,
-                                  RangePredicate("colC", 40_000.0, 50_000.0))
+        first = database.explain(QueryRequest.of(
+            table_name, RangePredicate("colC", 0.0, 10_000.0)))
+        second = database.explain(QueryRequest.of(
+            table_name, RangePredicate("colC", 40_000.0, 50_000.0)))
         assert second.used_index == first.used_index
         # The replayed plan is bound to the *new* predicate range.
         path = second.paths[0]
@@ -180,19 +186,22 @@ class TestPlanCache:
         database.create_index("idx_c_hermit", table_name, "colC",
                               method=IndexMethod.HERMIT, host_column="colB")
         predicate = RangePredicate("colC", 0.0, 10_000.0)
-        assert database.explain(table_name, predicate).used_index == "idx_c_hermit"
+        assert database.explain(QueryRequest.of(
+            table_name, predicate)).used_index == "idx_c_hermit"
         database.create_index("idx_c_btree", table_name, "colC",
                               method=IndexMethod.BTREE)
-        assert database.explain(table_name, predicate).used_index == "idx_c_btree"
+        assert database.explain(QueryRequest.of(
+            table_name, predicate)).used_index == "idx_c_btree"
         database.drop_index(table_name, "idx_c_btree")
-        assert database.explain(table_name, predicate).used_index == "idx_c_hermit"
+        assert database.explain(QueryRequest.of(
+            table_name, predicate)).used_index == "idx_c_hermit"
 
     def test_selectivity_bucket_change_replans(self, planner_db):
         database, table_name = planner_db
-        narrow = database.explain(table_name,
-                                  RangePredicate("colC", 0.0, 2_000.0))
-        wide = database.explain(table_name,
-                                RangePredicate("colC", 0.0, 999_999.0))
+        narrow = database.explain(QueryRequest.of(
+            table_name, RangePredicate("colC", 0.0, 2_000.0)))
+        wide = database.explain(QueryRequest.of(
+            table_name, RangePredicate("colC", 0.0, 999_999.0)))
         assert not narrow.is_full_scan
         assert wide.is_full_scan
 
@@ -218,34 +227,34 @@ class TestPlannedExecution:
              RangePredicate("colD", 0.0, 0.9)],
         ]
         for predicates in cases:
-            planned = database.query_conjunctive(table_name, predicates)
+            planned = database.execute(QueryRequest.of(table_name, predicates))
             expected = brute_force(database, table_name, predicates)
             assert np.array_equal(planned.locations, expected), predicates
             assert planned.locations.dtype == np.int64
 
     def test_result_is_sorted_unique_array(self, planner_db):
         database, table_name = planner_db
-        planned = database.query_conjunctive(
+        planned = database.execute(QueryRequest.of(
             table_name, [RangePredicate("colC", 0.0, 100_000.0)]
-        )
+        ))
         locations = planned.locations
         assert isinstance(locations, np.ndarray)
         assert np.all(np.diff(locations) > 0)
 
     def test_unsatisfiable_returns_empty(self, planner_db):
         database, table_name = planner_db
-        planned = database.query_conjunctive(table_name, conjunction(
+        planned = database.execute(QueryRequest.of(table_name, conjunction(
             RangePredicate("colC", 0.0, 1.0),
             RangePredicate("colC", 5.0, 6.0),
-        ))
+        )))
         assert len(planned) == 0
         assert planned.locations.dtype == np.int64
 
     def test_single_predicate_accepted_directly(self, planner_db):
         database, table_name = planner_db
         predicate = RangePredicate("colC", 0.0, 50_000.0)
-        direct = database.query_conjunctive(table_name, predicate)
-        wrapped = database.query_conjunctive(table_name, [predicate])
+        direct = database.execute(QueryRequest.of(table_name, predicate))
+        wrapped = database.execute(QueryRequest.of(table_name, [predicate]))
         assert np.array_equal(direct.locations, wrapped.locations)
 
     def test_planned_queries_feed_mechanism_observation(self):
@@ -264,9 +273,9 @@ class TestPlannedExecution:
                                       method=IndexMethod.HERMIT,
                                       host_column="colB")
         assert entry.mechanism.cumulative.candidates == 0
-        database.query_conjunctive(
+        database.execute(QueryRequest.of(
             table_name, RangePredicate("colC", 0.0, 200_000.0)
-        )
+        ))
         assert entry.mechanism.cumulative.lookups == 1
         assert entry.mechanism.cumulative.candidates > 0
 
@@ -279,10 +288,10 @@ class TestPlannedExecution:
         entry = database.create_index("idx_c", table_name, "colC",
                                       method=IndexMethod.HERMIT,
                                       host_column="colB")
-        database.query_conjunctive(table_name, conjunction(
+        database.execute(QueryRequest.of(table_name, conjunction(
             RangePredicate("colC", 0.0, 200_000.0),
             RangePredicate("colD", 0.0, 1e-9),   # rejects nearly everything
-        ))
+        )))
         # The plan covered only colC with the Hermit path, so the colD
         # rejections must not be booked as Hermit false positives.
         assert entry.mechanism.cumulative.candidates == 0
@@ -298,7 +307,7 @@ class TestPlannedExecution:
         database.create_index("idx_c", table_name, "colC",
                               method=IndexMethod.HERMIT, host_column="colB")
         predicate = RangePredicate("colC", 0.0, 100_000.0)
-        first = database.explain(table_name, predicate)
+        first = database.explain(QueryRequest.of(table_name, predicate))
 
         def cache_entry():
             entries = [cached for key, cached in
@@ -309,9 +318,10 @@ class TestPlannedExecution:
 
         cached = cache_entry()
         for _ in range(_MAX_PLAN_REPLAYS + 1):
-            database.explain(table_name, predicate)
+            database.explain(QueryRequest.of(table_name, predicate))
         assert cache_entry() is not cached  # a fresh template was planned
-        assert database.explain(table_name, predicate).used_index == \
+        assert database.explain(QueryRequest.of(
+            table_name, predicate)).used_index == \
             first.used_index
 
     def test_alternating_query_shapes_each_hit_their_own_slot(self):
@@ -331,38 +341,38 @@ class TestPlannedExecution:
 
         database.planner._plan_fresh = counting
         for _ in range(10):
-            database.explain(table_name,
-                             RangePredicate("colC", 0.0, 100_000.0))
-            database.explain(table_name,
-                             RangePredicate("colC", 5_000.0, 5_000.0))
+            database.explain(QueryRequest.of(
+                table_name, RangePredicate("colC", 0.0, 100_000.0)))
+            database.explain(QueryRequest.of(
+                table_name, RangePredicate("colC", 5_000.0, 5_000.0)))
         assert calls == 2  # one fresh plan per shape, the rest replayed
 
     def test_scan_plan_skips_revalidation(self, planner_db):
         """A scan already applied every predicate; candidates == results."""
         database, table_name = planner_db
-        planned = database.query_conjunctive(
+        planned = database.execute(QueryRequest.of(
             table_name, RangePredicate("colA", 0.0, 100.0)
-        )
+        ))
         assert planned.plan.is_full_scan
         assert planned.breakdown.candidates == planned.breakdown.results
 
     def test_breakdown_phases_are_charged(self, planner_db):
         database, table_name = planner_db
-        planned = database.query_conjunctive(
+        planned = database.execute(QueryRequest.of(
             table_name, [RangePredicate("colC", 0.0, 100_000.0)]
-        )
+        ))
         assert planned.breakdown.lookups == 1
         assert planned.breakdown.candidates >= planned.breakdown.results
         assert planned.breakdown.results == len(planned)
         assert planned.breakdown.host_index_seconds > 0
 
-    def test_legacy_query_routes_through_planner(self, planner_db):
+    def test_single_predicate_request_names_its_index(self, planner_db):
         database, table_name = planner_db
         predicate = RangePredicate("colC", 0.0, 100_000.0)
-        result = database.query(table_name, predicate)
+        result = database.execute(QueryRequest.of(table_name, predicate))
         assert result.used_index == "idx_colC_btree"
         expected = brute_force(database, table_name, [predicate])
-        assert result.locations == expected.tolist()
+        assert np.array_equal(result.locations, expected)
 
     def test_intersection_under_logical_pointers(self):
         """Selective predicates on two indexed columns intersect tid sets."""
@@ -378,11 +388,11 @@ class TestPlannedExecution:
         # candidates it strips — the regime where intersection pays.
         predicates = [RangePredicate("colC", 100_000.0, 150_000.0),
                       RangePredicate("colB", 280_000.0, 360_000.0)]
-        plan = database.explain(table_name, predicates)
+        plan = database.explain(QueryRequest.of(table_name, predicates))
         assert len(plan.paths) == 2  # Hermit driver + host-index intersect
         path_kinds = {path.entry.method for path in plan.paths}
         assert path_kinds == {IndexMethod.HERMIT, IndexMethod.BTREE}
-        planned = database.query_conjunctive(table_name, predicates)
+        planned = database.execute(QueryRequest.of(table_name, predicates))
         expected = brute_force(database, table_name, predicates)
         assert np.array_equal(planned.locations, expected)
 
@@ -431,19 +441,21 @@ class TestPointFastPath:
             return original(*args, **kwargs)
 
         database.catalog.column_stats = counting
-        database.explain(table_name, RangePredicate("colC", 10.0, 10.0))
+        database.explain(QueryRequest.of(
+            table_name, RangePredicate("colC", 10.0, 10.0)))
         after_first = stats_calls
         for value in (20.0, 30.0, -1e9, 40.0):  # out-of-domain too
-            database.explain(table_name,
-                             RangePredicate("colC", value, value))
+            database.explain(QueryRequest.of(
+                table_name, RangePredicate("colC", value, value)))
         # The fast path bypasses the stats lookup entirely.
         assert stats_calls == after_first
 
     def test_fast_path_binds_each_new_point(self):
         database, table_name = self.build()
-        database.explain(table_name, RangePredicate("colC", 100.0, 100.0))
-        replayed = database.explain(table_name,
-                                    RangePredicate("colC", 250.0, 250.0))
+        database.explain(QueryRequest.of(
+            table_name, RangePredicate("colC", 100.0, 100.0)))
+        replayed = database.explain(QueryRequest.of(
+            table_name, RangePredicate("colC", 250.0, 250.0)))
         assert replayed.paths[0].key_range == KeyRange(250.0, 250.0)
 
     def test_fast_path_results_match_brute_force(self):
@@ -451,18 +463,20 @@ class TestPointFastPath:
         values = database.table(table_name).project(["colC"])[1][:5]
         for value in values:
             predicate = RangePredicate("colC", float(value), float(value))
-            planned = database.query_conjunctive(table_name, predicate)
+            planned = database.execute(QueryRequest.of(table_name, predicate))
             expected = brute_force(database, table_name, [predicate])
             assert np.array_equal(planned.locations, expected)
 
     def test_ddl_invalidates_point_pointer(self):
         database, table_name = self.build()
         predicate = RangePredicate("colC", 50.0, 50.0)
-        assert database.explain(table_name, predicate).used_index == "idx_c"
+        assert database.explain(QueryRequest.of(
+            table_name, predicate)).used_index == "idx_c"
         database.create_index("idx_c_sorted", table_name, "colC",
                               method=IndexMethod.SORTED_COLUMN)
         # The stale pointer must not replay the dropped-ranked plan.
-        assert database.explain(table_name, predicate).used_index \
+        assert database.explain(QueryRequest.of(
+            table_name, predicate)).used_index \
             == "idx_c_sorted"
 
 
@@ -479,7 +493,7 @@ class TestEpochDriftInvalidation:
         database.create_index("idx_c", table_name, "colC",
                               method=IndexMethod.BTREE)
         predicate = RangePredicate("colC", 0.0, 50_000.0)
-        database.explain(table_name, predicate)
+        database.explain(QueryRequest.of(table_name, predicate))
         before = database.planner.cache_info().misses
 
         # Single-row inserts: negligible row-count change, one epoch each.
@@ -493,7 +507,7 @@ class TestEpochDriftInvalidation:
                 "colD": np.array([0.5]),
             })
 
-        database.explain(table_name, predicate)
+        database.explain(QueryRequest.of(table_name, predicate))
         assert database.planner.cache_info().misses == before + 1
 
     def test_fresh_within_drift_bound(self):
@@ -504,11 +518,11 @@ class TestEpochDriftInvalidation:
         database.create_index("idx_c", table_name, "colC",
                               method=IndexMethod.BTREE)
         predicate = RangePredicate("colC", 0.0, 50_000.0)
-        database.explain(table_name, predicate)
+        database.explain(QueryRequest.of(table_name, predicate))
         before = database.planner.cache_info().misses
         database.insert_many(table_name, {
             "colA": np.array([99_999_999.0]), "colB": np.array([1.0]),
             "colC": np.array([1.0]), "colD": np.array([0.5]),
         })
-        database.explain(table_name, predicate)
+        database.explain(QueryRequest.of(table_name, predicate))
         assert database.planner.cache_info().misses == before  # still cached

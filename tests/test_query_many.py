@@ -1,4 +1,4 @@
-"""Batched query API: ``query_many`` / ``query_conjunctive_many``.
+"""The batched read: ``execute_many`` equals the ``execute`` loop.
 
 The invariant pinned here is result-set equality: for any mechanism, either
 pointer scheme and any batch shape — empty-result predicates, duplicates,
@@ -20,9 +20,11 @@ from hypothesis import strategies as st
 
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
-from repro.engine.query import ConjunctiveQuery, RangePredicate
+from repro.engine.query import QueryRequest, RangePredicate
 from repro.storage.identifiers import PointerScheme
 from repro.storage.schema import numeric_schema
+
+from reference import assert_locations
 
 SETTINGS = settings(max_examples=15, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -86,8 +88,8 @@ def bound_pairs(count_min: int = 0, count_max: int = 12):
                     max_size=count_max)
 
 
-def as_predicates(pairs) -> list[RangePredicate]:
-    return [RangePredicate("target", min(a, b), max(a, b))
+def as_requests(pairs) -> list[QueryRequest]:
+    return [QueryRequest.range("t", "target", min(a, b), max(a, b))
             for a, b in pairs]
 
 
@@ -98,12 +100,11 @@ class TestQueryManyEqualsLoop:
     @given(pairs=bound_pairs())
     def test_range_batches(self, scheme, method, pairs):
         database = build_database(scheme, method)
-        predicates = as_predicates(pairs)
-        batched = database.query_many("t", predicates)
-        assert len(batched) == len(predicates)
-        for result, predicate in zip(batched, predicates):
-            loop = database.query("t", predicate)
-            assert result.locations == loop.locations
+        requests = as_requests(pairs)
+        batched = database.execute_many(requests)
+        assert len(batched) == len(requests)
+        for result, request in zip(batched, requests):
+            assert_locations(result, database.execute(request).locations)
 
     @SETTINGS
     @given(pairs=bound_pairs(count_min=1, count_max=6),
@@ -113,36 +114,33 @@ class TestQueryManyEqualsLoop:
         """Point probes and ranges in one batch land in different groups."""
         database = build_database(scheme, method)
         stored = database.table("t").column_array("target")
-        predicates = as_predicates(pairs)
-        predicates.extend(
-            RangePredicate("target", float(v), float(v))
-            for v in stored[:point_count]
-        )
-        # Duplicates of the first predicate exercise same-group replays.
-        predicates.append(predicates[0])
-        batched = database.query_many("t", predicates)
-        for result, predicate in zip(batched, predicates):
-            assert result.locations == database.query("t", predicate).locations
+        requests = as_requests(pairs)
+        requests.extend(QueryRequest.point("t", "target", float(v))
+                        for v in stored[:point_count])
+        # Duplicates of the first request exercise same-group replays.
+        requests.append(requests[0])
+        batched = database.execute_many(requests)
+        for result, request in zip(batched, requests):
+            assert_locations(result, database.execute(request).locations)
 
     @SETTINGS
     @given(pairs=bound_pairs(count_min=1, count_max=5))
     def test_conjunctive_batches(self, scheme, method, pairs):
         """Two-column conjunctions, including an unsatisfiable one."""
         database = build_database(scheme, method)
-        queries: list = []
+        requests: list = []
         for low, high in pairs:
             target = RangePredicate("target", min(low, high), max(low, high))
             host = RangePredicate("host", 2.0 * target.low + 10.0,
                                   2.0 * target.high + 110.0)
-            queries.append(ConjunctiveQuery([target, host]))
-        queries.append(ConjunctiveQuery([
+            requests.append(QueryRequest.of("t", [target, host]))
+        requests.append(QueryRequest.of("t", [
             RangePredicate("target", 10.0, 20.0),
             RangePredicate("target", 30.0, 40.0),  # unsatisfiable
         ]))
-        batched = database.query_conjunctive_many("t", queries)
-        for result, query in zip(batched, queries):
-            loop = database.query_conjunctive("t", query)
-            assert np.array_equal(result.locations, loop.locations)
+        batched = database.execute_many(requests)
+        for result, request in zip(batched, requests):
+            assert_locations(result, database.execute(request).locations)
             assert result.group_size >= 1
         assert batched[-1].locations.size == 0
         assert batched[-1].plan.unsatisfiable
@@ -164,41 +162,39 @@ class TestBatchSemantics:
             "payload": rng.uniform(size=rows),
         })
         database.create_composite_index("idx_am", "c", "a", "m")
-        queries = [
-            ConjunctiveQuery([RangePredicate("a", low, low + 20.0),
-                              RangePredicate("m", low + 10.0, low + 40.0)])
+        requests = [
+            QueryRequest.of("c", [RangePredicate("a", low, low + 20.0),
+                                  RangePredicate("m", low + 10.0, low + 40.0)])
             for low in (0.0, 25.0, 50.0, 75.0)
         ]
-        batched = database.query_conjunctive_many("c", queries)
-        assert batched[0].plan.used_index == "idx_am"
-        for result, query in zip(batched, queries):
-            loop = database.query_conjunctive("c", query)
-            assert np.array_equal(result.locations, loop.locations)
+        batched = database.execute_many(requests)
+        assert batched[0].used_index == "idx_am"
+        for result, request in zip(batched, requests):
+            assert_locations(result, database.execute(request).locations)
 
     def test_empty_batch(self):
         database = build_database(PointerScheme.PHYSICAL, "btree")
-        assert database.query_many("t", []) == []
-        assert database.query_conjunctive_many("t", []) == []
+        assert database.execute_many([]) == []
 
     def test_batch_sees_deletes(self):
         """Validation drops rows deleted after the index was built."""
         database = build_database(PointerScheme.PHYSICAL, "sorted")
-        predicate = RangePredicate("target", *TARGET_DOMAIN)
-        before = database.query_many("t", [predicate])[0]
-        victim = before.locations[0]
+        request = QueryRequest.range("t", "target", *TARGET_DOMAIN)
+        before = database.execute_many([request])[0]
+        victim = int(before.locations[0])
         database.delete("t", victim)
         try:
-            after = database.query_many("t", [predicate])[0]
+            after = database.execute_many([request])[0]
             assert victim not in after.locations
-            assert after.locations == database.query("t", predicate).locations
+            assert_locations(after, database.execute(request).locations)
         finally:
             # The shared cached database was mutated; rebuild on next use.
             build_database.cache_clear()
 
     def test_results_are_sorted_unique(self):
         database = build_database(PointerScheme.LOGICAL, "hermit")
-        predicate = RangePredicate("target", 100.0, 400.0)
-        result = database.query_conjunctive_many("t", [predicate])[0]
+        request = QueryRequest.range("t", "target", 100.0, 400.0)
+        result = database.execute_many([request])[0]
         locations = result.locations
         assert locations.dtype == np.int64
         assert np.array_equal(locations, np.unique(locations))
@@ -210,9 +206,10 @@ class TestPlanCacheObservability:
         planner = database.planner
         base = planner.cache_info()
         width = (TARGET_DOMAIN[1] - TARGET_DOMAIN[0]) * 1e-2
-        predicates = [RangePredicate("target", 10.0 * i, 10.0 * i + width)
-                      for i in range(16)]
-        results = database.query_conjunctive_many("t", predicates)
+        requests = [QueryRequest.range("t", "target", 10.0 * i,
+                                       10.0 * i + width)
+                    for i in range(16)]
+        results = database.execute_many(requests)
         assert all(r.group_size == 16 for r in results)
         info = planner.cache_info()
         # One planner visit for the whole batch; 15 members amortised.
@@ -221,14 +218,14 @@ class TestPlanCacheObservability:
 
     def test_replays_exceed_hits_under_batching(self):
         database = build_database(PointerScheme.PHYSICAL, "sorted")
-        database.query_many("t", [RangePredicate("target", 1.0, 2.0)
-                                  for _ in range(8)])
+        database.execute_many([QueryRequest.range("t", "target", 1.0, 2.0)
+                               for _ in range(8)])
         info = database.planner.cache_info()
         assert info.replays > info.hits
 
     def test_explain_surfaces_cache_stats(self):
         database = build_database(PointerScheme.PHYSICAL, "btree")
-        plan = database.explain("t", RangePredicate("target", 0.0, 50.0))
+        plan = database.explain(QueryRequest.range("t", "target", 0.0, 50.0))
         assert plan.cache_stats is not None
         assert "plan cache:" in plan.describe()
 
@@ -237,12 +234,12 @@ class TestPlanCacheObservability:
         from repro.engine.planner import _MAX_PLAN_REPLAYS
         database = build_database(PointerScheme.PHYSICAL, "cm")
         planner = database.planner
-        predicate = RangePredicate("target", 5.0, 105.0)
-        database.query("t", predicate)  # prime the cache
-        database.query_many("t", [predicate] * (2 * _MAX_PLAN_REPLAYS))
+        request = QueryRequest.range("t", "target", 5.0, 105.0)
+        database.execute(request)  # prime the cache
+        database.execute_many([request] * (2 * _MAX_PLAN_REPLAYS))
         before = planner.cache_info()
         # The long batch exhausted the cached plan's replay bound, so the
         # next planner visit must replan from scratch.
-        database.query("t", predicate)
+        database.execute(request)
         after = planner.cache_info()
         assert after.misses == before.misses + 1

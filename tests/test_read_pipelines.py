@@ -10,11 +10,14 @@ them: a mechanism's standalone ``lookup_range`` / ``lookup_range_many``,
 * ``TestEveryEntryPointAgrees`` drives all five entry points with one
   predicate per mechanism and pointer scheme — deleted rows and out-of-band
   outliers present — and requires identical sorted int64 locations *and*
-  identical ``breakdown.candidates`` / ``results``.
+  identical ``breakdown.candidates`` / ``results``; then again over the
+  float edge cases (infinite bounds, a range wider than any bucket walk,
+  both zeros, a one-ulp range) with the result cache on, so every answer
+  is checked as a miss and as a hit.
 * ``TestReadSurfaceIsPinned`` lists the public callables of ``Index``, the
-  mechanism base, ``Database`` and the TRS-Tree's classes and asserts each
-  set exactly, so a future read path has to replace one of these rather
-  than land beside it.
+  mechanism base, ``Database``, ``ShardedDatabase``, ``Server`` and the
+  TRS-Tree's classes and asserts each set exactly, so a future read path
+  has to replace one of these rather than land beside it.
 
 Deleted tests whose behaviour these (or a named sibling) now cover:
 ``test_serving.TestQueryWithDeprecation`` (``query_with`` == ``execute``;
@@ -37,6 +40,7 @@ import pytest
 
 from repro.baselines.correlation_maps import CorrelationMap
 from repro.baselines.secondary import BaselineSecondaryIndex
+from repro.cache.result_cache import ResultCacheConfig
 from repro.core.hermit import HermitIndex
 from repro.core.lookup import SecondaryMechanism
 from repro.core.node import TRSInternalNode, TRSLeafNode
@@ -52,24 +56,35 @@ from repro.index.composite import CompositeIndex
 from repro.index.hash_index import HashIndex
 from repro.index.paged_bptree import PagedBPlusTree
 from repro.index.sorted_column import SortedColumnIndex
+from repro.serving import Server
+from repro.sharding import ShardedDatabase
 from repro.storage.identifiers import PointerScheme
 from repro.storage.schema import numeric_schema
 
-from reference import scan_locations
+from reference import assert_locations, scan_locations
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 ROWS = 600
 SCHEMES = [PointerScheme.PHYSICAL, PointerScheme.LOGICAL]
 
 
-def build_database(scheme: PointerScheme, method: str) -> Database:
-    """(pk, host, target): correlated, with outliers, then partly deleted."""
+INF = float("inf")
+ULP_VALUE = 512.25
+
+
+def build_database(scheme: PointerScheme, method: str,
+                   result_cache: ResultCacheConfig | None = None) -> Database:
+    """(pk, host, target): correlated, with outliers, then partly deleted.
+
+    The target column holds both zeros and two values one ulp apart (at
+    slots no delete below touches)."""
     rng = np.random.default_rng(7)
     target = rng.uniform(0.0, 1_000.0, size=ROWS)
+    target[1:5] = [0.0, -0.0, ULP_VALUE, np.nextafter(ULP_VALUE, INF)]
     host = 2.0 * target + 10.0
     # Out-of-band outliers: far outside any leaf's confidence band.
     host[::25] += rng.uniform(500.0, 900.0, size=host[::25].size)
-    database = Database(pointer_scheme=scheme)
+    database = Database(pointer_scheme=scheme, result_cache=result_cache)
     database.create_table(numeric_schema("t", ["pk", "host", "target"],
                                          primary_key="pk"))
     locations = database.insert_many("t", {
@@ -87,16 +102,34 @@ def build_database(scheme: PointerScheme, method: str) -> Database:
                               cm_target_bucket_width=25.0,
                               cm_host_bucket_width=50.0)
     else:
-        database.create_index("idx_target", "t", "target",
-                              method=IndexMethod.BTREE)
+        database.create_index(
+            "idx_target", "t", "target",
+            method=(IndexMethod.SORTED_COLUMN if method == "sorted"
+                    else IndexMethod.BTREE))
     for location in locations[::7]:
         database.delete("t", location)
     return database
 
 
+# name -> (low, high, rows the reference scan must find at least)
+EDGE_RANGES = {
+    "open_low": (-INF, 120.0, 6),
+    "open_high": (880.0, INF, 6),
+    "everything": (-INF, INF, 500),
+    "plus_inf_point": (INF, INF, 0),
+    "minus_inf_point": (-INF, -INF, 0),
+    "wider_than_any_bucket_walk": (-1e300, 1e300, 500),
+    "zero": (0.0, 0.0, 2),
+    "negative_zero": (-0.0, -0.0, 2),
+    "one_value": (ULP_VALUE, ULP_VALUE, 1),
+    "one_ulp": (ULP_VALUE, np.nextafter(ULP_VALUE, INF), 2),
+}
+METHODS = ["hermit", "btree", "sorted", "cm"]
+
+
 class TestEveryEntryPointAgrees:
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("method", ["hermit", "btree", "cm"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_locations_and_counts_agree(self, method, scheme):
         database = build_database(scheme, method)
         table = database.table("t")
@@ -123,7 +156,7 @@ class TestEveryEntryPointAgrees:
             assert found.tolist() == expected
         for result in (forced, one, many):
             assert result.used_index == "idx_target"
-            assert result.locations == expected
+            assert_locations(result, expected)
 
         counts = {(result.breakdown.candidates, result.breakdown.results)
                   for result in (single, batch, forced, one, many)}
@@ -131,8 +164,56 @@ class TestEveryEntryPointAgrees:
         candidates, results = counts.pop()
         assert results == len(expected)
         assert candidates >= results
-        if method == "btree":
+        if method in ("btree", "sorted"):
             assert candidates == results                 # complete index
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_float_edge_cases(self, method, scheme):
+        """Every entry point answers every edge range like the reference
+        scan — as a cache miss and, on the repeat, as a cache hit."""
+        database = build_database(
+            scheme, method, result_cache=ResultCacheConfig(admission=False))
+        table = database.table("t")
+        mechanism = database.catalog.table_entry("t").indexes[
+            "idx_target"].mechanism
+        answers = {}
+        for name, (low, high, at_least) in EDGE_RANGES.items():
+            predicate = RangePredicate("target", low, high)
+            request = QueryRequest.of("t", predicate)
+            expected = scan_locations(table, predicate)
+            assert len(expected) >= at_least, name
+            answers[name] = expected
+
+            single = mechanism.lookup_range(low, high)
+            batch = mechanism.lookup_range_many([(low, high)])
+            assert single.locations.tolist() == expected, name
+            assert batch.locations_per_query[0].tolist() == expected, name
+            assert_locations(database.query_with("t", "idx_target",
+                                                 predicate), expected)
+            first, again = database.execute(request), database.execute(request)
+            batched = database.execute_many([request])[0]
+            # -0.0 == 0.0: the two zero predicates share one cache entry,
+            # so the second of them never misses.
+            assert (first.plan is None) == (name == "negative_zero")
+            assert again.plan is None and batched.plan is None
+            for result in (first, again, batched):
+                assert_locations(result, expected)
+
+        # One coalesced batch of all of them, hits and all.
+        requests = [QueryRequest.range("t", "target", low, high)
+                    for low, high, _ in EDGE_RANGES.values()]
+        for result, expected in zip(database.execute_many(requests),
+                                    answers.values()):
+            assert_locations(result, expected)
+        # ... and the same batch as misses.
+        database.result_cache_clear()
+        for result, expected in zip(database.execute_many(requests),
+                                    answers.values()):
+            assert result.plan is not None
+            assert_locations(result, expected)
+        assert answers["zero"] == answers["negative_zero"]
+        assert len(answers["one_ulp"]) == len(answers["one_value"]) + 1
 
     def test_forced_read_feeds_the_mechanism_like_a_planned_one(self):
         """``query_with`` observes false positives exactly like ``execute``."""
@@ -164,9 +245,7 @@ MECHANISM_READS = {"candidate_tids", "candidate_tids_many", "lookup_range",
                    "lookup_range_many", "lookup_point"}
 MECHANISM_OTHER = {"reset_breakdown"}
 
-DATABASE_READS = {"execute", "execute_many", "query", "query_many",
-                  "query_conjunctive", "query_conjunctive_many", "query_with",
-                  "explain"}
+DATABASE_READS = {"execute", "execute_many", "explain", "query_with"}
 DATABASE_OTHER = {
     "create_table", "create_index", "create_composite_index", "drop_index",
     "insert", "insert_many", "delete", "update",
@@ -175,6 +254,15 @@ DATABASE_OTHER = {
     "planner_cache_stats", "planner_cache_clear", "memory_report", "table",
 }
 
+
+SHARDED_READS = {"execute", "execute_many"}
+SHARDED_OTHER = {
+    "create_table", "create_index", "create_composite_index", "drop_index",
+    "insert", "insert_many", "delete", "update", "fetch",
+    "planner_cache_stats", "planner_cache_info", "result_cache_info",
+    "result_cache_clear", "num_rows", "shard_row_counts", "close",
+}
+SERVER_SURFACE = {"submit", "submit_async", "query", "stats", "close"}
 
 # The TRS-Tree reads one flat structure (leaf table + tree-wide outlier
 # view) through exactly two methods; the pointer tree, its nodes and the
@@ -255,6 +343,11 @@ class TestReadSurfaceIsPinned:
     def test_database_surface(self):
         assert public_callables(Database) == DATABASE_READS | DATABASE_OTHER
 
+    def test_sharded_and_server_surfaces(self):
+        assert (public_callables(ShardedDatabase)
+                == SHARDED_READS | SHARDED_OTHER)
+        assert public_callables(Server) == SERVER_SURFACE
+
     def test_one_definition_of_each_lookup_under_src(self):
         sources = {path: path.read_text(encoding="utf-8")
                    for path in SRC.rglob("*.py")}
@@ -272,6 +365,9 @@ class TestReadSurfaceIsPinned:
                    "finish_batch_lookup", "resolve_tids_many",
                    "execute_with_index", "def full_scan", "choose_index",
                    "_query_with", "range_search_many(",
+                   # retired by the one-request-in, one-result-out surface
+                   "query_many", "query_conjunctive", "PlannedQueryResult",
+                   "from_planned", "_as_conjunctive",
                    # retired by the flat TRS-Tree
                    "overlap_spans", "children_overlapping",
                    "outlier_tid_array", "host_range_many")

@@ -14,7 +14,7 @@ from repro.workloads.sensor import generate_sensor, load_sensor, sensor_column
 from repro.workloads.stock import generate_stock, high_column, load_stock
 from repro.workloads.synthetic import generate_synthetic, load_synthetic
 
-from reference import scan_locations
+from reference import assert_locations, scan_locations
 
 
 def hermit_database(num_tuples=2000, correlation="linear", noise=0.01, seed=0,
@@ -50,9 +50,9 @@ class TestBackgroundReorganizer:
         assert reorganizer.stats.candidates_processed == processed
         # Queries stay exact after reorganization.
         predicate = RangePredicate("colC", 0.0, 500_000.0)
-        indexed = database.query(table_name, predicate)
+        indexed = database.execute(QueryRequest.of(table_name, predicate))
         scanned = scan_locations(database.table(table_name), predicate)
-        assert indexed.locations == scanned
+        assert_locations(indexed, scanned)
 
     def test_background_thread_lifecycle(self):
         database, table_name, hermit = hermit_database(num_tuples=1000)
@@ -88,8 +88,9 @@ class TestEndToEndScenarios:
         for _ in range(10):
             low = float(rng.uniform(0, 9e5))
             predicate = RangePredicate("colC", low, low + 5e4)
-            assert database.query(table_name, predicate).locations == \
-                scan_locations(table, predicate)
+            assert_locations(
+                database.execute(QueryRequest.of(table_name, predicate)),
+                scan_locations(table, predicate))
 
     def test_stock_scenario_memory_and_correctness(self):
         database = Database()
@@ -106,8 +107,9 @@ class TestEndToEndScenarios:
         highs = dataset.columns[high_column(2)]
         low, high = float(np.quantile(highs, 0.3)), float(np.quantile(highs, 0.5))
         predicate = RangePredicate(high_column(2), low, high)
-        assert database.query(table_name, predicate).locations == \
-            scan_locations(table, predicate)
+        assert_locations(
+            database.execute(QueryRequest.of(table_name, predicate)),
+            scan_locations(table, predicate))
 
     def test_sensor_scenario(self):
         database = Database()
@@ -120,8 +122,8 @@ class TestEndToEndScenarios:
         low, high = (float(np.quantile(readings, 0.2)),
                      float(np.quantile(readings, 0.4)))
         predicate = RangePredicate(sensor_column(7), low, high)
-        indexed = database.query(table_name, predicate)
-        assert indexed.locations == scan_locations(table, predicate)
+        indexed = database.execute(QueryRequest.of(table_name, predicate))
+        assert_locations(indexed, scan_locations(table, predicate))
         assert indexed.breakdown.false_positive_ratio < 0.5
 
     def test_mixed_workload_with_maintenance(self):
@@ -148,8 +150,9 @@ class TestEndToEndScenarios:
         if hermit.pending_reorganizations:
             hermit.reorganize()
         predicate = RangePredicate("colC", 200_000.0, 400_000.0)
-        assert database.query(table_name, predicate).locations == \
-            scan_locations(table, predicate)
+        assert_locations(
+            database.execute(QueryRequest.of(table_name, predicate)),
+            scan_locations(table, predicate))
 
     def test_many_hermit_indexes_share_one_host(self):
         dataset = generate_synthetic(1500, "linear", noise_fraction=0.01, seed=7)
@@ -163,8 +166,9 @@ class TestEndToEndScenarios:
         values = table.column_array("colE1")
         low, high = float(np.quantile(values, 0.1)), float(np.quantile(values, 0.3))
         predicate = RangePredicate("colE1", low, high)
-        assert database.query(table_name, predicate).locations == \
-            scan_locations(table, predicate)
+        assert_locations(
+            database.execute(QueryRequest.of(table_name, predicate)),
+            scan_locations(table, predicate))
 
 
 class TestReorganizeKeepsOutOfDomainRows:
@@ -201,7 +205,7 @@ class TestReorganizeKeepsOutOfDomainRows:
         ])
         assert scalar == expected
         assert [sorted(found.tolist()) for found in batch] == expected
-        assert [result.locations for result in planned] == expected
+        assert [result.locations.tolist() for result in planned] == expected
 
     @pytest.mark.parametrize("scheme", [PointerScheme.PHYSICAL,
                                         PointerScheme.LOGICAL])

@@ -1,10 +1,10 @@
 """The unified request/result API: ``QueryRequest`` in, ``QueryResult`` out.
 
-``Database.execute`` / ``execute_many`` are the canonical read entry
-points; ``query`` / ``query_many`` are thin wrappers over them.  These
-tests pin the request constructors' coercion rules, the result transport
-fields (plain-list locations, plan, group size, epoch), wrapper
-equivalence, multi-table batching, and the input-order guarantee of
+``Database.execute`` / ``execute_many`` are the planned read entry
+points.  These tests pin the request constructors' coercion rules and the
+request-boundary policy (NaN bounds are rejected before a request exists),
+the result fields (sorted unique int64 locations, plan, group size,
+epoch), multi-table batching, and the input-order guarantee of
 ``execute_many``.
 """
 
@@ -22,7 +22,11 @@ from repro.engine.query import (
     RangePredicate,
     conjunction,
 )
+from repro.errors import QueryError
+from repro.serving import Server
 from repro.storage.schema import numeric_schema
+
+from reference import assert_locations
 
 
 @pytest.fixture(scope="module")
@@ -87,32 +91,83 @@ class TestQueryRequestConstructors:
         assert len({request, QueryRequest.point("t", "c", 5.0)}) == 1
 
 
+class TestNaNBoundsAreRejectedAtTheRequestBoundary:
+    """``execute`` used to answer ``[10, nan]`` with 0 rows (a scan) while
+    ``execute_many`` answered it as ``[10, +inf]``; now no such request
+    can be built, so neither entry point — nor a coalesced batch — ever
+    sees one."""
+
+    NAN = float("nan")
+
+    @pytest.mark.parametrize("low, high", [(10.0, NAN), (NAN, 10.0),
+                                           (NAN, NAN)])
+    def test_every_constructor_raises(self, low, high):
+        with pytest.raises(QueryError, match="NaN"):
+            RangePredicate("target", low, high)
+        with pytest.raises(QueryError, match="NaN"):
+            QueryRequest.range("alpha", "target", low, high)
+        with pytest.raises(QueryError, match="NaN"):
+            QueryRequest.of("alpha", [RangePredicate("target", 0.0, 1.0),
+                                      RangePredicate("host", low, high)])
+
+    def test_point_raises(self):
+        with pytest.raises(QueryError, match="NaN"):
+            QueryRequest.point("alpha", "target", self.NAN)
+
+    def test_no_entry_point_is_reached(self, database):
+        """The error surfaces while the caller builds the argument, so
+        ``execute`` / ``execute_many`` / ``Server.submit`` never run — and
+        the batch-mates of a malformed request are never at risk."""
+        before = database.planner_cache_stats()
+        with pytest.raises(QueryError):
+            database.execute(QueryRequest.range("alpha", "target", 10.0,
+                                                self.NAN))
+        with pytest.raises(QueryError):
+            database.execute_many([
+                QueryRequest.range("alpha", "target", 0.0, 50.0),
+                QueryRequest.range("alpha", "target", 10.0, self.NAN),
+            ])
+        with Server(database) as server:
+            with pytest.raises(QueryError):
+                server.submit(QueryRequest.range("alpha", "target", 10.0,
+                                                 self.NAN))
+            assert server.stats().requests == 0
+        assert database.planner_cache_stats() == before
+
+    def test_inverted_bounds_keep_their_message(self):
+        with pytest.raises(QueryError, match="low > high"):
+            RangePredicate("target", 2.0, 1.0)
+
+    def test_infinite_bounds_are_fine(self, database):
+        request = QueryRequest.range("alpha", "target", float("-inf"),
+                                     float("inf"))
+        assert len(database.execute(request)) == 1_500
+        assert len(database.execute_many([request])[0]) == 1_500
+
+
 class TestExecute:
     def test_execute_returns_transport_result(self, database):
         request = QueryRequest.range("alpha", "target", 100.0, 160.0)
         result = database.execute(request)
         assert isinstance(result, QueryResult)
-        assert isinstance(result.locations, list)
-        assert result.locations == brute_force(database, "alpha", 100.0, 160.0)
+        assert_locations(result, brute_force(database, "alpha", 100.0, 160.0))
         assert result.used_index == "idx_alpha"
         assert result.plan is not None
         assert result.epoch is not None
         assert len(result) == len(result.locations)
-
-    def test_query_wrapper_matches_execute(self, database):
-        predicate = RangePredicate("target", 250.0, 300.0)
-        via_execute = database.execute(QueryRequest.of("alpha", predicate))
-        via_query = database.query("alpha", predicate)
-        assert via_query.locations == via_execute.locations
-        assert via_query.used_index == via_execute.used_index
 
     def test_unsatisfiable_conjunction_is_empty(self, database):
         request = QueryRequest.conjunctive("alpha", [
             RangePredicate("target", 0.0, 10.0),
             RangePredicate("target", 500.0, 600.0),
         ])
-        result = database.execute(request)
-        assert result.locations == []
+        assert_locations(database.execute(request), [])
+        assert_locations(database.execute_many([request])[0], [])
+
+    def test_default_result_is_an_empty_int64_array(self):
+        assert_locations(QueryResult(), [])
+        # Array-valued fields: results compare by identity, not by value.
+        assert QueryResult() != QueryResult()
 
 
 class TestExecuteMany:
@@ -127,8 +182,8 @@ class TestExecuteMany:
         assert len(results) == len(requests)
         for request, result in zip(requests, results):
             (predicate,) = request.predicates
-            assert result.locations == brute_force(
-                database, request.table, predicate.low, predicate.high)
+            assert_locations(result, brute_force(
+                database, request.table, predicate.low, predicate.high))
             assert result.used_index == f"idx_{request.table}"
 
     def test_batch_matches_per_call_execute(self, database):
@@ -136,7 +191,7 @@ class TestExecuteMany:
                     for low in (0.0, 200.0, 400.0, 600.0, 800.0)]
         batched = database.execute_many(requests)
         for request, result in zip(requests, batched):
-            assert result.locations == database.execute(request).locations
+            assert_locations(result, database.execute(request).locations)
 
     def test_batch_shares_one_epoch(self, database):
         requests = [QueryRequest.range("alpha", "target", 0.0, 10.0),
@@ -150,15 +205,6 @@ class TestExecuteMany:
         results = database.execute_many(requests)
         assert all(result.group_size == 3 for result in results)
         assert len({id(result.plan) for result in results}) == 1
-
-    def test_query_many_wrapper_matches_execute_many(self, database):
-        predicates = [RangePredicate("target", 100.0, 140.0),
-                      RangePredicate("target", 500.0, 505.0)]
-        via_wrapper = database.query_many("alpha", predicates)
-        via_execute = database.execute_many(
-            [QueryRequest.of("alpha", p) for p in predicates])
-        for want, got in zip(via_execute, via_wrapper):
-            assert want.locations == got.locations
 
     def test_empty_batch(self, database):
         assert database.execute_many([]) == []

@@ -47,6 +47,8 @@ from repro.sharding import ShardedDatabase
 from repro.storage.identifiers import PointerScheme
 from repro.storage.schema import numeric_schema
 
+from reference import assert_locations
+
 pytestmark = pytest.mark.serving
 
 SETTINGS = settings(max_examples=10, deadline=None,
@@ -99,7 +101,10 @@ def build_database(scheme: PointerScheme = PointerScheme.PHYSICAL,
 
 
 def locations_equal(result_a, result_b) -> bool:
-    """Hits carry read-only arrays, misses carry lists — compare values."""
+    """Hits carry the cache's read-only arrays, misses fresh ones — both
+    sorted unique int64; compare values."""
+    for result in (result_a, result_b):
+        assert_locations(result, result.locations)
     return np.array_equal(result_a.locations, result_b.locations)
 
 
@@ -292,19 +297,41 @@ class TestEngineWiring:
         hit = self.repeat_until_hit(database, request)
         assert locations_equal(uncached, hit)
         assert hit.used_index == uncached.used_index
-        plan = database.explain("t", ConjunctiveQuery(
-            (RangePredicate("target", 100.0, 300.0),)))
+        plan = database.explain(QueryRequest.of("t", ConjunctiveQuery(
+            (RangePredicate("target", 100.0, 300.0),))))
         assert plan.cached
         assert plan.used_index == uncached.used_index
         assert "result cache hit" in plan.describe()
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_hit_looks_the_same_from_execute_and_execute_many(self, method):
+        """No plan, the entry's index name, the stored read-only array —
+        the ``cached`` marker plan is ``explain``'s business alone."""
+        database = build_database(method=method)
+        request = QueryRequest.range("t", "target", 100.0, 300.0)
+        miss = database.execute(request)
+        assert miss.plan is not None and miss.locations.flags.writeable
+        single = self.repeat_until_hit(database, request)
+        batch = database.execute_many([request])[0]
+        for hit in (single, batch):
+            assert hit.plan is None
+            assert hit.used_index == miss.used_index
+            assert not hit.locations.flags.writeable
+            assert_locations(hit, miss.locations)
+            assert (hit.breakdown.candidates == hit.breakdown.results
+                    == len(hit))
+        assert single.locations is batch.locations     # the stored array
+        assert single.group_size == batch.group_size == 1
+        assert single.epoch == batch.epoch
+        assert database.explain(request).cached
 
     def test_explain_does_not_perturb_cache_state(self):
         database = build_database()
         request = QueryRequest.range("t", "target", 100.0, 300.0)
         self.repeat_until_hit(database, request)
         before = database.result_cache_info()
-        database.explain("t", ConjunctiveQuery(
-            (RangePredicate("target", 100.0, 300.0),)))
+        database.explain(QueryRequest.of("t", ConjunctiveQuery(
+            (RangePredicate("target", 100.0, 300.0),))))
         after = database.result_cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
 
@@ -341,29 +368,26 @@ class TestEngineWiring:
         assert database.result_cache_info().hits >= 6
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_query_conjunctive_many_probes_and_fills(self, method):
-        """Regression: the conjunctive batch API bypassed the result cache.
-
-        Repeated identical batches recorded 0 hits / 0 misses.  It now
-        shares ``execute_many``'s batch body: the second repeat hits, and
-        under interleaved ``insert_many`` every batch equals the cache-off
-        run (no stale array survives a write).
+    def test_conjunctive_batches_probe_and_fill(self, method):
+        """Conjunctive batches go through the cache like any other: the
+        second repeat hits, and under interleaved ``insert_many`` every
+        batch equals the cache-off run (no stale array survives a write).
         """
         database = build_database(method=method)
         uncached = build_database(method=method)
         uncached.result_cache.enabled = False
-        queries = [
-            [RangePredicate("target", 100.0 * i, 100.0 * i + 150.0),
-             RangePredicate("host", 0.0, 1_500.0)]
+        requests = [
+            QueryRequest.of("t", [
+                RangePredicate("target", 100.0 * i, 100.0 * i + 150.0),
+                RangePredicate("host", 0.0, 1_500.0)])
             for i in range(4)
         ]
 
         def batches_agree() -> list:
-            cached_batch = database.query_conjunctive_many("t", queries)
-            plain_batch = uncached.query_conjunctive_many("t", queries)
+            cached_batch = database.execute_many(requests)
+            plain_batch = uncached.execute_many(requests)
             for got, expected in zip(cached_batch, plain_batch):
-                assert got.locations.dtype == np.int64
-                assert np.array_equal(got.locations, expected.locations)
+                assert locations_equal(got, expected)
             return cached_batch
 
         batches_agree()                      # registers with the doorkeeper
@@ -371,9 +395,10 @@ class TestEngineWiring:
         before = database.result_cache_info()
         hit_batch = batches_agree()          # hits
         after = database.result_cache_info()
-        assert after.hits - before.hits == len(queries)
-        assert all(result.plan.cached for result in hit_batch)
-        assert all(result.group_size == len(queries) for result in hit_batch)
+        assert after.hits - before.hits == len(requests)
+        assert all(result.plan is None for result in hit_batch)
+        assert all(database.explain(request).cached for request in requests)
+        assert all(result.group_size == len(requests) for result in hit_batch)
 
         for round_number in range(3):
             for db in (database, uncached):
@@ -384,8 +409,8 @@ class TestEngineWiring:
                     "payload": np.array([0.0]),
                 })
             fresh = batches_agree()
-            assert not any(result.plan.cached for result in fresh)
-        assert database.result_cache_info().stale_evictions >= len(queries)
+            assert all(result.plan is not None for result in fresh)
+        assert database.result_cache_info().stale_evictions >= len(requests)
 
     def test_result_cache_clear_and_disabled_database(self):
         database = build_database()

@@ -11,7 +11,7 @@ Three layers, bottom up:
   a half-applied mutation.
 * **Server equivalence** — hypothesis drives random request batches
   through a live :class:`~repro.serving.Server` and through
-  ``Database.query_many``; the two must agree result list by result list.
+  ``Database.execute_many``; the two must agree result by result.
   Plus unit coverage for the coalescing window adaptation,
   :class:`RequestFuture` semantics and close/shutdown behaviour.
 """
@@ -39,6 +39,8 @@ from repro.errors import (
 from repro.engine.epochs import EpochManager
 from repro.serving import RequestFuture, Server, ServerConfig
 from repro.storage.schema import numeric_schema
+
+from reference import assert_locations
 
 pytestmark = pytest.mark.serving
 
@@ -266,21 +268,21 @@ class TestServerEquivalence:
 
     @SETTINGS
     @given(requests=request_batches())
-    def test_server_matches_query_many(self, requests):
+    def test_server_matches_execute_many(self, requests):
         database = self.DATABASE
         expected = database.execute_many(requests)
         with Server(database, ServerConfig()) as server:
             futures = [server.submit(request) for request in requests]
             actual = [future.result(timeout=30.0) for future in futures]
         for want, got in zip(expected, actual):
-            assert want.locations == got.locations
+            assert_locations(got, want.locations)
             assert want.used_index == got.used_index
 
     def test_server_query_convenience(self):
         request = QueryRequest.range(self.TABLE, "target", 100.0, 120.0)
         with Server(self.DATABASE) as server:
             result = server.query(request, timeout=30.0)
-        assert result.locations == self.DATABASE.execute(request).locations
+        assert_locations(result, self.DATABASE.execute(request).locations)
 
     def test_batch_failure_propagates_to_futures(self):
         with Server(self.DATABASE) as server:
@@ -316,7 +318,7 @@ class TestServerEquivalence:
             assert ran.wait(timeout=30.0)
             assert not server._armed
             result = server.submit(request).result(timeout=5.0)
-        assert result.locations == self.DATABASE.execute(request).locations
+        assert_locations(result, self.DATABASE.execute(request).locations)
 
     def test_submit_after_close_raises(self):
         server = Server(self.DATABASE)
@@ -371,7 +373,7 @@ class TestRequestFuture:
         future = RequestFuture()
         seen: list[QueryResult] = []
         future.add_done_callback(lambda f: seen.append(f.result()))
-        result = QueryResult(locations=[1, 2, 3])
+        result = QueryResult(locations=np.array([1, 2, 3], dtype=np.int64))
 
         waiter_value = []
 
@@ -390,7 +392,7 @@ class TestRequestFuture:
 
     def test_callback_after_done_runs_immediately(self):
         future = RequestFuture()
-        future._resolve(QueryResult(locations=[]), None)
+        future._resolve(QueryResult(), None)
         seen = []
         future.add_done_callback(lambda f: seen.append(True))
         assert seen == [True]

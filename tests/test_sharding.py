@@ -30,6 +30,8 @@ from repro.sharding import LOCATION_STRIDE, ShardedDatabase, uniform_boundaries
 from repro.storage.identifiers import PointerScheme
 from repro.storage.schema import numeric_schema
 
+from reference import assert_locations
+
 pytestmark = pytest.mark.sharding
 
 NUM_ROWS = 4000
@@ -110,6 +112,9 @@ def run_trace(reference: Database, sharded: ShardedDatabase) -> None:
     shard_results = sharded.execute_many(requests)
     for position, (ref, shard) in enumerate(zip(ref_results, shard_results)):
         assert pk_set(reference, ref) == pk_set(sharded, shard), position
+        # The merged result honours the same contract as a single engine's.
+        assert_locations(shard, shard.locations)
+        assert_locations(sharded.execute(requests[position]), shard.locations)
     assert sharded.num_rows("trace") == reference.catalog.table_entry(
         "trace").table.num_rows
 
@@ -216,18 +221,15 @@ class TestServingFrontEnd:
             sharded.insert_many("trace", columns)
             server = Server(sharded)
             try:
-                futures = [
-                    server.submit(QueryRequest.of(
-                        "trace", RangePredicate("target", low, low + 100.0)))
+                requests = [
+                    QueryRequest.range("trace", "target", low, low + 100.0)
                     for low in np.linspace(0.0, 900.0, 16)
                 ]
-                direct = sharded.query_many("trace", [
-                    RangePredicate("target", low, low + 100.0)
-                    for low in np.linspace(0.0, 900.0, 16)
-                ])
+                futures = [server.submit(request) for request in requests]
+                direct = sharded.execute_many(requests)
                 for future, expected in zip(futures, direct):
-                    got = future.result(timeout=30.0)
-                    assert got.locations == expected.locations
+                    assert_locations(future.result(timeout=30.0),
+                                     expected.locations)
                 stats = server.stats()
                 assert stats.plan_cache.replays > 0
                 assert "trace" in stats.plan_cache_per_table
@@ -239,8 +241,8 @@ class TestServingFrontEnd:
             sharded.create_table(create_schema(),
                                  uniform_boundaries(0.0, DOMAIN, 2))
             sharded.insert_many("trace", dataset(seed=6))
-            sharded.query_many("trace", [
-                RangePredicate("pk", 0.0, 100.0)] * 4)
+            sharded.execute_many(
+                [QueryRequest.range("trace", "pk", 0.0, 100.0)] * 4)
             totals = sharded.planner_cache_stats()
             per_table = sharded.planner_cache_info()
             # Both shards planned the same 4-query batch once each.

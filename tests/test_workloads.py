@@ -6,7 +6,7 @@ import pytest
 from repro.correlation.discovery import pearson_coefficient, spearman_coefficient
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
-from repro.engine.query import RangePredicate
+from repro.engine.query import QueryRequest, RangePredicate
 from repro.workloads.queries import mixed_queries, point_queries, range_queries
 from repro.workloads.sensor import generate_sensor, load_sensor, sensor_column
 from repro.workloads.stock import (
@@ -103,8 +103,8 @@ class TestStockWorkload:
                               method=IndexMethod.AUTO)
         highs = dataset.columns[high_column(0)]
         low, high = np.quantile(highs, [0.4, 0.6])
-        result = database.query(table_name,
-                                RangePredicate(high_column(0), low, high))
+        result = database.execute(QueryRequest.of(
+            table_name, RangePredicate(high_column(0), low, high)))
         expected = set(np.flatnonzero((highs >= low) & (highs <= high)))
         assert set(result.locations) == expected
 
@@ -152,8 +152,8 @@ class TestSensorWorkload:
                               method=IndexMethod.HERMIT, host_column="average")
         readings = dataset.columns[sensor_column(3)]
         low, high = np.quantile(readings, [0.45, 0.55])
-        result = database.query(table_name,
-                                RangePredicate(sensor_column(3), low, high))
+        result = database.execute(QueryRequest.of(
+            table_name, RangePredicate(sensor_column(3), low, high)))
         expected = set(np.flatnonzero((readings >= low) & (readings <= high)))
         assert set(result.locations) == expected
 

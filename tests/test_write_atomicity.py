@@ -19,7 +19,7 @@ import pytest
 
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
-from repro.engine.query import RangePredicate
+from repro.engine.query import QueryRequest, RangePredicate
 from repro.errors import SchemaError, StorageError, TupleNotFoundError
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import DiskManager
@@ -60,8 +60,8 @@ def state_fingerprint(database: Database):
         table.num_slots,
         {name: (s.count, s.minimum, s.maximum)
          for name, s in table.statistics.items()},
-        tuple(database.query("t", predicate_a).locations),
-        tuple(database.query("t", predicate_b).locations),
+        tuple(database.execute(QueryRequest.of("t", predicate_a)).locations),
+        tuple(database.execute(QueryRequest.of("t", predicate_b)).locations),
         tuple(database.query_with("t", "ix_b", predicate_b).locations),
         table.fetch(10),
     )
@@ -125,7 +125,8 @@ class TestRejectedWritesAreAtomic:
         database.update("t", 10, {"b": 777.0})
         assert database.table("t").fetch(10)["b"] == 777.0
         predicate = RangePredicate("b", 776.0, 778.0)
-        assert 10 in database.query("t", predicate).locations
+        assert 10 in database.execute(QueryRequest.of(
+            "t", predicate)).locations
 
 
 class TestHeapFileTypedErrors:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
-from repro.engine.query import RangePredicate
+from repro.engine.query import QueryRequest, RangePredicate
 from repro.errors import SchemaError, StorageError
 from repro.index.base import Index, KeyRange
 from repro.index.bptree import BPlusTree
@@ -200,8 +200,8 @@ class TestDatabaseWritePathEquivalence:
             "colA": 1e9, "colB": 2.0 * 123_456.0 + 10.0,
             "colC": 123_456.0, "colD": 0.5,
         })
-        result = database.query(table_name,
-                                RangePredicate("colC", 123_456.0, 123_456.0))
+        result = database.execute(QueryRequest.of(
+            table_name, RangePredicate("colC", 123_456.0, 123_456.0)))
         assert location in set(map(int, result.locations))
 
     def test_insert_rejects_unknown_and_missing_columns(self, linear_database):
