@@ -11,7 +11,7 @@ every ``Database`` method that calls a ``log_*`` hook:
    never holds a record that fails to re-apply.
 2. **The append before the mutation** — no table/index/catalog apply
    call (``insert_many``, ``delete``, ``update``, ``build``,
-   ``bulk_load``, ``add_table``, ``add_index``, ``drop_index``,
+   ``add_table``, ``add_index``, ``drop_index``,
    ``bump_data_epoch``) may precede the first ``log_*`` call, so a crash
    cannot leave an applied-but-unlogged mutation.
 
@@ -37,7 +37,7 @@ from repro.analysis.framework import (
 
 #: Calls that apply a mutation to engine state.
 APPLY_ATTRS = frozenset({
-    "insert", "insert_many", "delete", "update", "build", "bulk_load",
+    "insert", "insert_many", "delete", "update", "build",
     "add_table", "add_index", "drop_index", "bump_data_epoch",
 })
 

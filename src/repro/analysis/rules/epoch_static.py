@@ -51,7 +51,7 @@ ENGINE_READS = {
 #: Attributes whose call mutates engine state.
 MUTATION_ATTRS = frozenset({
     "add_table", "add_index", "drop_index", "bump_data_epoch",
-    "insert", "insert_many", "delete", "update", "build", "bulk_load",
+    "insert", "insert_many", "delete", "update", "build",
 })
 
 

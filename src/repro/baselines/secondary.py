@@ -63,11 +63,9 @@ class BaselineSecondaryIndex(SecondaryMechanism):
     # ----------------------------------------------------------- construction
 
     def build(self) -> None:
-        """Bulk-load the B+-tree from the current table contents."""
+        """Load the (empty) backing index from the current table contents."""
         slots, targets = self.table.project([self.target_column])
-        tids = self._tids_for_slots(slots)
-        pairs = [(float(key), self._native(tid)) for key, tid in zip(targets, tids)]
-        self.index.bulk_load(pairs)
+        self.index.insert_many(targets, self._tids_for_slots(slots))
 
     # --------------------------------------------------- candidate generation
 
@@ -135,7 +133,3 @@ class BaselineSecondaryIndex(SecondaryMechanism):
     def memory_bytes(self) -> int:
         """Analytic size of the secondary index in bytes."""
         return self.index.memory_bytes()
-
-    @staticmethod
-    def _native(tid):
-        return tid.item() if hasattr(tid, "item") else tid

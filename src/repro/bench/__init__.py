@@ -1,4 +1,7 @@
-"""Benchmark harness: timing, experiment runners, text reporting."""
+"""Benchmark harness: timing (incl. the paired-ratio estimator every gated
+ratio goes through), experiment runners, text reporting; the ratio suites
+live in their own modules (``durability``, ``sensor_fp``, ``serving``,
+``sharding``, ``writepath``)."""
 
 from repro.bench.harness import (
     FigureData,
@@ -14,6 +17,7 @@ from repro.bench.report import format_figure, format_memory_report, format_table
 from repro.bench.timing import (
     SimulatedClock,
     ThroughputResult,
+    paired_ratio,
     scale_factor,
     scaled,
     stopwatch,
@@ -30,6 +34,7 @@ __all__ = [
     "format_memory_report",
     "format_table",
     "insertion_throughput",
+    "paired_ratio",
     "run_point_batch",
     "run_query_batch",
     "run_query_singles",

@@ -93,27 +93,19 @@ def build_hotpath_setup(workload: str, num_tuples: int,
     slots, pks, host_values = table.project(["pk", "host"])
     tids = slots if pointer_scheme is PointerScheme.PHYSICAL else pks
 
-    host_index: Index
-    if host_index_kind == "sorted":
-        host_index = SortedColumnIndex()
-        host_index.load_arrays(host_values, tids)
-    elif host_index_kind == "btree":
-        host_index = BPlusTree()
-        host_index.bulk_load(
-            (float(h), t) for h, t in zip(host_values.tolist(), tids.tolist())
-        )
-    else:
+    if host_index_kind not in HOST_INDEX_KINDS:
         raise ValueError(
             f"unknown host index kind {host_index_kind!r}; "
             f"use one of {HOST_INDEX_KINDS}"
         )
+    host_index: Index = (SortedColumnIndex() if host_index_kind == "sorted"
+                         else BPlusTree())
+    host_index.insert_many(host_values, tids)
 
     primary = None
     if pointer_scheme.needs_primary_lookup:
         primary = BPlusTree()
-        primary.bulk_load(
-            (float(pk), int(s)) for pk, s in zip(pks.tolist(), slots.tolist())
-        )
+        primary.insert_many(pks, slots)
 
     hermit = HermitIndex(table, "target", "host", host_index,
                          primary_index=primary, pointer_scheme=pointer_scheme,

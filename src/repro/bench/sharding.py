@@ -9,11 +9,12 @@ engine execution plus N-times-smaller per-shard indexes.
 
 The speedup is core-count-bound by construction — on a single-CPU machine
 the N worker processes time-slice one core and the ratio sits *below* 1
-(same total engine work plus N-way merge overhead).  The standalone
-benchmark therefore emits two records: a ``sharding_sanity`` record on
-every machine (results must agree, ratio must clear a
-transport-overhead floor) and the gated ≥ 2x ``sharding_parallel`` record
-only where ``os.cpu_count()`` can seat every shard.
+(same total engine work plus N-way merge overhead).
+:func:`sharding_records` therefore emits two records: ``sharding_sanity``
+on every machine (results must agree, ratio must clear a
+transport-overhead floor) and the gated ≥ 2x ``sharding_parallel`` only
+where ``os.cpu_count()`` can seat every shard — elsewhere that record is
+marked skipped, with the reason, so the gate knows it was not forgotten.
 
 Correctness inside the race: per-query result counts are checked against
 a brute-force numpy scan of the generating dataset, on both contenders —
@@ -24,15 +25,13 @@ a wrong merge (lost shard segment, duplicated outlier) shows up as
 from __future__ import annotations
 
 import os
-import time
-from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bench.timing import paired_ratio
 from repro.engine.catalog import IndexMethod
 from repro.engine.query import QueryRequest, RangePredicate
 from repro.sharding import ShardedDatabase, uniform_boundaries
-from repro.storage.identifiers import PointerScheme
 from repro.storage.schema import numeric_schema
 from repro.workloads.queries import range_queries
 from repro.workloads.synthetic import TABLE_NAME, generate_synthetic
@@ -40,8 +39,6 @@ from repro.workloads.synthetic import TABLE_NAME, generate_synthetic
 
 def build_sharded_synthetic(num_shards: int, num_tuples: int,
                             mode: str = "process",
-                            pointer_scheme: PointerScheme =
-                            PointerScheme.PHYSICAL,
                             seed: int = 42) -> ShardedDatabase:
     """Synthetic-Linear behind a sharded facade, Hermit-indexed on colC.
 
@@ -51,8 +48,7 @@ def build_sharded_synthetic(num_shards: int, num_tuples: int,
     """
     dataset = generate_synthetic(num_tuples, "linear", noise_fraction=0.01,
                                  seed=seed)
-    database = ShardedDatabase(num_shards=num_shards, mode=mode,
-                               pointer_scheme=pointer_scheme)
+    database = ShardedDatabase(num_shards=num_shards, mode=mode)
     schema = numeric_schema(TABLE_NAME, ["colA", "colB", "colC", "colD"],
                             primary_key="colA")
     boundaries = (uniform_boundaries(0.0, float(num_tuples), num_shards)
@@ -66,58 +62,14 @@ def build_sharded_synthetic(num_shards: int, num_tuples: int,
     return database
 
 
-@dataclass
-class ShardingMeasurement:
-    """N-shard vs single-shard throughput on one range-batch workload."""
-
-    workload: str
-    mechanism: str
-    pointer_scheme: str
-    num_shards: int
-    cpu_count: int
-    num_tuples: int
-    num_queries: int
-    total_results: int
-    single_seconds: float
-    sharded_seconds: float
-    results_agree: bool
-
-    @property
-    def sharded_vs_single(self) -> float:
-        """N-shard speedup over the single-shard worker (the gated ratio)."""
-        if self.sharded_seconds <= 0:
-            return float("inf")
-        return self.single_seconds / self.sharded_seconds
-
-    def as_dict(self) -> dict:
-        """JSON-ready representation (gated by ``check_regression.py``)."""
-        return {
-            "workload": self.workload,
-            "mechanism": self.mechanism,
-            "pointer_scheme": self.pointer_scheme,
-            "num_shards": self.num_shards,
-            "cpu_count": self.cpu_count,
-            "num_tuples": self.num_tuples,
-            "num_queries": self.num_queries,
-            "total_results": self.total_results,
-            "single_seconds": self.single_seconds,
-            "sharded_seconds": self.sharded_seconds,
-            "sharded_vs_single": self.sharded_vs_single,
-            "results_agree": self.results_agree,
-        }
-
-
-def run_sharding_benchmark(num_shards: int = 4, num_tuples: int = 60_000,
-                           selectivity: float = 1e-3, batch_size: int = 192,
-                           rounds: int = 3, mode: str = "process",
-                           pointer_scheme: PointerScheme =
-                           PointerScheme.PHYSICAL,
-                           seed: int = 42) -> ShardingMeasurement:
+def measure_sharding(num_shards: int, num_tuples: int, batch_size: int,
+                     rounds: int, selectivity: float = 1e-3,
+                     mode: str = "process", seed: int = 42) -> dict:
     """Race ``num_shards`` workers against one on identical range batches.
 
-    Rounds are interleaved (single, then sharded, per round) and each side
-    is scored by its best round.  Per-query counts are validated against a
-    brute-force scan of the generating dataset on both sides.
+    Returns one measurement; ``sharded_vs_single`` is the N-shard speedup
+    over the single-shard worker.  Per-query counts are validated against
+    a brute-force scan of the generating dataset on both sides.
     """
     dataset = generate_synthetic(num_tuples, "linear", noise_fraction=0.01,
                                  seed=seed)
@@ -135,46 +87,47 @@ def run_sharding_benchmark(num_shards: int = 4, num_tuples: int = 60_000,
         for request in requests
     ]
 
-    single = build_sharded_synthetic(1, num_tuples, mode=mode,
-                                     pointer_scheme=pointer_scheme,
-                                     seed=seed)
+    single = build_sharded_synthetic(1, num_tuples, mode=mode, seed=seed)
     sharded = build_sharded_synthetic(num_shards, num_tuples, mode=mode,
-                                      pointer_scheme=pointer_scheme,
                                       seed=seed)
-    try:
-        single_seconds = float("inf")
-        sharded_seconds = float("inf")
-        single_results: list = []
-        sharded_results: list = []
-        for _ in range(rounds):
-            started = time.perf_counter()
-            single_results = single.execute_many(requests)
-            single_seconds = min(single_seconds,
-                                 time.perf_counter() - started)
+    results = {}
 
-            started = time.perf_counter()
-            sharded_results = sharded.execute_many(requests)
-            sharded_seconds = min(sharded_seconds,
-                                  time.perf_counter() - started)
-        agree = all(
-            len(one.locations) == len(many.locations) == expected
-            for one, many, expected in zip(single_results, sharded_results,
-                                           expected_counts)
-        )
-        total_results = sum(len(r.locations) for r in sharded_results)
+    def run_sharded() -> None:
+        results["sharded"] = sharded.execute_many(requests)
+
+    def run_single() -> None:
+        results["single"] = single.execute_many(requests)
+
+    try:
+        paired = paired_ratio(run_sharded, run_single, rounds)
     finally:
         single.close()
         sharded.close()
-    return ShardingMeasurement(
-        workload="synthetic",
-        mechanism="HERMIT:range",
-        pointer_scheme=pointer_scheme.value,
-        num_shards=num_shards,
-        cpu_count=os.cpu_count() or 1,
-        num_tuples=num_tuples,
-        num_queries=len(requests),
-        total_results=total_results,
-        single_seconds=single_seconds,
-        sharded_seconds=sharded_seconds,
-        results_agree=agree,
-    )
+    return {
+        "workload": "synthetic",
+        "mechanism": "HERMIT:range",
+        "pointer_scheme": "physical",
+        "num_shards": num_shards,
+        "cpu_count": os.cpu_count() or 1,
+        "num_tuples": num_tuples,
+        "num_queries": len(requests),
+        "total_results": sum(len(r.locations) for r in results["sharded"]),
+        "sharded_vs_single": paired.ratio,
+        "results_agree": all(
+            len(one.locations) == len(many.locations) == expected
+            for one, many, expected in zip(results["single"],
+                                           results["sharded"],
+                                           expected_counts)),
+        **paired.as_dict("sharded_seconds", "single_seconds"),
+    }
+
+
+def sharding_records(num_shards: int, num_tuples: int, batch_size: int,
+                     rounds: int) -> list[dict]:
+    """One race, two records (see the module docstring)."""
+    measurement = measure_sharding(num_shards, num_tuples, batch_size, rounds)
+    cores = measurement["cpu_count"]
+    parallel = ({"measurements": [measurement]} if cores >= num_shards else
+                {"skipped": f"{cores} cpus cannot seat {num_shards} shards"})
+    return [{"benchmark": "sharding_sanity", "measurements": [measurement]},
+            {"benchmark": "sharding_parallel", **parallel}]

@@ -1,11 +1,21 @@
-"""Timing utilities for the benchmark harness."""
+"""Timing utilities for the benchmark harness.
+
+Besides the figure benches' stopwatch helpers this holds the one estimator
+every gated ratio goes through, :func:`paired_ratio`.
+"""
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Callable
+
+import numpy as np
+
+from repro.errors import ConfigurationError
 
 
 def scale_factor(default: float = 1.0) -> float:
@@ -14,6 +24,11 @@ def scale_factor(default: float = 1.0) -> float:
     The benchmarks default to workload sizes small enough for pure Python;
     setting ``REPRO_SCALE=10`` (for example) multiplies every tuple count by
     ten to move the experiments closer to the paper's scale.
+
+    Raises:
+        ConfigurationError: If the variable is set to anything but a
+            positive finite number — a typo must not silently run every
+            figure bench at the default size.
     """
     raw = os.environ.get("REPRO_SCALE")
     if not raw:
@@ -21,8 +36,11 @@ def scale_factor(default: float = 1.0) -> float:
     try:
         value = float(raw)
     except ValueError:
-        return default
-    return value if value > 0 else default
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise ConfigurationError(
+            f"REPRO_SCALE={raw!r} is not a positive number")
+    return value
 
 
 def scaled(count: int, minimum: int = 1) -> int:
@@ -59,6 +77,82 @@ def stopwatch():
         yield holder
     finally:
         holder[0] = time.perf_counter() - started
+
+
+@dataclass(frozen=True)
+class Spread:
+    """Median and quartiles of one side's per-round costs."""
+
+    median: float
+    q1: float
+    q3: float
+
+    @classmethod
+    def of(cls, samples: list[float]) -> "Spread":
+        """Summarise ``samples`` (linear-interpolated quartiles)."""
+        q1, median, q3 = np.percentile(samples, [25, 50, 75]).tolist()
+        return cls(median=median, q1=q1, q3=q3)
+
+
+@dataclass(frozen=True)
+class PairedRatio:
+    """Outcome of :func:`paired_ratio`: the gated ratio and both sides."""
+
+    ratio: float
+    ratios: tuple[float, ...]
+    feature: Spread
+    reference: Spread
+
+    def as_dict(self, feature_name: str, reference_name: str) -> dict:
+        """Record fields: per-round ratios plus each side's spread, keyed
+        by the names the suite gives its sides (unit included, e.g.
+        ``"coalesced_seconds"``)."""
+        return {
+            "rounds": len(self.ratios),
+            "round_ratios": list(self.ratios),
+            feature_name: asdict(self.feature),
+            reference_name: asdict(self.reference),
+        }
+
+
+def paired_ratio(feature: Callable[[], float | None],
+                 reference: Callable[[], float | None], rounds: int,
+                 clock: Callable[[], float] = time.perf_counter,
+                 ) -> PairedRatio:
+    """Race two sides over paired rounds; the median per-round ratio wins.
+
+    Each round runs both sides back to back and contributes one ratio
+    ``reference cost / feature cost`` — how many times faster the feature
+    is.  Which side goes first alternates round over round (the reference
+    opens the even rounds), so monotonic machine-load drift — frequency
+    scaling, a competing tenant — cannot tax one side systematically, and
+    the reported ratio is the *median of the per-round ratios*, which
+    cancels drift between rounds that a ratio of best-of-N times or of
+    medians would attribute to one side.
+
+    A side is a zero-argument callable running one round.  Returning
+    ``None`` has the whole call timed with ``clock``; returning a number
+    reports the cost the side measured itself — the seconds of a narrower
+    span (an open-loop round counts schedule start to last completion, a
+    write race excludes building its database) or seconds per row when
+    the two sides do different amounts of work.
+    """
+    if rounds < 1:
+        raise ConfigurationError("paired_ratio needs at least one round")
+    feature_costs: list[float] = []
+    reference_costs: list[float] = []
+    sides = ((reference, reference_costs), (feature, feature_costs))
+    for round_index in range(rounds):
+        for side, costs in (sides if round_index % 2 == 0 else sides[::-1]):
+            started = clock()
+            own_cost = side()
+            elapsed = clock() - started
+            costs.append(elapsed if own_cost is None else own_cost)
+    ratios = tuple(slow / fast
+                   for fast, slow in zip(feature_costs, reference_costs))
+    return PairedRatio(ratio=float(np.median(ratios)), ratios=ratios,
+                       feature=Spread.of(feature_costs),
+                       reference=Spread.of(reference_costs))
 
 
 class SimulatedClock:

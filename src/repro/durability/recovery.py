@@ -115,9 +115,7 @@ def _restore_checkpoint(database: Database, manifest: dict,
             # with live_slots() — no further indexing by slot number.
             keys = table.column_array(schema.primary_key).astype(np.float64)
             entry = database.catalog.table_entry(table_manifest["name"])
-            entry.primary_index.bulk_load(
-                zip(keys.tolist(), [int(s) for s in slots])
-            )
+            entry.primary_index.insert_many(keys, slots)
 
 
 def recover(config: DurabilityConfig,

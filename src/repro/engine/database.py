@@ -414,8 +414,8 @@ class Database:
 
         The batch write path mirrors the vectorized lookup path: one
         :meth:`Table.insert_many` append, one batched primary-index
-        maintenance step (a bulk load while the primary index is still
-        empty, a sorted merge afterwards) and one column-oriented
+        ``insert_many`` (which loads an empty index and merges into a
+        populated one) and one column-oriented
         ``insert_many`` notification per secondary mechanism — no per-row
         ``fetch`` and no per-row index descent anywhere.
 
@@ -436,12 +436,7 @@ class Database:
             location_array = np.asarray(locations, dtype=np.int64)
             primary = table.schema.primary_key
             primary_values = np.asarray(columns[primary], dtype=np.float64)
-            if entry.primary_index.num_entries == 0:
-                entry.primary_index.bulk_load(
-                    zip(primary_values.tolist(), locations)
-                )
-            else:
-                entry.primary_index.insert_many(primary_values, location_array)
+            entry.primary_index.insert_many(primary_values, location_array)
             if entry.indexes:
                 column_data = self._batch_columns(table, columns,
                                                   location_array)

@@ -229,9 +229,9 @@ class Index(abc.ABC):
                     tids: Sequence[TupleId] | np.ndarray) -> None:
         """Batched write: insert every aligned ``keys[i] -> tids[i]`` pair.
 
-        Unlike :meth:`bulk_load`, this is incremental maintenance — the index
-        may already hold entries and keeps them.  The default falls back to a
-        per-pair :meth:`insert` loop; array-native indexes override it with a
+        The index may already hold entries and keeps them; into an empty
+        index this *is* the load.  The default falls back to a per-pair
+        :meth:`insert` loop; array-native indexes override it with a
         sort-once merge so bulk writes cost one pass instead of one descent
         per key.
         """
@@ -239,8 +239,3 @@ class Index(abc.ABC):
         # abstract base; array-native indexes override with a sorted merge
         for key, tid in zip(keys, tid_items(tids)):
             self.insert(float(key), tid)
-
-    def bulk_load(self, pairs: Iterable[tuple[float, TupleId]]) -> None:
-        """Insert many (key, tid) pairs; subclasses may override with a faster path."""
-        for key, tid in pairs:
-            self.insert(key, tid)

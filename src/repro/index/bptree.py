@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -153,7 +153,7 @@ class BPlusTree(Index):
         split into however many nodes they need in one step (a batch can
         overflow a leaf by far more than one key), so the cost is one
         partition pass plus one merge per touched leaf instead of one root
-        descent per key.
+        descent per key.  An empty tree is loaded instead (:meth:`_pack`).
         """
         keys = np.asarray(keys, dtype=np.float64)
         items = tid_items(tids)
@@ -163,13 +163,14 @@ class BPlusTree(Index):
             return
         self.stats.inserts += int(keys.size)
         order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order].tolist()
+        keys = keys[order]
         sorted_tids = [items[position] for position in order.tolist()]
         if self._num_entries == 0:
-            # The tree is empty: packing fresh leaves is strictly better than
-            # merging into the (single, empty) existing leaf.
-            self.bulk_load(zip(sorted_keys, sorted_tids))
+            # Loading is what a batch does to an empty tree: packing fresh
+            # leaves is strictly better than merging into the one empty leaf.
+            self._pack(keys, sorted_tids)
             return
+        sorted_keys = keys.tolist()
         splits = self._merge_into(self._root, sorted_keys, sorted_tids)
         while splits:
             new_root = _InternalNode()
@@ -182,46 +183,33 @@ class BPlusTree(Index):
         self._num_entries += int(keys.size)
         self._flat_view.record_insert_many(sorted_keys, sorted_tids)
 
-    def bulk_load(self, pairs: Iterable[tuple[float, TupleId]]) -> None:
-        """Build the tree from (key, tid) pairs.
+    def _pack(self, sorted_keys: np.ndarray, sorted_tids: list) -> None:
+        """Build the (empty) tree from a non-empty key-sorted run.
 
-        Pairs are sorted, packed into leaves at ~70% fill and the internal
+        Distinct keys are packed into leaves at ~70% fill and the internal
         levels are built bottom-up, mirroring the single-thread bulk loading
-        the paper uses for the baseline B+-tree.
-
-        Raises:
-            StorageError: If the tree already holds entries.  Bulk loading
-                replaces the whole structure, so calling it on a non-empty
-                tree would silently discard the existing entries (while
-                ``num_entries`` kept counting them); incremental
-                :meth:`insert` is the right tool there.
+        the paper uses for the baseline B+-tree.  Run boundaries come from
+        one ``!=`` mask over the sorted keys; every leaf is two list slices.
         """
-        if self._num_entries:
-            raise StorageError(
-                f"bulk_load on a non-empty BPlusTree would discard "
-                f"{self._num_entries} existing entries; use insert() instead"
-            )
-        ordered = sorted(((float(k), t) for k, t in pairs), key=lambda p: p[0])
-        if not ordered:
-            return
+        starts = np.flatnonzero(np.concatenate(
+            ([True], sorted_keys[1:] != sorted_keys[:-1])))
+        distinct = sorted_keys[starts].tolist()
+        bounds = starts.tolist()
+        bounds.append(len(sorted_tids))
+        values = [sorted_tids[bounds[i]:bounds[i + 1]]
+                  for i in range(len(distinct))]
         fill = max(4, int(self.node_capacity * 0.7))
-        leaves: list[_LeafNode] = []
-        current = _LeafNode()
-        for key, tid in ordered:
-            if current.keys and current.keys[-1] == key:
-                current.values[-1].append(tid)
-            else:
-                if len(current.keys) >= fill:
-                    leaves.append(current)
-                    fresh = _LeafNode()
-                    current.next_leaf = fresh
-                    current = fresh
-                current.keys.append(key)
-                current.values.append([tid])
-            self._num_entries += 1
-        leaves.append(current)
+        level: list[_Node] = []
+        previous: _LeafNode | None = None
+        for start in range(0, len(distinct), fill):
+            leaf = _LeafNode()
+            leaf.keys = distinct[start:start + fill]
+            leaf.values = values[start:start + fill]
+            if previous is not None:
+                previous.next_leaf = leaf
+            level.append(leaf)
+            previous = leaf
 
-        level: list[_Node] = list(leaves)
         self._height = 1
         while len(level) > 1:
             parents: list[_Node] = []
@@ -231,12 +219,13 @@ class BPlusTree(Index):
                     parents.append(group[0])
                     continue
                 parent = _InternalNode()
-                parent.children = list(group)
+                parent.children = group
                 parent.keys = [self._smallest_key(child) for child in group[1:]]
                 parents.append(parent)
             level = parents
             self._height += 1
         self._root = level[0]
+        self._num_entries = len(sorted_tids)
         self._flat_view.drop()
 
     # ------------------------------------------------------------------- read

@@ -58,27 +58,6 @@ class CompositeIndex:
         self._entries.extend(batch)
         self._entries.sort()
 
-    def bulk_load(self,
-                  triples: Iterable[tuple[float, float, TupleId]]) -> None:
-        """Build the index from ``(leading, second, tid)`` triples in one sort.
-
-        Raises:
-            StorageError: If the index already holds entries (rebuilding in
-                place would silently discard them).
-        """
-        if self._entries:
-            raise StorageError(
-                "bulk_load on a non-empty CompositeIndex would discard "
-                f"{len(self._entries)} existing entries; build a fresh index"
-            )
-        materialised = list(triples)
-        self._entries = sorted(
-            (float(lead), float(sec), tid)
-            for (lead, sec, _), tid in zip(
-                materialised, tid_items([t for _, _, t in materialised])
-            )
-        )
-
     def delete(self, leading: float, second: float, tid: TupleId) -> None:
         """Remove the entry ``(leading, second) -> tid``.
 
@@ -180,8 +159,8 @@ class CompositeSecondaryIndex:
             tids = slots
         else:
             tids = self.table.values(slots, self.table.schema.primary_key)
-        self.index.bulk_load(zip(leading.tolist(), second.tolist(),
-                                 tids.tolist()))
+        self.index.insert_many(leading.tolist(), second.tolist(),
+                               tids.tolist())
 
     # ------------------------------------------------------ planner interface
 

@@ -7,8 +7,8 @@ which makes it the cheapest possible host index for the vectorized Hermit
 lookup path: a range probe returns a *view* of the tid array with no per-entry
 Python object traffic at all.
 
-It is a read-optimised structure.  :meth:`bulk_load` builds it in one
-``argsort``; incremental :meth:`insert`/:meth:`delete` keep the arrays sorted
+It is a read-optimised structure.  :meth:`insert_many` into an empty index
+builds it in one ``argsort``; incremental :meth:`insert`/:meth:`delete` keep the arrays sorted
 with ``np.insert``/``np.delete`` and therefore cost O(n) per operation, which
 is acceptable for the paper's read-heavy workloads (maintenance traffic is
 orders of magnitude rarer than lookups) but makes it the wrong choice for
@@ -17,7 +17,7 @@ write-heavy tables — use the B+-tree there.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -42,45 +42,6 @@ class SortedColumnIndex(Index):
         self._tids = np.empty(0, dtype=np.int64)
 
     # ------------------------------------------------------------------ write
-
-    def bulk_load(self, pairs: Iterable[tuple[float, TupleId]]) -> None:
-        """Build the index from (key, tid) pairs in one stable argsort.
-
-        Raises:
-            StorageError: If the index already holds entries (rebuilding in
-                place would silently discard them).
-        """
-        if self._keys.size:
-            raise StorageError(
-                "bulk_load on a non-empty SortedColumnIndex would discard "
-                f"{self._keys.size} existing entries; build a fresh index"
-            )
-        materialised = list(pairs)
-        if not materialised:
-            return
-        keys = np.asarray([key for key, _ in materialised], dtype=np.float64)
-        tids = np.asarray([tid for _, tid in materialised])
-        self.load_arrays(keys, tids)
-
-    def load_arrays(self, keys: np.ndarray, tids: np.ndarray) -> None:
-        """Bulk-load directly from aligned numpy arrays (zero-copy fast path).
-
-        Raises:
-            StorageError: If the arrays disagree in length or the index is
-                already populated.
-        """
-        if self._keys.size:
-            raise StorageError(
-                "load_arrays on a non-empty SortedColumnIndex would discard "
-                f"{self._keys.size} existing entries; build a fresh index"
-            )
-        keys = np.asarray(keys, dtype=np.float64)
-        tids = np.asarray(tids)
-        if keys.shape != tids.shape:
-            raise StorageError("keys and tids must have equal length")
-        order = np.argsort(keys, kind="stable")
-        self._keys = keys[order]
-        self._tids = tids[order]
 
     def insert(self, key: float, tid: TupleId) -> None:
         """Insert ``key -> tid``, keeping the arrays sorted (O(n))."""

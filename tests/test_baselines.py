@@ -34,9 +34,9 @@ def primary_and_host(table, scheme):
     primary = BPlusTree()
     host = BPlusTree()
     slots, pks, hosts = table.project(["pk", "host"])
-    primary.bulk_load((float(pk), int(s)) for pk, s in zip(pks, slots))
+    primary.insert_many(pks, slots)
     tids = slots if scheme is PointerScheme.PHYSICAL else pks
-    host.bulk_load((float(h), t.item()) for h, t in zip(hosts, tids))
+    host.insert_many(hosts, tids)
     return primary, host
 
 
@@ -199,10 +199,10 @@ class TestCorrelationMap:
                            "host": hosts, "target": targets})
         slots, pks = table.project(["pk"])
         primary = BPlusTree()
-        primary.bulk_load(zip(pks.tolist(), slots.tolist()))
+        primary.insert_many(pks, slots)
         tids = slots if scheme is PointerScheme.PHYSICAL else pks
         host_index = host_kind()
-        host_index.bulk_load(zip(hosts.tolist(), tids.tolist()))
+        host_index.insert_many(hosts, tids)
         cm = CorrelationMap(table, "target", "host", host_index,
                             target_bucket_width=4.0, host_bucket_width=8.0,
                             primary_index=primary, pointer_scheme=scheme)

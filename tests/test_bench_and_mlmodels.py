@@ -12,9 +12,17 @@ from repro.bench.harness import (
     run_query_singles,
 )
 from repro.bench.report import format_figure, format_memory_report, format_table
-from repro.bench.timing import SimulatedClock, ThroughputResult, scaled, stopwatch
+from repro.bench.timing import (
+    SimulatedClock,
+    Spread,
+    ThroughputResult,
+    paired_ratio,
+    scaled,
+    stopwatch,
+)
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
+from repro.errors import ConfigurationError
 from repro.mlmodels.kernel import KernelRegressionModel
 from repro.mlmodels.linear import LinearRegressionModel
 from repro.storage.disk import DiskManager, IOCostModel
@@ -40,10 +48,15 @@ class TestTiming:
         assert scaled(100) == 100
         monkeypatch.setenv("REPRO_SCALE", "2.5")
         assert scaled(100) == 250
-        monkeypatch.setenv("REPRO_SCALE", "garbage")
+        monkeypatch.setenv("REPRO_SCALE", "")
         assert scaled(100) == 100
-        monkeypatch.setenv("REPRO_SCALE", "-1")
-        assert scaled(100) == 100
+
+    @pytest.mark.parametrize("raw", ["1O", "garbage", "-1", "0", "nan", "inf"])
+    def test_malformed_scale_is_rejected(self, monkeypatch, raw):
+        """A typo must not silently run every figure bench at size 1."""
+        monkeypatch.setenv("REPRO_SCALE", raw)
+        with pytest.raises(ConfigurationError, match="REPRO_SCALE"):
+            scaled(100)
 
     def test_simulated_clock_adds_io_latency(self):
         disk = DiskManager(cost_model=IOCostModel(read_latency_us=1000.0))
@@ -54,6 +67,94 @@ class TestTiming:
         clock.stop()
         assert clock.io_seconds == pytest.approx(1e-3)
         assert clock.total_seconds > clock.cpu_seconds
+
+
+class FakeClock:
+    """A clock the sides advance: each call of a side costs its base time
+    multiplied by the machine's load factor at that call."""
+
+    def __init__(self, load_per_call):
+        self.now = 0.0
+        self.load = iter(load_per_call)
+        self.calls: list[str] = []
+
+    def __call__(self) -> float:
+        return self.now
+
+    def side(self, name: str, base: float):
+        def run() -> None:
+            self.calls.append(name)
+            self.now += base * next(self.load)
+        return run
+
+
+class TestPairedRatio:
+    def test_side_order_alternates_and_the_reference_opens(self):
+        clock = FakeClock([1.0] * 8)
+        paired_ratio(clock.side("F", 1.0), clock.side("R", 2.0), rounds=4,
+                     clock=clock)
+        assert "".join(clock.calls) == "RFFRRFFR"
+
+    def test_sides_are_timed_with_the_injected_clock(self):
+        clock = FakeClock([1.0] * 6)
+        paired = paired_ratio(clock.side("F", 1.0), clock.side("R", 2.0),
+                              rounds=3, clock=clock)
+        assert paired.ratios == (2.0, 2.0, 2.0)
+        assert paired.ratio == 2.0
+        assert (paired.feature.median, paired.reference.median) == (1.0, 2.0)
+
+    def test_a_side_may_report_the_cost_it_measured_itself(self):
+        clock = FakeClock([])
+        costs = iter([2.0, 1.0, 1.0, 4.0])         # R, F | F, R
+        paired = paired_ratio(lambda: next(costs), lambda: next(costs),
+                              rounds=2, clock=clock)
+        assert paired.ratios == (2.0, 4.0)
+
+    def test_median_of_ratios_not_ratio_of_medians_under_drift(self):
+        """A tenant arrives midway through round 1 and stays: calls 0-2 run
+        at load 1, the rest at load 4.  Every round but the one it splits
+        still measures the true 2x; the per-side medians do not."""
+        clock = FakeClock([1, 1, 1, 4, 4, 4, 4, 4])
+        paired = paired_ratio(clock.side("F", 1.0), clock.side("R", 2.0),
+                              rounds=4, clock=clock)
+        assert paired.ratios == (2.0, 8.0, 2.0, 2.0)
+        assert paired.ratio == 2.0
+        assert paired.reference.median / paired.feature.median == 3.2
+
+    def test_alternation_cancels_a_steady_within_round_drift(self):
+        """Load creeps up call by call, so whoever runs second in a round
+        is taxed.  Unalternated, every ratio would read below 2; alternated,
+        they straddle it and an even round count's median lands on it."""
+        clock = FakeClock([1 + 0.01 * call for call in range(8)])
+        paired = paired_ratio(clock.side("F", 1.0), clock.side("R", 2.0),
+                              rounds=4, clock=clock)
+        below, above = paired.ratios[::2], paired.ratios[1::2]
+        assert all(ratio < 2.0 for ratio in below)
+        assert all(ratio > 2.0 for ratio in above)
+        assert paired.ratio == pytest.approx(2.0, abs=1e-3)
+
+    @pytest.mark.parametrize("rounds,expected", [(3, 4.0), (4, 5.0)])
+    def test_odd_and_even_round_counts(self, rounds, expected):
+        reference_costs = iter([2.0, 4.0, 6.0, 8.0])
+        paired = paired_ratio(lambda: 1.0, lambda: next(reference_costs),
+                              rounds=rounds)
+        assert paired.ratios == (2.0, 4.0, 6.0, 8.0)[:rounds]
+        assert paired.ratio == expected
+
+    def test_both_sides_report_median_and_quartiles(self):
+        feature_costs = iter([5.0, 1.0, 4.0, 2.0, 3.0])
+        paired = paired_ratio(lambda: next(feature_costs), lambda: 6.0,
+                              rounds=5)
+        assert paired.feature == Spread(median=3.0, q1=2.0, q3=4.0)
+        assert paired.reference == Spread(median=6.0, q1=6.0, q3=6.0)
+        record = paired.as_dict("fast_seconds", "slow_seconds")
+        assert record["rounds"] == 5
+        assert record["round_ratios"] == [1.2, 6.0, 1.5, 3.0, 2.0]
+        assert record["fast_seconds"] == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+
+    def test_needs_a_round(self):
+        with pytest.raises(ConfigurationError):
+            paired_ratio(lambda: 1.0, lambda: 1.0, rounds=0)
 
 
 @pytest.fixture

@@ -6,8 +6,11 @@ single-request pipeline (``lookup_range``), the segmented batch pipeline
 int64 locations for every mechanism under both pointer schemes, (2) the
 concrete index classes keep their genuinely batched write and segmented
 probe overrides — if someone deletes one, everything silently degrades to
-the per-element base form while staying correct — and (3) the write-path,
-planner and batched-query races agree at tiny scale.
+the per-element base form while staying correct — and (3) the write-path
+race agrees at tiny scale.  (The planner-vs-manual-plan and
+``execute_many``-vs-loop parity checks live in
+``test_read_pipelines.TestEveryEntryPointAgrees``; the other ratio suites'
+tiny-scale runs in ``test_bench_ratio_gates``.)
 """
 
 from __future__ import annotations
@@ -17,9 +20,7 @@ import pytest
 
 from repro.baselines.correlation_maps import CorrelationMap
 from repro.bench.hotpath import build_hotpath_setup
-from repro.bench.planner import run_planner_suite
-from repro.bench.query_throughput import run_query_throughput_suite
-from repro.bench.writepath import run_writepath_suite
+from repro.bench.writepath import writepath_measurements
 from repro.index.base import Index
 from repro.index.bptree import BPlusTree
 from repro.index.hash_index import HashIndex
@@ -105,64 +106,13 @@ class TestWritepathSmokeRun:
     @pytest.mark.parametrize("scheme", [PointerScheme.PHYSICAL,
                                         PointerScheme.LOGICAL])
     def test_scalar_and_batched_writes_agree_at_tiny_scale(self, scheme):
-        measurements = run_writepath_suite(
-            workloads=("synthetic",), insert_rows=SMOKE_INSERTS,
+        measurements = writepath_measurements(
+            insert_rows=SMOKE_INSERTS, rounds=1, workloads=("synthetic",),
             pointer_scheme=scheme,
         )
         assert len(measurements) == 2  # HERMIT + Baseline
-        assert all(m.results_agree for m in measurements)
-        assert all(m.total_results > 0 for m in measurements)
+        assert all(m["results_agree"] for m in measurements)
+        assert all(m["total_results"] > 0 for m in measurements)
         # At tiny scale just require the batch path not to collapse; the 5x
         # acceptance target applies to the full-scale standalone run.
-        assert all(m.speedup_batched > 0.5 for m in measurements)
-
-
-@pytest.mark.bench_smoke
-class TestPlannerSmokeRun:
-    def test_planner_parity_with_manual_plans(self):
-        """Planner plans agree with every manual plan and stay competitive.
-
-        The full-scale ``bench_planner.py`` run gates the 0.9x floor against
-        the best manual plan; at tiny scale per-query work is mostly call
-        dispatch, so this pins correctness parity plus a loose throughput
-        floor that still catches the planner collapsing to a scan or a
-        pathological plan.
-        """
-        measurements = run_planner_suite(num_tuples=SMOKE_ROWS,
-                                         selectivity=0.01,
-                                         num_queries=SMOKE_QUERIES)
-        assert {m.query_class for m in measurements} == {
-            "single", "point", "conjunctive"}
-        assert all(m.results_agree for m in measurements)
-        assert all(m.speedup_vs_best > 0.2 for m in measurements)
-        by_class = {m.query_class: m for m in measurements}
-        # Plan choice at tiny scale: the complete index must serve colC.
-        assert by_class["single"].chosen == "idx_colC_btree"
-        assert by_class["point"].chosen == "idx_colC_btree"
-
-
-@pytest.mark.bench_smoke
-class TestQueryManySmokeRun:
-    @pytest.mark.parametrize("scheme", [PointerScheme.PHYSICAL,
-                                        PointerScheme.LOGICAL])
-    def test_batched_queries_agree_with_loop(self, scheme):
-        """``execute_many`` equals the ``execute`` loop.
-
-        Tiny-scale race over every mechanism and batch class; the loose
-        throughput floor only catches the batch path degenerating into a
-        hidden per-query pipeline (the 3x acceptance target applies to the
-        full-scale standalone run gated in CI).
-        """
-        measurements = run_query_throughput_suite(
-            num_tuples=SMOKE_ROWS, selectivity=0.01, batch_size=12,
-            rounds=2, pointer_schemes=(scheme,),
-        )
-        assert {m.batch_class for m in measurements} == {
-            "range", "point", "conjunctive", "mixed"}
-        assert {m.mechanism for m in measurements} == {
-            "HERMIT", "Baseline", "Sorted", "CM"}
-        assert all(m.results_agree for m in measurements)
-        assert all(m.batched_vs_loop > 0.3 for m in measurements)
-        range_results = [m for m in measurements
-                         if m.batch_class == "range"]
-        assert all(m.total_results > 0 for m in range_results)
+        assert all(m["speedup_batched"] > 0.5 for m in measurements)

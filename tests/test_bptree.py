@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import KeyNotFoundError, StorageError
+from repro.errors import KeyNotFoundError
 from repro.index.base import KeyRange
 from repro.index.bptree import BPlusTree
 
@@ -110,11 +110,14 @@ class TestDelete:
 
 
 class TestBulkLoad:
+    """``insert_many`` into an empty tree is the bulk load (see
+    ``test_write_path.TestLoadIsInsertManyIntoEmpty`` for the structure)."""
+
     def test_bulk_load_matches_incremental(self):
         rng = np.random.default_rng(0)
         keys = rng.uniform(0, 1000, size=500)
         bulk = BPlusTree(node_capacity=8)
-        bulk.bulk_load((k, i) for i, k in enumerate(keys))
+        bulk.insert_many(keys, np.arange(keys.size))
         incremental = BPlusTree(node_capacity=8)
         for i, k in enumerate(keys):
             incremental.insert(k, i)
@@ -125,28 +128,28 @@ class TestBulkLoad:
 
     def test_bulk_load_empty(self):
         tree = BPlusTree()
-        tree.bulk_load([])
+        tree.insert_many([], [])
         assert tree.num_entries == 0
 
-    def test_bulk_load_on_nonempty_tree_raises(self):
-        """Bulk loading a populated tree would silently drop its entries."""
+    def test_batch_into_populated_tree_keeps_its_entries(self):
+        """Only an empty tree is packed afresh; a populated one is merged
+        into, so no batch can drop what the tree already holds."""
         tree = BPlusTree()
         tree.insert(1.0, 1)
-        with pytest.raises(StorageError):
-            tree.bulk_load([(2.0, 2)])
-        # The original entry is still intact and still counted.
+        tree.insert_many([2.0], [2])
         assert tree.search(1.0) == [1]
-        assert tree.num_entries == 1
+        assert tree.search(2.0) == [2]
+        assert tree.num_entries == 2
 
-    def test_bulk_load_twice_raises(self):
+    def test_second_batch_merges_into_the_loaded_tree(self):
         tree = BPlusTree()
-        tree.bulk_load([(1.0, 1), (2.0, 2)])
-        with pytest.raises(StorageError):
-            tree.bulk_load([(3.0, 3)])
+        tree.insert_many([1.0, 2.0], [1, 2])
+        tree.insert_many([3.0], [3])
+        assert list(tree.items()) == [(1.0, 1), (2.0, 2), (3.0, 3)]
 
     def test_items_are_sorted(self):
         tree = BPlusTree(node_capacity=4)
-        tree.bulk_load([(float(i % 7), i) for i in range(50)])
+        tree.insert_many([float(i % 7) for i in range(50)], list(range(50)))
         keys = [key for key, _ in tree.items()]
         assert keys == sorted(keys)
         assert len(keys) == 50

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.engine.access_path import CompositePath
 from repro.engine.database import Database
 from repro.engine.query import QueryRequest, RangePredicate, conjunction
-from repro.errors import KeyNotFoundError, StorageError
+from repro.errors import KeyNotFoundError
 from repro.index.base import KeyRange
 from repro.index.composite import CompositeIndex
 from repro.storage.identifiers import PointerScheme
@@ -68,8 +68,8 @@ class TestCompositeIndex:
         bulk = CompositeIndex()
         for tid, (lead, sec) in enumerate(entries):
             scalar.insert(lead, sec, tid)
-        bulk.bulk_load((lead, sec, tid)
-                       for tid, (lead, sec) in enumerate(entries))
+        bulk.insert_many([lead for lead, _ in entries],
+                         [sec for _, sec in entries], range(len(entries)))
         assert list(bulk.items()) == list(scalar.items())
         assert bulk.num_entries == scalar.num_entries
 
@@ -87,12 +87,6 @@ class TestCompositeIndex:
                             [sec for _, sec in batch],
                             list(range(1000, 1000 + len(batch))))
         assert list(batched.items()) == list(scalar.items())
-
-    def test_bulk_load_rejects_non_empty(self):
-        index = CompositeIndex()
-        index.insert(1.0, 2.0, 0)
-        with pytest.raises(StorageError):
-            index.bulk_load([(3.0, 4.0, 1)])
 
     def test_delete(self):
         index = CompositeIndex()

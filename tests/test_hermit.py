@@ -38,11 +38,9 @@ def build_hermit(table, pointer_scheme=PointerScheme.PHYSICAL, config=None):
     primary = BPlusTree()
     host_index = BPlusTree()
     slots, pks, hosts = table.project(["pk", "host"])
-    primary.bulk_load((float(pk), int(slot)) for pk, slot in zip(pks, slots))
-    if pointer_scheme is PointerScheme.PHYSICAL:
-        host_index.bulk_load((float(h), int(s)) for h, s in zip(hosts, slots))
-    else:
-        host_index.bulk_load((float(h), float(pk)) for h, pk in zip(hosts, pks))
+    primary.insert_many(pks, slots)
+    host_index.insert_many(
+        hosts, slots if pointer_scheme is PointerScheme.PHYSICAL else pks)
     hermit = HermitIndex(table, "target", "host", host_index,
                          primary_index=primary, pointer_scheme=pointer_scheme,
                          config=config)
@@ -191,7 +189,7 @@ class TestMemory:
         hermit = build_hermit(table)
         complete = BPlusTree()
         slots, targets = table.project(["target"])
-        complete.bulk_load((float(t), int(s)) for t, s in zip(targets, slots))
+        complete.insert_many(targets, slots)
         assert hermit.memory_bytes() < complete.memory_bytes() / 5
 
 

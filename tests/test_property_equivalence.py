@@ -47,9 +47,9 @@ def build_mechanisms(table: Table, scheme: PointerScheme):
     primary = BPlusTree()
     host_index = BPlusTree()
     slots, pks, hosts = table.project(["pk", "host"])
-    primary.bulk_load((float(pk), int(s)) for pk, s in zip(pks, slots))
+    primary.insert_many(pks, slots)
     tids = slots if scheme is PointerScheme.PHYSICAL else pks
-    host_index.bulk_load((float(h), t.item()) for h, t in zip(hosts, tids))
+    host_index.insert_many(hosts, tids)
     hermit = HermitIndex(table, "target", "host", host_index,
                          primary_index=primary, pointer_scheme=scheme,
                          config=TRSTreeConfig(min_split_size=8))

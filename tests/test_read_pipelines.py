@@ -7,10 +7,13 @@ The engine has exactly two read pipelines — a single-request one ending in
 them: a mechanism's standalone ``lookup_range`` / ``lookup_range_many``,
 ``Database.query_with`` (forced index), ``execute`` and ``execute_many``.
 
-* ``TestEveryEntryPointAgrees`` drives all five entry points with one
-  predicate per mechanism and pointer scheme — deleted rows and out-of-band
-  outliers present — and requires identical sorted int64 locations *and*
-  identical ``breakdown.candidates`` / ``results``; then again over the
+* ``TestEveryEntryPointAgrees`` drives all five entry points with ranges,
+  point probes and conjunctions per mechanism (and per pair of rival
+  indexes on one column) and pointer scheme — deleted rows and out-of-band
+  outliers present — and requires identical sorted int64 locations from
+  the planner's plan, every manual plan, a mixed ``execute_many`` batch
+  and the reference scan, *and* identical ``breakdown.candidates`` /
+  ``results`` where one index answers alone; then again over the
   float edge cases (infinite bounds, a range wider than any bucket walk,
   both zeros, a one-ulp range) with the result cache on, so every answer
   is checked as a miss and as a hit.
@@ -24,10 +27,14 @@ Deleted tests whose behaviour these (or a named sibling) now cover:
 the warning itself is gone) → ``TestEveryEntryPointAgrees``;
 ``test_engine.TestExecutorHelpers`` (``full_scan`` / ``choose_index``,
 both deleted) → ``test_engine.TestDatabase.test_query_without_index_falls_back_to_scan``
-and ``test_bench_smoke.TestPlannerSmokeRun`` (the planner prefers the
+and ``TestEveryEntryPointAgrees`` on ``rivals`` (the planner prefers the
 complete index); ``test_bench_smoke`` hot-path / paged races (raced code
 deleted) → ``test_bench_smoke.TestPipelinesAgreeOnWorkloads`` and
-``test_read_path_paged``.
+``test_read_path_paged``; ``test_bench_smoke.TestPlannerSmokeRun`` /
+``TestQueryManySmokeRun`` (the retired planner and batched-query ratio
+suites at tiny scale: planner plan == every manual plan, ``execute_many``
+== the ``execute`` loop) → ``TestEveryEntryPointAgrees``, which asks the
+engine the same questions without a timing harness.
 """
 
 from __future__ import annotations
@@ -92,9 +99,12 @@ def build_database(scheme: PointerScheme, method: str,
         "host": host, "target": target,
     })
     database.create_index("idx_host", "t", "host", method=IndexMethod.BTREE)
-    if method == "hermit":
+    if method in ("hermit", "rivals"):
         database.create_index("idx_target", "t", "target",
                               method=IndexMethod.HERMIT, host_column="host")
+        if method == "rivals":
+            database.create_index("idx_target_btree", "t", "target",
+                                  method=IndexMethod.BTREE)
     elif method == "cm":
         database.create_index("idx_target", "t", "target",
                               method=IndexMethod.CORRELATION_MAP,
@@ -127,45 +137,88 @@ EDGE_RANGES = {
 METHODS = ["hermit", "btree", "sorted", "cm"]
 
 
+# Request classes of one mixed batch: ranges, point probes on stored values
+# and two-column conjunctions (host = 2 * target + 10, so each host window
+# keeps about half of its target window), spanning several plan groups.
+REQUESTS = [
+    (RangePredicate("target", 300.0, 340.0),),
+    (RangePredicate("target", 0.0, 45.0),),
+    (RangePredicate("target", 930.0, 1_000.0),),
+    (RangePredicate("target", ULP_VALUE, ULP_VALUE),),
+    (RangePredicate("target", 0.0, 0.0),),
+    (RangePredicate("target", 300.0, 340.0),
+     RangePredicate("host", 650.0, 1_000.0)),
+    (RangePredicate("target", 600.0, 700.0),
+     RangePredicate("host", 1_310.0, 2_000.0)),
+]
+
+
 class TestEveryEntryPointAgrees:
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("method", METHODS + ["rivals"])
     def test_locations_and_counts_agree(self, method, scheme):
+        """Per request: every forced (manual) plan == the planner's plan ==
+        the reference scan, through ``execute`` and inside one mixed
+        ``execute_many`` batch; for a single predicate the mechanism's own
+        lookups too, with identical candidate / result counts."""
         database = build_database(scheme, method)
         table = database.table("t")
         assert table.num_slots > table.num_rows          # deleted rows present
-        mechanism = database.catalog.table_entry("t").indexes[
-            "idx_target"].mechanism
-        if method == "hermit":
-            assert mechanism.trs_tree.num_outliers > 0   # outliers present
+        indexes = database.catalog.table_entry("t").indexes
+        target_indexes = [name for name in indexes
+                          if name.startswith("idx_target")]
+        if method in ("hermit", "rivals"):
+            trs_tree = indexes["idx_target"].mechanism.trs_tree
+            assert trs_tree.num_outliers > 0             # outliers present
 
-        predicate = RangePredicate("target", 300.0, 340.0)
-        request = QueryRequest.of("t", predicate)
-        expected = scan_locations(table, predicate)
-        assert len(expected) > 5
+        requests = [QueryRequest.of("t", predicates)
+                    for predicates in REQUESTS]
+        batch = database.execute_many(requests)
+        for predicates, request, many in zip(REQUESTS, requests, batch):
+            expected = scan_locations(table, *predicates)
+            assert expected, predicates
+            one = database.execute(request)
+            answers = [one, many]
+            for name in target_indexes:
+                # A manual plan: one forced index read, post-filtered by
+                # hand on the predicates the index does not cover.
+                forced = database.query_with("t", name, predicates[0])
+                assert forced.used_index == name
+                if len(predicates) == 1:
+                    answers.append(forced)
+                else:
+                    assert np.intersect1d(
+                        forced.locations,
+                        scan_locations(table, *predicates[1:]),
+                    ).tolist() == expected
+            for result in answers:
+                assert_locations(result, expected)
+            if len(predicates) > 1:
+                continue
+            if method == "rivals":
+                # The complete index has no false positives to validate.
+                assert one.used_index == many.used_index == "idx_target_btree"
+                continue
 
-        single = mechanism.lookup_range(predicate.low, predicate.high)
-        batch = mechanism.lookup_range_many([(predicate.low, predicate.high)])
-        forced = database.query_with("t", "idx_target", predicate)
-        one = database.execute(request)
-        many = database.execute_many([request])[0]
-
-        for found in (single.locations, batch.locations_per_query[0]):
-            assert isinstance(found, np.ndarray)
-            assert found.dtype == np.int64
-            assert found.tolist() == expected
-        for result in (forced, one, many):
-            assert result.used_index == "idx_target"
-            assert_locations(result, expected)
-
-        counts = {(result.breakdown.candidates, result.breakdown.results)
-                  for result in (single, batch, forced, one, many)}
-        assert len(counts) == 1, counts
-        candidates, results = counts.pop()
-        assert results == len(expected)
-        assert candidates >= results
-        if method in ("btree", "sorted"):
-            assert candidates == results                 # complete index
+            assert one.used_index == many.used_index == "idx_target"
+            low, high = predicates[0].low, predicates[0].high
+            mechanism = indexes["idx_target"].mechanism
+            single = mechanism.lookup_range(low, high)
+            batched = mechanism.lookup_range_many([(low, high)])
+            for found in (single.locations, batched.locations_per_query[0]):
+                assert isinstance(found, np.ndarray)
+                assert found.dtype == np.int64
+                assert found.tolist() == expected
+            # (``many`` carries its plan group's counts, not its own.)
+            alone = database.execute_many([request])[0]
+            counts = {(result.breakdown.candidates, result.breakdown.results)
+                      for result in (single, batched, forced, one, alone)}
+            assert len(counts) == 1, counts
+            candidates, results = counts.pop()
+            assert results == len(expected)
+            assert candidates >= results
+            if method in ("btree", "sorted"):
+                assert candidates == results             # complete index
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("method", METHODS)
@@ -239,7 +292,8 @@ INDEX_READS = {
     "range_search_many_array", "range_search_segmented",
     "search_many_segmented",
 }
-INDEX_OTHER = {"insert", "delete", "insert_many", "bulk_load", "memory_bytes"}
+# No separate load: insert_many into an empty index is the load.
+INDEX_OTHER = {"insert", "delete", "insert_many", "memory_bytes"}
 
 MECHANISM_READS = {"candidate_tids", "candidate_tids_many", "lookup_range",
                    "lookup_range_many", "lookup_point"}
@@ -317,7 +371,8 @@ class TestReadSurfaceIsPinned:
             assert "search" not in vars(index_class)
             assert "range_search" not in vars(index_class)
             extra = public_callables(index_class) - public_callables(Index)
-            assert not {name for name in extra if "search" in name}, extra
+            assert not {name for name in extra
+                        if "search" in name or "load" in name}, extra
         assert {name for name in public_callables(CompositeIndex)
                 if "search" in name} == {"range_search_array"}
 
@@ -370,7 +425,9 @@ class TestReadSurfaceIsPinned:
                    "from_planned", "_as_conjunctive",
                    # retired by the flat TRS-Tree
                    "overlap_spans", "children_overlapping",
-                   "outlier_tid_array", "host_range_many")
+                   "outlier_tid_array", "host_range_many",
+                   # retired by load == insert_many into an empty index
+                   "bulk_load", "load_arrays")
         for path in SRC.rglob("*.py"):
             text = path.read_text(encoding="utf-8")
             for name in retired:
@@ -378,12 +435,11 @@ class TestReadSurfaceIsPinned:
 
     def test_validation_has_one_call_site_per_pipeline(self):
         """Outside the table itself, each validation kernel is called from
-        exactly one function: its pipeline's tail.  (``repro.bench`` is not
-        engine code: the planner race hand-writes a post-filter there.)"""
+        exactly one function: its pipeline's tail."""
         calls: dict[str, list[str]] = {"filter_in_range(": [],
                                        "in_range_mask(": []}
         for path in SRC.rglob("*.py"):
-            if path.name == "table.py" or "bench" in path.parts:
+            if path.name == "table.py":
                 continue
             text = path.read_text(encoding="utf-8")
             for kernel, sites in calls.items():

@@ -14,8 +14,9 @@ from repro.index.sorted_column import SortedColumnIndex
 
 
 def build(pairs) -> SortedColumnIndex:
+    pairs = list(pairs)
     index = SortedColumnIndex()
-    index.bulk_load(pairs)
+    index.insert_many([key for key, _ in pairs], [tid for _, tid in pairs])
     return index
 
 
@@ -30,17 +31,15 @@ class TestBulkLoadAndSearch:
         index = build([(1.0, 7), (1.0, 8), (2.0, 9)])
         assert sorted(index.search(1.0)) == [7, 8]
 
-    def test_bulk_load_on_nonempty_raises(self):
+    def test_batch_into_populated_index_keeps_its_entries(self):
         index = build([(1.0, 1)])
-        with pytest.raises(StorageError):
-            index.bulk_load([(2.0, 2)])
-        with pytest.raises(StorageError):
-            index.load_arrays(np.asarray([2.0]), np.asarray([2]))
+        index.insert_many(np.asarray([2.0]), np.asarray([2]))
+        assert list(index.items()) == [(1.0, 1), (2.0, 2)]
 
-    def test_load_arrays_rejects_mismatched_lengths(self):
+    def test_load_rejects_mismatched_lengths(self):
         index = SortedColumnIndex()
         with pytest.raises(StorageError):
-            index.load_arrays(np.asarray([1.0, 2.0]), np.asarray([1]))
+            index.insert_many(np.asarray([1.0, 2.0]), np.asarray([1]))
 
     def test_bulk_load_empty(self):
         index = build([])
@@ -143,7 +142,8 @@ class TestAgainstBPlusTree:
         """Sorted-column and B+-tree agree on every probe, scalar and array."""
         sorted_index = SortedColumnIndex()
         tree = BPlusTree(node_capacity=4)
-        sorted_index.bulk_load((float(k), v) for k, v in pairs)
+        sorted_index.insert_many([float(k) for k, _ in pairs],
+                                 [v for _, v in pairs])
         for key, value in pairs:
             tree.insert(float(key), value)
         low, width = bounds

@@ -31,6 +31,8 @@ from repro.storage.identifiers import PointerScheme
 from repro.storage.schema import Column, DataType, TableSchema, numeric_schema
 from repro.storage.table import Table
 
+from reference import bptree_bulk_load
+
 SETTINGS = settings(max_examples=15, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
@@ -214,8 +216,64 @@ class TestDatabaseWritePathEquivalence:
             database.insert(table_name, {"colA": 1.0})
 
 
+def tree_shape(tree: BPlusTree) -> tuple:
+    """Every node's keys (and a leaf's tid lists), root first."""
+    def shape(node):
+        if node.is_leaf:
+            return ("leaf", list(node.keys), [list(v) for v in node.values])
+        return ("node", list(node.keys), [shape(c) for c in node.children])
+    return shape(tree._root)
+
+
+LOAD_INPUTS = {
+    "empty": [],
+    "single_key": [(3.5, 7)],
+    "all_equal": [(2.0, tid) for tid in range(60)],
+    "duplicate_heavy": [(float(i % 5), i) for i in range(400)],
+    "both_zeros": [(0.0, 1), (-0.0, 2), (0.0, 3), (1.0, 4)],
+    "distinct_unsorted": [(float((i * 7919) % 1009), i) for i in range(1009)],
+    "fractional_tids": [(float(i // 3), i + 0.5) for i in range(90)],
+}
+
+
+class TestLoadIsInsertManyIntoEmpty:
+    """``insert_many`` into an empty index builds what ``bulk_load`` built."""
+
+    @pytest.mark.parametrize("capacity", [4, 8, 32])
+    @pytest.mark.parametrize("name", sorted(LOAD_INPUTS))
+    def test_bptree_packs_like_the_entry_by_entry_loader(self, name, capacity):
+        pairs = LOAD_INPUTS[name]
+        oracle = BPlusTree(node_capacity=capacity)
+        bptree_bulk_load(oracle, pairs)
+        loaded = BPlusTree(node_capacity=capacity)
+        loaded.insert_many([key for key, _ in pairs],
+                           np.asarray([tid for _, tid in pairs]))
+        assert list(loaded.items()) == list(oracle.items())
+        assert tree_shape(loaded) == tree_shape(oracle)
+        assert loaded.height == oracle.height
+        assert loaded.num_entries == oracle.num_entries == len(pairs)
+        assert loaded.memory_bytes() == oracle.memory_bytes()
+        probe = KeyRange(0.0, 3.0)
+        assert (loaded.range_search_segmented([probe])[0].tolist()
+                == oracle.range_search_array(probe).tolist())
+
+    @pytest.mark.parametrize("name", sorted(LOAD_INPUTS))
+    def test_sorted_column_loads_like_the_scalar_loop(self, name):
+        pairs = LOAD_INPUTS[name]
+        oracle = SortedColumnIndex()
+        for key, tid in pairs:
+            oracle.insert(key, tid)
+        loaded = SortedColumnIndex()
+        loaded.insert_many([key for key, _ in pairs],
+                           [tid for _, tid in pairs])
+        assert list(loaded.items()) == list(oracle.items())
+        assert loaded.num_entries == len(pairs)
+        assert loaded.memory_bytes() == oracle.memory_bytes()
+
+
 class TestBulkLoadBranchConsistency:
-    """The empty-primary-index bulk-load branch must notify mechanisms."""
+    """A batch into an empty table loads the primary index *and* notifies
+    the mechanisms."""
 
     def test_mechanisms_see_rows_bulk_loaded_into_empty_table(self):
         database = Database()
