@@ -1,6 +1,9 @@
 """Comparator mechanisms: the conventional B+-tree secondary index and CM."""
 
 from repro.baselines.correlation_maps import CorrelationMap
-from repro.baselines.secondary import BaselineSecondaryIndex
+from repro.baselines.secondary import (
+    BaselineSecondaryIndex,
+    CompositeSecondaryIndex,
+)
 
-__all__ = ["BaselineSecondaryIndex", "CorrelationMap"]
+__all__ = ["BaselineSecondaryIndex", "CompositeSecondaryIndex", "CorrelationMap"]

@@ -29,7 +29,7 @@ from repro.core.lookup import LookupBreakdown, SecondaryMechanism
 from repro.errors import ConfigurationError
 from repro.index.base import Index, KeyRange
 from repro.storage.identifiers import PointerScheme
-from repro.storage.memory import DEFAULT_SIZE_MODEL, SizeModel
+from repro.storage.memory import NODE_HEADER_BYTES, hash_table_bytes
 from repro.storage.table import Table
 
 
@@ -46,14 +46,13 @@ class CorrelationMap(SecondaryMechanism):
         host_bucket_width: Width of the host buckets.
         primary_index: Primary index, required for logical pointers.
         pointer_scheme: Tuple-identifier scheme of the host index entries.
-        size_model: Analytic memory model.
     """
 
-    def __init__(self, table: Table, target_column: str, host_column: str,
-                 host_index: Index, target_bucket_width: float,
-                 host_bucket_width: float, primary_index: Index | None = None,
-                 pointer_scheme: PointerScheme = PointerScheme.PHYSICAL,
-                 size_model: SizeModel = DEFAULT_SIZE_MODEL) -> None:
+    def __init__(
+            self, table: Table, target_column: str, host_column: str,
+            host_index: Index, target_bucket_width: float,
+            host_bucket_width: float, primary_index: Index | None = None,
+            pointer_scheme: PointerScheme = PointerScheme.PHYSICAL) -> None:
         if target_bucket_width <= 0 or host_bucket_width <= 0:
             raise ConfigurationError("bucket widths must be positive")
         super().__init__(table, target_column, primary_index, pointer_scheme)
@@ -61,7 +60,6 @@ class CorrelationMap(SecondaryMechanism):
         self.host_index = host_index
         self.target_bucket_width = float(target_bucket_width)
         self.host_bucket_width = float(host_bucket_width)
-        self._size_model = size_model
         self._mapping: dict[int, set[int]] = defaultdict(set)
 
     # ----------------------------------------------------------- construction
@@ -217,7 +215,4 @@ class CorrelationMap(SecondaryMechanism):
         """Analytic size: one hash entry per bucket link plus per-bucket headers."""
         links = self.num_bucket_links
         buckets = len(self._mapping)
-        return (
-            self._size_model.hash_table_bytes(links)
-            + buckets * self._size_model.node_header_bytes
-        )
+        return hash_table_bytes(links) + buckets * NODE_HEADER_BYTES

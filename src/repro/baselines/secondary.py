@@ -11,6 +11,10 @@ resolution, base-table validation and the standalone ``lookup_range`` /
 ``lookup_range_many`` are the shared tails of :mod:`repro.core.lookup`, so
 the Hermit-vs-Baseline comparison measures the mechanisms through the same
 pipeline the engine serves.
+
+:class:`CompositeSecondaryIndex` is the two-column complete index: the same
+maintenance surface over a :class:`~repro.index.composite.CompositeIndex`,
+probed by the planner's pair access path.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ import numpy as np
 from repro.core.lookup import LookupBreakdown, SecondaryMechanism
 from repro.index.base import Index, KeyRange
 from repro.index.bptree import BPlusTree
+from repro.index.composite import CompositeIndex
 from repro.storage.identifiers import PointerScheme
-from repro.storage.memory import DEFAULT_SIZE_MODEL, SizeModel
 from repro.storage.table import Table
 
 
@@ -41,7 +45,6 @@ class BaselineSecondaryIndex(SecondaryMechanism):
             for the logical pointer scheme.
         pointer_scheme: Tuple-identifier scheme stored in the index.
         node_capacity: B+-tree node capacity (ignored when ``index`` is given).
-        size_model: Analytic memory model.
         index: Backing index structure; defaults to a fresh
             :class:`~repro.index.bptree.BPlusTree`.  Passing a
             :class:`~repro.index.sorted_column.SortedColumnIndex` yields the
@@ -53,11 +56,10 @@ class BaselineSecondaryIndex(SecondaryMechanism):
                  primary_index: Index | None = None,
                  pointer_scheme: PointerScheme = PointerScheme.PHYSICAL,
                  node_capacity: int = 32,
-                 size_model: SizeModel = DEFAULT_SIZE_MODEL,
                  index: Index | None = None) -> None:
         super().__init__(table, target_column, primary_index, pointer_scheme)
         self.index = index if index is not None else BPlusTree(
-            node_capacity=node_capacity, size_model=size_model
+            node_capacity=node_capacity
         )
 
     # ----------------------------------------------------------- construction
@@ -132,4 +134,95 @@ class BaselineSecondaryIndex(SecondaryMechanism):
 
     def memory_bytes(self) -> int:
         """Analytic size of the secondary index in bytes."""
+        return self.index.memory_bytes()
+
+
+class CompositeSecondaryIndex(SecondaryMechanism):
+    """Engine mechanism wrapping a :class:`CompositeIndex` on two columns.
+
+    Exposes the same maintenance surface as the single-column mechanisms
+    (``insert``/``insert_many``/``delete``/``update`` row notifications from
+    the database facade) plus the planner's pair access path: one probe that
+    answers a conjunctive predicate on ``(leading_column, second_column)``
+    exactly, with no false positives.  It has no single-predicate candidate
+    generation, so the inherited single-column lookups do not apply.
+
+    Args:
+        table: The base table.
+        leading_column: Leading key column of the composite index.
+        second_column: Second key column.
+        primary_index: Primary index, required for logical pointers.
+        pointer_scheme: Tuple-identifier scheme stored in the index.
+    """
+
+    def __init__(
+            self, table: Table, leading_column: str, second_column: str,
+            primary_index: Index | None = None,
+            pointer_scheme: PointerScheme = PointerScheme.PHYSICAL) -> None:
+        super().__init__(table, leading_column, primary_index, pointer_scheme)
+        self.leading_column = leading_column
+        self.second_column = second_column
+        self.index = CompositeIndex()
+
+    # ----------------------------------------------------------- construction
+
+    def build(self) -> None:
+        """Bulk-load the composite index from the current table contents."""
+        slots, leading, second = self.table.project(
+            [self.leading_column, self.second_column]
+        )
+        self.index.insert_many(leading.tolist(), second.tolist(),
+                               self._tids_for_slots(slots).tolist())
+
+    # ------------------------------------------------------ planner interface
+
+    def candidate_tids_pair(self, leading_range: KeyRange,
+                            second_range: KeyRange,
+                            breakdown: LookupBreakdown) -> np.ndarray:
+        """Candidate tids matching both ranges (exact; one array probe)."""
+        started = time.perf_counter()
+        tids = self.index.range_search_array(leading_range, second_range)
+        breakdown.host_index_seconds += time.perf_counter() - started
+        return tids
+
+    def estimate_candidates(self, leading_range: KeyRange,
+                            second_range: KeyRange, leading_stats,
+                            second_stats) -> float:
+        """Estimated candidates under predicate independence (exact index)."""
+        rows = leading_stats.row_count
+        return (rows * leading_stats.selectivity(leading_range)
+                * second_stats.selectivity(second_range))
+
+    # ------------------------------------------------------------ maintenance
+
+    def insert(self, row: dict, location: int) -> None:
+        """Index a newly inserted row."""
+        self.index.insert(float(row[self.leading_column]),
+                          float(row[self.second_column]),
+                          self._tid_for(row, location))
+
+    def insert_many(self, columns: dict, locations: np.ndarray) -> None:
+        """Batched :meth:`insert`: one sorted merge into the entry list."""
+        leading = np.asarray(columns[self.leading_column], dtype=np.float64)
+        second = np.asarray(columns[self.second_column], dtype=np.float64)
+        self.index.insert_many(
+            leading.tolist(), second.tolist(),
+            self._tids_for_batch(columns, locations).tolist(),
+        )
+
+    def delete(self, row: dict, location: int) -> None:
+        """Remove the index entry for a deleted row."""
+        self.index.delete(float(row[self.leading_column]),
+                          float(row[self.second_column]),
+                          self._tid_for(row, location))
+
+    def update(self, old_row: dict, new_row: dict, location: int) -> None:
+        """Re-index a row whose key columns may have changed."""
+        self.delete(old_row, location)
+        self.insert(new_row, location)
+
+    # ------------------------------------------------------------- accounting
+
+    def memory_bytes(self) -> int:
+        """Analytic size of the composite index in bytes."""
         return self.index.memory_bytes()

@@ -40,7 +40,6 @@ from repro.segments import (
     sorted_unique,
 )
 from repro.storage.identifiers import PointerScheme
-from repro.storage.memory import DEFAULT_SIZE_MODEL, SizeModel
 from repro.storage.table import Table
 
 
@@ -97,19 +96,16 @@ class HermitIndex(SecondaryMechanism):
             when ``pointer_scheme`` is LOGICAL.
         pointer_scheme: Tuple-identifier scheme used by the indexes.
         config: TRS-Tree parameters.
-        size_model: Analytic memory model.
     """
 
     def __init__(self, table: Table, target_column: str, host_column: str,
                  host_index: Index, primary_index: Index | None = None,
                  pointer_scheme: PointerScheme = PointerScheme.PHYSICAL,
-                 config: TRSTreeConfig = DEFAULT_CONFIG,
-                 size_model: SizeModel = DEFAULT_SIZE_MODEL) -> None:
+                 config: TRSTreeConfig = DEFAULT_CONFIG) -> None:
         super().__init__(table, target_column, primary_index, pointer_scheme)
         self.host_column = host_column
         self.host_index = host_index
-        self.trs_tree = TRSTree(config, size_model)
-        self._size_model = size_model
+        self.trs_tree = TRSTree(config)
 
     # ----------------------------------------------------------- construction
 

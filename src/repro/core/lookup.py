@@ -310,6 +310,8 @@ class SecondaryMechanism:
     ``candidate_tids_many(ranges, breakdown)``, both returning
     duplicate-free tids), ``estimate_candidates`` and its maintenance
     methods; the standalone lookups below add one of the two tails.
+    (:class:`~repro.baselines.secondary.CompositeSecondaryIndex` derives
+    for the plumbing alone: its probe takes two ranges.)
 
     Args:
         table: The base table the mechanism serves.

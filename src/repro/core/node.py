@@ -19,7 +19,6 @@ import numpy as np
 from repro.core.outliers import OutlierBuffer
 from repro.core.regression import LeafModel
 from repro.index.base import KeyRange
-from repro.storage.memory import DEFAULT_SIZE_MODEL, SizeModel
 
 
 def partition_bounds(key_range: KeyRange, fanout: int) -> list[float]:
@@ -131,11 +130,10 @@ class TRSLeafNode(TRSNode):
                  "fp_estimate", "num_inserted", "num_deleted")
 
     def __init__(self, key_range: KeyRange, height: int, model: LeafModel,
-                 size_model: SizeModel = DEFAULT_SIZE_MODEL,
                  parent: "TRSInternalNode | None" = None) -> None:
         super().__init__(key_range, height, parent)
         self.model = model
-        self.outliers = OutlierBuffer(size_model)
+        self.outliers = OutlierBuffer()
         self.num_covered = 0
         self.num_model_covered = 0
         self.fp_estimate = 0.0

@@ -18,14 +18,13 @@ import numpy as np
 
 from repro.index.base import tid_items
 from repro.storage.identifiers import TupleId
-from repro.storage.memory import DEFAULT_SIZE_MODEL, SizeModel
+from repro.storage.memory import hash_table_bytes
 
 
 class OutlierBuffer:
     """Hash table from target-column value to tuple identifiers."""
 
-    def __init__(self, size_model: SizeModel = DEFAULT_SIZE_MODEL) -> None:
-        self._size_model = size_model
+    def __init__(self) -> None:
         self._entries: dict[float, list[TupleId]] = defaultdict(list)
         self._count = 0
 
@@ -97,4 +96,4 @@ class OutlierBuffer:
 
     def memory_bytes(self) -> int:
         """Analytic size in bytes."""
-        return self._size_model.hash_table_bytes(self._count)
+        return hash_table_bytes(self._count)

@@ -56,7 +56,7 @@ from repro.segments import (
     segment_ids,
 )
 from repro.storage.identifiers import TupleId
-from repro.storage.memory import DEFAULT_SIZE_MODEL, SizeModel
+from repro.storage.memory import trs_internal_bytes, trs_leaf_bytes
 
 # A data provider hands back (target values, host values, tuple ids) for all
 # live tuples whose target value falls inside the requested range.  It is how
@@ -244,13 +244,10 @@ class TRSTree:
     Args:
         config: User-defined parameters (fanout, max height, outlier ratio,
             error bound, sampling).
-        size_model: Analytic memory model shared with the rest of the engine.
     """
 
-    def __init__(self, config: TRSTreeConfig = DEFAULT_CONFIG,
-                 size_model: SizeModel = DEFAULT_SIZE_MODEL) -> None:
+    def __init__(self, config: TRSTreeConfig = DEFAULT_CONFIG) -> None:
         self.config = config
-        self.size_model = size_model
         self._root: TRSNode | None = None
         # The read structure.  Mutators of leaves or outlier buffers record
         # through ``_flat_view`` / flip ``_leaf_table.emits``, or drop both
@@ -356,7 +353,7 @@ class TRSTree:
             num_model_covered = 0
             fp_estimate = 0.0
 
-        leaf = TRSLeafNode(key_range, height, model, self.size_model)
+        leaf = TRSLeafNode(key_range, height, model)
         leaf.num_covered = int(len(targets))
         leaf.num_model_covered = num_model_covered
         leaf.fp_estimate = fp_estimate
@@ -940,7 +937,7 @@ class TRSTree:
         for node in self.nodes():
             if node.is_leaf:
                 leaf: TRSLeafNode = node  # type: ignore[assignment]
-                total += self.size_model.trs_leaf_bytes(len(leaf.outliers))
+                total += trs_leaf_bytes(len(leaf.outliers))
             else:
-                total += self.size_model.trs_internal_bytes(self.config.node_fanout)
+                total += trs_internal_bytes(self.config.node_fanout)
         return total

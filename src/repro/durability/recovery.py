@@ -131,7 +131,7 @@ def recover(config: DurabilityConfig,
             checkpoint manifest when one exists (the scheme is a physical
             property of the recovered pointers, not a per-session choice).
         **database_kwargs: Forwarded to :class:`Database` (``trs_config``,
-            ``size_model``, ``advisor``, ``cost_model``).
+            ``result_cache``, ``epoch_debug``).
 
     Returns:
         A live database with durability attached and recovery timings in

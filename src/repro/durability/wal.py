@@ -321,7 +321,6 @@ class WriteAheadLog:
         records, valid_bytes = scan_wal(path)
         self._truncate_to(valid_bytes)
         self.last_lsn = records[-1].lsn if records else 0
-        self.existing_records = len(records)
         self.records_appended = 0
         self.bytes_appended = 0
         self.sync_count = 0
@@ -383,11 +382,6 @@ class WriteAheadLog:
 
     # ------------------------------------------------------------ maintenance
 
-    @property
-    def total_records(self) -> int:
-        """Valid records found at open plus records appended since."""
-        return self.existing_records + self.records_appended
-
     def reset(self) -> None:
         """Discard every record (used after a checkpoint made them redundant).
 
@@ -397,7 +391,6 @@ class WriteAheadLog:
         self._file.close()
         with open(self.path, "wb"):
             pass
-        self.existing_records = 0
         self.records_appended = 0
         self._unsynced = 0
         self._file = self._opener(self.path)

@@ -1,10 +1,8 @@
 """The in-memory RDBMS substrate: catalog, query model, planner, executor."""
 
 from repro.engine.access_path import (
-    DEFAULT_COST_MODEL,
     AccessPath,
     CompositePath,
-    CostModel,
     FullScanPath,
     MechanismPath,
 )
@@ -33,8 +31,6 @@ __all__ = [
     "ColumnStats",
     "CompositePath",
     "ConjunctiveQuery",
-    "CostModel",
-    "DEFAULT_COST_MODEL",
     "Database",
     "FullScanPath",
     "IndexEntry",

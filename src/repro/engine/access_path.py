@@ -6,11 +6,19 @@ host index (B+-tree or sorted column), a Hermit mechanism lookup, a
 Correlation-Map lookup, or a composite-index probe covering two predicates at
 once.  Every path obeys the same array-native contract:
 
-* ``execute(breakdown) -> np.ndarray`` returns candidate tids (row locations
-  under physical pointers, primary-key values under logical pointers) as one
-  numpy array, charging its work to the shared per-phase breakdown, and
+* ``execute(merged, breakdown) -> np.ndarray`` returns the candidate tids
+  (row locations under physical pointers, primary-key values under logical
+  pointers) of one request's merged ranges as one numpy array, and
+  ``execute_many(merged_list, breakdown)`` those of a request batch as one
+  segmented array, both charging their work to the shared per-phase
+  breakdown, and
 * ``estimated_cost()`` / ``estimated_candidates()`` expose the cost model's
   view of the path so the planner can compare paths of different kinds.
+
+A path is a *template*: it keeps which index (or table) it reads, the columns
+it covers and the two estimates it was priced at, and takes the ranges to
+probe as an argument — so the plan cache hands the same path objects to every
+request of a shape.
 
 Candidates may contain false positives (Hermit/CM) and dead rows; the
 executor removes both in a single batched base-table validation pass after
@@ -24,14 +32,14 @@ live row count, ``k`` the mechanism's estimated candidate count and
 =====================  =====================================================
 Path                   Estimated cost
 =====================  =====================================================
-full scan              ``n * scan_per_row``
-B+-tree index          ``descent_cost * L + k``
-sorted-column index    ``sorted_probe_cost * L + sorted_per_candidate * k``
-Hermit mechanism       ``mechanism_overhead * L + k``  (k inflated by the
+full scan              ``n * SCAN_PER_ROW``
+B+-tree index          ``DESCENT_COST * L + k``
+sorted-column index    ``SORTED_PROBE_COST * L + SORTED_PER_CANDIDATE * k``
+Hermit mechanism       ``MECHANISM_OVERHEAD * L + k``  (k inflated by the
                        observed false-positive ratio)
-Correlation Map        ``mechanism_overhead * L + k``  (k inflated by bucket
+Correlation Map        ``MECHANISM_OVERHEAD * L + k``  (k inflated by bucket
                        expansion and the host-bucket over-fetch)
-composite index        ``descent_cost * L + k``  (k uses both predicates'
+composite index        ``DESCENT_COST * L + k``  (k uses both predicates'
                        selectivities, independence assumed)
 =====================  =====================================================
 
@@ -46,7 +54,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -59,60 +66,55 @@ from repro.storage.identifiers import PointerScheme
 from repro.storage.table import Table
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Constants of the planner's cost model, in row-touch units.
+# Constants of the planner's cost model, in row-touch units.  They encode
+# two measured facts about this codebase — sorted-column probes return
+# zero-copy views (ROADMAP: ~2x over the B+-tree) and vectorized validation
+# costs a fraction of a Python-level index touch — plus one deliberate bias:
+# SCAN_PER_ROW is kept at parity with the per-candidate index cost so an
+# index is chosen whenever one covers a predicate, matching the pre-planner
+# executor's behaviour.
+SCAN_PER_ROW = 1.0
+DESCENT_COST = 2.0
+BTREE_PER_CANDIDATE = 1.0
+SORTED_PROBE_COST = 0.5
+SORTED_PER_CANDIDATE = 0.3
+MECHANISM_OVERHEAD = 2.0
+VALIDATE_PER_CANDIDATE = 0.3
+# Per-candidate primary-index resolution under logical pointers, per
+# log2(n) level.  Deliberately below DESCENT_COST: resolution runs as one
+# batched search_many whose per-key descents are C-level bisects, measurably
+# cheaper than the Python-level leaf walks a fresh index probe pays per
+# candidate.
+RESOLVE_PER_LEVEL = 0.5
+# Safety margin on the intersection decision: an extra path must undercut
+# *half* the downstream work it could save, so estimate errors do not push
+# the planner into intersections that lose in practice.
+INTERSECT_MARGIN = 0.5
 
-    The defaults encode two measured facts about this codebase — sorted-column
-    probes return zero-copy views (ROADMAP: ~2x over the B+-tree) and
-    vectorized validation costs a fraction of a Python-level index touch —
-    plus one deliberate bias: ``scan_per_row`` is kept at parity with the
-    per-candidate index cost so an index is chosen whenever one covers a
-    predicate, matching the pre-planner executor's behaviour.
+
+def downstream_per_candidate(pointer_scheme: PointerScheme,
+                             row_count: int) -> float:
+    """Per-candidate cost paid after a path: resolution + validation.
+
+    Under logical pointers every candidate tid costs one (batched)
+    primary-index descent before it can be validated; under physical
+    pointers the tid *is* the location and only the vectorized validation
+    touch remains.  This asymmetry is why the planner intersects far more
+    eagerly under logical pointers.
     """
-
-    scan_per_row: float = 1.0
-    descent_cost: float = 2.0
-    btree_per_candidate: float = 1.0
-    sorted_probe_cost: float = 0.5
-    sorted_per_candidate: float = 0.3
-    mechanism_overhead: float = 2.0
-    validate_per_candidate: float = 0.3
-    # Per-candidate primary-index resolution under logical pointers, per
-    # log2(n) level.  Deliberately below descent_cost: resolution runs as
-    # one batched search_many whose per-key descents are C-level bisects,
-    # measurably cheaper than the Python-level leaf walks a fresh index
-    # probe pays per candidate.
-    resolve_per_level: float = 0.5
-    # Safety margin on the intersection decision: an extra path must
-    # undercut *half* the downstream work it could save, so estimate errors
-    # do not push the planner into intersections that lose in practice.
-    intersect_margin: float = 0.5
-
-    def downstream_per_candidate(self, pointer_scheme: PointerScheme,
-                                 row_count: int) -> float:
-        """Per-candidate cost paid after a path: resolution + validation.
-
-        Under logical pointers every candidate tid costs one (batched)
-        primary-index descent before it can be validated; under physical
-        pointers the tid *is* the location and only the vectorized
-        validation touch remains.  This asymmetry is why the planner
-        intersects far more eagerly under logical pointers.
-        """
-        cost = self.validate_per_candidate
-        if pointer_scheme.needs_primary_lookup:
-            cost += self.resolve_per_level * math.log2(row_count + 2)
-        return cost
-
-
-DEFAULT_COST_MODEL = CostModel()
+    cost = VALIDATE_PER_CANDIDATE
+    if pointer_scheme.needs_primary_lookup:
+        cost += RESOLVE_PER_LEVEL * math.log2(row_count + 2)
+    return cost
 
 
 class AccessPath:
     """One way to produce candidate tids for (part of) a query.
 
-    Subclasses bind their predicate(s) and statistics at construction and
-    precompute the two estimates, so the planner compares plain floats.
+    Subclasses price themselves from their predicate range(s) and statistics
+    at construction — precomputing the two estimates, so the planner compares
+    plain floats — and keep no range: the ranges to probe arrive with each
+    :meth:`execute` / :meth:`execute_many` call.
 
     Attributes:
         columns: Predicate columns this path covers (the executor validates
@@ -153,8 +155,13 @@ class AccessPath:
         """Cost-model estimate of executing this path, in row-touch units."""
         raise NotImplementedError
 
-    def execute(self, breakdown: LookupBreakdown) -> np.ndarray:
-        """Produce the candidate tid array, charging phases to ``breakdown``."""
+    def execute(self, merged: dict[str, KeyRange],
+                breakdown: LookupBreakdown) -> np.ndarray:
+        """Produce the candidate tid array of one request.
+
+        ``merged`` is the request's merged predicate mapping; the path picks
+        out the columns it covers and charges phases to ``breakdown``.
+        """
         raise NotImplementedError
 
     def execute_many(self, key_ranges: Sequence[dict[str, KeyRange]],
@@ -164,25 +171,16 @@ class AccessPath:
 
         ``key_ranges`` holds one merged predicate mapping per query (every
         query of a batch group shares the same column set; the ranges
-        differ) — the path picks out the columns it covers, ignoring the
-        ranges it was constructed with.  Returns ``(values, offsets)``
-        where query ``i`` owns ``values[offsets[i]:offsets[i + 1]]`` (see
-        ``repro.segments``), so the executor can intersect, resolve and
-        validate the whole batch in O(1) array passes.
+        differ) — the batch shape of :meth:`execute`'s ``merged``.  Returns
+        ``(values, offsets)`` where query ``i`` owns
+        ``values[offsets[i]:offsets[i + 1]]`` (see ``repro.segments``), so
+        the executor can intersect, resolve and validate the whole batch in
+        O(1) array passes.
         """
         raise NotImplementedError
 
     def describe(self) -> str:
         """One-line human-readable description for plan explanations."""
-        raise NotImplementedError
-
-    def rebind(self, merged: dict[str, KeyRange]) -> "AccessPath":
-        """Cheap clone bound to new predicate ranges (plan-cache replay).
-
-        The clone keeps the template's cost estimates — the plan cache only
-        replays a template while the query's selectivity bucket matches, so
-        re-estimating would change nothing the planner acts on.
-        """
         raise NotImplementedError
 
 
@@ -198,12 +196,10 @@ class FullScanPath(AccessPath):
 
     produces_locations = True
 
-    def __init__(self, table: Table, predicates: dict[str, KeyRange],
-                 cost_model: CostModel = DEFAULT_COST_MODEL) -> None:
+    def __init__(self, table: Table, columns: Sequence[str]) -> None:
         self.table = table
-        self.predicates = dict(predicates)
-        self.columns = tuple(self.predicates)
-        self._cost = table.num_rows * cost_model.scan_per_row
+        self.columns = tuple(columns)
+        self._cost = table.num_rows * SCAN_PER_ROW
         # A scan applies every predicate while it reads, so its candidates
         # are already the (live) matches; the planner refines this estimate
         # from the column statistics via bind_candidate_estimate.
@@ -219,12 +215,14 @@ class FullScanPath(AccessPath):
     def estimated_cost(self) -> float:
         return self._cost
 
-    def execute(self, breakdown: LookupBreakdown) -> np.ndarray:
+    def execute(self, merged: dict[str, KeyRange],
+                breakdown: LookupBreakdown) -> np.ndarray:
         started = time.perf_counter()
-        projected = self.table.project(list(self.predicates))
+        projected = self.table.project(list(self.columns))
         slots = projected[0]
         mask = np.ones(slots.shape, dtype=bool)
-        for key_range, values in zip(self.predicates.values(), projected[1:]):
+        for column, values in zip(self.columns, projected[1:]):
+            key_range = merged[column]
             mask &= (values >= key_range.low) & (values <= key_range.high)
         matching = slots[mask]
         breakdown.base_table_seconds += time.perf_counter() - started
@@ -274,15 +272,6 @@ class FullScanPath(AccessPath):
         columns = ", ".join(self.columns)
         return f"full-scan({columns}) cost={self._cost:.0f}"
 
-    def rebind(self, merged: dict[str, KeyRange]) -> "FullScanPath":
-        clone = object.__new__(FullScanPath)
-        clone.table = self.table
-        clone.predicates = dict(merged)
-        clone.columns = tuple(merged)
-        clone._cost = self._cost
-        clone._candidates = self._candidates
-        return clone
-
 
 class MechanismPath(AccessPath):
     """Probe one catalogued single-column index mechanism.
@@ -293,24 +282,22 @@ class MechanismPath(AccessPath):
     """
 
     def __init__(self, entry: IndexEntry, key_range: KeyRange,
-                 stats: ColumnStats,
-                 cost_model: CostModel = DEFAULT_COST_MODEL) -> None:
+                 stats: ColumnStats) -> None:
         self.entry = entry
-        self.key_range = key_range
         self.columns = (entry.column,)
         self._candidates = float(
             entry.mechanism.estimate_candidates(key_range, stats)
         )
         levels = math.log2(stats.row_count + 2)
         if entry.method is IndexMethod.SORTED_COLUMN:
-            self._cost = (cost_model.sorted_probe_cost * levels
-                          + cost_model.sorted_per_candidate * self._candidates)
+            self._cost = (SORTED_PROBE_COST * levels
+                          + SORTED_PER_CANDIDATE * self._candidates)
         elif entry.method is IndexMethod.BTREE:
-            self._cost = (cost_model.descent_cost * levels
-                          + cost_model.btree_per_candidate * self._candidates)
+            self._cost = (DESCENT_COST * levels
+                          + BTREE_PER_CANDIDATE * self._candidates)
         else:  # HERMIT / CORRELATION_MAP: translation + host-index gathers
-            self._cost = (cost_model.mechanism_overhead * levels
-                          + cost_model.btree_per_candidate * self._candidates)
+            self._cost = (MECHANISM_OVERHEAD * levels
+                          + BTREE_PER_CANDIDATE * self._candidates)
 
     @property
     def produces_sorted_tids(self) -> bool:
@@ -322,8 +309,10 @@ class MechanismPath(AccessPath):
     def estimated_cost(self) -> float:
         return self._cost
 
-    def execute(self, breakdown: LookupBreakdown) -> np.ndarray:
-        return self.entry.mechanism.candidate_tids(self.key_range, breakdown)
+    def execute(self, merged: dict[str, KeyRange],
+                breakdown: LookupBreakdown) -> np.ndarray:
+        return self.entry.mechanism.candidate_tids(merged[self.entry.column],
+                                                   breakdown)
 
     def execute_many(self, key_ranges: Sequence[dict[str, KeyRange]],
                      breakdown: LookupBreakdown,
@@ -339,26 +328,14 @@ class MechanismPath(AccessPath):
                 f"{self.entry.column}) cost={self._cost:.0f} "
                 f"~candidates={self._candidates:.0f}")
 
-    def rebind(self, merged: dict[str, KeyRange]) -> "MechanismPath":
-        clone = object.__new__(MechanismPath)
-        clone.entry = self.entry
-        clone.key_range = merged[self.entry.column]
-        clone.columns = self.columns
-        clone._candidates = self._candidates
-        clone._cost = self._cost
-        return clone
-
 
 class CompositePath(AccessPath):
     """Probe a composite index, covering two predicates with one path."""
 
     def __init__(self, entry: IndexEntry, leading_range: KeyRange,
                  second_range: KeyRange, leading_stats: ColumnStats,
-                 second_stats: ColumnStats,
-                 cost_model: CostModel = DEFAULT_COST_MODEL) -> None:
+                 second_stats: ColumnStats) -> None:
         self.entry = entry
-        self.leading_range = leading_range
-        self.second_range = second_range
         self.columns = (entry.column, entry.second_column)
         self._candidates = float(entry.mechanism.estimate_candidates(
             leading_range, second_range, leading_stats, second_stats
@@ -366,9 +343,8 @@ class CompositePath(AccessPath):
         # The probe walks the whole leading-key run and masks the second key,
         # so the per-candidate term uses the leading predicate's row estimate.
         leading_rows = leading_stats.estimated_rows(leading_range)
-        self._cost = (cost_model.descent_cost
-                      * math.log2(leading_stats.row_count + 2)
-                      + cost_model.btree_per_candidate * leading_rows)
+        self._cost = (DESCENT_COST * math.log2(leading_stats.row_count + 2)
+                      + BTREE_PER_CANDIDATE * leading_rows)
 
     def estimated_candidates(self) -> float:
         return self._candidates
@@ -376,9 +352,11 @@ class CompositePath(AccessPath):
     def estimated_cost(self) -> float:
         return self._cost
 
-    def execute(self, breakdown: LookupBreakdown) -> np.ndarray:
+    def execute(self, merged: dict[str, KeyRange],
+                breakdown: LookupBreakdown) -> np.ndarray:
+        leading, second = self.columns
         return self.entry.mechanism.candidate_tids_pair(
-            self.leading_range, self.second_range, breakdown
+            merged[leading], merged[second], breakdown
         )
 
     def execute_many(self, key_ranges: Sequence[dict[str, KeyRange]],
@@ -402,13 +380,3 @@ class CompositePath(AccessPath):
         return (f"composite({self.entry.name} on {self.entry.column}, "
                 f"{self.entry.second_column}) cost={self._cost:.0f} "
                 f"~candidates={self._candidates:.0f}")
-
-    def rebind(self, merged: dict[str, KeyRange]) -> "CompositePath":
-        clone = object.__new__(CompositePath)
-        clone.entry = self.entry
-        clone.leading_range = merged[self.entry.column]
-        clone.second_range = merged[self.entry.second_column]
-        clone.columns = self.columns
-        clone._candidates = self._candidates
-        clone._cost = self._cost
-        return clone

@@ -53,7 +53,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.baselines.correlation_maps import CorrelationMap
-from repro.baselines.secondary import BaselineSecondaryIndex
+from repro.baselines.secondary import (
+    BaselineSecondaryIndex,
+    CompositeSecondaryIndex,
+)
 from repro.cache.result_cache import (
     ResultCache,
     ResultCacheConfig,
@@ -64,11 +67,7 @@ from repro.core.config import DEFAULT_CONFIG, TRSTreeConfig
 from repro.core.hermit import HermitIndex
 from repro.core.lookup import LookupBreakdown
 from repro.correlation.advisor import HostColumnAdvisor
-from repro.engine.access_path import (
-    DEFAULT_COST_MODEL,
-    CostModel,
-    MechanismPath,
-)
+from repro.engine.access_path import MechanismPath
 from repro.engine.catalog import (
     HOST_METHODS,
     Catalog,
@@ -89,10 +88,9 @@ from repro.engine.query import (
 )
 from repro.errors import CatalogError, DurabilityError, QueryError
 from repro.index.bptree import BPlusTree
-from repro.index.composite import CompositeSecondaryIndex
 from repro.index.sorted_column import SortedColumnIndex
 from repro.storage.identifiers import PointerScheme
-from repro.storage.memory import DEFAULT_SIZE_MODEL, MemoryReport, SizeModel
+from repro.storage.memory import MemoryReport
 from repro.storage.schema import DataType, TableSchema
 from repro.storage.table import Table
 
@@ -103,9 +101,6 @@ class Database:
     Args:
         pointer_scheme: Tuple-identifier scheme used by all secondary indexes.
         trs_config: Default TRS-Tree parameters for Hermit indexes.
-        size_model: Analytic memory model shared by every structure.
-        advisor: Host-column advisor consulted by ``IndexMethod.AUTO``.
-        cost_model: Cost-model constants driving the query planner.
         durability: When given, every DDL/DML operation is write-ahead
             logged to ``durability.directory`` before it is applied, and
             :meth:`checkpoint` / auto-checkpointing become available.  The
@@ -134,23 +129,20 @@ class Database:
 
     def __init__(self, pointer_scheme: PointerScheme = PointerScheme.PHYSICAL,
                  trs_config: TRSTreeConfig = DEFAULT_CONFIG,
-                 size_model: SizeModel = DEFAULT_SIZE_MODEL,
-                 advisor: HostColumnAdvisor | None = None,
-                 cost_model: CostModel = DEFAULT_COST_MODEL,
                  durability: DurabilityConfig | None = None,
                  result_cache: ResultCacheConfig | None = None,
                  epoch_debug: bool = False) -> None:
         self.pointer_scheme = pointer_scheme
         self.trs_config = trs_config
-        self.size_model = size_model
-        self.advisor = advisor or HostColumnAdvisor()
+        # Host-column advisor consulted by ``IndexMethod.AUTO``.
+        self.advisor = HostColumnAdvisor()
         # Reader-writer epoch protocol: reads share, DDL/DML excludes.  One
         # manager per database (see repro.engine.epochs for why coarse).
         # The catalog reports its mutations to the manager's discipline
         # checker (a no-op unless epoch_debug is on).
         self.epochs = EpochManager(debug=epoch_debug)
         self.catalog = Catalog(epoch_guard=self.epochs.note_mutation)
-        self.planner = Planner(self.catalog, pointer_scheme, cost_model)
+        self.planner = Planner(self.catalog, pointer_scheme)
         self._durability: DurabilityManager | None = (
             DurabilityManager(durability) if durability is not None else None
         )
@@ -167,8 +159,8 @@ class Database:
                 raise CatalogError(f"table {schema.name!r} already exists")
             if self._durability is not None:
                 self._durability.log_create_table(schema)
-            table = Table(schema, size_model=self.size_model)
-            primary_index = BPlusTree(size_model=self.size_model)
+            table = Table(schema)
+            primary_index = BPlusTree()
             self.catalog.add_table(schema.name, table, primary_index)
             return table
 
@@ -252,12 +244,11 @@ class Database:
             self._durability.log_create_index(definition)
 
         if method in (IndexMethod.BTREE, IndexMethod.SORTED_COLUMN):
-            backing = (SortedColumnIndex(size_model=self.size_model)
+            backing = (SortedColumnIndex()
                        if method is IndexMethod.SORTED_COLUMN else None)
             mechanism: object = BaselineSecondaryIndex(
                 table, column, primary_index=entry.primary_index,
-                pointer_scheme=self.pointer_scheme, size_model=self.size_model,
-                index=backing,
+                pointer_scheme=self.pointer_scheme, index=backing,
             )
             mechanism.build()
         elif method is IndexMethod.HERMIT:
@@ -266,7 +257,6 @@ class Database:
                 primary_index=entry.primary_index,
                 pointer_scheme=self.pointer_scheme,
                 config=trs_config or self.trs_config,
-                size_model=self.size_model,
             )
             mechanism.build(parallelism=parallelism)
         else:
@@ -276,7 +266,6 @@ class Database:
                 host_bucket_width=cm_host_bucket_width,
                 primary_index=entry.primary_index,
                 pointer_scheme=self.pointer_scheme,
-                size_model=self.size_model,
             )
             mechanism.build()
 
@@ -331,7 +320,7 @@ class Database:
         mechanism = CompositeSecondaryIndex(
             entry.table, leading_column, second_column,
             primary_index=entry.primary_index,
-            pointer_scheme=self.pointer_scheme, size_model=self.size_model,
+            pointer_scheme=self.pointer_scheme,
         )
         mechanism.build()
         index_entry = IndexEntry(
@@ -744,7 +733,10 @@ class Database:
                         return Plan(table_name=table_name, query=query,
                                     merged=query.merged() or {}, cached=True,
                                     cached_used_index=hit.used_index)
-            return self.planner.plan(table_name, query)
+            plan = self.planner.plan(table_name, query)
+            if not plan.unsatisfiable:
+                plan.cache_stats = self.planner.cache_info()
+            return plan
 
     # ------------------------------------------------------- result cache
 
@@ -816,7 +808,6 @@ class Database:
             path = MechanismPath(
                 index_entry, key_range,
                 self.catalog.column_stats(table_name, predicate.column),
-                self.planner.cost_model,
             )
             plan = Plan(table_name=table_name,
                         query=ConjunctiveQuery([predicate]),

@@ -51,12 +51,12 @@ def execute_plan(plan: Plan, entry: TableEntry,
     # whenever both operands come from paths that guarantee unique tids —
     # every current path does (see AccessPath.produces_unique_tids), which
     # skips intersect1d's internal per-operand dedup sorts.
-    tids = plan.paths[0].execute(breakdown)
+    tids = plan.paths[0].execute(plan.merged, breakdown)
     unique = plan.paths[0].produces_unique_tids
     for path in plan.paths[1:]:
         if tids.size == 0:
             break
-        tids = np.intersect1d(tids, path.execute(breakdown),
+        tids = np.intersect1d(tids, path.execute(plan.merged, breakdown),
                               assume_unique=unique
                               and path.produces_unique_tids)
         unique = True

@@ -37,12 +37,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.engine.access_path import (
-    DEFAULT_COST_MODEL,
+    INTERSECT_MARGIN,
+    VALIDATE_PER_CANDIDATE,
     AccessPath,
     CompositePath,
-    CostModel,
     FullScanPath,
     MechanismPath,
+    downstream_per_candidate,
 )
 from repro.engine.catalog import Catalog, IndexMethod, TableEntry
 from repro.engine.query import ConjunctiveQuery
@@ -60,7 +61,8 @@ class Plan:
         merged: One intersected key range per predicate column (empty when
             unsatisfiable).
         paths: Access paths to execute, driver first; their candidate tid
-            arrays are intersected in order.
+            arrays are intersected in order.  Plans of one cached shape
+            share the template's path objects (paths keep no ranges).
         estimated_cost: Cost-model total for the chosen paths plus the
             downstream per-candidate work on the driver's candidates.
         unsatisfiable: True when same-column predicates contradict — the
@@ -73,10 +75,10 @@ class Plan:
     paths: list[AccessPath] = field(default_factory=list)
     estimated_cost: float = 0.0
     unsatisfiable: bool = False
-    # Snapshot of the planner's cumulative cache counters taken when this
-    # plan was handed out (None for plans that bypassed the cache, e.g.
-    # unsatisfiable ones) — the observability hook ``Database.explain``
-    # surfaces, so a workload can verify its plans actually amortise.
+    # Snapshot of the planner's cumulative cache counters, taken by
+    # ``Database.explain`` (None on executed plans and on plans that bypassed
+    # the cache, e.g. unsatisfiable ones) — the observability hook that lets
+    # a workload verify its plans actually amortise.
     cache_stats: "PlannerCacheStats | None" = None
     # Marker for queries served by the epoch-keyed result cache
     # (``repro.cache``): a cached "plan" has no paths — the stored location
@@ -194,8 +196,8 @@ class PlanGroup:
 
     Attributes:
         plan: The template chosen (or replayed) for the group's
-            representative query; the executor rebinds per query from
-            ``merged_list`` rather than from the template's ranges.
+            representative query; its paths are executed once over
+            ``merged_list``.
         indices: Positions of the group's queries in the input batch.
         merged_list: Per-query merged key ranges, aligned with ``indices``
             (empty dicts for unsatisfiable queries).
@@ -215,17 +217,6 @@ class _CachedPlan:
     row_count: int
     data_epoch: int = 0
     replays: int = 0
-
-    def replay(self, query: ConjunctiveQuery,
-               merged: dict[str, KeyRange]) -> Plan:
-        """Rebind the template's paths to the new predicate ranges."""
-        self.replays += 1
-        template = self.plan
-        return Plan(
-            table_name=template.table_name, query=query, merged=merged,
-            paths=[path.rebind(merged) for path in template.paths],
-            estimated_cost=template.estimated_cost,
-        )
 
 
 class Planner:
@@ -256,15 +247,13 @@ class Planner:
         pointer_scheme: Tuple-identifier scheme of the database — it sets the
             per-candidate downstream weight (resolution is free under
             physical pointers, a primary-index descent under logical ones).
-        cost_model: Cost-model constants.
     """
 
-    def __init__(self, catalog: Catalog,
-                 pointer_scheme: PointerScheme = PointerScheme.PHYSICAL,
-                 cost_model: CostModel = DEFAULT_COST_MODEL) -> None:
+    def __init__(
+            self, catalog: Catalog,
+            pointer_scheme: PointerScheme = PointerScheme.PHYSICAL) -> None:
         self.catalog = catalog
         self.pointer_scheme = pointer_scheme
-        self.cost_model = cost_model
         self._cache: dict[tuple, _CachedPlan] = {}
         # (table, column) -> generic cache key of the slot that last served a
         # point probe on that column.  The point fast path follows this
@@ -309,7 +298,7 @@ class Planner:
 
         The next query on any table replans from scratch — the hook for
         tests and operators that changed something the freshness checks
-        cannot see (e.g. swapping a cost model in place).
+        cannot see.
         """
         self._cache.clear()
         self._point_keys.clear()
@@ -332,6 +321,21 @@ class Planner:
                 and row_count <= 2 * cached.row_count
                 and entry.data_epoch - cached.data_epoch <= _MAX_EPOCH_DRIFT)
 
+    def _replay(self, cached: _CachedPlan, query: ConjunctiveQuery,
+                merged: dict[str, KeyRange]) -> Plan:
+        """Book one cache hit; the request's plan shares the template's paths."""
+        template = cached.plan
+        table_name = template.table_name
+        self._hits += 1
+        self._replays += 1
+        self._table_hits[table_name] = self._table_hits.get(table_name, 0) + 1
+        self._table_replays[table_name] = (
+            self._table_replays.get(table_name, 0) + 1)
+        cached.replays += 1
+        return Plan(table_name=table_name, query=query, merged=merged,
+                    paths=template.paths,
+                    estimated_cost=template.estimated_cost)
+
     def plan(self, table_name: str, query: ConjunctiveQuery) -> Plan:
         """Choose the cheapest access-path combination for ``query``."""
         entry = self.catalog.table_entry(table_name)
@@ -350,18 +354,10 @@ class Planner:
             if point_key is not None:
                 cached = self._cache.get(point_key)
                 if cached is not None and self._is_fresh(cached, entry):
-                    self._hits += 1
-                    self._replays += 1
-                    self._table_hits[table_name] = (
-                        self._table_hits.get(table_name, 0) + 1)
-                    self._table_replays[table_name] = (
-                        self._table_replays.get(table_name, 0) + 1)
-                    plan = cached.replay(
-                        query,
+                    return self._replay(
+                        cached, query,
                         {predicates[0].column: predicates[0].key_range},
                     )
-                    plan.cache_stats = self.cache_info()
-                    return plan
 
         merged = query.merged()
         if merged is None:
@@ -379,15 +375,7 @@ class Planner:
         cache_key = (table_name, tuple(merged), buckets)
         cached = self._cache.get(cache_key)
         if cached is not None and self._is_fresh(cached, entry):
-            self._hits += 1
-            self._replays += 1
-            self._table_hits[table_name] = (
-                self._table_hits.get(table_name, 0) + 1)
-            self._table_replays[table_name] = (
-                self._table_replays.get(table_name, 0) + 1)
-            plan = cached.replay(query, merged)
-            plan.cache_stats = self.cache_info()
-            return plan
+            return self._replay(cached, query, merged)
 
         self._misses += 1
         self._table_misses[table_name] = (
@@ -400,7 +388,6 @@ class Planner:
         )
         if is_point:
             self._point_keys[(table_name, predicates[0].column)] = cache_key
-        plan.cache_stats = self.cache_info()
         return plan
 
     def plan_many(self, table_name: str,
@@ -500,9 +487,7 @@ class Planner:
             if path is not None and path not in selected:
                 selected.append(path)
         row_count = entry.table.num_rows
-        downstream = self.cost_model.downstream_per_candidate(
-            self.pointer_scheme, row_count
-        )
+        downstream = downstream_per_candidate(self.pointer_scheme, row_count)
         if not selected:
             return self._scan_plan(table_name, query, merged, scan)
 
@@ -511,16 +496,14 @@ class Planner:
         driver_total = (driver.estimated_cost()
                         + downstream * driver.estimated_candidates())
         scan_total = (scan.estimated_cost()
-                      + self.cost_model.validate_per_candidate
-                      * scan.estimated_candidates())
+                      + VALIDATE_PER_CANDIDATE * scan.estimated_candidates())
         if driver_total >= scan_total:
             return self._scan_plan(table_name, query, merged, scan)
 
         # An extra path is worth executing only when probing it costs clearly
         # less than the downstream work it can strip from the driver's
         # candidates (the margin guards against estimate errors).
-        budget = (self.cost_model.intersect_margin * downstream
-                  * driver.estimated_candidates())
+        budget = INTERSECT_MARGIN * downstream * driver.estimated_candidates()
         extras = sorted(
             (path for path in selected
              if path is not driver and path.estimated_cost() < budget),
@@ -537,7 +520,7 @@ class Planner:
 
     def _scan_path(self, entry: TableEntry, merged: dict[str, KeyRange],
                    stats: dict) -> FullScanPath:
-        scan = FullScanPath(entry.table, merged, self.cost_model)
+        scan = FullScanPath(entry.table, tuple(merged))
         matches = float(entry.table.num_rows)
         for column, key_range in merged.items():
             matches *= stats[column].selectivity(key_range)
@@ -549,8 +532,7 @@ class Planner:
         # A scan produces locations directly, so its candidates skip pointer
         # resolution and pay the validation touch only.
         total = (scan.estimated_cost()
-                 + self.cost_model.validate_per_candidate
-                 * scan.estimated_candidates())
+                 + VALIDATE_PER_CANDIDATE * scan.estimated_candidates())
         return Plan(table_name=table_name, query=query, merged=merged,
                     paths=[scan], estimated_cost=total)
 
@@ -561,8 +543,7 @@ class Planner:
         best: dict[str, AccessPath | None] = {}
         for column, key_range in merged.items():
             paths = [
-                MechanismPath(index_entry, key_range, stats[column],
-                              self.cost_model)
+                MechanismPath(index_entry, key_range, stats[column])
                 for index_entry in self.catalog.indexes_on_column(table_name,
                                                                   column)
                 if index_entry.method is not IndexMethod.COMPOSITE
@@ -583,7 +564,7 @@ class Planner:
                 continue
             composite = CompositePath(
                 index_entry, merged[leading], merged[second],
-                stats[leading], stats[second], self.cost_model,
+                stats[leading], stats[second],
             )
             pair_cost = sum(
                 best[column].estimated_cost() if best[column] is not None

@@ -40,10 +40,6 @@ class IndexError_(ReproError):
     """
 
 
-class DuplicateKeyError(IndexError_):
-    """A unique index rejected a duplicate key insertion."""
-
-
 class KeyNotFoundError(IndexError_):
     """A key expected to be present in an index is missing."""
 

@@ -2,7 +2,7 @@
 
 from repro.index.base import Index, IndexStatistics, KeyRange
 from repro.index.bptree import BPlusTree
-from repro.index.composite import CompositeIndex, CompositeSecondaryIndex
+from repro.index.composite import CompositeIndex
 from repro.index.hash_index import HashIndex
 from repro.index.paged_bptree import PagedBPlusTree
 from repro.index.sorted_column import SortedColumnIndex
@@ -10,7 +10,6 @@ from repro.index.sorted_column import SortedColumnIndex
 __all__ = [
     "BPlusTree",
     "CompositeIndex",
-    "CompositeSecondaryIndex",
     "HashIndex",
     "Index",
     "IndexStatistics",

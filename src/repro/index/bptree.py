@@ -26,7 +26,7 @@ from repro.index.base import Index, KeyRange, tid_items
 from repro.index.flat_view import FlatView
 from repro.segments import empty_offsets, run_indices
 from repro.storage.identifiers import TupleId
-from repro.storage.memory import DEFAULT_SIZE_MODEL, SizeModel
+from repro.storage.memory import btree_bytes
 
 DEFAULT_NODE_CAPACITY = 32
 
@@ -80,16 +80,13 @@ class BPlusTree(Index):
 
     Args:
         node_capacity: Maximum number of keys per node before it splits.
-        size_model: Analytic cost model for :meth:`memory_bytes`.
     """
 
-    def __init__(self, node_capacity: int = DEFAULT_NODE_CAPACITY,
-                 size_model: SizeModel = DEFAULT_SIZE_MODEL) -> None:
+    def __init__(self, node_capacity: int = DEFAULT_NODE_CAPACITY) -> None:
         super().__init__()
         if node_capacity < 4:
             raise ValueError("node_capacity must be at least 4")
         self.node_capacity = node_capacity
-        self._size_model = size_model
         self._root: _Node = _LeafNode()
         self._num_entries = 0
         self._height = 1
@@ -388,8 +385,8 @@ class BPlusTree(Index):
         return self._height
 
     def memory_bytes(self) -> int:
-        """Analytic size in bytes (see :class:`SizeModel`)."""
-        return self._size_model.btree_bytes(self._num_entries, self.node_capacity)
+        """Analytic size in bytes (see :mod:`repro.storage.memory`)."""
+        return btree_bytes(self._num_entries, self.node_capacity)
 
     # ---------------------------------------------------------------- private
 

@@ -21,15 +21,14 @@ import numpy as np
 from repro.errors import KeyNotFoundError, StorageError
 from repro.index.base import Index, KeyRange, tid_items
 from repro.storage.identifiers import TupleId
-from repro.storage.memory import DEFAULT_SIZE_MODEL, SizeModel
+from repro.storage.memory import hash_table_bytes
 
 
 class HashIndex(Index):
     """A non-unique hash index mapping keys to lists of tuple identifiers."""
 
-    def __init__(self, size_model: SizeModel = DEFAULT_SIZE_MODEL) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self._size_model = size_model
         self._buckets: dict[float, list[TupleId]] = defaultdict(list)
         self._num_entries = 0
 
@@ -136,4 +135,4 @@ class HashIndex(Index):
 
     def memory_bytes(self) -> int:
         """Analytic size in bytes."""
-        return self._size_model.hash_table_bytes(self._num_entries)
+        return hash_table_bytes(self._num_entries)

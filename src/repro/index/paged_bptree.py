@@ -25,7 +25,7 @@ from repro.errors import KeyNotFoundError, StorageError
 from repro.index.base import Index, KeyRange, tid_items
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.identifiers import TupleId
-from repro.storage.memory import DEFAULT_SIZE_MODEL, SizeModel
+from repro.storage.memory import btree_bytes
 
 _LEAF = "L"
 _INTERNAL = "I"
@@ -37,19 +37,15 @@ class PagedBPlusTree(Index):
     Args:
         buffer_pool: Pool providing access to the simulated disk.
         node_capacity: Maximum number of keys per node before it splits.
-        size_model: Analytic model for :meth:`memory_bytes` (in-memory
-            footprint of the cached portion; the on-disk footprint is
-            ``num_pages * page_size``).
     """
 
-    def __init__(self, buffer_pool: BufferPool, node_capacity: int = 64,
-                 size_model: SizeModel = DEFAULT_SIZE_MODEL) -> None:
+    def __init__(self, buffer_pool: BufferPool,
+                 node_capacity: int = 64) -> None:
         super().__init__()
         if node_capacity < 4:
             raise ValueError("node_capacity must be at least 4")
         self.pool = buffer_pool
         self.node_capacity = node_capacity
-        self._size_model = size_model
         self._num_entries = 0
         self._height = 1
         self._num_nodes = 1
@@ -230,7 +226,7 @@ class PagedBPlusTree(Index):
 
     def memory_bytes(self) -> int:
         """Analytic size in bytes, charged like the in-memory B+-tree."""
-        return self._size_model.btree_bytes(self._num_entries, self.node_capacity)
+        return btree_bytes(self._num_entries, self.node_capacity)
 
     def disk_bytes(self) -> int:
         """On-disk footprint of the tree."""

@@ -25,19 +25,14 @@ from repro.errors import KeyNotFoundError, StorageError
 from repro.index.base import Index, KeyRange
 from repro.segments import empty_offsets, run_indices
 from repro.storage.identifiers import TupleId
-from repro.storage.memory import DEFAULT_SIZE_MODEL, SizeModel
+from repro.storage.memory import sorted_array_bytes
 
 
 class SortedColumnIndex(Index):
-    """A non-unique sorted-array index mapping numeric keys to tuple ids.
+    """A non-unique sorted-array index mapping numeric keys to tuple ids."""
 
-    Args:
-        size_model: Analytic cost model for :meth:`memory_bytes`.
-    """
-
-    def __init__(self, size_model: SizeModel = DEFAULT_SIZE_MODEL) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self._size_model = size_model
         self._keys = np.empty(0, dtype=np.float64)
         self._tids = np.empty(0, dtype=np.int64)
 
@@ -188,7 +183,7 @@ class SortedColumnIndex(Index):
 
     def memory_bytes(self) -> int:
         """Analytic size in bytes (two packed parallel arrays)."""
-        return self._size_model.sorted_array_bytes(self.num_entries)
+        return sorted_array_bytes(self.num_entries)
 
     # ---------------------------------------------------------------- private
 

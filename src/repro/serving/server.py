@@ -31,10 +31,10 @@ The event loop is plain ``asyncio`` running on a daemon thread, so sync
 clients — benchmark threads, tests, anything — talk to it through
 thread-safe handoffs (:meth:`Server.submit` returns a
 ``concurrent.futures.Future``); coroutine clients can await
-:meth:`Server.submit_async` instead.  Batches execute on a separate
-worker pool (default one worker: batches serialize, which under the GIL
-costs nothing and gives natural backpressure — the queue keeps filling
-while a batch runs, so the *next* batch is bigger).
+:meth:`Server.submit_async` instead.  Batches execute on one separate
+worker thread: batches serialize, which under the GIL costs nothing and
+gives natural backpressure — the queue keeps filling while a batch runs,
+so the *next* batch is bigger.
 
 Mutations do not go through the server: writers call the ``Database``
 DML surface directly, and the engine's epoch protocol
@@ -161,8 +161,6 @@ class ServerConfig:
             growth.
         max_batch: A pending queue reaching this size flushes immediately,
             without waiting for the timer.
-        workers: Threads executing batches (1 serialises batches, which is
-            the right default under the GIL).
     """
 
     initial_window: float = 0.0005
@@ -172,7 +170,6 @@ class ServerConfig:
     shrink_factor: float = 0.5
     target_batch: int = 16
     max_batch: int = 1024
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if not (0.0 < self.min_window <= self.initial_window
@@ -188,8 +185,6 @@ class ServerConfig:
             raise ConfigurationError(
                 "need target_batch >= 2 and max_batch >= target_batch"
             )
-        if self.workers < 1:
-            raise ConfigurationError("need at least one worker")
 
 
 @dataclass(frozen=True)
@@ -263,7 +258,7 @@ class Server:
         self._max_batch = 0
         self._full_flushes = 0
         self._executor = ThreadPoolExecutor(
-            max_workers=config.workers,
+            max_workers=1,
             thread_name_prefix="repro-serving-worker",
         )
         self._loop = asyncio.new_event_loop()
@@ -283,7 +278,8 @@ class Server:
         wakeup already covers the queue — one event-loop poke.  The future
         fails with :class:`~repro.errors.ServingError` when the server is
         (or gets) closed before the request executes, and with whatever
-        the engine raised when its batch fails.
+        the engine raised for this request (a bad batch-mate does not fail
+        it).
         """
         if self._closed:
             raise ServingError("server is closed")
@@ -434,7 +430,7 @@ class Server:
 
     def _dispatch(self,
                   batch: list[tuple[QueryRequest, RequestFuture]]) -> None:
-        """Hand one batch to the worker pool (loop thread)."""
+        """Hand one batch to the worker thread (loop thread)."""
         self._batches += 1
         self._max_batch = max(self._max_batch, len(batch))
         self._executor.submit(self._run_batch, batch)
@@ -460,14 +456,24 @@ class Server:
     def _run_batch(
             self,
             batch: list[tuple[QueryRequest, RequestFuture]]) -> None:
-        """Execute one coalesced batch and fan results out (worker thread)."""
+        """Execute one coalesced batch and fan results out (worker thread).
+
+        One bad request (say, one naming an unknown table) fails the whole
+        ``execute_many`` call; its batch-mates are then answered one by one,
+        so only the offenders' futures carry their own error.
+        """
         try:
             results = self.database.execute_many(
                 [request for request, _ in batch]
             )
-        except BaseException as error:  # noqa: BLE001 - fan the failure out
-            for _, future in batch:
-                future._resolve(None, error)
+        except BaseException:  # noqa: BLE001 - no future may be lost
+            for request, future in batch:
+                try:
+                    result = self.database.execute(request)
+                except BaseException as error:  # noqa: BLE001 - its own
+                    future._resolve(None, error)
+                else:
+                    future._resolve(result, None)
             return
         for (_, future), result in zip(batch, results):
             future._resolve(result, None)

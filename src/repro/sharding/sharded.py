@@ -57,7 +57,6 @@ import numpy as np
 from repro.cache.result_cache import ResultCacheConfig, ResultCacheStats
 from repro.core.config import DEFAULT_CONFIG, TRSTreeConfig
 from repro.core.lookup import LookupBreakdown
-from repro.engine.access_path import DEFAULT_COST_MODEL, CostModel
 from repro.engine.database import Database
 from repro.engine.planner import PlannerCacheStats
 from repro.engine.query import QueryRequest, QueryResult
@@ -89,10 +88,10 @@ class _InlineShard:
     """
 
     def __init__(self, pointer_scheme: PointerScheme,
-                 trs_config: TRSTreeConfig, cost_model: CostModel,
+                 trs_config: TRSTreeConfig,
                  result_cache: "ResultCacheConfig | None" = None) -> None:
         self.database = Database(pointer_scheme=pointer_scheme,
-                                 trs_config=trs_config, cost_model=cost_model,
+                                 trs_config=trs_config,
                                  result_cache=result_cache)
         self._replies: list[tuple[str, Any]] = []
 
@@ -114,14 +113,13 @@ class _ProcessShard:
     """One worker process per shard, spoken to over a duplex pipe."""
 
     def __init__(self, pointer_scheme: PointerScheme,
-                 trs_config: TRSTreeConfig, cost_model: CostModel,
+                 trs_config: TRSTreeConfig,
                  result_cache: "ResultCacheConfig | None" = None) -> None:
         context = multiprocessing.get_context()
         self._connection, child = context.Pipe()
         self._process = context.Process(
             target=shard_worker_main,
-            args=(child, pointer_scheme, trs_config, cost_model,
-                  result_cache),
+            args=(child, pointer_scheme, trs_config, result_cache),
             daemon=True,
         )
         self._process.start()
@@ -156,7 +154,6 @@ class ShardedDatabase:
             no fork — the equivalence-testing transport).
         pointer_scheme: Forwarded to every shard database.
         trs_config: Forwarded to every shard database.
-        cost_model: Forwarded to every shard database.
         result_cache: Forwarded to every shard database — each shard runs
             its own epoch-keyed result cache over its partition (the
             budget is per shard), and :meth:`result_cache_info` reports
@@ -167,7 +164,6 @@ class ShardedDatabase:
     def __init__(self, num_shards: int = 4, mode: str = "process",
                  pointer_scheme: PointerScheme = PointerScheme.PHYSICAL,
                  trs_config: TRSTreeConfig = DEFAULT_CONFIG,
-                 cost_model: CostModel = DEFAULT_COST_MODEL,
                  result_cache: "ResultCacheConfig | None" = None) -> None:
         if num_shards < 1:
             raise ConfigurationError("num_shards must be >= 1")
@@ -178,8 +174,7 @@ class ShardedDatabase:
         self.mode = mode
         self.pointer_scheme = pointer_scheme
         shard_class = _ProcessShard if mode == "process" else _InlineShard
-        self._shards = [shard_class(pointer_scheme, trs_config, cost_model,
-                                    result_cache)
+        self._shards = [shard_class(pointer_scheme, trs_config, result_cache)
                         for _ in range(num_shards)]
         self._schemas: dict[str, TableSchema] = {}
         self._boundaries: dict[str, np.ndarray] = {}

@@ -111,10 +111,10 @@ def dispatch_command(database: Database, command: str, payload: Any) -> Any:
 
 
 def shard_worker_main(connection, pointer_scheme, trs_config,
-                      cost_model, result_cache=None) -> None:
+                      result_cache=None) -> None:
     """Process entry point: serve protocol commands until ``close``/EOF."""
     database = Database(pointer_scheme=pointer_scheme, trs_config=trs_config,
-                        cost_model=cost_model, result_cache=result_cache)
+                        result_cache=result_cache)
     while True:
         try:
             command, payload = connection.recv()

@@ -16,9 +16,7 @@ from repro.storage.identifiers import PointerScheme, RowLocation, TupleId
 from repro.storage.memory import (
     BYTES_PER_GB,
     BYTES_PER_MB,
-    DEFAULT_SIZE_MODEL,
     MemoryReport,
-    SizeModel,
 )
 from repro.storage.pages import DEFAULT_PAGE_SIZE, SlottedPage, slots_per_page
 from repro.storage.schema import (
@@ -39,7 +37,6 @@ __all__ = [
     "ColumnStatistics",
     "DataType",
     "DEFAULT_PAGE_SIZE",
-    "DEFAULT_SIZE_MODEL",
     "DiskManager",
     "HeapFile",
     "IOCostModel",
@@ -47,7 +44,6 @@ __all__ = [
     "MemoryReport",
     "PointerScheme",
     "RowLocation",
-    "SizeModel",
     "SlottedPage",
     "Table",
     "TableSchema",

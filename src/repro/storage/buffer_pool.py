@@ -106,11 +106,6 @@ class BufferPool:
         for page_id in list(self._frames):
             self.flush_page(page_id)
 
-    @property
-    def num_resident(self) -> int:
-        """Number of pages currently resident in the pool."""
-        return len(self._frames)
-
     # ---------------------------------------------------------------- private
 
     def _admit(self, page_id: int, frame: _Frame) -> None:

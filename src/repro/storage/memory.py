@@ -4,9 +4,9 @@ The paper's central claim is about *space*: a TRS-Tree is orders of magnitude
 smaller than a complete B+-tree over the same column.  Measuring the resident
 size of Python objects would tell us more about CPython's allocator than about
 the data structures, so every structure in this library instead reports its
-size through a shared analytic :class:`SizeModel` that charges the same costs
-the paper's C++ implementation would pay: 8-byte keys, 8-byte pointers, node
-headers, and hash-table bucket overheads.
+size through the size functions of this module, which charge the same fixed
+costs the paper's C++ implementation would pay: 8-byte keys, 8-byte pointers,
+node headers, and hash-table bucket overheads.
 
 All figures that report "Memory (MB/GB)" (Figures 5, 7, 18, 19, 20, 23, 28,
 30) are produced from these estimates, which makes the Hermit/Baseline/CM
@@ -22,91 +22,79 @@ BYTES_PER_MB = 1024.0 * 1024.0
 BYTES_PER_GB = 1024.0 * 1024.0 * 1024.0
 
 
-@dataclass(frozen=True)
-class SizeModel:
-    """Cost constants used to estimate data-structure sizes.
+# Cost constants of the size estimates.
+KEY_BYTES = 8  # an index key (the paper uses 8-byte numerics)
+POINTER_BYTES = 8  # a child pointer / tuple identifier
+NODE_HEADER_BYTES = 24  # fixed per-node overhead (type tag, count, latch)
+# Per-entry overhead of a hash table beyond the key and value themselves
+# (bucket pointer + load-factor slack).
+HASH_ENTRY_OVERHEAD_BYTES = 16
+# One linear-regression model in a TRS-Tree leaf: slope, intercept, epsilon,
+# range bounds (5 doubles).
+LEAF_MODEL_BYTES = 40
 
-    Attributes:
-        key_bytes: Size of an index key (the paper uses 8-byte numerics).
-        pointer_bytes: Size of a child pointer / tuple identifier.
-        node_header_bytes: Fixed per-node overhead (type tag, count, latch).
-        hash_entry_overhead_bytes: Per-entry overhead of a hash table beyond
-            the key and value themselves (bucket pointer + load-factor slack).
-        leaf_model_bytes: Size of one linear-regression model in a TRS-Tree
-            leaf: slope, intercept, epsilon, range bounds (5 doubles).
+
+def btree_bytes(num_entries: int, node_capacity: int = 16,
+                key_bytes: int = KEY_BYTES) -> int:
+    """Estimate the size of a B+-tree holding ``num_entries`` entries.
+
+    Leaf nodes store (key, pointer) pairs; internal nodes store keys plus
+    child pointers.  A fill factor of 0.7 approximates the steady state of
+    a bulk-loaded-then-maintained tree.
+
+    Args:
+        num_entries: Number of indexed entries.
+        node_capacity: Entries per node before splitting.
+        key_bytes: Size of one key (a composite index stores two columns
+            per key).
     """
-
-    key_bytes: int = 8
-    pointer_bytes: int = 8
-    node_header_bytes: int = 24
-    hash_entry_overhead_bytes: int = 16
-    leaf_model_bytes: int = 40
-
-    def btree_bytes(self, num_entries: int, node_capacity: int = 16) -> int:
-        """Estimate the size of a B+-tree holding ``num_entries`` entries.
-
-        Leaf nodes store (key, pointer) pairs; internal nodes store keys plus
-        child pointers.  A fill factor of 0.7 approximates the steady state of
-        a bulk-loaded-then-maintained tree.
-
-        Args:
-            num_entries: Number of indexed entries.
-            node_capacity: Entries per node before splitting.
-        """
-        if num_entries <= 0:
-            return self.node_header_bytes
-        fill = 0.7
-        entry_bytes = self.key_bytes + self.pointer_bytes
-        leaf_nodes = max(1, int(num_entries / (node_capacity * fill)) + 1)
-        leaf_bytes = leaf_nodes * self.node_header_bytes + num_entries * entry_bytes
-        # Internal levels shrink geometrically by the node capacity.
-        internal_bytes = 0
-        level_nodes = leaf_nodes
-        while level_nodes > 1:
-            level_nodes = max(1, int(level_nodes / (node_capacity * fill)) + 1)
-            internal_bytes += level_nodes * (
-                self.node_header_bytes
-                + node_capacity * (self.key_bytes + self.pointer_bytes)
-            )
-            if level_nodes == 1:
-                break
-        return leaf_bytes + internal_bytes
-
-    def hash_table_bytes(self, num_entries: int) -> int:
-        """Estimate the size of a hash table mapping keys to identifiers."""
-        if num_entries <= 0:
-            return self.node_header_bytes
-        per_entry = (
-            self.key_bytes + self.pointer_bytes + self.hash_entry_overhead_bytes
+    if num_entries <= 0:
+        return NODE_HEADER_BYTES
+    fill = 0.7
+    entry_bytes = key_bytes + POINTER_BYTES
+    leaf_nodes = max(1, int(num_entries / (node_capacity * fill)) + 1)
+    leaf_bytes = leaf_nodes * NODE_HEADER_BYTES + num_entries * entry_bytes
+    # Internal levels shrink geometrically by the node capacity.
+    internal_bytes = 0
+    level_nodes = leaf_nodes
+    while level_nodes > 1:
+        level_nodes = max(1, int(level_nodes / (node_capacity * fill)) + 1)
+        internal_bytes += level_nodes * (
+            NODE_HEADER_BYTES + node_capacity * entry_bytes
         )
-        return self.node_header_bytes + num_entries * per_entry
-
-    def sorted_array_bytes(self, num_entries: int) -> int:
-        """Estimate the size of a sorted-array index (packed key/tid pairs)."""
-        if num_entries <= 0:
-            return self.node_header_bytes
-        return self.node_header_bytes + num_entries * (
-            self.key_bytes + self.pointer_bytes
-        )
-
-    def table_bytes(self, num_rows: int, row_byte_width: int) -> int:
-        """Estimate the size of a base table."""
-        return self.node_header_bytes + num_rows * row_byte_width
-
-    def trs_leaf_bytes(self, num_outliers: int) -> int:
-        """Estimate the size of one TRS-Tree leaf node."""
-        return (
-            self.node_header_bytes
-            + self.leaf_model_bytes
-            + self.hash_table_bytes(num_outliers)
-        )
-
-    def trs_internal_bytes(self, fanout: int) -> int:
-        """Estimate the size of one TRS-Tree internal node."""
-        return self.node_header_bytes + fanout * self.pointer_bytes + 2 * self.key_bytes
+        if level_nodes == 1:
+            break
+    return leaf_bytes + internal_bytes
 
 
-DEFAULT_SIZE_MODEL = SizeModel()
+def hash_table_bytes(num_entries: int) -> int:
+    """Estimate the size of a hash table mapping keys to identifiers."""
+    if num_entries <= 0:
+        return NODE_HEADER_BYTES
+    per_entry = KEY_BYTES + POINTER_BYTES + HASH_ENTRY_OVERHEAD_BYTES
+    return NODE_HEADER_BYTES + num_entries * per_entry
+
+
+def sorted_array_bytes(num_entries: int) -> int:
+    """Estimate the size of a sorted-array index (packed key/tid pairs)."""
+    if num_entries <= 0:
+        return NODE_HEADER_BYTES
+    return NODE_HEADER_BYTES + num_entries * (KEY_BYTES + POINTER_BYTES)
+
+
+def table_bytes(num_rows: int, row_byte_width: int) -> int:
+    """Estimate the size of a base table."""
+    return NODE_HEADER_BYTES + num_rows * row_byte_width
+
+
+def trs_leaf_bytes(num_outliers: int) -> int:
+    """Estimate the size of one TRS-Tree leaf node."""
+    return NODE_HEADER_BYTES + LEAF_MODEL_BYTES + hash_table_bytes(num_outliers)
+
+
+def trs_internal_bytes(fanout: int) -> int:
+    """Estimate the size of one TRS-Tree internal node."""
+    return NODE_HEADER_BYTES + fanout * POINTER_BYTES + 2 * KEY_BYTES
 
 
 @dataclass

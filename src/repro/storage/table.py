@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import SchemaError, StorageError, TupleNotFoundError
 from repro.storage.identifiers import RowLocation
-from repro.storage.memory import DEFAULT_SIZE_MODEL, MemoryReport, SizeModel
+from repro.storage.memory import MemoryReport, table_bytes
 from repro.storage.schema import Column, ColumnStatistics, DataType, TableSchema
 
 _INITIAL_CAPACITY = 64
@@ -49,16 +49,13 @@ class Table:
 
     Args:
         schema: The table schema.
-        size_model: Cost model used for analytic memory accounting.
 
     Rows are inserted as dictionaries mapping column names to values; missing
     nullable columns are stored as NaN (floats) / 0 (ints) / None (strings).
     """
 
-    def __init__(self, schema: TableSchema,
-                 size_model: SizeModel = DEFAULT_SIZE_MODEL) -> None:
+    def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
-        self._size_model = size_model
         self._capacity = _INITIAL_CAPACITY
         self._columns: dict[str, np.ndarray] = {
             column.name: np.zeros(self._capacity, dtype=column.dtype.numpy_dtype)
@@ -424,9 +421,7 @@ class Table:
 
     def memory_bytes(self) -> int:
         """Analytic size of the base table in bytes."""
-        return self._size_model.table_bytes(
-            self._next_slot, self.schema.row_byte_width()
-        )
+        return table_bytes(self._next_slot, self.schema.row_byte_width())
 
     def memory_report(self) -> MemoryReport:
         """Memory report with a single ``table`` component."""

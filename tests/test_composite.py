@@ -2,7 +2,7 @@
 
 Correctness of :class:`~repro.index.composite.CompositeIndex` is pinned
 against a brute-force scan over random entry sets; the
-:class:`~repro.index.composite.CompositeSecondaryIndex` adapter is exercised
+:class:`~repro.baselines.secondary.CompositeSecondaryIndex` adapter is exercised
 through the database facade (DML maintenance, both pointer schemes) and as a
 planner access path covering a two-column conjunctive predicate.
 """
@@ -14,10 +14,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.secondary import CompositeSecondaryIndex
 from repro.engine.access_path import CompositePath
 from repro.engine.database import Database
 from repro.engine.query import QueryRequest, RangePredicate, conjunction
-from repro.errors import KeyNotFoundError
+from repro.errors import KeyNotFoundError, QueryError
 from repro.index.base import KeyRange
 from repro.index.composite import CompositeIndex
 from repro.storage.identifiers import PointerScheme
@@ -147,7 +148,6 @@ class TestCompositeSecondaryIndex:
         assert plan.used_index is None  # composite cannot serve one column
 
     def test_query_with_rejects_composite(self):
-        from repro.errors import QueryError
         database = _make_database(rows=20)
         with pytest.raises(QueryError, match="composite"):
             database.query_with("t", "idx_am", RangePredicate("a", 0.0, 50.0))
@@ -184,9 +184,14 @@ class TestCompositeSecondaryIndex:
 
     def test_rejects_duplicate_columns(self):
         database = _make_database(rows=10)
-        from repro.errors import QueryError
         with pytest.raises(QueryError):
             database.create_composite_index("idx_bad", "t", "a", "a")
+
+    def test_logical_pointers_need_a_primary_index(self):
+        database = _make_database(rows=10)
+        with pytest.raises(QueryError, match="primary index"):
+            CompositeSecondaryIndex(database.table("t"), "a", "m",
+                                    pointer_scheme=PointerScheme.LOGICAL)
 
     def test_memory_report_includes_composite(self):
         database = _make_database(rows=100)

@@ -2,41 +2,59 @@
 
 import pytest
 
-from repro.storage.memory import BYTES_PER_MB, MemoryReport, SizeModel
+from repro.index.composite import CompositeIndex
+from repro.storage import memory
+from repro.storage.memory import BYTES_PER_MB, MemoryReport
 
 
-class TestSizeModel:
+class TestSizeFunctions:
     def test_btree_scales_with_entries(self):
-        model = SizeModel()
-        small = model.btree_bytes(1_000)
-        large = model.btree_bytes(100_000)
+        small = memory.btree_bytes(1_000)
+        large = memory.btree_bytes(100_000)
         assert large > small
         # Per-entry cost should be roughly key + pointer plus node overheads.
-        assert large / 100_000 >= model.key_bytes + model.pointer_bytes
+        assert large / 100_000 >= memory.KEY_BYTES + memory.POINTER_BYTES
 
     def test_btree_empty_is_header_only(self):
-        model = SizeModel()
-        assert model.btree_bytes(0) == model.node_header_bytes
+        assert memory.btree_bytes(0) == memory.NODE_HEADER_BYTES
 
     def test_hash_table_scales_with_entries(self):
-        model = SizeModel()
-        assert model.hash_table_bytes(10) < model.hash_table_bytes(1000)
-        assert model.hash_table_bytes(0) == model.node_header_bytes
+        assert memory.hash_table_bytes(10) < memory.hash_table_bytes(1000)
+        assert memory.hash_table_bytes(0) == memory.NODE_HEADER_BYTES
 
     def test_trs_leaf_much_smaller_than_btree_for_same_data(self):
-        model = SizeModel()
         # One leaf modelling 1M tuples with 1% outliers vs a complete B+-tree.
-        leaf = model.trs_leaf_bytes(num_outliers=10_000)
-        btree = model.btree_bytes(1_000_000)
+        leaf = memory.trs_leaf_bytes(num_outliers=10_000)
+        btree = memory.btree_bytes(1_000_000)
         assert leaf < btree / 10
 
     def test_table_bytes(self):
-        model = SizeModel()
-        assert model.table_bytes(100, 32) == model.node_header_bytes + 3200
+        assert memory.table_bytes(100, 32) == memory.NODE_HEADER_BYTES + 3200
 
     def test_trs_internal_bytes_depends_on_fanout(self):
-        model = SizeModel()
-        assert model.trs_internal_bytes(16) > model.trs_internal_bytes(4)
+        assert memory.trs_internal_bytes(16) > memory.trs_internal_bytes(4)
+
+    def test_constants_are_the_papers_accounting(self):
+        assert (memory.KEY_BYTES, memory.POINTER_BYTES,
+                memory.NODE_HEADER_BYTES, memory.HASH_ENTRY_OVERHEAD_BYTES,
+                memory.LEAF_MODEL_BYTES) == (8, 8, 24, 16, 40)
+        assert memory.btree_bytes(10_000, 32) == 181_984
+        assert memory.hash_table_bytes(1_000) == 32_024
+        assert memory.sorted_array_bytes(1_000) == 16_024
+        assert memory.trs_leaf_bytes(100) == 3_288
+        assert memory.trs_internal_bytes(8) == 104
+
+    def test_composite_index_is_charged_16_byte_keys(self):
+        index = CompositeIndex()
+        assert index.memory_bytes() == memory.NODE_HEADER_BYTES
+        count = 10_000
+        index.insert_many([float(i) for i in range(count)],
+                          [float(i % 7) for i in range(count)],
+                          list(range(count)))
+        assert index.memory_bytes() == 267_360
+        assert index.memory_bytes() == memory.btree_bytes(
+            count, 32, key_bytes=2 * memory.KEY_BYTES)
+        assert index.memory_bytes() > memory.btree_bytes(count, 32)
 
 
 class TestMemoryReport:

@@ -24,7 +24,10 @@ from repro.engine.query import (
 from repro.errors import QueryError
 from repro.index.base import KeyRange
 from repro.storage.identifiers import PointerScheme
+from repro.storage.schema import numeric_schema
 from repro.workloads.synthetic import generate_synthetic, load_synthetic
+
+from reference import assert_locations, scan_locations
 
 
 class TestConjunctiveQuery:
@@ -169,14 +172,17 @@ class TestPlanSelection:
 class TestPlanCache:
     def test_same_shape_query_replays_cached_plan(self, planner_db):
         database, table_name = planner_db
+        database.planner_cache_clear()
         first = database.explain(QueryRequest.of(
             table_name, RangePredicate("colC", 0.0, 10_000.0)))
         second = database.explain(QueryRequest.of(
             table_name, RangePredicate("colC", 40_000.0, 50_000.0)))
         assert second.used_index == first.used_index
-        # The replayed plan is bound to the *new* predicate range.
-        path = second.paths[0]
-        assert path.key_range == KeyRange(40_000.0, 50_000.0)
+        # The replayed plan carries the *new* range around the cached
+        # template's own path objects.
+        assert second is not first
+        assert second.merged == {"colC": KeyRange(40_000.0, 50_000.0)}
+        assert second.paths[0] is first.paths[0]
 
     def test_index_ddl_invalidates_cache(self):
         dataset = generate_synthetic(3000, "linear", noise_fraction=0.01,
@@ -397,25 +403,91 @@ class TestPlannedExecution:
         assert np.array_equal(planned.locations, expected)
 
 
-class TestAccessPathRebind:
-    def test_mechanism_rebind_keeps_estimates(self, planner_db):
+class TestPathsAreTemplates:
+    """A plan-cache hit hands out the cached path objects themselves and the
+    ranges travel with each call, so one template must answer interleaved
+    requests — a path that kept per-request state would return the previous
+    request's rows."""
+
+    ROWS = 600
+
+    def build(self, scheme):
+        rng = np.random.default_rng(5)
+        a = rng.uniform(0.0, 100.0, self.ROWS)
+        database = Database(pointer_scheme=scheme)
+        database.create_table(numeric_schema(
+            "t", ["pk", "a", "h", "b", "m", "free"], primary_key="pk"))
+        database.insert_many("t", {
+            "pk": np.arange(self.ROWS, dtype=np.float64) + 1_000.0,
+            "a": a, "h": 2.0 * a + 10.0,
+            "b": rng.uniform(0.0, 100.0, self.ROWS),
+            "m": rng.uniform(0.0, 100.0, self.ROWS),
+            "free": rng.uniform(0.0, 100.0, self.ROWS),
+        })
+        database.create_index("idx_a", "t", "a")
+        database.create_index("idx_h", "t", "h", method=IndexMethod.HERMIT,
+                              host_column="a")
+        database.create_composite_index("idx_bm", "t", "b", "m")
+        stored = float(a[3]), float(a[7])
+        # shape -> (path class, two requests of one selectivity bucket)
+        shapes = {
+            "btree": (MechanismPath, [[("a", 10.0, 15.0)],
+                                      [("a", 40.0, 45.0)]]),
+            "point_and_range": (MechanismPath, [
+                [("a", stored[0], stored[0])],
+                [("a", stored[1], np.nextafter(stored[1], np.inf))]]),
+            "hermit": (MechanismPath, [[("h", 30.0, 40.0)],
+                                       [("h", 110.0, 120.0)]]),
+            "composite": (CompositePath, [
+                [("b", 10.0, 20.0), ("m", 20.0, 60.0)],
+                [("b", 50.0, 60.0), ("m", 30.0, 70.0)]]),
+            "scan": (FullScanPath, [
+                [("free", 10.0, 40.0), ("m", 20.0, 60.0)],
+                [("free", 50.0, 80.0), ("m", 30.0, 70.0)]]),
+        }
+        return database, {
+            name: (kind, [[RangePredicate(*bounds) for bounds in request]
+                          for request in requests])
+            for name, (kind, requests) in shapes.items()
+        }
+
+    @pytest.mark.parametrize("scheme", [PointerScheme.PHYSICAL,
+                                        PointerScheme.LOGICAL])
+    def test_one_template_serves_interleaved_requests(self, scheme):
+        database, shapes = self.build(scheme)
+        table = database.table("t")
+        for name, (kind, (first, second)) in shapes.items():
+            interleaved = [first, second, first, second, second, first]
+            requests = [QueryRequest.of("t", predicates)
+                        for predicates in interleaved]
+            singles = [database.execute(request) for request in requests]
+            batch = database.execute_many(requests)
+            template = singles[0].plan.paths[0]
+            assert isinstance(template, kind), name
+            assert len({id(result.plan) for result in singles}) == 6, name
+            assert len({id(result.plan) for result in batch}) == 1, name
+            for predicates, single, batched in zip(interleaved, singles,
+                                                   batch):
+                assert single.plan.paths[0] is template, name
+                assert batched.plan.paths[0] is template, name
+                expected = scan_locations(table, *predicates)
+                assert_locations(single, expected)
+                assert_locations(batched, expected)
+            assert scan_locations(table, *first), name
+            assert (scan_locations(table, *first)
+                    != scan_locations(table, *second)), name
+
+    def test_paths_store_no_range(self, planner_db):
         database, table_name = planner_db
         entry = database.catalog.indexes_on_column(table_name, "colC")[0]
         stats = database.catalog.column_stats(table_name, "colC")
-        path = MechanismPath(entry, KeyRange(0.0, 10_000.0), stats)
-        clone = path.rebind({"colC": KeyRange(1.0, 2.0)})
-        assert clone.key_range == KeyRange(1.0, 2.0)
-        assert clone.estimated_cost() == path.estimated_cost()
-        assert clone.entry is entry
-
-    def test_scan_rebind_covers_new_predicates(self, planner_db):
-        database, table_name = planner_db
-        table = database.table(table_name)
-        path = FullScanPath(table, {"colC": KeyRange(0.0, 1.0)})
-        clone = path.rebind({"colC": KeyRange(5.0, 6.0),
-                             "colD": KeyRange(0.0, 0.5)})
-        assert clone.columns == ("colC", "colD")
-        assert clone.produces_locations
+        paths = [MechanismPath(entry, KeyRange(0.0, 10_000.0), stats),
+                 FullScanPath(database.table(table_name), ["colC", "colD"])]
+        assert paths[1].columns == ("colC", "colD")
+        assert paths[1].produces_locations
+        for path in paths:
+            assert not [value for value in vars(path).values()
+                        if isinstance(value, (KeyRange, dict))]
 
 
 class TestPointFastPath:
@@ -452,11 +524,12 @@ class TestPointFastPath:
 
     def test_fast_path_binds_each_new_point(self):
         database, table_name = self.build()
-        database.explain(QueryRequest.of(
+        first = database.explain(QueryRequest.of(
             table_name, RangePredicate("colC", 100.0, 100.0)))
         replayed = database.explain(QueryRequest.of(
             table_name, RangePredicate("colC", 250.0, 250.0)))
-        assert replayed.paths[0].key_range == KeyRange(250.0, 250.0)
+        assert replayed.merged == {"colC": KeyRange(250.0, 250.0)}
+        assert replayed.paths[0] is first.paths[0]
 
     def test_fast_path_results_match_brute_force(self):
         database, table_name = self.build()

@@ -39,14 +39,21 @@ engine the same questions without a timing harness.
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.baselines.correlation_maps import CorrelationMap
-from repro.baselines.secondary import BaselineSecondaryIndex
+from repro.baselines.secondary import (
+    BaselineSecondaryIndex,
+    CompositeSecondaryIndex,
+)
 from repro.cache.result_cache import ResultCacheConfig
 from repro.core.hermit import HermitIndex
 from repro.core.lookup import SecondaryMechanism
@@ -395,6 +402,11 @@ class TestReadSurfaceIsPinned:
                         if name.startswith(("lookup", "candidate", "search",
                                             "query"))}, extra
 
+        # The composite mechanism reuses the pointer-scheme plumbing too.
+        assert issubclass(CompositeSecondaryIndex, SecondaryMechanism)
+        assert not set(vars(CompositeSecondaryIndex)) & {
+            "_tid_for", "_tids_for_batch", "_tids_for_slots"}
+
     def test_database_surface(self):
         assert public_callables(Database) == DATABASE_READS | DATABASE_OTHER
 
@@ -427,11 +439,52 @@ class TestReadSurfaceIsPinned:
                    "overlap_spans", "children_overlapping",
                    "outlier_tid_array", "host_range_many",
                    # retired by load == insert_many into an empty index
-                   "bulk_load", "load_arrays")
+                   "bulk_load", "load_arrays",
+                   # retired by range-free path templates and constant
+                   # size / cost accounting
+                   "rebind", "DEFAULT_COST_MODEL", "DEFAULT_SIZE_MODEL")
+        # Whole words: the disk simulator keeps its IOCostModel.
+        retired_words = re.compile(r"\b(CostModel|SizeModel)\b")
         for path in SRC.rglob("*.py"):
             text = path.read_text(encoding="utf-8")
             for name in retired:
                 assert name not in text, (name, str(path))
+            assert not retired_words.search(text), str(path)
+
+    def test_single_valued_parameters_stay_constants(self):
+        """No callable under ``src/repro`` takes a ``cost_model``,
+        ``size_model``, ``advisor`` or ``workers`` parameter — each only
+        ever had one value, so each is a constant.  The one exception is
+        the disk simulator's ``DiskManager(cost_model: IOCostModel)``,
+        which ``tests/test_storage_disk.py`` sets."""
+        banned = {"cost_model", "size_model", "advisor", "workers"}
+        allowed = {("repro.storage.disk", "DiskManager.__init__",
+                    "cost_model")}
+        found = set()
+        checked = 0
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            if info.name.endswith("__main__"):
+                continue
+            module = importlib.import_module(info.name)
+            for name, member in vars(module).items():
+                if getattr(member, "__module__", None) != info.name:
+                    continue
+                callables = {name: member}
+                if inspect.isclass(member):
+                    callables = {
+                        f"{name}.{attribute}": value
+                        for attribute, value in vars(member).items()
+                        if inspect.isfunction(value)
+                    }
+                elif not inspect.isfunction(member):
+                    continue
+                for qualified, function in callables.items():
+                    checked += 1
+                    for parameter in inspect.signature(function).parameters:
+                        if parameter in banned:
+                            found.add((info.name, qualified, parameter))
+        assert checked > 1_000
+        assert found == allowed
 
     def test_validation_has_one_call_site_per_pipeline(self):
         """Outside the table itself, each validation kernel is called from

@@ -292,6 +292,35 @@ class TestServerEquivalence:
             with pytest.raises(CatalogError):
                 future.result(timeout=30.0)
 
+    def test_one_bad_request_does_not_fail_its_batch_mates(self, monkeypatch):
+        resolutions: dict[int, int] = {}
+        resolve = RequestFuture._resolve
+
+        def counting(future, result, error):
+            resolutions[id(future)] = resolutions.get(id(future), 0) + 1
+            resolve(future, result, error)
+
+        monkeypatch.setattr(RequestFuture, "_resolve", counting)
+        requests = [QueryRequest.range(self.TABLE, "target", 10.0 * i,
+                                       10.0 * i + 25.0) for i in range(16)]
+        requests[5] = QueryRequest.point("no_such_table", "target", 1.0)
+        # A long window so every submission lands in one flush.
+        config = ServerConfig(initial_window=0.05, min_window=0.05,
+                              max_window=0.05)
+        with Server(self.DATABASE, config) as server:
+            futures = [server.submit(request) for request in requests]
+            errors = [future.exception(timeout=30.0) for future in futures]
+            stats = server.stats()
+        assert stats.batches == 1 and stats.max_batch == 16
+        assert [type(error) for error in errors if error is not None] == [
+            CatalogError]
+        assert isinstance(errors[5], CatalogError)
+        for position, (request, future) in enumerate(zip(requests, futures)):
+            if position != 5:
+                assert_locations(future.result(timeout=0),
+                                 self.DATABASE.execute(request).locations)
+        assert resolutions == {id(future): 1 for future in futures}
+
     def test_requests_coalesce_into_shared_plan_groups(self):
         request = QueryRequest.point(self.TABLE, "target", 250.0)
         # A long window so every submission lands in one flush.
