@@ -151,12 +151,15 @@ def breakdown_sweep(setup: WorkloadSetup, mechanism_label: str,
     """Per-phase time fractions of one mechanism across selectivities.
 
     Measured through :func:`~repro.bench.harness.run_query_singles` — one
-    lookup at a time, the paper's protocol for its breakdown figures.  (A
-    batch through the segmented pipeline resolves and probes off flat array
-    views, a different cost structure from the per-lookup one they show.)
+    lookup at a time, the paper's protocol for its breakdown figures — in
+    steady state: the queries of the widest selectivity run once, unplotted,
+    first, so the one-off flatten of the B+-trees' flat views (paid by the
+    first ~n entries of single reads) does not land in one point's share.
     """
     figure = FigureData(figure_name, "selectivity", "fraction of time")
     mechanism = setup.mechanisms[mechanism_label]
+    run_query_singles(mechanism, range_queries(
+        setup.domain, max(selectivities), count=queries_per_point, seed=seed))
     for selectivity in selectivities:
         queries = range_queries(setup.domain, selectivity,
                                 count=queries_per_point, seed=seed)

@@ -5,12 +5,16 @@ Paper result: with logical pointers both Hermit and the baseline spend over
 bottleneck shifts to the base-table access.  Hermit's own TRS-Tree phase is a
 negligible fraction in every configuration.
 
-Reproduction note: since the lookup path was vectorized, base-table
-validation is a single numpy gather + mask, so under physical pointers its
-share is far smaller than in the paper's C++ engine and the dominant phase
-is the (pointer-chasing, pure-Python) index probe instead.  The logical
-scheme still reproduces the paper's shape: per-key primary-index resolution
-dominates.  The invariant checks below assert the vectorized profile.
+Reproduction note: validation is a single numpy gather + mask and every
+B+-tree read — the host probe, the baseline's secondary probe, primary-index
+resolution — is a ``searchsorted`` over the tree's flat view, so no phase
+walks Python objects per tuple.  The logical scheme reproduces the paper's
+shape (primary-index resolution is the largest phase for both mechanisms),
+and so does the baseline under physical pointers (the base-table access
+dominates).  Deviation: Hermit's TRS-Tree phase is a scalar Python probe per
+overlapped leaf, so its share is 0.2–0.4 rather than negligible, and under
+physical pointers it grows with the selectivity (more leaves per predicate,
+while the host probe stays one slice) instead of shrinking.
 """
 
 from __future__ import annotations
@@ -41,18 +45,18 @@ def test_fig10_hermit_breakdown(benchmark, sigmoid_setup):
     print(format_figure(figure))
 
     trs_fractions = figure.series["TRS-Tree"].ys
-    # TRS-Tree navigation is cheap relative to the full lookup path, and its
-    # share shrinks as the selectivity (result size) grows.
+    # TRS-Tree navigation never dominates the lookup path.
     assert trs_fractions[-1] < 0.5
-    assert trs_fractions[-1] <= trs_fractions[0] + 0.05
     if scheme is PointerScheme.LOGICAL:
-        # Primary-index resolution dominates with logical pointers.
+        # Its share shrinks as the selectivity (result size) grows, and
+        # primary-index resolution dominates with logical pointers.
+        assert trs_fractions[-1] <= trs_fractions[0] + 0.05
         assert figure.series["Primary Index"].ys[-1] > 0.3
     else:
         assert figure.series["Primary Index"].ys[-1] == 0.0
-        # Vectorized validation leaves the host-index probe as the dominant
-        # phase; base-table work is one gather + mask.
-        assert figure.series["Host Index"].ys[-1] > 0.3
+        # The host probe is one slice of the flat view and validation one
+        # gather + mask: neither takes half of the lookup.
+        assert figure.series["Host Index"].ys[-1] < 0.5
         assert figure.series["Base Table"].ys[-1] < 0.5
 
 
@@ -72,7 +76,7 @@ def test_fig11_baseline_breakdown(benchmark, sigmoid_setup):
     if scheme is PointerScheme.LOGICAL:
         assert figure.series["Primary Index"].ys[-1] > 0.3
     else:
-        # The baseline's secondary B+-tree probe dominates once validation
-        # is a single vectorized base-table touch.
-        assert figure.series["Host Index"].ys[-1] > 0.3
-        assert figure.series["Base Table"].ys[-1] < 0.5
+        # The paper's shape: with physical pointers the bottleneck is the
+        # base-table access (the secondary probe is one slice).
+        assert figure.series["Base Table"].ys[-1] > 0.5
+        assert figure.series["Host Index"].ys[-1] < 0.5

@@ -12,7 +12,9 @@ It combines (Section 5):
 This module implements Steps 1–2 — candidate generation — plus maintenance
 and reorganization.  Host-index probes return numpy tid arrays
 (:meth:`~repro.index.base.Index.range_search_many_array` for one request,
-``range_search_segmented`` for a batch) and candidate dedup is one in-place
+``range_search_segmented`` for a batch — on a B+-tree host both slice the
+same flat view, so one request's ranges come back as read-only views of
+index storage) and candidate dedup is one in-place
 sort plus a neighbour mask (:func:`~repro.segments.sorted_unique`, per
 segment on the batch path).  Steps 3–4 are the two shared lookup tails of
 :mod:`repro.core.lookup`, which also provides the standalone

@@ -277,9 +277,11 @@ def band_range(lo: float, hi: float, epsilon: float) -> KeyRange:
     cancellation (``predict ~ -128``, ``epsilon ~ 131``, edge ~ 3) the gap
     reaches many ulps *of the result*, so the pad must scale with the
     operands, not the result.  Validation removes the sliver of extra host
-    values the padding could admit.
+    values the padding could admit.  An infinite operand takes no pad: the
+    bound it produces is already infinite, and ``inf - inf`` is not a bound.
     """
-    pad = _BAND_PAD * max(abs(lo), abs(hi), epsilon)
+    scale = max(abs(lo), abs(hi), epsilon)
+    pad = _BAND_PAD * scale if scale < np.inf else 0.0
     return KeyRange(lo - epsilon - pad, hi + epsilon + pad)
 
 
@@ -289,7 +291,8 @@ def band_range_many(lo: np.ndarray, hi: np.ndarray,
     """Vectorised :func:`band_range` — identical float expressions per element,
     so the batched translation path emits bitwise-identical host bounds.
     """
-    pad = _BAND_PAD * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), epsilon)
+    scale = np.maximum(np.maximum(np.abs(lo), np.abs(hi)), epsilon)
+    pad = np.where(scale < np.inf, _BAND_PAD * scale, 0.0)
     return lo - epsilon - pad, hi + epsilon + pad
 
 

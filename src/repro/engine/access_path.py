@@ -44,7 +44,7 @@ composite index        ``DESCENT_COST * L + k``  (k uses both predicates'
 =====================  =====================================================
 
 Downstream of every path, each surviving candidate still pays pointer
-resolution (a primary-index descent under logical pointers, free under
+resolution (a primary-index probe under logical pointers, free under
 physical pointers) plus the vectorized validation touch — the planner uses
 that per-candidate downstream weight both to pick the driver path and to
 decide whether intersecting an additional path pays for itself.
@@ -74,6 +74,11 @@ from repro.storage.table import Table
 # index is chosen whenever one covers a predicate, matching the pre-planner
 # executor's behaviour.
 SCAN_PER_ROW = 1.0
+# Per log2(n) level of one B+-tree range probe.  The probe is a binary
+# search either way: two searchsorted over the tree's flat view while it is
+# current, a root-to-leaf descent plus a leaf-chain walk while a write has
+# left it stale (index/flat_view.py: the currency rule).  The value predates
+# the flat view; recalibration is ROADMAP item 10.
 DESCENT_COST = 2.0
 BTREE_PER_CANDIDATE = 1.0
 SORTED_PROBE_COST = 0.5
@@ -81,10 +86,11 @@ SORTED_PER_CANDIDATE = 0.3
 MECHANISM_OVERHEAD = 2.0
 VALIDATE_PER_CANDIDATE = 0.3
 # Per-candidate primary-index resolution under logical pointers, per
-# log2(n) level.  Deliberately below DESCENT_COST: resolution runs as one
-# batched search_many whose per-key descents are C-level bisects, measurably
-# cheaper than the Python-level leaf walks a fresh index probe pays per
-# candidate.
+# log2(n) level.  Deliberately below DESCENT_COST: resolution is one
+# search_many / search_many_segmented over all candidates — a single
+# searchsorted and gather over the primary index's flat view (C-level
+# bisects, which is what this constant has always priced); only while a
+# write has left that view stale does a single request descend per key.
 RESOLVE_PER_LEVEL = 0.5
 # Safety margin on the intersection decision: an extra path must undercut
 # *half* the downstream work it could save, so estimate errors do not push

@@ -23,14 +23,14 @@ import numpy as np
 
 from repro.errors import KeyNotFoundError, StorageError
 from repro.index.base import Index, KeyRange, tid_items
-from repro.index.flat_view import FlatView
-from repro.segments import empty_offsets, run_indices
+from repro.index.flat_view import FlatArrays, FlatView
+from repro.segments import offsets_from_counts, run_indices
 from repro.storage.identifiers import TupleId
 from repro.storage.memory import btree_bytes
 
 DEFAULT_NODE_CAPACITY = 32
 
-# Amortisation accounting for the cold flat-view build (``_use_flat_view``),
+# Amortisation accounting for bringing the flat view current (``_view``),
 # in flat-view entry-equivalents: the per-probe constants price a
 # root-to-leaf descent plus per-call Python overhead, and every entry a
 # scalar probe touches is charged ``_TOUCHED_ENTRY_COST`` because the
@@ -39,6 +39,26 @@ DEFAULT_NODE_CAPACITY = 32
 _RANGE_PROBE_COST = 32
 _POINT_PROBE_COST = 8
 _TOUCHED_ENTRY_COST = 2
+
+
+def _tid_array(flat: list[TupleId]) -> np.ndarray:
+    """The tids a scalar walk collected as one array (empty: int64)."""
+    return np.asarray(flat) if flat else np.empty(0, dtype=np.int64)
+
+
+def _gathered(tids: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """``tids[indices]``, typed like :func:`_tid_array` when nothing hit."""
+    return tids[indices] if indices.size else np.empty(0, dtype=np.int64)
+
+
+def _key_runs(view: FlatArrays, lows, highs):
+    """``[start, stop)`` into the view's tids for each closed key range.
+
+    ``lows`` / ``highs`` are two floats or two aligned arrays.
+    """
+    keys, key_offsets, _ = view
+    return (key_offsets[keys.searchsorted(lows)],
+            key_offsets[keys.searchsorted(highs, "right")])
 
 
 class _Node:
@@ -90,10 +110,10 @@ class BPlusTree(Index):
         self._root: _Node = _LeafNode()
         self._num_entries = 0
         self._height = 1
-        # Array copy of the leaf level for the segmented batch probes,
-        # built once batch traffic has paid for it (_use_flat_view) and
-        # from then on kept current by the mutators below, which record
-        # what they wrote for the next probe to fold in (_flattened).
+        # Array copy of the leaf level that every read entry point probes,
+        # built once read traffic has paid for it (_view) and from then on
+        # maintained by the mutators below, which record what they wrote
+        # for a later probe to fold in (_flattened).
         self._flat_view = FlatView()
 
     # ------------------------------------------------------------------ write
@@ -228,41 +248,38 @@ class BPlusTree(Index):
     # ------------------------------------------------------------------- read
 
     def range_search_array(self, key_range: KeyRange) -> np.ndarray:
-        """Closed-range scan: gather whole leaf runs, convert once.
+        """Closed-range scan: one slice of the flat view while it is current.
 
-        Each visited leaf contributes its matching ``values[start:stop]``
-        slice (located with two bisects per leaf); the per-key tid lists are
-        flattened with a single C-level ``chain`` pass and converted to one
-        numpy array.  This is the host probe of the single-request lookup.
+        This is the host probe of the single-request lookup: two
+        ``searchsorted`` locate the range's key run and the answer is a
+        read-only slice of the view's tids.  On an absent or stale view it
+        walks the leaf chain instead (:meth:`_view`).
         """
         self.stats.range_lookups += 1
-        flat = self._range_tids(key_range.low, key_range.high)
-        if not flat:
+        view = self._view(_RANGE_PROBE_COST, batch=False)
+        if view is None:
+            tids = _tid_array(self._range_tids(key_range.low, key_range.high))
+            self._flat_view.charge(_TOUCHED_ENTRY_COST * tids.size
+                                   + _RANGE_PROBE_COST)
+            return tids
+        start, stop = _key_runs(view, key_range.low, key_range.high)
+        if start == stop:
             return np.empty(0, dtype=np.int64)
-        return np.asarray(flat)
+        run = view[2][start:stop]
+        run.setflags(write=False)
+        return run
 
     def search_many(self, keys: Sequence[float] | np.ndarray) -> np.ndarray:
-        """Batched point probe: one descent per key, one final conversion.
+        """Batched point probe, tids grouped by key in input order.
 
-        A B+-tree probe is inherently per-key; the batch pays one stats
-        bump and one list-to-array conversion for all of them.  This is the
-        primary-index resolution step of the single-request lookup under
-        logical pointers.
+        This is the primary-index resolution step of the single-request
+        lookup under logical pointers: one ``searchsorted`` and one gather
+        over the flat view while it is current, one descent per key while
+        it is not (:meth:`_point_runs`).
         """
-        keys = [float(key) for key in keys]
-        self.stats.lookups += len(keys)
-        runs: list[list[TupleId]] = []
-        # repro: ignore[REP004] -- per-key descent is the tree's point-probe
-        # primitive; the flat-view batch path is search_many_segmented
-        for key in keys:
-            leaf = self._find_leaf(key)
-            index = bisect.bisect_left(leaf.keys, key)
-            if index < len(leaf.keys) and leaf.keys[index] == key:
-                runs.append(leaf.values[index])
-        flat = list(chain.from_iterable(runs))
-        if not flat:
-            return np.empty(0, dtype=np.int64)
-        return np.asarray(flat)
+        keys = np.asarray(keys, dtype=np.float64)
+        self.stats.lookups += keys.size
+        return self._point_runs(keys, batch=False)[0]
 
     def range_search_segmented(
         self, ranges: "Sequence[KeyRange]",
@@ -271,97 +288,51 @@ class BPlusTree(Index):
 
         Where the scalar probe pays a root-to-leaf descent plus a Python
         leaf walk per range, the batch resolves *all* ranges against the
-        cached flat view (:meth:`_flattened`) — two ``searchsorted`` passes
+        flat view (:meth:`_flattened`) — two ``searchsorted`` passes
         locate every range's key run and one :func:`~repro.segments.run_indices`
-        gather pulls the tids out.  The O(n) cold flatten is only worth
-        paying when enough batch traffic amortises it, so small batches on a
-        tree that has no view yet keep the per-range leaf walk and
-        accumulate debt instead (:meth:`_use_flat_view`); both paths emit
-        identical segments.
+        gather pulls the tids out.  A live view is folded at once; the O(n)
+        cold flatten is only worth paying when enough traffic amortises
+        it, so small batches on a tree that has no view yet keep the
+        per-range leaf walk and accumulate debt instead (:meth:`_view`);
+        both paths emit identical segments.
         """
         self.stats.range_lookups += len(ranges)
         count = len(ranges)
-        if not self._use_flat_view(_RANGE_PROBE_COST * count):
-            segments: list[list[TupleId]] = []
-            offsets = np.zeros(count + 1, dtype=np.int64)
-            total = 0
-            # repro: ignore[REP004] -- documented scalar fallback while the
-            # flat-view debt counter says a cold flatten would cost more
-            for position, key_range in enumerate(ranges):
-                flat = self._range_tids(key_range.low, key_range.high)
-                segments.append(flat)
-                total += len(flat)
-                offsets[position + 1] = total
-            self._flat_view.charge(_TOUCHED_ENTRY_COST * total
+        view = self._view(_RANGE_PROBE_COST * count, batch=True)
+        if view is None:
+            segments = [self._range_tids(key_range.low, key_range.high)
+                        for key_range in ranges]
+            tids = _tid_array(list(chain.from_iterable(segments)))
+            self._flat_view.charge(_TOUCHED_ENTRY_COST * tids.size
                                    + _RANGE_PROBE_COST * count)
-            merged = list(chain.from_iterable(segments))
-            tids = (np.asarray(merged) if merged
-                    else np.empty(0, dtype=np.int64))
-            return tids, offsets
-        keys, key_offsets, tids = self._flattened()
+            return tids, offsets_from_counts(
+                np.fromiter(map(len, segments), dtype=np.int64, count=count))
         lows = np.fromiter((key_range.low for key_range in ranges),
                            dtype=np.float64, count=count)
         highs = np.fromiter((key_range.high for key_range in ranges),
                             dtype=np.float64, count=count)
-        starts = np.searchsorted(keys, lows, side="left")
-        stops = np.searchsorted(keys, highs, side="right")
-        indices, offsets = run_indices(key_offsets[starts],
-                                       key_offsets[stops])
-        return tids[indices], offsets
+        indices, offsets = run_indices(*_key_runs(view, lows, highs))
+        return _gathered(view[2], indices), offsets
 
     def search_many_segmented(
         self, keys: np.ndarray, offsets: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Segmented batched point probe off the flattened leaf level.
 
-        This is where batching beats B per-query ``search_many`` calls
-        *algorithmically*, not just on dispatch: instead of a full
-        root-to-leaf descent per key, the whole batch binary-searches the
-        cached flat view (:meth:`_flattened`) in one ``searchsorted`` pass
-        and gathers the matching tid runs with one
-        :func:`~repro.segments.run_indices` call.  This is the
-        primary-index resolution pass of the batched executor under
-        logical pointers, where per-key descents dominate the whole
-        lookup.  Probes are resolved in input order, so the per-key runs
-        are already grouped by input segment and the output offsets are a
-        plain fancy-index of the per-key ones.
+        This is where batching beats per-key descents *algorithmically*,
+        not just on dispatch: the whole batch binary-searches the flat
+        view in one ``searchsorted`` pass and gathers the matching tid
+        runs with one :func:`~repro.segments.run_indices` call
+        (:meth:`_point_runs`).  This is the primary-index resolution pass
+        of the batched executor under logical pointers.  Probes are
+        resolved in input order, so the per-key runs are already grouped
+        by input segment and the output offsets are a plain fancy-index
+        of the per-key ones.
         """
         keys = np.asarray(keys, dtype=np.float64)
-        num_segments = offsets.size - 1
-        if keys.size == 0:
-            return np.empty(0, dtype=np.int64), empty_offsets(num_segments)
-        self.stats.lookups += int(keys.size)
-        if not self._use_flat_view(_POINT_PROBE_COST * int(keys.size)):
-            runs: list[list[TupleId]] = []
-            per_key = np.zeros(keys.size + 1, dtype=np.int64)
-            total = 0
-            # repro: ignore[REP004] -- documented scalar fallback while the
-            # flat-view debt counter says a cold flatten would cost more
-            for position, key in enumerate(keys.tolist()):
-                leaf = self._find_leaf(key)
-                index = bisect.bisect_left(leaf.keys, key)
-                if index < len(leaf.keys) and leaf.keys[index] == key:
-                    bucket = leaf.values[index]
-                    runs.append(bucket)
-                    total += len(bucket)
-                per_key[position + 1] = total
-            self._flat_view.charge(_TOUCHED_ENTRY_COST * total
-                                   + _POINT_PROBE_COST * int(keys.size))
-            merged = list(chain.from_iterable(runs))
-            tids = (np.asarray(merged) if merged
-                    else np.empty(0, dtype=np.int64))
-            return tids, per_key[offsets]
-        flat_keys, key_offsets, tids = self._flattened()
-        if flat_keys.size == 0:
-            return np.empty(0, dtype=np.int64), empty_offsets(num_segments)
-        positions = np.searchsorted(flat_keys, keys, side="left")
-        hit = positions < flat_keys.size
-        safe = np.where(hit, positions, 0)
-        hit &= flat_keys[safe] == keys
-        starts = np.where(hit, key_offsets[safe], 0)
-        stops = np.where(hit, key_offsets[safe + 1], 0)
-        indices, per_key = run_indices(starts, stops)
-        return tids[indices], per_key[offsets]
+        self.stats.lookups += keys.size
+        tids, sizes = self._point_runs(keys, batch=True)
+        return tids, offsets_from_counts(np.asarray(sizes))[offsets]
 
     def items(self) -> Iterator[tuple[float, TupleId]]:
         """Iterate all (key, tid) pairs in key order."""
@@ -390,17 +361,53 @@ class BPlusTree(Index):
 
     # ---------------------------------------------------------------- private
 
-    def _use_flat_view(self, projected_cost: int) -> bool:
-        """Should this segmented batch go through the flat view?
+    def _view(self, projected_cost: int, batch: bool) -> FlatArrays | None:
+        """The up-to-date flat view if this probe should go through it.
 
-        A live view is always used: after writes it costs a fold of what
-        they recorded, not a walk of the tree.  A tree without one only
-        pays the O(n) cold flatten once the scalar work skipped so far plus
-        this batch's projected probe overhead would have paid for it
-        (:meth:`~repro.index.flat_view.FlatView.worth_using`), so rare
-        small batches on a big tree never pay O(n).
+        ``None`` sends the probe down its scalar body, which charges the
+        work to the view's debt: any probe while the view is absent, and a
+        single probe while a write has left it stale, until those charges
+        have paid for bringing it current
+        (:meth:`~repro.index.flat_view.FlatView.worth_using`).
         """
-        return self._flat_view.worth_using(projected_cost, self._num_entries)
+        if self._flat_view.worth_using(projected_cost, self._num_entries,
+                                       batch):
+            return self._flattened()
+        return None
+
+    def _point_runs(self, keys: np.ndarray,
+                    batch: bool) -> tuple[np.ndarray, np.ndarray | list[int]]:
+        """The tids under ``keys``, grouped in input order, and per-key counts.
+
+        Flat-view body: one ``searchsorted`` places every key, one compare
+        tells hits from misses and one gather pulls the runs out; when the
+        view's keys own one tid each (a primary index) a hit's slot *is*
+        its tid's position and its count the hit mask.  Scalar body: one
+        root-to-leaf descent per key, charged to the view's debt.
+        """
+        if not (keys.size and self._num_entries):
+            return (np.empty(0, dtype=np.int64),
+                    np.zeros(keys.size, dtype=np.int64))
+        view = self._view(_POINT_PROBE_COST * keys.size, batch)
+        if view is None:
+            runs: list[Sequence[TupleId]] = []
+            for key in keys.tolist():
+                leaf = self._find_leaf(key)
+                index = bisect.bisect_left(leaf.keys, key)
+                hit = index < len(leaf.keys) and leaf.keys[index] == key
+                runs.append(leaf.values[index] if hit else ())
+            tids = _tid_array(list(chain.from_iterable(runs)))
+            self._flat_view.charge(_TOUCHED_ENTRY_COST * tids.size
+                                   + _POINT_PROBE_COST * keys.size)
+            return tids, list(map(len, runs))
+        flat_keys, key_offsets, tids = view
+        slots = np.minimum(flat_keys.searchsorted(keys), flat_keys.size - 1)
+        hit = flat_keys[slots] == keys
+        if tids.size == flat_keys.size:
+            return _gathered(tids, slots[hit]), hit
+        starts = key_offsets[slots]
+        sizes = key_offsets[slots + hit] - starts
+        return _gathered(tids, run_indices(starts, starts + sizes)[0]), sizes
 
     def _range_tids(self, low: float, high: float) -> list[TupleId]:
         """One leaf-chain range walk, as a flat tid list (no stats bump)."""

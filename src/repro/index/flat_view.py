@@ -9,8 +9,9 @@ per-key insertion order — exactly the order a scalar walk of the owner
 emits.
 
 The view is maintained, not dropped, by writes.  A mutator *records* what it
-did (one list append per entry); the next batched probe *folds* everything
-recorded since the last one into the cached arrays with one sorted merge —
+did (one list append per entry); the next batched probe — or the single
+probe whose predecessors' scalar work has paid for it — *folds* everything
+recorded since the last fold into the cached arrays with one sorted merge —
 ``searchsorted`` to place the new entries at the end of their key's run,
 ``np.insert`` / ``np.delete`` to move the arrays once.  A fold of ``d``
 recorded entries into ``n`` costs ``O(d log d)`` plus a few ``memcpy``
@@ -66,12 +67,13 @@ def flatten(keys: Sequence[float],
 
 
 class FlatView:
-    """The cached arrays, the writes recorded since, and the build debt.
+    """The cached arrays, the writes recorded since, and the debt.
 
-    The debt counter is the amortisation account of the *cold* build: a
-    batched probe that finds no arrays only pays the ``O(n)`` flatten once
-    the scalar work of the batches that skipped it (charged through
-    :meth:`charge`) would have paid for one; see :meth:`worth_using`.
+    The view is *absent* (no arrays), *current* (arrays, nothing recorded)
+    or *stale* (arrays, writes recorded).  The debt is the amortisation
+    account of bringing it current: a probe that may not trigger that work
+    (:meth:`worth_using`) goes the owner's scalar way and charges what that
+    cost (:meth:`charge`).
 
     Writers are serialised against readers by the owner's caller (the
     engine's epoch lock); concurrent *readers* are not, and the first of
@@ -133,26 +135,33 @@ class FlatView:
 
     # ------------------------------------------------------------ read side
 
-    def worth_using(self, projected_cost: int, num_entries: int) -> bool:
-        """Should a batched probe go through the arrays?
+    def worth_using(self, projected_cost: int, num_entries: int,
+                    batch: bool) -> bool:
+        """Should this probe go through the arrays?
 
-        Live arrays are always used — bringing them up to date costs a fold
-        of what was written since, not a rebuild.  Without arrays the batch
-        only triggers the ``O(n)`` flatten once the scalar work skipped so
-        far plus this batch's projected probe overhead (both in
-        entry-equivalents) would have paid for it, so rare small batches on
-        a big structure never pay ``O(n)`` while steady batch traffic
-        converges to the array path after a bounded amount of scalar work.
+        A *current* view is always used.  A batched probe also uses a
+        *stale* one: the fold costs a merge of what was written, which the
+        batch amortises and every probe after it inherits.  A single probe
+        must not pay ``O(n)`` for another caller's write, so on a stale
+        view — as any probe on an absent one — it keeps to the scalar body
+        until the scalar work charged since the view stopped being current
+        plus this probe's projected overhead (both in entry-equivalents)
+        would have paid for a flatten.  So rare small batches on a big
+        structure and reads interleaved with per-row writes never pay
+        ``O(n)``, while steady read traffic converges to the array path
+        after a bounded amount of scalar work.
         """
-        return (self._arrays is not None
-                or self._debt + projected_cost >= num_entries)
+        if self._arrays is not None and (
+                batch or not (self._added_keys or self._removed_keys)):
+            return True
+        return self._debt + projected_cost >= num_entries
 
     def charge(self, cost: int) -> None:
-        """Account the scalar work of a batch that skipped the flatten."""
+        """Account the scalar work of a probe that went without the arrays."""
         self._debt += cost
 
     def arrays(self, snapshot: Snapshot) -> FlatArrays:
-        """The up-to-date arrays: fold what was recorded, or build cold."""
+        """Bring the view current (fold the record, or build cold): debt paid."""
         with self._lock:
             if self._arrays is not None and (self._added_keys
                                              or self._removed_keys):
@@ -160,6 +169,7 @@ class FlatView:
             if self._arrays is None:
                 self.drop()
                 self._arrays = flatten(*snapshot())
+            self._debt = 0
             return self._arrays
 
     def _folded(self) -> FlatArrays | None:

@@ -67,6 +67,7 @@ from repro.engine.query import QueryRequest, RangePredicate
 from repro.index.base import Index
 from repro.index.bptree import BPlusTree
 from repro.index.composite import CompositeIndex
+from repro.index.flat_view import FlatView
 from repro.index.hash_index import HashIndex
 from repro.index.paged_bptree import PagedBPlusTree
 from repro.index.sorted_column import SortedColumnIndex
@@ -275,6 +276,38 @@ class TestEveryEntryPointAgrees:
         assert answers["zero"] == answers["negative_zero"]
         assert len(answers["one_ulp"]) == len(answers["one_value"]) + 1
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("stale", [False, True], ids=["current", "stale"])
+    def test_execute_answers_alike_on_current_and_stale_views(self, stale,
+                                                              scheme):
+        """``execute`` probes the host and primary B+-trees' flat views
+        while they are current and walks the trees while a per-row write
+        has left them stale; the reference scan cannot tell."""
+        database = build_database(scheme, "hermit")
+        entry = database.catalog.table_entry("t")
+        trees = [entry.primary_index,
+                 entry.indexes["idx_target"].mechanism.host_index]
+        assert all(isinstance(tree, BPlusTree) for tree in trees)
+        for tree in trees:
+            tree._flattened()
+        before = len(scan_locations(entry.table, *REQUESTS[0]))
+        for number, predicates in enumerate(REQUESTS * 3):
+            if stale:
+                # Lands inside a request's window, on the band or far off.
+                target = 300.0 + 2.0 * number
+                database.insert("t", {
+                    "pk": 5_000.0 + number, "target": target,
+                    "host": 2.0 * target + (10.0 if number % 2 else 700.0)})
+            for tree in trees:
+                view = tree._flat_view
+                assert view._arrays is not None
+                assert bool(view._added_keys) == stale
+            assert_locations(database.execute(QueryRequest.of("t", predicates)),
+                             scan_locations(entry.table, *predicates))
+        # The rows written in between are part of the answers.
+        after = len(scan_locations(entry.table, *REQUESTS[0]))
+        assert (after > before) == stale
+
     def test_forced_read_feeds_the_mechanism_like_a_planned_one(self):
         """``query_with`` observes false positives exactly like ``execute``."""
         database = build_database(PointerScheme.PHYSICAL, "hermit")
@@ -299,6 +332,11 @@ INDEX_READS = {
     "range_search_many_array", "range_search_segmented",
     "search_many_segmented",
 }
+INDEX_BATCH_READS = {"range_search_many_array", "range_search_segmented",
+                     "search_many_segmented"}
+# What the owner of a flat view tells it, and what a probe asks of it.
+FLAT_VIEW = {"record_insert", "record_insert_many", "record_delete", "drop",
+             "worth_using", "charge", "arrays"}
 # No separate load: insert_many into an empty index is the load.
 INDEX_OTHER = {"insert", "delete", "insert_many", "memory_bytes"}
 
@@ -370,8 +408,20 @@ class TestReadSurfaceIsPinned:
 
     def test_index_surface(self):
         assert public_callables(Index) == INDEX_READS | INDEX_OTHER
-        assert Index.__abstractmethods__ >= {"search_many",
-                                             "range_search_array"}
+        assert Index.__abstractmethods__ == {
+            "search_many", "range_search_array",
+            "insert", "delete", "memory_bytes", "num_entries"}
+        # The batch read forms have a default on the base; the B+-tree
+        # answers its four read entry points from one flat view (two bodies
+        # per probe kind, private) and adds no fifth.
+        assert {name for name in INDEX_READS
+                if name not in Index.__abstractmethods__
+                and name not in ("search", "range_search")} == INDEX_BATCH_READS
+        assert {name for name in vars(BPlusTree)
+                if "search" in name} == {
+            "search_many", "range_search_array",
+            "range_search_segmented", "search_many_segmented"}
+        assert public_callables(FlatView) == FLAT_VIEW
         # The list conveniences are defined once and never overridden.
         for index_class in (BPlusTree, SortedColumnIndex, HashIndex,
                             PagedBPlusTree):

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.core.regression import (
     LinearModel,
+    band_range,
+    band_range_many,
     epsilon_for_error_bound,
     fit_leaf_model,
     fit_linear,
@@ -117,6 +119,24 @@ class TestLinearModel:
         assert host.low == pytest.approx(-7.0)
         assert host.high == pytest.approx(-1.0)
         assert host.low <= -7.0 and host.high >= -1.0
+
+    def test_infinite_operands_take_no_pad(self):
+        # inf - inf in the pad made [inf, inf] probes emit NaN bounds and
+        # "invalid value" warnings (an error under pyproject's filter); the
+        # scalar and vectorised forms stay bitwise identical.
+        inf = float("inf")
+        operands = [(inf, inf), (-inf, -inf), (-inf, inf), (-5.0, inf),
+                    (-inf, 3.0), (1.0, 2.0)]
+        lows, highs = band_range_many(
+            np.asarray([lo for lo, _ in operands]),
+            np.asarray([hi for _, hi in operands]), 0.25)
+        for (lo, hi), low, high in zip(operands, lows.tolist(),
+                                       highs.tolist()):
+            host = band_range(lo, hi, 0.25)
+            assert (host.low, host.high) == (low, high)
+            assert low <= lo and high >= hi
+        assert (lows[0], highs[0]) == (inf, inf)
+        assert (lows[1], highs[1]) == (-inf, -inf)
 
 
 class TestFitLeafModel:
