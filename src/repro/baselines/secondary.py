@@ -91,8 +91,8 @@ class BaselineSecondaryIndex(SecondaryMechanism):
         """Segmented batch variant of :meth:`candidate_tids`.
 
         Delegates straight to the backing index's ``range_search_segmented``
-        — one probe pass per batch (fully vectorized on a sorted-column
-        backing, a single flat leaf-walk loop on the B+-tree).  Returns a
+        — one probe pass per batch (two ``searchsorted`` and one gather over
+        the sorted column, or over the B+-tree's flat view).  Returns a
         ``(values, offsets)`` segmented array (see ``repro.segments``).
         """
         started = time.perf_counter()

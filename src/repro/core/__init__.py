@@ -3,7 +3,6 @@
 from repro.core.config import DEFAULT_CONFIG, TRSTreeConfig
 from repro.core.hermit import HermitIndex
 from repro.core.lookup import HermitLookupResult, LookupBreakdown
-from repro.core.node import TRSInternalNode, TRSLeafNode, TRSNode
 from repro.core.outliers import OutlierBuffer
 from repro.core.regression import (
     LeafModel,
@@ -32,10 +31,7 @@ __all__ = [
     "OutlierOnlyModel",
     "PiecewiseLinearModel",
     "ReorganizationStats",
-    "TRSInternalNode",
-    "TRSLeafNode",
     "TRSLookupResult",
-    "TRSNode",
     "TRSTree",
     "TRSTreeConfig",
     "epsilon_for_error_bound",

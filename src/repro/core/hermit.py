@@ -112,15 +112,16 @@ class HermitIndex(SecondaryMechanism):
     # ----------------------------------------------------------- construction
 
     def build(self, parallelism: int = 1) -> None:
-        """Construct the TRS-Tree from the current table contents."""
+        """Construct the TRS-Tree from the current table contents.
+
+        The tree's domain is the live targets' range; NULL (NaN) targets
+        are left out of both.
+        """
         slots, targets, hosts = self.table.project(
             [self.target_column, self.host_column]
         )
-        tids = self._tids_for_slots(slots)
-        value_range = None
-        if len(targets):
-            value_range = KeyRange(float(np.min(targets)), float(np.max(targets)))
-        self.trs_tree.build(targets, hosts, tids, value_range, parallelism)
+        self.trs_tree.build(targets, hosts, self._tids_for_slots(slots),
+                            parallelism=parallelism)
 
     # --------------------------------------------------- candidate generation
 

@@ -1,24 +1,23 @@
-"""Outlier buffers of TRS-Tree leaf nodes.
+"""The TRS-Tree's outlier buffer.
 
-A leaf's linear model does not have to cover every tuple in its range; tuples
-whose host value falls outside the confidence band are *outliers* and are kept
-in a per-leaf hash table mapping the target-column value to the tuple
-identifiers (Section 4.1).  The buffer is the *write* structure: inserts and
-deletes probe it by value.  Lookups never touch it — they slice the tree-wide
-sorted copy of every buffer that :class:`~repro.core.trs_tree.TRSTree` keeps
-current (``index/flat_view.py``), whose cold build reads :meth:`buckets`.
+A leaf's model does not have to cover every tuple in its range; tuples whose
+host value falls outside the confidence band are *outliers* and are kept in
+a hash table mapping the target-column value to the tuple identifiers
+(Section 4.1) — one table for the whole tree, since a key's leaf is the one
+its value routes to.  Inserts and deletes probe it by value.  Lookups never
+touch it — they slice the sorted array copy that
+:class:`~repro.core.trs_tree.TRSTree` keeps current
+(``index/flat_view.py``), whose cold build reads :meth:`buckets`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterator
 
 import numpy as np
 
 from repro.index.base import tid_items
 from repro.storage.identifiers import TupleId
-from repro.storage.memory import hash_table_bytes
 
 
 class OutlierBuffer:
@@ -77,23 +76,5 @@ class OutlierBuffer:
         keys = sorted(self._entries)
         return keys, [self._entries[key] for key in keys]
 
-    def items(self) -> Iterator[tuple[float, TupleId]]:
-        """Iterate all (target value, tid) pairs."""
-        for value, tids in self._entries.items():
-            for tid in tids:
-                yield value, tid
-
     def __len__(self) -> int:
         return self._count
-
-    def __contains__(self, target_value: float) -> bool:
-        return target_value in self._entries
-
-    def clear(self) -> None:
-        """Drop all outliers."""
-        self._entries.clear()
-        self._count = 0
-
-    def memory_bytes(self) -> int:
-        """Analytic size in bytes."""
-        return hash_table_bytes(self._count)

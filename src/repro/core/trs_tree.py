@@ -4,42 +4,38 @@ The TRS-Tree is the paper's core data structure (Section 4): a k-ary tree over
 the *target* column's value domain whose leaves each hold a tiny regression
 model mapping target values to host values (adaptively chosen per leaf from
 the linear / log-linear / piecewise-linear families, see
-``core/regression.py``), plus an outlier buffer for the tuples the model
+``core/regression.py``), plus outlier entries for the tuples the model
 cannot cover.  Construction (Algorithm 1) recursively partitions the domain
 until every leaf's model covers at least ``1 - outlier_ratio`` of its tuples
 — and would not drag in more than ``max_fp_ratio`` estimated false positives
 per covered tuple — or ``max_height`` is reached; lookups
 (Algorithm 2) translate a target-column predicate into a small set of
 host-column ranges plus outlier tuple identifiers; maintenance (Algorithm 3)
-touches only the affected leaf's outlier buffer and defers structural changes
-to an on-demand reorganization pass.
+touches only the affected leaf's outliers and counters and defers structural
+changes to an on-demand reorganization pass.
 
-The pointer tree is the *write* structure (construction, routing of writes,
-reorganization).  Both lookups read one flat copy of it instead — the
-:class:`LeafTable` plus a tree-wide sorted view of every outlier buffer —
-which the write path keeps current; see docs/architecture.md, "TRS-Tree:
-write structure vs read structure".
+Every node splits its range into ``node_fanout`` equal-width children, so an
+interior node holds nothing its leaves' bounds and paths do not determine:
+the tree *is* its :class:`LeafTable` — the leaves in key order, one row of
+arrays each — plus one tree-wide outlier buffer.  Build, writes, both
+lookups and reorganization all work on those rows; see
+docs/architecture.md, "TRS-Tree: one leaf table".
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from math import isnan
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.core.config import DEFAULT_CONFIG, TRSTreeConfig
-from repro.core.node import (
-    TRSInternalNode,
-    TRSLeafNode,
-    TRSNode,
-    equal_width_subranges,
-    route_indices,
-)
+from repro.core.outliers import OutlierBuffer
 from repro.core.regression import (
+    LeafModel,
     ModelTable,
     OutlierOnlyModel,
     estimate_leaf_false_positives,
@@ -47,7 +43,7 @@ from repro.core.regression import (
 )
 from repro.errors import StorageError
 from repro.index.base import KeyRange, tid_items
-from repro.index.flat_view import FlatView, flatten
+from repro.index.flat_view import FlatView
 from repro.segments import (
     empty_offsets,
     offsets_from_counts,
@@ -64,6 +60,60 @@ from repro.storage.memory import trs_internal_bytes, trs_leaf_bytes
 # know anything about tables.
 DataProvider = Callable[[KeyRange], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
+# A node's child positions from the root: () is the root, a leaf at height h
+# has a path of length h - 1.  Paths of the leaves in key order ascend.
+Path = tuple[int, ...]
+
+
+def partition_bounds(key_range: KeyRange, fanout: int) -> list[float]:
+    """The ``fanout + 1`` equal-width partition bounds of ``key_range``.
+
+    This is the single source of truth for where a node's children begin
+    and end: :func:`equal_width_subranges` builds the child key ranges from
+    it, and :func:`route_indices` routes by *comparing against these exact
+    floats* — so a routed value always lies inside its child's closed
+    range.  (An arithmetic routing rule like ``int((v - low) / width *
+    fanout)`` cannot give that guarantee: under float rounding it can
+    disagree with the separately computed bounds by an ulp, filing a tuple
+    into a child whose range excludes it — and a lookup, which finds leaves
+    by comparing against the same bounds, would then never find it again.)
+    """
+    if fanout <= 0:
+        raise ValueError("fanout must be positive")
+    width = key_range.width / fanout
+    return [key_range.low + i * width for i in range(fanout)] + [key_range.high]
+
+
+def route_indices(values: np.ndarray, key_range: KeyRange,
+                  fanout: int) -> np.ndarray:
+    """Equal-width child positions for a batch of target values.
+
+    Construction partitions a node's tuples with it.  Routing is a
+    ``searchsorted`` against :func:`partition_bounds` (pure comparisons, no
+    float arithmetic), so a value inside the node's range is guaranteed to
+    land in a child whose closed ``key_range`` contains it; a value on an
+    interior bound belongs to the right-hand child — as it does for the
+    ``bisect_right`` over the leaf table's bounds that routes every write
+    and read, whose bounds are these very floats.
+    """
+    bounds = partition_bounds(key_range, fanout)
+    if key_range.width <= 0:
+        return np.zeros(len(values), dtype=np.int64)
+    return np.searchsorted(np.asarray(bounds[1:-1]), values,
+                           side="right").astype(np.int64)
+
+
+def equal_width_subranges(key_range: KeyRange, fanout: int) -> list[KeyRange]:
+    """Split ``key_range`` into ``fanout`` equal-width sub-ranges.
+
+    Built from the same :func:`partition_bounds` floats that
+    :func:`route_indices` compares against, so every routed in-range value
+    lies inside its child's closed range; the union covers the parent
+    exactly.
+    """
+    bounds = partition_bounds(key_range, fanout)
+    return [KeyRange(bounds[i], bounds[i + 1]) for i in range(fanout)]
+
 
 @dataclass
 class TRSLookupResult:
@@ -73,9 +123,9 @@ class TRSLookupResult:
         host_ranges: Disjoint ranges on the host column that together cover
             every correlated match of the query predicate.
         outlier_tids: Tuple identifiers recovered directly from outlier
-            buffers; they bypass the host index entirely.  A read-only
+            entries; they bypass the host index entirely.  A read-only
             slice of the tree's outlier view: copy before sorting in place.
-        leaves_visited: Number of leaf nodes inspected.
+        leaves_visited: Number of leaves inspected.
         nodes_visited: Equal to ``leaves_visited`` (see
             :class:`TRSBatchLookupResult`).
     """
@@ -110,10 +160,10 @@ class TRSBatchLookupResult:
         host_offsets: Per-query segment boundaries over the range arrays.
         outlier_tids: Flat outlier tuple identifiers.
         outlier_offsets: Per-query segment boundaries over ``outlier_tids``.
-        leaves_visited: Per-query count of leaf nodes inspected.
-        nodes_visited: The same array as ``leaves_visited``: a probe of the
-            flat leaf table visits no internal node.  (Kept because the
-            e2e tracer reads it; a count, not a speed.)
+        leaves_visited: Per-query count of leaves inspected.
+        nodes_visited: The same array as ``leaves_visited``: the tree keeps
+            no internal node to visit.  (Kept because the e2e tracer reads
+            it; a count, not a speed.)
     """
 
     host_lows: np.ndarray
@@ -180,62 +230,117 @@ def coalesce_sorted_ranges(lows: np.ndarray, highs: np.ndarray,
             offsets_from_counts(counts))
 
 
+class LeafRow(NamedTuple):
+    """One leaf as the builder emits it; its outliers go to the buffer."""
+
+    path: Path
+    low: float
+    model: LeafModel
+    num_covered: int
+    num_model_covered: int
+    fp_estimate: float
+    outlier_keys: np.ndarray
+    outlier_tids: np.ndarray
+
+
 class LeafTable:
-    """The read structure: the tree's leaves in key order, as arrays.
+    """The TRS-Tree: its leaves in key order, one row of arrays per leaf.
 
     Leaves partition the target domain into consecutive closed intervals
-    sharing their bound floats — the very floats writes are routed by —
-    so the leaves a predicate overlaps are one contiguous run, found by
-    bisecting ``bounds`` instead of descending the tree.  The first and
-    last leaf are open-ended (out-of-domain inserts are clamped into them),
-    hence ``lows[0] == -inf`` and ``highs[-1] == inf``.
+    sharing their bound floats, so the leaf a value belongs to is a
+    ``bisect_right`` of ``bounds`` (a value on a bound belongs to the
+    right-hand leaf) and the leaves a predicate overlaps are one contiguous
+    run.  The first and last leaf are open-ended (out-of-domain inserts are
+    routed into them), hence ``lows[0] == -inf`` and ``highs[-1] == inf``.
+    A leaf's ``path`` places it in the tree: its ancestors are its path's
+    prefixes, and the rows under a node are the run of paths it prefixes.
+
+    Writes change the counters in place; only :meth:`replace` — build and
+    reorganization — changes the rows themselves.
 
     Attributes:
-        leaves: The leaf nodes, in key order.
-        bounds: The ``len(leaves) - 1`` interior bounds as a list (scalar
+        domain: The root's key range, the tree's built domain.
+        paths: Every leaf's path (its height is ``len(path) + 1``).
+        bounds: The ``len(paths) - 1`` interior bounds as a list (scalar
             ``bisect``); ``interior`` is the same as an array.
         lows / highs: Effective (edge-open) range of every leaf.
-        models: Every leaf's model coefficients
-            (:class:`~repro.core.regression.ModelTable`).
-        emits: ``num_model_covered > 0`` per leaf — whether a probe of the
-            leaf emits a host range at all.
-        height: Height of the deepest leaf.
+        models: Every leaf's model object (scalar ``covers`` and
+            ``host_range``); :attr:`model_table` holds their coefficients
+            as arrays.
+        num_covered: Tuples in the leaf's range at its (re)build.
+        num_model_covered: Monotone count of band-covered placements —
+            build-time covered tuples plus covered inserts / update targets,
+            never decremented (see ``TRSTree._remove``), so zero means no
+            covered tuple was ever placed and the leaf emits no host range.
+        num_inserted / num_deleted: Tuples inserted into / deleted from the
+            range since the leaf was built.
+        num_outliers: The leaf's entries in the tree's outlier buffer.
+        fp_estimate: Build-time estimate of the false-positive candidates a
+            leaf-spanning probe drags in (band width x own host density).
+        height: Height of the deepest leaf (the root is at height 1).
     """
 
-    __slots__ = ("leaves", "bounds", "interior", "lows", "highs", "models",
-                 "emits", "height")
+    __slots__ = ("domain", "paths", "bounds", "interior", "lows", "highs",
+                 "models", "_model_table", "num_covered", "num_model_covered",
+                 "num_inserted", "num_deleted", "num_outliers", "fp_estimate",
+                 "height")
 
-    def __init__(self, root: TRSNode) -> None:
-        self.leaves: list[TRSLeafNode] = [
-            node for node in root.walk() if node.is_leaf]  # type: ignore[misc]
-        self.bounds = [leaf.key_range.low for leaf in self.leaves[1:]]
+    _COUNTERS = ("num_covered", "num_model_covered", "num_inserted",
+                 "num_deleted", "num_outliers", "fp_estimate")
+
+    def __init__(self, domain: KeyRange, rows: Sequence[LeafRow]) -> None:
+        self.domain = domain
+        self.paths = [row.path for row in rows]
+        self.bounds = [row.low for row in rows[1:]]
+        self.models = [row.model for row in rows]
+        count = len(rows)
+        self.num_covered = np.fromiter(
+            (row.num_covered for row in rows), np.int64, count)
+        self.num_model_covered = np.fromiter(
+            (row.num_model_covered for row in rows), np.int64, count)
+        self.num_inserted = np.zeros(count, dtype=np.int64)
+        self.num_deleted = np.zeros(count, dtype=np.int64)
+        self.num_outliers = np.fromiter(
+            (row.outlier_keys.size for row in rows), np.int64, count)
+        self.fp_estimate = np.fromiter(
+            (row.fp_estimate for row in rows), np.float64, count)
+        self._derive()
+        self._model_table = ModelTable(self.models)
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def replace(self, first: int, stop: int, table: LeafTable) -> None:
+        """Put ``table``'s rows — a rebuild of rows ``first:stop`` — in their place.
+
+        The rebuilt run starts at the old run's lower bound, so only the
+        bounds *between* its rows are new.  The model table is re-derived by
+        the first read after the reorganization pass, not by every rebuild
+        in it (an O(leaves) Python pass each).
+        """
+        self.paths[first:stop] = table.paths
+        self.bounds[first:stop - 1] = table.bounds
+        self.models[first:stop] = table.models
+        for name in self._COUNTERS:
+            column = getattr(self, name)
+            setattr(self, name, np.concatenate(
+                (column[:first], getattr(table, name), column[stop:])))
+        self._derive()
+        self._model_table = None
+
+    @property
+    def model_table(self) -> ModelTable:
+        """Every leaf's model coefficients as arrays
+        (:class:`~repro.core.regression.ModelTable`)."""
+        if self._model_table is None:
+            self._model_table = ModelTable(self.models)
+        return self._model_table
+
+    def _derive(self) -> None:
         self.interior = np.asarray(self.bounds, dtype=np.float64)
         self.lows = np.concatenate(([-np.inf], self.interior))
         self.highs = np.concatenate((self.interior, [np.inf]))
-        self.models = ModelTable([leaf.model for leaf in self.leaves])
-        self.emits = np.asarray(
-            [leaf.num_model_covered > 0 for leaf in self.leaves], dtype=bool)
-        self.height = max(leaf.height for leaf in self.leaves)
-
-    def start_emitting(self, leaf: TRSLeafNode, target_value: float) -> bool:
-        """Set ``leaf``'s ``emits`` flag; ``target_value`` is one it owns.
-
-        Returns False when the bounds do not lead back to ``leaf`` (the
-        caller then drops the table rather than trust it).
-        """
-        position = bisect_right(self.bounds, target_value)
-        if self.leaves[position] is not leaf:
-            return False
-        self.emits[position] = True
-        return True
-
-
-@dataclass
-class ReorganizationCandidate:
-    """A node flagged for structural reorganization."""
-
-    action: str  # "split" or "merge"
-    node: TRSNode
+        self.height = max(map(len, self.paths)) + 1
 
 
 class TRSTree:
@@ -248,14 +353,15 @@ class TRSTree:
 
     def __init__(self, config: TRSTreeConfig = DEFAULT_CONFIG) -> None:
         self.config = config
-        self._root: TRSNode | None = None
-        # The read structure.  Mutators of leaves or outlier buffers record
-        # through ``_flat_view`` / flip ``_leaf_table.emits``, or drop both
-        # (REP001 checks that they do).
-        self._leaf_table: LeafTable | None = None
+        self._table: LeafTable | None = None
+        # Every leaf's outliers, one tree-wide buffer; its sorted array copy
+        # is what lookups read.  Callers of add / add_many / remove record
+        # through ``_flat_view`` or drop it (REP001 checks that they do).
+        self._outliers = OutlierBuffer()
         self._flat_view = FlatView()
-        self._reorg_queue: deque[ReorganizationCandidate] = deque()
-        self._pending_candidates: set[tuple[str, int]] = set()
+        # Nodes flagged for reorganization, in flag order (a dict as an
+        # ordered set of (action, path)).
+        self._pending: dict[tuple[str, Path], None] = {}
 
     # ------------------------------------------------------------ construction
 
@@ -264,12 +370,15 @@ class TRSTree:
               parallelism: int = 1) -> None:
         """Construct the tree from column data (Algorithm 1).
 
+        Tuples whose target is NaN (a NULL) are left out: no range predicate
+        matches NaN, so the tree has nothing to answer for them.
+
         Args:
             targets: Target-column values (the column being "indexed").
             hosts: Host-column values, aligned with ``targets``.
             tids: Tuple identifiers, aligned with ``targets``.
             value_range: Full range of the target column.  Taken from the data
-                when omitted (the engine normally passes optimizer statistics).
+                when omitted.
             parallelism: Number of worker threads used to build the root's
                 child subtrees (Appendix D.2, multi-threaded construction).
         """
@@ -278,27 +387,28 @@ class TRSTree:
         tid_array = np.asarray(tids)
         if not (len(targets) == len(hosts) == len(tid_array)):
             raise StorageError("targets, hosts and tids must have equal length")
+        known = ~np.isnan(targets)
+        if not known.all():
+            targets, hosts, tid_array = (
+                targets[known], hosts[known], tid_array[known])
         if value_range is None:
             if len(targets) == 0:
                 value_range = KeyRange(0.0, 0.0)
             else:
                 value_range = KeyRange(float(targets.min()), float(targets.max()))
-        self._reorg_queue.clear()
-        self._pending_candidates.clear()
-        self._root = self._build_node(
-            value_range, targets, hosts, tid_array, height=1,
-            parallelism=max(1, parallelism),
-        )
-        self._leaf_table = None
+        self._pending.clear()
+        rows = self._build_node(value_range, targets, hosts, tid_array, (),
+                                parallelism=max(1, parallelism))
+        self._table = LeafTable(value_range, rows)
+        self._outliers = OutlierBuffer()
+        self._outliers.add_many(*_outliers_of(rows))
         self._flat_view.drop()
-        self._outlier_view()  # flatten now: O(leaves + outliers), not on a read
+        self._outlier_view()  # flatten now: set-up pays, not the first read
 
-    # repro: ignore[REP001] -- fills a leaf no table has seen yet; build and
-    # _rebuild_node drop the table and the view when they attach it
     def _build_node(self, key_range: KeyRange, targets: np.ndarray,
-                    hosts: np.ndarray, tids: np.ndarray, height: int,
-                    parallelism: int = 1) -> TRSNode:
-        """Build the subtree for ``key_range`` over the given tuples.
+                    hosts: np.ndarray, tids: np.ndarray, path: Path,
+                    parallelism: int = 1) -> list[LeafRow]:
+        """Build the subtree for ``key_range``: its leaves' rows in key order.
 
         Two criteria can reject a prospective leaf (Section 4.1 extended by
         the adaptive-leaf-model design, docs/architecture.md):
@@ -312,17 +422,17 @@ class TRSTree:
 
         A node failing either criterion splits while it can; a node that
         fails the false-positive criterion but cannot split is demoted to an
-        exact outlier-only leaf (every tuple buffered, no host range ever
+        exact outlier-only leaf (every tuple an outlier, no host range ever
         emitted) rather than keeping a band that floods the host index.
         """
         can_split = (
-            height < self.config.max_height
+            len(path) + 1 < self.config.max_height
             and len(targets) >= self.config.min_split_size
             and key_range.width > 0
         )
 
         if can_split and self._sampling_says_split(key_range, targets, hosts):
-            return self._split(key_range, targets, hosts, tids, height, parallelism)
+            return self._split(key_range, targets, hosts, tids, path, parallelism)
 
         fit = select_leaf_model(
             targets, hosts, key_range, self.config.error_bound,
@@ -343,7 +453,7 @@ class TRSTree:
             num_outliers > self.config.outlier_ratio * len(targets)
             or too_many_fps
         ):
-            return self._split(key_range, targets, hosts, tids, height, parallelism)
+            return self._split(key_range, targets, hosts, tids, path, parallelism)
 
         if too_many_fps:
             # Cannot split: store the tuples exactly instead of keeping a
@@ -353,47 +463,34 @@ class TRSTree:
             num_model_covered = 0
             fp_estimate = 0.0
 
-        leaf = TRSLeafNode(key_range, height, model)
-        leaf.num_covered = int(len(targets))
-        leaf.num_model_covered = num_model_covered
-        leaf.fp_estimate = fp_estimate
-        if len(targets) > num_model_covered:
-            # One batched buffer fill — a demoted (outlier-only) leaf files
-            # *every* tuple here, so the per-tuple scalar path would be an
-            # O(n log n) Python loop on each build and reorganization.
-            leaf.outliers.add_many(targets[~covered], tids[~covered])
-        return leaf
+        return [LeafRow(path, key_range.low, model, int(len(targets)),
+                        num_model_covered, fp_estimate, targets[~covered],
+                        tids[~covered])]
 
     def _split(self, key_range: KeyRange, targets: np.ndarray, hosts: np.ndarray,
-               tids: np.ndarray, height: int, parallelism: int) -> TRSInternalNode:
-        """Split a range into ``node_fanout`` children and build each.
+               tids: np.ndarray, path: Path, parallelism: int) -> list[LeafRow]:
+        """Split a range into ``node_fanout`` children; concatenate their rows.
 
-        Tuples are partitioned with the shared :func:`route_indices` rule —
-        the same arithmetic the scalar traversal and the batched insert path
-        use — so a value on a child boundary is filed into the same child by
-        every code path.
+        Tuples are partitioned with :func:`route_indices`, which files a
+        value on a child boundary exactly where the leaf table's
+        ``bisect_right`` will route it later.
         """
-        node = TRSInternalNode(key_range, height)
         subranges = equal_width_subranges(key_range, self.config.node_fanout)
         indices = route_indices(targets, key_range, len(subranges))
 
-        def build_child(position: int) -> TRSNode:
+        def build_child(position: int) -> list[LeafRow]:
             mask = indices == position
             return self._build_node(
                 subranges[position], targets[mask], hosts[mask], tids[mask],
-                height + 1,
+                path + (position,),
             )
 
         if parallelism > 1 and len(targets) > 4 * self.config.min_split_size:
             with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                children = list(pool.map(build_child, range(len(subranges))))
+                runs = list(pool.map(build_child, range(len(subranges))))
         else:
-            children = [build_child(position) for position in range(len(subranges))]
-
-        for child in children:
-            child.parent = node
-        node.children = children
-        return node
+            runs = [build_child(position) for position in range(len(subranges))]
+        return [row for run in runs for row in run]
 
     def _sampling_says_split(self, key_range: KeyRange, targets: np.ndarray,
                              hosts: np.ndarray) -> bool:
@@ -419,30 +516,13 @@ class TRSTree:
 
     # ----------------------------------------------------------------- lookup
 
-    def _table(self) -> LeafTable | None:
-        """The leaf table, rebuilt in O(leaves) if a reorganization dropped it."""
-        if self._leaf_table is None and self._root is not None:
-            self._leaf_table = LeafTable(self._root)
-        return self._leaf_table
-
     def _outlier_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(keys, key_offsets, tids)`` of every outlier in the tree.
 
-        Leaf order is key order and every buffer's keys lie inside its
-        leaf's effective range, so the leaf-by-leaf concatenation is sorted
-        tree-wide: one query's outliers are one contiguous slice.
+        Every key lies inside the effective range of the leaf it belongs
+        to, so one query's outliers are one contiguous slice.
         """
-        return self._flat_view.arrays(self._outlier_buckets)
-
-    def _outlier_buckets(self) -> tuple[list[float], list[list[TupleId]]]:
-        keys: list[float] = []
-        buckets: list[list[TupleId]] = []
-        for leaf in self._table().leaves:
-            if len(leaf.outliers):
-                leaf_keys, leaf_buckets = leaf.outliers.buckets()
-                keys += leaf_keys
-                buckets += leaf_buckets
-        return keys, buckets
+        return self._flat_view.arrays(self._outliers.buckets)
 
     def lookup(self, predicate: KeyRange) -> TRSLookupResult:
         """Translate a target-column predicate into host ranges + outliers.
@@ -450,27 +530,28 @@ class TRSTree:
         A scalar probe of the structures :meth:`lookup_many` searches in
         array passes (a batch of one costs ~10x this).  The edge leaves are
         open-ended: values inserted after construction that fall outside
-        the originally observed target domain are routed (clamped) into
-        their outlier buffers, and a predicate beyond the built domain
-        extrapolates the edge leaf's band — mirroring the insert path,
-        which uses the same band to decide whether an out-of-domain tuple
-        needs an outlier entry.  A leaf whose band covers no tuple (built
-        empty, all-outlier, or demoted to an outlier-only model) holds
-        nothing behind its host range and emits none.
+        the originally observed target domain are routed into them, and a
+        predicate beyond the built domain extrapolates the edge leaf's band
+        — mirroring the insert path, which uses the same band to decide
+        whether an out-of-domain tuple needs an outlier entry.  A leaf whose
+        band covers no tuple (built empty, all-outlier, or demoted to an
+        outlier-only model) holds nothing behind its host range and emits
+        none.
         """
-        table = self._table()
+        table = self._table
         if table is None:
             return TRSLookupResult()
         low, high = predicate.low, predicate.high
         bounds = table.bounds
         first = bisect_left(bounds, low)
         last = bisect_right(bounds, high)
+        covered = table.num_model_covered
         host_ranges = [
-            leaf.model.host_range(KeyRange(
+            model.host_range(KeyRange(
                 low if position == first else bounds[position - 1],
                 high if position == last else bounds[position]))
-            for position, leaf in enumerate(table.leaves[first:last + 1], first)
-            if leaf.num_model_covered > 0
+            for position, model in enumerate(table.models[first:last + 1], first)
+            if covered[position] > 0
         ]
         if len(host_ranges) > 1:
             host_ranges = KeyRange.union(host_ranges)
@@ -496,7 +577,7 @@ class TRSTree:
         lookups; ``tests/test_trs_lookup_many.py`` pins the equivalence.
         """
         num_queries = len(predicates)
-        table = self._table()
+        table = self._table
         if table is None or num_queries == 0:
             visited = np.zeros(num_queries, dtype=np.int64)
             return TRSBatchLookupResult(
@@ -516,10 +597,10 @@ class TRSTree:
         last = np.searchsorted(table.interior, highs, side="right")
         pairs, pair_offsets = run_indices(first, last + 1)
         owners = segment_ids(pair_offsets)
-        emitting = table.emits[pairs]
+        emitting = table.num_model_covered[pairs] > 0
         if not emitting.all():
             pairs, owners = pairs[emitting], owners[emitting]
-        band_lows, band_highs = table.models.host_ranges(
+        band_lows, band_highs = table.model_table.host_ranges(
             pairs, np.maximum(lows[owners], table.lows[pairs]),
             np.minimum(highs[owners], table.highs[pairs]))
         order = np.lexsort((band_lows, owners))
@@ -543,82 +624,82 @@ class TRSTree:
     def insert(self, target_value: float, host_value: float, tid: TupleId) -> None:
         """Insert a tuple (Algorithm 3).
 
-        Only the affected leaf's outlier buffer may change; if the leaf's
-        model already covers the new pair nothing is stored at all.
+        Only the affected leaf's counters and outliers may change; if the
+        leaf's model already covers the new pair no entry is stored at all.
+        A NaN target (a NULL) is not stored.
         """
-        leaf = self._traverse(target_value)
-        if leaf is None:
+        table = self._table
+        if table is None or isnan(target_value):
             return
-        self._place(leaf, target_value, host_value, tid)
-        leaf.num_inserted += 1
-        self._maybe_flag_split(leaf)
+        row = bisect_right(table.bounds, target_value)
+        self._place(row, target_value, host_value, tid)
+        table.num_inserted[row] += 1
+        self._maybe_flag_split(row)
 
-    def _place(self, leaf: TRSLeafNode, target_value: float,
-               host_value: float, tid: TupleId) -> None:
-        """File one pair in ``leaf``: behind its band, or as an outlier."""
-        if leaf.covers(target_value, host_value):
-            self._add_covered(leaf, target_value, 1)
+    def _place(self, row: int, target_value: float, host_value: float,
+               tid: TupleId) -> None:
+        """File one pair in leaf ``row``: behind its band, or as an outlier."""
+        table = self._table
+        if table.models[row].covers(target_value, host_value):
+            table.num_model_covered[row] += 1
         else:
-            leaf.outliers.add(target_value, tid)
+            self._outliers.add(target_value, tid)
             self._flat_view.record_insert(target_value, tid)
-
-    def _add_covered(self, leaf: TRSLeafNode, target_value: float,
-                     count: int) -> None:
-        """``count`` more pairs (``target_value`` among them) sit behind
-        ``leaf``'s band; the first ever makes the leaf emit its host range."""
-        if (count and not leaf.num_model_covered
-                and self._leaf_table is not None
-                and not self._leaf_table.start_emitting(leaf, target_value)):
-            self._leaf_table = None
-        leaf.num_model_covered += count
+            table.num_outliers[row] += 1
 
     def insert_many(self, targets: Sequence[float], hosts: Sequence[float],
                     tids: Sequence[TupleId]) -> None:
         """Batched :meth:`insert` (Algorithm 3, column-at-a-time).
 
-        The batch is routed down the tree by partitioning the target array
-        at every internal node with one vectorized ``searchsorted`` against
-        the node's cached partition bounds — the same comparison-based rule
-        as :meth:`TRSInternalNode.child_for`, so scalar and batched inserts
-        file every value (boundary values included) into the same leaf;
-        each reached leaf then classifies its whole run with one
-        ``covers_many`` call and stores only the uncovered tuples, so the
-        per-row Python traversal and per-row model evaluation of the scalar
-        path disappear.
+        One ``searchsorted`` over the leaf bounds routes the batch — the
+        array form of the scalar path's ``bisect_right``, so both file every
+        value (boundary values included) into the same leaf — and each
+        touched leaf classifies its run of the batch with one
+        ``covers_many`` call; the uncovered tuples of the batch are filed
+        with one ``add_many``.
         """
         targets = np.asarray(targets, dtype=np.float64)
         hosts = np.asarray(hosts, dtype=np.float64)
         tid_array = np.asarray(tids)
         if not (len(targets) == len(hosts) == len(tid_array)):
             raise StorageError("targets, hosts and tids must have equal length")
-        if self._root is None or targets.size == 0:
+        table = self._table
+        if table is None:
             return
-        self._insert_many_into(self._root, targets, hosts, tid_array)
-
-    def _insert_many_into(self, node: TRSNode, targets: np.ndarray,
-                          hosts: np.ndarray, tids: np.ndarray) -> None:
-        """Route a batch into the subtree at ``node`` (batched Algorithm 3)."""
-        if node.is_leaf:
-            leaf: TRSLeafNode = node  # type: ignore[assignment]
-            covered = leaf.covers_many(targets, hosts)
-            num_covered = int(covered.sum())
-            if num_covered < targets.size:
-                keys, outlier_tids = targets[~covered], tids[~covered]
-                leaf.outliers.add_many(keys, outlier_tids)
-                self._flat_view.record_insert_many(keys.tolist(),
-                                                   tid_items(outlier_tids))
-            self._add_covered(leaf, float(targets[0]), num_covered)
-            leaf.num_inserted += int(targets.size)
-            self._maybe_flag_split(leaf)
+        known = ~np.isnan(targets)
+        if not known.all():
+            targets, hosts, tid_array = (
+                targets[known], hosts[known], tid_array[known])
+        if targets.size == 0:
             return
-        internal: TRSInternalNode = node  # type: ignore[assignment]
-        fanout = len(internal.children)
-        indices = internal.route_batch(targets)
-        for position in range(fanout):
-            mask = indices == position
-            if mask.any():
-                self._insert_many_into(internal.children[position],
-                                       targets[mask], hosts[mask], tids[mask])
+        # Group the batch by leaf, in leaf order; a one-leaf tree takes it
+        # whole (routing and sorting would cost more than classifying it).
+        touched, starts = [0], [0]
+        if len(table) > 1:
+            rows = table.interior.searchsorted(targets, side="right")
+            order = np.argsort(rows, kind="stable")
+            rows, targets, hosts, tid_array = (
+                rows[order], targets[order], hosts[order], tid_array[order])
+            starts += (np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist()
+            touched = rows[starts].tolist()
+        stops = starts[1:] + [targets.size]
+        runs = []
+        for row, start, stop in zip(touched, starts, stops):
+            covered = table.models[row].covers_many(targets[start:stop],
+                                                    hosts[start:stop])
+            num_covered = int(np.count_nonzero(covered))
+            table.num_inserted[row] += stop - start
+            table.num_model_covered[row] += num_covered
+            table.num_outliers[row] += stop - start - num_covered
+            runs.append(covered)
+        covered = runs[0] if len(runs) == 1 else np.concatenate(runs)
+        if not covered.all():
+            keys, outlier_tids = targets[~covered], tid_array[~covered]
+            self._outliers.add_many(keys, outlier_tids)
+            self._flat_view.record_insert_many(keys.tolist(),
+                                               tid_items(outlier_tids))
+        for row in touched:
+            self._maybe_flag_split(row)
 
     def delete(self, target_value: float, host_value: float, tid: TupleId) -> None:
         """Delete a tuple (Algorithm 3).
@@ -627,19 +708,20 @@ class TRSTree:
         in the tree, so there is nothing else to undo.  ``num_deleted`` is
         only charged when the pair was plausibly present — as a removed
         outlier entry, or as a pair the model's band covers — so deletes of
-        pairs the tree never stored (the no-op halves of no-op updates)
-        cannot inflate ``deleted_ratio()`` into spurious merge flags.  (For
-        band-covered pairs the tree keeps no per-tuple record, so repeated
-        deletes of one covered pair still count each time; a merge flag is
-        advisory — reorganization re-reads the base table — so the
+        pairs the tree never stored (the no-op halves of no-op updates, NaN
+        targets) cannot inflate the deleted ratio into spurious merge flags.
+        (For band-covered pairs the tree keeps no per-tuple record, so
+        repeated deletes of one covered pair still count each time; a merge
+        flag is advisory — reorganization re-reads the base table — so the
         imprecision cannot affect query results.)
         """
-        leaf = self._traverse(target_value)
-        if leaf is None:
+        table = self._table
+        if table is None or isnan(target_value):
             return
-        if self._remove_from_leaf(leaf, target_value, host_value, tid):
-            leaf.num_deleted += 1
-            self._maybe_flag_merge(leaf)
+        row = bisect_right(table.bounds, target_value)
+        if self._remove(row, target_value, host_value, tid):
+            table.num_deleted[row] += 1
+            self._maybe_flag_merge(row)
 
     def update(self, old_target: float, old_host: float, new_target: float,
                new_host: float, tid: TupleId,
@@ -649,10 +731,9 @@ class TRSTree:
         An update that stays inside one leaf only *moves* the tuple — the
         leaf's population is unchanged, so neither ``num_deleted`` nor
         ``num_inserted`` is charged (charging both, as delete+insert would,
-        double-counts the tuple and inflates ``deleted_ratio()`` toward
-        spurious merges).  An update that crosses leaves is a genuine
-        delete from one leaf plus an insert into another and is counted as
-        such on each side.
+        double-counts the tuple and inflates the deleted ratio toward
+        spurious merges).  An update that crosses leaves, or to or from a
+        NaN target, is a genuine :meth:`delete` plus :meth:`insert`.
 
         Args:
             new_tid: Tuple identifier after the update; defaults to ``tid``
@@ -661,23 +742,20 @@ class TRSTree:
         """
         if new_tid is None:
             new_tid = tid
-        old_leaf = self._traverse(old_target)
-        if old_leaf is None:
-            return
-        new_leaf = self._traverse(new_target)
-        removed = self._remove_from_leaf(old_leaf, old_target, old_host, tid)
-        if new_leaf is old_leaf:
-            self._place(new_leaf, new_target, new_host, new_tid)
-            self._maybe_flag_split(new_leaf)
-            return
-        if removed:
-            old_leaf.num_deleted += 1
-            self._maybe_flag_merge(old_leaf)
+        table = self._table
+        if table is not None and not (isnan(old_target) or isnan(new_target)):
+            row = bisect_right(table.bounds, old_target)
+            if row == bisect_right(table.bounds, new_target):
+                self._remove(row, old_target, old_host, tid)
+                self._place(row, new_target, new_host, new_tid)
+                self._maybe_flag_split(row)
+                return
+        self.delete(old_target, old_host, tid)
         self.insert(new_target, new_host, new_tid)
 
-    def _remove_from_leaf(self, leaf: TRSLeafNode, target_value: float,
-                          host_value: float, tid: TupleId) -> bool:
-        """Remove one pair from ``leaf``; True when it was plausibly present.
+    def _remove(self, row: int, target_value: float, host_value: float,
+                tid: TupleId) -> bool:
+        """Remove one pair from leaf ``row``; True when it was plausibly present.
 
         A pair lives in a leaf either as an outlier entry or implicitly
         behind the model's band; anything else (a value the tree never saw)
@@ -690,50 +768,47 @@ class TRSTree:
         its zero/non-zero probe gate can only err on the emit-the-probe
         side, which validation absorbs.
         """
-        if leaf.outliers.remove(target_value, tid):
+        table = self._table
+        if self._outliers.remove(target_value, tid):
             self._flat_view.record_delete(target_value, tid)
+            table.num_outliers[row] -= 1
             return True
-        return leaf.covers(target_value, host_value)
+        return table.models[row].covers(target_value, host_value)
 
-    def _traverse(self, target_value: float) -> TRSLeafNode | None:
-        node = self._root
-        if node is None:
-            return None
-        while not node.is_leaf:
-            node = node.child_for(target_value)  # type: ignore[union-attr]
-        return node  # type: ignore[return-value]
+    def _maybe_flag_split(self, row: int) -> None:
+        table = self._table
+        path = table.paths[row]
+        if len(path) + 1 >= self.config.max_height:
+            return
+        population = max(0, int(table.num_covered[row] + table.num_inserted[row]
+                                - table.num_deleted[row]))
+        if population < self.config.min_split_size:
+            return
+        if int(table.num_outliers[row]) / population > self.config.outlier_ratio:
+            self._pending.setdefault(("split", path))
 
-    def _maybe_flag_split(self, leaf: TRSLeafNode) -> None:
-        if leaf.height >= self.config.max_height:
-            return
-        if leaf.population < self.config.min_split_size:
-            return
-        if leaf.outlier_ratio() > self.config.outlier_ratio:
-            self._enqueue_candidate("split", leaf)
-
-    def _maybe_flag_merge(self, leaf: TRSLeafNode) -> None:
-        if leaf.parent is None:
-            return
-        if leaf.deleted_ratio() > self.config.outlier_ratio:
-            self._enqueue_candidate("merge", leaf.parent)
-
-    def _enqueue_candidate(self, action: str, node: TRSNode) -> None:
-        key = (action, id(node))
-        if key in self._pending_candidates:
-            return
-        self._pending_candidates.add(key)
-        self._reorg_queue.append(ReorganizationCandidate(action, node))
+    def _maybe_flag_merge(self, row: int) -> None:
+        table = self._table
+        path = table.paths[row]
+        covered = int(table.num_covered[row])
+        if (path and covered > 0 and int(table.num_deleted[row]) / covered
+                > self.config.outlier_ratio):
+            self._pending.setdefault(("merge", path[:-1]))
 
     # --------------------------------------------------------- reorganization
 
     @property
     def pending_reorganizations(self) -> int:
         """Number of nodes currently flagged for reorganization."""
-        return len(self._reorg_queue)
+        return len(self._pending)
 
     def reorganize(self, provider: DataProvider,
                    max_candidates: int | None = None) -> int:
         """Process flagged reorganization candidates (Section 4.4).
+
+        A leaf flagged for a split is rebuilt in place; a merge flag names
+        the parent of the leaf that lost too many tuples, and the parent's
+        whole run of leaves is rebuilt.  Candidates are taken in flag order.
 
         Args:
             provider: Callback returning ``(targets, hosts, tids)`` for every
@@ -745,127 +820,107 @@ class TRSTree:
             The number of candidates actually rebuilt.
         """
         processed = 0
-        while self._reorg_queue:
-            if max_candidates is not None and processed >= max_candidates:
-                break
-            candidate = self._reorg_queue.popleft()
-            self._pending_candidates.discard((candidate.action, id(candidate.node)))
-            if not self._is_attached(candidate.node):
-                continue
-            self._rebuild_node(candidate.node, provider)
+        while self._pending and (max_candidates is None
+                                 or processed < max_candidates):
+            candidate = next(iter(self._pending))
+            del self._pending[candidate]
+            self._rebuild(candidate[1], provider)
             processed += 1
         return processed
 
-    def rebuild_subtree(self, node: TRSNode, provider: DataProvider) -> None:
-        """Rebuild the subtree rooted at ``node`` from base-table data."""
-        self._rebuild_node(node, provider)
-
     def reorganize_children(self, provider: DataProvider,
                             child_indices: Iterable[int]) -> None:
-        """Rebuild selected first-level subtrees (used by the Figure 23 trace)."""
-        if self._root is None or self._root.is_leaf:
-            if self._root is not None:
-                self._rebuild_node(self._root, provider)
-            return
-        root: TRSInternalNode = self._root  # type: ignore[assignment]
-        for index in child_indices:
-            if 0 <= index < len(root.children):
-                self._rebuild_node(root.children[index], provider)
+        """Rebuild selected first-level subtrees (used by the Figure 23 trace).
 
-    def _rebuild_node(self, node: TRSNode, provider: DataProvider) -> None:
-        """Replace ``node`` by a subtree built from the base table's rows.
-
-        Lookups and inserts treat a node on the tree's left/right edge as
-        open-ended (out-of-domain values are clamped into the edge leaves),
-        so the rows an edge node answers for are those of its *effective*
-        range, not of the range it was built with; re-reading only the
-        built range would drop every row inserted beyond the original
-        domain, and lookups would miss them from then on.  The rebuilt
-        subtree keeps the built range — routing clamps the extra rows into
-        its own edge leaves, exactly where an insert would have put them.
-        A row exactly on the node's upper bound is not the node's: routing
-        files a bound under the right-hand neighbour, and a copy here would
-        put one key under two leaves.
+        A tree that is a single leaf is rebuilt whole.
         """
-        owned = self._effective_range(node)
+        table = self._table
+        if table is None:
+            return
+        if len(table) == 1:
+            self._rebuild((), provider)
+            return
+        for index in child_indices:
+            if 0 <= index < self.config.node_fanout:
+                self._rebuild((index,), provider)
+
+    def _rebuild(self, path: Path, provider: DataProvider) -> None:
+        """Replace the leaves under node ``path`` by a subtree built from the
+        base table's rows.
+
+        The node's key range is :func:`partition_bounds` replayed from the
+        domain along ``path`` — the very floats the build split by.
+        Lookups and inserts treat the leaves on the tree's left/right edge
+        as open-ended, so the rows a node whose leaves start at row 0 (end
+        at the last row) answers for are those of its *effective* range, not
+        of the range it was built with; re-reading only the built range
+        would drop every row inserted beyond the original domain, and
+        lookups would miss them from then on.  The rebuilt subtree keeps the
+        built range — routing puts the extra rows into its own edge leaves,
+        exactly where an insert would have put them.  A row exactly on the
+        node's upper bound is not the node's: routing files a bound under
+        the right-hand neighbour, and a copy here would put one key under
+        two leaves.  Candidates queued for the node or anything under it
+        refer to leaves that no longer exist and are dropped.
+        """
+        table = self._table
+        first = bisect_left(table.paths, path)
+        stop = (bisect_left(table.paths, path[:-1] + (path[-1] + 1,), first)
+                if path else len(table))
+        key_range = table.domain
+        for position in path:
+            key_range = equal_width_subranges(
+                key_range, self.config.node_fanout)[position]
+        owned = KeyRange(-np.inf if first == 0 else key_range.low,
+                         np.inf if stop == len(table) else key_range.high)
         targets, hosts, tids = provider(owned)
         targets = np.asarray(targets, dtype=np.float64)
-        keep = targets < owned.high if owned.high < np.inf else slice(None)
-        rebuilt = self._build_node(
-            node.key_range, targets[keep],
-            np.asarray(hosts, dtype=np.float64)[keep], np.asarray(tids)[keep],
-            height=node.height,
-        )
-        parent = node.parent
-        if parent is None:
-            self._root = rebuilt
-            rebuilt.parent = None
-        else:
-            parent.replace_child(node, rebuilt)
-        self._leaf_table = None
-        self._flat_view.drop()
+        keep = ~np.isnan(targets)
+        if owned.high < np.inf:
+            keep &= targets < owned.high
+        rows = self._build_node(
+            key_range, targets[keep], np.asarray(hosts, dtype=np.float64)[keep],
+            np.asarray(tids)[keep], path)
 
-    @staticmethod
-    def _effective_range(node: TRSNode) -> KeyRange:
-        """``node``'s key range, open-ended on the sides where it is an edge."""
-        left_edge = right_edge = True
-        current = node
-        while current.parent is not None and (left_edge or right_edge):
-            siblings = current.parent.children
-            left_edge = left_edge and siblings[0] is current
-            right_edge = right_edge and siblings[-1] is current
-            current = current.parent
-        return KeyRange(
-            float("-inf") if left_edge else node.key_range.low,
-            float("inf") if right_edge else node.key_range.high,
-        )
-
-    def _is_attached(self, node: TRSNode) -> bool:
-        current = node
-        while current.parent is not None:
-            if current not in current.parent.children:
-                return False
-            current = current.parent
-        return current is self._root
+        # The run's outlier entries are the view's keys routed into it; they
+        # leave the buffer in bucket order (each found at its bucket's head).
+        # The view hears of every entry, so a pass of many small rebuilds
+        # folds each into the arrays instead of re-flattening every outlier.
+        keys, key_offsets, view_tids = self._outlier_view()
+        start = keys.searchsorted(table.lows[first])
+        end = (keys.searchsorted(table.lows[stop]) if stop < len(table)
+               else keys.size)
+        gone_keys = np.repeat(keys[start:end],
+                              np.diff(key_offsets[start:end + 1])).tolist()
+        gone_tids = view_tids[key_offsets[start]:key_offsets[end]].tolist()
+        for key, tid in zip(gone_keys, gone_tids):
+            self._outliers.remove(key, tid)
+            self._flat_view.record_delete(key, tid)
+        new_keys, new_tids = _outliers_of(rows)
+        self._outliers.add_many(new_keys, new_tids)
+        self._flat_view.record_insert_many(new_keys.tolist(),
+                                           tid_items(new_tids))
+        table.replace(first, stop, LeafTable(key_range, rows))
+        for candidate in [candidate for candidate in self._pending
+                          if candidate[1][:len(path)] == path]:
+            del self._pending[candidate]
 
     # ------------------------------------------------------------- statistics
 
     @property
-    def root(self) -> TRSNode | None:
-        """The root node (None before :meth:`build`)."""
-        return self._root
-
-    def nodes(self) -> Iterable[TRSNode]:
-        """Iterate every node in the tree."""
-        if self._root is None:
-            return []
-        return self._root.walk()
-
-    def leaves(self) -> list[TRSLeafNode]:
-        """All leaf nodes, in key order."""
-        table = self._table()
-        return [] if table is None else list(table.leaves)
-
-    @property
     def num_leaves(self) -> int:
-        """Number of leaf nodes."""
-        return len(self.leaves())
-
-    @property
-    def num_nodes(self) -> int:
-        """Total number of nodes."""
-        return sum(1 for _ in self.nodes())
+        """Number of leaves."""
+        return 0 if self._table is None else len(self._table)
 
     @property
     def height(self) -> int:
         """Height of the deepest leaf (root = 1); 0 for an empty tree."""
-        table = self._table()
-        return 0 if table is None else table.height
+        return 0 if self._table is None else self._table.height
 
     @property
     def num_outliers(self) -> int:
         """Total number of outlier entries across all leaves."""
-        return sum(len(leaf.outliers) for leaf in self.leaves())
+        return len(self._outliers)
 
     def estimated_fp_ratio(self) -> float | None:
         """Build-time estimate of the fraction of candidates that are FPs.
@@ -878,66 +933,79 @@ class TRSTree:
         covered tuples (nothing to estimate from) — callers fall back to
         their conservative default.
         """
-        covered = 0
-        false_positives = 0.0
-        for leaf in self.leaves():
-            covered += leaf.num_model_covered
-            false_positives += leaf.fp_estimate
+        if self._table is None:
+            return None
+        covered = int(self._table.num_model_covered.sum())
         if covered <= 0:
             return None
+        false_positives = 0.0
+        for estimate in self._table.fp_estimate.tolist():
+            false_positives += estimate  # in key order, left to right
         return false_positives / (covered + false_positives)
 
     def check_invariants(self) -> None:
-        """Raise ``AssertionError`` unless the structures agree (for tests).
+        """Raise ``AssertionError`` unless the leaf table is one tree (for tests).
 
-        Leaf ranges partition the built domain; the leaf table equals a
-        from-scratch flatten of the pointer tree; the outlier view equals a
-        from-scratch flatten of the buffers (values and dtypes), its keys
-        strictly ascending — no key filed under two leaves — and its size
-        the sum of the per-leaf outlier counts.
+        The paths are the leaves of one full ``node_fanout``-ary tree in key
+        order; every leaf's lower bound is its path's partition bound
+        replayed from the domain; every column has one entry per leaf; the
+        outlier view's keys ascend strictly, and each leaf's outlier count
+        is the number of entries routed to it.
         """
         def check(holds: bool, what: str) -> None:
             if not holds:
                 raise AssertionError(f"TRS-Tree invariant broken: {what}")
 
-        def same(ours, fresh) -> bool:
-            if isinstance(ours, np.ndarray):
-                return (ours.dtype == fresh.dtype and np.array_equal(
-                    ours, fresh, equal_nan=ours.dtype.kind == "f"))
-            return ours == fresh
-
-        if self._root is None:
-            check(self._leaf_table is None, "a leaf table without a tree")
+        table = self._table
+        if table is None:
+            check(len(self._outliers) == 0, "outliers without a tree")
             return
-        fresh = LeafTable(self._root)
-        domain = self._root.key_range
-        ranges = [leaf.key_range for leaf in fresh.leaves]
-        check(ranges[0].low == domain.low and ranges[-1].high == domain.high
-              and all(left.high == right.low
-                      for left, right in zip(ranges, ranges[1:])),
-              "leaf ranges do not partition the built domain")
-        for ours, theirs in ((self._table(), fresh),
-                             (self._table().models, fresh.models)):
-            for name in type(theirs).__slots__:
-                if name != "models":
-                    check(same(getattr(ours, name), getattr(theirs, name)),
-                          f"leaf table field {name!r} is stale")
-        view = self._outlier_view()
-        for name, ours, theirs in zip(("keys", "key_offsets", "tids"), view,
-                                      flatten(*self._outlier_buckets())):
-            check(same(ours, theirs), f"outlier view {name} is stale")
-        check(bool((np.diff(view[0]) > 0).all()),
-              "outlier keys are not ascending across leaves")
-        check(view[2].size == sum(len(leaf.outliers) for leaf in fresh.leaves),
-              "outlier view size != sum of the per-leaf counts")
+        fanout = self.config.node_fanout
+        size = len(table)
+        check(len(table.bounds) == size - 1 and len(table.models) == size
+              and all(getattr(table, name).shape == (size,)
+                      for name in LeafTable._COUNTERS),
+              "a column without one entry per leaf")
+        expected: list[int] | None = []
+        for row, path in enumerate(table.paths):
+            check(expected is not None
+                  and list(path[:len(expected)]) == expected
+                  and not any(path[len(expected):]),
+                  f"leaf {row}'s path {path} does not follow its predecessor")
+            expected = list(path)
+            while expected and expected[-1] == fanout - 1:
+                expected.pop()
+            expected = expected[:-1] + [expected[-1] + 1] if expected else None
+            key_range = table.domain
+            for position in path:
+                key_range = equal_width_subranges(key_range, fanout)[position]
+            check(row == 0 or table.bounds[row - 1] == key_range.low,
+                  f"leaf {row}'s bound is not its path's")
+        check(expected is None, "the last leaf does not end the tree")
+        keys, key_offsets, tids = self._outlier_view()
+        check(bool((np.diff(keys) > 0).all()), "outlier keys do not ascend")
+        routed = np.bincount(table.interior.searchsorted(keys, side="right"),
+                             weights=np.diff(key_offsets), minlength=size)
+        check(tids.size == len(self._outliers)
+              and np.array_equal(routed, table.num_outliers),
+              "per-leaf outlier counts do not match the buffer")
 
     def memory_bytes(self) -> int:
-        """Analytic size of the whole tree in bytes."""
-        total = 0
-        for node in self.nodes():
-            if node.is_leaf:
-                leaf: TRSLeafNode = node  # type: ignore[assignment]
-                total += trs_leaf_bytes(len(leaf.outliers))
-            else:
-                total += trs_internal_bytes(self.config.node_fanout)
-        return total
+        """Analytic size of the whole tree in bytes.
+
+        Prices the paper's node layout: every leaf with its outlier entries,
+        plus the ``(leaves - 1) / (fanout - 1)`` internal nodes a full
+        ``fanout``-ary tree over those leaves has.
+        """
+        if self._table is None:
+            return 0
+        fanout = self.config.node_fanout
+        internal = (len(self._table) - 1) // (fanout - 1)
+        return (sum(map(trs_leaf_bytes, self._table.num_outliers.tolist()))
+                + internal * trs_internal_bytes(fanout))
+
+
+def _outliers_of(rows: Sequence[LeafRow]) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's outlier keys and tids, concatenated in key order."""
+    return (np.concatenate([row.outlier_keys for row in rows]),
+            np.concatenate([row.outlier_tids for row in rows]))

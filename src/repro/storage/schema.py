@@ -53,9 +53,10 @@ class Column:
     Attributes:
         name: Logical column name, unique within the table.
         dtype: Physical data type.
-        nullable: Whether NULL (represented as ``np.nan`` for floats and a
-            sentinel for ints) is permitted.  The Stock workload uses NULLs for
-            missing readings.
+        nullable: Whether NULL is permitted — stored as ``np.nan`` for
+            floats, ``0`` for ints and ``None`` for strings.  No range
+            predicate matches a NaN, so a NULL float is never in an answer
+            (and a Hermit index keeps no entry for a NULL target).
     """
 
     name: str

@@ -2,7 +2,8 @@
 
 ``scan_locations`` is deliberately independent of every index, mechanism
 and executor: one NumPy mask over a projection of the live rows.
-``trs_lookup_bfs`` answers a TRS-Tree lookup from the pointer tree alone.
+``trs_lookup_scan`` answers a TRS-Tree lookup by scanning every leaf, and
+``assert_trs_contains`` checks the tree's "never miss" contract pair by pair.
 ``bptree_bulk_load`` packs a B+-tree entry by entry, the way the tree's own
 loader did before ``insert_many`` into an empty tree became the load.
 ``assert_locations`` checks a ``QueryResult`` against the result contract.
@@ -10,11 +11,8 @@ loader did before ``insert_many`` into an empty tree became the load.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
-from repro.core.node import TRSInternalNode, TRSLeafNode, TRSNode
 from repro.core.trs_tree import TRSLookupResult, TRSTree
 from repro.index.base import KeyRange
 from repro.index.bptree import BPlusTree, _InternalNode, _LeafNode
@@ -45,65 +43,56 @@ def assert_locations(result, expected) -> None:
     assert found.tolist() == list(expected)
 
 
-def trs_lookup_bfs(tree: TRSTree, predicate: KeyRange) -> TRSLookupResult:
-    """Algorithm 2 as a walk of the pointer tree — the oracle for the flat
-    ``TRSTree.lookup`` / ``lookup_many``.
+def trs_lookup_scan(tree: TRSTree, predicate: KeyRange) -> TRSLookupResult:
+    """Algorithm 2 as a scan of every leaf — the oracle for ``TRSTree.lookup``
+    / ``lookup_many``.
 
-    The BFS lookup the tree shipped before its flat leaf table, moved here
-    verbatim (``tree._root`` for ``self._root``; the outlier probe reads
-    the buffer's pairs, the buffer's own range lookup having gone with it).
-    Nodes on the left/right edge of the tree are treated as open-ended:
-    values inserted after construction that fall outside the originally
-    observed target domain are routed (clamped) into the edge leaves'
-    outlier buffers, so lookups whose predicate extends beyond the built
-    domain must still visit those leaves.
+    No ``bisect``, no ``ModelTable``, no coalescing: each leaf's effective
+    range (open-ended on the tree's edges, where out-of-domain inserts are
+    routed) is intersected with the predicate; an overlapped leaf with a
+    covered tuple behind its band emits its own model's ``host_range`` over
+    the overlap; the ranges go through ``KeyRange.union``; the outliers are
+    the buffer's pairs whose key the predicate holds.
     """
     result = TRSLookupResult(outlier_tids=[])
-    if tree._root is None:
+    table = tree._table
+    if table is None:
         return result
-    # Queue entries carry (node, is_left_edge, is_right_edge).
-    queue: deque[tuple[TRSNode, bool, bool]] = deque([(tree._root, True, True)])
-    while queue:
-        node, left_edge, right_edge = queue.popleft()
-        result.nodes_visited += 1
+    last = len(table.models) - 1
+    for row, model in enumerate(table.models):
         effective = KeyRange(
-            float("-inf") if left_edge else node.key_range.low,
-            float("inf") if right_edge else node.key_range.high,
-        )
-        if node.is_leaf:
-            leaf: TRSLeafNode = node  # type: ignore[assignment]
-            overlap = effective.intersect(predicate)
-            if overlap is None:
-                continue
-            result.leaves_visited += 1
-            # ``overlap`` is clipped to the predicate (finite) but may
-            # extend beyond the leaf's built range on the tree's edges;
-            # extrapolating the model's band there mirrors the insert
-            # path, which uses the same band to decide whether an
-            # out-of-domain tuple needs an outlier entry.  A leaf whose
-            # band covers no tuple (built empty, all-outlier, or demoted
-            # to an outlier-only model) holds nothing behind its host
-            # range — emitting it would only hand the host index a
-            # spurious probe per empty leaf.
-            if leaf.num_model_covered > 0:
-                result.host_ranges.append(leaf.model.host_range(overlap))
-            result.outlier_tids.extend(
-                tid for value, tid in leaf.outliers.items()
-                if overlap.low <= value <= overlap.high)
-        else:
-            internal: TRSInternalNode = node  # type: ignore[assignment]
-            last = len(internal.children) - 1
-            for position, child in enumerate(internal.children):
-                child_left = left_edge and position == 0
-                child_right = right_edge and position == last
-                child_range = KeyRange(
-                    float("-inf") if child_left else child.key_range.low,
-                    float("inf") if child_right else child.key_range.high,
-                )
-                if child_range.overlaps(predicate):
-                    queue.append((child, child_left, child_right))
+            float("-inf") if row == 0 else table.bounds[row - 1],
+            float("inf") if row == last else table.bounds[row])
+        overlap = effective.intersect(predicate)
+        if overlap is None:
+            continue
+        result.leaves_visited += 1
+        if table.num_model_covered[row] > 0:
+            result.host_ranges.append(model.host_range(overlap))
+    result.nodes_visited = result.leaves_visited
     result.host_ranges = KeyRange.union(result.host_ranges)
+    keys, buckets = tree._outliers.buckets()
+    result.outlier_tids = [tid for key, bucket in zip(keys, buckets)
+                           if predicate.contains(key) for tid in bucket]
     return result
+
+
+def assert_trs_contains(tree: TRSTree, targets, hosts, tids) -> None:
+    """The paper's "never miss" contract: every live pair with a non-NaN
+    target sits behind its leaf's band (and the leaf emits its host range)
+    or is in the outlier view under its own key."""
+    table = tree._table
+    keys, key_offsets, view_tids = tree._outlier_view()
+    filed = {key: view_tids[start:stop].tolist() for key, start, stop in
+             zip(keys.tolist(), key_offsets[:-1], key_offsets[1:])}
+    bounds = np.asarray(table.bounds)
+    for target, host, tid in zip(targets, hosts, tids):
+        if np.isnan(target):
+            continue
+        row = int((bounds <= target).sum())
+        behind_band = (table.num_model_covered[row] > 0
+                       and table.models[row].covers(target, host))
+        assert behind_band or tid in filed.get(target, ()), (target, host, tid)
 
 
 def bptree_bulk_load(tree: BPlusTree, pairs) -> None:

@@ -143,64 +143,57 @@ class TestFlatViewInvalidation:
         """, self.RULE())
         assert findings == []
 
-    # An owner whose entries live in other objects (TRSTree: a view over
-    # every leaf's outlier buffer, a leaf table mirroring every leaf's
-    # num_model_covered).
+    # An owner whose entries live in a buffer it holds (TRSTree's outlier
+    # buffer): the buffer's add / add_many / remove are mutations.
     TREE_INIT = """
             class Tree:
                 def __init__(self):
-                    self._root: Node | None = None
-                    self._leaf_table: LeafTable | None = None
+                    self._outliers = OutlierBuffer()
                     self._flat_view = FlatView()
     """
 
-    def test_fires_on_leaf_mutators_that_tell_neither_structure(self):
+    def test_fires_on_buffer_mutators_that_do_not_tell_the_view(self):
         findings = findings_for(self.TREE_INIT + """
-                def insert(self, leaf, key, tid):
-                    leaf.outliers.add(key, tid)
+                def insert(self, key, tid):
+                    self._outliers.add(key, tid)
 
-                def insert_covered(self, leaf):
-                    leaf.num_model_covered += 1
+                def insert_many(self, keys, tids):
+                    self._outliers.add_many(keys, tids)
 
-                def delete(self, leaf, key, tid):
-                    if leaf.outliers.remove(key, tid):
-                        self._leaf_table = None     # the wrong structure
+                def delete(self, key, tid):
+                    if self._outliers.remove(key, tid):
+                        self._other.record_delete(key, tid)
 
-                def rebuild(self, node):
-                    self._root = node
-                    self._flat_view.drop()          # the table still stands
+                def build(self):
+                    self._outliers = OutlierBuffer()
         """, self.RULE())
         assert [(f.rule, f.message.split(" without ")[0]) for f in findings] \
-            == [("REP001", "Tree.insert mutates outliers"),
-                ("REP001", "Tree.insert_covered mutates num_model_covered"),
-                ("REP001", "Tree.delete mutates outliers"),
-                ("REP001", "Tree.rebuild mutates _root")]
-        assert "self._flat_view" in findings[0].message
-        assert "self._leaf_table" in findings[1].message
-        assert "self._leaf_table" in findings[3].message
+            == [("REP001", "Tree.insert mutates _outliers"),
+                ("REP001", "Tree.insert_many mutates _outliers"),
+                ("REP001", "Tree.delete mutates _outliers"),
+                ("REP001", "Tree.build mutates _outliers")]
+        assert all("self._flat_view" in f.message for f in findings)
 
-    def test_quiet_when_leaf_mutators_tell_the_view_and_the_table(self):
+    def test_quiet_when_buffer_mutators_tell_the_view(self):
         findings = findings_for(self.TREE_INIT + """
-                def insert(self, leaf, key, tid):
-                    leaf.outliers.add(key, tid)
+                def insert(self, key, tid):
+                    self._outliers.add(key, tid)
                     self._flat_view.record_insert(key, tid)
 
-                def insert_covered(self, leaf, key):
-                    if not self._leaf_table.start_emitting(leaf, key):
-                        self._leaf_table = None
-                    leaf.num_model_covered += 1
+                def insert_many(self, keys, tids):
+                    self._outliers.add_many(keys, tids)
+                    self._flat_view.record_insert_many(keys, tids)
 
-                def delete(self, leaf, key, tid):
-                    if leaf.outliers.remove(key, tid):
+                def delete(self, key, tid):
+                    if self._outliers.remove(key, tid):
                         self._flat_view.record_delete(key, tid)
 
-                def rebuild(self, node):
-                    self._root = node
-                    self._leaf_table = None
+                def build(self):
+                    self._outliers = OutlierBuffer()
                     self._flat_view.drop()
 
                 def count(self, leaf):
-                    return len(leaf.outliers) + leaf.num_model_covered
+                    return len(self._outliers) + leaf.num_model_covered
         """, self.RULE())
         assert findings == []
 

@@ -96,8 +96,8 @@ class TestPipelinesAgreeOnWorkloads:
                     assert isinstance(found, np.ndarray), label
                     assert found.dtype == np.int64, label
                     assert np.array_equal(found, mask), label
-        # Both pipelines read the TRS-Tree's flat structures; they must
-        # still equal a from-scratch flatten of the pointer tree.
+        # Both pipelines read the TRS-Tree's leaf table and outlier view;
+        # they must still form one well-shaped tree.
         setup.hermit.trs_tree.check_invariants()
 
 

@@ -1,5 +1,6 @@
 """Unit tests for the catalog, query model, executor and database facade."""
 
+import numpy as np
 import pytest
 
 from repro.engine.catalog import Catalog, IndexEntry, IndexMethod
@@ -13,7 +14,7 @@ from repro.engine.query import (
 from repro.errors import CatalogError, QueryError
 from repro.index.bptree import BPlusTree
 from repro.storage.identifiers import PointerScheme
-from repro.storage.schema import numeric_schema
+from repro.storage.schema import Column, TableSchema, numeric_schema
 from repro.storage.table import Table
 from repro.workloads.synthetic import generate_synthetic, load_synthetic
 
@@ -302,3 +303,93 @@ class TestDatabase:
         assert result.breakdown.primary_index_seconds == 0
         assert_locations(result, scan_locations(
             database.table(table_name), predicate))
+
+
+class TestNullTargets:
+    """A NULL target is stored as NaN and no range predicate matches it, so
+    the Hermit TRS-Tree keeps nothing for it: NULLs mixed into the load, the
+    inserts, the updates and the deletes leave the very tree the table
+    without them builds, and the answers equal the reference scan."""
+
+    SCHEMA = TableSchema("t", [Column("pk"), Column("host"),
+                               Column("target", nullable=True)],
+                         primary_key="pk")
+    PROBES = [(-np.inf, np.inf), (100.0, 400.0), (480.0, 520.0), (0.0, 0.0),
+              (990.0, 1_100.0)]
+
+    @staticmethod
+    def rows(rng, count: int, first_pk: float) -> dict:
+        target = rng.uniform(0.0, 1_000.0, size=count)
+        host = 1_000.0 / (1.0 + np.exp(-(target - 500.0) / 50.0))
+        host[::9] += 3_000.0                              # outliers
+        return {"pk": first_pk + np.arange(count, dtype=np.float64),
+                "host": host, "target": target}
+
+    @staticmethod
+    def with_nulls(rows: dict, count: int, first_pk: float) -> dict:
+        """``rows`` with ``count`` NULL-target rows spread among them."""
+        nulls = {"pk": first_pk + np.arange(count, dtype=np.float64),
+                 "host": np.linspace(0.0, 1_000.0, count),
+                 "target": np.full(count, np.nan)}
+        order = np.argsort(np.concatenate([
+            np.arange(rows["pk"].size), np.linspace(0, rows["pk"].size, count)]),
+            kind="stable")
+        return {name: np.concatenate([rows[name], nulls[name]])[order]
+                for name in rows}
+
+    def run(self, nulls: bool) -> Database:
+        rng = np.random.default_rng(5)
+        load, batch, singles = (self.rows(rng, 4_000, 0.0),
+                                self.rows(rng, 500, 10_000.0),
+                                self.rows(rng, 10, 20_000.0))
+        moved_in = self.rows(rng, 5, 30_000.0)
+        database = Database()
+        database.create_table(self.SCHEMA)
+        database.insert_many("t", self.with_nulls(load, 10, 50_000.0)
+                             if nulls else load)
+        database.create_index("idx_host", "t", "host", method=IndexMethod.BTREE)
+        database.create_index("idx_target", "t", "target",
+                              method=IndexMethod.HERMIT, host_column="host")
+        database.insert_many("t", self.with_nulls(batch, 50, 60_000.0)
+                             if nulls else batch)
+        for row in range(10):
+            database.insert("t", {name: singles[name][row] for name in singles})
+            if nulls:
+                database.insert("t", {"pk": 70_000.0 + row, "host": 1.0})
+        table = database.table("t")
+        slots, pks, targets = table.project(["pk", "target"])
+        null_slots = slots[np.isnan(targets)]
+        emptied = slots[np.isin(pks, load["pk"][:5])]
+        for row in range(5):
+            if nulls:   # a NULL row takes the values the clean table inserts
+                database.update("t", int(null_slots[row]), {
+                    name: moved_in[name][row] for name in moved_in})
+                database.update("t", int(emptied[row]), {"target": np.nan})
+            else:
+                database.insert("t", {name: moved_in[name][row]
+                                      for name in moved_in})
+                database.delete("t", int(emptied[row]))
+        if nulls:
+            slots, targets = table.project(["target"])
+            for slot in slots[np.isnan(targets)]:
+                database.delete("t", int(slot))
+        return database
+
+    def test_null_targets_leave_the_tree_and_the_answers_alone(self):
+        clean, mixed = self.run(nulls=False), self.run(nulls=True)
+        trees = [database.catalog.table_entry("t").indexes["idx_target"]
+                 .mechanism.trs_tree for database in (clean, mixed)]
+        for tree in trees:
+            tree.check_invariants()
+            assert tree.num_leaves > 1
+        shapes = [(tree.num_leaves, tree.height, tree.num_outliers,
+                   tree.memory_bytes(), tree.pending_reorganizations,
+                   tree._table.num_inserted.tolist(),
+                   tree._table.num_deleted.tolist()) for tree in trees]
+        assert shapes[0] == shapes[1]
+        for database in (clean, mixed):
+            for low, high in self.PROBES:
+                predicate = RangePredicate("target", low, high)
+                assert_locations(
+                    database.execute(QueryRequest.of("t", predicate)),
+                    scan_locations(database.table("t"), predicate))

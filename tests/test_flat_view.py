@@ -1,6 +1,6 @@
 """The write-maintained flat view equals a view rebuilt from scratch.
 
-``BPlusTree`` and ``TRSTree`` (for the outliers of all its leaves) answer
+``BPlusTree`` and ``TRSTree`` (for its tree-wide outlier buffer) answer
 probes from an array copy of their entries that mutators keep current by
 recording deltas (``repro.index.flat_view``).  The property here: after
 *every* step of an arbitrary interleaving of writes, the folded ``(keys,
@@ -35,7 +35,7 @@ from repro.segments import (
     split_segments,
 )
 
-from reference import trs_lookup_bfs
+from reference import trs_lookup_scan
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -112,7 +112,7 @@ class TreeOwner:
 
 
 class TrsOwner:
-    """The TRS-Tree side: every write lands in some leaf's outlier buffer.
+    """The TRS-Tree side: every write lands in the tree's outlier buffer.
 
     Eight leaves over [0, 9] (a kink on a child bound, off the piecewise
     candidates' knots, forces the root to split into exactly linear
@@ -144,7 +144,7 @@ class TrsOwner:
         return self.owner._outlier_view()
 
     def snapshot(self):
-        return self.owner._outlier_buckets()
+        return self.owner._outliers.buckets()
 
     def check_probes(self):
         tree = self.owner
@@ -154,7 +154,7 @@ class TrsOwner:
             got = batch.outliers_for(position).tolist()
             assert got == tree.lookup(key_range).outlier_tids.tolist()
             assert sorted(got, key=repr) == sorted(
-                trs_lookup_bfs(tree, key_range).outlier_tids, key=repr)
+                trs_lookup_scan(tree, key_range).outlier_tids, key=repr)
 
 
 def assert_view_matches_rebuild(subject) -> None:

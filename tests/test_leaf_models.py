@@ -75,7 +75,7 @@ class TestPiecewiseLinearModel:
 
     def test_boundary_value_routes_like_the_tree(self):
         model = self.make_model()
-        # 5.0 belongs to the right-hand segment, matching route_index.
+        # 5.0 belongs to the right-hand segment, matching route_indices.
         assert model.predict(5.0) == pytest.approx(5.0)
 
     def test_edge_segments_extrapolate(self):
@@ -204,10 +204,10 @@ class TestTreeLevelAdaptivity:
         n = np.array([10.0, 10.0, 10.0, 500.0, -500.0])
         tree = TRSTree(TRSTreeConfig(min_split_size=32))
         tree.build(m, n, np.arange(5))
-        leaf = tree.leaves()[0]
-        assert isinstance(leaf.model, OutlierOnlyModel)
-        assert leaf.num_model_covered == 0
-        assert len(leaf.outliers) == 5
+        table = tree._table
+        assert isinstance(table.models[0], OutlierOnlyModel)
+        assert table.num_model_covered[0] == 0
+        assert table.num_outliers[0] == tree.num_outliers == 5
         # Exact answers straight from the buffer, no host probe at all.
         result = tree.lookup(KeyRange(1.0, 1.004))
         assert result.host_ranges == []

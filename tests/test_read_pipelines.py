@@ -57,10 +57,9 @@ from repro.baselines.secondary import (
 from repro.cache.result_cache import ResultCacheConfig
 from repro.core.hermit import HermitIndex
 from repro.core.lookup import SecondaryMechanism
-from repro.core.node import TRSInternalNode, TRSLeafNode
 from repro.core.outliers import OutlierBuffer
 from repro.core.regression import LeafModel
-from repro.core.trs_tree import TRSTree
+from repro.core.trs_tree import LeafTable, TRSTree
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
 from repro.engine.query import QueryRequest, RangePredicate
@@ -363,30 +362,29 @@ SHARDED_OTHER = {
 }
 SERVER_SURFACE = {"submit", "submit_async", "query", "stats", "close"}
 
-# The TRS-Tree reads one flat structure (leaf table + tree-wide outlier
-# view) through exactly two methods; the pointer tree, its nodes and the
-# per-leaf buffers keep what construction, routing of writes and
-# reorganization need.
+# The TRS-Tree is one leaf table plus one tree-wide outlier buffer, read
+# through exactly two methods; only reorganization (and build) replaces
+# rows of the table.
 TRS_READS = {"lookup", "lookup_many"}
 TRS_OTHER = {
     "build", "insert", "insert_many", "delete", "update",
-    "reorganize", "reorganize_children", "rebuild_subtree",
-    "nodes", "leaves", "estimated_fp_ratio", "memory_bytes",
-    "check_invariants",
+    "reorganize", "reorganize_children", "estimated_fp_ratio",
+    "memory_bytes", "check_invariants",
 }
-LEAF_NODE = {"covers", "covers_many", "outlier_ratio", "deleted_ratio", "walk"}
-INTERNAL_NODE = {"child_for", "route_batch", "replace_child", "walk"}
-OUTLIER_BUFFER = {"add", "add_many", "remove", "buckets", "items", "clear",
-                  "memory_bytes"}
+LEAF_TABLE = {"replace"}
+OUTLIER_BUFFER = {"add", "add_many", "remove", "buckets"}
 LEAF_MODEL = {"predict", "covers", "covers_many", "host_range"}
 
 
 class TestReadSurfaceIsPinned:
     def test_trs_tree_surface(self):
         assert public_callables(TRSTree) == TRS_READS | TRS_OTHER
-        assert public_callables(TRSLeafNode) == LEAF_NODE
-        assert public_callables(TRSInternalNode) == INTERNAL_NODE
+        assert public_callables(LeafTable) == LEAF_TABLE
         assert public_callables(OutlierBuffer) == OUTLIER_BUFFER
+        # No pointer tree: the node module and its classes are gone.
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.node")
+        assert not {name for name in repro.core.__all__ if "Node" in name}
         assert {name for name in vars(LeafModel)
                 if not name.startswith("_")
                 and callable(getattr(LeafModel, name))} == LEAF_MODEL

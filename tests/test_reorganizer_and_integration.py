@@ -224,8 +224,8 @@ class TestReorganizeKeepsOutOfDomainRows:
     def test_reorganize_children(self, scheme):
         database, table_name, hermit = hermit_database(
             correlation="sigmoid", scheme=scheme)
-        assert not hermit.trs_tree.root.is_leaf
+        assert hermit.trs_tree.num_leaves > 1
         self.add_out_of_domain_rows(database, table_name)
-        last = len(hermit.trs_tree.root.children) - 1
+        last = hermit.trs_tree.config.node_fanout - 1
         hermit.reorganize_children([0, last])
         self.assert_exact(database, table_name, hermit)

@@ -1,10 +1,10 @@
-"""The flat reads of the TRS-Tree against a walk of its pointer tree.
+"""The reads of the TRS-Tree against a scan of every leaf.
 
 ``TRSTree.lookup`` (a scalar probe) and ``TRSTree.lookup_many`` (array
-passes) both read the tree's flat leaf table and its tree-wide outlier
-view.  The oracle is ``reference.trs_lookup_bfs`` — Algorithm 2 as the BFS
-over the pointer tree the engine used to ship — and both reads must agree
-with it for every leaf-model variant the builder can select (linear,
+passes) both read the tree's leaf table and its tree-wide outlier view.
+The oracle is ``reference.trs_lookup_scan`` — Algorithm 2 as a linear scan
+of the rows, with no bisect, no model table and no coalescing — and both
+reads must agree with it for every leaf-model variant the builder can select (linear,
 log-linear, piecewise, outlier-only demotion), every tree shape (single
 leaf, deep splits, empty build), every predicate position (inside the built
 domain, exactly on leaf bounds, straddling the domain's edges, fully
@@ -14,12 +14,15 @@ outside) and after any interleaving of writes and reorganizations.
 differs in one sanctioned way: ranges whose gap holds no representable
 float are coalesced (the candidate set cannot change), so the oracle's
 ranges go through the same rule (``normalise``) before the exact
-comparison.  Outlier tids are compared as multisets (the views are in key
-order, the walk in BFS leaf order).  ``nodes_visited`` equals
-``leaves_visited``: a flat probe visits no internal node.
+comparison.  Outlier tids are compared as multisets.  ``nodes_visited``
+equals ``leaves_visited``: the tree has no internal node to visit.  After
+every write, ``reference.assert_trs_contains`` checks the paper's "never
+miss" contract and ``check_invariants`` the table's shape.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
@@ -35,7 +38,7 @@ from repro.core.regression import (
 from repro.core.trs_tree import TRSTree, coalesce_sorted_ranges
 from repro.index.base import KeyRange
 
-from reference import trs_lookup_bfs
+from reference import assert_trs_contains, trs_lookup_scan
 
 SETTINGS = settings(max_examples=20, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -63,7 +66,7 @@ def assert_reads_match_oracle(tree: TRSTree,
     assert batch.num_queries == len(predicates)
     assert batch.nodes_visited.tolist() == batch.leaves_visited.tolist()
     for position, predicate in enumerate(predicates):
-        oracle = trs_lookup_bfs(tree, predicate)
+        oracle = trs_lookup_scan(tree, predicate)
         scalar = tree.lookup(predicate)
         assert scalar.host_ranges == oracle.host_ranges, (position, predicate)
         batch_ranges = [(r.low, r.high)
@@ -281,10 +284,14 @@ def provider_over(live):
     return provider
 
 
+def leaf_lows(tree: TRSTree) -> list[float]:
+    """Every leaf's built lower bound, in key order."""
+    return [tree._table.domain.low] + list(tree._table.bounds)
+
+
 def probes_for(tree: TRSTree) -> list[KeyRange]:
     """Inside / edge / outside positions, plus predicates on leaf bounds."""
-    bounds = sorted({bound for leaf in tree.leaves()
-                     for bound in (leaf.key_range.low, leaf.key_range.high)})
+    bounds = sorted(set(leaf_lows(tree)) | {tree._table.domain.high})
     picked = bounds[::max(1, len(bounds) // 12)]
     on_bounds = [KeyRange(bound, bound) for bound in picked]
     on_bounds += [KeyRange(low, high) for low, high in zip(picked, picked[2:])]
@@ -294,11 +301,13 @@ def probes_for(tree: TRSTree) -> list[KeyRange]:
 
 
 # A written target is a float anywhere around the domain, one of a few
-# integers (duplicates), or the k-th leaf bound of the tree as it stands.
+# integers (duplicates), the k-th leaf bound of the tree as it stands, or
+# NaN (a NULL: never stored, never matched).
 written_targets = st.one_of(
     st.floats(min_value=-300.0, max_value=1300.0, allow_nan=False),
     st.integers(min_value=-2, max_value=6).map(lambda k: 200.0 * k),
     st.integers(min_value=0, max_value=400).map(lambda k: ("bound", k)),
+    st.just(float("nan")),
 )
 # (target, covered?): a covered write sits exactly on its leaf's prediction.
 written_rows = st.tuples(written_targets, st.booleans())
@@ -314,27 +323,27 @@ operations = st.lists(st.one_of(
 ), max_size=10)
 
 
-class TestFlatReadsMatchThePointerTree:
+class TestReadsMatchTheLeafScan:
     def test_shapes_cover_every_model_family_and_an_empty_leaf(self):
         families = set()
         for shape in SHAPES:
             tree, _ = shaped_tree(shape, 3000 if shape != "noise" else 400, 0)
-            families |= {type(leaf.model) for leaf in tree.leaves()}
+            families |= set(map(type, tree._table.models))
         assert families == {LinearModel, LogLinearModel,
                             PiecewiseLinearModel, OutlierOnlyModel}
         tree, _ = shaped_tree("gapped", 3000, 0)
-        assert any(leaf.num_model_covered == 0 for leaf in tree.leaves())
+        assert (tree._table.num_model_covered == 0).any()
 
     def test_first_covered_insert_makes_an_empty_leaf_emit_in_place(self):
         tree, _ = shaped_tree("gapped", 3000, 0)
-        empty = next(leaf for leaf in tree.leaves()
-                     if leaf.num_model_covered == 0 and len(leaf.outliers) == 0)
-        target = (empty.key_range.low + empty.key_range.high) / 2.0
+        table = tree._table
+        row = next(row for row in range(len(table))
+                   if table.num_model_covered[row] == table.num_outliers[row] == 0)
+        target = (table.lows[row] + table.highs[row]) / 2.0
         point = [KeyRange(target, target)]
         assert tree.lookup_many(point).host_lows.size == 0
-        table = tree._leaf_table
-        tree.insert(target, empty.model.predict(target), 10 ** 6)
-        assert tree._leaf_table is table                 # flipped, not rebuilt
+        tree.insert(target, table.models[row].predict(target), 10 ** 6)
+        assert tree._table is table and table.num_model_covered[row] == 1
         assert tree.lookup_many(point).host_lows.size == 1
         assert len(tree.lookup(point[0]).host_ranges) == 1
         assert_reads_match_oracle(tree, probes_for(tree))
@@ -357,14 +366,22 @@ class TestFlatReadsMatchThePointerTree:
             """Resolve a drawn row to (target, host, tid) on the tree as is."""
             (target, covered) = row
             if isinstance(target, tuple):
-                leaves = tree.leaves()
-                target = leaves[target[1] % len(leaves)].key_range.low
-            host = (tree._traverse(target).model.predict(target) if covered
-                    else -1e7)
+                lows = leaf_lows(tree)
+                target = lows[target[1] % len(lows)]
+            host = -1e7
+            if covered and not np.isnan(target):
+                table = tree._table
+                model = table.models[bisect_right(table.bounds, target)]
+                host = model.predict(target)
             next_tid[0] += 1
             return float(target), float(host), next_tid[0]
 
-        assert_reads_match_oracle(tree, probes_for(tree))
+        def check():
+            assert_reads_match_oracle(tree, probes_for(tree))
+            if live:
+                assert_trs_contains(tree, *zip(*live))
+
+        check()
         for step in steps:
             kind = step[0]
             if kind == "insert":
@@ -392,7 +409,7 @@ class TestFlatReadsMatchThePointerTree:
                 targets, hosts, tids = provider_over(live)(
                     KeyRange(-np.inf, np.inf))
                 tree.build(targets, hosts, tids)
-            assert_reads_match_oracle(tree, probes_for(tree))
+            check()
 
 
 correlated_rows = st.lists(

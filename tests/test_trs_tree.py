@@ -1,15 +1,22 @@
 """Unit tests for TRS-Tree construction, lookup and maintenance."""
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import TRSTreeConfig
-from repro.core.node import route_index, route_indices
-from repro.core.trs_tree import TRSTree
+from repro.core.trs_tree import (
+    TRSTree,
+    equal_width_subranges,
+    partition_bounds,
+    route_indices,
+)
 from repro.errors import ConfigurationError, StorageError
 from repro.index.base import KeyRange
+from repro.storage.memory import trs_internal_bytes, trs_leaf_bytes
 
 
 def linear_data(count=2000, noise_positions=(), seed=0):
@@ -43,6 +50,18 @@ def hermit_style_answer(tree: TRSTree, hosts, targets, predicate: KeyRange):
         )
     return {tid for tid in candidates
             if predicate.contains(float(targets[int(tid)]))}
+
+
+def row_of(tree: TRSTree, target: float) -> int:
+    """The leaf a write of ``target`` is routed to."""
+    return bisect_right(tree._table.bounds, target)
+
+
+def built_range(tree: TRSTree, row: int) -> KeyRange:
+    """Leaf ``row``'s range as built (not edge-open)."""
+    lows = [tree._table.domain.low] + tree._table.bounds
+    highs = tree._table.bounds + [tree._table.domain.high]
+    return KeyRange(lows[row], highs[row])
 
 
 class TestConfig:
@@ -201,8 +220,8 @@ class TestEmptyLeafProbes:
         targets, hosts, tids = self.clustered_data()
         tree = TRSTree()
         tree.build(targets, hosts, tids, value_range=KeyRange(0.0, 1000.0))
-        empty_leaves = [leaf for leaf in tree.leaves() if leaf.num_covered == 0]
-        assert empty_leaves, "expected leaves over the empty sub-ranges"
+        assert (tree._table.num_covered == 0).any(), \
+            "expected leaves over the empty sub-ranges"
         # A probe entirely inside the empty gap returns nothing at all —
         # previously every overlapped empty leaf contributed a spurious
         # [alpha - eps, alpha + eps] host probe.
@@ -219,15 +238,14 @@ class TestEmptyLeafProbes:
         targets, hosts, tids = linear_data()
         tree = TRSTree()
         tree.build(targets, hosts, tids)
-        leaf = tree.leaves()[0]
-        before = leaf.num_model_covered
+        before = int(tree._table.num_model_covered[0])
         tree.insert(500.0, 2.0 * 500.0 + 5.0, 424242)
-        assert leaf.num_model_covered == before + 1
+        assert tree._table.num_model_covered[0] == before + 1
         assert tree.lookup(KeyRange(499.0, 501.0)).host_ranges
 
 
 class TestRoutingParity:
-    """Scalar and batched insertion must agree on every leaf assignment."""
+    """Build, scalar and batched writes and reads must agree on every leaf."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -237,13 +255,17 @@ class TestRoutingParity:
         st.integers(min_value=0, max_value=16),
         st.sampled_from([0.0, 1e-300, -1e-300]),
     )
-    def test_scalar_matches_vectorized_on_boundaries(self, low, width, fanout,
-                                                     boundary, jitter):
-        """Adversarial values exactly on (and a hair off) child boundaries."""
+    def test_build_partition_matches_bisect_over_table_bounds(
+            self, low, width, fanout, boundary, jitter):
+        """Adversarial values exactly on (and a hair off) child boundaries:
+        the build's ``route_indices`` files them where a ``bisect_right``
+        over the leaf table's bounds — the partition bounds themselves —
+        routes writes and reads."""
         key_range = KeyRange(low, low + width)
+        assume(key_range.width > 0)  # a zero-width node never splits
         # Both ways a boundary can be computed: cumulative steps and the
         # direct fraction — under float rounding they can differ, which is
-        # precisely where the old mask-based and arithmetic routings split.
+        # precisely where mask-based and arithmetic routings split.
         step = key_range.width / fanout
         candidates = [
             low + min(boundary, fanout) * step,
@@ -251,9 +273,9 @@ class TestRoutingParity:
         ]
         values = np.array([min(max(v + jitter, low), low + width)
                            for v in candidates])
-        batched = route_indices(values, key_range, fanout)
-        for value, routed in zip(values, batched):
-            assert route_index(float(value), key_range, fanout) == routed
+        bounds = partition_bounds(key_range, fanout)[1:-1]
+        assert route_indices(values, key_range, fanout).tolist() == [
+            bisect_right(bounds, float(value)) for value in values]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -271,7 +293,6 @@ class TestRoutingParity:
         one ulp below a computed bound into the child *above* it (found by
         review with low=-966.9447289429418, width≈813.27, fanout=6).
         """
-        from repro.core.node import equal_width_subranges
         key_range = KeyRange(low, low + width)
         subranges = equal_width_subranges(key_range, fanout)
         bound = subranges[min(boundary, fanout - 1)].low
@@ -279,13 +300,12 @@ class TestRoutingParity:
                   float(np.nextafter(bound, np.inf))]
         probes = [p for p in probes if key_range.low <= p <= key_range.high]
         for value in probes:
-            child = int(route_index(value, key_range, fanout))
+            child = int(route_indices(np.array([value]), key_range, fanout)[0])
             assert subranges[child].contains(value)
 
     def test_review_repro_boundary_tuple_not_lost(self):
         """End-to-end repro from review: a tuple 1 ulp below a child bound
         must stay reachable by a point lookup."""
-        from repro.core.node import equal_width_subranges
         key_range = KeyRange(-966.9447289429418, -153.67448955593954)
         subranges = equal_width_subranges(key_range, 6)
         value = float(np.nextafter(subranges[5].low, -np.inf))
@@ -314,26 +334,18 @@ class TestRoutingParity:
         scalar_tree, batched_tree = build(), build()
         # Values sitting exactly on every internal boundary of the built
         # tree, inserted as guaranteed outliers (host far off any band).
-        boundaries = sorted({leaf.key_range.low for leaf in scalar_tree.leaves()}
-                            | {leaf.key_range.high for leaf in scalar_tree.leaves()})
-        new_targets = np.array(boundaries)
-        new_hosts = np.full(len(boundaries), 1e9)
-        new_tids = np.arange(10_000, 10_000 + len(boundaries))
+        new_targets = np.array(scalar_tree._table.bounds)
+        new_hosts = np.full(len(new_targets), 1e9)
+        new_tids = np.arange(10_000, 10_000 + len(new_targets))
         for value, host, tid in zip(new_targets, new_hosts, new_tids):
             scalar_tree.insert(float(value), float(host), int(tid))
         batched_tree.insert_many(new_targets, new_hosts, new_tids)
 
-        def placement(tree):
-            return {
-                tid: (leaf.key_range.low, leaf.key_range.high)
-                for leaf in tree.leaves()
-                for _, tid in leaf.outliers.items()
-            }
-
-        scalar_placement = placement(scalar_tree)
-        batched_placement = placement(batched_tree)
-        for tid in new_tids:
-            assert scalar_placement[int(tid)] == batched_placement[int(tid)]
+        for counter in ("num_outliers", "num_inserted", "num_model_covered"):
+            assert np.array_equal(getattr(scalar_tree._table, counter),
+                                  getattr(batched_tree._table, counter))
+        # A value on a bound belongs to the leaf starting there.
+        assert scalar_tree._table.num_outliers[1:].min() >= 1
 
 
 class TestMaintenance:
@@ -370,6 +382,21 @@ class TestMaintenance:
         assert 77777 not in tree.lookup(KeyRange(499.0, 501.0)).outlier_tids
         assert 77777 in tree.lookup(KeyRange(699.0, 701.0)).outlier_tids
 
+    def test_nan_target_is_not_stored_but_a_nan_host_is_an_outlier(self):
+        targets, hosts, tids = linear_data()
+        tree = TRSTree()
+        tree.build(np.append(targets, np.nan), np.append(hosts, 1.0),
+                   np.append(tids, 5000))
+        assert tree._table.domain == KeyRange(targets.min(), targets.max())
+        tree.insert(np.nan, 1.0, 5001)
+        tree.insert_many([np.nan, 250.0], [1.0, np.nan], [5002, 5003])
+        tree.update(np.nan, 1.0, np.nan, 2.0, 5001)
+        tree.delete(np.nan, 1.0, 5002)
+        assert tree.num_outliers == 1  # the NaN host, under its own target
+        assert tree.lookup(KeyRange(250.0, 250.0)).outlier_tids.tolist() == [5003]
+        assert tree._table.num_inserted.tolist() == [1]
+        assert tree._table.num_deleted.tolist() == [0]
+
     def test_maintenance_on_empty_tree_is_noop(self):
         tree = TRSTree()
         tree.insert(1.0, 1.0, 1)
@@ -397,33 +424,28 @@ class TestHonestCounters:
 
     def test_noop_delete_does_not_count(self):
         tree, _, _ = self.build_tree()
-        leaf = tree.leaves()[0]
         # Neither an outlier entry nor inside the band: the pair was never
         # in the tree, so the delete must leave the counters alone.
         for _ in range(50):
             tree.delete(500.0, 1e9, 999_999)
-        assert leaf.num_deleted == 0
-        assert leaf.deleted_ratio() == 0.0
+        assert tree._table.num_deleted[0] == 0
 
     def test_covered_delete_counts_once(self):
         tree, targets, hosts = self.build_tree()
-        leaf = tree.leaves()[0]
         tree.delete(float(targets[0]), float(hosts[0]), 0)
-        assert leaf.num_deleted == 1
+        assert tree._table.num_deleted[0] == 1
 
     def test_outlier_delete_counts_via_removal(self):
         tree, _, _ = self.build_tree()
-        leaf = tree.leaves()[0]
         tree.insert(500.0, 1e9, 777)
-        assert len(leaf.outliers) == 1
+        assert tree._table.num_outliers[0] == tree.num_outliers == 1
         tree.delete(500.0, 1e9, 777)
-        assert len(leaf.outliers) == 0
-        assert leaf.num_deleted == 1
+        assert tree._table.num_outliers[0] == tree.num_outliers == 0
+        assert tree._table.num_deleted[0] == 1
 
     def test_update_within_leaf_does_not_inflate_counters(self):
         """An in-place move is not a delete plus an insert."""
         tree, targets, hosts = self.build_tree()
-        leaf = tree.leaves()[0]
         value = float(targets[10])
         host = float(hosts[10])
         # 300 covered-pair updates within the single leaf: population is
@@ -433,9 +455,8 @@ class TestHonestCounters:
             new_host = 2.0 * new_value + 5.0
             tree.update(value, host, new_value, new_host, 10)
             value, host = new_value, new_host
-        assert leaf.num_deleted == 0
-        assert leaf.num_inserted == 0
-        assert leaf.deleted_ratio() == 0.0
+        assert tree._table.num_deleted[0] == 0
+        assert tree._table.num_inserted[0] == 0
         assert tree.pending_reorganizations == 0
 
     def test_over_deleting_one_covered_pair_cannot_silence_the_probe(self):
@@ -443,10 +464,9 @@ class TestHonestCounters:
         bound — repeated deletes of one covered pair must not drive it to
         zero and drop the host range while covered tuples still exist."""
         tree, targets, hosts = self.build_tree(count=500)
-        leaf = tree.leaves()[0]
         for _ in range(505):
             tree.delete(float(targets[0]), float(hosts[0]), 0)
-        assert leaf.num_model_covered > 0
+        assert tree._table.num_model_covered[0] > 0
         probe = KeyRange(0.0, 1000.0)
         result = tree.lookup(probe)
         assert result.host_ranges  # the 499 remaining tuples stay reachable
@@ -458,20 +478,21 @@ class TestHonestCounters:
         tree = TRSTree(TRSTreeConfig(node_fanout=4, max_height=3))
         tree.build(targets, hosts, np.arange(4000))
         assert tree.num_leaves > 1
-        old_leaf = tree._traverse(float(targets[0]))
+        old_row = row_of(tree, float(targets[0]))
         # Move the tuple to a target owned by a different leaf.
         new_target = float(targets[0]) + 500.0 if targets[0] < 400.0 \
             else float(targets[0]) - 500.0
-        new_leaf = tree._traverse(new_target)
-        assert new_leaf is not old_leaf
-        deleted_before = old_leaf.num_deleted
-        inserted_before = new_leaf.num_inserted
+        new_row = row_of(tree, new_target)
+        assert new_row != old_row
+        table = tree._table
+        deleted_before = int(table.num_deleted[old_row])
+        inserted_before = int(table.num_inserted[new_row])
         tree.update(float(targets[0]), float(hosts[0]), new_target, 12345.0, 0)
-        assert old_leaf.num_deleted == deleted_before + 1
-        assert new_leaf.num_inserted == inserted_before + 1
+        assert table.num_deleted[old_row] == deleted_before + 1
+        assert table.num_inserted[new_row] == inserted_before + 1
 
     def test_noop_updates_do_not_flag_spurious_merges(self):
-        """Repeated no-op updates used to inflate deleted_ratio past the
+        """Repeated no-op updates used to inflate the deleted ratio past the
         merge threshold even though no tuple ever left the leaf."""
         rng = np.random.default_rng(22)
         targets = rng.uniform(0.0, 1000.0, size=4000)
@@ -479,17 +500,18 @@ class TestHonestCounters:
         tree = TRSTree(TRSTreeConfig(node_fanout=4, max_height=3))
         tree.build(targets, hosts, np.arange(4000))
         assert tree.num_leaves > 1  # leaves have parents, merges possible
-        leaf = next(l for l in tree.leaves() if l.num_model_covered > 0)
-        value = (leaf.key_range.low + leaf.key_range.high) / 2.0
-        covered_host = leaf.model.predict(value)
+        table = tree._table
+        row = int(np.flatnonzero(table.num_model_covered > 0)[0])
+        leaf_range = built_range(tree, row)
+        value = (leaf_range.low + leaf_range.high) / 2.0
+        covered_host = table.models[row].predict(value)
         # Old pair never present (no outlier entry, far outside any band);
         # new pair covered.  Run far past the merge threshold
         # (outlier_ratio * num_covered): nothing may be counted as deleted
         # and no merge may be flagged.
-        for _ in range(leaf.num_covered + 10):
+        for _ in range(int(table.num_covered[row]) + 10):
             tree.update(value, 1e9, value, covered_host, 888_888)
-        assert leaf.num_deleted == 0
-        assert leaf.deleted_ratio() == 0.0
+        assert table.num_deleted[row] == 0
         assert tree.pending_reorganizations == 0
 
 
@@ -565,8 +587,18 @@ class TestReorganization:
         assert hermit_style_answer(tree, hosts, targets, probe) == \
             brute_force(targets, probe)
 
-    def test_memory_accounting_walks_all_nodes(self):
+    def test_memory_accounting_prices_leaves_and_internal_nodes(self):
         tree, _, _ = self.build_with_provider()
-        single_leaf_bytes = tree.memory_bytes()
-        assert single_leaf_bytes > 0
-        assert tree.num_nodes == tree.num_leaves
+        assert tree.num_leaves == 1
+        assert tree.memory_bytes() == trs_leaf_bytes(0)
+        rng = np.random.default_rng(10)
+        targets = rng.uniform(0.0, 1000.0, size=3000)
+        fanout = 4
+        split = TRSTree(TRSTreeConfig(node_fanout=fanout, max_height=4))
+        split.build(targets, np.sin(targets / 20.0) * 1000.0, np.arange(3000))
+        table = split._table
+        internal = (split.num_leaves - 1) // (fanout - 1)
+        assert (split.num_leaves - 1) % (fanout - 1) == 0 and internal >= 1
+        assert split.memory_bytes() == (
+            sum(trs_leaf_bytes(count) for count in table.num_outliers.tolist())
+            + internal * trs_internal_bytes(fanout))
