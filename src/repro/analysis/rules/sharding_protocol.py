@@ -15,8 +15,8 @@ collects:
   ``command`` (the dispatcher's ``if command == "...":`` chain, plus the
   transport loop's ``"close"`` arm);
 * **sent** commands — string-constant command arguments of ``.send`` /
-  ``._call`` / ``._broadcast`` calls, including the ``(command,
-  payload)`` tuple form.
+  ``._post`` / ``._call`` / ``._broadcast`` calls, including the
+  ``(command, payload)`` tuple form.
 
 Replies travel the other direction inside a fixed two-status envelope —
 ``("ok", result)`` / ``("error", error)`` — which is part of the
@@ -35,10 +35,11 @@ from typing import Iterator, Sequence
 
 from repro.analysis.framework import Finding, Module, Rule, register
 
-SEND_ATTRS = frozenset({"send", "_call", "_broadcast"})
+SEND_ATTRS = frozenset({"send", "_post", "_call", "_broadcast"})
 
-#: ``_call(shard_index, command, ...)`` carries the command second.
-COMMAND_ARG_INDEX = {"send": 0, "_broadcast": 0, "_call": 1}
+#: ``_call(shard_index, command, ...)`` and ``_post(shard_indexes,
+#: command, ...)`` carry the command second.
+COMMAND_ARG_INDEX = {"send": 0, "_broadcast": 0, "_call": 1, "_post": 1}
 
 #: The worker→router reply envelope; fixed by the protocol, not commands.
 REPLY_STATUSES = frozenset({"ok", "error"})

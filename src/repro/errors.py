@@ -80,6 +80,10 @@ class ServingError(ReproError):
     """The serving front end rejected a request (server closed, ...)."""
 
 
+class ShardError(ReproError):
+    """A shard worker process exited without answering a command."""
+
+
 class CatalogError(ReproError):
     """The catalog rejected an operation (unknown table, duplicate index, ...)."""
 

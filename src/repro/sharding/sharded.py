@@ -19,7 +19,8 @@ Routing rules:
 * **Reads** fan out to *every* shard: Hermit's whole premise is secondary
   predicates over non-key columns, and those do not align with a
   primary-key partitioning — any shard may hold matching rows.  Per-shard
-  results come back as packed segment batches and are merged per request.
+  results come back as packed segment batches and merge as segments, with
+  no per-request sort (see :meth:`ShardedDatabase.execute_many`).
 
 Row locations are globalised as ``shard_index * LOCATION_STRIDE + local``
 so they survive the round-trip through callers that later delete/update by
@@ -34,11 +35,13 @@ Two transports share one command dispatcher
 (:func:`repro.sharding.worker.dispatch_command`):
 
 * ``mode="process"`` — one worker process per shard over a
-  ``multiprocessing`` pipe; a fan-out sends to all shards before receiving
-  from any, so shards execute concurrently.  This is the parallel path the
-  sharding benchmark measures.
-* ``mode="inline"`` — the same shard databases in-process, no pipes.
-  Deterministic and cheap; what the equivalence tests use.
+  ``multiprocessing`` pipe; a fan-out pickles its command once and sends
+  the bytes to all shards before receiving from any, so shards execute
+  concurrently.  This is the parallel path the sharding benchmark
+  measures.  A worker that dies fails the command with
+  :class:`~repro.errors.ShardError` instead of hanging the router.
+* ``mode="inline"`` — the same shard databases in-process, no pipes and
+  no pickling.  Deterministic and cheap; what the equivalence tests use.
 
 Writes are atomic per shard only: a multi-shard ``insert_many`` that fails
 validation on one shard may have already applied on another (the fan-out
@@ -50,6 +53,8 @@ already offers — one logical batch, applied in shard order.
 from __future__ import annotations
 
 import multiprocessing
+from multiprocessing.connection import wait
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Sequence
 
 import numpy as np
@@ -60,7 +65,8 @@ from repro.core.lookup import LookupBreakdown
 from repro.engine.database import Database
 from repro.engine.planner import PlannerCacheStats
 from repro.engine.query import QueryRequest, QueryResult
-from repro.errors import CatalogError, ConfigurationError
+from repro.errors import CatalogError, ConfigurationError, ShardError
+from repro.segments import interleave_segments, split_segments
 from repro.sharding.worker import dispatch_command, shard_worker_main
 from repro.storage.identifiers import PointerScheme
 from repro.storage.schema import TableSchema
@@ -82,9 +88,10 @@ def uniform_boundaries(low: float, high: float,
 class _InlineShard:
     """In-process shard: commands dispatch directly, replies are queued.
 
-    Mirrors the process shard's send/receive split so the router's fan-out
-    code is transport-agnostic, and runs the identical
-    :func:`~repro.sharding.worker.dispatch_command` body.
+    Mirrors the process shard's encode/post/receive split so the router's
+    fan-out code is transport-agnostic, and runs the identical
+    :func:`~repro.sharding.worker.dispatch_command` body.  Messages stay
+    objects: nothing is pickled in-process.
     """
 
     def __init__(self, pointer_scheme: PointerScheme,
@@ -95,10 +102,14 @@ class _InlineShard:
                                  result_cache=result_cache)
         self._replies: list[tuple[str, Any]] = []
 
-    def send(self, command: str, payload: Any) -> None:
+    @staticmethod
+    def encode(command: str, payload: Any) -> tuple[str, Any]:
+        return command, payload
+
+    def post(self, message: tuple[str, Any]) -> None:
         try:
             self._replies.append(
-                ("ok", dispatch_command(self.database, command, payload)))
+                ("ok", dispatch_command(self.database, *message)))
         except BaseException as error:  # noqa: BLE001 - symmetric transport
             self._replies.append(("error", error))
 
@@ -110,11 +121,17 @@ class _InlineShard:
 
 
 class _ProcessShard:
-    """One worker process per shard, spoken to over a duplex pipe."""
+    """One worker process per shard, spoken to over a duplex pipe.
 
-    def __init__(self, pointer_scheme: PointerScheme,
+    A message is the pickle ``Connection.send`` would have written, so the
+    worker's ``recv()`` reads it unchanged; encoding it once lets a fan-out
+    hand the same bytes to every shard.
+    """
+
+    def __init__(self, index: int, pointer_scheme: PointerScheme,
                  trs_config: TRSTreeConfig,
                  result_cache: "ResultCacheConfig | None" = None) -> None:
+        self._index = index
         context = multiprocessing.get_context()
         self._connection, child = context.Pipe()
         self._process = context.Process(
@@ -125,11 +142,33 @@ class _ProcessShard:
         self._process.start()
         child.close()
 
-    def send(self, command: str, payload: Any) -> None:
-        self._connection.send((command, payload))
+    @staticmethod
+    def encode(command: str, payload: Any) -> memoryview:
+        return ForkingPickler.dumps((command, payload))
+
+    def post(self, message: memoryview) -> None:
+        try:
+            self._connection.send_bytes(message)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the worker is gone; receive() reports it
 
     def receive(self) -> tuple[str, Any]:
-        return self._connection.recv()
+        """The next reply; a :class:`ShardError` one if the worker died.
+
+        Waits on the pipe and the process sentinel together, so a worker
+        that exits without replying fails the command instead of blocking
+        the router forever.
+        """
+        ready = wait([self._connection, self._process.sentinel])
+        if self._connection in ready:
+            try:
+                return self._connection.recv()
+            except EOFError:
+                pass
+        self._process.join(timeout=5.0)
+        return "error", ShardError(
+            f"shard {self._index} worker exited with code "
+            f"{self._process.exitcode} before replying")
 
     def close(self) -> None:
         try:
@@ -173,9 +212,14 @@ class ShardedDatabase:
         self.num_shards = num_shards
         self.mode = mode
         self.pointer_scheme = pointer_scheme
-        shard_class = _ProcessShard if mode == "process" else _InlineShard
-        self._shards = [shard_class(pointer_scheme, trs_config, result_cache)
-                        for _ in range(num_shards)]
+        settings = (pointer_scheme, trs_config, result_cache)
+        if mode == "process":
+            self._shards = [_ProcessShard(index, *settings)
+                            for index in range(num_shards)]
+        else:
+            self._shards = [_InlineShard(*settings)
+                            for _ in range(num_shards)]
+        self._encode = self._shards[0].encode
         self._schemas: dict[str, TableSchema] = {}
         self._boundaries: dict[str, np.ndarray] = {}
         self._closed = False
@@ -183,17 +227,25 @@ class ShardedDatabase:
     # ------------------------------------------------------------------
     # Transport plumbing
 
-    def _drain(self, shards: "Sequence[tuple[int, Any]]") -> list[Any]:
+    def _post(self, shard_indexes: Sequence[int], command: str,
+              payload: Any) -> None:
+        """Encode ``(command, payload)`` once; post it to every listed shard."""
+        message = self._encode(command, payload)
+        for shard_index in shard_indexes:
+            self._shards[shard_index].post(message)
+
+    def _drain(self, shard_indexes: Sequence[int]) -> list[Any]:
         """Receive one reply per listed shard; raise only after draining.
 
         Raising on the first error would leave later replies unread and
         desynchronise those pipes for every subsequent command, so errors
-        are collected and the first one re-raised once all replies are in.
+        (a dead worker's :class:`ShardError` included) are collected and
+        the first one re-raised once all replies are in.
         """
         values: list[Any] = []
         first_error: BaseException | None = None
-        for _, shard in shards:
-            status, value = shard.receive()
+        for shard_index in shard_indexes:
+            status, value = self._shards[shard_index].receive()
             if status == "error" and first_error is None:
                 first_error = value
             values.append(value)
@@ -203,14 +255,13 @@ class ShardedDatabase:
 
     def _broadcast(self, command: str, payload: Any) -> list[Any]:
         """Send one command to every shard, then gather every reply."""
-        for shard in self._shards:
-            shard.send(command, payload)
-        return self._drain(list(enumerate(self._shards)))
+        everyone = range(self.num_shards)
+        self._post(everyone, command, payload)
+        return self._drain(everyone)
 
     def _call(self, shard_index: int, command: str, payload: Any) -> Any:
-        shard = self._shards[shard_index]
-        shard.send(command, payload)
-        return self._drain([(shard_index, shard)])[0]
+        self._post([shard_index], command, payload)
+        return self._drain([shard_index])[0]
 
     # ------------------------------------------------------------------
     # Routing helpers
@@ -325,9 +376,9 @@ class ShardedDatabase:
                        else [values[i] for i in positions.tolist()])
                 for name, values in columns.items()
             }
-            self._shards[shard_index].send("insert_many", (table_name, part))
+            self._post([shard_index], "insert_many", (table_name, part))
             involved.append((shard_index, positions))
-        replies = self._drain([(i, self._shards[i]) for i, _ in involved])
+        replies = self._drain([shard_index for shard_index, _ in involved])
         for (shard_index, positions), locations in zip(involved, replies):
             global_locations[positions] = (
                 np.asarray(locations, dtype=np.int64)
@@ -380,14 +431,20 @@ class ShardedDatabase:
                      requests: Sequence[QueryRequest]) -> list[QueryResult]:
         """Answer a request batch: fan out to every shard, merge per request.
 
-        All shards receive the whole batch before any reply is read, so
-        under ``mode="process"`` the shards execute concurrently.  Each
-        request's merged result is the sorted concatenation of the
-        per-shard location sets (globalised); ``used_index`` and
-        ``group_size`` are reported from shard 0 (shards plan
-        independently but against identically-partitioned catalogs, so
-        they agree in practice), ``breakdown`` is the batch total across
-        shards, and ``epoch`` is ``None`` — see the module docstring.
+        All shards receive the whole batch — encoded once — before any
+        reply is read, so under ``mode="process"`` the shards execute
+        concurrently.  Each request's merged result is the shard-order
+        concatenation of the globalised per-shard location sets, and that
+        needs no sort: every shard's set is sorted and duplicate-free (the
+        ``QueryResult.locations`` contract), and globalising puts shard
+        ``s``'s set inside ``[s * LOCATION_STRIDE, (s + 1) *
+        LOCATION_STRIDE)``, so the shard-order concatenation is already
+        ascending.  The whole batch merges as one segmented pass per shard.
+        ``used_index`` and ``group_size`` are reported from shard 0
+        (shards plan independently but against identically-partitioned
+        catalogs, so they agree in practice), ``breakdown`` is the batch
+        total across shards, and ``epoch`` is ``None`` — see the module
+        docstring.
         """
         requests = list(requests)
         if not requests:
@@ -396,24 +453,19 @@ class ShardedDatabase:
         merged_breakdown = LookupBreakdown()
         for reply in replies:
             merged_breakdown.merge(reply[5])
-        results: list[QueryResult] = []
-        for position in range(len(requests)):
-            pieces = []
-            for shard_index, reply in enumerate(replies):
-                values, offsets = reply[0], reply[1]
-                segment = values[offsets[position]:offsets[position + 1]]
-                if segment.size:
-                    pieces.append(segment + shard_index * LOCATION_STRIDE)
-            merged = (np.sort(np.concatenate(pieces)) if pieces
-                      else np.empty(0, dtype=np.int64))
-            results.append(QueryResult(
-                locations=merged,
-                breakdown=merged_breakdown,
-                used_index=replies[0][2][position],
-                group_size=replies[0][3][position],
-                epoch=None,
-            ))
-        return results
+        values, offsets = replies[0][0], replies[0][1]
+        for shard_index, reply in enumerate(replies[1:], start=1):
+            values, offsets = interleave_segments(
+                values, offsets,
+                reply[0] + shard_index * LOCATION_STRIDE, reply[1])
+        return [
+            QueryResult(locations=locations, breakdown=merged_breakdown,
+                        used_index=used_index, group_size=group_size,
+                        epoch=None)
+            for locations, used_index, group_size in zip(
+                split_segments(values, offsets), replies[0][2],
+                replies[0][3])
+        ]
 
     def execute(self, request: QueryRequest) -> QueryResult:
         """Answer one request (thin wrapper over :meth:`execute_many`)."""

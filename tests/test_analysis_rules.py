@@ -451,12 +451,25 @@ class TestShardingProtocolHygiene:
         assert [f.rule for f in findings] == ["REP005"]
         assert "'compact'" in findings[0].message
 
+    def test_fires_on_unregistered_command_posted(self):
+        findings = analyze_modules(
+            self._modules("""
+                class Router:
+                    def go(self):
+                        self._post([0, 1], "compact", None)
+            """),
+            rules=[self.RULE()],
+        )
+        assert [f.rule for f in findings] == ["REP005"]
+        assert "'compact'" in findings[0].message
+
     def test_quiet_on_registered_commands(self):
         findings = analyze_modules(
             self._modules("""
                 class Router:
                     def go(self, shard):
                         self._broadcast("insert_many", None)
+                        self._post([1], "insert_many", None)
                         self._call(0, "fetch", (1, 2))
                         shard.send(("close", None))
             """),

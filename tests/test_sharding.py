@@ -12,11 +12,14 @@ global locations resolve.
 
 Most tests run ``mode="inline"`` (deterministic, no processes) — inline
 and process shards share one command dispatcher, so the process tests only
-need to cover the transport itself (pickling, pipe sync after errors,
-concurrent fan-out) plus one end-to-end trace.
+need to cover the transport itself (pickling, pipe sync after errors, a
+dead worker, concurrent fan-out) plus one end-to-end trace.
 """
 
 from __future__ import annotations
+
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ import pytest
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
 from repro.engine.query import QueryRequest, RangePredicate, conjunction
-from repro.errors import CatalogError, ConfigurationError
+from repro.errors import CatalogError, ConfigurationError, ShardError
 from repro.serving.server import Server
 from repro.sharding import LOCATION_STRIDE, ShardedDatabase, uniform_boundaries
 from repro.storage.identifiers import PointerScheme
@@ -107,6 +110,14 @@ def run_trace(reference: Database, sharded: ShardedDatabase) -> None:
     requests.append(QueryRequest.of("trace", conjunction(
         RangePredicate("target", 200.0, 900.0),
         RangePredicate("host", 1000.0, 2400.0))))
+    # Merge edge cases: a range no row matches, matches that all live on
+    # the last shard, and a point probe that hits one row.
+    requests.append(QueryRequest.range("trace", "target", 5000.0, 6000.0))
+    requests.append(QueryRequest.of("trace", conjunction(
+        RangePredicate("target", 0.0, 1000.0),
+        RangePredicate("pk", 3000.0, DOMAIN + 100.0))))
+    requests.append(QueryRequest.point("trace", "target",
+                                       float(columns["target"][500])))
 
     ref_results = reference.execute_many(requests)
     shard_results = sharded.execute_many(requests)
@@ -115,6 +126,11 @@ def run_trace(reference: Database, sharded: ShardedDatabase) -> None:
         # The merged result honours the same contract as a single engine's.
         assert_locations(shard, shard.locations)
         assert_locations(sharded.execute(requests[position]), shard.locations)
+    no_match, last_shard_only, point = shard_results[-3:]
+    assert no_match.locations.size == 0
+    assert set((last_shard_only.locations // LOCATION_STRIDE).tolist()) == {
+        sharded.num_shards - 1}
+    assert point.locations.size == 1
     assert sharded.num_rows("trace") == reference.catalog.table_entry(
         "trace").table.num_rows
 
@@ -173,6 +189,40 @@ class TestProcessTransport:
                 "target": np.array([0.0, 1.0]),
             })
             assert sharded.shard_row_counts("trace") == [1, 1]
+
+    def test_dead_worker_raises_instead_of_hanging(self):
+        with ShardedDatabase(num_shards=2, mode="process") as sharded:
+            sharded.create_table(create_schema(),
+                                 uniform_boundaries(0.0, DOMAIN, 2))
+            sharded.insert_many("trace", {
+                "pk": np.array([1.0, 3000.0]),
+                "host": np.array([0.0, 1.0]),
+                "target": np.array([0.0, 1.0]),
+            })
+            worker = sharded._shards[1]._process
+            worker.kill()
+            worker.join(timeout=5.0)
+            request = QueryRequest.range("trace", "target", 0.0, 10.0)
+            errors: list[ShardError] = []
+
+            def read_twice() -> None:
+                for _ in range(2):
+                    try:
+                        sharded.execute_many([request])
+                    except ShardError as error:
+                        errors.append(error)
+
+            # A hang must fail the test, not stall the suite: call from a
+            # daemon thread and give up on it after a bounded wait.
+            caller = threading.Thread(target=read_twice, daemon=True)
+            caller.start()
+            caller.join(timeout=30.0)
+            assert not caller.is_alive(), "execute_many hung on a dead worker"
+            assert len(errors) == 2
+            assert f"shard 1 worker exited with code {-signal.SIGKILL}" in str(
+                errors[0])
+            # The live shard's replies were drained: it still answers in step.
+            assert sharded._call(0, "num_rows", "trace") == 1
 
 
 class TestRoutingAndLocations:
