@@ -6,10 +6,14 @@ turns lookups into array probes.  The view only stays correct if it hears
 about every write, so **every** method that mutates entry state must either
 *record* what it did through the view's own helpers
 (``self._flat_view.record_insert`` / ``record_insert_many`` /
-``record_delete`` — the next probe folds the record in) or *drop* the view
-(``self._flat_view.drop()``).  A new mutator that does neither produces
+``record_delete`` — the next probe folds the record in), *drop* the view
+(``self._flat_view.drop()``) or, when it rebuilt the owner from one sorted
+run, hand that run over as the new view (``self._flat_view.adopt(...)``).
+A new mutator that does none of these produces
 silently stale results, which no test notices until a workload happens to
-interleave that mutator with lookups.
+interleave that mutator with lookups.  (``adopt`` is trusted to be handed
+the owner's true contents; the tests compare it with a from-scratch
+flatten.)
 
 The rule applies to any class whose ``__init__`` assigns
 ``self._flat_view``.  A method counts as a mutator when it assigns,
@@ -17,7 +21,7 @@ augments or deletes one of the entry-state attributes below, or calls a
 mutating container method on one — for ``TRSTree``, whose entries live in
 its outlier buffer ``self._outliers``, that is the buffer's ``add`` /
 ``add_many`` / ``remove``; it satisfies the invariant when its body
-contains a record or a drop on some path (the rule is
+contains a record, a drop or an adopt on some path (the rule is
 reachability-insensitive by design — the cheap discipline is to notify
 unconditionally, which every current site does; the view itself ignores
 records while it holds no arrays).
@@ -81,12 +85,13 @@ def _assigns_self(method: ast.FunctionDef, attr: str) -> bool:
 
 #: ``FlatView`` methods through which a mutator keeps the view honest.
 VIEW_NOTIFICATIONS = frozenset({
-    "record_insert", "record_insert_many", "record_delete", "drop",
+    "record_insert", "record_insert_many", "record_delete", "drop", "adopt",
 })
 
 
 def _notifies_flat_view(method: ast.FunctionDef) -> bool:
-    """Whether the method records a delta with, or drops, ``self._flat_view``."""
+    """Whether the method records a delta with, drops or replaces
+    ``self._flat_view``."""
     return any(
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)

@@ -43,7 +43,7 @@ from repro.core.regression import (
 )
 from repro.errors import StorageError
 from repro.index.base import KeyRange, tid_items
-from repro.index.flat_view import FlatView
+from repro.index.flat_view import FlatArrays, FlatView
 from repro.segments import (
     empty_offsets,
     offsets_from_counts,
@@ -516,11 +516,14 @@ class TRSTree:
 
     # ----------------------------------------------------------------- lookup
 
-    def _outlier_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(keys, key_offsets, tids)`` of every outlier in the tree.
+    def _outlier_view(self) -> FlatArrays:
+        """``(keys, tids, num_keys)`` of every outlier in the tree.
 
-        Every key lies inside the effective range of the leaf it belongs
-        to, so one query's outliers are one contiguous slice.
+        One key per outlier entry, ascending; every key lies inside the
+        effective range of the leaf it belongs to, so one query's outliers
+        are ``tids[start:stop]`` for two ``searchsorted`` over ``keys``.
+        Flattened from the buffer at build, then kept current by folding in
+        what the writes and reorganizations recorded.
         """
         return self._flat_view.arrays(self._outliers.buckets)
 
@@ -555,9 +558,9 @@ class TRSTree:
         ]
         if len(host_ranges) > 1:
             host_ranges = KeyRange.union(host_ranges)
-        keys, key_offsets, tids = self._outlier_view()
-        outlier_tids = tids[key_offsets[keys.searchsorted(low, "left")]:
-                            key_offsets[keys.searchsorted(high, "right")]]
+        keys, tids, _ = self._outlier_view()
+        outlier_tids = tids[keys.searchsorted(low, "left"):
+                            keys.searchsorted(high, "right")]
         visited = last - first + 1
         return TRSLookupResult(host_ranges, outlier_tids, visited, visited)
 
@@ -607,10 +610,10 @@ class TRSTree:
         host_lows, host_highs, host_offsets = coalesce_sorted_ranges(
             band_lows[order], band_highs[order], owners[order], num_queries)
 
-        keys, key_offsets, tids = self._outlier_view()
-        starts = key_offsets[np.searchsorted(keys, lows, side="left")]
-        stops = key_offsets[np.searchsorted(keys, highs, side="right")]
-        outlier_positions, outlier_offsets = run_indices(starts, stops)
+        keys, tids, _ = self._outlier_view()
+        outlier_positions, outlier_offsets = run_indices(
+            keys.searchsorted(lows, side="left"),
+            keys.searchsorted(highs, side="right"))
         visited = last - first + 1
         return TRSBatchLookupResult(
             host_lows=host_lows, host_highs=host_highs,
@@ -886,14 +889,12 @@ class TRSTree:
         # leave the buffer in bucket order (each found at its bucket's head).
         # The view hears of every entry, so a pass of many small rebuilds
         # folds each into the arrays instead of re-flattening every outlier.
-        keys, key_offsets, view_tids = self._outlier_view()
+        keys, view_tids, _ = self._outlier_view()
         start = keys.searchsorted(table.lows[first])
         end = (keys.searchsorted(table.lows[stop]) if stop < len(table)
                else keys.size)
-        gone_keys = np.repeat(keys[start:end],
-                              np.diff(key_offsets[start:end + 1])).tolist()
-        gone_tids = view_tids[key_offsets[start]:key_offsets[end]].tolist()
-        for key, tid in zip(gone_keys, gone_tids):
+        for key, tid in zip(keys[start:end].tolist(),
+                            view_tids[start:end].tolist()):
             self._outliers.remove(key, tid)
             self._flat_view.record_delete(key, tid)
         new_keys, new_tids = _outliers_of(rows)
@@ -949,8 +950,8 @@ class TRSTree:
         The paths are the leaves of one full ``node_fanout``-ary tree in key
         order; every leaf's lower bound is its path's partition bound
         replayed from the domain; every column has one entry per leaf; the
-        outlier view's keys ascend strictly, and each leaf's outlier count
-        is the number of entries routed to it.
+        outlier view's keys ascend, and each leaf's outlier count is the
+        number of entries routed to it.
         """
         def check(holds: bool, what: str) -> None:
             if not holds:
@@ -982,10 +983,10 @@ class TRSTree:
             check(row == 0 or table.bounds[row - 1] == key_range.low,
                   f"leaf {row}'s bound is not its path's")
         check(expected is None, "the last leaf does not end the tree")
-        keys, key_offsets, tids = self._outlier_view()
-        check(bool((np.diff(keys) > 0).all()), "outlier keys do not ascend")
+        keys, tids, _ = self._outlier_view()
+        check(bool((np.diff(keys) >= 0).all()), "outlier keys do not ascend")
         routed = np.bincount(table.interior.searchsorted(keys, side="right"),
-                             weights=np.diff(key_offsets), minlength=size)
+                             minlength=size)
         check(tids.size == len(self._outliers)
               and np.array_equal(routed, table.num_outliers),
               "per-leaf outlier counts do not match the buffer")

@@ -56,9 +56,7 @@ def _key_runs(view: FlatArrays, lows, highs):
 
     ``lows`` / ``highs`` are two floats or two aligned arrays.
     """
-    keys, key_offsets, _ = view
-    return (key_offsets[keys.searchsorted(lows)],
-            key_offsets[keys.searchsorted(highs, "right")])
+    return view.keys.searchsorted(lows), view.keys.searchsorted(highs, "right")
 
 
 class _Node:
@@ -111,9 +109,10 @@ class BPlusTree(Index):
         self._num_entries = 0
         self._height = 1
         # Array copy of the leaf level that every read entry point probes,
-        # built once read traffic has paid for it (_view) and from then on
-        # maintained by the mutators below, which record what they wrote
-        # for a later probe to fold in (_flattened).
+        # handed over by a load (_pack) or built once read traffic has paid
+        # for it (_view), and from then on maintained by the mutators below,
+        # which record what they wrote for a later probe to fold in
+        # (_flattened).
         self._flat_view = FlatView()
 
     # ------------------------------------------------------------------ write
@@ -173,19 +172,24 @@ class BPlusTree(Index):
         descent per key.  An empty tree is loaded instead (:meth:`_pack`).
         """
         keys = np.asarray(keys, dtype=np.float64)
-        items = tid_items(tids)
-        if keys.size != len(items):
+        if keys.size != len(tids):
             raise StorageError("keys and tids must have equal length")
         if keys.size == 0:
             return
         self.stats.inserts += int(keys.size)
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
-        sorted_tids = [items[position] for position in order.tolist()]
+        if isinstance(tids, np.ndarray):
+            tid_array = tids[order]
+            sorted_tids = tid_array.tolist()
+        else:
+            items = tid_items(tids)
+            sorted_tids = [items[position] for position in order.tolist()]
+            tid_array = None
         if self._num_entries == 0:
             # Loading is what a batch does to an empty tree: packing fresh
             # leaves is strictly better than merging into the one empty leaf.
-            self._pack(keys, sorted_tids)
+            self._pack(keys, sorted_tids, tid_array)
             return
         sorted_keys = keys.tolist()
         splits = self._merge_into(self._root, sorted_keys, sorted_tids)
@@ -200,21 +204,31 @@ class BPlusTree(Index):
         self._num_entries += int(keys.size)
         self._flat_view.record_insert_many(sorted_keys, sorted_tids)
 
-    def _pack(self, sorted_keys: np.ndarray, sorted_tids: list) -> None:
+    def _pack(self, sorted_keys: np.ndarray, sorted_tids: list,
+              tid_array: np.ndarray | None) -> None:
         """Build the (empty) tree from a non-empty key-sorted run.
 
         Distinct keys are packed into leaves at ~70% fill and the internal
         levels are built bottom-up, mirroring the single-thread bulk loading
         the paper uses for the baseline B+-tree.  Run boundaries come from
         one ``!=`` mask over the sorted keys; every leaf is two list slices.
+        The run itself — ``sorted_keys`` and ``tid_array``, the caller's tid
+        array in the same order (``None`` when the caller passed a list) —
+        becomes the flat view, uncopied, so the loaded tree starts with a
+        current view.
         """
         starts = np.flatnonzero(np.concatenate(
             ([True], sorted_keys[1:] != sorted_keys[:-1])))
         distinct = sorted_keys[starts].tolist()
-        bounds = starts.tolist()
-        bounds.append(len(sorted_tids))
-        values = [sorted_tids[bounds[i]:bounds[i + 1]]
-                  for i in range(len(distinct))]
+        if len(distinct) == len(sorted_tids):
+            # One tid per key (a primary key, most float columns): no run
+            # bounds, whose n int objects would set a load's peak memory.
+            values = [[tid] for tid in sorted_tids]
+        else:
+            bounds = starts.tolist()
+            bounds.append(len(sorted_tids))
+            values = [sorted_tids[bounds[i]:bounds[i + 1]]
+                      for i in range(len(distinct))]
         fill = max(4, int(self.node_capacity * 0.7))
         level: list[_Node] = []
         previous: _LeafNode | None = None
@@ -243,7 +257,8 @@ class BPlusTree(Index):
             self._height += 1
         self._root = level[0]
         self._num_entries = len(sorted_tids)
-        self._flat_view.drop()
+        self._flat_view.adopt(sorted_keys, sorted_tids, len(distinct),
+                              tid_array)
 
     # ------------------------------------------------------------------- read
 
@@ -265,7 +280,7 @@ class BPlusTree(Index):
         start, stop = _key_runs(view, key_range.low, key_range.high)
         if start == stop:
             return np.empty(0, dtype=np.int64)
-        run = view[2][start:stop]
+        run = view.tids[start:stop]
         run.setflags(write=False)
         return run
 
@@ -292,9 +307,10 @@ class BPlusTree(Index):
         locate every range's key run and one :func:`~repro.segments.run_indices`
         gather pulls the tids out.  A live view is folded at once; the O(n)
         cold flatten is only worth paying when enough traffic amortises
-        it, so small batches on a tree that has no view yet keep the
-        per-range leaf walk and accumulate debt instead (:meth:`_view`);
-        both paths emit identical segments.
+        it, so small batches on a tree without a view (grown row by row,
+        or after the view gave up) keep the per-range leaf walk and
+        accumulate debt instead (:meth:`_view`); both paths emit identical
+        segments.
         """
         self.stats.range_lookups += len(ranges)
         count = len(ranges)
@@ -312,7 +328,7 @@ class BPlusTree(Index):
         highs = np.fromiter((key_range.high for key_range in ranges),
                             dtype=np.float64, count=count)
         indices, offsets = run_indices(*_key_runs(view, lows, highs))
-        return _gathered(view[2], indices), offsets
+        return _gathered(view.tids, indices), offsets
 
     def search_many_segmented(
         self, keys: np.ndarray, offsets: np.ndarray,
@@ -321,8 +337,8 @@ class BPlusTree(Index):
 
         This is where batching beats per-key descents *algorithmically*,
         not just on dispatch: the whole batch binary-searches the flat
-        view in one ``searchsorted`` pass and gathers the matching tid
-        runs with one :func:`~repro.segments.run_indices` call
+        view in one ``searchsorted`` pass (two where keys repeat) and
+        gathers the matching tid runs with one gather
         (:meth:`_point_runs`).  This is the primary-index resolution pass
         of the batched executor under logical pointers.  Probes are
         resolved in input order, so the per-key runs are already grouped
@@ -379,11 +395,11 @@ class BPlusTree(Index):
                     batch: bool) -> tuple[np.ndarray, np.ndarray | list[int]]:
         """The tids under ``keys``, grouped in input order, and per-key counts.
 
-        Flat-view body: one ``searchsorted`` places every key, one compare
-        tells hits from misses and one gather pulls the runs out; when the
-        view's keys own one tid each (a primary index) a hit's slot *is*
-        its tid's position and its count the hit mask.  Scalar body: one
-        root-to-leaf descent per key, charged to the view's debt.
+        Flat-view body: two ``searchsorted`` bound every key's run and one
+        gather pulls the runs out; when the view's keys are distinct (a
+        primary index) one ``searchsorted`` places every key, a hit's slot
+        *is* its tid's position and its count the hit mask.  Scalar body:
+        one root-to-leaf descent per key, charged to the view's debt.
         """
         if not (keys.size and self._num_entries):
             return (np.empty(0, dtype=np.int64),
@@ -400,14 +416,14 @@ class BPlusTree(Index):
             self._flat_view.charge(_TOUCHED_ENTRY_COST * tids.size
                                    + _POINT_PROBE_COST * keys.size)
             return tids, list(map(len, runs))
-        flat_keys, key_offsets, tids = view
-        slots = np.minimum(flat_keys.searchsorted(keys), flat_keys.size - 1)
-        hit = flat_keys[slots] == keys
-        if tids.size == flat_keys.size:
+        flat_keys, tids, num_keys = view
+        starts = flat_keys.searchsorted(keys)
+        if num_keys == flat_keys.size:
+            slots = np.minimum(starts, flat_keys.size - 1)
+            hit = flat_keys[slots] == keys
             return _gathered(tids, slots[hit]), hit
-        starts = key_offsets[slots]
-        sizes = key_offsets[slots + hit] - starts
-        return _gathered(tids, run_indices(starts, starts + sizes)[0]), sizes
+        stops = flat_keys.searchsorted(keys, "right")
+        return _gathered(tids, run_indices(starts, stops)[0]), stops - starts
 
     def _range_tids(self, low: float, high: float) -> list[TupleId]:
         """One leaf-chain range walk, as a flat tid list (no stats bump)."""
@@ -423,21 +439,21 @@ class BPlusTree(Index):
             start = 0
         return list(chain.from_iterable(runs))
 
-    def _flattened(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sorted keys, per-key tid offsets and flat tids of the leaf level.
+    def _flattened(self) -> FlatArrays:
+        """The leaf level as arrays: ``(keys, tids, num_keys)``.
 
-        ``(keys, key_offsets, tids)`` — key ``i`` owns
-        ``tids[key_offsets[i]:key_offsets[i + 1]]``, tids in per-key
-        insertion order (exactly the order the scalar leaf walk emits) —
-        turns B leaf walks into two ``searchsorted`` calls and one gather.
-        The first call walks the leaf chain once; after that the arrays are
-        kept current by folding in what the mutators recorded since the
-        last call (``d`` recorded entries cost one sorted merge into the
-        ``n`` cached ones, not a walk of ``n`` Python objects), and the
-        leaf walk only runs again when the view gave up — see
-        :mod:`repro.index.flat_view`.  The view is a *copy* of the leaf
-        contents, so it costs O(n) extra memory while live — it is built
-        lazily, only for trees that actually serve batched probes.
+        One key per entry, ascending, tids in per-key insertion order
+        (exactly the order the scalar leaf walk emits), plus the number of
+        distinct keys — turns B leaf walks into two ``searchsorted`` calls
+        and one gather.  A load hands its sorted run over as the view
+        (:meth:`_pack`); after that the arrays are kept current by folding
+        in what the mutators recorded since the last call (``d`` recorded
+        entries cost ``O(d log n)`` plus two masked copies of the ``n``
+        cached ones, not a walk of ``n`` Python objects), and the leaf chain
+        is only walked when the view gave up, or for a tree grown without a
+        load — see :mod:`repro.index.flat_view`.  The view is a *copy* of
+        the leaf contents, so it costs O(n) extra memory (16 bytes an
+        entry) while live.
         """
         return self._flat_view.arrays(self._leaf_level)
 

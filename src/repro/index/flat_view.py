@@ -3,22 +3,30 @@
 ``BPlusTree`` and ``OutlierBuffer`` keep their entries in Python containers
 (leaf bucket lists, a dict of buckets), which the batched probes cannot
 search in array passes.  The *flat view* is the array copy they search
-instead: ``(keys, key_offsets, tids)`` with the distinct keys ascending and
-key ``i`` owning ``tids[key_offsets[i]:key_offsets[i + 1]]``, tids in
-per-key insertion order — exactly the order a scalar walk of the owner
-emits.
+instead: ``(keys, tids)`` with one key per entry, keys ascending and the
+tids of one key in per-key insertion order — exactly the order a scalar walk
+of the owner emits — so a closed key range is ``tids[start:stop]`` for two
+``searchsorted`` calls.  The view also carries how many distinct keys there
+are, which tells a point probe that every key owns exactly one entry (a
+primary index) without looking.
 
-The view is maintained, not dropped, by writes.  A mutator *records* what it
-did (one list append per entry); the next batched probe — or the single
-probe whose predecessors' scalar work has paid for it — *folds* everything
-recorded since the last fold into the cached arrays with one sorted merge —
-``searchsorted`` to place the new entries at the end of their key's run,
-``np.insert`` / ``np.delete`` to move the arrays once.  A fold of ``d``
-recorded entries into ``n`` costs ``O(d log d)`` plus a few ``memcpy``
-passes over ``n`` (a delete also reads its key's run, once per key however
-many deletes hit it, so never more than ``n`` entries in all), against the
-``O(n)`` walk of Python objects a rebuild pays; the result is bit-identical
-(dtype included) to flattening the owner from scratch.
+An owner that builds itself from one sorted run (``BPlusTree``'s load)
+*adopts* the run as its view, so it starts current and no read pays for a
+walk of its Python objects.  From then on the view is maintained, not
+dropped, by writes.  A mutator *records* what it did (one list append per
+entry); the next batched probe — or the single probe whose predecessors'
+scalar work has paid for it — *folds* everything recorded since the last
+fold into the cached arrays.  An insert fold of ``d`` entries into ``n``
+sorts the ``d`` keys, places each at the end of its key's run with one
+``searchsorted``, and writes both arrays once through one boolean mask of
+the old entries' places; a delete fold reads the contiguous runs of the
+deleted keys — once per key however many deletes hit it, so never more than
+``n`` entries in all — and keeps the survivors with one mask.  Either costs
+``O(d log n)`` plus two masked copies of ``n`` against the ``O(n)`` walk of
+Python objects a rebuild pays, keeps the distinct-key count from what it
+already searched (plus, for inserts, one more ``searchsorted`` of the ``d``
+keys), and is bit-identical (dtype included) to flattening the owner from
+scratch.
 
 Folding can ignore how inserts and deletes were interleaved.  Entries of one
 ``(key, tid)`` pair are indistinguishable, the owner appends inserts at the
@@ -39,14 +47,22 @@ from __future__ import annotations
 
 import threading
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.segments import offsets_from_counts, run_indices, sorted_unique
+from repro.segments import run_indices, sorted_unique
 from repro.storage.identifiers import TupleId
 
-FlatArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+class FlatArrays(NamedTuple):
+    """The view's arrays: entry ``i`` is ``keys[i] -> tids[i]``."""
+
+    keys: np.ndarray    # float64, ascending, one per entry
+    tids: np.ndarray    # aligned with keys; one key's tids in insertion order
+    num_keys: int       # distinct keys among ``keys``
+
+
 # What the owner hands over for a cold build: its distinct keys ascending
 # and, aligned, each key's tid bucket.
 Snapshot = Callable[[], tuple[Sequence[float], Sequence[Sequence[TupleId]]]]
@@ -58,12 +74,29 @@ _FOLD_SHARE = 4
 
 def flatten(keys: Sequence[float],
             buckets: Sequence[Sequence[TupleId]]) -> FlatArrays:
-    """Build ``(keys, key_offsets, tids)`` from sorted keys and their buckets."""
+    """Build the arrays from sorted distinct keys and their (non-empty) buckets."""
     counts = np.fromiter(map(len, buckets), dtype=np.int64, count=len(buckets))
-    flat = list(chain.from_iterable(buckets))
-    tids = np.asarray(flat) if flat else np.empty(0, dtype=np.int64)
-    return (np.asarray(keys, dtype=np.float64), offsets_from_counts(counts),
-            tids)
+    return FlatArrays(np.repeat(np.asarray(keys, dtype=np.float64), counts),
+                      _typed_tids(list(chain.from_iterable(buckets))),
+                      len(keys))
+
+
+def _typed_tids(items: list[TupleId],
+                tid_array: np.ndarray | None = None) -> np.ndarray:
+    """The view's tids for ``items``: ints as int64, floats as float64,
+    anything else as numpy types the list (empty: int64).
+
+    ``tid_array``, the same tids in the same order as an array, is reused
+    (uncopied where its dtype already is the view's) instead of converting
+    the list, whenever that gives the same dtype.
+    """
+    if tid_array is not None:
+        if tid_array.dtype.kind == "f":
+            return tid_array.astype(np.float64, copy=False)
+        if (tid_array.dtype.kind in "iu"
+                and np.can_cast(tid_array.dtype, np.int64)):
+            return tid_array.astype(np.int64, copy=False)
+    return np.asarray(items) if items else np.empty(0, dtype=np.int64)
 
 
 class FlatView:
@@ -122,6 +155,23 @@ class FlatView:
         self._arrays = None
         self._forget_record()
 
+    def adopt(self, keys: np.ndarray, tids: list[TupleId], num_keys: int,
+              tid_array: np.ndarray | None = None) -> None:
+        """Take a sorted run as the current view (the owner was built from it).
+
+        ``keys`` (float64, ascending, one per entry) and ``tids`` (aligned,
+        in per-key insertion order) are the new owner's entries in the order
+        :func:`flatten` lays them out, and ``num_keys`` counts the distinct
+        keys; ``tid_array`` optionally holds the same tids as an array, which
+        spares converting the list.  The tids are typed as :func:`flatten`
+        types them.  The view keeps ``keys`` and, where its dtype already
+        fits, ``tid_array`` without copying, so the caller must not write to
+        them afterwards.
+        """
+        self._arrays = FlatArrays(keys, _typed_tids(tids, tid_array), num_keys)
+        self._forget_record()
+        self._debt = 0
+
     def _forget_record(self) -> None:
         self._added_keys.clear()
         self._added_tids.clear()
@@ -130,7 +180,7 @@ class FlatView:
 
     def _drop_if_overgrown(self) -> None:
         recorded = len(self._added_keys) + len(self._removed_keys)
-        if _FOLD_SHARE * recorded > self._arrays[2].size:
+        if _FOLD_SHARE * recorded > self._arrays.keys.size:
             self.drop()
 
     # ------------------------------------------------------------ read side
@@ -175,8 +225,8 @@ class FlatView:
     def _folded(self) -> FlatArrays | None:
         """The arrays with the record merged in; ``None`` to give up."""
         arrays = self._arrays
-        added_tids = _tids_as(self._added_tids, arrays[2].dtype)
-        removed_tids = _tids_as(self._removed_tids, arrays[2].dtype)
+        added_tids = _tids_as(self._added_tids, arrays.tids.dtype)
+        removed_tids = _tids_as(self._removed_tids, arrays.tids.dtype)
         if added_tids is None or removed_tids is None:
             return None
         if added_tids.size:
@@ -214,21 +264,30 @@ def _tids_as(recorded: list[TupleId], dtype: np.dtype) -> np.ndarray | None:
 def _fold_inserts(arrays: FlatArrays, new_keys: np.ndarray,
                   new_tids: np.ndarray) -> FlatArrays:
     """Append every ``new_tids[i]`` at the end of ``new_keys[i]``'s run."""
-    keys, key_offsets, tids = arrays
+    keys, tids, num_keys = arrays
     order = np.argsort(new_keys, kind="stable")
     new_keys, new_tids = new_keys[order], new_tids[order]
-    left = np.searchsorted(keys, new_keys, side="left")
-    right = np.searchsorted(keys, new_keys, side="right")
-    # ``key_offsets[right]`` is the end of an existing key's run and, for a
-    # key not yet present, the start of its successor's; np.insert keeps the
-    # given (key, then arrival) order among values bound for one position.
-    tids = np.insert(tids, key_offsets[right], new_tids)
-    fresh = left == right
+    ends = keys.searchsorted(new_keys, side="right")
+    # A key not present yet, counted once however many entries it brings.
+    fresh = keys.searchsorted(new_keys, side="left") == ends
     fresh[1:] &= new_keys[1:] != new_keys[:-1]
-    keys = np.insert(keys, left[fresh], new_keys[fresh])
-    counts = np.insert(np.diff(key_offsets), left[fresh], 0)
-    np.add.at(counts, np.searchsorted(keys, new_keys, side="left"), 1)
-    return keys, offsets_from_counts(counts), tids
+    # Entry i of the sorted batch lands behind the ``ends[i]`` old entries
+    # before it and the i new ones; every other place takes an old entry.
+    places = ends + np.arange(new_keys.size)
+    old = np.ones(keys.size + new_keys.size, dtype=bool)
+    old[places] = False
+    return FlatArrays(_spliced(keys, old, places, new_keys),
+                      _spliced(tids, old, places, new_tids),
+                      num_keys + int(np.count_nonzero(fresh)))
+
+
+def _spliced(values: np.ndarray, old: np.ndarray, places: np.ndarray,
+             new_values: np.ndarray) -> np.ndarray:
+    """``values`` at the ``old`` places and ``new_values`` at ``places``."""
+    out = np.empty(old.size, dtype=values.dtype)
+    out[old] = values
+    out[places] = new_values
+    return out
 
 
 def _fold_deletes(arrays: FlatArrays, gone_keys: np.ndarray,
@@ -236,18 +295,18 @@ def _fold_deletes(arrays: FlatArrays, gone_keys: np.ndarray,
     """Remove, per ``(key, tid)`` pair deleted ``k`` times, its first ``k`` entries.
 
     Returns ``None`` when some pair has fewer entries than deletes.  The run
-    of every deleted key is expanded once however many deletes hit it, so
-    the work is bounded by the size of the view even when a few heavily
+    of every deleted key is read once however many deletes hit it, so the
+    work is bounded by the size of the view even when a few heavily
     duplicated keys own all the entries.
     """
-    keys, key_offsets, tids = arrays
-    slots = np.searchsorted(keys, gone_keys, side="left")
-    if slots.max() >= keys.size or (keys[slots] != gone_keys).any():
+    keys, tids, num_keys = arrays
+    starts = keys.searchsorted(gone_keys, side="left")
+    if (starts == keys.searchsorted(gone_keys, side="right")).any():
         return None
-    # A pair is named by one integer: its key's slot and its tid's rank
-    # among the distinct deleted tids.
+    # A pair is named by one integer: its key's run start and its tid's
+    # rank among the distinct deleted tids.
     tid_values = sorted_unique(gone_tids.copy())
-    pairs = slots * tid_values.size + np.searchsorted(tid_values, gone_tids)
+    pairs = starts * tid_values.size + np.searchsorted(tid_values, gone_tids)
     pairs.sort()
     first_delete = np.flatnonzero(
         np.concatenate(([True], pairs[1:] != pairs[:-1])))
@@ -255,25 +314,26 @@ def _fold_deletes(arrays: FlatArrays, gone_keys: np.ndarray,
     pairs = pairs[first_delete]
     # The entries that could be victims: those in a deleted key's run whose
     # tid is a deleted one, named the same way, in run order within a pair.
-    touched = sorted_unique(slots.copy())
-    positions, _ = run_indices(key_offsets[touched], key_offsets[touched + 1])
+    touched = sorted_unique(starts.copy())
+    stops = keys.searchsorted(keys[touched], side="right")
+    positions, _ = run_indices(touched, stops)
     run_tids = tids[positions]
     rank = np.searchsorted(tid_values, run_tids)
     rank[rank == tid_values.size] = 0
     hit = tid_values[rank] == run_tids
-    positions, rank = positions[hit], rank[hit]
-    entries = ((np.searchsorted(key_offsets, positions, side="right") - 1)
-               * tid_values.size + rank)
+    entries = (np.repeat(touched, stops - touched)[hit] * tid_values.size
+               + rank[hit])
+    positions = positions[hit]
     order = np.argsort(entries, kind="stable")
     entries, positions = entries[order], positions[order]
     first = np.searchsorted(entries, pairs, side="left")
     last = first + wanted - 1
     if last.max() >= entries.size or (entries[last] != pairs).any():
         return None
-    victims = positions[run_indices(first, first + wanted)[0]]
-    counts = np.diff(key_offsets)
-    np.subtract.at(counts, slots, 1)
-    emptied = touched[counts[touched] == 0]
-    return (np.delete(keys, emptied),
-            offsets_from_counts(np.delete(counts, emptied)),
-            np.delete(tids, victims))
+    keep = np.ones(keys.size, dtype=bool)
+    keep[positions[run_indices(first, first + wanted)[0]]] = False
+    # A run is emptied when it took as many deletes as it had entries.
+    deletes = np.bincount(np.searchsorted(touched, starts),
+                          minlength=touched.size)
+    emptied = int(np.count_nonzero(deletes == stops - touched))
+    return FlatArrays(keys[keep], tids[keep], num_keys - emptied)

@@ -82,9 +82,10 @@ def assert_trs_contains(tree: TRSTree, targets, hosts, tids) -> None:
     target sits behind its leaf's band (and the leaf emits its host range)
     or is in the outlier view under its own key."""
     table = tree._table
-    keys, key_offsets, view_tids = tree._outlier_view()
-    filed = {key: view_tids[start:stop].tolist() for key, start, stop in
-             zip(keys.tolist(), key_offsets[:-1], key_offsets[1:])}
+    keys, view_tids, _ = tree._outlier_view()
+    filed: dict[float, list] = {}
+    for key, tid in zip(keys.tolist(), view_tids.tolist()):
+        filed.setdefault(key, []).append(tid)
     bounds = np.asarray(table.bounds)
     for target, host, tid in zip(targets, hosts, tids):
         if np.isnan(target):

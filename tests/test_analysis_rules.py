@@ -106,6 +106,30 @@ class TestFlatViewInvalidation:
         assert "Buffer.add" in findings[0].message
         assert "Buffer.remove" in findings[1].message
 
+    def test_quiet_when_a_rebuild_adopts_its_run(self):
+        # A load that rebuilt the entries from one sorted run hands the run
+        # over as the view; one that neither records, drops nor adopts is
+        # still flagged.
+        findings = findings_for("""
+            class Tree:
+                def __init__(self):
+                    self._root = None
+                    self._num_entries = 0
+                    self._flat_view = FlatView()
+
+                def _pack(self, keys, tids):
+                    self._root = build(keys, tids)
+                    self._num_entries = len(tids)
+                    self._flat_view.adopt(keys, tids, len(keys))
+
+                def _repack(self, keys, tids):
+                    self._root = build(keys, tids)
+                    self._num_entries = len(tids)
+                    self._flat_view.arrays(snapshot)
+        """, self.RULE())
+        assert [(f.rule, f.message.split(" without ")[0]) for f in findings] \
+            == [("REP001", "Tree._repack mutates _num_entries, _root")]
+
     def test_fires_on_container_method_mutation(self):
         findings = findings_for("""
             class Buffer:

@@ -4,10 +4,11 @@
 probes from an array copy of their entries that mutators keep current by
 recording deltas (``repro.index.flat_view``).  The property here: after
 *every* step of an arbitrary interleaving of writes, the folded ``(keys,
-key_offsets, tids)`` equals a from-scratch flatten of the owner — values and
-dtypes — and the batched probes equal the scalar walks.  Plus the sort-based
-dedup primitives against ``np.unique``, and concurrent readers folding one
-record.
+tids, num_keys)`` equals a from-scratch flatten of the owner — values and
+dtypes — and the batched probes equal the scalar walks.  A load hands its
+sorted run over as the view, bit-identical to that flatten too, and costs
+the next batch neither a flatten nor a fold.  Plus the sort-based dedup
+primitives against ``np.unique``, and concurrent readers folding one record.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.core.trs_tree import TRSTree
 from repro.index import flat_view
 from repro.index.base import KeyRange
 from repro.index.bptree import BPlusTree
-from repro.index.flat_view import FlatView, flatten
+from repro.index.flat_view import FlatArrays, FlatView, flatten
 from repro.segments import (
     offsets_from_counts,
     run_indices,
@@ -157,13 +158,19 @@ class TrsOwner:
                 trs_lookup_scan(tree, key_range).outlier_tids, key=repr)
 
 
+def assert_same_arrays(got: FlatArrays, want: FlatArrays) -> None:
+    """Bit-identical views: values, dtypes and the distinct-key count."""
+    for name in ("keys", "tids"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        assert getattr(got, name).tolist() == getattr(want, name).tolist(), \
+            name
+    assert got.num_keys == want.num_keys
+
+
 def assert_view_matches_rebuild(subject) -> None:
     folded = subject.view()
-    rebuilt = flatten(*subject.snapshot())
-    for name, got, want in zip(("keys", "key_offsets", "tids"),
-                               folded, rebuilt):
-        assert got.dtype == want.dtype, name
-        assert got.tolist() == want.tolist(), name
+    assert_same_arrays(folded, flatten(*subject.snapshot()))
+    assert folded.num_keys == len(set(folded.keys.tolist()))
     subject.check_probes()
 
 
@@ -228,7 +235,10 @@ def test_fold_is_taken_and_gives_up_as_documented(monkeypatch):
         patch.setattr(tree, "_leaf_level", None)  # a rebuild would call it
         folded = tree._flattened()
     assert folded is not arrays
-    assert folded[2].tolist() == [0, 1, 2, 3, 500, 4, 5, 6] + list(range(8, 100))
+    assert folded.tids.tolist() == [0, 1, 2, 3, 500, 4, 5, 6] + list(range(8, 100))
+    assert folded.keys.tolist() == [0.0, 1.0, 2.0, 3.0, 3.0, 4.0, 5.0, 6.0] \
+        + [float(key) for key in range(8, 100)]
+    assert folded.num_keys == 99
     # Writes beyond a quarter of the entries drop the view on the write path.
     for tid in range(30):
         tree.insert(200.0 + tid, tid)
@@ -237,7 +247,7 @@ def test_fold_is_taken_and_gives_up_as_documented(monkeypatch):
     # A tid the int64 arrays cannot hold takes the rebuild, dtype and all.
     tree._flattened()
     tree.insert(1.0, 0.5)
-    assert tree._flattened()[2].dtype == np.float64
+    assert tree._flattened().tids.dtype == np.float64
     assert tree.range_search_segmented([KeyRange(1.0, 1.0)])[0].tolist() \
         == [1.0, 0.5]
 
@@ -455,7 +465,9 @@ def test_every_read_entry_point_in_every_view_state():
             live = [(float(i % 10), as_tid(i % 4)) for i in range(400)]
             tree.insert_many([key for key, _ in live],
                              [tid for _, tid in live])
-            assert view_state(tree) == "absent"  # a load forgets the view
+            # A load hands over a current view; "absent" is reached through
+            # the empty tree, "forget" and the view giving up.
+            assert view_state(tree) == "current"
         for step in steps + [("probe",)]:
             kind = step[0]
             if kind == "insert":
@@ -541,31 +553,39 @@ def test_no_single_read_pays_for_another_callers_write(monkeypatch):
 
 def test_debt_starts_over_once_the_view_is_current(monkeypatch):
     """A view that a write-only phase made give up is not re-flattened by
-    the next small batch: the scalar work charged before its *first* build
-    paid for that build, not for every later one."""
+    the next small batch: the batches pay their way to a flatten, and the
+    scalar work charged before one build paid for that build, not for every
+    later one."""
     entries = 4_000
     tree = BPlusTree()
     tree.insert_many(np.arange(entries, dtype=np.float64), np.arange(entries))
+    assert view_state(tree) == "current"
     counter = FoldCounter(monkeypatch, tree)
     batch = [KeyRange(10.0, 12.0), KeyRange(500.0, 501.0)]
+    written = iter(range(entries))
 
-    def batches_until_flatten() -> int:
-        issued = 0
-        while counter.flattens == 0:
+    def give_up() -> None:
+        """A write-only phase of per-row inserts, until the view drops."""
+        for number in written:
+            tree.insert(float(entries + number), number)
+            if view_state(tree) == "absent":
+                break
+        assert view_state(tree) == "absent" and counter.total == 0
+
+    def batches_until_flatten(limit: int = 1_000) -> int:
+        for issued in range(1, limit + 1):
             values, offsets = tree.range_search_segmented(batch)
             assert values.tolist() == [10, 11, 12, 500, 501]
             assert offsets.tolist() == [0, 3, 5]
-            issued += 1
-        counter.flattens = 0
-        return issued
+            if counter.flattens:
+                counter.flattens = 0
+                return issued
+        raise AssertionError(f"no flatten after {limit} batches")
 
+    give_up()
     first = batches_until_flatten()
     assert first > 10 and view_state(tree) == "current"
-    for number in range(entries):           # a write-only phase
-        tree.insert(float(entries + number), number)
-        if view_state(tree) == "absent":
-            break
-    assert view_state(tree) == "absent" and counter.total == 0
+    give_up()
     # The batches after it pay their way to the second build like the
     # first time (the tree grew by a quarter, so a little longer).
     again = batches_until_flatten()
@@ -573,3 +593,100 @@ def test_debt_starts_over_once_the_view_is_current(monkeypatch):
     assert counter.folds == 0 and view_state(tree) == "current"
     tree.range_search_segmented(batch)
     assert counter.total == 0
+
+
+def test_a_loaded_tree_starts_with_a_current_view(monkeypatch):
+    """``insert_many`` into an empty tree hands its sorted run over as the
+    view: the first batch neither flattens nor folds, and the batch after
+    one more ``insert_many`` folds exactly once."""
+    entries = 10_000
+    rng = np.random.default_rng(3)
+    tree = BPlusTree()
+    tree.insert_many(rng.integers(0, entries // 2, entries).astype(np.float64),
+                     np.arange(entries))
+    counter = FoldCounter(monkeypatch, tree)
+    ranges = [KeyRange(float(low), float(low + 7))
+              for low in range(0, entries // 2, 97)]
+
+    def batch_equals_leaf_walks() -> None:
+        values, offsets = tree.range_search_segmented(ranges)
+        assert [segment.tolist() for segment in split_segments(values, offsets)] \
+            == [tree._range_tids(key_range.low, key_range.high)
+                for key_range in ranges]
+
+    batch_equals_leaf_walks()
+    assert (counter.folds, counter.flattens) == (0, 0)
+    tree.insert_many(rng.integers(0, entries // 2, 500).astype(np.float64),
+                     np.arange(entries, entries + 500))
+    batch_equals_leaf_walks()
+    assert (counter.folds, counter.flattens) == (1, 0)
+
+
+TID_FORMS = {
+    "int64": lambda numbers: np.asarray(numbers, dtype=np.int64),
+    "int32": lambda numbers: np.asarray(numbers, dtype=np.int32),
+    "fractional_float": lambda numbers: np.asarray(numbers) + 0.5,
+    "python_ints": list,
+}
+
+
+@pytest.mark.parametrize("tid_form", sorted(TID_FORMS))
+@SETTINGS
+@given(pairs=st.lists(st.tuples(KEYS, TID_NUMBERS), min_size=1, max_size=60))
+def test_a_load_adopts_exactly_what_a_flatten_builds(tid_form, pairs):
+    tree = BPlusTree(node_capacity=4)
+    tree.insert_many(np.asarray([key for key, _ in pairs]),
+                     TID_FORMS[tid_form]([tid for _, tid in pairs]))
+    assert view_state(tree) == "current"
+    assert_same_arrays(tree._flat_view._arrays, flatten(*tree._leaf_level()))
+
+
+# Keys collide with a loaded key, or with each other, now and then.
+SPARSE_KEYS = st.integers(min_value=0, max_value=80).map(float)
+DISTINCT_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), SPARSE_KEYS),
+        st.tuples(st.just("insert_many"), st.lists(SPARSE_KEYS, max_size=4)),
+        st.tuples(st.just("delete"), st.integers(min_value=0)),
+        st.tuples(st.just("forget")),
+        st.tuples(st.just("probe")),
+    ),
+    max_size=40,
+)
+
+
+@SETTINGS
+@given(loaded=st.integers(min_value=0, max_value=40), steps=DISTINCT_STEPS)
+def test_distinct_key_count_follows_any_interleaving(loaded, steps):
+    """The count the primary-index point path rests on (every key owns one
+    entry when it equals the entries) is kept by the folds: after inserts,
+    deletes and give-ups in any order it is the live distinct keys, and
+    point probes answer by it correctly either way."""
+    tree = BPlusTree(node_capacity=4)
+    live = [(2.0 * number, number) for number in range(loaded)]
+    if live:
+        tree.insert_many([key for key, _ in live], [tid for _, tid in live])
+    tids = iter(range(loaded, 10_000))
+    probe_keys = np.arange(-1.0, 82.0)
+    for step in steps + [("probe",)]:
+        kind = step[0]
+        if kind == "insert":
+            live.append((step[1], next(tids)))
+            tree.insert(*live[-1])
+        elif kind == "insert_many":
+            pairs = [(key, next(tids)) for key in step[1]]
+            tree.insert_many([key for key, _ in pairs],
+                             [tid for _, tid in pairs])
+            live.extend(pairs)
+        elif kind == "delete":
+            if live:
+                tree.delete(*live.pop(step[1] % len(live)))
+        elif kind == "forget":
+            tree._flat_view.drop()
+        else:
+            view = tree._flattened()
+            assert view.num_keys == len({key for key, _ in live})
+            assert tree.search_many(probe_keys).tolist() == [
+                tid for probe in probe_keys.tolist()
+                for key, tid in sorted(live, key=lambda pair: pair[0])
+                if key == probe]

@@ -333,9 +333,10 @@ INDEX_READS = {
 }
 INDEX_BATCH_READS = {"range_search_many_array", "range_search_segmented",
                      "search_many_segmented"}
-# What the owner of a flat view tells it, and what a probe asks of it.
+# What the owner of a flat view tells it (a load hands its sorted run over),
+# and what a probe asks of it.
 FLAT_VIEW = {"record_insert", "record_insert_many", "record_delete", "drop",
-             "worth_using", "charge", "arrays"}
+             "adopt", "worth_using", "charge", "arrays"}
 # No separate load: insert_many into an empty index is the load.
 INDEX_OTHER = {"insert", "delete", "insert_many", "memory_bytes"}
 
