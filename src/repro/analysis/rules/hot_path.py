@@ -12,17 +12,21 @@ Scope — a function is *hot* when any of:
 * its module carries a ``# repro: hot-module`` marker comment
   (``repro/segments.py``, ``repro/core/lookup.py`` and
   ``repro/engine/executor.py`` ship marked);
-* it is a ``*_many`` / ``*_segmented`` method in an index module
-  (``repro/index/``) or the outlier buffer (``repro/core/outliers.py``)
+* it is a ``*_many`` / ``*_segmented`` function in an index module
+  (``repro/index/``) or under ``repro/core/`` (``TRSTree.lookup_many``,
+  ``HermitIndex.candidate_tids_many``, the outlier buffer's batch writes)
   — the vectorized entry points of every mechanism.
 
 Inside a hot function the rule flags ``for`` statements whose iterable
 is array-shaped: a bare parameter of the function (directly or through
 ``enumerate`` / ``zip`` / ``reversed``), anything dereferencing
 ``.tolist`` / ``.size`` / ``.shape`` / ``.item``, or ``np.nditer`` /
-``np.ndenumerate``.  Comprehensions are deliberately not flagged — a
-single C-level comprehension building a result list is often the
-materialisation boundary itself.
+``np.ndenumerate``.  Comprehensions are not flagged for that — a single
+C-level comprehension building a result list is often the
+materialisation boundary itself — except one that builds a ``KeyRange``
+per element of such an iterable: a batch's bounds travel as one
+``KeyRanges`` (two float arrays), and turning them back into per-range
+objects is the round-trip the batch path exists to avoid.
 
 Legitimate scalar fallbacks (the documented cold-buffer paths that
 amortise flat-view construction) stay, suppressed per site::
@@ -46,7 +50,9 @@ from repro.analysis.framework import (
 
 HOT_MODULE_MARKER = "hot-module"
 HOT_METHOD_SUFFIXES = ("_many", "_segmented")
-HOT_PATH_FRAGMENTS = ("repro/index/", "repro/core/outliers.py")
+HOT_PATH_FRAGMENTS = ("repro/index/", "repro/core/")
+PER_RANGE_CLASS = "KeyRange"
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
 
 ARRAY_ATTRS = frozenset({"tolist", "size", "shape", "item"})
 WRAPPER_CALLS = frozenset({"enumerate", "zip", "reversed"})
@@ -61,9 +67,9 @@ def _parameters(function: ast.FunctionDef) -> frozenset[str]:
     return frozenset(name for name in names if name != "self")
 
 
-def _loop_reason(loop: ast.For, params: frozenset[str]) -> str | None:
-    """Why this loop's iterable looks array-shaped, or None."""
-    iterable = loop.iter
+def _iterable_reason(iterable: ast.expr,
+                     params: frozenset[str]) -> str | None:
+    """Why a loop's or comprehension's iterable looks array-shaped, or None."""
     for node in ast.walk(iterable):
         if isinstance(node, ast.Attribute) and node.attr in ARRAY_ATTRS:
             return f"iterable dereferences .{node.attr}"
@@ -83,6 +89,34 @@ def _loop_reason(loop: ast.For, params: frozenset[str]) -> str | None:
     return None
 
 
+def _builds_per_range(comprehension: ast.expr) -> bool:
+    """Whether the comprehension's element expression calls ``KeyRange``."""
+    elements = ([comprehension.key, comprehension.value]
+                if isinstance(comprehension, ast.DictComp)
+                else [comprehension.elt])
+    return any(isinstance(node, ast.Call)
+               and (dotted_name(node.func) or "").split(".")[-1]
+               == PER_RANGE_CLASS
+               for element in elements for node in ast.walk(element))
+
+
+def _findings_in(function: ast.FunctionDef) -> Iterator[tuple[ast.AST, str]]:
+    """(node, what) for every flagged loop or comprehension in ``function``."""
+    params = _parameters(function)
+    for node in ast.walk(function):
+        if isinstance(node, ast.For):
+            reason = _iterable_reason(node.iter, params)
+            if reason is not None:
+                yield node, f"per-element loop ({reason})"
+        elif isinstance(node, COMPREHENSIONS) and _builds_per_range(node):
+            for generator in node.generators:
+                reason = _iterable_reason(generator.iter, params)
+                if reason is not None:
+                    yield node, (f"per-range {PER_RANGE_CLASS} "
+                                 f"comprehension ({reason})")
+                    break
+
+
 def _is_hot_path(path: str) -> bool:
     normalized = path.replace("\\", "/")
     return any(fragment in normalized for fragment in HOT_PATH_FRAGMENTS)
@@ -93,7 +127,8 @@ class HotPathPurity(Rule):
     rule_id = "REP004"
     name = "hot-path-vectorization"
     description = ("no per-element Python for loops over array-shaped "
-                   "data in hot batch paths")
+                   "data, and no per-range KeyRange rebuilds, in hot batch "
+                   "paths")
 
     def check_module(self, module: Module) -> Iterator[Finding]:
         module_hot = HOT_MODULE_MARKER in module.markers
@@ -109,20 +144,13 @@ class HotPathPurity(Rule):
             )
             if not hot:
                 continue
-            params = _parameters(function)
-            for node in ast.walk(function):
-                if not isinstance(node, ast.For):
-                    continue
-                reason = _loop_reason(node, params)
-                if reason is None:
-                    continue
+            for node, what in _findings_in(function):
                 yield Finding(
                     rule=self.rule_id,
                     message=(
-                        f"per-element loop in hot path {function.name} "
-                        f"({reason}) — batch work belongs in array "
-                        f"passes; suppress with a rationale if this is a "
-                        f"documented scalar fallback"
+                        f"{what} in hot path {function.name} — batch work "
+                        f"belongs in array passes; suppress with a "
+                        f"rationale if this is a documented scalar fallback"
                     ),
                     path=module.path, line=node.lineno,
                 )

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
+from itertools import chain
 
 import numpy as np
 
-from repro.core.hermit import probe_host_ranges_segmented
+from repro.core.hermit import regroup_host_probes
 from repro.core.lookup import LookupBreakdown, SecondaryMechanism
 from repro.errors import ConfigurationError
-from repro.index.base import Index, KeyRange
+from repro.index.base import Index, KeyRange, KeyRanges
 from repro.storage.identifiers import PointerScheme
 from repro.storage.memory import NODE_HEADER_BYTES, hash_table_bytes
 from repro.storage.table import Table
@@ -96,26 +97,28 @@ class CorrelationMap(SecondaryMechanism):
         breakdown.host_index_seconds += time.perf_counter() - started
         return tids
 
-    def candidate_tids_many(self, ranges: "list[KeyRange]",
+    def candidate_tids_many(self, ranges: KeyRanges,
                             breakdown: LookupBreakdown,
                             ) -> tuple[np.ndarray, np.ndarray]:
         """Segmented batch variant of :meth:`candidate_tids`.
 
         Bucket expansion stays per query (a Python dict walk per target
-        bucket), but the host probes of the whole batch collapse into one
-        ``range_search_segmented`` call over the flattened host-range list,
-        regrouped per query.  Duplicate-free for the same reason as
-        :meth:`candidate_tids`.  Returns a ``(values, offsets)`` segmented
-        array.
+        bucket; ROADMAP item 8), but the host probes of the whole batch
+        collapse into one ``range_search_segmented`` call over the
+        flattened host ranges, regrouped per query.  Duplicate-free for the
+        same reason as :meth:`candidate_tids`.  Returns a
+        ``(values, offsets)`` segmented array.
         """
         started = time.perf_counter()
         host_ranges_per_query = [self._host_ranges_for(key_range)
                                  for key_range in ranges]
+        host_ranges = KeyRanges.of(chain.from_iterable(host_ranges_per_query))
         breakdown.trs_seconds += time.perf_counter() - started
 
         started = time.perf_counter()
-        values, offsets = probe_host_ranges_segmented(self.host_index,
-                                                      host_ranges_per_query)
+        values, offsets = self.host_index.range_search_segmented(host_ranges)
+        values, offsets = regroup_host_probes(
+            values, offsets, list(map(len, host_ranges_per_query)))
         breakdown.host_index_seconds += time.perf_counter() - started
         return values, offsets
 

@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from repro.core.lookup import LookupBreakdown, SecondaryMechanism
-from repro.index.base import Index, KeyRange
+from repro.index.base import Index, KeyRange, KeyRanges
 from repro.index.bptree import BPlusTree
 from repro.index.composite import CompositeIndex
 from repro.storage.identifiers import PointerScheme
@@ -85,7 +85,7 @@ class BaselineSecondaryIndex(SecondaryMechanism):
         breakdown.host_index_seconds += time.perf_counter() - started
         return tids
 
-    def candidate_tids_many(self, ranges: "list[KeyRange]",
+    def candidate_tids_many(self, ranges: KeyRanges,
                             breakdown: LookupBreakdown,
                             ) -> tuple[np.ndarray, np.ndarray]:
         """Segmented batch variant of :meth:`candidate_tids`.

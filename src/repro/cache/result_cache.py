@@ -408,15 +408,15 @@ class ResultCache:
                 seen = self._seen
                 seen_old = self._seen_old
                 for item in items:
-                    full_key = (table_name, item[0])
-                    if full_key in seen:
-                        seen.discard(full_key)
+                    sighting = hash((table_name, item[0]))
+                    if sighting in seen:
+                        seen.discard(sighting)
                         admitted.append(item)
-                    elif full_key in seen_old:
-                        seen_old.discard(full_key)
+                    elif sighting in seen_old:
+                        seen_old.discard(sighting)
                         admitted.append(item)
                     else:
-                        seen.add(full_key)
+                        seen.add(sighting)
                         deferred += 1
                         if len(seen) > max_entries:
                             self._seen_old = seen_old = seen
@@ -525,16 +525,22 @@ class ResultCache:
         young generation outgrows ``max_entries`` it becomes the old one
         (and the previous old generation is forgotten), which bounds the
         doorkeeper to two generations of popularity memory.
+
+        The generations hold key *hashes*: ints are not GC-tracked, so a
+        run of first sightings (uniform traffic) retains no tuples that
+        would drive garbage collections on the miss path.  A collision
+        only admits a key one sighting early.
         """
         if not self.config.admission:
             return True
-        if full_key in self._seen:
-            self._seen.discard(full_key)
+        sighting = hash(full_key)
+        if sighting in self._seen:
+            self._seen.discard(sighting)
             return True
-        if full_key in self._seen_old:
-            self._seen_old.discard(full_key)
+        if sighting in self._seen_old:
+            self._seen_old.discard(sighting)
             return True
-        self._seen.add(full_key)
+        self._seen.add(sighting)
         if len(self._seen) > self.config.max_entries:
             self._seen_old = self._seen
             self._seen = set()

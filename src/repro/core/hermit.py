@@ -33,7 +33,7 @@ import numpy as np
 from repro.core.config import DEFAULT_CONFIG, TRSTreeConfig
 from repro.core.lookup import LookupBreakdown, SecondaryMechanism
 from repro.core.trs_tree import TRSTree
-from repro.index.base import Index, KeyRange
+from repro.index.base import Index, KeyRange, KeyRanges
 from repro.segments import (
     interleave_segments,
     offsets_from_counts,
@@ -63,26 +63,6 @@ def regroup_host_probes(host_values: np.ndarray, host_offsets: np.ndarray,
     counts = np.bincount(owner, weights=range_sizes,
                          minlength=ranges_per_query.size).astype(np.int64)
     return host_values, offsets_from_counts(counts)
-
-
-def probe_host_ranges_segmented(
-    host_index: Index, host_ranges_per_query: "list[list[KeyRange]]",
-) -> tuple[np.ndarray, np.ndarray]:
-    """One segmented host-index pass over per-query host-range lists.
-
-    The shared middle of CM's ``candidate_tids_many`` (Hermit now rides
-    ``TRSTree.lookup_many``'s pre-coalesced batch output instead): flatten
-    the per-query range lists, probe them all with a single
-    ``range_search_segmented`` call, and fold the per-range segments back
-    into per-query ones.
-    """
-    all_ranges: list[KeyRange] = []
-    counts: list[int] = []
-    for host_ranges in host_ranges_per_query:
-        all_ranges.extend(host_ranges)
-        counts.append(len(host_ranges))
-    host_values, host_offsets = host_index.range_search_segmented(all_ranges)
-    return regroup_host_probes(host_values, host_offsets, counts)
 
 
 class HermitIndex(SecondaryMechanism):
@@ -152,7 +132,7 @@ class HermitIndex(SecondaryMechanism):
         breakdown.host_index_seconds += time.perf_counter() - started
         return candidates
 
-    def candidate_tids_many(self, ranges: "list[KeyRange]",
+    def candidate_tids_many(self, ranges: KeyRanges,
                             breakdown: LookupBreakdown,
                             ) -> tuple[np.ndarray, np.ndarray]:
         """Segmented batch variant of :meth:`candidate_tids`.
@@ -161,9 +141,10 @@ class HermitIndex(SecondaryMechanism):
         (:meth:`~repro.core.trs_tree.TRSTree.lookup_many` — array passes
         over the flat leaf table, not one probe per query), then *one*
         host-index pass over the flattened host ranges of the whole batch
-        (``range_search_segmented``), per-range segments regrouped to
-        per-query ones by summing run sizes — the candidate tids of B
-        queries in a constant number of array passes.  Returns
+        (``range_search_segmented`` of the translation's own bound arrays,
+        as one :class:`~repro.index.base.KeyRanges`), per-range segments
+        regrouped to per-query ones by summing run sizes — the candidate
+        tids of B queries in a constant number of array passes.  Returns
         ``(values, offsets)``; see ``repro.segments``.
 
         Every segment comes back duplicate-free.  The TRS-Tree unions each
@@ -184,12 +165,8 @@ class HermitIndex(SecondaryMechanism):
         breakdown.trs_seconds += time.perf_counter() - started
 
         started = time.perf_counter()
-        host_ranges = [
-            KeyRange(low, high)
-            for low, high in zip(batch.host_lows.tolist(),
-                                 batch.host_highs.tolist())
-        ]
-        values, offsets = self.host_index.range_search_segmented(host_ranges)
+        values, offsets = self.host_index.range_search_segmented(
+            KeyRanges(batch.host_lows, batch.host_highs))
         values, offsets = regroup_host_probes(values, offsets,
                                               batch.ranges_per_query())
         if batch.outlier_tids.size:

@@ -34,12 +34,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from repro.errors import QueryError
-from repro.index.base import Index, KeyRange
+from repro.index.base import Index, KeyRange, KeyRanges
 from repro.segments import (
     segmented_filter,
     segmented_sort,
@@ -140,32 +139,6 @@ class BatchLookupResult:
         return sum(len(locations) for locations in self.locations_per_query)
 
 
-def coerce_ranges(predicates) -> list[KeyRange]:
-    """Normalise a predicate batch to ``KeyRange`` objects."""
-    return [
-        predicate if isinstance(predicate, KeyRange)
-        else KeyRange(float(predicate[0]), float(predicate[1]))
-        for predicate in predicates
-    ]
-
-
-def column_bounds(key_ranges: Sequence[dict[str, KeyRange]],
-                  column: str) -> tuple[np.ndarray, np.ndarray]:
-    """Aligned per-query (lows, highs) arrays for one predicate column.
-
-    The segmented tail and the access paths both need the per-query bounds
-    of a column as flat float arrays (to repeat over segment sizes or feed
-    ``searchsorted``); keeping the extraction here keeps the dtype/count
-    handling in one place.
-    """
-    count = len(key_ranges)
-    lows = np.fromiter((ranges[column].low for ranges in key_ranges),
-                       dtype=np.float64, count=count)
-    highs = np.fromiter((ranges[column].high for ranges in key_ranges),
-                        dtype=np.float64, count=count)
-    return lows, highs
-
-
 # --------------------------------------------------------- Step 3: resolve
 
 def resolve_tids_array(tids: np.ndarray, pointer_scheme: PointerScheme,
@@ -250,8 +223,7 @@ def finish_lookup(table: Table, merged: dict[str, KeyRange],
     return sorted_unique(locations)
 
 
-def finish_lookup_segmented(table: Table,
-                            merged_list: Sequence[dict[str, KeyRange]],
+def finish_lookup_segmented(table: Table, bounds: dict[str, KeyRanges],
                             tids: np.ndarray, offsets: np.ndarray,
                             pointer_scheme: PointerScheme,
                             primary_index: Index | None,
@@ -263,12 +235,14 @@ def finish_lookup_segmented(table: Table,
     The segmented counterpart of :func:`finish_lookup`: one pointer
     resolution pass, one validation mask per predicate column over the
     concatenated candidates of the whole batch (every candidate is checked
-    against *its own query's* bounds) and one final segmented sort or
-    dedup.  Every output segment is sorted ascending and duplicate-free.
+    against *its own query's* bounds: the column's ``lows`` / ``highs``
+    arrays repeated over the segment sizes) and one final segmented sort
+    or dedup.  Every output segment is sorted ascending and duplicate-free.
 
     Args:
-        merged_list: One merged predicate mapping per query; all share the
-            same column set.
+        bounds: Predicate column → the batch's ranges on it, one per query
+            (segment); *all* columns are enforced here, whichever produced
+            the candidates.
         unique: As for :func:`finish_lookup`, per segment.
         ordered: Every candidate segment already arrives ascending.  With
             ``unique`` under physical pointers the final sort is then
@@ -283,11 +257,10 @@ def finish_lookup_segmented(table: Table,
     if locations.size:
         sizes = np.diff(offsets)
         mask: np.ndarray | None = None
-        for column in merged_list[0]:
-            lows, highs = column_bounds(merged_list, column)
+        for column, ranges in bounds.items():
             column_mask = table.in_range_mask(
                 locations, column,
-                np.repeat(lows, sizes), np.repeat(highs, sizes),
+                np.repeat(ranges.lows, sizes), np.repeat(ranges.highs, sizes),
             )
             mask = column_mask if mask is None else mask & column_mask
         if mask is not None:
@@ -348,7 +321,7 @@ class SecondaryMechanism:
         """Steps 1–2 for one predicate: duplicate-free candidate tids."""
         raise NotImplementedError
 
-    def candidate_tids_many(self, ranges: "list[KeyRange]",
+    def candidate_tids_many(self, ranges: KeyRanges,
                             breakdown: LookupBreakdown,
                             ) -> tuple[np.ndarray, np.ndarray]:
         """Steps 1–2 for a predicate batch, as one segmented array."""
@@ -372,15 +345,14 @@ class SecondaryMechanism:
         """Answer a batch of range predicates in segmented passes.
 
         Args:
-            predicates: A sequence of ``KeyRange`` objects or ``(low, high)``
-                pairs.
+            predicates: A :class:`~repro.index.base.KeyRanges`, or a
+                sequence of ``KeyRange`` objects or ``(low, high)`` pairs.
         """
-        ranges = coerce_ranges(predicates)
+        ranges = KeyRanges.of(predicates)
         breakdown = LookupBreakdown(lookups=len(ranges))
         tids, offsets = self.candidate_tids_many(ranges, breakdown)
         locations, offsets = finish_lookup_segmented(
-            self.table,
-            [{self.target_column: key_range} for key_range in ranges],
+            self.table, {self.target_column: ranges},
             tids, offsets, self.pointer_scheme, self.primary_index,
             breakdown, unique=True, ordered=self.sorted_candidates,
         )

@@ -42,7 +42,7 @@ from repro.core.regression import (
     select_leaf_model,
 )
 from repro.errors import StorageError
-from repro.index.base import KeyRange, tid_items
+from repro.index.base import KeyRange, KeyRanges, tid_items
 from repro.index.flat_view import FlatArrays, FlatView
 from repro.segments import (
     empty_offsets,
@@ -564,7 +564,8 @@ class TRSTree:
         visited = last - first + 1
         return TRSLookupResult(host_ranges, outlier_tids, visited, visited)
 
-    def lookup_many(self, predicates: Sequence[KeyRange]) -> TRSBatchLookupResult:
+    def lookup_many(self, predicates: "KeyRanges | Sequence[KeyRange]",
+                    ) -> TRSBatchLookupResult:
         """Batched :meth:`lookup`: translate B predicates in array passes.
 
         Two ``searchsorted`` over the leaf bounds find every predicate's run
@@ -578,7 +579,10 @@ class TRSTree:
 
         Emits the same host-range cover and outlier tids as B scalar
         lookups; ``tests/test_trs_lookup_many.py`` pins the equivalence.
+        ``predicates`` is read through :meth:`KeyRanges.of`, so a plain
+        list of ``KeyRange`` works too.
         """
+        predicates = KeyRanges.of(predicates)
         num_queries = len(predicates)
         table = self._table
         if table is None or num_queries == 0:
@@ -591,11 +595,7 @@ class TRSTree:
                 outlier_offsets=empty_offsets(num_queries),
                 leaves_visited=visited, nodes_visited=visited,
             )
-        lows = np.fromiter((predicate.low for predicate in predicates),
-                           dtype=np.float64, count=num_queries)
-        highs = np.fromiter((predicate.high for predicate in predicates),
-                            dtype=np.float64, count=num_queries)
-
+        lows, highs = predicates.lows, predicates.highs
         first = np.searchsorted(table.interior, lows, side="left")
         last = np.searchsorted(table.interior, highs, side="right")
         pairs, pair_offsets = run_indices(first, last + 1)

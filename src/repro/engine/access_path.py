@@ -9,9 +9,10 @@ once.  Every path obeys the same array-native contract:
 * ``execute(merged, breakdown) -> np.ndarray`` returns the candidate tids
   (row locations under physical pointers, primary-key values under logical
   pointers) of one request's merged ranges as one numpy array, and
-  ``execute_many(merged_list, breakdown)`` those of a request batch as one
-  segmented array, both charging their work to the shared per-phase
-  breakdown, and
+  ``execute_many(bounds, breakdown)`` those of a request batch — ``bounds``
+  maps each predicate column to a :class:`~repro.index.base.KeyRanges`, one
+  range per query — as one segmented array, both charging their work to
+  the shared per-phase breakdown, and
 * ``estimated_cost()`` / ``estimated_candidates()`` expose the cost model's
   view of the path so the planner can compare paths of different kinds.
 
@@ -58,9 +59,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.lookup import LookupBreakdown, column_bounds
+from repro.core.lookup import LookupBreakdown
 from repro.engine.catalog import ColumnStats, IndexEntry, IndexMethod
-from repro.index.base import KeyRange
+from repro.index.base import KeyRange, KeyRanges
 from repro.segments import concat_segments, run_indices, segmented_filter
 from repro.storage.identifiers import PointerScheme
 from repro.storage.table import Table
@@ -170,15 +171,15 @@ class AccessPath:
         """
         raise NotImplementedError
 
-    def execute_many(self, key_ranges: Sequence[dict[str, KeyRange]],
+    def execute_many(self, bounds: dict[str, KeyRanges],
                      breakdown: LookupBreakdown,
                      ) -> tuple[np.ndarray, np.ndarray]:
         """Produce candidate tids for a whole query batch, segmented.
 
-        ``key_ranges`` holds one merged predicate mapping per query (every
-        query of a batch group shares the same column set; the ranges
-        differ) — the batch shape of :meth:`execute`'s ``merged``.  Returns
-        ``(values, offsets)`` where query ``i`` owns
+        ``bounds`` maps every predicate column of the batch's plan group to
+        its ranges, one per query — the batch shape of :meth:`execute`'s
+        ``merged``; the path reads the bound arrays of the columns it
+        covers.  Returns ``(values, offsets)`` where query ``i`` owns
         ``values[offsets[i]:offsets[i + 1]]`` (see ``repro.segments``), so
         the executor can intersect, resolve and validate the whole batch in
         O(1) array passes.
@@ -234,7 +235,7 @@ class FullScanPath(AccessPath):
         breakdown.base_table_seconds += time.perf_counter() - started
         return matching
 
-    def execute_many(self, key_ranges: Sequence[dict[str, KeyRange]],
+    def execute_many(self, bounds: dict[str, KeyRanges],
                      breakdown: LookupBreakdown,
                      ) -> tuple[np.ndarray, np.ndarray]:
         """Scan once for the whole batch: sort the driving column, slice per query.
@@ -244,18 +245,17 @@ class FullScanPath(AccessPath):
         vectorized ``searchsorted`` pair and gathered with a single
         multi-arange fancy index.  Remaining predicate columns are masked
         per element against their own query's bounds (``np.repeat`` of the
-        per-query bounds over the run sizes) — B scans collapse into one
-        O(n log n) sort plus O(total matches) array work.
+        column's bound arrays over the run sizes) — B scans collapse into
+        one O(n log n) sort plus O(total matches) array work.
         """
         started = time.perf_counter()
-        driving = self.columns[0]
+        driving = bounds[self.columns[0]]
         projected = self.table.project(list(self.columns))
         slots = projected[0]
         order = np.argsort(projected[1], kind="stable")
         sorted_values = projected[1][order]
-        lows, highs = column_bounds(key_ranges, driving)
-        starts = np.searchsorted(sorted_values, lows, side="left")
-        stops = np.searchsorted(sorted_values, highs, side="right")
+        starts = np.searchsorted(sorted_values, driving.lows, side="left")
+        stops = np.searchsorted(sorted_values, driving.highs, side="right")
         indices, offsets = run_indices(starts, stops)
         # Gather through the matched positions only — order[indices] is
         # O(total matches), while slots[order] would permute the whole
@@ -267,9 +267,9 @@ class FullScanPath(AccessPath):
             mask = np.ones(candidates.size, dtype=bool)
             for column, values in zip(self.columns[1:], projected[2:]):
                 gathered = values[matched]
-                column_lows, column_highs = column_bounds(key_ranges, column)
-                mask &= ((gathered >= np.repeat(column_lows, sizes))
-                         & (gathered <= np.repeat(column_highs, sizes)))
+                ranges = bounds[column]
+                mask &= ((gathered >= np.repeat(ranges.lows, sizes))
+                         & (gathered <= np.repeat(ranges.highs, sizes)))
             candidates, offsets = segmented_filter(candidates, offsets, mask)
         breakdown.base_table_seconds += time.perf_counter() - started
         return candidates, offsets
@@ -320,14 +320,12 @@ class MechanismPath(AccessPath):
         return self.entry.mechanism.candidate_tids(merged[self.entry.column],
                                                    breakdown)
 
-    def execute_many(self, key_ranges: Sequence[dict[str, KeyRange]],
+    def execute_many(self, bounds: dict[str, KeyRanges],
                      breakdown: LookupBreakdown,
                      ) -> tuple[np.ndarray, np.ndarray]:
         """Delegate the whole batch to the mechanism's segmented probe."""
-        column = self.entry.column
         return self.entry.mechanism.candidate_tids_many(
-            [ranges[column] for ranges in key_ranges], breakdown
-        )
+            bounds[self.entry.column], breakdown)
 
     def describe(self) -> str:
         return (f"{self.entry.method.value}({self.entry.name} on "
@@ -365,21 +363,21 @@ class CompositePath(AccessPath):
             merged[leading], merged[second], breakdown
         )
 
-    def execute_many(self, key_ranges: Sequence[dict[str, KeyRange]],
+    def execute_many(self, bounds: dict[str, KeyRanges],
                      breakdown: LookupBreakdown,
                      ) -> tuple[np.ndarray, np.ndarray]:
         """Per-query pair probes, concatenated into one segmented array.
 
         The composite entry list keeps ``(leading, second, tid)`` triples in
-        Python objects, so the probe itself stays per query; the batch win
-        here is only the shared downstream pipeline.
+        Python objects, so the probe itself stays per query (ROADMAP item
+        8); the batch win here is only the shared downstream pipeline.
         """
         leading, second = self.columns
         return concat_segments([
             self.entry.mechanism.candidate_tids_pair(
-                ranges[leading], ranges[second], breakdown
-            )
-            for ranges in key_ranges
+                leading_range, second_range, breakdown)
+            for leading_range, second_range in zip(bounds[leading],
+                                                   bounds[second])
         ])
 
     def describe(self) -> str:

@@ -696,12 +696,11 @@ class Database:
         fills: list = []
         for group in self.planner.plan_many(table_name, queries):
             locations_per_query, breakdown = execute_plan_many(
-                group.plan, group.merged_list, entry,
-                self.pointer_scheme, entry.primary_index,
-            )
+                group, entry, self.pointer_scheme, entry.primary_index)
             used_index = group.plan.used_index
             group_size = len(group.indices)
-            for member, locations in zip(group.indices, locations_per_query):
+            for member, locations in zip(group.indices.tolist(),
+                                         locations_per_query):
                 results[positions[member]] = QueryResult(
                     locations, breakdown, used_index, group.plan, group_size,
                     epoch)

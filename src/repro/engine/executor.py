@@ -26,8 +26,8 @@ from repro.core.lookup import (
     finish_lookup_segmented,
 )
 from repro.engine.catalog import TableEntry
-from repro.engine.planner import Plan
-from repro.index.base import Index, KeyRange
+from repro.engine.planner import Plan, PlanGroup
+from repro.index.base import Index
 from repro.segments import segmented_intersect, segmented_sort, split_segments
 from repro.storage.identifiers import PointerScheme
 
@@ -77,37 +77,42 @@ def execute_plan(plan: Plan, entry: TableEntry,
     return locations, breakdown
 
 
-def execute_plan_many(plan: Plan, merged_list: list[dict[str, KeyRange]],
-                      entry: TableEntry, pointer_scheme: PointerScheme,
+def execute_plan_many(group: PlanGroup, entry: TableEntry,
+                      pointer_scheme: PointerScheme,
                       primary_index: Index | None = None,
                       ) -> tuple[list[np.ndarray], LookupBreakdown]:
-    """Run one plan template over a whole query batch in segmented passes.
+    """Run one plan group's template over its bounds in segmented passes.
 
     The batched counterpart of :func:`execute_plan` for a
-    :class:`~repro.engine.planner.PlanGroup`: every per-query intermediate
-    lives in one ``(values, offsets)`` segmented array (``repro.segments``),
-    so a batch of B same-shape queries costs a constant number of
-    Python-level array passes — one ``execute_many`` per path, one
-    segmented intersection per extra path, one segmented pointer
-    resolution, one segmented validation mask per predicate column and one
-    final segmented sort (skipped when the candidates arrived sorted and
-    nothing since reordered them) — instead of B full pipelines.
+    :class:`~repro.engine.planner.PlanGroup`: the group's ``bounds`` (one
+    :class:`~repro.index.base.KeyRanges` per predicate column) go as they
+    are to every path's ``execute_many`` and to the segmented tail, and
+    every per-query intermediate lives in one ``(values, offsets)``
+    segmented array (``repro.segments``), so a batch of B same-shape
+    queries costs a constant number of Python-level array passes — one
+    ``execute_many`` per path, one segmented intersection per extra path,
+    one segmented pointer resolution, one segmented validation mask per
+    predicate column and one final segmented sort (skipped when the
+    candidates arrived sorted and nothing since reordered them) — instead
+    of B full pipelines.
 
-    Returns the per-query location arrays (input order) plus the one
-    breakdown accumulated across the batch.
+    Returns the per-query location arrays (in ``group.indices`` order)
+    plus the one breakdown accumulated across the batch.
     """
-    breakdown = LookupBreakdown(lookups=len(merged_list))
+    plan, bounds = group.plan, group.bounds
+    count = len(group.indices)
+    breakdown = LookupBreakdown(lookups=count)
     if plan.unsatisfiable or not plan.paths:
         empty = np.empty(0, dtype=np.int64)
-        return [empty] * len(merged_list), breakdown
+        return [empty] * count, breakdown
 
-    tids, offsets = plan.paths[0].execute_many(merged_list, breakdown)
+    tids, offsets = plan.paths[0].execute_many(bounds, breakdown)
     unique = plan.paths[0].produces_unique_tids
     ordered = plan.paths[0].produces_sorted_tids
     for path in plan.paths[1:]:
         if tids.size == 0:
             break
-        other, other_offsets = path.execute_many(merged_list, breakdown)
+        other, other_offsets = path.execute_many(bounds, breakdown)
         tids, offsets = segmented_intersect(
             tids, offsets, other, other_offsets,
             assume_unique=unique and path.produces_unique_tids,
@@ -125,7 +130,7 @@ def execute_plan_many(plan: Plan, merged_list: list[dict[str, KeyRange]],
             locations, offsets = segmented_sort(locations, offsets)
     else:
         locations, offsets = finish_lookup_segmented(
-            entry.table, merged_list, tids, offsets, pointer_scheme,
+            entry.table, bounds, tids, offsets, pointer_scheme,
             primary_index, breakdown, unique, ordered,
         )
     _observe_lookup(plan, breakdown)

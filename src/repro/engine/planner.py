@@ -47,7 +47,7 @@ from repro.engine.access_path import (
 )
 from repro.engine.catalog import Catalog, IndexMethod, TableEntry
 from repro.engine.query import ConjunctiveQuery
-from repro.index.base import KeyRange
+from repro.index.base import KeyRange, KeyRanges
 from repro.storage.identifiers import PointerScheme
 
 
@@ -170,6 +170,9 @@ _MAX_PLAN_REPLAYS = 64
 # every selectivity the plan was priced on) without ever tripping it.
 _MAX_EPOCH_DRIFT = 32
 
+# Group key of the batch planner's one no-path group.
+_UNSATISFIABLE = ("__unsatisfiable__",)
+
 
 @dataclass(frozen=True)
 class PlannerCacheStats:
@@ -197,15 +200,17 @@ class PlanGroup:
     Attributes:
         plan: The template chosen (or replayed) for the group's
             representative query; its paths are executed once over
-            ``merged_list``.
-        indices: Positions of the group's queries in the input batch.
-        merged_list: Per-query merged key ranges, aligned with ``indices``
-            (empty dicts for unsatisfiable queries).
+            ``bounds``.
+        indices: Positions of the group's queries in the input batch, an
+            int64 array.
+        bounds: Predicate column → the members' merged ranges on it, one
+            :class:`~repro.index.base.KeyRanges` aligned with ``indices``
+            (empty for the unsatisfiable group).
     """
 
     plan: Plan
-    indices: list[int] = field(default_factory=list)
-    merged_list: list[dict[str, KeyRange]] = field(default_factory=list)
+    indices: np.ndarray
+    bounds: dict[str, KeyRanges]
 
 
 @dataclass
@@ -398,79 +403,114 @@ class Planner:
         when they agree on (predicate-column set, selectivity bucket per
         column); only each group's first query goes through :meth:`plan`
         (cache and counters included), every further member is a pure
-        ``replays`` increment.  Group members also advance the cached
-        plan's replay bound so mechanism-estimate feedback still forces a
-        replan within a bounded number of *queries*, not batches.
-        Unsatisfiable queries collapse into one no-path group.
+        ``replays`` increment, booked once per group.  Group members also
+        advance the cached plan's replay bound so mechanism-estimate
+        feedback still forces a replan within a bounded number of
+        *queries*, not batches.  Unsatisfiable queries collapse into one
+        no-path group.
 
         Grouping itself is batched: single-predicate queries — the
-        single-column batch fast path — are bucketed per column with one
-        vectorized selectivity pass instead of per-query stats lookups;
-        only multi-predicate conjunctions walk the scalar route.
+        single-column batch fast path — have their bounds read into two
+        arrays per column, bucketed with one vectorized selectivity pass
+        and split into groups by bucket with array passes; only
+        multi-predicate conjunctions walk ``merged()`` per query, and each
+        of their groups turns its dicts into bound arrays once.
         """
-        groups: dict[tuple, PlanGroup] = {}
-        order: list[tuple] = []
+        # Group key -> (representative query, [(positions, bounds), ...]); a
+        # key gets a second chunk only when a conjunction on one column
+        # shares its shape with single-predicate queries.
+        shapes: dict[tuple, tuple[ConjunctiveQuery, list]] = {}
 
-        def member(key: tuple, query: ConjunctiveQuery, position: int,
-                   merged: dict[str, KeyRange]) -> None:
-            group = groups.get(key)
-            if group is None:
-                if key[0] == "__unsatisfiable__":
-                    group = PlanGroup(plan=Plan(table_name=table_name,
-                                                query=query,
-                                                unsatisfiable=True))
-                else:
-                    group = PlanGroup(plan=self.plan(table_name, query))
-                groups[key] = group
-                order.append(key)
-            elif key[0] != "__unsatisfiable__":
-                # Unsatisfiable queries never had a plan template to reuse,
-                # so they do not count as amortised planning work.
-                self._replays += 1
-                self._table_replays[table_name] = (
-                    self._table_replays.get(table_name, 0) + 1)
-                cached = self._cache.get((table_name,) + key)
-                if cached is not None:
-                    cached.replays += 1
-            group.indices.append(position)
-            group.merged_list.append(merged)
+        def add(key: tuple, query: ConjunctiveQuery, positions: np.ndarray,
+                bounds: dict[str, KeyRanges]) -> None:
+            shapes.setdefault(key, (query, []))[1].append((positions, bounds))
 
-        single: dict[str, list[tuple[int, ConjunctiveQuery]]] = {}
+        single: dict[str, list[int]] = {}
+        multi: dict[tuple, tuple[list[int], list[dict[str, KeyRange]]]] = {}
         for position, query in enumerate(queries):
-            if len(query.predicates) == 1:
-                single.setdefault(query.predicates[0].column, []).append(
-                    (position, query)
-                )
+            predicates = query.predicates
+            if len(predicates) == 1:
+                single.setdefault(predicates[0].column, []).append(position)
                 continue
             merged = query.merged()
             if merged is None:
-                member(("__unsatisfiable__",), query, position, {})
-                continue
-            buckets = tuple(
-                _selectivity_bucket(
-                    self.catalog.column_stats(table_name, column)
-                    .selectivity(key_range)
-                )
-                for column, key_range in merged.items()
-            )
-            member((tuple(merged), buckets), query, position, merged)
+                key, merged = _UNSATISFIABLE, {}
+            else:
+                key = (tuple(merged), tuple(
+                    _selectivity_bucket(
+                        self.catalog.column_stats(table_name, column)
+                        .selectivity(key_range))
+                    for column, key_range in merged.items()))
+            members, merged_ranges = multi.setdefault(key, ([], []))
+            members.append(position)
+            merged_ranges.append(merged)
+        for key, (members, merged_ranges) in multi.items():
+            columns = () if key == _UNSATISFIABLE else key[0]
+            add(key, queries[members[0]], np.asarray(members, dtype=np.int64),
+                {column: KeyRanges.of([merged[column]
+                                       for merged in merged_ranges])
+                 for column in columns})
 
         for column, members in single.items():
-            stats = self.catalog.column_stats(table_name, column)
-            count = len(members)
-            lows = np.fromiter(
-                (query.predicates[0].low for _, query in members),
-                dtype=np.float64, count=count)
-            highs = np.fromiter(
-                (query.predicates[0].high for _, query in members),
-                dtype=np.float64, count=count)
+            ranges = KeyRanges.of([queries[position].predicates[0]
+                                   for position in members])
+            lows, highs = ranges.lows, ranges.highs
+            positions = np.asarray(members, dtype=np.int64)
             buckets = _selectivity_bucket_array(
-                stats.selectivity_array(lows, highs)
-            )
-            columns = (column,)
-            for (position, query), bucket in zip(members, buckets.tolist()):
-                member((columns, (bucket,)), query, position, query.merged())
-        return [groups[key] for key in order]
+                self.catalog.column_stats(table_name, column)
+                .selectivity_array(lows, highs))
+            first = int(buckets[0])
+            if (buckets == first).all():
+                add(((column,), (first,)), queries[members[0]], positions,
+                    {column: ranges})
+                continue
+            values, firsts, inverse = np.unique(
+                buckets, return_index=True, return_inverse=True)
+            # Members of one bucket, in input order; buckets in order of
+            # their first member.
+            by_bucket = np.argsort(inverse, kind="stable")
+            stops = np.cumsum(np.bincount(inverse)).tolist()
+            starts = [0] + stops[:-1]
+            for bucket in np.argsort(firsts).tolist():
+                taken = by_bucket[starts[bucket]:stops[bucket]]
+                add(((column,), (int(values[bucket]),)),
+                    queries[members[int(firsts[bucket])]], positions[taken],
+                    {column: KeyRanges(lows[taken], highs[taken])})
+
+        groups = []
+        for key, (query, chunks) in shapes.items():
+            if key == _UNSATISFIABLE:
+                plan = Plan(table_name=table_name, query=query,
+                            unsatisfiable=True)
+            else:
+                plan = self.plan(table_name, query)
+            positions, bounds = chunks[0]
+            if len(chunks) > 1:
+                positions = np.concatenate([chunk[0] for chunk in chunks])
+                bounds = {column: KeyRanges(
+                    np.concatenate([chunk[1][column].lows for chunk in chunks]),
+                    np.concatenate([chunk[1][column].highs
+                                    for chunk in chunks]))
+                    for column in bounds}
+            if key != _UNSATISFIABLE:
+                # Unsatisfiable queries never had a plan template to reuse,
+                # so they do not count as amortised planning work.
+                self._book_group_replays(table_name, key, positions.size - 1)
+            groups.append(PlanGroup(plan=plan, indices=positions,
+                                    bounds=bounds))
+        return groups
+
+    def _book_group_replays(self, table_name: str, key: tuple,
+                            members: int) -> None:
+        """Count a group's members beyond its representative as replays."""
+        if members <= 0:
+            return
+        self._replays += members
+        self._table_replays[table_name] = (
+            self._table_replays.get(table_name, 0) + members)
+        cached = self._cache.get((table_name,) + key)
+        if cached is not None:
+            cached.replays += members
 
     def _plan_fresh(self, table_name: str, entry: TableEntry,
                     query: ConjunctiveQuery, merged: dict[str, KeyRange],

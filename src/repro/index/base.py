@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -102,6 +102,67 @@ class KeyRange:
             else:
                 merged.append(candidate)
         return merged
+
+
+class KeyRanges(Sequence[KeyRange]):
+    """A batch of closed intervals as two aligned float64 arrays.
+
+    The one format batch bounds travel in: the planner builds one per
+    predicate column of a plan group, and the access paths, the mechanisms'
+    ``candidate_tids_many``, ``TRSTree.lookup_many``, the indexes'
+    ``range_search_segmented`` and the segmented lookup tail read ``lows``
+    and ``highs`` as they are, so no layer of a batch read rebuilds
+    per-range objects.  It is still a ``Sequence[KeyRange]``: indexing and
+    iteration build :class:`KeyRange` objects on demand, for the per-range
+    fallbacks.
+
+    ``lows[i] <= highs[i]`` is the constructor's precondition; :meth:`of`
+    establishes it for any input.
+    """
+
+    __slots__ = ("lows", "highs")
+
+    def __init__(self, lows: Sequence[float] | np.ndarray,
+                 highs: Sequence[float] | np.ndarray) -> None:
+        self.lows = np.asarray(lows, dtype=np.float64)
+        self.highs = np.asarray(highs, dtype=np.float64)
+
+    @classmethod
+    def of(cls, ranges: "KeyRanges | Iterable") -> "KeyRanges":
+        """``ranges`` unchanged if it is a ``KeyRanges``, else its bound arrays.
+
+        Accepts objects with ``low`` / ``high`` attributes (:class:`KeyRange`,
+        the engine's ``RangePredicate``) or ``(low, high)`` pairs, one kind
+        per call; a reversed pair is swapped, as :class:`KeyRange` does.
+        """
+        if isinstance(ranges, KeyRanges):
+            return ranges
+        items = list(ranges)
+        try:
+            lows = [key_range.low for key_range in items]
+            highs = [key_range.high for key_range in items]
+        except AttributeError:
+            lows = [pair[0] for pair in items]
+            highs = [pair[1] for pair in items]
+        lows = np.array(lows, dtype=np.float64)
+        highs = np.array(highs, dtype=np.float64)
+        reversed_bounds = lows > highs
+        if reversed_bounds.any():
+            lows, highs = (np.where(reversed_bounds, highs, lows),
+                           np.where(reversed_bounds, lows, highs))
+        return cls(lows, highs)
+
+    def __len__(self) -> int:
+        return self.lows.size
+
+    def __getitem__(self, index: int) -> KeyRange:
+        return KeyRange(float(self.lows[index]), float(self.highs[index]))
+
+    def __iter__(self) -> Iterator[KeyRange]:
+        return map(KeyRange, self.lows.tolist(), self.highs.tolist())
+
+    def __repr__(self) -> str:
+        return f"KeyRanges(lows={self.lows!r}, highs={self.highs!r})"
 
 
 @dataclass
@@ -187,7 +248,7 @@ class Index(abc.ABC):
         return np.concatenate(arrays)
 
     def range_search_segmented(
-        self, ranges: Sequence[KeyRange],
+        self, ranges: "KeyRanges | Sequence[KeyRange]",
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-range results of :meth:`range_search_array` as one segmented array.
 
@@ -197,7 +258,8 @@ class Index(abc.ABC):
         ``values[offsets[i]:offsets[i + 1]]`` — which is what the batched
         query executor needs to answer B queries in O(1) array passes.  The
         default concatenates per-range array probes; ``SortedColumnIndex``
-        overrides it with a fully vectorized double-searchsorted gather.
+        and ``BPlusTree`` override it with a vectorized double-searchsorted
+        gather over :class:`KeyRanges` bound arrays.
         """
         return concat_segments([self.range_search_array(key_range)
                                 for key_range in ranges])

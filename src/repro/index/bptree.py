@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.errors import KeyNotFoundError, StorageError
-from repro.index.base import Index, KeyRange, tid_items
+from repro.index.base import Index, KeyRange, KeyRanges, tid_items
 from repro.index.flat_view import FlatArrays, FlatView
 from repro.segments import offsets_from_counts, run_indices
 from repro.storage.identifiers import TupleId
@@ -297,7 +297,7 @@ class BPlusTree(Index):
         return self._point_runs(keys, batch=False)[0]
 
     def range_search_segmented(
-        self, ranges: "Sequence[KeyRange]",
+        self, ranges: "KeyRanges | Sequence[KeyRange]",
     ) -> tuple[np.ndarray, np.ndarray]:
         """Segmented multi-range probe, flat-view-backed once it pays off.
 
@@ -312,22 +312,20 @@ class BPlusTree(Index):
         accumulate debt instead (:meth:`_view`); both paths emit identical
         segments.
         """
-        self.stats.range_lookups += len(ranges)
+        ranges = KeyRanges.of(ranges)
         count = len(ranges)
+        self.stats.range_lookups += count
         view = self._view(_RANGE_PROBE_COST * count, batch=True)
         if view is None:
-            segments = [self._range_tids(key_range.low, key_range.high)
-                        for key_range in ranges]
+            segments = [self._range_tids(low, high) for low, high in
+                        zip(ranges.lows.tolist(), ranges.highs.tolist())]
             tids = _tid_array(list(chain.from_iterable(segments)))
             self._flat_view.charge(_TOUCHED_ENTRY_COST * tids.size
                                    + _RANGE_PROBE_COST * count)
             return tids, offsets_from_counts(
                 np.fromiter(map(len, segments), dtype=np.int64, count=count))
-        lows = np.fromiter((key_range.low for key_range in ranges),
-                           dtype=np.float64, count=count)
-        highs = np.fromiter((key_range.high for key_range in ranges),
-                            dtype=np.float64, count=count)
-        indices, offsets = run_indices(*_key_runs(view, lows, highs))
+        indices, offsets = run_indices(
+            *_key_runs(view, ranges.lows, ranges.highs))
         return _gathered(view.tids, indices), offsets
 
     def search_many_segmented(

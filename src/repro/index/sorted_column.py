@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.errors import KeyNotFoundError, StorageError
-from repro.index.base import Index, KeyRange
+from repro.index.base import Index, KeyRange, KeyRanges
 from repro.segments import empty_offsets, run_indices
 from repro.storage.identifiers import TupleId
 from repro.storage.memory import sorted_array_bytes
@@ -148,7 +148,7 @@ class SortedColumnIndex(Index):
         return np.concatenate(runs)
 
     def range_search_segmented(
-        self, ranges: Sequence[KeyRange],
+        self, ranges: "KeyRanges | Sequence[KeyRange]",
     ) -> tuple[np.ndarray, np.ndarray]:
         """Segmented multi-range probe: two searchsorted calls, one gather.
 
@@ -157,15 +157,12 @@ class SortedColumnIndex(Index):
         multi-arange fancy index — a whole batch of range probes costs a
         constant number of numpy passes, no per-range Python at all.
         """
-        if not ranges:
+        ranges = KeyRanges.of(ranges)
+        if not len(ranges):
             return np.empty(0, dtype=self._tids.dtype), empty_offsets(0)
         self.stats.range_lookups += len(ranges)
-        lows = np.fromiter((key_range.low for key_range in ranges),
-                           dtype=np.float64, count=len(ranges))
-        highs = np.fromiter((key_range.high for key_range in ranges),
-                            dtype=np.float64, count=len(ranges))
-        starts = np.searchsorted(self._keys, lows, side="left")
-        stops = np.searchsorted(self._keys, highs, side="right")
+        starts = np.searchsorted(self._keys, ranges.lows, side="left")
+        stops = np.searchsorted(self._keys, ranges.highs, side="right")
         indices, offsets = run_indices(starts, stops)
         return self._tids[indices], offsets
 

@@ -413,6 +413,31 @@ class TestHotPathPurity:
         """, self.RULE())
         assert findings == []
 
+    def test_fires_on_key_range_rebuild_in_core_many_method(self):
+        # A batch's bounds are arrays; a comprehension turning them back
+        # into one KeyRange per range is the round-trip the rule keeps out.
+        findings = findings_for("""
+            class HermitIndex:
+                def candidate_tids_many(self, ranges, breakdown):
+                    batch = self.trs_tree.lookup_many(ranges)
+                    host_ranges = [KeyRange(low, high) for low, high in
+                                   zip(batch.host_lows.tolist(),
+                                       batch.host_highs.tolist())]
+                    return self.host_index.range_search_segmented(host_ranges)
+        """, self.RULE(), path="src/repro/core/fake.py")
+        assert [f.rule for f in findings] == ["REP004"]
+        assert "KeyRange" in findings[0].message
+
+    def test_quiet_on_key_ranges_passed_through(self):
+        findings = findings_for("""
+            class HermitIndex:
+                def candidate_tids_many(self, ranges, breakdown):
+                    batch = self.trs_tree.lookup_many(ranges)
+                    return self.host_index.range_search_segmented(
+                        KeyRanges(batch.host_lows, batch.host_highs))
+        """, self.RULE(), path="src/repro/core/fake.py")
+        assert findings == []
+
     def test_quiet_outside_hot_scope(self):
         findings = findings_for("""
             def report(rows):

@@ -10,7 +10,8 @@ A second invariant guards the two read pipelines: for any predicate and
 either pointer scheme, the single-request pipeline (``lookup_range`` /
 ``lookup_point``), the segmented batch pipeline (``lookup_range_many``) and the
 brute-force mask must return exactly the same sorted int64 locations, for
-Hermit, the Baseline and CM alike.
+Hermit, the Baseline (on a B+-tree and on a sorted column) and CM alike —
+whichever form the batch's bounds arrive in.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ from repro.baselines.correlation_maps import CorrelationMap
 from repro.baselines.secondary import BaselineSecondaryIndex
 from repro.core.config import TRSTreeConfig
 from repro.core.hermit import HermitIndex
+from repro.index.base import KeyRange, KeyRanges
 from repro.index.bptree import BPlusTree
+from repro.index.sorted_column import SortedColumnIndex
 from repro.storage.identifiers import PointerScheme
 from repro.storage.schema import numeric_schema
 from repro.storage.table import Table
@@ -64,7 +67,11 @@ def build_mechanisms(table: Table, scheme: PointerScheme):
                         host_bucket_width=max(1e-6, domain / 16 or 1.0),
                         primary_index=primary, pointer_scheme=scheme)
     cm.build()
-    return hermit, baseline, cm
+    sorted_baseline = BaselineSecondaryIndex(
+        table, "target", primary_index=primary, pointer_scheme=scheme,
+        index=SortedColumnIndex())
+    sorted_baseline.build()
+    return hermit, baseline, cm, sorted_baseline
 
 
 def brute_force_array(table: Table, low: float, high: float) -> np.ndarray:
@@ -105,7 +112,7 @@ class TestLookupEquivalence:
             for t, noise, is_noisy in rows
         ]
         table = build_table(targets, hosts)
-        hermit, baseline, cm = build_mechanisms(table, scheme)
+        hermit, baseline, cm, _ = build_mechanisms(table, scheme)
         low, width = bounds
         high = low + width
         expected = brute_force(table, low, high)
@@ -119,7 +126,7 @@ class TestLookupEquivalence:
         targets = [t for t, _, _ in rows]
         hosts = [2.0 * t + 1.0 + (n if flag else 0.0) for t, n, flag in rows]
         table = build_table(targets, hosts)
-        hermit, baseline, _ = build_mechanisms(table, PointerScheme.PHYSICAL)
+        hermit, baseline, _, _ = build_mechanisms(table, PointerScheme.PHYSICAL)
         for value in set(targets[:20]):
             expected = brute_force(table, value, value)
             assert set(hermit.lookup_point(value).locations) == expected
@@ -141,8 +148,23 @@ class TestSingleBatchEquivalence:
         ]
         table = build_table(targets, hosts)
         predicates = [(low, low + width) for low, width in bounds_list]
+        # The same batch as KeyRange objects, as reversed (high, low) pairs
+        # and as one KeyRanges: lookup_range_many must not tell them apart.
+        forms = [
+            [KeyRange(low, high) for low, high in predicates],
+            [(high, low) for low, high in predicates],
+            KeyRanges([low for low, _ in predicates],
+                      [high for _, high in predicates]),
+        ]
         for mechanism in build_mechanisms(table, scheme):
             batch = mechanism.lookup_range_many(predicates)
+            for form in forms:
+                other = mechanism.lookup_range_many(form)
+                assert len(other.locations_per_query) == len(predicates)
+                for found, expected in zip(other.locations_per_query,
+                                           batch.locations_per_query):
+                    assert np.array_equal(found, expected)
+                assert other.breakdown.candidates == batch.breakdown.candidates
             assert len(batch.locations_per_query) == len(predicates)
             for (low, high), batched in zip(predicates,
                                             batch.locations_per_query):
@@ -190,7 +212,8 @@ class TestMaintenanceEquivalence:
         targets = [t for t, _, _ in rows]
         hosts = [1.5 * t + 2.0 + (n if flag else 0.0) for t, n, flag in rows]
         table = build_table(targets, hosts)
-        hermit, baseline, _ = build_mechanisms(table, PointerScheme.PHYSICAL)
+        hermit, baseline, _, _ = build_mechanisms(table,
+                                                  PointerScheme.PHYSICAL)
         host_index = hermit.host_index
         next_pk = 10_000.0
         live = [int(s) for s in table.live_slots()]

@@ -6,7 +6,8 @@ unsatisfiable conjunctions, batches spanning several plan groups — the
 batched entry points must return exactly what the per-query loop returns,
 in input order.  A second set of tests covers the plan-cache observability
 the batch path is supposed to demonstrate (hit/miss/replay counters, group
-sizes, ``explain`` surfacing).
+sizes, ``explain`` surfacing) and pins the batch path's cost as counts: the
+``KeyRange`` objects a batch builds do not grow with its size.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
 from repro.engine.query import QueryRequest, RangePredicate
+from repro.index.base import KeyRange
 from repro.storage.identifiers import PointerScheme
 from repro.storage.schema import numeric_schema
 
@@ -37,7 +39,8 @@ SCHEMES = (PointerScheme.PHYSICAL, PointerScheme.LOGICAL)
 
 @lru_cache(maxsize=None)
 def build_database(scheme: PointerScheme, method: str) -> Database:
-    """One table (pk, host, target, payload) with a single target index.
+    """Table ``t`` (pk, host, target, payload) with a single target index,
+    plus table ``u`` (pk, a, b) with no secondary index, read by full scans.
 
     Cached per (scheme, method): the tests only read, so every hypothesis
     example can share one built database.
@@ -76,6 +79,13 @@ def build_database(scheme: PointerScheme, method: str) -> Database:
                               cm_host_bucket_width=50.0)
     else:
         raise AssertionError(method)
+    database.create_table(numeric_schema("u", ["pk", "a", "b"],
+                                         primary_key="pk"))
+    database.insert_many("u", {
+        "pk": np.arange(ROWS // 2, dtype=np.float64),
+        "a": rng.uniform(low, high, size=ROWS // 2),
+        "b": rng.uniform(low, high, size=ROWS // 2),
+    })
     return database
 
 
@@ -145,6 +155,63 @@ class TestQueryManyEqualsLoop:
         assert batched[-1].locations.size == 0
         assert batched[-1].plan.unsatisfiable
 
+    @SETTINGS
+    @given(lows=st.lists(st.floats(min_value=TARGET_DOMAIN[0] - 100.0,
+                                   max_value=TARGET_DOMAIN[1],
+                                   allow_nan=False, width=64),
+                         min_size=1, max_size=12))
+    def test_widths_straddling_three_buckets(self, scheme, method, lows):
+        """Interleaved widths of three selectivity buckets split one column's
+        ranges into several plan groups; a same-column conjunction joins the
+        group of its merged range."""
+        database = build_database(scheme, method)
+        requests = [QueryRequest.range("t", "target", low,
+                                       low + (0.5, 5.0, 50.0)[number % 3])
+                    for number, low in enumerate(lows)]
+        low = lows[0]
+        requests.append(QueryRequest.of("t", [
+            RangePredicate("target", low - 10.0, low + 5.0),
+            RangePredicate("target", low, low + 60.0)]))
+        batched = database.execute_many(requests)
+        for result, request in zip(batched, requests):
+            assert_locations(result, database.execute(request).locations)
+
+    @SETTINGS
+    @given(pairs=bound_pairs(count_min=1, count_max=8))
+    def test_batch_mixing_two_tables(self, scheme, method, pairs):
+        """One batch over ``t`` (the mechanism) and ``u`` (full scans of
+        one and of two columns), interleaved."""
+        database = build_database(scheme, method)
+        requests: list = []
+        for number, (first, second) in enumerate(pairs):
+            low, high = min(first, second), max(first, second)
+            requests.append(QueryRequest.range("t", "target", low, high))
+            if number % 2:
+                requests.append(QueryRequest.range("u", "a", low, high))
+            else:
+                requests.append(QueryRequest.of("u", [
+                    RangePredicate("a", low, high),
+                    RangePredicate("b", low - 300.0, high + 300.0)]))
+        batched = database.execute_many(requests)
+        for result, request in zip(batched, requests):
+            assert_locations(result, database.execute(request).locations)
+        assert {result.used_index for result in batched[1::2]} == {None}
+
+
+def key_ranges_built(monkeypatch, call) -> int:
+    """How many ``KeyRange`` objects ``call()`` constructs."""
+    built = []
+    original = KeyRange.__post_init__
+
+    def counting(self) -> None:
+        built.append(None)
+        original(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(KeyRange, "__post_init__", counting)
+        call()
+    return len(built)
+
 
 class TestBatchSemantics:
     @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
@@ -212,9 +279,46 @@ class TestPlanCacheObservability:
         results = database.execute_many(requests)
         assert all(r.group_size == 16 for r in results)
         info = planner.cache_info()
-        # One planner visit for the whole batch; 15 members amortised.
+        # One planner visit for the whole batch; 15 members amortised, plus
+        # the representative itself when its visit was a cache hit.
         assert info.misses + info.hits == base.misses + base.hits + 1
-        assert info.replays >= base.replays + 15
+        assert info.replays == base.replays + 15 + (info.hits - base.hits)
+
+        # From a cold cache: one miss, 15 replays, and the cached plan has
+        # been replayed exactly 15 times too (it counts against its bound).
+        planner.cache_clear()
+        database.execute_many(requests)
+        info = planner.cache_info()
+        assert (info.hits, info.misses, info.replays) == (0, 1, 15)
+        [cached] = planner._cache.values()
+        assert cached.replays == 15
+        database.execute_many(requests)
+        assert planner.cache_info().replays == 15 + 16
+        assert cached.replays == 15 + 16
+
+    def test_batch_builds_key_ranges_per_group_not_per_request(
+            self, monkeypatch):
+        """A single-column batch's bounds stay arrays from the planner to
+        validation: the ``KeyRange`` objects it builds are the
+        representative's few, whatever the batch size; one ``execute``
+        still builds its three."""
+        database = build_database(PointerScheme.PHYSICAL, "hermit")
+
+        def batch(size: int) -> list[QueryRequest]:
+            return [QueryRequest.range("t", "target", low, low + 1.0)
+                    for low in np.linspace(0.0, 900.0, size).tolist()]
+
+        database.execute_many(batch(256))
+        # Replans and replays alternate as the batches exhaust the replay
+        # bound; neither builds more than the representative's merge.
+        built = [key_ranges_built(monkeypatch,
+                                  lambda: database.execute_many(batch(size)))
+                 for size in (16, 256, 16, 256)]
+        assert len(set(built)) == 1 and built[0] <= 2, built
+        request = QueryRequest.range("t", "target", 100.0, 101.0)
+        database.execute(request)
+        assert key_ranges_built(
+            monkeypatch, lambda: database.execute(request)) == 3
 
     def test_replays_exceed_hits_under_batching(self):
         database = build_database(PointerScheme.PHYSICAL, "sorted")

@@ -19,6 +19,7 @@ Four layers, bottom up:
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 
@@ -242,6 +243,29 @@ class TestResultCacheUnits:
         entry = cache.get("t", (("c", 2, 2),), 0)
         assert np.array_equal(entry.locations, [2])
         assert not entry.locations.flags.writeable
+
+    def test_doorkeeper_retains_no_gc_tracked_objects(self):
+        """A run of first sightings leaves nothing for the collector: the
+        doorkeeper keeps key hashes, so uniform traffic's miss path does not
+        drive garbage collections that the uncached path never pays."""
+        cache = ResultCache()
+        array = np.array([1], dtype=np.int64)
+
+        def first_sightings(start: int) -> None:
+            cache.put_many("t", [(("c", float(value), float(value) + 1.0),
+                                  array, None)
+                                 for value in range(start, start + 1000)], 0)
+
+        first_sightings(0)
+        gc.disable()
+        try:
+            before = gc.get_count()[0]
+            first_sightings(1000)
+            retained = gc.get_count()[0] - before
+        finally:
+            gc.enable()
+        assert cache.info().admission_deferrals == 2000
+        assert retained < 100, retained
 
     def test_clear_drops_entries_and_doorkeeper_keeps_counters(self):
         cache = ResultCache()
