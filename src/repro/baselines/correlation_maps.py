@@ -22,6 +22,7 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from itertools import chain
+from math import isnan
 
 import numpy as np
 
@@ -67,14 +68,11 @@ class CorrelationMap(SecondaryMechanism):
 
     def build(self) -> None:
         """Populate the bucket mapping from the current table contents."""
-        _, targets, hosts = self.table.project([self.target_column, self.host_column])
+        slots, targets, hosts = self.table.project([self.target_column,
+                                                    self.host_column])
         self._mapping.clear()
-        if len(targets) == 0:
-            return
-        target_buckets = np.floor(targets / self.target_bucket_width).astype(np.int64)
-        host_buckets = np.floor(hosts / self.host_bucket_width).astype(np.int64)
-        for target_bucket, host_bucket in zip(target_buckets, host_buckets):
-            self._mapping[int(target_bucket)].add(int(host_bucket))
+        self.insert_many({self.target_column: targets,
+                          self.host_column: hosts}, slots)
 
     # --------------------------------------------------- candidate generation
 
@@ -171,9 +169,12 @@ class CorrelationMap(SecondaryMechanism):
     # ------------------------------------------------------------ maintenance
 
     def insert(self, row: dict, location: int) -> None:
-        """Extend the mapping for a newly inserted row."""
-        target_bucket = int(np.floor(float(row[self.target_column])
-                                     / self.target_bucket_width))
+        """Extend the mapping for a newly inserted row (a NULL target —
+        NaN, matched by no predicate — links nothing)."""
+        target = float(row[self.target_column])
+        if isnan(target):
+            return
+        target_bucket = int(np.floor(target / self.target_bucket_width))
         host_bucket = int(np.floor(float(row[self.host_column])
                                    / self.host_bucket_width))
         self._mapping[target_bucket].add(host_bucket)
@@ -190,6 +191,9 @@ class CorrelationMap(SecondaryMechanism):
         del locations
         targets = np.asarray(columns[self.target_column], dtype=np.float64)
         hosts = np.asarray(columns[self.host_column], dtype=np.float64)
+        known = ~np.isnan(targets)
+        if not known.all():
+            targets, hosts = targets[known], hosts[known]
         if targets.size == 0:
             return
         target_buckets = np.floor(targets / self.target_bucket_width)

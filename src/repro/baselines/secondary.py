@@ -20,6 +20,7 @@ probed by the planner's pair access path.
 from __future__ import annotations
 
 import time
+from math import isnan
 
 import numpy as np
 
@@ -65,8 +66,15 @@ class BaselineSecondaryIndex(SecondaryMechanism):
     # ----------------------------------------------------------- construction
 
     def build(self) -> None:
-        """Load the (empty) backing index from the current table contents."""
+        """Load the (empty) backing index from the current table contents.
+
+        A NULL (NaN) key matches no predicate and is never stored, here or
+        by any write below.
+        """
         slots, targets = self.table.project([self.target_column])
+        known = ~np.isnan(targets)
+        if not known.all():
+            slots, targets = slots[known], targets[known]
         self.index.insert_many(targets, self._tids_for_slots(slots))
 
     # --------------------------------------------------- candidate generation
@@ -108,7 +116,9 @@ class BaselineSecondaryIndex(SecondaryMechanism):
 
     def insert(self, row: dict, location: int) -> None:
         """Index a newly inserted row."""
-        self.index.insert(float(row[self.target_column]), self._tid_for(row, location))
+        key = float(row[self.target_column])
+        if not isnan(key):
+            self.index.insert(key, self._tid_for(row, location))
 
     def insert_many(self, columns: dict, locations: np.ndarray) -> None:
         """Batched :meth:`insert`: one sorted merge into the B+-tree.
@@ -119,11 +129,17 @@ class BaselineSecondaryIndex(SecondaryMechanism):
                 columns.
         """
         keys = np.asarray(columns[self.target_column], dtype=np.float64)
-        self.index.insert_many(keys, self._tids_for_batch(columns, locations))
+        tids = self._tids_for_batch(columns, locations)
+        known = ~np.isnan(keys)
+        if not known.all():
+            keys, tids = keys[known], tids[known]
+        self.index.insert_many(keys, tids)
 
     def delete(self, row: dict, location: int) -> None:
         """Remove an index entry for a deleted row."""
-        self.index.delete(float(row[self.target_column]), self._tid_for(row, location))
+        key = float(row[self.target_column])
+        if not isnan(key):
+            self.index.delete(key, self._tid_for(row, location))
 
     def update(self, old_row: dict, new_row: dict, location: int) -> None:
         """Re-index a row whose target value changed."""

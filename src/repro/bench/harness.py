@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.bench.timing import ThroughputResult
 from repro.core.lookup import LookupBreakdown
-from repro.index.base import KeyRanges
 from repro.workloads.queries import RangeQuery
 
 
@@ -49,10 +48,9 @@ def run_query_batch(mechanism, queries: list[RangeQuery]) -> QueryBatchResult:
             (HermitIndex, BaselineSecondaryIndex, CorrelationMap).
         queries: The query batch.
     """
-    ranges = KeyRanges.of((query.low, query.high) for query in queries)
     gc.collect()
     started = time.perf_counter()
-    batch = mechanism.lookup_range_many(ranges)
+    batch = mechanism.lookup_range_many(queries)
     elapsed = time.perf_counter() - started
     return QueryBatchResult(
         throughput=ThroughputResult(operations=len(queries), seconds=elapsed),

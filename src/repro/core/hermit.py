@@ -312,6 +312,19 @@ class HermitIndex(SecondaryMechanism):
         """Force a rebuild of selected first-level subtrees (Figure 23)."""
         self.trs_tree.reorganize_children(self.data_provider(), child_indices)
 
+    def check_invariants(self) -> None:
+        """Raise ``AssertionError`` unless the index never misses (for tests).
+
+        The TRS-Tree is one well-formed tree, and every live row with a
+        non-NULL target is behind its leaf's band or in the outlier buffer
+        under its tid (:meth:`~repro.core.trs_tree.TRSTree.check_invariants`
+        over the live rows).
+        """
+        slots, targets, hosts = self.table.project(
+            [self.target_column, self.host_column])
+        self.trs_tree.check_invariants(targets, hosts,
+                                       self._tids_for_slots(slots))
+
     # ------------------------------------------------------------- accounting
 
     def memory_bytes(self) -> int:

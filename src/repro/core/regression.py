@@ -93,8 +93,8 @@ class LinearModel:
         Handles both slope signs: for a negative slope the predicted endpoints
         swap, exactly as Algorithm 2 describes.
         """
-        lo = self.predict(target_range.low)
-        hi = self.predict(target_range.high)
+        lo = slope_times(self.beta, target_range.low) + self.alpha
+        hi = slope_times(self.beta, target_range.high) + self.alpha
         if lo > hi:
             lo, hi = hi, lo
         return band_range(lo, hi, self.epsilon)
@@ -142,8 +142,10 @@ class LogLinearModel:
         The model is monotone in ``m`` (the log feature is nondecreasing), so
         the extremes are at the range endpoints for either sign of ``beta``.
         """
-        lo = self.predict(target_range.low)
-        hi = self.predict(target_range.high)
+        lo = slope_times(self.beta, self._feature(target_range.low)) \
+            + self.alpha
+        hi = slope_times(self.beta, self._feature(target_range.high)) \
+            + self.alpha
         if lo > hi:
             lo, hi = hi, lo
         return band_range(lo, hi, self.epsilon)
@@ -219,7 +221,8 @@ class PiecewiseLinearModel:
             seg_hi = target_range.high if segment == last \
                 else self.bounds[segment + 1]
             for m in (seg_lo, seg_hi):
-                predicted = self.betas[segment] * m + self.alphas[segment]
+                predicted = (slope_times(self.betas[segment], m)
+                             + self.alphas[segment])
                 lo = min(lo, predicted)
                 hi = max(hi, predicted)
         return band_range(lo, hi, self.epsilon)
@@ -254,6 +257,21 @@ class OutlierOnlyModel:
     def host_range(self, target_range: KeyRange) -> KeyRange:
         """Empty-band host range; never emitted (the leaf covers no tuple)."""
         return KeyRange(0.0, 0.0)
+
+
+def slope_times(beta: float, m: float) -> float:
+    """``beta * m``, except that a zero slope gives 0 even at an unbounded
+    ``m`` (IEEE ``0 * inf`` is NaN).
+
+    A flat model predicts its intercept everywhere, so a predicate open to
+    ±inf must still probe its band; for finite ``m`` this is ``beta * m``.
+    """
+    return beta * m if beta else 0.0
+
+
+def slope_times_many(beta: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Vectorised :func:`slope_times` over equal-shape arrays."""
+    return beta * np.where(beta == 0.0, 0.0, m)
 
 
 def log_feature(m: np.ndarray, shift: float) -> np.ndarray:
@@ -369,8 +387,8 @@ class ModelTable:
                 if kind == self._LOG:
                     at = log_feature(at, self.shift[rows])
                     to = log_feature(to, self.shift[rows])
-                at = self.beta[rows] * at + self.alpha[rows]
-                to = self.beta[rows] * to + self.alpha[rows]
+                at = slope_times_many(self.beta[rows], at) + self.alpha[rows]
+                to = slope_times_many(self.beta[rows], to) + self.alpha[rows]
                 lo, hi = np.minimum(at, to), np.maximum(at, to)
             out_lows[chosen], out_highs[chosen] = band_range_many(
                 lo, hi, self.epsilon[rows])
@@ -390,9 +408,9 @@ class ModelTable:
         knots = self.knots[rows]
         first = np.minimum((lows[:, None] >= knots).sum(axis=1), last_segment)
         last = np.minimum((highs[:, None] >= knots).sum(axis=1), last_segment)
-        at_low = (self.piece_betas[rows, first] * lows
+        at_low = (slope_times_many(self.piece_betas[rows, first], lows)
                   + self.piece_alphas[rows, first])
-        at_high = (self.piece_betas[rows, last] * highs
+        at_high = (slope_times_many(self.piece_betas[rows, last], highs)
                    + self.piece_alphas[rows, last])
         lo, hi = np.minimum(at_low, at_high), np.maximum(at_low, at_high)
         for knot in range(knots.shape[1]):

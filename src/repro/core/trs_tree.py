@@ -944,22 +944,34 @@ class TRSTree:
             false_positives += estimate  # in key order, left to right
         return false_positives / (covered + false_positives)
 
-    def check_invariants(self) -> None:
-        """Raise ``AssertionError`` unless the leaf table is one tree (for tests).
+    def check_invariants(self, targets: Sequence[float] = (),
+                         hosts: Sequence[float] = (),
+                         tids: Sequence[TupleId] = ()) -> None:
+        """Raise ``AssertionError`` unless the leaf table is one tree that
+        never misses a given pair (for tests).
 
         The paths are the leaves of one full ``node_fanout``-ary tree in key
         order; every leaf's lower bound is its path's partition bound
         replayed from the domain; every column has one entry per leaf; the
         outlier view's keys ascend, and each leaf's outlier count is the
-        number of entries routed to it.
+        number of entries routed to it.  Every given live pair with a
+        non-NaN target — the paper's "never miss" contract — sits behind its
+        leaf's band (and the leaf emits its host range) or is in the outlier
+        view under its own key.
         """
         def check(holds: bool, what: str) -> None:
             if not holds:
                 raise AssertionError(f"TRS-Tree invariant broken: {what}")
 
+        targets = np.asarray(targets, dtype=np.float64)
+        known = ~np.isnan(targets)
+        targets = targets[known]
+        hosts = np.asarray(hosts, dtype=np.float64)[known]
+        live_tids = np.asarray(tids)[known]
         table = self._table
         if table is None:
             check(len(self._outliers) == 0, "outliers without a tree")
+            check(targets.size == 0, "live pairs without a tree")
             return
         fanout = self.config.node_fanout
         size = len(table)
@@ -990,6 +1002,19 @@ class TRSTree:
         check(tids.size == len(self._outliers)
               and np.array_equal(routed, table.num_outliers),
               "per-leaf outlier counts do not match the buffer")
+        rows = table.interior.searchsorted(targets, side="right")
+        behind_band = np.zeros(targets.size, dtype=bool)
+        for row in np.unique(rows).tolist():
+            if table.num_model_covered[row] > 0:
+                run = rows == row
+                behind_band[run] = table.models[row].covers_many(
+                    targets[run], hosts[run])
+        filed = set(zip(keys.tolist(), tids.tolist()))
+        for pair in zip(targets[~behind_band].tolist(),
+                        live_tids[~behind_band].tolist()):
+            check(pair in filed,
+                  f"live pair {pair} is neither behind its leaf's band nor "
+                  f"an outlier")
 
     def memory_bytes(self) -> int:
         """Analytic size of the whole tree in bytes.

@@ -21,8 +21,8 @@ swallow it, so a test that injects a crash observes exactly what a killed
 process would have left on disk.
 
 Property tests drive this with hypothesis-chosen byte offsets and assert
-that recovery from whatever survives equals a shadow in-memory replay — see
-``tests/test_durability_recovery.py``.
+that recovery from whatever survives equals the model of the surviving
+operation prefix — see ``tests/test_durability_recovery.py``.
 """
 
 from __future__ import annotations

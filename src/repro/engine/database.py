@@ -838,3 +838,37 @@ class Database:
         """Return the table object registered under ``table_name``."""
         with self.epochs.read():
             return self.catalog.table_entry(table_name).table
+
+    def check_invariants(self) -> None:
+        """Raise ``AssertionError`` unless every index agrees with its table
+        (for tests).
+
+        Per table: the primary index holds exactly one ``key -> location``
+        entry per live row; every complete secondary index (B+-tree or
+        sorted column, which includes every host index) holds exactly the
+        live rows' ``key -> tid`` pairs, NULL keys excepted; and every
+        Hermit index never misses (:meth:`HermitIndex.check_invariants`).
+        """
+        with self.epochs.read():
+            for entry in self.catalog.tables():
+                table = entry.table
+                primary = table.schema.primary_key
+                holds = [(primary, entry.primary_index, table.project(
+                    [primary]))]
+                for index_entry in entry.indexes.values():
+                    mechanism = index_entry.mechanism
+                    if isinstance(mechanism, HermitIndex):
+                        mechanism.check_invariants()
+                    elif index_entry.method in HOST_METHODS:
+                        slots, keys = table.project([index_entry.column])
+                        holds.append((index_entry.name, mechanism.index,
+                                      (mechanism._tids_for_slots(slots),
+                                       keys)))
+                for name, index, (tids, keys) in holds:
+                    known = ~np.isnan(keys)
+                    expected = sorted(zip(keys[known].tolist(),
+                                          tids[known].tolist()))
+                    if sorted(index.items()) != expected:
+                        raise AssertionError(
+                            f"index {name!r} of table {entry.name!r} does "
+                            f"not hold exactly the live rows")

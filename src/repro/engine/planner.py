@@ -409,90 +409,76 @@ class Planner:
         *queries*, not batches.  Unsatisfiable queries collapse into one
         no-path group.
 
-        Grouping itself is batched: single-predicate queries — the
-        single-column batch fast path — have their bounds read into two
-        arrays per column, bucketed with one vectorized selectivity pass
-        and split into groups by bucket with array passes; only
-        multi-predicate conjunctions walk ``merged()`` per query, and each
-        of their groups turns its dicts into bound arrays once.
+        Grouping itself is batched: queries on one column — a single
+        predicate, or a conjunction whose ``merged()`` keeps one column —
+        have their bounds read into two arrays per column, bucketed with one
+        vectorized selectivity pass and split into groups by bucket with
+        array passes; only conjunctions over several columns walk
+        ``merged()`` into a shape key per query, and each of their groups
+        turns its dicts into bound arrays once.
         """
-        # Group key -> (representative query, [(positions, bounds), ...]); a
-        # key gets a second chunk only when a conjunction on one column
-        # shares its shape with single-predicate queries.
-        shapes: dict[tuple, tuple[ConjunctiveQuery, list]] = {}
-
-        def add(key: tuple, query: ConjunctiveQuery, positions: np.ndarray,
-                bounds: dict[str, KeyRanges]) -> None:
-            shapes.setdefault(key, (query, []))[1].append((positions, bounds))
-
-        single: dict[str, list[int]] = {}
+        # (group key, representative query, positions, bounds) per group.
+        shapes: list[tuple[tuple, ConjunctiveQuery, np.ndarray,
+                           dict[str, KeyRanges]]] = []
+        single: dict[str, tuple[list[int], list]] = {}
         multi: dict[tuple, tuple[list[int], list[dict[str, KeyRange]]]] = {}
         for position, query in enumerate(queries):
             predicates = query.predicates
             if len(predicates) == 1:
-                single.setdefault(predicates[0].column, []).append(position)
-                continue
-            merged = query.merged()
-            if merged is None:
-                key, merged = _UNSATISFIABLE, {}
+                column, bound = predicates[0].column, predicates[0]
             else:
-                key = (tuple(merged), tuple(
-                    _selectivity_bucket(
-                        self.catalog.column_stats(table_name, column)
-                        .selectivity(key_range))
-                    for column, key_range in merged.items()))
-            members, merged_ranges = multi.setdefault(key, ([], []))
+                merged = query.merged()
+                if merged is None or len(merged) > 1:
+                    key = _UNSATISFIABLE if merged is None else (
+                        tuple(merged), tuple(
+                            _selectivity_bucket(
+                                self.catalog.column_stats(table_name, column)
+                                .selectivity(key_range))
+                            for column, key_range in merged.items()))
+                    members, merged_ranges = multi.setdefault(key, ([], []))
+                    members.append(position)
+                    merged_ranges.append(merged)
+                    continue
+                (column, bound), = merged.items()
+            members, bounds = single.setdefault(column, ([], []))
             members.append(position)
-            merged_ranges.append(merged)
+            bounds.append(bound)
         for key, (members, merged_ranges) in multi.items():
             columns = () if key == _UNSATISFIABLE else key[0]
-            add(key, queries[members[0]], np.asarray(members, dtype=np.int64),
-                {column: KeyRanges.of([merged[column]
-                                       for merged in merged_ranges])
-                 for column in columns})
+            shapes.append((key, queries[members[0]],
+                           np.asarray(members, dtype=np.int64),
+                           {column: KeyRanges.of([merged[column]
+                                                  for merged in merged_ranges])
+                            for column in columns}))
 
-        for column, members in single.items():
-            ranges = KeyRanges.of([queries[position].predicates[0]
-                                   for position in members])
+        for column, (members, bounds) in single.items():
+            ranges = KeyRanges.of(bounds)
             lows, highs = ranges.lows, ranges.highs
             positions = np.asarray(members, dtype=np.int64)
             buckets = _selectivity_bucket_array(
                 self.catalog.column_stats(table_name, column)
                 .selectivity_array(lows, highs))
-            first = int(buckets[0])
-            if (buckets == first).all():
-                add(((column,), (first,)), queries[members[0]], positions,
-                    {column: ranges})
-                continue
-            values, firsts, inverse = np.unique(
-                buckets, return_index=True, return_inverse=True)
-            # Members of one bucket, in input order; buckets in order of
-            # their first member.
-            by_bucket = np.argsort(inverse, kind="stable")
-            stops = np.cumsum(np.bincount(inverse)).tolist()
-            starts = [0] + stops[:-1]
-            for bucket in np.argsort(firsts).tolist():
-                taken = by_bucket[starts[bucket]:stops[bucket]]
-                add(((column,), (int(values[bucket]),)),
-                    queries[members[int(firsts[bucket])]], positions[taken],
-                    {column: KeyRanges(lows[taken], highs[taken])})
+            # One run of ``order`` per bucket, its members in input order;
+            # buckets in order of their first member.
+            order = np.argsort(buckets, kind="stable")
+            ordered = buckets[order]
+            edges = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1])
+                          + 1).tolist(), order.size]
+            for first, start, stop in sorted(
+                    (int(order[start]), start, stop)
+                    for start, stop in zip(edges[:-1], edges[1:])):
+                taken = order[start:stop]
+                shapes.append((((column,), (int(ordered[start]),)),
+                               queries[members[first]], positions[taken],
+                               {column: KeyRanges(lows[taken], highs[taken])}))
 
         groups = []
-        for key, (query, chunks) in shapes.items():
+        for key, query, positions, bounds in shapes:
             if key == _UNSATISFIABLE:
                 plan = Plan(table_name=table_name, query=query,
                             unsatisfiable=True)
             else:
                 plan = self.plan(table_name, query)
-            positions, bounds = chunks[0]
-            if len(chunks) > 1:
-                positions = np.concatenate([chunk[0] for chunk in chunks])
-                bounds = {column: KeyRanges(
-                    np.concatenate([chunk[1][column].lows for chunk in chunks]),
-                    np.concatenate([chunk[1][column].highs
-                                    for chunk in chunks]))
-                    for column in bounds}
-            if key != _UNSATISFIABLE:
                 # Unsatisfiable queries never had a plan template to reuse,
                 # so they do not count as amortised planning work.
                 self._book_group_replays(table_name, key, positions.size - 1)

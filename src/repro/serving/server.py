@@ -22,9 +22,9 @@ very small amount of time on purpose*:
   one planner visit per plan shape, segmented vectorized execution — and
   fans the per-request results back to their futures.
 * The window *adapts*: a flush that caught a healthy batch grows the
-  window (more load → more coalescing, bounded by ``max_window``); a
+  window (more load → more coalescing, bounded by :data:`MAX_WINDOW`); a
   flush that caught a single request shrinks it (idle → latency floor,
-  bounded by ``min_window``).  A full batch (``max_batch``) flushes
+  bounded by :data:`MIN_WINDOW`).  A full batch (:data:`MAX_BATCH`) flushes
   immediately without waiting for the timer.
 
 The event loop is plain ``asyncio`` running on a daemon thread, so sync
@@ -58,7 +58,20 @@ from repro.cache.result_cache import ResultCacheStats
 from repro.engine.database import Database
 from repro.engine.planner import PlannerCacheStats
 from repro.engine.query import QueryRequest, QueryResult
-from repro.errors import ConfigurationError, ServingError
+from repro.errors import ServingError
+
+# The coalescing policy.  The window starts at INITIAL_WINDOW seconds; a flush
+# that caught at least TARGET_BATCH requests multiplies it by GROW_FACTOR (up
+# to MAX_WINDOW), one that caught a single request by SHRINK_FACTOR (down to
+# MIN_WINDOW, the idle-latency cost of coalescing, so it stays tiny).  A
+# pending queue reaching MAX_BATCH flushes without waiting for the timer.
+INITIAL_WINDOW = 0.0005
+MIN_WINDOW = 0.0001
+MAX_WINDOW = 0.005
+GROW_FACTOR = 2.0
+SHRINK_FACTOR = 0.5
+TARGET_BATCH = 16
+MAX_BATCH = 1024
 
 
 class RequestFuture:
@@ -145,49 +158,6 @@ class RequestFuture:
 
 
 @dataclass(frozen=True)
-class ServerConfig:
-    """Tuning knobs of the coalescing policy.
-
-    Attributes:
-        initial_window: Coalescing window the server starts with (seconds).
-        min_window: Floor the window shrinks to when flushes catch single
-            requests — this is the idle-latency cost of coalescing, so it
-            stays tiny.
-        max_window: Cap the window grows to under sustained load.
-        grow_factor: Multiplier applied when a flush catches at least
-            ``target_batch`` requests.
-        shrink_factor: Multiplier applied when a flush catches one request.
-        target_batch: Batch size that counts as "healthy load" for window
-            growth.
-        max_batch: A pending queue reaching this size flushes immediately,
-            without waiting for the timer.
-    """
-
-    initial_window: float = 0.0005
-    min_window: float = 0.0001
-    max_window: float = 0.005
-    grow_factor: float = 2.0
-    shrink_factor: float = 0.5
-    target_batch: int = 16
-    max_batch: int = 1024
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.min_window <= self.initial_window
-                <= self.max_window):
-            raise ConfigurationError(
-                "need 0 < min_window <= initial_window <= max_window"
-            )
-        if self.grow_factor < 1.0 or not (0.0 < self.shrink_factor <= 1.0):
-            raise ConfigurationError(
-                "need grow_factor >= 1 and 0 < shrink_factor <= 1"
-            )
-        if self.target_batch < 2 or self.max_batch < self.target_batch:
-            raise ConfigurationError(
-                "need target_batch >= 2 and max_batch >= target_batch"
-            )
-
-
-@dataclass(frozen=True)
 class ServerStats:
     """Snapshot of the server's cumulative counters.
 
@@ -196,7 +166,7 @@ class ServerStats:
         batches: Coalesced batches executed (so ``requests / batches`` is
             the mean coalescing factor).
         max_batch: Largest batch executed.
-        full_flushes: Batches dispatched at exactly ``ServerConfig.max_batch``
+        full_flushes: Batches dispatched at exactly :data:`MAX_BATCH`
             — i.e. flushes the queue filled rather than the timer cut.
         window: Current adaptive window (seconds).
         plan_cache: The engine's cumulative plan-cache counters — together
@@ -238,15 +208,11 @@ class Server:
     Args:
         database: The engine to serve.  The server only reads; writers keep
             using the database's DML surface directly.
-        config: Coalescing policy knobs.
     """
 
-    def __init__(self, database: Database,
-                 config: ServerConfig | None = None) -> None:
-        config = config if config is not None else ServerConfig()
+    def __init__(self, database: Database) -> None:
         self.database = database
-        self.config = config
-        self._window = config.initial_window
+        self._window = INITIAL_WINDOW
         self._pending: deque[tuple[QueryRequest, RequestFuture]] = deque()
         self._flush_handle: asyncio.TimerHandle | None = None
         # True while a wakeup/timer covers the queue: submits only poke the
@@ -292,9 +258,9 @@ class Server:
         if not self._armed:
             self._armed = True
             self._loop.call_soon_threadsafe(self._wakeup)
-        elif len(self._pending) % self.config.max_batch == 0:
+        elif len(self._pending) % MAX_BATCH == 0:
             # Full queue: flush without waiting for the timer.  The modulo
-            # (rather than >=) keeps this to ~one poke per max_batch
+            # (rather than >=) keeps this to ~one poke per MAX_BATCH
             # requests even while a batch is already executing; duplicate
             # or skipped pokes are harmless — _flush on an empty queue is
             # a no-op and the armed timer still covers the queue.
@@ -401,15 +367,14 @@ class Server:
             self._flush_handle.cancel()
             self._flush_handle = None
         batch: list[tuple[QueryRequest, RequestFuture]] = []
-        max_batch = self.config.max_batch
         drained = 0
         while True:
             try:
                 batch.append(self._pending.popleft())
             except IndexError:
                 break
-            if len(batch) == max_batch:
-                drained += max_batch
+            if len(batch) == MAX_BATCH:
+                drained += MAX_BATCH
                 self._full_flushes += 1
                 self._dispatch(batch)
                 batch = []
@@ -443,13 +408,10 @@ class Server:
         it pays), and a single idle flush halves it (latency recovers just
         as fast when load drops).
         """
-        config = self.config
-        if batch_size >= config.target_batch:
-            self._window = min(self._window * config.grow_factor,
-                               config.max_window)
+        if batch_size >= TARGET_BATCH:
+            self._window = min(self._window * GROW_FACTOR, MAX_WINDOW)
         elif batch_size <= 1:
-            self._window = max(self._window * config.shrink_factor,
-                               config.min_window)
+            self._window = max(self._window * SHRINK_FACTOR, MIN_WINDOW)
 
     # ----------------------------------------------------------- worker side
 

@@ -399,8 +399,9 @@ class ShardedDatabase:
         """Update a row; returns its (possibly new) global location.
 
         A primary-key change that crosses a shard boundary cannot stay in
-        place: the row is fetched, patched, deleted from the old shard and
-        inserted into the new owner — so unlike
+        place: the row is fetched, patched, inserted into the new owner and
+        only then deleted from the old shard — so a patched row the new
+        owner rejects leaves the row where it was — and unlike
         :meth:`Database.update` the location can change, and the new one
         is returned (unchanged updates return the old location).
         """
@@ -411,10 +412,10 @@ class ShardedDatabase:
             if target != shard_index:
                 row = self._call(shard_index, "fetch", (table_name, local))
                 row.update(changes)
-                self._call(shard_index, "delete", (table_name, local))
                 new_local = self._call(
                     target, "insert_many",
                     (table_name, {k: [v] for k, v in row.items()}))[0]
+                self._call(shard_index, "delete", (table_name, local))
                 return target * LOCATION_STRIDE + int(new_local)
         self._call(shard_index, "update", (table_name, local, changes))
         return int(location)

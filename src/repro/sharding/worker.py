@@ -112,6 +112,9 @@ def dispatch_command(database: Database, command: str, payload: Any) -> Any:
     if command == "result_cache_clear":
         database.result_cache_clear()
         return None
+    if command == "check_invariants":
+        database.check_invariants()
+        return None
     raise ValueError(f"unknown shard command {command!r}")
 
 

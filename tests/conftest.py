@@ -27,22 +27,23 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers",
         "fault_injection: crash/torn-write/fsync-failure recovery tests "
-        "driven by the durability fault harness; CI runs them as a "
-        "dedicated step (select with '-m fault_injection')",
+        "driven by the durability fault harness, and the durable cells of "
+        "the engine state machine; CI runs them as a dedicated step "
+        "(select with '-m fault_injection')",
     )
     config.addinivalue_line(
         "markers",
-        "sharding: scatter/gather equivalence tests for the sharded "
-        "execution tier (ShardedDatabase vs a single Database on identical "
-        "DML + query traces); CI runs them as a dedicated step (select "
-        "with '-m sharding')",
+        "sharding: tests of the sharded execution tier (process "
+        "transport, routing, locations) and the process-shard cells of "
+        "the engine state machine; CI runs them as a dedicated step "
+        "(select with '-m sharding')",
     )
     config.addinivalue_line(
         "markers",
         "serving: concurrency tests for the coalescing serving front end "
-        "(epoch protocol, writer-interleaving stress, server-vs-batch "
-        "equivalence); CI runs them as a dedicated step (select with "
-        "'-m serving')",
+        "(epoch protocol, writer-interleaving stress, the result cache) "
+        "and the served cells of the engine state machine; CI runs them "
+        "as a dedicated step (select with '-m serving')",
     )
     config.addinivalue_line(
         "markers",

@@ -1,9 +1,12 @@
 """Reference answers the tests compare the engine against.
 
-``scan_locations`` is deliberately independent of every index, mechanism
-and executor: one NumPy mask over a projection of the live rows.
-``trs_lookup_scan`` answers a TRS-Tree lookup by scanning every leaf, and
-``assert_trs_contains`` checks the tree's "never miss" contract pair by pair.
+``ModelTable`` is the model of one table the engine is checked against: its
+rows as NumPy columns, sharing no code with storage, indexes, planner or
+executor; every query is one mask over its live rows, and
+``assert_table_matches`` compares a stored table with it.
+``scan_locations`` is the same mask over a projection of an engine table's
+live rows.  ``trs_lookup_scan`` answers a TRS-Tree lookup by scanning every
+leaf.
 ``bptree_bulk_load`` packs a B+-tree entry by entry, the way the tree's own
 loader did before ``insert_many`` into an empty tree became the load.
 ``assert_locations`` checks a ``QueryResult`` against the result contract.
@@ -16,6 +19,7 @@ import numpy as np
 from repro.core.trs_tree import TRSLookupResult, TRSTree
 from repro.index.base import KeyRange
 from repro.index.bptree import BPlusTree, _InternalNode, _LeafNode
+from repro.storage.schema import DataType, TableSchema
 from repro.storage.table import Table
 
 
@@ -41,6 +45,124 @@ def assert_locations(result, expected) -> None:
     assert found.dtype == np.int64 and found.ndim == 1
     assert bool(np.all(np.diff(found) > 0)), "not sorted and duplicate-free"
     assert found.tolist() == list(expected)
+
+
+class ModelTable:
+    """The model of one table: every row ever stored, as NumPy columns.
+
+    Rows keep their insertion order; ``locations`` holds the location the
+    engine gave each row and ``live`` masks the deleted ones.  Numeric
+    columns are float64 (NaN is NULL), string columns object arrays (None
+    is NULL).
+    ``stats`` is each numeric column's ``(count, minimum, maximum)`` over
+    every value ever stored, as ``Table.statistics`` counts it.
+    """
+
+    def __init__(self, schema: TableSchema) -> None:
+        self.schema = schema
+        self.locations = np.empty(0, dtype=np.int64)
+        self.live = np.empty(0, dtype=bool)
+        self.columns = {column.name: np.empty(0, dtype=_model_dtype(column))
+                        for column in schema}
+        self.stats = {column.name: (0, float("inf"), float("-inf"))
+                      for column in schema
+                      if column.dtype is not DataType.STRING}
+
+    @property
+    def num_rows(self) -> int:
+        return int(self.live.sum())
+
+    def live_locations(self) -> np.ndarray:
+        return np.sort(self.locations[self.live])
+
+    def insert_many(self, columns: dict, locations) -> None:
+        """Append rows given as column -> values, every column supplied."""
+        for column in self.schema:
+            values = columns[column.name]
+            if column.name in self.stats:
+                self._observe(column.name, np.asarray(values, np.float64))
+            self.columns[column.name] = np.concatenate([
+                self.columns[column.name],
+                np.asarray(values, dtype=_model_dtype(column))])
+        self.locations = np.concatenate([
+            self.locations, np.asarray(locations, dtype=np.int64)])
+        self.live = np.concatenate([self.live,
+                                    np.ones(len(locations), dtype=bool)])
+
+    def delete(self, location: int) -> None:
+        self.live[self._row(location)] = False
+
+    def update(self, location: int, changes: dict,
+               new_location: int | None = None) -> None:
+        """Apply ``changes``; a row given a ``new_location`` moves there."""
+        if new_location is not None and new_location != location:
+            row = {**self.fetch(location), **changes}
+            self.delete(location)
+            self.insert_many({name: [value] for name, value in row.items()},
+                             [new_location])
+            return
+        row = self._row(location)
+        for name, value in changes.items():
+            self.columns[name][row] = value
+            if name in self.stats:
+                self._observe(name, np.array([value], dtype=np.float64))
+
+    def fetch(self, location: int) -> dict:
+        row = self._row(location)
+        return {name: values[row].item() if hasattr(values[row], "item")
+                else values[row] for name, values in self.columns.items()}
+
+    def values(self, column: str) -> np.ndarray:
+        """The live rows' values of ``column``, in location order."""
+        order = np.argsort(self.locations[self.live], kind="stable")
+        return self.columns[column][self.live][order]
+
+    def scan(self, predicates) -> np.ndarray:
+        """Sorted locations of the live rows satisfying every predicate
+        (objects with ``column`` / ``low`` / ``high``; inclusive bounds)."""
+        mask = self.live.copy()
+        for predicate in predicates:
+            values = self.columns[predicate.column].astype(np.float64)
+            mask &= (values >= predicate.low) & (values <= predicate.high)
+        return np.sort(self.locations[mask])
+
+    def _row(self, location: int) -> int:
+        rows = np.flatnonzero((self.locations == location) & self.live)
+        assert rows.size == 1, f"no live model row at {location}"
+        return int(rows[0])
+
+    def _observe(self, name: str, values: np.ndarray) -> None:
+        count, low, high = self.stats[name]
+        if values.size:
+            # A NaN batch minimum compares False: that bound stays put.
+            if values.min() < low:
+                low = float(values.min())
+            if values.max() > high:
+                high = float(values.max())
+        self.stats[name] = (count + values.size, low, high)
+
+
+def _model_dtype(column) -> type:
+    return object if column.dtype is DataType.STRING else np.float64
+
+
+def assert_table_matches(table: Table, model: ModelTable) -> None:
+    """A stored table holds exactly the model's rows: the same live
+    locations, slots allocated, values and column statistics."""
+    assert table.num_slots == model.locations.size
+    assert table.live_slots().tolist() == model.live_locations().tolist()
+    for column in table.schema:
+        expected = model.values(column.name)
+        if column.dtype is DataType.STRING:
+            found = [table.fetch(int(slot))[column.name]
+                     for slot in table.live_slots()]
+            assert found == expected.tolist(), column.name
+            continue
+        found = table.column_array(column.name).astype(np.float64)
+        assert np.array_equal(found, expected, equal_nan=True), column.name
+        stats = table.statistics[column.name]
+        assert (stats.count, stats.minimum, stats.maximum) == \
+            model.stats[column.name], column.name
 
 
 def trs_lookup_scan(tree: TRSTree, predicate: KeyRange) -> TRSLookupResult:
@@ -75,25 +197,6 @@ def trs_lookup_scan(tree: TRSTree, predicate: KeyRange) -> TRSLookupResult:
     result.outlier_tids = [tid for key, bucket in zip(keys, buckets)
                            if predicate.contains(key) for tid in bucket]
     return result
-
-
-def assert_trs_contains(tree: TRSTree, targets, hosts, tids) -> None:
-    """The paper's "never miss" contract: every live pair with a non-NaN
-    target sits behind its leaf's band (and the leaf emits its host range)
-    or is in the outlier view under its own key."""
-    table = tree._table
-    keys, view_tids, _ = tree._outlier_view()
-    filed: dict[float, list] = {}
-    for key, tid in zip(keys.tolist(), view_tids.tolist()):
-        filed.setdefault(key, []).append(tid)
-    bounds = np.asarray(table.bounds)
-    for target, host, tid in zip(targets, hosts, tids):
-        if np.isnan(target):
-            continue
-        row = int((bounds <= target).sum())
-        behind_band = (table.num_model_covered[row] > 0
-                       and table.models[row].covers(target, host))
-        assert behind_band or tid in filed.get(target, ()), (target, host, tid)
 
 
 def bptree_bulk_load(tree: BPlusTree, pairs) -> None:

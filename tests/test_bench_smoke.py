@@ -7,10 +7,9 @@ int64 locations for every mechanism under both pointer schemes, (2) the
 concrete index classes keep their genuinely batched write and segmented
 probe overrides — if someone deletes one, everything silently degrades to
 the per-element base form while staying correct — and (3) the write-path
-race agrees at tiny scale.  (The planner-vs-manual-plan and
-``execute_many``-vs-loop parity checks live in
-``test_read_pipelines.TestEveryEntryPointAgrees``; the other ratio suites'
-tiny-scale runs in ``test_bench_ratio_gates``.)
+race agrees at tiny scale.  (Every entry point of every deployment is
+checked against the model by the state machine in ``test_engine_oracle``;
+the other ratio suites' tiny-scale runs are in ``test_bench_ratio_gates``.)
 """
 
 from __future__ import annotations

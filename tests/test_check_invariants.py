@@ -1,0 +1,215 @@
+"""``Database.check_invariants()`` catches every way an index can drift.
+
+The oracle machine trusts this check after every step, so it is checked
+here on its own.  Each case builds the machine's four mechanism tables
+(Hermit, B+-tree, sorted column, Correlation Map) under one pointer scheme,
+corrupts one structure of one table behind the engine's back, and expects
+an ``AssertionError`` naming that structure: the primary index, the host
+index, a complete target index, or the Hermit TRS-Tree.  The same database
+passes when left alone and after every kind of write and maintenance.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+import pytest
+
+from repro.engine.database import Database
+from repro.storage.identifiers import PointerScheme
+
+from test_engine_oracle import INDEXES, ROWS, TABLES, TRS, host_for, schema_of
+
+SCHEMES = pytest.mark.parametrize("scheme", list(PointerScheme),
+                                  ids=lambda scheme: scheme.value)
+
+
+class Row(NamedTuple):
+    slot: int
+    pk: float
+    host: float
+    target: float
+    tid: float
+
+
+def build(scheme: PointerScheme) -> Database:
+    """The four tables, loaded before their indexes; every fifth row's host
+    is off the correlation band, so Hermit holds outliers."""
+    database = Database(pointer_scheme=scheme, trs_config=TRS)
+    rng = np.random.default_rng(11)
+    for name in TABLES:
+        database.create_table(schema_of(name))
+        targets = rng.uniform(0.0, 1_000.0, ROWS)
+        database.insert_many(name, {
+            "pk": np.arange(ROWS, dtype=np.float64),
+            "host": [host_for(target, row % 5 != 0)
+                     for row, target in enumerate(targets.tolist())],
+            "target": targets,
+        })
+        database.create_index("idx_host", name, "host")
+        database.create_index("idx_target", name, "target", **INDEXES[name])
+    return database
+
+
+def rows(database: Database, table: str) -> list[Row]:
+    slots, pks, hosts, targets = database.table(table).project(
+        ["pk", "host", "target"])
+    tids = slots if database.pointer_scheme is PointerScheme.PHYSICAL else pks
+    return [Row(*values) for values in zip(
+        slots.tolist(), pks.tolist(), hosts.tolist(), targets.tolist(),
+        tids.tolist())]
+
+
+def mechanism(database: Database, table: str, index: str):
+    return database.catalog.table_entry(table).indexes[index].mechanism
+
+
+# ------------------------------------------------------------ corruptions
+# Each takes (database, table, index name) and returns the name the
+# AssertionError must mention.
+
+def primary_misses_a_live_row(database, table, index):
+    row = rows(database, table)[0]
+    database.catalog.table_entry(table).primary_index.delete(row.pk, row.slot)
+    return "index 'pk'"
+
+
+def primary_keeps_a_deleted_row(database, table, index):
+    row = rows(database, table)[0]
+    database.delete(table, row.slot)
+    database.catalog.table_entry(table).primary_index.insert(row.pk, row.slot)
+    return "index 'pk'"
+
+
+def primary_points_at_another_row(database, table, index):
+    first, second = rows(database, table)[:2]
+    primary = database.catalog.table_entry(table).primary_index
+    primary.delete(first.pk, first.slot)
+    primary.insert(first.pk, second.slot)
+    return "index 'pk'"
+
+
+def misses_a_live_row(database, table, index):
+    row = rows(database, table)[1]
+    mechanism(database, table, index).index.delete(
+        getattr(row, index.removeprefix("idx_")), row.tid)
+    return f"index {index!r}"
+
+
+def keeps_a_deleted_row(database, table, index):
+    row = rows(database, table)[1]
+    database.delete(table, row.slot)
+    mechanism(database, table, index).index.insert(
+        getattr(row, index.removeprefix("idx_")), row.tid)
+    return f"index {index!r}"
+
+
+def files_a_stale_key(database, table, index):
+    row = rows(database, table)[2]
+    key = getattr(row, index.removeprefix("idx_"))
+    backing = mechanism(database, table, index).index
+    backing.delete(key, row.tid)
+    backing.insert(key + 1.0, row.tid)
+    return f"index {index!r}"
+
+
+def files_under_another_tid(database, table, index):
+    row, other = rows(database, table)[3:5]
+    key = getattr(row, index.removeprefix("idx_"))
+    backing = mechanism(database, table, index).index
+    backing.delete(key, row.tid)
+    backing.insert(key, other.tid)
+    return f"index {index!r}"
+
+
+def outlier(database) -> tuple:
+    """The Hermit tree and one of its outlier rows."""
+    tree = mechanism(database, "hermit", "idx_target").trs_tree
+    filed = set(zip(*[array.tolist() for array in tree._outlier_view()[:2]]))
+    row = next(row for row in rows(database, "hermit")
+               if (row.target, row.tid) in filed)
+    return tree, row
+
+
+def outlier_dropped(database, table, index):
+    tree, row = outlier(database)
+    tree.delete(row.target, row.host, row.tid)
+    return "neither behind its leaf's band nor an outlier"
+
+
+def outlier_under_another_tid(database, table, index):
+    tree, row = outlier(database)
+    tree.delete(row.target, row.host, row.tid)
+    tree.insert(row.target, row.host, rows(database, table)[-1].tid)
+    return "neither behind its leaf's band nor an outlier"
+
+
+def outlier_count_off(database, table, index):
+    mechanism(database, table, index).trs_tree._table.num_outliers[-1] += 1
+    return "per-leaf outlier counts"
+
+
+EVERY_TABLE = [primary_misses_a_live_row, primary_keeps_a_deleted_row,
+               primary_points_at_another_row]
+EVERY_INDEX = [misses_a_live_row, keeps_a_deleted_row, files_a_stale_key,
+               files_under_another_tid]
+CASES = (
+    [(corrupt, table, "idx_host") for corrupt in EVERY_TABLE + EVERY_INDEX
+     for table in TABLES]
+    + [(corrupt, table, "idx_target") for corrupt in EVERY_INDEX
+       for table in ("btree", "sorted")]
+    + [(corrupt, "hermit", "idx_target") for corrupt in
+       (outlier_dropped, outlier_under_another_tid, outlier_count_off)])
+
+
+@SCHEMES
+@pytest.mark.parametrize(
+    "corrupt, table, index", CASES,
+    ids=[f"{corrupt.__name__}-{table}-{index}"
+         for corrupt, table, index in CASES])
+def test_corruption_is_caught(scheme, corrupt, table, index):
+    database = build(scheme)
+    database.check_invariants()
+    names = corrupt(database, table, index)
+    with pytest.raises(AssertionError, match=names):
+        database.check_invariants()
+
+
+# ------------------------------------------------------ what must pass
+
+def churn(database: Database) -> None:
+    """Every kind of write on every table: NULL, out-of-domain and off-band
+    inserts, batched and per row; deletes; target, host and key updates."""
+    for name in TABLES:
+        database.insert_many(name, {
+            "pk": [1_000.0, 1_001.0, 1_002.0],
+            "host": [5.0, host_for(-50.0, True), host_for(500.0, False)],
+            "target": [np.nan, -50.0, 500.0]})
+        database.insert(name, {"pk": 1_003.0, "host": host_for(2_000.0, True),
+                               "target": 2_000.0})
+        live = rows(database, name)
+        for row in live[::7]:
+            database.delete(name, row.slot)
+        database.update(name, live[1].slot, {"target": np.nan})
+        database.update(name, live[2].slot, {"host": host_for(1.0, False)})
+        database.update(name, live[3].slot, {"pk": 2_000.0, "target": 10.0})
+
+
+def reorganize(database: Database) -> None:
+    churn(database)
+    with database.epochs.write():
+        mechanism(database, "hermit", "idx_target").reorganize()
+
+
+def load(database: Database) -> None:
+    pass
+
+
+@SCHEMES
+@pytest.mark.parametrize("writes", [load, churn, reorganize],
+                         ids=lambda writes: writes.__name__)
+def test_a_sound_database_passes(scheme, writes):
+    database = build(scheme)
+    writes(database)
+    database.check_invariants()

@@ -3,10 +3,12 @@
 The protocol invariant under test: kill the engine at *any* cumulative WAL
 byte offset (optionally garbling the torn tail, or silently dropping a write
 tail, or failing an fsync), recover the directory, and the recovered
-database must be exactly the shadow in-memory replay of the operation prefix
+database must be exactly the model of the operation prefix
 that survived — across every index mechanism (HERMIT, B+-tree baseline,
 sorted column, correlation map), both pointer schemes, and the whole read
-API (``execute`` / ``execute_many`` / ``query_with``).
+API (``execute`` / ``execute_many`` / ``query_with``).  The expected state
+is ``reference.ModelTable`` replaying that prefix: the model the engine's
+state machine (``test_engine_oracle``) checks every deployment against.
 
 Because every logged operation appends exactly one record, LSN ``k``
 corresponds to operation ``k`` of the scripted workload: the recovered
@@ -42,7 +44,7 @@ from repro.errors import DurabilityError
 from repro.storage.identifiers import PointerScheme
 from repro.storage.schema import Column, DataType, TableSchema
 
-from reference import assert_locations
+from reference import ModelTable, assert_locations, assert_table_matches
 
 pytestmark = pytest.mark.fault_injection
 
@@ -118,13 +120,24 @@ def apply_op(database: Database, op: tuple) -> None:
         raise AssertionError(f"unknown op {kind}")
 
 
-def shadow_replay(ops: list[tuple], count: int,
-                  pointer_scheme: PointerScheme) -> Database:
-    """Plain in-memory database after the first ``count`` operations."""
-    database = Database(pointer_scheme=pointer_scheme)
-    for op in ops[:count]:
-        apply_op(database, op)
-    return database
+def model_after(count: int) -> tuple[ModelTable | None, dict]:
+    """The model of table ``t`` after the first ``count`` operations, and
+    the indexes created so far (name -> (column, method))."""
+    model, indexes = None, {}
+    for op in build_ops()[:count]:
+        kind = op[0]
+        if kind == "create_table":
+            model = ModelTable(_schema())
+        elif kind == "insert_many":
+            start = model.locations.size
+            model.insert_many(op[1], range(start, start + len(op[1]["pk"])))
+        elif kind == "create_index":
+            indexes[op[1]] = (op[2], op[3])
+        elif kind == "update":
+            model.update(op[1], op[2])
+        else:
+            model.delete(op[1])
+    return model, indexes
 
 
 PREDICATES = [
@@ -133,50 +146,33 @@ PREDICATES = [
     RangePredicate("c", 10.0, 35.0),
     RangePredicate("b", -50.0, 50.0),
 ]
+CONJUNCTION = [RangePredicate("a", 100.0, 600.0),
+               RangePredicate("b", 250.0, 1100.0)]
 
 
-def assert_equivalent(recovered: Database, shadow: Database) -> None:
-    """Physical state + every read path must match between the two."""
-    assert ("t" in recovered.catalog) == ("t" in shadow.catalog)
-    if "t" not in shadow.catalog:
+def assert_recovered(recovered: Database, count: int) -> None:
+    """The recovered database is the model after ``count`` operations:
+    storage, every index, and every read path."""
+    model, indexes = model_after(count)
+    assert ("t" in recovered.catalog) == (model is not None)
+    if model is None:
         return
-    t_r, t_s = recovered.table("t"), shadow.table("t")
-    assert t_r.num_rows == t_s.num_rows
-    assert t_r.num_slots == t_s.num_slots
-    np.testing.assert_array_equal(t_r.live_slots(), t_s.live_slots())
-    for column in ("pk", "a", "b", "c"):
-        np.testing.assert_array_equal(t_r.column_array(column),
-                                      t_s.column_array(column))
-        stats_r = t_r.statistics[column]
-        stats_s = t_s.statistics[column]
-        assert (stats_r.count, stats_r.minimum, stats_r.maximum) == \
-            (stats_s.count, stats_s.minimum, stats_s.maximum)
-    for slot in t_s.live_slots()[:25]:
-        assert t_r.fetch(int(slot)) == t_s.fetch(int(slot))
-
-    entry_r = recovered.catalog.table_entry("t")
-    entry_s = shadow.catalog.table_entry("t")
-    # Restored from a checkpoint the primary index is loaded in one batch;
-    # the shadow's grew batch by batch.
-    assert (list(entry_r.primary_index.items())
-            == list(entry_s.primary_index.items()))
-    assert set(entry_r.indexes) == set(entry_s.indexes)
-    for name, index_entry in entry_s.indexes.items():
-        assert entry_r.indexes[name].method is index_entry.method
-        predicate = RangePredicate(index_entry.column, 200.0, 700.0)
-        got = recovered.query_with("t", name, predicate)
-        want = shadow.query_with("t", name, predicate)
-        assert_locations(got, want.locations)
-
-    conj = [RangePredicate("a", 100.0, 600.0),
-            RangePredicate("b", 250.0, 1100.0)]
-    requests = [QueryRequest.of("t", query) for query in (*PREDICATES, conj)]
-    for request in requests:
-        assert_locations(recovered.execute(request),
-                         shadow.execute(request).locations)
-    for got, want in zip(recovered.execute_many(requests),
-                         shadow.execute_many(requests)):
-        assert_locations(got, want.locations)
+    assert_table_matches(recovered.table("t"), model)
+    recovered.check_invariants()
+    entry = recovered.catalog.table_entry("t")
+    assert {name: (index.column, index.method)
+            for name, index in entry.indexes.items()} == indexes
+    for name, (column, _) in indexes.items():
+        predicate = RangePredicate(column, 200.0, 700.0)
+        assert_locations(recovered.query_with("t", name, predicate),
+                         model.scan([predicate]))
+    queries = [[predicate] for predicate in PREDICATES] + [CONJUNCTION]
+    requests = [QueryRequest.of("t", query) for query in queries]
+    for query, request, many in zip(queries, requests,
+                                    recovered.execute_many(requests)):
+        expected = model.scan(query)
+        assert_locations(recovered.execute(request), expected)
+        assert_locations(many, expected)
 
 
 def run_workload(directory: str, injector: FaultInjector | None,
@@ -234,7 +230,7 @@ def wal_budget(pointer_scheme: PointerScheme) -> int:
        torn=st.booleans())
 def test_crash_anywhere_recovers_surviving_prefix(pointer_scheme, fraction,
                                                   garble, torn):
-    """Crash at any WAL byte → recovery equals the shadow replay."""
+    """Crash at any WAL byte → recovery equals the model of the prefix."""
     budget = wal_budget(pointer_scheme)
     offset = int(fraction * budget)
     fault = (FaultPoint(torn_write_at_byte=offset) if torn
@@ -248,8 +244,7 @@ def test_crash_anywhere_recovers_surviving_prefix(pointer_scheme, fraction,
         assert survived <= len(build_ops())
         if not torn:
             assert acked <= survived + 1  # only the in-flight op may be lost
-        shadow = shadow_replay(build_ops(), survived, pointer_scheme)
-        assert_equivalent(recovered, shadow)
+        assert_recovered(recovered, survived)
         recovered.close()
     finally:
         shutil.rmtree(tmp)
@@ -277,10 +272,7 @@ def test_fsync_always_loses_no_acknowledged_op(fraction):
         recovered = recover(DurabilityConfig(directory=tmp))
         survived = recovered.durability_stats().last_lsn
         assert survived >= acked
-        assert_equivalent(
-            recovered,
-            shadow_replay(build_ops(), survived, PointerScheme.PHYSICAL),
-        )
+        assert_recovered(recovered, survived)
         recovered.close()
     finally:
         shutil.rmtree(tmp)
@@ -303,8 +295,7 @@ def test_crash_between_checkpoint_and_wal_reset(tmp_path):
 
     recovered = recover(DurabilityConfig(directory=directory))
     assert recovered.durability_stats().recovery.records_replayed == 0
-    assert_equivalent(recovered,
-                      shadow_replay(ops, len(ops), PointerScheme.PHYSICAL))
+    assert_recovered(recovered, len(ops))
     recovered.close()
 
 
@@ -335,8 +326,7 @@ def test_corrupt_checkpoint_falls_back_to_older_one(tmp_path):
     # the newest checkpoint is unusable and the WAL was reset after it, so
     # the recoverable state is the older checkpoint
     assert recovered.table("t").num_rows == rows_at_first
-    assert_equivalent(recovered,
-                      shadow_replay(ops, 7, PointerScheme.PHYSICAL))
+    assert_recovered(recovered, 7)
     recovered.close()
 
 
@@ -359,8 +349,7 @@ def test_torn_checkpoint_manifest_is_invisible(tmp_path):
         handle.write(blob[:len(blob) // 2])
 
     recovered = recover(DurabilityConfig(directory=directory))
-    assert_equivalent(recovered,
-                      shadow_replay(ops, len(ops), PointerScheme.PHYSICAL))
+    assert_recovered(recovered, len(ops))
     recovered.close()
 
 
@@ -414,8 +403,7 @@ def test_recovered_database_keeps_logging(tmp_path):
     recovered.close()
 
     again = recover(DurabilityConfig(directory=directory))
-    assert_equivalent(again,
-                      shadow_replay(ops, len(ops), PointerScheme.PHYSICAL))
+    assert_recovered(again, len(ops))
     again.close()
 
 

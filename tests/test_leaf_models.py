@@ -15,6 +15,7 @@ from repro.core.regression import (
     LeafModel,
     LinearModel,
     LogLinearModel,
+    ModelTable,
     OutlierOnlyModel,
     PiecewiseLinearModel,
     estimate_leaf_false_positives,
@@ -228,3 +229,23 @@ class TestTreeLevelAdaptivity:
         tree = TRSTree()
         tree.build([], [], [])
         assert tree.estimated_fp_ratio() is None
+
+
+@pytest.mark.parametrize("model", [
+    LinearModel(beta=0.0, alpha=5.0, epsilon=1.0),
+    LogLinearModel(beta=0.0, alpha=5.0, epsilon=1.0, shift=0.0),
+    PiecewiseLinearModel(bounds=(0.0, 5.0, 10.0), betas=(0.0, 0.0),
+                         alphas=(5.0, 5.0), epsilon=1.0),
+], ids=lambda model: type(model).__name__)
+@pytest.mark.parametrize("bounds", [(-np.inf, 3.0), (3.0, np.inf),
+                                    (-np.inf, np.inf)])
+def test_flat_model_band_holds_under_unbounded_predicates(model, bounds):
+    """A flat model predicts its intercept everywhere: a predicate open to
+    ±inf probes its band (``0 * inf`` would be NaN, an empty probe), the
+    scalar and batched translations alike."""
+    scalar = model.host_range(KeyRange(*bounds))
+    lows, highs = ModelTable([model]).host_ranges(
+        np.zeros(1, dtype=np.int64), np.array([bounds[0]]),
+        np.array([bounds[1]]))
+    assert (scalar.low, scalar.high) == (lows[0], highs[0])
+    assert scalar.low < 4.0 + 1e-9 and 6.0 - 1e-9 < scalar.high < 7.0

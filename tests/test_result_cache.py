@@ -7,10 +7,11 @@ Four layers, bottom up:
 * **ResultCache units** — doorkeeper admission, exact-epoch staleness,
   LRU and byte-budget eviction, batch probe/fill, clear/sweep/peek, and
   the stats surface (including the sharded ``merge``).
-* **Engine equivalence** (hypothesis) — for any request mix interleaved
-  with inserts, updates and deletes, ``execute`` / ``execute_many`` with
-  the cache enabled return exactly the cache-off results, across every
-  index mechanism and both pointer schemes.
+* **Engine wiring** — probes, fills, hits without plans, invalidation by
+  DML and checkpoints, the sharded composition.  That cached answers stay
+  exact under any interleaving of reads and writes, for every mechanism
+  and both pointer schemes, is checked against the model by the state
+  machine in ``test_engine_oracle`` (its ``cached`` cells).
 * **Concurrency** — the torn-read stress shape from ``test_serving``:
   a writer commits marker rows in all-or-nothing batches while cached
   readers hammer the same table; every observed count must sit on a
@@ -25,8 +26,6 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.cache.result_cache import (
     ResultCache,
@@ -52,11 +51,7 @@ from reference import assert_locations
 
 pytestmark = pytest.mark.serving
 
-SETTINGS = settings(max_examples=10, deadline=None,
-                    suppress_health_check=[HealthCheck.too_slow])
-
 METHODS = ("hermit", "btree", "sorted", "cm")
-SCHEMES = (PointerScheme.PHYSICAL, PointerScheme.LOGICAL)
 ROWS = 400
 TARGET_DOMAIN = (0.0, 1_000.0)
 
@@ -520,73 +515,6 @@ class TestShardedComposition:
         assert info.entries >= 1
         database.result_cache_clear()
         assert database.result_cache_info().entries == 0
-
-    def test_sharded_results_match_cache_off(self):
-        database = self.build()
-        request = QueryRequest.range("t", "target", 10.0, 60.0)
-        first = database.execute(request)
-        for _ in range(3):
-            again = database.execute(request)
-            assert sorted(again.locations) == sorted(first.locations)
-
-
-@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
-@pytest.mark.parametrize("method", METHODS)
-class TestCachedEqualsUncached:
-    """Hypothesis: cache-on results == cache-off results under DML."""
-
-    @SETTINGS
-    @given(data=st.data())
-    def test_equivalence_under_interleaved_dml(self, scheme, method, data):
-        database = build_database(scheme, method, rows=150)
-        cache = database.result_cache
-        low, high = TARGET_DOMAIN
-        bound = st.floats(min_value=low - 100.0, max_value=high + 100.0,
-                          allow_nan=False, width=64)
-        next_pk = 10_000.0
-        for _ in range(data.draw(st.integers(min_value=2, max_value=4),
-                                 label="rounds")):
-            pairs = data.draw(st.lists(st.tuples(bound, bound), min_size=1,
-                                       max_size=6), label="bounds")
-            requests = [QueryRequest.range("t", "target", min(a, b),
-                                           max(a, b)) for a, b in pairs]
-            # Issue the batch repeatedly with the cache on: passes the
-            # doorkeeper, installs, then serves hits — every repetition
-            # must equal the cache-off answer computed on the same data.
-            for _ in range(3):
-                cached_many = database.execute_many(requests)
-                cached_one = database.execute(requests[0])
-                cache.enabled = False
-                plain_many = database.execute_many(requests)
-                plain_one = database.execute(requests[0])
-                cache.enabled = True
-                for got, expected in zip(cached_many, plain_many):
-                    assert locations_equal(got, expected)
-                assert locations_equal(cached_one, plain_one)
-            mutation = data.draw(st.sampled_from(
-                ["insert", "delete", "update", "none"]), label="dml")
-            if mutation == "insert":
-                value = data.draw(bound, label="insert_target")
-                database.insert_many("t", {
-                    "pk": np.array([next_pk]),
-                    "host": np.array([2.0 * value + 10.0]),
-                    "target": np.array([value]),
-                    "payload": np.array([0.5]),
-                })
-                next_pk += 1.0
-            elif mutation in ("delete", "update"):
-                victims = database.execute(
-                    QueryRequest.range("t", "target", low, high)).locations
-                if len(victims) == 0:
-                    continue
-                index = data.draw(st.integers(
-                    min_value=0, max_value=len(victims) - 1), label="victim")
-                location = int(victims[index])
-                if mutation == "delete":
-                    database.delete("t", location)
-                else:
-                    value = data.draw(bound, label="update_target")
-                    database.update("t", location, {"target": value})
 
 
 class TestNoTornCachedReads:

@@ -9,11 +9,12 @@ Three layers, bottom up:
   nothing batches while reader threads hammer coalesced and per-call
   reads; every observed result must correspond to a batch boundary, never
   a half-applied mutation.
-* **Server equivalence** — hypothesis drives random request batches
-  through a live :class:`~repro.serving.Server` and through
-  ``Database.execute_many``; the two must agree result by result.
-  Plus unit coverage for the coalescing window adaptation,
-  :class:`RequestFuture` semantics and close/shutdown behaviour.
+* **The server** — one-flush coalescing into shared plan groups, a bad
+  request failing only itself, the coalescing window adaptation,
+  :class:`RequestFuture` semantics and close/shutdown behaviour.  That
+  served answers equal the model's for every mechanism and both pointer
+  schemes is the ``served`` cell of the state machine in
+  ``test_engine_oracle``.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
@@ -33,19 +32,24 @@ from repro.engine.query import QueryRequest, QueryResult
 from repro.errors import (
     CatalogError,
     ConcurrencyError,
-    ConfigurationError,
     ServingError,
 )
 from repro.engine.epochs import EpochManager
-from repro.serving import RequestFuture, Server, ServerConfig
+from repro.serving import RequestFuture, Server
+from repro.serving.server import (
+    GROW_FACTOR,
+    INITIAL_WINDOW,
+    MAX_BATCH,
+    MAX_WINDOW,
+    MIN_WINDOW,
+    SHRINK_FACTOR,
+    TARGET_BATCH,
+)
 from repro.storage.schema import numeric_schema
 
 from reference import assert_locations
 
 pytestmark = pytest.mark.serving
-
-SETTINGS = settings(max_examples=10, deadline=None,
-                    suppress_health_check=[HealthCheck.too_slow])
 
 
 def build_database(rows: int = 2_000, seed: int = 7) -> tuple[Database, str]:
@@ -226,7 +230,7 @@ class TestNoTornReads:
         batch = 40
         marker = 5_000.0
         request = QueryRequest.point(table, "target", marker)
-        with Server(database, ServerConfig()) as server:
+        with Server(database) as server:
             futures = []
             pk = 1_000
             for _ in range(15):
@@ -244,39 +248,24 @@ class TestNoTornReads:
         assert len(database.execute(request).locations) == 15 * batch
 
 
+def submit_in_one_flush(server: Server,
+                        requests: list[QueryRequest]) -> list[RequestFuture]:
+    """Submit while the event loop is held, so one flush drains them all."""
+    held, holding = threading.Event(), threading.Event()
+
+    def hold() -> None:
+        holding.set()
+        held.wait(timeout=30.0)
+
+    server._loop.call_soon_threadsafe(hold)
+    assert holding.wait(timeout=30.0)
+    futures = [server.submit(request) for request in requests]
+    held.set()
+    return futures
+
+
 class TestServerEquivalence:
     DATABASE, TABLE = build_database()
-
-    @staticmethod
-    @st.composite
-    def request_batches(draw):
-        """Mixed point/range batches on the indexed column."""
-        count = draw(st.integers(min_value=1, max_value=12))
-        requests = []
-        for _ in range(count):
-            low = draw(st.floats(min_value=-50.0, max_value=1_050.0,
-                                 allow_nan=False))
-            if draw(st.booleans()):
-                requests.append(QueryRequest.point(
-                    TestServerEquivalence.TABLE, "target", low))
-            else:
-                width = draw(st.floats(min_value=0.0, max_value=200.0,
-                                       allow_nan=False))
-                requests.append(QueryRequest.range(
-                    TestServerEquivalence.TABLE, "target", low, low + width))
-        return requests
-
-    @SETTINGS
-    @given(requests=request_batches())
-    def test_server_matches_execute_many(self, requests):
-        database = self.DATABASE
-        expected = database.execute_many(requests)
-        with Server(database, ServerConfig()) as server:
-            futures = [server.submit(request) for request in requests]
-            actual = [future.result(timeout=30.0) for future in futures]
-        for want, got in zip(expected, actual):
-            assert_locations(got, want.locations)
-            assert want.used_index == got.used_index
 
     def test_server_query_convenience(self):
         request = QueryRequest.range(self.TABLE, "target", 100.0, 120.0)
@@ -304,11 +293,8 @@ class TestServerEquivalence:
         requests = [QueryRequest.range(self.TABLE, "target", 10.0 * i,
                                        10.0 * i + 25.0) for i in range(16)]
         requests[5] = QueryRequest.point("no_such_table", "target", 1.0)
-        # A long window so every submission lands in one flush.
-        config = ServerConfig(initial_window=0.05, min_window=0.05,
-                              max_window=0.05)
-        with Server(self.DATABASE, config) as server:
-            futures = [server.submit(request) for request in requests]
+        with Server(self.DATABASE) as server:
+            futures = submit_in_one_flush(server, requests)
             errors = [future.exception(timeout=30.0) for future in futures]
             stats = server.stats()
         assert stats.batches == 1 and stats.max_batch == 16
@@ -323,11 +309,8 @@ class TestServerEquivalence:
 
     def test_requests_coalesce_into_shared_plan_groups(self):
         request = QueryRequest.point(self.TABLE, "target", 250.0)
-        # A long window so every submission lands in one flush.
-        config = ServerConfig(initial_window=0.05, min_window=0.05,
-                              max_window=0.05)
-        with Server(self.DATABASE, config) as server:
-            futures = [server.submit(request) for _ in range(16)]
+        with Server(self.DATABASE) as server:
+            futures = submit_in_one_flush(server, [request] * 16)
             results = [future.result(timeout=30.0) for future in futures]
             stats = server.stats()
         assert stats.batches == 1
@@ -358,43 +341,39 @@ class TestServerEquivalence:
 
 
 class TestWindowAdaptation:
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            ServerConfig(min_window=0.01, initial_window=0.001)
-        with pytest.raises(ConfigurationError):
-            ServerConfig(max_batch=0)
-        with pytest.raises(ConfigurationError):
-            ServerConfig(grow_factor=0.5)
-
     def test_window_grows_under_load_and_shrinks_when_idle(self):
-        database, table = build_database(rows=500)
-        config = ServerConfig(initial_window=0.001, min_window=0.0005,
-                              max_window=0.008, target_batch=4)
-        request = QueryRequest.point(table, "target", 1.0)
-        with Server(database, config) as server:
-            # Saturating burst: flushes at or above target grow the window.
-            futures = [server.submit(request) for _ in range(64)]
-            for future in futures:
-                future.result(timeout=30.0)
-            grown = server.stats().window
-            assert grown > config.initial_window
-            # Idle trickle: single-request flushes shrink it back down.
-            for _ in range(12):
-                server.query(request, timeout=30.0)
-                time.sleep(0.02)
-            shrunk = server.stats().window
-        assert shrunk < grown
-        assert shrunk >= config.min_window
+        """Flushes of at least TARGET_BATCH requests grow the window up to
+        MAX_WINDOW, single-request ones shrink it down to MIN_WINDOW, and
+        sizes in between leave it alone."""
+        with Server(self.database()) as server:
+            window = server.stats().window
+            assert window == INITIAL_WINDOW
+            server._adapt_window(TARGET_BATCH - 1)
+            assert server.stats().window == window
+            server._adapt_window(TARGET_BATCH)
+            assert server.stats().window == window * GROW_FACTOR
+            for _ in range(16):
+                server._adapt_window(MAX_BATCH)
+            assert server.stats().window == MAX_WINDOW
+            server._adapt_window(1)
+            assert server.stats().window == MAX_WINDOW * SHRINK_FACTOR
+            for _ in range(16):
+                server._adapt_window(0)
+            assert server.stats().window == MIN_WINDOW
 
     def test_window_respects_bounds(self):
-        database, table = build_database(rows=500)
-        config = ServerConfig(initial_window=0.0005, min_window=0.0004,
-                              max_window=0.001, target_batch=2)
-        request = QueryRequest.point(table, "target", 1.0)
-        with Server(database, config) as server:
-            for _ in range(8):
-                server.query(request, timeout=30.0)
-            assert server.stats().window <= config.max_window
+        """No sequence of flush sizes takes the window outside
+        [MIN_WINDOW, MAX_WINDOW]."""
+        sizes = np.random.default_rng(3).choice(
+            [0, 1, TARGET_BATCH - 1, TARGET_BATCH, MAX_BATCH], size=200)
+        with Server(self.database()) as server:
+            for size in sizes.tolist():
+                server._adapt_window(size)
+                assert MIN_WINDOW <= server.stats().window <= MAX_WINDOW
+
+    @staticmethod
+    def database() -> Database:
+        return build_database(rows=50)[0]
 
 
 class TestRequestFuture:

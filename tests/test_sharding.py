@@ -1,19 +1,12 @@
-"""Scatter/gather equivalence tests for the sharded execution tier.
+"""The sharded execution tier's own contracts.
 
-The contract under test: a :class:`~repro.sharding.ShardedDatabase` fed an
-identical DDL + DML + query trace as a single
-:class:`~repro.engine.database.Database` returns exactly the same *rows*
-for every query — across every secondary mechanism (B+-tree baseline,
-sorted column, Hermit, Correlation Map) and both pointer schemes.  Row
-locations themselves differ by construction (the sharded tier globalises
-them as ``shard * LOCATION_STRIDE + local``), so results are compared by
-primary key after a ``fetch`` round-trip — which simultaneously proves the
-global locations resolve.
-
-Most tests run ``mode="inline"`` (deterministic, no processes) — inline
-and process shards share one command dispatcher, so the process tests only
-need to cover the transport itself (pickling, pipe sync after errors, a
-dead worker, concurrent fan-out) plus one end-to-end trace.
+That a :class:`~repro.sharding.ShardedDatabase` answers every read like a
+single engine — across every secondary mechanism, both pointer schemes and
+both transports, through DML that moves rows between shards — is checked
+against the model by the state machine in ``test_engine_oracle``.  This
+file covers the tier itself: the process transport (pipe sync after
+errors, a dead worker), routing and location globalisation, rejected
+cross-shard writes, the serving front end and merged planner counters.
 """
 
 from __future__ import annotations
@@ -26,11 +19,15 @@ import pytest
 
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
-from repro.engine.query import QueryRequest, RangePredicate, conjunction
-from repro.errors import CatalogError, ConfigurationError, ShardError
+from repro.engine.query import QueryRequest
+from repro.errors import (
+    CatalogError,
+    ConfigurationError,
+    SchemaError,
+    ShardError,
+)
 from repro.serving.server import Server
 from repro.sharding import LOCATION_STRIDE, ShardedDatabase, uniform_boundaries
-from repro.storage.identifiers import PointerScheme
 from repro.storage.schema import numeric_schema
 
 from reference import assert_locations
@@ -69,113 +66,7 @@ def create_secondary(database, method: IndexMethod) -> None:
                           **kwargs)
 
 
-def pk_set(database, result) -> "set[float]":
-    if isinstance(database, ShardedDatabase):
-        return {database.fetch("trace", loc)["pk"]
-                for loc in result.locations}
-    entry = database.catalog.table_entry("trace")
-    return {entry.table.fetch(loc)["pk"] for loc in result.locations}
-
-
-def run_trace(reference: Database, sharded: ShardedDatabase) -> None:
-    """Identical DML + query trace against both; compare rows by pk."""
-    columns = dataset()
-    ref_locations = reference.insert_many("trace", dict(columns))
-    shard_locations = sharded.insert_many("trace", dict(columns))
-    assert len(shard_locations) == NUM_ROWS
-
-    by_pk_ref = dict(zip(columns["pk"].tolist(), ref_locations))
-    by_pk_shard = dict(zip(columns["pk"].tolist(), shard_locations))
-
-    # Interleaved mutations: deletes, in-place updates, and a pk move that
-    # crosses a shard boundary.
-    for pk in columns["pk"][10:40:3].tolist():
-        reference.delete("trace", by_pk_ref.pop(pk))
-        sharded.delete("trace", by_pk_shard.pop(pk))
-    for pk in columns["pk"][100:130:5].tolist():
-        reference.update("trace", by_pk_ref[pk], {"target": 1500.0})
-        sharded.update("trace", by_pk_shard[pk], {"target": 1500.0})
-    moving = columns["pk"][200]
-    new_pk = DOMAIN + 17.0  # beyond every boundary: lands on the last shard
-    reference.update("trace", by_pk_ref[moving], {"pk": new_pk})
-    moved = sharded.update("trace", by_pk_shard[moving], {"pk": new_pk})
-    assert sharded.fetch("trace", moved)["pk"] == new_pk
-
-    requests = []
-    for low in np.linspace(0.0, 3200.0, 20):
-        requests.append(QueryRequest.of(
-            "trace", RangePredicate("target", float(low), float(low) + 150.0)))
-    requests.append(QueryRequest.of(
-        "trace", RangePredicate("target", 1500.0, 1500.0)))
-    requests.append(QueryRequest.of("trace", conjunction(
-        RangePredicate("target", 200.0, 900.0),
-        RangePredicate("host", 1000.0, 2400.0))))
-    # Merge edge cases: a range no row matches, matches that all live on
-    # the last shard, and a point probe that hits one row.
-    requests.append(QueryRequest.range("trace", "target", 5000.0, 6000.0))
-    requests.append(QueryRequest.of("trace", conjunction(
-        RangePredicate("target", 0.0, 1000.0),
-        RangePredicate("pk", 3000.0, DOMAIN + 100.0))))
-    requests.append(QueryRequest.point("trace", "target",
-                                       float(columns["target"][500])))
-
-    ref_results = reference.execute_many(requests)
-    shard_results = sharded.execute_many(requests)
-    for position, (ref, shard) in enumerate(zip(ref_results, shard_results)):
-        assert pk_set(reference, ref) == pk_set(sharded, shard), position
-        # The merged result honours the same contract as a single engine's.
-        assert_locations(shard, shard.locations)
-        assert_locations(sharded.execute(requests[position]), shard.locations)
-    no_match, last_shard_only, point = shard_results[-3:]
-    assert no_match.locations.size == 0
-    assert set((last_shard_only.locations // LOCATION_STRIDE).tolist()) == {
-        sharded.num_shards - 1}
-    assert point.locations.size == 1
-    assert sharded.num_rows("trace") == reference.catalog.table_entry(
-        "trace").table.num_rows
-
-
-MECHANISMS = [IndexMethod.BTREE, IndexMethod.SORTED_COLUMN,
-              IndexMethod.HERMIT, IndexMethod.CORRELATION_MAP]
-
-
-class TestEquivalence:
-    @pytest.mark.parametrize("method", MECHANISMS, ids=lambda m: m.value)
-    @pytest.mark.parametrize("scheme", [PointerScheme.PHYSICAL,
-                                        PointerScheme.LOGICAL],
-                             ids=lambda s: s.value)
-    def test_matches_single_database(self, method, scheme):
-        reference = Database(pointer_scheme=scheme)
-        reference.create_table(create_schema())
-        create_secondary(reference, method)
-        with ShardedDatabase(num_shards=3, mode="inline",
-                             pointer_scheme=scheme) as sharded:
-            sharded.create_table(create_schema(),
-                                 uniform_boundaries(0.0, DOMAIN, 3))
-            create_secondary(sharded, method)
-            run_trace(reference, sharded)
-
-    def test_single_shard_degenerates_to_one_database(self):
-        reference = Database()
-        reference.create_table(create_schema())
-        create_secondary(reference, IndexMethod.HERMIT)
-        with ShardedDatabase(num_shards=1, mode="inline") as sharded:
-            sharded.create_table(create_schema())
-            create_secondary(sharded, IndexMethod.HERMIT)
-            run_trace(reference, sharded)
-
-
 class TestProcessTransport:
-    def test_process_mode_end_to_end(self):
-        reference = Database()
-        reference.create_table(create_schema())
-        create_secondary(reference, IndexMethod.HERMIT)
-        with ShardedDatabase(num_shards=2, mode="process") as sharded:
-            sharded.create_table(create_schema(),
-                                 uniform_boundaries(0.0, DOMAIN, 2))
-            create_secondary(sharded, IndexMethod.HERMIT)
-            run_trace(reference, sharded)
-
     def test_pipe_stays_in_sync_after_shard_error(self):
         with ShardedDatabase(num_shards=2, mode="process") as sharded:
             sharded.create_table(create_schema(),
@@ -252,6 +143,30 @@ class TestRoutingAndLocations:
             ShardedDatabase(num_shards=0, mode="inline")
         with pytest.raises(ConfigurationError):
             ShardedDatabase(num_shards=2, mode="threads")
+
+    def test_rejected_cross_shard_update_keeps_the_row(self):
+        """A primary-key move whose patched row the new owner rejects
+        leaves the row where it was, as on one engine."""
+        columns = {name: np.arange(100, dtype=np.float64)
+                   for name in ("pk", "host", "target")}
+        moving = {"pk": 90.0, "target": "not-a-number"}
+        single = Database()
+        single.create_table(create_schema())
+        with ShardedDatabase(num_shards=2, mode="inline") as sharded:
+            sharded.create_table(create_schema(), [50.0])
+            for database in (single, sharded):
+                location = database.insert_many("trace", columns)[10]
+                with pytest.raises(SchemaError):
+                    database.update("trace", location, moving)
+            assert single.table("trace").num_rows == 100
+            assert sharded.num_rows("trace") == 100
+            assert sharded.fetch("trace", location)["pk"] == 10.0
+
+    def test_single_shard_needs_no_boundaries(self):
+        with ShardedDatabase(num_shards=1, mode="inline") as sharded:
+            sharded.create_table(create_schema())
+            assert sharded.insert_many("trace", dataset()) == list(
+                range(NUM_ROWS))
 
     def test_foreign_location_rejected(self):
         with ShardedDatabase(num_shards=2, mode="inline") as sharded:
