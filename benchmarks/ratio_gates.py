@@ -3,7 +3,8 @@
 Runs the suites under ``repro.bench`` at their CI sizes — each races a
 feature against its reference through ``repro.bench.timing.paired_ratio`` —
 writes one record bundle for ``check_regression.py`` and appends one stamped
-line (git sha, cpu count, python + numpy versions, every gated ratio) to
+line (git sha, whether ``src`` or ``benchmarks`` had uncommitted changes,
+cpu count, python + numpy versions, every gated ratio) to
 ``BENCH_trajectory.jsonl`` at the repo root, so local and CI runs add up to
 a series::
 
@@ -90,12 +91,21 @@ def run_suites(selected: list[str], sizes: dict) -> list[dict]:
 
 def trajectory_line(records: list[dict]) -> dict:
     """One stamped line: where and on what the run happened, and every
-    gated ratio it measured."""
+    gated ratio it measured.
+
+    ``dirty`` says the run measured uncommitted changes to ``src`` or
+    ``benchmarks``, which ``git_sha`` (the commit they sit on) does not
+    name.
+    """
     sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
                          capture_output=True, text=True, check=False)
+    diff = subprocess.run(["git", "diff", "--quiet", "HEAD", "--", "src",
+                           "benchmarks"], cwd=ROOT, capture_output=True,
+                          check=False)
     return {
         "time": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "git_sha": sha.stdout.strip() or "unknown",
+        "dirty": diff.returncode != 0,
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -36,13 +36,12 @@ from repro.engine import (
     RangePredicate,
     conjunction,
 )
-from repro.index import BPlusTree, KeyRange
+from repro.index import KeyRange, OrderedIndex
 from repro.storage import PointerScheme, Table, TableSchema, numeric_schema
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BPlusTree",
     "ConjunctiveQuery",
     "DEFAULT_CONFIG",
     "Database",
@@ -51,6 +50,7 @@ __all__ = [
     "KeyRange",
     "LinearModel",
     "LookupBreakdown",
+    "OrderedIndex",
     "PointerScheme",
     "QueryRequest",
     "QueryResult",

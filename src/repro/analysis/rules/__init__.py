@@ -7,7 +7,6 @@ See ``docs/static_analysis.md`` for the invariant each rule protects and
 from repro.analysis.rules.broad_except import BroadExceptRationale
 from repro.analysis.rules.durability_order import DurabilityOrdering
 from repro.analysis.rules.epoch_static import EpochDiscipline
-from repro.analysis.rules.flat_view import FlatViewInvalidation
 from repro.analysis.rules.hot_path import HotPathPurity
 from repro.analysis.rules.result_cache_discipline import ResultCacheDiscipline
 from repro.analysis.rules.sharding_protocol import ShardingProtocolHygiene
@@ -16,7 +15,6 @@ __all__ = [
     "BroadExceptRationale",
     "DurabilityOrdering",
     "EpochDiscipline",
-    "FlatViewInvalidation",
     "HotPathPurity",
     "ResultCacheDiscipline",
     "ShardingProtocolHygiene",

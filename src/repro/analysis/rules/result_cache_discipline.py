@@ -15,10 +15,10 @@ into a soak run.
 
 The rule applies to any class whose ``__init__`` assigns *both*
 ``self._lock`` and ``self._entries`` (the lock-owning cache shape; the
-serving server owns a lock but no entry map, the B+-tree owns entries
-but no lock — neither is in scope).  Mutation detection mirrors REP001:
-assigning, augmenting or deleting one of the cache-state attributes
-below, or calling a mutating container method on one.
+serving server and the ordered index own a lock but no entry map —
+neither is in scope).  A method mutates cache state when it assigns,
+augments or deletes one of the cache-state attributes below, or calls a
+mutating container method on one.
 """
 
 from __future__ import annotations
@@ -81,9 +81,9 @@ def _mutated_state(method: ast.FunctionDef) -> set[str]:
 def _holds_lock(method: ast.FunctionDef) -> bool:
     """Whether the body contains ``with self._lock:`` or the write side.
 
-    Like REP001's clear-site check this is reachability-insensitive: the
-    cheap discipline is to take the lock unconditionally around every
-    mutation, which every current site does.
+    The check is reachability-insensitive: the cheap discipline is to take
+    the lock unconditionally around every mutation, which every current
+    site does.
     """
     for node in ast.walk(method):
         if not isinstance(node, ast.With):

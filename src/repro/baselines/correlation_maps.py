@@ -15,6 +15,11 @@ inflates the bucket mapping (every noisy tuple drags a host bucket into its
 target bucket's set), and (2) deletions cannot cheaply shrink the mapping
 (removing a pair might orphan a bucket link only discoverable by rescanning),
 so deletes leave the mapping untouched — still correct, just less precise.
+
+A row whose host is NULL (NaN) has no host bucket and is not in the host
+index, so no bucket link can reach it: such rows are filed in a small
+:class:`~repro.index.ordered.OrderedIndex` keyed by target value, which
+every lookup probes beside the host index.
 """
 
 from __future__ import annotations
@@ -30,8 +35,15 @@ from repro.core.hermit import regroup_host_probes
 from repro.core.lookup import LookupBreakdown, SecondaryMechanism
 from repro.errors import ConfigurationError
 from repro.index.base import Index, KeyRange, KeyRanges
+from repro.index.ordered import OrderedIndex
+from repro.segments import interleave_segments
 from repro.storage.identifiers import PointerScheme
-from repro.storage.memory import NODE_HEADER_BYTES, hash_table_bytes
+from repro.storage.memory import (
+    KEY_BYTES,
+    NODE_HEADER_BYTES,
+    POINTER_BYTES,
+    hash_table_bytes,
+)
 from repro.storage.table import Table
 
 
@@ -63,6 +75,8 @@ class CorrelationMap(SecondaryMechanism):
         self.target_bucket_width = float(target_bucket_width)
         self.host_bucket_width = float(host_bucket_width)
         self._mapping: dict[int, set[int]] = defaultdict(set)
+        # Rows with a NULL host and a non-NULL target: target -> tid.
+        self._null_hosts = OrderedIndex()
 
     # ----------------------------------------------------------- construction
 
@@ -71,8 +85,8 @@ class CorrelationMap(SecondaryMechanism):
         slots, targets, hosts = self.table.project([self.target_column,
                                                     self.host_column])
         self._mapping.clear()
-        self.insert_many({self.target_column: targets,
-                          self.host_column: hosts}, slots)
+        self._null_hosts = OrderedIndex()
+        self._file(targets, hosts, self._tids_for_slots(slots))
 
     # --------------------------------------------------- candidate generation
 
@@ -84,7 +98,8 @@ class CorrelationMap(SecondaryMechanism):
         ranges and a complete host index stores each row once, so a tid
         cannot appear twice across one query's probes — rows that share a
         host value are distinct entries, not duplicates.  The array may be
-        a read-only view of host-index storage.
+        a read-only view of host-index storage.  NULL-host rows are not in
+        the host index, so adding them cannot duplicate a tid either.
         """
         started = time.perf_counter()
         host_ranges = self._host_ranges_for(key_range)
@@ -92,6 +107,9 @@ class CorrelationMap(SecondaryMechanism):
 
         started = time.perf_counter()
         tids = self.host_index.range_search_many_array(host_ranges)
+        null_hosts = self._null_hosts.range_search_array(key_range)
+        if null_hosts.size:
+            tids = np.concatenate([tids, null_hosts])
         breakdown.host_index_seconds += time.perf_counter() - started
         return tids
 
@@ -117,6 +135,11 @@ class CorrelationMap(SecondaryMechanism):
         values, offsets = self.host_index.range_search_segmented(host_ranges)
         values, offsets = regroup_host_probes(
             values, offsets, list(map(len, host_ranges_per_query)))
+        null_values, null_offsets = self._null_hosts.range_search_segmented(
+            ranges)
+        if null_values.size:
+            values, offsets = interleave_segments(values, offsets,
+                                                  null_values, null_offsets)
         breakdown.host_index_seconds += time.perf_counter() - started
         return values, offsets
 
@@ -170,28 +193,40 @@ class CorrelationMap(SecondaryMechanism):
 
     def insert(self, row: dict, location: int) -> None:
         """Extend the mapping for a newly inserted row (a NULL target —
-        NaN, matched by no predicate — links nothing)."""
+        NaN, matched by no predicate — links nothing; a NULL host files
+        the row under its target)."""
         target = float(row[self.target_column])
+        host = float(row[self.host_column])
         if isnan(target):
             return
+        if isnan(host):
+            self._null_hosts.insert(target, self._tid_for(row, location))
+            return
         target_bucket = int(np.floor(target / self.target_bucket_width))
-        host_bucket = int(np.floor(float(row[self.host_column])
-                                   / self.host_bucket_width))
+        host_bucket = int(np.floor(host / self.host_bucket_width))
         self._mapping[target_bucket].add(host_bucket)
 
     def insert_many(self, columns: dict, locations) -> None:
-        """Batched :meth:`insert`: vectorized bucketing, deduped link adds.
+        """Batched :meth:`insert`: vectorized bucketing, deduped link adds."""
+        self._file(np.asarray(columns[self.target_column], dtype=np.float64),
+                   np.asarray(columns[self.host_column], dtype=np.float64),
+                   self._tids_for_batch(columns, locations))
+
+    def _file(self, targets: np.ndarray, hosts: np.ndarray,
+              tids: np.ndarray) -> None:
+        """Link every row with both values known; file NULL-host rows.
 
         Both bucket arrays are computed in one vectorized pass and only the
         *distinct* (target bucket, host bucket) pairs touch the mapping —
         a bulk insert of correlated rows typically collapses to a handful
-        of set adds.  ``locations`` is accepted for interface uniformity;
-        CM stores no tuple identifiers.
+        of set adds.
         """
-        del locations
-        targets = np.asarray(columns[self.target_column], dtype=np.float64)
-        hosts = np.asarray(columns[self.host_column], dtype=np.float64)
         known = ~np.isnan(targets)
+        null_host = known & np.isnan(hosts)
+        if null_host.any():
+            self._null_hosts.insert_many(targets[null_host],
+                                         tids[null_host])
+            known &= ~null_host
         if not known.all():
             targets, hosts = targets[known], hosts[known]
         if targets.size == 0:
@@ -205,11 +240,45 @@ class CorrelationMap(SecondaryMechanism):
             self._mapping[target_bucket].add(host_bucket)
 
     def delete(self, row: dict, location: int) -> None:
-        """Deletion keeps the mapping unchanged (documented CM limitation)."""
+        """Deletion keeps the mapping unchanged (documented CM limitation);
+        a NULL-host row leaves the NULL-host index."""
+        target = float(row[self.target_column])
+        if not isnan(target) and isnan(float(row[self.host_column])):
+            self._null_hosts.delete(target, self._tid_for(row, location))
 
     def update(self, old_row: dict, new_row: dict, location: int) -> None:
-        """Updates only extend the mapping for the new values."""
+        """Updates extend the mapping for the new values and move a
+        NULL-host row's entry."""
+        self.delete(old_row, location)
         self.insert(new_row, location)
+
+    def check_invariants(self) -> None:
+        """Raise ``AssertionError`` unless the map never misses (for tests).
+
+        Every live row with a non-NULL target is either linked — its host
+        bucket is in its target bucket's set — or has a NULL host and is in
+        the NULL-host index under its target and tid, which holds nothing
+        else.
+        """
+        slots, targets, hosts = self.table.project([self.target_column,
+                                                    self.host_column])
+        tids = self._tids_for_slots(slots)
+        known = ~np.isnan(targets)
+        null_host = known & np.isnan(hosts)
+        linked = known & ~null_host
+        target_buckets = np.floor(targets[linked] / self.target_bucket_width)
+        host_buckets = np.floor(hosts[linked] / self.host_bucket_width)
+        for target_bucket, host_bucket in zip(
+                target_buckets.astype(np.int64).tolist(),
+                host_buckets.astype(np.int64).tolist()):
+            if host_bucket not in self._mapping.get(target_bucket, ()):
+                raise AssertionError(
+                    f"CM invariant broken: host bucket {host_bucket} is not "
+                    f"linked to target bucket {target_bucket}")
+        if sorted(self._null_hosts.items()) != sorted(zip(
+                targets[null_host].tolist(), tids[null_host].tolist())):
+            raise AssertionError("CM invariant broken: the NULL-host index "
+                                 "does not hold exactly the NULL-host rows")
 
     # ------------------------------------------------------------- accounting
 
@@ -219,7 +288,9 @@ class CorrelationMap(SecondaryMechanism):
         return sum(len(buckets) for buckets in self._mapping.values())
 
     def memory_bytes(self) -> int:
-        """Analytic size: one hash entry per bucket link plus per-bucket headers."""
+        """Analytic size: one hash entry per bucket link plus per-bucket
+        headers, and a packed key/tid pair per NULL-host row."""
         links = self.num_bucket_links
         buckets = len(self._mapping)
-        return hash_table_bytes(links) + buckets * NODE_HEADER_BYTES
+        return (hash_table_bytes(links) + buckets * NODE_HEADER_BYTES
+                + self._null_hosts.num_entries * (KEY_BYTES + POINTER_BYTES))

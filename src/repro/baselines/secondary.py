@@ -1,9 +1,11 @@
-"""Conventional B+-tree secondary indexing mechanism (the paper's "Baseline").
+"""Conventional secondary indexing mechanism (the paper's "Baseline").
 
 This is the comparator used in every throughput and memory experiment: a
-complete B+-tree on the target column whose entries are tuple identifiers
-under either pointer scheme.  Lookups go secondary index → (primary index) →
-base table, and the per-phase breakdown mirrors Figures 11 and 15.
+complete index on the target column — an
+:class:`~repro.index.ordered.OrderedIndex`, priced as the paper's B+-tree —
+whose entries are tuple identifiers under either pointer scheme.  Lookups
+go secondary index → (primary index) → base table, and the per-phase
+breakdown mirrors Figures 11 and 15.
 
 The class implements only candidate generation (one array probe of the
 backing index, or one segmented probe per batch) and maintenance.  Pointer
@@ -26,14 +28,15 @@ import numpy as np
 
 from repro.core.lookup import LookupBreakdown, SecondaryMechanism
 from repro.index.base import Index, KeyRange, KeyRanges
-from repro.index.bptree import BPlusTree
 from repro.index.composite import CompositeIndex
+from repro.index.ordered import OrderedIndex
 from repro.storage.identifiers import PointerScheme
+from repro.storage.memory import sorted_array_bytes
 from repro.storage.table import Table
 
 
 class BaselineSecondaryIndex(SecondaryMechanism):
-    """A complete B+-tree secondary index on ``target_column``.
+    """A complete secondary index on ``target_column``.
 
     Exposes the same lookup/maintenance surface as
     :class:`~repro.core.hermit.HermitIndex` so the engine, the benchmarks and
@@ -45,23 +48,13 @@ class BaselineSecondaryIndex(SecondaryMechanism):
         primary_index: Index from primary-key value to row location; required
             for the logical pointer scheme.
         pointer_scheme: Tuple-identifier scheme stored in the index.
-        node_capacity: B+-tree node capacity (ignored when ``index`` is given).
-        index: Backing index structure; defaults to a fresh
-            :class:`~repro.index.bptree.BPlusTree`.  Passing a
-            :class:`~repro.index.sorted_column.SortedColumnIndex` yields the
-            read-optimised ``IndexMethod.SORTED_COLUMN`` mechanism — same
-            lookup surface, searchsorted probes instead of tree descents.
     """
 
     def __init__(self, table: Table, target_column: str,
                  primary_index: Index | None = None,
-                 pointer_scheme: PointerScheme = PointerScheme.PHYSICAL,
-                 node_capacity: int = 32,
-                 index: Index | None = None) -> None:
+                 pointer_scheme: PointerScheme = PointerScheme.PHYSICAL) -> None:
         super().__init__(table, target_column, primary_index, pointer_scheme)
-        self.index = index if index is not None else BPlusTree(
-            node_capacity=node_capacity
-        )
+        self.index = OrderedIndex()
 
     # ----------------------------------------------------------- construction
 
@@ -86,7 +79,7 @@ class BaselineSecondaryIndex(SecondaryMechanism):
         A complete index produces no false positives, so its candidates are
         exactly the matching tids; the tail still touches the base table
         once per match (liveness plus one column gather — Figures 11/15
-        charge this as "Base Table").
+        count this as "Base Table").
         """
         started = time.perf_counter()
         tids = self.index.range_search_array(key_range)
@@ -100,8 +93,8 @@ class BaselineSecondaryIndex(SecondaryMechanism):
 
         Delegates straight to the backing index's ``range_search_segmented``
         — one probe pass per batch (two ``searchsorted`` and one gather over
-        the sorted column, or over the B+-tree's flat view).  Returns a
-        ``(values, offsets)`` segmented array (see ``repro.segments``).
+        the ordered index's arrays).  Returns a ``(values, offsets)``
+        segmented array (see ``repro.segments``).
         """
         started = time.perf_counter()
         values, offsets = self.index.range_search_segmented(ranges)
@@ -121,7 +114,7 @@ class BaselineSecondaryIndex(SecondaryMechanism):
             self.index.insert(key, self._tid_for(row, location))
 
     def insert_many(self, columns: dict, locations: np.ndarray) -> None:
-        """Batched :meth:`insert`: one sorted merge into the B+-tree.
+        """Batched :meth:`insert`: one batch write into the ordered index.
 
         Args:
             columns: Column name → aligned value sequence for the new rows.
@@ -149,8 +142,17 @@ class BaselineSecondaryIndex(SecondaryMechanism):
     # ------------------------------------------------------------- accounting
 
     def memory_bytes(self) -> int:
-        """Analytic size of the secondary index in bytes."""
+        """Analytic size: the paper's B+-tree over the same entries."""
         return self.index.memory_bytes()
+
+
+class SortedColumnSecondaryIndex(BaselineSecondaryIndex):
+    """The same complete index, priced as packed sorted arrays
+    (``IndexMethod.SORTED_COLUMN``)."""
+
+    def memory_bytes(self) -> int:
+        """Analytic size: one key and one pointer per entry."""
+        return sorted_array_bytes(self.index.num_entries)
 
 
 class CompositeSecondaryIndex(SecondaryMechanism):

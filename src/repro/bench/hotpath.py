@@ -18,9 +18,7 @@ import numpy as np
 from repro.baselines.secondary import BaselineSecondaryIndex
 from repro.core.config import TRSTreeConfig
 from repro.core.hermit import HermitIndex
-from repro.index.base import Index
-from repro.index.bptree import BPlusTree
-from repro.index.sorted_column import SortedColumnIndex
+from repro.index.ordered import OrderedIndex
 from repro.storage.identifiers import PointerScheme
 from repro.storage.schema import numeric_schema
 from repro.storage.table import Table
@@ -29,7 +27,6 @@ from repro.workloads.stock import generate_stock, high_column, low_column
 from repro.workloads.synthetic import generate_synthetic
 
 WORKLOADS = ("stock", "sensor", "synthetic")
-HOST_INDEX_KINDS = ("btree", "sorted")
 
 
 @dataclass
@@ -68,7 +65,6 @@ def _workload_columns(workload: str, num_tuples: int,
 
 def build_hotpath_setup(workload: str, num_tuples: int,
                         pointer_scheme: PointerScheme = PointerScheme.PHYSICAL,
-                        host_index_kind: str = "btree",
                         trs_config: TRSTreeConfig | None = None,
                         seed: int = 42) -> HotpathSetup:
     """Build one workload table with Hermit and Baseline mechanisms.
@@ -77,8 +73,6 @@ def build_hotpath_setup(workload: str, num_tuples: int,
         workload: ``"stock"``, ``"sensor"`` or ``"synthetic"``.
         num_tuples: Number of rows.
         pointer_scheme: Tuple-identifier scheme for both mechanisms.
-        host_index_kind: ``"btree"`` (in-memory B+-tree) or ``"sorted"``
-            (the searchsorted-backed :class:`SortedColumnIndex`).
         trs_config: TRS-Tree parameter override.
         seed: Data-generation seed.
     """
@@ -93,18 +87,12 @@ def build_hotpath_setup(workload: str, num_tuples: int,
     slots, pks, host_values = table.project(["pk", "host"])
     tids = slots if pointer_scheme is PointerScheme.PHYSICAL else pks
 
-    if host_index_kind not in HOST_INDEX_KINDS:
-        raise ValueError(
-            f"unknown host index kind {host_index_kind!r}; "
-            f"use one of {HOST_INDEX_KINDS}"
-        )
-    host_index: Index = (SortedColumnIndex() if host_index_kind == "sorted"
-                         else BPlusTree())
+    host_index = OrderedIndex()
     host_index.insert_many(host_values, tids)
 
     primary = None
     if pointer_scheme.needs_primary_lookup:
-        primary = BPlusTree()
+        primary = OrderedIndex()
         primary.insert_many(pks, slots)
 
     hermit = HermitIndex(table, "target", "host", host_index,

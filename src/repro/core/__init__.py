@@ -3,7 +3,6 @@
 from repro.core.config import DEFAULT_CONFIG, TRSTreeConfig
 from repro.core.hermit import HermitIndex
 from repro.core.lookup import HermitLookupResult, LookupBreakdown
-from repro.core.outliers import OutlierBuffer
 from repro.core.regression import (
     LeafModel,
     LinearModel,
@@ -27,7 +26,6 @@ __all__ = [
     "LinearModel",
     "LogLinearModel",
     "LookupBreakdown",
-    "OutlierBuffer",
     "OutlierOnlyModel",
     "PiecewiseLinearModel",
     "ReorganizationStats",

@@ -19,10 +19,8 @@ segmented kernels), while a 256-request batch through per-request single
 tails loses by a similar factor.  The caller's batch size selects between
 them.  Both resolve through the same structure: ``Index.search_many`` (the
 single tail) and ``search_many_segmented`` (the batch tail) probe the
-primary B+-tree's flat view with one ``searchsorted`` and one gather; the
-single tail differs only in never folding a view a write left stale — it
-descends per key until that scalar work has paid for the fold
-(``index/flat_view.py``).  The planner's executor (``repro.engine.executor``) and the
+primary index's key array with one ``searchsorted`` and one gather
+(``index/ordered.py``).  The planner's executor (``repro.engine.executor``) and the
 mechanisms' standalone ``lookup_range`` / ``lookup_range_many``
 (:class:`SecondaryMechanism`) both end in these two functions.
 """
@@ -147,8 +145,8 @@ def resolve_tids_array(tids: np.ndarray, pointer_scheme: PointerScheme,
     """Map one tid array to row locations (lookup Step 3, batched).
 
     Physical pointers *are* locations; logical pointers are resolved through
-    one batched primary-index probe (``search_many``: an array probe of the
-    index's flat view while it is current), charged to the breakdown's
+    one batched primary-index probe (``search_many``: one ``searchsorted``
+    and one gather over the index's arrays), charged to the breakdown's
     primary-index phase.
     """
     if pointer_scheme is PointerScheme.PHYSICAL:

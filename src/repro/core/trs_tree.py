@@ -17,8 +17,9 @@ changes to an on-demand reorganization pass.
 Every node splits its range into ``node_fanout`` equal-width children, so an
 interior node holds nothing its leaves' bounds and paths do not determine:
 the tree *is* its :class:`LeafTable` — the leaves in key order, one row of
-arrays each — plus one tree-wide outlier buffer.  Build, writes, both
-lookups and reorganization all work on those rows; see
+arrays each — plus one tree-wide outlier buffer, an
+:class:`~repro.index.ordered.OrderedIndex` keyed by target value.  Build,
+writes, both lookups and reorganization all work on those rows; see
 docs/architecture.md, "TRS-Tree: one leaf table".
 """
 
@@ -33,7 +34,6 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from repro.core.config import DEFAULT_CONFIG, TRSTreeConfig
-from repro.core.outliers import OutlierBuffer
 from repro.core.regression import (
     LeafModel,
     ModelTable,
@@ -41,9 +41,9 @@ from repro.core.regression import (
     estimate_leaf_false_positives,
     select_leaf_model,
 )
-from repro.errors import StorageError
-from repro.index.base import KeyRange, KeyRanges, tid_items
-from repro.index.flat_view import FlatArrays, FlatView
+from repro.errors import KeyNotFoundError, StorageError
+from repro.index.base import KeyRange, KeyRanges
+from repro.index.ordered import OrderedIndex
 from repro.segments import (
     empty_offsets,
     offsets_from_counts,
@@ -124,7 +124,7 @@ class TRSLookupResult:
             every correlated match of the query predicate.
         outlier_tids: Tuple identifiers recovered directly from outlier
             entries; they bypass the host index entirely.  A read-only
-            slice of the tree's outlier view: copy before sorting in place.
+            slice of the outlier index: copy before sorting in place.
         leaves_visited: Number of leaves inspected.
         nodes_visited: Equal to ``leaves_visited`` (see
             :class:`TRSBatchLookupResult`).
@@ -354,11 +354,8 @@ class TRSTree:
     def __init__(self, config: TRSTreeConfig = DEFAULT_CONFIG) -> None:
         self.config = config
         self._table: LeafTable | None = None
-        # Every leaf's outliers, one tree-wide buffer; its sorted array copy
-        # is what lookups read.  Callers of add / add_many / remove record
-        # through ``_flat_view`` or drop it (REP001 checks that they do).
-        self._outliers = OutlierBuffer()
-        self._flat_view = FlatView()
+        # Every leaf's outliers, one tree-wide index keyed by target value.
+        self._outliers = OrderedIndex()
         # Nodes flagged for reorganization, in flag order (a dict as an
         # ordered set of (action, path)).
         self._pending: dict[tuple[str, Path], None] = {}
@@ -400,10 +397,8 @@ class TRSTree:
         rows = self._build_node(value_range, targets, hosts, tid_array, (),
                                 parallelism=max(1, parallelism))
         self._table = LeafTable(value_range, rows)
-        self._outliers = OutlierBuffer()
-        self._outliers.add_many(*_outliers_of(rows))
-        self._flat_view.drop()
-        self._outlier_view()  # flatten now: set-up pays, not the first read
+        self._outliers = OrderedIndex()
+        self._outliers.insert_many(*_outliers_of(rows))
 
     def _build_node(self, key_range: KeyRange, targets: np.ndarray,
                     hosts: np.ndarray, tids: np.ndarray, path: Path,
@@ -516,17 +511,6 @@ class TRSTree:
 
     # ----------------------------------------------------------------- lookup
 
-    def _outlier_view(self) -> FlatArrays:
-        """``(keys, tids, num_keys)`` of every outlier in the tree.
-
-        One key per outlier entry, ascending; every key lies inside the
-        effective range of the leaf it belongs to, so one query's outliers
-        are ``tids[start:stop]`` for two ``searchsorted`` over ``keys``.
-        Flattened from the buffer at build, then kept current by folding in
-        what the writes and reorganizations recorded.
-        """
-        return self._flat_view.arrays(self._outliers.buckets)
-
     def lookup(self, predicate: KeyRange) -> TRSLookupResult:
         """Translate a target-column predicate into host ranges + outliers.
 
@@ -558,11 +542,10 @@ class TRSTree:
         ]
         if len(host_ranges) > 1:
             host_ranges = KeyRange.union(host_ranges)
-        keys, tids, _ = self._outlier_view()
-        outlier_tids = tids[keys.searchsorted(low, "left"):
-                            keys.searchsorted(high, "right")]
         visited = last - first + 1
-        return TRSLookupResult(host_ranges, outlier_tids, visited, visited)
+        return TRSLookupResult(host_ranges,
+                               self._outliers.range_search_array(predicate),
+                               visited, visited)
 
     def lookup_many(self, predicates: "KeyRanges | Sequence[KeyRange]",
                     ) -> TRSBatchLookupResult:
@@ -574,8 +557,8 @@ class TRSTree:
         serves all pairs (:meth:`ModelTable.host_ranges`), and the per-query
         ranges are sort-and-coalesced (the scalar path's ``KeyRange.union``
         plus the candidate-exact adjacent-range merge — see
-        :func:`coalesce_sorted_ranges`).  Outliers are two ``searchsorted``
-        over the tree-wide view and one gather.
+        :func:`coalesce_sorted_ranges`).  Outliers are one segmented probe
+        of the tree-wide outlier index.
 
         Emits the same host-range cover and outlier tids as B scalar
         lookups; ``tests/test_trs_lookup_many.py`` pins the equivalence.
@@ -610,14 +593,12 @@ class TRSTree:
         host_lows, host_highs, host_offsets = coalesce_sorted_ranges(
             band_lows[order], band_highs[order], owners[order], num_queries)
 
-        keys, tids, _ = self._outlier_view()
-        outlier_positions, outlier_offsets = run_indices(
-            keys.searchsorted(lows, side="left"),
-            keys.searchsorted(highs, side="right"))
+        outlier_tids, outlier_offsets = self._outliers.range_search_segmented(
+            predicates)
         visited = last - first + 1
         return TRSBatchLookupResult(
             host_lows=host_lows, host_highs=host_highs,
-            host_offsets=host_offsets, outlier_tids=tids[outlier_positions],
+            host_offsets=host_offsets, outlier_tids=outlier_tids,
             outlier_offsets=outlier_offsets, leaves_visited=visited,
             nodes_visited=visited,
         )
@@ -646,8 +627,7 @@ class TRSTree:
         if table.models[row].covers(target_value, host_value):
             table.num_model_covered[row] += 1
         else:
-            self._outliers.add(target_value, tid)
-            self._flat_view.record_insert(target_value, tid)
+            self._outliers.insert(target_value, tid)
             table.num_outliers[row] += 1
 
     def insert_many(self, targets: Sequence[float], hosts: Sequence[float],
@@ -659,11 +639,16 @@ class TRSTree:
         value (boundary values included) into the same leaf — and each
         touched leaf classifies its run of the batch with one
         ``covers_many`` call; the uncovered tuples of the batch are filed
-        with one ``add_many``.
+        with one ``insert_many``.  A batch of one row (every
+        ``Database.insert``) takes the scalar path, which files it the same
+        way without the array set-up.
         """
         targets = np.asarray(targets, dtype=np.float64)
         hosts = np.asarray(hosts, dtype=np.float64)
         tid_array = np.asarray(tids)
+        if len(targets) == len(hosts) == len(tid_array) == 1:
+            self.insert(float(targets[0]), float(hosts[0]), tid_array.item())
+            return
         if not (len(targets) == len(hosts) == len(tid_array)):
             raise StorageError("targets, hosts and tids must have equal length")
         table = self._table
@@ -697,10 +682,7 @@ class TRSTree:
             runs.append(covered)
         covered = runs[0] if len(runs) == 1 else np.concatenate(runs)
         if not covered.all():
-            keys, outlier_tids = targets[~covered], tid_array[~covered]
-            self._outliers.add_many(keys, outlier_tids)
-            self._flat_view.record_insert_many(keys.tolist(),
-                                               tid_items(outlier_tids))
+            self._outliers.insert_many(targets[~covered], tid_array[~covered])
         for row in touched:
             self._maybe_flag_split(row)
 
@@ -772,11 +754,12 @@ class TRSTree:
         side, which validation absorbs.
         """
         table = self._table
-        if self._outliers.remove(target_value, tid):
-            self._flat_view.record_delete(target_value, tid)
-            table.num_outliers[row] -= 1
-            return True
-        return table.models[row].covers(target_value, host_value)
+        try:
+            self._outliers.delete(target_value, tid)
+        except KeyNotFoundError:
+            return table.models[row].covers(target_value, host_value)
+        table.num_outliers[row] -= 1
+        return True
 
     def _maybe_flag_split(self, row: int) -> None:
         table = self._table
@@ -885,22 +868,11 @@ class TRSTree:
             key_range, targets[keep], np.asarray(hosts, dtype=np.float64)[keep],
             np.asarray(tids)[keep], path)
 
-        # The run's outlier entries are the view's keys routed into it; they
-        # leave the buffer in bucket order (each found at its bucket's head).
-        # The view hears of every entry, so a pass of many small rebuilds
-        # folds each into the arrays instead of re-flattening every outlier.
-        keys, view_tids, _ = self._outlier_view()
-        start = keys.searchsorted(table.lows[first])
-        end = (keys.searchsorted(table.lows[stop]) if stop < len(table)
-               else keys.size)
-        for key, tid in zip(keys[start:end].tolist(),
-                            view_tids[start:end].tolist()):
-            self._outliers.remove(key, tid)
-            self._flat_view.record_delete(key, tid)
-        new_keys, new_tids = _outliers_of(rows)
-        self._outliers.add_many(new_keys, new_tids)
-        self._flat_view.record_insert_many(new_keys.tolist(),
-                                           tid_items(new_tids))
+        # The run's outlier entries are the keys routed into it: at least
+        # its first leaf's lower bound, below the next run's.
+        self._outliers.delete_range(
+            table.lows[first], table.lows[stop] if stop < len(table) else np.inf)
+        self._outliers.insert_many(*_outliers_of(rows))
         table.replace(first, stop, LeafTable(key_range, rows))
         for candidate in [candidate for candidate in self._pending
                           if candidate[1][:len(path)] == path]:
@@ -921,7 +893,7 @@ class TRSTree:
     @property
     def num_outliers(self) -> int:
         """Total number of outlier entries across all leaves."""
-        return len(self._outliers)
+        return self._outliers.num_entries
 
     def estimated_fp_ratio(self) -> float | None:
         """Build-time estimate of the fraction of candidates that are FPs.
@@ -953,11 +925,11 @@ class TRSTree:
         The paths are the leaves of one full ``node_fanout``-ary tree in key
         order; every leaf's lower bound is its path's partition bound
         replayed from the domain; every column has one entry per leaf; the
-        outlier view's keys ascend, and each leaf's outlier count is the
+        outlier index's keys ascend, and each leaf's outlier count is the
         number of entries routed to it.  Every given live pair with a
         non-NaN target — the paper's "never miss" contract — sits behind its
         leaf's band (and the leaf emits its host range) or is in the outlier
-        view under its own key.
+        index under its own key.
         """
         def check(holds: bool, what: str) -> None:
             if not holds:
@@ -970,7 +942,7 @@ class TRSTree:
         live_tids = np.asarray(tids)[known]
         table = self._table
         if table is None:
-            check(len(self._outliers) == 0, "outliers without a tree")
+            check(self.num_outliers == 0, "outliers without a tree")
             check(targets.size == 0, "live pairs without a tree")
             return
         fanout = self.config.node_fanout
@@ -995,12 +967,12 @@ class TRSTree:
             check(row == 0 or table.bounds[row - 1] == key_range.low,
                   f"leaf {row}'s bound is not its path's")
         check(expected is None, "the last leaf does not end the tree")
-        keys, tids, _ = self._outlier_view()
+        filed = list(self._outliers.items())
+        keys = np.asarray([key for key, _ in filed], dtype=np.float64)
         check(bool((np.diff(keys) >= 0).all()), "outlier keys do not ascend")
         routed = np.bincount(table.interior.searchsorted(keys, side="right"),
                              minlength=size)
-        check(tids.size == len(self._outliers)
-              and np.array_equal(routed, table.num_outliers),
+        check(np.array_equal(routed, table.num_outliers),
               "per-leaf outlier counts do not match the buffer")
         rows = table.interior.searchsorted(targets, side="right")
         behind_band = np.zeros(targets.size, dtype=bool)
@@ -1009,7 +981,7 @@ class TRSTree:
                 run = rows == row
                 behind_band[run] = table.models[row].covers_many(
                     targets[run], hosts[run])
-        filed = set(zip(keys.tolist(), tids.tolist()))
+        filed = set(filed)
         for pair in zip(targets[~behind_band].tolist(),
                         live_tids[~behind_band].tolist()):
             check(pair in filed,

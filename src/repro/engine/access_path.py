@@ -68,18 +68,18 @@ from repro.storage.table import Table
 
 
 # Constants of the planner's cost model, in row-touch units.  They encode
-# two measured facts about this codebase — sorted-column probes return
-# zero-copy views (ROADMAP: ~2x over the B+-tree) and vectorized validation
-# costs a fraction of a Python-level index touch — plus one deliberate bias:
+# two facts measured on this codebase — sorted-column probes ran ~2x faster
+# than the pointer B+-tree that BTREE once was (both are one ordered index
+# now; ROADMAP item 10) and vectorized validation costs a fraction of a
+# Python-level index touch — plus one deliberate bias:
 # SCAN_PER_ROW is kept at parity with the per-candidate index cost so an
 # index is chosen whenever one covers a predicate, matching the pre-planner
 # executor's behaviour.
 SCAN_PER_ROW = 1.0
-# Per log2(n) level of one B+-tree range probe.  The probe is a binary
-# search either way: two searchsorted over the tree's flat view while it is
-# current, a root-to-leaf descent plus a leaf-chain walk while a write has
-# left it stale (index/flat_view.py: the currency rule).  The value predates
-# the flat view; recalibration is ROADMAP item 10.
+# Per log2(n) level of one BTREE range probe: two searchsorted over the
+# ordered index's key array (a read right after a write folds the pending
+# record first, index/ordered.py).  The value was set for a pointer tree's
+# root-to-leaf descent and is kept; recalibration is ROADMAP item 10.
 DESCENT_COST = 2.0
 BTREE_PER_CANDIDATE = 1.0
 SORTED_PROBE_COST = 0.5
@@ -89,9 +89,8 @@ VALIDATE_PER_CANDIDATE = 0.3
 # Per-candidate primary-index resolution under logical pointers, per
 # log2(n) level.  Deliberately below DESCENT_COST: resolution is one
 # search_many / search_many_segmented over all candidates — a single
-# searchsorted and gather over the primary index's flat view (C-level
-# bisects, which is what this constant has always priced); only while a
-# write has left that view stale does a single request descend per key.
+# searchsorted and gather over the primary index's key array (C-level
+# bisects, which is what this constant has always priced).
 RESOLVE_PER_LEVEL = 0.5
 # Safety margin on the intersection decision: an extra path must undercut
 # *half* the downstream work it could save, so estimate errors do not push

@@ -23,7 +23,15 @@ from repro.storage.table import Table
 
 
 class IndexMethod(enum.Enum):
-    """How a secondary index is physically realised."""
+    """How a secondary index is physically realised.
+
+    ``BTREE`` and ``SORTED_COLUMN`` are one structure, an
+    :class:`~repro.index.ordered.OrderedIndex`; they differ in how the
+    planner prices a probe and how the mechanism
+    :meth:`Database.create_index <repro.engine.database.Database.create_index>`
+    picks for them prices the entries (the paper's B+-tree, or packed
+    sorted arrays).
+    """
 
     BTREE = "btree"
     SORTED_COLUMN = "sorted_column"

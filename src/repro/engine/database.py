@@ -1,7 +1,7 @@
 """The database facade.
 
 ``Database`` glues the substrates together the way the paper's host RDBMS
-does: tables with primary indexes, conventional B+-tree secondary indexes,
+does: tables with primary indexes, conventional complete secondary indexes,
 and — when a usable correlation exists — Hermit indexes that piggyback on a
 host index instead of storing every key.  It is the public API the examples
 and benchmarks are written against.
@@ -11,7 +11,7 @@ Typical usage::
     db = Database(pointer_scheme=PointerScheme.PHYSICAL)
     table = db.create_table(schema)
     db.insert_many("stock_history", columns)
-    db.create_index("idx_dj", "stock_history", "dj")            # complete B+-tree
+    db.create_index("idx_dj", "stock_history", "dj")            # complete index
     db.create_index("idx_sp", "stock_history", "sp",
                     method=IndexMethod.AUTO)                     # becomes a Hermit index
     result = db.execute(QueryRequest.range("stock_history", "sp", 900, 950))
@@ -56,6 +56,7 @@ from repro.baselines.correlation_maps import CorrelationMap
 from repro.baselines.secondary import (
     BaselineSecondaryIndex,
     CompositeSecondaryIndex,
+    SortedColumnSecondaryIndex,
 )
 from repro.cache.result_cache import (
     ResultCache,
@@ -87,8 +88,7 @@ from repro.engine.query import (
     RangePredicate,
 )
 from repro.errors import CatalogError, DurabilityError, QueryError
-from repro.index.bptree import BPlusTree
-from repro.index.sorted_column import SortedColumnIndex
+from repro.index.ordered import OrderedIndex
 from repro.storage.identifiers import PointerScheme
 from repro.storage.memory import MemoryReport
 from repro.storage.schema import DataType, TableSchema
@@ -160,7 +160,7 @@ class Database:
             if self._durability is not None:
                 self._durability.log_create_table(schema)
             table = Table(schema)
-            primary_index = BPlusTree()
+            primary_index = OrderedIndex()
             self.catalog.add_table(schema.name, table, primary_index)
             return table
 
@@ -179,7 +179,7 @@ class Database:
             table_name: Table to index.
             column: Target column.
             method: Physical mechanism; ``AUTO`` asks the correlation advisor
-                whether a Hermit index is viable and falls back to a B+-tree.
+                whether a Hermit index is viable and falls back to ``BTREE``.
             host_column: Host column for HERMIT/CORRELATION_MAP; discovered
                 automatically when omitted.
             trs_config: Per-index TRS-Tree parameter override.
@@ -244,11 +244,13 @@ class Database:
             self._durability.log_create_index(definition)
 
         if method in (IndexMethod.BTREE, IndexMethod.SORTED_COLUMN):
-            backing = (SortedColumnIndex()
-                       if method is IndexMethod.SORTED_COLUMN else None)
-            mechanism: object = BaselineSecondaryIndex(
+            # One ordered index either way; the method picks the price.
+            complete = (SortedColumnSecondaryIndex
+                        if method is IndexMethod.SORTED_COLUMN
+                        else BaselineSecondaryIndex)
+            mechanism: object = complete(
                 table, column, primary_index=entry.primary_index,
-                pointer_scheme=self.pointer_scheme, index=backing,
+                pointer_scheme=self.pointer_scheme,
             )
             mechanism.build()
         elif method is IndexMethod.HERMIT:
@@ -844,10 +846,12 @@ class Database:
         (for tests).
 
         Per table: the primary index holds exactly one ``key -> location``
-        entry per live row; every complete secondary index (B+-tree or
-        sorted column, which includes every host index) holds exactly the
+        entry per live row; every complete secondary index (``BTREE`` or
+        ``SORTED_COLUMN``, which includes every host index) holds exactly the
         live rows' ``key -> tid`` pairs, NULL keys excepted; and every
-        Hermit index never misses (:meth:`HermitIndex.check_invariants`).
+        Hermit index and Correlation Map never misses
+        (:meth:`HermitIndex.check_invariants`,
+        :meth:`CorrelationMap.check_invariants`).
         """
         with self.epochs.read():
             for entry in self.catalog.tables():
@@ -857,7 +861,7 @@ class Database:
                     [primary]))]
                 for index_entry in entry.indexes.values():
                     mechanism = index_entry.mechanism
-                    if isinstance(mechanism, HermitIndex):
+                    if isinstance(mechanism, (HermitIndex, CorrelationMap)):
                         mechanism.check_invariants()
                     elif index_entry.method in HOST_METHODS:
                         slots, keys = table.project([index_entry.column])

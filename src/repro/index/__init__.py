@@ -1,19 +1,17 @@
-"""Index substrate: B+-trees (in-memory and paged), hash, sorted-column, composite."""
+"""Index substrate: the ordered index, the paged B+-tree, hash, composite."""
 
 from repro.index.base import Index, IndexStatistics, KeyRange
-from repro.index.bptree import BPlusTree
 from repro.index.composite import CompositeIndex
 from repro.index.hash_index import HashIndex
 from repro.index.paged_bptree import PagedBPlusTree
-from repro.index.sorted_column import SortedColumnIndex
+from repro.index.ordered import OrderedIndex
 
 __all__ = [
-    "BPlusTree",
     "CompositeIndex",
     "HashIndex",
     "Index",
     "IndexStatistics",
     "KeyRange",
+    "OrderedIndex",
     "PagedBPlusTree",
-    "SortedColumnIndex",
 ]

@@ -1,8 +1,7 @@
 """Index interfaces shared by all index structures.
 
-Every index in the library — the in-memory B+-tree, the page-based B+-tree,
-the hash index, the sorted-column index, the TRS-Tree-backed Hermit index and
-the Correlation Map — exposes the same small surface so the engine's executor,
+Every index in the library — the ordered index, the page-based B+-tree and
+the hash index — exposes the same small surface so the engine's executor,
 the baselines and the benchmarks can swap them freely.
 
 The read primitives are array-native: every concrete index implements
@@ -31,8 +30,8 @@ from repro.storage.identifiers import TupleId
 def tid_items(tids: "Sequence[TupleId] | np.ndarray") -> list:
     """Normalise a tid sequence to native Python objects.
 
-    Index structures store tids inside Python containers (leaf bucket
-    lists, hash buckets, outlier buffers), so numpy scalars are unboxed
+    Some index structures store tids inside Python containers (hash
+    buckets, paged B+-tree nodes), so numpy scalars are unboxed
     once up front — the shared first step of every batched write API.
     """
     if isinstance(tids, np.ndarray):
@@ -257,9 +256,9 @@ class Index(abc.ABC):
         the per-range boundaries — range ``i`` owns
         ``values[offsets[i]:offsets[i + 1]]`` — which is what the batched
         query executor needs to answer B queries in O(1) array passes.  The
-        default concatenates per-range array probes; ``SortedColumnIndex``
-        and ``BPlusTree`` override it with a vectorized double-searchsorted
-        gather over :class:`KeyRanges` bound arrays.
+        default concatenates per-range array probes; ``OrderedIndex``
+        overrides it with a vectorized double-searchsorted gather over
+        :class:`KeyRanges` bound arrays.
         """
         return concat_segments([self.range_search_array(key_range)
                                 for key_range in ranges])
@@ -276,8 +275,8 @@ class Index(abc.ABC):
         input sizes).  This is the primary-index resolution step of the
         batched executor under logical pointers: one call resolves the
         candidate tids of a whole query batch.  The default loops one
-        :meth:`search_many` per segment; ``BPlusTree`` overrides it with a
-        single descent pass over the flat key array.
+        :meth:`search_many` per segment; ``OrderedIndex`` overrides it with
+        a single ``searchsorted`` pass over its key array.
         """
         keys = np.asarray(keys)
         if keys.size == 0:

@@ -96,10 +96,10 @@ class PagedBPlusTree(Index):
                     tids: Sequence[TupleId] | np.ndarray) -> None:
         """Batched insert: sort once, merge into leaf pages run by run.
 
-        The paged counterpart of :meth:`BPlusTree.insert_many`: the sorted
-        batch is partitioned down the tree, every touched leaf page is read
-        and written exactly once (instead of once per key), and overfull
-        pages split into as many new pages as the batch requires.
+        The sorted batch is partitioned down the tree, every touched leaf
+        page is read and written exactly once (instead of once per key),
+        and overfull pages split into as many new pages as the batch
+        requires.
         """
         keys = np.asarray(keys, dtype=np.float64)
         items = tid_items(tids)
@@ -171,8 +171,7 @@ class PagedBPlusTree(Index):
     def range_search_array(self, key_range: KeyRange) -> np.ndarray:
         """Closed-range scan: gather whole leaf-page runs, convert once.
 
-        The paged counterpart of :meth:`BPlusTree.range_search_array`: each
-        visited leaf page contributes its matching ``values[start:stop]``
+        Each visited leaf page contributes its matching ``values[start:stop]``
         slice (two bisects per page), the per-key tid lists are flattened
         with one C-level ``chain`` pass and converted to a single numpy
         array.  Every node of the descent and every visited leaf costs

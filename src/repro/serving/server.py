@@ -390,12 +390,15 @@ class Server:
             self._armed = True
             self._wakeup()
         if drained:
-            self._requests += drained
             self._adapt_window(drained)
 
     def _dispatch(self,
                   batch: list[tuple[QueryRequest, RequestFuture]]) -> None:
-        """Hand one batch to the worker thread (loop thread)."""
+        """Hand one batch to the worker thread (loop thread).
+
+        Counted before the hand-off: once the worker resolves the batch, a
+        caller's :meth:`stats` must already see its requests."""
+        self._requests += len(batch)
         self._batches += 1
         self._max_batch = max(self._max_batch, len(batch))
         self._executor.submit(self._run_batch, batch)

@@ -4,7 +4,7 @@ The paper's central claim is about *space*: a TRS-Tree is orders of magnitude
 smaller than a complete B+-tree over the same column.  Measuring the resident
 size of Python objects would tell us more about CPython's allocator than about
 the data structures, so every structure in this library instead reports its
-size through the size functions of this module, which charge the same fixed
+size through the size functions of this module, which price the same fixed
 costs the paper's C++ implementation would pay: 8-byte keys, 8-byte pointers,
 node headers, and hash-table bucket overheads.
 

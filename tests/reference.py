@@ -7,8 +7,6 @@ executor; every query is one mask over its live rows, and
 ``scan_locations`` is the same mask over a projection of an engine table's
 live rows.  ``trs_lookup_scan`` answers a TRS-Tree lookup by scanning every
 leaf.
-``bptree_bulk_load`` packs a B+-tree entry by entry, the way the tree's own
-loader did before ``insert_many`` into an empty tree became the load.
 ``assert_locations`` checks a ``QueryResult`` against the result contract.
 """
 
@@ -18,7 +16,6 @@ import numpy as np
 
 from repro.core.trs_tree import TRSLookupResult, TRSTree
 from repro.index.base import KeyRange
-from repro.index.bptree import BPlusTree, _InternalNode, _LeafNode
 from repro.storage.schema import DataType, TableSchema
 from repro.storage.table import Table
 
@@ -193,55 +190,6 @@ def trs_lookup_scan(tree: TRSTree, predicate: KeyRange) -> TRSLookupResult:
             result.host_ranges.append(model.host_range(overlap))
     result.nodes_visited = result.leaves_visited
     result.host_ranges = KeyRange.union(result.host_ranges)
-    keys, buckets = tree._outliers.buckets()
-    result.outlier_tids = [tid for key, bucket in zip(keys, buckets)
-                           if predicate.contains(key) for tid in bucket]
+    result.outlier_tids = [tid for key, tid in tree._outliers.items()
+                           if predicate.contains(key)]
     return result
-
-
-def bptree_bulk_load(tree: BPlusTree, pairs) -> None:
-    """Pack an empty B+-tree from (key, tid) pairs, one entry at a time —
-    the oracle for ``BPlusTree._pack``.
-
-    ``BPlusTree.bulk_load`` as it shipped before the array-native packer,
-    moved here verbatim (``tree`` for ``self``; the non-empty guard went
-    with the method): sort the pairs through a key function, append entry
-    by entry into leaves at ~70% fill, build the internal levels bottom-up.
-    """
-    ordered = sorted(((float(k), t) for k, t in pairs), key=lambda p: p[0])
-    if not ordered:
-        return
-    fill = max(4, int(tree.node_capacity * 0.7))
-    leaves: list[_LeafNode] = []
-    current = _LeafNode()
-    for key, tid in ordered:
-        if current.keys and current.keys[-1] == key:
-            current.values[-1].append(tid)
-        else:
-            if len(current.keys) >= fill:
-                leaves.append(current)
-                fresh = _LeafNode()
-                current.next_leaf = fresh
-                current = fresh
-            current.keys.append(key)
-            current.values.append([tid])
-        tree._num_entries += 1
-    leaves.append(current)
-
-    level = list(leaves)
-    tree._height = 1
-    while len(level) > 1:
-        parents = []
-        for start in range(0, len(level), fill):
-            group = level[start:start + fill]
-            if len(group) == 1:
-                parents.append(group[0])
-                continue
-            parent = _InternalNode()
-            parent.children = list(group)
-            parent.keys = [tree._smallest_key(child) for child in group[1:]]
-            parents.append(parent)
-        level = parents
-        tree._height += 1
-    tree._root = level[0]
-    tree._flat_view.drop()

@@ -100,7 +100,7 @@ class TestSuppressions:
 
     def test_wrong_rule_id_does_not_suppress(self):
         module = module_of("""
-            # repro: ignore[REP001] -- wrong rule for this finding
+            # repro: ignore[REP002] -- wrong rule for this finding
             for x in range(3):
                 pass
         """)
@@ -154,13 +154,15 @@ class TestLoading:
 class TestRegistry:
     def test_all_rules_registered(self):
         ids = {rule.rule_id for rule in all_rules()}
-        assert {"REP001", "REP002", "REP003", "REP004", "REP005",
-                "REP006"} <= ids
+        assert {"REP002", "REP003", "REP004", "REP005", "REP006",
+                "REP007"} <= ids
+        # REP001 guarded a flat-view cache; the cache is gone, so is it.
+        assert "REP001" not in ids
 
     def test_finding_render_format(self):
-        finding = Finding(rule="REP001", message="boom", path="a/b.py",
+        finding = Finding(rule="REP002", message="boom", path="a/b.py",
                           line=7)
-        assert finding.render() == "a/b.py:7: REP001 boom"
+        assert finding.render() == "a/b.py:7: REP002 boom"
 
 
 class TestCli:
@@ -173,7 +175,7 @@ class TestCli:
     def test_list_rules(self):
         result = self._run("--list-rules")
         assert result.returncode == 0
-        assert "REP001" in result.stdout and "REP006" in result.stdout
+        assert "REP002" in result.stdout and "REP007" in result.stdout
 
     def test_clean_file_exits_zero(self, tmp_path):
         clean = tmp_path / "clean.py"

@@ -10,7 +10,6 @@ from repro.analysis.rules import (
     BroadExceptRationale,
     DurabilityOrdering,
     EpochDiscipline,
-    FlatViewInvalidation,
     HotPathPurity,
     ResultCacheDiscipline,
     ShardingProtocolHygiene,
@@ -20,206 +19,6 @@ from repro.analysis.rules import (
 def findings_for(source: str, rule, path: str = "fixture.py"):
     module = Module.from_source(textwrap.dedent(source), path)
     return analyze_modules([module], rules=[rule])
-
-
-class TestFlatViewInvalidation:
-    RULE = FlatViewInvalidation
-
-    def test_fires_on_mutator_without_clear(self):
-        findings = findings_for("""
-            class Buffer:
-                def __init__(self):
-                    self._entries = {}
-                    self._count = 0
-                    self._flat_view = FlatView()
-
-                def add(self, key, tid):
-                    self._entries[key] = tid
-                    self._count += 1
-        """, self.RULE())
-        assert [f.rule for f in findings] == ["REP001"]
-        assert "Buffer.add" in findings[0].message
-
-    def test_fires_when_mutator_assigns_none_over_the_view(self):
-        # Not a drop: the next probe would call a method on None.
-        findings = findings_for("""
-            class Buffer:
-                def __init__(self):
-                    self._entries = {}
-                    self._count = 0
-                    self._flat_view = FlatView()
-
-                def add(self, key, tid):
-                    self._entries[key] = tid
-                    self._count += 1
-                    self._flat_view = None
-        """, self.RULE())
-        assert [f.rule for f in findings] == ["REP001"]
-
-    def test_quiet_when_mutator_records_a_delta(self):
-        findings = findings_for("""
-            class Buffer:
-                def __init__(self):
-                    self._entries = {}
-                    self._count = 0
-                    self._flat_view = FlatView()
-
-                def add(self, key, tid):
-                    self._entries[key] = tid
-                    self._count += 1
-                    self._flat_view.record_insert(key, tid)
-
-                def add_many(self, keys, tids):
-                    self._entries.update(zip(keys, tids))
-                    self._flat_view.record_insert_many(keys, tids)
-
-                def remove(self, key, tid):
-                    del self._entries[key]
-                    self._flat_view.record_delete(key, tid)
-
-                def clear(self):
-                    self._entries.clear()
-                    self._flat_view.drop()
-        """, self.RULE())
-        assert findings == []
-
-    def test_fires_when_mutator_neither_records_nor_drops(self):
-        # Touching the view is not enough: charging debt or reading the
-        # arrays tells it nothing about the write.
-        findings = findings_for("""
-            class Buffer:
-                def __init__(self):
-                    self._entries = {}
-                    self._count = 0
-                    self._flat_view = FlatView()
-
-                def add(self, key, tid):
-                    self._entries[key] = tid
-                    self._count += 1
-                    self._flat_view.charge(1)
-
-                def remove(self, key, tid):
-                    del self._entries[key]
-                    self._other.record_delete(key, tid)
-        """, self.RULE())
-        assert [f.rule for f in findings] == ["REP001", "REP001"]
-        assert "Buffer.add" in findings[0].message
-        assert "Buffer.remove" in findings[1].message
-
-    def test_quiet_when_a_rebuild_adopts_its_run(self):
-        # A load that rebuilt the entries from one sorted run hands the run
-        # over as the view; one that neither records, drops nor adopts is
-        # still flagged.
-        findings = findings_for("""
-            class Tree:
-                def __init__(self):
-                    self._root = None
-                    self._num_entries = 0
-                    self._flat_view = FlatView()
-
-                def _pack(self, keys, tids):
-                    self._root = build(keys, tids)
-                    self._num_entries = len(tids)
-                    self._flat_view.adopt(keys, tids, len(keys))
-
-                def _repack(self, keys, tids):
-                    self._root = build(keys, tids)
-                    self._num_entries = len(tids)
-                    self._flat_view.arrays(snapshot)
-        """, self.RULE())
-        assert [(f.rule, f.message.split(" without ")[0]) for f in findings] \
-            == [("REP001", "Tree._repack mutates _num_entries, _root")]
-
-    def test_fires_on_container_method_mutation(self):
-        findings = findings_for("""
-            class Buffer:
-                def __init__(self):
-                    self._entries = {}
-                    self._flat_view = FlatView()
-
-                def drop_all(self):
-                    self._entries.clear()
-        """, self.RULE())
-        assert [f.rule for f in findings] == ["REP001"]
-
-    def test_quiet_without_flat_view_cache(self):
-        # A class with no _flat_view in __init__ is out of scope even if
-        # it mutates identically named state.
-        findings = findings_for("""
-            class Plain:
-                def __init__(self):
-                    self._entries = {}
-
-                def add(self, key, tid):
-                    self._entries[key] = tid
-        """, self.RULE())
-        assert findings == []
-
-    def test_quiet_on_readers(self):
-        findings = findings_for("""
-            class Buffer:
-                def __init__(self):
-                    self._entries = {}
-                    self._flat_view = FlatView()
-
-                def lookup(self, key):
-                    return self._entries.get(key)
-        """, self.RULE())
-        assert findings == []
-
-    # An owner whose entries live in a buffer it holds (TRSTree's outlier
-    # buffer): the buffer's add / add_many / remove are mutations.
-    TREE_INIT = """
-            class Tree:
-                def __init__(self):
-                    self._outliers = OutlierBuffer()
-                    self._flat_view = FlatView()
-    """
-
-    def test_fires_on_buffer_mutators_that_do_not_tell_the_view(self):
-        findings = findings_for(self.TREE_INIT + """
-                def insert(self, key, tid):
-                    self._outliers.add(key, tid)
-
-                def insert_many(self, keys, tids):
-                    self._outliers.add_many(keys, tids)
-
-                def delete(self, key, tid):
-                    if self._outliers.remove(key, tid):
-                        self._other.record_delete(key, tid)
-
-                def build(self):
-                    self._outliers = OutlierBuffer()
-        """, self.RULE())
-        assert [(f.rule, f.message.split(" without ")[0]) for f in findings] \
-            == [("REP001", "Tree.insert mutates _outliers"),
-                ("REP001", "Tree.insert_many mutates _outliers"),
-                ("REP001", "Tree.delete mutates _outliers"),
-                ("REP001", "Tree.build mutates _outliers")]
-        assert all("self._flat_view" in f.message for f in findings)
-
-    def test_quiet_when_buffer_mutators_tell_the_view(self):
-        findings = findings_for(self.TREE_INIT + """
-                def insert(self, key, tid):
-                    self._outliers.add(key, tid)
-                    self._flat_view.record_insert(key, tid)
-
-                def insert_many(self, keys, tids):
-                    self._outliers.add_many(keys, tids)
-                    self._flat_view.record_insert_many(keys, tids)
-
-                def delete(self, key, tid):
-                    if self._outliers.remove(key, tid):
-                        self._flat_view.record_delete(key, tid)
-
-                def build(self):
-                    self._outliers = OutlierBuffer()
-                    self._flat_view.drop()
-
-                def count(self, leaf):
-                    return len(self._outliers) + leaf.num_model_covered
-        """, self.RULE())
-        assert findings == []
 
 
 class TestDurabilityOrdering:
@@ -711,8 +510,7 @@ class TestResultCacheDiscipline:
         assert "_seen" in findings[0].message
 
     def test_quiet_without_lock_in_scope(self):
-        # A class owning entries but no lock (the B+-tree shape) is out
-        # of scope — REP001 covers its invariant instead.
+        # A class owning entries but no lock is out of scope.
         findings = findings_for("""
             class Tree:
                 def __init__(self):

@@ -6,10 +6,12 @@ import pytest
 from repro.baselines.correlation_maps import CorrelationMap
 from repro.baselines.secondary import BaselineSecondaryIndex
 from repro.core.lookup import LookupBreakdown
+from repro.engine.catalog import IndexMethod
+from repro.engine.database import Database
+from repro.engine.query import QueryRequest, RangePredicate
 from repro.errors import ConfigurationError, QueryError
 from repro.index.base import KeyRange
-from repro.index.bptree import BPlusTree
-from repro.index.sorted_column import SortedColumnIndex
+from repro.index.ordered import OrderedIndex
 from repro.storage.identifiers import PointerScheme
 from repro.storage.schema import numeric_schema
 from repro.storage.table import Table
@@ -31,8 +33,8 @@ def table():
 
 
 def primary_and_host(table, scheme):
-    primary = BPlusTree()
-    host = BPlusTree()
+    primary = OrderedIndex()
+    host = OrderedIndex()
     slots, pks, hosts = table.project(["pk", "host"])
     primary.insert_many(pks, slots)
     tids = slots if scheme is PointerScheme.PHYSICAL else pks
@@ -180,29 +182,33 @@ class TestCorrelationMap:
 
     @pytest.mark.parametrize("scheme", [PointerScheme.PHYSICAL,
                                         PointerScheme.LOGICAL])
-    @pytest.mark.parametrize("host_kind", [BPlusTree, SortedColumnIndex])
+    @pytest.mark.parametrize("null_hosts", [False, True])
     def test_candidates_need_no_dedup_with_duplicate_host_values(
-            self, scheme, host_kind):
+            self, scheme, null_hosts):
         """CM's candidates skip the dedup pass: pin that none is needed.
 
         Many rows share one host value, host values sit exactly on bucket
         boundaries (where two closed bucket ranges touch) and the predicate
         links adjacent *and* non-adjacent host buckets.  ``_host_ranges_for``
         unions the buckets into disjoint ranges, so every row must come back
-        exactly once — from both candidate generators.
+        exactly once — from both candidate generators.  Rows with a NULL
+        host come from the NULL-host index, never from the host index.
         """
         hosts = np.repeat([0.0, 8.0, 16.0, 16.0, 24.0, 40.0, 48.0, 52.0], 6)
+        if null_hosts:
+            hosts[::7] = np.nan
         targets = np.tile([1.0, 3.0, 5.0, 7.0, 9.0, 11.0], 8)
         table = Table(numeric_schema("dup", ["pk", "host", "target"],
                                      primary_key="pk"))
         table.insert_many({"pk": np.arange(hosts.size, dtype=np.float64) + 100,
                            "host": hosts, "target": targets})
         slots, pks = table.project(["pk"])
-        primary = BPlusTree()
+        primary = OrderedIndex()
         primary.insert_many(pks, slots)
         tids = slots if scheme is PointerScheme.PHYSICAL else pks
-        host_index = host_kind()
-        host_index.insert_many(hosts, tids)
+        known = ~np.isnan(hosts)
+        host_index = OrderedIndex()
+        host_index.insert_many(hosts[known], tids[known])
         cm = CorrelationMap(table, "target", "host", host_index,
                             target_bucket_width=4.0, host_bucket_width=8.0,
                             primary_index=primary, pointer_scheme=scheme)
@@ -238,3 +244,74 @@ class TestCorrelationMap:
             CorrelationMap(table, "target", "host", host_index,
                            target_bucket_width=1.0, host_bucket_width=1.0,
                            pointer_scheme=PointerScheme.LOGICAL)
+
+
+@pytest.mark.parametrize("scheme", list(PointerScheme))
+def test_correlation_map_answers_rows_with_a_null_host(scheme):
+    """1,000 rows, one with a NULL host: CM answers it through both entry
+    points, keeps it across updates to and from a NULL host (no write
+    half-applies), and ``check_invariants`` watches the NULL-host rows."""
+    database = Database(pointer_scheme=scheme)
+    database.create_table(numeric_schema("t", ["pk", "host", "target"],
+                                         primary_key="pk"))
+    targets = np.arange(1_000, dtype=np.float64)
+    hosts = 2.0 * targets + 1.0
+    hosts[500] = np.nan
+    database.insert_many("t", {"pk": targets.copy(), "host": hosts,
+                               "target": targets})
+    database.create_index("idx_host", "t", "host")
+    database.create_index("idx_cm", "t", "target",
+                          method=IndexMethod.CORRELATION_MAP,
+                          host_column="host", cm_target_bucket_width=25.0,
+                          cm_host_bucket_width=50.0)
+
+    def answers(low: float, high: float) -> list[int]:
+        request = QueryRequest.of("t", RangePredicate("target", low, high))
+        single = database.execute(request)
+        (batch,) = database.execute_many([request])
+        assert single.used_index == batch.used_index == "idx_cm"
+        assert np.array_equal(single.locations, batch.locations)
+        return single.locations.tolist()
+
+    assert answers(495.0, 505.0) == list(range(495, 506))
+    database.update("t", 10, {"host": np.nan})
+    database.check_invariants()
+    assert answers(5.0, 15.0) == list(range(5, 16))
+    database.update("t", 500, {"host": 1_001.0, "target": 12.5})
+    database.delete("t", 10)
+    database.check_invariants()
+    assert answers(5.0, 15.0) == [5, 6, 7, 8, 9, 11, 12, 13, 14, 15, 500]
+
+
+@pytest.mark.parametrize("scheme", list(PointerScheme))
+def test_correlation_map_files_null_host_rows_written_after_it(scheme):
+    """Rows with a NULL host that arrive once CM exists — by batch and by
+    single insert — are answered, and leave it when deleted."""
+    database = Database(pointer_scheme=scheme)
+    database.create_table(numeric_schema("t", ["pk", "host", "target"],
+                                         primary_key="pk"))
+    targets = np.arange(200, dtype=np.float64)
+    database.insert_many("t", {"pk": targets.copy(), "host": 3.0 * targets,
+                               "target": targets})
+    database.create_index("idx_host", "t", "host")
+    database.create_index("idx_cm", "t", "target",
+                          method=IndexMethod.CORRELATION_MAP,
+                          host_column="host", cm_target_bucket_width=10.0,
+                          cm_host_bucket_width=30.0)
+    batch = database.insert_many("t", {"pk": [1_000.0, 1_001.0, 1_002.0],
+                                       "host": [np.nan, 9.0, np.nan],
+                                       "target": [4.5, 4.5, 150.5]})
+    single = database.insert("t", {"pk": 1_003.0, "host": np.nan,
+                                   "target": 5.5})
+    database.check_invariants()
+    null_row, known_row, _ = np.asarray(batch).tolist()
+    request = QueryRequest.of("t", RangePredicate("target", 4.0, 6.0))
+    result = database.execute(request)
+    assert result.used_index == "idx_cm"
+    assert result.locations.tolist() == sorted([4, 5, 6, null_row,
+                                                known_row, single])
+    database.delete("t", single)
+    database.delete("t", null_row)
+    database.check_invariants()
+    (after,) = database.execute_many([request])
+    assert after.locations.tolist() == sorted([4, 5, 6, known_row])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -225,14 +226,31 @@ class TestRunner:
 
     def test_one_stamped_trajectory_line(self, records):
         line = ratio_gates.trajectory_line(records)
-        assert set(line) == {"time", "git_sha", "cpu_count", "python",
-                             "numpy", "metrics"}
+        assert set(line) == {"time", "git_sha", "dirty", "cpu_count",
+                             "python", "numpy", "metrics"}
+        assert isinstance(line["dirty"], bool)
         assert len(line["metrics"]) == sum(
             len(GATED_METRICS[key[0]])
             for key in check_regression.index_measurements(records))
         assert all(isinstance(value, float)
                    for value in line["metrics"].values())
         json.dumps(line)
+
+    @pytest.mark.parametrize("diff_status,dirty", [(0, False), (1, True)])
+    def test_trajectory_line_marks_uncommitted_changes(
+            self, records, monkeypatch, diff_status, dirty):
+        calls = []
+
+        def fake_run(command, **kwargs):
+            calls.append(command)
+            status = diff_status if command[1] == "diff" else 0
+            return subprocess.CompletedProcess(command, status, stdout="abc")
+
+        monkeypatch.setattr(ratio_gates.subprocess, "run", fake_run)
+        line = ratio_gates.trajectory_line(records)
+        assert (line["git_sha"], line["dirty"]) == ("abc", dirty)
+        assert ["git", "diff", "--quiet", "HEAD", "--", "src",
+                "benchmarks"] in calls
 
     def test_main_writes_one_bundle_and_appends_one_line(
             self, tmp_path, monkeypatch):

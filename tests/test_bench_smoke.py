@@ -21,10 +21,9 @@ from repro.baselines.correlation_maps import CorrelationMap
 from repro.bench.hotpath import build_hotpath_setup
 from repro.bench.writepath import writepath_measurements
 from repro.index.base import Index
-from repro.index.bptree import BPlusTree
 from repro.index.hash_index import HashIndex
+from repro.index.ordered import OrderedIndex
 from repro.index.paged_bptree import PagedBPlusTree
-from repro.index.sorted_column import SortedColumnIndex
 from repro.storage.identifiers import PointerScheme
 from repro.workloads.queries import range_queries
 
@@ -37,17 +36,14 @@ SMOKE_INSERTS = 1_200
 class TestBatchedFormsNotFallback:
     def test_indexes_override_batched_write(self):
         """Every concrete index keeps a real (non-fallback) insert_many."""
-        for index_class in (BPlusTree, SortedColumnIndex, HashIndex,
-                            PagedBPlusTree):
+        for index_class in (OrderedIndex, HashIndex, PagedBPlusTree):
             assert "insert_many" in index_class.__dict__
             assert index_class.insert_many is not Index.insert_many
 
     def test_engine_indexes_override_segmented_probes(self):
         """The batch pipeline's probes must not regress to per-range loops."""
-        for index_class in (BPlusTree, SortedColumnIndex):
-            assert "range_search_segmented" in index_class.__dict__
-        assert "search_many_segmented" in BPlusTree.__dict__
-        assert "range_search_many_array" in SortedColumnIndex.__dict__
+        assert "range_search_segmented" in OrderedIndex.__dict__
+        assert "search_many_segmented" in OrderedIndex.__dict__
 
 
 def _mechanisms(setup, scheme):
@@ -70,13 +66,10 @@ class TestPipelinesAgreeOnWorkloads:
 
     @pytest.mark.parametrize("scheme", [PointerScheme.PHYSICAL,
                                         PointerScheme.LOGICAL])
-    @pytest.mark.parametrize("workload,host_kind", [
-        ("synthetic", "btree"), ("sensor", "btree"), ("stock", "sorted"),
-    ])
-    def test_single_batch_and_mask_agree(self, workload, host_kind, scheme):
+    @pytest.mark.parametrize("workload", ["synthetic", "sensor", "stock"])
+    def test_single_batch_and_mask_agree(self, workload, scheme):
         setup = build_hotpath_setup(workload, SMOKE_ROWS,
-                                    pointer_scheme=scheme,
-                                    host_index_kind=host_kind)
+                                    pointer_scheme=scheme)
         queries = range_queries(setup.domain, 0.01, count=SMOKE_QUERIES,
                                 seed=42)
         slots, targets = setup.table.project(["target"])

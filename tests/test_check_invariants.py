@@ -5,7 +5,8 @@ here on its own.  Each case builds the machine's four mechanism tables
 (Hermit, B+-tree, sorted column, Correlation Map) under one pointer scheme,
 corrupts one structure of one table behind the engine's back, and expects
 an ``AssertionError`` naming that structure: the primary index, the host
-index, a complete target index, or the Hermit TRS-Tree.  The same database
+index, a complete target index, the Hermit TRS-Tree or the Correlation
+Map.  The same database
 passes when left alone and after every kind of write and maintenance.
 """
 
@@ -126,7 +127,7 @@ def files_under_another_tid(database, table, index):
 def outlier(database) -> tuple:
     """The Hermit tree and one of its outlier rows."""
     tree = mechanism(database, "hermit", "idx_target").trs_tree
-    filed = set(zip(*[array.tolist() for array in tree._outlier_view()[:2]]))
+    filed = set(tree._outliers.items())
     row = next(row for row in rows(database, "hermit")
                if (row.target, row.tid) in filed)
     return tree, row
@@ -150,6 +151,19 @@ def outlier_count_off(database, table, index):
     return "per-leaf outlier counts"
 
 
+def cm_loses_its_links(database, table, index):
+    mechanism(database, table, index)._mapping.clear()
+    return "is not linked"
+
+
+def cm_misses_a_null_host_row(database, table, index):
+    row = rows(database, table)[0]
+    database.update(table, row.slot, {"host": np.nan})
+    database.check_invariants()
+    mechanism(database, table, index)._null_hosts.delete(row.target, row.tid)
+    return "NULL-host index"
+
+
 EVERY_TABLE = [primary_misses_a_live_row, primary_keeps_a_deleted_row,
                primary_points_at_another_row]
 EVERY_INDEX = [misses_a_live_row, keeps_a_deleted_row, files_a_stale_key,
@@ -160,7 +174,9 @@ CASES = (
     + [(corrupt, table, "idx_target") for corrupt in EVERY_INDEX
        for table in ("btree", "sorted")]
     + [(corrupt, "hermit", "idx_target") for corrupt in
-       (outlier_dropped, outlier_under_another_tid, outlier_count_off)])
+       (outlier_dropped, outlier_under_another_tid, outlier_count_off)]
+    + [(corrupt, "cm", "idx_target") for corrupt in
+       (cm_loses_its_links, cm_misses_a_null_host_row)])
 
 
 @SCHEMES
@@ -179,13 +195,15 @@ def test_corruption_is_caught(scheme, corrupt, table, index):
 # ------------------------------------------------------ what must pass
 
 def churn(database: Database) -> None:
-    """Every kind of write on every table: NULL, out-of-domain and off-band
-    inserts, batched and per row; deletes; target, host and key updates."""
+    """Every kind of write on every table: NULL, out-of-domain, off-band and
+    NULL-host inserts, batched and per row; deletes; target, host and key
+    updates, to and from a NULL host."""
     for name in TABLES:
         database.insert_many(name, {
-            "pk": [1_000.0, 1_001.0, 1_002.0],
-            "host": [5.0, host_for(-50.0, True), host_for(500.0, False)],
-            "target": [np.nan, -50.0, 500.0]})
+            "pk": [1_000.0, 1_001.0, 1_002.0, 1_004.0],
+            "host": [5.0, host_for(-50.0, True), host_for(500.0, False),
+                     host_for(600.0, None)],
+            "target": [np.nan, -50.0, 500.0, 600.0]})
         database.insert(name, {"pk": 1_003.0, "host": host_for(2_000.0, True),
                                "target": 2_000.0})
         live = rows(database, name)
@@ -193,6 +211,9 @@ def churn(database: Database) -> None:
             database.delete(name, row.slot)
         database.update(name, live[1].slot, {"target": np.nan})
         database.update(name, live[2].slot, {"host": host_for(1.0, False)})
+        database.update(name, live[4].slot, {"host": host_for(1.0, None)})
+        database.update(name, live[4].slot, {"host": host_for(1.0, True)})
+        database.update(name, live[5].slot, {"host": host_for(1.0, None)})
         database.update(name, live[3].slot, {"pk": 2_000.0, "target": 10.0})
 
 

@@ -12,7 +12,7 @@ from repro.engine.query import (
     point_predicate,
 )
 from repro.errors import CatalogError, QueryError
-from repro.index.bptree import BPlusTree
+from repro.index.ordered import OrderedIndex
 from repro.storage.identifiers import PointerScheme
 from repro.storage.schema import Column, TableSchema, numeric_schema
 from repro.storage.table import Table
@@ -51,11 +51,11 @@ class TestCatalog:
     def test_add_and_lookup_table(self):
         catalog = Catalog()
         table = Table(numeric_schema("t", ["pk"], primary_key="pk"))
-        catalog.add_table("t", table, BPlusTree())
+        catalog.add_table("t", table, OrderedIndex())
         assert catalog.table_entry("t").table is table
         assert "t" in catalog
         with pytest.raises(CatalogError):
-            catalog.add_table("t", table, BPlusTree())
+            catalog.add_table("t", table, OrderedIndex())
 
     def test_unknown_table_raises(self):
         with pytest.raises(CatalogError):
@@ -64,7 +64,7 @@ class TestCatalog:
     def test_index_registration(self):
         catalog = Catalog()
         table = Table(numeric_schema("t", ["pk", "x"], primary_key="pk"))
-        catalog.add_table("t", table, BPlusTree())
+        catalog.add_table("t", table, OrderedIndex())
         catalog.add_index(self.make_entry())
         with pytest.raises(CatalogError):
             catalog.add_index(self.make_entry())
@@ -75,7 +75,7 @@ class TestCatalog:
     def test_drop_index(self):
         catalog = Catalog()
         table = Table(numeric_schema("t", ["pk", "x"], primary_key="pk"))
-        catalog.add_table("t", table, BPlusTree())
+        catalog.add_table("t", table, OrderedIndex())
         catalog.add_index(self.make_entry())
         dropped = catalog.drop_index("t", "idx")
         assert dropped.name == "idx"
@@ -85,7 +85,7 @@ class TestCatalog:
     def test_indexed_columns_filters_methods(self):
         catalog = Catalog()
         table = Table(numeric_schema("t", ["pk", "x", "y"], primary_key="pk"))
-        catalog.add_table("t", table, BPlusTree())
+        catalog.add_table("t", table, OrderedIndex())
         catalog.add_index(self.make_entry("i1", "x", IndexMethod.BTREE))
         catalog.add_index(self.make_entry("i2", "y", IndexMethod.HERMIT))
         assert catalog.indexed_columns("t") == ["x"]

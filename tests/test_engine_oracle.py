@@ -20,12 +20,12 @@ The lattice:
   through ``Server``, sharded inline and sharded over processes.
 
 Writes cover batched and per-row inserts (NULL and out-of-domain targets
-included), deletes, updates (primary-key moves across shards, NaN targets)
-and rejected writes, which must change nothing.  Reads cover ranges, point
-probes on stored values, float edge bounds, conjunctions over two columns,
-conjunctions merging to one column, unsatisfiable ones and batches spanning
-tables.  ``TestInjectedDefects`` pins that the machine catches four planted
-bugs.
+and NULL hosts included), deletes, updates (primary-key moves across
+shards, NaN targets and hosts) and rejected writes, which must change
+nothing.  Reads cover ranges, point probes on stored values, float edge
+bounds, conjunctions over two columns, conjunctions merging to one column,
+unsatisfiable ones and batches spanning tables.  ``TestInjectedDefects``
+pins that the machine catches four planted bugs.
 """
 
 from __future__ import annotations
@@ -91,8 +91,10 @@ bounds = st.one_of(st.floats(-150.0, 1_150.0, allow_nan=False, width=64),
 spans = st.tuples(bounds, bounds).map(lambda pair: tuple(sorted(pair)))
 tables = st.sampled_from(TABLES)
 picks = st.integers(min_value=0, max_value=10 ** 6)
-# (target, on the band?, lands on the low-key shard?)
-new_rows = st.tuples(target_values, st.booleans(), st.booleans())
+# On the correlation band, off it, or a NULL host.
+host_placements = st.sampled_from((True, False, None))
+# (target, host placement, lands on the low-key shard?)
+new_rows = st.tuples(target_values, host_placements, st.booleans())
 SHAPES = ("range", "point", "target_and_host", "same_column", "pk",
           "unsatisfiable")
 request_specs = st.tuples(tables, st.sampled_from(SHAPES), spans, spans)
@@ -107,8 +109,11 @@ def schema_of(table: str):
     return numeric_schema(table, ["pk", "host", "target"], primary_key="pk")
 
 
-def host_for(target: float, on_band: bool) -> float:
-    """The correlated host value of a target (NULL targets get a fixed host)."""
+def host_for(target: float, on_band: bool | None) -> float:
+    """The host value of a target: on the correlation band, off it, or NULL
+    (``on_band`` None).  NULL targets get a fixed host."""
+    if on_band is None:
+        return float("nan")
     if np.isnan(target):
         return 5.0
     return 2.0 * target + 10.0 + (0.0 if on_band else OFF_BAND)
@@ -225,11 +230,12 @@ class EngineMachine(RuleBasedStateMachine):
             self.deployment.create_table(name)
             self.models[name] = ModelTable(schema_of(name))
             target = rng.uniform(0.0, 1_000.0, ROWS)
-            on_band = rng.random(ROWS) > 0.1
+            draw = rng.random(ROWS)
+            host = np.where(draw > 0.1, 2.0 * target + 10.0,
+                            2.0 * target + 10.0 + OFF_BAND)
             self.insert_rows(name, {
                 "pk": np.arange(ROWS, dtype=np.float64),
-                "host": np.where(on_band, 2.0 * target + 10.0,
-                                 2.0 * target + 10.0 + OFF_BAND),
+                "host": np.where(draw < 0.03, np.nan, host),
                 "target": target,
             }, batched=True)
 
@@ -320,7 +326,8 @@ class EngineMachine(RuleBasedStateMachine):
 
     @rule(table=tables, pick=picks,
           change=st.sampled_from(("target", "host", "both", "pk")),
-          value=target_values, on_band=st.booleans(), low_shard=st.booleans())
+          value=target_values, on_band=host_placements,
+          low_shard=st.booleans())
     def update(self, table, pick, change, value, on_band, low_shard):
         location = self.pick(table, pick)
         if location is None:

@@ -7,7 +7,7 @@ from repro.core.config import TRSTreeConfig
 from repro.core.hermit import HermitIndex
 from repro.core.lookup import LookupBreakdown
 from repro.errors import QueryError
-from repro.index.bptree import BPlusTree
+from repro.index.ordered import OrderedIndex
 from repro.storage.identifiers import PointerScheme
 from repro.storage.schema import numeric_schema
 from repro.storage.table import Table
@@ -35,8 +35,8 @@ def make_table(count=2000, seed=0, noise_fraction=0.02):
 def build_hermit(table, pointer_scheme=PointerScheme.PHYSICAL, config=None):
     """Construct host and primary indexes plus a Hermit index on ``target``."""
     config = config if config is not None else TRSTreeConfig()
-    primary = BPlusTree()
-    host_index = BPlusTree()
+    primary = OrderedIndex()
+    host_index = OrderedIndex()
     slots, pks, hosts = table.project(["pk", "host"])
     primary.insert_many(pks, slots)
     host_index.insert_many(
@@ -116,7 +116,7 @@ class TestLookup:
     def test_logical_scheme_requires_primary_index(self):
         table = make_table(count=50)
         with pytest.raises(QueryError):
-            HermitIndex(table, "target", "host", BPlusTree(),
+            HermitIndex(table, "target", "host", OrderedIndex(),
                         pointer_scheme=PointerScheme.LOGICAL)
 
 
@@ -187,7 +187,7 @@ class TestMemory:
     def test_hermit_is_much_smaller_than_complete_index(self):
         table = make_table(count=5000)
         hermit = build_hermit(table)
-        complete = BPlusTree()
+        complete = OrderedIndex()
         slots, targets = table.project(["target"])
         complete.insert_many(targets, slots)
         assert hermit.memory_bytes() < complete.memory_bytes() / 5

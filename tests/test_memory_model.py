@@ -1,10 +1,14 @@
 """Unit tests for the analytic memory model."""
 
+import numpy as np
 import pytest
 
+from repro.engine.catalog import IndexMethod
+from repro.engine.database import Database
 from repro.index.composite import CompositeIndex
 from repro.storage import memory
 from repro.storage.memory import BYTES_PER_MB, MemoryReport
+from repro.storage.schema import numeric_schema
 
 
 class TestSizeFunctions:
@@ -85,3 +89,57 @@ class TestMemoryReport:
     def test_repr_contains_total(self):
         report = MemoryReport({"a": int(2 * BYTES_PER_MB)})
         assert "total" in repr(report)
+
+
+class TestIndexMethodPricing:
+    """``memory_report`` prices each method by its own formula: the primary
+    index and ``BTREE`` as the B+-tree over the same entries,
+    ``SORTED_COLUMN`` as packed sorted arrays — one ordered index either
+    way, the method picks the formula."""
+
+    ROWS = 2_000
+    NULL_HOSTS = 20
+    OPTIONS = {"hermit": {"host_column": "host"},
+               "correlation_map": {"host_column": "host",
+                                   "cm_target_bucket_width": 10.0,
+                                   "cm_host_bucket_width": 20.0}}
+
+    @pytest.fixture
+    def database(self):
+        database = Database()
+        database.create_table(numeric_schema("t", ["pk", "host", "target"],
+                                             primary_key="pk"))
+        targets = np.arange(self.ROWS, dtype=np.float64)
+        hosts = 2.0 * targets
+        hosts[::self.ROWS // self.NULL_HOSTS] = np.nan
+        database.insert_many("t", {"pk": targets.copy(), "host": hosts,
+                                   "target": targets})
+        database.create_index("idx_host", "t", "host", preexisting=True)
+        return database
+
+    @pytest.mark.parametrize("method", ["btree", "sorted_column", "hermit",
+                                        "correlation_map"])
+    def test_each_method_is_priced_by_its_formula(self, database, method):
+        entry = database.create_index("idx_target", "t", "target",
+                                      method=IndexMethod(method),
+                                      **self.OPTIONS.get(method, {}))
+        mechanism = entry.mechanism
+        if method == "btree":
+            expected = memory.btree_bytes(self.ROWS, 32)
+        elif method == "sorted_column":
+            expected = memory.sorted_array_bytes(self.ROWS)
+        elif method == "hermit":
+            expected = mechanism.trs_tree.memory_bytes()
+        else:   # one hash entry per link, plus the NULL-host rows
+            expected = (memory.hash_table_bytes(mechanism.num_bucket_links)
+                        + len(mechanism._mapping) * memory.NODE_HEADER_BYTES
+                        + self.NULL_HOSTS * (memory.KEY_BYTES
+                                             + memory.POINTER_BYTES))
+        assert mechanism.memory_bytes() == expected
+        assert database.memory_report("t").components == {
+            "table": database.table("t").memory_bytes(),
+            "primary_index": memory.btree_bytes(self.ROWS, 32),
+            "existing_indexes": memory.btree_bytes(
+                self.ROWS - self.NULL_HOSTS, 32),
+            "new_indexes": expected,
+        }

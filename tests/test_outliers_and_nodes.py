@@ -1,34 +1,49 @@
-"""Unit tests for the outlier buffer, the partition helpers and a leaf band."""
+"""Unit tests for the outlier index, the partition helpers and a leaf band."""
 
+import numpy as np
 import pytest
 
-from repro.core.outliers import OutlierBuffer
 from repro.core.regression import LinearModel
-from repro.core.trs_tree import equal_width_subranges
+from repro.core.trs_tree import TRSTree, equal_width_subranges
 from repro.index.base import KeyRange
 
 
-class TestOutlierBuffer:
-    def test_add_and_buckets(self):
-        # Range probes of outliers are TRSTree's (one tree-wide view, see
-        # test_trs_lookup_many.TestReadsMatchTheLeafScan); the buffer hands
-        # its buckets over in key order for that view.
-        buffer = OutlierBuffer()
-        buffer.add(7.0, 102)
-        buffer.add(5.0, 100)
-        buffer.add_many([5.0, 6.0], [101, 103])
-        assert buffer.buckets() == ([5.0, 6.0, 7.0],
-                                    [[100, 101], [103], [102]])
-        assert len(buffer) == 4
+def linear_tree() -> TRSTree:
+    """One linear leaf over [0, 99] (host = 2 * target), no outliers."""
+    targets = np.arange(100, dtype=np.float64)
+    tree = TRSTree()
+    tree.build(targets, 2.0 * targets, np.arange(100))
+    assert tree.num_outliers == 0
+    return tree
 
-    def test_remove(self):
-        buffer = OutlierBuffer()
-        buffer.add(5.0, 100)
-        assert buffer.remove(5.0, 100)
-        assert not buffer.remove(5.0, 100)
-        assert not buffer.remove(9.0, 1)
-        assert len(buffer) == 0
-        assert buffer.buckets() == ([], [])
+
+class TestOutlierIndex:
+    def test_off_band_pairs_are_filed_under_their_target(self):
+        # Range probes of outliers are TRSTree's (one tree-wide index, see
+        # test_trs_lookup_many.TestReadsMatchTheLeafScan); the index holds
+        # them in key order, a key's tids in filing order.
+        tree = linear_tree()
+        tree.insert(7.0, 1e6, 102)
+        tree.insert(5.0, 1e6, 100)
+        tree.insert_many([5.0, 6.0], [1e6, 1e6], [101, 103])
+        assert list(tree._outliers.items()) == [
+            (5.0, 100), (5.0, 101), (6.0, 103), (7.0, 102)]
+        assert tree.num_outliers == 4
+        assert tree.lookup(KeyRange(5.0, 6.0)).outlier_tids.tolist() == [
+            100, 101, 103]
+
+    def test_delete_removes_an_outlier_if_present(self):
+        tree = linear_tree()
+        tree.insert(5.0, 1e6, 100)
+        tree.delete(5.0, 1e6, 100)
+        # The pair is gone: deleting it again, or a pair never filed, is a
+        # no-op that touches no counter.
+        tree.delete(5.0, 1e6, 100)
+        tree.delete(9.0, 1e6, 1)
+        assert tree.num_outliers == 0
+        assert list(tree._outliers.items()) == []
+        assert tree._table.num_outliers.tolist() == [0]
+        assert tree._table.num_deleted.tolist() == [1]
 
 
 class TestEqualWidthSubranges:

@@ -1,9 +1,9 @@
 """Paged read-path equivalence tests (ROADMAP: paged-index array path).
 
-``PagedBPlusTree.range_search_array`` is a leaf-run gather mirroring the
-in-memory ``BPlusTree``.  In the style of the write-path equivalence suite,
-the property here is exact agreement: for any data and any closed range, the
-paged gather, the in-memory tree and a brute-force filter must return the
+``PagedBPlusTree.range_search_array`` is a leaf-run gather.  In the style of
+the write-path equivalence suite, the property here is exact agreement: for
+any data and any closed range, the paged gather, the in-memory
+``OrderedIndex`` and a brute-force filter must return the
 same multiset of tuple identifiers — and a probe must cost exactly one
 buffer-pool request per node of the descent plus one per visited leaf, which
 is what the simulated disk breakdown (Figure 24) counts.
@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.index.base import KeyRange
-from repro.index.bptree import BPlusTree
+from repro.index.ordered import OrderedIndex
 from repro.index.paged_bptree import PagedBPlusTree
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import DiskManager
@@ -46,7 +46,7 @@ class TestPagedRangeSearchArray:
     @given(keys=keys_strategy, bounds=bounds_strategy)
     def test_gather_matches_brute_force_and_in_memory(self, keys, bounds):
         paged = make_paged_tree()
-        in_memory = BPlusTree(node_capacity=8)
+        in_memory = OrderedIndex()
         for tid, key in enumerate(keys):
             paged.insert(key, tid)
             in_memory.insert(key, tid)

@@ -7,7 +7,7 @@ them: a mechanism's standalone ``lookup_range`` / ``lookup_range_many``,
 ``Database.query_with`` (forced index), ``execute`` and ``execute_many``.
 That they all answer alike — ranges, point probes, conjunctions and float
 edge bounds, per mechanism and pointer scheme, with deleted rows, outliers,
-stale flat views and cache hits present — is checked against the model by
+pending index writes and cache hits present — is checked against the model by
 the state machine in ``test_engine_oracle``.
 
 ``TestReadSurfaceIsPinned`` lists the public callables of ``Index``, the
@@ -31,21 +31,19 @@ from repro.baselines.correlation_maps import CorrelationMap
 from repro.baselines.secondary import (
     BaselineSecondaryIndex,
     CompositeSecondaryIndex,
+    SortedColumnSecondaryIndex,
 )
 from repro.core.hermit import HermitIndex
 from repro.core.lookup import SecondaryMechanism
-from repro.core.outliers import OutlierBuffer
 from repro.core.regression import LeafModel
 from repro.core.trs_tree import LeafTable, TRSTree
 from repro.engine.database import Database
 from repro.engine.query import QueryRequest, RangePredicate
 from repro.index.base import Index
-from repro.index.bptree import BPlusTree
 from repro.index.composite import CompositeIndex
-from repro.index.flat_view import FlatView
 from repro.index.hash_index import HashIndex
+from repro.index.ordered import OrderedIndex
 from repro.index.paged_bptree import PagedBPlusTree
-from repro.index.sorted_column import SortedColumnIndex
 from repro.serving import Server
 from repro.sharding import ShardedDatabase
 
@@ -79,10 +77,6 @@ INDEX_READS = {
 }
 INDEX_BATCH_READS = {"range_search_many_array", "range_search_segmented",
                      "search_many_segmented"}
-# What the owner of a flat view tells it (a load hands its sorted run over),
-# and what a probe asks of it.
-FLAT_VIEW = {"record_insert", "record_insert_many", "record_delete", "drop",
-             "adopt", "worth_using", "charge", "arrays"}
 # No separate load: insert_many into an empty index is the load.
 INDEX_OTHER = {"insert", "delete", "insert_many", "memory_bytes"}
 
@@ -110,7 +104,7 @@ SHARDED_OTHER = {
 }
 SERVER_SURFACE = {"submit", "submit_async", "query", "stats", "close"}
 
-# The TRS-Tree is one leaf table plus one tree-wide outlier buffer, read
+# The TRS-Tree is one leaf table plus one tree-wide outlier index, read
 # through exactly two methods; only reorganization (and build) replaces
 # rows of the table.
 TRS_READS = {"lookup", "lookup_many"}
@@ -120,7 +114,6 @@ TRS_OTHER = {
     "memory_bytes", "check_invariants",
 }
 LEAF_TABLE = {"replace"}
-OUTLIER_BUFFER = {"add", "add_many", "remove", "buckets"}
 LEAF_MODEL = {"predict", "covers", "covers_many", "host_range"}
 
 
@@ -128,7 +121,8 @@ class TestReadSurfaceIsPinned:
     def test_trs_tree_surface(self):
         assert public_callables(TRSTree) == TRS_READS | TRS_OTHER
         assert public_callables(LeafTable) == LEAF_TABLE
-        assert public_callables(OutlierBuffer) == OUTLIER_BUFFER
+        # The outlier buffer is an ordered index like any other.
+        assert type(TRSTree()._outliers) is OrderedIndex
         # No pointer tree: the node module and its classes are gone.
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.core.node")
@@ -157,20 +151,29 @@ class TestReadSurfaceIsPinned:
         assert Index.__abstractmethods__ == {
             "search_many", "range_search_array",
             "insert", "delete", "memory_bytes", "num_entries"}
-        # The batch read forms have a default on the base; the B+-tree
-        # answers its four read entry points from one flat view (two bodies
-        # per probe kind, private) and adds no fifth.
+        # The batch read forms have a default on the base; the ordered
+        # index answers its four read entry points from one pair of arrays
+        # (one body per probe kind) and adds no fifth.
         assert {name for name in INDEX_READS
                 if name not in Index.__abstractmethods__
                 and name not in ("search", "range_search")} == INDEX_BATCH_READS
-        assert {name for name in vars(BPlusTree)
+        assert {name for name in vars(OrderedIndex)
                 if "search" in name} == {
             "search_many", "range_search_array",
             "range_search_segmented", "search_many_segmented"}
-        assert public_callables(FlatView) == FLAT_VIEW
+        # Beyond the base surface: one iterator and the TRS-Tree's
+        # subtree-rebuild write, no read.
+        assert public_callables(OrderedIndex) == (
+            public_callables(Index) | {"items", "delete_range"})
+        # One structure, configured by nothing: the method picks the size
+        # formula (the mechanism class create_index builds), not a
+        # constructor argument.
+        assert not inspect.signature(OrderedIndex).parameters
+        for complete in (BaselineSecondaryIndex, SortedColumnSecondaryIndex):
+            assert list(inspect.signature(complete).parameters) == [
+                "table", "target_column", "primary_index", "pointer_scheme"]
         # The list conveniences are defined once and never overridden.
-        for index_class in (BPlusTree, SortedColumnIndex, HashIndex,
-                            PagedBPlusTree):
+        for index_class in (OrderedIndex, HashIndex, PagedBPlusTree):
             assert "search" not in vars(index_class)
             assert "range_search" not in vars(index_class)
             extra = public_callables(index_class) - public_callables(Index)
@@ -238,9 +241,13 @@ class TestReadSurfaceIsPinned:
                    "bulk_load", "load_arrays",
                    # retired by range-free path templates and constant
                    # size / cost accounting
-                   "rebind", "DEFAULT_COST_MODEL", "DEFAULT_SIZE_MODEL")
-        # Whole words: the disk simulator keeps its IOCostModel.
-        retired_words = re.compile(r"\b(CostModel|SizeModel)\b")
+                   "rebind", "DEFAULT_COST_MODEL", "DEFAULT_SIZE_MODEL",
+                   # retired by the one ordered index
+                   "SortedColumnIndex", "OutlierBuffer", "FlatView",
+                   "worth_using", "charge(", "_RANGE_PROBE_COST", "REP001")
+        # Whole words: the disk simulator keeps its IOCostModel, the
+        # paged index its PagedBPlusTree.
+        retired_words = re.compile(r"\b(CostModel|SizeModel|BPlusTree)\b")
         for path in SRC.rglob("*.py"):
             text = path.read_text(encoding="utf-8")
             for name in retired:
@@ -249,13 +256,22 @@ class TestReadSurfaceIsPinned:
 
     def test_single_valued_parameters_stay_constants(self):
         """No callable under ``src/repro`` takes a ``cost_model``,
-        ``size_model``, ``advisor`` or ``workers`` parameter — each only
-        ever had one value, so each is a constant.  The one exception is
-        the disk simulator's ``DiskManager(cost_model: IOCostModel)``,
-        which ``tests/test_storage_disk.py`` sets."""
-        banned = {"cost_model", "size_model", "advisor", "workers"}
+        ``size_model``, ``advisor``, ``workers`` or ``host_index_kind``
+        parameter — each only ever had one value, or picked between
+        structures that are one now, so each is a constant.  The exceptions
+        are the disk simulator's ``DiskManager(cost_model: IOCostModel)``,
+        which ``tests/test_storage_disk.py`` sets, and ``node_capacity``
+        where nodes still exist: the paged B+-tree, the composite index and
+        the B+-tree size formula."""
+        banned = {"cost_model", "size_model", "advisor", "workers",
+                  "host_index_kind", "node_capacity"}
         allowed = {("repro.storage.disk", "DiskManager.__init__",
-                    "cost_model")}
+                    "cost_model"),
+                   ("repro.storage.memory", "btree_bytes", "node_capacity"),
+                   ("repro.index.paged_bptree", "PagedBPlusTree.__init__",
+                    "node_capacity"),
+                   ("repro.index.composite", "CompositeIndex.__init__",
+                    "node_capacity")}
         found = set()
         checked = 0
         for info in pkgutil.walk_packages(repro.__path__, "repro."):

@@ -347,6 +347,41 @@ class TestRoutingParity:
         # A value on a bound belongs to the leaf starting there.
         assert scalar_tree._table.num_outliers[1:].min() >= 1
 
+    @pytest.mark.parametrize("fraction", [0.0, 0.5])
+    def test_batches_of_one_file_like_one_batch(self, fraction):
+        """A one-row ``insert_many`` (every ``Database.insert``) takes the
+        scalar path; row by row it leaves what one batch leaves: covered
+        rows, outliers, a NULL target, fractional (logical) tids."""
+        rng = np.random.default_rng(17)
+        targets = rng.uniform(0.0, 1000.0, size=2000)
+
+        def build():
+            tree = TRSTree(TRSTreeConfig(node_fanout=4, max_height=4))
+            tree.build(targets, np.sin(targets / 20.0) * 1000.0,
+                       np.arange(2000))
+            return tree
+
+        new_targets = np.append(rng.uniform(-10.0, 1010.0, size=300), np.nan)
+        new_hosts = (np.sin(new_targets / 20.0) * 1000.0
+                     + rng.choice([0.0, 1e6], size=301))
+        new_tids = np.arange(5000, 5301) + fraction
+        if not fraction:
+            new_tids = new_tids.astype(np.int64)
+        one_by_one, batched = build(), build()
+        for i in range(301):
+            one_by_one.insert_many(new_targets[i:i + 1], new_hosts[i:i + 1],
+                                   new_tids[i:i + 1])
+        batched.insert_many(new_targets, new_hosts, new_tids)
+        for counter in ("num_outliers", "num_inserted", "num_model_covered"):
+            assert np.array_equal(getattr(one_by_one._table, counter),
+                                  getattr(batched._table, counter))
+        assert 0 < batched.num_outliers < 301
+        assert sorted(one_by_one._outliers.items()) == sorted(
+            batched._outliers.items())
+        everything = KeyRange(-np.inf, np.inf)
+        assert (one_by_one.lookup(everything).outlier_tids.dtype
+                == batched.lookup(everything).outlier_tids.dtype)
+
 
 class TestMaintenance:
     def test_insert_covered_tuple_leaves_no_trace(self):
@@ -586,6 +621,38 @@ class TestReorganization:
         probe = KeyRange(0.0, 400.0)
         assert hermit_style_answer(tree, hosts, targets, probe) == \
             brute_force(targets, probe)
+
+    def test_rebuilding_one_leaf_keeps_every_other_leafs_outliers(self):
+        # Eight linear leaves over [0, 9]; off-band rows on every leaf bound
+        # (routed to the leaf above it) and just below it.
+        targets = np.linspace(0.0, 9.0, 400)
+        hosts = 100.0 * np.abs(targets - 3.375)
+        tids = np.arange(400)
+        tree = TRSTree(TRSTreeConfig(min_split_size=8))
+        tree.build(targets, hosts, tids)
+        bounds = list(tree._table.bounds)
+        assert tree.num_leaves == 8 and tree.num_outliers == 0
+        extra = np.asarray(bounds + [bound - 0.3 for bound in bounds])
+        extra_tids = np.arange(1_000, 1_000 + extra.size)
+        tree.insert_many(extra, np.full(extra.size, -1e9), extra_tids)
+        targets = np.concatenate([targets, extra])
+        hosts = np.concatenate([hosts, np.full(extra.size, -1e9)])
+        tids = np.concatenate([tids, extra_tids])
+
+        def provider(key_range: KeyRange):
+            mask = (targets >= key_range.low) & (targets <= key_range.high)
+            return targets[mask], hosts[mask], tids[mask]
+
+        def outside(pairs):
+            return [(key, tid) for key, tid in pairs
+                    if not bounds[1] <= key < bounds[2]]
+
+        before = list(tree._outliers.items())
+        tree.reorganize_children(provider, [2])
+        after = list(tree._outliers.items())
+        assert outside(after) == outside(before)
+        assert sorted(after) == sorted(before)
+        tree.check_invariants(targets, hosts, tids)
 
     def test_memory_accounting_prices_leaves_and_internal_nodes(self):
         tree, _, _ = self.build_with_provider()

@@ -21,24 +21,20 @@ from repro.engine.database import Database
 from repro.engine.query import QueryRequest, RangePredicate
 from repro.errors import SchemaError, StorageError
 from repro.index.base import Index, KeyRange
-from repro.index.bptree import BPlusTree
 from repro.index.hash_index import HashIndex
+from repro.index.ordered import OrderedIndex
 from repro.index.paged_bptree import PagedBPlusTree
-from repro.index.sorted_column import SortedColumnIndex
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import DiskManager
 from repro.storage.identifiers import PointerScheme
 from repro.storage.schema import Column, DataType, TableSchema, numeric_schema
 from repro.storage.table import Table
 
-from reference import bptree_bulk_load
-
 SETTINGS = settings(max_examples=15, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
 INDEX_FACTORIES = {
-    "bptree": lambda: BPlusTree(node_capacity=8),
-    "sorted": SortedColumnIndex,
+    "ordered": OrderedIndex,
     "hash": HashIndex,
     "paged": lambda: PagedBPlusTree(BufferPool(DiskManager(), capacity=64),
                                     node_capacity=8),
@@ -77,15 +73,15 @@ class TestIndexInsertManyEquivalence:
             assert (sorted(batched.range_search(key_range))
                     == sorted(reference.range_search(key_range)))
 
-    def test_batch_into_empty_tree_packs_leaves(self):
-        tree = BPlusTree(node_capacity=8)
+    def test_batch_into_empty_index_is_the_load(self):
+        tree = OrderedIndex()
         keys = np.linspace(0.0, 1.0, 500)
         tree.insert_many(keys, np.arange(500))
         assert tree.num_entries == 500
         assert len(tree.range_search_array(KeyRange(0.0, 1.0))) == 500
 
-    def test_batch_larger_than_tree_splits_correctly(self):
-        tree = BPlusTree(node_capacity=8)
+    def test_batch_larger_than_the_index_folds_correctly(self):
+        tree = OrderedIndex()
         tree.insert(0.5, 0)
         rng = np.random.default_rng(3)
         keys = rng.uniform(0.0, 1.0, 2_000)
@@ -216,15 +212,6 @@ class TestDatabaseWritePathEquivalence:
             database.insert(table_name, {"colA": 1.0})
 
 
-def tree_shape(tree: BPlusTree) -> tuple:
-    """Every node's keys (and a leaf's tid lists), root first."""
-    def shape(node):
-        if node.is_leaf:
-            return ("leaf", list(node.keys), [list(v) for v in node.values])
-        return ("node", list(node.keys), [shape(c) for c in node.children])
-    return shape(tree._root)
-
-
 LOAD_INPUTS = {
     "empty": [],
     "single_key": [(3.5, 7)],
@@ -237,38 +224,45 @@ LOAD_INPUTS = {
 
 
 class TestLoadIsInsertManyIntoEmpty:
-    """``insert_many`` into an empty index builds what ``bulk_load`` built."""
+    """``insert_many`` into an empty index builds what a scalar loop builds."""
 
-    @pytest.mark.parametrize("capacity", [4, 8, 32])
     @pytest.mark.parametrize("name", sorted(LOAD_INPUTS))
-    def test_bptree_packs_like_the_entry_by_entry_loader(self, name, capacity):
+    def test_ordered_index_loads_like_the_scalar_loop(self, name):
         pairs = LOAD_INPUTS[name]
-        oracle = BPlusTree(node_capacity=capacity)
-        bptree_bulk_load(oracle, pairs)
-        loaded = BPlusTree(node_capacity=capacity)
+        oracle = OrderedIndex()
+        for key, tid in pairs:
+            oracle.insert(key, tid)
+        loaded = OrderedIndex()
         loaded.insert_many([key for key, _ in pairs],
                            np.asarray([tid for _, tid in pairs]))
         assert list(loaded.items()) == list(oracle.items())
-        assert tree_shape(loaded) == tree_shape(oracle)
-        assert loaded.height == oracle.height
-        assert loaded.num_entries == oracle.num_entries == len(pairs)
+        assert loaded.num_entries == len(pairs)
         assert loaded.memory_bytes() == oracle.memory_bytes()
         probe = KeyRange(0.0, 3.0)
         assert (loaded.range_search_segmented([probe])[0].tolist()
                 == oracle.range_search_array(probe).tolist())
 
+    @pytest.mark.parametrize("size", [1, 7, 64])
     @pytest.mark.parametrize("name", sorted(LOAD_INPUTS))
-    def test_sorted_column_loads_like_the_scalar_loop(self, name):
+    def test_batches_of_any_size_build_what_the_scalar_loop_builds(
+            self, name, size):
+        """The first batch is adopted as the run; the later ones go through
+        the pending record or fold straight in, by the quarter rule."""
         pairs = LOAD_INPUTS[name]
-        oracle = SortedColumnIndex()
+        oracle = OrderedIndex()
         for key, tid in pairs:
             oracle.insert(key, tid)
-        loaded = SortedColumnIndex()
-        loaded.insert_many([key for key, _ in pairs],
-                           [tid for _, tid in pairs])
-        assert list(loaded.items()) == list(oracle.items())
-        assert loaded.num_entries == len(pairs)
-        assert loaded.memory_bytes() == oracle.memory_bytes()
+        batched = OrderedIndex()
+        for start in range(0, len(pairs), size):
+            chunk = pairs[start:start + size]
+            batched.insert_many([key for key, _ in chunk],
+                                np.asarray([tid for _, tid in chunk]))
+        assert batched.num_entries == oracle.num_entries == len(pairs)
+        probe = KeyRange(0.0, 3.0)
+        assert (batched.range_search_segmented([probe])[0].tolist()
+                == oracle.range_search_array(probe).tolist())
+        assert list(batched.items()) == list(oracle.items())
+        assert batched.memory_bytes() == oracle.memory_bytes()
 
 
 class TestBulkLoadBranchConsistency:
