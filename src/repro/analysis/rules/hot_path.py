@@ -13,9 +13,11 @@ Scope — a function is *hot* when any of:
   (``repro/segments.py``, ``repro/core/lookup.py`` and
   ``repro/engine/executor.py`` ship marked);
 * it is a ``*_many`` / ``*_segmented`` function in an index module
-  (``repro/index/``) or under ``repro/core/`` (``TRSTree.lookup_many``,
+  (``repro/index/``), under ``repro/core/`` (``TRSTree.lookup_many``,
   ``HermitIndex.candidate_tids_many``, the outlier buffer's batch writes)
-  — the vectorized entry points of every mechanism.
+  — the vectorized entry points of every mechanism — or on the load
+  path under ``repro/storage/`` and ``repro/engine/``
+  (``Table.insert_many``, ``Database.insert_many``).
 
 Inside a hot function the rule flags ``for`` statements whose iterable
 is array-shaped: a bare parameter of the function (directly or through
@@ -23,10 +25,13 @@ is array-shaped: a bare parameter of the function (directly or through
 ``.tolist`` / ``.size`` / ``.shape`` / ``.item``, or ``np.nditer`` /
 ``np.ndenumerate``.  Comprehensions are not flagged for that — a single
 C-level comprehension building a result list is often the
-materialisation boundary itself — except one that builds a ``KeyRange``
-per element of such an iterable: a batch's bounds travel as one
-``KeyRanges`` (two float arrays), and turning them back into per-range
-objects is the round-trip the batch path exists to avoid.
+materialisation boundary itself — except one that builds a ``KeyRange``,
+``RowLocation``, ``int`` or ``float`` per element of such an iterable,
+of a ``range`` or of a batch call's result (``[int(slot) for slot in
+table.insert_many(columns)]``): a batch's bounds travel as one
+``KeyRanges`` (two float arrays) and its slots as one int64 array, and
+turning them into per-element objects is the round-trip the batch path
+exists to avoid (``ndarray.tolist()`` is the one-call boundary).
 
 Legitimate scalar fallbacks (the documented cold-buffer paths that
 amortise flat-view construction) stay, suppressed per site::
@@ -50,8 +55,9 @@ from repro.analysis.framework import (
 
 HOT_MODULE_MARKER = "hot-module"
 HOT_METHOD_SUFFIXES = ("_many", "_segmented")
-HOT_PATH_FRAGMENTS = ("repro/index/", "repro/core/")
-PER_RANGE_CLASS = "KeyRange"
+HOT_PATH_FRAGMENTS = ("repro/index/", "repro/core/", "repro/storage/",
+                      "repro/engine/")
+PER_ELEMENT_CALLS = frozenset({"KeyRange", "RowLocation", "int", "float"})
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
 
 ARRAY_ATTRS = frozenset({"tolist", "size", "shape", "item"})
@@ -89,15 +95,31 @@ def _iterable_reason(iterable: ast.expr,
     return None
 
 
-def _builds_per_range(comprehension: ast.expr) -> bool:
-    """Whether the comprehension's element expression calls ``KeyRange``."""
+def _element_iterable_reason(iterable: ast.expr,
+                             params: frozenset[str]) -> str | None:
+    """:func:`_iterable_reason`, plus a ``range`` or a batch call's result."""
+    reason = _iterable_reason(iterable, params)
+    if reason is None and isinstance(iterable, ast.Call):
+        called = (dotted_name(iterable.func) or "").split(".")[-1]
+        if called == "range":
+            reason = "iterates a range of positions"
+        elif called.endswith(HOT_METHOD_SUFFIXES):
+            reason = f"iterates the result of {called}"
+    return reason
+
+
+def _per_element_call(comprehension: ast.expr) -> str | None:
+    """The per-element class or conversion the element expression calls."""
     elements = ([comprehension.key, comprehension.value]
                 if isinstance(comprehension, ast.DictComp)
                 else [comprehension.elt])
-    return any(isinstance(node, ast.Call)
-               and (dotted_name(node.func) or "").split(".")[-1]
-               == PER_RANGE_CLASS
-               for element in elements for node in ast.walk(element))
+    for element in elements:
+        for node in ast.walk(element):
+            if isinstance(node, ast.Call):
+                called = (dotted_name(node.func) or "").split(".")[-1]
+                if called in PER_ELEMENT_CALLS:
+                    return called
+    return None
 
 
 def _findings_in(function: ast.FunctionDef) -> Iterator[tuple[ast.AST, str]]:
@@ -108,12 +130,14 @@ def _findings_in(function: ast.FunctionDef) -> Iterator[tuple[ast.AST, str]]:
             reason = _iterable_reason(node.iter, params)
             if reason is not None:
                 yield node, f"per-element loop ({reason})"
-        elif isinstance(node, COMPREHENSIONS) and _builds_per_range(node):
+        elif isinstance(node, COMPREHENSIONS):
+            called = _per_element_call(node)
+            if called is None:
+                continue
             for generator in node.generators:
-                reason = _iterable_reason(generator.iter, params)
+                reason = _element_iterable_reason(generator.iter, params)
                 if reason is not None:
-                    yield node, (f"per-range {PER_RANGE_CLASS} "
-                                 f"comprehension ({reason})")
+                    yield node, f"per-element {called} comprehension ({reason})"
                     break
 
 
@@ -127,8 +151,8 @@ class HotPathPurity(Rule):
     rule_id = "REP004"
     name = "hot-path-vectorization"
     description = ("no per-element Python for loops over array-shaped "
-                   "data, and no per-range KeyRange rebuilds, in hot batch "
-                   "paths")
+                   "data, and no per-element KeyRange / RowLocation / int / "
+                   "float rebuilds, in hot batch paths")
 
     def check_module(self, module: Module) -> Iterator[Finding]:
         module_hot = HOT_MODULE_MARKER in module.markers

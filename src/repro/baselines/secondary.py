@@ -189,8 +189,7 @@ class CompositeSecondaryIndex(SecondaryMechanism):
         slots, leading, second = self.table.project(
             [self.leading_column, self.second_column]
         )
-        self.index.insert_many(leading.tolist(), second.tolist(),
-                               self._tids_for_slots(slots).tolist())
+        self.index.insert_many(leading, second, self._tids_for_slots(slots))
 
     # ------------------------------------------------------ planner interface
 
@@ -223,10 +222,8 @@ class CompositeSecondaryIndex(SecondaryMechanism):
         """Batched :meth:`insert`: one sorted merge into the entry list."""
         leading = np.asarray(columns[self.leading_column], dtype=np.float64)
         second = np.asarray(columns[self.second_column], dtype=np.float64)
-        self.index.insert_many(
-            leading.tolist(), second.tolist(),
-            self._tids_for_batch(columns, locations).tolist(),
-        )
+        self.index.insert_many(leading, second,
+                               self._tids_for_batch(columns, locations))
 
     def delete(self, row: dict, location: int) -> None:
         """Remove the index entry for a deleted row."""

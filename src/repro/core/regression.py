@@ -32,6 +32,7 @@ from typing import Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from repro.index.base import KeyRange
+from repro.segments import group_order
 
 
 @runtime_checkable
@@ -423,6 +424,57 @@ class ModelTable:
         return lo, hi
 
 
+def quantile(values: np.ndarray, q: "float | Sequence[float]",
+             method: str = "linear") -> "float | tuple[float, ...]":
+    """``np.quantile(values, q, method=method)`` of a 1-D float64 array.
+
+    The same float, bit for bit, without the wrapper's cost (~0.1 ms a
+    call, most of a small leaf's fit).  It is numpy's own computation:
+    one ``np.partition`` at the same positions, the virtual index
+    ``(n - 1) * q`` (``linear``) or ``ceil((n - 1) * q)`` (``higher``),
+    an index at or past the last one taking the maximum, numpy's
+    ``_lerp`` (``a + (b - a) * t``, or ``b - (b - a) * (1 - t)`` for
+    ``t >= 0.5``), and NaN as the answer whenever a value is NaN.
+    Equal positions give equal bits, signed zeros included.  A tuple
+    ``q`` gives a tuple, from one partition.
+
+    Args:
+        values: At least one value.
+        q: Probabilities in [0, 1].
+        method: ``"linear"`` or ``"higher"``.
+    """
+    qs = (q,) if isinstance(q, float) else tuple(q)
+    last = values.size - 1
+    if method == "higher":
+        lows = [math.ceil(last * probability) for probability in qs]
+        kth = lows + [-1]
+    elif method == "linear":
+        virtual = [last * probability for probability in qs]
+        lows = [-1 if index >= last else math.floor(index) for index in virtual]
+        highs = [-1 if low == -1 else low + 1 for low in lows]
+        weights = [index - low for index, low in zip(virtual, lows)]
+        kth = sorted({0, -1, *lows, *highs})
+    else:
+        raise ValueError(f"unsupported quantile method {method!r}")
+    ordered = np.partition(values, kth)
+    if math.isnan(ordered[-1]):
+        results = [float(ordered[-1])] * len(qs)
+    elif method == "higher":
+        results = [float(ordered[low]) for low in lows]
+    else:
+        results = [_lerp(float(ordered[low]), float(ordered[high]), weight)
+                   for low, high, weight in zip(lows, highs, weights)]
+    return results[0] if isinstance(q, float) else tuple(results)
+
+
+def _lerp(below: float, above: float, weight: float) -> float:
+    """numpy's quantile interpolation, in its float expressions."""
+    step = above - below
+    if weight >= 0.5:
+        return above - step * (1.0 - weight)
+    return below + step * weight
+
+
 def fit_linear(m: np.ndarray, n: np.ndarray) -> tuple[float, float]:
     """One-pass OLS fit of ``n ~ beta * m + alpha``.
 
@@ -440,8 +492,10 @@ def fit_linear(m: np.ndarray, n: np.ndarray) -> tuple[float, float]:
         return 0.0, float(n[0])
     m = np.asarray(m, dtype=np.float64)
     n = np.asarray(n, dtype=np.float64)
-    m_mean = float(m.mean())
-    n_mean = float(n.mean())
+    # What ndarray.mean computes (a pairwise sum over the count), without
+    # its Python wrapper.
+    m_mean = float(np.add.reduce(m)) / len(m)
+    n_mean = float(np.add.reduce(n)) / len(n)
     m_centered = m - m_mean
     variance = float(np.dot(m_centered, m_centered))
     if variance == 0.0:
@@ -533,9 +587,8 @@ def fit_linear_trimmed(m: np.ndarray, n: np.ndarray, trim_fraction: float,
     n = np.asarray(n, dtype=np.float64)
     for _ in range(max(1, iterations)):
         residuals = np.abs(n - (beta * m + alpha))
-        cutoff = np.quantile(residuals, 1.0 - trim_fraction)
-        keep = residuals <= cutoff
-        if keep.sum() < 2:
+        keep = residuals <= quantile(residuals, 1.0 - trim_fraction)
+        if np.count_nonzero(keep) < 2:
             break
         beta, alpha = fit_linear(m[keep], n[keep])
         if keep.all():
@@ -619,8 +672,8 @@ def _coverage_epsilon(residuals: np.ndarray, coverage: float) -> float:
     """
     if residuals.size == 0:
         return 0.0
-    return float(np.quantile(residuals, min(max(coverage, 0.0), 1.0),
-                             method="higher"))
+    return quantile(residuals, min(max(coverage, 0.0), 1.0),
+                    method="higher")
 
 
 def _piecewise_segments(num_tuples: int) -> int:
@@ -667,12 +720,15 @@ def _fit_piecewise(m: np.ndarray, n: np.ndarray, target_range: KeyRange,
     ) + (target_range.high,)
     fallback_beta, fallback_alpha = fit_linear_trimmed(m, n, trim_fraction)
     indices = piecewise_segment_indices(m, bounds)
+    order, offsets = group_order(indices, segments)
+    grouped_m, grouped_n = m[order], n[order]
     betas: list[float] = []
     alphas: list[float] = []
-    for segment in range(segments):
-        mask = indices == segment
-        if int(mask.sum()) >= 2:
-            beta, alpha = fit_linear_trimmed(m[mask], n[mask], trim_fraction)
+    for start, stop in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+        if stop - start >= 2:
+            beta, alpha = fit_linear_trimmed(grouped_m[start:stop],
+                                             grouped_n[start:stop],
+                                             trim_fraction)
         else:
             beta, alpha = fallback_beta, fallback_alpha
         betas.append(beta)
@@ -705,8 +761,8 @@ def _robust_host_span(n: np.ndarray, trim_fraction: float) -> float:
     if n.size == 0:
         return 0.0
     if trim_fraction > 0.0 and n.size >= 8:
-        lo, hi = np.quantile(n, [0.5 * trim_fraction, 1.0 - 0.5 * trim_fraction])
-        return float(hi - lo)
+        lo, hi = quantile(n, (0.5 * trim_fraction, 1.0 - 0.5 * trim_fraction))
+        return hi - lo
     return float(n.max() - n.min())
 
 

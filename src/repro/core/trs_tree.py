@@ -46,6 +46,7 @@ from repro.index.base import KeyRange, KeyRanges
 from repro.index.ordered import OrderedIndex
 from repro.segments import (
     empty_offsets,
+    group_order,
     offsets_from_counts,
     run_indices,
     running_segment_max,
@@ -419,25 +420,37 @@ class TRSTree:
         fails the false-positive criterion but cannot split is demoted to an
         exact outlier-only leaf (every tuple an outlier, no host range ever
         emitted) rather than keeping a band that floods the host index.
+
+        Only pairs with a finite host are fitted, scored and counted: no
+        band covers a NaN (NULL) or infinite host, so such a pair is filed
+        as an outlier of the leaf it routes to and never counts toward
+        either criterion — without that, one NaN residual makes every
+        quantile NaN and the node splits to ``max_height``.
         """
+        modelled = np.isfinite(hosts)
+        if modelled.all():
+            fit_targets, fit_hosts = targets, hosts
+        else:
+            fit_targets, fit_hosts = targets[modelled], hosts[modelled]
         can_split = (
             len(path) + 1 < self.config.max_height
-            and len(targets) >= self.config.min_split_size
+            and len(fit_targets) >= self.config.min_split_size
             and key_range.width > 0
         )
 
-        if can_split and self._sampling_says_split(key_range, targets, hosts):
+        if can_split and self._sampling_says_split(key_range, fit_targets,
+                                                   fit_hosts):
             return self._split(key_range, targets, hosts, tids, path, parallelism)
 
         fit = select_leaf_model(
-            targets, hosts, key_range, self.config.error_bound,
+            fit_targets, fit_hosts, key_range, self.config.error_bound,
             trim_fraction=self.config.outlier_ratio,
             max_fp_ratio=self.config.max_fp_ratio,
         )
         model = fit.model
-        covered = model.covers_many(targets, hosts) if len(targets) else np.zeros(0, bool)
-        num_model_covered = int(covered.sum())
-        num_outliers = int(len(targets) - num_model_covered)
+        covered = model.covers_many(targets, hosts) & modelled
+        num_model_covered = int(np.count_nonzero(covered))
+        num_outliers = len(fit_targets) - num_model_covered
         fp_estimate = estimate_leaf_false_positives(model, hosts[covered])
         too_many_fps = (
             num_model_covered > 0
@@ -445,7 +458,7 @@ class TRSTree:
         )
 
         if can_split and (
-            num_outliers > self.config.outlier_ratio * len(targets)
+            num_outliers > self.config.outlier_ratio * len(fit_targets)
             or too_many_fps
         ):
             return self._split(key_range, targets, hosts, tids, path, parallelism)
@@ -468,15 +481,21 @@ class TRSTree:
 
         Tuples are partitioned with :func:`route_indices`, which files a
         value on a child boundary exactly where the leaf table's
-        ``bisect_right`` will route it later.
+        ``bisect_right`` will route it later, and grouped by child with one
+        stable sort (:func:`~repro.segments.group_order`): every child
+        builds from a slice holding its tuples in their original order, so
+        its sums round as they would over a masked copy.
         """
         subranges = equal_width_subranges(key_range, self.config.node_fanout)
-        indices = route_indices(targets, key_range, len(subranges))
+        order, offsets = group_order(
+            route_indices(targets, key_range, len(subranges)), len(subranges))
+        targets, hosts, tids = targets[order], hosts[order], tids[order]
+        starts, stops = offsets[:-1].tolist(), offsets[1:].tolist()
 
         def build_child(position: int) -> list[LeafRow]:
-            mask = indices == position
+            run = slice(starts[position], stops[position])
             return self._build_node(
-                subranges[position], targets[mask], hosts[mask], tids[mask],
+                subranges[position], targets[run], hosts[run], tids[run],
                 path + (position,),
             )
 
@@ -664,12 +683,12 @@ class TRSTree:
         # whole (routing and sorting would cost more than classifying it).
         touched, starts = [0], [0]
         if len(table) > 1:
-            rows = table.interior.searchsorted(targets, side="right")
-            order = np.argsort(rows, kind="stable")
-            rows, targets, hosts, tid_array = (
-                rows[order], targets[order], hosts[order], tid_array[order])
-            starts += (np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist()
-            touched = rows[starts].tolist()
+            order, offsets = group_order(
+                table.interior.searchsorted(targets, side="right"), len(table))
+            targets, hosts, tid_array = (
+                targets[order], hosts[order], tid_array[order])
+            touched = np.flatnonzero(np.diff(offsets)).tolist()
+            starts = offsets[touched].tolist()
         stops = starts[1:] + [targets.size]
         runs = []
         for row, start, stop in zip(touched, starts, stops):

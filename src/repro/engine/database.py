@@ -421,10 +421,9 @@ class Database:
                 # operations that the table is guaranteed to accept on replay.
                 if table.validate_insert_many(columns) > 0:
                     self._durability.log_insert_many(table_name, columns)
-            locations = [int(loc) for loc in table.insert_many(columns)]
-            if not locations:
-                return locations
-            location_array = np.asarray(locations, dtype=np.int64)
+            location_array = table.insert_many(columns)
+            if not location_array.size:
+                return []
             primary = table.schema.primary_key
             primary_values = np.asarray(columns[primary], dtype=np.float64)
             entry.primary_index.insert_many(primary_values, location_array)
@@ -437,7 +436,7 @@ class Database:
             self.catalog.bump_data_epoch(table_name)
             if self._durability is not None:
                 self._durability.maybe_auto_checkpoint(self)
-            return locations
+            return location_array.tolist()
 
     @staticmethod
     def _batch_columns(table: Table, columns: dict[str, Sequence],
@@ -626,6 +625,8 @@ class Database:
         requests = list(requests)
         results: list = [None] * len(requests)
         by_table: dict[str, list[int]] = {}
+        # repro: ignore[REP004] -- requests are objects; grouping them by
+        # table is the per-request boundary, each group runs as one batch
         for position, request in enumerate(requests):
             by_table.setdefault(request.table, []).append(position)
         with self.epochs.read() as epoch:

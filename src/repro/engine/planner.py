@@ -422,6 +422,8 @@ class Planner:
                            dict[str, KeyRanges]]] = []
         single: dict[str, tuple[list[int], list]] = {}
         multi: dict[tuple, tuple[list[int], list[dict[str, KeyRange]]]] = {}
+        # repro: ignore[REP004] -- queries are objects; reading each one's
+        # predicate shape is the per-request boundary before array passes
         for position, query in enumerate(queries):
             predicates = query.predicates
             if len(predicates) == 1:

@@ -15,7 +15,7 @@ exactly like a two-key B+-tree so space comparisons stay fair.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -42,13 +42,13 @@ class CompositeIndex:
         self.stats.inserts += 1
         bisect.insort(self._entries, (float(leading), float(second), tid))
 
-    def insert_many(self, leading: Iterable[float], second: Iterable[float],
-                    tids: Iterable[TupleId]) -> None:
+    def insert_many(self, leading: "Sequence[float] | np.ndarray",
+                    second: "Sequence[float] | np.ndarray",
+                    tids: "Sequence[TupleId] | np.ndarray") -> None:
         """Batched insert: append the batch and let Timsort merge the runs."""
-        batch = sorted(
-            (float(lead), float(sec), tid)
-            for lead, sec, tid in zip(leading, second, tid_items(list(tids)))
-        )
+        batch = sorted(zip(np.asarray(leading, dtype=np.float64).tolist(),
+                           np.asarray(second, dtype=np.float64).tolist(),
+                           tid_items(tids)))
         if not batch:
             return
         self.stats.inserts += len(batch)

@@ -92,7 +92,7 @@ class HashIndex(Index):
 
     def search_many(self, keys: Sequence[float] | np.ndarray) -> np.ndarray:
         """Batched point probe: one dict access per key, one final conversion."""
-        keys = [float(key) for key in keys]
+        keys = np.asarray(keys, dtype=np.float64).tolist()
         self.stats.lookups += len(keys)
         buckets = self._buckets
         runs = [buckets[key] for key in keys if key in buckets]

@@ -153,7 +153,7 @@ class PagedBPlusTree(Index):
 
     def search_many(self, keys: Sequence[float] | np.ndarray) -> np.ndarray:
         """Batched point probe: one page-charged descent per key."""
-        keys = [float(key) for key in keys]
+        keys = np.asarray(keys, dtype=np.float64).tolist()
         self.stats.lookups += len(keys)
         runs: list[list[TupleId]] = []
         # repro: ignore[REP004] -- per-key descent is the tree's point-probe

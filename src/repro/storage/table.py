@@ -10,7 +10,7 @@ main-memory RDBMS with physical tuple pointers behaves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -98,7 +98,7 @@ class Table:
         self._live_count += 1
         return RowLocation(slot)
 
-    def insert_many(self, rows: dict[str, Sequence]) -> list[RowLocation]:
+    def insert_many(self, rows: dict[str, Sequence]) -> np.ndarray:
         """Bulk-insert column-oriented data.
 
         Args:
@@ -106,11 +106,12 @@ class Table:
                 values.  Columns not supplied must be nullable.
 
         Returns:
-            The locations of the inserted rows, in insertion order.
+            The slots of the inserted rows, in insertion order, as one
+            int64 array (consecutive: the batch is appended).
         """
         count = self.validate_insert_columns(rows)
         if count == 0:
-            return []
+            return np.empty(0, dtype=np.int64)
         # Coerce every supplied column before touching any storage or
         # statistics: a batch rejected here (bad dtype, unparsable string)
         # leaves the table bit-identical to before the call.
@@ -149,7 +150,7 @@ class Table:
         self._live[start:start + count] = True
         self._next_slot = start + count
         self._live_count += count
-        return [RowLocation(slot) for slot in range(start, start + count)]
+        return np.arange(start, start + count, dtype=np.int64)
 
     def validate_insert_columns(self, rows: dict[str, Sequence]) -> int:
         """Schema-check an ``insert_many`` batch without mutating anything.
@@ -287,16 +288,15 @@ class Table:
         value = self._columns[column_name][slot]
         return value.item() if hasattr(value, "item") else value
 
-    def values(self, locations: Iterable[RowLocation | int],
+    def values(self, slots: "np.ndarray | Sequence[int]",
                column_name: str) -> np.ndarray:
-        """Vectorised fetch of one column for many row locations.
+        """Vectorised fetch of one column for many slots (one gather).
 
         Dead slots are not checked here (hot path); callers that may hold
         stale locations should use :meth:`is_live` first.
         """
         self.schema.position_of(column_name)
-        slots = np.fromiter((int(loc) for loc in locations), dtype=np.int64)
-        return self._columns[column_name][slots]
+        return self._columns[column_name][np.asarray(slots, dtype=np.int64)]
 
     def column_array(self, column_name: str) -> np.ndarray:
         """Return the live values of a column along with their slots.

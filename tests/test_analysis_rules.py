@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import textwrap
 
+import pytest
+
 from repro.analysis import Module, analyze_modules
 from repro.analysis.rules import (
     BroadExceptRationale,
@@ -235,6 +237,39 @@ class TestHotPathPurity:
                     return self.host_index.range_search_segmented(
                         KeyRanges(batch.host_lows, batch.host_highs))
         """, self.RULE(), path="src/repro/core/fake.py")
+        assert findings == []
+
+    @pytest.mark.parametrize("path, source", [
+        ("src/repro/storage/fake.py", """
+            class Table:
+                def insert_many(self, rows):
+                    start, count = self._append(rows)
+                    return [RowLocation(slot)
+                            for slot in range(start, start + count)]
+        """),
+        ("src/repro/engine/fake.py", """
+            class Database:
+                def insert_many(self, table_name, columns):
+                    table = self.catalog.table_entry(table_name).table
+                    return [int(loc) for loc in table.insert_many(columns)]
+        """),
+    ])
+    def test_fires_on_per_row_objects_in_load_path(self, path, source):
+        # A batch's slots are one int64 array from the append to the index
+        # builds; one object per row is the round-trip the rule keeps out.
+        findings = findings_for(source, self.RULE(), path=path)
+        assert [f.rule for f in findings] == ["REP004"]
+        assert "per-element" in findings[0].message
+
+    def test_quiet_on_slot_arrays_in_load_path(self):
+        findings = findings_for("""
+            class Database:
+                def insert_many(self, table_name, columns):
+                    table = self.catalog.table_entry(table_name).table
+                    slots = table.insert_many(columns)
+                    self._index_many(columns, slots)
+                    return slots.tolist()
+        """, self.RULE(), path="src/repro/engine/fake.py")
         assert findings == []
 
     def test_quiet_outside_hot_scope(self):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.regression import (
@@ -13,6 +13,7 @@ from repro.core.regression import (
     fit_leaf_model,
     fit_linear,
     fit_linear_trimmed,
+    quantile,
 )
 from repro.index.base import KeyRange
 
@@ -46,6 +47,62 @@ class TestFitLinear:
         assert beta == pytest.approx(slope, abs=1e-6)
         assert alpha == pytest.approx(intercept, abs=1e-4)
 
+
+
+def same_float(a, b) -> bool:
+    """Bit-for-bit equal (signed zeros told apart), or both NaN."""
+    if np.isnan(a) and np.isnan(b):
+        return True
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+# Few distinct values so ties, signed zeros and non-finite values meet.
+EDGE_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e308, -1e308,
+                               5e-324, np.inf, -np.inf, np.nan])
+PROBABILITIES = st.one_of(st.sampled_from([0.0, 1.0, 0.9, 0.99, 0.5]),
+                          st.floats(0.0, 1.0))
+
+
+class TestQuantile:
+    """The fit's order statistics are ``np.quantile``'s, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(values=st.lists(st.one_of(EDGE_VALUES, st.floats()),
+                           min_size=1, max_size=40),
+           probability=PROBABILITIES,
+           method=st.sampled_from(["linear", "higher"]))
+    @example(values=[3.0], probability=0.9, method="linear")
+    @example(values=[-0.0, 0.0, 0.0, -0.0], probability=0.5, method="linear")
+    @example(values=[1.0, np.inf], probability=1.0, method="linear")
+    @example(values=[1.0, np.nan, 2.0], probability=0.0, method="higher")
+    def test_equals_numpy_quantile(self, values, probability, method):
+        values = np.asarray(values, dtype=np.float64)
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = np.quantile(values, probability, method=method)
+        assert same_float(quantile(values, probability, method=method),
+                          expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.one_of(EDGE_VALUES, st.floats()),
+                           min_size=1, max_size=40),
+           probabilities=st.tuples(PROBABILITIES, PROBABILITIES))
+    def test_a_pair_of_probabilities_is_one_numpy_call(self, values,
+                                                       probabilities):
+        values = np.asarray(values, dtype=np.float64)
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = np.quantile(values, list(probabilities))
+        got = quantile(values, probabilities)
+        assert isinstance(got, tuple) and len(got) == 2
+        assert all(map(same_float, got, expected))
+
+    def test_leaves_its_input_unordered(self):
+        values = np.array([3.0, 1.0, 2.0])
+        quantile(values, 0.5)
+        assert values.tolist() == [3.0, 1.0, 2.0]
+
+    def test_rejects_other_methods(self):
+        with pytest.raises(ValueError):
+            quantile(np.ones(3), 0.5, method="nearest")
 
 class TestTrimmedFit:
     def test_ignores_gross_outliers(self):

@@ -36,8 +36,18 @@ class TestInsertFetch:
             table.insert_many({"pk": [1.0], "x": [1.0], "y": [1.0], "z": [1.0]})
 
     def test_insert_many_empty_is_noop(self, table):
-        assert table.insert_many({}) == []
-        assert table.insert_many({"pk": [], "x": [], "y": []}) == []
+        for batch in ({}, {"pk": [], "x": [], "y": []}):
+            slots = table.insert_many(batch)
+            assert slots.dtype == np.int64 and slots.size == 0
+        assert table.num_slots == 0
+
+    def test_insert_many_returns_the_appended_slots_as_one_array(self, table):
+        table.insert({"pk": 0.0, "x": 0.0, "y": 0.0})
+        slots = table.insert_many({"pk": np.arange(1.0, 4.0),
+                                   "x": np.zeros(3), "y": np.zeros(3)})
+        assert isinstance(slots, np.ndarray) and slots.dtype == np.int64
+        assert slots.tolist() == [1, 2, 3]
+        assert table.values(slots, "pk").tolist() == [1.0, 2.0, 3.0]
 
     def test_capacity_growth_preserves_data(self, table):
         locations = [table.insert({"pk": float(i), "x": float(i), "y": 0.0})

@@ -22,10 +22,15 @@ Pinned per case: leaves, height, outliers, ``memory_bytes()``,
 ``estimated_fp_ratio()``, ``pending_reorganizations`` before reorganizing,
 what ``reorganize()`` returned, ``pending_reorganizations`` after, and a
 SHA-1 of the leaves' bounds and heights in key order.
+
+One more pin holds a tree at scale — the synthetic workload's 100,000-row
+sigmoid table, recorded before the build dropped ``np.quantile`` and the
+per-child masks — down to every model coefficient.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -33,6 +38,7 @@ import pytest
 
 from repro.core.config import TRSTreeConfig
 from repro.core.trs_tree import TRSTree
+from repro.workloads.synthetic import generate_synthetic
 
 ROWS = 3000
 DATASETS = ("linear", "sigmoid", "sine", "noisy_linear")
@@ -278,3 +284,26 @@ def test_every_case_is_pinned():
     assert sorted(PINNED) == sorted(
         f"{kind}/{fanout}/{scenario}" for kind in DATASETS
         for fanout in FANOUTS for scenario in SCENARIOS)
+
+
+def model_digest(tree: TRSTree) -> str:
+    """SHA-1 of every leaf's model family and coefficients, in key order."""
+    sha = hashlib.sha1()
+    for model in tree._table.models:
+        sha.update(type(model).__name__.encode())
+        sha.update(np.hstack([np.ravel(field) for field in
+                              dataclasses.astuple(model)]).astype(np.float64)
+                   .tobytes())
+    return sha.hexdigest()
+
+
+def test_sigmoid_tree_at_scale_is_pinned():
+    dataset = generate_synthetic(100_000, "sigmoid", seed=3)
+    tree = TRSTree()
+    tree.build(dataset.columns["colC"], dataset.columns["colB"],
+               np.arange(100_000))
+    assert (tree.num_leaves, tree.height, tree.num_outliers,
+            tree.memory_bytes(), tree.estimated_fp_ratio()) == (
+        64, 3, 2967, 101512, 0.0012876926729727088)
+    assert digest(tree) == "a258a529fc6fd67b134a4487751b3ff41563ca33"
+    assert model_digest(tree) == "cc83d05826d6591df50aa8afa5b2e265d9482f7d"

@@ -16,6 +16,7 @@ from repro.core.trs_tree import (
 )
 from repro.errors import ConfigurationError, StorageError
 from repro.index.base import KeyRange
+from repro.segments import group_order
 from repro.storage.memory import trs_internal_bytes, trs_leaf_bytes
 
 
@@ -156,6 +157,40 @@ class TestConstruction:
         assert hermit_style_answer(tree, hosts, targets, probe) == \
             brute_force(targets, probe)
 
+    @pytest.mark.parametrize("unmodelled", [np.nan, np.inf])
+    def test_non_finite_hosts_are_outliers_not_splits(self, unmodelled):
+        # One NaN residual made every quantile NaN, so no band passed and
+        # a one-leaf table split to hundreds of leaves.  Pairs whose host
+        # no band can cover are filed as outliers of their leaf and leave
+        # the fit, and both split criteria, to the finite pairs.
+        rng = np.random.default_rng(35)
+        targets = rng.uniform(0.0, 1000.0, size=3000)
+        hosts = 2.0 * targets + 5.0 + rng.normal(0.0, 0.5, size=3000)
+        tids = np.arange(3000)
+        missing = rng.random(3000) < 0.01
+        finite = TRSTree()
+        finite.build(targets[~missing], hosts[~missing], tids[~missing])
+        hosts[missing] = unmodelled
+        tree = TRSTree()
+        tree.build(targets, hosts, tids)
+        assert (tree.num_leaves, tree.height) == (finite.num_leaves,
+                                                  finite.height) == (1, 1)
+        assert tree._table.models == finite._table.models
+        assert tree.num_outliers == finite.num_outliers + int(missing.sum())
+        tree.check_invariants(targets, hosts, tids)
+        probe = KeyRange(250.0, 400.0)
+        assert hermit_style_answer(tree, hosts, targets, probe) == \
+            brute_force(targets, probe)
+
+    def test_only_nan_hosts_make_one_leaf_that_files_every_pair(self):
+        targets, _, tids = linear_data(count=500)
+        hosts = np.full(targets.size, np.nan)
+        tree = TRSTree()
+        tree.build(targets, hosts, tids)
+        tree.check_invariants(targets, hosts, tids)
+        assert (tree.num_leaves, tree.num_outliers) == (1, 500)
+        assert tree.lookup(KeyRange(0.0, 1000.0)).host_ranges == []
+
 
 class TestLookup:
     def test_range_lookup_covers_all_matches(self):
@@ -246,6 +281,23 @@ class TestEmptyLeafProbes:
 
 class TestRoutingParity:
     """Build, scalar and batched writes and reads must agree on every leaf."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=1, max_value=300).flatmap(
+        lambda groups: st.tuples(st.just(groups), st.lists(
+            st.integers(min_value=0, max_value=groups - 1), max_size=200))))
+    def test_grouping_by_child_equals_one_mask_per_child(self, case):
+        """A split builds each child from what ``values[ids == child]``
+        would hold, in the same order, so its sums round the same."""
+        groups, ids = case
+        ids = np.asarray(ids, dtype=np.int64)
+        values = np.arange(ids.size) * 1.5
+        order, offsets = group_order(ids, groups)
+        assert offsets.tolist()[-1] == ids.size
+        for group in range(groups):
+            assert np.array_equal(
+                values[order][offsets[group]:offsets[group + 1]],
+                values[ids == group])
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -11,6 +11,9 @@ through ``Database``).
 
 from __future__ import annotations
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -336,3 +339,59 @@ class TestBulkLoadBranchConsistency:
         entry = database.catalog.table_entry("t")
         assert entry.primary_index.num_entries == 3
         assert [key for key, _ in entry.primary_index.items()] == [1.0, 2.0, 3.0]
+
+
+class TestLoadAllocations:
+    """A load moves its rows as arrays: no Python object per row.
+
+    Measured with ``tracemalloc`` on a 100k-row, four-column load (3.2 MB
+    of column data).  A per-row object (a ``RowLocation``, a boxed ``int``
+    on the way to the index builds) costs 30-60 B a row, i.e. 1-2x the
+    column bytes again, which is what the bounds leave no room for.
+    """
+
+    ROWS = 100_000
+
+    def columns(self):
+        rng = np.random.default_rng(5)
+        return {"pk": np.arange(self.ROWS, dtype=np.float64),
+                **{name: rng.uniform(0.0, 1.0, self.ROWS)
+                   for name in ("x", "y", "z")}}
+
+    @staticmethod
+    def traced(call):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            result = call()
+            _, peak = tracemalloc.get_traced_memory()
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        blocks = sum(stat.count_diff
+                     for stat in after.compare_to(before, "filename"))
+        return result, peak, blocks
+
+    def test_table_insert_many_keeps_no_object_per_row(self):
+        table = Table(numeric_schema("t", ["pk", "x", "y", "z"],
+                                     primary_key="pk"))
+        columns = self.columns()
+        slots, _, blocks = self.traced(lambda: table.insert_many(columns))
+        assert slots.tolist() == list(range(self.ROWS))
+        assert blocks < 100
+
+    def test_database_insert_many_allocates_column_bytes_not_objects(self):
+        columns = self.columns()
+        nbytes = sum(values.nbytes for values in columns.values())
+        database = Database()
+        database.create_table(numeric_schema("t", list(columns),
+                                             primary_key="pk"))
+        locations, peak, _ = self.traced(
+            lambda: database.insert_many("t", columns))
+        # The list[int] the call returns is its contract; everything else
+        # is column-sized arrays (the table's grown columns, the primary
+        # index's sorted keys and tids).
+        returned = sys.getsizeof(locations) + sum(map(sys.getsizeof,
+                                                      locations))
+        assert locations == list(range(self.ROWS))
+        assert peak - returned < 3 * nbytes
