@@ -1,12 +1,12 @@
-"""Dynamic workload: online inserts, deletes and background reorganization.
+"""Dynamic workload: online inserts, deletes and structure reorganization.
 
 The key operational difference between Hermit and learned-index approaches is
 that the TRS-Tree absorbs inserts/deletes/updates immediately (outlier
-buffers) and re-optimises itself with on-demand structure reorganization on a
-background thread, instead of requiring a full retraining pass.  This example
-drives a mixed workload against a Hermit-indexed table, shows the outlier
-buffers filling up, lets the background reorganizer run, and verifies that
-every intermediate state still answers queries exactly.
+buffers) and re-optimises itself with on-demand structure reorganization,
+instead of requiring a full retraining pass.  This example drives a mixed
+workload against a Hermit-indexed table, shows the outlier buffers filling
+up, rebuilds the flagged nodes with ``Database.reorganize()``, and verifies
+that every intermediate state still answers queries exactly.
 
 Run with::
 
@@ -15,13 +15,10 @@ Run with::
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro import Database, IndexMethod, QueryRequest, RangePredicate
 from repro.bench.report import format_table
-from repro.core.reorganize import BackgroundReorganizer
 from repro.storage.memory import BYTES_PER_MB
 from repro.workloads.synthetic import generate_synthetic, load_synthetic
 
@@ -78,16 +75,12 @@ def main() -> None:
     snapshot("after churn")
     verify(database, table_name)
 
-    print("Running the background reorganizer until the candidate queue drains...")
-    with BackgroundReorganizer(hermit, interval_seconds=0.05) as reorganizer:
-        deadline = time.time() + 30.0
-        while hermit.pending_reorganizations and time.time() < deadline:
-            time.sleep(0.05)
-        passes = reorganizer.stats.passes
+    print("Rebuilding the flagged nodes...")
+    rebuilt = database.reorganize()
     snapshot("after reorganization")
     verify(database, table_name)
 
-    print(f"\nReorganizer ran {passes} pass(es).")
+    print(f"\nReorganization rebuilt {rebuilt} node(s).")
     print(format_table(
         ["stage", "leaves", "outliers", "memory (MB)", "pending reorgs"],
         snapshots,

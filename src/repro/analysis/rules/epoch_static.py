@@ -18,8 +18,9 @@ checks per method:
    .checkpoint``) must sit lexically inside a ``with self.epochs.read()``
    or ``write()`` block.
 2. **Mutation under the shared side**: no mutation call (``log_*``
-   hooks, catalog mutators, table/index apply calls) inside a
-   ``read()`` block that is not nested in a ``write()``.
+   hooks, catalog mutators, table/index apply calls, TRS-Tree
+   reorganization) inside a ``read()`` block that is not nested in a
+   ``write()``.
 3. **Static upgrade**: no ``with self.epochs.write()`` lexically inside
    a ``with self.epochs.read()`` — the runtime raises on this, but it
    should never survive review in the first place.
@@ -52,6 +53,7 @@ ENGINE_READS = {
 MUTATION_ATTRS = frozenset({
     "add_table", "add_index", "drop_index", "bump_data_epoch",
     "insert", "insert_many", "delete", "update", "build",
+    "reorganize", "reorganize_children",
 })
 
 

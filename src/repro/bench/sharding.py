@@ -99,6 +99,11 @@ def measure_sharding(num_shards: int, num_tuples: int, batch_size: int,
         results["single"] = single.execute_many(requests)
 
     try:
+        # Two untimed rounds per side first: the rounds right after a
+        # build run cold on either side, and the race is over few rounds.
+        for _ in range(2):
+            run_sharded()
+            run_single()
         paired = paired_ratio(run_sharded, run_single, rounds)
     finally:
         single.close()

@@ -14,11 +14,9 @@ from repro.core.regression import (
     fit_linear,
     select_leaf_model,
 )
-from repro.core.reorganize import BackgroundReorganizer, ReorganizationStats
 from repro.core.trs_tree import TRSLookupResult, TRSTree
 
 __all__ = [
-    "BackgroundReorganizer",
     "DEFAULT_CONFIG",
     "HermitIndex",
     "HermitLookupResult",
@@ -28,7 +26,6 @@ __all__ = [
     "LookupBreakdown",
     "OutlierOnlyModel",
     "PiecewiseLinearModel",
-    "ReorganizationStats",
     "TRSLookupResult",
     "TRSTree",
     "TRSTreeConfig",

@@ -304,12 +304,21 @@ class HermitIndex(SecondaryMechanism):
 
         return provider
 
-    def reorganize(self, max_candidates: int | None = None) -> int:
-        """Run pending TRS-Tree reorganizations against the base table."""
-        return self.trs_tree.reorganize(self.data_provider(), max_candidates)
+    def reorganize(self) -> int:
+        """Run every pending TRS-Tree rebuild against the base table.
+
+        The mechanism behind :meth:`Database.reorganize
+        <repro.engine.database.Database.reorganize>`, which runs it under
+        the write epoch; no read may run beside it.  Returns the number of
+        nodes rebuilt.
+        """
+        return self.trs_tree.reorganize(self.data_provider())
 
     def reorganize_children(self, child_indices) -> None:
-        """Force a rebuild of selected first-level subtrees (Figure 23)."""
+        """Force a rebuild of selected first-level subtrees (Figure 23).
+
+        Like :meth:`reorganize`, no read may run beside it.
+        """
         self.trs_tree.reorganize_children(self.data_provider(), child_indices)
 
     def check_invariants(self) -> None:

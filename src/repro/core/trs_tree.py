@@ -28,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from math import isnan
+from math import isfinite, isnan
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -239,6 +239,7 @@ class LeafRow(NamedTuple):
     model: LeafModel
     num_covered: int
     num_model_covered: int
+    num_unmodelled: int
     fp_estimate: float
     outlier_keys: np.ndarray
     outlier_tids: np.ndarray
@@ -257,7 +258,11 @@ class LeafTable:
     prefixes, and the rows under a node are the run of paths it prefixes.
 
     Writes change the counters in place; only :meth:`replace` — build and
-    reorganization — changes the rows themselves.
+    reorganization — changes the rows themselves.  A reorganization pass
+    re-derives :attr:`model_table` once, at its end, so no read writes
+    tree state.  A read between a :meth:`replace` and that end would pair
+    new rows with old coefficients, so the pass runs under the engine's
+    write epoch (``Database.reorganize``).
 
     Attributes:
         domain: The root's key range, the tree's built domain.
@@ -266,8 +271,10 @@ class LeafTable:
             ``bisect``); ``interior`` is the same as an array.
         lows / highs: Effective (edge-open) range of every leaf.
         models: Every leaf's model object (scalar ``covers`` and
-            ``host_range``); :attr:`model_table` holds their coefficients
-            as arrays.
+            ``host_range``).
+        model_table: Their coefficients as arrays
+            (:class:`~repro.core.regression.ModelTable`), as of the last
+            build or reorganization pass.
         num_covered: Tuples in the leaf's range at its (re)build.
         num_model_covered: Monotone count of band-covered placements —
             build-time covered tuples plus covered inserts / update targets,
@@ -276,18 +283,22 @@ class LeafTable:
         num_inserted / num_deleted: Tuples inserted into / deleted from the
             range since the leaf was built.
         num_outliers: The leaf's entries in the tree's outlier buffer.
+        num_unmodelled: Those of them whose host is not finite (NULL or
+            infinite): no band covers such a pair, so the build's criteria
+            and the split flag both leave them out.
         fp_estimate: Build-time estimate of the false-positive candidates a
             leaf-spanning probe drags in (band width x own host density).
         height: Height of the deepest leaf (the root is at height 1).
     """
 
     __slots__ = ("domain", "paths", "bounds", "interior", "lows", "highs",
-                 "models", "_model_table", "num_covered", "num_model_covered",
-                 "num_inserted", "num_deleted", "num_outliers", "fp_estimate",
-                 "height")
+                 "models", "model_table", "num_covered", "num_model_covered",
+                 "num_inserted", "num_deleted", "num_outliers",
+                 "num_unmodelled", "fp_estimate", "height")
 
     _COUNTERS = ("num_covered", "num_model_covered", "num_inserted",
-                 "num_deleted", "num_outliers", "fp_estimate")
+                 "num_deleted", "num_outliers", "num_unmodelled",
+                 "fp_estimate")
 
     def __init__(self, domain: KeyRange, rows: Sequence[LeafRow]) -> None:
         self.domain = domain
@@ -303,10 +314,12 @@ class LeafTable:
         self.num_deleted = np.zeros(count, dtype=np.int64)
         self.num_outliers = np.fromiter(
             (row.outlier_keys.size for row in rows), np.int64, count)
+        self.num_unmodelled = np.fromiter(
+            (row.num_unmodelled for row in rows), np.int64, count)
         self.fp_estimate = np.fromiter(
             (row.fp_estimate for row in rows), np.float64, count)
         self._derive()
-        self._model_table = ModelTable(self.models)
+        self.model_table = ModelTable(self.models)
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -315,9 +328,9 @@ class LeafTable:
         """Put ``table``'s rows — a rebuild of rows ``first:stop`` — in their place.
 
         The rebuilt run starts at the old run's lower bound, so only the
-        bounds *between* its rows are new.  The model table is re-derived by
-        the first read after the reorganization pass, not by every rebuild
-        in it (an O(leaves) Python pass each).
+        bounds *between* its rows are new.  :attr:`model_table` is left as
+        it was: the pass derives it once at its end, not once per rebuild
+        (an O(leaves) Python pass each).
         """
         self.paths[first:stop] = table.paths
         self.bounds[first:stop - 1] = table.bounds
@@ -327,15 +340,6 @@ class LeafTable:
             setattr(self, name, np.concatenate(
                 (column[:first], getattr(table, name), column[stop:])))
         self._derive()
-        self._model_table = None
-
-    @property
-    def model_table(self) -> ModelTable:
-        """Every leaf's model coefficients as arrays
-        (:class:`~repro.core.regression.ModelTable`)."""
-        if self._model_table is None:
-            self._model_table = ModelTable(self.models)
-        return self._model_table
 
     def _derive(self) -> None:
         self.interior = np.asarray(self.bounds, dtype=np.float64)
@@ -472,8 +476,8 @@ class TRSTree:
             fp_estimate = 0.0
 
         return [LeafRow(path, key_range.low, model, int(len(targets)),
-                        num_model_covered, fp_estimate, targets[~covered],
-                        tids[~covered])]
+                        num_model_covered, len(targets) - len(fit_targets),
+                        fp_estimate, targets[~covered], tids[~covered])]
 
     def _split(self, key_range: KeyRange, targets: np.ndarray, hosts: np.ndarray,
                tids: np.ndarray, path: Path, parallelism: int) -> list[LeafRow]:
@@ -648,6 +652,8 @@ class TRSTree:
         else:
             self._outliers.insert(target_value, tid)
             table.num_outliers[row] += 1
+            if not isfinite(host_value):
+                table.num_unmodelled[row] += 1
 
     def insert_many(self, targets: Sequence[float], hosts: Sequence[float],
                     tids: Sequence[TupleId]) -> None:
@@ -691,6 +697,7 @@ class TRSTree:
             starts = offsets[touched].tolist()
         stops = starts[1:] + [targets.size]
         runs = []
+        unmodelled = ~np.isfinite(hosts)
         for row, start, stop in zip(touched, starts, stops):
             covered = table.models[row].covers_many(targets[start:stop],
                                                     hosts[start:stop])
@@ -698,6 +705,8 @@ class TRSTree:
             table.num_inserted[row] += stop - start
             table.num_model_covered[row] += num_covered
             table.num_outliers[row] += stop - start - num_covered
+            table.num_unmodelled[row] += int(np.count_nonzero(
+                unmodelled[start:stop] & ~covered))
             runs.append(covered)
         covered = runs[0] if len(runs) == 1 else np.concatenate(runs)
         if not covered.all():
@@ -778,18 +787,28 @@ class TRSTree:
         except KeyNotFoundError:
             return table.models[row].covers(target_value, host_value)
         table.num_outliers[row] -= 1
+        if not isfinite(host_value):
+            table.num_unmodelled[row] -= 1
         return True
 
     def _maybe_flag_split(self, row: int) -> None:
+        """Flag leaf ``row`` for a split when its outlier ratio fails.
+
+        Counted as :meth:`_build_node` counts, over the pairs with a finite
+        host only: a rebuild of a leaf whose finite pairs pass would
+        reproduce the same leaf, and flag it again on the next write.
+        """
         table = self._table
         path = table.paths[row]
         if len(path) + 1 >= self.config.max_height:
             return
+        unmodelled = int(table.num_unmodelled[row])
         population = max(0, int(table.num_covered[row] + table.num_inserted[row]
-                                - table.num_deleted[row]))
+                                - table.num_deleted[row]) - unmodelled)
         if population < self.config.min_split_size:
             return
-        if int(table.num_outliers[row]) / population > self.config.outlier_ratio:
+        if ((int(table.num_outliers[row]) - unmodelled) / population
+                > self.config.outlier_ratio):
             self._pending.setdefault(("split", path))
 
     def _maybe_flag_merge(self, row: int) -> None:
@@ -814,6 +833,9 @@ class TRSTree:
         A leaf flagged for a split is rebuilt in place; a merge flag names
         the parent of the leaf that lost too many tuples, and the parent's
         whole run of leaves is rebuilt.  Candidates are taken in flag order.
+        The tree is consistent again only when the pass returns, so no read
+        may run beside it: the engine runs it under its write epoch
+        (``Database.reorganize``).
 
         Args:
             provider: Callback returning ``(targets, hosts, tids)`` for every
@@ -825,29 +847,42 @@ class TRSTree:
             The number of candidates actually rebuilt.
         """
         processed = 0
-        while self._pending and (max_candidates is None
-                                 or processed < max_candidates):
-            candidate = next(iter(self._pending))
-            del self._pending[candidate]
-            self._rebuild(candidate[1], provider)
-            processed += 1
+        try:
+            while self._pending and (max_candidates is None
+                                     or processed < max_candidates):
+                candidate = next(iter(self._pending))
+                del self._pending[candidate]
+                processed += 1
+                self._rebuild(candidate[1], provider)
+        finally:
+            if processed:
+                self._derive_model_table()
         return processed
 
     def reorganize_children(self, provider: DataProvider,
                             child_indices: Iterable[int]) -> None:
         """Rebuild selected first-level subtrees (used by the Figure 23 trace).
 
-        A tree that is a single leaf is rebuilt whole.
+        A tree that is a single leaf is rebuilt whole.  Like
+        :meth:`reorganize`, no read may run beside it.
         """
         table = self._table
         if table is None:
             return
-        if len(table) == 1:
-            self._rebuild((), provider)
-            return
-        for index in child_indices:
-            if 0 <= index < self.config.node_fanout:
-                self._rebuild((index,), provider)
+        try:
+            if len(table) == 1:
+                self._rebuild((), provider)
+                return
+            for index in child_indices:
+                if 0 <= index < self.config.node_fanout:
+                    self._rebuild((index,), provider)
+        finally:
+            self._derive_model_table()
+
+    def _derive_model_table(self) -> None:
+        """End a reorganization pass: the rebuilt rows' coefficients, once."""
+        table = self._table
+        table.model_table = ModelTable(table.models)
 
     def _rebuild(self, path: Path, provider: DataProvider) -> None:
         """Replace the leaves under node ``path`` by a subtree built from the
@@ -944,11 +979,12 @@ class TRSTree:
         The paths are the leaves of one full ``node_fanout``-ary tree in key
         order; every leaf's lower bound is its path's partition bound
         replayed from the domain; every column has one entry per leaf; the
-        outlier index's keys ascend, and each leaf's outlier count is the
-        number of entries routed to it.  Every given live pair with a
-        non-NaN target — the paper's "never miss" contract — sits behind its
-        leaf's band (and the leaf emits its host range) or is in the outlier
-        index under its own key.
+        outlier index's keys ascend, each leaf's outlier count is the
+        number of entries routed to it, and its count of non-finite-host
+        outliers lies between zero and that number.  Every given live pair
+        with a non-NaN target — the paper's "never miss" contract — sits
+        behind its leaf's band (and the leaf emits its host range) or is in
+        the outlier index under its own key.
         """
         def check(holds: bool, what: str) -> None:
             if not holds:
@@ -993,6 +1029,9 @@ class TRSTree:
                              minlength=size)
         check(np.array_equal(routed, table.num_outliers),
               "per-leaf outlier counts do not match the buffer")
+        check(bool(((table.num_unmodelled >= 0)
+                    & (table.num_unmodelled <= table.num_outliers)).all()),
+              "a leaf counts more non-finite-host outliers than outliers")
         rows = table.interior.searchsorted(targets, side="right")
         behind_band = np.zeros(targets.size, dtype=bool)
         for row in np.unique(rows).tolist():

@@ -514,6 +514,24 @@ class Database:
             if self._durability is not None:
                 self._durability.maybe_auto_checkpoint(self)
 
+    # ------------------------------------------------------------ maintenance
+
+    def reorganize(self) -> int:
+        """Run every Hermit index's pending TRS-Tree rebuilds; returns the
+        number of nodes rebuilt.
+
+        The one maintenance entry point.  Writes only flag candidate
+        nodes; this rebuilds them from the base table under the write
+        epoch, so no read runs beside a half-installed rebuild.  A rebuild
+        changes no answer: no data epoch moves (cached results stay
+        valid) and nothing is logged.
+        """
+        with self.epochs.write():
+            return sum(index_entry.mechanism.reorganize()
+                       for entry in self.catalog.tables()
+                       for index_entry in entry.indexes.values()
+                       if isinstance(index_entry.mechanism, HermitIndex))
+
     # ------------------------------------------------------------- durability
 
     @property

@@ -425,6 +425,11 @@ class ShardedDatabase:
         shard_index, local = self._locate(location)
         return self._call(shard_index, "fetch", (table_name, local))
 
+    def reorganize(self) -> int:
+        """Run every shard's :meth:`Database.reorganize`; returns the total
+        number of nodes rebuilt."""
+        return sum(self._broadcast("reorganize", None))
+
     # ------------------------------------------------------------------
     # Reads
 

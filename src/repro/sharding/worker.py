@@ -112,6 +112,8 @@ def dispatch_command(database: Database, command: str, payload: Any) -> Any:
     if command == "result_cache_clear":
         database.result_cache_clear()
         return None
+    if command == "reorganize":
+        return database.reorganize()
     if command == "check_invariants":
         database.check_invariants()
         return None

@@ -131,6 +131,31 @@ class TestEpochDiscipline:
         """, self.RULE())
         assert findings == []
 
+    def test_fires_on_reorganize_under_read(self):
+        findings = findings_for("""
+            class Database:
+                def __init__(self):
+                    self.epochs = EpochManager()
+
+                def maintain(self, mechanism):
+                    with self.epochs.read():
+                        return mechanism.reorganize()
+        """, self.RULE())
+        assert [f.rule for f in findings] == ["REP003"]
+        assert "'reorganize'" in findings[0].message
+
+    def test_quiet_on_reorganize_under_write(self):
+        findings = findings_for("""
+            class Database:
+                def __init__(self):
+                    self.epochs = EpochManager()
+
+                def maintain(self, mechanism):
+                    with self.epochs.write():
+                        return mechanism.reorganize()
+        """, self.RULE())
+        assert findings == []
+
     def test_fires_on_static_upgrade(self):
         findings = findings_for("""
             class Database:

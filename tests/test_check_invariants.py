@@ -151,6 +151,12 @@ def outlier_count_off(database, table, index):
     return "per-leaf outlier counts"
 
 
+def unmodelled_count_off(database, table, index):
+    leaves = mechanism(database, table, index).trs_tree._table
+    leaves.num_unmodelled[-1] = leaves.num_outliers[-1] + 1
+    return "non-finite-host outliers"
+
+
 def cm_loses_its_links(database, table, index):
     mechanism(database, table, index)._mapping.clear()
     return "is not linked"
@@ -174,7 +180,8 @@ CASES = (
     + [(corrupt, table, "idx_target") for corrupt in EVERY_INDEX
        for table in ("btree", "sorted")]
     + [(corrupt, "hermit", "idx_target") for corrupt in
-       (outlier_dropped, outlier_under_another_tid, outlier_count_off)]
+       (outlier_dropped, outlier_under_another_tid, outlier_count_off,
+        unmodelled_count_off)]
     + [(corrupt, "cm", "idx_target") for corrupt in
        (cm_loses_its_links, cm_misses_a_null_host_row)])
 
@@ -219,8 +226,7 @@ def churn(database: Database) -> None:
 
 def reorganize(database: Database) -> None:
     churn(database)
-    with database.epochs.write():
-        mechanism(database, "hermit", "idx_target").reorganize()
+    database.reorganize()
 
 
 def load(database: Database) -> None:

@@ -24,7 +24,8 @@ and NULL hosts included), deletes, updates (primary-key moves across
 shards, NaN targets and hosts) and rejected writes, which must change
 nothing.  Reads cover ranges, point probes on stored values, float edge
 bounds, conjunctions over two columns, conjunctions merging to one column,
-unsatisfiable ones and batches spanning tables.  ``TestInjectedDefects``
+unsatisfiable ones and batches spanning tables.  Maintenance is the
+engine's own ``reorganize()``, in every cell.  ``TestInjectedDefects``
 pins that the machine catches four planted bugs.
 """
 
@@ -370,14 +371,9 @@ class EngineMachine(RuleBasedStateMachine):
 
     # ---------------------------------------------------------- maintenance
 
-    @precondition(lambda self: self.deployment.databases())
     @rule()
     def reorganize(self):
-        for database in self.deployment.databases():
-            mechanism = database.catalog.table_entry("hermit").indexes[
-                "idx_target"].mechanism
-            with database.epochs.write():
-                mechanism.reorganize()
+        self.engine.reorganize()
 
     @precondition(lambda self: self.deployment.kind == "durable")
     @rule()

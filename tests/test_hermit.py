@@ -6,6 +6,8 @@ import pytest
 from repro.core.config import TRSTreeConfig
 from repro.core.hermit import HermitIndex
 from repro.core.lookup import LookupBreakdown
+from repro.engine.catalog import IndexMethod
+from repro.engine.database import Database
 from repro.errors import QueryError
 from repro.index.ordered import OrderedIndex
 from repro.storage.identifiers import PointerScheme
@@ -168,19 +170,27 @@ class TestMaintenance:
             old_row["target"] - 0.5, old_row["target"] + 0.5).locations
 
     def test_reorganize_after_bulk_inserts(self):
-        table = make_table(count=1500)
-        hermit = build_hermit(table)
+        source = make_table(count=1500)
+        database = Database()
+        database.create_table(source.schema)
+        database.insert_many("t", {name: source.column_array(name)
+                                   for name in ("pk", "host", "target",
+                                                "payload")})
+        database.create_index("idx_host", "t", "host")
+        hermit = database.create_index(
+            "idx_target", "t", "target", method=IndexMethod.HERMIT,
+            host_column="host").mechanism
         rng = np.random.default_rng(5)
         for i in range(600):
-            row = {"pk": 50_000.0 + i, "host": float(rng.uniform(0, 3000)),
-                   "target": float(rng.uniform(0, 1000)), "payload": 0.0}
-            location = int(table.insert(row))
-            hermit.host_index.insert(row["host"], location)
-            hermit.insert(row, location)
-        if hermit.pending_reorganizations:
-            assert hermit.reorganize() > 0
+            database.insert("t", {
+                "pk": 50_000.0 + i, "host": float(rng.uniform(0, 3000)),
+                "target": float(rng.uniform(0, 1000)), "payload": 0.0})
+        assert hermit.pending_reorganizations > 0
+        assert database.reorganize() > 0
+        assert hermit.pending_reorganizations == 0
         result = hermit.lookup_range(0.0, 1000.0)
-        assert set(result.locations) == brute_force(table, 0.0, 1000.0)
+        assert set(result.locations) == brute_force(database.table("t"),
+                                                    0.0, 1000.0)
 
 
 class TestMemory:

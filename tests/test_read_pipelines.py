@@ -87,7 +87,7 @@ MECHANISM_OTHER = {"reset_breakdown"}
 DATABASE_READS = {"execute", "execute_many", "explain", "query_with"}
 DATABASE_OTHER = {
     "create_table", "create_index", "create_composite_index", "drop_index",
-    "insert", "insert_many", "delete", "update",
+    "insert", "insert_many", "delete", "update", "reorganize",
     "attach_durability", "checkpoint", "flush_wal", "durability_stats", "close",
     "result_cache_info", "result_cache_clear", "planner_cache_info",
     "planner_cache_stats", "planner_cache_clear", "memory_report", "table",
@@ -98,7 +98,7 @@ DATABASE_OTHER = {
 SHARDED_READS = {"execute", "execute_many"}
 SHARDED_OTHER = {
     "create_table", "create_index", "create_composite_index", "drop_index",
-    "insert", "insert_many", "delete", "update", "fetch",
+    "insert", "insert_many", "delete", "update", "fetch", "reorganize",
     "planner_cache_stats", "planner_cache_info", "result_cache_info",
     "result_cache_clear", "num_rows", "shard_row_counts", "close",
 }

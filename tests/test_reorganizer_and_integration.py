@@ -1,11 +1,13 @@
-"""Background reorganizer tests and end-to-end integration scenarios."""
+"""``Database.reorganize()`` tests and end-to-end integration scenarios."""
 
-import time
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from repro.core.reorganize import BackgroundReorganizer
+from repro.cache.result_cache import ResultCacheConfig
+from repro.core.trs_tree import LeafTable
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
 from repro.engine.query import QueryRequest, RangePredicate
@@ -18,62 +20,201 @@ from reference import assert_locations, scan_locations
 
 
 def hermit_database(num_tuples=2000, correlation="linear", noise=0.01, seed=0,
-                    scheme=PointerScheme.PHYSICAL):
+                    scheme=PointerScheme.PHYSICAL, cache=None):
     dataset = generate_synthetic(num_tuples, correlation, noise_fraction=noise,
                                  seed=seed)
-    database = Database(pointer_scheme=scheme)
+    database = Database(pointer_scheme=scheme, result_cache=cache)
     table_name = load_synthetic(database, dataset)
     entry = database.create_index("idx_c", table_name, "colC",
                                   method=IndexMethod.HERMIT, host_column="colB")
     return database, table_name, entry.mechanism
 
 
-class TestBackgroundReorganizer:
-    def flood_with_outliers(self, database, table_name, count=800, seed=1):
-        rng = np.random.default_rng(seed)
-        for i in range(count):
-            database.insert(table_name, {
-                "colA": 5e7 + i,
-                "colB": float(rng.uniform(0, 2e6)),
-                "colC": float(rng.uniform(0, 1e6)),
-                "colD": 0.0,
-            })
+def flood_with_outliers(database, table_name, count=800, seed=1):
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        database.insert(table_name, {
+            "colA": 5e7 + i,
+            "colB": float(rng.uniform(0, 2e6)),
+            "colC": float(rng.uniform(0, 1e6)),
+            "colD": 0.0,
+        })
 
-    def test_run_once_processes_candidates(self):
+
+class TestDatabaseReorganize:
+    def test_rebuilds_every_flagged_node(self):
         database, table_name, hermit = hermit_database()
-        self.flood_with_outliers(database, table_name)
-        reorganizer = BackgroundReorganizer(hermit)
+        flood_with_outliers(database, table_name)
         assert hermit.pending_reorganizations > 0
-        processed = reorganizer.run_once()
-        assert processed > 0
-        assert reorganizer.stats.passes == 1
-        assert reorganizer.stats.candidates_processed == processed
-        # Queries stay exact after reorganization.
+        assert database.reorganize() > 0
+        assert hermit.pending_reorganizations == 0
+        assert database.reorganize() == 0
         predicate = RangePredicate("colC", 0.0, 500_000.0)
         indexed = database.execute(QueryRequest.of(table_name, predicate))
         scanned = scan_locations(database.table(table_name), predicate)
         assert_locations(indexed, scanned)
 
-    def test_background_thread_lifecycle(self):
-        database, table_name, hermit = hermit_database(num_tuples=1000)
-        self.flood_with_outliers(database, table_name, count=400, seed=2)
-        reorganizer = BackgroundReorganizer(hermit, interval_seconds=0.01)
-        with reorganizer:
-            assert reorganizer.is_running
-            deadline = time.time() + 5.0
-            while hermit.pending_reorganizations and time.time() < deadline:
-                time.sleep(0.01)
-        assert not reorganizer.is_running
-        assert reorganizer.stats.passes >= 1
+    def test_a_cached_answer_stays_a_hit(self):
+        """A rebuild changes no answer, so it moves no data epoch: the
+        cached result is still served, and still exact."""
+        database, table_name, _ = hermit_database(
+            cache=ResultCacheConfig(admission=False))
+        flood_with_outliers(database, table_name)
+        request = QueryRequest.range(table_name, "colC", 200_000.0, 400_000.0)
+        first = database.execute(request)
+        assert first.plan is not None
+        data_epoch = database.catalog.table_entry(table_name).data_epoch
+        hits = database.result_cache_info().hits
+        assert database.reorganize() > 0
+        assert database.catalog.table_entry(table_name).data_epoch \
+            == data_epoch
+        again = database.execute(request)
+        assert again.plan is None
+        assert database.result_cache_info().hits == hits + 1
+        assert again.locations.tolist() == first.locations.tolist()
+        assert_locations(again, scan_locations(database.table(table_name),
+                                               request.predicates[0]))
 
-    def test_start_is_idempotent(self):
-        _, _, hermit = hermit_database(num_tuples=500)
-        reorganizer = BackgroundReorganizer(hermit, interval_seconds=0.01)
-        reorganizer.start()
-        reorganizer.start()
-        reorganizer.stop()
-        reorganizer.stop()
-        assert not reorganizer.is_running
+
+class TestReadsBesideReorganize:
+    """A read that arrives while a pass installs a rebuild.
+
+    ``LeafTable.replace`` is patched to start an ``execute_many`` on a
+    second thread and give it a short while before the install goes on.
+    Through ``Database.reorganize()`` the read waits for the whole pass
+    and answers exactly; calling the mechanism without the lock (the
+    planted defect) lets it see the outlier buffer already rebuilt and
+    the leaves not yet replaced, and it misses rows.
+    """
+
+    PAUSE_SECONDS = 0.5
+
+    def paused_pass(self, monkeypatch, scheme, reorganize):
+        database, table_name, hermit = hermit_database(scheme=scheme)
+        rng = np.random.default_rng(3)
+        targets = rng.uniform(0.0, 1e6, 800)
+        # Half the new rows on a second line a rebuild can fit, half noise.
+        hosts = np.where(rng.random(800) < 0.5, 3e6 - 2.0 * targets,
+                         rng.uniform(0.0, 2e6, 800))
+        database.insert_many(table_name, {
+            "colA": 1e7 + np.arange(800.0), "colB": hosts, "colC": targets,
+            "colD": np.zeros(800)})
+        assert hermit.pending_reorganizations > 0
+        edges = np.linspace(-1e5, 1.1e6, 65)
+        requests = [QueryRequest.range(table_name, "colC", low, high)
+                    for low, high in zip(edges[:-1].tolist(),
+                                         edges[1:].tolist())]
+        table = database.table(table_name)
+        expected = [scan_locations(table, request.predicates[0])
+                    for request in requests]
+        answers, errors, waited, readers = [], [], [], []
+
+        def read():
+            try:
+                answers.append(database.execute_many(requests))
+            except Exception as error:  # noqa: BLE001 - the defect's symptom
+                errors.append(error)
+
+        install = LeafTable.replace
+
+        def paused_install(leaves, *args):
+            reader = threading.Thread(target=read)
+            reader.start()
+            readers.append(reader)
+            reader.join(self.PAUSE_SECONDS)
+            waited.append(reader.is_alive())
+            install(leaves, *args)
+
+        monkeypatch.setattr(LeafTable, "replace", paused_install)
+        rebuilt = reorganize(database, hermit)
+        for reader in readers:
+            reader.join(timeout=30.0)
+            assert not reader.is_alive()
+        assert rebuilt == len(readers) > 0
+        short = sum(len(answer.locations) < len(scanned)
+                    for batch in answers
+                    for answer, scanned in zip(batch, expected))
+        return answers, errors, waited, expected, short
+
+    @pytest.mark.parametrize("scheme", [PointerScheme.PHYSICAL,
+                                        PointerScheme.LOGICAL])
+    def test_reads_wait_for_the_pass_and_never_miss(self, monkeypatch,
+                                                    scheme):
+        answers, errors, waited, expected, short = self.paused_pass(
+            monkeypatch, scheme, lambda database, hermit: database.reorganize())
+        assert errors == [] and short == 0
+        assert all(waited)
+        for batch in answers:
+            for answer, scanned in zip(batch, expected):
+                assert_locations(answer, scanned)
+
+    def test_the_mechanism_without_the_lock_is_caught(self, monkeypatch):
+        _, errors, waited, _, short = self.paused_pass(
+            monkeypatch, PointerScheme.PHYSICAL,
+            lambda database, hermit: hermit.reorganize())
+        assert not any(waited)
+        assert short > 0 or any(isinstance(error, IndexError)
+                                for error in errors)
+
+    def test_readers_beside_writes_and_passes_never_miss(self):
+        """Time-bounded stress: more reader threads than cores, a short
+        switch interval, and a writer alternating off-band batches with
+        ``Database.reorganize()``.  Each reader compares its batch with a
+        scan taken under the same read epoch."""
+        database, table_name, _ = hermit_database(num_tuples=3000,
+                                                  correlation="sigmoid")
+        table = database.table(table_name)
+        edges = np.linspace(0.0, 1e6, 33)
+        requests = [QueryRequest.range(table_name, "colC", low, high)
+                    for low, high in zip(edges[:-1].tolist(),
+                                         edges[1:].tolist())]
+        rng = np.random.default_rng(12)
+        done = threading.Event()
+        rebuilt, reads, failures = [], [], []
+
+        def write():
+            try:
+                for batch in range(8):
+                    targets = rng.uniform(0.0, 1e6, 150)
+                    database.insert_many(table_name, {
+                        "colA": 1e7 + 150.0 * batch + np.arange(150.0),
+                        "colB": rng.uniform(0.0, 2e6, 150),
+                        "colC": targets, "colD": np.zeros(150)})
+                    rebuilt.append(database.reorganize())
+            except Exception as error:  # noqa: BLE001 - fail the test below
+                failures.append(error)
+            finally:
+                done.set()
+
+        def read():
+            try:
+                while not done.is_set():
+                    with database.epochs.read():
+                        answers = database.execute_many(requests)
+                        expected = [scan_locations(table, r.predicates[0])
+                                    for r in requests]
+                    reads.append(1)
+                    failures.extend(
+                        (answer.locations.tolist(), scanned)
+                        for answer, scanned in zip(answers, expected)
+                        if answer.locations.tolist() != scanned)
+            except Exception as error:  # noqa: BLE001 - fail the test below
+                failures.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(3)]
+            threads.append(threading.Thread(target=write))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert sum(rebuilt) > 0 and reads
 
 
 class TestEndToEndScenarios:
@@ -147,8 +288,7 @@ class TestEndToEndScenarios:
             elif live:
                 database.update(table_name, live[0],
                                 {"colC": float(rng.uniform(0, 1e6))})
-        if hermit.pending_reorganizations:
-            hermit.reorganize()
+        database.reorganize()
         predicate = RangePredicate("colC", 200_000.0, 400_000.0)
         assert_locations(
             database.execute(QueryRequest.of(table_name, predicate)),
@@ -216,7 +356,7 @@ class TestReorganizeKeepsOutOfDomainRows:
         self.add_out_of_domain_rows(database, table_name)
         self.assert_exact(database, table_name, hermit)
         assert hermit.pending_reorganizations > 0
-        assert hermit.reorganize() > 0
+        assert database.reorganize() > 0
         self.assert_exact(database, table_name, hermit)
 
     @pytest.mark.parametrize("scheme", [PointerScheme.PHYSICAL,

@@ -5,8 +5,9 @@ single engine — across every secondary mechanism, both pointer schemes and
 both transports, through DML that moves rows between shards — is checked
 against the model by the state machine in ``test_engine_oracle``.  This
 file covers the tier itself: the process transport (pipe sync after
-errors, a dead worker), routing and location globalisation, rejected
-cross-shard writes, the serving front end and merged planner counters.
+errors, a dead worker), maintenance summed over shards, routing and
+location globalisation, rejected cross-shard writes, the serving front end
+and merged planner counters.
 """
 
 from __future__ import annotations
@@ -114,6 +115,36 @@ class TestProcessTransport:
                 errors[0])
             # The live shard's replies were drained: it still answers in step.
             assert sharded._call(0, "num_rows", "trace") == 1
+
+
+@pytest.mark.parametrize("mode", ["inline", "process"])
+def test_reorganize_sums_every_shard(mode):
+    with ShardedDatabase(num_shards=2, mode=mode) as sharded:
+        sharded.create_table(create_schema(),
+                             uniform_boundaries(0.0, DOMAIN, 2))
+        columns = dataset()
+        sharded.insert_many("trace", columns)
+        create_secondary(sharded, IndexMethod.HERMIT)
+        # Off-band rows on both sides of the boundary flag both trees.
+        rng = np.random.default_rng(4)
+        extra = {"pk": np.concatenate([-1.0 - np.arange(500.0),
+                                       DOMAIN + np.arange(500.0)]),
+                 "host": rng.uniform(-1e4, 1e4, 1000),
+                 "target": rng.uniform(0.0, 1000.0, 1000)}
+        sharded.insert_many("trace", extra)
+        if mode == "inline":
+            pending = [shard.database.catalog.table_entry("trace")
+                       .indexes["idx_target"].mechanism
+                       .pending_reorganizations
+                       for shard in sharded._shards]
+            assert min(pending) > 0
+        assert sharded.reorganize() > 0
+        assert sharded.reorganize() == 0
+        targets = np.concatenate([columns["target"], extra["target"]])
+        found = sharded.execute(
+            QueryRequest.range("trace", "target", 100.0, 300.0)).locations
+        assert found.size == np.count_nonzero((targets >= 100.0)
+                                              & (targets <= 300.0))
 
 
 class TestRoutingAndLocations:

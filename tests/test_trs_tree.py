@@ -601,6 +601,33 @@ class TestHonestCounters:
         assert table.num_deleted[row] == 0
         assert tree.pending_reorganizations == 0
 
+    @pytest.mark.parametrize("unmodelled", [np.nan, np.inf])
+    def test_non_finite_hosts_do_not_flag_a_split(self, unmodelled):
+        """The build leaves non-finite-host pairs out of its outlier ratio;
+        the split flag counted them, so every write to a leaf holding many
+        flagged it again, and each rebuild reproduced the same leaf."""
+        targets, hosts, tids = linear_data(count=3000, seed=36)
+        missing = np.random.default_rng(36).random(3000) < 0.3
+        hosts[missing] = unmodelled
+        tree = TRSTree()
+        tree.build(targets, hosts, tids)
+        assert tree.num_leaves == 1
+        tree.insert(500.0, 1005.0, 3000)
+        assert tree.pending_reorganizations == 0
+        tree.insert(501.0, unmodelled, 3001)
+        tree.insert_many([502.0, 503.0], [unmodelled, 1011.0], [3002, 3003])
+        tree.update(501.0, unmodelled, 504.0, 1013.0, 3001)
+        tree.update(float(targets[0]), float(hosts[0]), float(targets[0]),
+                    unmodelled, 0)
+        tree.delete(502.0, unmodelled, 3002)
+        assert tree.pending_reorganizations == 0
+        assert tree._table.num_unmodelled.tolist() == [
+            int(missing.sum()) + (not missing[0])]
+        # Finite off-band pairs still count.
+        for tid in range(4000, 4400):
+            tree.insert(float(tid % 1000), -1e9, tid)
+        assert tree.pending_reorganizations == 1
+
 
 class TestReorganization:
     def build_with_provider(self):
