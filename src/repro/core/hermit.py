@@ -91,17 +91,15 @@ class HermitIndex(SecondaryMechanism):
 
     # ----------------------------------------------------------- construction
 
-    def build(self, parallelism: int = 1) -> None:
+    def build(self) -> None:
         """Construct the TRS-Tree from the current table contents.
 
         The tree's domain is the live targets' range; NULL (NaN) targets
         are left out of both.
         """
         slots, targets, hosts = self.table.project(
-            [self.target_column, self.host_column]
-        )
-        self.trs_tree.build(targets, hosts, self._tids_for_slots(slots),
-                            parallelism=parallelism)
+            [self.target_column, self.host_column])
+        self.trs_tree.build(targets, hosts, self._tids_for_slots(slots))
 
     # --------------------------------------------------- candidate generation
 

@@ -32,7 +32,7 @@ from typing import Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from repro.index.base import KeyRange
-from repro.segments import group_order
+from repro.segments import bound_positions, group_order
 
 
 @runtime_checkable
@@ -182,9 +182,6 @@ class PiecewiseLinearModel:
         # segment, like the tree's child routing.
         return bisect.bisect_right(self.bounds, m, 1, self.num_segments) - 1
 
-    def _segments_many(self, m: np.ndarray) -> np.ndarray:
-        return piecewise_segment_indices(m, self.bounds)
-
     def predict(self, m: float) -> float:
         """Predicted host value for target value ``m``."""
         segment = self._segment(m)
@@ -197,7 +194,7 @@ class PiecewiseLinearModel:
     def covers_many(self, m: np.ndarray, n: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`covers`."""
         m = np.asarray(m, dtype=np.float64)
-        segments = self._segments_many(m)
+        segments = piecewise_segment_indices(m, self.bounds)
         betas = np.asarray(self.betas)[segments]
         alphas = np.asarray(self.alphas)[segments]
         return np.abs(n - (betas * m + alphas)) <= self.epsilon
@@ -429,14 +426,18 @@ def quantile(values: np.ndarray, q: "float | Sequence[float]",
     """``np.quantile(values, q, method=method)`` of a 1-D float64 array.
 
     The same float, bit for bit, without the wrapper's cost (~0.1 ms a
-    call, most of a small leaf's fit).  It is numpy's own computation:
-    one ``np.partition`` at the same positions, the virtual index
-    ``(n - 1) * q`` (``linear``) or ``ceil((n - 1) * q)`` (``higher``),
-    an index at or past the last one taking the maximum, numpy's
-    ``_lerp`` (``a + (b - a) * t``, or ``b - (b - a) * (1 - t)`` for
-    ``t >= 0.5``), and NaN as the answer whenever a value is NaN.
-    Equal positions give equal bits, signed zeros included.  A tuple
-    ``q`` gives a tuple, from one partition.
+    call, most of a small leaf's fit): the virtual index ``(n - 1) * q``
+    (``linear``) or ``ceil((n - 1) * q)`` (``higher``), an index at or
+    past the last one taking the maximum, numpy's ``_lerp`` (``a + (b -
+    a) * t``, or ``b - (b - a) * (1 - t)`` for ``t >= 0.5``), and NaN
+    whenever a value is NaN.  Without a zero among the values only the
+    positions read are selected, one ``partition`` each (several times
+    faster than one over a set): NaN sorts last, so it shows from the
+    highest on, and the value after a selected one is the least of those
+    after it.  ``-0.0`` and ``0.0`` are the only equal floats with unequal
+    bits, and one-position selects degrade to a sort on mostly equal
+    values (a clean line's exact-zero residuals), so values with a zero
+    take numpy's own partition.  A tuple ``q`` gives a tuple.
 
     Args:
         values: At least one value.
@@ -447,6 +448,7 @@ def quantile(values: np.ndarray, q: "float | Sequence[float]",
     last = values.size - 1
     if method == "higher":
         lows = [math.ceil(last * probability) for probability in qs]
+        highs = lows
         kth = lows + [-1]
     elif method == "linear":
         virtual = [last * probability for probability in qs]
@@ -456,14 +458,26 @@ def quantile(values: np.ndarray, q: "float | Sequence[float]",
         kth = sorted({0, -1, *lows, *highs})
     else:
         raise ValueError(f"unsupported quantile method {method!r}")
-    ordered = np.partition(values, kth)
-    if math.isnan(ordered[-1]):
-        results = [float(ordered[-1])] * len(qs)
-    elif method == "higher":
-        results = [float(ordered[low]) for low in lows]
+    if values.all():
+        selected = sorted({low % values.size for low in lows}, reverse=True)
+        ordered = np.partition(values, selected[0])
+        for stop, position in zip(selected, selected[1:]):
+            ordered[:stop].partition(position)
+        has_nan = math.isnan(np.maximum.reduce(ordered[selected[0]:]))
+        above = [float(ordered[low]) if high == low
+                 else float(np.minimum.reduce(ordered[high:]))
+                 for low, high in zip(lows, highs)]
     else:
-        results = [_lerp(float(ordered[low]), float(ordered[high]), weight)
-                   for low, high, weight in zip(lows, highs, weights)]
+        ordered = np.partition(values, kth)
+        has_nan = math.isnan(ordered[-1])
+        above = [float(ordered[high]) for high in highs]
+    if has_nan:
+        results = [math.nan] * len(qs)
+    elif method == "higher":
+        results = above
+    else:
+        results = [_lerp(float(ordered[low]), value, weight)
+                   for low, value, weight in zip(lows, above, weights)]
     return results[0] if isinstance(q, float) else tuple(results)
 
 
@@ -567,8 +581,7 @@ def fit_linear_trimmed(m: np.ndarray, n: np.ndarray, trim_fraction: float,
     ``trim_fraction`` largest absolute residuals, refit, and repeat.  The
     second round matters when the noise fraction is close to the trim
     fraction: after the first refit the noise residuals are unambiguous and
-    the second trim removes their remaining influence.  (Documented as a
-    reproduction note in DESIGN.md / EXPERIMENTS.md.)
+    the second trim removes their remaining influence.
 
     Args:
         m: Target values.
@@ -688,25 +701,24 @@ def piecewise_segment_indices(m: np.ndarray,
     """Segment index per value — comparisons against the segment bounds.
 
     The one partition rule shared by fitting, residual scoring and the
-    model's own ``covers_many``: searchsorted over the interior bounds, a
-    value on a bound belonging to the right-hand segment (mirroring the
-    tree's child routing).  Values outside ``[bounds[0], bounds[-1]]``
-    clamp to the edge segments, which extrapolate.
+    model's own ``covers_many``: :func:`~repro.segments.bound_positions`
+    over the interior bounds, a value on a bound belonging to the
+    right-hand segment (mirroring the tree's child routing).  Values
+    outside ``[bounds[0], bounds[-1]]`` clamp to the edge segments.
     """
-    segments = len(bounds) - 1
-    if segments <= 1 or bounds[-1] <= bounds[0]:
-        return np.zeros(len(m), dtype=np.int64)
-    return np.searchsorted(np.asarray(bounds[1:-1]), m,
-                           side="right").astype(np.int64)
+    if bounds[-1] <= bounds[0]:
+        return np.zeros(len(m), dtype=np.uint8)
+    return bound_positions(m, bounds[1:-1])
 
 
 def _fit_piecewise(m: np.ndarray, n: np.ndarray, target_range: KeyRange,
-                   trim_fraction: float,
-                   segments: int) -> tuple[tuple, tuple, tuple, np.ndarray]:
+                   trim_fraction: float, whole: tuple[float, float],
+                   ) -> tuple[tuple, tuple, tuple, np.ndarray]:
     """Fit one trimmed OLS line per equal-width segment.
 
-    Segments with fewer than two points inherit the whole-leaf line so their
-    extrapolated predictions stay anchored to the data.
+    Segments with fewer than two points inherit ``whole``, the whole-leaf
+    trimmed line (the linear candidate's), so their extrapolated
+    predictions stay anchored to the data.
 
     Returns:
         ``(bounds, betas, alphas, indices)`` — ``indices`` is the segment
@@ -714,11 +726,9 @@ def _fit_piecewise(m: np.ndarray, n: np.ndarray, target_range: KeyRange,
         the fitting partition instead of re-deriving it.
     """
     width = target_range.width
-    bounds = tuple(
-        target_range.low + width * position / segments
-        for position in range(segments)
-    ) + (target_range.high,)
-    fallback_beta, fallback_alpha = fit_linear_trimmed(m, n, trim_fraction)
+    segments = _piecewise_segments(len(m))
+    bounds = tuple(target_range.low + width * position / segments
+                   for position in range(segments)) + (target_range.high,)
     indices = piecewise_segment_indices(m, bounds)
     order, offsets = group_order(indices, segments)
     grouped_m, grouped_n = m[order], n[order]
@@ -730,7 +740,7 @@ def _fit_piecewise(m: np.ndarray, n: np.ndarray, target_range: KeyRange,
                                              grouped_n[start:stop],
                                              trim_fraction)
         else:
-            beta, alpha = fallback_beta, fallback_alpha
+            beta, alpha = whole
         betas.append(beta)
         alphas.append(alpha)
     return bounds, tuple(betas), tuple(alphas), indices
@@ -818,10 +828,8 @@ def select_leaf_model(m: np.ndarray, n: np.ndarray, target_range: KeyRange,
     n = np.asarray(n, dtype=np.float64)
     coverage = 1.0 - max(trim_fraction, 0.0)
 
-    beta, alpha = (fit_linear_trimmed(m, n, trim_fraction)
-                   if trim_fraction > 0.0 else fit_linear(m, n))
-    linear_residuals = (np.abs(n - (beta * m + alpha)) if len(m)
-                        else np.zeros(0))
+    beta, alpha = fit_linear_trimmed(m, n, trim_fraction)
+    linear_residuals = np.abs(n - (beta * m + alpha))
     linear_band = _coverage_epsilon(linear_residuals, coverage)
     linear_epsilon = epsilon_for_error_bound(beta, target_range, len(m),
                                              error_bound)
@@ -846,9 +854,8 @@ def select_leaf_model(m: np.ndarray, n: np.ndarray, target_range: KeyRange,
     candidates.append(LeafModelFit(model=log_model, kind="log",
                                    band_epsilon=log_band))
 
-    segments = _piecewise_segments(len(m))
-    bounds, betas, alphas, indices = _fit_piecewise(m, n, target_range,
-                                                    trim_fraction, segments)
+    bounds, betas, alphas, indices = _fit_piecewise(
+        m, n, target_range, trim_fraction, (beta, alpha))
     piecewise_model = PiecewiseLinearModel(bounds=bounds, betas=betas,
                                            alphas=alphas, epsilon=0.0)
     piecewise_residuals = np.abs(
@@ -868,15 +875,8 @@ def select_leaf_model(m: np.ndarray, n: np.ndarray, target_range: KeyRange,
             and best.band_epsilon > epsilon):
         host_span = _robust_host_span(n, trim_fraction)
         if host_span > 0.0:
-            # Widen to the coverage quantile iff a leaf-spanning probe's
-            # candidate drag stays within the widening budget:
+            # All or nothing (see above):
             # 2 * eps / host_span <= WIDEN_BUDGET_FRACTION * max_fp_ratio.
-            # All-or-nothing on purpose: when even the coverage quantile
-            # blows the budget (injected gross noise right at the coverage
-            # boundary), a budget-capped band would not reach the coverage
-            # target anyway — it would pay the extra false positives on
-            # every probe and still buffer the stragglers, so the tight
-            # error-bound band plus outlier entries is strictly better.
             budget = 0.5 * WIDEN_BUDGET_FRACTION * max_fp_ratio * host_span
             if best.band_epsilon <= budget:
                 epsilon = best.band_epsilon

@@ -26,7 +26,6 @@ docs/architecture.md, "TRS-Tree: one leaf table".
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import isfinite, isnan
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -45,6 +44,7 @@ from repro.errors import KeyNotFoundError, StorageError
 from repro.index.base import KeyRange, KeyRanges
 from repro.index.ordered import OrderedIndex
 from repro.segments import (
+    bound_positions,
     empty_offsets,
     group_order,
     offsets_from_counts,
@@ -89,19 +89,16 @@ def route_indices(values: np.ndarray, key_range: KeyRange,
                   fanout: int) -> np.ndarray:
     """Equal-width child positions for a batch of target values.
 
-    Construction partitions a node's tuples with it.  Routing is a
-    ``searchsorted`` against :func:`partition_bounds` (pure comparisons, no
-    float arithmetic), so a value inside the node's range is guaranteed to
-    land in a child whose closed ``key_range`` contains it; a value on an
-    interior bound belongs to the right-hand child — as it does for the
-    ``bisect_right`` over the leaf table's bounds that routes every write
-    and read, whose bounds are these very floats.
+    Construction partitions a node's tuples with it.  Routing is
+    :func:`~repro.segments.bound_positions` over :func:`partition_bounds`
+    (pure comparisons, no float arithmetic), so a value inside the node's
+    range is guaranteed to land in a child whose closed ``key_range``
+    contains it; a value on an interior bound belongs to the right-hand
+    child — as it does for the ``bisect_right`` over the leaf table's
+    bounds that routes every write and read, whose bounds are these very
+    floats.
     """
-    bounds = partition_bounds(key_range, fanout)
-    if key_range.width <= 0:
-        return np.zeros(len(values), dtype=np.int64)
-    return np.searchsorted(np.asarray(bounds[1:-1]), values,
-                           side="right").astype(np.int64)
+    return bound_positions(values, partition_bounds(key_range, fanout)[1:-1])
 
 
 def equal_width_subranges(key_range: KeyRange, fanout: int) -> list[KeyRange]:
@@ -368,8 +365,8 @@ class TRSTree:
     # ------------------------------------------------------------ construction
 
     def build(self, targets: Sequence[float], hosts: Sequence[float],
-              tids: Sequence[TupleId], value_range: KeyRange | None = None,
-              parallelism: int = 1) -> None:
+              tids: Sequence[TupleId],
+              value_range: KeyRange | None = None) -> None:
         """Construct the tree from column data (Algorithm 1).
 
         Tuples whose target is NaN (a NULL) are left out: no range predicate
@@ -381,8 +378,6 @@ class TRSTree:
             tids: Tuple identifiers, aligned with ``targets``.
             value_range: Full range of the target column.  Taken from the data
                 when omitted.
-            parallelism: Number of worker threads used to build the root's
-                child subtrees (Appendix D.2, multi-threaded construction).
         """
         targets = np.asarray(targets, dtype=np.float64)
         hosts = np.asarray(hosts, dtype=np.float64)
@@ -399,15 +394,14 @@ class TRSTree:
             else:
                 value_range = KeyRange(float(targets.min()), float(targets.max()))
         self._pending.clear()
-        rows = self._build_node(value_range, targets, hosts, tid_array, (),
-                                parallelism=max(1, parallelism))
+        rows = self._build_node(value_range, targets, hosts, tid_array, ())
         self._table = LeafTable(value_range, rows)
         self._outliers = OrderedIndex()
         self._outliers.insert_many(*_outliers_of(rows))
 
     def _build_node(self, key_range: KeyRange, targets: np.ndarray,
-                    hosts: np.ndarray, tids: np.ndarray, path: Path,
-                    parallelism: int = 1) -> list[LeafRow]:
+                    hosts: np.ndarray, tids: np.ndarray,
+                    path: Path) -> list[LeafRow]:
         """Build the subtree for ``key_range``: its leaves' rows in key order.
 
         Two criteria can reject a prospective leaf (Section 4.1 extended by
@@ -444,7 +438,7 @@ class TRSTree:
 
         if can_split and self._sampling_says_split(key_range, fit_targets,
                                                    fit_hosts):
-            return self._split(key_range, targets, hosts, tids, path, parallelism)
+            return self._split(key_range, targets, hosts, tids, path)
 
         fit = select_leaf_model(
             fit_targets, fit_hosts, key_range, self.config.error_bound,
@@ -465,7 +459,7 @@ class TRSTree:
             num_outliers > self.config.outlier_ratio * len(fit_targets)
             or too_many_fps
         ):
-            return self._split(key_range, targets, hosts, tids, path, parallelism)
+            return self._split(key_range, targets, hosts, tids, path)
 
         if too_many_fps:
             # Cannot split: store the tuples exactly instead of keeping a
@@ -480,7 +474,7 @@ class TRSTree:
                         fp_estimate, targets[~covered], tids[~covered])]
 
     def _split(self, key_range: KeyRange, targets: np.ndarray, hosts: np.ndarray,
-               tids: np.ndarray, path: Path, parallelism: int) -> list[LeafRow]:
+               tids: np.ndarray, path: Path) -> list[LeafRow]:
         """Split a range into ``node_fanout`` children; concatenate their rows.
 
         Tuples are partitioned with :func:`route_indices`, which files a
@@ -494,21 +488,13 @@ class TRSTree:
         order, offsets = group_order(
             route_indices(targets, key_range, len(subranges)), len(subranges))
         targets, hosts, tids = targets[order], hosts[order], tids[order]
-        starts, stops = offsets[:-1].tolist(), offsets[1:].tolist()
-
-        def build_child(position: int) -> list[LeafRow]:
-            run = slice(starts[position], stops[position])
-            return self._build_node(
-                subranges[position], targets[run], hosts[run], tids[run],
-                path + (position,),
-            )
-
-        if parallelism > 1 and len(targets) > 4 * self.config.min_split_size:
-            with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                runs = list(pool.map(build_child, range(len(subranges))))
-        else:
-            runs = [build_child(position) for position in range(len(subranges))]
-        return [row for run in runs for row in run]
+        starts = offsets.tolist()
+        rows = []
+        for position, subrange in enumerate(subranges):
+            run = slice(starts[position], starts[position + 1])
+            rows += self._build_node(subrange, targets[run], hosts[run],
+                                     tids[run], path + (position,))
+        return rows
 
     def _sampling_says_split(self, key_range: KeyRange, targets: np.ndarray,
                              hosts: np.ndarray) -> bool:

@@ -170,8 +170,7 @@ class Database:
                      trs_config: TRSTreeConfig | None = None,
                      cm_target_bucket_width: float | None = None,
                      cm_host_bucket_width: float | None = None,
-                     preexisting: bool = False,
-                     parallelism: int = 1) -> IndexEntry:
+                     preexisting: bool = False) -> IndexEntry:
         """Create a secondary index on ``column``.
 
         Args:
@@ -187,7 +186,6 @@ class Database:
             cm_host_bucket_width: Host bucket width for CORRELATION_MAP.
             preexisting: Mark the index as pre-existing for the space
                 breakdown accounting ("Existing Indexes" vs "New Indexes").
-            parallelism: Construction threads for the TRS-Tree.
 
         Returns:
             The catalog entry of the new index.
@@ -195,16 +193,14 @@ class Database:
         with self.epochs.write():
             return self._create_index(
                 name, table_name, column, method, host_column, trs_config,
-                cm_target_bucket_width, cm_host_bucket_width, preexisting,
-                parallelism,
-            )
+                cm_target_bucket_width, cm_host_bucket_width, preexisting)
 
     def _create_index(self, name: str, table_name: str, column: str,
                       method: IndexMethod, host_column: str | None,
                       trs_config: TRSTreeConfig | None,
                       cm_target_bucket_width: float | None,
                       cm_host_bucket_width: float | None,
-                      preexisting: bool, parallelism: int) -> IndexEntry:
+                      preexisting: bool) -> IndexEntry:
         """:meth:`create_index` body, called under the write side."""
         entry = self.catalog.table_entry(table_name)
         table = entry.table
@@ -260,7 +256,7 @@ class Database:
                 pointer_scheme=self.pointer_scheme,
                 config=trs_config or self.trs_config,
             )
-            mechanism.build(parallelism=parallelism)
+            mechanism.build()
         else:
             mechanism = CorrelationMap(
                 table, column, host_column, host_index,

