@@ -2,9 +2,10 @@
 
 ``benchmarks/e2e/metrics.py::EXACT_COUNTS`` names the per-layer counts that
 repeat exactly between two runs of one seed (leaves visited, host ranges,
-candidates per result, WAL records, planner misses ...).  CI runs three
-traced smokes (``benchmarks/e2e/run.py --workload <w> --seconds 1 --trace
-1``); this script only *reads* what they left in ``benchmarks/e2e/out/`` and
+candidates per result, WAL records, planner misses, shard transport bytes
+...).  CI runs four traced smokes (``benchmarks/e2e/run.py --workload <w>
+--seconds 1 --trace 1``, one per name in ``WORKLOADS``); this script only
+*reads* what they left in ``benchmarks/e2e/out/`` and
 compares those counts with the committed ``BENCH_e2e_counts.json`` — a
 changed count is a changed algorithm, whatever the clock says::
 
@@ -31,7 +32,7 @@ sys.path.insert(0, str(ROOT / "benchmarks" / "e2e"))
 from metrics import EXACT_COUNTS  # noqa: E402
 
 COMMITTED = ROOT / "BENCH_e2e_counts.json"
-WORKLOADS = ("mixed_rw", "point_sigmoid", "range_linear")
+WORKLOADS = ("mixed_rw", "point_sigmoid", "range_linear", "shard_range")
 
 
 def observed_counts() -> dict[str, dict[str, float]]:

@@ -3,8 +3,9 @@
 ``repro.analysis`` is a repo-specific static-analysis subsystem: a small
 pluggable AST-checker framework plus the rules under
 ``repro.analysis.rules`` that encode the engine's hand-maintained
-invariants (flat-view invalidation, validate→log→apply ordering, epoch
-discipline, hot-path vectorization purity, sharding protocol hygiene).
+invariants (validate→log→apply ordering, epoch discipline, hot-path
+vectorization purity, sharding protocol hygiene, rationales on broad
+excepts, result-cache lock discipline).
 General-purpose lint stays with ruff; everything here is an invariant a
 generic linter cannot know about.
 

@@ -1,11 +1,11 @@
 """REP004: hot batch paths stay vectorized.
 
 The engine's batch throughput (PR 8) comes precisely from replacing
-per-element Python loops with array passes — ``np.searchsorted`` over a
-flat view instead of B tree descents, one segmented gather instead of B
-list appends.  A per-element ``for`` loop over array-shaped data quietly
-reintroduces the O(B) Python overhead the batch API exists to remove,
-and no correctness test will ever object.
+per-element Python loops with array passes — ``np.searchsorted`` over an
+index's sorted keys instead of B tree descents, one segmented gather
+instead of B list appends.  A per-element ``for`` loop over array-shaped
+data quietly reintroduces the O(B) Python overhead the batch API exists
+to remove, and no correctness test will ever object.
 
 Scope — a function is *hot* when any of:
 
@@ -13,9 +13,11 @@ Scope — a function is *hot* when any of:
   (``repro/segments.py``, ``repro/core/lookup.py`` and
   ``repro/engine/executor.py`` ship marked);
 * it is a ``*_many`` / ``*_segmented`` function in an index module
-  (``repro/index/``), under ``repro/core/`` (``TRSTree.lookup_many``,
-  ``HermitIndex.candidate_tids_many``, the outlier buffer's batch writes)
-  — the vectorized entry points of every mechanism — or on the load
+  (``repro/index/``: ``OrderedIndex.insert_many``,
+  ``range_search_segmented``), under ``repro/core/``
+  (``TRSTree.lookup_many``, ``HermitIndex.candidate_tids_many``,
+  ``finish_lookup_segmented``) — the vectorized entry points of every
+  mechanism — or on the load
   path under ``repro/storage/`` and ``repro/engine/``
   (``Table.insert_many``, ``Database.insert_many``).
 
@@ -33,11 +35,10 @@ table.insert_many(columns)]``): a batch's bounds travel as one
 turning them into per-element objects is the round-trip the batch path
 exists to avoid (``ndarray.tolist()`` is the one-call boundary).
 
-Legitimate scalar fallbacks (the documented cold-buffer paths that
-amortise flat-view construction) stay, suppressed per site::
+Legitimate loops (a documented per-pair fallback, one array pass per
+element of a short list of bounds or parts) stay, suppressed per site::
 
-    # repro: ignore[REP004] -- documented scalar fallback below the
-    #                          flat-view debt threshold
+    # repro: ignore[REP004] -- one array pass per bound, of a handful
 """
 
 from __future__ import annotations

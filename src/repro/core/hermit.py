@@ -12,11 +12,12 @@ It combines (Section 5):
 This module implements Steps 1–2 — candidate generation — plus maintenance
 and reorganization.  Host-index probes return numpy tid arrays
 (:meth:`~repro.index.base.Index.range_search_many_array` for one request,
-``range_search_segmented`` for a batch — on a B+-tree host both slice the
-same flat view, so one request's ranges come back as read-only views of
-index storage) and candidate dedup is one in-place
-sort plus a neighbour mask (:func:`~repro.segments.sorted_unique`, per
-segment on the batch path).  Steps 3–4 are the two shared lookup tails of
+``range_search_segmented`` for a batch — on an ordered host index both
+search its sorted key array, and one request's single range comes back
+as a read-only view of index storage) and candidate dedup is one
+in-place sort plus a neighbour mask (:func:`~repro.segments.sorted_unique`;
+on the batch path one sort of a narrow ``(query, tid)`` key that the
+outlier tids join).  Steps 3–4 are the two shared lookup tails of
 :mod:`repro.core.lookup`, which also provides the standalone
 ``lookup_range`` / ``lookup_range_many`` through
 :class:`~repro.core.lookup.SecondaryMechanism` and the per-phase
@@ -35,7 +36,6 @@ from repro.core.lookup import LookupBreakdown, SecondaryMechanism
 from repro.core.trs_tree import TRSTree
 from repro.index.base import Index, KeyRange, KeyRanges
 from repro.segments import (
-    interleave_segments,
     offsets_from_counts,
     segmented_sort,
     segmented_unique,
@@ -53,16 +53,11 @@ def regroup_host_probes(host_values: np.ndarray, host_offsets: np.ndarray,
     The correlation mechanisms translate each query into several host
     ranges; probing the flattened range list with one
     ``range_search_segmented`` call returns per-range segments in
-    query-major order, so regrouping is just summing each query's run
-    sizes — no data movement.
+    query-major order, so regrouping keeps every query's first range
+    boundary — no data movement.
     """
     ranges_per_query = np.asarray(ranges_per_query, dtype=np.int64)
-    range_sizes = np.diff(host_offsets)
-    owner = np.repeat(np.arange(ranges_per_query.size, dtype=np.int64),
-                      ranges_per_query)
-    counts = np.bincount(owner, weights=range_sizes,
-                         minlength=ranges_per_query.size).astype(np.int64)
-    return host_values, offsets_from_counts(counts)
+    return host_values, host_offsets[offsets_from_counts(ranges_per_query)]
 
 
 class HermitIndex(SecondaryMechanism):
@@ -149,10 +144,11 @@ class HermitIndex(SecondaryMechanism):
         query's host ranges into a disjoint cover (Algorithm 2) and a
         complete host index stores each row once, so the host probes alone
         cannot produce within-query duplicates; the
-        :func:`~repro.segments.segmented_unique` dedup runs only when
-        outlier tids were spliced in (an outlier's host value may also fall
-        inside a probed range), and leaves the segments sorted.  Under
-        physical pointers the segments are sorted in every case
+        :func:`~repro.segments.segmented_unique` dedup runs only when there
+        are outlier tids (an outlier's host value may also fall inside a
+        probed range) — they join its one sort with their own segment ids
+        instead of being spliced in first — and leaves the segments sorted.
+        Under physical pointers the segments are sorted in every case
         (:attr:`sorted_candidates`), which lets the segmented tail skip its
         final sort — the batch sorts its candidates once.  Under logical
         pointers the tail ends with a dedup that sorts anyway, so a batch
@@ -168,10 +164,8 @@ class HermitIndex(SecondaryMechanism):
         values, offsets = regroup_host_probes(values, offsets,
                                               batch.ranges_per_query())
         if batch.outlier_tids.size:
-            values, offsets = interleave_segments(
-                values, offsets, batch.outlier_tids, batch.outlier_offsets
-            )
-            values, offsets = segmented_unique(values, offsets)
+            values, offsets = segmented_unique(
+                values, offsets, batch.outlier_tids, batch.outlier_offsets)
         elif self.sorted_candidates:
             values, offsets = segmented_sort(values, offsets)
         breakdown.host_index_seconds += time.perf_counter() - started

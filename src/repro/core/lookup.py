@@ -260,7 +260,10 @@ def finish_lookup_segmented(table: Table, bounds: dict[str, KeyRanges],
                 locations, column,
                 np.repeat(ranges.lows, sizes), np.repeat(ranges.highs, sizes),
             )
-            mask = column_mask if mask is None else mask & column_mask
+            if mask is None:
+                mask = column_mask
+            else:
+                mask &= column_mask
         if mask is not None:
             locations, offsets = segmented_filter(locations, offsets, mask)
     breakdown.base_table_seconds += time.perf_counter() - started

@@ -6,9 +6,10 @@ A *segmented array* represents B per-query arrays in two flat ndarrays:
 ``values[offsets[i]:offsets[i + 1]]``.  The batched executor keeps every
 per-query intermediate (candidate tids, resolved locations, validated
 matches) in this layout so that a batch of B queries costs a constant
-number of numpy passes instead of B Python-level pipelines: dedup,
-intersection, filtering and sorting are all expressed as one ``lexsort`` /
-``bincount`` / boolean-mask pass over the concatenation.
+number of numpy passes instead of B Python-level pipelines: sorting, dedup
+and intersection are one sort of a key that folds ``(segment, value)``
+into one integer (32 bits wide for a typical batch), and filtering is one
+gather plus one ``searchsorted`` for the new boundaries.
 
 Every function tolerates empty segments and an empty batch; ``offsets`` is
 always a valid cumulative-size array even when ``values`` is empty.
@@ -22,11 +23,15 @@ the index structures, the mechanisms and the engine can all share it.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 _EMPTY_INT64 = np.empty(0, dtype=np.int64)
+# Folded keys of a batch that spans at most this many fit in uint32 ...
+_NARROW_KEYS = 2 ** 32
+# ... and at most this many in int64; past it the batch sorts by lexsort.
+_WIDE_KEYS = 2 ** 62
 
 
 def empty_offsets(num_segments: int) -> np.ndarray:
@@ -170,28 +175,78 @@ def running_segment_max(values: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return run
 
 
-def _composite_keys(values: np.ndarray, ids: np.ndarray,
-                    num_segments: int) -> tuple[np.ndarray | None, int, int]:
-    """Fold ``(segment, value)`` pairs into one sortable int64 key.
+class _Fold(NamedTuple):
+    """``(segment, value)`` pairs folded into one integer key each.
+
+    The key of value ``v`` in segment ``k`` is ``k * span + v - minimum``,
+    so sorting the keys sorts by segment, then by value.  ``starts[k]`` is
+    segment ``k``'s first key (``k * span``), in the key dtype; ``minimum``
+    is in the value dtype.
+    """
+
+    keys: np.ndarray
+    starts: np.ndarray
+    minimum: np.generic
+
+
+def _fold(parts: Sequence[tuple[np.ndarray, np.ndarray]],
+          num_segments: int) -> _Fold | None:
+    """Fold the elements of aligned segmented arrays into sortable keys.
 
     Integer tid arrays (physical pointers, resolved locations) almost
     always have a value span small enough that ``segment * span + value``
-    fits in an int64; sorting that composite with one single-key quicksort
-    is several times faster than the two stable passes of ``np.lexsort``,
-    and the key decomposes back into ``(segment, value)`` with a divmod.
-    Returns ``(None, 0, 0)`` when the fold would overflow or the values are
-    floats (logical primary keys) — callers fall back to lexsort.
+    fits in 32 bits for a whole batch: one quicksort of that narrow key is
+    several times faster than the two stable passes of ``np.lexsort``, and
+    moves half the bytes of an int64 key.  Up to ``2**62`` the key is an
+    int64.  The parts' keys follow each other in ``parts`` order, each
+    part's in segment order.  Returns ``None`` when every part is empty, a
+    part holds non-integers (logical primary keys) or the key would
+    overflow; callers then fall back to lexsort.
+
+    Every step is modular arithmetic in the width of the key (or of the
+    value), exact because each true key and value fits its type — so
+    negative and uint64 values fold without a widening pass.
     """
-    if values.dtype.kind not in "iu" or values.size == 0:
-        return None, 0, 0
-    minimum = int(values.min())
-    span = int(values.max()) - minimum + 1
-    if span > (2 ** 62) // max(num_segments, 1):
-        return None, 0, 0
-    composite = ids * span
-    composite += values.astype(np.int64, copy=False)
-    composite -= minimum
-    return composite, span, minimum
+    dtype = np.result_type(*(values for values, _ in parts))
+    filled = [values for values, _ in parts if values.size]
+    if dtype.kind not in "iu" or not filled:
+        return None
+    minimum = dtype.type(min(values.min() for values in filled))
+    span = int(max(values.max() for values in filled)) - int(minimum) + 1
+    if num_segments * span > _WIDE_KEYS:
+        return None
+    key_dtype = np.uint32 if num_segments * span <= _NARROW_KEYS else np.int64
+    starts = np.arange(num_segments, dtype=np.uint64) * np.uint64(span)
+    shifts = (starts - np.uint64(int(minimum) % 2 ** 64)).astype(key_dtype)
+    keys = np.repeat(np.tile(shifts, len(parts)),
+                     np.concatenate([np.diff(offsets) for _, offsets in parts]))
+    position = 0
+    # repro: ignore[REP004] -- one array pass per part, of one or two
+    for values, _ in parts:
+        run = keys[position:position + values.size]
+        run += values.astype(key_dtype, copy=False)
+        position += values.size
+    return _Fold(keys, starts.astype(key_dtype), minimum)
+
+
+def _unfold(fold: _Fold, keys: np.ndarray,
+            offsets: np.ndarray | None = None,
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted keys (a subset of ``fold.keys``) back to ``(values, offsets)``.
+
+    The segment boundaries are one ``searchsorted`` of the segment starts,
+    unless the caller already knows them (``offsets``); the values are one
+    repeat-subtract of the starts, in place in the narrow key, plus the
+    minimum.  ``keys`` is consumed.
+    """
+    if offsets is None:
+        offsets = np.empty(fold.starts.size + 1, dtype=np.int64)
+        offsets[:-1] = keys.searchsorted(fold.starts)
+        offsets[-1] = keys.size
+    keys -= np.repeat(fold.starts, np.diff(offsets))
+    values = keys.astype(fold.minimum.dtype, copy=False)
+    values += fold.minimum
+    return values, offsets
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -217,35 +272,33 @@ def segmented_sort(values: np.ndarray,
     """Sort every segment ascending in one pass."""
     if values.size == 0:
         return values, offsets
-    ids = segment_ids(offsets)
-    composite, span, minimum = _composite_keys(values, ids, offsets.size - 1)
-    if composite is None:
-        order = np.lexsort((values, ids))
+    fold = _fold([(values, offsets)], offsets.size - 1)
+    if fold is None:
+        order = np.lexsort((values, segment_ids(offsets)))
         return values[order], offsets
-    composite.sort()
-    composite %= span
-    composite += minimum
-    return composite.astype(values.dtype, copy=False), offsets
+    fold.keys.sort()
+    return _unfold(fold, fold.keys, offsets)[0], offsets
 
 
-def segmented_unique(values: np.ndarray,
-                     offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def segmented_unique(values: np.ndarray, offsets: np.ndarray,
+                     extra_values: np.ndarray | None = None,
+                     extra_offsets: np.ndarray | None = None,
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Per-segment :func:`sorted_unique` in one sort + one mask pass.
 
-    Every output segment is sorted ascending with duplicates removed.
+    Every output segment is sorted ascending with duplicates removed.  With
+    ``extra_values`` / ``extra_offsets`` (an aligned segmented array),
+    segment ``i`` of the output covers both inputs' segment ``i``: the
+    second array joins the one sort instead of being spliced in first.
     """
-    if values.size == 0:
-        return values, offsets
+    parts = [(values, offsets)]
+    if extra_values is not None:
+        parts.append((extra_values, extra_offsets))
     num_segments = offsets.size - 1
-    ids = segment_ids(offsets)
-    composite, span, minimum = _composite_keys(values, ids, num_segments)
-    if composite is not None:
-        composite = sorted_unique(composite)
-        kept_ids, kept_values = np.divmod(composite, span)
-        kept_values += minimum
-        counts = np.bincount(kept_ids, minlength=num_segments)
-        return (kept_values.astype(values.dtype, copy=False),
-                offsets_from_counts(counts))
+    fold = _fold(parts, num_segments)
+    if fold is not None:
+        return _unfold(fold, sorted_unique(fold.keys))
+    values, ids = _tagged(parts)
     order = np.lexsort((values, ids))
     ids = ids[order]
     values = values[order]
@@ -274,31 +327,36 @@ def segmented_intersect(a_values: np.ndarray, a_offsets: np.ndarray,
     if not assume_unique:
         a_values, a_offsets = segmented_unique(a_values, a_offsets)
         b_values, b_offsets = segmented_unique(b_values, b_offsets)
-    ids = np.concatenate([segment_ids(a_offsets), segment_ids(b_offsets)])
-    values = np.concatenate([a_values, b_values])
-    composite, span, minimum = _composite_keys(values, ids, num_segments)
-    if composite is not None:
-        composite.sort()
-        matched = composite[1:][composite[1:] == composite[:-1]]
-        matched_ids, matched_values = np.divmod(matched, span)
-        matched_values += minimum
-        counts = np.bincount(matched_ids, minlength=num_segments)
-        return (matched_values.astype(values.dtype, copy=False),
-                offsets_from_counts(counts))
+    parts = [(a_values, a_offsets), (b_values, b_offsets)]
+    fold = _fold(parts, num_segments)
+    if fold is not None:
+        keys = fold.keys
+        keys.sort()
+        return _unfold(fold, keys[1:][keys[1:] == keys[:-1]])
+    values, ids = _tagged(parts)
     order = np.lexsort((values, ids))
     ids = ids[order]
     values = values[order]
     matched = (ids[1:] == ids[:-1]) & (values[1:] == values[:-1])
-    out = values[1:][matched]
     counts = np.bincount(ids[1:][matched], minlength=num_segments)
-    return out, offsets_from_counts(counts)
+    return values[1:][matched], offsets_from_counts(counts)
+
+
+def _tagged(parts: Sequence[tuple[np.ndarray, np.ndarray]],
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """The parts' values concatenated, with every element's segment id."""
+    return (np.concatenate([values for values, _ in parts]),
+            np.concatenate([segment_ids(offsets) for _, offsets in parts]))
 
 
 def segmented_filter(values: np.ndarray, offsets: np.ndarray,
                      mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Keep the masked elements, recomputing the segment boundaries."""
+    """Keep the masked elements, recomputing the segment boundaries.
+
+    A segment's new start is the number of kept elements before its old
+    one: one ``searchsorted`` of the old offsets in the kept positions.
+    """
     if values.size == 0:
         return values, offsets
-    counts = np.bincount(segment_ids(offsets)[mask],
-                         minlength=offsets.size - 1)
-    return values[mask], offsets_from_counts(counts)
+    kept = np.flatnonzero(mask)
+    return values[kept], kept.searchsorted(offsets)

@@ -365,14 +365,22 @@ class Table:
         checked against *its own query's* predicate), so one call validates
         the concatenated candidates of a whole query batch.  Dead and
         out-of-range slots are masked out, matching the scalar method.
+        Candidates come from the table's own indexes, so one ``min`` /
+        ``max`` usually shows every slot in range and the clip is skipped.
         """
         self.schema.position_of(column_name)
         slots = np.asarray(slots, dtype=np.int64)
         if slots.size == 0:
             return np.zeros(0, dtype=bool)
-        clipped, mask = self._live_mask(slots)
-        values = self._columns[column_name][clipped]
-        return mask & (values >= lows) & (values <= highs)
+        if slots.min() >= 0 and slots.max() < self._next_slot:
+            mask = self._live[slots]
+            values = self._columns[column_name][slots]
+        else:
+            clipped, mask = self._live_mask(slots)
+            values = self._columns[column_name][clipped]
+        mask &= values >= lows
+        mask &= values <= highs
+        return mask
 
     def scan(self, column_names: Sequence[str] | None = None) -> Iterator[tuple[int, dict]]:
         """Iterate ``(slot, row)`` pairs over live rows.

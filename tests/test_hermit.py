@@ -1,14 +1,19 @@
 """Unit tests for the Hermit index mechanism (4-step lookup + maintenance)."""
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.core.config import TRSTreeConfig
 from repro.core.hermit import HermitIndex
-from repro.core.lookup import LookupBreakdown
+from repro.core.lookup import LookupBreakdown, finish_lookup_segmented
+from repro.core.trs_tree import TRSTree
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
 from repro.errors import QueryError
+from repro.index.base import KeyRanges
 from repro.index.ordered import OrderedIndex
 from repro.storage.identifiers import PointerScheme
 from repro.storage.schema import numeric_schema
@@ -221,3 +226,53 @@ class TestLookupBreakdown:
         assert empty.total_seconds == 0.0
         assert set(empty.fractions()) == {"TRS-Tree", "Host Index",
                                           "Primary Index", "Base Table"}
+
+
+class TestCountedBatchWork:
+    """The work of a physical range batch, counted rather than timed."""
+
+    COUNTED = {"bincount", "lexsort", "clip", "interleave_segments"}
+
+    def test_one_narrow_sort_per_batch(self):
+        """Candidates and validation of a 256-range batch with outliers sort
+        once: the outlier tids join the candidates' one sort, the sort's
+        keys decode without a ``bincount``, and validation takes no clip.
+        The TRS-Tree translation, its own layer, is not counted."""
+        table = make_table(count=20_000, seed=3)
+        hermit = build_hermit(table)
+        lows = np.random.default_rng(4).uniform(0.0, 990.0, size=256)
+        ranges = KeyRanges(lows, lows + 5.0)
+        assert hermit.trs_tree.lookup_many(ranges).outlier_tids.size > 0
+        translation = TRSTree.lookup_many.__code__
+        calls = Counter()
+        depth = 0
+
+        def profile(frame, event, arg):
+            nonlocal depth
+            if frame.f_code is translation and event in ("call", "return"):
+                depth += 1 if event == "call" else -1
+            elif depth:
+                return
+            elif event == "c_call" and isinstance(
+                    getattr(arg, "__self__", None), np.ndarray):
+                calls[f"ndarray.{arg.__name__}"] += 1
+            elif event == "call" and frame.f_code.co_name in self.COUNTED:
+                calls[frame.f_code.co_name] += 1
+
+        breakdown = LookupBreakdown()
+        sys.setprofile(profile)
+        try:
+            tids, offsets = hermit.candidate_tids_many(ranges, breakdown)
+            locations, offsets = finish_lookup_segmented(
+                table, {"target": ranges}, tids, offsets,
+                PointerScheme.PHYSICAL, None, breakdown, unique=True,
+                ordered=hermit.sorted_candidates)
+        finally:
+            sys.setprofile(None)
+
+        assert calls["ndarray.sort"] == 1
+        assert calls["ndarray.clip"] == 0
+        assert not self.COUNTED & set(calls), calls
+        for position, low in enumerate(lows):
+            got = locations[offsets[position]:offsets[position + 1]]
+            assert got.tolist() == sorted(brute_force(table, low, low + 5.0))
