@@ -4,7 +4,8 @@ Every benchmark reproduces one table or figure of the paper.  The builders
 here assemble the workload databases with *both* mechanisms (Hermit and the
 conventional B+-tree baseline, plus optionally Correlation Maps) indexed on
 the same target column, so each figure script only has to sweep its parameter
-and print the series.
+and print the series.  A figure reads a mechanism by its index name through
+the database (``repro.bench.harness``), never by calling it directly.
 
 Workload sizes are geometrically scaled down from the paper (which uses up to
 20M tuples on a C++ engine); set the ``REPRO_SCALE`` environment variable to
@@ -22,6 +23,7 @@ from repro.bench.timing import scaled
 from repro.core.config import TRSTreeConfig
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
+from repro.engine.query import RangePredicate
 from repro.storage.identifiers import PointerScheme
 from repro.workloads.queries import range_queries
 from repro.workloads.sensor import generate_sensor, load_sensor, sensor_column
@@ -41,19 +43,28 @@ DEFAULT_QUERIES_PER_POINT = 30
 
 @dataclass
 class WorkloadSetup:
-    """A built workload plus the mechanisms under comparison."""
+    """A built workload plus the indexes under comparison.
+
+    ``indexes`` maps each series label ("HERMIT", "Baseline") to the name
+    of its index on ``target_column``.
+    """
 
     database: Database
     table_name: str
     target_column: str
     domain: tuple[float, float]
-    mechanisms: dict[str, object] = field(default_factory=dict)
+    indexes: dict[str, str] = field(default_factory=dict)
     dataset: object | None = None
 
     @property
     def table(self):
         """The base table object."""
         return self.database.table(self.table_name)
+
+    def mechanism(self, label: str):
+        """The mechanism behind a label's index (for its size and shape)."""
+        return self.database.catalog.table_entry(self.table_name).indexes[
+            self.indexes[label]].mechanism
 
 
 def build_synthetic_setup(correlation: str = "linear", num_tuples: int = 20_000,
@@ -67,18 +78,16 @@ def build_synthetic_setup(correlation: str = "linear", num_tuples: int = 20_000,
     database = Database(pointer_scheme=pointer_scheme,
                         trs_config=trs_config or TRSTreeConfig())
     table_name = load_synthetic(database, dataset)
-    hermit_entry = database.create_index("hermit_colC", table_name, "colC",
-                                         method=IndexMethod.HERMIT,
-                                         host_column="colB",
-                                         trs_config=trs_config)
-    baseline_entry = database.create_index("baseline_colC", table_name, "colC",
-                                           method=IndexMethod.BTREE)
+    database.create_index("hermit_colC", table_name, "colC",
+                          method=IndexMethod.HERMIT, host_column="colB",
+                          trs_config=trs_config)
+    database.create_index("baseline_colC", table_name, "colC",
+                          method=IndexMethod.BTREE)
     values = dataset.columns["colC"]
     return WorkloadSetup(
         database=database, table_name=table_name, target_column="colC",
         domain=(float(values.min()), float(values.max())),
-        mechanisms={"HERMIT": hermit_entry.mechanism,
-                    "Baseline": baseline_entry.mechanism},
+        indexes={"HERMIT": "hermit_colC", "Baseline": "baseline_colC"},
         dataset=dataset,
     )
 
@@ -91,17 +100,17 @@ def build_stock_setup(num_stocks: int = 10, num_days: int = 4_000,
     database = Database(pointer_scheme=pointer_scheme)
     table_name = load_stock(database, dataset)
     column = high_column(stock)
-    hermit_entry = database.create_index(f"hermit_{column}", table_name, column,
-                                         method=IndexMethod.HERMIT,
-                                         host_column=f"low_{stock}")
-    baseline_entry = database.create_index(f"baseline_{column}", table_name,
-                                           column, method=IndexMethod.BTREE)
+    database.create_index(f"hermit_{column}", table_name, column,
+                          method=IndexMethod.HERMIT,
+                          host_column=f"low_{stock}")
+    database.create_index(f"baseline_{column}", table_name, column,
+                          method=IndexMethod.BTREE)
     values = dataset.columns[column]
     return WorkloadSetup(
         database=database, table_name=table_name, target_column=column,
         domain=(float(values.min()), float(values.max())),
-        mechanisms={"HERMIT": hermit_entry.mechanism,
-                    "Baseline": baseline_entry.mechanism},
+        indexes={"HERMIT": f"hermit_{column}",
+                 "Baseline": f"baseline_{column}"},
         dataset=dataset,
     )
 
@@ -114,19 +123,35 @@ def build_sensor_setup(num_tuples: int = 20_000, sensor: int = 0,
     database = Database(pointer_scheme=pointer_scheme)
     table_name = load_sensor(database, dataset)
     column = sensor_column(sensor)
-    hermit_entry = database.create_index(f"hermit_{column}", table_name, column,
-                                         method=IndexMethod.HERMIT,
-                                         host_column="average")
-    baseline_entry = database.create_index(f"baseline_{column}", table_name,
-                                           column, method=IndexMethod.BTREE)
+    database.create_index(f"hermit_{column}", table_name, column,
+                          method=IndexMethod.HERMIT,
+                          host_column="average")
+    database.create_index(f"baseline_{column}", table_name, column,
+                          method=IndexMethod.BTREE)
     values = dataset.columns[column]
     return WorkloadSetup(
         database=database, table_name=table_name, target_column=column,
         domain=(float(values.min()), float(values.max())),
-        mechanisms={"HERMIT": hermit_entry.mechanism,
-                    "Baseline": baseline_entry.mechanism},
+        indexes={"HERMIT": f"hermit_{column}",
+                 "Baseline": f"baseline_{column}"},
         dataset=dataset,
     )
+
+
+def single_lookups(setup: WorkloadSetup, label: str, queries):
+    """A callable answering ``queries`` one ``Database.query_with`` at a time
+    through the label's index — the single-request pipeline.  The
+    predicates are built once, outside the callable."""
+    database, table_name = setup.database, setup.table_name
+    index_name = setup.indexes[label]
+    predicates = [RangePredicate(setup.target_column, query.low, query.high)
+                  for query in queries]
+
+    def run():
+        return [database.query_with(table_name, index_name, predicate)
+                for predicate in predicates]
+
+    return run
 
 
 def selectivity_sweep(setup: WorkloadSetup, selectivities: list[float],
@@ -138,8 +163,9 @@ def selectivity_sweep(setup: WorkloadSetup, selectivities: list[float],
     for selectivity in selectivities:
         queries = range_queries(setup.domain, selectivity,
                                 count=queries_per_point, seed=seed)
-        for label, mechanism in setup.mechanisms.items():
-            batch = run_query_batch(mechanism, queries)
+        for label, index_name in setup.indexes.items():
+            batch = run_query_batch(setup.database, setup.table_name,
+                                    index_name, queries)
             figure.add_point(label, selectivity, batch.throughput.kops)
     return figure
 
@@ -157,13 +183,13 @@ def breakdown_sweep(setup: WorkloadSetup, mechanism_label: str,
     first ~n entries of single reads) does not land in one point's share.
     """
     figure = FigureData(figure_name, "selectivity", "fraction of time")
-    mechanism = setup.mechanisms[mechanism_label]
-    run_query_singles(mechanism, range_queries(
+    index = (setup.database, setup.table_name, setup.indexes[mechanism_label])
+    run_query_singles(*index, range_queries(
         setup.domain, max(selectivities), count=queries_per_point, seed=seed))
     for selectivity in selectivities:
         queries = range_queries(setup.domain, selectivity,
                                 count=queries_per_point, seed=seed)
-        batch = run_query_singles(mechanism, queries)
+        batch = run_query_singles(*index, queries)
         for phase, fraction in batch.breakdown.fractions().items():
             figure.add_point(phase, selectivity, fraction)
     return figure

@@ -142,7 +142,8 @@ def test_ablation_error_bound_lookup_cost(benchmark):
                 trs_config=TRSTreeConfig(error_bound=error_bound))
             hermit = entry.mechanism
             queries = range_queries((0.0, 1e6), 0.0005, count=20, seed=9)
-            batch = run_query_batch(hermit, queries)
+            batch = run_query_batch(database, table_name, "hermit_colC",
+                                    queries)
             figure.add_point("Kops", error_bound, batch.throughput.kops)
             figure.add_point("memory MB", error_bound,
                              hermit.memory_bytes() / BYTES_PER_MB)

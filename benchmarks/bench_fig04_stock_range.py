@@ -16,6 +16,7 @@ from _helpers import (
     build_stock_setup,
     geometric_mean,
     selectivity_sweep,
+    single_lookups,
 )
 from repro.bench.report import format_figure
 from repro.storage.identifiers import PointerScheme
@@ -36,12 +37,7 @@ def test_fig04_range_lookup_throughput(benchmark, stock_setup, mechanism_label):
     """Benchmark one batch of 5%-selectivity range lookups per mechanism."""
     setup, _ = stock_setup
     queries = range_queries(setup.domain, selectivity=0.05, count=20, seed=4)
-    mechanism = setup.mechanisms[mechanism_label]
-
-    def run():
-        return [mechanism.lookup_range(q.low, q.high) for q in queries]
-
-    results = benchmark(run)
+    results = benchmark(single_lookups(setup, mechanism_label, queries))
     assert all(r.locations is not None for r in results)
 
 

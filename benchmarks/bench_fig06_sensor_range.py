@@ -14,6 +14,7 @@ from _helpers import (
     assert_within_factor,
     build_sensor_setup,
     selectivity_sweep,
+    single_lookups,
 )
 from repro.bench.report import format_figure
 from repro.storage.identifiers import PointerScheme
@@ -34,9 +35,7 @@ def test_fig06_range_lookup_throughput(benchmark, sensor_setup, mechanism_label)
     """Benchmark one batch of 2.5%-selectivity range lookups per mechanism."""
     setup, _ = sensor_setup
     queries = range_queries(setup.domain, selectivity=0.025, count=20, seed=6)
-    mechanism = setup.mechanisms[mechanism_label]
-    results = benchmark(lambda: [mechanism.lookup_range(q.low, q.high)
-                                 for q in queries])
+    results = benchmark(single_lookups(setup, mechanism_label, queries))
     assert len(results) == 20
 
 

@@ -15,6 +15,7 @@ from _helpers import (
     build_synthetic_setup,
     geometric_mean,
     selectivity_sweep,
+    single_lookups,
 )
 from repro.bench.report import format_figure
 from repro.storage.identifiers import PointerScheme
@@ -34,9 +35,7 @@ def linear_setup(request):
 def test_fig08_range_lookup_throughput(benchmark, linear_setup, mechanism_label):
     setup, _ = linear_setup
     queries = range_queries(setup.domain, selectivity=0.0005, count=30, seed=8)
-    mechanism = setup.mechanisms[mechanism_label]
-    results = benchmark(lambda: [mechanism.lookup_range(q.low, q.high)
-                                 for q in queries])
+    results = benchmark(single_lookups(setup, mechanism_label, queries))
     assert len(results) == 30
 
 
@@ -53,7 +52,7 @@ def test_fig08_report_selectivity_sweep(benchmark, linear_setup):
     print(format_figure(figure))
 
     # The TRS-Tree for a (noisy) linear correlation stays tiny.
-    hermit_mechanism = setup.mechanisms["HERMIT"]
+    hermit_mechanism = setup.mechanism("HERMIT")
     assert hermit_mechanism.trs_tree.num_leaves <= 16
 
     hermit = geometric_mean(figure.series["HERMIT"].ys)

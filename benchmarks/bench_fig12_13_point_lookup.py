@@ -29,8 +29,9 @@ def point_sweep(correlation: str, pointer_scheme: PointerScheme,
                                       pointer_scheme=pointer_scheme)
         values = point_queries(setup.dataset.columns["colC"],
                                count=scaled(QUERIES_PER_POINT), seed=12)
-        for label, mechanism in setup.mechanisms.items():
-            batch = run_point_batch(mechanism, values)
+        for label, index_name in setup.indexes.items():
+            batch = run_point_batch(setup.database, setup.table_name,
+                                    index_name, values)
             figure.add_point(label, count, batch.throughput.kops)
     return figure
 

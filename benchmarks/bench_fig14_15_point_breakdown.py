@@ -39,7 +39,8 @@ def breakdown_by_tuples(label: str, scheme: PointerScheme,
         # rather than letting a gen-2 collection land inside a measured
         # phase and skew the per-phase fractions this figure asserts on.
         gc.collect()
-        batch = run_point_batch(setup.mechanisms[label], values)
+        batch = run_point_batch(setup.database, setup.table_name,
+                                setup.indexes[label], values)
         for phase, fraction in batch.breakdown.fractions().items():
             figure.add_point(phase, count, fraction)
     return figure

@@ -46,9 +46,10 @@ def sweep(correlation: str):
             setup = build_synthetic_setup(
                 correlation, num_tuples=NUM_TUPLES, noise_fraction=noise,
                 pointer_scheme=PointerScheme.LOGICAL, trs_config=config)
-            hermit = setup.mechanisms["HERMIT"]
+            hermit = setup.mechanism("HERMIT")
             queries = range_queries(setup.domain, SELECTIVITY, QUERIES, seed=16)
-            batch = run_query_batch(hermit, queries)
+            batch = run_query_batch(setup.database, setup.table_name,
+                                    setup.indexes["HERMIT"], queries)
             throughput.add_point(label, error_bound, batch.throughput.kops)
             false_positives.add_point(label, error_bound,
                                       batch.false_positive_ratio)

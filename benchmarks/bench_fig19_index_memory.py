@@ -25,9 +25,9 @@ def memory_sweep(correlation: str) -> FigureData:
         setup = build_synthetic_setup(correlation, num_tuples=count,
                                       noise_fraction=0.01)
         figure.add_point("HERMIT", count,
-                         setup.mechanisms["HERMIT"].memory_bytes() / BYTES_PER_MB)
+                         setup.mechanism("HERMIT").memory_bytes() / BYTES_PER_MB)
         figure.add_point("Baseline", count,
-                         setup.mechanisms["Baseline"].memory_bytes() / BYTES_PER_MB)
+                         setup.mechanism("Baseline").memory_bytes() / BYTES_PER_MB)
     return figure
 
 

@@ -69,7 +69,8 @@ def test_fig23_reorganization_trace(benchmark):
         for step in range(TRACE_STEPS):
             queries = range_queries(domain, SELECTIVITY, QUERIES_PER_STEP,
                                     seed=100 + step)
-            batch = run_query_batch(hermit, queries)
+            batch = run_query_batch(database, table_name, "hermit_colC",
+                                    queries)
             figure.add_point("lookup Kops", step, batch.throughput.kops)
             figure.add_point("memory MB", step,
                              hermit.memory_bytes() / BYTES_PER_MB)

@@ -16,7 +16,6 @@ import pytest
 from repro.bench.harness import FigureData, run_query_batch
 from repro.bench.report import format_figure
 from repro.bench.timing import scaled
-from repro.core.hermit import HermitIndex
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
 from repro.storage.memory import BYTES_PER_MB
@@ -40,21 +39,19 @@ def build_mechanisms(correlation: str, noise: float):
                                  noise_fraction=noise, seed=27)
     database = Database()
     table_name = load_synthetic(database, dataset)
-    mechanisms = {}
-    hermit = database.create_index("hermit_colC", table_name, "colC",
-                                   method=IndexMethod.HERMIT, host_column="colB")
-    mechanisms["HERMIT"] = hermit.mechanism
-    baseline = database.create_index("baseline_colC", table_name, "colC",
-                                     method=IndexMethod.BTREE)
-    mechanisms["Baseline"] = baseline.mechanism
+    database.create_index("hermit_colC", table_name, "colC",
+                          method=IndexMethod.HERMIT, host_column="colB")
+    database.create_index("baseline_colC", table_name, "colC",
+                          method=IndexMethod.BTREE)
+    indexes = {"HERMIT": "hermit_colC", "Baseline": "baseline_colC"}
     for width in CM_TARGET_BUCKETS:
-        entry = database.create_index(
+        database.create_index(
             f"cm_{width}", table_name, "colC",
             method=IndexMethod.CORRELATION_MAP, host_column="colB",
             cm_target_bucket_width=float(width),
             cm_host_bucket_width=float(CM_HOST_BUCKET))
-        mechanisms[f"CM-{width}"] = entry.mechanism
-    return mechanisms, dataset
+        indexes[f"CM-{width}"] = f"cm_{width}"
+    return database, table_name, indexes, dataset
 
 
 def noise_sweep(correlation: str):
@@ -63,15 +60,18 @@ def noise_sweep(correlation: str):
     memory = FigureData(f"Figures 28/30 ({correlation})",
                         "injected noise", "index memory (MB)")
     for noise in NOISE_FRACTIONS:
-        mechanisms, dataset = build_mechanisms(correlation, noise)
+        database, table_name, indexes, dataset = build_mechanisms(
+            correlation, noise)
+        entries = database.catalog.table_entry(table_name).indexes
         domain = (float(dataset.columns["colC"].min()),
                   float(dataset.columns["colC"].max()))
         queries = range_queries(domain, SELECTIVITY, QUERIES, seed=28)
-        for label, mechanism in mechanisms.items():
-            batch = run_query_batch(mechanism, queries)
+        for label, index_name in indexes.items():
+            batch = run_query_batch(database, table_name, index_name, queries)
             throughput.add_point(label, noise, batch.throughput.kops)
             memory.add_point(label, noise,
-                             mechanism.memory_bytes() / BYTES_PER_MB)
+                             entries[index_name].mechanism.memory_bytes()
+                             / BYTES_PER_MB)
     return throughput, memory
 
 

@@ -69,7 +69,7 @@ def main() -> None:
             trs_config=TRSTreeConfig(error_bound=error_bound))
         domain = (float(dataset.columns[sensor_column(0)].min()),
                   float(dataset.columns[sensor_column(0)].max()))
-        batch = run_query_batch(entry.mechanism,
+        batch = run_query_batch(sweep_db, sweep_table, "idx_s0",
                                 range_queries(domain, 0.01, count=20, seed=1))
         sweep_rows.append([error_bound,
                            entry.mechanism.memory_bytes() / BYTES_PER_MB,

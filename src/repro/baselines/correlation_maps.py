@@ -191,23 +191,8 @@ class CorrelationMap(SecondaryMechanism):
 
     # ------------------------------------------------------------ maintenance
 
-    def insert(self, row: dict, location: int) -> None:
-        """Extend the mapping for a newly inserted row (a NULL target —
-        NaN, matched by no predicate — links nothing; a NULL host files
-        the row under its target)."""
-        target = float(row[self.target_column])
-        host = float(row[self.host_column])
-        if isnan(target):
-            return
-        if isnan(host):
-            self._null_hosts.insert(target, self._tid_for(row, location))
-            return
-        target_bucket = int(np.floor(target / self.target_bucket_width))
-        host_bucket = int(np.floor(host / self.host_bucket_width))
-        self._mapping[target_bucket].add(host_bucket)
-
     def insert_many(self, columns: dict, locations) -> None:
-        """Batched :meth:`insert`: vectorized bucketing, deduped link adds."""
+        """Extend the mapping for newly inserted rows (see :meth:`_file`)."""
         self._file(np.asarray(columns[self.target_column], dtype=np.float64),
                    np.asarray(columns[self.host_column], dtype=np.float64),
                    self._tids_for_batch(columns, locations))
@@ -215,6 +200,9 @@ class CorrelationMap(SecondaryMechanism):
     def _file(self, targets: np.ndarray, hosts: np.ndarray,
               tids: np.ndarray) -> None:
         """Link every row with both values known; file NULL-host rows.
+
+        A NULL (NaN) target, matched by no predicate, links nothing; a
+        NULL host files the row under its target.
 
         Both bucket arrays are computed in one vectorized pass and only the
         *distinct* (target bucket, host bucket) pairs touch the mapping —
@@ -250,7 +238,9 @@ class CorrelationMap(SecondaryMechanism):
         """Updates extend the mapping for the new values and move a
         NULL-host row's entry."""
         self.delete(old_row, location)
-        self.insert(new_row, location)
+        self._file(np.array([float(new_row[self.target_column])]),
+                   np.array([float(new_row[self.host_column])]),
+                   np.array([self._tid_for(new_row, location)]))
 
     def check_invariants(self) -> None:
         """Raise ``AssertionError`` unless the map never misses (for tests).

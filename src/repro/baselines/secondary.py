@@ -9,10 +9,11 @@ breakdown mirrors Figures 11 and 15.
 
 The class implements only candidate generation (one array probe of the
 backing index, or one segmented probe per batch) and maintenance.  Pointer
-resolution, base-table validation and the standalone ``lookup_range`` /
-``lookup_range_many`` are the shared tails of :mod:`repro.core.lookup`, so
-the Hermit-vs-Baseline comparison measures the mechanisms through the same
-pipeline the engine serves.
+resolution and base-table validation are the shared tails of
+:mod:`repro.core.lookup`, run by the engine's executor after every
+mechanism alike, so the Hermit-vs-Baseline comparison (``Database``
+reads, forced by index name with ``query_with`` / ``query_with_many``)
+measures the mechanisms through the same pipeline the engine serves.
 
 :class:`CompositeSecondaryIndex` is the two-column complete index: the same
 maintenance surface over a :class:`~repro.index.composite.CompositeIndex`,
@@ -38,9 +39,9 @@ from repro.storage.table import Table
 class BaselineSecondaryIndex(SecondaryMechanism):
     """A complete secondary index on ``target_column``.
 
-    Exposes the same lookup/maintenance surface as
-    :class:`~repro.core.hermit.HermitIndex` so the engine, the benchmarks and
-    the property tests can swap the two mechanisms freely.
+    Exposes the same candidate/maintenance surface as
+    :class:`~repro.core.hermit.HermitIndex` so the engine can serve a
+    predicate through either mechanism.
 
     Args:
         table: The base table.
@@ -107,14 +108,8 @@ class BaselineSecondaryIndex(SecondaryMechanism):
 
     # ------------------------------------------------------------ maintenance
 
-    def insert(self, row: dict, location: int) -> None:
-        """Index a newly inserted row."""
-        key = float(row[self.target_column])
-        if not isnan(key):
-            self.index.insert(key, self._tid_for(row, location))
-
     def insert_many(self, columns: dict, locations: np.ndarray) -> None:
-        """Batched :meth:`insert`: one batch write into the ordered index.
+        """Index newly inserted rows: one batch write into the ordered index.
 
         Args:
             columns: Column name → aligned value sequence for the new rows.
@@ -137,7 +132,9 @@ class BaselineSecondaryIndex(SecondaryMechanism):
     def update(self, old_row: dict, new_row: dict, location: int) -> None:
         """Re-index a row whose target value changed."""
         self.delete(old_row, location)
-        self.insert(new_row, location)
+        key = float(new_row[self.target_column])
+        if not isnan(key):
+            self.index.insert(key, self._tid_for(new_row, location))
 
     # ------------------------------------------------------------- accounting
 
@@ -159,11 +156,11 @@ class CompositeSecondaryIndex(SecondaryMechanism):
     """Engine mechanism wrapping a :class:`CompositeIndex` on two columns.
 
     Exposes the same maintenance surface as the single-column mechanisms
-    (``insert``/``insert_many``/``delete``/``update`` row notifications from
-    the database facade) plus the planner's pair access path: one probe that
+    (``insert_many``/``delete``/``update`` row notifications from the
+    database facade) plus the planner's pair access path: one probe that
     answers a conjunctive predicate on ``(leading_column, second_column)``
     exactly, with no false positives.  It has no single-predicate candidate
-    generation, so the inherited single-column lookups do not apply.
+    generation, so ``Database.query_with`` refuses it.
 
     Args:
         table: The base table.
@@ -212,14 +209,8 @@ class CompositeSecondaryIndex(SecondaryMechanism):
 
     # ------------------------------------------------------------ maintenance
 
-    def insert(self, row: dict, location: int) -> None:
-        """Index a newly inserted row."""
-        self.index.insert(float(row[self.leading_column]),
-                          float(row[self.second_column]),
-                          self._tid_for(row, location))
-
     def insert_many(self, columns: dict, locations: np.ndarray) -> None:
-        """Batched :meth:`insert`: one sorted merge into the entry list."""
+        """Index newly inserted rows: one sorted merge into the entry list."""
         leading = np.asarray(columns[self.leading_column], dtype=np.float64)
         second = np.asarray(columns[self.second_column], dtype=np.float64)
         self.index.insert_many(leading, second,
@@ -234,7 +225,9 @@ class CompositeSecondaryIndex(SecondaryMechanism):
     def update(self, old_row: dict, new_row: dict, location: int) -> None:
         """Re-index a row whose key columns may have changed."""
         self.delete(old_row, location)
-        self.insert(new_row, location)
+        self.index.insert(float(new_row[self.leading_column]),
+                          float(new_row[self.second_column]),
+                          self._tid_for(new_row, location))
 
     # ------------------------------------------------------------- accounting
 

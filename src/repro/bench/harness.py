@@ -2,9 +2,15 @@
 
 Each benchmark under ``benchmarks/`` reproduces one table or figure of the
 paper; they all reduce to a handful of primitives implemented here: run a
-query batch against a mechanism and measure throughput + breakdown, sweep a
-parameter (selectivity, tuple count, error_bound, noise, number of indexes),
-and collect memory breakdowns.
+query batch against one named index of a ``Database`` and measure
+throughput + breakdown, sweep a parameter (selectivity, tuple count,
+error_bound, noise, number of indexes), and collect memory breakdowns.
+
+The query runners force the named index (``Database.query_with`` /
+``query_with_many``), so a Hermit-vs-Baseline comparison runs both
+mechanisms through the engine's own two pipelines under its read epoch:
+:func:`run_query_batch` the segmented batch pipeline, :func:`run_query_singles`
+the single-request one.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import numpy as np
 
 from repro.bench.timing import ThroughputResult
 from repro.core.lookup import LookupBreakdown
+from repro.engine.query import RangePredicate
 from repro.workloads.queries import RangeQuery
 
 
@@ -34,45 +41,60 @@ class QueryBatchResult:
         return self.breakdown.false_positive_ratio
 
 
-def run_query_batch(mechanism, queries: list[RangeQuery]) -> QueryBatchResult:
-    """Run range queries against a mechanism and collect throughput + breakdown.
+def _predicates(database, table_name: str, index_name: str,
+                queries: list[RangeQuery]) -> list[RangePredicate]:
+    """The queries as predicates on the named index's column."""
+    column = database.catalog.table_entry(table_name).indexes[
+        index_name].column
+    return [RangePredicate(column, query.low, query.high)
+            for query in queries]
 
-    The batch goes through the mechanism's ``lookup_range_many`` — the
-    segmented pipeline the engine serves batches with — which also
+
+def run_query_batch(database, table_name: str, index_name: str,
+                    queries: list[RangeQuery]) -> QueryBatchResult:
+    """Run range queries through one index and collect throughput + breakdown.
+
+    The batch goes through ``Database.query_with_many`` — one plan group
+    in the segmented pipeline the engine serves batches with — which also
     amortises per-call dispatch and clock-read overhead over the batch.
     Garbage is collected before the clock starts, so a generation-2 pause
     owed to earlier allocations does not land inside the timed batch.
 
     Args:
-        mechanism: A :class:`~repro.core.lookup.SecondaryMechanism`
-            (HermitIndex, BaselineSecondaryIndex, CorrelationMap).
+        database: The :class:`~repro.engine.database.Database` to read.
+        table_name: Table the index is on.
+        index_name: The index (Hermit, B+-tree, Correlation Map) to force.
         queries: The query batch.
     """
+    predicates = _predicates(database, table_name, index_name, queries)
     gc.collect()
     started = time.perf_counter()
-    batch = mechanism.lookup_range_many(queries)
+    results = database.query_with_many(table_name, index_name, predicates)
     elapsed = time.perf_counter() - started
     return QueryBatchResult(
         throughput=ThroughputResult(operations=len(queries), seconds=elapsed),
-        breakdown=batch.breakdown,
-        total_results=batch.total_results,
+        breakdown=results[0].breakdown if results else LookupBreakdown(),
+        total_results=sum(len(result.locations) for result in results),
     )
 
 
-def run_query_singles(mechanism, queries: list[RangeQuery]) -> QueryBatchResult:
-    """Run range queries one ``lookup_range`` at a time.
+def run_query_singles(database, table_name: str, index_name: str,
+                      queries: list[RangeQuery]) -> QueryBatchResult:
+    """Run range queries one ``Database.query_with`` at a time.
 
     The other protocol: the single-request pipeline ``Database.execute``
     serves, whose per-lookup phase shares are what the paper's breakdown
-    figures show.  Same result shape as :func:`run_query_batch`, and the
-    same collection before the clock starts.
+    figures show.  Same arguments and result shape as
+    :func:`run_query_batch`, and the same collection before the clock
+    starts.
     """
+    predicates = _predicates(database, table_name, index_name, queries)
     breakdown = LookupBreakdown()
     total_results = 0
     gc.collect()
     started = time.perf_counter()
-    for query in queries:
-        result = mechanism.lookup_range(query.low, query.high)
+    for predicate in predicates:
+        result = database.query_with(table_name, index_name, predicate)
         breakdown.merge(result.breakdown)
         total_results += len(result.locations)
     elapsed = time.perf_counter() - started
@@ -83,10 +105,11 @@ def run_query_singles(mechanism, queries: list[RangeQuery]) -> QueryBatchResult:
     )
 
 
-def run_point_batch(mechanism, values: list[float]) -> QueryBatchResult:
-    """Run point queries against a mechanism."""
+def run_point_batch(database, table_name: str, index_name: str,
+                    values: list[float]) -> QueryBatchResult:
+    """Run point queries through one index (see :func:`run_query_batch`)."""
     queries = [RangeQuery(value, value) for value in values]
-    return run_query_batch(mechanism, queries)
+    return run_query_batch(database, table_name, index_name, queries)
 
 
 @dataclass

@@ -15,7 +15,9 @@ full target domain.  A batched-write correctness bug therefore shows up as
 ``results_agree=False`` rather than as a silently wrong speedup.
 
 The runner (``benchmarks/ratio_gates.py``) and the tier-1 bench-smoke test
-share this implementation.
+share this implementation.  The (target, host) column pair of each paper
+workload (Stock, Sensor, Synthetic-Linear) is drawn here too, and the
+sensor false-positive race (``repro.bench.sensor_fp``) loads the same one.
 """
 
 from __future__ import annotations
@@ -25,16 +27,36 @@ import time
 
 import numpy as np
 
-from repro.bench.hotpath import WORKLOADS, _workload_columns
 from repro.bench.timing import paired_ratio
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
 from repro.engine.query import QueryRequest
 from repro.storage.identifiers import PointerScheme
 from repro.storage.schema import numeric_schema
+from repro.workloads.sensor import generate_sensor, sensor_column
+from repro.workloads.stock import generate_stock, high_column, low_column
+from repro.workloads.synthetic import generate_synthetic
 
+WORKLOADS = ("stock", "sensor", "synthetic")
 MECHANISMS = ("HERMIT", "Baseline")
 _VERIFY_RANGES = 5
+
+
+def _workload_columns(workload: str, num_tuples: int,
+                      seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(target, host) column pair for one paper workload."""
+    if workload == "stock":
+        dataset = generate_stock(num_stocks=1, num_days=num_tuples, seed=seed)
+        return dataset.columns[high_column(0)], dataset.columns[low_column(0)]
+    if workload == "sensor":
+        dataset = generate_sensor(num_tuples=num_tuples, num_sensors=4,
+                                  seed=seed)
+        return dataset.columns[sensor_column(0)], dataset.columns["average"]
+    if workload == "synthetic":
+        dataset = generate_synthetic(num_tuples, "linear",
+                                     noise_fraction=0.01, seed=seed)
+        return dataset.columns["colC"], dataset.columns["colB"]
+    raise ValueError(f"unknown workload {workload!r}; use one of {WORKLOADS}")
 
 
 def build_write_database(table_name: str, mechanism: str, base_columns: dict,

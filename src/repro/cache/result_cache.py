@@ -246,15 +246,13 @@ class ResultCache:
         self._entries: "OrderedDict[tuple[str, CacheKey], CacheEntry]" = (
             OrderedDict())
         self._bytes = 0
-        self._hits = 0
-        self._misses = 0
-        self._stale_evictions = 0
         self._lru_evictions = 0
         self._admission_deferrals = 0
         # Doorkeeper generations: keys seen by one earlier fill attempt.
         self._seen: set = set()
         self._seen_old: set = set()
-        # table -> [hits, misses, stale_evictions, entries, bytes]
+        # table -> [hits, misses, stale_evictions, entries, bytes]; the
+        # hit, miss and stale-eviction totals are sums over the tables.
         self._per_table: dict[str, list[int]] = {}
 
     # ------------------------------------------------------------ probes
@@ -275,11 +273,9 @@ class ResultCache:
                 self._remove_locked(full_key, entry, stale=True)
                 entry = None
             if entry is None:
-                self._misses += 1
                 counters[1] += 1
                 return None
             self._entries.move_to_end(full_key)
-            self._hits += 1
             counters[0] += 1
             return entry
 
@@ -301,9 +297,7 @@ class ResultCache:
                 # Bulk miss: nothing cached at all (the steady state of
                 # one-hit-wonder traffic held out by the doorkeeper), so
                 # settle the counters without walking key by key.
-                misses = sum(key is not None for key in keys)
-                self._misses += misses
-                counters[1] += misses
+                counters[1] += sum(key is not None for key in keys)
                 return results
             hits = misses = 0
             for position, key in enumerate(keys):
@@ -320,8 +314,6 @@ class ResultCache:
                 entries.move_to_end(full_key)
                 hits += 1
                 results[position] = entry
-            self._hits += hits
-            self._misses += misses
             counters[0] += hits
             counters[1] += misses
         return results
@@ -472,7 +464,6 @@ class ResultCache:
             for full_key, entry in stale:
                 del self._entries[full_key]
                 self._account_removal_locked(full_key[0], entry)
-                self._stale_evictions += 1
                 self._table_counters_locked(full_key[0])[2] += 1
             return len(stale)
 
@@ -493,10 +484,12 @@ class ResultCache:
     def info(self) -> ResultCacheStats:
         """Consistent snapshot of all counters."""
         with self._lock:
+            per_table = self._per_table.values()
             return ResultCacheStats(
                 enabled=self.enabled,
-                hits=self._hits, misses=self._misses,
-                stale_evictions=self._stale_evictions,
+                hits=sum(counters[0] for counters in per_table),
+                misses=sum(counters[1] for counters in per_table),
+                stale_evictions=sum(counters[2] for counters in per_table),
                 lru_evictions=self._lru_evictions,
                 admission_deferrals=self._admission_deferrals,
                 entries=len(self._entries), bytes=self._bytes,
@@ -565,7 +558,6 @@ class ResultCache:
         del self._entries[full_key]
         self._account_removal_locked(full_key[0], entry)
         if stale:
-            self._stale_evictions += 1
             self._table_counters_locked(full_key[0])[2] += 1
         else:
             self._lru_evictions += 1

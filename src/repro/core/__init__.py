@@ -2,7 +2,7 @@
 
 from repro.core.config import DEFAULT_CONFIG, TRSTreeConfig
 from repro.core.hermit import HermitIndex
-from repro.core.lookup import HermitLookupResult, LookupBreakdown
+from repro.core.lookup import LookupBreakdown
 from repro.core.regression import (
     LeafModel,
     LinearModel,
@@ -19,7 +19,6 @@ from repro.core.trs_tree import TRSLookupResult, TRSTree
 __all__ = [
     "DEFAULT_CONFIG",
     "HermitIndex",
-    "HermitLookupResult",
     "LeafModel",
     "LinearModel",
     "LogLinearModel",

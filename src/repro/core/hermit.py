@@ -18,11 +18,12 @@ as a read-only view of index storage) and candidate dedup is one
 in-place sort plus a neighbour mask (:func:`~repro.segments.sorted_unique`;
 on the batch path one sort of a narrow ``(query, tid)`` key that the
 outlier tids join).  Steps 3–4 are the two shared lookup tails of
-:mod:`repro.core.lookup`, which also provides the standalone
-``lookup_range`` / ``lookup_range_many`` through
-:class:`~repro.core.lookup.SecondaryMechanism` and the per-phase
-:class:`~repro.core.lookup.LookupBreakdown` the benchmark harness uses to
-regenerate the breakdown figures (Figures 10, 14, 24b).
+:mod:`repro.core.lookup`, which the engine's executor runs after the
+candidates: a Hermit index is read through ``Database`` (planned, or forced
+by name with ``query_with`` / ``query_with_many``), and the per-phase
+:class:`~repro.core.lookup.LookupBreakdown` its results carry is what the
+benchmark harness uses to regenerate the breakdown figures (Figures 10, 14,
+24b).
 """
 
 from __future__ import annotations
@@ -217,15 +218,8 @@ class HermitIndex(SecondaryMechanism):
 
     # ------------------------------------------------------------ maintenance
 
-    def insert(self, row: dict, location: int) -> None:
-        """Notify the index of a newly inserted row (already in the table)."""
-        tid = self._tid_for(row, location)
-        self.trs_tree.insert(
-            float(row[self.target_column]), float(row[self.host_column]), tid
-        )
-
     def insert_many(self, columns: dict, locations: np.ndarray) -> None:
-        """Batched :meth:`insert`: column arrays in, one TRS-Tree pass.
+        """Notify the index of newly inserted rows: one TRS-Tree pass.
 
         Args:
             columns: Column name → aligned value sequence for the new rows

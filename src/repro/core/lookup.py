@@ -5,9 +5,9 @@ map, or nothing for a complete index), (2) probe the host index for
 candidate tuple identifiers, (3) resolve logical pointers through the
 primary index, (4) validate against the base table.  Steps 1–2 differ per
 mechanism and are what a mechanism implements (``candidate_tids`` /
-``candidate_tids_many``).  Steps 3–4 — resolve, validate *every* predicate,
-sort/dedup, book candidates and results — are identical for all of them and
-live here exactly twice:
+``candidate_tids_many`` on :class:`SecondaryMechanism`).  Steps 3–4 —
+resolve, validate *every* predicate, sort/dedup, book candidates and
+results — are identical for all of them and live here exactly twice:
 
 * :func:`finish_lookup` for one request (one tid array), and
 * :func:`finish_lookup_segmented` for a request batch (one segmented
@@ -20,9 +20,10 @@ tails loses by a similar factor.  The caller's batch size selects between
 them.  Both resolve through the same structure: ``Index.search_many`` (the
 single tail) and ``search_many_segmented`` (the batch tail) probe the
 primary index's key array with one ``searchsorted`` and one gather
-(``index/ordered.py``).  The planner's executor (``repro.engine.executor``) and the
-mechanisms' standalone ``lookup_range`` / ``lookup_range_many``
-(:class:`SecondaryMechanism`) both end in these two functions.
+(``index/ordered.py``).  Their one caller is the planner's executor
+(``repro.engine.executor``): every read of a mechanism — planned, or
+forced through ``Database.query_with`` / ``query_with_many`` — runs there,
+under the database's read epoch.
 """
 
 # repro: hot-module
@@ -31,7 +32,7 @@ mechanisms' standalone ``lookup_range`` / ``lookup_range_many``
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from repro.segments import (
     segmented_sort,
     segmented_unique,
     sorted_unique,
-    split_segments,
 )
 from repro.storage.identifiers import PointerScheme, TupleId
 from repro.storage.table import Table
@@ -101,40 +101,6 @@ class LookupBreakdown:
         self.candidates += other.candidates
         self.results += other.results
         self.lookups += other.lookups
-
-
-@dataclass
-class HermitLookupResult:
-    """Result of one mechanism lookup.
-
-    Attributes:
-        locations: Matching row locations, a sorted int64 numpy array.
-        breakdown: Per-phase time accounting for this lookup.
-    """
-
-    locations: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.int64))
-    breakdown: LookupBreakdown = field(default_factory=LookupBreakdown)
-
-
-@dataclass
-class BatchLookupResult:
-    """Result of one batched lookup (``lookup_range_many``).
-
-    Attributes:
-        locations_per_query: One sorted int64 location array per input
-            predicate, in input order.
-        breakdown: Per-phase time accounting accumulated over the batch
-            (``lookups`` equals the number of predicates).
-    """
-
-    locations_per_query: list[np.ndarray] = field(default_factory=list)
-    breakdown: LookupBreakdown = field(default_factory=LookupBreakdown)
-
-    @property
-    def total_results(self) -> int:
-        """Total number of matching rows across the batch."""
-        return sum(len(locations) for locations in self.locations_per_query)
 
 
 # --------------------------------------------------------- Step 3: resolve
@@ -280,7 +246,8 @@ def finish_lookup_segmented(table: Table, bounds: dict[str, KeyRanges],
 # ------------------------------------------------------- the mechanism base
 
 class SecondaryMechanism:
-    """Read surface and pointer-scheme plumbing shared by every mechanism.
+    """Candidate-generation contract and pointer-scheme plumbing of every
+    mechanism.
 
     :class:`~repro.core.hermit.HermitIndex`,
     :class:`~repro.baselines.secondary.BaselineSecondaryIndex` and
@@ -289,7 +256,8 @@ class SecondaryMechanism:
     (``candidate_tids(key_range, breakdown)`` and
     ``candidate_tids_many(ranges, breakdown)``, both returning
     duplicate-free tids), ``estimate_candidates`` and its maintenance
-    methods; the standalone lookups below add one of the two tails.
+    methods (``insert_many``, ``delete``, ``update``); the executor adds
+    one of the two tails.
     (:class:`~repro.baselines.secondary.CompositeSecondaryIndex` derives
     for the plumbing alone: its probe takes two ranges.)
 
@@ -327,49 +295,6 @@ class SecondaryMechanism:
                             ) -> tuple[np.ndarray, np.ndarray]:
         """Steps 1–2 for a predicate batch, as one segmented array."""
         raise NotImplementedError
-
-    # ----------------------------------------------------------------- lookup
-
-    def lookup_range(self, low: float, high: float) -> HermitLookupResult:
-        """Answer ``low <= target_column <= high`` exactly (Figure 3)."""
-        key_range = KeyRange(low, high)
-        breakdown = LookupBreakdown(lookups=1)
-        tids = self.candidate_tids(key_range, breakdown)
-        locations = finish_lookup(
-            self.table, {self.target_column: key_range}, tids,
-            self.pointer_scheme, self.primary_index, breakdown, unique=True,
-        )
-        self.cumulative.merge(breakdown)
-        return HermitLookupResult(locations=locations, breakdown=breakdown)
-
-    def lookup_range_many(self, predicates) -> BatchLookupResult:
-        """Answer a batch of range predicates in segmented passes.
-
-        Args:
-            predicates: A :class:`~repro.index.base.KeyRanges`, or a
-                sequence of ``KeyRange`` objects or ``(low, high)`` pairs.
-        """
-        ranges = KeyRanges.of(predicates)
-        breakdown = LookupBreakdown(lookups=len(ranges))
-        tids, offsets = self.candidate_tids_many(ranges, breakdown)
-        locations, offsets = finish_lookup_segmented(
-            self.table, {self.target_column: ranges},
-            tids, offsets, self.pointer_scheme, self.primary_index,
-            breakdown, unique=True, ordered=self.sorted_candidates,
-        )
-        self.cumulative.merge(breakdown)
-        return BatchLookupResult(
-            locations_per_query=split_segments(locations, offsets),
-            breakdown=breakdown,
-        )
-
-    def lookup_point(self, value: float) -> HermitLookupResult:
-        """Answer ``target_column == value`` exactly."""
-        return self.lookup_range(value, value)
-
-    def reset_breakdown(self) -> None:
-        """Clear the cumulative breakdown counters."""
-        self.cumulative = LookupBreakdown()
 
     # ------------------------------------------------- pointer-scheme plumbing
 

@@ -36,7 +36,10 @@ the two read pipelines directly —
 caller's batch size is what selects between them;
 :meth:`~repro.engine.query.QueryRequest.of` is the one place a bare
 predicate or predicate list becomes a request.  ``query_with`` forces one
-named index through the single-request pipeline.  Every result's
+named index through the single-request pipeline and ``query_with_many``
+through the batch one — the only way a mechanism is read by name, so
+mechanism-vs-mechanism comparisons run the engine's own pipelines under
+its read epoch.  Every result's
 ``locations`` is a sorted, duplicate-free int64 array (the contract is
 stated on :class:`~repro.engine.query.QueryResult`).  Every read runs
 under the shared side of the database's
@@ -80,7 +83,7 @@ from repro.engine.executor import execute_plan, execute_plan_many
 from repro.durability.config import DurabilityConfig, DurabilityStats
 from repro.durability.manager import DurabilityManager
 from repro.engine.epochs import EpochManager
-from repro.engine.planner import Plan, Planner, PlannerCacheStats
+from repro.engine.planner import Plan, PlanGroup, Planner, PlannerCacheStats
 from repro.engine.query import (
     ConjunctiveQuery,
     QueryRequest,
@@ -88,6 +91,7 @@ from repro.engine.query import (
     RangePredicate,
 )
 from repro.errors import CatalogError, DurabilityError, QueryError
+from repro.index.base import KeyRanges
 from repro.index.ordered import OrderedIndex
 from repro.storage.identifiers import PointerScheme
 from repro.storage.memory import MemoryReport
@@ -803,36 +807,76 @@ class Database:
         """
         with self.epochs.read() as epoch:
             entry = self.catalog.table_entry(table_name)
-            index_entry = entry.indexes.get(index_name)
-            if index_entry is None:
-                raise CatalogError(
-                    f"index {index_name!r} does not exist on table "
-                    f"{table_name!r}"
-                )
-            if index_entry.method is IndexMethod.COMPOSITE:
-                raise QueryError(
-                    f"composite index {index_name!r} cannot serve a single "
-                    f"predicate; use execute with predicates on "
-                    f"{index_entry.column!r} and {index_entry.second_column!r}"
-                )
+            plan = self._forced_plan(entry, index_name, [predicate])
+            locations, breakdown = execute_plan(
+                plan, entry, self.pointer_scheme, entry.primary_index)
+        return QueryResult(locations, breakdown, plan.used_index, plan, 1,
+                           epoch)
+
+    def query_with_many(self, table_name: str, index_name: str,
+                        predicates: Sequence[RangePredicate],
+                        ) -> list[QueryResult]:
+        """Batch twin of :meth:`query_with`: one forced index, many ranges.
+
+        The same checks and the same one-path plan, run as one
+        :class:`~repro.engine.planner.PlanGroup` through
+        :func:`execute_plan_many` under one read epoch — one segmented
+        candidate probe for the whole batch, then the segmented tail.
+        Results are aligned with ``predicates`` and share the batch's
+        breakdown, which the mechanism's false-positive feedback books once.
+        An empty batch returns ``[]``, as :meth:`execute_many` does.
+        """
+        predicates = list(predicates)
+        if not predicates:
+            return []
+        with self.epochs.read() as epoch:
+            entry = self.catalog.table_entry(table_name)
+            plan = self._forced_plan(entry, index_name, predicates)
+            group = PlanGroup(
+                plan=plan, indices=np.arange(len(predicates), dtype=np.int64),
+                bounds={predicates[0].column: KeyRanges.of(predicates)})
+            locations_per_query, breakdown = execute_plan_many(
+                group, entry, self.pointer_scheme, entry.primary_index)
+        used_index, count = plan.used_index, len(predicates)
+        return [QueryResult(locations, breakdown, used_index, plan, count,
+                            epoch)
+                for locations in locations_per_query]
+
+    def _forced_plan(self, entry: TableEntry, index_name: str,
+                     predicates: list[RangePredicate]) -> Plan:
+        """The one-path plan of a forced read, checked before any probe.
+
+        Raises :class:`CatalogError` for an unknown index and
+        :class:`QueryError` for a composite index or a predicate on another
+        column.  The path is priced on the first predicate.
+        """
+        index_entry = entry.indexes.get(index_name)
+        if index_entry is None:
+            raise CatalogError(
+                f"index {index_name!r} does not exist on table "
+                f"{entry.name!r}"
+            )
+        if index_entry.method is IndexMethod.COMPOSITE:
+            raise QueryError(
+                f"composite index {index_name!r} cannot serve a single "
+                f"predicate; use execute with predicates on "
+                f"{index_entry.column!r} and {index_entry.second_column!r}"
+            )
+        for predicate in predicates:
             if index_entry.column != predicate.column:
                 raise QueryError(
                     f"index {index_name!r} is on column "
                     f"{index_entry.column!r}, not {predicate.column!r}"
                 )
-            key_range = predicate.key_range
-            path = MechanismPath(
-                index_entry, key_range,
-                self.catalog.column_stats(table_name, predicate.column),
-            )
-            plan = Plan(table_name=table_name,
-                        query=ConjunctiveQuery([predicate]),
-                        merged={predicate.column: key_range}, paths=[path],
-                        estimated_cost=path.estimated_cost())
-            locations, breakdown = execute_plan(
-                plan, entry, self.pointer_scheme, entry.primary_index)
-        return QueryResult(locations, breakdown, plan.used_index, plan, 1,
-                           epoch)
+        first = predicates[0]
+        key_range = first.key_range
+        path = MechanismPath(
+            index_entry, key_range,
+            self.catalog.column_stats(entry.name, first.column),
+        )
+        return Plan(table_name=entry.name, query=ConjunctiveQuery([first]),
+                    merged={first.column: key_range}, paths=[path],
+                    estimated_cost=path.estimated_cost())
 
     # ------------------------------------------------------------- accounting
 

@@ -142,9 +142,9 @@ def _observe_lookup(plan: Plan, breakdown: LookupBreakdown) -> None:
 
     Mechanisms keep a cumulative breakdown whose observed false-positive
     ratio drives their planner cost estimates (``estimate_candidates``);
-    a standalone ``lookup_range`` records it itself, so planned queries
-    must too or the planner would price e.g. a leaky Hermit index at the
-    default ratio forever.  Only unambiguous plans observe: exactly one
+    every executed plan records it here, or the planner would price e.g.
+    a leaky Hermit index at the default ratio forever.  Only unambiguous
+    plans observe: exactly one
     mechanism path covering *every* predicate column — with a validate-only
     predicate in the plan, rows it rejects would otherwise be booked as the
     mechanism's false positives and corrupt the ratio.

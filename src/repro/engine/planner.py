@@ -32,6 +32,7 @@ The executor half lives in :mod:`repro.engine.executor`.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -267,19 +268,18 @@ class Planner:
         # bound, counters) is shared with the generic path, so the fast path
         # cannot outlive any invalidation signal.
         self._point_keys: dict[tuple[str, str], tuple] = {}
-        self._hits = 0
-        self._misses = 0
-        self._replays = 0
-        # Per-table splits of the counters above (same definitions), so a
-        # multi-table workload can see which table's plans amortise.
-        self._table_hits: dict[str, int] = {}
-        self._table_misses: dict[str, int] = {}
-        self._table_replays: dict[str, int] = {}
+        # The plan-cache counters (see PlannerCacheStats), kept per table
+        # so a multi-table workload can see which table's plans amortise;
+        # the totals are their sums.
+        self._hits: Counter[str] = Counter()
+        self._misses: Counter[str] = Counter()
+        self._replays: Counter[str] = Counter()
 
     def cache_info(self) -> PlannerCacheStats:
-        """Snapshot of the cumulative plan-cache counters."""
-        return PlannerCacheStats(hits=self._hits, misses=self._misses,
-                                 replays=self._replays)
+        """Snapshot of the cumulative plan-cache counters (all tables)."""
+        return PlannerCacheStats(hits=sum(self._hits.values()),
+                                 misses=sum(self._misses.values()),
+                                 replays=sum(self._replays.values()))
 
     def table_cache_info(self) -> dict[str, PlannerCacheStats]:
         """Per-table snapshot of the plan-cache counters.
@@ -287,14 +287,12 @@ class Planner:
         Tables appear once they have been planned for; the values sum to
         :meth:`cache_info` across tables.
         """
-        tables = sorted(set(self._table_hits) | set(self._table_misses)
-                        | set(self._table_replays))
+        tables = sorted(set(self._hits) | set(self._misses)
+                        | set(self._replays))
         return {
-            table: PlannerCacheStats(
-                hits=self._table_hits.get(table, 0),
-                misses=self._table_misses.get(table, 0),
-                replays=self._table_replays.get(table, 0),
-            )
+            table: PlannerCacheStats(hits=self._hits[table],
+                                     misses=self._misses[table],
+                                     replays=self._replays[table])
             for table in tables
         }
 
@@ -307,10 +305,9 @@ class Planner:
         """
         self._cache.clear()
         self._point_keys.clear()
-        self._hits = self._misses = self._replays = 0
-        self._table_hits.clear()
-        self._table_misses.clear()
-        self._table_replays.clear()
+        self._hits.clear()
+        self._misses.clear()
+        self._replays.clear()
 
     def _is_fresh(self, cached: _CachedPlan, entry: TableEntry) -> bool:
         """Whether a cached plan may still be replayed against ``entry``.
@@ -331,11 +328,8 @@ class Planner:
         """Book one cache hit; the request's plan shares the template's paths."""
         template = cached.plan
         table_name = template.table_name
-        self._hits += 1
-        self._replays += 1
-        self._table_hits[table_name] = self._table_hits.get(table_name, 0) + 1
-        self._table_replays[table_name] = (
-            self._table_replays.get(table_name, 0) + 1)
+        self._hits[table_name] += 1
+        self._replays[table_name] += 1
         cached.replays += 1
         return Plan(table_name=table_name, query=query, merged=merged,
                     paths=template.paths,
@@ -382,9 +376,7 @@ class Planner:
         if cached is not None and self._is_fresh(cached, entry):
             return self._replay(cached, query, merged)
 
-        self._misses += 1
-        self._table_misses[table_name] = (
-            self._table_misses.get(table_name, 0) + 1)
+        self._misses[table_name] += 1
         plan = self._plan_fresh(table_name, entry, query, merged, stats)
         self._cache[cache_key] = _CachedPlan(
             plan=plan, catalog_version=self.catalog.version,
@@ -493,9 +485,7 @@ class Planner:
         """Count a group's members beyond its representative as replays."""
         if members <= 0:
             return
-        self._replays += members
-        self._table_replays[table_name] = (
-            self._table_replays.get(table_name, 0) + members)
+        self._replays[table_name] += members
         cached = self._cache.get((table_name,) + key)
         if cached is not None:
             cached.replays += members

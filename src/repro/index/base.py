@@ -1,8 +1,8 @@
 """Index interfaces shared by all index structures.
 
-Every index in the library — the ordered index, the page-based B+-tree and
-the hash index — exposes the same small surface so the engine's executor,
-the baselines and the benchmarks can swap them freely.
+Every index in the library — the ordered index and the page-based B+-tree —
+exposes the same small surface so the engine's executor, the baselines and
+the benchmarks can swap them freely.
 
 The read primitives are array-native: every concrete index implements
 ``search_many`` (batched point probe) and ``range_search_array`` (one closed
@@ -30,9 +30,9 @@ from repro.storage.identifiers import TupleId
 def tid_items(tids: "Sequence[TupleId] | np.ndarray") -> list:
     """Normalise a tid sequence to native Python objects.
 
-    Some index structures store tids inside Python containers (hash
-    buckets, paged B+-tree nodes), so numpy scalars are unboxed
-    once up front — the shared first step of every batched write API.
+    Some index structures store tids inside Python containers (paged
+    B+-tree nodes, the composite index's entry list), so numpy scalars are
+    unboxed once up front — the shared first step of their batched writes.
     """
     if isinstance(tids, np.ndarray):
         return tids.tolist()
@@ -164,28 +164,8 @@ class KeyRanges(Sequence[KeyRange]):
         return f"KeyRanges(lows={self.lows!r}, highs={self.highs!r})"
 
 
-@dataclass
-class IndexStatistics:
-    """Operation counters kept by every index, used in breakdown figures."""
-
-    lookups: int = 0
-    range_lookups: int = 0
-    inserts: int = 0
-    deletes: int = 0
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.lookups = 0
-        self.range_lookups = 0
-        self.inserts = 0
-        self.deletes = 0
-
-
 class Index(abc.ABC):
     """Abstract key → tuple-identifier index."""
-
-    def __init__(self) -> None:
-        self.stats = IndexStatistics()
 
     @abc.abstractmethod
     def insert(self, key: float, tid: TupleId) -> None:
@@ -286,17 +266,13 @@ class Index(abc.ABC):
             for i in range(offsets.size - 1)
         ])
 
+    @abc.abstractmethod
     def insert_many(self, keys: Sequence[float] | np.ndarray,
                     tids: Sequence[TupleId] | np.ndarray) -> None:
         """Batched write: insert every aligned ``keys[i] -> tids[i]`` pair.
 
         The index may already hold entries and keeps them; into an empty
-        index this *is* the load.  The default falls back to a per-pair
-        :meth:`insert` loop; array-native indexes override it with a
-        sort-once merge so bulk writes cost one pass instead of one descent
-        per key.
+        index this *is* the load.  Every index implements it as one batch
+        (a sort-once merge), so bulk writes cost one pass instead of one
+        descent per key.
         """
-        # repro: ignore[REP004] -- documented per-pair fallback of the
-        # abstract base; array-native indexes override with a sorted merge
-        for key, tid in zip(keys, tid_items(tids)):
-            self.insert(float(key), tid)

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.errors import KeyNotFoundError
-from repro.index.base import IndexStatistics, KeyRange, tid_items
+from repro.index.base import KeyRange, tid_items
 from repro.storage.identifiers import TupleId
 from repro.storage.memory import KEY_BYTES, btree_bytes
 
@@ -33,13 +33,11 @@ class CompositeIndex:
     """
 
     def __init__(self, node_capacity: int = 32) -> None:
-        self.stats = IndexStatistics()
         self._node_capacity = node_capacity
         self._entries: list[tuple[float, float, TupleId]] = []
 
     def insert(self, leading: float, second: float, tid: TupleId) -> None:
         """Insert the entry ``(leading, second) -> tid``."""
-        self.stats.inserts += 1
         bisect.insort(self._entries, (float(leading), float(second), tid))
 
     def insert_many(self, leading: "Sequence[float] | np.ndarray",
@@ -51,7 +49,6 @@ class CompositeIndex:
                            tid_items(tids)))
         if not batch:
             return
-        self.stats.inserts += len(batch)
         self._entries.extend(batch)
         self._entries.sort()
 
@@ -61,7 +58,6 @@ class CompositeIndex:
         Raises:
             KeyNotFoundError: If the entry is absent.
         """
-        self.stats.deletes += 1
         entry = (float(leading), float(second), tid)
         index = bisect.bisect_left(self._entries, entry)
         if index < len(self._entries) and self._entries[index] == entry:
@@ -77,7 +73,6 @@ class CompositeIndex:
         second-key filter is one vectorized mask over that run — the
         planner's access-path contract.
         """
-        self.stats.range_lookups += 1
         start = bisect.bisect_left(self._entries, leading_range.low,
                                    key=lambda entry: entry[0])
         stop = bisect.bisect_right(self._entries, leading_range.high,

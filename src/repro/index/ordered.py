@@ -71,7 +71,6 @@ class OrderedIndex(Index):
     """A non-unique ordered index mapping numeric keys to tuple ids."""
 
     def __init__(self) -> None:
-        super().__init__()
         self._lock = threading.Lock()
         self._run = _EMPTY_RUN
         # Net count of every (key, tid) pair written since the last fold,
@@ -83,7 +82,6 @@ class OrderedIndex(Index):
 
     def insert(self, key: float, tid: TupleId) -> None:
         """Insert ``key -> tid``; duplicates of the same pair are allowed."""
-        self.stats.inserts += 1
         self._pending[float(key), tid] += 1
         self._note_recorded(1)
 
@@ -103,7 +101,6 @@ class OrderedIndex(Index):
             raise StorageError("keys and tids must have equal length")
         if keys.size == 0:
             return
-        self.stats.inserts += int(keys.size)
         if not (self._run.keys.size or self._pending):
             order = np.argsort(keys, kind="stable")
             keys, tids = keys[order], _typed(tids[order])
@@ -124,7 +121,6 @@ class OrderedIndex(Index):
             KeyNotFoundError: If the pair is in neither the run nor the
                 record; the index is left unchanged.
         """
-        self.stats.deletes += 1
         key = float(key)
         run = self._run
         run_tids = run.tids[run.keys.searchsorted(key):
@@ -145,7 +141,6 @@ class OrderedIndex(Index):
         start, stop = keys.searchsorted(low), keys.searchsorted(high)
         if stop <= start:
             return
-        self.stats.deletes += int(stop - start)
         gone = keys[start:stop]
         self._run = _Run(np.concatenate((keys[:start], keys[stop:])),
                          np.concatenate((tids[:start], tids[stop:])),
@@ -165,7 +160,6 @@ class OrderedIndex(Index):
         Two ``searchsorted`` locate the range's key run; the answer is a
         view of index storage, so ``.copy()`` it before sorting in place.
         """
-        self.stats.range_lookups += 1
         keys, tids, _ = self._current()
         run = tids[keys.searchsorted(key_range.low):
                    keys.searchsorted(key_range.high, "right")]
@@ -179,7 +173,6 @@ class OrderedIndex(Index):
         lookup under logical pointers (:meth:`_point_runs`).
         """
         keys = np.asarray(keys, dtype=np.float64)
-        self.stats.lookups += keys.size
         return self._point_runs(keys)[0]
 
     def range_search_segmented(
@@ -192,7 +185,6 @@ class OrderedIndex(Index):
         batch of range probes costs a constant number of array passes.
         """
         ranges = KeyRanges.of(ranges)
-        self.stats.range_lookups += len(ranges)
         keys, tids, _ = self._current()
         indices, offsets = run_indices(
             keys.searchsorted(ranges.lows),
@@ -210,7 +202,6 @@ class OrderedIndex(Index):
         offsets are a plain fancy-index of the per-key ones.
         """
         keys = np.asarray(keys, dtype=np.float64)
-        self.stats.lookups += keys.size
         tids, sizes = self._point_runs(keys)
         return tids, offsets_from_counts(np.asarray(sizes))[offsets]
 

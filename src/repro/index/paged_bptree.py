@@ -41,7 +41,6 @@ class PagedBPlusTree(Index):
 
     def __init__(self, buffer_pool: BufferPool,
                  node_capacity: int = 64) -> None:
-        super().__init__()
         if node_capacity < 4:
             raise ValueError("node_capacity must be at least 4")
         self.pool = buffer_pool
@@ -80,7 +79,6 @@ class PagedBPlusTree(Index):
 
     def insert(self, key: float, tid: TupleId) -> None:
         """Insert ``key -> tid``."""
-        self.stats.inserts += 1
         old_root = self._root_page
         split = self._insert_recursive(self._root_page, float(key), tid)
         if split is not None:
@@ -107,7 +105,6 @@ class PagedBPlusTree(Index):
             raise StorageError("keys and tids must have equal length")
         if keys.size == 0:
             return
-        self.stats.inserts += int(keys.size)
         order = np.argsort(keys, kind="stable")
         sorted_keys = keys[order].tolist()
         sorted_tids = [items[position] for position in order.tolist()]
@@ -131,7 +128,6 @@ class PagedBPlusTree(Index):
         Raises:
             KeyNotFoundError: If the pair is not present.
         """
-        self.stats.deletes += 1
         key = float(key)
         leaf_page = self._find_leaf(key)
         kind, keys, values, next_leaf = self._read_node(leaf_page)
@@ -154,7 +150,6 @@ class PagedBPlusTree(Index):
     def search_many(self, keys: Sequence[float] | np.ndarray) -> np.ndarray:
         """Batched point probe: one page-charged descent per key."""
         keys = np.asarray(keys, dtype=np.float64).tolist()
-        self.stats.lookups += len(keys)
         runs: list[list[TupleId]] = []
         # repro: ignore[REP004] -- per-key descent is the tree's point-probe
         # primitive; every node visited is one charged buffer-pool request
@@ -178,7 +173,6 @@ class PagedBPlusTree(Index):
         exactly one buffer-pool request, which is what the simulated disk
         cost breakdown (Figure 24) counts.
         """
-        self.stats.range_lookups += 1
         runs: list[list[TupleId]] = []
         leaf_page: int | None = self._find_leaf(key_range.low)
         first = True

@@ -50,8 +50,9 @@ class Table:
     Args:
         schema: The table schema.
 
-    Rows are inserted as dictionaries mapping column names to values; missing
-    nullable columns are stored as NaN (floats) / 0 (ints) / None (strings).
+    Rows are inserted as column batches (:meth:`insert_many`, a mapping of
+    column names to equal-length value sequences); missing nullable columns
+    are stored as NaN (floats) / 0 (ints) / None (strings).
     """
 
     def __init__(self, schema: TableSchema) -> None:
@@ -69,34 +70,6 @@ class Table:
         }
 
     # ------------------------------------------------------------------ write
-
-    def insert(self, row: dict) -> RowLocation:
-        """Insert one row and return its location.
-
-        Validation and value coercion happen before any slot is touched, so
-        a rejected row leaves the table (including its running statistics)
-        exactly as it was.
-
-        Raises:
-            SchemaError: If the row does not match the schema or a value
-                cannot be coerced to its column's dtype.
-        """
-        self.schema.validate_row(row)
-        prepared = []
-        for column in self.schema:
-            if column.name in row:
-                stored, stats_value = self._coerce_value(column, row[column.name])
-            else:
-                stored, stats_value = self._null_value(column.dtype), None
-            prepared.append((column.name, stored, stats_value))
-        slot = self._allocate_slot()
-        for name, stored, stats_value in prepared:
-            self._columns[name][slot] = stored
-            if stats_value is not None:
-                self.statistics[name].observe(stats_value)
-        self._live[slot] = True
-        self._live_count += 1
-        return RowLocation(slot)
 
     def insert_many(self, rows: dict[str, Sequence]) -> np.ndarray:
         """Bulk-insert column-oriented data.
@@ -438,12 +411,6 @@ class Table:
         return report
 
     # ---------------------------------------------------------------- private
-
-    def _allocate_slot(self) -> int:
-        self._reserve(self._next_slot + 1)
-        slot = self._next_slot
-        self._next_slot += 1
-        return slot
 
     def _reserve(self, capacity: int) -> None:
         if capacity <= self._capacity:

@@ -42,6 +42,36 @@ def primary_and_host(table, scheme):
     return primary, host
 
 
+def make_database(table, scheme=PointerScheme.PHYSICAL, cm_widths=None):
+    """The fixture's rows in a database: a complete index ``idx_host``, the
+    baseline ``idx_baseline`` on ``target`` and, given ``(target, host)``
+    bucket widths, a Correlation Map ``idx_cm`` on it."""
+    database = Database(pointer_scheme=scheme)
+    database.create_table(table.schema)
+    database.insert_many(table.schema.name, {
+        name: table.column_array(name) for name in ("pk", "host", "target")})
+    name = table.schema.name
+    database.create_index("idx_host", name, "host")
+    database.create_index("idx_baseline", name, "target")
+    if cm_widths is not None:
+        database.create_index(
+            "idx_cm", name, "target", method=IndexMethod.CORRELATION_MAP,
+            host_column="host", cm_target_bucket_width=cm_widths[0],
+            cm_host_bucket_width=cm_widths[1])
+    return database
+
+
+def lookup(database, index_name, low, high, table_name="t"):
+    """``index_name``'s answer to ``low <= target <= high``."""
+    return database.query_with(table_name, index_name,
+                               RangePredicate("target", low, high))
+
+
+def mechanism(database, index_name, table_name="t"):
+    return database.catalog.table_entry(table_name).indexes[
+        index_name].mechanism
+
+
 def brute_force(table, low, high):
     slots, targets = table.project(["target"])
     return {int(s) for s in slots[(targets >= low) & (targets <= high)]}
@@ -51,35 +81,29 @@ class TestBaselineSecondaryIndex:
     @pytest.mark.parametrize("scheme", [PointerScheme.PHYSICAL,
                                         PointerScheme.LOGICAL])
     def test_lookup_exact(self, table, scheme):
-        primary, _ = primary_and_host(table, scheme)
-        baseline = BaselineSecondaryIndex(table, "target", primary_index=primary,
-                                          pointer_scheme=scheme)
-        baseline.build()
-        assert set(baseline.lookup_range(100.0, 200.0).locations) == \
-            brute_force(table, 100.0, 200.0)
+        database = make_database(table, scheme)
+        assert set(lookup(database, "idx_baseline", 100.0, 200.0).locations) \
+            == brute_force(table, 100.0, 200.0)
 
     def test_baseline_has_no_false_positives(self, table):
-        primary, _ = primary_and_host(table, PointerScheme.PHYSICAL)
-        baseline = BaselineSecondaryIndex(table, "target", primary_index=primary)
-        baseline.build()
-        result = baseline.lookup_range(0.0, 500.0)
+        result = lookup(make_database(table), "idx_baseline", 0.0, 500.0)
         assert result.breakdown.false_positive_ratio == 0.0
 
     def test_maintenance(self, table):
-        primary, _ = primary_and_host(table, PointerScheme.PHYSICAL)
-        baseline = BaselineSecondaryIndex(table, "target", primary_index=primary)
-        baseline.build()
-        row = {"pk": 5000.0, "host": 1.0, "target": 555.25}
-        location = int(table.insert(row))
-        baseline.insert(row, location)
-        assert location in baseline.lookup_point(555.25).locations
-        new_row = dict(row, target=111.0)
-        table.update(location, {"target": 111.0})
-        baseline.update(row, new_row, location)
-        assert location in baseline.lookup_point(111.0).locations
-        baseline.delete(new_row, location)
-        table.delete(location)
-        assert location not in baseline.lookup_point(111.0).locations
+        database = make_database(table)
+        location = database.insert("t", {"pk": 5000.0, "host": 1.0,
+                                         "target": 555.25})
+        assert location in lookup(database, "idx_baseline",
+                                  555.25, 555.25).locations
+        database.update("t", location, {"target": 111.0})
+        assert location in lookup(database, "idx_baseline",
+                                  111.0, 111.0).locations
+        assert location not in lookup(database, "idx_baseline",
+                                      555.25, 555.25).locations
+        database.delete("t", location)
+        assert location not in lookup(database, "idx_baseline",
+                                      111.0, 111.0).locations
+        database.check_invariants()
 
     def test_memory_tracks_complete_index(self, table):
         primary, _ = primary_and_host(table, PointerScheme.PHYSICAL)
@@ -94,23 +118,17 @@ class TestBaselineSecondaryIndex:
                                    pointer_scheme=PointerScheme.LOGICAL)
 
     def test_point_lookup(self, table):
-        primary, _ = primary_and_host(table, PointerScheme.PHYSICAL)
-        baseline = BaselineSecondaryIndex(table, "target", primary_index=primary)
-        baseline.build()
         value = float(table.value(3, "target"))
-        assert 3 in baseline.lookup_point(value).locations
+        assert 3 in lookup(make_database(table), "idx_baseline",
+                           value, value).locations
 
 
 class TestCorrelationMap:
     @pytest.mark.parametrize("scheme", [PointerScheme.PHYSICAL,
                                         PointerScheme.LOGICAL])
     def test_lookup_exact(self, table, scheme):
-        primary, host = primary_and_host(table, scheme)
-        cm = CorrelationMap(table, "target", "host", host,
-                            target_bucket_width=64.0, host_bucket_width=128.0,
-                            primary_index=primary, pointer_scheme=scheme)
-        cm.build()
-        assert set(cm.lookup_range(100.0, 300.0).locations) == \
+        database = make_database(table, scheme, cm_widths=(64.0, 128.0))
+        assert set(lookup(database, "idx_cm", 100.0, 300.0).locations) == \
             brute_force(table, 100.0, 300.0)
 
     @pytest.mark.parametrize("low, high", [
@@ -122,16 +140,14 @@ class TestCorrelationMap:
         """The bucket walk is clamped to the buckets the mapping holds: an
         infinite bound used to raise ``OverflowError`` and a wide finite
         range walked ~1e298 empty buckets, i.e. never returned."""
-        _, host = primary_and_host(table, PointerScheme.PHYSICAL)
-        cm = CorrelationMap(table, "target", "host", host,
-                            target_bucket_width=64.0, host_bucket_width=128.0)
-        cm.build()
+        database = make_database(table, cm_widths=(64.0, 128.0))
         expected = brute_force(table, low, high)
-        assert set(cm.lookup_range(low, high).locations) == expected
-        batch = cm.lookup_range_many([(low, high), (100.0, 300.0)])
-        assert set(batch.locations_per_query[0]) == expected
-        assert set(batch.locations_per_query[1]) == \
-            brute_force(table, 100.0, 300.0)
+        assert set(lookup(database, "idx_cm", low, high).locations) == expected
+        batch = database.query_with_many("t", "idx_cm", [
+            RangePredicate("target", low, high),
+            RangePredicate("target", 100.0, 300.0)])
+        assert set(batch[0].locations) == expected
+        assert set(batch[1].locations) == brute_force(table, 100.0, 300.0)
 
     def test_smaller_buckets_use_more_memory(self, table):
         _, host = primary_and_host(table, PointerScheme.PHYSICAL)
@@ -146,39 +162,27 @@ class TestCorrelationMap:
         assert fine.memory_bytes() > coarse.memory_bytes()
 
     def test_noise_inflates_cm_but_not_correctness(self, table):
-        _, host = primary_and_host(table, PointerScheme.PHYSICAL)
-        cm = CorrelationMap(table, "target", "host", host,
-                            target_bucket_width=32.0, host_bucket_width=64.0)
-        cm.build()
-        result = cm.lookup_range(400.0, 420.0)
+        database = make_database(table, cm_widths=(32.0, 64.0))
+        result = lookup(database, "idx_cm", 400.0, 420.0)
         assert set(result.locations) == brute_force(table, 400.0, 420.0)
         # Noisy tuples drag extra host buckets in, so some false positives
         # are expected — but never false negatives (checked above).
         assert result.breakdown.candidates >= result.breakdown.results
 
     def test_insert_extends_mapping(self, table):
-        _, host_index = primary_and_host(table, PointerScheme.PHYSICAL)
-        cm = CorrelationMap(table, "target", "host", host_index,
-                            target_bucket_width=64.0, host_bucket_width=128.0)
-        cm.build()
-        row = {"pk": 5001.0, "host": 123456.0, "target": 999.5}
-        location = int(table.insert(row))
-        host_index.insert(row["host"], location)
-        cm.insert(row, location)
-        assert location in cm.lookup_range(999.0, 1000.0).locations
+        database = make_database(table, cm_widths=(64.0, 128.0))
+        location = database.insert("t", {"pk": 5001.0, "host": 123456.0,
+                                         "target": 999.5})
+        assert location in lookup(database, "idx_cm", 999.0, 1000.0).locations
+        database.check_invariants()
 
     def test_delete_keeps_results_correct(self, table):
-        _, host_index = primary_and_host(table, PointerScheme.PHYSICAL)
-        cm = CorrelationMap(table, "target", "host", host_index,
-                            target_bucket_width=64.0, host_bucket_width=128.0)
-        cm.build()
+        database = make_database(table, cm_widths=(64.0, 128.0))
         victim = 11
         row = table.fetch(victim)
-        cm.delete(row, victim)
-        host_index.delete(row["host"], victim)
-        table.delete(victim)
-        assert victim not in cm.lookup_range(
-            row["target"] - 1, row["target"] + 1).locations
+        database.delete("t", victim)
+        assert victim not in lookup(database, "idx_cm", row["target"] - 1,
+                                    row["target"] + 1).locations
 
     @pytest.mark.parametrize("scheme", [PointerScheme.PHYSICAL,
                                         PointerScheme.LOGICAL])
@@ -202,32 +206,25 @@ class TestCorrelationMap:
                                      primary_key="pk"))
         table.insert_many({"pk": np.arange(hosts.size, dtype=np.float64) + 100,
                            "host": hosts, "target": targets})
-        slots, pks = table.project(["pk"])
-        primary = OrderedIndex()
-        primary.insert_many(pks, slots)
-        tids = slots if scheme is PointerScheme.PHYSICAL else pks
-        known = ~np.isnan(hosts)
-        host_index = OrderedIndex()
-        host_index.insert_many(hosts[known], tids[known])
-        cm = CorrelationMap(table, "target", "host", host_index,
-                            target_bucket_width=4.0, host_bucket_width=8.0,
-                            primary_index=primary, pointer_scheme=scheme)
-        cm.build()
+        database = make_database(table, scheme, cm_widths=(4.0, 8.0))
+        cm = mechanism(database, "idx_cm", "dup")
 
         predicates = [KeyRange(0.0, 12.0), KeyRange(4.0, 6.0),
                       KeyRange(9.0, 9.0)]
         values, offsets = cm.candidate_tids_many(predicates, LookupBreakdown())
-        batch = cm.lookup_range_many(predicates)
+        batch = database.query_with_many("dup", "idx_cm", [
+            RangePredicate("target", p.low, p.high) for p in predicates])
         for position, predicate in enumerate(predicates):
             single = cm.candidate_tids(predicate, LookupBreakdown())
             segment = values[offsets[position]:offsets[position + 1]]
             assert len(set(single.tolist())) == single.size
             assert sorted(single.tolist()) == sorted(segment.tolist())
-            result = cm.lookup_range(predicate.low, predicate.high)
+            result = lookup(database, "idx_cm", predicate.low, predicate.high,
+                            "dup")
             assert result.breakdown.candidates == single.size
             expected = sorted(brute_force(table, predicate.low, predicate.high))
             assert result.locations.tolist() == expected
-            assert batch.locations_per_query[position].tolist() == expected
+            assert batch[position].locations.tolist() == expected
         # Every row links every host bucket here, so the widest predicate's
         # candidates are the whole table, each row once.
         assert cm.candidate_tids(predicates[0], LookupBreakdown()).size == 48

@@ -162,18 +162,18 @@ def hermit_setup():
     dataset = generate_synthetic(2000, "linear", noise_fraction=0.01, seed=8)
     database = Database()
     table_name = load_synthetic(database, dataset)
-    entry = database.create_index("idx_c", table_name, "colC",
-                                  method=IndexMethod.HERMIT, host_column="colB")
-    return database, table_name, entry.mechanism, dataset
+    database.create_index("idx_c", table_name, "colC",
+                          method=IndexMethod.HERMIT, host_column="colB")
+    return database, table_name, "idx_c", dataset
 
 
 class TestHarness:
     def test_run_query_batch_counts_everything(self, hermit_setup):
-        _, _, hermit, dataset = hermit_setup
+        database, table_name, index_name, dataset = hermit_setup
         domain = (float(dataset.columns["colC"].min()),
                   float(dataset.columns["colC"].max()))
         queries = range_queries(domain, selectivity=0.05, count=10, seed=1)
-        batch = run_query_batch(hermit, queries)
+        batch = run_query_batch(database, table_name, index_name, queries)
         assert batch.throughput.operations == 10
         assert batch.throughput.seconds > 0
         assert batch.breakdown.lookups == 10
@@ -181,21 +181,22 @@ class TestHarness:
         assert 0.0 <= batch.false_positive_ratio <= 1.0
 
     def test_run_query_singles_matches_the_batch_runner(self, hermit_setup):
-        _, _, hermit, dataset = hermit_setup
+        index = hermit_setup[:3]
+        dataset = hermit_setup[3]
         domain = (float(dataset.columns["colC"].min()),
                   float(dataset.columns["colC"].max()))
         queries = range_queries(domain, selectivity=0.05, count=10, seed=1)
-        singles = run_query_singles(hermit, queries)
-        batch = run_query_batch(hermit, queries)
+        singles = run_query_singles(*index, queries)
+        batch = run_query_batch(*index, queries)
         assert singles.throughput.operations == 10
         assert singles.breakdown.lookups == 10
         assert singles.total_results == batch.total_results
         assert singles.breakdown.candidates == batch.breakdown.candidates
 
     def test_run_point_batch(self, hermit_setup):
-        _, _, hermit, dataset = hermit_setup
+        database, table_name, index_name, dataset = hermit_setup
         values = [float(v) for v in dataset.columns["colC"][:5]]
-        batch = run_point_batch(hermit, values)
+        batch = run_point_batch(database, table_name, index_name, values)
         assert batch.throughput.operations == 5
         assert batch.total_results >= 5
 

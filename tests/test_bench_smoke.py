@@ -1,10 +1,10 @@
 """Bench-smoke guard: tiny-scale runs of the benchmark paths inside tier-1.
 
 Asserts what the unit tests cannot: (1) on a real workload the
-single-request pipeline (``lookup_range``), the segmented batch pipeline
-(``lookup_range_many``) and a brute-force NumPy mask return identical sorted
-int64 locations for every mechanism under both pointer schemes, (2) the
-concrete index classes keep their genuinely batched write and segmented
+single-request pipeline (``Database.query_with``), the segmented batch
+pipeline (``query_with_many``) and a brute-force NumPy mask return identical
+sorted int64 locations for every mechanism under both pointer schemes, (2)
+the concrete index classes keep their genuinely batched write and segmented
 probe overrides — if someone deletes one, everything silently degrades to
 the per-element base form while staying correct — and (3) the write-path
 race agrees at tiny scale.  (Every entry point of every deployment is
@@ -17,14 +17,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.correlation_maps import CorrelationMap
-from repro.bench.hotpath import build_hotpath_setup
-from repro.bench.writepath import writepath_measurements
+from repro.bench.writepath import _workload_columns, writepath_measurements
+from repro.engine.catalog import IndexMethod
+from repro.engine.database import Database
+from repro.engine.query import RangePredicate
 from repro.index.base import Index
-from repro.index.hash_index import HashIndex
 from repro.index.ordered import OrderedIndex
 from repro.index.paged_bptree import PagedBPlusTree
 from repro.storage.identifiers import PointerScheme
+from repro.storage.schema import numeric_schema
 from repro.workloads.queries import range_queries
 
 SMOKE_ROWS = 4_000
@@ -36,7 +37,7 @@ SMOKE_INSERTS = 1_200
 class TestBatchedFormsNotFallback:
     def test_indexes_override_batched_write(self):
         """Every concrete index keeps a real (non-fallback) insert_many."""
-        for index_class in (OrderedIndex, HashIndex, PagedBPlusTree):
+        for index_class in (OrderedIndex, PagedBPlusTree):
             assert "insert_many" in index_class.__dict__
             assert index_class.insert_many is not Index.insert_many
 
@@ -46,18 +47,25 @@ class TestBatchedFormsNotFallback:
         assert "search_many_segmented" in OrderedIndex.__dict__
 
 
-def _mechanisms(setup, scheme):
-    """Hermit and Baseline from the setup, plus a CM on the same host index."""
-    low, high = setup.domain
-    hosts = setup.table.column_array("host")
-    cm = CorrelationMap(
-        setup.table, "target", "host", setup.hermit.host_index,
-        target_bucket_width=(high - low) / 64.0,
-        host_bucket_width=float(np.ptp(hosts)) / 64.0,
-        primary_index=setup.hermit.primary_index, pointer_scheme=scheme,
-    )
-    cm.build()
-    return {**setup.mechanisms, "CM": cm}
+def _workload_database(workload, scheme):
+    """One workload table with Hermit, Baseline and a CM on ``target``, all
+    three on the one complete host index."""
+    targets, hosts = _workload_columns(workload, SMOKE_ROWS, seed=42)
+    database = Database(pointer_scheme=scheme)
+    database.create_table(numeric_schema("t", ["pk", "host", "target"],
+                                         primary_key="pk"))
+    database.insert_many("t", {"pk": np.arange(SMOKE_ROWS, dtype=np.float64),
+                               "host": hosts, "target": targets})
+    database.create_index("idx_host", "t", "host", preexisting=True)
+    database.create_index("HERMIT", "t", "target",
+                          method=IndexMethod.HERMIT, host_column="host")
+    database.create_index("Baseline", "t", "target")
+    database.create_index(
+        "CM", "t", "target", method=IndexMethod.CORRELATION_MAP,
+        host_column="host",
+        cm_target_bucket_width=float(np.ptp(targets)) / 64.0,
+        cm_host_bucket_width=float(np.ptp(hosts)) / 64.0)
+    return database, (float(np.min(targets)), float(np.max(targets)))
 
 
 @pytest.mark.bench_smoke
@@ -68,29 +76,27 @@ class TestPipelinesAgreeOnWorkloads:
                                         PointerScheme.LOGICAL])
     @pytest.mark.parametrize("workload", ["synthetic", "sensor", "stock"])
     def test_single_batch_and_mask_agree(self, workload, scheme):
-        setup = build_hotpath_setup(workload, SMOKE_ROWS,
-                                    pointer_scheme=scheme)
-        queries = range_queries(setup.domain, 0.01, count=SMOKE_QUERIES,
-                                seed=42)
-        slots, targets = setup.table.project(["target"])
+        database, domain = _workload_database(workload, scheme)
+        queries = range_queries(domain, 0.01, count=SMOKE_QUERIES, seed=42)
+        predicates = [RangePredicate("target", q.low, q.high)
+                      for q in queries]
+        slots, targets = database.table("t").project(["target"])
         expected = [slots[(targets >= q.low) & (targets <= q.high)]
                     for q in queries]
         assert sum(found.size for found in expected) > 0
-        for label, mechanism in _mechanisms(setup, scheme).items():
-            singles = [mechanism.lookup_range(q.low, q.high).locations
-                       for q in queries]
-            batch = mechanism.lookup_range_many(
-                [(q.low, q.high) for q in queries])
-            assert batch.breakdown.lookups == len(queries)
-            for single, batched, mask in zip(
-                    singles, batch.locations_per_query, expected):
-                for found in (single, batched):
+        for label in ("HERMIT", "Baseline", "CM"):
+            singles = [database.query_with("t", label, predicate).locations
+                       for predicate in predicates]
+            batch = database.query_with_many("t", label, predicates)
+            assert batch[0].breakdown.lookups == len(queries)
+            for single, batched, mask in zip(singles, batch, expected):
+                for found in (single, batched.locations):
                     assert isinstance(found, np.ndarray), label
                     assert found.dtype == np.int64, label
                     assert np.array_equal(found, mask), label
-        # Both pipelines read the TRS-Tree's leaf table and outlier view;
-        # they must still form one well-shaped tree.
-        setup.hermit.trs_tree.check_invariants()
+        # Both pipelines read the TRS-Tree's leaf table and outlier view,
+        # and the CM's bucket map: every index still agrees with the table.
+        database.check_invariants()
 
 
 @pytest.mark.bench_smoke

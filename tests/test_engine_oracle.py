@@ -14,7 +14,8 @@ The lattice:
 * **mechanism** — Hermit, B+-tree, sorted column and Correlation Map are
   four tables of one database (``TABLES``); every rule picks its table;
 * **entry point** — ``execute`` or ``execute_many`` is a rule argument
-  (``query_with`` is its own rule where a ``Database`` is in front);
+  (``query_with`` and ``query_with_many`` are their own rule where a
+  ``Database`` is in front);
 * **pointer scheme × deployment** — the test cells: plain, result-cached,
   durable (with ``checkpoint()`` and crash + ``recover()`` rules), served
   through ``Server``, sharded inline and sharded over processes.
@@ -407,13 +408,21 @@ class EngineMachine(RuleBasedStateMachine):
 
     @precondition(lambda self: not self.deployment.sharded)
     @rule(table=tables, column=st.sampled_from(("target", "host")),
-          span=spans)
-    def query_with(self, table, column, span):
-        """The forced-index read answers like every planned one."""
-        predicate = RangePredicate(column, *span)
-        result = self.engine.query_with(table, f"idx_{column}", predicate)
-        assert result.used_index == f"idx_{column}"
-        assert_locations(result, self.models[table].scan([predicate]))
+          batch=st.lists(spans, min_size=1, max_size=6))
+    def query_with(self, table, column, batch):
+        """The forced-index reads, one at a time and as one batch, answer
+        like every planned one."""
+        index = f"idx_{column}"
+        predicates = [RangePredicate(column, *span) for span in batch]
+        singles = [self.engine.query_with(table, index, predicate)
+                   for predicate in predicates]
+        batched = self.engine.query_with_many(table, index, predicates)
+        assert len(batched) == len(predicates)
+        for predicate, single, member in zip(predicates, singles, batched):
+            expected = self.models[table].scan([predicate])
+            for result in (single, member):
+                assert result.used_index == index
+                assert_locations(result, expected)
 
     # ------------------------------------------------------------ invariant
 

@@ -12,6 +12,7 @@ from repro.core.lookup import LookupBreakdown, finish_lookup_segmented
 from repro.core.trs_tree import TRSTree
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
+from repro.engine.query import RangePredicate
 from repro.errors import QueryError
 from repro.index.base import KeyRanges
 from repro.index.ordered import OrderedIndex
@@ -55,6 +56,27 @@ def build_hermit(table, pointer_scheme=PointerScheme.PHYSICAL, config=None):
     return hermit
 
 
+def make_database(count=2000, pointer_scheme=PointerScheme.PHYSICAL):
+    """``make_table``'s rows in a database: a complete index ``idx_host``
+    and a Hermit index ``idx_target`` on ``target``."""
+    source = make_table(count=count)
+    database = Database(pointer_scheme=pointer_scheme)
+    database.create_table(source.schema)
+    database.insert_many("t", {name: source.column_array(name)
+                               for name in ("pk", "host", "target",
+                                            "payload")})
+    database.create_index("idx_host", "t", "host")
+    database.create_index("idx_target", "t", "target",
+                          method=IndexMethod.HERMIT, host_column="host")
+    return database
+
+
+def lookup(database, low, high):
+    """The Hermit index's answer to ``low <= target <= high``."""
+    return database.query_with("t", "idx_target",
+                               RangePredicate("target", low, high))
+
+
 def brute_force(table, low, high):
     slots, targets = table.project(["target"])
     mask = (targets >= low) & (targets <= high)
@@ -65,24 +87,22 @@ class TestLookup:
     @pytest.mark.parametrize("scheme", [PointerScheme.PHYSICAL,
                                         PointerScheme.LOGICAL])
     def test_range_lookup_is_exact(self, scheme):
-        table = make_table()
-        hermit = build_hermit(table, pointer_scheme=scheme)
-        result = hermit.lookup_range(200.0, 400.0)
-        assert set(result.locations) == brute_force(table, 200.0, 400.0)
+        database = make_database(pointer_scheme=scheme)
+        result = lookup(database, 200.0, 400.0)
+        assert set(result.locations) == brute_force(database.table("t"),
+                                                    200.0, 400.0)
 
     def test_point_lookup_is_exact(self):
-        table = make_table()
-        hermit = build_hermit(table)
+        database = make_database()
+        table = database.table("t")
         value = float(table.value(5, "target"))
-        result = hermit.lookup_point(value)
+        result = lookup(database, value, value)
         assert 5 in result.locations
         assert set(result.locations) == brute_force(table, value, value)
 
     def test_breakdown_phases_populated(self):
-        table = make_table()
-        hermit = build_hermit(table, pointer_scheme=PointerScheme.LOGICAL)
-        result = hermit.lookup_range(100.0, 300.0)
-        breakdown = result.breakdown
+        database = make_database(pointer_scheme=PointerScheme.LOGICAL)
+        breakdown = lookup(database, 100.0, 300.0).breakdown
         assert breakdown.lookups == 1
         assert breakdown.trs_seconds >= 0
         assert breakdown.host_index_seconds > 0
@@ -93,31 +113,29 @@ class TestLookup:
         assert pytest.approx(sum(fractions.values()), abs=1e-9) == 1.0
 
     def test_physical_scheme_skips_primary_index(self):
-        table = make_table()
-        hermit = build_hermit(table, pointer_scheme=PointerScheme.PHYSICAL)
-        result = hermit.lookup_range(100.0, 300.0)
+        database = make_database(pointer_scheme=PointerScheme.PHYSICAL)
+        result = lookup(database, 100.0, 300.0)
         assert result.breakdown.primary_index_seconds == 0.0
 
     def test_cumulative_breakdown_accumulates(self):
-        table = make_table()
-        hermit = build_hermit(table)
-        hermit.lookup_range(0.0, 100.0)
-        hermit.lookup_range(100.0, 200.0)
-        assert hermit.cumulative.lookups == 2
-        hermit.reset_breakdown()
-        assert hermit.cumulative.lookups == 0
+        database = make_database()
+        hermit = database.catalog.table_entry("t").indexes[
+            "idx_target"].mechanism
+        first = lookup(database, 0.0, 100.0)
+        database.query_with_many("t", "idx_target", [
+            RangePredicate("target", 100.0, 200.0),
+            RangePredicate("target", 300.0, 400.0)])
+        assert hermit.cumulative.lookups == 3
+        assert hermit.cumulative.candidates > first.breakdown.candidates
 
     def test_false_positive_ratio_bounded(self):
-        table = make_table()
-        hermit = build_hermit(table)
-        result = hermit.lookup_range(0.0, 1000.0)
+        database = make_database()
+        result = lookup(database, 0.0, 1000.0)
         # A full-domain range query has almost no false positives.
         assert result.breakdown.false_positive_ratio < 0.2
 
     def test_empty_range(self):
-        table = make_table()
-        hermit = build_hermit(table)
-        result = hermit.lookup_range(5000.0, 6000.0)
+        result = lookup(make_database(), 5000.0, 6000.0)
         assert len(result.locations) == 0
 
     def test_logical_scheme_requires_primary_index(self):
@@ -129,62 +147,40 @@ class TestLookup:
 
 class TestMaintenance:
     def test_insert_then_lookup_finds_new_row(self):
-        table = make_table()
-        hermit = build_hermit(table)
-        host_index = hermit.host_index
-        row = {"pk": 99999.0, "host": 2.0 * 555.5 + 5.0, "target": 555.5,
-               "payload": 0.0}
-        location = int(table.insert(row))
-        host_index.insert(row["host"], location)
-        hermit.insert(row, location)
-        result = hermit.lookup_range(555.0, 556.0)
-        assert location in result.locations
+        database = make_database()
+        location = database.insert("t", {
+            "pk": 99999.0, "host": 2.0 * 555.5 + 5.0, "target": 555.5,
+            "payload": 0.0})
+        assert location in lookup(database, 555.0, 556.0).locations
 
     def test_insert_outlier_then_lookup(self):
-        table = make_table()
-        hermit = build_hermit(table)
-        row = {"pk": 99998.0, "host": 1e9, "target": 777.7, "payload": 0.0}
-        location = int(table.insert(row))
-        hermit.host_index.insert(row["host"], location)
-        hermit.insert(row, location)
-        result = hermit.lookup_range(777.0, 778.0)
-        assert location in result.locations
+        database = make_database()
+        location = database.insert("t", {
+            "pk": 99998.0, "host": 1e9, "target": 777.7, "payload": 0.0})
+        assert location in lookup(database, 777.0, 778.0).locations
 
     def test_delete_removes_row_from_results(self):
-        table = make_table()
-        hermit = build_hermit(table)
+        database = make_database()
         victim = 17
-        row = table.fetch(victim)
-        hermit.delete(row, victim)
-        hermit.host_index.delete(row["host"], victim)
-        table.delete(victim)
-        result = hermit.lookup_range(row["target"] - 1.0, row["target"] + 1.0)
+        row = database.table("t").fetch(victim)
+        database.delete("t", victim)
+        result = lookup(database, row["target"] - 1.0, row["target"] + 1.0)
         assert victim not in result.locations
 
     def test_update_target_value(self):
-        table = make_table()
-        hermit = build_hermit(table)
+        database = make_database()
         location = 23
-        old_row = table.fetch(location)
-        new_target = 999.0
-        table.update(location, {"target": new_target})
-        new_row = table.fetch(location)
-        hermit.update(old_row, new_row, location)
-        assert location in hermit.lookup_range(998.0, 1000.0).locations
-        assert location not in hermit.lookup_range(
-            old_row["target"] - 0.5, old_row["target"] + 0.5).locations
+        old_row = database.table("t").fetch(location)
+        database.update("t", location, {"target": 999.0})
+        assert location in lookup(database, 998.0, 1000.0).locations
+        assert location not in lookup(
+            database, old_row["target"] - 0.5,
+            old_row["target"] + 0.5).locations
 
     def test_reorganize_after_bulk_inserts(self):
-        source = make_table(count=1500)
-        database = Database()
-        database.create_table(source.schema)
-        database.insert_many("t", {name: source.column_array(name)
-                                   for name in ("pk", "host", "target",
-                                                "payload")})
-        database.create_index("idx_host", "t", "host")
-        hermit = database.create_index(
-            "idx_target", "t", "target", method=IndexMethod.HERMIT,
-            host_column="host").mechanism
+        database = make_database(count=1500)
+        hermit = database.catalog.table_entry("t").indexes[
+            "idx_target"].mechanism
         rng = np.random.default_rng(5)
         for i in range(600):
             database.insert("t", {
@@ -193,7 +189,7 @@ class TestMaintenance:
         assert hermit.pending_reorganizations > 0
         assert database.reorganize() > 0
         assert hermit.pending_reorganizations == 0
-        result = hermit.lookup_range(0.0, 1000.0)
+        result = lookup(database, 0.0, 1000.0)
         assert set(result.locations) == brute_force(database.table("t"),
                                                     0.0, 1000.0)
 

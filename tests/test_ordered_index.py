@@ -822,17 +822,6 @@ class TestMemoryAndStats:
         index.delete(3.0, 3)
         assert index.memory_bytes() == btree_bytes(999, 32)
 
-    def test_operation_counters(self):
-        index = OrderedIndex()
-        index.insert(1.0, 1)
-        index.search(1.0)
-        index.range_search(KeyRange(0, 2))
-        index.delete(1.0, 1)
-        assert index.stats.inserts == 1
-        assert index.stats.lookups == 1
-        assert index.stats.range_lookups == 1
-        assert index.stats.deletes == 1
-
     def test_base_batch_forms_build_on_the_array_primitives(self):
         """The Index base class derives the multi-range forms and the list
         conveniences from ``range_search_array`` / ``search_many`` alone."""

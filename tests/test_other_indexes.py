@@ -1,4 +1,4 @@
-"""Unit tests for the hash, composite and paged B+-tree indexes."""
+"""Unit tests for the composite and paged B+-tree indexes."""
 
 import numpy as np
 import pytest
@@ -6,50 +6,9 @@ import pytest
 from repro.errors import KeyNotFoundError
 from repro.index.base import KeyRange
 from repro.index.composite import CompositeIndex
-from repro.index.hash_index import HashIndex
 from repro.index.paged_bptree import PagedBPlusTree
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import DiskManager
-
-
-class TestHashIndex:
-    def test_insert_search(self):
-        index = HashIndex()
-        index.insert(1.5, "a")
-        index.insert(1.5, "b")
-        assert sorted(index.search(1.5)) == ["a", "b"]
-        assert index.search(2.0) == []
-        assert index.num_entries == 2
-        assert index.num_keys == 1
-
-    def test_delete(self):
-        index = HashIndex()
-        index.insert(1.0, 10)
-        index.delete(1.0, 10)
-        assert index.search(1.0) == []
-        with pytest.raises(KeyNotFoundError):
-            index.delete(1.0, 10)
-        index.insert(2.0, 1)
-        with pytest.raises(KeyNotFoundError):
-            index.delete(2.0, 99)
-
-    def test_range_search_scans_buckets(self):
-        index = HashIndex()
-        for i in range(10):
-            index.insert(float(i), i)
-        assert sorted(index.range_search(KeyRange(2.0, 4.0))) == [2, 3, 4]
-
-    def test_memory_scales(self):
-        index = HashIndex()
-        empty = index.memory_bytes()
-        for i in range(100):
-            index.insert(float(i), i)
-        assert index.memory_bytes() > empty
-
-    def test_items(self):
-        index = HashIndex()
-        index.insert(1.0, "x")
-        assert list(index.items()) == [(1.0, "x")]
 
 
 class TestCompositeIndex:

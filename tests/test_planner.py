@@ -267,8 +267,8 @@ class TestPlannedExecution:
         """Single-mechanism plans update the mechanism's cumulative stats.
 
         The observed false-positive ratio drives ``estimate_candidates``,
-        so planner-routed queries must record it like ``lookup_range`` does
-        — otherwise a leaky Hermit index would be priced at the default
+        so planner-routed queries must record it like forced reads do —
+        otherwise a leaky Hermit index would be priced at the default
         ratio forever.
         """
         dataset = generate_synthetic(3000, "linear", noise_fraction=0.02,

@@ -2,13 +2,14 @@
 
 The engine has exactly two read pipelines — a single-request one ending in
 ``repro.core.lookup.finish_lookup`` and a segmented batch one ending in
-``finish_lookup_segmented``.  Everything that reads goes through one of
-them: a mechanism's standalone ``lookup_range`` / ``lookup_range_many``,
-``Database.query_with`` (forced index), ``execute`` and ``execute_many``.
-That they all answer alike — ranges, point probes, conjunctions and float
-edge bounds, per mechanism and pointer scheme, with deleted rows, outliers,
-pending index writes and cache hits present — is checked against the model by
-the state machine in ``test_engine_oracle``.
+``finish_lookup_segmented`` — and ``Database`` is the only way in:
+``execute`` and ``query_with`` (forced index) take the first,
+``execute_many`` and ``query_with_many`` the second.  A mechanism exposes
+candidate generation only; nothing reads one beside the executor.  That
+they all answer alike — ranges, point probes, conjunctions and float edge
+bounds, per mechanism and pointer scheme, with deleted rows, outliers,
+pending index writes and cache hits present — is checked against the model
+by the state machine in ``test_engine_oracle``.
 
 ``TestReadSurfaceIsPinned`` lists the public callables of ``Index``, the
 mechanism base, ``Database``, ``ShardedDatabase``, ``Server`` and the
@@ -24,6 +25,7 @@ import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -37,17 +39,23 @@ from repro.core.hermit import HermitIndex
 from repro.core.lookup import SecondaryMechanism
 from repro.core.regression import LeafModel
 from repro.core.trs_tree import LeafTable, TRSTree
+from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
 from repro.engine.query import QueryRequest, RangePredicate
+from repro.errors import CatalogError, QueryError
 from repro.index.base import Index
 from repro.index.composite import CompositeIndex
-from repro.index.hash_index import HashIndex
 from repro.index.ordered import OrderedIndex
 from repro.index.paged_bptree import PagedBPlusTree
 from repro.serving import Server
 from repro.sharding import ShardedDatabase
+from repro.storage.identifiers import PointerScheme
+from repro.workloads.synthetic import load_synthetic
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+# Everything that calls the package: the retired-name sweep reads them all.
+CALLERS = (SRC, ROOT / "benchmarks", ROOT / "examples")
 
 
 def test_forced_read_feeds_the_mechanism_like_a_planned_one(
@@ -62,6 +70,131 @@ def test_forced_read_feeds_the_mechanism_like_a_planned_one(
     assert after_forced == forced.breakdown.candidates > 0
     database.execute(QueryRequest.of(table_name, predicate))
     assert mechanism.cumulative.candidates == 2 * after_forced
+
+
+def mechanism_of(database, table_name):
+    return database.catalog.table_entry(table_name).indexes[
+        "idx_colC"].mechanism
+
+
+BATCH = [RangePredicate("colC", low, low + 20_000.0)
+         for low in (0.0, 150_000.0, 300_000.0, 990_000.0, 2e6)]
+
+
+def test_forced_batch_answers_like_forced_singles(linear_database):
+    """``query_with_many``: one result per predicate, in order, each equal
+    to its ``query_with`` answer, all from one epoch and one plan group."""
+    database, table_name = linear_database
+    batch = database.query_with_many(table_name, "idx_colC", BATCH)
+    assert len(batch) == len(BATCH)
+    for predicate, result in zip(BATCH, batch):
+        single = database.query_with(table_name, "idx_colC", predicate)
+        assert np.array_equal(result.locations, single.locations)
+        assert result.locations.dtype == np.int64
+        assert result.used_index == "idx_colC"
+        assert result.group_size == len(BATCH)
+        assert result.epoch == batch[0].epoch
+        assert result.breakdown is batch[0].breakdown
+    assert batch[0].breakdown.lookups == len(BATCH)
+    assert sum(map(len, batch)) > 0
+    assert database.query_with_many(table_name, "idx_colC", []) == []
+
+
+def test_forced_batch_probes_once_and_feeds_the_mechanism(
+        linear_database, monkeypatch):
+    """One segmented candidate probe per batch, no single probe, and the
+    mechanism's feedback grows by exactly the batch's candidates."""
+    database, table_name = linear_database
+    mechanism = mechanism_of(database, table_name)
+    calls = {"candidate_tids": 0, "candidate_tids_many": 0}
+    for name in calls:
+        probe = getattr(mechanism, name)
+
+        def counted(*args, _probe=probe, _name=name):
+            calls[_name] += 1
+            return _probe(*args)
+
+        monkeypatch.setattr(mechanism, name, counted)
+    before = mechanism.cumulative.candidates
+    batch = database.query_with_many(table_name, "idx_colC", BATCH)
+    assert calls == {"candidate_tids": 0, "candidate_tids_many": 1}
+    grown = mechanism.cumulative.candidates - before
+    assert grown == batch[0].breakdown.candidates > 0
+    assert mechanism.cumulative.lookups == len(BATCH)
+
+
+FORCED_METHODS = {
+    "btree": {"method": IndexMethod.BTREE},
+    "sorted_column": {"method": IndexMethod.SORTED_COLUMN},
+    "hermit": {"method": IndexMethod.HERMIT, "host_column": "colB"},
+    "correlation_map": {"method": IndexMethod.CORRELATION_MAP,
+                        "host_column": "colB",
+                        "cm_target_bucket_width": 20_000.0,
+                        "cm_host_bucket_width": 20_000.0},
+}
+
+
+@pytest.mark.parametrize("scheme", [PointerScheme.PHYSICAL,
+                                    PointerScheme.LOGICAL],
+                         ids=lambda scheme: scheme.value)
+@pytest.mark.parametrize("kind", sorted(FORCED_METHODS))
+def test_every_mechanism_answers_a_forced_batch_in_one_probe(
+        linear_dataset, monkeypatch, kind, scheme):
+    """Each mechanism kind, under both pointer schemes: a forced batch
+    makes one segmented probe, books its candidates, and answers each
+    predicate like ``query_with`` and like a scan of the column."""
+    database = Database(pointer_scheme=scheme)
+    table_name = load_synthetic(database, linear_dataset)
+    database.create_index("idx_colC", table_name, "colC",
+                          **FORCED_METHODS[kind])
+    mechanism = mechanism_of(database, table_name)
+    calls = []
+    probe = mechanism.candidate_tids_many
+
+    def counted(*args):
+        calls.append(None)
+        return probe(*args)
+
+    monkeypatch.setattr(mechanism, "candidate_tids_many", counted)
+    before = mechanism.cumulative.candidates
+    batch = database.query_with_many(table_name, "idx_colC", BATCH)
+    assert len(calls) == 1
+    assert (mechanism.cumulative.candidates - before
+            == batch[0].breakdown.candidates > 0)
+    column = linear_dataset.columns["colC"]
+    for predicate, result in zip(BATCH, batch):
+        single = database.query_with(table_name, "idx_colC", predicate)
+        assert np.array_equal(result.locations, single.locations)
+        expected = np.count_nonzero((column >= predicate.low)
+                                    & (column <= predicate.high))
+        assert len(result) == expected
+    assert len(calls) == 1
+
+
+def test_forced_batch_is_checked_before_any_probe(linear_database,
+                                                  monkeypatch):
+    """The batch raises what ``query_with`` raises — unknown index,
+    composite index, a predicate on another column — and probes nothing."""
+    database, table_name = linear_database
+    database.create_composite_index("idx_pair", table_name, "colC", "colB")
+    mechanism = mechanism_of(database, table_name)
+
+    def refused(*args):
+        raise AssertionError("probed before the batch was checked")
+
+    monkeypatch.setattr(mechanism, "candidate_tids", refused)
+    monkeypatch.setattr(mechanism, "candidate_tids_many", refused)
+    wrong_column = RangePredicate("colB", 0.0, 1.0)
+    for index_name, predicates, error in (
+            ("idx_missing", BATCH, CatalogError),
+            ("idx_pair", BATCH, QueryError),
+            ("idx_colC", BATCH + [wrong_column], QueryError)):
+        with pytest.raises(error) as batch_error:
+            database.query_with_many(table_name, index_name, predicates)
+        with pytest.raises(error) as single_error:
+            database.query_with(table_name, index_name, predicates[-1])
+        assert str(batch_error.value) == str(single_error.value)
+    assert mechanism.cumulative.candidates == 0
 
 
 def public_callables(cls) -> set[str]:
@@ -80,11 +213,11 @@ INDEX_BATCH_READS = {"range_search_many_array", "range_search_segmented",
 # No separate load: insert_many into an empty index is the load.
 INDEX_OTHER = {"insert", "delete", "insert_many", "memory_bytes"}
 
-MECHANISM_READS = {"candidate_tids", "candidate_tids_many", "lookup_range",
-                   "lookup_range_many", "lookup_point"}
-MECHANISM_OTHER = {"reset_breakdown"}
+# Candidate generation only: a mechanism is read through Database alone.
+MECHANISM_READS = {"candidate_tids", "candidate_tids_many"}
 
-DATABASE_READS = {"execute", "execute_many", "explain", "query_with"}
+DATABASE_READS = {"execute", "execute_many", "explain", "query_with",
+                  "query_with_many"}
 DATABASE_OTHER = {
     "create_table", "create_index", "create_composite_index", "drop_index",
     "insert", "insert_many", "delete", "update", "reorganize",
@@ -150,7 +283,7 @@ class TestReadSurfaceIsPinned:
         assert public_callables(Index) == INDEX_READS | INDEX_OTHER
         assert Index.__abstractmethods__ == {
             "search_many", "range_search_array",
-            "insert", "delete", "memory_bytes", "num_entries"}
+            "insert", "insert_many", "delete", "memory_bytes", "num_entries"}
         # The batch read forms have a default on the base; the ordered
         # index answers its four read entry points from one pair of arrays
         # (one body per probe kind) and adds no fifth.
@@ -173,7 +306,7 @@ class TestReadSurfaceIsPinned:
             assert list(inspect.signature(complete).parameters) == [
                 "table", "target_column", "primary_index", "pointer_scheme"]
         # The list conveniences are defined once and never overridden.
-        for index_class in (OrderedIndex, HashIndex, PagedBPlusTree):
+        for index_class in (OrderedIndex, PagedBPlusTree):
             assert "search" not in vars(index_class)
             assert "range_search" not in vars(index_class)
             extra = public_callables(index_class) - public_callables(Index)
@@ -183,8 +316,15 @@ class TestReadSurfaceIsPinned:
                 if "search" in name} == {"range_search_array"}
 
     def test_mechanism_surface(self):
-        assert (public_callables(SecondaryMechanism)
-                == MECHANISM_READS | MECHANISM_OTHER)
+        assert public_callables(SecondaryMechanism) == MECHANISM_READS
+        # Writes arrive in batches: Database.insert is a batch of one, and
+        # each update re-indexes its own row.
+        for mechanism_class in (HermitIndex, BaselineSecondaryIndex,
+                                SortedColumnSecondaryIndex,
+                                CompositeSecondaryIndex, CorrelationMap):
+            assert "insert" not in public_callables(mechanism_class)
+            assert "insert_many" in vars(mechanism_class) or (
+                mechanism_class is SortedColumnSecondaryIndex)
         for mechanism_class in (HermitIndex, BaselineSecondaryIndex,
                                 CorrelationMap):
             assert issubclass(mechanism_class, SecondaryMechanism)
@@ -217,10 +357,11 @@ class TestReadSurfaceIsPinned:
     def test_one_definition_of_each_lookup_under_src(self):
         sources = {path: path.read_text(encoding="utf-8")
                    for path in SRC.rglob("*.py")}
+        # No standalone mechanism lookup: the executor is the only reader.
         for name in ("lookup_range", "lookup_range_many", "lookup_point"):
             definitions = [str(path) for path, text in sources.items()
                            if re.search(rf"def {name}\(", text)]
-            assert len(definitions) == 1, (name, definitions)
+            assert definitions == [], (name, definitions)
         for name in ("search", "range_search"):
             definitions = [path.name for path, text in sources.items()
                            if re.search(rf"def {name}\(", text)]
@@ -246,13 +387,23 @@ class TestReadSurfaceIsPinned:
                    "SortedColumnIndex", "OutlierBuffer", "FlatView",
                    "worth_using", "charge(", "_RANGE_PROBE_COST", "REP001")
         # Whole words: the disk simulator keeps its IOCostModel, the
-        # paged index its PagedBPlusTree.
-        retired_words = re.compile(r"\b(CostModel|SizeModel|BPlusTree)\b")
-        for path in SRC.rglob("*.py"):
+        # paged index its PagedBPlusTree.  The names after them were
+        # retired by reading mechanisms through Database alone (a word
+        # start only, so lookup_range_many is caught and the TRS-Tree's
+        # TRSBatchLookupResult is not).
+        retired_words = re.compile(
+            r"\b(CostModel|SizeModel|BPlusTree)\b"
+            r"|\b(lookup_range|lookup_point|reset_breakdown|HermitLookupResult"
+            r"|BatchLookupResult|build_hotpath_setup|HotpathSetup|HashIndex"
+            r"|IndexStatistics)")
+        paths = [path for caller in CALLERS for path in caller.rglob("*.py")]
+        assert len(paths) > 100
+        for path in paths:
             text = path.read_text(encoding="utf-8")
             for name in retired:
                 assert name not in text, (name, str(path))
-            assert not retired_words.search(text), str(path)
+            found = retired_words.search(text)
+            assert found is None, (found and found.group(), str(path))
 
     def test_single_valued_parameters_stay_constants(self):
         """No callable under ``src/repro`` takes a ``cost_model``,
@@ -295,7 +446,7 @@ class TestReadSurfaceIsPinned:
                     for parameter in inspect.signature(function).parameters:
                         if parameter in banned:
                             found.add((info.name, qualified, parameter))
-        assert checked > 1_000
+        assert checked > 900
         assert found == allowed
 
     def test_validation_has_one_call_site_per_pipeline(self):

@@ -331,14 +331,17 @@ class TestReorganizeKeepsOutOfDomainRows:
             "colD": np.zeros(targets.size),
         })
 
-    def assert_exact(self, database, table_name, hermit):
+    def assert_exact(self, database, table_name):
         slots, values = database.table(table_name).project(["colC"])
         expected = [sorted(slots[(values >= low) & (values <= high)].tolist())
                     for low, high in self.RANGES]
         assert all(len(found) > 0 for found in expected)
-        scalar = [sorted(np.asarray(hermit.lookup_range(low, high).locations)
-                         .tolist()) for low, high in self.RANGES]
-        batch = hermit.lookup_range_many(self.RANGES).locations_per_query
+        predicates = [RangePredicate("colC", low, high)
+                      for low, high in self.RANGES]
+        scalar = [database.query_with(table_name, "idx_c", predicate)
+                  .locations.tolist() for predicate in predicates]
+        batch = [result.locations for result in
+                 database.query_with_many(table_name, "idx_c", predicates)]
         planned = database.execute_many([
             QueryRequest.range(table_name, "colC", low, high)
             for low, high in self.RANGES
@@ -354,10 +357,10 @@ class TestReorganizeKeepsOutOfDomainRows:
         database, table_name, hermit = hermit_database(
             correlation=correlation, scheme=scheme)
         self.add_out_of_domain_rows(database, table_name)
-        self.assert_exact(database, table_name, hermit)
+        self.assert_exact(database, table_name)
         assert hermit.pending_reorganizations > 0
         assert database.reorganize() > 0
-        self.assert_exact(database, table_name, hermit)
+        self.assert_exact(database, table_name)
 
     @pytest.mark.parametrize("scheme", [PointerScheme.PHYSICAL,
                                         PointerScheme.LOGICAL])
@@ -368,4 +371,4 @@ class TestReorganizeKeepsOutOfDomainRows:
         self.add_out_of_domain_rows(database, table_name)
         last = hermit.trs_tree.config.node_fanout - 1
         hermit.reorganize_children([0, last])
-        self.assert_exact(database, table_name, hermit)
+        self.assert_exact(database, table_name)

@@ -35,6 +35,7 @@ from repro.cache.result_cache import (
 )
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
+from repro.engine.planner import PlannerCacheStats
 from repro.engine.query import (
     ConjunctiveQuery,
     QueryRequest,
@@ -488,6 +489,60 @@ class TestEngineWiring:
         info = database.result_cache_info()
         assert info.entries == 0
         assert info.stale_evictions == 1
+
+    def test_totals_are_the_sums_of_the_per_table_counters(self):
+        """Planner and result cache count each event once, per table; the
+        totals are the sums — across two tables, through a stale eviction
+        and a ``cache_clear`` (the planner resets, the cache keeps)."""
+        database = Database(result_cache=ResultCacheConfig(admission=False))
+        for name in ("a", "b"):
+            database.create_table(numeric_schema(name, ["pk", "x"],
+                                                 primary_key="pk"))
+            database.insert_many(name, {"pk": np.arange(50.0),
+                                        "x": np.arange(50.0)})
+            database.create_index(f"idx_{name}", name, "x")
+
+        def requests(name):
+            return [QueryRequest.range(name, "x", low, low + 5.0)
+                    for low in (0.0, 10.0, 20.0)]
+
+        def counted():
+            planner = database.planner_cache_stats()
+            planner_tables = database.planner_cache_info()
+            for field in ("hits", "misses", "replays"):
+                assert getattr(planner, field) == sum(
+                    getattr(stats, field) for stats in planner_tables.values())
+            cache = database.result_cache_info()
+            for field in ("hits", "misses", "stale_evictions"):
+                assert getattr(cache, field) == sum(
+                    getattr(stats, field) for stats in cache.per_table.values())
+            return planner_tables, cache
+
+        for name in ("a", "b", "a"):
+            database.execute_many(requests(name))
+            database.execute(requests(name)[0])
+        planner_tables, cache = counted()
+        assert set(planner_tables) == set(cache.per_table) == {"a", "b"}
+        assert all(stats.misses and stats.replays
+                   for stats in planner_tables.values())
+        assert cache.per_table["a"].hits == 5
+        assert cache.per_table["b"].hits == 1
+        assert cache.misses == 6
+
+        database.insert_many("a", {"pk": [100.0], "x": [1.0]})
+        database.execute(requests("a")[0])
+        _, cache = counted()
+        assert cache.per_table["a"].stale_evictions == 1
+        assert cache.per_table["b"].stale_evictions == 0
+
+        database.planner_cache_clear()
+        database.result_cache_clear()
+        planner_tables, cleared = counted()
+        assert planner_tables == {}
+        assert database.planner_cache_stats() == PlannerCacheStats()
+        assert (cleared.hits, cleared.misses, cleared.stale_evictions) == (
+            cache.hits, cache.misses, cache.stale_evictions)
+        assert cleared.entries == 0
 
 
 class TestShardedComposition:

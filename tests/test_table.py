@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import StorageError, TupleNotFoundError
+from repro.errors import SchemaError, StorageError, TupleNotFoundError
 from repro.storage.schema import numeric_schema
 from repro.storage.table import Table
 
@@ -13,9 +13,23 @@ def table() -> Table:
     return Table(numeric_schema("t", ["pk", "x", "y"], primary_key="pk"))
 
 
+def insert_row(table: Table, row: dict) -> int:
+    """One row in: a batch of one, as ``Database.insert`` writes it."""
+    (slot,) = table.insert_many({name: [value]
+                                 for name, value in row.items()})
+    return int(slot)
+
+
+def state(table: Table) -> tuple:
+    """Slots, liveness and running column statistics."""
+    return (table.num_slots, table.num_rows, table.live_slots().tolist(),
+            {name: (stats.count, stats.minimum, stats.maximum)
+             for name, stats in table.statistics.items()})
+
+
 class TestInsertFetch:
     def test_insert_and_fetch_roundtrip(self, table):
-        location = table.insert({"pk": 1.0, "x": 2.0, "y": 3.0})
+        location = insert_row(table, {"pk": 1.0, "x": 2.0, "y": 3.0})
         assert table.fetch(location) == {"pk": 1.0, "x": 2.0, "y": 3.0}
         assert table.num_rows == 1
 
@@ -35,6 +49,21 @@ class TestInsertFetch:
         with pytest.raises(StorageError):
             table.insert_many({"pk": [1.0], "x": [1.0], "y": [1.0], "z": [1.0]})
 
+    @pytest.mark.parametrize("row, error", [
+        ({"pk": 2.0, "x": 1.0, "y": 1.0, "z": 1.0}, StorageError),
+        ({"pk": 2.0, "y": 1.0}, SchemaError),
+        ({"pk": 2.0, "x": "not-a-number", "y": 1.0}, SchemaError),
+    ], ids=["unknown_column", "missing_column", "uncoercible_value"])
+    def test_rejected_row_changes_nothing(self, table, row, error):
+        """A rejected one-row batch leaves slots, liveness and the column
+        statistics exactly as they were."""
+        insert_row(table, {"pk": 1.0, "x": 2.0, "y": 3.0})
+        before = state(table)
+        with pytest.raises(error):
+            insert_row(table, row)
+        assert state(table) == before
+        assert insert_row(table, {"pk": 2.0, "x": 4.0, "y": 5.0}) == 1
+
     def test_insert_many_empty_is_noop(self, table):
         for batch in ({}, {"pk": [], "x": [], "y": []}):
             slots = table.insert_many(batch)
@@ -42,7 +71,7 @@ class TestInsertFetch:
         assert table.num_slots == 0
 
     def test_insert_many_returns_the_appended_slots_as_one_array(self, table):
-        table.insert({"pk": 0.0, "x": 0.0, "y": 0.0})
+        insert_row(table, {"pk": 0.0, "x": 0.0, "y": 0.0})
         slots = table.insert_many({"pk": np.arange(1.0, 4.0),
                                    "x": np.zeros(3), "y": np.zeros(3)})
         assert isinstance(slots, np.ndarray) and slots.dtype == np.int64
@@ -50,7 +79,7 @@ class TestInsertFetch:
         assert table.values(slots, "pk").tolist() == [1.0, 2.0, 3.0]
 
     def test_capacity_growth_preserves_data(self, table):
-        locations = [table.insert({"pk": float(i), "x": float(i), "y": 0.0})
+        locations = [insert_row(table, {"pk": float(i), "x": float(i), "y": 0.0})
                      for i in range(500)]
         assert table.num_rows == 500
         assert table.value(locations[499], "pk") == 499.0
@@ -59,7 +88,7 @@ class TestInsertFetch:
 
 class TestDeleteUpdate:
     def test_delete_marks_slot_dead(self, table):
-        location = table.insert({"pk": 1.0, "x": 2.0, "y": 3.0})
+        location = insert_row(table, {"pk": 1.0, "x": 2.0, "y": 3.0})
         table.delete(location)
         assert table.num_rows == 0
         assert not table.is_live(location)
@@ -67,18 +96,18 @@ class TestDeleteUpdate:
             table.fetch(location)
 
     def test_double_delete_raises(self, table):
-        location = table.insert({"pk": 1.0, "x": 2.0, "y": 3.0})
+        location = insert_row(table, {"pk": 1.0, "x": 2.0, "y": 3.0})
         table.delete(location)
         with pytest.raises(TupleNotFoundError):
             table.delete(location)
 
     def test_update_changes_values(self, table):
-        location = table.insert({"pk": 1.0, "x": 2.0, "y": 3.0})
+        location = insert_row(table, {"pk": 1.0, "x": 2.0, "y": 3.0})
         table.update(location, {"x": 20.0})
         assert table.fetch(location)["x"] == 20.0
 
     def test_update_unknown_column_raises(self, table):
-        location = table.insert({"pk": 1.0, "x": 2.0, "y": 3.0})
+        location = insert_row(table, {"pk": 1.0, "x": 2.0, "y": 3.0})
         with pytest.raises(StorageError):
             table.update(location, {"zzz": 1.0})
 
@@ -111,7 +140,7 @@ class TestScans:
         assert list(ys) == [0.0, 3.0, 6.0]
 
     def test_scan_projects_requested_columns(self, table):
-        table.insert({"pk": 1.0, "x": 2.0, "y": 3.0})
+        insert_row(table, {"pk": 1.0, "x": 2.0, "y": 3.0})
         rows = list(table.scan(["x"]))
         assert rows == [(0, {"x": 2.0})]
 
@@ -132,7 +161,7 @@ class TestVectorizedValidation:
         assert mask.tolist() == [True, True, False, True, True]
 
     def test_liveness_out_of_range_is_dead(self, table):
-        table.insert({"pk": 1.0, "x": 2.0, "y": 3.0})
+        insert_row(table, {"pk": 1.0, "x": 2.0, "y": 3.0})
         mask = table.liveness(np.array([-1, 0, 7]))
         assert mask.tolist() == [False, True, False]
 
@@ -153,13 +182,12 @@ class TestVectorizedValidation:
         assert result.tolist() == expected  # [3, 7, 12]; order preserved
 
     def test_filter_in_range_empty_input(self, table):
-        table.insert({"pk": 1.0, "x": 2.0, "y": 3.0})
+        insert_row(table, {"pk": 1.0, "x": 2.0, "y": 3.0})
         result = table.filter_in_range(np.array([], dtype=np.int64), "x", 0, 10)
         assert result.size == 0
 
     def test_filter_in_range_unknown_column_raises(self, table):
-        from repro.errors import SchemaError
-        table.insert({"pk": 1.0, "x": 2.0, "y": 3.0})
+        insert_row(table, {"pk": 1.0, "x": 2.0, "y": 3.0})
         with pytest.raises(SchemaError):
             table.filter_in_range(np.array([0]), "nope", 0.0, 1.0)
 

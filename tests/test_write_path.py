@@ -23,8 +23,7 @@ from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
 from repro.engine.query import QueryRequest, RangePredicate
 from repro.errors import SchemaError, StorageError
-from repro.index.base import Index, KeyRange
-from repro.index.hash_index import HashIndex
+from repro.index.base import KeyRange
 from repro.index.ordered import OrderedIndex
 from repro.index.paged_bptree import PagedBPlusTree
 from repro.storage.buffer_pool import BufferPool
@@ -38,7 +37,6 @@ SETTINGS = settings(max_examples=15, deadline=None,
 
 INDEX_FACTORIES = {
     "ordered": OrderedIndex,
-    "hash": HashIndex,
     "paged": lambda: PagedBPlusTree(BufferPool(DiskManager(), capacity=64),
                                     node_capacity=8),
 }
@@ -68,9 +66,8 @@ class TestIndexInsertManyEquivalence:
 
         assert batched.num_entries == reference.num_entries
         assert sorted(batched.items()) == sorted(reference.items())
-        if kind != "hash":
-            batched_keys = [key for key, _ in batched.items()]
-            assert batched_keys == sorted(batched_keys)
+        batched_keys = [key for key, _ in batched.items()]
+        assert batched_keys == sorted(batched_keys)
         for key_range in (KeyRange(-100.0, 100.0), KeyRange(0.0, 10.0),
                           KeyRange(5.0, 5.0)):
             assert (sorted(batched.range_search(key_range))
@@ -99,17 +96,6 @@ class TestIndexInsertManyEquivalence:
             index = INDEX_FACTORIES[kind]()
             with pytest.raises(StorageError):
                 index.insert_many([1.0, 2.0], [0])
-
-    def test_base_fallback_is_used_by_plain_indexes(self):
-        """The Index base class provides a scalar-loop fallback."""
-
-        class MinimalIndex(HashIndex):
-            insert_many = Index.insert_many
-
-        index = MinimalIndex()
-        index.insert_many([1.0, 1.0, 2.0], np.arange(3))
-        assert index.num_entries == 3
-        assert sorted(index.search(1.0)) == [0, 1]
 
 
 correlated_rows = st.lists(
