@@ -6,11 +6,8 @@ from repro.core.lookup import LookupBreakdown
 from repro.core.regression import (
     LeafModel,
     LinearModel,
-    LogLinearModel,
     OutlierOnlyModel,
     PiecewiseLinearModel,
-    epsilon_for_error_bound,
-    fit_leaf_model,
     fit_linear,
     select_leaf_model,
 )
@@ -21,15 +18,12 @@ __all__ = [
     "HermitIndex",
     "LeafModel",
     "LinearModel",
-    "LogLinearModel",
     "LookupBreakdown",
     "OutlierOnlyModel",
     "PiecewiseLinearModel",
     "TRSLookupResult",
     "TRSTree",
     "TRSTreeConfig",
-    "epsilon_for_error_bound",
-    "fit_leaf_model",
     "fit_linear",
     "select_leaf_model",
 ]

@@ -28,7 +28,7 @@ class TRSTreeConfig:
         error_bound: Expected number of host-column values covered by the
             range returned for a *point* query; controls the confidence
             interval epsilon of every leaf (see
-            :func:`repro.core.regression.epsilon_for_error_bound`).
+            :func:`repro.core.regression.epsilon_for_host_span`).
         max_fp_ratio: Candidate-count-aware false-positive budget.  At build
             time each prospective leaf estimates the false-positive
             candidates its band drags in — band width x the leaf's own

@@ -12,13 +12,13 @@ derived from the user's ``error_bound`` (Section 4.5).  On non-linear
 correlations (the Sensor workload's power-law responses) a fixed linear band
 either misses most tuples or, worse, balloons ``epsilon`` until a single leaf
 probe drags in a large slice of the host domain as false positives.  This
-module therefore supports *adaptive* leaf modeling: every leaf fits the
-linear model **and** a log-linear model (``n ~ beta * log m + alpha``) **and**
-a small piecewise-linear model, and keeps whichever needs the smallest band
-to cover the same fraction of its tuples (equal-coverage band-area
-minimisation).  All models satisfy the :class:`LeafModel` protocol, so the
-tree, the insert/lookup paths and Hermit's false-positive accounting stay
-model-agnostic.
+module therefore supports *adaptive* leaf modeling: a leaf whose error-bound
+band misses its coverage target fits a small piecewise-linear model beside
+the line and keeps whichever needs the smallest band to cover the same
+fraction of its tuples (equal-coverage band-area minimisation); a leaf no
+band serves is demoted to exact outlier-only storage.  All models satisfy
+the :class:`LeafModel` protocol, so the tree, the insert/lookup paths and
+Hermit's false-positive accounting stay model-agnostic.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class LeafModel(Protocol):
 
     A leaf model is a fitted mapping from target values to host values plus a
     constant confidence half-width ``epsilon``.  The tree only ever talks to
-    this protocol — concrete families (linear, log-linear, piecewise-linear,
+    this protocol — concrete families (linear, piecewise-linear,
     outlier-only) are interchangeable.
     """
 
@@ -96,57 +96,6 @@ class LinearModel:
         """
         lo = slope_times(self.beta, target_range.low) + self.alpha
         hi = slope_times(self.beta, target_range.high) + self.alpha
-        if lo > hi:
-            lo, hi = hi, lo
-        return band_range(lo, hi, self.epsilon)
-
-
-@dataclass(frozen=True)
-class LogLinearModel:
-    """A leaf model ``n = beta * log(1 + m - shift) + alpha +/- epsilon``.
-
-    ``shift`` anchors the logarithm at the leaf's lower bound so the feature
-    is well-defined over the whole sub-range regardless of the target
-    domain's sign; values below ``shift`` (out-of-domain inserts routed into
-    an edge leaf) are clamped to the anchor, which makes the extrapolated
-    prediction constant there — the same "stay sane outside the built
-    domain" behaviour the linear model gets for free.
-    """
-
-    beta: float
-    alpha: float
-    epsilon: float
-    shift: float
-
-    def _feature(self, m: float) -> float:
-        # Same ufunc as the vectorised path: math.log1p and np.log1p can
-        # disagree by an ulp, which beta amplifies enough to flip a
-        # band-edge covers() decision between the scalar and batched paths.
-        return float(np.log1p(max(m - self.shift, 0.0)))
-
-    def predict(self, m: float) -> float:
-        """Predicted host value for target value ``m``."""
-        return self.beta * self._feature(m) + self.alpha
-
-    def covers(self, m: float, n: float) -> bool:
-        """Whether ``(m, n)`` lies inside the confidence band."""
-        return abs(n - self.predict(m)) <= self.epsilon
-
-    def covers_many(self, m: np.ndarray, n: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`covers`."""
-        features = log_feature(np.asarray(m, dtype=np.float64), self.shift)
-        return np.abs(n - (self.beta * features + self.alpha)) <= self.epsilon
-
-    def host_range(self, target_range: KeyRange) -> KeyRange:
-        """Host-column range covering all predictions over ``target_range``.
-
-        The model is monotone in ``m`` (the log feature is nondecreasing), so
-        the extremes are at the range endpoints for either sign of ``beta``.
-        """
-        lo = slope_times(self.beta, self._feature(target_range.low)) \
-            + self.alpha
-        hi = slope_times(self.beta, self._feature(target_range.high)) \
-            + self.alpha
         if lo > hi:
             lo, hi = hi, lo
         return band_range(lo, hi, self.epsilon)
@@ -272,11 +221,6 @@ def slope_times_many(beta: np.ndarray, m: np.ndarray) -> np.ndarray:
     return beta * np.where(beta == 0.0, 0.0, m)
 
 
-def log_feature(m: np.ndarray, shift: float) -> np.ndarray:
-    """The log-linear feature ``log(1 + max(m - shift, 0))``, vectorised."""
-    return np.log1p(np.maximum(m - shift, 0.0))
-
-
 # Outward rounding pad of a band, relative to its largest operand.
 _BAND_PAD = 4.0 * float(np.finfo(np.float64).eps)
 
@@ -324,24 +268,23 @@ class ModelTable:
     larger of the two lines' predictions at every knot).
     """
 
-    __slots__ = ("family", "families", "beta", "alpha", "epsilon", "shift",
+    __slots__ = ("family", "families", "beta", "alpha", "epsilon",
                  "piece_row", "piece_segments", "knots", "piece_betas",
                  "piece_alphas", "knot_lows", "knot_highs")
 
-    _FAMILIES = (LinearModel, LogLinearModel, PiecewiseLinearModel,
-                 OutlierOnlyModel)
-    _LINEAR, _LOG, _PIECEWISE, _OUTLIER_ONLY = range(4)
+    _FAMILIES = (LinearModel, PiecewiseLinearModel, OutlierOnlyModel)
+    _LINEAR, _PIECEWISE, _OUTLIER_ONLY = range(3)
 
     def __init__(self, models: Sequence[LeafModel]) -> None:
         family = [self._FAMILIES.index(type(model)) for model in models]
         self.family = np.asarray(family, dtype=np.int8)
         self.families = tuple(sorted(set(family) - {self._OUTLIER_ONLY}))
-        single = [model if kind < self._PIECEWISE else None
+        single = [model if kind == self._LINEAR else None
                   for kind, model in zip(family, models)]
-        self.beta, self.alpha, self.shift = (
+        self.beta, self.alpha = (
             np.asarray([getattr(model, name, 0.0) for model in single],
                        dtype=np.float64)
-            for name in ("beta", "alpha", "shift"))
+            for name in ("beta", "alpha"))
         self.epsilon = np.asarray([model.epsilon for model in models],
                                   dtype=np.float64)
         pieces = [model for kind, model in zip(family, models)
@@ -382,9 +325,6 @@ class ModelTable:
             if kind == self._PIECEWISE:
                 lo, hi = self._piecewise_extremes(self.piece_row[rows], at, to)
             else:
-                if kind == self._LOG:
-                    at = log_feature(at, self.shift[rows])
-                    to = log_feature(to, self.shift[rows])
                 at = slope_times_many(self.beta[rows], at) + self.alpha[rows]
                 to = slope_times_many(self.beta[rows], to) + self.alpha[rows]
                 lo, hi = np.minimum(at, to), np.maximum(at, to)
@@ -520,47 +460,24 @@ def fit_linear(m: np.ndarray, n: np.ndarray) -> tuple[float, float]:
     return beta, alpha
 
 
-def epsilon_for_error_bound(beta: float, target_range: KeyRange, num_tuples: int,
-                            error_bound: float) -> float:
+def epsilon_for_host_span(host_span: float, num_tuples: int,
+                          error_bound: float) -> float:
     """Derive the confidence interval epsilon from ``error_bound``.
 
     Section 4.5: assuming uniformly distributed host values, a point query on
     the target column returns a host range of width ``2 * epsilon`` which is
-    expected to cover ``2 * epsilon / (beta * (ub - lb)) * n`` host values.
-    Setting that expectation equal to ``error_bound`` gives
-
-        epsilon = beta * (ub - lb) * error_bound / (2 * n)
-
-    Args:
-        beta: Fitted slope (its absolute value is used).
-        target_range: The leaf's sub-range ``r`` on the target column.
-        num_tuples: Number of tuples covered by the leaf.
-        error_bound: The user-defined expected false-positive count.
-
-    Returns:
-        A non-negative epsilon.  A zero slope or an empty leaf yields zero,
-        which makes the model cover only exact matches — every other tuple
-        becomes an outlier, matching the paper's description of the
-        ``error_bound = 0`` extreme.
-    """
-    if num_tuples <= 0:
-        return 0.0
-    width = target_range.width
-    return abs(beta) * width * error_bound / (2.0 * num_tuples)
-
-
-def epsilon_for_host_span(host_span: float, num_tuples: int,
-                          error_bound: float) -> float:
-    """Generalise :func:`epsilon_for_error_bound` to non-linear models.
-
-    For a linear model the predicted host span over the leaf is
-    ``|beta| * (ub - lb)``, so the Section 4.5 derivation is really
+    expected to cover ``2 * epsilon / host_span * n`` host values, where
+    ``host_span`` is the predicted host span over the leaf (``|beta| * (ub -
+    lb)`` for a line).  Setting that expectation equal to ``error_bound``
+    gives
 
         epsilon = host_span * error_bound / (2 * n)
 
-    with the uniform-host-density assumption expressed through ``host_span``
-    directly.  Any model family can therefore derive its band from the total
-    variation of its predictions over the leaf's sub-range.
+    Any model family derives its band this way from the total variation of
+    its predictions over the leaf's sub-range.  A zero span, a zero bound or
+    an empty leaf yields zero, which makes the model cover only exact
+    matches — every other tuple becomes an outlier, matching the paper's
+    description of the ``error_bound = 0`` extreme.
     """
     if num_tuples <= 0:
         return 0.0
@@ -609,29 +526,6 @@ def fit_linear_trimmed(m: np.ndarray, n: np.ndarray, trim_fraction: float,
     return beta, alpha
 
 
-def fit_leaf_model(m: np.ndarray, n: np.ndarray, target_range: KeyRange,
-                   error_bound: float,
-                   trim_fraction: float = 0.0) -> LinearModel:
-    """Fit the paper's linear leaf model (slope, intercept, epsilon).
-
-    This is the fixed-family fitter the original TRS-Tree uses; the adaptive
-    build path goes through :func:`select_leaf_model` instead.
-
-    Args:
-        m: Target values covered by the leaf.
-        n: Host values aligned with ``m``.
-        target_range: The leaf's sub-range on the target column.
-        error_bound: User-defined expected false-positive count per point probe.
-        trim_fraction: Robustness trim applied to the fit (0 disables).
-    """
-    if trim_fraction > 0.0:
-        beta, alpha = fit_linear_trimmed(m, n, trim_fraction)
-    else:
-        beta, alpha = fit_linear(m, n)
-    epsilon = epsilon_for_error_bound(beta, target_range, len(m), error_bound)
-    return LinearModel(beta=beta, alpha=alpha, epsilon=epsilon)
-
-
 # ----------------------------------------------------------- model selection
 
 # Segment counts tried by the piecewise-linear candidate: 4 segments when the
@@ -654,24 +548,6 @@ SPLIT_GAIN_THRESHOLD = 0.5
 # taking when the band is thin relative to the leaf — measurement jitter at
 # a per-mille of the host span, not injected gross noise at a third of it.
 WIDEN_BUDGET_FRACTION = 0.1
-
-
-@dataclass(frozen=True)
-class LeafModelFit:
-    """One candidate model plus the statistics the tree's build step needs.
-
-    Attributes:
-        model: The fitted model (band epsilon already derived from the
-            error bound).
-        kind: Family label (``"linear"``, ``"log"``, ``"piecewise"``).
-        band_epsilon: Half-width the band would need to cover the coverage
-            target — the equal-coverage band-area score (smaller is better;
-            the models share the leaf width, so area is proportional to it).
-    """
-
-    model: LeafModel
-    kind: str
-    band_epsilon: float
 
 
 def _coverage_epsilon(residuals: np.ndarray, coverage: float) -> float:
@@ -777,11 +653,12 @@ def _robust_host_span(n: np.ndarray, trim_fraction: float) -> float:
 
 
 def select_leaf_model(m: np.ndarray, n: np.ndarray, target_range: KeyRange,
-                      error_bound: float, trim_fraction: float = 0.0,
-                      max_fp_ratio: float | None = None) -> LeafModelFit:
-    """Fit the candidate model families and keep the tightest band.
+                      error_bound: float, trim_fraction: float,
+                      max_fp_ratio: float) -> LeafModel:
+    """Fit the line and, where it falls short, the piecewise candidate; keep
+    the tighter band.
 
-    Selection rule: every candidate is scored by the band half-width it would
+    Selection rule: each candidate is scored by the band half-width it would
     need to cover ``1 - trim_fraction`` of the leaf's tuples (its
     equal-coverage band area — the candidates share the leaf's width, so
     area is proportional to the half-width).  The winner's *actual* epsilon
@@ -796,11 +673,10 @@ def select_leaf_model(m: np.ndarray, n: np.ndarray, target_range: KeyRange,
     The two are told apart by the piecewise candidate, whose segments *are*
     a dry run of a split: when even the segmented fit cannot halve the
     linear band, the residuals are a floor no amount of splitting will
-    reduce.  With ``max_fp_ratio`` set, such a floor-bound band *widens* to
-    its coverage quantile — but only when the whole quantile fits the
-    widening budget ``2 * epsilon / host_span <=
-    WIDEN_BUDGET_FRACTION * max_fp_ratio`` (scale-free: band width x the
-    leaf's own host density, per covered tuple).  The trade is
+    reduce.  Such a floor-bound band *widens* to its coverage quantile —
+    but only when the whole quantile fits the widening budget ``2 * epsilon
+    / host_span <= WIDEN_BUDGET_FRACTION * max_fp_ratio`` (scale-free: band
+    width x the leaf's own host density, per covered tuple).  The trade is
     all-or-nothing: a band capped short of its coverage quantile would pay
     extra false positives on every probe and still buffer the stragglers,
     so gross injected noise right at the coverage boundary keeps the tight
@@ -808,10 +684,9 @@ def select_leaf_model(m: np.ndarray, n: np.ndarray, target_range: KeyRange,
     never widen; they miss their coverage target and split through the
     outlier-ratio criterion — exactly the case splitting can fix.
 
-    The linear family short-circuits the alternatives when its error-bound
-    band already meets the coverage target — on linearly correlated leaves
-    (the Stock workload, Synthetic-Linear) this keeps the build cost of the
-    adaptive path identical to the fixed-family path.
+    The line short-circuits the piecewise fit when its error-bound band
+    already meets the coverage target — on linearly correlated leaves (the
+    Stock workload, Synthetic-Linear) the build fits one line per leaf.
 
     Args:
         m: Target values covered by the leaf.
@@ -821,67 +696,46 @@ def select_leaf_model(m: np.ndarray, n: np.ndarray, target_range: KeyRange,
         trim_fraction: Outlier fraction the band is allowed to leave out;
             also the robustness trim of every fit.
         max_fp_ratio: Tolerated false-positive excess of a widened band,
-            relative to ``error_bound``; ``None`` disables widening (the
-            band always comes straight from the error bound).
+            relative to ``error_bound``.
     """
     m = np.asarray(m, dtype=np.float64)
     n = np.asarray(n, dtype=np.float64)
     coverage = 1.0 - max(trim_fraction, 0.0)
 
     beta, alpha = fit_linear_trimmed(m, n, trim_fraction)
-    linear_residuals = np.abs(n - (beta * m + alpha))
-    linear_band = _coverage_epsilon(linear_residuals, coverage)
-    linear_epsilon = epsilon_for_error_bound(beta, target_range, len(m),
-                                             error_bound)
-    linear = LeafModelFit(
-        model=LinearModel(beta=beta, alpha=alpha, epsilon=linear_epsilon),
-        kind="linear", band_epsilon=linear_band,
-    )
+    linear_band = _coverage_epsilon(np.abs(n - (beta * m + alpha)), coverage)
+    linear = LinearModel(beta=beta, alpha=alpha, epsilon=epsilon_for_host_span(
+        abs(beta) * target_range.width, len(m), error_bound))
     # Fast path: the error-bound band already covers the target fraction, or
-    # the leaf is too small for the alternatives to fit anything stable.
-    if len(m) < 8 or linear_band <= linear_epsilon:
+    # the leaf is too small for the piecewise fit to be stable.
+    if len(m) < 8 or linear_band <= linear.epsilon:
         return linear
-
-    candidates = [linear]
-
-    shift = target_range.low
-    features = log_feature(m, shift)
-    log_beta, log_alpha = fit_linear_trimmed(features, n, trim_fraction)
-    log_residuals = np.abs(n - (log_beta * features + log_alpha))
-    log_band = _coverage_epsilon(log_residuals, coverage)
-    log_model = LogLinearModel(beta=log_beta, alpha=log_alpha,
-                               epsilon=0.0, shift=shift)
-    candidates.append(LeafModelFit(model=log_model, kind="log",
-                                   band_epsilon=log_band))
 
     bounds, betas, alphas, indices = _fit_piecewise(
         m, n, target_range, trim_fraction, (beta, alpha))
-    piecewise_model = PiecewiseLinearModel(bounds=bounds, betas=betas,
-                                           alphas=alphas, epsilon=0.0)
-    piecewise_residuals = np.abs(
-        n - (np.asarray(betas)[indices] * m + np.asarray(alphas)[indices])
-    )
-    piecewise_band = _coverage_epsilon(piecewise_residuals, coverage)
-    candidates.append(LeafModelFit(model=piecewise_model, kind="piecewise",
-                                   band_epsilon=piecewise_band))
+    piecewise_band = _coverage_epsilon(
+        np.abs(n - (np.asarray(betas)[indices] * m
+                    + np.asarray(alphas)[indices])), coverage)
 
-    # Smallest equal-coverage band wins; list order breaks ties in favour of
-    # the cheaper family (linear < log < piecewise).
-    best = min(candidates, key=lambda fit: fit.band_epsilon)
-    span = _predicted_span(best.model, target_range)
-    epsilon = epsilon_for_host_span(span, len(m), error_bound)
+    # Smallest equal-coverage band wins; a tie keeps the cheaper line.
+    if piecewise_band < linear_band:
+        best = PiecewiseLinearModel(bounds=bounds, betas=betas,
+                                    alphas=alphas, epsilon=0.0)
+        band = piecewise_band
+    else:
+        best, band = linear, linear_band
+    epsilon = epsilon_for_host_span(_predicted_span(best, target_range),
+                                    len(m), error_bound)
     splitting_is_futile = piecewise_band >= SPLIT_GAIN_THRESHOLD * linear_band
-    if (max_fp_ratio is not None and splitting_is_futile
-            and best.band_epsilon > epsilon):
+    if splitting_is_futile and band > epsilon:
         host_span = _robust_host_span(n, trim_fraction)
         if host_span > 0.0:
             # All or nothing (see above):
             # 2 * eps / host_span <= WIDEN_BUDGET_FRACTION * max_fp_ratio.
             budget = 0.5 * WIDEN_BUDGET_FRACTION * max_fp_ratio * host_span
-            if best.band_epsilon <= budget:
-                epsilon = best.band_epsilon
-    return LeafModelFit(model=dataclasses.replace(best.model, epsilon=epsilon),
-                        kind=best.kind, band_epsilon=best.band_epsilon)
+            if band <= budget:
+                epsilon = band
+    return dataclasses.replace(best, epsilon=epsilon)
 
 
 def estimate_leaf_false_positives(model: LeafModel,

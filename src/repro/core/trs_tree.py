@@ -3,16 +3,16 @@
 The TRS-Tree is the paper's core data structure (Section 4): a k-ary tree over
 the *target* column's value domain whose leaves each hold a tiny regression
 model mapping target values to host values (adaptively chosen per leaf from
-the linear / log-linear / piecewise-linear families, see
-``core/regression.py``), plus outlier entries for the tuples the model
-cannot cover.  Construction (Algorithm 1) recursively partitions the domain
-until every leaf's model covers at least ``1 - outlier_ratio`` of its tuples
-— and would not drag in more than ``max_fp_ratio`` estimated false positives
-per covered tuple — or ``max_height`` is reached; lookups
-(Algorithm 2) translate a target-column predicate into a small set of
-host-column ranges plus outlier tuple identifiers; maintenance (Algorithm 3)
-touches only the affected leaf's outliers and counters and defers structural
-changes to an on-demand reorganization pass.
+the linear and piecewise-linear families, see ``core/regression.py``), plus
+outlier entries for the tuples the model cannot cover.  Construction
+(Algorithm 1) recursively partitions the domain until every leaf's model
+covers at least ``1 - outlier_ratio`` of its tuples — and would not drag in
+more than ``max_fp_ratio`` estimated false positives per covered tuple — or
+``max_height`` is reached; lookups (Algorithm 2) translate a target-column
+predicate into a small set of host-column ranges plus outlier tuple
+identifiers; maintenance (Algorithm 3) touches only the affected leaf's
+outliers and counters and defers structural changes to an on-demand
+reorganization pass.
 
 Every node splits its range into ``node_fanout`` equal-width children, so an
 interior node holds nothing its leaves' bounds and paths do not determine:
@@ -440,12 +440,11 @@ class TRSTree:
                                                    fit_hosts):
             return self._split(key_range, targets, hosts, tids, path)
 
-        fit = select_leaf_model(
+        model = select_leaf_model(
             fit_targets, fit_hosts, key_range, self.config.error_bound,
             trim_fraction=self.config.outlier_ratio,
             max_fp_ratio=self.config.max_fp_ratio,
         )
-        model = fit.model
         covered = model.covers_many(targets, hosts) & modelled
         num_model_covered = int(np.count_nonzero(covered))
         num_outliers = len(fit_targets) - num_model_covered
@@ -509,12 +508,12 @@ class TRSTree:
         sample_size = max(self.config.min_split_size, int(len(targets) * fraction))
         rng = np.random.default_rng(len(targets))
         positions = rng.choice(len(targets), size=sample_size, replace=False)
-        sample_fit = select_leaf_model(
+        sample_model = select_leaf_model(
             targets[positions], hosts[positions], key_range, self.config.error_bound,
             trim_fraction=self.config.outlier_ratio,
             max_fp_ratio=self.config.max_fp_ratio,
         )
-        covered = sample_fit.model.covers_many(targets[positions], hosts[positions])
+        covered = sample_model.covers_many(targets[positions], hosts[positions])
         outliers = sample_size - int(covered.sum())
         return outliers > self.config.outlier_ratio * sample_size
 

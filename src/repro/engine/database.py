@@ -90,7 +90,7 @@ from repro.engine.query import (
     QueryResult,
     RangePredicate,
 )
-from repro.errors import CatalogError, DurabilityError, QueryError
+from repro.errors import CatalogError, DurabilityError, QueryError, SchemaError
 from repro.index.base import KeyRanges
 from repro.index.ordered import OrderedIndex
 from repro.storage.identifiers import PointerScheme
@@ -388,17 +388,16 @@ class Database:
         """Insert a row, maintaining the primary and all secondary indexes.
 
         Delegates to :meth:`insert_many` with a batch of one so the scalar
-        and batched write paths cannot drift apart.
+        and batched write paths cannot drift apart: one validation, one
+        error for each fault.  An empty row is the one row that is not a
+        batch of one — ``insert_many`` takes ``{}`` as a batch of none — so
+        it is refused here, as a row without its primary key.
         """
-        # The pre-validation reads the catalog, so it needs the shared
-        # side; the write side is taken by insert_many *after* the read
-        # releases (holding it across the call would be an upgrade).
-        with self.epochs.read():
-            entry = self.catalog.table_entry(table_name)
-            entry.table.schema.validate_row(row)
-        return self.insert_many(
-            table_name, {name: [value] for name, value in row.items()}
-        )[0]
+        locations = self.insert_many(
+            table_name, {name: [value] for name, value in row.items()})
+        if not locations:
+            raise SchemaError("insert received an empty row")
+        return locations[0]
 
     def insert_many(self, table_name: str, columns: dict[str, Sequence]) -> list[int]:
         """Bulk-insert column-oriented data, maintaining all indexes in bulk.

@@ -65,7 +65,7 @@ from repro.core.lookup import LookupBreakdown
 from repro.engine.database import Database
 from repro.engine.planner import PlannerCacheStats
 from repro.engine.query import QueryRequest, QueryResult
-from repro.errors import CatalogError, ConfigurationError, ShardError
+from repro.errors import CatalogError, ConfigurationError, SchemaError, ShardError
 from repro.segments import interleave_segments, split_segments
 from repro.sharding.worker import dispatch_command, shard_worker_main
 from repro.storage.identifiers import PointerScheme
@@ -355,9 +355,13 @@ class ShardedDatabase:
         ``searchsorted`` against the table's boundaries; each involved
         shard receives its whole slice as one column batch (numpy columns
         sliced by fancy index, list columns — strings — by comprehension).
-        The returned locations are globalised and in input order.
+        The returned locations are globalised and in input order.  The
+        batch is schema-checked before it is routed, as one engine checks
+        it: a missing primary key is a ``SchemaError``, not a routing fault.
         """
         schema = self._schema(table_name)
+        if not schema.validate_columns(columns):
+            return []
         keys = np.asarray(columns[schema.primary_key], dtype=np.float64)
         boundaries = self._boundaries[table_name]
         if boundaries.size:
@@ -386,9 +390,13 @@ class ShardedDatabase:
         return global_locations.tolist()
 
     def insert(self, table_name: str, row: dict) -> int:
-        """Insert one row, returning its global location."""
-        return self.insert_many(
-            table_name, {name: [value] for name, value in row.items()})[0]
+        """Insert one row, returning its global location; refused like
+        :meth:`Database.insert` when empty."""
+        locations = self.insert_many(
+            table_name, {name: [value] for name, value in row.items()})
+        if not locations:
+            raise SchemaError("insert received an empty row")
+        return locations[0]
 
     def delete(self, table_name: str, location: int) -> None:
         """Delete the row at global ``location`` on its owning shard."""

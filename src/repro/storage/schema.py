@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.errors import SchemaError
+from repro.errors import SchemaError, StorageError
 
 
 class DataType(enum.Enum):
@@ -75,7 +75,8 @@ class TableSchema:
         name: Table name.
         columns: Ordered column descriptors.
         primary_key: Name of the primary-key column.  Must be one of
-            ``columns``.  The engine builds a primary index on it.
+            ``columns``, and not nullable: the engine builds a primary
+            index on it, so every row carries one.
     """
 
     def __init__(self, name: str, columns: Iterable[Column], primary_key: str) -> None:
@@ -91,6 +92,8 @@ class TableSchema:
             raise SchemaError(
                 f"primary key {primary_key!r} is not a column of table {name!r}"
             )
+        if self.columns[self._positions[primary_key]].nullable:
+            raise SchemaError(f"primary key {primary_key!r} cannot be nullable")
         self.primary_key = primary_key
 
     def __len__(self) -> int:
@@ -131,6 +134,9 @@ class TableSchema:
     def validate_row(self, row: dict) -> None:
         """Validate that ``row`` provides a value for every non-nullable column.
 
+        The column check of every insert: a column-oriented batch is
+        checked by :meth:`validate_columns`, which calls this.
+
         Raises:
             SchemaError: If a required column is missing or an unknown column
                 is supplied.
@@ -145,6 +151,28 @@ class TableSchema:
                 raise SchemaError(
                     f"row is missing non-nullable column {column.name!r}"
                 )
+
+    def validate_columns(self, columns: dict[str, Sequence]) -> int:
+        """Schema-check a column-oriented batch without mutating anything.
+
+        Returns the row count of the batch.  A batch of no rows (``{}``, or
+        columns of length 0) is accepted as it stands: there is no row to
+        check.
+
+        Raises:
+            StorageError: On unequal column lengths.
+            SchemaError: On an unknown or a missing non-nullable column
+                (:meth:`validate_row`).
+        """
+        if not columns:
+            return 0
+        lengths = {len(values) for values in columns.values()}
+        if len(lengths) != 1:
+            raise StorageError("insert_many received columns of unequal length")
+        count = lengths.pop()
+        if count:
+            self.validate_row(columns)
+        return count
 
     def row_byte_width(self) -> int:
         """Nominal row width in bytes, used by the analytic memory model."""

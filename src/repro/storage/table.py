@@ -82,7 +82,7 @@ class Table:
             The slots of the inserted rows, in insertion order, as one
             int64 array (consecutive: the batch is appended).
         """
-        count = self.validate_insert_columns(rows)
+        count = self.schema.validate_columns(rows)
         if count == 0:
             return np.empty(0, dtype=np.int64)
         # Coerce every supplied column before touching any storage or
@@ -125,39 +125,6 @@ class Table:
         self._live_count += count
         return np.arange(start, start + count, dtype=np.int64)
 
-    def validate_insert_columns(self, rows: dict[str, Sequence]) -> int:
-        """Schema-check an ``insert_many`` batch without mutating anything.
-
-        Returns the row count of the batch (0 for an empty one).  This is
-        the pre-mutation validation gate: the write-ahead log calls it
-        before a batch is logged so a record is only ever written for an
-        operation that the table will accept.
-
-        Raises:
-            StorageError: On unequal column lengths or unknown columns.
-            SchemaError: If a non-nullable column is missing.
-        """
-        if not rows:
-            return 0
-        lengths = {len(values) for values in rows.values()}
-        if len(lengths) != 1:
-            raise StorageError("insert_many received columns of unequal length")
-        count = lengths.pop()
-        if count == 0:
-            return 0
-        for name in rows:
-            if name not in self.schema:
-                raise StorageError(
-                    f"insert_many references unknown column {name!r}"
-                )
-        for column in self.schema:
-            if column.name not in rows and not column.nullable:
-                raise SchemaError(
-                    f"insert_many is missing non-nullable column "
-                    f"{column.name!r}"
-                )
-        return count
-
     def validate_insert_many(self, rows: dict[str, Sequence]) -> int:
         """Full dry run of :meth:`insert_many`: schema *and* dtype checks.
 
@@ -169,11 +136,11 @@ class Table:
         Returns the row count of the batch (0 for an empty one).
 
         Raises:
-            StorageError: On unequal column lengths or unknown columns.
-            SchemaError: On a missing non-nullable column or an uncoercible
-                value.
+            StorageError: On unequal column lengths.
+            SchemaError: On an unknown or a missing non-nullable column, or
+                an uncoercible value.
         """
-        count = self.validate_insert_columns(rows)
+        count = self.schema.validate_columns(rows)
         if count == 0:
             return 0
         for column in self.schema:

@@ -1,10 +1,11 @@
 """Unit tests for the adaptive leaf-model families and their selection.
 
 The tentpole behaviour under test (see docs/architecture.md, "Adaptive leaf
-models"): every TRS-Tree leaf fits linear, log-linear and piecewise-linear
-candidates, keeps whichever needs the smallest band at equal coverage, widens
-a noise-floor band only within the ``max_fp_ratio`` candidate budget, and
-demotes hopeless leaves to exact outlier-only storage.
+models"): a TRS-Tree leaf whose error-bound line misses its coverage target
+also fits a piecewise-linear candidate, keeps whichever needs the smaller
+band at equal coverage, widens a noise-floor band only within the
+``max_fp_ratio`` candidate budget, and demotes hopeless leaves to exact
+outlier-only storage.
 """
 
 import numpy as np
@@ -14,7 +15,6 @@ from repro.core.config import TRSTreeConfig
 from repro.core.regression import (
     LeafModel,
     LinearModel,
-    LogLinearModel,
     ModelTable,
     OutlierOnlyModel,
     PiecewiseLinearModel,
@@ -23,42 +23,6 @@ from repro.core.regression import (
 )
 from repro.core.trs_tree import TRSTree
 from repro.index.base import KeyRange
-
-
-class TestLogLinearModel:
-    def make_model(self, epsilon=0.5):
-        return LogLinearModel(beta=10.0, alpha=3.0, epsilon=epsilon, shift=1.0)
-
-    def test_predict_uses_log_feature(self):
-        model = self.make_model()
-        assert model.predict(1.0) == pytest.approx(3.0)  # log1p(0) == 0
-        assert model.predict(float(np.e) + 0.0) == pytest.approx(
-            10.0 * np.log1p(np.e - 1.0) + 3.0)
-
-    def test_below_shift_clamps_to_anchor(self):
-        model = self.make_model()
-        assert model.predict(-100.0) == model.predict(1.0)
-
-    def test_covers_and_covers_many_agree(self):
-        model = self.make_model(epsilon=1.0)
-        m = np.array([1.0, 5.0, 20.0, 100.0])
-        n = np.array([model.predict(v) for v in m])
-        n[2] += 5.0  # push one outside the band
-        vectorised = model.covers_many(m, n)
-        scalar = [model.covers(float(a), float(b)) for a, b in zip(m, n)]
-        assert list(vectorised) == scalar == [True, True, False, True]
-
-    def test_host_range_is_monotone_envelope(self):
-        model = self.make_model(epsilon=0.25)
-        host = model.host_range(KeyRange(2.0, 50.0))
-        assert host.low <= model.predict(2.0) - 0.25
-        assert host.high >= model.predict(50.0) + 0.25
-
-    def test_host_range_negative_beta_swaps_endpoints(self):
-        model = LogLinearModel(beta=-4.0, alpha=0.0, epsilon=0.1, shift=0.0)
-        host = model.host_range(KeyRange(1.0, 10.0))
-        assert host.low <= model.predict(10.0) - 0.1
-        assert host.high >= model.predict(1.0) + 0.1
 
 
 class TestPiecewiseLinearModel:
@@ -117,7 +81,6 @@ class TestOutlierOnlyModel:
 
     def test_satisfies_protocol(self):
         for model in (OutlierOnlyModel(), LinearModel(1.0, 0.0, 0.1),
-                      LogLinearModel(1.0, 0.0, 0.1, 0.0),
                       PiecewiseLinearModel((0.0, 1.0), (1.0,), (0.0,), 0.1)):
             assert isinstance(model, LeafModel)
 
@@ -126,30 +89,20 @@ class TestSelectLeafModel:
     def test_linear_data_takes_the_linear_fast_path(self):
         m = np.linspace(0.0, 100.0, 2000)
         n = 3.0 * m + 1.0
-        fit = select_leaf_model(m, n, KeyRange(0.0, 100.0), error_bound=2.0,
-                                trim_fraction=0.1, max_fp_ratio=0.5)
-        assert fit.kind == "linear"
+        model = select_leaf_model(m, n, KeyRange(0.0, 100.0), error_bound=2.0,
+                                  trim_fraction=0.1, max_fp_ratio=0.5)
+        assert isinstance(model, LinearModel)
         # Paper semantics preserved: epsilon straight from the error bound.
-        assert fit.model.epsilon == pytest.approx(3.0 * 100 * 2.0 / (2 * 2000))
-
-    def test_log_data_selects_log_family(self):
-        rng = np.random.default_rng(0)
-        m = rng.uniform(1.0, 1000.0, size=4000)
-        n = 50.0 * np.log1p(m - 1.0) + 7.0
-        fit = select_leaf_model(m, n, KeyRange(1.0, 1000.0), error_bound=2.0,
-                                trim_fraction=0.1, max_fp_ratio=0.5)
-        assert fit.kind == "log"
-        covered = fit.model.covers_many(m, n)
-        assert covered.mean() >= 0.9
+        assert model.epsilon == pytest.approx(3.0 * 100 * 2.0 / (2 * 2000))
 
     def test_curved_data_selects_piecewise_family(self):
         rng = np.random.default_rng(1)
         m = rng.uniform(0.0, 10.0, size=4000)
-        n = np.where(m < 5.0, 2.0 * m, 20.0 - 2.0 * m)  # tent: no log fit
-        fit = select_leaf_model(m, n, KeyRange(0.0, 10.0), error_bound=2.0,
-                                trim_fraction=0.1, max_fp_ratio=0.5)
-        assert fit.kind == "piecewise"
-        assert fit.model.covers_many(m, n).mean() >= 0.9
+        n = np.where(m < 5.0, 2.0 * m, 20.0 - 2.0 * m)  # tent: no line fits
+        model = select_leaf_model(m, n, KeyRange(0.0, 10.0), error_bound=2.0,
+                                  trim_fraction=0.1, max_fp_ratio=0.5)
+        assert isinstance(model, PiecewiseLinearModel)
+        assert model.covers_many(m, n).mean() >= 0.9
 
     def test_noise_floor_band_widens_within_budget(self):
         """Noise the segments cannot reduce widens the band instead of
@@ -158,14 +111,14 @@ class TestSelectLeafModel:
         m = rng.uniform(0.0, 100.0, size=4000)
         noise = rng.normal(0.0, 0.5, size=4000)
         n = 2.0 * m + noise
-        fit = select_leaf_model(m, n, KeyRange(0.0, 100.0), error_bound=2.0,
-                                trim_fraction=0.1, max_fp_ratio=0.5)
+        model = select_leaf_model(m, n, KeyRange(0.0, 100.0), error_bound=2.0,
+                                  trim_fraction=0.1, max_fp_ratio=0.5)
         error_bound_eps = 2.0 * 100 * 2.0 / (2 * 4000)  # 0.05 << noise
-        assert fit.model.epsilon > error_bound_eps
-        assert fit.model.covers_many(m, n).mean() >= 0.9
+        assert model.epsilon > error_bound_eps
+        assert model.covers_many(m, n).mean() >= 0.9
         # The widened band stays within the leaf-spanning candidate budget.
-        covered = fit.model.covers_many(m, n)
-        estimated = estimate_leaf_false_positives(fit.model, n[covered])
+        covered = model.covers_many(m, n)
+        estimated = estimate_leaf_false_positives(model, n[covered])
         assert estimated <= 0.5 * covered.sum() * 1.01
 
     def test_curvature_band_is_not_widened(self):
@@ -173,11 +126,11 @@ class TestSelectLeafModel:
         rng = np.random.default_rng(3)
         m = rng.uniform(0.0, 1000.0, size=4000)
         n = np.sqrt(m) * 100.0
-        fit = select_leaf_model(m, n, KeyRange(0.0, 1000.0), error_bound=2.0,
-                                trim_fraction=0.1, max_fp_ratio=0.5)
+        model = select_leaf_model(m, n, KeyRange(0.0, 1000.0), error_bound=2.0,
+                                  trim_fraction=0.1, max_fp_ratio=0.5)
         # Far from covering: the piecewise dry run shows splitting helps, so
         # no widening happens and the tree will split this node instead.
-        assert fit.model.covers_many(m, n).mean() < 0.9
+        assert model.covers_many(m, n).mean() < 0.9
 
 
 class TestFalsePositiveEstimate:
@@ -195,6 +148,19 @@ class TestFalsePositiveEstimate:
 
 
 class TestTreeLevelAdaptivity:
+    def test_log_shaped_data_splits_into_line_and_piecewise_leaves(self):
+        """No leaf family is logarithmic: a log curve is curvature, which
+        the tree serves by splitting, within the outlier ratio."""
+        rng = np.random.default_rng(0)
+        m = rng.uniform(1.0, 1000.0, size=4000)
+        n = 50.0 * np.log1p(m - 1.0) + 7.0
+        tree = TRSTree()
+        tree.build(m, n, np.arange(4000))
+        assert tree.num_leaves > 1
+        assert {type(model) for model in tree._table.models} == {
+            LinearModel, PiecewiseLinearModel}
+        assert tree.num_outliers <= 0.1 * 4000
+
     def test_glitchy_tiny_leaves_are_demoted_not_banded(self):
         """A leaf whose best band floods the host index stores its tuples
         exactly instead (the OutlierOnlyModel demotion)."""
@@ -233,7 +199,6 @@ class TestTreeLevelAdaptivity:
 
 @pytest.mark.parametrize("model", [
     LinearModel(beta=0.0, alpha=5.0, epsilon=1.0),
-    LogLinearModel(beta=0.0, alpha=5.0, epsilon=1.0, shift=0.0),
     PiecewiseLinearModel(bounds=(0.0, 5.0, 10.0), betas=(0.0, 0.0),
                          alphas=(5.0, 5.0), epsilon=1.0),
 ], ids=lambda model: type(model).__name__)

@@ -13,12 +13,15 @@ by the state machine in ``test_engine_oracle``.
 
 ``TestReadSurfaceIsPinned`` lists the public callables of ``Index``, the
 mechanism base, ``Database``, ``ShardedDatabase``, ``Server`` and the
-TRS-Tree's classes and asserts each set exactly, so a future read path has
-to replace one of these rather than land beside it.
+TRS-Tree's classes, and the names ``repro.core.regression`` defines and
+``repro.core`` exports, and asserts each set exactly, so a future read path
+or leaf-model family has to replace one of these rather than land beside
+it.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -248,6 +251,35 @@ TRS_OTHER = {
 }
 LEAF_TABLE = {"replace"}
 LEAF_MODEL = {"predict", "covers", "covers_many", "host_range"}
+# The model layer: two fitted families (a line, a piecewise line), the
+# outlier-only demotion, one fitter and one epsilon derivation.
+REGRESSION_NAMES = {
+    "LeafModel", "LinearModel", "PiecewiseLinearModel", "OutlierOnlyModel",
+    "ModelTable", "slope_times", "slope_times_many", "band_range",
+    "band_range_many", "quantile", "fit_linear", "fit_linear_trimmed",
+    "epsilon_for_host_span", "piecewise_segment_indices", "select_leaf_model",
+    "estimate_leaf_false_positives", "PIECEWISE_MANY_SEGMENTS",
+    "PIECEWISE_FEW_SEGMENTS", "PIECEWISE_MIN_TUPLES_PER_SEGMENT",
+    "SPLIT_GAIN_THRESHOLD", "WIDEN_BUDGET_FRACTION",
+}
+CORE_EXPORTS = {
+    "DEFAULT_CONFIG", "HermitIndex", "LeafModel", "LinearModel",
+    "LookupBreakdown", "OutlierOnlyModel", "PiecewiseLinearModel",
+    "TRSLookupResult", "TRSTree", "TRSTreeConfig", "fit_linear",
+    "select_leaf_model",
+}
+
+
+def module_level_names(path: Path) -> set[str]:
+    """Public names a module defines itself (not the ones it imports)."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {target.id for target in node.targets
+                      if isinstance(target, ast.Name)}
+    return {name for name in names if not name.startswith("_")}
 
 
 class TestReadSurfaceIsPinned:
@@ -278,6 +310,11 @@ class TestReadSurfaceIsPinned:
         assert "def lookup(" in lookup_section
         assert "def lookup_many(" in lookup_section
         assert "deque" not in lookup_section and "stack" not in lookup_section
+
+    def test_model_layer_surface(self):
+        assert module_level_names(
+            SRC / "repro" / "core" / "regression.py") == REGRESSION_NAMES
+        assert set(repro.core.__all__) == CORE_EXPORTS
 
     def test_index_surface(self):
         assert public_callables(Index) == INDEX_READS | INDEX_OTHER
@@ -395,7 +432,10 @@ class TestReadSurfaceIsPinned:
             r"\b(CostModel|SizeModel|BPlusTree)\b"
             r"|\b(lookup_range|lookup_point|reset_breakdown|HermitLookupResult"
             r"|BatchLookupResult|build_hotpath_setup|HotpathSetup|HashIndex"
-            r"|IndexStatistics)")
+            r"|IndexStatistics"
+            # retired by the two leaf-model families and one fitter
+            r"|LogLinearModel|log_feature|fit_leaf_model"
+            r"|epsilon_for_error_bound|LeafModelFit)")
         paths = [path for caller in CALLERS for path in caller.rglob("*.py")]
         assert len(paths) > 100
         for path in paths:

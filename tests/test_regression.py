@@ -9,11 +9,11 @@ from repro.core.regression import (
     LinearModel,
     band_range,
     band_range_many,
-    epsilon_for_error_bound,
-    fit_leaf_model,
+    epsilon_for_host_span,
     fit_linear,
     fit_linear_trimmed,
     quantile,
+    select_leaf_model,
 )
 from repro.index.base import KeyRange
 
@@ -131,21 +131,21 @@ class TestTrimmedFit:
 
 class TestEpsilon:
     def test_formula(self):
-        # eps = |beta| * width * error_bound / (2 n)
-        eps = epsilon_for_error_bound(2.0, KeyRange(0.0, 1000.0), 100, 2.0)
+        # eps = host_span * error_bound / (2 n); a line spans |beta| * width
+        eps = epsilon_for_host_span(2.0 * 1000.0, 100, 2.0)
         assert eps == pytest.approx(2.0 * 1000.0 * 2.0 / 200.0)
 
     def test_zero_cases(self):
-        assert epsilon_for_error_bound(2.0, KeyRange(0, 10), 0, 2.0) == 0.0
-        assert epsilon_for_error_bound(0.0, KeyRange(0, 10), 5, 2.0) == 0.0
-        assert epsilon_for_error_bound(2.0, KeyRange(0, 10), 5, 0.0) == 0.0
+        assert epsilon_for_host_span(20.0, 0, 2.0) == 0.0
+        assert epsilon_for_host_span(0.0, 5, 2.0) == 0.0
+        assert epsilon_for_host_span(20.0, 5, 0.0) == 0.0
 
-    def test_negative_slope_uses_absolute_value(self):
-        assert epsilon_for_error_bound(-2.0, KeyRange(0, 10), 5, 1.0) > 0
+    def test_negative_span_uses_absolute_value(self):
+        assert epsilon_for_host_span(-20.0, 5, 1.0) > 0
 
     def test_larger_error_bound_gives_larger_epsilon(self):
-        small = epsilon_for_error_bound(1.0, KeyRange(0, 100), 50, 1.0)
-        large = epsilon_for_error_bound(1.0, KeyRange(0, 100), 50, 100.0)
+        small = epsilon_for_host_span(100.0, 50, 1.0)
+        large = epsilon_for_host_span(100.0, 50, 100.0)
         assert large > small
 
 
@@ -196,10 +196,15 @@ class TestLinearModel:
         assert (lows[1], highs[1]) == (-inf, -inf)
 
 
-class TestFitLeafModel:
+class TestLinearLeafEpsilon:
+    """A leaf the line covers keeps the paper's model: (slope, intercept,
+    epsilon), epsilon straight from ``error_bound`` (Section 4.5)."""
+
     def test_epsilon_attached(self):
         m = np.linspace(0, 100, 1000)
-        model = fit_leaf_model(m, 2 * m, KeyRange(0, 100), error_bound=2.0)
+        model = select_leaf_model(m, 2 * m, KeyRange(0, 100), error_bound=2.0,
+                                  trim_fraction=0.0, max_fp_ratio=0.5)
+        assert isinstance(model, LinearModel)
         assert model.beta == pytest.approx(2.0)
         assert model.epsilon == pytest.approx(2.0 * 100 * 2.0 / 2000.0)
 
@@ -215,7 +220,9 @@ class TestFitLeafModel:
         m = rng.uniform(0, 1000, size=count)
         n = 5.0 * m + 3.0
         error_bound = 50.0
-        model = fit_leaf_model(m, n, KeyRange(0, 1000), error_bound)
+        model = select_leaf_model(m, n, KeyRange(0, 1000), error_bound,
+                                  trim_fraction=0.0, max_fp_ratio=0.5)
+        assert isinstance(model, LinearModel)
         probes = rng.uniform(100, 900, size=50)
         covered_counts = []
         for probe in probes:

@@ -50,6 +50,13 @@ class TestTableSchema:
         with pytest.raises(SchemaError):
             numeric_schema("t", ["a", "b"], primary_key="z")
 
+    def test_rejects_nullable_primary_key(self):
+        # An insert without it would store the row and then miss the
+        # primary index: the column must be there in every row.
+        with pytest.raises(SchemaError):
+            TableSchema("t", [Column("a", nullable=True), Column("b")],
+                        primary_key="a")
+
     def test_rejects_empty_schema(self):
         with pytest.raises(SchemaError):
             TableSchema("t", [], primary_key="a")

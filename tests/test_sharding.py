@@ -207,6 +207,46 @@ class TestRoutingAndLocations:
                 sharded.fetch("trace", 5 * LOCATION_STRIDE)
 
 
+REJECTED_ROWS = {
+    "unknown_column": {"pk": 1.0, "host": 1.0, "target": 1.0, "ghost": 1.0},
+    "missing_column": {"pk": 1.0, "host": 1.0},
+    "missing_primary_key": {"host": 1.0, "target": 1.0},
+    "empty_row": {},
+}
+
+
+@pytest.mark.parametrize("engine", ["database", "sharded_inline"])
+@pytest.mark.parametrize("entry_point", ["insert", "insert_many"])
+@pytest.mark.parametrize("fault", sorted(REJECTED_ROWS))
+def test_a_rejected_row_raises_one_error_at_every_entry_point(
+        engine, entry_point, fault):
+    """One validation, one error: a row naming an unknown column, or
+    lacking a non-nullable one (the primary key included), is a
+    ``SchemaError`` through either insert of either engine, and nothing is
+    stored.  An empty row is refused the same way; its batch form ``{}``
+    is a batch of no rows."""
+    row = REJECTED_ROWS[fault]
+    with ShardedDatabase(num_shards=2, mode="inline") as sharded:
+        if engine == "sharded_inline":
+            database = sharded
+            database.create_table(create_schema(), [50.0])
+        else:
+            database = Database()
+            database.create_table(create_schema())
+        if entry_point == "insert_many" and not row:
+            assert database.insert_many("trace", row) == []
+        else:
+            with pytest.raises(SchemaError):
+                if entry_point == "insert":
+                    database.insert("trace", row)
+                else:
+                    database.insert_many(
+                        "trace", {name: [value] for name, value in row.items()})
+        rows = (sharded.num_rows("trace") if database is sharded
+                else database.table("trace").num_rows)
+        assert rows == 0
+
+
 class TestServingFrontEnd:
     def test_server_sits_in_front_unchanged(self):
         with ShardedDatabase(num_shards=2, mode="inline") as sharded:

@@ -46,11 +46,11 @@ class TestInsertFetch:
             table.insert_many({"pk": [1.0], "x": [1.0, 2.0], "y": [0.0]})
 
     def test_insert_many_rejects_unknown_column(self, table):
-        with pytest.raises(StorageError):
+        with pytest.raises(SchemaError):
             table.insert_many({"pk": [1.0], "x": [1.0], "y": [1.0], "z": [1.0]})
 
     @pytest.mark.parametrize("row, error", [
-        ({"pk": 2.0, "x": 1.0, "y": 1.0, "z": 1.0}, StorageError),
+        ({"pk": 2.0, "x": 1.0, "y": 1.0, "z": 1.0}, SchemaError),
         ({"pk": 2.0, "y": 1.0}, SchemaError),
         ({"pk": 2.0, "x": "not-a-number", "y": 1.0}, SchemaError),
     ], ids=["unknown_column", "missing_column", "uncoercible_value"])

@@ -4,8 +4,8 @@
 passes) both read the tree's leaf table and its tree-wide outlier view.
 The oracle is ``reference.trs_lookup_scan`` — Algorithm 2 as a linear scan
 of the rows, with no bisect, no model table and no coalescing — and both
-reads must agree with it for every leaf-model variant the builder can select (linear,
-log-linear, piecewise, outlier-only demotion), every tree shape (single
+reads must agree with it for every leaf-model variant the builder can
+select (linear, piecewise, outlier-only demotion), every tree shape (single
 leaf, deep splits, empty build), every predicate position (inside the built
 domain, exactly on leaf bounds, straddling the domain's edges, fully
 outside) and after any interleaving of writes and reorganizations.
@@ -31,7 +31,6 @@ from hypothesis import strategies as st
 from repro.core.config import TRSTreeConfig
 from repro.core.regression import (
     LinearModel,
-    LogLinearModel,
     OutlierOnlyModel,
     PiecewiseLinearModel,
 )
@@ -119,7 +118,7 @@ class TestLeafModelVariants:
         assert tree.num_outliers >= 40
         assert_reads_match_oracle(tree, probe_batch(0.0, 1000.0))
 
-    def test_log_linear_split_tree(self):
+    def test_exponential_split_tree(self):
         rng = np.random.default_rng(2)
         targets = rng.uniform(1.0, 1000.0, 4000)
         hosts = np.exp(targets / 250.0) * (1.0 + rng.normal(0, 0.01, 4000))
@@ -242,12 +241,13 @@ class TestCoalesce:
 
 DOMAIN = (0.0, 1000.0)
 
-# One dataset per leaf-model family the builder can select; "gapped" leaves
-# a hole in the domain, so some leaves are built empty (no band-covered
-# tuple: they emit no host range until the first covered insert).
+# Datasets that make the builder select every leaf-model family, and split
+# deep ("exponential" curves); "gapped" leaves a hole in the domain, so some
+# leaves are built empty (no band-covered tuple: they emit no host range
+# until the first covered insert).
 SHAPES = {
     "linear": lambda t, rng: 2.0 * t + 5.0,
-    "log": lambda t, rng: np.exp((t + 1.0) / 250.0)
+    "exponential": lambda t, rng: np.exp((t + 1.0) / 250.0)
     * (1.0 + rng.normal(0, 0.01, t.size)),
     "piecewise": lambda t, rng: np.sqrt(t) * 100.0 + rng.normal(0, 1.0, t.size),
     "noise": lambda t, rng: rng.uniform(0.0, 100.0, t.size),
@@ -329,8 +329,8 @@ class TestReadsMatchTheLeafScan:
         for shape in SHAPES:
             tree, _ = shaped_tree(shape, 3000 if shape != "noise" else 400, 0)
             families |= set(map(type, tree._table.models))
-        assert families == {LinearModel, LogLinearModel,
-                            PiecewiseLinearModel, OutlierOnlyModel}
+        assert families == {LinearModel, PiecewiseLinearModel,
+                            OutlierOnlyModel}
         tree, _ = shaped_tree("gapped", 3000, 0)
         assert (tree._table.num_model_covered == 0).any()
 

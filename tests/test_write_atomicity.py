@@ -109,7 +109,7 @@ class TestRejectedWritesAreAtomic:
         with pytest.raises(StorageError):
             database.insert_many("t", {"pk": [900, 901], "a": [1.0],
                                        "b": [1.0, 2.0]})
-        with pytest.raises(StorageError):
+        with pytest.raises(SchemaError):
             database.insert_many("t", {"pk": [900], "a": [1.0],
                                        "b": [2.0], "ghost": [3.0]})
         with pytest.raises(SchemaError):
