@@ -10,10 +10,10 @@ every ``Database`` method that calls a ``log_*`` hook:
    ``raise`` guards) must run before the first ``log_*`` call, so the WAL
    never holds a record that fails to re-apply.
 2. **The append before the mutation** — no table/index/catalog apply
-   call (``insert_many``, ``delete``, ``update``, ``build``,
-   ``add_table``, ``add_index``, ``drop_index``,
-   ``bump_data_epoch``) may precede the first ``log_*`` call, so a crash
-   cannot leave an applied-but-unlogged mutation.
+   call (``insert_many``, ``delete_many``, ``update_many``, their
+   row-at-a-time wrappers, ``build``, ``add_table``, ``add_index``,
+   ``drop_index``, ``bump_data_epoch``) may precede the first ``log_*``
+   call, so a crash cannot leave an applied-but-unlogged mutation.
 
 The rule scopes itself to methods that call an attribute starting with
 ``log_`` (the durability hooks) and compares statement line numbers —
@@ -37,8 +37,9 @@ from repro.analysis.framework import (
 
 #: Calls that apply a mutation to engine state.
 APPLY_ATTRS = frozenset({
-    "insert", "insert_many", "delete", "update", "build",
-    "add_table", "add_index", "drop_index", "bump_data_epoch",
+    "insert", "insert_many", "delete", "delete_many", "update",
+    "update_many", "build", "add_table", "add_index", "drop_index",
+    "bump_data_epoch",
 })
 
 #: Calls that validate the operation (besides explicit ``raise`` guards).

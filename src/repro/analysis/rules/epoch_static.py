@@ -52,8 +52,8 @@ ENGINE_READS = {
 #: Attributes whose call mutates engine state.
 MUTATION_ATTRS = frozenset({
     "add_table", "add_index", "drop_index", "bump_data_epoch",
-    "insert", "insert_many", "delete", "update", "build",
-    "reorganize", "reorganize_children",
+    "insert", "insert_many", "delete", "delete_many", "update",
+    "update_many", "build", "reorganize", "reorganize_children",
 })
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from itertools import chain
-from math import isnan
 
 import numpy as np
 
@@ -227,20 +226,20 @@ class CorrelationMap(SecondaryMechanism):
         for target_bucket, host_bucket in links.tolist():
             self._mapping[target_bucket].add(host_bucket)
 
-    def delete(self, row: dict, location: int) -> None:
+    def delete_many(self, columns: dict, locations) -> None:
         """Deletion keeps the mapping unchanged (documented CM limitation);
-        a NULL-host row leaves the NULL-host index."""
-        target = float(row[self.target_column])
-        if not isnan(target) and isnan(float(row[self.host_column])):
-            self._null_hosts.delete(target, self._tid_for(row, location))
+        NULL-host rows leave the NULL-host index.
 
-    def update(self, old_row: dict, new_row: dict, location: int) -> None:
-        """Updates extend the mapping for the new values and move a
-        NULL-host row's entry."""
-        self.delete(old_row, location)
-        self._file(np.array([float(new_row[self.target_column])]),
-                   np.array([float(new_row[self.host_column])]),
-                   np.array([self._tid_for(new_row, location)]))
+        An update (:meth:`update_many`) is this plus :meth:`insert_many`:
+        the mapping is extended for the new values, and a NULL-host row's
+        entry moves.
+        """
+        targets = np.asarray(columns[self.target_column], dtype=np.float64)
+        null_host = ~np.isnan(targets) & np.isnan(
+            np.asarray(columns[self.host_column], dtype=np.float64))
+        self._null_hosts.delete_many(
+            targets[null_host],
+            self._tids_for_batch(columns, locations)[null_host])
 
     def check_invariants(self) -> None:
         """Raise ``AssertionError`` unless the map never misses (for tests).

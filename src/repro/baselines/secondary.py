@@ -23,7 +23,6 @@ probed by the planner's pair access path.
 from __future__ import annotations
 
 import time
-from math import isnan
 
 import numpy as np
 
@@ -116,25 +115,21 @@ class BaselineSecondaryIndex(SecondaryMechanism):
             locations: Row locations of the new rows, aligned with the
                 columns.
         """
+        self.index.insert_many(*self._entries(columns, locations))
+
+    def delete_many(self, columns: dict, locations: np.ndarray) -> None:
+        """Remove the deleted rows' entries: one batch delete."""
+        self.index.delete_many(*self._entries(columns, locations))
+
+    def _entries(self, columns: dict, locations: np.ndarray,
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """The rows' ``(keys, tids)`` entries, NULL keys left out."""
         keys = np.asarray(columns[self.target_column], dtype=np.float64)
         tids = self._tids_for_batch(columns, locations)
         known = ~np.isnan(keys)
         if not known.all():
             keys, tids = keys[known], tids[known]
-        self.index.insert_many(keys, tids)
-
-    def delete(self, row: dict, location: int) -> None:
-        """Remove an index entry for a deleted row."""
-        key = float(row[self.target_column])
-        if not isnan(key):
-            self.index.delete(key, self._tid_for(row, location))
-
-    def update(self, old_row: dict, new_row: dict, location: int) -> None:
-        """Re-index a row whose target value changed."""
-        self.delete(old_row, location)
-        key = float(new_row[self.target_column])
-        if not isnan(key):
-            self.index.insert(key, self._tid_for(new_row, location))
+        return keys, tids
 
     # ------------------------------------------------------------- accounting
 
@@ -156,10 +151,10 @@ class CompositeSecondaryIndex(SecondaryMechanism):
     """Engine mechanism wrapping a :class:`CompositeIndex` on two columns.
 
     Exposes the same maintenance surface as the single-column mechanisms
-    (``insert_many``/``delete``/``update`` row notifications from the
-    database facade) plus the planner's pair access path: one probe that
-    answers a conjunctive predicate on ``(leading_column, second_column)``
-    exactly, with no false positives.  It has no single-predicate candidate
+    (``insert_many``/``delete_many``/``update_many`` batch notifications
+    from the database facade) plus the planner's pair access path: one
+    probe that answers a conjunctive predicate on ``(leading_column,
+    second_column)`` exactly, with no false positives.  It has no single-predicate candidate
     generation, so ``Database.query_with`` refuses it.
 
     Args:
@@ -216,18 +211,11 @@ class CompositeSecondaryIndex(SecondaryMechanism):
         self.index.insert_many(leading, second,
                                self._tids_for_batch(columns, locations))
 
-    def delete(self, row: dict, location: int) -> None:
-        """Remove the index entry for a deleted row."""
-        self.index.delete(float(row[self.leading_column]),
-                          float(row[self.second_column]),
-                          self._tid_for(row, location))
-
-    def update(self, old_row: dict, new_row: dict, location: int) -> None:
-        """Re-index a row whose key columns may have changed."""
-        self.delete(old_row, location)
-        self.index.insert(float(new_row[self.leading_column]),
-                          float(new_row[self.second_column]),
-                          self._tid_for(new_row, location))
+    def delete_many(self, columns: dict, locations: np.ndarray) -> None:
+        """Remove the deleted rows' entries: one batch delete."""
+        self.index.delete_many(columns[self.leading_column],
+                               columns[self.second_column],
+                               self._tids_for_batch(columns, locations))
 
     # ------------------------------------------------------------- accounting
 

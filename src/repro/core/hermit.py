@@ -222,41 +222,38 @@ class HermitIndex(SecondaryMechanism):
         """Notify the index of newly inserted rows: one TRS-Tree pass.
 
         Args:
-            columns: Column name → aligned value sequence for the new rows
-                (must include the target and host columns, plus the primary
-                key under logical pointers).
-            locations: Row locations of the new rows, aligned with the
-                columns.
+            columns: Column name → the rows' stored values (the target and
+                host columns, plus the primary key under logical pointers),
+                aligned with ``locations``; likewise for the other writes.
+            locations: Row locations of the rows.
         """
-        targets = np.asarray(columns[self.target_column], dtype=np.float64)
-        hosts = np.asarray(columns[self.host_column], dtype=np.float64)
-        self.trs_tree.insert_many(
-            targets, hosts, self._tids_for_batch(columns, locations)
-        )
+        self.trs_tree.insert_many(*self._tree_columns(columns, locations))
 
-    def delete(self, row: dict, location: int) -> None:
-        """Notify the index that ``row`` at ``location`` was deleted."""
-        tid = self._tid_for(row, location)
-        self.trs_tree.delete(
-            float(row[self.target_column]), float(row[self.host_column]), tid
-        )
+    def delete_many(self, columns: dict, locations: np.ndarray) -> None:
+        """Notify the index of deleted rows: one TRS-Tree pass."""
+        self.trs_tree.delete_many(*self._tree_columns(columns, locations))
 
-    def update(self, old_row: dict, new_row: dict, location: int) -> None:
-        """Notify the index that a row changed in place.
+    def update_many(self, old_columns: dict, new_columns: dict,
+                    locations: np.ndarray) -> None:
+        """Notify the index of rows changed in place: one TRS-Tree pass
+        that keeps Algorithm 3's counter policy per row.
 
-        The old and new tuple identifiers are passed separately: under
-        logical pointers a primary-key change renames the tid, and the
-        delete half of the update must target the entry stored under the
-        *old* identifier (probing with the new one would leave the stale
-        outlier entry behind).
+        The old and new tids are passed apart: under logical pointers a
+        primary-key change renames the tid, and the old pair must leave
+        under the *old* one (the new one would leave a stale outlier).
         """
-        old_tid = self._tid_for(old_row, location)
-        new_tid = self._tid_for(new_row, location)
-        self.trs_tree.update(
-            float(old_row[self.target_column]), float(old_row[self.host_column]),
-            float(new_row[self.target_column]), float(new_row[self.host_column]),
-            old_tid, new_tid=new_tid,
-        )
+        targets, hosts, tids = self._tree_columns(old_columns, locations)
+        new_targets, new_hosts, new_tids = self._tree_columns(new_columns,
+                                                              locations)
+        self.trs_tree.update_many(targets, hosts, new_targets, new_hosts,
+                                  tids, new_tids)
+
+    def _tree_columns(self, columns: dict, locations: np.ndarray,
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows' targets, hosts and tids, as the TRS-Tree takes them."""
+        return (np.asarray(columns[self.target_column], dtype=np.float64),
+                np.asarray(columns[self.host_column], dtype=np.float64),
+                self._tids_for_batch(columns, locations))
 
     # --------------------------------------------------------- reorganization
 

@@ -44,7 +44,7 @@ from repro.segments import (
     segmented_unique,
     sorted_unique,
 )
-from repro.storage.identifiers import PointerScheme, TupleId
+from repro.storage.identifiers import PointerScheme
 from repro.storage.table import Table
 
 
@@ -256,8 +256,9 @@ class SecondaryMechanism:
     (``candidate_tids(key_range, breakdown)`` and
     ``candidate_tids_many(ranges, breakdown)``, both returning
     duplicate-free tids), ``estimate_candidates`` and its maintenance
-    methods (``insert_many``, ``delete``, ``update``); the executor adds
-    one of the two tails.
+    methods (``insert_many``, ``delete_many``, ``update_many``, each one
+    batch of column-oriented rows); the executor adds one of the two
+    tails.
     (:class:`~repro.baselines.secondary.CompositeSecondaryIndex` derives
     for the plumbing alone: its probe takes two ranges.)
 
@@ -296,17 +297,21 @@ class SecondaryMechanism:
         """Steps 1–2 for a predicate batch, as one segmented array."""
         raise NotImplementedError
 
-    # ------------------------------------------------- pointer-scheme plumbing
+    # ------------------------------------------------------------ maintenance
 
-    def _tid_for(self, row: dict, location: int) -> TupleId:
-        """The tid of one row: its location, or its primary-key value."""
-        if self.pointer_scheme is PointerScheme.PHYSICAL:
-            return location
-        return row[self.table.schema.primary_key]
+    def update_many(self, old_columns: dict, new_columns: dict,
+                    locations: np.ndarray) -> None:
+        """Re-index rows changed in place, given their stored values before
+        and after: the old entries go (``delete_many``), the new arrive."""
+        self.delete_many(old_columns, locations)
+        self.insert_many(new_columns, locations)
+
+    # ------------------------------------------------- pointer-scheme plumbing
 
     def _tids_for_batch(self, columns: dict,
                         locations: np.ndarray) -> np.ndarray:
-        """Batch counterpart of :meth:`_tid_for` for column-oriented rows."""
+        """The tids of column-oriented rows: their locations, or their
+        primary-key values."""
         if self.pointer_scheme is PointerScheme.PHYSICAL:
             return np.asarray(locations, dtype=np.int64)
         return np.asarray(columns[self.table.schema.primary_key],

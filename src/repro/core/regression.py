@@ -51,12 +51,8 @@ class LeafModel(Protocol):
         """Predicted host value for target value ``m``."""
         ...
 
-    def covers(self, m: float, n: float) -> bool:
-        """Whether ``(m, n)`` lies inside the confidence band."""
-        ...
-
     def covers_many(self, m: np.ndarray, n: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`covers`."""
+        """Whether each ``(m[i], n[i])`` lies inside the confidence band."""
         ...
 
     def host_range(self, target_range: KeyRange) -> KeyRange:
@@ -80,12 +76,8 @@ class LinearModel:
         """Predicted host value for target value ``m``."""
         return self.beta * m + self.alpha
 
-    def covers(self, m: float, n: float) -> bool:
-        """Whether ``(m, n)`` lies inside the confidence band."""
-        return abs(n - self.predict(m)) <= self.epsilon
-
     def covers_many(self, m: np.ndarray, n: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`covers`."""
+        """Whether each ``(m[i], n[i])`` lies inside the confidence band."""
         return np.abs(n - (self.beta * m + self.alpha)) <= self.epsilon
 
     def host_range(self, target_range: KeyRange) -> KeyRange:
@@ -136,12 +128,8 @@ class PiecewiseLinearModel:
         segment = self._segment(m)
         return self.betas[segment] * m + self.alphas[segment]
 
-    def covers(self, m: float, n: float) -> bool:
-        """Whether ``(m, n)`` lies inside the confidence band."""
-        return abs(n - self.predict(m)) <= self.epsilon
-
     def covers_many(self, m: np.ndarray, n: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`covers`."""
+        """Whether each ``(m[i], n[i])`` lies inside the confidence band."""
         m = np.asarray(m, dtype=np.float64)
         segments = piecewise_segment_indices(m, self.bounds)
         betas = np.asarray(self.betas)[segments]
@@ -193,12 +181,8 @@ class OutlierOnlyModel:
         """No prediction: the band is empty."""
         return 0.0
 
-    def covers(self, m: float, n: float) -> bool:
-        """Never covers — every tuple is an outlier."""
-        return False
-
     def covers_many(self, m: np.ndarray, n: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`covers` (all False)."""
+        """Never covers — every tuple is an outlier."""
         return np.zeros(len(m), dtype=bool)
 
     def host_range(self, target_range: KeyRange) -> KeyRange:
@@ -228,7 +212,7 @@ _BAND_PAD = 4.0 * float(np.finfo(np.float64).eps)
 def band_range(lo: float, hi: float, epsilon: float) -> KeyRange:
     """The host range ``[lo - epsilon, hi + epsilon]``, rounding-padded.
 
-    ``covers`` tests ``|n - predict(m)| <= epsilon`` while ``host_range``
+    ``covers_many`` tests ``|n - predict(m)| <= epsilon`` while ``host_range``
     computes ``predict(m) +/- epsilon`` — two float expressions of the same
     real interval.  A tuple sitting exactly on the band edge (which the
     equal-coverage band construction makes routine: the chosen epsilon *is*

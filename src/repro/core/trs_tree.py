@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from math import isfinite, isnan
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,7 +39,7 @@ from repro.core.regression import (
     estimate_leaf_false_positives,
     select_leaf_model,
 )
-from repro.errors import KeyNotFoundError, StorageError
+from repro.errors import StorageError
 from repro.index.base import KeyRange, KeyRanges
 from repro.index.ordered import OrderedIndex
 from repro.segments import (
@@ -267,15 +266,15 @@ class LeafTable:
         bounds: The ``len(paths) - 1`` interior bounds as a list (scalar
             ``bisect``); ``interior`` is the same as an array.
         lows / highs: Effective (edge-open) range of every leaf.
-        models: Every leaf's model object (scalar ``covers`` and
-            ``host_range``).
+        models: Every leaf's model object (``covers_many`` for writes,
+            scalar ``host_range``).
         model_table: Their coefficients as arrays
             (:class:`~repro.core.regression.ModelTable`), as of the last
             build or reorganization pass.
         num_covered: Tuples in the leaf's range at its (re)build.
         num_model_covered: Monotone count of band-covered placements —
             build-time covered tuples plus covered inserts / update targets,
-            never decremented (see ``TRSTree._remove``), so zero means no
+            never decremented (see ``TRSTree._leave``), so zero means no
             covered tuple was ever placed and the leaf emits no host range.
         num_inserted / num_deleted: Tuples inserted into / deleted from the
             range since the leaf was built.
@@ -613,168 +612,135 @@ class TRSTree:
 
     # ------------------------------------------------------------ maintenance
 
-    def insert(self, target_value: float, host_value: float, tid: TupleId) -> None:
-        """Insert a tuple (Algorithm 3).
-
-        Only the affected leaf's counters and outliers may change; if the
-        leaf's model already covers the new pair no entry is stored at all.
-        A NaN target (a NULL) is not stored.
-        """
-        table = self._table
-        if table is None or isnan(target_value):
-            return
-        row = bisect_right(table.bounds, target_value)
-        self._place(row, target_value, host_value, tid)
-        table.num_inserted[row] += 1
-        self._maybe_flag_split(row)
-
-    def _place(self, row: int, target_value: float, host_value: float,
-               tid: TupleId) -> None:
-        """File one pair in leaf ``row``: behind its band, or as an outlier."""
-        table = self._table
-        if table.models[row].covers(target_value, host_value):
-            table.num_model_covered[row] += 1
-        else:
-            self._outliers.insert(target_value, tid)
-            table.num_outliers[row] += 1
-            if not isfinite(host_value):
-                table.num_unmodelled[row] += 1
-
     def insert_many(self, targets: Sequence[float], hosts: Sequence[float],
                     tids: Sequence[TupleId]) -> None:
-        """Batched :meth:`insert` (Algorithm 3, column-at-a-time).
+        """Insert tuples (Algorithm 3, column-at-a-time): every pair arrives
+        in its leaf (:meth:`_arrive`); a NaN target (a NULL) is not stored."""
+        self._arrive(targets, hosts, tids)
 
-        One ``searchsorted`` over the leaf bounds routes the batch — the
-        array form of the scalar path's ``bisect_right``, so both file every
-        value (boundary values included) into the same leaf — and each
-        touched leaf classifies its run of the batch with one
-        ``covers_many`` call; the uncovered tuples of the batch are filed
-        with one ``insert_many``.  A batch of one row (every
-        ``Database.insert``) takes the scalar path, which files it the same
-        way without the array set-up.
+    def delete_many(self, targets: Sequence[float], hosts: Sequence[float],
+                    tids: Sequence[TupleId]) -> None:
+        """Delete tuples (Algorithm 3, column-at-a-time): every pair leaves
+        its leaf (:meth:`_leave`)."""
+        self._leave(targets, hosts, tids)
+
+    def update_many(self, old_targets: Sequence[float],
+                    old_hosts: Sequence[float], new_targets: Sequence[float],
+                    new_hosts: Sequence[float], tids: Sequence[TupleId],
+                    new_tids: Sequence[TupleId]) -> None:
+        """Update tuples (Algorithm 3, column-at-a-time): every old pair
+        leaves its leaf, then every new pair arrives in its own.
+
+        A pair that stays inside one leaf only *moves*: neither
+        ``num_deleted`` nor ``num_inserted`` is charged, which would
+        double-count the tuple and inflate the deleted ratio toward
+        spurious merges.  ``new_tids`` differs from ``tids`` where the
+        primary key changed under logical pointers.
         """
-        targets = np.asarray(targets, dtype=np.float64)
-        hosts = np.asarray(hosts, dtype=np.float64)
-        tid_array = np.asarray(tids)
-        if len(targets) == len(hosts) == len(tid_array) == 1:
-            self.insert(float(targets[0]), float(hosts[0]), tid_array.item())
+        if len(set(map(np.shape, (old_targets, old_hosts, new_targets,
+                                  new_hosts, tids, new_tids)))) != 1:
+            raise StorageError("old and new pairs must have equal length")
+        old_targets = np.asarray(old_targets, dtype=np.float64)
+        new_targets = np.asarray(new_targets, dtype=np.float64)
+        if self._table is None:
             return
-        if not (len(targets) == len(hosts) == len(tid_array)):
-            raise StorageError("targets, hosts and tids must have equal length")
+        route = self._table.interior.searchsorted
+        moves = route(old_targets, "right") == route(new_targets, "right")
+        moves &= ~(np.isnan(old_targets) | np.isnan(new_targets))
+        self._leave(old_targets, old_hosts, tids, charged=~moves)
+        self._arrive(new_targets, new_hosts, new_tids, charged=~moves)
+
+    def _arrive(self, targets: Sequence[float], hosts: Sequence[float],
+                tids: Sequence[TupleId],
+                charged: np.ndarray | None = None) -> None:
+        """File ``(targets, hosts, tids)`` in their leaves: a pair its
+        leaf's band covers leaves no trace, another is an outlier entry.
+        Every pair (or each ``charged`` marks) counts in ``num_inserted``;
+        each touched leaf is checked for a split flag once, in leaf order.
+        """
+        targets, hosts, tids, charged = _known(targets, hosts, tids, charged)
         table = self._table
-        if table is None:
+        if table is None or not targets.size:
             return
-        known = ~np.isnan(targets)
-        if not known.all():
-            targets, hosts, tid_array = (
-                targets[known], hosts[known], tid_array[known])
-        if targets.size == 0:
-            return
-        # Group the batch by leaf, in leaf order; a one-leaf tree takes it
-        # whole (routing and sorting would cost more than classifying it).
-        touched, starts = [0], [0]
-        if len(table) > 1:
-            order, offsets = group_order(
-                table.interior.searchsorted(targets, side="right"), len(table))
-            targets, hosts, tid_array = (
-                targets[order], hosts[order], tid_array[order])
-            touched = np.flatnonzero(np.diff(offsets)).tolist()
-            starts = offsets[touched].tolist()
-        stops = starts[1:] + [targets.size]
-        runs = []
-        unmodelled = ~np.isfinite(hosts)
-        for row, start, stop in zip(touched, starts, stops):
-            covered = table.models[row].covers_many(targets[start:stop],
-                                                    hosts[start:stop])
+        outliers = []
+        for row, run in self._runs(targets):
+            covered = table.models[row].covers_many(targets[run], hosts[run])
+            placed = covered.size
+            table.num_inserted[row] += (placed if charged is None else
+                                        int(np.count_nonzero(charged[run])))
             num_covered = int(np.count_nonzero(covered))
-            table.num_inserted[row] += stop - start
             table.num_model_covered[row] += num_covered
-            table.num_outliers[row] += stop - start - num_covered
-            table.num_unmodelled[row] += int(np.count_nonzero(
-                unmodelled[start:stop] & ~covered))
-            runs.append(covered)
-        covered = runs[0] if len(runs) == 1 else np.concatenate(runs)
-        if not covered.all():
-            self._outliers.insert_many(targets[~covered], tid_array[~covered])
-        for row in touched:
+            if num_covered < placed:
+                outlying = ~covered
+                table.num_outliers[row] += placed - num_covered
+                table.num_unmodelled[row] += int(np.count_nonzero(
+                    ~np.isfinite(hosts[run][outlying])))
+                outliers.append((targets[run][outlying],
+                                 tids[run][outlying]))
             self._maybe_flag_split(row)
+        if outliers:
+            self._outliers.insert_many(*map(np.concatenate, zip(*outliers)))
 
-    def delete(self, target_value: float, host_value: float, tid: TupleId) -> None:
-        """Delete a tuple (Algorithm 3).
+    def _leave(self, targets: Sequence[float], hosts: Sequence[float],
+               tids: Sequence[TupleId],
+               charged: np.ndarray | None = None) -> None:
+        """Remove ``(targets, hosts, tids)`` from their leaves.
 
-        Removes the outlier entry if one exists; covered tuples leave no trace
-        in the tree, so there is nothing else to undo.  ``num_deleted`` is
-        only charged when the pair was plausibly present — as a removed
-        outlier entry, or as a pair the model's band covers — so deletes of
-        pairs the tree never stored (the no-op halves of no-op updates, NaN
-        targets) cannot inflate the deleted ratio into spurious merge flags.
-        (For band-covered pairs the tree keeps no per-tuple record, so
-        repeated deletes of one covered pair still count each time; a merge
-        flag is advisory — reorganization re-reads the base table — so the
-        imprecision cannot affect query results.)
+        A pair lives in a leaf as an outlier entry or behind the band, so
+        ``num_deleted`` is charged (for every pair, or each ``charged``
+        marks) only for a removed outlier entry or a covered pair: a pair
+        the tree never stored cannot inflate the deleted ratio into
+        spurious merge flags.  (Repeated deletes of one covered pair still
+        count; a merge flag is advisory.)  Each charged leaf is checked for
+        a merge flag once, in leaf order.  ``num_model_covered`` is NOT
+        decremented: a covered delete cannot be validated, and a counter
+        driven to zero while covered tuples remain would silence the
+        leaf's host probe; as a monotone upper bound it can only err on the
+        emit-the-probe side, which validation absorbs.
         """
+        targets, hosts, tids, charged = _known(targets, hosts, tids, charged)
         table = self._table
-        if table is None or isnan(target_value):
+        if table is None or not targets.size:
             return
-        row = bisect_right(table.bounds, target_value)
-        if self._remove(row, target_value, host_value, tid):
-            table.num_deleted[row] += 1
-            self._maybe_flag_merge(row)
+        held = self._outliers.holds_many(targets, tids)
+        if held.any():
+            self._outliers.delete_many(targets[held], tids[held])
+        for row, run in self._runs(targets):
+            gone = held[run]
+            if gone.any():
+                table.num_outliers[row] -= int(np.count_nonzero(gone))
+                table.num_unmodelled[row] -= int(np.count_nonzero(
+                    gone & ~np.isfinite(hosts[run])))
+            present = gone | table.models[row].covers_many(targets[run],
+                                                           hosts[run])
+            if charged is not None:
+                present &= charged[run]
+            if present.any():
+                table.num_deleted[row] += int(np.count_nonzero(present))
+                self._maybe_flag_merge(row)
 
-    def update(self, old_target: float, old_host: float, new_target: float,
-               new_host: float, tid: TupleId,
-               new_tid: TupleId | None = None) -> None:
-        """Update a tuple's target and/or host value (and optionally its tid).
+    def _runs(self, targets: np.ndarray,
+              ) -> Iterator[tuple[int, "slice | np.ndarray"]]:
+        """Each leaf ``targets`` touch, in leaf order, with the positions
+        of its pairs.
 
-        An update that stays inside one leaf only *moves* the tuple — the
-        leaf's population is unchanged, so neither ``num_deleted`` nor
-        ``num_inserted`` is charged (charging both, as delete+insert would,
-        double-counts the tuple and inflates the deleted ratio toward
-        spurious merges).  An update that crosses leaves, or to or from a
-        NaN target, is a genuine :meth:`delete` plus :meth:`insert`.
-
-        Args:
-            new_tid: Tuple identifier after the update; defaults to ``tid``
-                (it differs when the primary key changed under logical
-                pointers).
+        A value on a leaf bound belongs to the right-hand leaf.  A
+        one-leaf tree takes the batch whole (routing and sorting would cost
+        more than classifying it); a larger one groups it by leaf with one
+        stable sort of the rows narrowed to the smallest unsigned type (a
+        radix sort).
         """
-        if new_tid is None:
-            new_tid = tid
-        table = self._table
-        if table is not None and not (isnan(old_target) or isnan(new_target)):
-            row = bisect_right(table.bounds, old_target)
-            if row == bisect_right(table.bounds, new_target):
-                self._remove(row, old_target, old_host, tid)
-                self._place(row, new_target, new_host, new_tid)
-                self._maybe_flag_split(row)
-                return
-        self.delete(old_target, old_host, tid)
-        self.insert(new_target, new_host, new_tid)
-
-    def _remove(self, row: int, target_value: float, host_value: float,
-                tid: TupleId) -> bool:
-        """Remove one pair from leaf ``row``; True when it was plausibly present.
-
-        A pair lives in a leaf either as an outlier entry or implicitly
-        behind the model's band; anything else (a value the tree never saw)
-        is a no-op and must not touch the counters.  ``num_model_covered``
-        is deliberately NOT decremented for band-covered deletes: the band
-        keeps no per-tuple record, so a decrement cannot be validated and
-        over-deleting one covered pair would drive the counter to zero
-        while covered tuples still exist — silencing the leaf's host probe
-        and losing them.  Keeping the counter a monotone upper bound means
-        its zero/non-zero probe gate can only err on the emit-the-probe
-        side, which validation absorbs.
-        """
-        table = self._table
-        try:
-            self._outliers.delete(target_value, tid)
-        except KeyNotFoundError:
-            return table.models[row].covers(target_value, host_value)
-        table.num_outliers[row] -= 1
-        if not isfinite(host_value):
-            table.num_unmodelled[row] -= 1
-        return True
+        if not self._table.bounds:
+            yield 0, slice(None)
+            return
+        rows = self._table.interior.searchsorted(targets, "right")
+        rows = rows.astype(np.min_scalar_type(len(self._table) - 1),
+                           copy=False)
+        order = np.argsort(rows, kind="stable")
+        ordered = rows[order]
+        cuts = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
+        for start, stop in zip([0] + cuts, cuts + [rows.size]):
+            yield int(ordered[start]), order[start:stop]
 
     def _maybe_flag_split(self, row: int) -> None:
         """Flag leaf ``row`` for a split when its outlier ratio fails.
@@ -1044,6 +1010,21 @@ class TRSTree:
         internal = (len(self._table) - 1) // (fanout - 1)
         return (sum(map(trs_leaf_bytes, self._table.num_outliers.tolist()))
                 + internal * trs_internal_bytes(fanout))
+
+
+def _known(targets: Sequence[float], hosts: Sequence[float],
+           tids: Sequence[TupleId], charged: np.ndarray | None) -> tuple:
+    """A write's columns as arrays, checked for equal length, without the
+    pairs whose target is NaN (a NULL) — and their ``charged`` flags."""
+    targets = np.asarray(targets, dtype=np.float64)
+    hosts, tids = np.asarray(hosts, dtype=np.float64), np.asarray(tids)
+    if not targets.shape == hosts.shape == tids.shape:
+        raise StorageError("targets, hosts and tids must have equal length")
+    known = ~np.isnan(targets)
+    if np.count_nonzero(known) == known.size:
+        return targets, hosts, tids, charged
+    return (targets[known], hosts[known], tids[known],
+            None if charged is None else charged[known])
 
 
 def _outliers_of(rows: Sequence[LeafRow]) -> tuple[np.ndarray, np.ndarray]:

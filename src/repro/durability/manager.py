@@ -46,6 +46,12 @@ def directory_has_state(config: DurabilityConfig) -> bool:
     return any(name.startswith("checkpoint-") for name in names)
 
 
+def _plain(values) -> list:
+    """A batch column as a list of plain Python values (JSON-ready)."""
+    return [value.item() if hasattr(value, "item") else value
+            for value in values]
+
+
 class DurabilityManager:
     """Write-ahead logging + checkpointing for one Database.
 
@@ -113,23 +119,20 @@ class DurabilityManager:
         return self._log(WalOp.INSERT_MANY,
                          {"table": table_name, "columns": columns})
 
-    def log_update(self, table_name: str, location: int, changes: dict) -> int:
-        """Log an ``update`` (raw, pre-coercion changes).
-
-        Numpy scalars are unwrapped to plain Python values so the JSON
-        payload round-trips bit-identically.
-        """
-        plain = {name: value.item() if hasattr(value, "item") else value
-                 for name, value in changes.items()}
+    def log_update_many(self, table_name: str, locations,
+                        columns: dict) -> int:
+        """Log an ``update_many`` batch (raw, pre-coercion values; numpy
+        scalars unwrapped, so the JSON round-trips bit-identically)."""
         return self._log(WalOp.UPDATE, {
-            "table": table_name, "location": int(location),
-            "changes": plain,
+            "table": table_name, "locations": _plain(locations),
+            "columns": {name: _plain(values)
+                        for name, values in columns.items()},
         })
 
-    def log_delete(self, table_name: str, location: int) -> int:
-        """Log a ``delete``."""
-        return self._log(WalOp.DELETE,
-                         {"table": table_name, "location": int(location)})
+    def log_delete_many(self, table_name: str, locations) -> int:
+        """Log a ``delete_many`` batch as one record."""
+        return self._log(WalOp.DELETE, {"table": table_name,
+                                        "locations": _plain(locations)})
 
     # ------------------------------------------------------------ checkpoints
 

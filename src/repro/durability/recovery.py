@@ -84,10 +84,10 @@ def _apply_record(database: Database, record: WalRecord) -> None:
     elif record.op is WalOp.INSERT_MANY:
         database.insert_many(payload["table"], payload["columns"])
     elif record.op is WalOp.UPDATE:
-        database.update(payload["table"], payload["location"],
-                        payload["changes"])
+        database.update_many(payload["table"], payload["locations"],
+                             payload["columns"])
     elif record.op is WalOp.DELETE:
-        database.delete(payload["table"], payload["location"])
+        database.delete_many(payload["table"], payload["locations"])
     else:  # pragma: no cover - WalOp is closed
         raise DurabilityError(f"unknown WAL op {record.op!r}")
 

@@ -1,21 +1,28 @@
 """Write-ahead log: length-prefixed, CRC32-checksummed redo records.
 
 The log records *logical base-table mutations only* — ``insert_many`` /
-``update`` / ``delete`` plus the DDL that defines tables and indexes.  No
-index content is ever logged: the paper's mechanisms (TRS-Trees, correlation
-maps, B+-trees) are succinct and cheap to rebuild, so recovery reconstructs
-them from the recovered base data instead of replaying their internal
-maintenance (see ``recovery.py``).
+``update_many`` / ``delete_many``, one record per batch, plus the DDL that
+defines tables and indexes.  No index content is ever logged: the paper's
+mechanisms (TRS-Trees, correlation maps, B+-trees) are succinct and cheap
+to rebuild, so recovery reconstructs them from the recovered base data
+instead of replaying their internal maintenance (see ``recovery.py``).
 
 On-disk format, one record::
 
     <u32 body length> <u32 crc32(body)> <body>
     body = <u64 lsn> <u8 opcode> <payload>
 
-All integers are little-endian.  DDL, ``update`` and ``delete`` payloads are
+All integers are little-endian.  DDL, ``UPDATE`` and ``DELETE`` payloads are
 UTF-8 JSON; ``insert_many`` payloads carry their column batch in a compact
 binary layout (raw int64/float64 array bytes, length-prefixed UTF-8 strings)
-so that group-appending a large batch costs one ``tobytes`` per column.
+so that group-appending a large batch costs one ``tobytes`` per column.  A
+``DELETE`` / ``UPDATE`` carries its batch's locations (and the rows' raw
+new values, column by column), replayed by ``Database.delete_many`` /
+``update_many``; a ``Database.delete`` or ``update`` logs a batch of one::
+
+    DELETE  {"table": "t", "locations": [3, 9]}
+    UPDATE  {"table": "t", "locations": [3, 9],
+             "columns": {"x": [1.5, 2.0], "label": ["a", null]}}
 
 Torn tails are expected, not fatal: a crash mid-append leaves a final record
 whose header is incomplete, whose length overruns the file, or whose checksum

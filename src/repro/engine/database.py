@@ -385,13 +385,9 @@ class Database:
     # ------------------------------------------------------------------ DML
 
     def insert(self, table_name: str, row: dict) -> int:
-        """Insert a row, maintaining the primary and all secondary indexes.
-
-        Delegates to :meth:`insert_many` with a batch of one so the scalar
-        and batched write paths cannot drift apart: one validation, one
-        error for each fault.  An empty row is the one row that is not a
-        batch of one — ``insert_many`` takes ``{}`` as a batch of none — so
-        it is refused here, as a row without its primary key.
+        """Insert a row: an :meth:`insert_many` of one, so one validation
+        and one error for each fault.  An empty row — a batch of none to
+        ``insert_many`` — is refused here, as a row without its key.
         """
         locations = self.insert_many(
             table_name, {name: [value] for name, value in row.items()})
@@ -448,7 +444,8 @@ class Database:
         and the index must key ``2``, not ``2.7``), and columns the caller
         omitted (null-filled by the table) are gathered back.  The coercion
         is a no-copy ``asarray`` whenever the caller already passed the
-        stored dtype.
+        stored dtype.  With no columns supplied this is the stored rows at
+        ``locations`` — what a delete or update hands its mechanisms.
         """
         data: dict[str, Sequence] = {}
         for column in table.schema:
@@ -463,52 +460,74 @@ class Database:
         return data
 
     def delete(self, table_name: str, location: int) -> None:
-        """Delete the row at ``location``, maintaining all indexes."""
+        """Delete the row at ``location``: a :meth:`delete_many` of one."""
+        self.delete_many(table_name, [location])
+
+    def delete_many(self, table_name: str,
+                    locations: "Sequence[int] | np.ndarray") -> None:
+        """Delete the rows at ``locations``, maintaining every index in bulk.
+
+        Validated whole before anything is logged or touched (every
+        location live and listed once), logged as one WAL record and
+        applied under one write epoch with one data-epoch bump.
+        """
         with self.epochs.write():
             entry = self.catalog.table_entry(table_name)
-            row = entry.table.fetch(location)
+            table = entry.table
+            slots = table.validate_locations(locations)
+            if not slots.size:
+                return
             if self._durability is not None:
-                self._durability.log_delete(table_name, int(location))
+                self._durability.log_delete_many(table_name, slots)
+            rows = self._batch_columns(table, {}, slots)
             for index_entry in entry.indexes.values():
-                index_entry.mechanism.delete(row, location)
-            entry.primary_index.delete(
-                float(row[entry.table.schema.primary_key]), location
-            )
-            entry.table.delete(location)
+                index_entry.mechanism.delete_many(rows, slots)
+            entry.primary_index.delete_many(
+                np.asarray(rows[table.schema.primary_key], dtype=np.float64),
+                slots)
+            table.delete_many(slots)
             self.catalog.bump_data_epoch(table_name)
             if self._durability is not None:
                 self._durability.maybe_auto_checkpoint(self)
 
     def update(self, table_name: str, location: int, changes: dict) -> None:
-        """Update a row in place, maintaining all indexes.
+        """Update a row in place: an :meth:`update_many` of one."""
+        self.update_many(table_name, [location],
+                         {name: [value] for name, value in changes.items()})
 
-        Primary-key changes are supported and maintained delete/insert-style
-        (mirroring :meth:`delete`): the old key's entry is removed from the
-        primary index and the new key is inserted pointing at the same row
-        location.  Without this, the primary index stays keyed on the stale
-        value — under logical pointers every secondary-index hit on the row
-        then fails to resolve (the row silently vanishes from query
-        results), and a later :meth:`delete` misses the index entry.
+    def update_many(self, table_name: str,
+                    locations: "Sequence[int] | np.ndarray",
+                    columns: dict[str, Sequence]) -> None:
+        """Update rows in place, maintaining every index in bulk.
+
+        ``columns`` maps a column name to the rows' new values, aligned
+        with ``locations``.  Validated whole like :meth:`delete_many`, and
+        every column known (an unknown one is a ``SchemaError``, as for an
+        insert) and coercible.  Every mechanism sees the stored rows before
+        and after; a changed primary key moves its row's primary-index
+        entry (a stale one would lose the row under logical pointers).
         """
         with self.epochs.write():
             entry = self.catalog.table_entry(table_name)
-            old_row = entry.table.fetch(location)
-            # Validate (and coerce) every change before logging or touching
-            # any state: a rejected update must leave the table, the WAL and
-            # every index exactly as they were.
-            entry.table.validate_changes(changes)
+            table = entry.table
+            slots = table.validate_update_many(locations, columns)
+            if not slots.size:
+                return
             if self._durability is not None:
-                self._durability.log_update(table_name, int(location), changes)
-            entry.table.update(location, changes)
-            new_row = entry.table.fetch(location)
-            primary = entry.table.schema.primary_key
-            old_key = float(old_row[primary])
-            new_key = float(new_row[primary])
-            if old_key != new_key:
-                entry.primary_index.delete(old_key, location)
-                entry.primary_index.insert(new_key, location)
+                self._durability.log_update_many(table_name, slots, columns)
+            old_rows = self._batch_columns(table, {}, slots)
+            table.update_many(slots, columns)
+            new_rows = self._batch_columns(table, {}, slots)
+            primary = table.schema.primary_key
+            old_keys = np.asarray(old_rows[primary], dtype=np.float64)
+            new_keys = np.asarray(new_rows[primary], dtype=np.float64)
+            moved = old_keys != new_keys
+            if moved.any():
+                entry.primary_index.delete_many(old_keys[moved], slots[moved])
+                entry.primary_index.insert_many(new_keys[moved],
+                                                slots[moved])
             for index_entry in entry.indexes.values():
-                index_entry.mechanism.update(old_row, new_row, location)
+                index_entry.mechanism.update_many(old_rows, new_rows, slots)
             self.catalog.bump_data_epoch(table_name)
             if self._durability is not None:
                 self._durability.maybe_auto_checkpoint(self)

@@ -168,14 +168,6 @@ class Index(abc.ABC):
     """Abstract key → tuple-identifier index."""
 
     @abc.abstractmethod
-    def insert(self, key: float, tid: TupleId) -> None:
-        """Insert the mapping ``key -> tid``."""
-
-    @abc.abstractmethod
-    def delete(self, key: float, tid: TupleId) -> None:
-        """Remove the mapping ``key -> tid`` if present."""
-
-    @abc.abstractmethod
     def search_many(self, keys: Sequence[float] | np.ndarray) -> np.ndarray:
         """Batched point probe: all tids stored under any of ``keys``.
 
@@ -276,3 +268,10 @@ class Index(abc.ABC):
         (a sort-once merge), so bulk writes cost one pass instead of one
         descent per key.
         """
+
+    @abc.abstractmethod
+    def delete_many(self, keys: Sequence[float] | np.ndarray,
+                    tids: Sequence[TupleId] | np.ndarray) -> None:
+        """Remove one entry per aligned ``keys[i] -> tids[i]``; a pair listed
+        more often than it is stored is a ``KeyNotFoundError``, nothing
+        removed."""

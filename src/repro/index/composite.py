@@ -15,6 +15,7 @@ exactly like a two-key B+-tree so space comparisons stay fair.
 from __future__ import annotations
 
 import bisect
+from collections import Counter
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -36,10 +37,6 @@ class CompositeIndex:
         self._node_capacity = node_capacity
         self._entries: list[tuple[float, float, TupleId]] = []
 
-    def insert(self, leading: float, second: float, tid: TupleId) -> None:
-        """Insert the entry ``(leading, second) -> tid``."""
-        bisect.insort(self._entries, (float(leading), float(second), tid))
-
     def insert_many(self, leading: "Sequence[float] | np.ndarray",
                     second: "Sequence[float] | np.ndarray",
                     tids: "Sequence[TupleId] | np.ndarray") -> None:
@@ -52,18 +49,21 @@ class CompositeIndex:
         self._entries.extend(batch)
         self._entries.sort()
 
-    def delete(self, leading: float, second: float, tid: TupleId) -> None:
-        """Remove the entry ``(leading, second) -> tid``.
-
-        Raises:
-            KeyNotFoundError: If the entry is absent.
-        """
-        entry = (float(leading), float(second), tid)
-        index = bisect.bisect_left(self._entries, entry)
-        if index < len(self._entries) and self._entries[index] == entry:
-            self._entries.pop(index)
-            return
-        raise KeyNotFoundError(f"entry {entry!r} is not in the index")
+    def delete_many(self, leading: "Sequence[float] | np.ndarray",
+                    second: "Sequence[float] | np.ndarray",
+                    tids: "Sequence[TupleId] | np.ndarray") -> None:
+        """Remove one entry per aligned ``(leading[i], second[i]) -> tids[i]``;
+        an entry listed more often than it is stored is a
+        ``KeyNotFoundError``, nothing removed."""
+        batch = list(zip(np.asarray(leading, dtype=np.float64).tolist(),
+                         np.asarray(second, dtype=np.float64).tolist(),
+                         tid_items(tids)))
+        for entry, listed in Counter(batch).items():
+            if (bisect.bisect_right(self._entries, entry)
+                    - bisect.bisect_left(self._entries, entry)) < listed:
+                raise KeyNotFoundError(f"entry {entry!r} is not in the index")
+        for entry in batch:
+            self._entries.pop(bisect.bisect_left(self._entries, entry))
 
     def range_search_array(self, leading_range: KeyRange,
                            second_range: KeyRange) -> np.ndarray:

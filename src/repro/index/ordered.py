@@ -11,8 +11,9 @@ run* of two arrays, ``keys`` (float64, ascending, one per entry) and
 * A load — :meth:`OrderedIndex.insert_many` into an empty index — sorts
   the batch once and adopts it as the run.
 * Every other write goes to the record: a net count per ``(key, tid)``
-  pair, +1 for an insert and -1 for a delete.  A delete first checks that
-  the pair is present in the run or the record and raises
+  pair, +1 for an insert and -1 for a delete.  A delete batch first checks
+  that every pair is present in the run or the record, as often as it is
+  listed (:meth:`OrderedIndex.holds_many`), and raises
   :class:`~repro.errors.KeyNotFoundError` otherwise, without folding.  A
   write folds the record once it has taken more entries than a quarter of
   the run (``_FOLD_SHARE``), so a write-only phase cannot grow it without
@@ -80,11 +81,6 @@ class OrderedIndex(Index):
 
     # ------------------------------------------------------------------ write
 
-    def insert(self, key: float, tid: TupleId) -> None:
-        """Insert ``key -> tid``; duplicates of the same pair are allowed."""
-        self._pending[float(key), tid] += 1
-        self._note_recorded(1)
-
     def insert_many(self, keys: Sequence[float] | np.ndarray,
                     tids: Sequence[TupleId] | np.ndarray) -> None:
         """Insert every aligned ``keys[i] -> tids[i]`` pair.
@@ -92,8 +88,8 @@ class OrderedIndex(Index):
         Into an empty index this is the load: the batch is sorted once
         (stably, so one key's tids keep their batch order) and becomes the
         run.  A batch that takes the record past a quarter of the run is
-        folded in straight from its arrays; a smaller one is recorded like
-        single inserts.
+        folded in straight from its arrays; a smaller one is recorded.
+        Duplicates of the same pair are allowed.
         """
         keys = np.asarray(keys, dtype=np.float64)
         tids = np.asarray(tids)
@@ -114,22 +110,58 @@ class OrderedIndex(Index):
         self._pending.update(zip(keys.tolist(), tids.tolist()))
         self._recorded += keys.size
 
-    def delete(self, key: float, tid: TupleId) -> None:
-        """Remove one occurrence of ``key -> tid``.
+    def delete_many(self, keys: Sequence[float] | np.ndarray,
+                    tids: Sequence[TupleId] | np.ndarray) -> None:
+        """Remove one entry per aligned ``keys[i] -> tids[i]`` pair; a pair
+        listed more often than the index holds it (:meth:`holds_many`) is a
+        ``KeyNotFoundError``, nothing removed."""
+        keys, tids = np.asarray(keys, dtype=np.float64), np.asarray(tids)
+        held = self.holds_many(keys, tids)
+        if not held.all():
+            missing = int(np.argmin(held))
+            raise KeyNotFoundError(f"tid {tids[missing].item()!r} is not "
+                                   f"stored under key {keys[missing].item()!r}")
+        self._pending.subtract(zip(keys.tolist(), tids.tolist()))
+        self._recorded += keys.size
+        if _FOLD_SHARE * self._recorded > self._run.keys.size:
+            self._fold()
 
-        Raises:
-            KeyNotFoundError: If the pair is in neither the run nor the
-                record; the index is left unchanged.
-        """
-        key = float(key)
+    def holds_many(self, keys: Sequence[float] | np.ndarray,
+                   tids: Sequence[TupleId] | np.ndarray) -> np.ndarray:
+        """Which aligned ``keys[i] -> tids[i]`` pairs the index holds (run
+        and record, unfolded): a pair's ``j``-th listing (from 0) when it
+        stores more than ``j`` entries of it, so no entry is taken twice."""
+        keys, tids = np.asarray(keys, dtype=np.float64), np.asarray(tids)
+        if keys.shape != tids.shape:
+            raise StorageError("keys and tids must have equal length")
         run = self._run
-        run_tids = run.tids[run.keys.searchsorted(key):
-                            run.keys.searchsorted(key, "right")]
-        if np.count_nonzero(run_tids == tid) + self._pending[key, tid] <= 0:
-            raise KeyNotFoundError(
-                f"tid {tid!r} is not stored under key {key!r}")
-        self._pending[key, tid] -= 1
-        self._note_recorded(1)
+        starts = run.keys.searchsorted(keys)
+        if run.keys.size and run.num_keys == run.keys.size:
+            # One entry per key (a primary index), as in _point_runs.
+            slots = np.minimum(starts, run.keys.size - 1)
+            stored = ((run.keys[slots] == keys)
+                      & (run.tids[slots] == tids)).astype(np.int64)
+        else:
+            stops = run.keys.searchsorted(keys, "right")
+            owners = np.repeat(np.arange(keys.size), stops - starts)
+            positions = run_indices(starts, stops)[0]
+            stored = np.bincount(owners[run.tids[positions] == tids[owners]],
+                                 minlength=keys.size)
+        if self._pending:
+            stored += np.fromiter((self._pending[pair] for pair in zip(
+                keys.tolist(), tids.tolist())), np.int64, keys.size)
+        # A pair's earlier listings: a stable sort puts its listings in
+        # batch order, so they are its distance from the first.
+        order = np.lexsort((tids, keys))
+        keys, tids = keys[order], tids[order]
+        place = np.arange(keys.size)
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = (keys[1:] != keys[:-1]) | (tids[1:] != tids[:-1])
+        if first.all():
+            return stored > 0
+        earlier = np.empty(keys.size, dtype=np.int64)
+        earlier[order] = place - np.maximum.accumulate(place * first)
+        return earlier < stored
 
     def delete_range(self, low: float, high: float) -> None:
         """Remove every entry with ``low <= key < high`` (half-open).
@@ -146,11 +178,6 @@ class OrderedIndex(Index):
                          np.concatenate((tids[:start], tids[stop:])),
                          num_keys - 1 - int(np.count_nonzero(
                              gone[1:] != gone[:-1])))
-
-    def _note_recorded(self, count: int) -> None:
-        self._recorded += count
-        if _FOLD_SHARE * self._recorded > self._run.keys.size:
-            self._fold()
 
     # ------------------------------------------------------------------- read
 
@@ -333,10 +360,11 @@ def _fold_deletes(run: _Run, gone_keys: np.ndarray,
                   gone_tids: np.ndarray) -> _Run:
     """Remove, per ``(key, tid)`` pair deleted ``k`` times, its first ``k`` entries.
 
-    Every pair must have at least ``k`` entries (:meth:`OrderedIndex.delete`
-    checks).  The run of every deleted key is read once however many
-    deletes hit it, so the work is bounded by the size of the run even when
-    a few heavily duplicated keys own all the entries.
+    Every pair must have at least ``k`` entries
+    (:meth:`OrderedIndex.delete_many` checks).  The run of every deleted
+    key is read once however many deletes hit it, so the work is bounded by
+    the size of the run even when a few heavily duplicated keys own all the
+    entries.
     """
     keys, tids, num_keys = run
     starts = keys.searchsorted(gone_keys, side="left")

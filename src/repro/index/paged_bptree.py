@@ -14,6 +14,7 @@ Node payloads are stored as the single "row" of their page:
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import chain
 from typing import Iterator, Sequence
 
@@ -122,28 +123,28 @@ class PagedBPlusTree(Index):
                 splits = None
         self._num_entries += int(keys.size)
 
-    def delete(self, key: float, tid: TupleId) -> None:
-        """Remove one occurrence of ``key -> tid``.
-
-        Raises:
-            KeyNotFoundError: If the pair is not present.
-        """
-        key = float(key)
-        leaf_page = self._find_leaf(key)
-        kind, keys, values, next_leaf = self._read_node(leaf_page)
-        index = bisect.bisect_left(keys, key)
-        if index < len(keys) and keys[index] == key:
-            tids = values[index]
-            if tid not in tids:
+    def delete_many(self, keys: Sequence[float] | np.ndarray,
+                    tids: Sequence[TupleId] | np.ndarray) -> None:
+        """Remove one entry per aligned ``keys[i] -> tids[i]``, one
+        page-charged descent each, once every pair is checked: a pair
+        listed more often than it is stored is a ``KeyNotFoundError``."""
+        keys = np.asarray(keys, dtype=np.float64).tolist()
+        pairs = list(zip(keys, tid_items(tids)))
+        if len(pairs) != len(keys) or len(pairs) != len(tids):
+            raise StorageError("keys and tids must have equal length")
+        for (key, tid), listed in Counter(pairs).items():
+            if self.search_many([key]).tolist().count(tid) < listed:
                 raise KeyNotFoundError(f"tid {tid!r} is not stored under {key!r}")
-            tids.remove(tid)
-            if not tids:
-                keys.pop(index)
+        for key, tid in pairs:
+            leaf_page = self._find_leaf(key)
+            kind, node_keys, values, next_leaf = self._read_node(leaf_page)
+            index = bisect.bisect_left(node_keys, key)
+            values[index].remove(tid)
+            if not values[index]:
+                node_keys.pop(index)
                 values.pop(index)
-            self._write_node(leaf_page, kind, keys, values, next_leaf)
-            self._num_entries -= 1
-            return
-        raise KeyNotFoundError(f"key {key!r} is not in the index")
+            self._write_node(leaf_page, kind, node_keys, values, next_leaf)
+        self._num_entries -= len(pairs)
 
     # ------------------------------------------------------------------- read
 

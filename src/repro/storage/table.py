@@ -17,7 +17,7 @@ import numpy as np
 from repro.errors import SchemaError, StorageError, TupleNotFoundError
 from repro.storage.identifiers import RowLocation
 from repro.storage.memory import MemoryReport, table_bytes
-from repro.storage.schema import Column, ColumnStatistics, DataType, TableSchema
+from repro.storage.schema import ColumnStatistics, DataType, TableSchema
 
 _INITIAL_CAPACITY = 64
 
@@ -88,38 +88,14 @@ class Table:
         # Coerce every supplied column before touching any storage or
         # statistics: a batch rejected here (bad dtype, unparsable string)
         # leaves the table bit-identical to before the call.
-        prepared: list[tuple[str, object, np.ndarray | None]] = []
-        for column in self.schema:
-            if column.name not in rows:
-                prepared.append((column.name, None, None))
-                continue
-            if column.dtype is DataType.STRING:
-                prepared.append((column.name, rows[column.name], None))
-                continue
-            raw = np.asarray(rows[column.name])
-            target_dtype = column.dtype.numpy_dtype
-            try:
-                coerced = (raw if raw.dtype == target_dtype
-                           else raw.astype(target_dtype))
-                observed = raw.astype(np.float64, copy=False)
-            except (ValueError, TypeError) as error:
-                raise SchemaError(
-                    f"column {column.name!r} cannot coerce to "
-                    f"{column.dtype.value}: {error}"
-                ) from error
-            prepared.append((column.name, coerced, observed))
+        prepared = self._coerced(rows, count)
         start = self._next_slot
         self._reserve(start + count)
-        for name, values, observed in prepared:
-            target = self._columns[name]
-            if values is None:
-                target[start:start + count] = self._null_value(
-                    self.schema.column(name).dtype
-                )
-            else:
-                target[start:start + count] = values
-                if observed is not None:
-                    self.statistics[name].observe_many(observed)
+        for column in self.schema:
+            if column.name not in prepared:
+                self._columns[column.name][start:start + count] = \
+                    self._null_value(column.dtype)
+        self._store(slice(start, start + count), prepared)
         self._live[start:start + count] = True
         self._next_slot = start + count
         self._live_count += count
@@ -141,73 +117,54 @@ class Table:
                 an uncoercible value.
         """
         count = self.schema.validate_columns(rows)
-        if count == 0:
-            return 0
-        for column in self.schema:
-            if column.name not in rows or column.dtype is DataType.STRING:
-                continue
-            raw = np.asarray(rows[column.name])
-            target_dtype = column.dtype.numpy_dtype
-            try:
-                if raw.dtype != target_dtype:
-                    raw.astype(target_dtype)
-                raw.astype(np.float64, copy=False)
-            except (ValueError, TypeError) as error:
-                raise SchemaError(
-                    f"column {column.name!r} cannot coerce to "
-                    f"{column.dtype.value}: {error}"
-                ) from error
+        if count:
+            self._coerced(rows, count)
         return count
 
-    def delete(self, location: RowLocation | int) -> None:
-        """Mark the row at ``location`` as deleted.
+    def delete_many(self, locations: "Sequence[int] | np.ndarray") -> None:
+        """Mark the rows at ``locations`` deleted, all or none
+        (:meth:`validate_locations`)."""
+        slots = self.validate_locations(locations)
+        self._live[slots] = False
+        self._live_count -= slots.size
+
+    def update_many(self, locations: "Sequence[int] | np.ndarray",
+                    columns: dict[str, Sequence]) -> None:
+        """Update columns of live rows in place.
+
+        ``columns`` maps a column name to the rows' new values, aligned
+        with ``locations``.  Everything is validated and coerced, as for an
+        insert, before the first write: a rejected batch leaves the rows
+        and the statistics untouched (:meth:`validate_update_many`).
+        """
+        self._store(*self._prepared_update(locations, columns))
+
+    def validate_update_many(self, locations: "Sequence[int] | np.ndarray",
+                             columns: dict[str, Sequence]) -> np.ndarray:
+        """Full dry run of :meth:`update_many` (the pre-logging gate, as
+        :meth:`validate_insert_many` is an insert's); returns the slots.
 
         Raises:
-            TupleNotFoundError: If the slot is out of range or already dead.
+            TupleNotFoundError / StorageError: As :meth:`validate_locations`.
+            SchemaError: On an unknown column, or a column that does not
+                hold one coercible value per location.
         """
-        slot = self._check_live(location)
-        self._live[slot] = False
-        self._live_count -= 1
+        return self._prepared_update(locations, columns)[0]
 
-    def update(self, location: RowLocation | int, changes: dict) -> None:
-        """Update columns of a live row in place.
-
-        Every change is validated and coerced *before* the first column is
-        written: a rejected update (unknown column, uncoercible value)
-        leaves the row, and the running statistics, untouched — previously
-        a failure on the second change could leave the first one applied.
-
-        Raises:
-            TupleNotFoundError: If the slot does not hold a live row.
-            StorageError: If ``changes`` references an unknown column.
-            SchemaError: If a value cannot be coerced to its column's dtype.
-        """
-        slot = self._check_live(location)
-        prepared = self.validate_changes(changes)
-        for name, (stored, stats_value) in prepared.items():
-            self._columns[name][slot] = stored
-            if stats_value is not None:
-                self.statistics[name].observe(stats_value)
-
-    def validate_changes(self, changes: dict) -> dict[str, tuple]:
-        """Validate and coerce an update's changes without mutating anything.
-
-        Returns:
-            Column name → ``(stored value, observed float or None)``, ready
-            to apply.  Callers that need the post-coercion value before the
-            write happens (the primary-key re-keying check, the write-ahead
-            log) use this as the pre-mutation gate.
-
-        Raises:
-            StorageError: If a change references an unknown column.
-            SchemaError: If a value cannot be coerced to its column's dtype.
-        """
-        prepared: dict[str, tuple] = {}
-        for name, value in changes.items():
-            if name not in self.schema:
-                raise StorageError(f"update references unknown column {name!r}")
-            prepared[name] = self._coerce_value(self.schema.column(name), value)
-        return prepared
+    def validate_locations(self, locations: "Sequence[int] | np.ndarray",
+                           ) -> np.ndarray:
+        """The slots of a delete or update batch, checked: a location out
+        of range or dead is a ``TupleNotFoundError``, one listed twice a
+        ``StorageError``."""
+        slots = np.asarray(locations, dtype=np.int64).reshape(-1)
+        live = self.liveness(slots)
+        if not live.all():
+            raise TupleNotFoundError(
+                f"slot {int(slots[np.argmin(live)])} does not hold a live row")
+        ordered = np.sort(slots)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise StorageError("a location is listed twice in one batch")
+        return slots
 
     # ------------------------------------------------------------------- read
 
@@ -410,30 +367,56 @@ class Table:
             raise TupleNotFoundError(f"slot {slot} does not hold a live row")
         return slot
 
-    def _coerce_value(self, column: Column, value) -> tuple:
-        """Coerce one value to its column's stored dtype, without mutating.
+    def _prepared_update(self, locations: "Sequence[int] | np.ndarray",
+                         columns: dict[str, Sequence],
+                         ) -> tuple[np.ndarray, dict[str, tuple]]:
+        """An update batch's slots and coerced columns, every check made:
+        an updated row is a whole row again, checked as an inserted one."""
+        slots = self.validate_locations(locations)
+        self.schema.validate_row({**dict.fromkeys(self.schema.column_names),
+                                  **columns})
+        return slots, self._coerced(columns, slots.size)
 
-        Returns:
-            ``(stored value, float observed by the statistics or None)``.
-            The coercion uses numpy assignment semantics (``2.7`` into an
-            INT64 column stores ``2``) while the statistics observe the raw
-            value, matching the behaviour of the apply loops.
+    def _coerced(self, columns: dict[str, Sequence],
+                 count: int) -> dict[str, tuple]:
+        """Column name → ``(stored values, floats the statistics observe
+        or None)`` for schema-checked columns of ``count`` rows, without
+        mutating; a column its dtype cannot store is a ``SchemaError``.
 
-        Raises:
-            SchemaError: If the value cannot be stored in the column.
+        Numpy casting coerces (``2.7`` into an INT64 column stores ``2``)
+        while the statistics observe the raw values.
         """
-        if column.dtype is DataType.STRING:
-            return value, None
-        scratch = np.empty(1, dtype=column.dtype.numpy_dtype)
-        try:
-            scratch[0] = value
-            observed = float(value)
-        except (ValueError, TypeError, OverflowError) as error:
-            raise SchemaError(
-                f"value {value!r} cannot be stored in column "
-                f"{column.name!r} ({column.dtype.value})"
-            ) from error
-        return scratch[0], observed
+        prepared: dict[str, tuple] = {}
+        for name, values in columns.items():
+            column = self.schema.column(name)
+            target_dtype = column.dtype.numpy_dtype
+            try:
+                if len(values) != count:
+                    raise ValueError(f"{len(values)} values for {count} rows")
+                if column.dtype is DataType.STRING:
+                    prepared[name] = (values, None)
+                    continue
+                raw = np.asarray(values)
+                if raw.ndim != 1:
+                    raise ValueError(f"{raw.shape} values for {count} rows")
+                coerced = (raw if raw.dtype == target_dtype
+                           else raw.astype(target_dtype))
+                observed = raw.astype(np.float64, copy=False)
+            except (ValueError, TypeError, OverflowError) as error:
+                raise SchemaError(
+                    f"column {column.name!r} cannot coerce to "
+                    f"{column.dtype.value}: {error}"
+                ) from error
+            prepared[name] = (coerced, observed)
+        return prepared
+
+    def _store(self, slots: "slice | np.ndarray",
+               prepared: dict[str, tuple]) -> None:
+        """Write coerced columns (:meth:`_coerced`) at ``slots``."""
+        for name, (values, observed) in prepared.items():
+            self._columns[name][slots] = values
+            if observed is not None:
+                self.statistics[name].observe_many(observed)
 
     # ------------------------------------------------------------- durability
 

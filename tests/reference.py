@@ -104,6 +104,17 @@ class ModelTable:
             if name in self.stats:
                 self._observe(name, np.array([value], dtype=np.float64))
 
+    def update_many(self, locations, columns: dict) -> None:
+        """Apply one batch of in-place changes: ``columns`` maps a column
+        to the rows' new values, aligned with ``locations``.  The
+        statistics observe each column's batch at once, as an insert's."""
+        rows = [self._row(location) for location in locations]
+        for name, values in columns.items():
+            self.columns[name][rows] = np.asarray(
+                values, dtype=self.columns[name].dtype)
+            if name in self.stats:
+                self._observe(name, np.asarray(values, np.float64))
+
     def fetch(self, location: int) -> dict:
         row = self._row(location)
         return {name: values[row].item() if hasattr(values[row], "item")

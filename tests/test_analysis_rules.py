@@ -38,6 +38,25 @@ class TestDurabilityOrdering:
         assert [f.rule for f in findings] == ["REP002"]
         assert "'delete'" in findings[0].message
 
+    @pytest.mark.parametrize("apply", [
+        "entry.table.delete_many(slots)",
+        "entry.table.update_many(slots, columns)",
+        "mechanism.update_many(old, new, slots)",
+    ])
+    def test_fires_on_a_batch_applied_before_log(self, apply):
+        findings = findings_for(f"""
+            class Database:
+                def update_many(self, table_name, locations, columns):
+                    entry = self.catalog.table_entry(table_name)
+                    slots = entry.table.validate_update_many(locations,
+                                                             columns)
+                    {apply}
+                    self._durability.log_update_many(table_name, slots,
+                                                     columns)
+        """, self.RULE())
+        assert [f.rule for f in findings] == ["REP002"]
+        assert apply.split(".")[-1].split("(")[0] in findings[0].message
+
     def test_fires_on_log_without_validation(self):
         findings = findings_for("""
             class Database:
@@ -115,6 +134,25 @@ class TestEpochDiscipline:
                 def sneaky(self, name):
                     with self.epochs.read():
                         self.catalog.bump_data_epoch(name)
+        """, self.RULE())
+        assert [f.rule for f in findings] == ["REP003"]
+        assert "shared (read) side" in findings[0].message
+
+    @pytest.mark.parametrize("mutation", [
+        "entry.table.delete_many(locations)",
+        "entry.primary_index.delete_many(keys, locations)",
+        "entry.table.update_many(locations, columns)",
+    ])
+    def test_fires_on_a_batch_mutation_under_read(self, mutation):
+        findings = findings_for(f"""
+            class Database:
+                def __init__(self):
+                    self.epochs = EpochManager()
+
+                def sneaky(self, name, locations, keys, columns):
+                    with self.epochs.read():
+                        entry = self.catalog.table_entry(name)
+                        {mutation}
         """, self.RULE())
         assert [f.rule for f in findings] == ["REP003"]
         assert "shared (read) side" in findings[0].message

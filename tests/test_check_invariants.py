@@ -72,37 +72,37 @@ def mechanism(database: Database, table: str, index: str):
 
 def primary_misses_a_live_row(database, table, index):
     row = rows(database, table)[0]
-    database.catalog.table_entry(table).primary_index.delete(row.pk, row.slot)
+    database.catalog.table_entry(table).primary_index.delete_many([row.pk], [row.slot])
     return "index 'pk'"
 
 
 def primary_keeps_a_deleted_row(database, table, index):
     row = rows(database, table)[0]
     database.delete(table, row.slot)
-    database.catalog.table_entry(table).primary_index.insert(row.pk, row.slot)
+    database.catalog.table_entry(table).primary_index.insert_many([row.pk], [row.slot])
     return "index 'pk'"
 
 
 def primary_points_at_another_row(database, table, index):
     first, second = rows(database, table)[:2]
     primary = database.catalog.table_entry(table).primary_index
-    primary.delete(first.pk, first.slot)
-    primary.insert(first.pk, second.slot)
+    primary.delete_many([first.pk], [first.slot])
+    primary.insert_many([first.pk], [second.slot])
     return "index 'pk'"
 
 
 def misses_a_live_row(database, table, index):
     row = rows(database, table)[1]
-    mechanism(database, table, index).index.delete(
-        getattr(row, index.removeprefix("idx_")), row.tid)
+    mechanism(database, table, index).index.delete_many(
+        [getattr(row, index.removeprefix("idx_"))], [row.tid])
     return f"index {index!r}"
 
 
 def keeps_a_deleted_row(database, table, index):
     row = rows(database, table)[1]
     database.delete(table, row.slot)
-    mechanism(database, table, index).index.insert(
-        getattr(row, index.removeprefix("idx_")), row.tid)
+    mechanism(database, table, index).index.insert_many(
+        [getattr(row, index.removeprefix("idx_"))], [row.tid])
     return f"index {index!r}"
 
 
@@ -110,8 +110,8 @@ def files_a_stale_key(database, table, index):
     row = rows(database, table)[2]
     key = getattr(row, index.removeprefix("idx_"))
     backing = mechanism(database, table, index).index
-    backing.delete(key, row.tid)
-    backing.insert(key + 1.0, row.tid)
+    backing.delete_many([key], [row.tid])
+    backing.insert_many([key + 1.0], [row.tid])
     return f"index {index!r}"
 
 
@@ -119,8 +119,8 @@ def files_under_another_tid(database, table, index):
     row, other = rows(database, table)[3:5]
     key = getattr(row, index.removeprefix("idx_"))
     backing = mechanism(database, table, index).index
-    backing.delete(key, row.tid)
-    backing.insert(key, other.tid)
+    backing.delete_many([key], [row.tid])
+    backing.insert_many([key], [other.tid])
     return f"index {index!r}"
 
 
@@ -135,14 +135,14 @@ def outlier(database) -> tuple:
 
 def outlier_dropped(database, table, index):
     tree, row = outlier(database)
-    tree.delete(row.target, row.host, row.tid)
+    tree.delete_many([row.target], [row.host], [row.tid])
     return "neither behind its leaf's band nor an outlier"
 
 
 def outlier_under_another_tid(database, table, index):
     tree, row = outlier(database)
-    tree.delete(row.target, row.host, row.tid)
-    tree.insert(row.target, row.host, rows(database, table)[-1].tid)
+    tree.delete_many([row.target], [row.host], [row.tid])
+    tree.insert_many([row.target], [row.host], [rows(database, table)[-1].tid])
     return "neither behind its leaf's band nor an outlier"
 
 
@@ -166,7 +166,7 @@ def cm_misses_a_null_host_row(database, table, index):
     row = rows(database, table)[0]
     database.update(table, row.slot, {"host": np.nan})
     database.check_invariants()
-    mechanism(database, table, index)._null_hosts.delete(row.target, row.tid)
+    mechanism(database, table, index)._null_hosts.delete_many([row.target], [row.tid])
     return "NULL-host index"
 
 

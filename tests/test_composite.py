@@ -55,7 +55,7 @@ class TestCompositeIndex:
     def test_range_search_matches_brute_force(self, entries, leading, second):
         index = CompositeIndex()
         for tid, (lead, sec) in enumerate(entries):
-            index.insert(lead, sec, tid)
+            index.insert_many([lead], [sec], [tid])
         leading_range = KeyRange(*leading)
         second_range = KeyRange(*second)
         expected = brute_force(entries, leading_range, second_range)
@@ -68,7 +68,7 @@ class TestCompositeIndex:
         scalar = CompositeIndex()
         bulk = CompositeIndex()
         for tid, (lead, sec) in enumerate(entries):
-            scalar.insert(lead, sec, tid)
+            scalar.insert_many([lead], [sec], [tid])
         bulk.insert_many([lead for lead, _ in entries],
                          [sec for _, sec in entries], range(len(entries)))
         assert list(bulk.items()) == list(scalar.items())
@@ -80,10 +80,10 @@ class TestCompositeIndex:
         scalar = CompositeIndex()
         batched = CompositeIndex()
         for tid, (lead, sec) in enumerate(base):
-            scalar.insert(lead, sec, tid)
-            batched.insert(lead, sec, tid)
+            scalar.insert_many([lead], [sec], [tid])
+            batched.insert_many([lead], [sec], [tid])
         for tid, (lead, sec) in enumerate(batch):
-            scalar.insert(lead, sec, 1000 + tid)
+            scalar.insert_many([lead], [sec], [1000 + tid])
         batched.insert_many([lead for lead, _ in batch],
                             [sec for _, sec in batch],
                             list(range(1000, 1000 + len(batch))))
@@ -91,16 +91,16 @@ class TestCompositeIndex:
 
     def test_delete(self):
         index = CompositeIndex()
-        index.insert(1.0, 2.0, 7)
-        index.delete(1.0, 2.0, 7)
+        index.insert_many([1.0], [2.0], [7])
+        index.delete_many([1.0], [2.0], [7])
         assert index.num_entries == 0
         with pytest.raises(KeyNotFoundError):
-            index.delete(1.0, 2.0, 7)
+            index.delete_many([1.0], [2.0], [7])
 
     def test_memory_accounting(self):
         index = CompositeIndex()
         for tid in range(100):
-            index.insert(float(tid), float(-tid), tid)
+            index.insert_many([float(tid)], [float(-tid)], [tid])
         assert index.memory_bytes() > 0
 
 

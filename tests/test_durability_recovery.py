@@ -99,6 +99,13 @@ def build_ops() -> list[tuple]:
         ("update", 150, {"c": 55.5, "s": None}),
         ("delete", 200),
         ("insert_many", _batch(rng, 270, 40)),
+        # Batched DML: one record each, replayed through the primitives —
+        # a primary-key change and a NaN target among the rows.
+        ("update_many", [60, 250, 7], {"pk": [9_060, 9_250, 9_007],
+                                       "b": [np.nan, 612.5, -3.0],
+                                       "s": ["b1", None, "b3"]}),
+        ("delete_many", [61, 251, 300, 8]),
+        ("insert_many", _batch(rng, 310, 20)),
     ]
     return ops
 
@@ -116,6 +123,10 @@ def apply_op(database: Database, op: tuple) -> None:
         database.update("t", op[1], op[2])
     elif kind == "delete":
         database.delete("t", op[1])
+    elif kind == "update_many":
+        database.update_many("t", op[1], op[2])
+    elif kind == "delete_many":
+        database.delete_many("t", op[1])
     else:
         raise AssertionError(f"unknown op {kind}")
 
@@ -135,6 +146,11 @@ def model_after(count: int) -> tuple[ModelTable | None, dict]:
             indexes[op[1]] = (op[2], op[3])
         elif kind == "update":
             model.update(op[1], op[2])
+        elif kind == "update_many":
+            model.update_many(op[1], op[2])
+        elif kind == "delete_many":
+            for location in op[1]:
+                model.delete(location)
         else:
             model.delete(op[1])
     return model, indexes

@@ -20,10 +20,11 @@ The lattice:
   durable (with ``checkpoint()`` and crash + ``recover()`` rules), served
   through ``Server``, sharded inline and sharded over processes.
 
-Writes cover batched and per-row inserts (NULL and out-of-domain targets
-and NULL hosts included), deletes, updates (primary-key moves across
-shards, NaN targets and hosts) and rejected writes, which must change
-nothing.  Reads cover ranges, point probes on stored values, float edge
+Writes cover inserts (NULL and out-of-domain targets and NULL hosts
+included), deletes and updates (primary-key moves across shards, NaN
+targets and hosts), each batched or row by row — a shard router takes
+deletes and updates row by row only — and rejected writes, which must
+change nothing.  Reads cover ranges, point probes on stored values, float edge
 bounds, conjunctions over two columns, conjunctions merging to one column,
 unsatisfiable ones and batches spanning tables.  Maintenance is the
 engine's own ``reorganize()``, in every cell.  ``TestInjectedDefects``
@@ -318,35 +319,62 @@ class EngineMachine(RuleBasedStateMachine):
             columns["target"].append(target)
         self.insert_rows(table, columns, batched)
 
-    @rule(table=tables, pick=picks)
-    def delete(self, table, pick):
-        location = self.pick(table, pick)
-        if location is None:
-            return
-        self.engine.delete(table, location)
-        self.models[table].delete(location)
+    def picked(self, table: str, picks: list[int]) -> list[int]:
+        """The distinct live locations ``picks`` name, in pick order."""
+        locations = [self.pick(table, pick) for pick in picks]
+        return list(dict.fromkeys(location for location in locations
+                                  if location is not None))
 
-    @rule(table=tables, pick=picks,
+    def batches(self, batched: bool) -> bool:
+        """Whether a delete or update goes as one batch: asked for, and on
+        an engine with the batch primitives (a shard router routes rows)."""
+        return batched and not self.deployment.sharded
+
+    @rule(table=tables, picks=st.lists(picks, min_size=1, max_size=4),
+          batched=st.booleans())
+    def delete(self, table, picks, batched):
+        locations = self.picked(table, picks)
+        if self.batches(batched):
+            self.engine.delete_many(table, locations)
+        else:
+            for location in locations:
+                self.engine.delete(table, location)
+        for location in locations:
+            self.models[table].delete(location)
+
+    @rule(table=tables,
           change=st.sampled_from(("target", "host", "both", "pk")),
-          value=target_values, on_band=host_placements,
-          low_shard=st.booleans())
-    def update(self, table, pick, change, value, on_band, low_shard):
-        location = self.pick(table, pick)
-        if location is None:
+          rows=st.lists(st.tuples(picks, target_values, host_placements,
+                                  st.booleans()), min_size=1, max_size=4),
+          batched=st.booleans())
+    def update(self, table, change, rows, batched):
+        updates = {}    # location -> its changes, one entry per location
+        for pick, value, on_band, low_shard in rows:
+            location = self.pick(table, pick)
+            if location is None or location in updates:
+                continue
+            changes: dict = {}
+            if change in ("target", "both"):
+                changes["target"] = value
+            if change in ("host", "both"):
+                changes["host"] = host_for(value, on_band)
+            if change == "pk":
+                changes["pk"] = self.fresh_pk(low_shard)
+            updates[location] = changes
+        if updates and self.batches(batched):
+            columns = {name: [changes[name] for changes in updates.values()]
+                       for name in next(iter(updates.values()))}
+            self.engine.update_many(table, list(updates), columns)
+            self.models[table].update_many(list(updates), columns)
             return
-        changes: dict = {}
-        if change in ("target", "both"):
-            changes["target"] = value
-        if change in ("host", "both"):
-            changes["host"] = host_for(value, on_band)
-        expected = location
-        if change == "pk":
-            pk = changes["pk"] = self.fresh_pk(low_shard)
-            if (self.deployment.sharded
-                    and location // LOCATION_STRIDE != int(pk > BOUNDARY)):
-                expected = self.place(table, pk)    # moves to the other shard
-        assert self.deployment.update(table, location, changes) == expected
-        self.models[table].update(location, changes, expected)
+        for location, changes in updates.items():
+            expected = location
+            if "pk" in changes and self.deployment.sharded:
+                pk = changes["pk"]
+                if location // LOCATION_STRIDE != int(pk > BOUNDARY):
+                    expected = self.place(table, pk)    # moves shard
+            assert self.deployment.update(table, location, changes) == expected
+            self.models[table].update(location, changes, expected)
 
     @rule(table=tables, pick=picks, kind=st.sampled_from(REJECTED),
           low_shard=st.booleans())
@@ -461,9 +489,12 @@ def test_engine_matches_model(kind, scheme):
 # ------------------------------------------------------ injected defects
 
 def uncovered_pair_without_outlier(monkeypatch) -> None:
-    def place(self, row, target_value, host_value, tid):
-        self._table.num_model_covered[row] += 1
-    monkeypatch.setattr(TRSTree, "_place", place)
+    def arrive(self, targets, hosts, tids, charged=None):
+        targets = np.asarray(targets, dtype=np.float64)
+        targets = targets[~np.isnan(targets)]
+        np.add.at(self._table.num_model_covered,
+                  self._table.interior.searchsorted(targets, "right"), 1)
+    monkeypatch.setattr(TRSTree, "_arrive", arrive)
 
 
 def skipped_data_epoch_bump(monkeypatch) -> None:
@@ -480,8 +511,8 @@ def shard_location_off_by_one(monkeypatch) -> None:
 
 
 def dropped_wal_update(monkeypatch) -> None:
-    monkeypatch.setattr(DurabilityManager, "log_update",
-                        lambda self, table_name, location, changes: 0)
+    monkeypatch.setattr(DurabilityManager, "log_update_many",
+                        lambda self, table_name, locations, columns: 0)
 
 
 DEFECTS = {

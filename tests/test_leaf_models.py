@@ -54,7 +54,9 @@ class TestPiecewiseLinearModel:
         n = np.array([model.predict(float(v)) for v in m])
         n[1] += 1.0
         vectorised = list(model.covers_many(m, n))
-        scalar = [model.covers(float(a), float(b)) for a, b in zip(m, n)]
+        # The band around each value's scalar prediction (same segment).
+        scalar = [abs(float(b) - model.predict(float(a))) <= model.epsilon
+                  for a, b in zip(m, n)]
         assert vectorised == scalar
         assert vectorised == [True, False, True, True, True]
 
@@ -75,7 +77,6 @@ class TestPiecewiseLinearModel:
 class TestOutlierOnlyModel:
     def test_covers_nothing(self):
         model = OutlierOnlyModel()
-        assert not model.covers(1.0, 0.0)
         assert not model.covers_many(np.array([1.0, 2.0]),
                                      np.array([0.0, 0.0])).any()
 

@@ -57,10 +57,10 @@ def build(pairs) -> OrderedIndex:
 
 
 def grown(pairs) -> OrderedIndex:
-    """An index grown from ``pairs`` one ``insert`` at a time."""
+    """An index grown from ``pairs`` one batch of one at a time."""
     index = OrderedIndex()
     for key, tid in pairs:
-        index.insert(key, tid)
+        index.insert_many([key], [tid])
     return index
 
 
@@ -202,7 +202,7 @@ def test_every_read_entry_point_follows_any_interleaving_of_writes():
         for step in steps:
             kind = step[0]
             if kind == "insert":
-                index.insert(step[1], step[2])
+                index.insert_many([step[1]], [step[2]])
                 model.insert(step[1], step[2])
             elif kind == "insert_many":
                 index.insert_many([key for key, _ in step[1]],
@@ -221,12 +221,12 @@ def test_every_read_entry_point_follows_any_interleaving_of_writes():
                 else:
                     pair = step[1:]
                 if pair in pairs:
-                    index.delete(*pair)
+                    index.delete_many([pair[0]], [pair[1]])
                     model.delete(*pair)
                 else:
                     run_before, pending = index._run, dict(index._pending)
                     with pytest.raises(KeyNotFoundError):
-                        index.delete(*pair)
+                        index.delete_many([pair[0]], [pair[1]])
                     assert index._run is run_before
                     assert dict(index._pending) == pending
             met.add("pending" if index._pending else "folded")
@@ -245,18 +245,18 @@ def test_a_write_folds_once_the_record_passes_a_quarter_of_the_run(
     index = build((float(key), key) for key in range(100))
     counter = FoldCounter(monkeypatch)
     for number in range(25):            # 4 x 25 is not more than 100
-        index.insert(200.0 + number, number)
+        index.insert_many([200.0 + number], [number])
     assert counter.folds == 0 and index._run.keys.size == 100
-    index.insert(300.0, 0)              # 4 x 26 is
+    index.insert_many([300.0], [0])              # 4 x 26 is
     assert counter.folds == 1 and not index._pending
     assert index._run.keys.size == 126
     for key in range(31):               # 4 x 31 is not more than 126
-        index.delete(float(key), key)
+        index.delete_many([float(key)], [key])
     assert counter.folds == 1
-    index.delete(31.0, 31)
+    index.delete_many([31.0], [31])
     assert counter.folds == 2 and index._run.keys.size == 94
     # The first read after a write folds what the writes left.
-    index.insert(3.5, 7)
+    index.insert_many([3.5], [7])
     assert counter.folds == 2 and index._pending
     assert index.search(3.5) == [7]
     assert counter.folds == 3 and not index._pending
@@ -297,21 +297,44 @@ def test_one_write_then_one_read_folds_each_index_it_reads_once(
     assert counter.folds == folds
 
 
+@pytest.mark.parametrize("pending", [False, True])
+def test_a_delete_batch_takes_each_listing_once(pending):
+    """A pair listed ``k`` times in one batch needs ``k`` stored entries:
+    the batch is checked whole (run and record alike), and a pair listed
+    once more than it is stored rejects all of it."""
+    index = build([(1.0, 1), (1.0, 1), (1.0, 2), (2.0, 3)] * 10)
+    if pending:
+        index.insert_many([3.0, 3.0], [4, 4])
+    else:
+        index = build([(1.0, 1), (1.0, 1), (1.0, 2), (2.0, 3),
+                       (3.0, 4), (3.0, 4)])
+    assert index.holds_many([3.0, 1.0, 3.0, 3.0, 9.0, 1.0],
+                            [4, 2, 4, 4, 4, 3]).tolist() == [
+        True, True, True, False, False, False]
+    before = sorted(index.items())
+    with pytest.raises(KeyNotFoundError):
+        index.delete_many([3.0, 3.0, 2.0, 3.0], [4, 4, 3, 4])
+    assert sorted(index.items()) == before
+    index.delete_many([3.0, 2.0, 3.0], [4, 3, 4])
+    assert index.search(3.0) == [] and index.search(2.0) == [3] * (
+        9 if pending else 0)
+
+
 def test_a_missing_delete_raises_without_folding(monkeypatch):
     index = build([(1.0, 1), (2.0, 2), (2.0, 3)] * 10)
-    index.insert(5.0, 50)
-    index.delete(2.0, 3)
+    index.insert_many([5.0], [50])
+    index.delete_many([2.0], [3])
     counter = FoldCounter(monkeypatch)
     run, pending = index._run, dict(index._pending)
     for key, tid in [(9.0, 1), (2.0, 1), (5.0, 51), (2.5, 2)]:
         with pytest.raises(KeyNotFoundError):
-            index.delete(key, tid)
+            index.delete_many([key], [tid])
     assert counter.folds == 0
     assert index._run is run and dict(index._pending) == pending
     # A pair still pending is present: insert-then-delete nets to nothing.
-    index.delete(5.0, 50)
+    index.delete_many([5.0], [50])
     with pytest.raises(KeyNotFoundError):
-        index.delete(5.0, 50)
+        index.delete_many([5.0], [50])
     assert index.search(5.0) == [] and index.num_entries == 29
 
 
@@ -389,7 +412,7 @@ def test_distinct_key_count_follows_any_interleaving(loaded, steps):
         kind = step[0]
         if kind == "insert":
             live.append((step[1], next(tids)))
-            index.insert(*live[-1])
+            index.insert_many([live[-1][0]], [live[-1][1]])
         elif kind == "insert_many":
             pairs = [(key, next(tids)) for key in step[1]]
             index.insert_many([key for key, _ in pairs],
@@ -397,7 +420,8 @@ def test_distinct_key_count_follows_any_interleaving(loaded, steps):
             live.extend(pairs)
         elif kind == "delete":
             if live:
-                index.delete(*live.pop(step[1] % len(live)))
+                key, tid = live.pop(step[1] % len(live))
+                index.delete_many([key], [tid])
         else:
             assert index._current().num_keys == len({key for key, _ in live})
             assert index.search_many(probe_keys).tolist() == [
@@ -428,7 +452,7 @@ class TrsOwner:
 
     def delete(self, key, tid):
         before = self.tree.num_outliers
-        self.tree.delete(key, self.FAR_HOST, tid)
+        self.tree.delete_many([key], [self.FAR_HOST], [tid])
         assert self.tree.num_outliers == before - 1
 
     def check(self):
@@ -474,7 +498,7 @@ class IndexOwner:
         self.index.insert_many(keys, tids)
 
     def delete(self, key, tid):
-        self.index.delete(key, tid)
+        self.index.delete_many([key], [tid])
 
     def read(self):
         self.index.range_search_segmented([KeyRange(-1.0, 5.0)])
@@ -536,8 +560,8 @@ class ReadsAtRecordReset(OrderedIndex):
 def test_a_reader_that_finds_the_record_empty_reads_the_folded_run():
     index = ReadsAtRecordReset()
     index.insert_many(np.arange(100.0), np.arange(100))
-    index.insert(7.5, 1_000)
-    index.delete(3.0, 3)
+    index.insert_many([7.5], [1_000])
+    index.delete_many([3.0], [3])
     expected = sorted([tid for tid in range(100) if tid != 3] + [1_000])
     index.armed = True
     assert sorted(index.range_search_array(
@@ -580,7 +604,7 @@ def test_concurrent_readers_fold_one_record_once(monkeypatch):
                              range(base, base + 50)))
             index.insert_many([key for key, _ in batch],
                               [tid for _, tid in batch])
-            index.delete(float(round_number), round_number)
+            index.delete_many([float(round_number)], [round_number])
             live = [pair for pair in live + batch
                     if pair != (float(round_number), round_number)]
             expected = [sorted(tid for key, tid in live
@@ -657,7 +681,7 @@ class TestInsertSearch:
 
     def test_insert_keeps_order(self):
         index = build([(1.0, 1), (5.0, 5)])
-        index.insert(3.0, 3)
+        index.insert_many([3.0], [3])
         assert index.range_search(KeyRange(0.0, 10.0)) == [1, 3, 5]
 
     def test_a_float_tid_makes_the_tids_float64_for_good(self):
@@ -665,8 +689,8 @@ class TestInsertSearch:
         assert index.search_many([1.0]).dtype == np.int64
         index.insert_many([3.0], [3.5])
         assert index.search_many([1.0, 3.0]).tolist() == [1.0, 3.5]
-        index.delete(3.0, 3.5)
-        index.insert(4.0, 4)
+        index.delete_many([3.0], [3.5])
+        index.insert_many([4.0], [4])
         assert index.search_many([1.0, 4.0]).dtype == np.float64
 
     def test_probes_of_an_empty_index(self):
@@ -682,7 +706,7 @@ class TestInsertSearch:
 
     def test_insert_fractional_logical_pointer(self):
         index = build([(0.0, 1)])
-        index.insert(1.0, 2.5)
+        index.insert_many([1.0], [2.5])
         assert index.search(1.0) == [2.5]
         assert index.search_many([0.0, 1.0]).dtype == np.float64
 
@@ -738,31 +762,31 @@ class TestRangeSearch:
 class TestDelete:
     def test_delete_removes_single_pair(self):
         index = grown([(1.0, 1), (1.0, 2)])
-        index.delete(1.0, 1)
+        index.delete_many([1.0], [1])
         assert index.search(1.0) == [2]
         assert index.num_entries == 1
 
     def test_delete_removes_single_loaded_pair(self):
         index = build([(1.0, 1), (1.0, 2)])
-        index.delete(1.0, 1)
+        index.delete_many([1.0], [1])
         assert index.search(1.0) == [2]
         assert index.num_entries == 1
 
     def test_delete_missing_key_raises(self):
         with pytest.raises(KeyNotFoundError):
-            OrderedIndex().delete(5.0, 1)
+            OrderedIndex().delete_many([5.0], [1])
 
     def test_delete_missing_tid_raises(self):
         index = grown([(5.0, 1)])
         with pytest.raises(KeyNotFoundError):
-            index.delete(5.0, 99)
+            index.delete_many([5.0], [99])
 
     def test_delete_missing_from_a_load_raises(self):
         index = build([(1.0, 1)])
         with pytest.raises(KeyNotFoundError):
-            index.delete(2.0, 1)
+            index.delete_many([2.0], [1])
         with pytest.raises(KeyNotFoundError):
-            index.delete(1.0, 99)
+            index.delete_many([1.0], [99])
 
     def test_insert_then_delete_subset(self):
         rng = np.random.default_rng(11)
@@ -770,7 +794,7 @@ class TestDelete:
         index = grown((float(key), i) for i, key in enumerate(keys))
         doomed = set(rng.choice(300, 120, replace=False).tolist())
         for i in doomed:
-            index.delete(float(keys[i]), i)
+            index.delete_many([float(keys[i])], [i])
         assert sorted(index.range_search(KeyRange(-1.0, 1_000.0))) == sorted(
             set(range(300)) - doomed)
 
@@ -819,7 +843,7 @@ class TestMemoryAndStats:
         assert OrderedIndex().memory_bytes() == btree_bytes(0, 32)
         index = grown((float(i), i) for i in range(1000))
         assert index.memory_bytes() == btree_bytes(1000, 32)
-        index.delete(3.0, 3)
+        index.delete_many([3.0], [3])
         assert index.memory_bytes() == btree_bytes(999, 32)
 
     def test_base_batch_forms_build_on_the_array_primitives(self):
@@ -832,7 +856,7 @@ class TestMemoryAndStats:
 
         index = MinimalIndex()
         for i in range(10):
-            index.insert(float(i), i)
+            index.insert_many([float(i)], [i])
         ranges = [KeyRange(2.0, 4.0), KeyRange(50.0, 60.0), KeyRange(8.0, 9.0)]
         assert index.range_search_many_array(ranges).tolist() == [2, 3, 4, 8, 9]
         values, offsets = index.range_search_segmented(ranges)

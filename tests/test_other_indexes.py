@@ -16,23 +16,33 @@ class TestCompositeIndex:
         index = CompositeIndex()
         for a in range(10):
             for b in range(10):
-                index.insert(float(a), float(b), a * 10 + b)
+                index.insert_many([float(a)], [float(b)], [a * 10 + b])
         result = index.range_search_array(KeyRange(2, 3), KeyRange(5, 6))
         assert sorted(result.tolist()) == [25, 26, 35, 36]
 
     def test_delete(self):
         index = CompositeIndex()
-        index.insert(1.0, 2.0, "x")
-        index.delete(1.0, 2.0, "x")
+        index.insert_many([1.0], [2.0], ["x"])
+        index.delete_many([1.0], [2.0], ["x"])
         assert index.num_entries == 0
         with pytest.raises(KeyNotFoundError):
-            index.delete(1.0, 2.0, "x")
+            index.delete_many([1.0], [2.0], ["x"])
+
+    def test_delete_many_is_checked_whole(self):
+        index = CompositeIndex()
+        index.insert_many([1.0, 1.0, 2.0], [2.0, 2.0, 3.0], [7, 7, 8])
+        with pytest.raises(KeyNotFoundError):      # (1, 2) -> 7 stored twice
+            index.delete_many([1.0, 2.0, 1.0, 1.0], [2.0, 3.0, 2.0, 2.0],
+                              [7, 8, 7, 7])
+        assert index.num_entries == 3
+        index.delete_many([1.0, 2.0, 1.0], [2.0, 3.0, 2.0], [7, 8, 7])
+        assert index.num_entries == 0
 
     def test_memory_scales(self):
         index = CompositeIndex()
         empty = index.memory_bytes()
         for i in range(200):
-            index.insert(float(i), float(i), i)
+            index.insert_many([float(i)], [float(i)], [i])
         assert index.memory_bytes() > empty
 
 
@@ -62,12 +72,20 @@ class TestPagedBPlusTree:
     def test_delete(self, tree):
         tree.insert(1.0, 10)
         tree.insert(1.0, 11)
-        tree.delete(1.0, 10)
+        tree.delete_many([1.0], [10])
         assert tree.search(1.0) == [11]
         with pytest.raises(KeyNotFoundError):
-            tree.delete(1.0, 99)
+            tree.delete_many([1.0], [99])
         with pytest.raises(KeyNotFoundError):
-            tree.delete(5.0, 1)
+            tree.delete_many([5.0], [1])
+
+    def test_delete_many_is_checked_whole(self, tree):
+        tree.insert_many([1.0, 1.0, 2.0], [10, 11, 20])
+        with pytest.raises(KeyNotFoundError):
+            tree.delete_many([1.0, 2.0, 2.0], [10, 20, 20])
+        assert sorted(tree.items()) == [(1.0, 10), (1.0, 11), (2.0, 20)]
+        tree.delete_many([2.0, 1.0], [20, 10])
+        assert list(tree.items()) == [(1.0, 11)]
 
     def test_duplicate_keys(self, tree):
         for i in range(20):

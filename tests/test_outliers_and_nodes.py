@@ -23,8 +23,8 @@ class TestOutlierIndex:
         # test_trs_lookup_many.TestReadsMatchTheLeafScan); the index holds
         # them in key order, a key's tids in filing order.
         tree = linear_tree()
-        tree.insert(7.0, 1e6, 102)
-        tree.insert(5.0, 1e6, 100)
+        tree.insert_many([7.0], [1e6], [102])
+        tree.insert_many([5.0], [1e6], [100])
         tree.insert_many([5.0, 6.0], [1e6, 1e6], [101, 103])
         assert list(tree._outliers.items()) == [
             (5.0, 100), (5.0, 101), (6.0, 103), (7.0, 102)]
@@ -34,12 +34,12 @@ class TestOutlierIndex:
 
     def test_delete_removes_an_outlier_if_present(self):
         tree = linear_tree()
-        tree.insert(5.0, 1e6, 100)
-        tree.delete(5.0, 1e6, 100)
+        tree.insert_many([5.0], [1e6], [100])
+        tree.delete_many([5.0], [1e6], [100])
         # The pair is gone: deleting it again, or a pair never filed, is a
         # no-op that touches no counter.
-        tree.delete(5.0, 1e6, 100)
-        tree.delete(9.0, 1e6, 1)
+        tree.delete_many([5.0], [1e6], [100])
+        tree.delete_many([9.0], [1e6], [1])
         assert tree.num_outliers == 0
         assert list(tree._outliers.items()) == []
         assert tree._table.num_outliers.tolist() == [0]
@@ -62,8 +62,9 @@ class TestEqualWidthSubranges:
 class TestLeafBand:
     def test_covers_and_padded_host_range(self):
         model = LinearModel(beta=2.0, alpha=0.0, epsilon=1.0)
-        assert model.covers(2.0, 4.5)
-        assert not model.covers(2.0, 10.0)
+        assert model.covers_many(np.array([2.0, 2.0]),
+                                 np.array([4.5, 10.0])).tolist() == [True,
+                                                                     False]
         host = model.host_range(KeyRange(1.0, 2.0))
         # The bounds carry a two-ulp outward pad so border-covered tuples
         # can never round out of the probe.

@@ -49,7 +49,7 @@ class TestPagedRangeSearchArray:
         in_memory = OrderedIndex()
         for tid, key in enumerate(keys):
             paged.insert(key, tid)
-            in_memory.insert(key, tid)
+            in_memory.insert_many([key], [tid])
         key_range = KeyRange(*bounds)
 
         expected = sorted(tid for tid, key in enumerate(keys)

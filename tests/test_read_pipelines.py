@@ -213,18 +213,23 @@ INDEX_READS = {
 }
 INDEX_BATCH_READS = {"range_search_many_array", "range_search_segmented",
                      "search_many_segmented"}
-# No separate load: insert_many into an empty index is the load.
-INDEX_OTHER = {"insert", "delete", "insert_many", "memory_bytes"}
+# No separate load: insert_many into an empty index is the load.  Writes
+# are batches only: a row is a batch of one.
+INDEX_OTHER = {"insert_many", "delete_many", "memory_bytes"}
 
 # Candidate generation only: a mechanism is read through Database alone.
 MECHANISM_READS = {"candidate_tids", "candidate_tids_many"}
+# Maintenance is three batch notifications; the base holds the one update
+# shape of a complete index (delete_many, then insert_many).
+MECHANISM_WRITES = {"insert_many", "delete_many", "update_many"}
 
 DATABASE_READS = {"execute", "execute_many", "explain", "query_with",
                   "query_with_many"}
 DATABASE_OTHER = {
     "create_table", "create_index", "create_composite_index", "drop_index",
-    "insert", "insert_many", "delete", "update", "reorganize",
-    "attach_durability", "checkpoint", "flush_wal", "durability_stats", "close",
+    "insert", "insert_many", "delete", "delete_many", "update",
+    "update_many", "reorganize", "attach_durability", "checkpoint",
+    "flush_wal", "durability_stats", "close",
     "result_cache_info", "result_cache_clear", "planner_cache_info",
     "planner_cache_stats", "planner_cache_clear", "memory_report", "table",
     "check_invariants",
@@ -245,12 +250,12 @@ SERVER_SURFACE = {"submit", "submit_async", "query", "stats", "close"}
 # rows of the table.
 TRS_READS = {"lookup", "lookup_many"}
 TRS_OTHER = {
-    "build", "insert", "insert_many", "delete", "update",
+    "build", "insert_many", "delete_many", "update_many",
     "reorganize", "reorganize_children", "estimated_fp_ratio",
     "memory_bytes", "check_invariants",
 }
 LEAF_TABLE = {"replace"}
-LEAF_MODEL = {"predict", "covers", "covers_many", "host_range"}
+LEAF_MODEL = {"predict", "covers_many", "host_range"}
 # The model layer: two fitted families (a line, a piecewise line), the
 # outlier-only demotion, one fitter and one epsilon derivation.
 REGRESSION_NAMES = {
@@ -320,7 +325,7 @@ class TestReadSurfaceIsPinned:
         assert public_callables(Index) == INDEX_READS | INDEX_OTHER
         assert Index.__abstractmethods__ == {
             "search_many", "range_search_array",
-            "insert", "insert_many", "delete", "memory_bytes", "num_entries"}
+            "insert_many", "delete_many", "memory_bytes", "num_entries"}
         # The batch read forms have a default on the base; the ordered
         # index answers its four read entry points from one pair of arrays
         # (one body per probe kind) and adds no fifth.
@@ -331,10 +336,16 @@ class TestReadSurfaceIsPinned:
                 if "search" in name} == {
             "search_many", "range_search_array",
             "range_search_segmented", "search_many_segmented"}
-        # Beyond the base surface: one iterator and the TRS-Tree's
-        # subtree-rebuild write, no read.
+        # Beyond the base surface: one iterator and the TRS-Tree's two
+        # write aids — the subtree-rebuild delete and the presence check
+        # its delete batches file by — and no other read.
         assert public_callables(OrderedIndex) == (
-            public_callables(Index) | {"items", "delete_range"})
+            public_callables(Index) | {"items", "delete_range", "holds_many"})
+        # The paged tree keeps its per-row insert for Figure 24's per-row
+        # disk inserts; no other index has a per-row write.
+        assert public_callables(PagedBPlusTree) - public_callables(Index) \
+            == {"insert", "items", "disk_bytes"}
+        assert not {"insert", "delete"} & public_callables(CompositeIndex)
         # One structure, configured by nothing: the method picks the size
         # formula (the mechanism class create_index builds), not a
         # constructor argument.
@@ -353,15 +364,22 @@ class TestReadSurfaceIsPinned:
                 if "search" in name} == {"range_search_array"}
 
     def test_mechanism_surface(self):
-        assert public_callables(SecondaryMechanism) == MECHANISM_READS
-        # Writes arrive in batches: Database.insert is a batch of one, and
-        # each update re-indexes its own row.
+        assert public_callables(SecondaryMechanism) == (
+            MECHANISM_READS | {"update_many"})
+        # Writes arrive in batches: Database.insert, delete and update are
+        # batches of one.  Hermit alone keeps Algorithm 3's per-row
+        # counter policy in its own update_many.
         for mechanism_class in (HermitIndex, BaselineSecondaryIndex,
                                 SortedColumnSecondaryIndex,
                                 CompositeSecondaryIndex, CorrelationMap):
-            assert "insert" not in public_callables(mechanism_class)
-            assert "insert_many" in vars(mechanism_class) or (
+            assert not {"insert", "delete", "update"} & public_callables(
+                mechanism_class)
+            assert MECHANISM_WRITES <= public_callables(mechanism_class)
+            assert {"insert_many", "delete_many"} <= set(
+                vars(mechanism_class)) or (
                 mechanism_class is SortedColumnSecondaryIndex)
+            assert ("update_many" in vars(mechanism_class)) == (
+                mechanism_class is HermitIndex)
         for mechanism_class in (HermitIndex, BaselineSecondaryIndex,
                                 CorrelationMap):
             assert issubclass(mechanism_class, SecondaryMechanism)
@@ -435,7 +453,14 @@ class TestReadSurfaceIsPinned:
             r"|IndexStatistics"
             # retired by the two leaf-model families and one fitter
             r"|LogLinearModel|log_feature|fit_leaf_model"
-            r"|epsilon_for_error_bound|LeafModelFit)")
+            r"|epsilon_for_error_bound|LeafModelFit)"
+            # retired by one DML shape per layer: no per-row delete or
+            # update body below Database, and no scalar band test (whole
+            # words: log_delete_many stays)
+            r"|\b(_tid_for|validate_changes|log_delete|log_update)\b"
+            r"|\b(covers|_place|_remove)\("
+            r"|\b(trs_tree|tree|primary_index|_outliers|mechanism|index"
+            r"|table)\.(insert|delete|update)\(")
         paths = [path for caller in CALLERS for path in caller.rglob("*.py")]
         assert len(paths) > 100
         for path in paths:

@@ -153,8 +153,8 @@ class TestLinearModel:
     def test_covers_and_predict(self):
         model = LinearModel(beta=2.0, alpha=1.0, epsilon=0.5)
         assert model.predict(3.0) == 7.0
-        assert model.covers(3.0, 7.4)
-        assert not model.covers(3.0, 7.6)
+        assert model.covers_many(np.array([3.0, 3.0]),
+                                 np.array([7.4, 7.6])).tolist() == [True, False]
 
     def test_covers_many_vectorised(self):
         model = LinearModel(beta=1.0, alpha=0.0, epsilon=0.1)

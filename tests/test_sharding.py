@@ -247,6 +247,32 @@ def test_a_rejected_row_raises_one_error_at_every_entry_point(
         assert rows == 0
 
 
+@pytest.mark.parametrize("engine, changes", [
+    ("database", {"target": 1.0, "ghost": 1.0}),
+    ("sharded_inline", {"target": 1.0, "ghost": 1.0}),          # in place
+    ("sharded_inline", {"pk": 90.0, "ghost": 1.0}),   # crosses the shards
+], ids=["database", "sharded_in_place", "sharded_cross_shard"])
+def test_an_unknown_column_in_an_update_is_one_error(engine, changes):
+    """An update naming an unknown column is a ``SchemaError``, as an insert
+    naming one is, whichever engine and path takes it; the row keeps its
+    values and its shard."""
+    columns = {name: np.arange(100, dtype=np.float64)
+               for name in ("pk", "host", "target")}
+    with ShardedDatabase(num_shards=2, mode="inline") as sharded:
+        if engine == "sharded_inline":
+            database = sharded
+            database.create_table(create_schema(), [50.0])
+        else:
+            database = Database()
+            database.create_table(create_schema())
+        location = database.insert_many("trace", columns)[10]
+        with pytest.raises(SchemaError):
+            database.update("trace", location, changes)
+        row = (sharded.fetch("trace", location) if database is sharded
+               else database.table("trace").fetch(location))
+        assert row == {"pk": 10.0, "host": 10.0, "target": 10.0}
+
+
 class TestServingFrontEnd:
     def test_server_sits_in_front_unchanged(self):
         with ShardedDatabase(num_shards=2, mode="inline") as sharded:

@@ -89,7 +89,7 @@ class TestInsertFetch:
 class TestDeleteUpdate:
     def test_delete_marks_slot_dead(self, table):
         location = insert_row(table, {"pk": 1.0, "x": 2.0, "y": 3.0})
-        table.delete(location)
+        table.delete_many([location])
         assert table.num_rows == 0
         assert not table.is_live(location)
         with pytest.raises(TupleNotFoundError):
@@ -97,19 +97,58 @@ class TestDeleteUpdate:
 
     def test_double_delete_raises(self, table):
         location = insert_row(table, {"pk": 1.0, "x": 2.0, "y": 3.0})
-        table.delete(location)
+        table.delete_many([location])
         with pytest.raises(TupleNotFoundError):
-            table.delete(location)
+            table.delete_many([location])
 
     def test_update_changes_values(self, table):
         location = insert_row(table, {"pk": 1.0, "x": 2.0, "y": 3.0})
-        table.update(location, {"x": 20.0})
+        table.update_many([location], {"x": [20.0]})
         assert table.fetch(location)["x"] == 20.0
 
     def test_update_unknown_column_raises(self, table):
+        """The schema check inserts use: an unknown column is a
+        SchemaError whichever write names it."""
         location = insert_row(table, {"pk": 1.0, "x": 2.0, "y": 3.0})
-        with pytest.raises(StorageError):
-            table.update(location, {"zzz": 1.0})
+        with pytest.raises(SchemaError):
+            table.update_many([location], {"zzz": [1.0]})
+
+    def test_update_many_writes_every_row_and_observes_every_value(
+            self, table):
+        locations = table.insert_many({"pk": np.arange(4.0),
+                                       "x": np.arange(4.0), "y": np.zeros(4)})
+        table.update_many(locations[[3, 1]], {"x": [30, -10.5],
+                                              "y": np.array([1.0, 2.0])})
+        assert table.column_array("x").tolist() == [0.0, -10.5, 2.0, 30.0]
+        assert table.column_array("y").tolist() == [0.0, 2.0, 0.0, 1.0]
+        assert table.value_range("x") == (-10.5, 30.0)
+
+    @pytest.mark.parametrize("locations, columns, error", [
+        ([0, 0], {"x": [1.0, 2.0]}, StorageError),
+        ([0, 5], {"x": [1.0, 2.0]}, TupleNotFoundError),
+        ([0, 99], {"x": [1.0, 2.0]}, TupleNotFoundError),
+        ([0, 1], {"x": [1.0]}, SchemaError),
+        ([0, 1], {"x": [1.0, "abc"]}, SchemaError),
+        ([0, 1], {"x": [[1.0], [2.0]]}, SchemaError),
+        ([0, 1], {"x": [1.0, 2.0], "zzz": [1, 2]}, SchemaError),
+    ], ids=["listed_twice", "dead", "out_of_range", "short_column",
+            "uncoercible", "not_one_value_each", "unknown_column"])
+    def test_a_rejected_batch_changes_nothing(self, table, locations,
+                                              columns, error):
+        table.insert_many({"pk": np.arange(6.0), "x": np.arange(6.0),
+                           "y": np.zeros(6)})
+        table.delete_many([5])
+        before = table.snapshot()
+        with pytest.raises(error):
+            table.update_many(locations, columns)
+        if locations != [0, 1]:   # the locations are at fault
+            with pytest.raises(error):
+                table.delete_many(locations)
+        after = table.snapshot()
+        assert after.live.tolist() == before.live.tolist()
+        assert all(np.array_equal(after.columns[name], before.columns[name])
+                   for name in before.columns)
+        assert after.statistics == before.statistics
 
     def test_is_live_out_of_range(self, table):
         assert not table.is_live(99)
@@ -120,7 +159,7 @@ class TestScans:
         locations = table.insert_many({
             "pk": np.arange(5.0), "x": np.arange(5.0), "y": np.arange(5.0),
         })
-        table.delete(locations[2])
+        table.delete_many([locations[2]])
         assert list(table.live_slots()) == [0, 1, 3, 4]
 
     def test_column_array_restricted_to_live(self, table):
@@ -128,7 +167,7 @@ class TestScans:
             "pk": np.arange(4.0), "x": np.array([10.0, 11.0, 12.0, 13.0]),
             "y": np.zeros(4),
         })
-        table.delete(locations[1])
+        table.delete_many([locations[1]])
         assert list(table.column_array("x")) == [10.0, 12.0, 13.0]
 
     def test_project_returns_aligned_arrays(self, table):
@@ -156,7 +195,7 @@ class TestVectorizedValidation:
         locations = table.insert_many({
             "pk": np.arange(5.0), "x": np.arange(5.0), "y": np.zeros(5),
         })
-        table.delete(locations[2])
+        table.delete_many([locations[2]])
         mask = table.liveness(np.array([0, 1, 2, 3, 4]))
         assert mask.tolist() == [True, True, False, True, True]
 
@@ -172,7 +211,7 @@ class TestVectorizedValidation:
         table.insert_many({
             "pk": np.arange(20.0), "x": np.arange(20.0) * 10, "y": np.zeros(20),
         })
-        table.delete(5)
+        table.delete_many([5])
         slots = np.array([0, 3, 5, 7, 12, 19, 99])
         result = table.filter_in_range(slots, "x", 30.0, 130.0)
         expected = [

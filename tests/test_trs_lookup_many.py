@@ -201,9 +201,9 @@ class TestShapeEdges:
         hosts = 3.0 * targets + rng.normal(0, 0.5, 2000)
         tree = make_tree(targets, hosts)
         for i in range(200):
-            tree.insert(float(1000.0 + i), float(-5000.0 - i), 2000 + i)
+            tree.insert_many([float(1000.0 + i)], [float(-5000.0 - i)], [2000 + i])
         for i in range(0, 100, 3):
-            tree.delete(float(targets[i]), float(hosts[i]), i)
+            tree.delete_many([float(targets[i])], [float(hosts[i])], [i])
         assert_reads_match_oracle(tree, probe_batch(0.0, 1200.0))
 
 
@@ -342,7 +342,7 @@ class TestReadsMatchTheLeafScan:
         target = (table.lows[row] + table.highs[row]) / 2.0
         point = [KeyRange(target, target)]
         assert tree.lookup_many(point).host_lows.size == 0
-        tree.insert(target, table.models[row].predict(target), 10 ** 6)
+        tree.insert_many([target], [table.models[row].predict(target)], [10 ** 6])
         assert tree._table is table and table.num_model_covered[row] == 1
         assert tree.lookup_many(point).host_lows.size == 1
         assert len(tree.lookup(point[0]).host_ranges) == 1
@@ -385,7 +385,7 @@ class TestReadsMatchTheLeafScan:
             kind = step[0]
             if kind == "insert":
                 row = placed(step[1])
-                tree.insert(*row)
+                tree.insert_many(*([value] for value in row))
                 live.append(row)
             elif kind == "insert_many":
                 batch = [placed(row) for row in step[1]]
@@ -393,12 +393,14 @@ class TestReadsMatchTheLeafScan:
                                    (zip(*batch) if batch else ((), (), ()))))
                 live.extend(batch)
             elif kind == "delete" and live:
-                tree.delete(*live.pop(step[1] % len(live)))
+                tree.delete_many(*([value] for value in
+                                   live.pop(step[1] % len(live))))
             elif kind == "update" and live:
                 position = step[1] % len(live)
                 old_target, old_host, tid = live[position]
                 new_target, new_host, _ = placed(step[2])
-                tree.update(old_target, old_host, new_target, new_host, tid)
+                tree.update_many([old_target], [old_host], [new_target],
+                                 [new_host], [tid], [tid])
                 live[position] = (new_target, new_host, tid)
             elif kind == "reorganize":
                 tree.reorganize(provider_over(live))

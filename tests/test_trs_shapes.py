@@ -16,8 +16,9 @@ A case builds a tree over 3,000 rows of one correlation at one fanout, then
   (out-of-domain targets and off-band hosts among them), ``reorganize()``;
 * ``insert_many+reorganize_children`` — the same batch, then
   ``reorganize_children([0, fanout - 1])`` and ``reorganize()``;
-* ``churn+reorganize`` — scalar deletes of every other row in [200, 600]
-  (merge flags), 100 cross-leaf updates and 200 scalar off-band inserts,
+* ``churn+reorganize`` — deletes of every other row in [200, 600]
+  (merge flags), 100 cross-leaf updates and 200 off-band inserts, each
+  written as a batch of one,
   then ``reorganize(max_candidates=2)`` and ``reorganize()``.
 
 Pinned per case: leaves, height, outliers, ``memory_bytes()``,
@@ -254,20 +255,23 @@ def run(kind: str, fanout: int, scenario: str) -> tuple:
         targets, hosts, tids = (column.copy() for column in store)
         live = np.ones(ROWS, dtype=bool)
         for row in np.flatnonzero((targets >= 200.0) & (targets <= 600.0))[::2]:
-            tree.delete(float(targets[row]), float(hosts[row]), int(tids[row]))
+            tree.delete_many(targets[row:row + 1], hosts[row:row + 1],
+                             tids[row:row + 1])
             live[row] = False
         for row in np.flatnonzero((targets > 600.0) & (targets <= 800.0))[:100]:
             new_target = float(targets[row]) + 150.0
             new_host = float(rng.uniform(-2000.0, 4000.0))
-            tree.update(float(targets[row]), float(hosts[row]), new_target,
-                        new_host, int(tids[row]))
+            tree.update_many(targets[row:row + 1], hosts[row:row + 1],
+                             [new_target], [new_host], tids[row:row + 1],
+                             tids[row:row + 1])
             targets[row], hosts[row] = new_target, new_host
         count = 200
         new_targets = rng.uniform(-100.0, 1100.0, size=count)
         new_hosts = rng.uniform(-2000.0, 4000.0, size=count)
         new_tids = np.arange(ROWS, ROWS + count)
-        for target, host, tid in zip(new_targets, new_hosts, new_tids):
-            tree.insert(float(target), float(host), int(tid))
+        for position in range(count):
+            run = slice(position, position + 1)
+            tree.insert_many(new_targets[run], new_hosts[run], new_tids[run])
         store = [np.concatenate([a[live], b]) for a, b in
                  zip((targets, hosts, tids), (new_targets, new_hosts, new_tids))]
         pending_before = tree.pending_reorganizations

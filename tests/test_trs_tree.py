@@ -262,13 +262,13 @@ class TestEmptyLeafProbes:
         tree = TRSTree()
         tree.build(targets, hosts, tids)
         before = int(tree._table.num_model_covered[0])
-        tree.insert(500.0, 2.0 * 500.0 + 5.0, 424242)
+        tree.insert_many([500.0], [2.0 * 500.0 + 5.0], [424242])
         assert tree._table.num_model_covered[0] == before + 1
         assert tree.lookup(KeyRange(499.0, 501.0)).host_ranges
 
 
 class TestRoutingParity:
-    """Build, scalar and batched writes and reads must agree on every leaf."""
+    """Build, row-at-a-time and batched writes and reads must agree on every leaf."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=1, max_value=300).flatmap(
@@ -355,12 +355,13 @@ class TestRoutingParity:
         tree = TRSTree(TRSTreeConfig(node_fanout=6, max_height=3))
         tree.build(targets, hosts, np.arange(3000),
                    value_range=key_range)
-        tree.insert(value, 1e6, 424242)  # gross outlier host
+        tree.insert_many([value], [1e6], [424242])  # gross outlier host
         result = tree.lookup(KeyRange(value, value))
         assert 424242 in result.outlier_tids
 
     def test_tree_files_boundary_tuples_identically(self):
-        """insert vs insert_many: same leaf for values on split boundaries."""
+        """Rows one at a time vs one batch: same leaf for values on split
+        boundaries."""
         rng = np.random.default_rng(13)
         targets = rng.uniform(0.0, 1000.0, size=4000)
         hosts = np.sin(targets / 20.0) * 1000.0  # forces splits
@@ -371,27 +372,27 @@ class TestRoutingParity:
             tree.build(targets, hosts, tids)
             return tree
 
-        scalar_tree, batched_tree = build(), build()
+        one_by_one, batched_tree = build(), build()
         # Values sitting exactly on every internal boundary of the built
         # tree, inserted as guaranteed outliers (host far off any band).
-        new_targets = np.array(scalar_tree._table.bounds)
+        new_targets = np.array(one_by_one._table.bounds)
         new_hosts = np.full(len(new_targets), 1e9)
         new_tids = np.arange(10_000, 10_000 + len(new_targets))
         for value, host, tid in zip(new_targets, new_hosts, new_tids):
-            scalar_tree.insert(float(value), float(host), int(tid))
+            one_by_one.insert_many([float(value)], [float(host)], [int(tid)])
         batched_tree.insert_many(new_targets, new_hosts, new_tids)
 
         for counter in ("num_outliers", "num_inserted", "num_model_covered"):
-            assert np.array_equal(getattr(scalar_tree._table, counter),
+            assert np.array_equal(getattr(one_by_one._table, counter),
                                   getattr(batched_tree._table, counter))
         # A value on a bound belongs to the leaf starting there.
-        assert scalar_tree._table.num_outliers[1:].min() >= 1
+        assert one_by_one._table.num_outliers[1:].min() >= 1
 
     @pytest.mark.parametrize("fraction", [0.0, 0.5])
     def test_batches_of_one_file_like_one_batch(self, fraction):
-        """A one-row ``insert_many`` (every ``Database.insert``) takes the
-        scalar path; row by row it leaves what one batch leaves: covered
-        rows, outliers, a NULL target, fractional (logical) tids."""
+        """A one-row ``insert_many`` (every ``Database.insert``) leaves,
+        row by row, what one batch leaves: covered rows, outliers, a NULL
+        target, fractional (logical) tids."""
         rng = np.random.default_rng(17)
         targets = rng.uniform(0.0, 1000.0, size=2000)
 
@@ -501,14 +502,14 @@ class TestMaintenance:
         targets, hosts, tids = linear_data()
         tree = TRSTree()
         tree.build(targets, hosts, tids)
-        tree.insert(500.0, 2.0 * 500.0 + 5.0, 99999)
+        tree.insert_many([500.0], [2.0 * 500.0 + 5.0], [99999])
         assert tree.num_outliers == 0
 
     def test_insert_outlier_is_recoverable(self):
         targets, hosts, tids = linear_data()
         tree = TRSTree()
         tree.build(targets, hosts, tids)
-        tree.insert(500.0, 99999.0, 77777)
+        tree.insert_many([500.0], [99999.0], [77777])
         result = tree.lookup(KeyRange(499.0, 501.0))
         assert 77777 in result.outlier_tids
 
@@ -516,8 +517,8 @@ class TestMaintenance:
         targets, hosts, tids = linear_data()
         tree = TRSTree()
         tree.build(targets, hosts, tids)
-        tree.insert(500.0, 99999.0, 77777)
-        tree.delete(500.0, 99999.0, 77777)
+        tree.insert_many([500.0], [99999.0], [77777])
+        tree.delete_many([500.0], [99999.0], [77777])
         result = tree.lookup(KeyRange(499.0, 501.0))
         assert 77777 not in result.outlier_tids
 
@@ -525,8 +526,8 @@ class TestMaintenance:
         targets, hosts, tids = linear_data()
         tree = TRSTree()
         tree.build(targets, hosts, tids)
-        tree.insert(500.0, 99999.0, 77777)
-        tree.update(500.0, 99999.0, 700.0, 88888.0, 77777)
+        tree.insert_many([500.0], [99999.0], [77777])
+        tree.update_many([500.0], [99999.0], [700.0], [88888.0], [77777], [77777])
         assert 77777 not in tree.lookup(KeyRange(499.0, 501.0)).outlier_tids
         assert 77777 in tree.lookup(KeyRange(699.0, 701.0)).outlier_tids
 
@@ -536,10 +537,10 @@ class TestMaintenance:
         tree.build(np.append(targets, np.nan), np.append(hosts, 1.0),
                    np.append(tids, 5000))
         assert tree._table.domain == KeyRange(targets.min(), targets.max())
-        tree.insert(np.nan, 1.0, 5001)
+        tree.insert_many([np.nan], [1.0], [5001])
         tree.insert_many([np.nan, 250.0], [1.0, np.nan], [5002, 5003])
-        tree.update(np.nan, 1.0, np.nan, 2.0, 5001)
-        tree.delete(np.nan, 1.0, 5002)
+        tree.update_many([np.nan], [1.0], [np.nan], [2.0], [5001], [5001])
+        tree.delete_many([np.nan], [1.0], [5002])
         assert tree.num_outliers == 1  # the NaN host, under its own target
         assert tree.lookup(KeyRange(250.0, 250.0)).outlier_tids.tolist() == [5003]
         assert tree._table.num_inserted.tolist() == [1]
@@ -547,8 +548,8 @@ class TestMaintenance:
 
     def test_maintenance_on_empty_tree_is_noop(self):
         tree = TRSTree()
-        tree.insert(1.0, 1.0, 1)
-        tree.delete(1.0, 1.0, 1)
+        tree.insert_many([1.0], [1.0], [1])
+        tree.delete_many([1.0], [1.0], [1])
 
     def test_heavy_inserts_flag_split_candidates(self):
         targets, hosts, tids = linear_data(count=3000)
@@ -556,8 +557,8 @@ class TestMaintenance:
         tree.build(targets, hosts, tids)
         rng = np.random.default_rng(6)
         for i in range(600):
-            tree.insert(float(rng.uniform(0, 1000)), float(rng.uniform(0, 1e6)),
-                        100000 + i)
+            tree.insert_many([float(rng.uniform(0, 1000))],
+                             [float(rng.uniform(0, 1e6))], [100000 + i])
         assert tree.pending_reorganizations > 0
 
 
@@ -575,19 +576,19 @@ class TestHonestCounters:
         # Neither an outlier entry nor inside the band: the pair was never
         # in the tree, so the delete must leave the counters alone.
         for _ in range(50):
-            tree.delete(500.0, 1e9, 999_999)
+            tree.delete_many([500.0], [1e9], [999_999])
         assert tree._table.num_deleted[0] == 0
 
     def test_covered_delete_counts_once(self):
         tree, targets, hosts = self.build_tree()
-        tree.delete(float(targets[0]), float(hosts[0]), 0)
+        tree.delete_many([float(targets[0])], [float(hosts[0])], [0])
         assert tree._table.num_deleted[0] == 1
 
     def test_outlier_delete_counts_via_removal(self):
         tree, _, _ = self.build_tree()
-        tree.insert(500.0, 1e9, 777)
+        tree.insert_many([500.0], [1e9], [777])
         assert tree._table.num_outliers[0] == tree.num_outliers == 1
-        tree.delete(500.0, 1e9, 777)
+        tree.delete_many([500.0], [1e9], [777])
         assert tree._table.num_outliers[0] == tree.num_outliers == 0
         assert tree._table.num_deleted[0] == 1
 
@@ -601,7 +602,8 @@ class TestHonestCounters:
         for step in range(300):
             new_value = 100.0 + (step % 7)
             new_host = 2.0 * new_value + 5.0
-            tree.update(value, host, new_value, new_host, 10)
+            tree.update_many([value], [host], [new_value], [new_host], [10],
+                             [10])
             value, host = new_value, new_host
         assert tree._table.num_deleted[0] == 0
         assert tree._table.num_inserted[0] == 0
@@ -613,7 +615,7 @@ class TestHonestCounters:
         zero and drop the host range while covered tuples still exist."""
         tree, targets, hosts = self.build_tree(count=500)
         for _ in range(505):
-            tree.delete(float(targets[0]), float(hosts[0]), 0)
+            tree.delete_many([float(targets[0])], [float(hosts[0])], [0])
         assert tree._table.num_model_covered[0] > 0
         probe = KeyRange(0.0, 1000.0)
         result = tree.lookup(probe)
@@ -635,7 +637,8 @@ class TestHonestCounters:
         table = tree._table
         deleted_before = int(table.num_deleted[old_row])
         inserted_before = int(table.num_inserted[new_row])
-        tree.update(float(targets[0]), float(hosts[0]), new_target, 12345.0, 0)
+        tree.update_many([float(targets[0])], [float(hosts[0])], [new_target],
+                         [12345.0], [0], [0])
         assert table.num_deleted[old_row] == deleted_before + 1
         assert table.num_inserted[new_row] == inserted_before + 1
 
@@ -658,7 +661,8 @@ class TestHonestCounters:
         # (outlier_ratio * num_covered): nothing may be counted as deleted
         # and no merge may be flagged.
         for _ in range(int(table.num_covered[row]) + 10):
-            tree.update(value, 1e9, value, covered_host, 888_888)
+            tree.update_many([value], [1e9], [value], [covered_host],
+                             [888_888], [888_888])
         assert table.num_deleted[row] == 0
         assert tree.pending_reorganizations == 0
 
@@ -673,20 +677,20 @@ class TestHonestCounters:
         tree = TRSTree()
         tree.build(targets, hosts, tids)
         assert tree.num_leaves == 1
-        tree.insert(500.0, 1005.0, 3000)
+        tree.insert_many([500.0], [1005.0], [3000])
         assert tree.pending_reorganizations == 0
-        tree.insert(501.0, unmodelled, 3001)
+        tree.insert_many([501.0], [unmodelled], [3001])
         tree.insert_many([502.0, 503.0], [unmodelled, 1011.0], [3002, 3003])
-        tree.update(501.0, unmodelled, 504.0, 1013.0, 3001)
-        tree.update(float(targets[0]), float(hosts[0]), float(targets[0]),
-                    unmodelled, 0)
-        tree.delete(502.0, unmodelled, 3002)
+        tree.update_many([501.0], [unmodelled], [504.0], [1013.0], [3001], [3001])
+        tree.update_many([float(targets[0])], [float(hosts[0])],
+                         [float(targets[0])], [unmodelled], [0], [0])
+        tree.delete_many([502.0], [unmodelled], [3002])
         assert tree.pending_reorganizations == 0
         assert tree._table.num_unmodelled.tolist() == [
             int(missing.sum()) + (not missing[0])]
         # Finite off-band pairs still count.
         for tid in range(4000, 4400):
-            tree.insert(float(tid % 1000), -1e9, tid)
+            tree.insert_many([float(tid % 1000)], [-1e9], [tid])
         assert tree.pending_reorganizations == 1
 
 
@@ -716,7 +720,7 @@ class TestReorganization:
         # brute-force oracle can validate them.
         new_tids = np.arange(3000, 3800)
         for m, n, tid in zip(new_targets, new_hosts, new_tids):
-            tree.insert(float(m), float(n), int(tid))
+            tree.insert_many([float(m)], [float(n)], [int(tid)])
         store["targets"] = np.concatenate([store["targets"], new_targets])
         store["hosts"] = np.concatenate([store["hosts"], new_hosts])
         store["tids"] = np.concatenate([store["tids"], new_tids])
@@ -738,8 +742,8 @@ class TestReorganization:
         tree, store, provider = self.build_with_provider()
         rng = np.random.default_rng(8)
         for i in range(800):
-            tree.insert(float(rng.uniform(0, 1000)), float(rng.uniform(0, 1e6)),
-                        50_000 + i)
+            tree.insert_many([float(rng.uniform(0, 1000))],
+                             [float(rng.uniform(0, 1e6))], [50_000 + i])
         pending = tree.pending_reorganizations
         if pending > 1:
             processed = tree.reorganize(provider, max_candidates=1)

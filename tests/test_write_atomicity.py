@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.durability.config import DurabilityConfig
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
 from repro.engine.query import QueryRequest, RangePredicate
@@ -28,8 +29,9 @@ from repro.storage.identifiers import PointerScheme
 from repro.storage.schema import Column, DataType, TableSchema, numeric_schema
 
 
-def build_db(pointer_scheme=PointerScheme.PHYSICAL) -> Database:
-    database = Database(pointer_scheme=pointer_scheme)
+def build_db(pointer_scheme=PointerScheme.PHYSICAL,
+             durability: DurabilityConfig | None = None) -> Database:
+    database = Database(pointer_scheme=pointer_scheme, durability=durability)
     schema = TableSchema("t", [
         Column("pk", DataType.INT64),
         Column("a", DataType.FLOAT64),
@@ -71,11 +73,47 @@ def state_fingerprint(database: Database):
                          [PointerScheme.PHYSICAL, PointerScheme.LOGICAL])
 class TestRejectedWritesAreAtomic:
     def test_update_unknown_column_changes_nothing(self, pointer_scheme):
+        """An unknown column is a SchemaError, as it is for an insert."""
         database = build_db(pointer_scheme)
         before = state_fingerprint(database)
-        with pytest.raises(StorageError):
+        with pytest.raises(SchemaError):
             database.update("t", 10, {"b": 9999.0, "nope": 1.0})
         assert state_fingerprint(database) == before
+
+    @pytest.mark.parametrize("write, error", [
+        # the same location listed twice
+        (lambda db: db.delete_many("t", [10, 11, 10]), StorageError),
+        (lambda db: db.update_many("t", [10, 11, 10],
+                                   {"b": [1.0, 2.0, 3.0]}), StorageError),
+        # one dead location among live ones
+        (lambda db: db.delete_many("t", [10, 20, 11]), TupleNotFoundError),
+        (lambda db: db.update_many("t", [10, 20, 11],
+                                   {"b": [1.0, 2.0, 3.0]}),
+         TupleNotFoundError),
+        # one uncoercible value
+        (lambda db: db.update_many("t", [10, 11, 12],
+                                   {"a": [1.0, 2.0, 3.0],
+                                    "b": [1.0, "bad", 3.0]}), SchemaError),
+        # one unknown column
+        (lambda db: db.update_many("t", [10, 11, 12],
+                                   {"b": [1.0, 2.0, 3.0],
+                                    "nope": [1.0, 2.0, 3.0]}), SchemaError),
+    ], ids=["delete_twice", "update_twice", "delete_dead", "update_dead",
+            "update_uncoercible", "update_unknown_column"])
+    def test_a_rejected_batch_changes_nothing(self, pointer_scheme, tmp_path,
+                                              write, error):
+        """A batch is validated whole: one bad row rejects it before the
+        table, an index or the write-ahead log sees any of it."""
+        database = build_db(pointer_scheme,
+                            DurabilityConfig(directory=str(tmp_path)))
+        database.delete("t", 20)
+        before = state_fingerprint(database)
+        wal_bytes = database.durability_stats().wal_bytes
+        with pytest.raises(error):
+            write(database)
+        assert state_fingerprint(database) == before
+        assert database.durability_stats().wal_bytes == wal_bytes
+        database.check_invariants()
 
     def test_update_uncoercible_value_changes_nothing(self, pointer_scheme):
         database = build_db(pointer_scheme)

@@ -1,12 +1,12 @@
 """Write-path equivalence tests.
 
-The batched write API is a pure optimisation: for any data, any batch and
-either pointer scheme, maintaining the indexes through ``insert_many`` must
-leave every structure with exactly the same contents as the per-row scalar
-loop — at the index level (same entries in the same key order), at the
-mechanism level (same lookup answers for Hermit, the baseline secondary
-index and the Correlation Map) and at the engine level (same query results
-through ``Database``).
+A row is a batch of one, and a batch is its rows: for any data, any batch
+and either pointer scheme, maintaining the indexes through ``insert_many``
+(``delete_many``, ``update_many``) must leave every structure as the same
+rows written one at a time leave it — at the index level (same entries in
+the same key order), at the mechanism level (same lookup answers for
+Hermit, the baseline secondary index and the Correlation Map) and at the
+engine level (same query results through ``Database``).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import TRSTreeConfig
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
 from repro.engine.query import QueryRequest, RangePredicate
@@ -57,10 +58,10 @@ class TestIndexInsertManyEquivalence:
         reference = INDEX_FACTORIES[kind]()
         batched = INDEX_FACTORIES[kind]()
         for position, key in enumerate(base):
-            reference.insert(key, position)
-            batched.insert(key, position)
+            reference.insert_many([key], [position])
+            batched.insert_many([key], [position])
         for position, key in enumerate(batch):
-            reference.insert(key, 1_000 + position)
+            reference.insert_many([key], [1_000 + position])
         batched.insert_many(np.asarray(batch, dtype=np.float64),
                             np.arange(1_000, 1_000 + len(batch)))
 
@@ -82,7 +83,7 @@ class TestIndexInsertManyEquivalence:
 
     def test_batch_larger_than_the_index_folds_correctly(self):
         tree = OrderedIndex()
-        tree.insert(0.5, 0)
+        tree.insert_many([0.5], [0])
         rng = np.random.default_rng(3)
         keys = rng.uniform(0.0, 1.0, 2_000)
         tree.insert_many(keys, np.arange(1, 2_001))
@@ -201,6 +202,127 @@ class TestDatabaseWritePathEquivalence:
             database.insert(table_name, {"colA": 1.0})
 
 
+def _dml_database(scheme: PointerScheme) -> Database:
+    """400 rows of a sine correlation (a 10% off-band), every mechanism.
+
+    The Hermit tree splits into many leaves, so updates can move a pair
+    within its leaf or across leaves.
+    """
+    database = Database(pointer_scheme=scheme,
+                        trs_config=TRSTreeConfig(min_split_size=8))
+    database.create_table(numeric_schema("t", ["pk", "host", "target"],
+                                         primary_key="pk"))
+    rng = np.random.default_rng(11)
+    targets = rng.uniform(0.0, 1000.0, 400)
+    hosts = _sine_host(targets) + np.where(rng.random(400) < 0.1, 5e3, 0.0)
+    database.insert_many("t", {"pk": np.arange(400.0), "host": hosts,
+                               "target": targets})
+    database.create_index("idx_host", "t", "host", preexisting=True)
+    database.create_index("idx_hermit", "t", "target",
+                          method=IndexMethod.HERMIT, host_column="host")
+    database.create_index("idx_sorted", "t", "target",
+                          method=IndexMethod.SORTED_COLUMN)
+    database.create_index("idx_cm", "t", "target",
+                          method=IndexMethod.CORRELATION_MAP,
+                          host_column="host", cm_target_bucket_width=64.0,
+                          cm_host_bucket_width=192.0)
+    database.create_composite_index("idx_pair", "t", "host", "target")
+    return database
+
+
+def _sine_host(targets):
+    return np.sin(np.asarray(targets) / 40.0) * 500.0
+
+
+# How an update moves a row: a hair within its leaf, half the domain away
+# (another leaf), to a NULL target, off the band, or to a new primary key.
+MOVES = ("same_leaf", "cross_leaf", "nan_target", "off_band", "new_pk")
+dml_picks = st.lists(st.integers(min_value=0, max_value=10 ** 6),
+                     max_size=8)
+dml_updates = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=10 ** 6),
+              st.sampled_from(MOVES),
+              st.floats(min_value=0.0, max_value=1.0)),
+    max_size=8)
+
+
+class TestBatchDmlEqualsRows:
+    """``delete_many`` / ``update_many`` leave what the same rows written
+    one ``delete`` / ``update`` at a time leave: the same table, the same
+    answers through every mechanism, and every invariant."""
+
+    @SETTINGS
+    @given(deletes=dml_picks, updates=dml_updates,
+           scheme=st.sampled_from([PointerScheme.PHYSICAL,
+                                   PointerScheme.LOGICAL]))
+    def test_batches_answer_like_their_rows(self, deletes, updates, scheme):
+        batched, row_by_row = _dml_database(scheme), _dml_database(scheme)
+        assert batched.catalog.table_entry("t").indexes[
+            "idx_hermit"].mechanism.trs_tree.num_leaves > 8
+        table = batched.table("t")
+
+        live = table.live_slots()
+        gone = list(dict.fromkeys(int(live[pick % live.size])
+                                  for pick in deletes))
+        batched.delete_many("t", gone)
+        for location in gone:
+            row_by_row.delete("t", location)
+
+        live = table.live_slots()
+        rows: dict = {}
+        for number, (pick, move, amount) in enumerate(updates):
+            location = int(live[pick % live.size])
+            if location in rows:
+                continue
+            row = table.fetch(location)
+            target = row["target"]
+            if move == "same_leaf":
+                target += amount * 1e-6
+            elif move == "cross_leaf":
+                target = (target + 500.0) % 1000.0
+            elif move == "nan_target":
+                target = float("nan")
+            host = (row["host"] if move in ("nan_target", "new_pk")
+                    else float(_sine_host(target)))
+            if move == "off_band":
+                host += 5e3
+            pk = 10_000.0 + number if move == "new_pk" else row["pk"]
+            rows[location] = {"pk": pk, "host": host, "target": target}
+        batched.update_many("t", list(rows), {
+            name: [changes[name] for changes in rows.values()]
+            for name in ("pk", "host", "target")})
+        for location, changes in rows.items():
+            row_by_row.update("t", location, changes)
+
+        for database in (batched, row_by_row):
+            database.check_invariants()
+        stored = [database.table("t").project(["pk", "host", "target"])
+                  for database in (batched, row_by_row)]
+        for mine, theirs in zip(*stored):
+            assert np.array_equal(mine, theirs, equal_nan=True)
+        slots, _, hosts, targets = stored[0]
+        for column, values, index_names in (
+                ("target", targets, ("idx_hermit", "idx_sorted", "idx_cm")),
+                ("host", hosts, ("idx_host",))):
+            for low, high in ((0.0, 1000.0), (120.0, 480.0), (-600.0, 0.0),
+                              (500.0, 5600.0)):
+                expected = slots[(values >= low) & (values <= high)].tolist()
+                predicate = RangePredicate(column, low, high)
+                for database in (batched, row_by_row):
+                    for name in index_names:
+                        found = database.query_with("t", name, predicate)
+                        assert found.locations.tolist() == expected, name
+                    assert database.execute(QueryRequest.of(
+                        "t", predicate)).locations.tolist() == expected
+        pair = [RangePredicate("host", -200.0, 300.0),
+                RangePredicate("target", 100.0, 900.0)]
+        expected = slots[(hosts >= -200.0) & (hosts <= 300.0)
+                         & (targets >= 100.0) & (targets <= 900.0)].tolist()
+        for database in (batched, row_by_row):
+            assert database.execute(QueryRequest.of(
+                "t", pair)).locations.tolist() == expected
+
+
 LOAD_INPUTS = {
     "empty": [],
     "single_key": [(3.5, 7)],
@@ -220,7 +342,7 @@ class TestLoadIsInsertManyIntoEmpty:
         pairs = LOAD_INPUTS[name]
         oracle = OrderedIndex()
         for key, tid in pairs:
-            oracle.insert(key, tid)
+            oracle.insert_many([key], [tid])
         loaded = OrderedIndex()
         loaded.insert_many([key for key, _ in pairs],
                            np.asarray([tid for _, tid in pairs]))
@@ -240,7 +362,7 @@ class TestLoadIsInsertManyIntoEmpty:
         pairs = LOAD_INPUTS[name]
         oracle = OrderedIndex()
         for key, tid in pairs:
-            oracle.insert(key, tid)
+            oracle.insert_many([key], [tid])
         batched = OrderedIndex()
         for start in range(0, len(pairs), size):
             chunk = pairs[start:start + size]
