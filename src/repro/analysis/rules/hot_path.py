@@ -30,7 +30,7 @@ C-level comprehension building a result list is often the
 materialisation boundary itself — except one that builds a ``KeyRange``,
 ``RowLocation``, ``int`` or ``float`` per element of such an iterable,
 of a ``range`` or of a batch call's result (``[int(slot) for slot in
-table.insert_many(columns)]``): a batch's bounds travel as one
+table.insert_many(batch)]``): a batch's bounds travel as one
 ``KeyRanges`` (two float arrays) and its slots as one int64 array, and
 turning them into per-element objects is the round-trip the batch path
 exists to avoid (``ndarray.tolist()`` is the one-call boundary).

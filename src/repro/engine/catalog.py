@@ -1,4 +1,4 @@
-"""System catalog: tables, indexes and discovered correlations.
+"""System catalog: tables and their indexes.
 
 The catalog is deliberately thin — it owns no behaviour beyond bookkeeping —
 but it is what lets the database facade answer questions such as "which
@@ -16,7 +16,6 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.correlation.discovery import CorrelationCandidate
 from repro.errors import CatalogError
 from repro.index.base import KeyRange
 from repro.storage.table import Table
@@ -171,7 +170,6 @@ class TableEntry:
     table: Table
     primary_index: object
     indexes: dict[str, IndexEntry] = field(default_factory=dict)
-    correlations: list[CorrelationCandidate] = field(default_factory=list)
     data_epoch: int = 0
 
 
@@ -320,11 +318,6 @@ class Catalog:
         stats = ColumnStats(row_count, observed.minimum, observed.maximum)
         self._stats_cache[cache_key] = (observed.count, entry.data_epoch, stats)
         return stats
-
-    def record_correlation(self, table_name: str,
-                           candidate: CorrelationCandidate) -> None:
-        """Remember a discovered correlation for a table."""
-        self.table_entry(table_name).correlations.append(candidate)
 
     def tables(self) -> Iterator[TableEntry]:
         """Iterate all table entries."""

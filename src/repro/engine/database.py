@@ -95,7 +95,7 @@ from repro.index.base import KeyRanges
 from repro.index.ordered import OrderedIndex
 from repro.storage.identifiers import PointerScheme
 from repro.storage.memory import MemoryReport
-from repro.storage.schema import DataType, TableSchema
+from repro.storage.schema import TableSchema
 from repro.storage.table import Table
 
 
@@ -356,8 +356,6 @@ class Database:
         if not candidates:
             return IndexMethod.BTREE, None
         recommendation = self.advisor.recommend(entry.table, column, candidates)
-        if recommendation.candidate is not None:
-            self.catalog.record_correlation(entry.name, recommendation.candidate)
         if recommendation.use_hermit:
             return IndexMethod.HERMIT, recommendation.host_column
         return IndexMethod.BTREE, None
@@ -399,11 +397,13 @@ class Database:
         """Bulk-insert column-oriented data, maintaining all indexes in bulk.
 
         The batch write path mirrors the vectorized lookup path: one
+        :meth:`Table.validate_insert_many` check, one
         :meth:`Table.insert_many` append, one batched primary-index
         ``insert_many`` (which loads an empty index and merges into a
         populated one) and one column-oriented
         ``insert_many`` notification per secondary mechanism — no per-row
-        ``fetch`` and no per-row index descent anywhere.
+        ``fetch`` and no per-row index descent anywhere.  Every index keys
+        the stored values (``2.7`` into an INT64 column is keyed ``2``).
 
         Returns:
             The locations of the inserted rows, in insertion order.
@@ -411,53 +411,21 @@ class Database:
         with self.epochs.write():
             entry = self.catalog.table_entry(table_name)
             table = entry.table
-            if self._durability is not None:
-                # Full dry-run validation first: the WAL may only contain
-                # operations that the table is guaranteed to accept on replay.
-                if table.validate_insert_many(columns) > 0:
-                    self._durability.log_insert_many(table_name, columns)
-            location_array = table.insert_many(columns)
-            if not location_array.size:
+            batch = table.validate_insert_many(columns)
+            if not batch.slots.size:
                 return []
-            primary = table.schema.primary_key
-            primary_values = np.asarray(columns[primary], dtype=np.float64)
-            entry.primary_index.insert_many(primary_values, location_array)
-            if entry.indexes:
-                column_data = self._batch_columns(table, columns,
-                                                  location_array)
-                for index_entry in entry.indexes.values():
-                    index_entry.mechanism.insert_many(column_data,
-                                                      location_array)
+            if self._durability is not None:
+                self._durability.log_insert_many(table_name, columns)
+            table.insert_many(batch)
+            entry.primary_index.insert_many(
+                np.asarray(batch.columns[table.schema.primary_key],
+                           dtype=np.float64), batch.slots)
+            for index_entry in entry.indexes.values():
+                index_entry.mechanism.insert_many(batch.columns, batch.slots)
             self.catalog.bump_data_epoch(table_name)
             if self._durability is not None:
                 self._durability.maybe_auto_checkpoint(self)
-            return location_array.tolist()
-
-    @staticmethod
-    def _batch_columns(table: Table, columns: dict[str, Sequence],
-                       locations: np.ndarray) -> dict[str, Sequence]:
-        """Complete the supplied columns to the full schema for mechanisms.
-
-        Mechanisms must observe the *stored* rows, exactly like the per-row
-        ``fetch`` notification they replace: supplied values are coerced to
-        the column dtype (storing ``2.7`` into an INT64 column keeps ``2``,
-        and the index must key ``2``, not ``2.7``), and columns the caller
-        omitted (null-filled by the table) are gathered back.  The coercion
-        is a no-copy ``asarray`` whenever the caller already passed the
-        stored dtype.  With no columns supplied this is the stored rows at
-        ``locations`` — what a delete or update hands its mechanisms.
-        """
-        data: dict[str, Sequence] = {}
-        for column in table.schema:
-            if column.name not in columns:
-                data[column.name] = table.values(locations, column.name)
-            elif column.dtype is DataType.STRING:
-                data[column.name] = columns[column.name]
-            else:
-                data[column.name] = np.asarray(
-                    columns[column.name], dtype=column.dtype.numpy_dtype
-                )
-        return data
+            return batch.slots.tolist()
 
     def delete(self, table_name: str, location: int) -> None:
         """Delete the row at ``location``: a :meth:`delete_many` of one."""
@@ -474,18 +442,19 @@ class Database:
         with self.epochs.write():
             entry = self.catalog.table_entry(table_name)
             table = entry.table
-            slots = table.validate_locations(locations)
+            batch = table.validate_locations(locations)
+            slots = batch.slots
             if not slots.size:
                 return
             if self._durability is not None:
                 self._durability.log_delete_many(table_name, slots)
-            rows = self._batch_columns(table, {}, slots)
+            rows = _stored_rows(table, slots)
             for index_entry in entry.indexes.values():
                 index_entry.mechanism.delete_many(rows, slots)
             entry.primary_index.delete_many(
                 np.asarray(rows[table.schema.primary_key], dtype=np.float64),
                 slots)
-            table.delete_many(slots)
+            table.delete_many(batch)
             self.catalog.bump_data_epoch(table_name)
             if self._durability is not None:
                 self._durability.maybe_auto_checkpoint(self)
@@ -504,20 +473,23 @@ class Database:
         with ``locations``.  Validated whole like :meth:`delete_many`, and
         every column known (an unknown one is a ``SchemaError``, as for an
         insert) and coercible.  Every mechanism sees the stored rows before
-        and after; a changed primary key moves its row's primary-index
-        entry (a stale one would lose the row under logical pointers).
+        and after: the old rows gathered once, the new ones those with the
+        batch's stored columns laid over them.  A changed primary key moves
+        its row's primary-index entry (a stale one would lose the row under
+        logical pointers).
         """
         with self.epochs.write():
             entry = self.catalog.table_entry(table_name)
             table = entry.table
-            slots = table.validate_update_many(locations, columns)
+            batch = table.validate_update_many(locations, columns)
+            slots = batch.slots
             if not slots.size:
                 return
             if self._durability is not None:
                 self._durability.log_update_many(table_name, slots, columns)
-            old_rows = self._batch_columns(table, {}, slots)
-            table.update_many(slots, columns)
-            new_rows = self._batch_columns(table, {}, slots)
+            old_rows = _stored_rows(table, slots)
+            new_rows = {**old_rows, **batch.columns}
+            table.update_many(batch)
             primary = table.schema.primary_key
             old_keys = np.asarray(old_rows[primary], dtype=np.float64)
             new_keys = np.asarray(new_rows[primary], dtype=np.float64)
@@ -953,3 +925,10 @@ class Database:
                         raise AssertionError(
                             f"index {name!r} of table {entry.name!r} does "
                             f"not hold exactly the live rows")
+
+
+def _stored_rows(table: Table, slots: np.ndarray) -> dict[str, np.ndarray]:
+    """The stored rows at ``slots``, column by column: one gather per
+    column, what a delete or an update hands its mechanisms."""
+    return {name: table.values(slots, name)
+            for name in table.schema.column_names}

@@ -30,8 +30,7 @@ very small amount of time on purpose*:
 The event loop is plain ``asyncio`` running on a daemon thread, so sync
 clients — benchmark threads, tests, anything — talk to it through
 thread-safe handoffs (:meth:`Server.submit` returns a
-``concurrent.futures.Future``); coroutine clients can await
-:meth:`Server.submit_async` instead.  Batches execute on one separate
+``concurrent.futures.Future``).  Batches execute on one separate
 worker thread: batches serialize, which under the GIL costs nothing and
 gives natural backpressure — the queue keeps filling while a batch runs,
 so the *next* batch is bigger.
@@ -266,27 +265,6 @@ class Server:
             # a no-op and the armed timer still covers the queue.
             self._loop.call_soon_threadsafe(self._flush)
         return future
-
-    async def submit_async(self, request: QueryRequest) -> QueryResult:
-        """Coroutine flavour of :meth:`submit` (await on any event loop)."""
-        loop = asyncio.get_running_loop()
-        aio_future: asyncio.Future = loop.create_future()
-
-        def transfer(done: RequestFuture) -> None:
-            error = done.exception()
-
-            def publish() -> None:
-                if aio_future.cancelled():
-                    return
-                if error is not None:
-                    aio_future.set_exception(error)
-                else:
-                    aio_future.set_result(done.result())
-
-            loop.call_soon_threadsafe(publish)
-
-        self.submit(request).add_done_callback(transfer)
-        return await aio_future
 
     def query(self, request: QueryRequest,
               timeout: float | None = None) -> QueryResult:

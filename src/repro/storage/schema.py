@@ -205,21 +205,23 @@ class ColumnStatistics:
     minimum: float = field(default=float("inf"))
     maximum: float = field(default=float("-inf"))
 
-    def observe(self, value: float) -> None:
-        """Fold one value into the statistics."""
-        self.count += 1
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-
     def observe_many(self, values: np.ndarray) -> None:
-        """Fold a vector of values into the statistics."""
+        """Fold a vector of float values into the statistics.
+
+        Every value counts; the bounds move over the non-NaN ones only (a
+        NaN minimum would compare False and hide the batch's range), so an
+        all-NaN batch moves no bound.
+        """
         if len(values) == 0:
             return
         self.count += int(len(values))
         lo = float(np.min(values))
         hi = float(np.max(values))
+        if lo != lo:    # a NaN: np.min propagates one
+            known = values[~np.isnan(values)]
+            if not known.size:
+                return
+            lo, hi = float(known.min()), float(known.max())
         if lo < self.minimum:
             self.minimum = lo
         if hi > self.maximum:

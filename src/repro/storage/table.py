@@ -10,7 +10,7 @@ main-memory RDBMS with physical tuple pointers behaves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,13 +44,42 @@ class TableSnapshot:
     statistics: dict[str, tuple[int, float, float]]
 
 
+class WriteBatch(NamedTuple):
+    """One write batch, checked and coerced by a ``Table.validate_*`` call.
+
+    The matching mutator (:meth:`Table.insert_many`, :meth:`Table.update_many`,
+    :meth:`Table.delete_many`) applies it without checking it again, and
+    the database hands the same columns to the primary index and every
+    mechanism.  A batch holds for the table state it was checked against:
+    it is applied before any other write (``Database`` does both under one
+    write epoch).
+
+    Attributes:
+        slots: The rows written, as int64: an insert's appended slots, an
+            update's or a delete's checked locations.
+        columns: Column name → the values as the table stores them, aligned
+            with ``slots``: every column for an insert (the omitted ones
+            null-filled), the supplied ones for an update, none for a delete.
+        observed: Column name → the raw floats the column statistics
+            observe, for the supplied numeric columns.
+    """
+
+    slots: np.ndarray
+    columns: dict[str, Sequence]
+    observed: dict[str, np.ndarray]
+
+
 class Table:
     """A columnar, slot-addressed, in-memory table.
 
     Args:
         schema: The table schema.
 
-    Rows are inserted as column batches (:meth:`insert_many`, a mapping of
+    Every write is two steps: a ``validate_*`` call checks and coerces the
+    batch and returns a :class:`WriteBatch` without mutating anything, and
+    the matching mutator applies exactly that batch.  So a rejected batch
+    leaves the table bit-identical, and the write-ahead log records only
+    batches that apply.  Rows are inserted as column batches (a mapping of
     column names to equal-length value sequences); missing nullable columns
     are stored as NaN (floats) / 0 (ints) / None (strings).
     """
@@ -71,91 +100,63 @@ class Table:
 
     # ------------------------------------------------------------------ write
 
-    def insert_many(self, rows: dict[str, Sequence]) -> np.ndarray:
-        """Bulk-insert column-oriented data.
+    def validate_insert_many(self, rows: dict[str, Sequence]) -> WriteBatch:
+        """Check and coerce an insert batch without mutating anything.
 
         Args:
             rows: Mapping from column name to an equal-length sequence of
-                values.  Columns not supplied must be nullable.
+                values.  Columns not supplied must be nullable; the batch
+                holds them null-filled.
 
         Returns:
-            The slots of the inserted rows, in insertion order, as one
-            int64 array (consecutive: the batch is appended).
-        """
-        count = self.schema.validate_columns(rows)
-        if count == 0:
-            return np.empty(0, dtype=np.int64)
-        # Coerce every supplied column before touching any storage or
-        # statistics: a batch rejected here (bad dtype, unparsable string)
-        # leaves the table bit-identical to before the call.
-        prepared = self._coerced(rows, count)
-        start = self._next_slot
-        self._reserve(start + count)
-        for column in self.schema:
-            if column.name not in prepared:
-                self._columns[column.name][start:start + count] = \
-                    self._null_value(column.dtype)
-        self._store(slice(start, start + count), prepared)
-        self._live[start:start + count] = True
-        self._next_slot = start + count
-        self._live_count += count
-        return np.arange(start, start + count, dtype=np.int64)
-
-    def validate_insert_many(self, rows: dict[str, Sequence]) -> int:
-        """Full dry run of :meth:`insert_many`: schema *and* dtype checks.
-
-        The write-ahead log uses this as its pre-logging gate — it must
-        reject everything :meth:`insert_many` would reject (including
-        values that fail dtype coercion), so a logged batch is guaranteed
-        to replay successfully.
-
-        Returns the row count of the batch (0 for an empty one).
+            The batch :meth:`insert_many` appends, at the next free slots
+            (an empty batch for no rows).
 
         Raises:
             StorageError: On unequal column lengths.
             SchemaError: On an unknown or a missing non-nullable column, or
-                an uncoercible value.
+                a value its column's dtype cannot store.
         """
         count = self.schema.validate_columns(rows)
-        if count:
-            self._coerced(rows, count)
-        return count
-
-    def delete_many(self, locations: "Sequence[int] | np.ndarray") -> None:
-        """Mark the rows at ``locations`` deleted, all or none
-        (:meth:`validate_locations`)."""
-        slots = self.validate_locations(locations)
-        self._live[slots] = False
-        self._live_count -= slots.size
-
-    def update_many(self, locations: "Sequence[int] | np.ndarray",
-                    columns: dict[str, Sequence]) -> None:
-        """Update columns of live rows in place.
-
-        ``columns`` maps a column name to the rows' new values, aligned
-        with ``locations``.  Everything is validated and coerced, as for an
-        insert, before the first write: a rejected batch leaves the rows
-        and the statistics untouched (:meth:`validate_update_many`).
-        """
-        self._store(*self._prepared_update(locations, columns))
+        if not count:
+            return WriteBatch(np.empty(0, dtype=np.int64), {}, {})
+        columns, observed = self._coerced(rows, count)
+        for column in self.schema:
+            if column.name not in columns:
+                columns[column.name] = np.full(
+                    count, self._null_value(column.dtype),
+                    dtype=column.dtype.numpy_dtype)
+        start = self._next_slot
+        return WriteBatch(np.arange(start, start + count, dtype=np.int64),
+                          columns, observed)
 
     def validate_update_many(self, locations: "Sequence[int] | np.ndarray",
-                             columns: dict[str, Sequence]) -> np.ndarray:
-        """Full dry run of :meth:`update_many` (the pre-logging gate, as
-        :meth:`validate_insert_many` is an insert's); returns the slots.
+                             columns: dict[str, Sequence]) -> WriteBatch:
+        """Check and coerce an update batch without mutating anything: an
+        updated row is a whole row again, checked as an inserted one.
+
+        ``columns`` maps a column name to the rows' new values, aligned
+        with ``locations``.
+
+        Returns:
+            The batch :meth:`update_many` writes: the checked slots and the
+            supplied columns only.
 
         Raises:
             TupleNotFoundError / StorageError: As :meth:`validate_locations`.
             SchemaError: On an unknown column, or a column that does not
                 hold one coercible value per location.
         """
-        return self._prepared_update(locations, columns)[0]
+        slots = self.validate_locations(locations).slots
+        self.schema.validate_row({**dict.fromkeys(self.schema.column_names),
+                                  **columns})
+        return WriteBatch(slots, *self._coerced(columns, slots.size))
 
     def validate_locations(self, locations: "Sequence[int] | np.ndarray",
-                           ) -> np.ndarray:
-        """The slots of a delete or update batch, checked: a location out
-        of range or dead is a ``TupleNotFoundError``, one listed twice a
-        ``StorageError``."""
+                           ) -> WriteBatch:
+        """Check the locations of a delete batch: a location out of range
+        or dead is a ``TupleNotFoundError``, one listed twice a
+        ``StorageError``.  Returns the batch :meth:`delete_many` applies."""
         slots = np.asarray(locations, dtype=np.int64).reshape(-1)
         live = self.liveness(slots)
         if not live.all():
@@ -164,7 +165,28 @@ class Table:
         ordered = np.sort(slots)
         if (ordered[1:] == ordered[:-1]).any():
             raise StorageError("a location is listed twice in one batch")
+        return WriteBatch(slots, {}, {})
+
+    def insert_many(self, batch: WriteBatch) -> np.ndarray:
+        """Append a batch of :meth:`validate_insert_many`; returns its slots."""
+        slots = batch.slots
+        if slots.size:
+            start, stop = int(slots[0]), int(slots[-1]) + 1
+            self._reserve(stop)
+            self._store(slice(start, stop), batch)
+            self._live[start:stop] = True
+            self._next_slot = stop
+            self._live_count += slots.size
         return slots
+
+    def update_many(self, batch: WriteBatch) -> None:
+        """Write a batch of :meth:`validate_update_many` in place."""
+        self._store(batch.slots, batch)
+
+    def delete_many(self, batch: WriteBatch) -> None:
+        """Mark the rows of a batch of :meth:`validate_locations` deleted."""
+        self._live[batch.slots] = False
+        self._live_count -= batch.slots.size
 
     # ------------------------------------------------------------------- read
 
@@ -367,26 +389,19 @@ class Table:
             raise TupleNotFoundError(f"slot {slot} does not hold a live row")
         return slot
 
-    def _prepared_update(self, locations: "Sequence[int] | np.ndarray",
-                         columns: dict[str, Sequence],
-                         ) -> tuple[np.ndarray, dict[str, tuple]]:
-        """An update batch's slots and coerced columns, every check made:
-        an updated row is a whole row again, checked as an inserted one."""
-        slots = self.validate_locations(locations)
-        self.schema.validate_row({**dict.fromkeys(self.schema.column_names),
-                                  **columns})
-        return slots, self._coerced(columns, slots.size)
-
-    def _coerced(self, columns: dict[str, Sequence],
-                 count: int) -> dict[str, tuple]:
-        """Column name → ``(stored values, floats the statistics observe
-        or None)`` for schema-checked columns of ``count`` rows, without
-        mutating; a column its dtype cannot store is a ``SchemaError``.
+    def _coerced(self, columns: dict[str, Sequence], count: int,
+                 ) -> tuple[dict[str, Sequence], dict[str, np.ndarray]]:
+        """``(column name → values as stored, column name → floats the
+        statistics observe)`` for schema-checked columns of ``count`` rows,
+        without mutating; a column its dtype cannot store is a
+        ``SchemaError``.
 
         Numpy casting coerces (``2.7`` into an INT64 column stores ``2``)
-        while the statistics observe the raw values.
+        while the statistics observe the raw values; a string column is
+        stored as given and not observed.
         """
-        prepared: dict[str, tuple] = {}
+        stored: dict[str, Sequence] = {}
+        observed: dict[str, np.ndarray] = {}
         for name, values in columns.items():
             column = self.schema.column(name)
             target_dtype = column.dtype.numpy_dtype
@@ -394,27 +409,27 @@ class Table:
                 if len(values) != count:
                     raise ValueError(f"{len(values)} values for {count} rows")
                 if column.dtype is DataType.STRING:
-                    prepared[name] = (values, None)
+                    stored[name] = values
                     continue
                 raw = np.asarray(values)
                 if raw.ndim != 1:
                     raise ValueError(f"{raw.shape} values for {count} rows")
-                coerced = (raw if raw.dtype == target_dtype
-                           else raw.astype(target_dtype))
-                observed = raw.astype(np.float64, copy=False)
+                stored[name] = (raw if raw.dtype == target_dtype
+                                else raw.astype(target_dtype))
+                observed[name] = raw.astype(np.float64, copy=False)
             except (ValueError, TypeError, OverflowError) as error:
                 raise SchemaError(
                     f"column {column.name!r} cannot coerce to "
                     f"{column.dtype.value}: {error}"
                 ) from error
-            prepared[name] = (coerced, observed)
-        return prepared
+        return stored, observed
 
-    def _store(self, slots: "slice | np.ndarray",
-               prepared: dict[str, tuple]) -> None:
-        """Write coerced columns (:meth:`_coerced`) at ``slots``."""
-        for name, (values, observed) in prepared.items():
+    def _store(self, slots: "slice | np.ndarray", batch: WriteBatch) -> None:
+        """Write a batch's columns at ``slots``; the statistics observe it
+        (column by column, while the column's values are in cache)."""
+        for name, values in batch.columns.items():
             self._columns[name][slots] = values
+            observed = batch.observed.get(name)
             if observed is not None:
                 self.statistics[name].observe_many(observed)
 

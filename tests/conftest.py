@@ -70,12 +70,12 @@ def small_table() -> Table:
     table = Table(schema)
     rng = np.random.default_rng(0)
     target = rng.uniform(0.0, 1000.0, size=200)
-    table.insert_many({
+    table.insert_many(table.validate_insert_many({
         "pk": np.arange(200, dtype=np.float64),
         "host": 3.0 * target + 5.0,
         "target": target,
         "payload": rng.uniform(size=200),
-    })
+    }))
     return table
 
 

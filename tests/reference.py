@@ -141,12 +141,11 @@ class ModelTable:
 
     def _observe(self, name: str, values: np.ndarray) -> None:
         count, low, high = self.stats[name]
-        if values.size:
-            # A NaN batch minimum compares False: that bound stays put.
-            if values.min() < low:
-                low = float(values.min())
-            if values.max() > high:
-                high = float(values.max())
+        known = values[~np.isnan(values)]
+        if known.size:
+            # Every value counts; the bounds move over the non-NaN ones.
+            low = min(low, float(known.min()))
+            high = max(high, float(known.max()))
         self.stats[name] = (count + values.size, low, high)
 
 

@@ -29,18 +29,19 @@ class TestDurabilityOrdering:
     def test_fires_on_apply_before_log(self):
         findings = findings_for("""
             class Database:
-                def delete(self, table_name, location):
+                def delete_many(self, table_name, locations):
                     entry = self.catalog.table_entry(table_name)
-                    row = entry.table.fetch(location)
-                    entry.table.delete(location)
-                    self._durability.log_delete(table_name, location)
+                    batch = entry.table.validate_locations(locations)
+                    entry.table.delete_many(batch)
+                    self._durability.log_delete_many(table_name,
+                                                     batch.slots)
         """, self.RULE())
         assert [f.rule for f in findings] == ["REP002"]
-        assert "'delete'" in findings[0].message
+        assert "'delete_many'" in findings[0].message
 
     @pytest.mark.parametrize("apply", [
-        "entry.table.delete_many(slots)",
-        "entry.table.update_many(slots, columns)",
+        "entry.table.delete_many(batch)",
+        "entry.table.update_many(batch)",
         "mechanism.update_many(old, new, slots)",
     ])
     def test_fires_on_a_batch_applied_before_log(self, apply):
@@ -48,8 +49,9 @@ class TestDurabilityOrdering:
             class Database:
                 def update_many(self, table_name, locations, columns):
                     entry = self.catalog.table_entry(table_name)
-                    slots = entry.table.validate_update_many(locations,
+                    batch = entry.table.validate_update_many(locations,
                                                              columns)
+                    slots = batch.slots
                     {apply}
                     self._durability.log_update_many(table_name, slots,
                                                      columns)
@@ -62,7 +64,8 @@ class TestDurabilityOrdering:
             class Database:
                 def insert_many(self, table_name, columns):
                     self._durability.log_insert_many(table_name, columns)
-                    return self.table.insert_many(columns)
+                    batch = self.table.validate_insert_many(columns)
+                    return self.table.insert_many(batch)
         """, self.RULE())
         assert [f.rule for f in findings] == ["REP002"]
         assert "without validating" in findings[0].message
@@ -72,9 +75,9 @@ class TestDurabilityOrdering:
             class Database:
                 def insert_many(self, table_name, columns):
                     table = self.catalog.table_entry(table_name).table
-                    if table.validate_insert_many(columns) > 0:
-                        self._durability.log_insert_many(table_name, columns)
-                    return table.insert_many(columns)
+                    batch = table.validate_insert_many(columns)
+                    self._durability.log_insert_many(table_name, columns)
+                    return table.insert_many(batch)
         """, self.RULE())
         assert findings == []
 
@@ -93,7 +96,8 @@ class TestDurabilityOrdering:
         findings = findings_for("""
             class Database:
                 def insert_many(self, table_name, columns):
-                    return self.table.insert_many(columns)
+                    batch = self.table.validate_insert_many(columns)
+                    return self.table.insert_many(batch)
         """, self.RULE())
         assert findings == []
 
@@ -314,7 +318,8 @@ class TestHotPathPurity:
             class Database:
                 def insert_many(self, table_name, columns):
                     table = self.catalog.table_entry(table_name).table
-                    return [int(loc) for loc in table.insert_many(columns)]
+                    batch = table.validate_insert_many(columns)
+                    return [int(loc) for loc in table.insert_many(batch)]
         """),
     ])
     def test_fires_on_per_row_objects_in_load_path(self, path, source):
@@ -329,8 +334,9 @@ class TestHotPathPurity:
             class Database:
                 def insert_many(self, table_name, columns):
                     table = self.catalog.table_entry(table_name).table
-                    slots = table.insert_many(columns)
-                    self._index_many(columns, slots)
+                    batch = table.validate_insert_many(columns)
+                    slots = table.insert_many(batch)
+                    self._index_many(batch.columns, slots)
                     return slots.tolist()
         """, self.RULE(), path="src/repro/engine/fake.py")
         assert findings == []

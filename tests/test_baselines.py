@@ -24,11 +24,11 @@ def table():
     target = rng.uniform(0.0, 1000.0, size=1000)
     noise = np.where(rng.random(1000) < 0.05,
                      rng.uniform(300.0, 800.0, size=1000), 0.0)
-    table.insert_many({
+    table.insert_many(table.validate_insert_many({
         "pk": np.arange(1000, dtype=np.float64),
         "host": 2.0 * target + noise,
         "target": target,
-    })
+    }))
     return table
 
 
@@ -204,8 +204,9 @@ class TestCorrelationMap:
         targets = np.tile([1.0, 3.0, 5.0, 7.0, 9.0, 11.0], 8)
         table = Table(numeric_schema("dup", ["pk", "host", "target"],
                                      primary_key="pk"))
-        table.insert_many({"pk": np.arange(hosts.size, dtype=np.float64) + 100,
-                           "host": hosts, "target": targets})
+        table.insert_many(table.validate_insert_many({
+            "pk": np.arange(hosts.size, dtype=np.float64) + 100,
+            "host": hosts, "target": targets}))
         database = make_database(table, scheme, cm_widths=(4.0, 8.0))
         cm = mechanism(database, "idx_cm", "dup")
 

@@ -117,12 +117,12 @@ def correlated_table(count=1000, seed=0) -> Table:
     schema = numeric_schema("t", ["pk", "a", "b", "c"], primary_key="pk")
     table = Table(schema)
     a = rng.uniform(0, 100, size=count)
-    table.insert_many({
+    table.insert_many(table.validate_insert_many({
         "pk": np.arange(count, dtype=np.float64),
         "a": a,
         "b": 5 * a + 2,                      # strongly correlated with a
         "c": rng.uniform(0, 100, size=count),  # independent
-    })
+    }))
     return table
 
 
@@ -173,11 +173,11 @@ class TestAdvisor:
         schema = numeric_schema("t", ["pk", "x", "y"], primary_key="pk")
         table = Table(schema)
         x = rng.uniform(0, 6 * np.pi, size=2000)
-        table.insert_many({
+        table.insert_many(table.validate_insert_many({
             "pk": np.arange(2000, dtype=np.float64),
             "x": x,
             "y": np.sin(x),
-        })
+        }))
         recommendation = HostColumnAdvisor().recommend(table, "x", ["y"])
         assert not recommendation.use_hermit
 

@@ -31,12 +31,12 @@ def make_table(count=2000, seed=0, noise_fraction=0.02):
     host = 2.0 * target + 5.0
     noisy = rng.random(count) < noise_fraction
     host = np.where(noisy, host + rng.uniform(500.0, 1500.0, size=count), host)
-    table.insert_many({
+    table.insert_many(table.validate_insert_many({
         "pk": np.arange(count, dtype=np.float64),
         "host": host,
         "target": target,
         "payload": rng.uniform(size=count),
-    })
+    }))
     return table
 
 

@@ -12,8 +12,9 @@ pending index writes and cache hits present — is checked against the model
 by the state machine in ``test_engine_oracle``.
 
 ``TestReadSurfaceIsPinned`` lists the public callables of ``Index``, the
-mechanism base, ``Database``, ``ShardedDatabase``, ``Server`` and the
-TRS-Tree's classes, and the names ``repro.core.regression`` defines and
+mechanism base, ``Database``, ``ShardedDatabase``, ``Server``, ``Table``
+(whose writes are three ``validate_*`` checks and their three mutators)
+and the TRS-Tree's classes, and the names ``repro.core.regression`` defines and
 ``repro.core`` exports, and asserts each set exactly, so a future read path
 or leaf-model family has to replace one of these rather than land beside
 it.
@@ -53,6 +54,7 @@ from repro.index.paged_bptree import PagedBPlusTree
 from repro.serving import Server
 from repro.sharding import ShardedDatabase
 from repro.storage.identifiers import PointerScheme
+from repro.storage.table import Table
 from repro.workloads.synthetic import load_synthetic
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -243,7 +245,18 @@ SHARDED_OTHER = {
     "planner_cache_stats", "planner_cache_info", "result_cache_info",
     "result_cache_clear", "num_rows", "shard_row_counts", "close",
 }
-SERVER_SURFACE = {"submit", "submit_async", "query", "stats", "close"}
+SERVER_SURFACE = {"submit", "query", "stats", "close"}
+# A table write is two steps: a validate_* call checks and coerces the
+# batch once, and its mutator applies exactly that batch.
+TABLE_WRITES = {"validate_insert_many", "validate_update_many",
+                "validate_locations", "insert_many", "update_many",
+                "delete_many"}
+TABLE_OTHER = {
+    "fetch", "value", "values", "column_array", "live_slots", "is_live",
+    "liveness", "filter_in_range", "in_range_mask", "scan", "project",
+    "value_range", "memory_bytes", "memory_report", "snapshot",
+    "restore_snapshot",
+}
 
 # The TRS-Tree is one leaf table plus one tree-wide outlier index, read
 # through exactly two methods; only reorganization (and build) replaces
@@ -409,6 +422,9 @@ class TestReadSurfaceIsPinned:
                 == SHARDED_READS | SHARDED_OTHER)
         assert public_callables(Server) == SERVER_SURFACE
 
+    def test_table_write_surface(self):
+        assert public_callables(Table) == TABLE_WRITES | TABLE_OTHER
+
     def test_one_definition_of_each_lookup_under_src(self):
         sources = {path: path.read_text(encoding="utf-8")
                    for path in SRC.rglob("*.py")}
@@ -440,7 +456,12 @@ class TestReadSurfaceIsPinned:
                    "rebind", "DEFAULT_COST_MODEL", "DEFAULT_SIZE_MODEL",
                    # retired by the one ordered index
                    "SortedColumnIndex", "OutlierBuffer", "FlatView",
-                   "worth_using", "charge(", "_RANGE_PROBE_COST", "REP001")
+                   "worth_using", "charge(", "_RANGE_PROBE_COST", "REP001",
+                   # retired by checking each write batch once, by
+                   # dropping the write-only correlation list and the
+                   # unused coroutine submit
+                   "_batch_columns", "_prepared_update",
+                   "record_correlation", "submit_async")
         # Whole words: the disk simulator keeps its IOCostModel, the
         # paged index its PagedBPlusTree.  The names after them were
         # retired by reading mechanisms through Database alone (a word

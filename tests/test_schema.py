@@ -90,11 +90,28 @@ class TestTableSchema:
 class TestColumnStatistics:
     def test_observe_single_values(self):
         stats = ColumnStatistics()
-        stats.observe(5.0)
-        stats.observe(-3.0)
-        stats.observe(10.0)
+        for value in (5.0, -3.0, 10.0):
+            stats.observe_many(np.array([value]))
         assert stats.count == 3
         assert stats.value_range == (-3.0, 10.0)
+
+    def test_a_nan_counts_but_moves_no_bound(self):
+        """The bounds are over the non-NaN values of a batch, so a NaN
+        cannot hide the range of the values beside it."""
+        stats = ColumnStatistics()
+        stats.observe_many(np.array([1.0, 2.0]))
+        stats.observe_many(np.array([np.nan, -5.0]))
+        stats.observe_many(np.array([7.0, np.nan]))
+        assert stats.count == 6
+        assert stats.value_range == (-5.0, 7.0)
+
+    def test_an_all_nan_batch_moves_no_bound(self):
+        stats = ColumnStatistics()
+        stats.observe_many(np.array([np.nan, np.nan]))
+        assert (stats.count, stats.minimum, stats.maximum) == (
+            2, float("inf"), float("-inf"))
+        stats.observe_many(np.array([3.0]))
+        assert stats.value_range == (3.0, 3.0)
 
     def test_observe_many(self):
         stats = ColumnStatistics()

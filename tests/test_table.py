@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SchemaError, StorageError, TupleNotFoundError
-from repro.storage.schema import numeric_schema
+from repro.storage.schema import Column, DataType, TableSchema, numeric_schema
 from repro.storage.table import Table
 
 
@@ -13,10 +13,22 @@ def table() -> Table:
     return Table(numeric_schema("t", ["pk", "x", "y"], primary_key="pk"))
 
 
+def insert(table: Table, columns: dict) -> np.ndarray:
+    """Check, then append: the two steps of every table write."""
+    return table.insert_many(table.validate_insert_many(columns))
+
+
+def delete(table: Table, locations) -> None:
+    table.delete_many(table.validate_locations(locations))
+
+
+def update(table: Table, locations, columns: dict) -> None:
+    table.update_many(table.validate_update_many(locations, columns))
+
+
 def insert_row(table: Table, row: dict) -> int:
     """One row in: a batch of one, as ``Database.insert`` writes it."""
-    (slot,) = table.insert_many({name: [value]
-                                 for name, value in row.items()})
+    (slot,) = insert(table, {name: [value] for name, value in row.items()})
     return int(slot)
 
 
@@ -34,7 +46,7 @@ class TestInsertFetch:
         assert table.num_rows == 1
 
     def test_insert_many_roundtrip(self, table):
-        locations = table.insert_many({
+        locations = insert(table, {
             "pk": np.arange(10.0), "x": np.arange(10.0) * 2, "y": np.zeros(10),
         })
         assert len(locations) == 10
@@ -43,11 +55,11 @@ class TestInsertFetch:
 
     def test_insert_many_rejects_unequal_lengths(self, table):
         with pytest.raises(StorageError):
-            table.insert_many({"pk": [1.0], "x": [1.0, 2.0], "y": [0.0]})
+            insert(table, {"pk": [1.0], "x": [1.0, 2.0], "y": [0.0]})
 
     def test_insert_many_rejects_unknown_column(self, table):
         with pytest.raises(SchemaError):
-            table.insert_many({"pk": [1.0], "x": [1.0], "y": [1.0], "z": [1.0]})
+            insert(table, {"pk": [1.0], "x": [1.0], "y": [1.0], "z": [1.0]})
 
     @pytest.mark.parametrize("row, error", [
         ({"pk": 2.0, "x": 1.0, "y": 1.0, "z": 1.0}, SchemaError),
@@ -66,17 +78,37 @@ class TestInsertFetch:
 
     def test_insert_many_empty_is_noop(self, table):
         for batch in ({}, {"pk": [], "x": [], "y": []}):
-            slots = table.insert_many(batch)
+            slots = insert(table, batch)
             assert slots.dtype == np.int64 and slots.size == 0
         assert table.num_slots == 0
 
     def test_insert_many_returns_the_appended_slots_as_one_array(self, table):
         insert_row(table, {"pk": 0.0, "x": 0.0, "y": 0.0})
-        slots = table.insert_many({"pk": np.arange(1.0, 4.0),
-                                   "x": np.zeros(3), "y": np.zeros(3)})
+        slots = insert(table, {"pk": np.arange(1.0, 4.0),
+                               "x": np.zeros(3), "y": np.zeros(3)})
         assert isinstance(slots, np.ndarray) and slots.dtype == np.int64
         assert slots.tolist() == [1, 2, 3]
         assert table.values(slots, "pk").tolist() == [1.0, 2.0, 3.0]
+
+    def test_a_checked_batch_is_what_gets_applied(self):
+        """Checking writes nothing; the batch holds the slots it will take
+        and the values as stored, and the mutator applies exactly that."""
+        schema = TableSchema("n", [Column("pk", DataType.INT64), Column("x"),
+                                   Column("s", DataType.STRING,
+                                          nullable=True)],
+                             primary_key="pk")
+        table = Table(schema)
+        batch = table.validate_insert_many({"pk": [1.0, 2.7],
+                                            "x": [3, 4]})
+        assert table.num_slots == 0 and table.statistics["pk"].count == 0
+        assert batch.slots.tolist() == [0, 1]
+        assert batch.columns["pk"].tolist() == [1, 2]
+        assert batch.columns["s"].tolist() == [None, None]
+        assert batch.observed["pk"].tolist() == [1.0, 2.7]
+        assert set(batch.observed) == {"pk", "x"}
+        assert table.insert_many(batch) is batch.slots
+        assert table.fetch(1) == {"pk": 2, "x": 4.0, "s": None}
+        assert table.value_range("pk") == (1.0, 2.7)
 
     def test_capacity_growth_preserves_data(self, table):
         locations = [insert_row(table, {"pk": float(i), "x": float(i), "y": 0.0})
@@ -89,7 +121,7 @@ class TestInsertFetch:
 class TestDeleteUpdate:
     def test_delete_marks_slot_dead(self, table):
         location = insert_row(table, {"pk": 1.0, "x": 2.0, "y": 3.0})
-        table.delete_many([location])
+        delete(table, [location])
         assert table.num_rows == 0
         assert not table.is_live(location)
         with pytest.raises(TupleNotFoundError):
@@ -97,13 +129,13 @@ class TestDeleteUpdate:
 
     def test_double_delete_raises(self, table):
         location = insert_row(table, {"pk": 1.0, "x": 2.0, "y": 3.0})
-        table.delete_many([location])
+        delete(table, [location])
         with pytest.raises(TupleNotFoundError):
-            table.delete_many([location])
+            delete(table, [location])
 
     def test_update_changes_values(self, table):
         location = insert_row(table, {"pk": 1.0, "x": 2.0, "y": 3.0})
-        table.update_many([location], {"x": [20.0]})
+        update(table, [location], {"x": [20.0]})
         assert table.fetch(location)["x"] == 20.0
 
     def test_update_unknown_column_raises(self, table):
@@ -111,14 +143,14 @@ class TestDeleteUpdate:
         SchemaError whichever write names it."""
         location = insert_row(table, {"pk": 1.0, "x": 2.0, "y": 3.0})
         with pytest.raises(SchemaError):
-            table.update_many([location], {"zzz": [1.0]})
+            update(table, [location], {"zzz": [1.0]})
 
     def test_update_many_writes_every_row_and_observes_every_value(
             self, table):
-        locations = table.insert_many({"pk": np.arange(4.0),
-                                       "x": np.arange(4.0), "y": np.zeros(4)})
-        table.update_many(locations[[3, 1]], {"x": [30, -10.5],
-                                              "y": np.array([1.0, 2.0])})
+        locations = insert(table, {"pk": np.arange(4.0),
+                                   "x": np.arange(4.0), "y": np.zeros(4)})
+        update(table, locations[[3, 1]], {"x": [30, -10.5],
+                                          "y": np.array([1.0, 2.0])})
         assert table.column_array("x").tolist() == [0.0, -10.5, 2.0, 30.0]
         assert table.column_array("y").tolist() == [0.0, 2.0, 0.0, 1.0]
         assert table.value_range("x") == (-10.5, 30.0)
@@ -135,15 +167,15 @@ class TestDeleteUpdate:
             "uncoercible", "not_one_value_each", "unknown_column"])
     def test_a_rejected_batch_changes_nothing(self, table, locations,
                                               columns, error):
-        table.insert_many({"pk": np.arange(6.0), "x": np.arange(6.0),
-                           "y": np.zeros(6)})
-        table.delete_many([5])
+        insert(table, {"pk": np.arange(6.0), "x": np.arange(6.0),
+                       "y": np.zeros(6)})
+        delete(table, [5])
         before = table.snapshot()
         with pytest.raises(error):
-            table.update_many(locations, columns)
+            update(table, locations, columns)
         if locations != [0, 1]:   # the locations are at fault
             with pytest.raises(error):
-                table.delete_many(locations)
+                delete(table, locations)
         after = table.snapshot()
         assert after.live.tolist() == before.live.tolist()
         assert all(np.array_equal(after.columns[name], before.columns[name])
@@ -156,23 +188,23 @@ class TestDeleteUpdate:
 
 class TestScans:
     def test_live_slots_skip_deleted(self, table):
-        locations = table.insert_many({
+        locations = insert(table, {
             "pk": np.arange(5.0), "x": np.arange(5.0), "y": np.arange(5.0),
         })
-        table.delete_many([locations[2]])
+        delete(table, [locations[2]])
         assert list(table.live_slots()) == [0, 1, 3, 4]
 
     def test_column_array_restricted_to_live(self, table):
-        locations = table.insert_many({
+        locations = insert(table, {
             "pk": np.arange(4.0), "x": np.array([10.0, 11.0, 12.0, 13.0]),
             "y": np.zeros(4),
         })
-        table.delete_many([locations[1]])
+        delete(table, [locations[1]])
         assert list(table.column_array("x")) == [10.0, 12.0, 13.0]
 
     def test_project_returns_aligned_arrays(self, table):
-        table.insert_many({"pk": np.arange(3.0), "x": np.arange(3.0) * 2,
-                           "y": np.arange(3.0) * 3})
+        insert(table, {"pk": np.arange(3.0), "x": np.arange(3.0) * 2,
+                       "y": np.arange(3.0) * 3})
         slots, xs, ys = table.project(["x", "y"])
         assert list(slots) == [0, 1, 2]
         assert list(xs) == [0.0, 2.0, 4.0]
@@ -184,18 +216,18 @@ class TestScans:
         assert rows == [(0, {"x": 2.0})]
 
     def test_values_vectorised_fetch(self, table):
-        table.insert_many({"pk": np.arange(5.0), "x": np.arange(5.0) + 100,
-                           "y": np.zeros(5)})
+        insert(table, {"pk": np.arange(5.0), "x": np.arange(5.0) + 100,
+                       "y": np.zeros(5)})
         values = table.values([1, 3], "x")
         assert list(values) == [101.0, 103.0]
 
 
 class TestVectorizedValidation:
     def test_liveness_mask(self, table):
-        locations = table.insert_many({
+        locations = insert(table, {
             "pk": np.arange(5.0), "x": np.arange(5.0), "y": np.zeros(5),
         })
-        table.delete_many([locations[2]])
+        delete(table, [locations[2]])
         mask = table.liveness(np.array([0, 1, 2, 3, 4]))
         assert mask.tolist() == [True, True, False, True, True]
 
@@ -208,10 +240,10 @@ class TestVectorizedValidation:
         assert table.liveness(np.array([], dtype=np.int64)).tolist() == []
 
     def test_filter_in_range_matches_scalar_validation(self, table):
-        table.insert_many({
+        insert(table, {
             "pk": np.arange(20.0), "x": np.arange(20.0) * 10, "y": np.zeros(20),
         })
-        table.delete_many([5])
+        delete(table, [5])
         slots = np.array([0, 3, 5, 7, 12, 19, 99])
         result = table.filter_in_range(slots, "x", 30.0, 130.0)
         expected = [
@@ -233,14 +265,14 @@ class TestVectorizedValidation:
 
 class TestStatisticsAndMemory:
     def test_value_range_tracks_min_max(self, table):
-        table.insert_many({"pk": np.arange(3.0), "x": np.array([5.0, -1.0, 7.0]),
-                           "y": np.zeros(3)})
+        insert(table, {"pk": np.arange(3.0), "x": np.array([5.0, -1.0, 7.0]),
+                       "y": np.zeros(3)})
         assert table.value_range("x") == (-1.0, 7.0)
 
     def test_memory_grows_with_rows(self, table):
         before = table.memory_bytes()
-        table.insert_many({"pk": np.arange(100.0), "x": np.zeros(100),
-                           "y": np.zeros(100)})
+        insert(table, {"pk": np.arange(100.0), "x": np.zeros(100),
+                       "y": np.zeros(100)})
         assert table.memory_bytes() > before
 
     def test_memory_report_has_table_component(self, table):

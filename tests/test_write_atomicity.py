@@ -167,6 +167,36 @@ class TestRejectedWritesAreAtomic:
             "t", predicate)).locations
 
 
+@pytest.mark.parametrize("pointer_scheme",
+                         [PointerScheme.PHYSICAL, PointerScheme.LOGICAL])
+def test_the_wal_does_not_change_a_write(pointer_scheme, tmp_path):
+    """One write path whether or not a log is attached: the same DML ends
+    in the same state, down to the stored columns and the statistics."""
+    engines = [build_db(pointer_scheme),
+               build_db(pointer_scheme,
+                        DurabilityConfig(directory=str(tmp_path)))]
+    for database in engines:
+        database.insert_many("t", {
+            "pk": np.arange(150, 154), "a": [10.5, np.nan, 300.0, 7.0],
+            "b": [21.0, 9.0, np.nan, 2.7], "s": ["n0", "n1", "n2", "n3"]})
+        database.insert("t", {"pk": 154, "a": 2.5, "b": 5.0})
+        database.delete("t", 20)
+        database.delete_many("t", [30, 31, 152])
+        database.update("t", 10, {"b": 1234.5})
+        database.update_many("t", [11, 12, 150], {
+            "pk": [1011, 1012, 1150], "a": [1.0, np.nan, 3.0],
+            "s": ["u0", "u1", "u2"]})
+        database.check_invariants()
+    without, with_wal = engines
+    assert state_fingerprint(with_wal) == state_fingerprint(without)
+    snapshots = [database.table("t").snapshot() for database in engines]
+    assert snapshots[0].live.tolist() == snapshots[1].live.tolist()
+    for name, values in snapshots[0].columns.items():
+        assert np.array_equal(values, snapshots[1].columns[name],
+                              equal_nan=name != "s"), name
+    with_wal.close()
+
+
 class TestHeapFileTypedErrors:
     def build(self):
         pool = BufferPool(DiskManager(), capacity=8)

@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import TRSTreeConfig
+from repro.durability.config import DurabilityConfig
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
 from repro.engine.query import QueryRequest, RangePredicate
@@ -409,8 +410,9 @@ class TestBulkLoadBranchConsistency:
                              primary_key="pk")
         table = Table(schema)
         with pytest.raises(SchemaError):
-            table.insert_many({"pk": [1.0]})
-        locations = table.insert_many({"pk": [1.0], "x": [2.0]})
+            table.validate_insert_many({"pk": [1.0]})
+        locations = table.insert_many(
+            table.validate_insert_many({"pk": [1.0], "x": [2.0]}))
         assert len(locations) == 1
         assert np.isnan(table.value(locations[0], "y"))
 
@@ -437,6 +439,18 @@ class TestBulkLoadBranchConsistency:
             "t", "idx_target", RangePredicate("target", 2.7, 2.7)
         )
         assert len(supplied.locations) == 0
+
+    def test_the_primary_index_keys_the_stored_key(self):
+        """An INT64 key given as 2.7 is stored as 2, and the primary index
+        keys 2: the row stays consistent and can be deleted."""
+        database = Database()
+        database.create_table(TableSchema("t", [
+            Column("pk", dtype=DataType.INT64), Column("x")],
+            primary_key="pk"))
+        database.insert_many("t", {"pk": [1.0, 2.7], "x": [1.0, 2.0]})
+        database.check_invariants()
+        database.delete("t", 1)
+        database.check_invariants()
 
     def test_second_batch_merges_instead_of_bulk_loading(self):
         database = Database()
@@ -484,7 +498,8 @@ class TestLoadAllocations:
         table = Table(numeric_schema("t", ["pk", "x", "y", "z"],
                                      primary_key="pk"))
         columns = self.columns()
-        slots, _, blocks = self.traced(lambda: table.insert_many(columns))
+        slots, _, blocks = self.traced(lambda: table.insert_many(
+            table.validate_insert_many(columns)))
         assert slots.tolist() == list(range(self.ROWS))
         assert blocks < 100
 
@@ -503,3 +518,122 @@ class TestLoadAllocations:
                                                       locations))
         assert locations == list(range(self.ROWS))
         assert peak - returned < 3 * nbytes
+
+
+class TestCountedWriteWork:
+    """Each write batch is checked once: counted, not timed.
+
+    On the e2e schema (four columns, a B+-tree on ``colB``, Hermit on
+    ``colC``) every DML call makes one location check, one coercion pass
+    and one schema check where its kind has them, and a delete or an update
+    gathers each column of its rows once — whether or not a write-ahead log
+    is attached.
+    """
+
+    COLUMNS = ("colA", "colB", "colC", "colD")
+    COUNTED = {
+        "validate_locations": Table.validate_locations.__code__,
+        "coerce": Table._coerced.__code__,
+        "schema_check": TableSchema.validate_row.__code__,
+        "gather": Table.values.__code__,
+    }
+    EXPECTED = {
+        "insert": {"validate_locations": 0, "coerce": 1, "schema_check": 1,
+                   "gather": 0},
+        "delete": {"validate_locations": 1, "coerce": 0, "schema_check": 0,
+                   "gather": 4},
+        "update": {"validate_locations": 1, "coerce": 1, "schema_check": 1,
+                   "gather": 4},
+    }
+
+    def database(self, durability):
+        database = Database(durability=durability)
+        database.create_table(numeric_schema("t", self.COLUMNS,
+                                             primary_key="colA"))
+        rng = np.random.default_rng(2)
+        c = rng.uniform(0.0, 1000.0, 400)
+        database.insert_many("t", {"colA": np.arange(400.0),
+                                   "colB": 2.0 * c + 10.0, "colC": c,
+                                   "colD": rng.uniform(size=400)})
+        database.create_index("idx_colB", "t", "colB")
+        database.create_index("idx_colC", "t", "colC",
+                              method=IndexMethod.HERMIT, host_column="colB")
+        return database
+
+    def counted(self, call) -> dict[str, int]:
+        names = {code: name for name, code in self.COUNTED.items()}
+        calls = dict.fromkeys(self.COUNTED, 0)
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in names:
+                calls[names[frame.f_code]] += 1
+
+        sys.setprofile(profile)
+        try:
+            call()
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    @pytest.mark.parametrize("wal", [False, True], ids=["wal_off", "wal_on"])
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("kind", ["insert", "delete", "update"])
+    def test_one_check_per_batch(self, tmp_path, wal, rows, kind):
+        durability = (DurabilityConfig(directory=str(tmp_path)) if wal
+                      else None)
+        database = self.database(durability)
+        new = np.arange(rows, dtype=np.float64)
+        one = rows == 1
+        calls = {
+            "insert": lambda: (
+                database.insert("t", {"colA": 1e4, "colB": 30.0,
+                                      "colC": 10.0, "colD": 0.5}) if one
+                else database.insert_many("t", {
+                    "colA": 1e4 + new, "colB": 30.0 + new,
+                    "colC": 10.0 + new, "colD": new})),
+            "delete": lambda: (
+                database.delete("t", 7) if one
+                else database.delete_many("t", [7, 99, 3])),
+            "update": lambda: (
+                database.update("t", 7, {"colC": 5.0}) if one
+                else database.update_many("t", [7, 99, 3], {
+                    "colC": 5.0 + new, "colA": 2e4 + new})),
+        }
+        assert self.counted(calls[kind]) == self.EXPECTED[kind]
+        database.check_invariants()
+        database.close()
+
+
+class TestStatisticsSeeEveryBatch:
+    """A NaN in a batch hides nothing: the column statistics move over the
+    batch's other values, as they do row by row."""
+
+    @staticmethod
+    def database() -> Database:
+        database = Database()
+        database.create_table(TableSchema("t", [
+            Column("pk"), Column("x", nullable=True)], primary_key="pk"))
+        database.insert_many("t", {"pk": [0.0, 1.0], "x": [1.0, 2.0]})
+        return database
+
+    @staticmethod
+    def bounds(database: Database) -> tuple[float, float]:
+        stats = database.catalog.column_stats("t", "x")
+        return stats.minimum, stats.maximum
+
+    def test_insert_many(self):
+        database = self.database()
+        database.insert_many("t", {"pk": [2.0, 3.0], "x": [np.nan, -5.0]})
+        assert self.bounds(database) == (-5.0, 2.0)
+        assert database.table("t").statistics["x"].count == 4
+
+    def test_update_many(self):
+        database = self.database()
+        database.update_many("t", [0, 1], {"x": [np.nan, -7.0]})
+        assert self.bounds(database) == (-7.0, 2.0)
+
+    def test_an_all_nan_batch_moves_no_bound(self):
+        database = self.database()
+        database.insert_many("t", {"pk": [2.0, 3.0], "x": [np.nan, np.nan]})
+        database.update_many("t", [0], {"x": [np.nan]})
+        assert self.bounds(database) == (1.0, 2.0)
