@@ -101,29 +101,32 @@ class HermitIndex(SecondaryMechanism):
 
     def candidate_tids(self, key_range: KeyRange,
                        breakdown: LookupBreakdown) -> np.ndarray:
-        """Steps 1–2 of the lookup: sorted, deduplicated candidate tids.
+        """Steps 1–2 of the lookup: duplicate-free candidate tids.
 
         Stops *before* pointer resolution and base-table validation so the
         planner can intersect candidate tid sets from several access paths
         and pay resolution + validation once, on the intersection.  The
         candidate set may contain false positives; the tail's validation
         pass removes them.
+
+        The rule of :meth:`candidate_tids_many`: the host probes alone are
+        duplicate-free (disjoint host ranges over a complete index), so
+        the dedup runs only when outlier tids join them, and the candidates
+        are otherwise handed over in host-key order — possibly as a
+        read-only view of host-index storage.
         """
         started = time.perf_counter()
         trs_result = self.trs_tree.lookup(key_range)
-        breakdown.trs_seconds += time.perf_counter() - started
+        translated = time.perf_counter()
+        breakdown.trs_seconds += translated - started
 
-        started = time.perf_counter()
         candidates = self.host_index.range_search_many_array(
             trs_result.host_ranges)
-        # The host index and the TRS-Tree may both hand out views of their
-        # own storage, and sorted_unique sorts in place: copy either way.
         if trs_result.outlier_tids.size:
-            candidates = np.concatenate([candidates, trs_result.outlier_tids])
-        else:
-            candidates = candidates.copy()
-        candidates = sorted_unique(candidates)
-        breakdown.host_index_seconds += time.perf_counter() - started
+            # An outlier's host value may also lie in a probed range.
+            candidates = sorted_unique(
+                np.concatenate([candidates, trs_result.outlier_tids]))
+        breakdown.host_index_seconds += time.perf_counter() - translated
         return candidates
 
     def candidate_tids_many(self, ranges: KeyRanges,

@@ -13,14 +13,15 @@ results — are identical for all of them and live here exactly twice:
 * :func:`finish_lookup_segmented` for a request batch (one segmented
   ``(values, offsets)`` array, see ``repro.segments``).
 
-Both stay because each wins a workload: a batch of one through the
-segmented tail is 3–4x slower than the single tail (fixed cost of the
-segmented kernels), while a 256-request batch through per-request single
-tails loses by a similar factor.  The caller's batch size selects between
-them.  Both resolve through the same structure: ``Index.search_many`` (the
-single tail) and ``search_many_segmented`` (the batch tail) probe the
-primary index's key array with one ``searchsorted`` and one gather
-(``index/ordered.py``).  Their one caller is the planner's executor
+Both stay because each wins a workload: a request through
+``execute_many([r])`` costs 6.5–7.5x one through ``execute(r)`` (fixed cost
+of the segmented kernels; docs/architecture.md, "Why two and not one"),
+while a 256-request batch through per-request single pipelines loses by a
+similar factor (~5x on the ``range_linear`` stream).  The caller's batch
+size selects between them.  Both resolve through the same structure:
+``Index.search_many`` (the single tail) and ``search_many_segmented`` (the
+batch tail) probe the primary index's key array with one ``searchsorted``
+and one gather (``index/ordered.py``).  Their one caller is the planner's executor
 (``repro.engine.executor``): every read of a mechanism — planned, or
 forced through ``Database.query_with`` / ``query_with_many`` — runs there,
 under the database's read epoch.
@@ -168,9 +169,9 @@ def finish_lookup(table: Table, merged: dict[str, KeyRange],
             the dedup; under logical pointers duplicate primary keys could
             still resolve to the same location, so the dedup always runs.
     """
-    locations = resolve_tids_array(np.asarray(tids), pointer_scheme,
-                                   primary_index, breakdown)
-    breakdown.candidates += int(locations.size)
+    locations = resolve_tids_array(tids, pointer_scheme, primary_index,
+                                   breakdown)
+    breakdown.candidates += locations.size
 
     started = time.perf_counter()
     for column, key_range in merged.items():
@@ -180,8 +181,7 @@ def finish_lookup(table: Table, merged: dict[str, KeyRange],
                                           key_range.low, key_range.high)
     breakdown.base_table_seconds += time.perf_counter() - started
 
-    breakdown.results += int(locations.size)
-    locations = locations.astype(np.int64, copy=False)
+    breakdown.results += locations.size
     if unique and pointer_scheme is PointerScheme.PHYSICAL:
         return np.sort(locations)
     return sorted_unique(locations)

@@ -55,11 +55,12 @@ class LeafModel(Protocol):
         """Whether each ``(m[i], n[i])`` lies inside the confidence band."""
         ...
 
-    def host_range(self, target_range: KeyRange) -> KeyRange:
-        """Host-column range covering all predictions over ``target_range``.
+    def host_range(self, low: float, high: float) -> tuple[float, float]:
+        """Host-column bounds covering all predictions over ``[low, high]``.
 
-        :class:`ModelTable` is the batched form (across models and
-        ranges), bit-identical to this one.
+        Plain floats in and out: the scalar lookup calls it once per
+        emitting leaf.  :class:`ModelTable` is the batched form (across
+        models and ranges), bit-identical to this one.
         """
         ...
 
@@ -80,14 +81,16 @@ class LinearModel:
         """Whether each ``(m[i], n[i])`` lies inside the confidence band."""
         return np.abs(n - (self.beta * m + self.alpha)) <= self.epsilon
 
-    def host_range(self, target_range: KeyRange) -> KeyRange:
-        """Host-column range covering all predictions over ``target_range``.
+    def host_range(self, low: float, high: float) -> tuple[float, float]:
+        """Host-column bounds covering all predictions over ``[low, high]``.
 
         Handles both slope signs: for a negative slope the predicted endpoints
         swap, exactly as Algorithm 2 describes.
         """
-        lo = slope_times(self.beta, target_range.low) + self.alpha
-        hi = slope_times(self.beta, target_range.high) + self.alpha
+        beta = self.beta
+        # :func:`slope_times`, inline: a flat model predicts its intercept.
+        lo = (beta * low if beta else 0.0) + self.alpha
+        hi = (beta * high if beta else 0.0) + self.alpha
         if lo > hi:
             lo, hi = hi, lo
         return band_range(lo, hi, self.epsilon)
@@ -136,8 +139,8 @@ class PiecewiseLinearModel:
         alphas = np.asarray(self.alphas)[segments]
         return np.abs(n - (betas * m + alphas)) <= self.epsilon
 
-    def host_range(self, target_range: KeyRange) -> KeyRange:
-        """Host-column range covering all predictions over ``target_range``.
+    def host_range(self, low: float, high: float) -> tuple[float, float]:
+        """Host-column bounds covering all predictions over ``[low, high]``.
 
         Each segment is linear, so its extremes over the clipped overlap are
         at the overlap endpoints; the answer is the min/max over every
@@ -146,15 +149,13 @@ class PiecewiseLinearModel:
         sides of every interior boundary keeps the range a superset of all
         predictions.
         """
-        first = self._segment(target_range.low)
-        last = self._segment(target_range.high)
+        first = self._segment(low)
+        last = self._segment(high)
         lo = math.inf
         hi = -math.inf
         for segment in range(first, last + 1):
-            seg_lo = target_range.low if segment == first \
-                else self.bounds[segment]
-            seg_hi = target_range.high if segment == last \
-                else self.bounds[segment + 1]
+            seg_lo = low if segment == first else self.bounds[segment]
+            seg_hi = high if segment == last else self.bounds[segment + 1]
             for m in (seg_lo, seg_hi):
                 predicted = (slope_times(self.betas[segment], m)
                              + self.alphas[segment])
@@ -185,9 +186,9 @@ class OutlierOnlyModel:
         """Never covers — every tuple is an outlier."""
         return np.zeros(len(m), dtype=bool)
 
-    def host_range(self, target_range: KeyRange) -> KeyRange:
+    def host_range(self, low: float, high: float) -> tuple[float, float]:
         """Empty-band host range; never emitted (the leaf covers no tuple)."""
-        return KeyRange(0.0, 0.0)
+        return 0.0, 0.0
 
 
 def slope_times(beta: float, m: float) -> float:
@@ -209,8 +210,8 @@ def slope_times_many(beta: np.ndarray, m: np.ndarray) -> np.ndarray:
 _BAND_PAD = 4.0 * float(np.finfo(np.float64).eps)
 
 
-def band_range(lo: float, hi: float, epsilon: float) -> KeyRange:
-    """The host range ``[lo - epsilon, hi + epsilon]``, rounding-padded.
+def band_range(lo: float, hi: float, epsilon: float) -> tuple[float, float]:
+    """The host bounds ``(lo - epsilon, hi + epsilon)``, rounding-padded.
 
     ``covers_many`` tests ``|n - predict(m)| <= epsilon`` while ``host_range``
     computes ``predict(m) +/- epsilon`` — two float expressions of the same
@@ -226,7 +227,7 @@ def band_range(lo: float, hi: float, epsilon: float) -> KeyRange:
     """
     scale = max(abs(lo), abs(hi), epsilon)
     pad = _BAND_PAD * scale if scale < np.inf else 0.0
-    return KeyRange(lo - epsilon - pad, hi + epsilon + pad)
+    return lo - epsilon - pad, hi + epsilon + pad
 
 
 def band_range_many(lo: np.ndarray, hi: np.ndarray,
@@ -297,7 +298,7 @@ class ModelTable:
 
     def host_ranges(self, index: np.ndarray, lows: np.ndarray,
                     highs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``models[index[i]].host_range([lows[i], highs[i]])`` for every ``i``."""
+        """``models[index[i]].host_range(lows[i], highs[i])`` for every ``i``."""
         out_lows = np.zeros(index.size, dtype=np.float64)
         out_highs = np.zeros(index.size, dtype=np.float64)
         family = self.family[index]

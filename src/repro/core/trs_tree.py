@@ -46,7 +46,6 @@ from repro.segments import (
     bound_positions,
     empty_offsets,
     group_order,
-    offsets_from_counts,
     run_indices,
     running_segment_max,
     segment_ids,
@@ -222,9 +221,13 @@ def coalesce_sorted_ranges(lows: np.ndarray, highs: np.ndarray,
     starts |= lows > np.nextafter(previous_max, np.inf)
     start_positions = np.flatnonzero(starts)
     end_positions = np.append(start_positions[1:] - 1, lows.size - 1)
-    counts = np.bincount(ids[start_positions], minlength=num_segments)
     return (lows[start_positions], running_max[end_positions],
-            offsets_from_counts(counts))
+            _sorted_id_offsets(ids[start_positions], num_segments))
+
+
+def _sorted_id_offsets(ids: np.ndarray, num_segments: int) -> np.ndarray:
+    """Segment offsets of nondecreasing segment ids: one ``searchsorted``."""
+    return np.searchsorted(ids, np.arange(num_segments + 1))
 
 
 class LeafRow(NamedTuple):
@@ -522,10 +525,11 @@ class TRSTree:
         """Translate a target-column predicate into host ranges + outliers.
 
         A scalar probe of the structures :meth:`lookup_many` searches in
-        array passes (a batch of one costs ~10x this).  The edge leaves are
-        open-ended: values inserted after construction that fall outside
-        the originally observed target domain are routed into them, and a
-        predicate beyond the built domain extrapolates the edge leaf's band
+        array passes (a batch of one costs ~13x this), its host bounds
+        computed as floats.  The edge leaves are open-ended: values
+        inserted after construction that fall outside the originally
+        observed target domain are routed into them, and a predicate
+        beyond the built domain extrapolates the edge leaf's band
         — mirroring the insert path, which uses the same band to decide
         whether an out-of-domain tuple needs an outlier entry.  A leaf whose
         band covers no tuple (built empty, all-outlier, or demoted to an
@@ -541,7 +545,7 @@ class TRSTree:
         last = bisect_right(bounds, high)
         covered = table.num_model_covered
         host_ranges = [
-            model.host_range(KeyRange(
+            KeyRange(*model.host_range(
                 low if position == first else bounds[position - 1],
                 high if position == last else bounds[position]))
             for position, model in enumerate(table.models[first:last + 1], first)
@@ -561,10 +565,11 @@ class TRSTree:
         Two ``searchsorted`` over the leaf bounds find every predicate's run
         of overlapped leaves, :func:`~repro.segments.run_indices` expands the
         runs to (query, leaf) pairs, one band evaluation per model family
-        serves all pairs (:meth:`ModelTable.host_ranges`), and the per-query
-        ranges are sort-and-coalesced (the scalar path's ``KeyRange.union``
-        plus the candidate-exact adjacent-range merge — see
-        :func:`coalesce_sorted_ranges`).  Outliers are one segmented probe
+        serves all pairs (:meth:`ModelTable.host_ranges`), and the ranges of
+        a query with several are coalesced (the scalar path's
+        ``KeyRange.union`` plus the candidate-exact adjacent-range merge —
+        see :func:`coalesce_sorted_ranges`), sorted first only if their lows
+        do not already ascend.  Outliers are one segmented probe
         of the tree-wide outlier index.
 
         Emits the same host-range cover and outlier tids as B scalar
@@ -596,9 +601,20 @@ class TRSTree:
         band_lows, band_highs = table.model_table.host_ranges(
             pairs, np.maximum(lows[owners], table.lows[pairs]),
             np.minimum(highs[owners], table.highs[pairs]))
-        order = np.lexsort((band_lows, owners))
-        host_lows, host_highs, host_offsets = coalesce_sorted_ranges(
-            band_lows[order], band_highs[order], owners[order], num_queries)
+        # The pairs arrive grouped by query.  A query with one band has
+        # nothing to coalesce; several bands are sorted by their lows first,
+        # unless they already ascend (a monotone correlation's do).
+        shared = owners[1:] == owners[:-1]
+        if shared.any():
+            if (band_lows[1:][shared] < band_lows[:-1][shared]).any():
+                order = np.lexsort((band_lows, owners))
+                band_lows, band_highs = band_lows[order], band_highs[order]
+                owners = owners[order]
+            host_lows, host_highs, host_offsets = coalesce_sorted_ranges(
+                band_lows, band_highs, owners, num_queries)
+        else:
+            host_lows, host_highs = band_lows, band_highs
+            host_offsets = _sorted_id_offsets(owners, num_queries)
 
         outlier_tids, outlier_offsets = self._outliers.range_search_segmented(
             predicates)

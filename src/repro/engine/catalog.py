@@ -63,11 +63,13 @@ class ColumnStats:
     row_count: int
     minimum: float
     maximum: float
+    # Whether min/max have been observed (false on empty columns); fixed at
+    # construction, so a selectivity estimate does not re-derive it.
+    has_range: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def has_range(self) -> bool:
-        """Whether min/max have been observed (false on empty columns)."""
-        return math.isfinite(self.minimum) and math.isfinite(self.maximum)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "has_range", math.isfinite(self.minimum)
+                           and math.isfinite(self.maximum))
 
     def selectivity(self, key_range: KeyRange) -> float:
         """Estimated fraction of rows matching ``key_range`` (uniform model).

@@ -43,8 +43,6 @@ from __future__ import annotations
 import itertools
 import threading
 import traceback
-from contextlib import contextmanager
-from typing import Iterator
 
 from repro.errors import ConcurrencyError, EpochDisciplineError
 
@@ -65,6 +63,13 @@ def _held_managers() -> "list[EpochManager]":
 def _acquisition_stack() -> str:
     """The caller's stack, trimmed of the checker's own frames."""
     return "".join(traceback.format_stack()[:-3]).rstrip()
+
+
+class _ThreadState(threading.local):
+    """Per-thread side of a manager: its read depth starts at 0 on every
+    thread (a class attribute, so reading it is one attribute lookup)."""
+
+    read_depth = 0
 
 
 class EpochManager:
@@ -100,13 +105,16 @@ class EpochManager:
     _order_edges: "dict[tuple[int, int], str]" = {}
 
     def __init__(self, debug: bool = False, name: str | None = None) -> None:
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
         self._active_readers = 0
         self._waiting_writers = 0
         self._writer: int | None = None
         self._writer_depth = 0
         self._epoch = 0
-        self._local = threading.local()
+        self._local = _ThreadState()
+        self._read_side = _ReadSide(self)
+        self._write_side = _WriteSide(self)
         self._debug = debug
         self.name = name or f"epochs-{next(self._sequence)}"
 
@@ -120,96 +128,26 @@ class EpochManager:
         """Number of committed write epochs."""
         return self._epoch
 
-    def _read_depth(self) -> int:
-        return getattr(self._local, "read_depth", 0)
-
-    @contextmanager
-    def read(self) -> Iterator[int]:
-        """Acquire the shared side; yields the epoch the read executes under.
+    def read(self) -> "_ReadSide":
+        """Acquire the shared side; ``with`` yields the epoch the read
+        executes under.
 
         Reentrant: nested reads on the same thread, and reads inside the
         thread's own write, are free.  A fresh read queues behind any
         active or waiting writer (writer preference).
         """
-        me = threading.get_ident()
-        depth = self._read_depth()
-        fresh = depth == 0 and self._writer != me
-        if self._debug and fresh:
-            self._debug_check_order()
-        with self._cond:
-            if fresh:
-                while self._writer is not None or self._waiting_writers:
-                    self._cond.wait()
-                self._active_readers += 1
-            self._local.read_depth = depth + 1
-            epoch = self._epoch
-        if self._debug and fresh:
-            self._debug_acquired("read")
-        try:
-            yield epoch
-        finally:
-            if self._debug and fresh:
-                self._debug_released()
-            with self._cond:
-                self._local.read_depth = depth
-                if fresh:
-                    self._active_readers -= 1
-                    if self._active_readers == 0:
-                        self._cond.notify_all()
+        return self._read_side
 
-    @contextmanager
-    def write(self) -> Iterator[int]:
-        """Acquire the exclusive side; yields the epoch this write commits as.
+    def write(self) -> "_WriteSide":
+        """Acquire the exclusive side; ``with`` yields the epoch this write
+        commits as.
 
         Reentrant on the same thread; only the outermost release bumps the
         epoch (one logical mutation = one epoch).  Raises
         :class:`~repro.errors.ConcurrencyError` when the calling thread
         holds the read side — the upgrade would deadlock against itself.
         """
-        me = threading.get_ident()
-        fresh = False
-        if self._writer != me:
-            if self._read_depth():
-                message = ("cannot acquire the write side while holding "
-                           "the read side (read-to-write upgrade would "
-                           "deadlock)")
-                if self._debug:
-                    held_at = getattr(self._local, "read_stack",
-                                      "<stack not recorded>")
-                    raise EpochDisciplineError(
-                        f"[{self.name}] {message}\n"
-                        f"read side acquired at:\n{held_at}"
-                    )
-                raise ConcurrencyError(message)
-            fresh = True
-            if self._debug:
-                self._debug_check_order()
-        with self._cond:
-            if self._writer == me:
-                self._writer_depth += 1
-            else:
-                self._waiting_writers += 1
-                try:
-                    while self._writer is not None or self._active_readers:
-                        self._cond.wait()
-                finally:
-                    self._waiting_writers -= 1
-                self._writer = me
-                self._writer_depth = 1
-            epoch = self._epoch + 1
-        if self._debug and fresh:
-            self._debug_acquired("write")
-        try:
-            yield epoch
-        finally:
-            if self._debug and fresh:
-                self._debug_released()
-            with self._cond:
-                self._writer_depth -= 1
-                if self._writer_depth == 0:
-                    self._writer = None
-                    self._epoch += 1
-                    self._cond.notify_all()
+        return self._write_side
 
     # --------------------------------------------- discipline checker (debug)
 
@@ -228,7 +166,7 @@ class EpochManager:
             return
         if self._writer == threading.get_ident():
             return
-        if self._read_depth():
+        if self._local.read_depth:
             held_at = getattr(self._local, "read_stack",
                               "<stack not recorded>")
             raise EpochDisciplineError(
@@ -292,3 +230,120 @@ class EpochManager:
         """Forget recorded acquired-before edges (test isolation)."""
         with cls._order_lock:
             cls._order_edges.clear()
+
+
+class _ReadSide:
+    """The shared side of one :class:`EpochManager` as a context manager.
+
+    One instance per manager serves every thread: what differs per thread
+    (the read depth) lives in the manager's thread-local state.  A nested
+    read — or a read inside the thread's own write — only moves the depth;
+    an outermost read takes the lock once to enter and once to leave, and
+    wakes the waiting writers only when it is the last reader out and a
+    writer waits (a writer that starts waiting after that finds no reader
+    left and does not wait).
+    """
+
+    __slots__ = ("_manager",)
+
+    def __init__(self, manager: EpochManager) -> None:
+        self._manager = manager
+
+    def __enter__(self) -> int:
+        manager = self._manager
+        local = manager._local
+        depth = local.read_depth
+        writer = manager._writer
+        if depth or (writer is not None and writer == threading.get_ident()):
+            # Nothing can commit while this thread holds either side.
+            local.read_depth = depth + 1
+            return manager._epoch
+        if manager._debug:
+            manager._debug_check_order()
+        with manager._lock:
+            while manager._writer is not None or manager._waiting_writers:
+                manager._cond.wait()
+            manager._active_readers += 1
+            epoch = manager._epoch
+        local.read_depth = 1
+        if manager._debug:
+            manager._debug_acquired("read")
+        return epoch
+
+    def __exit__(self, *exc_info) -> None:
+        manager = self._manager
+        local = manager._local
+        depth = local.read_depth - 1
+        local.read_depth = depth
+        # An outermost read keeps writers out, so a writer here is this
+        # thread, and the read was one inside its write.
+        if depth or manager._writer is not None:
+            return
+        if manager._debug:
+            manager._debug_released()
+        with manager._lock:
+            manager._active_readers -= 1
+            if not manager._active_readers and manager._waiting_writers:
+                manager._cond.notify_all()
+
+
+class _WriteSide:
+    """The exclusive side of one :class:`EpochManager` as a context manager.
+
+    Like :class:`_ReadSide`, one instance serves every thread.  Only the
+    writing thread reads or moves ``_writer_depth``, so a nested write
+    takes no lock; the outermost release commits the epoch and wakes every
+    waiter (readers queue behind a writer, so some always may wait).
+    """
+
+    __slots__ = ("_manager",)
+
+    def __init__(self, manager: EpochManager) -> None:
+        self._manager = manager
+
+    def __enter__(self) -> int:
+        manager = self._manager
+        me = threading.get_ident()
+        if manager._writer == me:
+            manager._writer_depth += 1
+            return manager._epoch + 1
+        if manager._local.read_depth:
+            message = ("cannot acquire the write side while holding "
+                       "the read side (read-to-write upgrade would "
+                       "deadlock)")
+            if manager._debug:
+                held_at = getattr(manager._local, "read_stack",
+                                  "<stack not recorded>")
+                raise EpochDisciplineError(
+                    f"[{manager.name}] {message}\n"
+                    f"read side acquired at:\n{held_at}"
+                )
+            raise ConcurrencyError(message)
+        if manager._debug:
+            manager._debug_check_order()
+        with manager._lock:
+            manager._waiting_writers += 1
+            try:
+                while manager._writer is not None or manager._active_readers:
+                    manager._cond.wait()
+            finally:
+                manager._waiting_writers -= 1
+            manager._writer = me
+            manager._writer_depth = 1
+            epoch = manager._epoch + 1
+        if manager._debug:
+            manager._debug_acquired("write")
+        return epoch
+
+    def __exit__(self, *exc_info) -> None:
+        manager = self._manager
+        if manager._writer_depth > 1:
+            manager._writer_depth -= 1
+            return
+        if manager._debug:
+            manager._debug_released()
+        with manager._lock:
+            manager._writer_depth = 0
+            manager._writer = None
+            manager._epoch += 1
+            manager._cond.notify_all()

@@ -73,7 +73,8 @@ def execute_plan(plan: Plan, entry: TableEntry,
         locations = finish_lookup(entry.table, plan.merged, tids,
                                   pointer_scheme, primary_index, breakdown,
                                   unique)
-    _observe_lookup(plan, breakdown)
+    if plan.feedback is not None:
+        plan.feedback.merge(breakdown)
     return locations, breakdown
 
 
@@ -133,30 +134,7 @@ def execute_plan_many(group: PlanGroup, entry: TableEntry,
             entry.table, bounds, tids, offsets, pointer_scheme,
             primary_index, breakdown, unique, ordered,
         )
-    _observe_lookup(plan, breakdown)
+    if plan.feedback is not None:
+        plan.feedback.merge(breakdown)
     return split_segments(locations, offsets), breakdown
 
-
-def _observe_lookup(plan: Plan, breakdown: LookupBreakdown) -> None:
-    """Feed a single-mechanism plan's outcome back into the mechanism.
-
-    Mechanisms keep a cumulative breakdown whose observed false-positive
-    ratio drives their planner cost estimates (``estimate_candidates``);
-    every executed plan records it here, or the planner would price e.g.
-    a leaky Hermit index at the default ratio forever.  Only unambiguous
-    plans observe: exactly one
-    mechanism path covering *every* predicate column — with a validate-only
-    predicate in the plan, rows it rejects would otherwise be booked as the
-    mechanism's false positives and corrupt the ratio.
-    """
-    if len(plan.paths) != 1:
-        return
-    path = plan.paths[0]
-    if set(path.columns) != set(plan.merged):
-        return
-    entry = getattr(path, "entry", None)
-    if entry is None:
-        return
-    cumulative = getattr(entry.mechanism, "cumulative", None)
-    if cumulative is not None:
-        cumulative.merge(breakdown)

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.lookup import LookupBreakdown
 from repro.engine.access_path import (
     INTERSECT_MARGIN,
     VALIDATE_PER_CANDIDATE,
@@ -68,6 +69,19 @@ class Plan:
             downstream per-candidate work on the driver's candidates.
         unsatisfiable: True when same-column predicates contradict — the
             executor returns an empty result without touching any path.
+        used_index: Name of the first path's index that has one (the
+            driver's, unless it is a full scan), the populating index of a
+            ``cached`` marker, or None.
+        feedback: The cumulative breakdown of the one mechanism this plan's
+            outcomes feed, or None.  A mechanism's observed false-positive
+            ratio drives its cost estimates (``estimate_candidates``), so
+            the executor merges every run of a plan into it — or the
+            planner would price e.g. a leaky Hermit index at the default
+            ratio forever.  Only unambiguous plans feed one: exactly one
+            mechanism path covering *every* predicate column (rows a
+            validate-only predicate rejects would otherwise be booked as the
+            mechanism's false positives).  Paths and columns fix it, so it is
+            derived once per template, not per request.
     """
 
     table_name: str
@@ -88,17 +102,32 @@ class Plan:
     # when the query would currently be answered from cache.
     cached: bool = False
     cached_used_index: str | None = None
+    used_index: str | None = field(default=None, init=False, repr=False,
+                                   compare=False)
+    feedback: LookupBreakdown | None = field(default=None, init=False,
+                                             repr=False, compare=False)
 
-    @property
-    def used_index(self) -> str | None:
-        """Name of the driver path's index, or None for a full scan."""
-        if self.cached:
-            return self.cached_used_index
-        for path in self.paths:
-            entry = getattr(path, "entry", None)
-            if entry is not None:
-                return entry.name
-        return None
+    def __post_init__(self) -> None:
+        entries = [path.entry for path in self.paths
+                   if getattr(path, "entry", None) is not None]
+        self.used_index = (self.cached_used_index if self.cached
+                           else entries[0].name if entries else None)
+        if len(self.paths) == 1 and entries and (
+                set(self.paths[0].columns) == set(self.merged)):
+            self.feedback = getattr(entries[0].mechanism, "cumulative", None)
+
+    def _bound(self, query: ConjunctiveQuery,
+               merged: dict[str, KeyRange]) -> "Plan":
+        """This template as one request's plan: the template's paths,
+        price and feedback with the request's query and ranges, copied
+        rather than constructed, so nothing is re-derived per request."""
+        plan = object.__new__(Plan)
+        state = self.__dict__.copy()
+        state["query"] = query
+        state["merged"] = merged
+        state["cache_stats"] = None
+        plan.__dict__ = state
+        return plan
 
     @property
     def is_full_scan(self) -> bool:
@@ -331,9 +360,7 @@ class Planner:
         self._hits[table_name] += 1
         self._replays[table_name] += 1
         cached.replays += 1
-        return Plan(table_name=table_name, query=query, merged=merged,
-                    paths=template.paths,
-                    estimated_cost=template.estimated_cost)
+        return template._bound(query, merged)
 
     def plan(self, table_name: str, query: ConjunctiveQuery) -> Plan:
         """Choose the cheapest access-path combination for ``query``."""
@@ -362,12 +389,12 @@ class Planner:
         if merged is None:
             return Plan(table_name=table_name, query=query, unsatisfiable=True)
 
-        stats = {column: self.catalog.column_stats(table_name, column)
-                 for column in merged}
-        buckets = tuple(
-            _selectivity_bucket(stats[column].selectivity(key_range))
-            for column, key_range in merged.items()
-        )
+        stats, buckets = {}, ()
+        for column, key_range in merged.items():
+            stats[column] = column_stats = self.catalog.column_stats(
+                table_name, column)
+            buckets += (
+                _selectivity_bucket(column_stats.selectivity(key_range)),)
         # The bucket tuple is part of the key (not just a validity check):
         # a workload alternating shapes on the same columns — point probes
         # interleaved with ranges — must hit two cache slots, not evict one.

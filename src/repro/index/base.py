@@ -210,8 +210,8 @@ class Index(abc.ABC):
         The result may contain duplicates when the ranges overlap; callers
         that need a set dedup with :func:`repro.segments.sorted_unique`.
         """
-        arrays = [self.range_search_array(key_range) for key_range in ranges]
-        arrays = [array for array in arrays if array.size]
+        arrays = [run for run in map(self.range_search_array, ranges)
+                  if run.size]
         if not arrays:
             return np.empty(0, dtype=np.int64)
         if len(arrays) == 1:

@@ -285,9 +285,10 @@ class OrderedIndex(Index):
             return tids[:0], np.zeros(keys.size, dtype=np.int64)
         starts = run_keys.searchsorted(keys)
         if num_keys == run_keys.size:
-            slots = np.minimum(starts, run_keys.size - 1)
-            hit = run_keys[slots] == keys
-            return tids[slots[hit]], hit
+            # A key past the last one places at the end: the clipped take
+            # compares it with the last key, which it cannot equal.
+            hit = run_keys.take(starts, mode="clip") == keys
+            return tids[starts[hit]], hit
         stops = run_keys.searchsorted(keys, "right")
         return tids[run_indices(starts, stops)[0]], stops - starts
 

@@ -261,10 +261,10 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     if values.size < 2:
         return values
     values.sort()
-    keep = np.empty(values.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
+    distinct = values[1:] != values[:-1]
+    if distinct.all():
+        return values
+    return values[np.concatenate(([True], distinct))]
 
 
 def segmented_sort(values: np.ndarray,

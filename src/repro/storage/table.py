@@ -243,36 +243,21 @@ class Table:
 
         Out-of-range slots are reported dead rather than raising, matching
         the scalar method; one fancy-index replaces per-row ``_check_live``
-        calls on the lookup hot path.
+        calls.
         """
-        slots = np.asarray(slots, dtype=np.int64)
-        return self._live_mask(slots)[1]
+        return self._live_mask(np.asarray(slots, dtype=np.int64))[1]
 
     def filter_in_range(self, slots: np.ndarray, column_name: str,
                         low: float, high: float) -> np.ndarray:
         """Slots of live rows whose ``column_name`` value is in ``[low, high]``.
 
         This is the base-table validation step (Step 4) of the
-        single-request lookup: one fancy-index gather plus one boolean
-        mask.  Input order is preserved; dead or out-of-range slots are
-        silently dropped (they are simply not matches).
+        single-request lookup: the slots :meth:`in_range_mask` would keep.
+        Input order is preserved; dead or out-of-range slots are silently
+        dropped (they are simply not matches).
         """
-        self.schema.position_of(column_name)
         slots = np.asarray(slots, dtype=np.int64)
-        if slots.size == 0:
-            return slots
-        if slots.size <= 8:
-            # Point lookups resolve to a handful of candidates; a direct loop
-            # beats the fixed cost of clip + three mask kernels there.
-            live, column = self._live, self._columns[column_name]
-            keep = [slot for slot in slots.tolist()
-                    if 0 <= slot < self._next_slot and live[slot]
-                    and low <= column[slot] <= high]
-            return np.asarray(keep, dtype=np.int64)
-        clipped, mask = self._live_mask(slots)
-        values = self._columns[column_name][clipped]
-        mask &= (values >= low) & (values <= high)
-        return slots[mask]
+        return slots[self._in_range(slots, column_name, low, high)]
 
     def in_range_mask(self, slots: np.ndarray, column_name: str,
                       lows: "np.ndarray | float",
@@ -284,22 +269,9 @@ class Table:
         checked against *its own query's* predicate), so one call validates
         the concatenated candidates of a whole query batch.  Dead and
         out-of-range slots are masked out, matching the scalar method.
-        Candidates come from the table's own indexes, so one ``min`` /
-        ``max`` usually shows every slot in range and the clip is skipped.
         """
-        self.schema.position_of(column_name)
-        slots = np.asarray(slots, dtype=np.int64)
-        if slots.size == 0:
-            return np.zeros(0, dtype=bool)
-        if slots.min() >= 0 and slots.max() < self._next_slot:
-            mask = self._live[slots]
-            values = self._columns[column_name][slots]
-        else:
-            clipped, mask = self._live_mask(slots)
-            values = self._columns[column_name][clipped]
-        mask &= values >= lows
-        mask &= values <= highs
-        return mask
+        return self._in_range(np.asarray(slots, dtype=np.int64), column_name,
+                              lows, highs)
 
     def scan(self, column_names: Sequence[str] | None = None) -> Iterator[tuple[int, dict]]:
         """Iterate ``(slot, row)`` pairs over live rows.
@@ -373,15 +345,36 @@ class Table:
         self._live = grown_live
         self._capacity = new_capacity
 
-    def _live_mask(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(in-bounds-clipped slots, live mask) for a slot array.
+    def _in_range(self, slots: np.ndarray, column_name: str,
+                  lows: "np.ndarray | float",
+                  highs: "np.ndarray | float") -> np.ndarray:
+        """The validation both read tails share, over int64 ``slots``."""
+        try:
+            column = self._columns[column_name]
+        except KeyError:
+            self.schema.position_of(column_name)  # the unknown-column error
+            raise
+        gathered, mask = self._live_mask(slots)
+        values = column[gathered]
+        mask &= values >= lows
+        mask &= values <= highs
+        return mask
 
-        Clipping only keeps the fancy index in bounds; clipped positions are
-        masked out by the bounds check.
+    def _live_mask(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(slots safe to gather, live mask) for an int64 slot array.
+
+        Read as unsigned, a negative slot is above every bound, so one
+        ``max`` checks both ends.  Candidates come from the table's own
+        indexes, so the check almost always passes and the slots gather
+        as they are; otherwise an out-of-range slot gathers slot 0 and the
+        bounds mask drops it.
         """
-        clipped = np.clip(slots, 0, max(0, self._next_slot - 1))
-        mask = (slots >= 0) & (slots < self._next_slot) & self._live[clipped]
-        return clipped, mask
+        unsigned = slots.view(np.uint64)
+        if np.maximum.reduce(unsigned, initial=0) < self._next_slot:
+            return slots, self._live[slots]
+        in_bounds = unsigned < self._next_slot
+        gathered = np.where(in_bounds, slots, 0)
+        return gathered, in_bounds & self._live[gathered]
 
     def _check_live(self, location: RowLocation | int) -> int:
         slot = int(location)

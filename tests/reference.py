@@ -197,7 +197,8 @@ def trs_lookup_scan(tree: TRSTree, predicate: KeyRange) -> TRSLookupResult:
             continue
         result.leaves_visited += 1
         if table.num_model_covered[row] > 0:
-            result.host_ranges.append(model.host_range(overlap))
+            result.host_ranges.append(
+                KeyRange(*model.host_range(overlap.low, overlap.high)))
     result.nodes_visited = result.leaves_visited
     result.host_ranges = KeyRange.union(result.host_ranges)
     result.outlier_tids = [tid for key, tid in tree._outliers.items()

@@ -62,14 +62,14 @@ class TestPiecewiseLinearModel:
 
     def test_host_range_covers_every_overlapped_segment(self):
         model = self.make_model(epsilon=0.5)
-        host = model.host_range(KeyRange(3.0, 8.0))
+        host = KeyRange(*model.host_range(3.0, 8.0))
         # Predictions along [3, 8] span [3, 11]; the band pads by 0.5.
         assert host.low <= 2.5
         assert host.high >= 11.5
 
     def test_host_range_point_probe(self):
         model = self.make_model(epsilon=0.5)
-        host = model.host_range(KeyRange(7.0, 7.0))
+        host = KeyRange(*model.host_range(7.0, 7.0))
         assert host.low <= 8.5 and host.high >= 9.5
         assert host.width < 1.1
 
@@ -209,7 +209,7 @@ def test_flat_model_band_holds_under_unbounded_predicates(model, bounds):
     """A flat model predicts its intercept everywhere: a predicate open to
     ±inf probes its band (``0 * inf`` would be NaN, an empty probe), the
     scalar and batched translations alike."""
-    scalar = model.host_range(KeyRange(*bounds))
+    scalar = KeyRange(*model.host_range(*bounds))
     lows, highs = ModelTable([model]).host_ranges(
         np.zeros(1, dtype=np.int64), np.array([bounds[0]]),
         np.array([bounds[1]]))

@@ -65,7 +65,7 @@ class TestLeafBand:
         assert model.covers_many(np.array([2.0, 2.0]),
                                  np.array([4.5, 10.0])).tolist() == [True,
                                                                      False]
-        host = model.host_range(KeyRange(1.0, 2.0))
+        host = KeyRange(*model.host_range(1.0, 2.0))
         # The bounds carry a two-ulp outward pad so border-covered tuples
         # can never round out of the probe.
         assert host.low == pytest.approx(1.0)

@@ -138,7 +138,8 @@ class TestPlanCacheObservability:
         """A single-column batch's bounds stay arrays from the planner to
         validation: the ``KeyRange`` objects it builds are the
         representative's few, whatever the batch size; one ``execute``
-        still builds its three."""
+        still builds its two (the request's merged range and the one host
+        range its leaf emits)."""
         database = synthetic(linear_dataset, IndexMethod.HERMIT)
 
         def batch(size: int) -> list[QueryRequest]:
@@ -154,7 +155,7 @@ class TestPlanCacheObservability:
         request = batch(1)[0]
         database.execute(request)
         assert key_ranges_built(
-            monkeypatch, lambda: database.execute(request)) == 3
+            monkeypatch, lambda: database.execute(request)) == 2
 
     def test_replays_exceed_hits_under_batching(self, linear_dataset):
         database = synthetic(linear_dataset, IndexMethod.SORTED_COLUMN)

@@ -164,7 +164,7 @@ class TestLinearModel:
 
     def test_host_range_positive_slope(self):
         model = LinearModel(beta=2.0, alpha=0.0, epsilon=1.0)
-        host = model.host_range(KeyRange(1.0, 3.0))
+        host = KeyRange(*model.host_range(1.0, 3.0))
         # Bounds carry a two-ulp outward pad (see regression.band_range).
         assert host.low == pytest.approx(1.0)
         assert host.high == pytest.approx(7.0)
@@ -172,7 +172,7 @@ class TestLinearModel:
 
     def test_host_range_negative_slope(self):
         model = LinearModel(beta=-2.0, alpha=0.0, epsilon=1.0)
-        host = model.host_range(KeyRange(1.0, 3.0))
+        host = KeyRange(*model.host_range(1.0, 3.0))
         assert host.low == pytest.approx(-7.0)
         assert host.high == pytest.approx(-1.0)
         assert host.low <= -7.0 and host.high >= -1.0
@@ -189,7 +189,7 @@ class TestLinearModel:
             np.asarray([hi for _, hi in operands]), 0.25)
         for (lo, hi), low, high in zip(operands, lows.tolist(),
                                        highs.tolist()):
-            host = band_range(lo, hi, 0.25)
+            host = KeyRange(*band_range(lo, hi, 0.25))
             assert (host.low, host.high) == (low, high)
             assert low <= lo and high >= hi
         assert (lows[0], highs[0]) == (inf, inf)
@@ -226,7 +226,7 @@ class TestLinearLeafEpsilon:
         probes = rng.uniform(100, 900, size=50)
         covered_counts = []
         for probe in probes:
-            host = model.host_range(KeyRange(probe, probe))
+            host = KeyRange(*model.host_range(probe, probe))
             covered_counts.append(int(((n >= host.low) & (n <= host.high)).sum()))
         average = float(np.mean(covered_counts))
         assert average == pytest.approx(error_bound, rel=0.3)

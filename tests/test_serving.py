@@ -169,6 +169,114 @@ class TestEpochManager:
         assert sequence == ["write", "read"]
 
 
+def started(target, *args) -> threading.Thread:
+    """A daemon thread: one stuck on a lost wake-up cannot hang the run."""
+    thread = threading.Thread(target=target, args=args, daemon=True)
+    thread.start()
+    return thread
+
+
+def wait_until(condition, timeout: float = 5.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.001)
+    return True
+
+
+@pytest.mark.parametrize("debug", [False, True], ids=["lean", "debug"])
+class TestEpochWakeUps:
+    """A read that leaves wakes the writers only when it is the last reader
+    out and a writer waits; no such wake-up may be lost.  Every wait has a
+    timeout, so a lost one fails the test instead of hanging it."""
+
+    def test_writer_behind_readers_acquires_after_the_last(self, debug):
+        epochs = EpochManager(debug=debug)
+        readers = 4
+        inside = threading.Barrier(readers + 1, timeout=5.0)
+        leave = [threading.Event() for _ in range(readers)]
+        wrote = threading.Event()
+
+        def reader(position):
+            with epochs.read():
+                inside.wait()
+                leave[position].wait(timeout=5.0)
+
+        def writer():
+            with epochs.write():
+                wrote.set()
+
+        reader_threads = [started(reader, position)
+                          for position in range(readers)]
+        inside.wait()
+        writer_thread = started(writer)
+        assert wait_until(lambda: epochs._waiting_writers == 1)
+        for position in range(readers - 1):
+            leave[position].set()
+            reader_threads[position].join(timeout=5.0)
+        assert not wrote.wait(timeout=0.05)  # one reader still holds
+        leave[-1].set()
+        assert wrote.wait(timeout=5.0), "the last reader's wake-up was lost"
+        writer_thread.join(timeout=5.0)
+        assert not any(thread.is_alive()
+                       for thread in reader_threads + [writer_thread])
+        assert epochs.current == 1
+
+    def test_readers_behind_a_waiting_writer_run_after_its_commit(self,
+                                                                  debug):
+        epochs = EpochManager(debug=debug)
+        reader_in, release = threading.Event(), threading.Event()
+        order: list[str] = []
+
+        def first_reader():
+            with epochs.read():
+                reader_in.set()
+                release.wait(timeout=5.0)
+
+        def writer():
+            with epochs.write():
+                order.append("write")
+
+        def late_reader():
+            with epochs.read() as epoch:
+                order.append(f"read@{epoch}")
+
+        first = started(first_reader)
+        assert reader_in.wait(timeout=5.0)
+        writer_thread = started(writer)
+        assert wait_until(lambda: epochs._waiting_writers == 1)
+        late = [started(late_reader) for _ in range(3)]
+        time.sleep(0.02)
+        assert order == []  # queued behind the waiting writer
+        release.set()
+        for thread in [first, writer_thread, *late]:
+            thread.join(timeout=5.0)
+            assert not thread.is_alive(), "a queued thread was never woken"
+        assert order == ["write"] + ["read@1"] * 3
+
+    def test_nested_reads_release_once(self, debug):
+        epochs = EpochManager(debug=debug)
+        wrote = threading.Event()
+
+        def writer():
+            with epochs.write():
+                wrote.set()
+
+        with epochs.read():
+            with epochs.read():
+                pass
+            # The inner exit must not have released the outer read.
+            writer_thread = started(writer)
+            assert wait_until(lambda: epochs._waiting_writers == 1)
+            assert not wrote.wait(timeout=0.05)
+        assert wrote.wait(timeout=5.0)
+        writer_thread.join(timeout=5.0)
+        assert epochs._active_readers == 0
+        with epochs.write() as epoch:  # nothing left holding the read side
+            assert epoch == 2
+
+
 class TestNoTornReads:
     def test_writer_interleaving_never_tears_coalesced_reads(self):
         """All-or-nothing batches stay all-or-nothing under concurrency.
