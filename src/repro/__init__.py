@@ -9,7 +9,8 @@ false positives by validating against the base table.
 The package layers, bottom-up:
 
 * :mod:`repro.storage` — columnar tables, tuple identifiers, pages/buffer pool.
-* :mod:`repro.index` — in-memory and paged B+-trees, hash and composite indexes.
+* :mod:`repro.index` — the ordered index (every complete index) and the paged
+  B+-tree.
 * :mod:`repro.core` — the TRS-Tree and the Hermit mechanism (the paper's
   contribution).
 * :mod:`repro.baselines` — the conventional secondary index and Correlation Maps.

@@ -14,10 +14,6 @@ resolution and base-table validation are the shared tails of
 mechanism alike, so the Hermit-vs-Baseline comparison (``Database``
 reads, forced by index name with ``query_with`` / ``query_with_many``)
 measures the mechanisms through the same pipeline the engine serves.
-
-:class:`CompositeSecondaryIndex` is the two-column complete index: the same
-maintenance surface over a :class:`~repro.index.composite.CompositeIndex`,
-probed by the planner's pair access path.
 """
 
 from __future__ import annotations
@@ -28,10 +24,8 @@ import numpy as np
 
 from repro.core.lookup import LookupBreakdown, SecondaryMechanism
 from repro.index.base import Index, KeyRange, KeyRanges
-from repro.index.composite import CompositeIndex
 from repro.index.ordered import OrderedIndex
 from repro.storage.identifiers import PointerScheme
-from repro.storage.memory import sorted_array_bytes
 from repro.storage.table import Table
 
 
@@ -137,88 +131,3 @@ class BaselineSecondaryIndex(SecondaryMechanism):
         """Analytic size: the paper's B+-tree over the same entries."""
         return self.index.memory_bytes()
 
-
-class SortedColumnSecondaryIndex(BaselineSecondaryIndex):
-    """The same complete index, priced as packed sorted arrays
-    (``IndexMethod.SORTED_COLUMN``)."""
-
-    def memory_bytes(self) -> int:
-        """Analytic size: one key and one pointer per entry."""
-        return sorted_array_bytes(self.index.num_entries)
-
-
-class CompositeSecondaryIndex(SecondaryMechanism):
-    """Engine mechanism wrapping a :class:`CompositeIndex` on two columns.
-
-    Exposes the same maintenance surface as the single-column mechanisms
-    (``insert_many``/``delete_many``/``update_many`` batch notifications
-    from the database facade) plus the planner's pair access path: one
-    probe that answers a conjunctive predicate on ``(leading_column,
-    second_column)`` exactly, with no false positives.  It has no single-predicate candidate
-    generation, so ``Database.query_with`` refuses it.
-
-    Args:
-        table: The base table.
-        leading_column: Leading key column of the composite index.
-        second_column: Second key column.
-        primary_index: Primary index, required for logical pointers.
-        pointer_scheme: Tuple-identifier scheme stored in the index.
-    """
-
-    def __init__(
-            self, table: Table, leading_column: str, second_column: str,
-            primary_index: Index | None = None,
-            pointer_scheme: PointerScheme = PointerScheme.PHYSICAL) -> None:
-        super().__init__(table, leading_column, primary_index, pointer_scheme)
-        self.leading_column = leading_column
-        self.second_column = second_column
-        self.index = CompositeIndex()
-
-    # ----------------------------------------------------------- construction
-
-    def build(self) -> None:
-        """Bulk-load the composite index from the current table contents."""
-        slots, leading, second = self.table.project(
-            [self.leading_column, self.second_column]
-        )
-        self.index.insert_many(leading, second, self._tids_for_slots(slots))
-
-    # ------------------------------------------------------ planner interface
-
-    def candidate_tids_pair(self, leading_range: KeyRange,
-                            second_range: KeyRange,
-                            breakdown: LookupBreakdown) -> np.ndarray:
-        """Candidate tids matching both ranges (exact; one array probe)."""
-        started = time.perf_counter()
-        tids = self.index.range_search_array(leading_range, second_range)
-        breakdown.host_index_seconds += time.perf_counter() - started
-        return tids
-
-    def estimate_candidates(self, leading_range: KeyRange,
-                            second_range: KeyRange, leading_stats,
-                            second_stats) -> float:
-        """Estimated candidates under predicate independence (exact index)."""
-        rows = leading_stats.row_count
-        return (rows * leading_stats.selectivity(leading_range)
-                * second_stats.selectivity(second_range))
-
-    # ------------------------------------------------------------ maintenance
-
-    def insert_many(self, columns: dict, locations: np.ndarray) -> None:
-        """Index newly inserted rows: one sorted merge into the entry list."""
-        leading = np.asarray(columns[self.leading_column], dtype=np.float64)
-        second = np.asarray(columns[self.second_column], dtype=np.float64)
-        self.index.insert_many(leading, second,
-                               self._tids_for_batch(columns, locations))
-
-    def delete_many(self, columns: dict, locations: np.ndarray) -> None:
-        """Remove the deleted rows' entries: one batch delete."""
-        self.index.delete_many(columns[self.leading_column],
-                               columns[self.second_column],
-                               self._tids_for_batch(columns, locations))
-
-    # ------------------------------------------------------------- accounting
-
-    def memory_bytes(self) -> int:
-        """Analytic size of the composite index in bytes."""
-        return self.index.memory_bytes()

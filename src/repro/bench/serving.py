@@ -58,7 +58,7 @@ from repro.workloads.synthetic import generate_synthetic, load_synthetic
 
 @dataclass
 class ServingSetup:
-    """One Synthetic database served by a sorted-column index on colC."""
+    """One Synthetic database served by a B+-tree index on colC."""
 
     database: Database
     table_name: str
@@ -70,7 +70,7 @@ class ServingSetup:
 def build_serving_setup(num_tuples: int, seed: int = 42,
                         result_cache: ResultCacheConfig | None = None,
                         ) -> ServingSetup:
-    """Load Synthetic-Linear and index colC with the sorted-column mechanism.
+    """Load Synthetic-Linear and index colC with a B+-tree.
 
     The array-native access path keeps per-query mechanism cost low, which
     is the regime where serving dispatch (planning, locking, result
@@ -89,7 +89,7 @@ def build_serving_setup(num_tuples: int, seed: int = 42,
         database.result_cache.enabled = False
     table_name = load_synthetic(database, dataset)
     database.create_index("idx_colC", table_name, "colC",
-                          method=IndexMethod.SORTED_COLUMN)
+                          method=IndexMethod.BTREE)
     targets = dataset.columns["colC"]
     return ServingSetup(
         database=database, table_name=table_name, stored_targets=targets,

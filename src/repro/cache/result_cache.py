@@ -257,37 +257,20 @@ class ResultCache:
 
     # ------------------------------------------------------------ probes
 
-    def get(self, table_name: str, key: CacheKey,
-            data_epoch: int) -> CacheEntry | None:
-        """Probe for a fresh entry; evict (and miss) when it went stale.
-
-        ``data_epoch`` must be the table's current committed epoch read
-        under the shared epoch side — the comparison against the entry's
-        stamp is the whole invalidation protocol.
-        """
-        full_key = (table_name, key)
-        with self._lock:
-            counters = self._table_counters_locked(table_name)
-            entry = self._entries.get(full_key)
-            if entry is not None and entry.data_epoch != data_epoch:
-                self._remove_locked(full_key, entry, stale=True)
-                entry = None
-            if entry is None:
-                counters[1] += 1
-                return None
-            self._entries.move_to_end(full_key)
-            counters[0] += 1
-            return entry
-
     def get_many(self, table_name: str, keys: "list[CacheKey | None]",
                  data_epoch: int) -> "list[CacheEntry | None]":
         """Probe a whole table batch under one lock acquisition.
 
-        Position-aligned with ``keys``; ``None`` keys (unsatisfiable
-        conjunctions) pass through as ``None`` without touching any
-        counter, exactly like the single-probe bypass.  One acquisition
-        per batch is what keeps the probe overhead invisible next to the
-        segmented batch executor it is short-circuiting.
+        A fresh entry is a hit and moves to the warm end of the LRU order;
+        an entry whose stamp differs from ``data_epoch`` — the table's
+        current committed epoch, read under the shared epoch side — is
+        evicted on the spot and counts as a miss: that comparison is the
+        whole invalidation protocol.  Position-aligned with ``keys``;
+        ``None`` keys (unsatisfiable conjunctions) pass through as ``None``
+        without touching any counter.  One acquisition per batch is what
+        keeps the probe overhead invisible next to the segmented batch
+        executor it is short-circuiting; ``Database.execute`` probes a
+        batch of one.
         """
         results: "list[CacheEntry | None]" = [None] * len(keys)
         with self._lock:
@@ -332,60 +315,41 @@ class ResultCache:
                 return None
             return entry
 
-    def put(self, table_name: str, key: CacheKey, locations: np.ndarray,
-            data_epoch: int, used_index: str | None) -> None:
-        """Store a post-validation location array stamped with its epoch.
-
-        The array is copied and frozen (``writeable = False``): the engine
-        hands the original to the caller, and cache hits hand the frozen
-        copy out directly — neither side can corrupt the other.
-
-        Under admission (see :class:`ResultCacheConfig`) the first fill
-        attempt for a key only registers it with the doorkeeper; the
-        install happens on the second.
-        """
-        full_key = (table_name, key)
-        with self._lock:
-            if not self._admit_locked(full_key):
-                return
-        stored = np.array(locations, dtype=np.int64, copy=True)
-        stored.flags.writeable = False
-        entry = CacheEntry(stored, data_epoch, used_index)
-        if entry.nbytes > self.config.max_bytes:
-            return
-        with self._lock:
-            previous = self._entries.pop(full_key, None)
-            if previous is not None:
-                self._account_removal_locked(table_name, previous)
-            self._entries[full_key] = entry
-            self._bytes += entry.nbytes
-            counters = self._table_counters_locked(table_name)
-            counters[3] += 1
-            counters[4] += entry.nbytes
-            self._evict_over_budget_locked()
-
     def put_many(self, table_name: str,
                  items: "list[tuple[CacheKey, np.ndarray, str | None]]",
                  data_epoch: int) -> None:
-        """Store a table batch of ``(key, locations, used_index)`` fills.
+        """Store a table batch of ``(key, locations, used_index)`` fills,
+        each a post-validation location array stamped with ``data_epoch``.
 
         The copies and freezes happen before the lock is taken; one
         acquisition then installs the whole batch and settles the budget
-        once at the end (the batch-path twin of :meth:`put`).
+        once at the end.  ``Database.execute`` fills a batch of one.
 
         The batch's arrays are copied into *one* concatenated backing
-        buffer, frozen once, and stored as read-only slice views — a
-        per-array copy plus ``flags.writeable`` toggle costs ~2 us each,
-        which is more than the rest of the miss-path overhead combined.
-        The trade-off: the buffer stays reachable until every entry cut
-        from it is evicted, so a lone survivor can pin its batch's bytes
-        beyond what the budget accounts.  Batches are request coalescing
-        sized (hundreds of entries, not millions), which bounds the
-        overshoot to a few batch buffers.
+        buffer, frozen once (``writeable = False``), and stored as
+        read-only slice views: the engine hands the originals to the
+        callers and cache hits hand the frozen views out directly, so
+        neither side can corrupt the other.  A per-array copy plus
+        ``flags.writeable`` toggle costs ~2 us each, which is more than
+        the rest of the miss-path overhead combined.  The trade-off: the
+        buffer stays reachable until every entry cut from it is evicted,
+        so a lone survivor can pin its batch's bytes beyond what the
+        budget accounts.  Batches are request coalescing sized (hundreds
+        of entries, not millions), which bounds the overshoot to a few
+        batch buffers.
 
-        Under admission the doorkeeper filters the batch *before* any
-        array is copied — a batch of first-sighting keys (the uniform
-        request mix) costs two set operations per item and nothing else.
+        Under admission (see :class:`ResultCacheConfig`) the doorkeeper
+        filters the batch *before* any array is copied: a key's first
+        sighting registers it in the young generation and defers, a
+        sighting found in either generation admits.  When the young
+        generation outgrows ``max_entries`` it becomes the old one (the
+        previous old generation is forgotten), which bounds the doorkeeper
+        to two generations of popularity memory.  The generations hold key
+        *hashes*: ints are not GC-tracked, so a run of first sightings
+        (uniform traffic) retains no tuples that would drive garbage
+        collections on the miss path, and costs two set operations per
+        item and nothing else.  A collision only admits a key one sighting
+        early.
         """
         max_bytes = self.config.max_bytes
         max_entries = self.config.max_entries
@@ -393,8 +357,6 @@ class ResultCache:
             if not self.config.admission:
                 admitted = items
             else:
-                # Inlined :meth:`_admit_locked` — this loop runs once per
-                # executed miss, so the per-call overhead matters.
                 admitted = []
                 deferred = 0
                 seen = self._seen
@@ -509,36 +471,6 @@ class ResultCache:
     # ------------------------------------------------- locked helpers
     # (the ``_locked`` suffix is REP007's contract: only called while
     # holding self._lock)
-
-    def _admit_locked(self, full_key: tuple) -> bool:
-        """Doorkeeper check: install now, or register for next time?
-
-        First sighting registers the key in the young generation and
-        defers; a sighting found in either generation admits.  When the
-        young generation outgrows ``max_entries`` it becomes the old one
-        (and the previous old generation is forgotten), which bounds the
-        doorkeeper to two generations of popularity memory.
-
-        The generations hold key *hashes*: ints are not GC-tracked, so a
-        run of first sightings (uniform traffic) retains no tuples that
-        would drive garbage collections on the miss path.  A collision
-        only admits a key one sighting early.
-        """
-        if not self.config.admission:
-            return True
-        sighting = hash(full_key)
-        if sighting in self._seen:
-            self._seen.discard(sighting)
-            return True
-        if sighting in self._seen_old:
-            self._seen_old.discard(sighting)
-            return True
-        self._seen.add(sighting)
-        if len(self._seen) > self.config.max_entries:
-            self._seen_old = self._seen
-            self._seen = set()
-        self._admission_deferrals += 1
-        return False
 
     def _table_counters_locked(self, table_name: str) -> list:
         counters = self._per_table.get(table_name)

@@ -259,8 +259,6 @@ class SecondaryMechanism:
     methods (``insert_many``, ``delete_many``, ``update_many``, each one
     batch of column-oriented rows); the executor adds one of the two
     tails.
-    (:class:`~repro.baselines.secondary.CompositeSecondaryIndex` derives
-    for the plumbing alone: its probe takes two ranges.)
 
     Args:
         table: The base table the mechanism serves.

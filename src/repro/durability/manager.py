@@ -105,10 +105,6 @@ class DurabilityManager:
         """Log a ``create_index`` with its fully resolved definition."""
         return self._log(WalOp.CREATE_INDEX, definition)
 
-    def log_create_composite_index(self, definition: dict) -> int:
-        """Log a ``create_composite_index`` definition."""
-        return self._log(WalOp.CREATE_COMPOSITE_INDEX, definition)
-
     def log_drop_index(self, table_name: str, index_name: str) -> int:
         """Log a ``drop_index``."""
         return self._log(WalOp.DROP_INDEX,

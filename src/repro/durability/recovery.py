@@ -8,11 +8,11 @@
    column arrays / liveness bitmap / running statistics, and bulk-load the
    primary index from the live slots.
 2. **Index rebuild** — re-run every secondary-index definition recorded in
-   the manifest, in creation order, through the ordinary
-   ``create_index`` / ``create_composite_index`` machinery.  Mechanism
-   content is never logged or checkpointed: TRS-Trees, correlation maps and
-   B+-tree secondaries are succinct and rebuilt from data — the paper's
-   cheap-to-rebuild property doing real work in the recovery protocol.
+   the manifest, in creation order, through the ordinary ``create_index``
+   machinery.  Mechanism content is never logged or checkpointed:
+   TRS-Trees, correlation maps and B+-tree secondaries are succinct and
+   rebuilt from data — the paper's cheap-to-rebuild property doing real
+   work in the recovery protocol.
 3. **WAL replay** — re-apply every record with an LSN above the checkpoint
    through the same ``Database`` methods that produced it.  Replay is
    deterministic: tables append at ``next_slot`` and never reuse dead slots,
@@ -50,18 +50,23 @@ def _apply_index_definition(database: Database, definition: dict) -> None:
 
     Definitions are fully resolved at creation time (``AUTO`` never reaches
     the log), so replay is deterministic and never consults the advisor.
+
+    Raises:
+        DurabilityError: If the definition names no method this engine
+            builds — a kind an earlier version built and this one retired,
+            whose log or checkpoint therefore no longer replays.
     """
-    if "leading_column" in definition:
-        database.create_composite_index(
-            definition["name"], definition["table"],
-            definition["leading_column"], definition["second_column"],
-            preexisting=definition["preexisting"],
-        )
-        return
+    try:
+        method = IndexMethod(definition.get("method"))
+    except ValueError:
+        raise DurabilityError(
+            f"index {definition.get('name')!r} was defined with method "
+            f"{definition.get('method')!r}, which this engine does not "
+            f"build") from None
     trs_config = definition.get("trs_config")
     database.create_index(
         definition["name"], definition["table"], definition["column"],
-        method=IndexMethod(definition["method"]),
+        method=method,
         host_column=definition["host_column"],
         trs_config=TRSTreeConfig(**trs_config) if trs_config else None,
         cm_target_bucket_width=definition["cm_target_bucket_width"],
@@ -76,8 +81,6 @@ def _apply_record(database: Database, record: WalRecord) -> None:
     if record.op is WalOp.CREATE_TABLE:
         database.create_table(schema_from_manifest(payload["schema"]))
     elif record.op is WalOp.CREATE_INDEX:
-        _apply_index_definition(database, payload)
-    elif record.op is WalOp.CREATE_COMPOSITE_INDEX:
         _apply_index_definition(database, payload)
     elif record.op is WalOp.DROP_INDEX:
         database.drop_index(payload["table"], payload["name"])
@@ -138,9 +141,12 @@ def recover(config: DurabilityConfig,
         ``durability_stats().recovery``.
 
     Raises:
-        DurabilityError: If a checksum-valid WAL record fails to re-apply —
-            the write-ahead protocol only logs operations that succeeded,
-            so this indicates tampering or a bug, not a torn write.
+        DurabilityError: If a checksum-valid WAL record fails to decode or
+            re-apply, or an index definition names a retired method — the
+            write-ahead protocol only logs operations that succeeded, so
+            this indicates tampering, a bug or a log of an older version,
+            not a torn write (a :class:`~repro.errors.WalCorruptionError`
+            for a record :func:`scan_wal` cannot read).
     """
     start = time.perf_counter()
     found = find_latest_checkpoint(config.directory)

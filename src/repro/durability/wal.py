@@ -59,11 +59,15 @@ _KIND_STRING = 2
 
 
 class WalOp(enum.Enum):
-    """Operation codes of the redo records."""
+    """Operation codes of the redo records.
+
+    Opcode 3 is unassigned and must stay so: logs of an earlier version
+    use it for a two-column index kind this engine does not build, and
+    :func:`scan_wal` must refuse such a record, not read it as another op.
+    """
 
     CREATE_TABLE = 1
     CREATE_INDEX = 2
-    CREATE_COMPOSITE_INDEX = 3
     DROP_INDEX = 4
     INSERT_MANY = 5
     UPDATE = 6
@@ -71,8 +75,8 @@ class WalOp(enum.Enum):
 
 
 _JSON_OPS = frozenset({
-    WalOp.CREATE_TABLE, WalOp.CREATE_INDEX, WalOp.CREATE_COMPOSITE_INDEX,
-    WalOp.DROP_INDEX, WalOp.UPDATE, WalOp.DELETE,
+    WalOp.CREATE_TABLE, WalOp.CREATE_INDEX, WalOp.DROP_INDEX, WalOp.UPDATE,
+    WalOp.DELETE,
 })
 
 
@@ -239,10 +243,16 @@ def scan_wal(path: str) -> tuple[list[WalRecord], int]:
         (if any) starts.  A missing file yields ``([], 0)``.
 
     The scan stops — without raising — at the first incomplete header,
-    overrunning length field, checksum mismatch, unknown opcode or
-    non-monotonic LSN: all are indistinguishable from a crash mid-append,
-    and truncating to the last good record is exactly the contract a
-    redo log offers.
+    overrunning length field or checksum mismatch: all are
+    indistinguishable from a crash mid-append, and truncating to the last
+    good record is exactly the contract a redo log offers.
+
+    Raises:
+        WalCorruptionError: If a checksum-valid record carries an opcode
+            :class:`WalOp` does not define, an LSN that does not increase,
+            or a payload that fails to decode.  A crashed append cannot
+            produce any of them, so the bytes after such a record are kept
+            rather than truncated away.
     """
     try:
         with open(path, "rb") as handle:
@@ -267,9 +277,13 @@ def scan_wal(path: str) -> tuple[list[WalRecord], int]:
         try:
             op = WalOp(opcode)
         except ValueError:
-            break
+            raise WalCorruptionError(
+                f"checksum-valid record lsn={lsn} at byte {offset} has "
+                f"unknown opcode {opcode}") from None
         if lsn <= previous_lsn:
-            break
+            raise WalCorruptionError(
+                f"checksum-valid record at byte {offset} has lsn={lsn}, "
+                f"not above the previous lsn={previous_lsn}")
         records.append(
             WalRecord(lsn=lsn, op=op,
                       payload=decode_payload(op, body[_BODY_PREFIX.size:]))
@@ -310,7 +324,8 @@ class WriteAheadLog:
     """Appender over one WAL file with an explicit fsync policy.
 
     Opening scans the existing file (if any), truncates a torn tail, and
-    continues the LSN sequence after the last valid record.
+    continues the LSN sequence after the last valid record.  A file that
+    :func:`scan_wal` reports corrupt raises before any byte is cut.
 
     Args:
         path: WAL file path.

@@ -1,11 +1,6 @@
 """The in-memory RDBMS substrate: catalog, query model, planner, executor."""
 
-from repro.engine.access_path import (
-    AccessPath,
-    CompositePath,
-    FullScanPath,
-    MechanismPath,
-)
+from repro.engine.access_path import AccessPath, FullScanPath, MechanismPath
 from repro.engine.catalog import (
     Catalog,
     ColumnStats,
@@ -29,7 +24,6 @@ __all__ = [
     "AccessPath",
     "Catalog",
     "ColumnStats",
-    "CompositePath",
     "ConjunctiveQuery",
     "Database",
     "FullScanPath",

@@ -2,9 +2,8 @@
 
 An :class:`AccessPath` is one concrete way to produce *candidate tuple
 identifiers* for part of a query — a full table scan, a probe of a complete
-host index (B+-tree or sorted column), a Hermit mechanism lookup, a
-Correlation-Map lookup, or a composite-index probe covering two predicates at
-once.  Every path obeys the same array-native contract:
+host index (an ordered B+-tree), a Hermit mechanism lookup, or a
+Correlation-Map lookup.  Every path obeys the same array-native contract:
 
 * ``execute(merged, breakdown) -> np.ndarray`` returns the candidate tids
   (row locations under physical pointers, primary-key values under logical
@@ -35,13 +34,10 @@ Path                   Estimated cost
 =====================  =====================================================
 full scan              ``n * SCAN_PER_ROW``
 B+-tree index          ``DESCENT_COST * L + k``
-sorted-column index    ``SORTED_PROBE_COST * L + SORTED_PER_CANDIDATE * k``
 Hermit mechanism       ``MECHANISM_OVERHEAD * L + k``  (k inflated by the
                        observed false-positive ratio)
 Correlation Map        ``MECHANISM_OVERHEAD * L + k``  (k inflated by bucket
                        expansion and the host-bucket over-fetch)
-composite index        ``DESCENT_COST * L + k``  (k uses both predicates'
-                       selectivities, independence assumed)
 =====================  =====================================================
 
 Downstream of every path, each surviving candidate still pays pointer
@@ -62,16 +58,14 @@ import numpy as np
 from repro.core.lookup import LookupBreakdown
 from repro.engine.catalog import ColumnStats, IndexEntry, IndexMethod
 from repro.index.base import KeyRange, KeyRanges
-from repro.segments import concat_segments, run_indices, segmented_filter
+from repro.segments import run_indices, segmented_filter
 from repro.storage.identifiers import PointerScheme
 from repro.storage.table import Table
 
 
 # Constants of the planner's cost model, in row-touch units.  They encode
-# two facts measured on this codebase — sorted-column probes ran ~2x faster
-# than the pointer B+-tree that BTREE once was (both are one ordered index
-# now; ROADMAP item 10) and vectorized validation costs a fraction of a
-# Python-level index touch — plus one deliberate bias:
+# one fact measured on this codebase — vectorized validation costs a
+# fraction of a Python-level index touch — plus one deliberate bias:
 # SCAN_PER_ROW is kept at parity with the per-candidate index cost so an
 # index is chosen whenever one covers a predicate, matching the pre-planner
 # executor's behaviour.
@@ -82,8 +76,6 @@ SCAN_PER_ROW = 1.0
 # root-to-leaf descent and is kept; recalibration is ROADMAP item 10.
 DESCENT_COST = 2.0
 BTREE_PER_CANDIDATE = 1.0
-SORTED_PROBE_COST = 0.5
-SORTED_PER_CANDIDATE = 0.3
 MECHANISM_OVERHEAD = 2.0
 VALIDATE_PER_CANDIDATE = 0.3
 # Per-candidate primary-index resolution under logical pointers, per
@@ -131,14 +123,13 @@ class AccessPath:
             the executor skip pointer resolution.
         produces_unique_tids: True when :meth:`execute` guarantees a
             duplicate-free candidate array.  Every concrete path does —
-            full scans emit distinct live slots, complete indexes
-            (B+-tree, sorted column, composite) hold one entry per row,
-            and the correlation mechanisms (Hermit, CM) end their candidate
-            generation with an explicit dedup — which lets the executor
-            pass ``assume_unique=True`` to its ``np.intersect1d`` calls and
-            replace the final dedup with a plain sort.  A future
-            path without the guarantee sets this False and the executor
-            falls back to the safe kernels.
+            full scans emit distinct live slots, a complete B+-tree holds
+            one entry per row, and the correlation mechanisms (Hermit, CM)
+            end their candidate generation with an explicit dedup — which
+            lets the executor pass ``assume_unique=True`` to its
+            ``np.intersect1d`` calls and replace the final dedup with a
+            plain sort.  A future path without the guarantee sets this
+            False and the executor falls back to the safe kernels.
         produces_sorted_tids: True when :meth:`execute_many` additionally
             guarantees every segment ascending.  Under physical pointers
             (tids are locations, validation only filters) the batch
@@ -281,9 +272,9 @@ class FullScanPath(AccessPath):
 class MechanismPath(AccessPath):
     """Probe one catalogued single-column index mechanism.
 
-    Covers B+-tree and sorted-column complete indexes, Hermit mechanisms and
-    Correlation Maps — anything exposing ``candidate_tids(key_range,
-    breakdown)`` and ``estimate_candidates(key_range, stats)``.
+    Covers complete B+-tree indexes, Hermit mechanisms and Correlation
+    Maps — anything exposing ``candidate_tids(key_range, breakdown)`` and
+    ``estimate_candidates(key_range, stats)``.
     """
 
     def __init__(self, entry: IndexEntry, key_range: KeyRange,
@@ -294,10 +285,7 @@ class MechanismPath(AccessPath):
             entry.mechanism.estimate_candidates(key_range, stats)
         )
         levels = math.log2(stats.row_count + 2)
-        if entry.method is IndexMethod.SORTED_COLUMN:
-            self._cost = (SORTED_PROBE_COST * levels
-                          + SORTED_PER_CANDIDATE * self._candidates)
-        elif entry.method is IndexMethod.BTREE:
+        if entry.method is IndexMethod.BTREE:
             self._cost = (DESCENT_COST * levels
                           + BTREE_PER_CANDIDATE * self._candidates)
         else:  # HERMIT / CORRELATION_MAP: translation + host-index gathers
@@ -329,57 +317,4 @@ class MechanismPath(AccessPath):
     def describe(self) -> str:
         return (f"{self.entry.method.value}({self.entry.name} on "
                 f"{self.entry.column}) cost={self._cost:.0f} "
-                f"~candidates={self._candidates:.0f}")
-
-
-class CompositePath(AccessPath):
-    """Probe a composite index, covering two predicates with one path."""
-
-    def __init__(self, entry: IndexEntry, leading_range: KeyRange,
-                 second_range: KeyRange, leading_stats: ColumnStats,
-                 second_stats: ColumnStats) -> None:
-        self.entry = entry
-        self.columns = (entry.column, entry.second_column)
-        self._candidates = float(entry.mechanism.estimate_candidates(
-            leading_range, second_range, leading_stats, second_stats
-        ))
-        # The probe walks the whole leading-key run and masks the second key,
-        # so the per-candidate term uses the leading predicate's row estimate.
-        leading_rows = leading_stats.estimated_rows(leading_range)
-        self._cost = (DESCENT_COST * math.log2(leading_stats.row_count + 2)
-                      + BTREE_PER_CANDIDATE * leading_rows)
-
-    def estimated_candidates(self) -> float:
-        return self._candidates
-
-    def estimated_cost(self) -> float:
-        return self._cost
-
-    def execute(self, merged: dict[str, KeyRange],
-                breakdown: LookupBreakdown) -> np.ndarray:
-        leading, second = self.columns
-        return self.entry.mechanism.candidate_tids_pair(
-            merged[leading], merged[second], breakdown
-        )
-
-    def execute_many(self, bounds: dict[str, KeyRanges],
-                     breakdown: LookupBreakdown,
-                     ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-query pair probes, concatenated into one segmented array.
-
-        The composite entry list keeps ``(leading, second, tid)`` triples in
-        Python objects, so the probe itself stays per query (ROADMAP item
-        8); the batch win here is only the shared downstream pipeline.
-        """
-        leading, second = self.columns
-        return concat_segments([
-            self.entry.mechanism.candidate_tids_pair(
-                leading_range, second_range, breakdown)
-            for leading_range, second_range in zip(bounds[leading],
-                                                   bounds[second])
-        ])
-
-    def describe(self) -> str:
-        return (f"composite({self.entry.name} on {self.entry.column}, "
-                f"{self.entry.second_column}) cost={self._cost:.0f} "
                 f"~candidates={self._candidates:.0f}")

@@ -24,25 +24,18 @@ from repro.storage.table import Table
 class IndexMethod(enum.Enum):
     """How a secondary index is physically realised.
 
-    ``BTREE`` and ``SORTED_COLUMN`` are one structure, an
-    :class:`~repro.index.ordered.OrderedIndex`; they differ in how the
-    planner prices a probe and how the mechanism
-    :meth:`Database.create_index <repro.engine.database.Database.create_index>`
-    picks for them prices the entries (the paper's B+-tree, or packed
-    sorted arrays).
+    ``BTREE`` is the one complete exact index, an
+    :class:`~repro.index.ordered.OrderedIndex` priced as the paper's
+    B+-tree; it is also the only method that can host a correlation-based
+    mechanism.  ``HERMIT`` and ``CORRELATION_MAP`` are the paper's two
+    succinct mechanisms, and ``AUTO`` lets the advisor choose.
     """
 
     BTREE = "btree"
-    SORTED_COLUMN = "sorted_column"
     HERMIT = "hermit"
     CORRELATION_MAP = "correlation_map"
-    COMPOSITE = "composite"
     AUTO = "auto"
 
-
-# Methods that constitute a *complete* exact index on their target column and
-# can therefore serve as the host of a correlation-based mechanism.
-HOST_METHODS = (IndexMethod.BTREE, IndexMethod.SORTED_COLUMN)
 
 # Assumed selectivity when a column carries no usable statistics; chosen so
 # the cost model's default ranking reproduces the pre-planner executor's
@@ -130,12 +123,10 @@ class IndexEntry:
         table_name: Table the index belongs to.
         column: Indexed (target) column.
         method: Physical mechanism backing the index.
-        mechanism: The mechanism object (BaselineSecondaryIndex, HermitIndex,
-            CorrelationMap or CompositeSecondaryIndex); duck-typed by the
-            executor and the planner's access paths.
+        mechanism: The mechanism object (BaselineSecondaryIndex, HermitIndex
+            or CorrelationMap); duck-typed by the executor and the planner's
+            access paths.
         host_column: Host column for correlation-based mechanisms.
-        second_column: Second key column for COMPOSITE indexes (``column``
-            is the leading key).
         is_preexisting: Whether the index existed before the experiment's
             "new" indexes were added; drives the space-breakdown labels.
         definition: JSON-serialisable creation parameters (resolved method,
@@ -150,7 +141,6 @@ class IndexEntry:
     method: IndexMethod
     mechanism: object
     host_column: str | None = None
-    second_column: str | None = None
     is_preexisting: bool = False
     definition: dict | None = None
 
@@ -288,14 +278,13 @@ class Catalog:
         return [entry for entry in self.indexes_on(table_name)
                 if entry.column == column]
 
-    def indexed_columns(self, table_name: str,
-                        methods: tuple[IndexMethod, ...] = HOST_METHODS) -> list[str]:
-        """Columns of a table carrying a complete index of one of ``methods``.
+    def indexed_columns(self, table_name: str) -> list[str]:
+        """Columns of a table carrying a complete (``BTREE``) index.
 
         These are the viable host candidates for a Hermit index.
         """
         return [entry.column for entry in self.indexes_on(table_name)
-                if entry.method in methods]
+                if entry.method is IndexMethod.BTREE]
 
     def column_stats(self, table_name: str, column: str) -> ColumnStats:
         """Optimizer statistics for one column, fed to the planner's cost model.

@@ -56,11 +56,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.baselines.correlation_maps import CorrelationMap
-from repro.baselines.secondary import (
-    BaselineSecondaryIndex,
-    CompositeSecondaryIndex,
-    SortedColumnSecondaryIndex,
-)
+from repro.baselines.secondary import BaselineSecondaryIndex
 from repro.cache.result_cache import (
     ResultCache,
     ResultCacheConfig,
@@ -72,13 +68,7 @@ from repro.core.hermit import HermitIndex
 from repro.core.lookup import LookupBreakdown
 from repro.correlation.advisor import HostColumnAdvisor
 from repro.engine.access_path import MechanismPath
-from repro.engine.catalog import (
-    HOST_METHODS,
-    Catalog,
-    IndexEntry,
-    IndexMethod,
-    TableEntry,
-)
+from repro.engine.catalog import Catalog, IndexEntry, IndexMethod, TableEntry
 from repro.engine.executor import execute_plan, execute_plan_many
 from repro.durability.config import DurabilityConfig, DurabilityStats
 from repro.durability.manager import DurabilityManager
@@ -229,7 +219,7 @@ class Database:
             if cm_target_bucket_width is None or cm_host_bucket_width is None:
                 raise QueryError("CORRELATION_MAP requires both bucket widths")
             host_index = self._host_index_for(entry, column, host_column)
-        elif method not in (IndexMethod.BTREE, IndexMethod.SORTED_COLUMN):
+        elif method is not IndexMethod.BTREE:
             raise QueryError(f"unsupported index method {method!r}")
 
         definition = {
@@ -243,12 +233,8 @@ class Database:
         if self._durability is not None:
             self._durability.log_create_index(definition)
 
-        if method in (IndexMethod.BTREE, IndexMethod.SORTED_COLUMN):
-            # One ordered index either way; the method picks the price.
-            complete = (SortedColumnSecondaryIndex
-                        if method is IndexMethod.SORTED_COLUMN
-                        else BaselineSecondaryIndex)
-            mechanism: object = complete(
+        if method is IndexMethod.BTREE:
+            mechanism: object = BaselineSecondaryIndex(
                 table, column, primary_index=entry.primary_index,
                 pointer_scheme=self.pointer_scheme,
             )
@@ -275,61 +261,6 @@ class Database:
             name=name, table_name=table_name, column=column, method=method,
             mechanism=mechanism, host_column=host_column,
             is_preexisting=preexisting, definition=definition,
-        )
-        self.catalog.add_index(index_entry)
-        return index_entry
-
-    def create_composite_index(self, name: str, table_name: str,
-                               leading_column: str, second_column: str,
-                               preexisting: bool = False) -> IndexEntry:
-        """Create a composite (two-column) secondary index.
-
-        The planner uses it as a single access path covering a conjunctive
-        predicate on both key columns (Section 3's multi-column setting).
-
-        Args:
-            name: Index name (unique per table).
-            table_name: Table to index.
-            leading_column: Leading key column.
-            second_column: Second key column.
-            preexisting: Space-breakdown label, as for :meth:`create_index`.
-        """
-        with self.epochs.write():
-            return self._create_composite_index(
-                name, table_name, leading_column, second_column, preexisting,
-            )
-
-    def _create_composite_index(self, name: str, table_name: str,
-                                leading_column: str, second_column: str,
-                                preexisting: bool) -> IndexEntry:
-        """:meth:`create_composite_index` body, under the write side."""
-        entry = self.catalog.table_entry(table_name)
-        entry.table.schema.position_of(leading_column)
-        entry.table.schema.position_of(second_column)
-        if leading_column == second_column:
-            raise QueryError("composite index needs two distinct columns")
-        if name in entry.indexes:
-            raise CatalogError(
-                f"index {name!r} already exists on table {table_name!r}"
-            )
-        definition = {
-            "name": name, "table": table_name,
-            "leading_column": leading_column, "second_column": second_column,
-            "preexisting": preexisting,
-        }
-        if self._durability is not None:
-            self._durability.log_create_composite_index(definition)
-        mechanism = CompositeSecondaryIndex(
-            entry.table, leading_column, second_column,
-            primary_index=entry.primary_index,
-            pointer_scheme=self.pointer_scheme,
-        )
-        mechanism.build()
-        index_entry = IndexEntry(
-            name=name, table_name=table_name, column=leading_column,
-            method=IndexMethod.COMPOSITE, mechanism=mechanism,
-            second_column=second_column, is_preexisting=preexisting,
-            definition=definition,
         )
         self.catalog.add_index(index_entry)
         return index_entry
@@ -372,7 +303,7 @@ class Database:
             return entry.primary_index
         host_entries = [
             e for e in self.catalog.indexes_on_column(entry.name, host_column)
-            if e.method in HOST_METHODS
+            if e.method is IndexMethod.BTREE
         ]
         if not host_entries:
             raise CatalogError(
@@ -597,7 +528,7 @@ class Database:
             key = (canonical_key(query)
                    if cache is not None and cache.enabled else None)
             if key is not None:
-                hit = cache.get(table_name, key, entry.data_epoch)
+                hit = cache.get_many(table_name, [key], entry.data_epoch)[0]
                 if hit is not None:
                     count = int(hit.locations.size)
                     return QueryResult(
@@ -609,8 +540,8 @@ class Database:
             locations, breakdown = execute_plan(
                 plan, entry, self.pointer_scheme, entry.primary_index)
             if key is not None:
-                cache.put(table_name, key, locations, entry.data_epoch,
-                          plan.used_index)
+                cache.put_many(table_name, [(key, locations, plan.used_index)],
+                               entry.data_epoch)
         return QueryResult(locations, breakdown, plan.used_index, plan, 1,
                            epoch)
 
@@ -837,20 +768,14 @@ class Database:
         """The one-path plan of a forced read, checked before any probe.
 
         Raises :class:`CatalogError` for an unknown index and
-        :class:`QueryError` for a composite index or a predicate on another
-        column.  The path is priced on the first predicate.
+        :class:`QueryError` for a predicate on another column.  The path is
+        priced on the first predicate.
         """
         index_entry = entry.indexes.get(index_name)
         if index_entry is None:
             raise CatalogError(
                 f"index {index_name!r} does not exist on table "
                 f"{entry.name!r}"
-            )
-        if index_entry.method is IndexMethod.COMPOSITE:
-            raise QueryError(
-                f"composite index {index_name!r} cannot serve a single "
-                f"predicate; use execute with predicates on "
-                f"{index_entry.column!r} and {index_entry.second_column!r}"
             )
         for predicate in predicates:
             if index_entry.column != predicate.column:
@@ -895,9 +820,9 @@ class Database:
         (for tests).
 
         Per table: the primary index holds exactly one ``key -> location``
-        entry per live row; every complete secondary index (``BTREE`` or
-        ``SORTED_COLUMN``, which includes every host index) holds exactly the
-        live rows' ``key -> tid`` pairs, NULL keys excepted; and every
+        entry per live row; every complete secondary index (``BTREE``,
+        which includes every host index) holds exactly the live rows'
+        ``key -> tid`` pairs, NULL keys excepted; and every
         Hermit index and Correlation Map never misses
         (:meth:`HermitIndex.check_invariants`,
         :meth:`CorrelationMap.check_invariants`).
@@ -912,7 +837,7 @@ class Database:
                     mechanism = index_entry.mechanism
                     if isinstance(mechanism, (HermitIndex, CorrelationMap)):
                         mechanism.check_invariants()
-                    elif index_entry.method in HOST_METHODS:
+                    else:
                         slots, keys = table.project([index_entry.column])
                         holds.append((index_entry.name, mechanism.index,
                                       (mechanism._tids_for_slots(slots),

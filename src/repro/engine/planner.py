@@ -9,15 +9,12 @@ per-column statistics.  Planning proceeds in four steps:
    a contradiction short-circuits to an unsatisfiable plan.
 2. **Enumerate** — for every predicate column, build one
    :class:`~repro.engine.access_path.MechanismPath` per catalogued index on
-   that column; for every composite index whose two key columns both carry
-   predicates, build a :class:`~repro.engine.access_path.CompositePath`; and
-   always one :class:`~repro.engine.access_path.FullScanPath` covering the
-   whole conjunction.
-3. **Select** — keep the cheapest path per column (a composite path wins a
-   pair of columns when it undercuts the two single-column winners combined),
-   pick the *driver* path minimising ``cost + downstream_per_candidate *
-   candidates``, and fall back to the full scan when the driver does not beat
-   it.
+   that column, and always one
+   :class:`~repro.engine.access_path.FullScanPath` covering the whole
+   conjunction.
+3. **Select** — keep the cheapest path per column, pick the *driver* path
+   minimising ``cost + downstream_per_candidate * candidates``, and fall
+   back to the full scan when the driver does not beat it.
 4. **Intersect or validate** — every additional selected path is executed and
    intersected (``np.intersect1d``) only when its execution cost undercuts the
    downstream work it saves on the driver's candidates (under logical
@@ -42,12 +39,11 @@ from repro.engine.access_path import (
     INTERSECT_MARGIN,
     VALIDATE_PER_CANDIDATE,
     AccessPath,
-    CompositePath,
     FullScanPath,
     MechanismPath,
     downstream_per_candidate,
 )
-from repro.engine.catalog import Catalog, IndexMethod, TableEntry
+from repro.engine.catalog import Catalog, TableEntry
 from repro.engine.query import ConjunctiveQuery
 from repro.index.base import KeyRange, KeyRanges
 from repro.storage.identifiers import PointerScheme
@@ -522,15 +518,7 @@ class Planner:
                     stats: dict) -> Plan:
         """Full cost-based planning (the cache-miss path)."""
         scan = self._scan_path(entry, merged, stats)
-        best_per_column = self._best_single_column_paths(table_name, merged,
-                                                         stats)
-        self._fold_in_composite_paths(table_name, merged, stats,
-                                      best_per_column)
-
-        selected: list[AccessPath] = []
-        for path in best_per_column.values():
-            if path is not None and path not in selected:
-                selected.append(path)
+        selected = self._cheapest_path_per_column(table_name, merged, stats)
         row_count = entry.table.num_rows
         downstream = downstream_per_candidate(self.pointer_scheme, row_count)
         if not selected:
@@ -581,41 +569,16 @@ class Planner:
         return Plan(table_name=table_name, query=query, merged=merged,
                     paths=[scan], estimated_cost=total)
 
-    def _best_single_column_paths(self, table_name: str,
+    def _cheapest_path_per_column(self, table_name: str,
                                   merged: dict[str, KeyRange],
-                                  stats: dict) -> dict[str, AccessPath | None]:
-        """Cheapest mechanism path per predicate column (None = no index)."""
-        best: dict[str, AccessPath | None] = {}
+                                  stats: dict) -> list[AccessPath]:
+        """Cheapest mechanism path of each indexed predicate column."""
+        selected = []
         for column, key_range in merged.items():
-            paths = [
-                MechanismPath(index_entry, key_range, stats[column])
-                for index_entry in self.catalog.indexes_on_column(table_name,
-                                                                  column)
-                if index_entry.method is not IndexMethod.COMPOSITE
-            ]
-            best[column] = (min(paths, key=lambda path: path.estimated_cost())
-                            if paths else None)
-        return best
-
-    def _fold_in_composite_paths(self, table_name: str,
-                                 merged: dict[str, KeyRange], stats: dict,
-                                 best: dict[str, AccessPath | None]) -> None:
-        """Let composite indexes compete for pairs of predicate columns."""
-        for index_entry in self.catalog.indexes_on(table_name):
-            if index_entry.method is not IndexMethod.COMPOSITE:
-                continue
-            leading, second = index_entry.column, index_entry.second_column
-            if leading not in merged or second not in merged:
-                continue
-            composite = CompositePath(
-                index_entry, merged[leading], merged[second],
-                stats[leading], stats[second],
-            )
-            pair_cost = sum(
-                best[column].estimated_cost() if best[column] is not None
-                else float("inf")
-                for column in (leading, second)
-            )
-            if composite.estimated_cost() < pair_cost:
-                best[leading] = composite
-                best[second] = composite
+            paths = [MechanismPath(index_entry, key_range, stats[column])
+                     for index_entry in self.catalog.indexes_on_column(
+                         table_name, column)]
+            if paths:
+                selected.append(min(paths,
+                                    key=lambda path: path.estimated_cost()))
+        return selected

@@ -31,8 +31,8 @@ def tid_items(tids: "Sequence[TupleId] | np.ndarray") -> list:
     """Normalise a tid sequence to native Python objects.
 
     Some index structures store tids inside Python containers (paged
-    B+-tree nodes, the composite index's entry list), so numpy scalars are
-    unboxed once up front — the shared first step of their batched writes.
+    B+-tree nodes), so numpy scalars are unboxed once up front — the shared
+    first step of their batched writes.
     """
     if isinstance(tids, np.ndarray):
         return tids.tolist()

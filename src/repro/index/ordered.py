@@ -1,12 +1,12 @@
 """The ordered index: one sorted run plus a record of pending writes.
 
-Every complete index of the engine — the primary index, the ``BTREE`` and
-``SORTED_COLUMN`` secondary indexes, and so every host index — and the
-TRS-Tree's outlier buffer is one :class:`OrderedIndex`.  Its layout is a
-differential file (Severance & Lohman, TODS 1976): a read-optimised *main
-run* of two arrays, ``keys`` (float64, ascending, one per entry) and
-``tids`` (aligned; int64, or float64 once a float tid arrived), plus a small
-*record* of the writes since the run was last folded, merged in bulk.
+Every complete index of the engine — the primary index, the ``BTREE``
+secondary indexes, and so every host index — and the TRS-Tree's outlier
+buffer is one :class:`OrderedIndex`.  Its layout is a differential file
+(Severance & Lohman, TODS 1976): a read-optimised *main run* of two arrays,
+``keys`` (float64, ascending, one per entry) and ``tids`` (aligned; int64,
+or float64 once a float tid arrived), plus a small *record* of the writes
+since the run was last folded, merged in bulk.
 
 * A load — :meth:`OrderedIndex.insert_many` into an empty index — sorts
   the batch once and adopts it as the run.
@@ -51,8 +51,7 @@ from repro.storage.memory import btree_bytes
 # The record is folded once it holds more than 1/_FOLD_SHARE of the run's
 # entries.
 _FOLD_SHARE = 4
-# An ordered index is priced as the paper's B+-tree over the same entries
-# (``SortedColumnSecondaryIndex`` prices a sorted column as packed arrays).
+# An ordered index is priced as the paper's B+-tree over the same entries.
 _PRICED_NODE_CAPACITY = 32
 
 

@@ -9,9 +9,9 @@ instances and keeps the engine's request/result API
 
 Routing rules:
 
-* **DDL** (``create_table`` / ``create_index`` / ``create_composite_index``
-  / ``drop_index``) broadcasts to every shard — each shard owns a complete
-  catalog over its slice of the rows.
+* **DDL** (``create_table`` / ``create_index`` / ``drop_index``) broadcasts
+  to every shard — each shard owns a complete catalog over its slice of the
+  rows.
 * **DML** routes by primary key.  ``insert_many`` splits the column batch
   by the table's shard boundaries with one vectorized ``searchsorted`` and
   ships each shard its slice in one command; ``delete`` / ``update`` /
@@ -330,15 +330,6 @@ class ShardedDatabase:
         payload = {"name": name, "table_name": table_name, "column": column,
                    **kwargs}
         self._broadcast("create_index", payload)
-
-    def create_composite_index(self, name: str, table_name: str,
-                               leading_column: str, second_column: str,
-                               **kwargs: Any) -> None:
-        """Create a composite secondary index on every shard."""
-        payload = {"name": name, "table_name": table_name,
-                   "leading_column": leading_column,
-                   "second_column": second_column, **kwargs}
-        self._broadcast("create_composite_index", payload)
 
     def drop_index(self, table_name: str, index_name: str) -> None:
         """Drop a secondary index on every shard."""

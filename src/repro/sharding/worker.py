@@ -96,9 +96,6 @@ def dispatch_command(database: Database, command: str, payload: Any) -> Any:
     if command == "create_index":
         database.create_index(**payload)
         return None
-    if command == "create_composite_index":
-        database.create_composite_index(**payload)
-        return None
     if command == "drop_index":
         table_name, index_name = payload
         database.drop_index(table_name, index_name)

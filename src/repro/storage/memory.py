@@ -34,8 +34,7 @@ HASH_ENTRY_OVERHEAD_BYTES = 16
 LEAF_MODEL_BYTES = 40
 
 
-def btree_bytes(num_entries: int, node_capacity: int = 16,
-                key_bytes: int = KEY_BYTES) -> int:
+def btree_bytes(num_entries: int, node_capacity: int = 16) -> int:
     """Estimate the size of a B+-tree holding ``num_entries`` entries.
 
     Leaf nodes store (key, pointer) pairs; internal nodes store keys plus
@@ -45,13 +44,11 @@ def btree_bytes(num_entries: int, node_capacity: int = 16,
     Args:
         num_entries: Number of indexed entries.
         node_capacity: Entries per node before splitting.
-        key_bytes: Size of one key (a composite index stores two columns
-            per key).
     """
     if num_entries <= 0:
         return NODE_HEADER_BYTES
     fill = 0.7
-    entry_bytes = key_bytes + POINTER_BYTES
+    entry_bytes = KEY_BYTES + POINTER_BYTES
     leaf_nodes = max(1, int(num_entries / (node_capacity * fill)) + 1)
     leaf_bytes = leaf_nodes * NODE_HEADER_BYTES + num_entries * entry_bytes
     # Internal levels shrink geometrically by the node capacity.
@@ -73,13 +70,6 @@ def hash_table_bytes(num_entries: int) -> int:
         return NODE_HEADER_BYTES
     per_entry = KEY_BYTES + POINTER_BYTES + HASH_ENTRY_OVERHEAD_BYTES
     return NODE_HEADER_BYTES + num_entries * per_entry
-
-
-def sorted_array_bytes(num_entries: int) -> int:
-    """Estimate the size of a sorted-array index (packed key/tid pairs)."""
-    if num_entries <= 0:
-        return NODE_HEADER_BYTES
-    return NODE_HEADER_BYTES + num_entries * (KEY_BYTES + POINTER_BYTES)
 
 
 def table_bytes(num_rows: int, row_byte_width: int) -> int:

@@ -1,13 +1,13 @@
 """``Database.check_invariants()`` catches every way an index can drift.
 
 The oracle machine trusts this check after every step, so it is checked
-here on its own.  Each case builds the machine's four mechanism tables
-(Hermit, B+-tree, sorted column, Correlation Map) under one pointer scheme,
-corrupts one structure of one table behind the engine's back, and expects
-an ``AssertionError`` naming that structure: the primary index, the host
+here on its own.  Each case builds the machine's three mechanism tables
+(Hermit, B+-tree, Correlation Map) under one pointer scheme, corrupts one
+structure of one table behind the engine's back, and expects an
+``AssertionError`` naming that structure: the primary index, the host
 index, a complete target index, the Hermit TRS-Tree or the Correlation
-Map.  The same database
-passes when left alone and after every kind of write and maintenance.
+Map.  The same database passes when left alone and after every kind of
+write and maintenance.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class Row(NamedTuple):
 
 
 def build(scheme: PointerScheme) -> Database:
-    """The four tables, loaded before their indexes; every fifth row's host
+    """The three tables, loaded before their indexes; every fifth row's host
     is off the correlation band, so Hermit holds outliers."""
     database = Database(pointer_scheme=scheme, trs_config=TRS)
     rng = np.random.default_rng(11)
@@ -177,8 +177,7 @@ EVERY_INDEX = [misses_a_live_row, keeps_a_deleted_row, files_a_stale_key,
 CASES = (
     [(corrupt, table, "idx_host") for corrupt in EVERY_TABLE + EVERY_INDEX
      for table in TABLES]
-    + [(corrupt, table, "idx_target") for corrupt in EVERY_INDEX
-       for table in ("btree", "sorted")]
+    + [(corrupt, "btree", "idx_target") for corrupt in EVERY_INDEX]
     + [(corrupt, "hermit", "idx_target") for corrupt in
        (outlier_dropped, outlier_under_another_tid, outlier_count_off,
         unmodelled_count_off)]

@@ -5,7 +5,7 @@ byte offset (optionally garbling the torn tail, or silently dropping a write
 tail, or failing an fsync), recover the directory, and the recovered
 database must be exactly the model of the operation prefix
 that survived — across every index mechanism (HERMIT, B+-tree baseline,
-sorted column, correlation map), both pointer schemes, and the whole read
+correlation map), both pointer schemes, and the whole read
 API (``execute`` / ``execute_many`` / ``query_with``).  The expected state
 is ``reference.ModelTable`` replaying that prefix: the model the engine's
 state machine (``test_engine_oracle``) checks every deployment against.
@@ -17,6 +17,7 @@ prefix length is simply ``durability_stats().last_lsn``.
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import tempfile
@@ -37,6 +38,7 @@ from repro.durability import (
 )
 from repro.durability.checkpoint import write_checkpoint
 from repro.durability.recovery import recover
+from repro.durability.wal import WalOp, encode_record, scan_wal
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
 from repro.engine.query import QueryRequest, RangePredicate
@@ -86,7 +88,7 @@ def build_ops() -> list[tuple]:
         ("create_index", "ix_a", "a", IndexMethod.BTREE, {}),
         ("create_index", "ix_b_hermit", "b", IndexMethod.HERMIT,
          {"host_column": "a", "trs_config": TRS}),
-        ("create_index", "ix_c", "c", IndexMethod.SORTED_COLUMN, {}),
+        ("create_index", "ix_c", "c", IndexMethod.BTREE, {}),
         ("create_index", "ix_b_cm", "b", IndexMethod.CORRELATION_MAP,
          {"host_column": "a", "cm_target_bucket_width": 50.0,
           "cm_host_bucket_width": 25.0}),
@@ -439,3 +441,63 @@ def test_all_string_batch_replays_trailing_nuls(tmp_path):
                 for slot in range(4)] == batch["s"], checkpointed
         recovered.checkpoint()
         recovered.close()
+
+
+# ------------------------------------------------------- retired index kinds
+
+def _logged_btree_index(directory: str, checkpoint: bool) -> None:
+    """Table ``t`` with rows and one B+-tree index ``ix_a``: three WAL
+    records, folded into a checkpoint when asked."""
+    database = Database(durability=DurabilityConfig(directory=directory))
+    for op in build_ops()[:3]:
+        apply_op(database, op)
+    if checkpoint:
+        database.checkpoint()
+    database.close()
+
+
+def test_logged_sorted_column_index_no_longer_replays(tmp_path):
+    """A ``CREATE_INDEX`` record naming the retired ``sorted_column``
+    method fails recovery with a DurabilityError, and the log keeps every
+    byte."""
+    directory = str(tmp_path)
+    _logged_btree_index(directory, checkpoint=False)
+    path = os.path.join(directory, "wal.log")
+    records, _ = scan_wal(path)
+    assert [record.op for record in records] == [
+        WalOp.CREATE_TABLE, WalOp.INSERT_MANY, WalOp.CREATE_INDEX]
+    with open(path, "wb") as handle:
+        for record in records:
+            payload = dict(record.payload)
+            if record.op is WalOp.CREATE_INDEX:
+                payload["method"] = "sorted_column"
+            handle.write(encode_record(record.lsn, record.op, payload))
+    blob = open(path, "rb").read()
+    with pytest.raises(DurabilityError, match="sorted_column"):
+        recover(DurabilityConfig(directory=directory))
+    assert open(path, "rb").read() == blob
+
+
+@pytest.mark.parametrize("definition", [
+    {"name": "ix_a", "table": "t", "column": "a", "method": "sorted_column",
+     "host_column": None, "trs_config": None, "cm_target_bucket_width": None,
+     "cm_host_bucket_width": None, "preexisting": False},
+    {"name": "ix_a", "table": "t", "leading_column": "a",
+     "second_column": "b", "preexisting": False},
+], ids=["sorted_column", "two_column"])
+def test_checkpointed_retired_index_no_longer_rebuilds(tmp_path, definition):
+    """A checkpoint manifest whose index definition names a retired kind
+    fails recovery with a DurabilityError, not a ValueError or KeyError."""
+    directory = str(tmp_path)
+    _logged_btree_index(directory, checkpoint=True)
+    manifest_path = [os.path.join(directory, name)
+                     for name in os.listdir(directory)
+                     if name.endswith(".json")][0]
+    with open(manifest_path, encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    assert [index["method"] for index in manifest["indexes"]] == ["btree"]
+    manifest["indexes"] = [definition]
+    with open(manifest_path, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle)
+    with pytest.raises(DurabilityError, match="'ix_a'"):
+        recover(DurabilityConfig(directory=directory))

@@ -8,11 +8,15 @@ Two layers of guarantees:
 * **Torn-write corpus**: a valid WAL truncated at *every* byte offset still
   scans without raising and always yields a prefix of the original records —
   the contract recovery relies on.
+* **Corruption is not a torn tail**: a checksum-valid record that cannot be
+  read (unknown opcode, non-increasing LSN) raises and leaves the file
+  untouched.
 """
 
 from __future__ import annotations
 
 import os
+import struct
 import tempfile
 import zlib
 
@@ -21,7 +25,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.durability.config import FsyncPolicy
+from repro.durability.config import DurabilityConfig, FsyncPolicy
+from repro.durability.recovery import recover
 from repro.durability.wal import (
     WalOp,
     WriteAheadLog,
@@ -29,7 +34,7 @@ from repro.durability.wal import (
     encode_record,
     scan_wal,
 )
-from repro.errors import DurabilityError
+from repro.errors import DurabilityError, WalCorruptionError
 
 SETTINGS = settings(max_examples=25, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -245,3 +250,36 @@ def test_crc_catches_single_bit_flip_anywhere_in_record(tmp_path):
             handle.write(flipped)
         got, _ = scan_wal(path)
         assert got == []
+
+
+def raw_record(lsn: int, opcode: int, payload: bytes) -> bytes:
+    """A checksum-valid record with any opcode, bypassing :class:`WalOp`."""
+    body = struct.pack("<QB", lsn, opcode) + payload
+    return struct.pack("<II", len(body), zlib.crc32(body)) + body
+
+
+@pytest.mark.parametrize("planted", [
+    # Opcode 3 logged a two-column index kind this version no longer has.
+    raw_record(2, 3, b'{"name": "ix", "table": "t", "leading_column": "a", '
+                     b'"second_column": "b", "preexisting": false}'),
+    raw_record(2, 99, b"{}"),
+    encode_record(1, WalOp.DROP_INDEX, {"table": "t", "name": "i"}),
+], ids=["retired_opcode_3", "unknown_opcode_99", "lsn_not_increasing"])
+def test_unreadable_checksum_valid_record_raises_and_keeps_the_log(
+        tmp_path, planted):
+    """A checksum-valid record that no crashed append can produce, between
+    two valid ones: scanning, opening the appender and recovering all
+    raise, and the file keeps every byte (nothing after it is truncated)."""
+    path = os.path.join(str(tmp_path), "wal.log")
+    blob = (encode_record(1, WalOp.DROP_INDEX, {"table": "t", "name": "a"})
+            + planted
+            + encode_record(3, WalOp.DROP_INDEX, {"table": "t", "name": "b"}))
+    with open(path, "wb") as handle:
+        handle.write(blob)
+    with pytest.raises(WalCorruptionError):
+        scan_wal(path)
+    with pytest.raises(WalCorruptionError):
+        WriteAheadLog(path, fsync=FsyncPolicy.OFF)
+    with pytest.raises(WalCorruptionError):
+        recover(DurabilityConfig(directory=str(tmp_path)))
+    assert open(path, "rb").read() == blob

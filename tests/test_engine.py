@@ -189,38 +189,6 @@ class TestDatabase:
         database.delete(table_name, location)
         assert location not in database.execute(new).locations
 
-    def test_sorted_column_index_method(self, loaded):
-        database, table_name, _ = loaded
-        entry = database.create_index("idx_d_sorted", table_name, "colD",
-                                      method=IndexMethod.SORTED_COLUMN)
-        assert entry.method is IndexMethod.SORTED_COLUMN
-        predicate = RangePredicate("colD", 0.2, 0.25)
-        indexed = database.execute(QueryRequest.of(table_name, predicate))
-        scanned = scan_locations(database.table(table_name), predicate)
-        assert_locations(indexed, scanned)
-        assert indexed.used_index == "idx_d_sorted"
-        # Maintenance keeps the sorted arrays consistent.
-        location = database.insert(table_name, {
-            "colA": 20_000_000.0, "colB": 5.0, "colC": 1.0, "colD": 0.21,
-        })
-        assert location in database.execute(QueryRequest.of(
-            table_name, predicate)).locations
-
-    def test_sorted_column_serves_as_hermit_host(self, loaded):
-        database, table_name, _ = loaded
-        database.drop_index(table_name, "idx_colB")
-        database.create_index("idx_colB_sorted", table_name, "colB",
-                              method=IndexMethod.SORTED_COLUMN,
-                              preexisting=True)
-        entry = database.create_index("idx_c", table_name, "colC",
-                                      method=IndexMethod.HERMIT,
-                                      host_column="colB")
-        assert entry.host_column == "colB"
-        predicate = RangePredicate("colC", 100_000.0, 150_000.0)
-        indexed = database.query_with(table_name, "idx_c", predicate)
-        scanned = scan_locations(database.table(table_name), predicate)
-        assert_locations(indexed, scanned)
-
     def test_memory_report_labels(self, loaded):
         database, table_name, _ = loaded
         database.create_index("idx_c", table_name, "colC",

@@ -11,8 +11,8 @@ compares each stored table with its model.
 
 The lattice:
 
-* **mechanism** — Hermit, B+-tree, sorted column and Correlation Map are
-  four tables of one database (``TABLES``); every rule picks its table;
+* **mechanism** — Hermit, B+-tree and Correlation Map are three tables of
+  one database (``TABLES``); every rule picks its table;
 * **entry point** — ``execute`` or ``execute_many`` is a rule argument
   (``query_with`` and ``query_with_many`` are their own rule where a
   ``Database`` is in front);
@@ -66,11 +66,10 @@ from repro.storage.schema import numeric_schema
 
 from reference import ModelTable, assert_locations, assert_table_matches
 
-TABLES = ("hermit", "btree", "sorted", "cm")
+TABLES = ("hermit", "btree", "cm")
 INDEXES = {
     "hermit": {"method": IndexMethod.HERMIT, "host_column": "host"},
     "btree": {"method": IndexMethod.BTREE},
-    "sorted": {"method": IndexMethod.SORTED_COLUMN},
     "cm": {"method": IndexMethod.CORRELATION_MAP, "host_column": "host",
            "cm_target_bucket_width": 25.0, "cm_host_bucket_width": 50.0},
 }

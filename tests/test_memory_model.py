@@ -5,7 +5,6 @@ import pytest
 
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
-from repro.index.composite import CompositeIndex
 from repro.storage import memory
 from repro.storage.memory import BYTES_PER_MB, MemoryReport
 from repro.storage.schema import numeric_schema
@@ -44,21 +43,8 @@ class TestSizeFunctions:
                 memory.LEAF_MODEL_BYTES) == (8, 8, 24, 16, 40)
         assert memory.btree_bytes(10_000, 32) == 181_984
         assert memory.hash_table_bytes(1_000) == 32_024
-        assert memory.sorted_array_bytes(1_000) == 16_024
         assert memory.trs_leaf_bytes(100) == 3_288
         assert memory.trs_internal_bytes(8) == 104
-
-    def test_composite_index_is_charged_16_byte_keys(self):
-        index = CompositeIndex()
-        assert index.memory_bytes() == memory.NODE_HEADER_BYTES
-        count = 10_000
-        index.insert_many([float(i) for i in range(count)],
-                          [float(i % 7) for i in range(count)],
-                          list(range(count)))
-        assert index.memory_bytes() == 267_360
-        assert index.memory_bytes() == memory.btree_bytes(
-            count, 32, key_bytes=2 * memory.KEY_BYTES)
-        assert index.memory_bytes() > memory.btree_bytes(count, 32)
 
 
 class TestMemoryReport:
@@ -93,9 +79,7 @@ class TestMemoryReport:
 
 class TestIndexMethodPricing:
     """``memory_report`` prices each method by its own formula: the primary
-    index and ``BTREE`` as the B+-tree over the same entries,
-    ``SORTED_COLUMN`` as packed sorted arrays — one ordered index either
-    way, the method picks the formula."""
+    index and ``BTREE`` as the B+-tree over the same entries."""
 
     ROWS = 2_000
     NULL_HOSTS = 20
@@ -117,8 +101,7 @@ class TestIndexMethodPricing:
         database.create_index("idx_host", "t", "host", preexisting=True)
         return database
 
-    @pytest.mark.parametrize("method", ["btree", "sorted_column", "hermit",
-                                        "correlation_map"])
+    @pytest.mark.parametrize("method", ["btree", "hermit", "correlation_map"])
     def test_each_method_is_priced_by_its_formula(self, database, method):
         entry = database.create_index("idx_target", "t", "target",
                                       method=IndexMethod(method),
@@ -126,8 +109,6 @@ class TestIndexMethodPricing:
         mechanism = entry.mechanism
         if method == "btree":
             expected = memory.btree_bytes(self.ROWS, 32)
-        elif method == "sorted_column":
-            expected = memory.sorted_array_bytes(self.ROWS)
         elif method == "hermit":
             expected = mechanism.trs_tree.memory_bytes()
         else:   # one hash entry per link, plus the NULL-host rows

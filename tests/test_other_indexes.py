@@ -1,49 +1,13 @@
-"""Unit tests for the composite and paged B+-tree indexes."""
+"""Unit tests for the paged B+-tree index."""
 
 import numpy as np
 import pytest
 
 from repro.errors import KeyNotFoundError
 from repro.index.base import KeyRange
-from repro.index.composite import CompositeIndex
 from repro.index.paged_bptree import PagedBPlusTree
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import DiskManager
-
-
-class TestCompositeIndex:
-    def test_range_search_filters_both_keys(self):
-        index = CompositeIndex()
-        for a in range(10):
-            for b in range(10):
-                index.insert_many([float(a)], [float(b)], [a * 10 + b])
-        result = index.range_search_array(KeyRange(2, 3), KeyRange(5, 6))
-        assert sorted(result.tolist()) == [25, 26, 35, 36]
-
-    def test_delete(self):
-        index = CompositeIndex()
-        index.insert_many([1.0], [2.0], ["x"])
-        index.delete_many([1.0], [2.0], ["x"])
-        assert index.num_entries == 0
-        with pytest.raises(KeyNotFoundError):
-            index.delete_many([1.0], [2.0], ["x"])
-
-    def test_delete_many_is_checked_whole(self):
-        index = CompositeIndex()
-        index.insert_many([1.0, 1.0, 2.0], [2.0, 2.0, 3.0], [7, 7, 8])
-        with pytest.raises(KeyNotFoundError):      # (1, 2) -> 7 stored twice
-            index.delete_many([1.0, 2.0, 1.0, 1.0], [2.0, 3.0, 2.0, 2.0],
-                              [7, 8, 7, 7])
-        assert index.num_entries == 3
-        index.delete_many([1.0, 2.0, 1.0], [2.0, 3.0, 2.0], [7, 8, 7])
-        assert index.num_entries == 0
-
-    def test_memory_scales(self):
-        index = CompositeIndex()
-        empty = index.memory_bytes()
-        for i in range(200):
-            index.insert_many([float(i)], [float(i)], [i])
-        assert index.memory_bytes() > empty
 
 
 class TestPagedBPlusTree:

@@ -1,8 +1,8 @@
 """Unit and integration tests for the planner subsystem.
 
 Covers the query model (ConjunctiveQuery merging), the catalog statistics,
-cost-based path selection (complete index over Hermit, sorted column over
-B+-tree, composite over single-column pairs, scan when nothing covers),
+cost-based path selection (complete index over Hermit, scan when nothing
+covers),
 plan caching/invalidation, and end-to-end correctness of planned conjunctive
 queries against a brute-force scan under both pointer schemes.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine.access_path import CompositePath, FullScanPath, MechanismPath
+from repro.engine.access_path import FullScanPath, MechanismPath
 from repro.engine.catalog import ColumnStats, IndexMethod
 from repro.engine.database import Database
 from repro.engine.query import (
@@ -78,7 +78,7 @@ class TestColumnStats:
 
 @pytest.fixture(scope="module")
 def planner_db():
-    """Synthetic table with Hermit + B+-tree on colC and sorted on colD."""
+    """Synthetic table with Hermit + B+-tree on colC and a B+-tree on colD."""
     dataset = generate_synthetic(8000, "linear", noise_fraction=0.01, seed=11)
     database = Database()
     table_name = load_synthetic(database, dataset)
@@ -86,8 +86,8 @@ def planner_db():
                           method=IndexMethod.HERMIT, host_column="colB")
     database.create_index("idx_colC_btree", table_name, "colC",
                           method=IndexMethod.BTREE)
-    database.create_index("idx_colD_sorted", table_name, "colD",
-                          method=IndexMethod.SORTED_COLUMN)
+    database.create_index("idx_colD", table_name, "colD",
+                          method=IndexMethod.BTREE)
     return database, table_name
 
 
@@ -116,11 +116,11 @@ class TestPlanSelection:
             table_name, RangePredicate("colC", 5_000.0, 5_000.0)))
         assert plan.used_index == "idx_colC_btree"
 
-    def test_sorted_column_is_chosen_on_its_column(self, planner_db):
+    def test_index_is_chosen_on_its_column(self, planner_db):
         database, table_name = planner_db
         plan = database.explain(QueryRequest.of(
             table_name, RangePredicate("colD", 0.1, 0.11)))
-        assert plan.used_index == "idx_colD_sorted"
+        assert plan.used_index == "idx_colD"
 
     def test_no_index_falls_back_to_scan(self, planner_db):
         database, table_name = planner_db
@@ -427,7 +427,6 @@ class TestPathsAreTemplates:
         database.create_index("idx_a", "t", "a")
         database.create_index("idx_h", "t", "h", method=IndexMethod.HERMIT,
                               host_column="a")
-        database.create_composite_index("idx_bm", "t", "b", "m")
         stored = float(a[3]), float(a[7])
         # shape -> (path class, two requests of one selectivity bucket)
         shapes = {
@@ -438,9 +437,6 @@ class TestPathsAreTemplates:
                 [("a", stored[1], np.nextafter(stored[1], np.inf))]]),
             "hermit": (MechanismPath, [[("h", 30.0, 40.0)],
                                        [("h", 110.0, 120.0)]]),
-            "composite": (CompositePath, [
-                [("b", 10.0, 20.0), ("m", 20.0, 60.0)],
-                [("b", 50.0, 60.0), ("m", 30.0, 70.0)]]),
             "scan": (FullScanPath, [
                 [("free", 10.0, 40.0), ("m", 20.0, 60.0)],
                 [("free", 50.0, 80.0), ("m", 30.0, 70.0)]]),
@@ -545,12 +541,12 @@ class TestPointFastPath:
         predicate = RangePredicate("colC", 50.0, 50.0)
         assert database.explain(QueryRequest.of(
             table_name, predicate)).used_index == "idx_c"
-        database.create_index("idx_c_sorted", table_name, "colC",
-                              method=IndexMethod.SORTED_COLUMN)
-        # The stale pointer must not replay the dropped-ranked plan.
+        database.create_index("idx_c_new", table_name, "colC",
+                              method=IndexMethod.BTREE)
+        database.drop_index(table_name, "idx_c")
+        # The stale pointer must not replay the dropped index's plan.
         assert database.explain(QueryRequest.of(
-            table_name, predicate)).used_index \
-            == "idx_c_sorted"
+            table_name, predicate)).used_index == "idx_c_new"
 
 
 class TestEpochDriftInvalidation:

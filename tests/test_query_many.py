@@ -5,7 +5,7 @@ That ``execute_many`` answers every batch shape exactly like the
 unsatisfiable conjunctions, batches spanning several plan groups and
 tables, for every mechanism and both pointer schemes — is a rule of the
 state machine in ``test_engine_oracle``.  This file covers what the machine
-does not look at: the composite pair path, empty batches, the plan-cache
+does not look at: empty batches, the plan-cache
 counters the batch path is supposed to demonstrate (hit/miss/replay
 counters, group sizes, ``explain`` surfacing), and the batch path's cost as
 counts: the ``KeyRange`` objects a batch builds do not grow with its size.
@@ -18,16 +18,13 @@ import pytest
 
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
-from repro.engine.query import QueryRequest, RangePredicate
+from repro.engine.query import QueryRequest
 from repro.index.base import KeyRange
 from repro.storage.identifiers import PointerScheme
-from repro.storage.schema import numeric_schema
 from repro.workloads.synthetic import TABLE_NAME
 
 from conftest import build_synthetic_database
 from reference import assert_locations
-
-SCHEMES = (PointerScheme.PHYSICAL, PointerScheme.LOGICAL)
 
 
 def synthetic(dataset, method: IndexMethod,
@@ -58,38 +55,13 @@ def key_ranges_built(monkeypatch, call) -> int:
 
 
 class TestBatchSemantics:
-    @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
-    def test_composite_path_batches(self, scheme):
-        """CompositePath.execute_many equals the per-query composite plan."""
-        rng = np.random.default_rng(5)
-        rows = 600
-        database = Database(pointer_scheme=scheme)
-        database.create_table(numeric_schema(
-            "c", ["pk", "a", "m", "payload"], primary_key="pk"))
-        database.insert_many("c", {
-            "pk": np.arange(rows, dtype=np.float64),
-            "a": rng.uniform(0.0, 100.0, size=rows),
-            "m": rng.uniform(0.0, 100.0, size=rows),
-            "payload": rng.uniform(size=rows),
-        })
-        database.create_composite_index("idx_am", "c", "a", "m")
-        requests = [
-            QueryRequest.of("c", [RangePredicate("a", low, low + 20.0),
-                                  RangePredicate("m", low + 10.0, low + 40.0)])
-            for low in (0.0, 25.0, 50.0, 75.0)
-        ]
-        batched = database.execute_many(requests)
-        assert batched[0].used_index == "idx_am"
-        for result, request in zip(batched, requests):
-            assert_locations(result, database.execute(request).locations)
-
     def test_empty_batch(self, linear_dataset):
         assert synthetic(linear_dataset, IndexMethod.BTREE
                          ).execute_many([]) == []
 
     def test_batch_sees_deletes(self, linear_dataset):
         """Validation drops rows deleted after the index was built."""
-        database = synthetic(linear_dataset, IndexMethod.SORTED_COLUMN)
+        database = synthetic(linear_dataset, IndexMethod.BTREE)
         request = ranges(0.0, 0.0, 1, 1e9)[0]
         before = database.execute_many([request])[0]
         victim = int(before.locations[0])
@@ -158,7 +130,7 @@ class TestPlanCacheObservability:
             monkeypatch, lambda: database.execute(request)) == 2
 
     def test_replays_exceed_hits_under_batching(self, linear_dataset):
-        database = synthetic(linear_dataset, IndexMethod.SORTED_COLUMN)
+        database = synthetic(linear_dataset, IndexMethod.BTREE)
         database.execute_many(ranges(1.0, 1.0, 8, 1.0))
         info = database.planner.cache_info()
         assert info.replays > info.hits

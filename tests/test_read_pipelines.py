@@ -34,21 +34,19 @@ import pytest
 
 import repro
 from repro.baselines.correlation_maps import CorrelationMap
-from repro.baselines.secondary import (
-    BaselineSecondaryIndex,
-    CompositeSecondaryIndex,
-    SortedColumnSecondaryIndex,
-)
+from repro.baselines.secondary import BaselineSecondaryIndex
+from repro.cache.result_cache import ResultCache
 from repro.core.hermit import HermitIndex
 from repro.core.lookup import SecondaryMechanism
 from repro.core.regression import LeafModel
 from repro.core.trs_tree import LeafTable, TRSTree
+from repro.durability.wal import WalOp
+from repro.engine.access_path import AccessPath, FullScanPath, MechanismPath
 from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
 from repro.engine.query import QueryRequest, RangePredicate
 from repro.errors import CatalogError, QueryError
 from repro.index.base import Index
-from repro.index.composite import CompositeIndex
 from repro.index.ordered import OrderedIndex
 from repro.index.paged_bptree import PagedBPlusTree
 from repro.serving import Server
@@ -130,7 +128,6 @@ def test_forced_batch_probes_once_and_feeds_the_mechanism(
 
 FORCED_METHODS = {
     "btree": {"method": IndexMethod.BTREE},
-    "sorted_column": {"method": IndexMethod.SORTED_COLUMN},
     "hermit": {"method": IndexMethod.HERMIT, "host_column": "colB"},
     "correlation_map": {"method": IndexMethod.CORRELATION_MAP,
                         "host_column": "colB",
@@ -178,10 +175,9 @@ def test_every_mechanism_answers_a_forced_batch_in_one_probe(
 
 def test_forced_batch_is_checked_before_any_probe(linear_database,
                                                   monkeypatch):
-    """The batch raises what ``query_with`` raises — unknown index,
-    composite index, a predicate on another column — and probes nothing."""
+    """The batch raises what ``query_with`` raises — unknown index, a
+    predicate on another column — and probes nothing."""
     database, table_name = linear_database
-    database.create_composite_index("idx_pair", table_name, "colC", "colB")
     mechanism = mechanism_of(database, table_name)
 
     def refused(*args):
@@ -192,7 +188,6 @@ def test_forced_batch_is_checked_before_any_probe(linear_database,
     wrong_column = RangePredicate("colB", 0.0, 1.0)
     for index_name, predicates, error in (
             ("idx_missing", BATCH, CatalogError),
-            ("idx_pair", BATCH, QueryError),
             ("idx_colC", BATCH + [wrong_column], QueryError)):
         with pytest.raises(error) as batch_error:
             database.query_with_many(table_name, index_name, predicates)
@@ -228,7 +223,7 @@ MECHANISM_WRITES = {"insert_many", "delete_many", "update_many"}
 DATABASE_READS = {"execute", "execute_many", "explain", "query_with",
                   "query_with_many"}
 DATABASE_OTHER = {
-    "create_table", "create_index", "create_composite_index", "drop_index",
+    "create_table", "create_index", "drop_index",
     "insert", "insert_many", "delete", "delete_many", "update",
     "update_many", "reorganize", "attach_durability", "checkpoint",
     "flush_wal", "durability_stats", "close",
@@ -240,7 +235,7 @@ DATABASE_OTHER = {
 
 SHARDED_READS = {"execute", "execute_many"}
 SHARDED_OTHER = {
-    "create_table", "create_index", "create_composite_index", "drop_index",
+    "create_table", "create_index", "drop_index",
     "insert", "insert_many", "delete", "update", "fetch", "reorganize",
     "planner_cache_stats", "planner_cache_info", "result_cache_info",
     "result_cache_clear", "num_rows", "shard_row_counts", "close",
@@ -358,14 +353,10 @@ class TestReadSurfaceIsPinned:
         # disk inserts; no other index has a per-row write.
         assert public_callables(PagedBPlusTree) - public_callables(Index) \
             == {"insert", "items", "disk_bytes"}
-        assert not {"insert", "delete"} & public_callables(CompositeIndex)
-        # One structure, configured by nothing: the method picks the size
-        # formula (the mechanism class create_index builds), not a
-        # constructor argument.
+        # One structure, configured by nothing.
         assert not inspect.signature(OrderedIndex).parameters
-        for complete in (BaselineSecondaryIndex, SortedColumnSecondaryIndex):
-            assert list(inspect.signature(complete).parameters) == [
-                "table", "target_column", "primary_index", "pointer_scheme"]
+        assert list(inspect.signature(BaselineSecondaryIndex).parameters) == [
+            "table", "target_column", "primary_index", "pointer_scheme"]
         # The list conveniences are defined once and never overridden.
         for index_class in (OrderedIndex, PagedBPlusTree):
             assert "search" not in vars(index_class)
@@ -373,8 +364,6 @@ class TestReadSurfaceIsPinned:
             extra = public_callables(index_class) - public_callables(Index)
             assert not {name for name in extra
                         if "search" in name or "load" in name}, extra
-        assert {name for name in public_callables(CompositeIndex)
-                if "search" in name} == {"range_search_array"}
 
     def test_mechanism_surface(self):
         assert public_callables(SecondaryMechanism) == (
@@ -382,20 +371,18 @@ class TestReadSurfaceIsPinned:
         # Writes arrive in batches: Database.insert, delete and update are
         # batches of one.  Hermit alone keeps Algorithm 3's per-row
         # counter policy in its own update_many.
-        for mechanism_class in (HermitIndex, BaselineSecondaryIndex,
-                                SortedColumnSecondaryIndex,
-                                CompositeSecondaryIndex, CorrelationMap):
+        # The paper's three mechanisms, and no other.
+        assert set(SecondaryMechanism.__subclasses__()) == {
+            HermitIndex, BaselineSecondaryIndex, CorrelationMap}
+        for mechanism_class in SecondaryMechanism.__subclasses__():
             assert not {"insert", "delete", "update"} & public_callables(
                 mechanism_class)
             assert MECHANISM_WRITES <= public_callables(mechanism_class)
             assert {"insert_many", "delete_many"} <= set(
-                vars(mechanism_class)) or (
-                mechanism_class is SortedColumnSecondaryIndex)
+                vars(mechanism_class))
             assert ("update_many" in vars(mechanism_class)) == (
                 mechanism_class is HermitIndex)
-        for mechanism_class in (HermitIndex, BaselineSecondaryIndex,
-                                CorrelationMap):
-            assert issubclass(mechanism_class, SecondaryMechanism)
+            assert not mechanism_class.__subclasses__()
             own = set(vars(mechanism_class))
             # A mechanism implements candidate generation only.
             assert {"candidate_tids", "candidate_tids_many",
@@ -408,11 +395,6 @@ class TestReadSurfaceIsPinned:
             assert not {name for name in extra
                         if name.startswith(("lookup", "candidate", "search",
                                             "query"))}, extra
-
-        # The composite mechanism reuses the pointer-scheme plumbing too.
-        assert issubclass(CompositeSecondaryIndex, SecondaryMechanism)
-        assert not set(vars(CompositeSecondaryIndex)) & {
-            "_tid_for", "_tids_for_batch", "_tids_for_slots"}
 
     def test_database_surface(self):
         assert public_callables(Database) == DATABASE_READS | DATABASE_OTHER
@@ -461,7 +443,18 @@ class TestReadSurfaceIsPinned:
                    # dropping the write-only correlation list and the
                    # unused coroutine submit
                    "_batch_columns", "_prepared_update",
-                   "record_correlation", "submit_async")
+                   "record_correlation", "submit_async",
+                   # retired by one exact secondary index (every complete
+                   # index a BTREE) and no two-column index
+                   "SORTED_COLUMN", "sorted_column", "SortedColumnSecondary",
+                   "SORTED_PROBE_COST", "SORTED_PER_CANDIDATE",
+                   "sorted_array_bytes", "HOST_METHODS", "second_column",
+                   "key_bytes", "leading_column", "CompositeSecondaryIndex",
+                   "CompositeIndex", "CompositePath", "index.composite",
+                   "_fold_in_composite_paths", "create_composite_index",
+                   "CREATE_COMPOSITE_INDEX", "candidate_tids_pair",
+                   # retired by one result-cache probe and one fill
+                   "_admit_locked")
         # Whole words: the disk simulator keeps its IOCostModel, the
         # paged index its PagedBPlusTree.  The names after them were
         # retired by reading mechanisms through Database alone (a word
@@ -482,6 +475,15 @@ class TestReadSurfaceIsPinned:
             r"|\b(covers|_place|_remove)\("
             r"|\b(trs_tree|tree|primary_index|_outliers|mechanism|index"
             r"|table)\.(insert|delete|update)\(")
+        # The kinds that remain, and the one probe / fill of the cache.
+        assert {method.name for method in IndexMethod} == {
+            "BTREE", "HERMIT", "CORRELATION_MAP", "AUTO"}
+        assert {op.name for op in WalOp} == {
+            "CREATE_TABLE", "CREATE_INDEX", "DROP_INDEX", "INSERT_MANY",
+            "UPDATE", "DELETE"}
+        assert set(AccessPath.__subclasses__()) == {FullScanPath,
+                                                    MechanismPath}
+        assert not {"get", "put"} & set(vars(ResultCache))
         paths = [path for caller in CALLERS for path in caller.rglob("*.py")]
         assert len(paths) > 100
         for path in paths:
@@ -498,16 +500,14 @@ class TestReadSurfaceIsPinned:
         structures that are one now, so each is a constant.  The exceptions
         are the disk simulator's ``DiskManager(cost_model: IOCostModel)``,
         which ``tests/test_storage_disk.py`` sets, and ``node_capacity``
-        where nodes still exist: the paged B+-tree, the composite index and
-        the B+-tree size formula."""
+        where nodes still exist: the paged B+-tree and the B+-tree size
+        formula."""
         banned = {"cost_model", "size_model", "advisor", "workers",
                   "host_index_kind", "node_capacity"}
         allowed = {("repro.storage.disk", "DiskManager.__init__",
                     "cost_model"),
                    ("repro.storage.memory", "btree_bytes", "node_capacity"),
                    ("repro.index.paged_bptree", "PagedBPlusTree.__init__",
-                    "node_capacity"),
-                   ("repro.index.composite", "CompositeIndex.__init__",
                     "node_capacity")}
         found = set()
         checked = 0

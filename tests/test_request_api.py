@@ -45,7 +45,7 @@ def database() -> Database:
             "payload": rng.uniform(0.0, 1.0, size=rows),
         })
         db.create_index(f"idx_{name}", name, "target",
-                        method=IndexMethod.SORTED_COLUMN)
+                        method=IndexMethod.BTREE)
     return db
 
 

@@ -52,13 +52,13 @@ from reference import assert_locations
 
 pytestmark = pytest.mark.serving
 
-METHODS = ("hermit", "btree", "sorted", "cm")
+METHODS = ("hermit", "btree", "cm")
 ROWS = 400
 TARGET_DOMAIN = (0.0, 1_000.0)
 
 
 def build_database(scheme: PointerScheme = PointerScheme.PHYSICAL,
-                   method: str = "sorted", rows: int = ROWS,
+                   method: str = "btree", rows: int = ROWS,
                    cache_config: ResultCacheConfig | None = None,
                    seed: int = 11) -> Database:
     """(pk, host, target, payload) with a target index, cache enabled."""
@@ -83,9 +83,6 @@ def build_database(scheme: PointerScheme = PointerScheme.PHYSICAL,
     elif method == "btree":
         database.create_index("idx_target", "t", "target",
                               method=IndexMethod.BTREE)
-    elif method == "sorted":
-        database.create_index("idx_target", "t", "target",
-                              method=IndexMethod.SORTED_COLUMN)
     elif method == "cm":
         database.create_index("idx_target", "t", "target",
                               method=IndexMethod.CORRELATION_MAP,
@@ -132,38 +129,51 @@ class TestCanonicalKey:
         assert canonical_key(disjoint) is None
 
 
+def fill(cache: ResultCache, table: str, key, locations, epoch: int,
+         used_index: str | None) -> None:
+    """One fill: a ``put_many`` batch of one, as ``Database.execute``
+    makes."""
+    cache.put_many(table, [(key, locations, used_index)], epoch)
+
+
+def probe(cache: ResultCache, table: str, key, epoch: int):
+    """One probe: a ``get_many`` batch of one, as ``Database.execute``
+    makes."""
+    return cache.get_many(table, [key], epoch)[0]
+
+
 class TestResultCacheUnits:
     KEY = (("target", 1.0, 2.0),)
 
     def put_twice(self, cache: ResultCache, key=None, table="t",
                   locations=(1, 2, 3), epoch=0, used_index="idx"):
-        """Install through the doorkeeper (first put only registers)."""
+        """Install through the doorkeeper (first fill only registers)."""
         array = np.asarray(locations, dtype=np.int64)
-        cache.put(table, key or self.KEY, array, epoch, used_index)
-        cache.put(table, key or self.KEY, array, epoch, used_index)
+        fill(cache, table, key or self.KEY, array, epoch, used_index)
+        fill(cache, table, key or self.KEY, array, epoch, used_index)
 
     def test_admission_defers_first_fill(self):
         cache = ResultCache()
         array = np.array([1, 2], dtype=np.int64)
-        cache.put("t", self.KEY, array, 0, None)
-        assert cache.get("t", self.KEY, 0) is None
+        fill(cache, "t", self.KEY, array, 0, None)
+        assert probe(cache, "t", self.KEY, 0) is None
         assert cache.info().admission_deferrals == 1
-        cache.put("t", self.KEY, array, 0, None)
-        entry = cache.get("t", self.KEY, 0)
+        fill(cache, "t", self.KEY, array, 0, None)
+        entry = probe(cache, "t", self.KEY, 0)
         assert entry is not None
         assert np.array_equal(entry.locations, array)
         assert not entry.locations.flags.writeable
 
     def test_admission_off_installs_immediately(self):
         cache = ResultCache(ResultCacheConfig(admission=False))
-        cache.put("t", self.KEY, np.array([7], dtype=np.int64), 0, None)
-        assert cache.get("t", self.KEY, 0) is not None
+        fill(cache, "t", self.KEY, np.array([7], dtype=np.int64), 0, None)
+        assert probe(cache, "t", self.KEY, 0) is not None
         assert cache.info().admission_deferrals == 0
 
     def test_stale_entry_evicted_on_probe(self):
         cache = ResultCache(ResultCacheConfig(admission=False))
-        cache.put("t", self.KEY, np.array([1], dtype=np.int64), 3, None)
-        assert cache.get("t", self.KEY, 4) is None
+        fill(cache, "t", self.KEY, np.array([1], dtype=np.int64), 3, None)
+        assert probe(cache, "t", self.KEY, 4) is None
         info = cache.info()
         assert info.stale_evictions == 1
         assert info.entries == 0
@@ -174,29 +184,29 @@ class TestResultCacheUnits:
         cache = ResultCache(ResultCacheConfig(max_entries=2,
                                               admission=False))
         for value in range(3):
-            cache.put("t", (("c", value, value),),
+            fill(cache, "t", (("c", value, value),),
                       np.array([value], dtype=np.int64), 0, None)
         assert len(cache) == 2
-        assert cache.get("t", (("c", 0, 0),), 0) is None  # cold end died
-        assert cache.get("t", (("c", 2, 2),), 0) is not None
+        assert probe(cache, "t", (("c", 0, 0),), 0) is None  # cold end died
+        assert probe(cache, "t", (("c", 2, 2),), 0) is not None
         assert cache.info().lru_evictions == 1
 
     def test_lru_order_follows_hits(self):
         cache = ResultCache(ResultCacheConfig(max_entries=2,
                                               admission=False))
-        cache.put("t", (("c", 0, 0),), np.array([0]), 0, None)
-        cache.put("t", (("c", 1, 1),), np.array([1]), 0, None)
-        assert cache.get("t", (("c", 0, 0),), 0) is not None  # warm 0
-        cache.put("t", (("c", 2, 2),), np.array([2]), 0, None)
-        assert cache.get("t", (("c", 1, 1),), 0) is None  # 1 was coldest
-        assert cache.get("t", (("c", 0, 0),), 0) is not None
+        fill(cache, "t", (("c", 0, 0),), np.array([0]), 0, None)
+        fill(cache, "t", (("c", 1, 1),), np.array([1]), 0, None)
+        assert probe(cache, "t", (("c", 0, 0),), 0) is not None  # warm 0
+        fill(cache, "t", (("c", 2, 2),), np.array([2]), 0, None)
+        assert probe(cache, "t", (("c", 1, 1),), 0) is None  # 1 was coldest
+        assert probe(cache, "t", (("c", 0, 0),), 0) is not None
 
     def test_byte_budget_eviction(self):
         config = ResultCacheConfig(max_bytes=2 * (800 + 128),
                                    admission=False)
         cache = ResultCache(config)
         for value in range(3):
-            cache.put("t", (("c", value, value),),
+            fill(cache, "t", (("c", value, value),),
                       np.zeros(100, dtype=np.int64), 0, None)
         assert len(cache) == 2
         assert cache.info().bytes <= config.max_bytes
@@ -204,12 +214,12 @@ class TestResultCacheUnits:
     def test_oversized_result_never_cached(self):
         cache = ResultCache(ResultCacheConfig(max_bytes=256,
                                               admission=False))
-        cache.put("t", self.KEY, np.zeros(1000, dtype=np.int64), 0, None)
+        fill(cache, "t", self.KEY, np.zeros(1000, dtype=np.int64), 0, None)
         assert len(cache) == 0
 
     def test_peek_is_non_destructive(self):
         cache = ResultCache(ResultCacheConfig(admission=False))
-        cache.put("t", self.KEY, np.array([1], dtype=np.int64), 3, None)
+        fill(cache, "t", self.KEY, np.array([1], dtype=np.int64), 3, None)
         assert cache.peek("t", self.KEY, 3) is not None
         stale = cache.peek("t", self.KEY, 4)
         assert stale is None
@@ -219,7 +229,7 @@ class TestResultCacheUnits:
 
     def test_get_many_mixes_hits_misses_and_bypasses(self):
         cache = ResultCache(ResultCacheConfig(admission=False))
-        cache.put("t", (("c", 1, 1),), np.array([1], dtype=np.int64), 0, "i")
+        fill(cache, "t", (("c", 1, 1),), np.array([1], dtype=np.int64), 0, "i")
         keys = [(("c", 1, 1),), (("c", 2, 2),), None]
         entries = cache.get_many("t", keys, 0)
         assert entries[0] is not None and entries[1] is None
@@ -236,7 +246,7 @@ class TestResultCacheUnits:
         assert len(cache) == 0  # all first sightings
         cache.put_many("t", items, 0)
         assert len(cache) == 4
-        entry = cache.get("t", (("c", 2, 2),), 0)
+        entry = probe(cache, "t", (("c", 2, 2),), 0)
         assert np.array_equal(entry.locations, [2])
         assert not entry.locations.flags.writeable
 
@@ -266,19 +276,19 @@ class TestResultCacheUnits:
     def test_clear_drops_entries_and_doorkeeper_keeps_counters(self):
         cache = ResultCache()
         self.put_twice(cache)
-        assert cache.get("t", self.KEY, 0) is not None
+        assert probe(cache, "t", self.KEY, 0) is not None
         cache.clear()
         assert len(cache) == 0
         info = cache.info()
         assert info.hits == 1  # counters survive
-        # Doorkeeper memory is gone too: one put defers again.
-        cache.put("t", self.KEY, np.array([1], dtype=np.int64), 0, None)
-        assert cache.get("t", self.KEY, 0) is None
+        # Doorkeeper memory is gone too: one fill defers again.
+        fill(cache, "t", self.KEY, np.array([1], dtype=np.int64), 0, None)
+        assert probe(cache, "t", self.KEY, 0) is None
 
     def test_sweep_drops_stale_and_dropped_tables(self):
         cache = ResultCache(ResultCacheConfig(admission=False))
-        cache.put("a", self.KEY, np.array([1], dtype=np.int64), 3, None)
-        cache.put("b", self.KEY, np.array([2], dtype=np.int64), 5, None)
+        fill(cache, "a", self.KEY, np.array([1], dtype=np.int64), 3, None)
+        fill(cache, "b", self.KEY, np.array([2], dtype=np.int64), 5, None)
         assert cache.sweep({"a": 3}) == 1  # b's table vanished
         assert cache.sweep({"a": 4}) == 1  # a went stale
         assert len(cache) == 0
@@ -292,10 +302,10 @@ class TestResultCacheUnits:
     def test_stats_merge_sums_counters_and_tables(self):
         cache_a = ResultCache(ResultCacheConfig(admission=False))
         cache_b = ResultCache(ResultCacheConfig(admission=False))
-        cache_a.put("t", self.KEY, np.array([1], dtype=np.int64), 0, None)
-        cache_b.put("t", self.KEY, np.array([2], dtype=np.int64), 0, None)
-        cache_a.get("t", self.KEY, 0)
-        cache_b.get("t", (("c", 9, 9),), 0)
+        fill(cache_a, "t", self.KEY, np.array([1], dtype=np.int64), 0, None)
+        fill(cache_b, "t", self.KEY, np.array([2], dtype=np.int64), 0, None)
+        probe(cache_a, "t", self.KEY, 0)
+        probe(cache_b, "t", (("c", 9, 9),), 0)
         merged = ResultCacheStats.merge([cache_a.info(), cache_b.info()])
         assert merged.hits == 1 and merged.misses == 1
         assert merged.entries == 2

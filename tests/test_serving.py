@@ -66,7 +66,7 @@ def build_database(rows: int = 2_000, seed: int = 7) -> tuple[Database, str]:
         "payload": rng.uniform(0.0, 1.0, size=rows),
     })
     database.create_index("idx_target", "t", "target",
-                          method=IndexMethod.SORTED_COLUMN)
+                          method=IndexMethod.BTREE)
     return database, "t"
 
 

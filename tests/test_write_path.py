@@ -221,13 +221,12 @@ def _dml_database(scheme: PointerScheme) -> Database:
     database.create_index("idx_host", "t", "host", preexisting=True)
     database.create_index("idx_hermit", "t", "target",
                           method=IndexMethod.HERMIT, host_column="host")
-    database.create_index("idx_sorted", "t", "target",
-                          method=IndexMethod.SORTED_COLUMN)
+    database.create_index("idx_btree", "t", "target",
+                          method=IndexMethod.BTREE)
     database.create_index("idx_cm", "t", "target",
                           method=IndexMethod.CORRELATION_MAP,
                           host_column="host", cm_target_bucket_width=64.0,
                           cm_host_bucket_width=192.0)
-    database.create_composite_index("idx_pair", "t", "host", "target")
     return database
 
 
@@ -303,7 +302,7 @@ class TestBatchDmlEqualsRows:
             assert np.array_equal(mine, theirs, equal_nan=True)
         slots, _, hosts, targets = stored[0]
         for column, values, index_names in (
-                ("target", targets, ("idx_hermit", "idx_sorted", "idx_cm")),
+                ("target", targets, ("idx_hermit", "idx_btree", "idx_cm")),
                 ("host", hosts, ("idx_host",))):
             for low, high in ((0.0, 1000.0), (120.0, 480.0), (-600.0, 0.0),
                               (500.0, 5600.0)):
