@@ -142,7 +142,8 @@ def recover(config: DurabilityConfig,
 
     Raises:
         DurabilityError: If a checksum-valid WAL record fails to decode or
-            re-apply, or an index definition names a retired method — the
+            re-apply, a checkpointed index definition fails to rebuild, or
+            an index definition names a retired method — the
             write-ahead protocol only logs operations that succeeded, so
             this indicates tampering, a bug or a log of an older version,
             not a torn write (a :class:`~repro.errors.WalCorruptionError`
@@ -163,7 +164,14 @@ def recover(config: DurabilityConfig,
         manifest, arrays = found
         _restore_checkpoint(database, manifest, arrays)
         for definition in manifest["indexes"]:
-            _apply_index_definition(database, definition)
+            try:
+                _apply_index_definition(database, definition)
+            except DurabilityError:
+                raise
+            except Exception as error:  # noqa: BLE001 - as WAL replay below
+                raise DurabilityError(
+                    f"checkpointed index {definition.get('name')!r} failed "
+                    f"to rebuild: {error}") from error
 
     replay_start = time.perf_counter()
     rebuild_s = replay_start - rebuild_start

@@ -157,6 +157,24 @@ def unmodelled_count_off(database, table, index):
     return "non-finite-host outliers"
 
 
+def leaf_path_repeated(database, table, index):
+    leaves = mechanism(database, table, index).trs_tree._table
+    leaves.paths[2] = leaves.paths[1]
+    return "does not follow its predecessor"
+
+
+def leaf_bound_moved(database, table, index):
+    leaves = mechanism(database, table, index).trs_tree._table
+    leaves.bounds[0] += 1.0
+    return "bound is not its path's"
+
+
+def leaf_counter_short(database, table, index):
+    leaves = mechanism(database, table, index).trs_tree._table
+    leaves.num_covered = leaves.num_covered[:-1]
+    return "a column without one entry per leaf"
+
+
 def cm_loses_its_links(database, table, index):
     mechanism(database, table, index)._mapping.clear()
     return "is not linked"
@@ -170,6 +188,21 @@ def cm_misses_a_null_host_row(database, table, index):
     return "NULL-host index"
 
 
+def cm_loses_one_link(database, table, index):
+    cm = mechanism(database, table, index)
+    row = rows(database, table)[0]
+    cm._mapping[int(np.floor(row.target / cm.target_bucket_width))].discard(
+        int(np.floor(row.host / cm.host_bucket_width)))
+    return "is not linked"
+
+
+def cm_files_a_linked_row_as_null_host(database, table, index):
+    row = rows(database, table)[0]
+    mechanism(database, table, index)._null_hosts.insert_many([row.target],
+                                                              [row.tid])
+    return "NULL-host index"
+
+
 EVERY_TABLE = [primary_misses_a_live_row, primary_keeps_a_deleted_row,
                primary_points_at_another_row]
 EVERY_INDEX = [misses_a_live_row, keeps_a_deleted_row, files_a_stale_key,
@@ -180,9 +213,11 @@ CASES = (
     + [(corrupt, "btree", "idx_target") for corrupt in EVERY_INDEX]
     + [(corrupt, "hermit", "idx_target") for corrupt in
        (outlier_dropped, outlier_under_another_tid, outlier_count_off,
-        unmodelled_count_off)]
+        unmodelled_count_off, leaf_path_repeated, leaf_bound_moved,
+        leaf_counter_short)]
     + [(corrupt, "cm", "idx_target") for corrupt in
-       (cm_loses_its_links, cm_misses_a_null_host_row)])
+       (cm_loses_its_links, cm_loses_one_link, cm_misses_a_null_host_row,
+        cm_files_a_linked_row_as_null_host)])
 
 
 @SCHEMES

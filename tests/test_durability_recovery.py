@@ -456,10 +456,10 @@ def _logged_btree_index(directory: str, checkpoint: bool) -> None:
     database.close()
 
 
-def test_logged_sorted_column_index_no_longer_replays(tmp_path):
-    """A ``CREATE_INDEX`` record naming the retired ``sorted_column``
-    method fails recovery with a DurabilityError, and the log keeps every
-    byte."""
+@pytest.mark.parametrize("method", ["sorted_column", "composite"])
+def test_logged_retired_index_no_longer_replays(tmp_path, method):
+    """A ``CREATE_INDEX`` record naming a retired method fails recovery
+    with a DurabilityError, and the log keeps every byte."""
     directory = str(tmp_path)
     _logged_btree_index(directory, checkpoint=False)
     path = os.path.join(directory, "wal.log")
@@ -470,10 +470,10 @@ def test_logged_sorted_column_index_no_longer_replays(tmp_path):
         for record in records:
             payload = dict(record.payload)
             if record.op is WalOp.CREATE_INDEX:
-                payload["method"] = "sorted_column"
+                payload["method"] = method
             handle.write(encode_record(record.lsn, record.op, payload))
     blob = open(path, "rb").read()
-    with pytest.raises(DurabilityError, match="sorted_column"):
+    with pytest.raises(DurabilityError, match=method):
         recover(DurabilityConfig(directory=directory))
     assert open(path, "rb").read() == blob
 
@@ -501,3 +501,43 @@ def test_checkpointed_retired_index_no_longer_rebuilds(tmp_path, definition):
         json.dump(manifest, handle)
     with pytest.raises(DurabilityError, match="'ix_a'"):
         recover(DurabilityConfig(directory=directory))
+
+
+def _directory_bytes(directory: str) -> dict[str, bytes]:
+    return {name: open(os.path.join(directory, name), "rb").read()
+            for name in sorted(os.listdir(directory))}
+
+
+BTREE_DEFINITION = {
+    "name": "ix_a", "table": "t", "column": "a", "method": "btree",
+    "host_column": None, "trs_config": None, "cm_target_bucket_width": None,
+    "cm_host_bucket_width": None, "preexisting": False}
+
+
+@pytest.mark.parametrize("changes", [
+    {"column": "zzz"},
+    {"table": "nope"},
+    {"method": "hermit", "column": "b", "host_column": "c"},
+    {"method": "correlation_map", "column": "b", "host_column": "a"},
+], ids=["no_such_column", "no_such_table", "hermit_without_host_index",
+        "correlation_map_without_buckets"])
+def test_checkpointed_index_that_fails_to_rebuild_is_a_durability_error(
+        tmp_path, changes):
+    """A checkpointed index definition that the engine refuses, for any
+    reason, fails recovery as a DurabilityError naming the index — as the
+    same definition does in a WAL record — and recovery writes nothing."""
+    directory = str(tmp_path)
+    _logged_btree_index(directory, checkpoint=True)
+    manifest_path = [os.path.join(directory, name)
+                     for name in os.listdir(directory)
+                     if name.endswith(".json")][0]
+    with open(manifest_path, encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    assert manifest["indexes"] == [BTREE_DEFINITION]
+    manifest["indexes"] = [{**BTREE_DEFINITION, **changes}]
+    with open(manifest_path, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle)
+    before = _directory_bytes(directory)
+    with pytest.raises(DurabilityError, match="checkpointed index 'ix_a'"):
+        recover(DurabilityConfig(directory=directory))
+    assert _directory_bytes(directory) == before

@@ -283,3 +283,49 @@ def test_unreadable_checksum_valid_record_raises_and_keeps_the_log(
     with pytest.raises(WalCorruptionError):
         recover(DurabilityConfig(directory=str(tmp_path)))
     assert open(path, "rb").read() == blob
+
+
+def drop(lsn: int) -> bytes:
+    return encode_record(lsn, WalOp.DROP_INDEX, {"table": "t", "name": "i"})
+
+
+@pytest.mark.parametrize("blob", [
+    raw_record(1, 3, b"{}") + drop(2) + drop(3),
+    raw_record(1, 99, b"{}") + drop(2) + drop(3),
+    drop(0) + drop(1) + drop(2),
+    drop(1) + drop(2) + raw_record(3, 3, b"{}"),
+    drop(1) + drop(2) + raw_record(3, 99, b"{}"),
+    drop(1) + drop(2) + drop(2),
+    drop(1) + drop(2) + drop(1),
+    drop(4) + drop(2) + drop(5),
+], ids=["first-retired_opcode_3", "first-unknown_opcode_99",
+        "first-lsn_zero", "last-retired_opcode_3", "last-unknown_opcode_99",
+        "last-lsn_repeated", "last-lsn_decreasing", "middle-lsn_decreasing"])
+def test_unreadable_record_anywhere_raises_and_keeps_the_log(tmp_path, blob):
+    """Where the unreadable record sits does not matter: as the log's first
+    record nothing is before it to keep, and as its last a torn tail would
+    look the same if it were not checksum-valid — neither may be cut."""
+    path = os.path.join(str(tmp_path), "wal.log")
+    with open(path, "wb") as handle:
+        handle.write(blob)
+    with pytest.raises(WalCorruptionError):
+        scan_wal(path)
+    with pytest.raises(WalCorruptionError):
+        WriteAheadLog(path, fsync=FsyncPolicy.OFF)
+    with pytest.raises(WalCorruptionError):
+        recover(DurabilityConfig(directory=str(tmp_path)))
+    assert open(path, "rb").read() == blob
+
+
+def test_torn_copy_of_a_valid_tail_is_still_truncated(tmp_path):
+    """The other side of the rule: the same three records with the last one
+    cut short is a crashed append, so the appender cuts it and continues
+    the LSN sequence after the last whole record."""
+    path = os.path.join(str(tmp_path), "wal.log")
+    whole = drop(1) + drop(2)
+    with open(path, "wb") as handle:
+        handle.write(whole + drop(3)[:-1])
+    log = WriteAheadLog(path, fsync=FsyncPolicy.OFF)
+    assert log.last_lsn == 2
+    log.close()
+    assert open(path, "rb").read() == whole

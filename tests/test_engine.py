@@ -189,6 +189,71 @@ class TestDatabase:
         database.delete(table_name, location)
         assert location not in database.execute(new).locations
 
+    def test_btree_index_serves_and_follows_its_column(self, loaded):
+        database, table_name, _ = loaded
+        entry = database.create_index("idx_d", table_name, "colD",
+                                      method=IndexMethod.BTREE)
+        assert entry.method is IndexMethod.BTREE
+        predicate = RangePredicate("colD", 0.2, 0.25)
+        request = QueryRequest.of(table_name, predicate)
+        indexed = database.execute(request)
+        assert_locations(indexed, scan_locations(database.table(table_name),
+                                                 predicate))
+        assert indexed.used_index == "idx_d"
+        location = database.insert(table_name, {
+            "colA": 20_000_000.0, "colB": 5.0, "colC": 1.0, "colD": 0.21,
+        })
+        assert location in database.execute(request).locations
+        database.update(table_name, location, {"colD": 0.9})
+        assert location not in database.execute(request).locations
+        assert_locations(database.execute(request),
+                         scan_locations(database.table(table_name),
+                                        predicate))
+
+    def test_preexisting_btree_serves_as_hermit_host(self, loaded):
+        database, table_name, _ = loaded
+        database.drop_index(table_name, "idx_colB")
+        database.create_index("idx_colB_again", table_name, "colB",
+                              method=IndexMethod.BTREE, preexisting=True)
+        entry = database.create_index("idx_c", table_name, "colC",
+                                      method=IndexMethod.HERMIT,
+                                      host_column="colB")
+        assert entry.host_column == "colB"
+        predicate = RangePredicate("colC", 100_000.0, 150_000.0)
+        indexed = database.query_with(table_name, "idx_c", predicate)
+        scanned = scan_locations(database.table(table_name), predicate)
+        assert_locations(indexed, scanned)
+
+    @pytest.mark.parametrize("host_method, extra", [
+        (IndexMethod.HERMIT, {}),
+        (IndexMethod.CORRELATION_MAP, {"cm_target_bucket_width": 4096.0,
+                                       "cm_host_bucket_width": 8192.0}),
+    ], ids=["hermit", "correlation_map"])
+    def test_only_a_btree_hosts(self, loaded, host_method, extra):
+        """A column whose only index is itself correlation-based cannot
+        host: the host must answer exactly, and only a B+-tree does."""
+        database, table_name, _ = loaded
+        database.create_index("idx_c", table_name, "colC",
+                              method=host_method, host_column="colB",
+                              **extra)
+        with pytest.raises(CatalogError, match="no complete index"):
+            database.create_index("idx_d", table_name, "colD",
+                                  method=IndexMethod.HERMIT,
+                                  host_column="colC")
+        assert "idx_d" not in database.catalog.table_entry(
+            table_name).indexes
+
+    @pytest.mark.parametrize("retired", ["sorted_column", "composite"])
+    def test_a_retired_kind_is_refused(self, loaded, retired):
+        database, table_name, _ = loaded
+        with pytest.raises(ValueError):
+            IndexMethod(retired)
+        with pytest.raises(QueryError, match="unsupported index method"):
+            database.create_index("idx_d", table_name, "colD",
+                                  method=retired)
+        assert "idx_d" not in database.catalog.table_entry(
+            table_name).indexes
+
     def test_memory_report_labels(self, loaded):
         database, table_name, _ = loaded
         database.create_index("idx_c", table_name, "colC",

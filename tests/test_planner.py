@@ -403,6 +403,114 @@ class TestPlannedExecution:
         assert np.array_equal(planned.locations, expected)
 
 
+def pair_database(scheme: PointerScheme, rows: int = 600,
+                  seed: int = 21) -> Database:
+    """Two uncorrelated columns ``a`` and ``m``, each with its own B+-tree:
+    a two-column conjunction is answered from single-column indexes."""
+    rng = np.random.default_rng(seed)
+    database = Database(pointer_scheme=scheme)
+    database.create_table(numeric_schema("t", ["pk", "a", "m", "payload"],
+                                         primary_key="pk"))
+    database.insert_many("t", {
+        "pk": np.arange(rows, dtype=np.float64),
+        "a": rng.uniform(0.0, 100.0, size=rows),
+        "m": rng.uniform(0.0, 100.0, size=rows),
+        "payload": rng.uniform(size=rows),
+    })
+    database.create_index("idx_a", "t", "a", method=IndexMethod.BTREE)
+    database.create_index("idx_m", "t", "m", method=IndexMethod.BTREE)
+    return database
+
+
+SCHEMES = pytest.mark.parametrize(
+    "scheme", [PointerScheme.PHYSICAL, PointerScheme.LOGICAL],
+    ids=lambda scheme: scheme.value)
+
+
+class TestTwoColumnPairs:
+    """A conjunction over two columns needs no two-column index: the
+    planner drives with one column's B+-tree and intersects or filters by
+    the other's."""
+
+    PAIR = [RangePredicate("a", 10.0, 30.0), RangePredicate("m", 40.0, 60.0)]
+
+    def test_pair_plans_over_single_column_btrees(self):
+        database = pair_database(PointerScheme.PHYSICAL)
+        plan = database.explain(QueryRequest.of("t", self.PAIR))
+        assert plan.paths and all(
+            isinstance(path, MechanismPath)
+            and path.entry.method is IndexMethod.BTREE for path in plan.paths)
+        assert plan.used_index in {"idx_a", "idx_m"}
+        # Either column alone is served by its own index.
+        for predicate, index in zip(self.PAIR, ("idx_a", "idx_m")):
+            assert database.explain(QueryRequest.of(
+                "t", predicate)).used_index == index
+
+    @SCHEMES
+    def test_pair_stays_exact_across_dml(self, scheme):
+        database = pair_database(scheme, rows=50)
+        request = QueryRequest.of("t", [RangePredicate("a", 19.0, 21.0),
+                                        RangePredicate("m", 49.0, 51.0)])
+        moved = QueryRequest.of("t", [RangePredicate("a", 19.0, 21.0),
+                                      RangePredicate("m", 89.0, 91.0)])
+
+        def check() -> None:
+            for each in (request, moved):
+                assert np.array_equal(
+                    database.execute(each).locations,
+                    brute_force(database, "t", each.query.predicates))
+
+        location = database.insert("t", {"pk": 1000.0, "a": 20.0, "m": 50.0,
+                                         "payload": 0.5})
+        assert int(location) in database.execute(request).locations
+        check()
+        database.update("t", location, {"m": 90.0})
+        assert int(location) not in database.execute(request).locations
+        assert int(location) in database.execute(moved).locations
+        check()
+        database.delete("t", location)
+        assert int(location) not in database.execute(moved).locations
+        check()
+
+    def test_insert_many_rows_answer_the_pair(self):
+        database = pair_database(PointerScheme.PHYSICAL, rows=50)
+        locations = database.insert_many("t", {
+            "pk": [2000.0, 2001.0], "a": [25.0, 26.0], "m": [55.0, 56.0],
+            "payload": [0.1, 0.2]})
+        predicates = [RangePredicate("a", 24.0, 27.0),
+                      RangePredicate("m", 54.0, 57.0)]
+        found = database.execute(QueryRequest.of("t", predicates)).locations
+        assert set(np.asarray(locations).tolist()) <= set(found.tolist())
+        assert np.array_equal(found, brute_force(database, "t", predicates))
+
+    @SCHEMES
+    def test_pair_batches_equal_single_requests(self, scheme):
+        database = pair_database(scheme)
+        requests = [
+            QueryRequest.of("t", [RangePredicate("a", low, low + 20.0),
+                                  RangePredicate("m", low + 10.0, low + 40.0)])
+            for low in (0.0, 25.0, 50.0, 75.0)]
+        batched = database.execute_many(requests)
+        for result, request in zip(batched, requests):
+            assert_locations(result, database.execute(request).locations)
+            assert np.array_equal(
+                result.locations,
+                brute_force(database, "t", request.query.predicates))
+
+    @SCHEMES
+    def test_random_pairs_match_brute_force(self, scheme):
+        database = pair_database(scheme, rows=400, seed=5)
+        rng = np.random.default_rng(6)
+        for _ in range(40):
+            a_low, m_low = rng.uniform(-10.0, 100.0, size=2)
+            a_width, m_width = rng.uniform(0.0, 60.0, size=2)
+            predicates = [RangePredicate("a", a_low, a_low + a_width),
+                          RangePredicate("m", m_low, m_low + m_width)]
+            planned = database.execute(QueryRequest.of("t", predicates))
+            assert np.array_equal(planned.locations,
+                                  brute_force(database, "t", predicates))
+
+
 class TestPathsAreTemplates:
     """A plan-cache hit hands out the cached path objects themselves and the
     ranges travel with each call, so one template must answer interleaved

@@ -273,6 +273,106 @@ class TestResultCacheUnits:
         assert cache.info().admission_deferrals == 2000
         assert retained < 100, retained
 
+    # put_many's admission loop is the only admission code: a fill from
+    # Database.execute is a batch of one, so every doorkeeper rule is
+    # checked here on batches.
+
+    @staticmethod
+    def key(value) -> tuple:
+        return (("c", value, value),)
+
+    def test_a_key_sighted_twice_in_one_batch_is_admitted(self):
+        cache = ResultCache()
+        cache.put_many("t", [(self.key(1), np.array([1]), None),
+                             (self.key(1), np.array([1, 2]), "idx")], 0)
+        entry = probe(cache, "t", self.key(1), 0)
+        assert np.array_equal(entry.locations, [1, 2])
+        assert entry.used_index == "idx"
+        assert cache.info().admission_deferrals == 1
+
+    def test_a_mixed_batch_defers_only_its_first_sightings(self):
+        cache = ResultCache()
+        fill(cache, "t", self.key(0), np.array([0]), 0, None)
+        fill(cache, "t", self.key(1), np.array([1]), 0, None)
+        cache.put_many("t", [(self.key(value), np.array([value]), None)
+                             for value in range(4)], 0)
+        assert [probe(cache, "t", self.key(value), 0) is not None
+                for value in range(4)] == [True, True, False, False]
+        assert cache.info().admission_deferrals == 4
+
+    def test_doorkeeper_forgets_after_two_generations(self):
+        """The young generation rolls over once it holds more than
+        ``max_entries`` keys; a key in the old generation still admits, one
+        two rollovers back is a first sighting again."""
+        cache = ResultCache(ResultCacheConfig(max_entries=2))
+        array = np.array([1])
+        cache.put_many("t", [(self.key(value), array, None)
+                             for value in range(3)], 0)   # rolls over
+        fill(cache, "t", self.key(0), array, 0, None)      # old: admits
+        assert probe(cache, "t", self.key(0), 0) is not None
+        cache.put_many("t", [(self.key(value), array, None)
+                             for value in range(10, 13)], 0)  # rolls over
+        fill(cache, "t", self.key(1), array, 0, None)      # forgotten
+        assert probe(cache, "t", self.key(1), 0) is None
+        assert cache.info().admission_deferrals == 7
+
+    def test_sightings_are_per_table(self):
+        cache = ResultCache()
+        fill(cache, "a", self.KEY, np.array([1]), 0, None)
+        fill(cache, "b", self.KEY, np.array([1]), 0, None)
+        assert len(cache) == 0
+        fill(cache, "b", self.KEY, np.array([1]), 0, None)
+        assert probe(cache, "a", self.KEY, 0) is None
+        assert probe(cache, "b", self.KEY, 0) is not None
+
+    def test_an_oversized_item_does_not_stop_the_rest_of_its_batch(self):
+        cache = ResultCache(ResultCacheConfig(max_bytes=1024,
+                                              admission=False))
+        cache.put_many("t", [(self.key(0), np.zeros(1000), None),
+                             (self.key(1), np.array([1]), None)], 0)
+        assert probe(cache, "t", self.key(0), 0) is None
+        assert np.array_equal(probe(cache, "t", self.key(1), 0).locations,
+                              [1])
+        assert cache.info().lru_evictions == 0
+
+    def test_a_refill_replaces_the_entry_and_its_bytes(self):
+        cache = ResultCache(ResultCacheConfig(admission=False))
+        fill(cache, "t", self.KEY, np.arange(3), 0, "old")
+        fill(cache, "t", self.KEY, np.arange(5), 1, "new")
+        info = cache.info()
+        assert info.entries == 1 and info.per_table["t"].entries == 1
+        assert info.bytes == info.per_table["t"].bytes == 5 * 8 + 128
+        entry = probe(cache, "t", self.KEY, 1)
+        assert np.array_equal(entry.locations, np.arange(5))
+        assert entry.used_index == "new"
+
+    def test_a_batch_settles_the_budget_once_at_its_end(self):
+        """A batch larger than ``max_entries`` installs whole, then the
+        coldest entries — the batch's own first items — are evicted."""
+        cache = ResultCache(ResultCacheConfig(max_entries=2,
+                                              admission=False))
+        cache.put_many("t", [(self.key(value), np.array([value]), None)
+                             for value in range(5)], 0)
+        assert [probe(cache, "t", self.key(value), 0) is not None
+                for value in range(5)] == [False, False, False, True, True]
+        assert cache.info().lru_evictions == 3
+
+    def test_a_fill_copies_the_callers_array(self):
+        cache = ResultCache(ResultCacheConfig(admission=False))
+        locations = np.array([1, 2, 3], dtype=np.int64)
+        fill(cache, "t", self.KEY, locations, 0, None)
+        locations[:] = 0
+        assert locations.flags.writeable
+        assert np.array_equal(probe(cache, "t", self.KEY, 0).locations,
+                              [1, 2, 3])
+
+    def test_an_empty_batch_changes_nothing(self):
+        cache = ResultCache()
+        cache.put_many("t", [], 0)
+        info = cache.info()
+        assert (len(cache), info.admission_deferrals, info.per_table) == (
+            0, 0, {})
+
     def test_clear_drops_entries_and_doorkeeper_keeps_counters(self):
         cache = ResultCache()
         self.put_twice(cache)
