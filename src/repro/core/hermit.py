@@ -13,8 +13,9 @@ This module implements Steps 1–2 — candidate generation — plus maintenance
 and reorganization.  Host-index probes return numpy tid arrays
 (:meth:`~repro.index.base.Index.range_search_many_array` for one request,
 ``range_search_segmented`` for a batch — on an ordered host index both
-search its sorted key array, and one request's single range comes back
-as a read-only view of index storage) and candidate dedup is one
+search its sorted key arrays, and with no write recorded since its last
+fold one request's single range comes back as a read-only view of index
+storage) and candidate dedup is one
 in-place sort plus a neighbour mask (:func:`~repro.segments.sorted_unique`;
 on the batch path one sort of a narrow ``(query, tid)`` key that the
 outlier tids join).  Steps 3–4 are the two shared lookup tails of
@@ -112,7 +113,8 @@ class HermitIndex(SecondaryMechanism):
         The rule of :meth:`candidate_tids_many`: the host probes alone are
         duplicate-free (disjoint host ranges over a complete index), so
         the dedup runs only when outlier tids join them, and the candidates
-        are otherwise handed over in host-key order — possibly as a
+        are otherwise handed over as the host index answers them (in host-key
+        order within its run and within its record) — possibly as a
         read-only view of host-index storage.
         """
         started = time.perf_counter()
@@ -156,7 +158,7 @@ class HermitIndex(SecondaryMechanism):
         (:attr:`sorted_candidates`), which lets the segmented tail skip its
         final sort — the batch sorts its candidates once.  Under logical
         pointers the tail ends with a dedup that sorts anyway, so a batch
-        without outliers is handed over in host-key order.
+        without outliers is handed over as the host index answers it.
         """
         started = time.perf_counter()
         batch = self.trs_tree.lookup_many(ranges)

@@ -946,9 +946,11 @@ class TRSTree:
         The paths are the leaves of one full ``node_fanout``-ary tree in key
         order; every leaf's lower bound is its path's partition bound
         replayed from the domain; every column has one entry per leaf; the
-        outlier index's keys ascend, each leaf's outlier count is the
-        number of entries routed to it, and its count of non-finite-host
-        outliers lies between zero and that number.  Every given live pair
+        outlier index is well formed
+        (:meth:`~repro.index.ordered.OrderedIndex.check_invariants`), each
+        leaf's outlier count is the number of entries routed to it, and its
+        count of non-finite-host outliers lies between zero and that
+        number.  Every given live pair
         with a non-NaN target — the paper's "never miss" contract — sits
         behind its leaf's band (and the leaf emits its host range) or is in
         the outlier index under its own key.
@@ -989,9 +991,12 @@ class TRSTree:
             check(row == 0 or table.bounds[row - 1] == key_range.low,
                   f"leaf {row}'s bound is not its path's")
         check(expected is None, "the last leaf does not end the tree")
+        try:
+            self._outliers.check_invariants()
+        except AssertionError as error:
+            check(False, f"the outlier index: {error}")
         filed = list(self._outliers.items())
         keys = np.asarray([key for key, _ in filed], dtype=np.float64)
-        check(bool((np.diff(keys) >= 0).all()), "outlier keys do not ascend")
         routed = np.bincount(table.interior.searchsorted(keys, side="right"),
                              minlength=size)
         check(np.array_equal(routed, table.num_outliers),

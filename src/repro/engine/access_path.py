@@ -71,9 +71,10 @@ from repro.storage.table import Table
 # executor's behaviour.
 SCAN_PER_ROW = 1.0
 # Per log2(n) level of one BTREE range probe: two searchsorted over the
-# ordered index's key array (a read right after a write folds the pending
-# record first, index/ordered.py).  The value was set for a pointer tree's
-# root-to-leaf descent and is kept; recalibration is ROADMAP item 10.
+# ordered index's key array (two more over its record of writes since the
+# last fold, when it holds one; index/ordered.py).  The value was set for a
+# pointer tree's root-to-leaf descent and is kept; recalibration is
+# ROADMAP item 10.
 DESCENT_COST = 2.0
 BTREE_PER_CANDIDATE = 1.0
 MECHANISM_OVERHEAD = 2.0
@@ -135,8 +136,10 @@ class AccessPath:
             (tids are locations, validation only filters) the batch
             executor then skips its final sort.  Only a mechanism that sorts
             while deduplicating claims it, and only where the skip applies
-            (Hermit under physical pointers, via ``sorted_candidates``);
-            complete indexes emit key order.
+            (Hermit under physical pointers, via ``sorted_candidates``).
+            No complete index claims it: its answer is in key order only
+            within its main run and within its record of writes, not
+            across the two (``repro.index.ordered``).
     """
 
     columns: tuple[str, ...] = ()

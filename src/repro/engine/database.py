@@ -822,7 +822,10 @@ class Database:
         Per table: the primary index holds exactly one ``key -> location``
         entry per live row; every complete secondary index (``BTREE``,
         which includes every host index) holds exactly the live rows'
-        ``key -> tid`` pairs, NULL keys excepted; and every
+        ``key -> tid`` pairs, NULL keys excepted; each of those ordered
+        indexes is well formed (:meth:`OrderedIndex.check_invariants`:
+        sorted runs, the distinct-key counts its point probes trust, dead
+        marks that name entries, a record within the fold share); and every
         Hermit index and Correlation Map never misses
         (:meth:`HermitIndex.check_invariants`,
         :meth:`CorrelationMap.check_invariants`).
@@ -843,6 +846,12 @@ class Database:
                                       (mechanism._tids_for_slots(slots),
                                        keys)))
                 for name, index, (tids, keys) in holds:
+                    try:
+                        index.check_invariants()
+                    except AssertionError as error:
+                        raise AssertionError(
+                            f"index {name!r} of table {entry.name!r}: "
+                            f"{error}") from error
                     known = ~np.isnan(keys)
                     expected = sorted(zip(keys[known].tolist(),
                                           tids[known].tolist()))

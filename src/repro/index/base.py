@@ -13,6 +13,12 @@ multi-range and segmented batch forms (``range_search_many_array``,
 index has a genuinely vectorized form) and two list conveniences, ``search``
 and ``range_search``, which are ``.tolist()`` of the array primitives and
 are never overridden.
+
+No read promises key order across a whole answer: an ordered index with
+writes recorded since its last fold returns a range's entries from its
+main run and then those from its record (``repro.index.ordered``).  Every
+lookup tail sorts or deduplicates its candidates, and no complete index
+claims ``AccessPath.produces_sorted_tids``.
 """
 
 from __future__ import annotations
@@ -180,7 +186,8 @@ class Index(abc.ABC):
     def range_search_array(self, key_range: KeyRange) -> np.ndarray:
         """All tids whose key lies in the closed ``key_range``, as one array.
 
-        The result may be a read-only view of the index's own storage.
+        The result may be a read-only view of the index's own storage.  It
+        need not be in key order (see the module docstring).
         """
 
     @abc.abstractmethod
@@ -226,7 +233,8 @@ class Index(abc.ABC):
         Unlike :meth:`range_search_many_array` (which unions the ranges into
         a single flat array), the returned ``(values, offsets)`` pair keeps
         the per-range boundaries — range ``i`` owns
-        ``values[offsets[i]:offsets[i + 1]]`` — which is what the batched
+        ``values[offsets[i]:offsets[i + 1]]``, as :meth:`range_search_array`
+        orders it, not necessarily by key — which is what the batched
         query executor needs to answer B queries in O(1) array passes.  The
         default concatenates per-range array probes; ``OrderedIndex``
         overrides it with a vectorized double-searchsorted gather over

@@ -1,82 +1,110 @@
-"""The ordered index: one sorted run plus a record of pending writes.
+"""The ordered index: a sorted run read beside a sorted record of writes.
 
 Every complete index of the engine — the primary index, the ``BTREE``
 secondary indexes, and so every host index — and the TRS-Tree's outlier
 buffer is one :class:`OrderedIndex`.  Its layout is a differential file
-(Severance & Lohman, TODS 1976): a read-optimised *main run* of two arrays,
-``keys`` (float64, ascending, one per entry) and ``tids`` (aligned; int64,
-or float64 once a float tid arrived), plus a small *record* of the writes
-since the run was last folded, merged in bulk.
+(Severance & Lohman, TODS 1976), read *beside* its main file.  It holds
+three parts:
+
+* the *main run*: two arrays, ``keys`` (float64, ascending, one per entry)
+  and ``tids`` (aligned; int64, or float64 once a float tid arrived);
+* the *insert run*: the inserts since the last fold, as two sorted arrays
+  of the same form;
+* the *dead positions*: the main-run positions deleted since the last
+  fold, ascending.
+
+Both runs' tids sit back to back in one storage array (the main run's
+first), so a probe of both is one gather: every probe's key run in the
+main run, split around its dead positions, is followed by its key run in
+the insert run.  Within one probe's answer key order is therefore not
+promised across that boundary.
 
 * A load — :meth:`OrderedIndex.insert_many` into an empty index — sorts
-  the batch once and adopts it as the run.
-* Every other write goes to the record: a net count per ``(key, tid)``
-  pair, +1 for an insert and -1 for a delete.  A delete batch first checks
-  that every pair is present in the run or the record, as often as it is
-  listed (:meth:`OrderedIndex.holds_many`), and raises
-  :class:`~repro.errors.KeyNotFoundError` otherwise, without folding.  A
-  write folds the record once it has taken more entries than a quarter of
-  the run (``_FOLD_SHARE``), so a write-only phase cannot grow it without
-  bound; a batch that would take it past that share is folded straight
-  from its arrays.  :meth:`OrderedIndex.delete_range` folds, then drops a
-  half-open key slice in one copy.
-* Every read probes the current run: the first read after a write folds
-  the record, under a lock, because concurrent readers race to it (writers
-  are serialised against readers by the engine's epoch lock).  A single
-  read right after a single write therefore pays one O(n) fold.
+  the batch once and adopts it as the main run.
+* An insert batch is merged into the insert run with one O(k + b) splice
+  (:func:`_fold_inserts`), written in place behind the main run's tids;
+  when the storage has no room left, the tids move to one with room for
+  twice the insert run.
+* A delete batch finds every listing with one search
+  (:meth:`OrderedIndex._claims`) over the live entries of both runs under
+  its keys.  A listing the index does not hold raises
+  :class:`~repro.errors.KeyNotFoundError` with nothing changed; a held one
+  leaves the insert run, or marks its main-run position dead.
+* A write folds once the record — the insert run and the dead positions —
+  would pass a quarter of the main run (``_FOLD_SHARE``): the live main
+  run and the insert run (and the batch) merge into a new main run.
+  :meth:`OrderedIndex.delete_range` folds, then drops a half-open key
+  slice in one copy.
+* A read never folds and never assigns an attribute: it answers from the
+  main run minus the dead positions plus the insert run.  With nothing
+  recorded it is one emptiness test over the main-run probe.  Writers are
+  serialised against readers by the engine's epoch lock.
 
-A fold of ``d`` recorded entries into ``n`` costs ``O(d log n)`` plus two
-masked copies of the run (:func:`_fold_inserts`, :func:`_fold_deletes`).
-It applies the inserts first: a pair deleted ``k`` times loses its first
-``k`` entries, and since entries of one pair are indistinguishable that is
-what any interleaving of the writes leaves.  Within one key, entries keep
-the order they reached the run in; a fold appends a key's new entries
-behind its old ones, in the order their pairs were first recorded.
+Within one key, entries keep the order they reached the index in; a fold
+appends a key's inserted entries behind its old ones.  A delete takes a
+pair's earliest live entries, main run first; entries of one pair are
+indistinguishable, so that is what any choice leaves.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import Counter
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.errors import KeyNotFoundError, StorageError
 from repro.index.base import Index, KeyRange, KeyRanges
-from repro.segments import offsets_from_counts, run_indices, sorted_unique
+from repro.segments import (
+    offsets_from_counts,
+    run_indices,
+    segment_ids,
+    sorted_unique,
+)
 from repro.storage.identifiers import TupleId
 from repro.storage.memory import btree_bytes
 
-# The record is folded once it holds more than 1/_FOLD_SHARE of the run's
-# entries.
+# A write folds once the record would hold more than 1/_FOLD_SHARE of the
+# main run's entries.
 _FOLD_SHARE = 4
 # An ordered index is priced as the paper's B+-tree over the same entries.
 _PRICED_NODE_CAPACITY = 32
 
 
 class _Run(NamedTuple):
-    """The main run: entry ``i`` is ``keys[i] -> tids[i]``."""
+    """A sorted run: entry ``i`` is ``keys[i] -> tids[i]``."""
 
     keys: np.ndarray    # float64, ascending, one per entry
     tids: np.ndarray    # aligned with keys; int64 or float64
     num_keys: int       # distinct keys among ``keys``
 
 
-_EMPTY_RUN = _Run(np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64),
-                  0)
+class _State(NamedTuple):
+    """The three parts, and the storage both runs' tids live in."""
+
+    run: _Run           # the main run; its tids are storage[:n]
+    inserts: _Run       # the insert run; its tids are storage[n:n + k]
+    dead: np.ndarray    # int64, ascending: deleted main-run positions
+    storage: np.ndarray  # both runs' tids, then room for more inserts
+
+
+_NO_DEAD = np.empty(0, dtype=np.int64)
+
+
+def _settled(run: _Run) -> _State:
+    """``run`` as the whole index: nothing recorded."""
+    return _State(run, _Run(run.keys[:0], run.tids[:0], 0), _NO_DEAD,
+                  run.tids)
+
+
+_EMPTY = _settled(_Run(np.empty(0, dtype=np.float64),
+                       np.empty(0, dtype=np.int64), 0))
 
 
 class OrderedIndex(Index):
     """A non-unique ordered index mapping numeric keys to tuple ids."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._run = _EMPTY_RUN
-        # Net count of every (key, tid) pair written since the last fold,
-        # and how many entries the writes since then have recorded.
-        self._pending: Counter = Counter()
-        self._recorded = 0
+        self._state = _EMPTY
 
     # ------------------------------------------------------------------ write
 
@@ -86,8 +114,8 @@ class OrderedIndex(Index):
 
         Into an empty index this is the load: the batch is sorted once
         (stably, so one key's tids keep their batch order) and becomes the
-        run.  A batch that takes the record past a quarter of the run is
-        folded in straight from its arrays; a smaller one is recorded.
+        main run.  A batch that takes the record past a quarter of the
+        main run folds; a smaller one is spliced into the insert run.
         Duplicates of the same pair are allowed.
         """
         keys = np.asarray(keys, dtype=np.float64)
@@ -96,18 +124,36 @@ class OrderedIndex(Index):
             raise StorageError("keys and tids must have equal length")
         if keys.size == 0:
             return
-        if not (self._run.keys.size or self._pending):
+        run, inserts, dead, storage = self._state
+        tids = _typed(tids)
+        dtype = np.result_type(storage.dtype, tids.dtype)
+        if not run.keys.size:
+            # An empty main run holds no record (the fold share).
             order = np.argsort(keys, kind="stable")
-            keys, tids = keys[order], _typed(tids[order])
-            self._run = _Run(keys, tids.astype(np.result_type(
-                self._run.tids.dtype, tids.dtype), copy=False), int(
-                np.count_nonzero(keys[1:] != keys[:-1])) + 1)
+            keys = keys[order]
+            self._state = _settled(_Run(keys, tids[order].astype(
+                dtype, copy=False), _distinct(keys)))
             return
-        if _FOLD_SHARE * (self._recorded + keys.size) > self._run.keys.size:
+        if _FOLD_SHARE * (inserts.keys.size + dead.size + keys.size) \
+                > run.keys.size:
             self._fold(keys, tids)
             return
-        self._pending.update(zip(keys.tolist(), tids.tolist()))
-        self._recorded += keys.size
+        size, recorded = run.keys.size, inserts.keys.size
+        if storage.dtype != dtype or storage.size < size + recorded + keys.size:
+            # Room for twice the insert run, as far as the fold share lets
+            # it grow: a run of inserts copies the main run's tids a
+            # logarithmic number of times before the fold.
+            grown = np.empty(size + min(size // _FOLD_SHARE,
+                                        2 * (recorded + keys.size)), dtype=dtype)
+            grown[:size + recorded] = storage[:size + recorded]
+            storage = grown
+            run = run._replace(tids=storage[:size])
+        inserts = _fold_inserts(inserts._replace(
+            tids=storage[size:size + recorded]), keys, tids)
+        stored = storage[size:size + inserts.keys.size]
+        stored[:] = inserts.tids
+        self._state = _State(run, inserts._replace(tids=stored), dead,
+                             storage)
 
     def delete_many(self, keys: Sequence[float] | np.ndarray,
                     tids: Sequence[TupleId] | np.ndarray) -> None:
@@ -115,52 +161,36 @@ class OrderedIndex(Index):
         listed more often than the index holds it (:meth:`holds_many`) is a
         ``KeyNotFoundError``, nothing removed."""
         keys, tids = np.asarray(keys, dtype=np.float64), np.asarray(tids)
-        held = self.holds_many(keys, tids)
+        held, taken = self._claims(keys, tids)
         if not held.all():
             missing = int(np.argmin(held))
             raise KeyNotFoundError(f"tid {tids[missing].item()!r} is not "
                                    f"stored under key {keys[missing].item()!r}")
-        self._pending.subtract(zip(keys.tolist(), tids.tolist()))
-        self._recorded += keys.size
-        if _FOLD_SHARE * self._recorded > self._run.keys.size:
+        if not taken.size:
+            return
+        run, inserts, dead, storage = self._state
+        size = run.keys.size
+        in_run = taken < size
+        if in_run.any():
+            dead = np.sort(np.concatenate((dead, taken[in_run])))
+        if not in_run.all():
+            kept = np.ones(inserts.keys.size, dtype=bool)
+            kept[taken[~in_run] - size] = False
+            keys = inserts.keys[kept]
+            stored = storage[size:size + keys.size]
+            stored[:] = inserts.tids[kept]
+            inserts = _Run(keys, stored, _distinct(keys))
+        self._state = _State(run, inserts, dead, storage)
+        if _FOLD_SHARE * (inserts.keys.size + dead.size) > size:
             self._fold()
 
     def holds_many(self, keys: Sequence[float] | np.ndarray,
                    tids: Sequence[TupleId] | np.ndarray) -> np.ndarray:
-        """Which aligned ``keys[i] -> tids[i]`` pairs the index holds (run
-        and record, unfolded): a pair's ``j``-th listing (from 0) when it
-        stores more than ``j`` entries of it, so no entry is taken twice."""
-        keys, tids = np.asarray(keys, dtype=np.float64), np.asarray(tids)
-        if keys.shape != tids.shape:
-            raise StorageError("keys and tids must have equal length")
-        run = self._run
-        starts = run.keys.searchsorted(keys)
-        if run.keys.size and run.num_keys == run.keys.size:
-            # One entry per key (a primary index), as in _point_runs.
-            slots = np.minimum(starts, run.keys.size - 1)
-            stored = ((run.keys[slots] == keys)
-                      & (run.tids[slots] == tids)).astype(np.int64)
-        else:
-            stops = run.keys.searchsorted(keys, "right")
-            owners = np.repeat(np.arange(keys.size), stops - starts)
-            positions = run_indices(starts, stops)[0]
-            stored = np.bincount(owners[run.tids[positions] == tids[owners]],
-                                 minlength=keys.size)
-        if self._pending:
-            stored += np.fromiter((self._pending[pair] for pair in zip(
-                keys.tolist(), tids.tolist())), np.int64, keys.size)
-        # A pair's earlier listings: a stable sort puts its listings in
-        # batch order, so they are its distance from the first.
-        order = np.lexsort((tids, keys))
-        keys, tids = keys[order], tids[order]
-        place = np.arange(keys.size)
-        first = np.ones(keys.size, dtype=bool)
-        first[1:] = (keys[1:] != keys[:-1]) | (tids[1:] != tids[:-1])
-        if first.all():
-            return stored > 0
-        earlier = np.empty(keys.size, dtype=np.int64)
-        earlier[order] = place - np.maximum.accumulate(place * first)
-        return earlier < stored
+        """Which aligned ``keys[i] -> tids[i]`` pairs the index holds: a
+        pair's ``j``-th listing (from 0) when it stores more than ``j``
+        live entries of it, so no entry is taken twice."""
+        return self._claims(np.asarray(keys, dtype=np.float64),
+                            np.asarray(tids))[0]
 
     def delete_range(self, low: float, high: float) -> None:
         """Remove every entry with ``low <= key < high`` (half-open).
@@ -168,29 +198,41 @@ class OrderedIndex(Index):
         Folds the record, then two ``searchsorted`` bound the slice and one
         copy of the run drops it.
         """
-        keys, tids, num_keys = self._current()
+        self._fold()
+        keys, tids, num_keys = self._state.run
         start, stop = keys.searchsorted(low), keys.searchsorted(high)
         if stop <= start:
             return
         gone = keys[start:stop]
-        self._run = _Run(np.concatenate((keys[:start], keys[stop:])),
-                         np.concatenate((tids[:start], tids[stop:])),
-                         num_keys - 1 - int(np.count_nonzero(
-                             gone[1:] != gone[:-1])))
+        self._state = _settled(_Run(
+            np.concatenate((keys[:start], keys[stop:])),
+            np.concatenate((tids[:start], tids[stop:])),
+            num_keys - 1 - int(np.count_nonzero(gone[1:] != gone[:-1]))))
 
     # ------------------------------------------------------------------- read
 
     def range_search_array(self, key_range: KeyRange) -> np.ndarray:
-        """Closed-range scan: a read-only slice of the run's tids.
+        """Closed-range scan: the tids of the range's key run.
 
-        Two ``searchsorted`` locate the range's key run; the answer is a
-        view of index storage, so ``.copy()`` it before sorting in place.
+        Two ``searchsorted`` locate the run.  With nothing recorded the
+        answer is a read-only view of index storage, so ``.copy()`` it
+        before sorting in place; otherwise it is a gather of the live
+        main-run entries followed by the insert run's.
         """
-        keys, tids, _ = self._current()
-        run = tids[keys.searchsorted(key_range.low):
-                   keys.searchsorted(key_range.high, "right")]
-        run.setflags(write=False)
-        return run
+        state = self._state
+        keys = state.run.keys
+        start = keys.searchsorted(key_range.low)
+        stop = keys.searchsorted(key_range.high, "right")
+        if state.inserts.keys.size or state.dead.size:
+            inserted = state.inserts.keys
+            found = state.storage[_live_positions(
+                state, np.array([start]), np.array([stop]),
+                inserted.searchsorted([key_range.low]),
+                inserted.searchsorted([key_range.high], "right"))[0]]
+        else:
+            found = state.run.tids[start:stop]
+        found.setflags(write=False)
+        return found
 
     def search_many(self, keys: Sequence[float] | np.ndarray) -> np.ndarray:
         """Batched point probe, tids grouped by key in input order.
@@ -209,13 +251,22 @@ class OrderedIndex(Index):
         Both passes locate every range's key run and one
         :func:`~repro.segments.run_indices` gather pulls the tids out, so a
         batch of range probes costs a constant number of array passes.
+        With a record, the same gather takes every range's live main-run
+        entries and then its insert-run entries (:func:`_live_positions`).
         """
         ranges = KeyRanges.of(ranges)
-        keys, tids, _ = self._current()
-        indices, offsets = run_indices(
-            keys.searchsorted(ranges.lows),
-            keys.searchsorted(ranges.highs, "right"))
-        return tids[indices], offsets
+        state = self._state
+        keys = state.run.keys
+        starts = keys.searchsorted(ranges.lows)
+        stops = keys.searchsorted(ranges.highs, "right")
+        if not (state.inserts.keys.size or state.dead.size):
+            indices, offsets = run_indices(starts, stops)
+            return state.run.tids[indices], offsets
+        inserted = state.inserts.keys
+        positions, offsets = _live_positions(
+            state, starts, stops, inserted.searchsorted(ranges.lows),
+            inserted.searchsorted(ranges.highs, "right"))
+        return state.storage[positions], offsets
 
     def search_many_segmented(
         self, keys: np.ndarray, offsets: np.ndarray,
@@ -232,44 +283,85 @@ class OrderedIndex(Index):
         return tids, offsets_from_counts(np.asarray(sizes))[offsets]
 
     def items(self) -> Iterator[tuple[float, TupleId]]:
-        """Iterate all (key, tid) pairs in key order."""
-        keys, tids, _ = self._current()
+        """Iterate all live (key, tid) pairs in key order."""
+        run, inserts, dead, _ = self._state
+        keys, tids = run.keys, run.tids
+        if dead.size:
+            alive = np.ones(keys.size, dtype=bool)
+            alive[dead] = False
+            keys, tids = keys[alive], tids[alive]
+        if inserts.keys.size:
+            keys = np.concatenate((keys, inserts.keys))
+            order = np.argsort(keys, kind="stable")
+            keys, tids = keys[order], np.concatenate((tids, inserts.tids))[order]
         return zip(keys.tolist(), tids.tolist())
 
     # ------------------------------------------------------------- accounting
 
     @property
     def num_entries(self) -> int:
-        """Number of (key, tid) entries stored."""
-        return int(self._current().keys.size)
+        """Number of live (key, tid) entries stored."""
+        run, inserts, dead, _ = self._state
+        return int(run.keys.size - dead.size + inserts.keys.size)
 
     def memory_bytes(self) -> int:
         """Analytic size in bytes: the B+-tree over the same entries."""
         return btree_bytes(self.num_entries, _PRICED_NODE_CAPACITY)
 
-    # ---------------------------------------------------------------- private
+    def check_invariants(self) -> None:
+        """Raise ``AssertionError`` unless the three parts are well formed
+        (for tests).
 
-    def _current(self) -> _Run:
-        """The run with every recorded write folded in."""
-        if self._pending:
-            self._fold()
-        return self._run
+        Both runs' keys ascend, align with their tids and count their
+        distinct keys right (the count the one-entry-per-key probes trust;
+        dead marks do not change it); both runs' tids share the storage's
+        type; the dead positions ascend strictly and each names a main-run
+        entry; and the record is within the fold share.
+        """
+        run, inserts, dead, storage = self._state
+
+        def check(condition: bool, message: str) -> None:
+            if not condition:
+                raise AssertionError(message)
+
+        for name, part in (("main run", run), ("insert run", inserts)):
+            keys = part.keys
+            check(keys.size == part.tids.size,
+                  f"the {name}'s keys and tids differ in length")
+            check(not (keys[1:] < keys[:-1]).any(),
+                  f"the {name}'s keys do not ascend")
+            check(part.num_keys == _distinct(keys),
+                  f"the {name} counts {part.num_keys} distinct keys but "
+                  f"holds {_distinct(keys)}")
+            check(part.tids.dtype == storage.dtype,
+                  f"the {name}'s tids are not of the storage's type")
+        size = run.keys.size
+        check(np.array_equal(storage[:size], run.tids) and np.array_equal(
+            storage[size:size + inserts.keys.size], inserts.tids),
+              "the storage does not hold the runs' tids back to back")
+        check(dead.dtype == np.int64 and not (dead[1:] <= dead[:-1]).any()
+              and (not dead.size or 0 <= dead[0] <= dead[-1] < run.keys.size),
+              "the dead positions do not name distinct main-run entries")
+        check(_FOLD_SHARE * (inserts.keys.size + dead.size) <= run.keys.size,
+              "the record is past the fold share")
+
+    # ---------------------------------------------------------------- private
 
     def _fold(self, keys: np.ndarray | None = None,
               tids: np.ndarray | None = None) -> None:
-        """Fold the record into the run, then the batch ``keys -> tids``."""
-        with self._lock:
-            run = self._run
-            if self._pending:
-                run = _folded(run, self._pending)
-            if keys is not None:
-                run = _merged(run, keys, tids)
-            # Publish the run before emptying the record: a reader that
-            # sees an empty record (:meth:`_current`, lock-free) must find
-            # the run it was folded into.
-            self._run = run
-            self._pending = Counter()
-            self._recorded = 0
+        """Fold the record, and the batch ``keys -> tids``, into a new main
+        run: one masked copy drops the dead entries, one splice merges."""
+        run, inserts, dead, _ = self._state
+        if dead.size:
+            alive = np.ones(run.keys.size, dtype=bool)
+            alive[dead] = False
+            live = run.keys[alive]
+            run = _Run(live, run.tids[alive], _distinct(live))
+        new_keys, new_tids = inserts.keys, inserts.tids
+        if keys is not None:
+            new_keys = np.concatenate((new_keys, keys))
+            new_tids = np.concatenate((new_tids, tids))
+        self._state = _settled(_merged(run, new_keys, new_tids))
 
     def _point_runs(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The tids under ``keys``, grouped in input order, and per-key counts.
@@ -279,41 +371,128 @@ class OrderedIndex(Index):
         ``searchsorted`` places every key, a hit's slot *is* its tid's
         position and its count the hit mask.
         """
-        run_keys, tids, num_keys = self._current()
+        state = self._state
+        run_keys, tids, num_keys = state.run
         if not (keys.size and run_keys.size):
             return tids[:0], np.zeros(keys.size, dtype=np.int64)
         starts = run_keys.searchsorted(keys)
+        recorded = state.inserts.keys.size or state.dead.size
         if num_keys == run_keys.size:
             # A key past the last one places at the end: the clipped take
             # compares it with the last key, which it cannot equal.
             hit = run_keys.take(starts, mode="clip") == keys
-            return tids[starts[hit]], hit
-        stops = run_keys.searchsorted(keys, "right")
-        return tids[run_indices(starts, stops)[0]], stops - starts
+            if not recorded:
+                return tids[starts[hit]], hit
+            stops = starts + hit
+        else:
+            stops = run_keys.searchsorted(keys, "right")
+            if not recorded:
+                return tids[run_indices(starts, stops)[0]], stops - starts
+        inserted = state.inserts.keys
+        positions, offsets = _live_positions(
+            state, starts, stops, inserted.searchsorted(keys),
+            inserted.searchsorted(keys, "right"))
+        return state.storage[positions], offsets[1:] - offsets[:-1]
+
+    def _claims(self, keys: np.ndarray, tids: np.ndarray,
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """Which aligned listings the index holds, and the storage position
+        of the live entry each held listing takes.
+
+        One search: every live entry under a listed key, in both runs, is
+        gathered once however many listings name it, so the work is bounded
+        by the entries even when a few heavily duplicated keys own them
+        all.  A pair is named by one integer, its key's rank among the
+        listed keys times the listed tids plus its tid's rank, and the
+        ``j``-th listing of a pair (in batch order) takes the pair's
+        ``j``-th entry (main run first, in position order).
+        """
+        if keys.shape != tids.shape:
+            raise StorageError("keys and tids must have equal length")
+        state = self._state
+        if not keys.size:
+            return np.ones(0, dtype=bool), _NO_DEAD
+        key_values = sorted_unique(keys.copy())
+        tid_values = sorted_unique(tids.copy())
+        width = tid_values.size
+        listed = key_values.searchsorted(keys) * width \
+            + tid_values.searchsorted(tids)
+        run_keys, inserted = state.run.keys, state.inserts.keys
+        positions, offsets = _live_positions(
+            state, run_keys.searchsorted(key_values),
+            run_keys.searchsorted(key_values, "right"),
+            inserted.searchsorted(key_values),
+            inserted.searchsorted(key_values, "right"))
+        stored = state.storage[positions]
+        rank = np.minimum(tid_values.searchsorted(stored), width - 1)
+        hit = tid_values[rank] == stored
+        entries = (segment_ids(offsets) * width + rank)[hit]
+        order = np.argsort(entries, kind="stable")
+        entries, positions = entries[order], positions[hit][order]
+        # A listing's earlier listings of its pair: a stable sort puts a
+        # pair's listings in batch order, so they are its distance from
+        # the first.
+        order = np.argsort(listed, kind="stable")
+        ranked = listed[order]
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = ranked[1:] != ranked[:-1]
+        earlier = np.zeros(keys.size, dtype=np.int64)
+        if not first.all():
+            place = np.arange(keys.size)
+            earlier[order] = place - np.maximum.accumulate(place * first)
+        start = entries.searchsorted(listed)
+        held = earlier < entries.searchsorted(listed, "right") - start
+        if not held.any():
+            return held, _NO_DEAD
+        return held, positions[start[held] + earlier[held]]
+
+
+def _distinct(keys: np.ndarray) -> int:
+    """Distinct keys of an ascending key array."""
+    return int(np.count_nonzero(keys[1:] != keys[:-1])) + 1 if keys.size else 0
+
+
+def _live_positions(state: _State, starts: np.ndarray, stops: np.ndarray,
+                    insert_starts: np.ndarray, insert_stops: np.ndarray,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Storage positions of every probe's live entries, and their offsets.
+
+    Probe ``i`` owns the main-run slice ``[starts[i], stops[i])`` less its
+    dead positions, then the insert-run slice ``[insert_starts[i],
+    insert_stops[i])``.  Two ``searchsorted`` of the main-run bounds in the
+    dead positions count each probe's dead entries; a probe holding some
+    has its slice cut into pieces around them.  The pieces and the insert
+    slices are the runs of one :func:`~repro.segments.run_indices` — no
+    mask over the gathered entries.
+    """
+    dead, size = state.dead, state.run.keys.size
+    first_dead = dead.searchsorted(starts)
+    cuts = dead.searchsorted(stops) - first_dead
+    # Probe i's pieces: cuts[i] + 1 of the main run, then its insert slice.
+    pieces = offsets_from_counts(cuts + 2)
+    inserted = pieces[1:] - 1
+    piece_starts = np.empty(int(pieces[-1]), dtype=np.int64)
+    piece_stops = np.empty_like(piece_starts)
+    piece_starts[pieces[:-1]] = starts
+    piece_stops[inserted - 1] = stops
+    piece_starts[inserted] = insert_starts + size
+    piece_stops[inserted] = insert_stops + size
+    if cuts.any():
+        at, cut_offsets = run_indices(first_dead, first_dead + cuts)
+        # The j-th dead position of probe i ends its piece j and starts
+        # piece j + 1.
+        slots = pieces[:-1].repeat(cuts) + np.arange(at.size) \
+            - cut_offsets[:-1].repeat(cuts)
+        piece_stops[slots] = dead[at]
+        piece_starts[slots + 1] = dead[at] + 1
+    positions, piece_offsets = run_indices(piece_starts, piece_stops)
+    return positions, piece_offsets[pieces]
 
 
 def _typed(tids: np.ndarray) -> np.ndarray:
-    """Tids as the run holds them: float64 if they are floats, else int64."""
+    """Tids as the runs hold them: float64 if they are floats, else int64."""
     return tids.astype(np.float64 if tids.dtype.kind == "f" else np.int64,
                        copy=False)
-
-
-def _folded(run: _Run, pending: Counter) -> _Run:
-    """``run`` with the net writes of ``pending`` applied (inserts first).
-
-    Int tids become float64 when the record holds a float tid.
-    """
-    keys, tids = (np.asarray(column) for column in zip(*pending))
-    keys = keys.astype(np.float64, copy=False)
-    counts = np.fromiter(pending.values(), dtype=np.int64, count=len(pending))
-    run = _merged(run, np.repeat(keys, np.maximum(counts, 0)),
-                  np.repeat(tids, np.maximum(counts, 0)))
-    gone = counts < 0
-    if gone.any():
-        run = _fold_deletes(run, np.repeat(keys[gone], -counts[gone]),
-                            np.repeat(tids[gone], -counts[gone]).astype(
-                                run.tids.dtype, copy=False))
-    return run
 
 
 def _merged(run: _Run, keys: np.ndarray, tids: np.ndarray) -> _Run:
@@ -354,48 +533,3 @@ def _spliced(values: np.ndarray, old: np.ndarray, places: np.ndarray,
     out[old] = values
     out[places] = new_values
     return out
-
-
-def _fold_deletes(run: _Run, gone_keys: np.ndarray,
-                  gone_tids: np.ndarray) -> _Run:
-    """Remove, per ``(key, tid)`` pair deleted ``k`` times, its first ``k`` entries.
-
-    Every pair must have at least ``k`` entries
-    (:meth:`OrderedIndex.delete_many` checks).  The run of every deleted
-    key is read once however many deletes hit it, so the work is bounded by
-    the size of the run even when a few heavily duplicated keys own all the
-    entries.
-    """
-    keys, tids, num_keys = run
-    starts = keys.searchsorted(gone_keys, side="left")
-    # A pair is named by one integer: its key's run start and its tid's
-    # rank among the distinct deleted tids.
-    tid_values = sorted_unique(gone_tids.copy())
-    pairs = starts * tid_values.size + np.searchsorted(tid_values, gone_tids)
-    pairs.sort()
-    first_delete = np.flatnonzero(
-        np.concatenate(([True], pairs[1:] != pairs[:-1])))
-    wanted = np.diff(np.append(first_delete, pairs.size))
-    pairs = pairs[first_delete]
-    # The entries that could be victims: those in a deleted key's run whose
-    # tid is a deleted one, named the same way, in run order within a pair.
-    touched = sorted_unique(starts.copy())
-    stops = keys.searchsorted(keys[touched], side="right")
-    positions, _ = run_indices(touched, stops)
-    run_tids = tids[positions]
-    rank = np.searchsorted(tid_values, run_tids)
-    rank[rank == tid_values.size] = 0
-    hit = tid_values[rank] == run_tids
-    entries = (np.repeat(touched, stops - touched)[hit] * tid_values.size
-               + rank[hit])
-    positions = positions[hit]
-    order = np.argsort(entries, kind="stable")
-    positions = positions[order]
-    first = np.searchsorted(entries[order], pairs, side="left")
-    keep = np.ones(keys.size, dtype=bool)
-    keep[positions[run_indices(first, first + wanted)[0]]] = False
-    # A run is emptied when it took as many deletes as it had entries.
-    deletes = np.bincount(np.searchsorted(touched, starts),
-                          minlength=touched.size)
-    emptied = int(np.count_nonzero(deletes == stops - touched))
-    return _Run(keys[keep], tids[keep], num_keys - emptied)

@@ -5,8 +5,8 @@ here on its own.  Each case builds the machine's three mechanism tables
 (Hermit, B+-tree, Correlation Map) under one pointer scheme, corrupts one
 structure of one table behind the engine's back, and expects an
 ``AssertionError`` naming that structure: the primary index, the host
-index, a complete target index, the Hermit TRS-Tree or the Correlation
-Map.  The same database passes when left alone and after every kind of
+index (its rows, or the ordered index's own shape), a complete target
+index, the Hermit TRS-Tree or the Correlation Map.  The same database passes when left alone and after every kind of
 write and maintenance.
 """
 
@@ -203,6 +203,34 @@ def cm_files_a_linked_row_as_null_host(database, table, index):
     return "NULL-host index"
 
 
+def distinct_key_count_off(database, table, index):
+    backing = mechanism(database, table, index).index
+    state = backing._state
+    backing._state = state._replace(
+        run=state.run._replace(num_keys=state.run.num_keys - 1))
+    return f"index {index!r}"
+
+
+def dead_mark_past_the_run(database, table, index):
+    backing = mechanism(database, table, index).index
+    state = backing._state
+    backing._state = state._replace(dead=np.array([state.run.keys.size + 2]))
+    return f"index {index!r}"
+
+
+def unsorted_insert_run(database, table, index):
+    database.insert_many(table, {"pk": [1_000.0, 1_001.0],
+                                 "host": [host_for(10.0, True),
+                                          host_for(900.0, True)],
+                                 "target": [10.0, 900.0]})
+    backing = mechanism(database, table, index).index
+    state = backing._state
+    assert state.inserts.keys.size == 2
+    backing._state = state._replace(inserts=state.inserts._replace(
+        keys=state.inserts.keys[::-1].copy()))
+    return f"index {index!r}"
+
+
 EVERY_TABLE = [primary_misses_a_live_row, primary_keeps_a_deleted_row,
                primary_points_at_another_row]
 EVERY_INDEX = [misses_a_live_row, keeps_a_deleted_row, files_a_stale_key,
@@ -211,6 +239,8 @@ CASES = (
     [(corrupt, table, "idx_host") for corrupt in EVERY_TABLE + EVERY_INDEX
      for table in TABLES]
     + [(corrupt, "btree", "idx_target") for corrupt in EVERY_INDEX]
+    + [(corrupt, "btree", "idx_host") for corrupt in
+       (distinct_key_count_off, dead_mark_past_the_run, unsorted_insert_run)]
     + [(corrupt, "hermit", "idx_target") for corrupt in
        (outlier_dropped, outlier_under_another_tid, outlier_count_off,
         unmodelled_count_off, leaf_path_repeated, leaf_bound_moved,

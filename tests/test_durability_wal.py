@@ -105,25 +105,34 @@ def test_insert_many_roundtrip(batch):
 
 
 @SETTINGS
-@given(changes=st.dictionaries(
-    st.text(min_size=1, max_size=10),
-    st.one_of(st.none(), int64s, finite_floats, st.text(max_size=20)),
-    max_size=5,
-), location=st.integers(min_value=0, max_value=2 ** 40))
-def test_update_payload_roundtrip(changes, location):
-    decoded = roundtrip(WalOp.UPDATE, {
-        "table": "t", "location": location, "changes": changes,
-    })
-    assert decoded == {"table": "t", "location": location, "changes": changes}
+@given(data=st.data(), locations=st.lists(
+    st.integers(min_value=0, max_value=2 ** 40), max_size=6))
+def test_update_payload_roundtrip(data, locations):
+    """The batched shape ``DurabilityManager.log_update_many`` writes: the
+    rows' locations and, per changed column, one value per row."""
+    columns = data.draw(st.dictionaries(
+        st.text(min_size=1, max_size=10),
+        st.lists(st.one_of(st.none(), int64s, finite_floats,
+                           st.text(max_size=20)),
+                 min_size=len(locations), max_size=len(locations)),
+        max_size=5))
+    payload = {"table": "t", "locations": locations, "columns": columns}
+    assert roundtrip(WalOp.UPDATE, payload) == payload
+
+
+def test_delete_payload_roundtrip():
+    """The batched shape ``DurabilityManager.log_delete_many`` writes."""
+    payload = {"table": "t", "locations": [9, 0, 2 ** 40]}
+    assert roundtrip(WalOp.DELETE, payload) == payload
 
 
 def test_nan_and_infinity_survive():
     decoded = roundtrip(WalOp.UPDATE, {
-        "table": "t", "location": 0,
-        "changes": {"a": float("inf"), "b": float("-inf")},
+        "table": "t", "locations": [0, 1],
+        "columns": {"a": [float("inf"), 1.0], "b": [float("-inf"), 2.0]},
     })
-    assert decoded["changes"]["a"] == float("inf")
-    assert decoded["changes"]["b"] == float("-inf")
+    assert decoded["columns"]["a"] == [float("inf"), 1.0]
+    assert decoded["columns"]["b"] == [float("-inf"), 2.0]
     batch = {"f": np.asarray([np.nan, np.inf, -np.inf, 0.0])}
     decoded = roundtrip(WalOp.INSERT_MANY,
                         {"table": "t", "columns": batch})
@@ -141,11 +150,14 @@ def test_unencodable_columns_rejected():
 
 
 def build_sample_wal(path: str) -> list:
-    """A small WAL exercising every opcode; returns its records."""
+    """A small WAL exercising every opcode, every write in the batched
+    shape ``DurabilityManager`` logs; returns its records."""
     wal = WriteAheadLog(path, fsync=FsyncPolicy.OFF)
     wal.append(WalOp.CREATE_TABLE, {"schema": {
         "name": "t", "primary_key": "pk",
-        "columns": [{"name": "pk", "dtype": "int64", "nullable": False}],
+        "columns": [{"name": "pk", "dtype": "int64", "nullable": False},
+                    {"name": "v", "dtype": "float64", "nullable": True},
+                    {"name": "s", "dtype": "string", "nullable": True}],
     }})
     wal.append(WalOp.INSERT_MANY, {"table": "t", "columns": {
         "pk": np.arange(7, dtype=np.int64),
@@ -158,14 +170,42 @@ def build_sample_wal(path: str) -> list:
                                     "cm_target_bucket_width": None,
                                     "cm_host_bucket_width": None,
                                     "preexisting": False})
-    wal.append(WalOp.UPDATE, {"table": "t", "location": 2,
-                              "changes": {"v": 0.25}})
-    wal.append(WalOp.DELETE, {"table": "t", "location": 3})
+    wal.append(WalOp.UPDATE, {"table": "t", "locations": [2, 5],
+                              "columns": {"v": [0.25, None],
+                                          "s": ["β", "g"]}})
+    wal.append(WalOp.DELETE, {"table": "t", "locations": [3, 0]})
     wal.append(WalOp.DROP_INDEX, {"table": "t", "name": "i"})
     wal.close()
     records, valid = scan_wal(path)
     assert valid == os.path.getsize(path)
     return records
+
+
+# The rows build_sample_wal's log leaves: (pk, v, s), by location.
+SAMPLE_ROWS = [(1, 1 / 6, None), (2, 0.25, "β"), (4, 4 / 6, "d"),
+               (5, None, "g"), (6, 1.0, "f")]
+
+
+def test_recover_replays_the_sample_log(tmp_path):
+    """Every record of the corpus replays: ``recover()`` rebuilds the rows
+    the logged writes leave, and the dropped index is gone."""
+    build_sample_wal(os.path.join(str(tmp_path), "wal.log"))
+    database = recover(DurabilityConfig(directory=str(tmp_path),
+                                        fsync=FsyncPolicy.OFF))
+    try:
+        table = database.table("t")
+        slots, pks, values = table.project(["pk", "v"])
+        strings = table.values(slots, "s")
+        got = [(int(pk), None if np.isnan(value) else value, text)
+               for pk, value, text in zip(pks.tolist(), values.tolist(),
+                                          list(strings))]
+        assert slots.tolist() == [1, 2, 4, 5, 6]
+        assert got == [(pk, value if value is None else pytest.approx(value),
+                        text) for pk, value, text in SAMPLE_ROWS]
+        assert not database.catalog.table_entry("t").indexes
+        database.check_invariants()
+    finally:
+        database.close()
 
 
 def test_torn_write_corpus_every_byte_offset(tmp_path):
@@ -212,7 +252,7 @@ def test_append_continues_lsn_sequence_after_reopen(tmp_path):
     records = build_sample_wal(path)
     wal = WriteAheadLog(path, fsync=FsyncPolicy.OFF)
     assert wal.last_lsn == records[-1].lsn
-    lsn = wal.append(WalOp.DELETE, {"table": "t", "location": 0})
+    lsn = wal.append(WalOp.DELETE, {"table": "t", "locations": [0]})
     wal.close()
     assert lsn == records[-1].lsn + 1
     got, _ = scan_wal(path)
@@ -239,7 +279,7 @@ def test_crc_catches_single_bit_flip_anywhere_in_record(tmp_path):
     path = os.path.join(str(tmp_path), "wal.log")
     with open(path, "wb") as handle:
         handle.write(encode_record(1, WalOp.DELETE,
-                                   {"table": "t", "location": 9}))
+                                   {"table": "t", "locations": [9]}))
     blob = bytearray(open(path, "rb").read())
     body = bytes(blob[8:])
     assert zlib.crc32(body) == int.from_bytes(blob[4:8], "little")

@@ -1,6 +1,7 @@
 """Unit tests for the Hermit index mechanism (4-step lookup + maintenance)."""
 
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro.engine.catalog import IndexMethod
 from repro.engine.database import Database
 from repro.engine.query import QueryRequest, RangePredicate
 from repro.errors import QueryError
+from repro.index import ordered
 from repro.index.base import KeyRanges
 from repro.index.ordered import OrderedIndex
 from repro.storage.identifiers import PointerScheme
@@ -354,3 +356,93 @@ class TestCountedSingleRequestWork:
         python_ceiling, c_ceiling = self.CEILINGS[kind]
         assert python_calls <= python_ceiling, python_calls
         assert c_calls <= c_ceiling, c_calls
+
+
+class TestCountedReadAfterWrite:
+    """A batch read right after a write, counted rather than timed.
+
+    On the e2e schema (four columns, a B+-tree on ``colB`` that hosts
+    Hermit on ``colC``; 20k rows, physical pointers) a 500-row
+    ``insert_many`` leaves a record in the host index, the primary index
+    and the outlier buffer.  The 256-range ``execute_many`` after it reads
+    each index's run beside its record: it folds nothing, splices nothing,
+    and its allocation peak exceeds that of the same batch on the folded
+    indexes by less than a quarter of one copy of the host index's run.
+    (The batch's own answers, ~5k locations in 256 result objects, take
+    more than that quarter, so the peak is compared with the folded read.)
+    """
+
+    ROWS = 20_000
+
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_a_read_after_a_write_folds_nothing(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        database = Database()
+        database.create_table(numeric_schema(
+            "t", ["colA", "colB", "colC", "colD"], primary_key="colA"))
+
+        def rows(first: int, count: int) -> dict:
+            target = rng.uniform(0.0, 1000.0, count)
+            host = 2.0 * target + 10.0
+            off = rng.random(count) < 0.02
+            host[off] += rng.uniform(500.0, 1500.0, int(off.sum()))
+            return {"colA": np.arange(first, first + count, dtype=np.float64),
+                    "colB": host, "colC": target,
+                    "colD": rng.uniform(size=count)}
+
+        def requests() -> list:
+            return [QueryRequest.range("t", "colC", low, low + 1.0)
+                    for low in rng.uniform(0.0, 999.0, 256).tolist()]
+
+        database.insert_many("t", rows(0, self.ROWS))
+        database.create_index("idx_colB", "t", "colB")
+        database.create_index("idx_colC", "t", "colC",
+                              method=IndexMethod.HERMIT, host_column="colB")
+        database.execute_many(requests())
+        database.insert_many("t", rows(self.ROWS, 500))
+        entry = database.catalog.table_entry("t")
+        host = entry.indexes["idx_colB"].mechanism.index
+        indexes = [entry.primary_index, host,
+                   entry.indexes["idx_colC"].mechanism.trs_tree._outliers]
+        assert all(index._state.inserts.keys.size for index in indexes)
+        batch = requests()
+
+        calls = Counter()
+        fold, fold_inserts = OrderedIndex._fold, ordered._fold_inserts
+
+        def counting_fold(index, *args):
+            calls["fold"] += 1
+            return fold(index, *args)
+
+        def counting_fold_inserts(*args):
+            calls["fold_inserts"] += 1
+            return fold_inserts(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(OrderedIndex, "_fold", counting_fold)
+            patch.setattr(ordered, "_fold_inserts", counting_fold_inserts)
+            results, peak = self.traced_peak(
+                lambda: database.execute_many(batch))
+        assert calls == Counter()
+
+        run = host._state.run
+        run_bytes = run.keys.nbytes + run.tids.nbytes
+        for index in indexes:
+            index._fold()
+        folded, folded_peak = self.traced_peak(
+            lambda: database.execute_many(batch))
+        assert peak < folded_peak + run_bytes / 4, (peak, folded_peak)
+        slots, targets = database.table("t").project(["colC"])
+        for request, result, again in zip(batch, results, folded):
+            (predicate,) = request.predicates
+            assert result.locations.tolist() == again.locations.tolist() \
+                == sorted(slots[(targets >= predicate.low)
+                                & (targets <= predicate.high)].tolist())

@@ -344,11 +344,13 @@ class TestReadSurfaceIsPinned:
                 if "search" in name} == {
             "search_many", "range_search_array",
             "range_search_segmented", "search_many_segmented"}
-        # Beyond the base surface: one iterator and the TRS-Tree's two
+        # Beyond the base surface: one iterator, the TRS-Tree's two
         # write aids — the subtree-rebuild delete and the presence check
-        # its delete batches file by — and no other read.
+        # its delete batches file by — and the structure check
+        # ``Database.check_invariants`` calls; no other read.
         assert public_callables(OrderedIndex) == (
-            public_callables(Index) | {"items", "delete_range", "holds_many"})
+            public_callables(Index) | {"items", "delete_range", "holds_many",
+                                       "check_invariants"})
         # The paged tree keeps its per-row insert for Figure 24's per-row
         # disk inserts; no other index has a per-row write.
         assert public_callables(PagedBPlusTree) - public_callables(Index) \

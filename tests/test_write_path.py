@@ -350,8 +350,10 @@ class TestLoadIsInsertManyIntoEmpty:
         assert loaded.num_entries == len(pairs)
         assert loaded.memory_bytes() == oracle.memory_bytes()
         probe = KeyRange(0.0, 3.0)
-        assert (loaded.range_search_segmented([probe])[0].tolist()
-                == oracle.range_search_array(probe).tolist())
+        # The loop's index holds a record, read beside its run: one range's
+        # tids are not in key order across the two.
+        assert (sorted(loaded.range_search_segmented([probe])[0].tolist())
+                == sorted(oracle.range_search_array(probe).tolist()))
 
     @pytest.mark.parametrize("size", [1, 7, 64])
     @pytest.mark.parametrize("name", sorted(LOAD_INPUTS))
@@ -370,8 +372,8 @@ class TestLoadIsInsertManyIntoEmpty:
                                 np.asarray([tid for _, tid in chunk]))
         assert batched.num_entries == oracle.num_entries == len(pairs)
         probe = KeyRange(0.0, 3.0)
-        assert (batched.range_search_segmented([probe])[0].tolist()
-                == oracle.range_search_array(probe).tolist())
+        assert (sorted(batched.range_search_segmented([probe])[0].tolist())
+                == sorted(oracle.range_search_array(probe).tolist()))
         assert list(batched.items()) == list(oracle.items())
         assert batched.memory_bytes() == oracle.memory_bytes()
 
